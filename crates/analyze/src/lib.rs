@@ -315,22 +315,22 @@ pub fn to_json(diags: &[Diagnostic]) -> serde_json::Value {
         .filter(|d| d.severity == Severity::Error)
         .count();
     let warnings = diags.len() - errors;
-    Value::Object(vec![
-        ("tool".to_string(), "kollaps-analyze".into()),
-        ("errors".to_string(), (errors as u64).into()),
-        ("warnings".to_string(), (warnings as u64).into()),
+    Value::from_iter([
+        ("tool", "kollaps-analyze".into()),
+        ("errors", (errors as u64).into()),
+        ("warnings", (warnings as u64).into()),
         (
-            "diagnostics".to_string(),
+            "diagnostics",
             Value::Array(
                 diags
                     .iter()
                     .map(|d| {
-                        Value::Object(vec![
-                            ("path".to_string(), d.path.as_str().into()),
-                            ("line".to_string(), (d.line as u64).into()),
-                            ("rule".to_string(), d.rule.into()),
-                            ("severity".to_string(), d.severity.as_str().into()),
-                            ("message".to_string(), d.message.as_str().into()),
+                        Value::from_iter([
+                            ("path", d.path.as_str().into()),
+                            ("line", (d.line as u64).into()),
+                            ("rule", d.rule.into()),
+                            ("severity", d.severity.as_str().into()),
+                            ("message", d.message.as_str().into()),
                         ])
                     })
                     .collect(),

@@ -262,8 +262,9 @@ fn cfg_not_test_is_still_checked() {
 /// landed; each must still fire so a reintroduction cannot land silently.
 #[test]
 fn regression_pre_fix_shapes_still_fire() {
-    // manager.rs container_addrs(): unsorted key iteration escaping an
-    // accessor (fixed by collect + sort).
+    // manager.rs, the `egress` map while it was a `HashMap`: unsorted key
+    // iteration escaping an accessor (fixed for good by making the map a
+    // `BTreeMap`).
     let addrs = "struct M { egress: HashMap<u32, u32> }\n\
                  impl M { fn addrs(&self) -> Vec<u32> { self.egress.keys().copied().collect() } }\n";
     assert_eq!(rules_fired(CORE, addrs), vec!["hash-iteration"]);

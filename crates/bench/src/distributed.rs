@@ -7,31 +7,11 @@
 use kollaps_runtime::coordinator::{self, staggered_join_scenario, RunOptions};
 
 use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC, TOLERANCE_WALL_CLOCK};
-use crate::Row;
 
-/// One distributed-vs-in-process comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct DistributedCell {
-    /// Emulated seconds the scenario ran for.
-    pub seconds: u64,
-    /// `|distributed − in-process|` worst-case convergence gap, in
-    /// percentage points. Replica lockstep makes this exactly zero.
-    pub max_gap_delta_pct: f64,
-    /// Same for the mean gap.
-    pub mean_gap_delta_pct: f64,
-    /// Real metadata bytes that crossed the UDP sockets, summed over
-    /// agents — the distributed counterpart of the modeled
-    /// `metadata_bytes` (each datagram carries a 4-byte frame prefix).
-    pub metadata_bytes: u64,
-    /// Mean wall-clock microseconds an agent spent in the per-tick
-    /// lockstep barrier.
-    pub barrier_wait_us_per_tick: f64,
-}
-
-/// Runs the comparison: in-process baseline, then the distributed runtime
+/// Runs the comparison — in-process baseline, then the distributed runtime
 /// with two thread-mode agents over real loopback sockets, zero injected
-/// delay and loss.
-pub fn run_distributed_cell(seconds: u64) -> DistributedCell {
+/// delay and loss — and returns its perf-trajectory records.
+pub fn run_distributed(seconds: u64) -> BenchReport {
     let baseline = staggered_join_scenario(seconds)
         .run()
         .expect("in-process staggered join");
@@ -56,74 +36,42 @@ pub fn run_distributed_cell(seconds: u64) -> DistributedCell {
         (w + a.barrier_wait_micros, t + a.barriers)
     });
 
-    DistributedCell {
-        seconds,
-        max_gap_delta_pct: (gap("max_gap") - expected.max_gap).abs() * 100.0,
-        mean_gap_delta_pct: (gap("mean_gap") - expected.mean_gap).abs() * 100.0,
-        metadata_bytes,
-        barrier_wait_us_per_tick: wait_us as f64 / ticks.max(1) as f64,
-    }
-}
-
-/// The printable view of the comparison.
-pub fn distributed_rows(cell: &DistributedCell) -> Vec<Row> {
-    vec![Row {
-        label: format!("{}s staggered join, 2 agents", cell.seconds),
-        values: vec![
-            ("max-gap delta %".into(), f64::NAN, cell.max_gap_delta_pct),
-            ("mean-gap delta %".into(), f64::NAN, cell.mean_gap_delta_pct),
-            ("UDP bytes".into(), f64::NAN, cell.metadata_bytes as f64),
-            (
-                "barrier µs/tick".into(),
-                f64::NAN,
-                cell.barrier_wait_us_per_tick,
-            ),
-        ],
-    }]
-}
-
-/// The perf-trajectory records for [`run_distributed_cell`].
-pub fn distributed_records(cell: &DistributedCell) -> BenchReport {
+    let cell = |name: &str, value: f64, unit: &str, tolerance: f64| {
+        BenchRecord::new(name, value, unit)
+            .axis("seconds", seconds)
+            .axis("agents", 2)
+            .lower_is_better(tolerance)
+    };
     let mut report = BenchReport::new("distributed");
-    report.push(
-        BenchRecord::new(
-            "max_gap_delta_vs_inprocess",
-            cell.max_gap_delta_pct,
-            "percent",
-        )
-        .axis("seconds", cell.seconds)
-        .axis("agents", 2)
-        .lower_is_better(TOLERANCE_DETERMINISTIC),
-    );
-    report.push(
-        BenchRecord::new(
-            "mean_gap_delta_vs_inprocess",
-            cell.mean_gap_delta_pct,
-            "percent",
-        )
-        .axis("seconds", cell.seconds)
-        .axis("agents", 2)
-        .lower_is_better(TOLERANCE_DETERMINISTIC),
-    );
-    report.push(
-        BenchRecord::new(
-            "metadata_network_bytes",
-            cell.metadata_bytes as f64,
-            "bytes",
-        )
-        .axis("seconds", cell.seconds)
-        .axis("agents", 2)
-        .lower_is_better(TOLERANCE_DETERMINISTIC),
-    );
-    report.push(
-        BenchRecord::new(
-            "barrier_wait_per_tick",
-            cell.barrier_wait_us_per_tick,
-            "micros",
-        )
-        .axis("seconds", cell.seconds)
-        .axis("agents", 2)
-        .lower_is_better(TOLERANCE_WALL_CLOCK),
-    );
+    // `|distributed − in-process|` convergence gaps, in percentage points.
+    // Replica lockstep makes them exactly zero.
+    report.push(cell(
+        "max_gap_delta_vs_inprocess",
+        (gap("max_gap") - expected.max_gap).abs() * 100.0,
+        "percent",
+        TOLERANCE_DETERMINISTIC,
+    ));
+    report.push(cell(
+        "mean_gap_delta_vs_inprocess",
+        (gap("mean_gap") - expected.mean_gap).abs() * 100.0,
+        "percent",
+        TOLERANCE_DETERMINISTIC,
+    ));
+    // Real metadata bytes that crossed the UDP sockets, summed over agents
+    // — the distributed counterpart of the modeled `metadata_bytes` (each
+    // datagram carries a 4-byte frame prefix).
+    report.push(cell(
+        "metadata_network_bytes",
+        metadata_bytes as f64,
+        "bytes",
+        TOLERANCE_DETERMINISTIC,
+    ));
+    // Mean wall-clock an agent spent in the per-tick lockstep barrier.
+    report.push(cell(
+        "barrier_wait_per_tick",
+        wait_us as f64 / ticks.max(1) as f64,
+        "micros",
+        TOLERANCE_WALL_CLOCK,
+    ));
     report
 }

@@ -25,9 +25,8 @@ use kollaps_topology::generators::{self, ScaleFreeParams};
 use kollaps_topology::model::Topology;
 
 use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC, TOLERANCE_WALL_CLOCK};
-use crate::Row;
 
-/// One cell of the sweep, with everything the JSON artifact needs.
+/// One cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct DynamicsCell {
     /// Total topology elements (services + switches).
@@ -154,74 +153,6 @@ pub fn run_dynamics(
         }
     }
     cells
-}
-
-/// The printable view of the sweep (same `Row` shape as the paper tables).
-pub fn dynamics_rows(cells: &[DynamicsCell]) -> Vec<Row> {
-    cells
-        .iter()
-        .map(|c| Row {
-            label: format!("{} elem / {} flapping", c.elements, c.flapped_links),
-            values: vec![
-                ("pairs".into(), f64::NAN, c.pairs as f64),
-                ("events".into(), f64::NAN, c.events as f64),
-                ("mean swap paths".into(), f64::NAN, c.mean_swap_cost),
-                (
-                    "swap/pairs %".into(),
-                    f64::NAN,
-                    100.0 * c.mean_swap_cost / (c.pairs.max(1) as f64),
-                ),
-                (
-                    "precompute ms".into(),
-                    f64::NAN,
-                    c.precompute_micros as f64 / 1000.0,
-                ),
-                (
-                    "online rebuild ms".into(),
-                    f64::NAN,
-                    c.online_rebuild_micros as f64 / 1000.0,
-                ),
-            ],
-        })
-        .collect()
-}
-
-/// The machine-readable view, uploaded as a CI artifact by the
-/// `--bin dynamics` driver.
-pub fn dynamics_json(cells: &[DynamicsCell]) -> serde_json::Value {
-    use serde_json::Value;
-    let rows: Vec<Value> = cells
-        .iter()
-        .map(|c| {
-            Value::Object(vec![
-                ("elements".to_string(), c.elements.into()),
-                ("services".to_string(), c.services.into()),
-                ("pairs".to_string(), c.pairs.into()),
-                ("flapped_links".to_string(), c.flapped_links.into()),
-                ("events".to_string(), c.events.into()),
-                ("snapshots".to_string(), c.snapshots.into()),
-                ("precompute_micros".to_string(), c.precompute_micros.into()),
-                ("mean_swap_cost".to_string(), c.mean_swap_cost.into()),
-                ("max_swap_cost".to_string(), c.max_swap_cost.into()),
-                (
-                    "online_rebuild_micros".to_string(),
-                    c.online_rebuild_micros.into(),
-                ),
-                (
-                    "online_paths_recomputed".to_string(),
-                    c.online_paths_recomputed.into(),
-                ),
-                (
-                    "timeline_paths_recomputed".to_string(),
-                    c.timeline_paths_recomputed.into(),
-                ),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("bench".to_string(), "dynamics".into()),
-        ("cells".to_string(), Value::Array(rows)),
-    ])
 }
 
 /// The perf-trajectory records for `BENCH_dynamics.json`: the deterministic

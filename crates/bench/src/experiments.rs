@@ -24,6 +24,8 @@ use kollaps_workloads::{
     bft_latencies, cassandra_curve, memcached_throughput, BftSystem, CassandraConfig,
 };
 
+use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC};
+
 /// A generic result row: a label plus (paper, measured) value pairs.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -701,34 +703,12 @@ pub fn run_fig11() -> Vec<Row> {
 /// Emulation Manager; the flows join staggered, so each join forces the
 /// remote manager to re-share the bottleneck from received metadata, and
 /// the report's convergence metric records the worst relative gap.
-pub fn run_staleness(seconds: u64) -> Vec<Row> {
-    let cells = run_staleness_cells(seconds);
-    let rows = staleness_rows(&cells);
-    print_rows(
-        "Accuracy vs staleness: mean relative gap (%) to the omniscient \
-         allocation (grows with the metadata delay, shrinks with a faster loop)",
-        &rows,
-    );
-    rows
-}
-
-/// One cell of the staleness sweep: the accuracy the decentralized
-/// enforcement achieves at one (loop interval, metadata delay) point.
-#[derive(Debug, Clone)]
-pub struct StalenessCell {
-    /// Emulation loop interval, milliseconds.
-    pub loop_ms: u64,
-    /// Metadata bus delay, milliseconds.
-    pub delay_ms: u64,
-    /// Mean relative gap to the omniscient allocation, percent.
-    pub mean_gap_pct: f64,
-    /// Worst relative gap, percent.
-    pub max_gap_pct: f64,
-}
-
-/// The structured staleness sweep behind [`run_staleness`] — the unit the
-/// perf-trajectory gate tracks.
-pub fn run_staleness_cells(seconds: u64) -> Vec<StalenessCell> {
+///
+/// Returns the perf-trajectory records for `BENCH_staleness.json`: the gaps
+/// are deterministic simulation outputs, so they gate tightly — an
+/// enforcement change that worsens convergence at any staleness point fails
+/// the build.
+pub fn run_staleness(seconds: u64) -> BenchReport {
     let (topo, _, _) = generators::dumbbell(
         4,
         Bandwidth::from_mbps(100),
@@ -736,7 +716,7 @@ pub fn run_staleness_cells(seconds: u64) -> Vec<StalenessCell> {
         SimDuration::from_millis(1),
         SimDuration::from_millis(10),
     );
-    let mut cells = Vec::new();
+    let mut records = BenchReport::new("staleness");
     for loop_ms in [10u64, 50, 100] {
         for delay_ms in [0u64, 10, 50] {
             let config = kollaps_core::emulation::EmulationConfig {
@@ -771,62 +751,21 @@ pub fn run_staleness_cells(seconds: u64) -> Vec<StalenessCell> {
                 .run()
                 .expect("staleness scenario");
             let convergence = report.convergence.expect("kollaps convergence");
-            cells.push(StalenessCell {
-                loop_ms,
-                delay_ms,
-                mean_gap_pct: convergence.mean_gap * 100.0,
-                max_gap_pct: convergence.max_gap * 100.0,
-            });
+            let gap = |name: &str, gap: f64| {
+                BenchRecord::new(name, gap * 100.0, "percent")
+                    .axis("loop_ms", loop_ms)
+                    .axis("delay_ms", delay_ms)
+                    .lower_is_better(TOLERANCE_DETERMINISTIC)
+            };
+            records.push(gap("mean_gap", convergence.mean_gap));
+            records.push(gap("max_gap", convergence.max_gap));
         }
     }
-    cells
+    records
 }
 
-/// The printable view of the staleness sweep (one row per loop interval).
-pub fn staleness_rows(cells: &[StalenessCell]) -> Vec<Row> {
-    let mut rows: Vec<Row> = Vec::new();
-    for cell in cells {
-        let label = format!("loop={}ms", cell.loop_ms);
-        if rows.last().map(|r| r.label != label).unwrap_or(true) {
-            rows.push(Row {
-                label,
-                values: Vec::new(),
-            });
-        }
-        rows.last_mut().unwrap().values.push((
-            format!("delay={}ms mean-gap%", cell.delay_ms),
-            f64::NAN,
-            cell.mean_gap_pct,
-        ));
-    }
-    rows
-}
-
-/// The perf-trajectory records for `BENCH_staleness.json`: the gaps are
-/// deterministic simulation outputs, so they gate tightly — an enforcement
-/// change that worsens convergence at any staleness point fails the build.
-pub fn staleness_records(cells: &[StalenessCell]) -> crate::record::BenchReport {
-    use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC};
-    let mut report = BenchReport::new("staleness");
-    for c in cells {
-        report.push(
-            BenchRecord::new("mean_gap", c.mean_gap_pct, "percent")
-                .axis("loop_ms", c.loop_ms)
-                .axis("delay_ms", c.delay_ms)
-                .lower_is_better(TOLERANCE_DETERMINISTIC),
-        );
-        report.push(
-            BenchRecord::new("max_gap", c.max_gap_pct, "percent")
-                .axis("loop_ms", c.loop_ms)
-                .axis("delay_ms", c.delay_ms)
-                .lower_is_better(TOLERANCE_DETERMINISTIC),
-        );
-    }
-    report
-}
-
-/// Size in bytes of the metadata message for a given flow count — used by
-/// the metadata-codec micro-benchmark and the Figure 3 discussion.
+/// Size in bytes of the metadata message for a given flow count (the
+/// Figure 3 discussion: 160 flows still fit one datagram).
 pub fn metadata_message_size(flows: usize, links_per_flow: usize) -> usize {
     let mut msg = MetadataMessage::new();
     for i in 0..flows {

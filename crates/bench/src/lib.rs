@@ -1,17 +1,20 @@
 //! # kollaps-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the Kollaps
-//! evaluation (EuroSys'20, §5). Each public `run_*` function prints the
-//! paper-reported values next to the values measured on this reproduction
-//! and returns the measured rows so integration tests can assert on the
-//! *shape* of the results.
+//! evaluation (EuroSys'20, §5). Each `run_table*`/`run_fig*` function prints
+//! the paper-reported values next to the values measured on this
+//! reproduction and returns the measured rows so tests can assert on the
+//! *shape* of the results; each sweep yields the [`BenchReport`] the
+//! perf-trajectory gate tracks.
 //!
-//! Run an individual experiment with `cargo run -p kollaps-bench --bin
-//! <table2|table3|table4|fig3|...|fig11>` or everything with
-//! `--bin all_experiments`. Durations are scaled down from the paper (60 s
-//! iPerf runs become a few simulated seconds) so the full suite finishes in
-//! minutes; the comparisons are unaffected because the simulation is
-//! deterministic.
+//! Everything runs through the one `kollaps-bench <name>` binary: `cargo run
+//! --release -p kollaps_bench -- fig8` for an individual experiment
+//! (`table2`…`table4`, `fig3`…`fig11`), `-- all` for every one of them, and
+//! `-- staleness|dynamics|session|distributed|scaling` for the gated sweeps
+//! that write `target/BENCH_<name>.json` (see [`record`]). Durations are
+//! scaled down from the paper (60 s iPerf runs become a few simulated
+//! seconds) so the full suite finishes in minutes; the comparisons are
+//! unaffected because the simulation is deterministic.
 
 #![forbid(unsafe_code)]
 
@@ -22,17 +25,9 @@ pub mod record;
 pub mod scaling;
 pub mod session;
 
-pub use distributed::{
-    distributed_records, distributed_rows, run_distributed_cell, DistributedCell,
-};
-pub use dynamics::{dynamics_json, dynamics_records, dynamics_rows, run_dynamics, DynamicsCell};
+pub use distributed::*;
+pub use dynamics::*;
 pub use experiments::*;
-pub use record::{
-    diff, has_regressions, markdown_table, BenchRecord, BenchReport, Delta, DeltaKind, Direction,
-    BENCH_SCHEMA_VERSION, TOLERANCE_DETERMINISTIC, TOLERANCE_WALL_CLOCK,
-};
-pub use scaling::{
-    run_alloc_scaling, run_scaling, scaling_json, scaling_records, scaling_rows, AllocScalingCell,
-    ScalingCell, DEFAULT_CELLS, DEFAULT_LINK_COUNTS, FULL_CELLS, PARALLEL_THREADS,
-};
-pub use session::{run_session_bench, session_records, SessionBenchResult, SteppedRun};
+pub use record::*;
+pub use scaling::*;
+pub use session::*;

@@ -1,14 +1,14 @@
 //! The unified perf-trajectory record schema and the regression gate.
 //!
-//! Every bench bin (`dynamics`, `session`, `staleness`) emits one
-//! [`BenchReport`] — a flat list of [`BenchRecord`]s: metric name, value,
-//! unit, the sweep axes that locate the cell, and the regression policy
-//! (direction + tolerance). Fresh runs land in `target/BENCH_<bench>.json`;
-//! the blessed per-PR baselines are committed at the repo root as
-//! `BENCH_<bench>.json`. The `bench_diff` bin compares the two, prints a
-//! markdown delta table, and exits nonzero when any tracked metric
-//! regresses beyond its tolerance — the CI gate every scaling PR runs
-//! through.
+//! Every sweep (`kollaps-bench distributed|dynamics|scaling|session|
+//! staleness`) emits one [`BenchReport`] — a flat list of [`BenchRecord`]s:
+//! metric name, value, unit, the sweep axes that locate the cell, and the
+//! regression policy (direction + tolerance). Fresh runs land in
+//! `target/BENCH_<bench>.json`; the blessed per-PR baselines are committed
+//! at the repo root as `BENCH_<bench>.json`. `kollaps-bench diff` compares
+//! the two, prints a markdown delta table, and exits nonzero when any
+//! tracked metric regresses beyond its tolerance — the CI gate every
+//! scaling PR runs through.
 //!
 //! Two tolerance regimes coexist deliberately: metrics derived from the
 //! deterministic simulation (event counts, swap costs, convergence gaps)
@@ -124,8 +124,13 @@ impl BenchRecord {
         if self.axes.is_empty() {
             return self.metric.clone();
         }
+        format!("{}{{{}}}", self.metric, self.axes_label(","))
+    }
+
+    /// The axes as `name=value` pairs joined by `separator`.
+    fn axes_label(&self, separator: &str) -> String {
         let axes: Vec<String> = self.axes.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        format!("{}{{{}}}", self.metric, axes.join(","))
+        axes.join(separator)
     }
 
     fn to_json(&self) -> Value {
@@ -133,19 +138,16 @@ impl BenchRecord {
             .axes
             .iter()
             .map(|(k, v)| {
-                Value::Object(vec![
-                    ("name".to_string(), k.as_str().into()),
-                    ("value".to_string(), v.as_str().into()),
-                ])
+                Value::from_iter([("name", k.as_str().into()), ("value", v.as_str().into())])
             })
             .collect();
-        Value::Object(vec![
-            ("metric".to_string(), self.metric.as_str().into()),
-            ("value".to_string(), self.value.into()),
-            ("unit".to_string(), self.unit.as_str().into()),
-            ("axes".to_string(), Value::Array(axes)),
-            ("direction".to_string(), self.direction.as_str().into()),
-            ("tolerance".to_string(), self.tolerance.into()),
+        Value::from_iter([
+            ("metric", self.metric.as_str().into()),
+            ("value", self.value.into()),
+            ("unit", self.unit.as_str().into()),
+            ("axes", Value::Array(axes)),
+            ("direction", self.direction.as_str().into()),
+            ("tolerance", self.tolerance.into()),
         ])
     }
 
@@ -193,10 +195,10 @@ impl BenchRecord {
     }
 }
 
-/// One bench bin's full result set: the unit `BENCH_<bench>.json` stores.
+/// One sweep's full result set: the unit `BENCH_<bench>.json` stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Bench name (`dynamics`, `session`, `staleness`).
+    /// Sweep name (`dynamics`, `session`, `staleness`, ...).
     pub bench: String,
     /// The records, in emission order.
     pub records: Vec<BenchRecord>,
@@ -218,11 +220,11 @@ impl BenchReport {
 
     /// The whole report as a JSON value tree.
     pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("schema_version".to_string(), BENCH_SCHEMA_VERSION.into()),
-            ("bench".to_string(), self.bench.as_str().into()),
+        Value::from_iter([
+            ("schema_version", BENCH_SCHEMA_VERSION.into()),
+            ("bench", self.bench.as_str().into()),
             (
-                "records".to_string(),
+                "records",
                 Value::Array(self.records.iter().map(BenchRecord::to_json).collect()),
             ),
         ])
@@ -259,6 +261,23 @@ impl BenchReport {
             records.push(BenchRecord::from_json(record)?);
         }
         Ok(BenchReport { bench, records })
+    }
+
+    /// Prints the report under `title`, one line per sweep cell (consecutive
+    /// records sharing their axes): the axes, then `metric: value unit`
+    /// cells.
+    pub fn print(&self, title: &str) {
+        print!("\n=== {title} ===");
+        let mut cell: Option<&[(String, String)]> = None;
+        for record in &self.records {
+            if cell != Some(&record.axes) {
+                cell = Some(&record.axes);
+                print!("\n{:<24}", record.axes_label(" "));
+            }
+            let value = fmt_value(Some(record.value));
+            print!(" | {}: {value} {}", record.metric, record.unit);
+        }
+        println!();
     }
 
     /// Writes the report to `path` (creating parent directories).

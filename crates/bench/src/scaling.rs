@@ -32,7 +32,6 @@ use kollaps_topology::generators;
 use kollaps_topology::model::LinkId;
 
 use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC, TOLERANCE_WALL_CLOCK};
-use crate::Row;
 
 /// Worker threads the parallel leg of every cell uses. Fixed (not read
 /// from `KOLLAPS_THREADS`) so record identities are stable across runners.
@@ -244,8 +243,6 @@ pub const FULL_CELLS: [(usize, usize); 4] = [(50, 4), (150, 8), (500, 20), (1000
 pub struct AllocScalingCell {
     /// Constrained (bottleneck) links, each its own contention component.
     pub links: usize,
-    /// Flows (two per component).
-    pub flows: usize,
     /// Mean microseconds per incremental `allocate` call in steady state
     /// (one flow's demand toggles per call).
     pub incremental_micros: f64,
@@ -307,7 +304,6 @@ fn run_alloc_cell(links: usize, iterations: usize) -> AllocScalingCell {
 
     AllocScalingCell {
         links,
-        flows: flows.len(),
         incremental_micros,
         full_micros,
         components_recomputed_per_call: recomputed as f64 / iterations as f64,
@@ -324,124 +320,6 @@ pub fn run_alloc_scaling(link_counts: &[usize], iterations: usize) -> Vec<AllocS
 
 /// Default microbench link counts (flows are 2× these).
 pub const DEFAULT_LINK_COUNTS: [usize; 3] = [64, 256, 1024];
-
-/// The printable view of both sweeps.
-pub fn scaling_rows(cells: &[ScalingCell], alloc: &[AllocScalingCell]) -> Vec<Row> {
-    let mut rows: Vec<Row> = cells
-        .iter()
-        .map(|c| Row {
-            label: format!("{} nodes / {} flows", c.nodes, c.flows),
-            values: vec![
-                ("rounds/s seq".into(), f64::NAN, c.rounds_per_sec_seq),
-                ("rounds/s par".into(), f64::NAN, c.rounds_per_sec_par),
-                ("speedup".into(), f64::NAN, c.speedup()),
-                ("trace ovh".into(), f64::NAN, c.traced_overhead_ratio()),
-                ("alloc µs/round".into(), f64::NAN, c.alloc_micros_per_round),
-                ("fast-hit %".into(), f64::NAN, c.fast_hit_percent()),
-                (
-                    "precompute ms".into(),
-                    f64::NAN,
-                    c.precompute_seq_micros as f64 / 1000.0,
-                ),
-            ],
-        })
-        .collect();
-    rows.extend(alloc.iter().map(|c| Row {
-        label: format!("{} links / {} flows", c.links, c.flows),
-        values: vec![
-            ("incr µs/call".into(), f64::NAN, c.incremental_micros),
-            ("full µs/call".into(), f64::NAN, c.full_micros),
-            (
-                "full/incr".into(),
-                f64::NAN,
-                c.full_micros / c.incremental_micros.max(1e-9),
-            ),
-            (
-                "components/call".into(),
-                f64::NAN,
-                c.components_recomputed_per_call,
-            ),
-        ],
-    }));
-    rows
-}
-
-/// The machine-readable view, uploaded as a CI artifact by the
-/// `--bin scaling` driver.
-pub fn scaling_json(cells: &[ScalingCell], alloc: &[AllocScalingCell]) -> serde_json::Value {
-    use serde_json::Value;
-    let stepping: Vec<Value> = cells
-        .iter()
-        .map(|c| {
-            Value::Object(vec![
-                ("nodes".to_string(), c.nodes.into()),
-                ("flows".to_string(), c.flows.into()),
-                ("rounds".to_string(), c.rounds.into()),
-                (
-                    "precompute_seq_micros".to_string(),
-                    c.precompute_seq_micros.into(),
-                ),
-                (
-                    "precompute_par_micros".to_string(),
-                    c.precompute_par_micros.into(),
-                ),
-                (
-                    "rounds_per_sec_seq".to_string(),
-                    c.rounds_per_sec_seq.into(),
-                ),
-                (
-                    "rounds_per_sec_par".to_string(),
-                    c.rounds_per_sec_par.into(),
-                ),
-                ("speedup".to_string(), c.speedup().into()),
-                (
-                    "rounds_per_sec_traced".to_string(),
-                    c.rounds_per_sec_traced.into(),
-                ),
-                (
-                    "traced_overhead_ratio".to_string(),
-                    c.traced_overhead_ratio().into(),
-                ),
-                (
-                    "alloc_micros_per_round".to_string(),
-                    c.alloc_micros_per_round.into(),
-                ),
-                ("fast_hit_percent".to_string(), c.fast_hit_percent().into()),
-                (
-                    "components_reused".to_string(),
-                    c.alloc_stats.components_reused.into(),
-                ),
-                (
-                    "components_recomputed".to_string(),
-                    c.alloc_stats.components_recomputed.into(),
-                ),
-            ])
-        })
-        .collect();
-    let micro: Vec<Value> = alloc
-        .iter()
-        .map(|c| {
-            Value::Object(vec![
-                ("links".to_string(), c.links.into()),
-                ("flows".to_string(), c.flows.into()),
-                (
-                    "incremental_micros".to_string(),
-                    c.incremental_micros.into(),
-                ),
-                ("full_micros".to_string(), c.full_micros.into()),
-                (
-                    "components_recomputed_per_call".to_string(),
-                    c.components_recomputed_per_call.into(),
-                ),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("bench".to_string(), "scaling".into()),
-        ("stepping".to_string(), Value::Array(stepping)),
-        ("allocator".to_string(), Value::Array(micro)),
-    ])
-}
 
 /// The perf-trajectory records for `BENCH_scaling.json`. Wall-clock
 /// throughputs gate loosely (`higher_is_better`, runners differ); the

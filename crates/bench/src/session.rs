@@ -1,9 +1,8 @@
-//! The session-layer overhead bench, shared between the `session` bin and
-//! the perf-trajectory gate: the one-shot `Scenario::run()` is a wrapper
-//! over the resumable `Session`, so this sweep pins (a) that the wrapper
-//! costs nothing measurable and (b) what fine-grained interactive stepping
-//! costs relative to it, plus the wall-clock speedup a concurrent
-//! `Campaign` gets from its thread pool.
+//! The session-layer overhead bench (`kollaps-bench session`): the one-shot
+//! `Scenario::run()` is a wrapper over the resumable `Session`, so this
+//! sweep pins (a) that the wrapper costs nothing measurable and (b) what
+//! fine-grained interactive stepping costs relative to it, plus the
+//! wall-clock speedup a concurrent `Campaign` gets from its thread pool.
 
 use std::time::Instant;
 
@@ -16,39 +15,6 @@ use crate::record::{BenchRecord, BenchReport, TOLERANCE_WALL_CLOCK};
 /// Stepping overhead relative to one-shot is a within-process ratio, far
 /// more stable across runners than absolute wall time — gate it tighter.
 const TOLERANCE_RELATIVE: f64 = 1.0;
-
-/// One stepped run of the sweep.
-#[derive(Debug, Clone)]
-pub struct SteppedRun {
-    /// Step granularity in milliseconds.
-    pub step_ms: u64,
-    /// Wall-clock of the full stepped session.
-    pub wall_ms: f64,
-    /// `wall_ms / one_shot_ms`.
-    pub relative: f64,
-}
-
-/// Everything the session bench measures.
-#[derive(Debug, Clone)]
-pub struct SessionBenchResult {
-    /// Wall-clock of the one-shot `run()` baseline.
-    pub one_shot_ms: f64,
-    /// Stepped sessions, coarsest first.
-    pub stepped: Vec<SteppedRun>,
-    /// Variants in the campaign sweep.
-    pub campaign_variants: usize,
-    /// Campaign wall-clock on one thread.
-    pub campaign_serial_ms: f64,
-    /// Campaign wall-clock on four threads.
-    pub campaign_threads4_ms: f64,
-}
-
-impl SessionBenchResult {
-    /// Thread-pool speedup of the campaign sweep.
-    pub fn campaign_speedup(&self) -> f64 {
-        self.campaign_serial_ms / self.campaign_threads4_ms
-    }
-}
 
 fn scenario() -> Scenario {
     let (topo, _, _) = generators::dumbbell(
@@ -77,14 +43,21 @@ fn scenario() -> Scenario {
         }))
 }
 
-/// Runs the sweep: one-shot baseline, stepped sessions at three
-/// granularities, then the 4-variant campaign serial vs 4 threads.
-pub fn run_session_bench() -> SessionBenchResult {
+/// Runs the sweep — one-shot baseline, stepped sessions at three
+/// granularities, then the 4-variant campaign serial vs 4 threads — and
+/// returns its perf-trajectory records: absolute wall times gate with the
+/// wide wall-clock tolerance, the stepping-overhead ratios with a tighter
+/// one (same-process ratios are stable), and the campaign speedup is
+/// informational (CI core counts vary).
+pub fn run_session_bench() -> BenchReport {
+    let mut report = BenchReport::new("session");
     let t0 = Instant::now();
     let baseline = scenario().run().expect("valid scenario");
     let one_shot_ms = t0.elapsed().as_secs_f64() * 1e3;
+    report.push(
+        BenchRecord::new("one_shot_ms", one_shot_ms, "ms").lower_is_better(TOLERANCE_WALL_CLOCK),
+    );
 
-    let mut stepped = Vec::new();
     for step_ms in [1000u64, 100, 10] {
         let t = Instant::now();
         let mut session = scenario().session().expect("valid scenario");
@@ -93,14 +66,19 @@ pub fn run_session_bench() -> SessionBenchResult {
                 .step(SimDuration::from_millis(step_ms))
                 .expect("stepping");
         }
-        let report = session.finish();
+        let stepped = session.finish();
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(report.flows.len(), baseline.flows.len());
-        stepped.push(SteppedRun {
-            step_ms,
-            wall_ms,
-            relative: wall_ms / one_shot_ms,
-        });
+        assert_eq!(stepped.flows.len(), baseline.flows.len());
+        report.push(
+            BenchRecord::new("stepped_wall_ms", wall_ms, "ms")
+                .axis("step_ms", step_ms)
+                .lower_is_better(TOLERANCE_WALL_CLOCK),
+        );
+        report.push(
+            BenchRecord::new("stepped_relative", wall_ms / one_shot_ms, "ratio")
+                .axis("step_ms", step_ms)
+                .lower_is_better(TOLERANCE_RELATIVE),
+        );
     }
 
     let delays = [
@@ -111,64 +89,35 @@ pub fn run_session_bench() -> SessionBenchResult {
     ];
     let sweep = |threads: usize| {
         let t = Instant::now();
-        let report = Campaign::over(scenario())
+        let campaign = Campaign::over(scenario())
             .vary_metadata_delay(&delays)
             .threads(threads)
             .run()
             .expect("valid campaign");
-        assert_eq!(report.timeline_precomputes, 1, "sweep shares one timeline");
+        assert_eq!(
+            campaign.timeline_precomputes, 1,
+            "sweep shares one timeline"
+        );
         t.elapsed().as_secs_f64() * 1e3
     };
-    let campaign_serial_ms = sweep(1);
-    let campaign_threads4_ms = sweep(4);
-
-    SessionBenchResult {
-        one_shot_ms,
-        stepped,
-        campaign_variants: delays.len(),
-        campaign_serial_ms,
-        campaign_threads4_ms,
-    }
-}
-
-/// The perf-trajectory records for `BENCH_session.json`: absolute wall
-/// times gate with the wide wall-clock tolerance, the stepping-overhead
-/// ratios with a tighter one (same-process ratios are stable), and the
-/// campaign speedup is informational (CI core counts vary).
-pub fn session_records(result: &SessionBenchResult) -> BenchReport {
-    let mut report = BenchReport::new("session");
+    let serial_ms = sweep(1);
+    let threads4_ms = sweep(4);
     report.push(
-        BenchRecord::new("one_shot_ms", result.one_shot_ms, "ms")
-            .lower_is_better(TOLERANCE_WALL_CLOCK),
-    );
-    for run in &result.stepped {
-        report.push(
-            BenchRecord::new("stepped_wall_ms", run.wall_ms, "ms")
-                .axis("step_ms", run.step_ms)
-                .lower_is_better(TOLERANCE_WALL_CLOCK),
-        );
-        report.push(
-            BenchRecord::new("stepped_relative", run.relative, "ratio")
-                .axis("step_ms", run.step_ms)
-                .lower_is_better(TOLERANCE_RELATIVE),
-        );
-    }
-    report.push(
-        BenchRecord::new("campaign_serial_ms", result.campaign_serial_ms, "ms")
+        BenchRecord::new("campaign_serial_ms", serial_ms, "ms")
             .lower_is_better(TOLERANCE_WALL_CLOCK),
     );
     report.push(
-        BenchRecord::new("campaign_threads4_ms", result.campaign_threads4_ms, "ms")
+        BenchRecord::new("campaign_threads4_ms", threads4_ms, "ms")
             .lower_is_better(TOLERANCE_WALL_CLOCK),
     );
     report.push(BenchRecord::new(
         "campaign_speedup",
-        result.campaign_speedup(),
+        serial_ms / threads4_ms,
         "ratio",
     ));
     report.push(BenchRecord::new(
         "campaign_variants",
-        result.campaign_variants as f64,
+        delays.len() as f64,
         "count",
     ));
     report

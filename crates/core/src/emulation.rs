@@ -126,7 +126,7 @@ impl ConvergenceStats {
 /// that per-event swap work follows the **delta** (paths the change
 /// affected), not the topology size — `changed_paths_*` against
 /// [`DynamicsStats::pair_count`] makes that measurable, and the
-/// `--bin dynamics` bench sweeps it.
+/// `kollaps-bench dynamics` sweep measures it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DynamicsStats {
     /// Wall-clock microseconds the offline timeline precompute took (paid

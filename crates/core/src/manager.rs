@@ -76,8 +76,10 @@ pub struct EmulationManager {
     /// read-only (the paths map is O(services²) — one copy, not one per
     /// host).
     collapsed: Arc<CollapsedTopology>,
-    /// Egress qdisc tree per **local** container.
-    egress: HashMap<Addr, EgressTree>,
+    /// Egress qdisc tree per **local** container, in address order: trees
+    /// are drained in that order so that same-instant packets enter the
+    /// delivery queue deterministically.
+    egress: BTreeMap<Addr, EgressTree>,
     /// Latest received usage per remote host.
     remote: HashMap<HostId, RemoteUsage>,
     /// Local usage measured in the current loop iteration, sorted by pair.
@@ -126,7 +128,7 @@ impl EmulationManager {
         local: &[Addr],
         rng: &SimRng,
     ) -> Self {
-        let mut egress = HashMap::new();
+        let mut egress = BTreeMap::new();
         for &addr in local {
             egress.insert(
                 addr,
@@ -164,18 +166,6 @@ impl EmulationManager {
         self.host
     }
 
-    /// Addresses of the containers placed on this host, in address order.
-    pub fn container_addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        let mut addrs: Vec<Addr> = self.egress.keys().copied().collect();
-        addrs.sort_unstable();
-        addrs.into_iter()
-    }
-
-    /// `true` if the container with address `addr` is placed on this host.
-    pub fn owns(&self, addr: Addr) -> bool {
-        self.egress.contains_key(&addr)
-    }
-
     /// Number of containers placed on this host.
     pub fn container_count(&self) -> usize {
         self.egress.len()
@@ -209,25 +199,11 @@ impl EmulationManager {
         self.allocator.stats()
     }
 
-    /// Number of remote flows currently in this manager's received view.
-    pub fn remote_flow_count(&self) -> usize {
-        self.remote.values().map(|v| v.flows.len()).sum()
-    }
-
     /// Links this manager observed oversubscribed in its most recent loop
     /// iteration (streak ≥ 1 — before the congestion grace period elapses,
     /// so onset is visible even when no loss is injected yet).
     pub fn oversubscribed_links(&self) -> impl Iterator<Item = LinkId> + '_ {
         self.oversub_streak.iter().map(|&(link, _)| link)
-    }
-
-    /// Worst staleness of the received remote view: the age of the oldest
-    /// per-host usage entry this manager is currently enforcing from.
-    pub fn remote_staleness(&self, now: SimTime) -> Option<SimDuration> {
-        self.remote
-            .values()
-            .map(|v| now.saturating_since(v.published))
-            .max()
     }
 
     /// Offers a packet from a local container to its egress tree.
@@ -237,24 +213,17 @@ impl EmulationManager {
             .map(|tree| tree.enqueue(now, packet))
     }
 
-    /// Packets that finished their collapsed-path emulation on this host.
-    /// Trees are drained in container-address order so that same-instant
-    /// packets enter the delivery queue deterministically (HashMap iteration
-    /// order differs per process).
+    /// Packets that finished their collapsed-path emulation on this host,
+    /// tree by tree in container-address order.
     pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut addrs: Vec<Addr> = self.egress.keys().copied().collect();
-        addrs.sort();
         let mut out = Vec::new();
-        for addr in addrs {
-            if let Some(tree) = self.egress.get_mut(&addr) {
-                out.extend(tree.dequeue_ready(now));
-            }
+        for tree in self.egress.values_mut() {
+            out.extend(tree.dequeue_ready(now));
         }
         out
     }
 
-    /// Earliest time any local TCAL needs service. `min` over the egress
-    /// map is order-insensitive, so the map's iteration order cannot leak.
+    /// Earliest time any local TCAL needs service.
     pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
         self.egress
             .values_mut()
@@ -287,7 +256,8 @@ impl EmulationManager {
             tree.clear_usage();
         }
         // One sort here replaces the per-loop re-sorts `publish` and
-        // `enforce` used to do (the egress map iterates in arbitrary order).
+        // `enforce` used to do (a tree's usage map iterates in arbitrary
+        // order).
         self.usages.sort_unstable_by_key(|&(key, _)| key);
         span.arg("local_flows", self.usages.len() as f64);
     }
@@ -488,22 +458,6 @@ impl EmulationManager {
         worker_span.arg("enforced_pairs", self.last_allocation.len() as f64);
     }
 
-    /// Swaps in a new collapsed snapshot (dynamic events — which are part of
-    /// the experiment description and therefore known to every manager) and
-    /// reconciles the local TCALs with it by **full reinstall**: every
-    /// destination chain of every local TCAL is rewritten.
-    ///
-    /// The emulation loop does not use this any more — it applies
-    /// [`EmulationManager::apply_delta`], which touches only the chains the
-    /// change affected. This full swap remains for callers that obtained a
-    /// snapshot outside a precomputed timeline.
-    pub fn apply_snapshot(&mut self, collapsed: Arc<CollapsedTopology>) {
-        self.collapsed = collapsed;
-        // Capacities changed: the component cache keys on flow shapes only.
-        self.allocator.invalidate();
-        self.install_local_paths();
-    }
-
     /// Applies one precomputed change: swaps the snapshot `Arc` and updates
     /// **only** the qdisc chains of local pairs the delta names. Returns the
     /// number of chains touched — the per-host share of the swap cost, which
@@ -556,24 +510,14 @@ impl EmulationManager {
         touched
     }
 
-    /// Installs (or refreshes) the per-destination chains of every local
-    /// TCAL from the current collapsed snapshot.
+    /// Installs the per-destination chains of every (still empty) local TCAL
+    /// from the initial collapsed snapshot; later snapshots arrive as deltas.
     fn install_local_paths(&mut self) {
         let collapsed = Arc::clone(&self.collapsed);
         for (src_node, src_addr) in collapsed.addresses() {
             let Some(tree) = self.egress.get_mut(&src_addr) else {
                 continue;
             };
-            // Remove chains towards destinations that disappeared.
-            let valid: std::collections::HashSet<Addr> = collapsed
-                .addresses()
-                .filter(|&(dst_node, _)| collapsed.path(src_node, dst_node).is_some())
-                .map(|(_, a)| a)
-                .collect();
-            let stale: Vec<Addr> = tree.destinations().filter(|d| !valid.contains(d)).collect();
-            for dst in stale {
-                tree.remove_path(dst);
-            }
             for (dst_node, dst_addr) in collapsed.addresses() {
                 if dst_addr == src_addr {
                     continue;
@@ -589,13 +533,61 @@ impl EmulationManager {
                 };
                 // The htb class starts at the collapsed maximum bandwidth;
                 // the emulation loop tightens it as soon as competing flows
-                // appear. A kept allocation is clamped in case the path
-                // maximum shrank under it.
-                let rate = table_get(&self.last_allocation, (src_addr, dst_addr))
-                    .unwrap_or(path.max_bandwidth)
-                    .min(path.max_bandwidth);
-                tree.install_path(dst_addr, netem, rate);
+                // appear.
+                tree.install_path(dst_addr, netem, path.max_bandwidth);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kollaps_netmodel::packet::{FlowId, PacketKind, MTU};
+    use kollaps_topology::generators;
+
+    /// The egress map's key order is the drain order: same-instant packets
+    /// from different local containers leave in container-address order,
+    /// whatever order they were offered in.
+    #[test]
+    fn same_instant_packets_leave_in_address_order() {
+        let (topo, clients, servers) = generators::dumbbell(
+            3,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(100),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(1),
+        );
+        let collapsed = Arc::new(CollapsedTopology::build(&topo));
+        let addr = |node| collapsed.address_of(node).expect("service has an address");
+        let mut sources: Vec<Addr> = clients.iter().map(|&c| addr(c)).collect();
+        sources.sort();
+        let dst = addr(servers[0]);
+        let mut manager = EmulationManager::new(
+            HostId(0),
+            EmulationConfig::default(),
+            Arc::clone(&collapsed),
+            &sources,
+            &SimRng::new(7),
+        );
+        for (i, &src) in sources.iter().rev().enumerate() {
+            let id = i as u64;
+            let packet = Packet::new(
+                id,
+                FlowId(id),
+                src,
+                dst,
+                MTU,
+                PacketKind::Udp,
+                SimTime::ZERO,
+            );
+            assert_eq!(
+                manager.enqueue(SimTime::ZERO, packet),
+                Some(EgressVerdict::Queued)
+            );
+        }
+        let drained = manager.dequeue_ready(SimTime::from_secs(1));
+        let order: Vec<Addr> = drained.iter().map(|p| p.src).collect();
+        assert_eq!(order, sources);
     }
 }

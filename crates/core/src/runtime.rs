@@ -7,7 +7,7 @@
 //! and UDP endpoints, and the measurement hooks the evaluation harness reads
 //! (per-flow goodput, receiver-side throughput series, ping RTTs).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use kollaps_netmodel::packet::{Addr, DropReason, FlowId, Packet, PacketKind, HEADER_SIZE, MSS};
 use kollaps_sim::prelude::*;
@@ -97,7 +97,9 @@ pub struct Runtime<D: Dataplane> {
     /// The network under test.
     pub dataplane: D,
     queue: EventQueue<Ev>,
-    tcp_senders: HashMap<FlowId, TcpSender>,
+    /// In flow-id order — the base order of the back-pressure pump (see
+    /// `Ev::DataplaneWakeup`).
+    tcp_senders: BTreeMap<FlowId, TcpSender>,
     tcp_receivers: HashMap<FlowId, TcpReceiver>,
     udp_senders: HashMap<FlowId, UdpSender>,
     udp_delivered: HashMap<FlowId, u64>,
@@ -122,7 +124,7 @@ impl<D: Dataplane> Runtime<D> {
         let mut rt = Runtime {
             dataplane,
             queue: EventQueue::new(),
-            tcp_senders: HashMap::new(),
+            tcp_senders: BTreeMap::new(),
             tcp_receivers: HashMap::new(),
             udp_senders: HashMap::new(),
             udp_delivered: HashMap::new(),
@@ -369,12 +371,10 @@ impl<D: Dataplane> Runtime<D> {
                 // Back-pressured TCP senders get another chance whenever the
                 // dataplane makes progress. Under contention the pump order
                 // decides who wins the freed egress slots, so it must be
-                // deterministic (HashMap order is a per-process coin flip)
-                // but not biased (always-lowest-id-first would let one flow
-                // starve the rest): round-robin over the sorted ids with a
-                // rotating start.
+                // deterministic but not biased (always-lowest-id-first would
+                // let one flow starve the rest): round-robin over the ids in
+                // order with a rotating start.
                 let mut flows: Vec<FlowId> = self.tcp_senders.keys().copied().collect();
-                flows.sort();
                 if !flows.is_empty() {
                     let start = self.pump_rotation % flows.len();
                     self.pump_rotation = self.pump_rotation.wrapping_add(1);

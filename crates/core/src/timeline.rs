@@ -68,7 +68,7 @@ impl SnapshotDelta {
 }
 
 /// Offline-precompute accounting, surfaced through the dataplane's dynamics
-/// stats and the `--bin dynamics` bench.
+/// stats and the `kollaps-bench dynamics` sweep.
 ///
 /// The counters measure **work performed**, cumulatively: an
 /// [`SnapshotTimeline::extend`] that re-derives an already-precomputed

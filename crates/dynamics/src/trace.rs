@@ -164,14 +164,13 @@ fn parse_change(record: &Value, i: usize) -> Result<LinkChange, TraceError> {
 /// millisecond resolution of `at_ms`.
 pub fn trace_to_json(schedule: &EventSchedule) -> String {
     let records: Vec<Value> = schedule.events().iter().map(record_to_json).collect();
-    Value::Object(vec![("events".to_string(), Value::Array(records))]).to_string()
+    Value::from_iter([("events", Value::Array(records))]).to_string()
 }
 
 fn record_to_json(event: &DynamicEvent) -> Value {
-    let mut fields: Vec<(String, Value)> =
-        vec![("at_ms".to_string(), event.at.as_millis_f64().into())];
-    let mut push = |k: &str, v: Value| fields.push((k.to_string(), v));
-    let change_fields = |change: &LinkChange, push: &mut dyn FnMut(&str, Value)| {
+    let mut fields = vec![("at_ms", event.at.as_millis_f64().into())];
+    let mut push = |k: &'static str, v: Value| fields.push((k, v));
+    let change_fields = |change: &LinkChange, push: &mut dyn FnMut(&'static str, Value)| {
         if let Some(latency) = change.latency {
             push("latency_ms", latency.as_millis_f64().into());
         }
@@ -215,7 +214,7 @@ fn record_to_json(event: &DynamicEvent) -> Value {
             push("name", name.as_str().into());
         }
     }
-    Value::Object(fields)
+    Value::from_iter(fields)
 }
 
 #[cfg(test)]

@@ -48,9 +48,10 @@ struct Chain {
 #[derive(Debug)]
 pub struct EgressTree {
     owner: Addr,
+    /// The only destination → class index: the same two-level table that
+    /// classifies packets also answers every per-destination control call.
     filter: U32Filter,
     chains: HashMap<ClassId, Chain>,
-    by_dst: HashMap<Addr, ClassId>,
     next_class: u32,
     rng: SimRng,
     /// Bytes read but not yet cleared by the emulation loop, per destination.
@@ -69,7 +70,6 @@ impl EgressTree {
             owner,
             filter: U32Filter::new(),
             chains: HashMap::new(),
-            by_dst: HashMap::new(),
             next_class: 1,
             rng,
             usage_since_clear: HashMap::new(),
@@ -86,8 +86,8 @@ impl EgressTree {
     /// and htb settings — the TCAL `init`/`update` path.
     pub fn install_path(&mut self, dst: Addr, netem: NetemConfig, bandwidth: Bandwidth) {
         let rng = self.rng.derive(u64::from(dst.as_u32()));
-        match self.by_dst.get(&dst) {
-            Some(&class) => {
+        match self.filter.classify(dst) {
+            Some(class) => {
                 let chain = self.chains.get_mut(&class).expect("chain exists");
                 chain.netem.set_config(netem);
                 chain.htb.set_rate(SimTime::ZERO, bandwidth);
@@ -96,7 +96,6 @@ impl EgressTree {
                 let class = ClassId(self.next_class);
                 self.next_class += 1;
                 self.filter.insert(dst, class);
-                self.by_dst.insert(dst, class);
                 self.chains.insert(
                     class,
                     Chain {
@@ -112,22 +111,16 @@ impl EgressTree {
     /// Removes the chain towards `dst` (dynamic topologies: link/service
     /// removal). Any packets still queued in the chain are discarded.
     pub fn remove_path(&mut self, dst: Addr) -> bool {
-        let Some(class) = self.by_dst.remove(&dst) else {
+        let Some(class) = self.filter.remove(dst) else {
             return false;
         };
-        self.filter.remove(dst);
         self.chains.remove(&class);
         true
     }
 
     /// `true` if a chain towards `dst` is installed.
     pub fn has_path(&self, dst: Addr) -> bool {
-        self.by_dst.contains_key(&dst)
-    }
-
-    /// Destinations with installed chains.
-    pub fn destinations(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.by_dst.keys().copied()
+        self.filter.classify(dst).is_some()
     }
 
     /// Updates only the shaped bandwidth towards `dst` (emulation loop
@@ -280,12 +273,11 @@ impl EgressTree {
     }
 
     fn chain(&self, dst: Addr) -> Option<&Chain> {
-        self.by_dst.get(&dst).and_then(|c| self.chains.get(c))
+        self.chains.get(&self.filter.classify(dst)?)
     }
 
     fn chain_mut(&mut self, dst: Addr) -> Option<&mut Chain> {
-        let class = *self.by_dst.get(&dst)?;
-        self.chains.get_mut(&class)
+        self.chains.get_mut(&self.filter.classify(dst)?)
     }
 }
 

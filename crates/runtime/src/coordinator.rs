@@ -482,23 +482,19 @@ pub fn run(
                                 "health frame from unknown host {host}"
                             )));
                         }
-                        let row = wire::obj(
-                            [
-                                "at_ms",
-                                "step_wall_micros",
-                                "barrier_wait_micros",
-                                "barriers",
-                                "barrier_timeouts",
-                                "lost_datagrams",
-                                "sent",
-                                "received",
-                            ]
-                            .into_iter()
-                            .map(|key| {
-                                wire::field_u64(&message, key).map(|v| (key, Value::from(v)))
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        );
+                        let row = [
+                            "at_ms",
+                            "step_wall_micros",
+                            "barrier_wait_micros",
+                            "barriers",
+                            "barrier_timeouts",
+                            "lost_datagrams",
+                            "sent",
+                            "received",
+                        ]
+                        .into_iter()
+                        .map(|key| wire::field_u64(&message, key).map(|v| (key, Value::from(v))))
+                        .collect::<Result<Value, _>>()?;
                         health[host].push(row);
                     }
                     Some("report") => break message,
@@ -563,7 +559,7 @@ pub fn run(
             agents
                 .iter()
                 .map(|a| {
-                    wire::obj(vec![
+                    Value::from_iter([
                         ("host", Value::from(u64::from(a.host))),
                         ("sent_bytes", Value::from(a.sent_bytes)),
                         ("received_bytes", Value::from(a.received_bytes)),
@@ -576,7 +572,7 @@ pub fn run(
             set_field(
                 &mut merged,
                 "convergence",
-                wire::obj(vec![
+                Value::from_iter([
                     ("last_gap", Value::from(last)),
                     ("max_gap", Value::from(max)),
                     ("mean_gap", Value::from(mean)),
@@ -594,7 +590,7 @@ pub fn run(
                     .into_iter()
                     .enumerate()
                     .map(|(host, rows)| {
-                        wire::obj(vec![
+                        Value::from_iter([
                             ("host", Value::from(host as u64)),
                             ("samples", Value::Array(rows)),
                         ])
@@ -609,7 +605,7 @@ pub fn run(
                 agents
                     .iter()
                     .map(|a| {
-                        wire::obj(vec![
+                        Value::from_iter([
                             ("host", Value::from(u64::from(a.host))),
                             ("barrier_wait_micros", Value::from(a.barrier_wait_micros)),
                             ("barriers", Value::from(a.barriers)),

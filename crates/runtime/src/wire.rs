@@ -42,21 +42,11 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Builds a JSON object message from `(key, value)` pairs.
-pub fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// Builds a message of type `t` with the given extra fields.
-pub fn msg(t: &str, mut fields: Vec<(&str, Value)>) -> Value {
-    let mut all = vec![("t", Value::from(t))];
-    all.append(&mut fields);
-    obj(all)
+pub fn msg(t: &str, fields: Vec<(&str, Value)>) -> Value {
+    std::iter::once(("t", Value::from(t)))
+        .chain(fields)
+        .collect()
 }
 
 /// Writes one framed message.
@@ -113,14 +103,6 @@ pub fn field_u64(message: &Value, key: &str) -> Result<u64, WireError> {
         .get(key)
         .and_then(|v| v.as_u64())
         .ok_or_else(|| WireError::Protocol(format!("missing integer field `{key}`")))
-}
-
-/// A required string field of a control message.
-pub fn field_str<'a>(message: &'a Value, key: &str) -> Result<&'a str, WireError> {
-    message
-        .get(key)
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| WireError::Protocol(format!("missing string field `{key}`")))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use kollaps_core::timeline::SnapshotTimeline;
 use kollaps_sim::prelude::*;
 use serde_json::Value;
 
-use crate::report::{obj, Report, SCHEMA_VERSION};
+use crate::report::{Report, SCHEMA_VERSION};
 use crate::{Backend, Scenario, ScenarioError};
 
 type Mutator = Box<dyn Fn(Scenario) -> Scenario + Send + Sync>;
@@ -303,7 +303,7 @@ impl CampaignAggregates {
     }
 
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("variants", self.variants.into()),
             ("total_flows", self.total_flows.into()),
             ("goodput_mean_mbps", self.goodput_mean_mbps.into()),
@@ -355,7 +355,7 @@ impl CampaignReport {
 
     /// The whole campaign as a JSON value tree.
     pub fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("schema_version", SCHEMA_VERSION.into()),
             ("campaign", self.campaign.as_str().into()),
             (
@@ -364,7 +364,7 @@ impl CampaignReport {
                     self.variants
                         .iter()
                         .map(|v| {
-                            obj(vec![
+                            Value::from_iter([
                                 ("name", v.name.as_str().into()),
                                 ("report", v.report.to_json()),
                             ])

@@ -98,7 +98,7 @@ use kollaps_core::collapse::Addressable;
 use kollaps_core::timeline::SnapshotTimeline;
 use kollaps_netmodel::packet::Addr;
 use kollaps_sim::prelude::*;
-use kollaps_topology::dsl::{parse_experiment, Experiment};
+use kollaps_topology::dsl::parse_experiment;
 use kollaps_topology::events::{DynamicEvent, EventSchedule};
 use kollaps_topology::model::{NodeId, Topology};
 use kollaps_topology::xml::parse_modelnet_xml;
@@ -176,14 +176,6 @@ impl Scenario {
     /// `kollaps_topology::generators`).
     pub fn from_topology(topology: Topology) -> Self {
         Scenario::new(TopologySource::Topology(Box::new(topology)))
-    }
-
-    /// A scenario over an already-parsed [`Experiment`]; its dynamic
-    /// schedule is adopted.
-    pub fn from_experiment(experiment: Experiment) -> Self {
-        let mut scenario = Scenario::new(TopologySource::Topology(Box::new(experiment.topology)));
-        scenario.schedule = experiment.schedule;
-        scenario
     }
 
     /// Names the scenario (appears in the report).
@@ -397,11 +389,6 @@ impl Scenario {
     pub fn trace(mut self, enabled: bool) -> Self {
         self.trace = enabled;
         self
-    }
-
-    /// `true` when [`Scenario::trace`] enabled the flight recorder.
-    pub fn is_traced(&self) -> bool {
-        self.trace
     }
 
     /// Expands the topology source and folds the declared schedule and

@@ -250,18 +250,9 @@ pub struct Report {
     pub phase_timing: Option<Vec<PhaseTimingReport>>,
 }
 
-pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 impl RttStats {
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("mean_ms", self.mean_ms.into()),
             ("jitter_ms", self.jitter_ms.into()),
             ("min_ms", self.min_ms.into()),
@@ -274,7 +265,7 @@ impl RttStats {
 
 impl HttpStats {
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("requests", self.requests.into()),
             ("latency_p50_ms", self.latency_p50_ms.into()),
             ("latency_p90_ms", self.latency_p90_ms.into()),
@@ -286,7 +277,7 @@ impl HttpStats {
 
 impl PercentileStats {
     fn to_json(self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("mean", self.mean.into()),
             ("p50", self.p50.into()),
             ("p90", self.p90.into()),
@@ -300,7 +291,7 @@ impl PercentileStats {
 
 impl FlowClassReport {
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("class", self.class.as_str().into()),
             ("flows", self.flows.into()),
             (
@@ -321,7 +312,7 @@ impl FlowClassReport {
 
 impl FlowReport {
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("workload", self.workload.as_str().into()),
             ("client", self.client.as_str().into()),
             ("server", self.server.as_str().into()),
@@ -351,7 +342,7 @@ impl FlowReport {
 
 impl LinkReport {
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("link", self.link.into()),
             ("capacity_mbps", self.capacity_mbps.into()),
             ("offered_mbps", self.offered_mbps.into()),
@@ -362,7 +353,7 @@ impl LinkReport {
 
 impl HostMetadata {
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("host", self.host.into()),
             ("sent_bytes", self.sent_bytes.into()),
             ("received_bytes", self.received_bytes.into()),
@@ -372,7 +363,7 @@ impl HostMetadata {
 
 impl ConvergenceReport {
     fn to_json(self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("last_gap", self.last_gap.into()),
             ("max_gap", self.max_gap.into()),
             ("mean_gap", self.mean_gap.into()),
@@ -382,7 +373,7 @@ impl ConvergenceReport {
 
 impl DynamicsReport {
     fn to_json(self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("precompute_micros", self.precompute_micros.into()),
             ("snapshots_precomputed", self.snapshots_precomputed.into()),
             ("snapshots_applied", self.snapshots_applied.into()),
@@ -397,7 +388,7 @@ impl DynamicsReport {
 
 impl PhaseTimingReport {
     fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("phase", self.phase.as_str().into()),
             ("total_micros", self.total_micros.into()),
             ("mean_micros", self.mean_micros.into()),
@@ -415,7 +406,7 @@ impl Report {
 
     /// The whole report as a JSON value tree.
     pub fn to_json(&self) -> Value {
-        obj(vec![
+        Value::from_iter([
             ("schema_version", SCHEMA_VERSION.into()),
             ("scenario", self.scenario.as_str().into()),
             ("backend", self.backend.as_str().into()),

@@ -28,15 +28,6 @@ use crate::{Backend, Scenario, ScenarioError, TopologySource};
 /// Version tag carried by every spec; decoding rejects anything else.
 pub const SPEC_VERSION: u64 = 1;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn spec_err(reason: impl Into<String>) -> ScenarioError {
     ScenarioError::Spec {
         reason: reason.into(),
@@ -110,7 +101,7 @@ fn opt_f64(value: &Value, key: &str) -> Result<Option<f64>, ScenarioError> {
 }
 
 fn encode_change(change: &LinkChange) -> Value {
-    obj(vec![
+    Value::from_iter([
         ("latency_ns", change.latency.map(|d| d.as_nanos()).into()),
         ("jitter_ns", change.jitter.map(|d| d.as_nanos()).into()),
         ("up_bps", change.up.map(|b| b.as_bps()).into()),
@@ -158,7 +149,7 @@ fn encode_event(event: &DynamicEvent) -> Value {
             fields.push(("name", name.as_str().into()));
         }
     }
-    obj(fields)
+    Value::from_iter(fields)
 }
 
 fn decode_event(value: &Value) -> Result<DynamicEvent, ScenarioError> {
@@ -275,7 +266,7 @@ fn encode_workload(workload: &Workload) -> Value {
         "duration_ns",
         workload.duration.map(|d| d.as_nanos()).into(),
     ));
-    obj(fields)
+    Value::from_iter(fields)
 }
 
 fn decode_workload(value: &Value) -> Result<Workload, ScenarioError> {
@@ -414,23 +405,22 @@ impl Scenario {
                     service,
                     replica,
                     image,
-                } => obj(vec![
+                } => Value::from_iter([
                     ("kind", "service".into()),
                     ("service", service.as_str().into()),
                     ("replica", (*replica).into()),
                     ("image", image.as_str().into()),
                 ]),
-                NodeKind::Bridge { name } => obj(vec![
-                    ("kind", "bridge".into()),
-                    ("name", name.as_str().into()),
-                ]),
+                NodeKind::Bridge { name } => {
+                    Value::from_iter([("kind", "bridge".into()), ("name", name.as_str().into())])
+                }
             })
             .collect();
         let links: Vec<Value> = topology
             .links()
             .iter()
             .map(|link| {
-                obj(vec![
+                Value::from_iter([
                     ("from", link.from.0.into()),
                     ("to", link.to.0.into()),
                     ("latency_ns", link.properties.latency.as_nanos().into()),
@@ -441,7 +431,7 @@ impl Scenario {
                 ])
             })
             .collect();
-        Ok(obj(vec![
+        Ok(Value::from_iter([
             ("spec_version", SPEC_VERSION.into()),
             ("name", self.name.as_str().into()),
             ("distributed", self.distributed.into()),
@@ -452,7 +442,7 @@ impl Scenario {
             ("hosts", hosts.into()),
             (
                 "config",
-                obj(vec![
+                Value::from_iter([
                     ("loop_interval_ns", config.loop_interval.as_nanos().into()),
                     (
                         "cross_host_delay_ns",

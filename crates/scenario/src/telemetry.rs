@@ -298,11 +298,6 @@ impl Aggregator {
         }
     }
 
-    /// Flows folded in so far, across all classes.
-    pub fn flows_observed(&self) -> usize {
-        self.classes.values().map(|c| c.flows).sum()
-    }
-
     /// Exports the per-class percentile reports, sorted by class label.
     pub fn flow_classes(&self) -> Vec<FlowClassReport> {
         self.classes

@@ -46,12 +46,6 @@ impl TokenBucket {
         self.rate = rate;
     }
 
-    /// Changes the burst ceiling, clamping the stored tokens if needed.
-    pub fn set_burst(&mut self, burst: DataSize) {
-        self.burst = burst;
-        self.tokens = self.tokens.min(burst.as_bytes() as f64);
-    }
-
     /// Currently available whole tokens (bytes) at time `now`.
     pub fn available(&mut self, now: SimTime) -> DataSize {
         self.refill(now);

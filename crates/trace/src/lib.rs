@@ -344,21 +344,10 @@ impl PhaseStats {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn args_value(args: &[(String, f64)]) -> Value {
-    Value::Object(
-        args.iter()
-            .map(|(k, v)| (k.clone(), Value::from(*v)))
-            .collect(),
-    )
+    args.iter()
+        .map(|(k, v)| (k.as_str(), Value::from(*v)))
+        .collect()
 }
 
 /// Renders `events` as a Chrome trace-event JSON array (the format
@@ -382,7 +371,7 @@ pub fn chrome_trace(events: &[Event], pid: u64) -> Value {
         if !event.args.is_empty() {
             fields.push(("args", args_value(&event.args)));
         }
-        out.push(obj(fields));
+        out.push(Value::from_iter(fields));
     }
     Value::Array(out)
 }
@@ -401,13 +390,16 @@ pub fn merge_chrome_traces(processes: &[(String, Value)]) -> Value {
     let mut out = Vec::new();
     for (pid, (label, trace)) in processes.iter().enumerate() {
         let pid = pid as u64;
-        out.push(obj(vec![
+        out.push(Value::from_iter([
             ("name", Value::from("process_name")),
             ("ph", Value::from("M")),
             ("ts", Value::from(0u64)),
             ("pid", Value::from(pid)),
             ("tid", Value::from(0u64)),
-            ("args", obj(vec![("name", Value::from(label.as_str()))])),
+            (
+                "args",
+                Value::from_iter([("name", Value::from(label.as_str()))]),
+            ),
         ]));
         let Value::Array(events) = trace else {
             continue;
@@ -438,7 +430,7 @@ pub fn merge_chrome_traces(processes: &[(String, Value)]) -> Value {
 pub fn structured_json(events: &[Event]) -> Value {
     let mut out = Vec::with_capacity(events.len());
     for event in events {
-        out.push(obj(vec![
+        out.push(Value::from_iter([
             ("at_micros", Value::from(event.at_micros)),
             ("lane", Value::from(u64::from(event.lane))),
             ("kind", Value::from(event.kind.phase_letter())),
