@@ -9,8 +9,9 @@
 //!   to agree flow-for-flow (threads and tracing move wall clock, never
 //!   results); the sweep records emulation rounds per wall second,
 //!   allocation µs per round, the flight recorder's throughput overhead
-//!   ratio, the incremental allocator's cache counters and the (sequential
-//!   vs parallel) timeline precompute cost.
+//!   ratio, the incremental allocator's cache counters, the egress trees
+//!   polled per `deliver` call (the packet path's work counter) and the
+//!   (sequential vs parallel) timeline precompute cost.
 //! * **Allocator microbench** — `links` disjoint bottleneck components, two
 //!   flows each, one flow's demand toggling per call. The incremental
 //!   allocator re-shares only the touched component, so its per-call cost
@@ -65,6 +66,10 @@ pub struct ScalingCell {
     pub alloc_micros_per_round: f64,
     /// Incremental-allocator counters for the sequential run.
     pub alloc_stats: AllocatorStats,
+    /// Mean egress trees polled per `Dataplane::deliver` call in the
+    /// sequential run — deterministic; the deployed trees for as long as
+    /// `deliver` polls them all.
+    pub trees_visited_per_deliver: f64,
 }
 
 impl ScalingCell {
@@ -169,12 +174,15 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
         let telemetry = session
             .allocation_telemetry()
             .expect("kollaps backend exposes allocation telemetry");
+        let packet_path = session
+            .packet_path_stats()
+            .expect("kollaps backend exposes packet-path counters");
         let report = session.finish();
-        (t.elapsed().as_secs_f64(), telemetry, report)
+        (t.elapsed().as_secs_f64(), telemetry, packet_path, report)
     };
-    let (seq_secs, (alloc_micros, alloc_stats), seq_report) = timed_run(1, false);
-    let (par_secs, _, par_report) = timed_run(PARALLEL_THREADS, false);
-    let (traced_secs, _, traced_report) = timed_run(1, true);
+    let (seq_secs, (alloc_micros, alloc_stats), packet_path, seq_report) = timed_run(1, false);
+    let (par_secs, _, _, par_report) = timed_run(PARALLEL_THREADS, false);
+    let (traced_secs, _, _, traced_report) = timed_run(1, true);
 
     // Threads and tracing are wall-clock knobs only: every flow must have
     // moved the exact same number of bytes in all three runs.
@@ -221,6 +229,7 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
         rounds_per_sec_traced: rounds as f64 / traced_secs,
         alloc_micros_per_round: alloc_micros as f64 / rounds.max(1) as f64,
         alloc_stats,
+        trees_visited_per_deliver: packet_path.trees_visited_per_deliver(),
     }
 }
 
@@ -385,6 +394,14 @@ pub fn scaling_records(cells: &[ScalingCell], alloc: &[AllocScalingCell]) -> Ben
             )
             .lower_is_better(TOLERANCE_DETERMINISTIC),
         );
+        report.push(
+            cell(
+                "trees_visited_per_deliver",
+                c.trees_visited_per_deliver,
+                "trees",
+            )
+            .lower_is_better(TOLERANCE_DETERMINISTIC),
+        );
         report.push(cell("rounds", c.rounds as f64, "count"));
     }
     for c in alloc {
@@ -445,5 +462,7 @@ mod tests {
             "steady-state UDP demands should hit the fast path: {:?}",
             cell.alloc_stats
         );
+        // 16 deployed trees, all polled by every deliver call.
+        assert_eq!(cell.trees_visited_per_deliver, 16.0);
     }
 }

@@ -241,8 +241,32 @@ pub struct KollapsDataplane {
     /// Per-phase wall-clock accumulators, indexed like [`LOOP_PHASES`].
     /// Meaningful only while the recorder is enabled.
     phase_stats: [PhaseStats; LOOP_PHASE_COUNT],
+    /// `deliver` calls since construction (see [`PacketPathStats`]).
+    deliver_calls: u64,
     next_tick: SimTime,
     started: bool,
+}
+
+/// Deterministic work counters of the per-event packet path. Like
+/// `phase_timing` they describe how the run was computed, not what it
+/// computed, so they stay out of the `Report`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PacketPathStats {
+    /// `Dataplane::deliver` calls.
+    pub deliver_calls: u64,
+    /// Egress trees those calls polled (all managers).
+    pub trees_visited: u64,
+    /// Polls that released at least one packet.
+    pub trees_emitted: u64,
+}
+
+impl PacketPathStats {
+    /// Mean egress trees polled per `deliver` call: the deployed trees
+    /// while `deliver` polls them all, the due ones once it follows the
+    /// wake index.
+    pub fn trees_visited_per_deliver(&self) -> f64 {
+        self.trees_visited as f64 / self.deliver_calls.max(1) as f64
+    }
 }
 
 impl KollapsDataplane {
@@ -337,6 +361,7 @@ impl KollapsDataplane {
             host_gap_series: None,
             recorder: Recorder::disabled(),
             phase_stats: [PhaseStats::default(); LOOP_PHASE_COUNT],
+            deliver_calls: 0,
             next_tick: SimTime::ZERO,
             started: false,
         }
@@ -478,6 +503,20 @@ impl KollapsDataplane {
             total.components_recomputed += stats.components_recomputed;
         }
         total
+    }
+
+    /// Work counters of the packet path between ticks, summed across all
+    /// managers.
+    pub fn packet_path_stats(&self) -> PacketPathStats {
+        let mut stats = PacketPathStats {
+            deliver_calls: self.deliver_calls,
+            ..PacketPathStats::default()
+        };
+        for (visited, emitted) in self.managers.iter().map(|m| m.trees_drained()) {
+            stats.trees_visited += visited;
+            stats.trees_emitted += emitted;
+        }
+        stats
     }
 
     /// The precomputed snapshot timeline of this experiment.
@@ -758,28 +797,20 @@ impl Dataplane for KollapsDataplane {
         }
     }
 
-    fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            earliest = Some(match earliest {
-                Some(e) => e.min(t),
-                None => t,
-            });
-        };
-        for manager in &mut self.managers {
-            if let Some(t) = manager.next_wakeup(now) {
-                consider(t);
-            }
-        }
-        if let Some(Reverse(p)) = self.pending.peek() {
-            consider(p.arrival);
-        }
-        earliest
+    fn next_wakeup(&mut self, _now: SimTime) -> Option<SimTime> {
+        // One wake-index head per manager plus the delivery queue's.
+        self.managers
+            .iter()
+            .filter_map(EmulationManager::next_wakeup)
+            .chain(self.pending.peek().map(|Reverse(p)| p.arrival))
+            .min()
     }
 
     fn deliver(&mut self, now: SimTime) -> Vec<Packet> {
+        self.deliver_calls += 1;
         // Move packets that finished their collapsed-path emulation onto the
-        // (fast) physical network towards the destination host.
+        // (fast) physical network towards the destination host. Managers in
+        // host order, each draining its trees in address order.
         let mut egress_out = Vec::new();
         for manager in &mut self.managers {
             egress_out.extend(manager.dequeue_ready(now));
@@ -1303,6 +1334,64 @@ mod tests {
         assert_eq!(dp.managers()[1].container_count(), 4);
         assert_eq!(dp.managers()[0].container_count(), 0);
         assert_eq!(dp.managers()[2].container_count(), 0);
+    }
+
+    /// Woken by the wake index alone, `deliver` still hands same-instant
+    /// packets from different hosts to the delivery queue in (host,
+    /// container address) order — whatever order they were sent in.
+    #[test]
+    fn same_instant_packets_drain_in_host_then_address_order() {
+        let (topo, clients, servers) = generators::dumbbell(
+            4,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(100),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(5),
+        );
+        let mut dp = KollapsDataplane::with_defaults(topo, 4);
+        let addr = |dp: &KollapsDataplane, node| dp.collapsed().address_of(node).unwrap();
+        // Every container sends one packet across the trunk to a container
+        // on another host: equal path latency, equal physical-hop delay.
+        let mut sends: Vec<(Addr, Addr)> = Vec::new();
+        for (from, to) in [(&clients, &servers), (&servers, &clients)] {
+            for &src in from.iter() {
+                let src = addr(&dp, src);
+                let dst = to
+                    .iter()
+                    .map(|&d| addr(&dp, d))
+                    .find(|&d| dp.placement_of(d) != dp.placement_of(src))
+                    .expect("a peer on another host");
+                sends.push((src, dst));
+            }
+        }
+        for (i, &(src, dst)) in sends.iter().rev().enumerate() {
+            let pkt = Packet::new(
+                i as u64,
+                kollaps_netmodel::packet::FlowId(i as u64),
+                src,
+                dst,
+                kollaps_netmodel::packet::MTU,
+                kollaps_netmodel::packet::PacketKind::Udp,
+                SimTime::ZERO,
+            );
+            assert_eq!(dp.send(SimTime::ZERO, pkt), SendOutcome::Sent);
+        }
+        let mut arrived: Vec<Addr> = Vec::new();
+        let mut now = SimTime::ZERO;
+        while let Some(wake) = dp.next_wakeup(now) {
+            now = wake.max(now);
+            arrived.extend(dp.deliver(now).iter().map(|p| p.src));
+        }
+        let mut expected: Vec<Addr> = sends.iter().map(|&(src, _)| src).collect();
+        expected.sort_by_key(|&a| (dp.placement_of(a), a));
+        assert_eq!(arrived, expected);
+        assert!(
+            expected.windows(2).any(|w| w[0] > w[1]),
+            "two containers per host: host order must differ from address order"
+        );
+        let stats = dp.packet_path_stats();
+        assert_eq!(stats.trees_emitted, 8);
+        assert_eq!(stats.trees_visited, stats.deliver_calls * 8);
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub mod sharing;
 pub mod timeline;
 
 pub use collapse::{Addressable, CollapsedPath, CollapsedTopology};
-pub use emulation::{ConvergenceStats, DynamicsStats, EmulationConfig, KollapsDataplane};
+pub use emulation::{
+    ConvergenceStats, DynamicsStats, EmulationConfig, KollapsDataplane, PacketPathStats,
+};
 pub use manager::EmulationManager;
 pub use runtime::{Dataplane, Runtime, RuntimeEvent, SendOutcome};
 pub use sharing::{

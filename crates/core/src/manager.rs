@@ -22,7 +22,7 @@
 //! disagree about the allocation — the convergence of those local decisions
 //! is exactly what the accuracy-vs-staleness experiment measures.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use kollaps_metadata::bus::{Bus, Delivery, HostId};
@@ -58,6 +58,31 @@ pub struct RemoteUsage {
     pub flows: Vec<FlowUsage>,
 }
 
+/// One local container's egress tree plus the key it currently holds in the
+/// manager's wake index.
+struct Tcal {
+    tree: EgressTree,
+    /// `tree.next_wakeup()` as of the last [`Tcal::reindex`];
+    /// `None` when the tree is idle or stalled on zero-rate classes.
+    wake: Option<SimTime>,
+}
+
+impl Tcal {
+    /// Recomputes the tree's wake and moves its key in the manager's index.
+    fn reindex(&mut self, now: SimTime, addr: Addr, wakes: &mut BTreeSet<(SimTime, Addr)>) {
+        let wake = self.tree.next_wakeup(now).filter(|&t| t < SimTime::MAX);
+        if wake != self.wake {
+            if let Some(old) = self.wake {
+                wakes.remove(&(old, addr));
+            }
+            if let Some(new) = wake {
+                wakes.insert((new, addr));
+            }
+            self.wake = wake;
+        }
+    }
+}
+
 /// One host's Emulation Manager: local TCALs, the received remote view and
 /// the enforcement state derived from them.
 ///
@@ -79,7 +104,20 @@ pub struct EmulationManager {
     /// Egress qdisc tree per **local** container, in address order: trees
     /// are drained in that order so that same-instant packets enter the
     /// delivery queue deterministically.
-    egress: BTreeMap<Addr, EgressTree>,
+    egress: BTreeMap<Addr, Tcal>,
+    /// The **wake index**: `(wake, addr)` for every local tree that needs
+    /// service at a finite time, so the per-event question "when next?" is
+    /// one read instead of a poll of every deployed tree. Exact, not a hint:
+    /// the htb refills at `max(dequeue_cursor, enqueued_at)`, never at the
+    /// poll time, so a tree's wake is a pure function of its state and moves
+    /// only where [`Tcal::reindex`] is called — an enqueue into an empty htb
+    /// class, a `dequeue_ready` poll of a due tree, `set_bandwidth`,
+    /// `install_path` and `remove_path`.
+    wakes: BTreeSet<(SimTime, Addr)>,
+    /// Trees `dequeue_ready` polled / polled and got packets from, since
+    /// construction (deterministic work counters).
+    trees_visited: u64,
+    trees_emitted: u64,
     /// Latest received usage per remote host.
     remote: HashMap<HostId, RemoteUsage>,
     /// Local usage measured in the current loop iteration, sorted by pair.
@@ -130,16 +168,17 @@ impl EmulationManager {
     ) -> Self {
         let mut egress = BTreeMap::new();
         for &addr in local {
-            egress.insert(
-                addr,
-                EgressTree::new(addr, rng.derive(u64::from(addr.as_u32()))),
-            );
+            let tree = EgressTree::new(addr, rng.derive(u64::from(addr.as_u32())));
+            egress.insert(addr, Tcal { tree, wake: None });
         }
         let mut manager = EmulationManager {
             host,
             config,
             collapsed,
             egress,
+            wakes: BTreeSet::new(),
+            trees_visited: 0,
+            trees_emitted: 0,
             remote: HashMap::new(),
             usages: Vec::new(),
             last_allocation: Vec::new(),
@@ -208,28 +247,41 @@ impl EmulationManager {
 
     /// Offers a packet from a local container to its egress tree.
     pub fn enqueue(&mut self, now: SimTime, packet: Packet) -> Option<EgressVerdict> {
-        self.egress
-            .get_mut(&packet.src)
-            .map(|tree| tree.enqueue(now, packet))
+        let src = packet.src;
+        let tcal = self.egress.get_mut(&src)?;
+        let (verdict, new_head) = tcal.tree.offer(now, packet);
+        if new_head {
+            tcal.reindex(now, src, &mut self.wakes);
+        }
+        Some(verdict)
     }
 
     /// Packets that finished their collapsed-path emulation on this host,
-    /// tree by tree in container-address order.
+    /// tree by tree in container-address order. Every local tree is polled;
+    /// only a due one can have moved its wake.
     pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = Vec::new();
-        for tree in self.egress.values_mut() {
-            out.extend(tree.dequeue_ready(now));
+        for (&addr, tcal) in &mut self.egress {
+            let before = out.len();
+            out.extend(tcal.tree.dequeue_ready(now));
+            self.trees_visited += 1;
+            self.trees_emitted += u64::from(out.len() > before);
+            if tcal.wake.is_some_and(|wake| wake <= now) {
+                tcal.reindex(now, addr, &mut self.wakes);
+            }
         }
         out
     }
 
     /// Earliest time any local TCAL needs service.
-    pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        self.egress
-            .values_mut()
-            .filter_map(|tree| tree.next_wakeup(now))
-            .filter(|&t| t < SimTime::MAX)
-            .min()
+    pub fn next_wakeup(&self) -> Option<SimTime> {
+        self.wakes.first().map(|&(wake, _)| wake)
+    }
+
+    /// `(visited, emitted)`: trees `dequeue_ready` polled, and polled with
+    /// at least one packet coming out, since construction.
+    pub fn trees_drained(&self) -> (u64, u64) {
+        (self.trees_visited, self.trees_emitted)
     }
 
     /// Loop steps 1–2: reads and clears the per-destination usage of every
@@ -238,7 +290,7 @@ impl EmulationManager {
         let mut span = self.recorder.span(self.lane, "worker:collect");
         let interval = self.config.loop_interval;
         self.usages.clear();
-        for (&src, tree) in &mut self.egress {
+        for (&src, Tcal { tree, .. }) in &mut self.egress {
             for (&dst, &bytes) in tree.usage() {
                 let mut rate = bytes.rate_over(interval);
                 // The token bucket lets a burst through above the shaped
@@ -324,33 +376,28 @@ impl EmulationManager {
         remote_views.sort_by_key(|(&host, _)| host);
         for (_, view) in remote_views {
             for flow in &view.flows {
-                let links: Vec<LinkId> = flow
-                    .link_ids
-                    .iter()
-                    .map(|&l| LinkId(u32::from(l)))
-                    .collect();
-                // Links this snapshot still knows about; under dynamic
-                // events a remote advertisement can reference links that no
-                // longer exist here — managers transiently disagree.
-                let known: Vec<LinkId> = links
-                    .iter()
-                    .copied()
-                    .filter(|l| self.collapsed.link_capacity(*l).is_some())
-                    .collect();
-                let one_way = known
-                    .iter()
-                    .filter_map(|&l| self.collapsed.link_latency(l))
-                    .fold(SimDuration::ZERO, |acc, d| acc + d);
+                // Links this snapshot still knows about contribute latency
+                // and capacity; under dynamic events a remote advertisement
+                // can reference links that no longer exist here — managers
+                // transiently disagree.
+                let mut links = Vec::with_capacity(flow.link_ids.len());
+                let mut one_way = SimDuration::ZERO;
+                let mut demand = Bandwidth::MAX;
+                for &l in &flow.link_ids {
+                    let link = LinkId(u32::from(l));
+                    links.push(link);
+                    if let Some(capacity) = self.collapsed.link_capacity(link) {
+                        demand = demand.min(capacity);
+                        if let Some(latency) = self.collapsed.link_latency(link) {
+                            one_way += latency;
+                        }
+                    }
+                }
                 let rtt = if one_way.is_zero() {
                     SimDuration::from_millis(1)
                 } else {
                     one_way * 2
                 };
-                let demand = known
-                    .iter()
-                    .filter_map(|&l| self.collapsed.link_capacity(l))
-                    .min()
-                    .unwrap_or(Bandwidth::MAX);
                 let id = flows.len() as u64;
                 flows.push(FlowDemand {
                     id,
@@ -416,6 +463,8 @@ impl EmulationManager {
         let previously: Vec<(Addr, Addr)> =
             self.last_allocation.iter().map(|&(key, _)| key).collect();
         self.last_allocation.clear();
+        // Trees whose rates were rewritten, re-indexed once each at the end.
+        let mut touched: Vec<Addr> = Vec::new();
         for (i, &(_, src, dst)) in local_keys.iter().enumerate() {
             let Some(path) = self.collapsed.path_by_addr(src, dst) else {
                 continue;
@@ -434,9 +483,10 @@ impl EmulationManager {
                 }
             }
             let loss = 1.0 - (1.0 - path.loss) * (1.0 - congestion);
-            if let Some(tree) = self.egress.get_mut(&src) {
+            if let Some(Tcal { tree, .. }) = self.egress.get_mut(&src) {
                 tree.set_bandwidth(now, dst, rate);
                 tree.set_loss(dst, loss);
+                touched.push(src);
             }
             // `local_keys` is sorted by pair, so pushes keep the table sorted.
             self.last_allocation.push(((src, dst), rate));
@@ -445,7 +495,7 @@ impl EmulationManager {
             if table_get(&self.last_allocation, (src, dst)).is_some() {
                 continue;
             }
-            let Some(tree) = self.egress.get_mut(&src) else {
+            let Some(Tcal { tree, .. }) = self.egress.get_mut(&src) else {
                 continue;
             };
             // A pair whose path disappeared had its chain removed by the
@@ -453,8 +503,10 @@ impl EmulationManager {
             if let Some(path) = self.collapsed.path_by_addr(src, dst) {
                 tree.set_bandwidth(now, dst, path.max_bandwidth);
                 tree.set_loss(dst, path.loss);
+                touched.push(src);
             }
         }
+        self.reindex(now, touched);
         worker_span.arg("enforced_pairs", self.last_allocation.len() as f64);
     }
 
@@ -470,15 +522,17 @@ impl EmulationManager {
         self.allocator.invalidate();
         let collapsed = Arc::clone(&self.collapsed);
         let mut touched = 0;
+        let mut trees: Vec<Addr> = Vec::new();
         for &(src, dst) in &delta.removed_paths {
             let (Some(src_addr), Some(dst_addr)) =
                 (collapsed.address_of(src), collapsed.address_of(dst))
             else {
                 continue;
             };
-            if let Some(tree) = self.egress.get_mut(&src_addr) {
+            if let Some(Tcal { tree, .. }) = self.egress.get_mut(&src_addr) {
                 if tree.remove_path(dst_addr) {
                     touched += 1;
+                    trees.push(src_addr);
                 }
                 table_remove(&mut self.last_allocation, (src_addr, dst_addr));
             }
@@ -489,7 +543,7 @@ impl EmulationManager {
             else {
                 continue;
             };
-            let Some(tree) = self.egress.get_mut(&src_addr) else {
+            let Some(Tcal { tree, .. }) = self.egress.get_mut(&src_addr) else {
                 continue;
             };
             let Some(path) = collapsed.path(src, dst) else {
@@ -506,8 +560,21 @@ impl EmulationManager {
                 .min(path.max_bandwidth);
             tree.install_path(dst_addr, netem, rate);
             touched += 1;
+            trees.push(src_addr);
         }
+        self.reindex(SimTime::ZERO + delta.at, trees);
         touched
+    }
+
+    /// Re-indexes the wake of every listed local tree, once each.
+    fn reindex(&mut self, now: SimTime, mut trees: Vec<Addr>) {
+        trees.sort_unstable();
+        trees.dedup();
+        for addr in trees {
+            if let Some(tcal) = self.egress.get_mut(&addr) {
+                tcal.reindex(now, addr, &mut self.wakes);
+            }
+        }
     }
 
     /// Installs the per-destination chains of every (still empty) local TCAL
@@ -515,7 +582,7 @@ impl EmulationManager {
     fn install_local_paths(&mut self) {
         let collapsed = Arc::clone(&self.collapsed);
         for (src_node, src_addr) in collapsed.addresses() {
-            let Some(tree) = self.egress.get_mut(&src_addr) else {
+            let Some(Tcal { tree, .. }) = self.egress.get_mut(&src_addr) else {
                 continue;
             };
             for (dst_node, dst_addr) in collapsed.addresses() {
@@ -540,11 +607,199 @@ impl EmulationManager {
     }
 }
 
+/// Test-only counterparts of the packet-path answers: the brute-force
+/// "when next?" the wake index replaced, and the index-driven "who is due?"
+/// that is to replace the poll of every tree in `dequeue_ready`.
+#[cfg(test)]
+impl EmulationManager {
+    fn scan_next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
+        self.egress
+            .values_mut()
+            .filter_map(|tcal| tcal.tree.next_wakeup(now))
+            .filter(|&t| t < SimTime::MAX)
+            .min()
+    }
+
+    /// `dequeue_ready` polling only the trees whose wake is due, plus
+    /// `revisit`: a removed chain stays in its tree's active list until the
+    /// next poll compacts it, and the compaction order decides same-instant
+    /// packet order later, so such a tree is polled once more whatever its
+    /// wake.
+    fn indexed_dequeue_ready(&mut self, now: SimTime, revisit: &[Addr]) -> Vec<Packet> {
+        let mut due: Vec<Addr> = revisit.to_vec();
+        due.extend(
+            self.wakes
+                .iter()
+                .take_while(|&&(wake, _)| wake <= now)
+                .map(|&(_, addr)| addr),
+        );
+        due.sort_unstable();
+        due.dedup();
+        let mut out = Vec::new();
+        for addr in due {
+            if let Some(tcal) = self.egress.get_mut(&addr) {
+                out.extend(tcal.tree.dequeue_ready(now));
+                tcal.reindex(now, addr, &mut self.wakes);
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::SnapshotDelta;
     use kollaps_netmodel::packet::{FlowId, PacketKind, MTU};
     use kollaps_topology::generators;
+    use kollaps_topology::model::NodeId;
+
+    /// Two managers built alike take the same seeded op sequence. After
+    /// every op the wake index must equal the brute-force minimum over every
+    /// tree, and draining only the due trees (plus those a removal touched)
+    /// must return the packet sequence that polling every tree returns.
+    #[test]
+    fn wake_index_matches_the_brute_force_scan() {
+        let (topo, clients, servers) = generators::dumbbell(
+            8,
+            Bandwidth::from_mbps(2),
+            Bandwidth::from_mbps(3),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(3),
+        );
+        let collapsed = Arc::new(CollapsedTopology::build(&topo));
+        let nodes: Vec<NodeId> = clients.iter().chain(&servers).copied().collect();
+        let addr = |node: NodeId| collapsed.address_of(node).expect("service has an address");
+        let local: Vec<Addr> = nodes.iter().map(|&n| addr(n)).collect();
+        assert!(local.len() >= 16);
+        let build = || {
+            EmulationManager::new(
+                HostId(0),
+                EmulationConfig::default(),
+                Arc::clone(&collapsed),
+                &local,
+                &SimRng::new(11),
+            )
+        };
+        let (mut indexed, mut scanned) = (build(), build());
+        // Trees that lost a chain since `indexed` last drained.
+        let mut revisit: Vec<Addr> = Vec::new();
+
+        let mut rng = SimRng::new(0x5eed);
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u64;
+        let (mut drained, mut backpressured, mut stalled, mut rate_moved_wake) = (0, 0, 0, 0);
+        for step in 0..6_000 {
+            // A few hot sources keep queues (and back-pressure) building.
+            let pick = |rng: &mut SimRng| {
+                let hot = rng.chance(0.5);
+                nodes[rng.gen_index(if hot { 3 } else { nodes.len() })]
+            };
+            let (src, dst) = loop {
+                let (s, d) = (pick(&mut rng), pick(&mut rng));
+                if s != d {
+                    break (s, d);
+                }
+            };
+            match rng.gen_range(0, 100) {
+                0..=59 => {
+                    next_id += 1;
+                    let packet = Packet::new(
+                        next_id,
+                        FlowId(next_id % 7),
+                        addr(src),
+                        addr(dst),
+                        MTU,
+                        PacketKind::Udp,
+                        now,
+                    );
+                    let verdict = indexed.enqueue(now, packet.clone());
+                    assert_eq!(
+                        verdict,
+                        scanned.enqueue(now, packet),
+                        "step {step}: enqueue verdict"
+                    );
+                    backpressured += usize::from(verdict == Some(EgressVerdict::Backpressure));
+                }
+                60..=84 => {
+                    // Sometimes the same instant again, sometimes far ahead.
+                    now += SimDuration::from_micros(match rng.gen_range(0, 4) {
+                        0 => 0,
+                        1 => rng.gen_range(1, 200),
+                        2 => rng.gen_range(200, 3_000),
+                        _ => rng.gen_range(3_000, 10_000),
+                    });
+                    let got = scanned.dequeue_ready(now);
+                    assert_eq!(
+                        got,
+                        indexed.indexed_dequeue_ready(now, &revisit),
+                        "step {step}: drained packets"
+                    );
+                    revisit.clear();
+                    drained += got.len();
+                }
+                85..=90 => {
+                    // Direct rate writes, including classes that stall
+                    // forever (`SimTime::MAX` is not a wakeup).
+                    let rate = if rng.chance(0.4) {
+                        Bandwidth::ZERO
+                    } else {
+                        Bandwidth::from_kbps(rng.gen_range(64, 50_000))
+                    };
+                    for m in [&mut indexed, &mut scanned] {
+                        if let Some(tcal) = m.egress.get_mut(&addr(src)) {
+                            tcal.tree.set_bandwidth(now, addr(dst), rate);
+                            let wake = tcal.tree.next_wakeup(now);
+                            stalled += usize::from(wake == Some(SimTime::MAX));
+                        }
+                        m.reindex(now, vec![addr(src)]);
+                    }
+                }
+                91..=93 => {
+                    // The production `set_bandwidth` path.
+                    let before = indexed.next_wakeup();
+                    for m in [&mut indexed, &mut scanned] {
+                        m.collect_usage();
+                        m.enforce(now);
+                    }
+                    rate_moved_wake += usize::from(indexed.next_wakeup() != before);
+                }
+                _ => {
+                    // `remove_path` / `install_path` through the production
+                    // delta path; a removed chain comes back with the next
+                    // "changed" delta naming the pair.
+                    let pairs = vec![(src, dst), (dst, src)];
+                    let remove = rng.chance(0.5);
+                    let delta = SnapshotDelta {
+                        at: now - SimTime::ZERO,
+                        events: 1,
+                        changed_links: Vec::new(),
+                        changed_paths: if remove { Vec::new() } else { pairs.clone() },
+                        removed_paths: if remove { pairs } else { Vec::new() },
+                        snapshot: Arc::clone(&collapsed),
+                    };
+                    assert_eq!(indexed.apply_delta(&delta), scanned.apply_delta(&delta));
+                    if remove {
+                        revisit.extend([addr(src), addr(dst)]);
+                    }
+                }
+            }
+            for m in [&mut indexed, &mut scanned] {
+                assert_eq!(
+                    m.next_wakeup(),
+                    m.scan_next_wakeup(now),
+                    "step {step}: wakeup"
+                );
+            }
+        }
+        // The sequence must actually have exercised the interesting states.
+        assert!(drained > 1_000, "only {drained} packets drained");
+        assert!(backpressured > 0, "no class ever filled up");
+        assert!(stalled > 0, "no tree ever stalled on a zero-rate class");
+        assert!(rate_moved_wake > 0, "enforcement never moved the head wake");
+        let (visited, emitted) = scanned.trees_drained();
+        assert!(emitted > 0 && visited >= emitted);
+    }
 
     /// The egress map's key order is the drain order: same-instant packets
     /// from different local containers leave in container-address order,

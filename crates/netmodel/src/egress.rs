@@ -44,6 +44,13 @@ struct Chain {
     listed_active: bool,
 }
 
+impl Chain {
+    /// Packets this chain's netem stage dropped (loss plus overflow).
+    fn dropped(&self) -> u64 {
+        self.netem.dropped_loss() + self.netem.dropped_overflow()
+    }
+}
+
 /// The egress qdisc tree of a single container.
 #[derive(Debug)]
 pub struct EgressTree {
@@ -61,6 +68,10 @@ pub struct EgressTree {
     /// handful of active flows this is the difference between O(flows) and
     /// O(destinations) per event.
     active: Vec<ClassId>,
+    /// Packets lost to [`EgressTree::remove_path`]: what the removed chains
+    /// still held plus their netem drop counters, so
+    /// [`EgressTree::dropped_packets`] never goes down.
+    dropped_removed: u64,
 }
 
 impl EgressTree {
@@ -74,6 +85,7 @@ impl EgressTree {
             rng,
             usage_since_clear: HashMap::new(),
             active: Vec::new(),
+            dropped_removed: 0,
         }
     }
 
@@ -109,12 +121,17 @@ impl EgressTree {
     }
 
     /// Removes the chain towards `dst` (dynamic topologies: link/service
-    /// removal). Any packets still queued in the chain are discarded.
+    /// removal). Any packets still queued in the chain are discarded and
+    /// counted as dropped. The class stays in the active list until the next
+    /// [`EgressTree::dequeue_ready`] compacts it — callers that do not poll
+    /// every tree on every event must poll this one once more.
     pub fn remove_path(&mut self, dst: Addr) -> bool {
         let Some(class) = self.filter.remove(dst) else {
             return false;
         };
-        self.chains.remove(&class);
+        if let Some(chain) = self.chains.remove(&class) {
+            self.dropped_removed += chain.dropped() + (chain.htb.len() + chain.netem.len()) as u64;
+        }
         true
     }
 
@@ -165,19 +182,28 @@ impl EgressTree {
     /// simply never emerges — exactly what the sender's transport observes
     /// on real hardware.
     pub fn enqueue(&mut self, now: SimTime, packet: Packet) -> EgressVerdict {
+        self.offer(now, packet).0
+    }
+
+    /// [`EgressTree::enqueue`], also reporting whether the packet became the
+    /// head of a previously empty htb class. That is the only enqueue that
+    /// can move [`EgressTree::next_wakeup`]: behind a queued head neither the
+    /// head's token-availability time nor any netem release changes.
+    pub fn offer(&mut self, now: SimTime, packet: Packet) -> (EgressVerdict, bool) {
         let Some(class) = self.filter.classify(packet.dst) else {
-            return EgressVerdict::Dropped(DropReason::Unreachable);
+            return (EgressVerdict::Dropped(DropReason::Unreachable), false);
         };
         let chain = self.chains.get_mut(&class).expect("classified chain");
+        let was_empty = chain.htb.is_empty();
         match chain.htb.enqueue(now, packet) {
             HtbVerdict::Queued => {
                 if !chain.listed_active {
                     chain.listed_active = true;
                     self.active.push(class);
                 }
-                EgressVerdict::Queued
+                (EgressVerdict::Queued, was_empty)
             }
-            HtbVerdict::Backpressure => EgressVerdict::Backpressure,
+            HtbVerdict::Backpressure => (EgressVerdict::Backpressure, false),
         }
     }
 
@@ -264,12 +290,11 @@ impl EgressTree {
     }
 
     /// Packets dropped inside the netem stage (random/injected loss plus
-    /// overflow of the netem limit under persistent overload).
+    /// overflow of the netem limit under persistent overload), plus
+    /// everything lost with removed chains. Monotone across topology
+    /// changes.
     pub fn dropped_packets(&self) -> u64 {
-        self.chains
-            .values()
-            .map(|c| c.netem.dropped_loss() + c.netem.dropped_overflow())
-            .sum()
+        self.dropped_removed + self.chains.values().map(Chain::dropped).sum::<u64>()
     }
 
     fn chain(&self, dst: Addr) -> Option<&Chain> {
@@ -400,6 +425,66 @@ mod tests {
         assert_eq!(
             t.enqueue(SimTime::ZERO, pkt(1, dst)),
             EgressVerdict::Dropped(DropReason::Unreachable)
+        );
+    }
+
+    /// Removing a chain loses what it held; the tree-level drop count must
+    /// account for that instead of forgetting the chain's counters.
+    #[test]
+    fn dropped_packets_is_monotone_across_remove_path() {
+        let mut t = tree();
+        let lossy = Addr::container(1);
+        let slow = Addr::container(2);
+        t.install_path(lossy, NetemConfig::default(), Bandwidth::from_mbps(100));
+        t.install_path(
+            slow,
+            NetemConfig::with_delay(SimDuration::from_millis(50)),
+            Bandwidth::from_mbps(100),
+        );
+        t.set_loss(lossy, 1.0);
+        t.enqueue(SimTime::ZERO, pkt(1, lossy));
+        t.enqueue(SimTime::ZERO, pkt(2, slow));
+        assert!(t.dequeue_ready(SimTime::ZERO).is_empty());
+        // One netem loss so far; the other packet sits in netem's delay line.
+        assert_eq!(t.dropped_packets(), 1);
+        t.enqueue(SimTime::ZERO, pkt(3, slow));
+        assert!(t.remove_path(lossy));
+        assert_eq!(t.dropped_packets(), 1, "the removed chain's losses stay");
+        assert!(t.remove_path(slow));
+        // One packet held by netem and one still in the htb queue went with
+        // the chain.
+        assert_eq!(t.dropped_packets(), 3);
+        assert!(t.dequeue_ready(SimTime::from_secs(1)).is_empty());
+        assert_eq!(t.next_wakeup(SimTime::from_secs(1)), None);
+    }
+
+    #[test]
+    fn offer_reports_only_new_htb_heads() {
+        let mut t = tree();
+        let dst = Addr::container(1);
+        t.install_path(
+            dst,
+            NetemConfig::with_delay(SimDuration::from_millis(5)),
+            Bandwidth::from_mbps(100),
+        );
+        assert_eq!(
+            t.offer(SimTime::ZERO, pkt(1, dst)),
+            (EgressVerdict::Queued, true)
+        );
+        assert_eq!(
+            t.offer(SimTime::ZERO, pkt(2, dst)),
+            (EgressVerdict::Queued, false)
+        );
+        // Both pass the shaper into netem: the class is empty again although
+        // the chain still holds packets.
+        assert!(t.dequeue_ready(SimTime::ZERO).is_empty());
+        assert_eq!(
+            t.offer(SimTime::ZERO, pkt(3, dst)),
+            (EgressVerdict::Queued, true)
+        );
+        assert_eq!(
+            t.offer(SimTime::ZERO, pkt(4, Addr::container(9))),
+            (EgressVerdict::Dropped(DropReason::Unreachable), false)
         );
     }
 

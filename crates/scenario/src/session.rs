@@ -615,6 +615,13 @@ impl Session {
             .map(|dp| (dp.allocation_micros(), dp.allocator_stats()))
     }
 
+    /// Deterministic work counters of the packet path between ticks so far
+    /// (`deliver` calls, egress trees polled, polls that emitted). Kollaps
+    /// backend only; never part of the [`Report`].
+    pub fn packet_path_stats(&self) -> Option<kollaps_core::PacketPathStats> {
+        self.rt.dataplane.kollaps().map(|dp| dp.packet_path_stats())
+    }
+
     /// Metadata bytes put on the physical network so far, per host — the
     /// live view of what the final report exports as
     /// [`Report`]`::metadata_per_host`. Distributed agents read this
