@@ -22,7 +22,7 @@ use kollaps_sim::units::Bandwidth;
 use kollaps_topology::graph::{PathProperties, TopologyGraph};
 use kollaps_topology::model::{LinkId, NodeId, Topology};
 
-use crate::sharing::FlowDemand;
+use crate::sharing::{FlowDemand, FlowRef};
 
 /// One collapsed end-to-end path between two services.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -259,26 +259,31 @@ impl CollapsedTopology {
     }
 
     /// Builds the sharing-solver input for one active (src, dst) pair: the
-    /// collapsed path's links, the pair's RTT as the fairness weight (1 ms
-    /// fallback when unknown) and the path maximum bandwidth as the demand
-    /// cap.
+    /// collapsed path's links (borrowed), the pair's RTT as the fairness
+    /// weight (1 ms fallback when unknown) and the path maximum bandwidth as
+    /// the demand cap.
     ///
     /// Both the per-host Emulation Manager (for its local flows) and the
     /// omniscient convergence reference build their solver inputs through
-    /// this one helper — they must stay in lockstep for the convergence gap
-    /// to measure metadata staleness rather than implementation drift.
-    pub fn flow_demand(&self, id: u64, src: Addr, dst: Addr) -> Option<FlowDemand> {
+    /// this one helper, so the convergence gap measures metadata staleness
+    /// rather than implementation drift.
+    pub fn flow_ref(&self, id: u64, src: Addr, dst: Addr) -> Option<FlowRef<'_>> {
         let path = self.path_by_addr(src, dst)?;
         let (src_node, dst_node) = (self.service_at(src)?, self.service_at(dst)?);
         let rtt = self
             .rtt(src_node, dst_node)
             .unwrap_or(SimDuration::from_millis(1));
-        Some(FlowDemand {
+        Some(FlowRef {
             id,
-            links: path.links.clone(),
+            links: &path.links,
             rtt,
             demand: path.max_bandwidth,
         })
+    }
+
+    /// [`CollapsedTopology::flow_ref`] with owned links.
+    pub fn flow_demand(&self, id: u64, src: Addr, dst: Addr) -> Option<FlowDemand> {
+        self.flow_ref(id, src, dst).map(|flow| flow.to_demand())
     }
 
     /// One-way latency of an original link.

@@ -42,7 +42,7 @@ use crate::collapse::{Addressable, CollapsedTopology};
 use crate::manager::EmulationManager;
 use crate::parallel::for_each_parallel;
 use crate::runtime::{Dataplane, SendOutcome};
-use crate::sharing::{AllocatorStats, FlowDemand, IncrementalAllocator};
+use crate::sharing::{AllocatorStats, FlowRef, IncrementalAllocator};
 use crate::timeline::SnapshotTimeline;
 
 /// Tuning knobs of the emulation.
@@ -691,15 +691,16 @@ impl KollapsDataplane {
             self.convergence.last_gap = 0.0;
             return;
         }
-        let mut flows: Vec<FlowDemand> = Vec::new();
+        let collapsed = Arc::clone(&self.collapsed);
+        let mut flows: Vec<FlowRef<'_>> = Vec::new();
         let mut keys: Vec<(usize, Addr, Addr)> = Vec::new();
         for (mi, manager) in self.managers.iter().enumerate() {
             // The usage table is already sorted by pair.
             for &((src, dst), _) in manager.local_usages() {
-                let Some(demand) = self.collapsed.flow_demand(keys.len() as u64, src, dst) else {
+                let Some(flow) = collapsed.flow_ref(keys.len() as u64, src, dst) else {
                     continue;
                 };
-                flows.push(demand);
+                flows.push(flow);
                 keys.push((mi, src, dst));
             }
         }
@@ -707,13 +708,11 @@ impl KollapsDataplane {
             self.convergence.last_gap = 0.0;
             return;
         }
-        let omniscient = self
-            .omniscient
-            .allocate(&flows, self.collapsed.link_capacities());
+        let omniscient = self.omniscient.solve(&flows, collapsed.link_capacities());
         let mut gap = 0.0f64;
         let mut host_gaps = vec![0.0f64; self.managers.len()];
-        for (i, &(mi, src, dst)) in keys.iter().enumerate() {
-            let target = omniscient.of(i as u64).as_bps() as f64;
+        for (&(mi, src, dst), target) in keys.iter().zip(omniscient) {
+            let target = target.as_bps() as f64;
             if target <= 0.0 {
                 continue;
             }

@@ -46,6 +46,7 @@ pub use emulation::{
 pub use manager::EmulationManager;
 pub use runtime::{Dataplane, Runtime, RuntimeEvent, SendOutcome};
 pub use sharing::{
-    allocate, oversubscription, Allocation, AllocatorStats, FlowDemand, IncrementalAllocator,
+    allocate, oversubscription, Allocation, AllocatorStats, FlowDemand, FlowRef,
+    IncrementalAllocator,
 };
 pub use timeline::{SnapshotDelta, SnapshotTimeline, TimelineStats};

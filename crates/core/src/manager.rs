@@ -36,7 +36,7 @@ use kollaps_trace::Recorder;
 
 use crate::collapse::CollapsedTopology;
 use crate::emulation::EmulationConfig;
-use crate::sharing::{oversubscription, AllocatorStats, FlowDemand, IncrementalAllocator};
+use crate::sharing::{oversubscription, AllocatorStats, FlowRef, IncrementalAllocator};
 
 /// Congestion loss is injected only once a link has stayed oversubscribed
 /// for this many consecutive loop iterations. A one-iteration spike is the
@@ -132,6 +132,9 @@ pub struct EmulationManager {
     oversub_streak: Vec<(LinkId, u32)>,
     /// Component-caching min-max solver; invalidated on snapshot swaps.
     allocator: IncrementalAllocator,
+    /// The paths of the remote flows of the current loop iteration, end to
+    /// end: one arena refilled per iteration instead of a `Vec` per flow.
+    remote_links: Vec<LinkId>,
     /// Wall-clock microseconds spent in the solver (diagnostic only).
     alloc_micros: u64,
     /// Flight recorder (disabled by default) and this manager's lane in it.
@@ -184,6 +187,7 @@ impl EmulationManager {
             last_allocation: Vec::new(),
             oversub_streak: Vec::new(),
             allocator: IncrementalAllocator::new(),
+            remote_links: Vec::new(),
             alloc_micros: 0,
             recorder: Recorder::disabled(),
             lane: 0,
@@ -325,7 +329,15 @@ impl EmulationManager {
             let Some(path) = self.collapsed.path_by_addr(src, dst) else {
                 continue;
             };
-            let ids: Vec<u16> = path.links.iter().map(|l| l.0 as u16).collect();
+            // The wire carries 16-bit link ids. Scenario validation rejects
+            // topologies that need more; should one get here anyway, a link
+            // that does not fit is left out (the receivers then see the flow
+            // unconstrained there) rather than aliased onto another link.
+            let ids: Vec<u16> = path
+                .links
+                .iter()
+                .filter_map(|l| u16::try_from(l.0).ok())
+                .collect();
             message.flows.push(FlowUsage::new(used, ids));
         }
         bus.publish(now, self.host, &message);
@@ -357,38 +369,49 @@ impl EmulationManager {
     /// the resulting rates and congestion loss on the local TCALs.
     pub fn enforce(&mut self, now: SimTime) {
         let mut worker_span = self.recorder.span(self.lane, "worker:enforce");
-        // The competing flow set, as *this* manager can know it.
-        let mut flows: Vec<FlowDemand> = Vec::new();
-        let mut usage_by_id: HashMap<u64, Bandwidth> = HashMap::new();
-        let mut local_keys: Vec<(u64, Addr, Addr)> = Vec::new();
+        let collapsed = Arc::clone(&self.collapsed);
+        // The competing flow set, as *this* manager can know it: solver input
+        // and measured usage by flow position, the local pairs first.
+        let mut flows: Vec<FlowRef<'_>> = Vec::new();
+        let mut usages: Vec<Bandwidth> = Vec::new();
+        let mut local_keys: Vec<(Addr, Addr)> = Vec::new();
 
         for &((src, dst), used) in &self.usages {
-            let id = flows.len() as u64;
-            let Some(demand) = self.collapsed.flow_demand(id, src, dst) else {
+            let Some(flow) = collapsed.flow_ref(flows.len() as u64, src, dst) else {
                 continue;
             };
-            flows.push(demand);
-            usage_by_id.insert(id, used);
-            local_keys.push((id, src, dst));
+            flows.push(flow);
+            usages.push(used);
+            local_keys.push((src, dst));
         }
 
         let mut remote_views: Vec<(&HostId, &RemoteUsage)> = self.remote.iter().collect();
         remote_views.sort_by_key(|(&host, _)| host);
-        for (_, view) in remote_views {
+        // Remote paths arrive as 16-bit wire ids: widen them all into the
+        // reused arena first, then hand each flow its run of it.
+        let mut remote_links = std::mem::take(&mut self.remote_links);
+        remote_links.clear();
+        for (_, view) in &remote_views {
             for flow in &view.flows {
+                remote_links.extend(flow.link_ids.iter().map(|&l| LinkId(u32::from(l))));
+            }
+        }
+        let mut unassigned: &[LinkId] = &remote_links;
+        for (_, view) in &remote_views {
+            for flow in &view.flows {
+                let (links, rest) = unassigned.split_at(flow.link_ids.len());
+                unassigned = rest;
                 // Links this snapshot still knows about contribute latency
                 // and capacity; under dynamic events a remote advertisement
                 // can reference links that no longer exist here — managers
-                // transiently disagree.
-                let mut links = Vec::with_capacity(flow.link_ids.len());
+                // transiently disagree, and the solver treats such a link as
+                // unconstrained.
                 let mut one_way = SimDuration::ZERO;
                 let mut demand = Bandwidth::MAX;
-                for &l in &flow.link_ids {
-                    let link = LinkId(u32::from(l));
-                    links.push(link);
-                    if let Some(capacity) = self.collapsed.link_capacity(link) {
+                for &link in links {
+                    if let Some(capacity) = collapsed.link_capacity(link) {
                         demand = demand.min(capacity);
-                        if let Some(latency) = self.collapsed.link_latency(link) {
+                        if let Some(latency) = collapsed.link_latency(link) {
                             one_way += latency;
                         }
                     }
@@ -398,33 +421,28 @@ impl EmulationManager {
                 } else {
                     one_way * 2
                 };
-                let id = flows.len() as u64;
-                flows.push(FlowDemand {
-                    id,
+                flows.push(FlowRef {
+                    id: flows.len() as u64,
                     links,
                     rtt,
                     demand,
                 });
-                usage_by_id.insert(id, flow.used());
+                usages.push(flow.used());
             }
         }
 
-        // Rates computed for the local pairs, aligned with `local_keys`.
-        // Reading the allocator's result out here ends its borrow before the
-        // qdisc writes below and bounds the allocation span to the solve.
+        // Rates computed for the local pairs, aligned with `local_keys` (the
+        // first flows). Reading the allocator's result out here ends its
+        // borrow before the qdisc writes below and bounds the allocation
+        // span to the solve.
         let local_rates: Vec<Bandwidth> = if self.config.bandwidth_sharing {
             let mut alloc_span = self.recorder.span(self.lane, "allocate");
             let before = self.allocator.stats();
             // kollaps-analyze: allow(wall-clock) -- solver-time diagnostic only; never feeds back into the emulation (pinned by the traced-vs-untraced identity test)
             let start = std::time::Instant::now();
-            let allocation = self
-                .allocator
-                .allocate(&flows, self.collapsed.link_capacities());
+            let grants = self.allocator.solve(&flows, collapsed.link_capacities());
             let micros = start.elapsed().as_micros() as u64;
-            let rates = local_keys
-                .iter()
-                .map(|&(id, _, _)| allocation.of(id))
-                .collect();
+            let rates = grants.iter().take(local_keys.len()).copied().collect();
             self.alloc_micros += micros;
             let delta = self.allocator.stats().since(before);
             alloc_span.arg("flows", flows.len() as f64);
@@ -436,23 +454,25 @@ impl EmulationManager {
         } else {
             Vec::new()
         };
-        let over = if self.config.congestion_loss {
-            let raw = oversubscription(&flows, &usage_by_id, self.collapsed.link_capacities());
-            let mut streaks: Vec<(LinkId, u32)> = raw
-                .keys()
-                .map(|&link| (link, table_get(&self.oversub_streak, link).unwrap_or(0) + 1))
+        // Links whose oversubscription outlasted the grace period, sorted.
+        let over: Vec<(LinkId, f64)> = if self.config.congestion_loss {
+            let raw = oversubscription(&flows, &usages, collapsed.link_capacities());
+            // `raw` ascends by link, and so does the streak table built
+            // from it.
+            self.oversub_streak = raw
+                .iter()
+                .map(|&(link, _)| (link, table_get(&self.oversub_streak, link).unwrap_or(0) + 1))
                 .collect();
-            streaks.sort_unstable_by_key(|&(link, _)| link);
-            self.oversub_streak = streaks;
             raw.into_iter()
-                .filter(|(link, _)| {
-                    table_get(&self.oversub_streak, *link).unwrap_or(0) >= CONGESTION_GRACE_LOOPS
-                })
+                .zip(&self.oversub_streak)
+                .filter(|&(_, &(_, streak))| streak >= CONGESTION_GRACE_LOOPS)
+                .map(|(ratio, _)| ratio)
                 .collect()
         } else {
             self.oversub_streak.clear();
-            BTreeMap::new()
+            Vec::new()
         };
+        self.remote_links = remote_links;
 
         // Enforcement: active local pairs get their computed share (or keep
         // the path maximum when sharing is disabled); pairs enforced last
@@ -465,7 +485,7 @@ impl EmulationManager {
         self.last_allocation.clear();
         // Trees whose rates were rewritten, re-indexed once each at the end.
         let mut touched: Vec<Addr> = Vec::new();
-        for (i, &(_, src, dst)) in local_keys.iter().enumerate() {
+        for (i, &(src, dst)) in local_keys.iter().enumerate() {
             let Some(path) = self.collapsed.path_by_addr(src, dst) else {
                 continue;
             };
@@ -477,8 +497,8 @@ impl EmulationManager {
             // Congestion loss: combine the path's intrinsic loss with the
             // worst (persistent) oversubscription along the path.
             let mut congestion = 0.0f64;
-            for link in &path.links {
-                if let Some(&o) = over.get(link) {
+            for &link in &path.links {
+                if let Some(o) = table_get(&over, link) {
                     congestion = congestion.max(o);
                 }
             }
@@ -844,5 +864,74 @@ mod tests {
         let drained = manager.dequeue_ready(SimTime::from_secs(1));
         let order: Vec<Addr> = drained.iter().map(|p| p.src).collect();
         assert_eq!(order, sources);
+    }
+
+    /// A remote advertisement may name a link this snapshot does not have
+    /// (normal under dynamics), repeat a link, or name none at all. None of
+    /// it may panic, and the enforced rates are those of the map-based
+    /// solver (expected values recorded at the commit that still had it).
+    #[test]
+    fn enforce_tolerates_unknown_duplicated_and_empty_remote_link_lists() {
+        let (topo, clients, servers) = generators::dumbbell(
+            3,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(50),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(3),
+        );
+        let collapsed = Arc::new(CollapsedTopology::build(&topo));
+        let addr = |node: NodeId| collapsed.address_of(node).expect("service has an address");
+        let (c0, c1) = (addr(clients[0]), addr(clients[1]));
+        let (s0, s1) = (addr(servers[0]), addr(servers[1]));
+        let mut manager = EmulationManager::new(
+            HostId(0),
+            EmulationConfig::default(),
+            Arc::clone(&collapsed),
+            &[c0, c1],
+            &SimRng::new(3),
+        );
+        let trunk = collapsed
+            .path(clients[0], servers[0])
+            .expect("dumbbell pairs are connected")
+            .links
+            .iter()
+            .copied()
+            .find(|&l| collapsed.link_capacity(l) == Some(Bandwidth::from_mbps(50)))
+            .expect("every client-server path crosses the trunk");
+        let trunk_id = u16::try_from(trunk.0).expect("small topology");
+        manager.usages = vec![
+            ((c0, s0), Bandwidth::from_mbps(40)),
+            ((c1, s1), Bandwidth::from_mbps(30)),
+        ];
+        manager.usages.sort_unstable_by_key(|&(key, _)| key);
+        let mut message = MetadataMessage::new();
+        message.flows = vec![
+            // The trunk plus a link no snapshot of this size has: weighs in
+            // with the trunk's RTT alone.
+            FlowUsage::new(Bandwidth::from_mbps(20), vec![trunk_id, 65_535]),
+            // The trunk twice: twice the latency, and twice the weight on it.
+            FlowUsage::new(Bandwidth::from_mbps(10), vec![trunk_id, trunk_id]),
+            // No links: competes with nobody.
+            FlowUsage::new(Bandwidth::from_mbps(5), Vec::new()),
+        ];
+        manager.absorb(vec![Delivery {
+            from: HostId(1),
+            published: SimTime::ZERO,
+            message,
+        }]);
+        for tick in 1..=2u64 {
+            manager.enforce(SimTime::ZERO + SimDuration::from_millis(50 * tick));
+            // 50 Mb/s · 100 / (100 + 100 + 166.6 + 2 · 83.3) per local pair.
+            for (src, dst) in [(c0, s0), (c1, s1)] {
+                assert_eq!(
+                    manager.allocation(src, dst),
+                    Some(Bandwidth::from_bps(9_375_000)),
+                    "tick {tick}"
+                );
+            }
+            // 40 + 30 + 20 + 2 · 10 Mb/s offered to the 50 Mb/s trunk.
+            assert_eq!(manager.oversubscribed_links().collect::<Vec<_>>(), [trunk]);
+        }
+        assert_eq!(manager.allocator_stats().fast_hits, 1);
     }
 }

@@ -13,10 +13,49 @@
 //! demand, or by the collapsed path's maximum bandwidth. In that case the
 //! unused capacity is redistributed among the remaining flows of the link
 //! proportionally to their original shares (the *maximization step*),
-//! iterated until a fixed point. The solver below implements this as
-//! weighted progressive filling: repeatedly fix demand-limited flows, then
-//! saturate the most contended link, until every flow is fixed. Kollaps
-//! enforces the result per destination rather than per flow.
+//! iterated until a fixed point. The solver implements this as weighted
+//! progressive filling: repeatedly fix demand-limited flows, then saturate
+//! the most contended link, until every flow is fixed. Kollaps enforces the
+//! result per destination rather than per flow.
+//!
+//! # The dense kernel
+//!
+//! There is one solver, the private `Kernel`, behind both entry points
+//! ([`allocate`] and [`IncrementalAllocator`]). It never keys anything by
+//! [`LinkId`] inside its loops:
+//!
+//! 1. **Link slots.** The constrained links (present in `capacities`, not
+//!    [`Bandwidth::MAX`]) are numbered in ascending id order; every per-link
+//!    quantity — remaining capacity, weight of the unfixed flows, union-find
+//!    parent — is a `Vec` indexed by that slot. Each flow's path is
+//!    translated to slots once per call, in path order and with duplicates
+//!    kept; links the table does not have (unconstrained, or advertised by
+//!    a remote manager whose snapshot differs) simply have no slot. The
+//!    tables are sized by `capacities`, never by an id found in a flow.
+//! 2. **Partition.** Two flows interact only when their paths share a
+//!    constrained link, so a union-find over the slots splits the input into
+//!    independent *contention components*. Components are numbered by their
+//!    first member flow; members keep input order, links ascending id order.
+//! 3. **Progressive filling per component.** Each round zeroes and refills
+//!    the per-slot weight sums of the component's links, derives every
+//!    unfixed flow's tentative share, then either fixes all demand-limited
+//!    flows or saturates the bottleneck link, and compacts the unfixed list
+//!    once.
+//!
+//! # Operand order is part of the contract
+//!
+//! The distributed runtime replays this computation on every host and the
+//! reports are compared byte for byte, so the result must not depend on how
+//! the tables are laid out. Floating-point addition is not associative:
+//! the kernel therefore adds weights per link in (flow position, path
+//! position) order, subtracts grants from a link's remaining capacity in the
+//! order flows are fixed (position order within a round), breaks bottleneck
+//! ties on the lower link id, and evaluates `capacity · weight / Σweight`
+//! left to right — exactly what the map-based solver it replaced did, which
+//! survives as the test oracle `reference_allocate`. Solving a component in
+//! isolation is bit-identical to solving everything in one pass for the
+//! same reason: restricted to a component, the global round sequence
+//! performs the same operations on the same operands in the same order.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -31,7 +70,8 @@ use kollaps_topology::model::LinkId;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowDemand {
     /// Opaque identifier chosen by the caller (Kollaps uses one entry per
-    /// source/destination container pair).
+    /// source/destination container pair). Ids must be unique within one
+    /// solver input.
     pub id: u64,
     /// The links of the flow's collapsed path.
     pub links: Vec<LinkId>,
@@ -43,10 +83,47 @@ pub struct FlowDemand {
 }
 
 impl FlowDemand {
+    /// The borrowed view the solver reads.
+    pub fn borrowed(&self) -> FlowRef<'_> {
+        FlowRef {
+            id: self.id,
+            links: &self.links,
+            rtt: self.rtt,
+            demand: self.demand,
+        }
+    }
+}
+
+/// A [`FlowDemand`] whose links are borrowed — from a collapsed path, or
+/// from an arena the caller refills every loop iteration — so that building
+/// the solver input allocates nothing per flow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlowRef<'a> {
+    /// See [`FlowDemand::id`].
+    pub id: u64,
+    /// See [`FlowDemand::links`].
+    pub links: &'a [LinkId],
+    /// See [`FlowDemand::rtt`].
+    pub rtt: SimDuration,
+    /// See [`FlowDemand::demand`].
+    pub demand: Bandwidth,
+}
+
+impl FlowRef<'_> {
     /// Fairness weight `1 / RTT(f)` in 1/seconds (clamped to avoid division
     /// by zero for co-located containers).
     fn weight(&self) -> f64 {
         1.0 / self.rtt.as_secs_f64().max(1e-6)
+    }
+
+    /// The owned equivalent.
+    pub fn to_demand(&self) -> FlowDemand {
+        FlowDemand {
+            id: self.id,
+            links: self.links.to_vec(),
+            rtt: self.rtt,
+            demand: self.demand,
+        }
     }
 }
 
@@ -62,136 +139,390 @@ impl Allocation {
     pub fn of(&self, id: u64) -> Bandwidth {
         self.per_flow.get(&id).copied().unwrap_or(Bandwidth::ZERO)
     }
+
+    fn keyed(flows: &[FlowDemand], grants: &[Bandwidth]) -> Self {
+        Allocation {
+            per_flow: flows
+                .iter()
+                .map(|f| f.id)
+                .zip(grants.iter().copied())
+                .collect(),
+        }
+    }
 }
 
 /// Computes the RTT-aware min-max allocation for `flows` over the links with
 /// the given capacities.
 ///
-/// Links missing from `capacities` are treated as unconstrained. The
-/// algorithm terminates after at most `flows.len()` rounds because every
-/// round fixes at least one flow.
+/// Links missing from `capacities` are treated as unconstrained. The flows
+/// are partitioned into contention components and each component is solved
+/// by progressive filling, which terminates after at most one round per
+/// member flow because every round fixes at least one.
 pub fn allocate(flows: &[FlowDemand], capacities: &BTreeMap<LinkId, Bandwidth>) -> Allocation {
-    let mut allocation = Allocation::default();
-    if flows.is_empty() {
-        return allocation;
+    let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
+    let mut kernel = Kernel::default();
+    let mut partition = Partition::default();
+    let mut grants = Vec::new();
+    kernel.load(&refs, capacities, &mut partition, &mut grants);
+    for component in 0..partition.len() {
+        kernel.solve_component(&partition, component, &mut grants);
     }
+    Allocation::keyed(flows, &grants)
+}
 
-    // Remaining capacity per constrained link. Ordered map: the solver
-    // iterates it (bottleneck search) and the distributed runtime replays
-    // this computation on every host, so iteration order must be stable.
-    let mut remaining: BTreeMap<LinkId, f64> = capacities
-        .iter()
-        .filter(|(_, c)| **c != Bandwidth::MAX)
-        .map(|(&l, &c)| (l, c.as_bps() as f64))
-        .collect();
+/// "No slot" / "no component" in the `u32` index tables.
+const NONE: u32 = u32::MAX;
 
-    let mut unfixed: Vec<usize> = (0..flows.len()).collect();
+/// The constrained links of one `capacities` map, numbered densely.
+#[derive(Debug, Default)]
+struct LinkTable {
+    /// Constrained link ids, ascending; a link's slot is its position.
+    ids: Vec<LinkId>,
+    /// Capacity per slot, in b/s.
+    capacity: Vec<f64>,
+    /// Link id → slot for O(1) lookups, when the ids are dense enough for
+    /// the table to stay proportional to the link count (topologies number
+    /// their links from zero); empty otherwise, and lookups binary-search
+    /// `ids`.
+    direct: Vec<u32>,
+}
 
-    while !unfixed.is_empty() {
-        // Sum of weights of unfixed flows per link.
-        let mut weight_on_link: BTreeMap<LinkId, f64> = BTreeMap::new();
-        for &i in &unfixed {
-            for link in &flows[i].links {
-                if remaining.contains_key(link) {
-                    *weight_on_link.entry(*link).or_default() += flows[i].weight();
-                }
+impl LinkTable {
+    fn fill(&mut self, capacities: &BTreeMap<LinkId, Bandwidth>) {
+        self.ids.clear();
+        self.capacity.clear();
+        self.direct.clear();
+        for (&link, &capacity) in capacities {
+            if capacity != Bandwidth::MAX {
+                self.ids.push(link);
+                self.capacity.push(capacity.as_bps() as f64);
             }
         }
+        let Some(&LinkId(highest)) = self.ids.last() else {
+            return;
+        };
+        let span = (highest as usize).saturating_add(1);
+        if span <= self.ids.len().saturating_mul(4).saturating_add(1024) {
+            self.direct.resize(span, NONE);
+            for (slot, link) in self.ids.iter().enumerate() {
+                self.direct[link.0 as usize] = slot as u32;
+            }
+        }
+    }
 
-        // Tentative share of each unfixed flow: the minimum over its
-        // constrained links of its weighted share of the remaining capacity.
-        let mut share: HashMap<usize, f64> = HashMap::new();
-        for &i in &unfixed {
-            let mut s = f64::INFINITY;
-            for link in &flows[i].links {
-                if let Some(&cap) = remaining.get(link) {
-                    let w = weight_on_link.get(link).copied().unwrap_or(0.0);
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The slot of `link`; `None` for a link this table does not constrain,
+    /// whatever its id.
+    fn slot(&self, link: LinkId) -> Option<u32> {
+        if self.direct.is_empty() {
+            self.ids.binary_search(&link).ok().map(|slot| slot as u32)
+        } else {
+            self.direct
+                .get(link.0 as usize)
+                .copied()
+                .filter(|&slot| slot != NONE)
+        }
+    }
+}
+
+/// `rows[offsets[i]..offsets[i + 1]]`: row `i` of a flat table.
+fn row<'a, T>(offsets: &[u32], rows: &'a [T], i: usize) -> &'a [T] {
+    &rows[offsets[i] as usize..offsets[i + 1] as usize]
+}
+
+/// Builds the flat table whose row `r` lists, ascending, every position `i`
+/// with `keys[i] == r` ([`NONE`] keys are left out): a counting sort.
+fn group_rows(
+    row_count: usize,
+    keys: impl Iterator<Item = u32> + Clone,
+    offsets: &mut Vec<u32>,
+    rows: &mut Vec<u32>,
+) {
+    // Count row `r` into `offsets[r + 2]`; the running sum then leaves the
+    // start of row `r` in `offsets[r + 1]`, which the fill below advances to
+    // the row's end — the start of row `r + 1`, right where it belongs once
+    // the spare last entry is dropped.
+    offsets.clear();
+    offsets.resize(row_count + 2, 0);
+    for key in keys.clone().filter(|&key| key != NONE) {
+        offsets[key as usize + 2] += 1;
+    }
+    let mut total = 0;
+    for offset in offsets.iter_mut() {
+        total += *offset;
+        *offset = total;
+    }
+    rows.clear();
+    rows.resize(total as usize, 0);
+    for (i, key) in keys.enumerate().filter(|&(_, key)| key != NONE) {
+        let at = &mut offsets[key as usize + 1];
+        rows[*at as usize] = i as u32;
+        *at += 1;
+    }
+    offsets.pop();
+}
+
+/// The contention components of one solver input.
+#[derive(Debug, Default)]
+struct Partition {
+    /// Component of every link slot; [`NONE`] when no flow crosses it.
+    component_of_slot: Vec<u32>,
+    /// Row `c` of `members`: the flows of component `c`, by position in the
+    /// input, ascending.
+    member_offsets: Vec<u32>,
+    members: Vec<u32>,
+    /// Row `c` of `links`: the link slots of component `c`, ascending.
+    link_offsets: Vec<u32>,
+    links: Vec<u32>,
+}
+
+impl Partition {
+    fn len(&self) -> usize {
+        self.member_offsets.len().saturating_sub(1)
+    }
+
+    fn members(&self, component: usize) -> &[u32] {
+        row(&self.member_offsets, &self.members, component)
+    }
+
+    fn links(&self, component: usize) -> &[u32] {
+        row(&self.link_offsets, &self.links, component)
+    }
+}
+
+/// The solver: dense per-flow and per-link-slot tables, reused across calls
+/// by [`IncrementalAllocator`]. See the module documentation.
+#[derive(Debug, Default)]
+struct Kernel {
+    table: LinkTable,
+    /// Per flow, by position: weight and demand in b/s.
+    weight: Vec<f64>,
+    demand: Vec<f64>,
+    /// Row `i` of `slots`: the constrained link slots of flow `i`, in path
+    /// order, duplicates kept (a link listed twice weighs and pays twice).
+    slot_offsets: Vec<u32>,
+    slots: Vec<u32>,
+    /// Per link slot: capacity not yet granted, the weight sum of the
+    /// current round's unfixed flows, and the union-find forest.
+    remaining: Vec<f64>,
+    weight_on: Vec<f64>,
+    parent: Vec<u32>,
+    /// Tentative share per flow (by position) in the current round.
+    share: Vec<f64>,
+    /// The component's flows not fixed yet, ascending.
+    unfixed: Vec<u32>,
+}
+
+fn find(parent: &mut [u32], mut slot: u32) -> u32 {
+    while parent[slot as usize] != slot {
+        let up = parent[parent[slot as usize] as usize];
+        parent[slot as usize] = up;
+        slot = up;
+    }
+    slot
+}
+
+/// Grants `granted_bps` to a flow crossing `slots`.
+fn fix_flow(slots: &[u32], granted_bps: f64, remaining: &mut [f64], grant: &mut Bandwidth) {
+    let granted = granted_bps.max(0.0);
+    for &slot in slots {
+        let left = &mut remaining[slot as usize];
+        *left = (*left - granted).max(0.0);
+    }
+    *grant = Bandwidth::from_bps(granted.round() as u64);
+}
+
+impl Kernel {
+    /// Translates `flows` to the dense tables, partitions them into
+    /// `partition`, and sizes `grants` to one entry per flow — already final
+    /// for flows crossing no constrained link (they get their demand), zero
+    /// for the members of a component until it is solved or reused.
+    fn load(
+        &mut self,
+        flows: &[FlowRef<'_>],
+        capacities: &BTreeMap<LinkId, Bandwidth>,
+        partition: &mut Partition,
+        grants: &mut Vec<Bandwidth>,
+    ) {
+        self.table.fill(capacities);
+        let slot_count = self.table.len();
+        self.remaining.clear();
+        self.remaining.extend_from_slice(&self.table.capacity);
+        self.weight_on.clear();
+        self.weight_on.resize(slot_count, 0.0);
+        self.parent.clear();
+        self.parent.extend(0..slot_count as u32);
+
+        self.weight.clear();
+        self.demand.clear();
+        self.slots.clear();
+        self.slot_offsets.clear();
+        self.slot_offsets.push(0);
+        for flow in flows {
+            self.weight.push(flow.weight());
+            self.demand.push(flow.demand.as_bps() as f64);
+            let first = self.slots.len();
+            for &link in flow.links {
+                let Some(slot) = self.table.slot(link) else {
+                    continue;
+                };
+                if let Some(&head) = self.slots.get(first) {
+                    let (a, b) = (find(&mut self.parent, head), find(&mut self.parent, slot));
+                    self.parent[a as usize] = b;
+                }
+                self.slots.push(slot);
+            }
+            self.slot_offsets.push(self.slots.len() as u32);
+        }
+        self.share.clear();
+        self.share.resize(flows.len(), f64::INFINITY);
+
+        // Number the components by first member flow. Until the slot pass
+        // below, `component_of_slot` is only meaningful at union-find roots.
+        partition.component_of_slot.clear();
+        partition.component_of_slot.resize(slot_count, NONE);
+        grants.clear();
+        grants.resize(flows.len(), Bandwidth::ZERO);
+        let mut components = 0u32;
+        for (i, grant) in grants.iter_mut().enumerate() {
+            let Some(&head) = row(&self.slot_offsets, &self.slots, i).first() else {
+                // No constrained link: the flow gets its demand (or path
+                // cap) — a fix against an infinite share.
+                fix_flow(&[], self.demand[i], &mut self.remaining, grant);
+                continue;
+            };
+            let root = find(&mut self.parent, head) as usize;
+            if partition.component_of_slot[root] == NONE {
+                partition.component_of_slot[root] = components;
+                components += 1;
+            }
+        }
+        for slot in 0..slot_count {
+            let root = find(&mut self.parent, slot as u32) as usize;
+            partition.component_of_slot[slot] = partition.component_of_slot[root];
+        }
+
+        let component_of_slot = &partition.component_of_slot;
+        group_rows(
+            components as usize,
+            component_of_slot.iter().copied(),
+            &mut partition.link_offsets,
+            &mut partition.links,
+        );
+        let component_of_flow = |i| {
+            row(&self.slot_offsets, &self.slots, i)
+                .first()
+                .map_or(NONE, |&head| component_of_slot[head as usize])
+        };
+        group_rows(
+            components as usize,
+            (0..flows.len()).map(component_of_flow),
+            &mut partition.member_offsets,
+            &mut partition.members,
+        );
+    }
+
+    /// Weighted progressive filling over one component of the loaded input;
+    /// writes the members' grants.
+    fn solve_component(
+        &mut self,
+        partition: &Partition,
+        component: usize,
+        grants: &mut [Bandwidth],
+    ) {
+        let Kernel {
+            weight,
+            demand,
+            slot_offsets,
+            slots,
+            remaining,
+            weight_on,
+            share,
+            unfixed,
+            ..
+        } = self;
+        let slots_of = |i: u32| row(slot_offsets, slots, i as usize);
+        let links = partition.links(component);
+        unfixed.clear();
+        unfixed.extend_from_slice(partition.members(component));
+
+        while !unfixed.is_empty() {
+            // Sum of weights of unfixed flows per link.
+            for &slot in links {
+                weight_on[slot as usize] = 0.0;
+            }
+            for &i in unfixed.iter() {
+                for &slot in slots_of(i) {
+                    weight_on[slot as usize] += weight[i as usize];
+                }
+            }
+
+            // Tentative share of each unfixed flow: the minimum over its
+            // links of its weighted share of the remaining capacity.
+            for &i in unfixed.iter() {
+                let mut s = f64::INFINITY;
+                for &slot in slots_of(i) {
+                    let w = weight_on[slot as usize];
                     if w > 0.0 {
-                        s = s.min(cap * flows[i].weight() / w);
+                        s = s.min(remaining[slot as usize] * weight[i as usize] / w);
+                    }
+                }
+                share[i as usize] = s;
+            }
+
+            // 1. Fix every flow whose demand (or path cap) is below its share —
+            //    these are the flows the maximization step takes capacity from.
+            let before = unfixed.len();
+            unfixed.retain(|&i| {
+                let limited = demand[i as usize] <= share[i as usize] + 1e-9;
+                if limited {
+                    let granted = demand[i as usize];
+                    fix_flow(slots_of(i), granted, remaining, &mut grants[i as usize]);
+                }
+                !limited
+            });
+            if unfixed.len() < before {
+                continue;
+            }
+
+            // 2. Otherwise saturate the most contended link: the one offering
+            //    the smallest capacity per unit of weight. `links` ascends by
+            //    link id and only a strictly smaller offer replaces the
+            //    candidate, so ties break on the lower link id.
+            let mut bottleneck: Option<(u32, f64)> = None;
+            for &slot in links {
+                let w = weight_on[slot as usize];
+                if w > 0.0 {
+                    let per_weight = remaining[slot as usize] / w;
+                    if bottleneck.is_none_or(|(_, best)| per_weight < best) {
+                        bottleneck = Some((slot, per_weight));
                     }
                 }
             }
-            share.insert(i, s);
-        }
-
-        // 1. Fix every flow whose demand (or path cap) is below its share —
-        //    these are the flows the maximization step takes capacity from.
-        let demand_limited: Vec<usize> = unfixed
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let cap = flows[i].demand.as_bps() as f64;
-                cap <= share[&i] + 1e-9
-            })
-            .collect();
-        if !demand_limited.is_empty() {
-            for i in demand_limited {
-                let granted = flows[i].demand.as_bps() as f64;
-                fix_flow(&flows[i], granted, &mut remaining, &mut allocation);
-                unfixed.retain(|&u| u != i);
-            }
-            continue;
-        }
-
-        // 2. Otherwise saturate the most contended link: the one offering the
-        //    smallest capacity per unit of weight. Ties break on the lower
-        //    link id so the result never depends on HashMap iteration order
-        //    (the distributed runtime replays this computation on every host
-        //    and requires bit-identical outcomes across processes).
-        let bottleneck = weight_on_link
-            .iter()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(&l, &w)| (l, remaining.get(&l).copied().unwrap_or(f64::INFINITY) / w))
-            .min_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-
-        match bottleneck {
-            Some((link, per_weight)) => {
-                let on_link: Vec<usize> = unfixed
-                    .iter()
-                    .copied()
-                    .filter(|&i| flows[i].links.contains(&link))
-                    .collect();
-                for i in on_link {
-                    let granted =
-                        (per_weight * flows[i].weight()).min(flows[i].demand.as_bps() as f64);
-                    fix_flow(&flows[i], granted, &mut remaining, &mut allocation);
-                    unfixed.retain(|&u| u != i);
+            match bottleneck {
+                Some((link, per_weight)) => unfixed.retain(|&i| {
+                    let on_link = slots_of(i).contains(&link);
+                    if on_link {
+                        let granted = (per_weight * weight[i as usize]).min(demand[i as usize]);
+                        fix_flow(slots_of(i), granted, remaining, &mut grants[i as usize]);
+                    }
+                    !on_link
+                }),
+                None => {
+                    // No constrained links left: every remaining flow gets
+                    // its demand (or path cap).
+                    for &i in unfixed.iter() {
+                        let granted = demand[i as usize];
+                        fix_flow(slots_of(i), granted, remaining, &mut grants[i as usize]);
+                    }
+                    unfixed.clear();
                 }
-            }
-            None => {
-                // No constrained links left: every remaining flow gets its
-                // demand (or path cap).
-                for &i in &unfixed {
-                    let granted = flows[i].demand.as_bps() as f64;
-                    fix_flow(&flows[i], granted, &mut remaining, &mut allocation);
-                }
-                unfixed.clear();
             }
         }
     }
-
-    allocation
-}
-
-fn fix_flow(
-    flow: &FlowDemand,
-    granted_bps: f64,
-    remaining: &mut BTreeMap<LinkId, f64>,
-    allocation: &mut Allocation,
-) {
-    let granted = granted_bps.max(0.0);
-    for link in &flow.links {
-        if let Some(cap) = remaining.get_mut(link) {
-            *cap = (*cap - granted).max(0.0);
-        }
-    }
-    allocation
-        .per_flow
-        .insert(flow.id, Bandwidth::from_bps(granted.round() as u64));
 }
 
 /// Counters describing how much work [`IncrementalAllocator`] avoided.
@@ -201,7 +532,7 @@ pub struct AllocatorStats {
     pub fast_hits: u64,
     /// Contention components whose cached grants were reused.
     pub components_reused: u64,
-    /// Contention components re-solved with [`allocate`].
+    /// Contention components re-solved.
     pub components_recomputed: u64,
     /// Total [`IncrementalAllocator::allocate`] calls.
     pub calls: u64,
@@ -230,37 +561,95 @@ impl AllocatorStats {
     }
 }
 
-/// One cached contention component: the flows that interact through a set of
-/// constrained links, plus the grants the solver produced for them.
-#[derive(Debug, Clone)]
-struct CachedComponent {
-    /// Sorted constrained links of the component — its identity across loops.
+/// One solved call: the input's flow shapes in flat tables, its partition
+/// and the grants — everything the next call needs to recognise an
+/// unchanged input or an unchanged component.
+#[derive(Debug, Default)]
+struct Solved {
+    /// Per flow, by position.
+    ids: Vec<u64>,
+    rtt: Vec<SimDuration>,
+    demand: Vec<Bandwidth>,
+    /// Row `i` of `links`: the full path of flow `i` (constrained or not).
+    link_offsets: Vec<u32>,
     links: Vec<LinkId>,
-    /// Member flows in input order. Ids are *not* part of the cache key:
-    /// [`allocate`] only uses them to key its output, so grants transfer
-    /// positionally to whatever ids the same shapes carry this loop.
-    flows: Vec<FlowDemand>,
-    /// Grant per member flow, aligned with `flows`.
+    partition: Partition,
     grants: Vec<Bandwidth>,
 }
 
-/// `true` when two demands describe the same flow irrespective of the
-/// caller-chosen id (ids are positional in the emulation loop and shift
-/// whenever a flow joins or leaves).
-fn same_shape(a: &FlowDemand, b: &FlowDemand) -> bool {
-    a.rtt == b.rtt && a.demand == b.demand && a.links == b.links
+impl Solved {
+    /// `true` when flow `i` of this call describes the same flow as `flow`
+    /// irrespective of the caller-chosen id (ids are positional in the
+    /// emulation loop and shift whenever a flow joins or leaves).
+    fn same_shape(&self, i: usize, flow: &FlowRef<'_>) -> bool {
+        self.rtt[i] == flow.rtt
+            && self.demand[i] == flow.demand
+            && row(&self.link_offsets, &self.links, i) == flow.links
+    }
+
+    /// `true` when `flows` is exactly this call's input, ids included.
+    fn same_input(&self, flows: &[FlowRef<'_>]) -> bool {
+        self.ids.len() == flows.len()
+            && flows
+                .iter()
+                .enumerate()
+                .all(|(i, flow)| self.ids[i] == flow.id && self.same_shape(i, flow))
+    }
+
+    /// The component of this call that `component` of `next` (a partition
+    /// of `flows` over the same capacities) repeats: same links, same
+    /// member shapes in the same order. Ids are *not* compared: grants
+    /// transfer positionally to whatever ids the same shapes carry now.
+    fn repeated(&self, next: &Partition, component: usize, flows: &[FlowRef<'_>]) -> Option<usize> {
+        let links = next.links(component);
+        let earlier = *self
+            .partition
+            .component_of_slot
+            .get(*links.first()? as usize)?;
+        if earlier == NONE {
+            return None;
+        }
+        let earlier = earlier as usize;
+        let members = next.members(component);
+        let was = self.partition.members(earlier);
+        let same = self.partition.links(earlier) == links
+            && was.len() == members.len()
+            && was
+                .iter()
+                .zip(members)
+                .all(|(&old, &new)| self.same_shape(old as usize, &flows[new as usize]));
+        same.then_some(earlier)
+    }
+
+    /// Records the input shapes of `flows` (partition and grants are written
+    /// in place by the caller).
+    fn record(&mut self, flows: &[FlowRef<'_>]) {
+        self.ids.clear();
+        self.rtt.clear();
+        self.demand.clear();
+        self.links.clear();
+        self.link_offsets.clear();
+        self.link_offsets.push(0);
+        for flow in flows {
+            self.ids.push(flow.id);
+            self.rtt.push(flow.rtt);
+            self.demand.push(flow.demand);
+            self.links.extend_from_slice(flow.links);
+            self.link_offsets.push(self.links.len() as u32);
+        }
+    }
 }
 
-/// Incremental wrapper around [`allocate`]: caches the min-max solution per
-/// *contention component* and re-solves only components whose flow set or
-/// demands changed since the previous call.
+/// Incremental min-max solver: caches the solution per *contention
+/// component* and re-solves only components whose flow set or demands
+/// changed since the previous call.
 ///
-/// Two flows interact only when their paths share a constrained link (the
-/// solver couples flows exclusively through per-link remaining capacity), so
-/// the flow set partitions into independent components and solving each in
-/// isolation is **bit-identical** to one global [`allocate`] run: restricted
-/// to a component, the global round sequence performs the same fixes on the
-/// same operands in the same order.
+/// It is a cache over the partition [`allocate`] computes, not a second
+/// solver: a call that misses the identical-input fast path partitions its
+/// input with the same kernel, copies the grants of every component that
+/// repeats one of the previous call, and runs the kernel on the rest. The
+/// result is **bit-identical** to [`allocate`] on the same input (see the
+/// module documentation).
 ///
 /// Contract: link capacities are immutable within a collapsed snapshot, so
 /// the cache only compares flow shapes. Callers **must** call
@@ -270,9 +659,15 @@ fn same_shape(a: &FlowDemand, b: &FlowDemand) -> bool {
 #[derive(Debug, Default)]
 pub struct IncrementalAllocator {
     valid: bool,
-    last_flows: Vec<FlowDemand>,
-    last_allocation: Allocation,
-    components: Vec<CachedComponent>,
+    /// The previous call.
+    last: Solved,
+    /// The call before that: buffers the next miss writes into.
+    spare: Solved,
+    kernel: Kernel,
+    /// `last.grants` keyed by id, for [`IncrementalAllocator::allocate`];
+    /// rebuilt on demand.
+    keyed: Allocation,
+    keyed_stale: bool,
     stats: AllocatorStats,
 }
 
@@ -287,8 +682,6 @@ impl IncrementalAllocator {
     /// recompute.
     pub fn invalidate(&mut self) {
         self.valid = false;
-        self.last_flows.clear();
-        self.components.clear();
     }
 
     /// Work-avoidance counters since construction.
@@ -303,174 +696,90 @@ impl IncrementalAllocator {
         flows: &[FlowDemand],
         capacities: &BTreeMap<LinkId, Bandwidth>,
     ) -> &Allocation {
+        let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
+        self.solve(&refs, capacities);
+        if self.keyed_stale {
+            self.keyed = Allocation::keyed(flows, &self.last.grants);
+            self.keyed_stale = false;
+        }
+        &self.keyed
+    }
+
+    /// [`IncrementalAllocator::allocate`] on borrowed flows, returning the
+    /// grants by position in `flows` instead of keyed by id.
+    pub fn solve(
+        &mut self,
+        flows: &[FlowRef<'_>],
+        capacities: &BTreeMap<LinkId, Bandwidth>,
+    ) -> &[Bandwidth] {
         self.stats.calls += 1;
         // Fast path: the exact same input as last loop (the steady state of
-        // an emulation at scale) — ids included, so the cached map keys are
-        // still right.
-        if self.valid && self.last_flows.as_slice() == flows {
+        // an emulation at scale).
+        if self.valid && self.last.same_input(flows) {
             self.stats.fast_hits += 1;
-            return &self.last_allocation;
+            return &self.last.grants;
         }
 
-        // Partition flows into contention components with a union-find over
-        // their constrained links.
-        let mut link_index: HashMap<LinkId, usize> = HashMap::new();
-        let mut parent: Vec<usize> = Vec::new();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let constrained = |l: &LinkId| capacities.get(l).is_some_and(|&c| c != Bandwidth::MAX);
-        for flow in flows {
-            let mut first: Option<usize> = None;
-            for link in flow.links.iter().filter(|l| constrained(l)) {
-                let next = parent.len();
-                let idx = *link_index.entry(*link).or_insert_with(|| {
-                    parent.push(next);
-                    next
-                });
-                match first {
-                    None => first = Some(idx),
-                    Some(f) => {
-                        let (a, b) = (find(&mut parent, f), find(&mut parent, idx));
-                        parent[a] = b;
+        let next = &mut self.spare;
+        self.kernel
+            .load(flows, capacities, &mut next.partition, &mut next.grants);
+        for component in 0..next.partition.len() {
+            let hit = if self.valid {
+                self.last.repeated(&next.partition, component, flows)
+            } else {
+                None
+            };
+            match hit {
+                Some(earlier) => {
+                    self.stats.components_reused += 1;
+                    let was = self.last.partition.members(earlier);
+                    for (&old, &new) in was.iter().zip(next.partition.members(component)) {
+                        next.grants[new as usize] = self.last.grants[old as usize];
                     }
                 }
-            }
-        }
-
-        // Group member flow indices per component root; flows touching no
-        // constrained link are unconstrained and get their demand directly
-        // (same arithmetic as `fix_flow` on an infinite share).
-        let mut members: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut allocation = Allocation::default();
-        for (i, flow) in flows.iter().enumerate() {
-            let root = flow
-                .links
-                .iter()
-                .find(|l| constrained(l))
-                .map(|l| find(&mut parent, link_index[l]));
-            match root {
-                Some(root) => members.entry(root).or_default().push(i),
                 None => {
-                    let granted = (flow.demand.as_bps() as f64).max(0.0);
-                    allocation
-                        .per_flow
-                        .insert(flow.id, Bandwidth::from_bps(granted.round() as u64));
+                    self.stats.components_recomputed += 1;
+                    self.kernel
+                        .solve_component(&next.partition, component, &mut next.grants);
                 }
             }
         }
-
-        // Stable component order (by first member index) keeps the cache and
-        // any diagnostics deterministic.
-        let mut groups: Vec<Vec<usize>> = members.into_values().collect();
-        groups.sort_by_key(|g| g.first().copied());
-
-        // Components partition the constrained links, so a component's
-        // smallest link id identifies it uniquely — an O(1) cache probe.
-        let cache_by_min: HashMap<LinkId, &CachedComponent> = if self.valid {
-            self.components
-                .iter()
-                .filter_map(|c| c.links.first().map(|&l| (l, c)))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-
-        let mut next_components: Vec<CachedComponent> = Vec::with_capacity(groups.len());
-        let mut reused = 0u64;
-        let mut recomputed = 0u64;
-        for group in groups {
-            let mut links: Vec<LinkId> = group
-                .iter()
-                .flat_map(|&i| flows[i].links.iter().copied())
-                .filter(|l| constrained(l))
-                .collect();
-            links.sort_unstable();
-            links.dedup();
-
-            let cached = links
-                .first()
-                .and_then(|l0| cache_by_min.get(l0))
-                .copied()
-                .filter(|c| {
-                    c.links == links
-                        && c.flows.len() == group.len()
-                        && c.flows
-                            .iter()
-                            .zip(group.iter())
-                            .all(|(cf, &i)| same_shape(cf, &flows[i]))
-                });
-            let grants: Vec<Bandwidth> = match cached {
-                Some(hit) => {
-                    reused += 1;
-                    hit.grants.clone()
-                }
-                None => {
-                    recomputed += 1;
-                    let subset: Vec<FlowDemand> = group.iter().map(|&i| flows[i].clone()).collect();
-                    let caps: BTreeMap<LinkId, Bandwidth> = links
-                        .iter()
-                        .filter_map(|&l| capacities.get(&l).map(|&c| (l, c)))
-                        .collect();
-                    let solved = allocate(&subset, &caps);
-                    subset.iter().map(|f| solved.of(f.id)).collect()
-                }
-            };
-            for (&i, &grant) in group.iter().zip(grants.iter()) {
-                allocation.per_flow.insert(flows[i].id, grant);
-            }
-            next_components.push(CachedComponent {
-                links,
-                flows: group.iter().map(|&i| flows[i].clone()).collect(),
-                grants,
-            });
-        }
-        drop(cache_by_min);
-        self.stats.components_reused += reused;
-        self.stats.components_recomputed += recomputed;
-
-        self.components = next_components;
-        self.last_flows = flows.to_vec();
-        self.last_allocation = allocation;
+        next.record(flows);
+        std::mem::swap(&mut self.last, &mut self.spare);
         self.valid = true;
-        &self.last_allocation
+        self.keyed_stale = true;
+        &self.last.grants
     }
 }
 
 /// Per-link oversubscription ratios given the *demanded* (not allocated)
-/// bandwidth of each flow: `max(0, (Σ demand - capacity) / Σ demand)`.
+/// bandwidth of each flow — `usages[i]` is what `flows[i]` used —
+/// `max(0, (Σ demand - capacity) / Σ demand)`, for the oversubscribed links
+/// only, in ascending link order.
 ///
 /// Kollaps uses this to inject packet loss proportional to the excess when
 /// reliable flows push more traffic than a link can carry (paper §3,
 /// "Congestion"), so that TCP's congestion avoidance sees loss even though
 /// the htb qdisc itself only back-pressures.
 pub fn oversubscription(
-    flows: &[FlowDemand],
-    usages: &HashMap<u64, Bandwidth>,
+    flows: &[FlowRef<'_>],
+    usages: &[Bandwidth],
     capacities: &BTreeMap<LinkId, Bandwidth>,
-) -> BTreeMap<LinkId, f64> {
-    let mut demanded: BTreeMap<LinkId, f64> = BTreeMap::new();
-    for flow in flows {
-        let used = usages.get(&flow.id).copied().unwrap_or(Bandwidth::ZERO);
-        for link in &flow.links {
-            *demanded.entry(*link).or_default() += used.as_bps() as f64;
+) -> Vec<(LinkId, f64)> {
+    let mut table = LinkTable::default();
+    table.fill(capacities);
+    let mut demanded = vec![0.0f64; table.len()];
+    for (flow, used) in flows.iter().zip(usages) {
+        for &link in flow.links {
+            if let Some(slot) = table.slot(link) {
+                demanded[slot as usize] += used.as_bps() as f64;
+            }
         }
     }
-    let mut out = BTreeMap::new();
-    for (link, demand) in demanded {
-        let Some(&cap) = capacities.get(&link) else {
-            continue;
-        };
-        if cap == Bandwidth::MAX || demand <= 0.0 {
-            continue;
-        }
-        let cap = cap.as_bps() as f64;
-        if demand > cap {
-            out.insert(link, (demand - cap) / demand);
+    let mut out = Vec::new();
+    for ((&link, &demand), &capacity) in table.ids.iter().zip(&demanded).zip(&table.capacity) {
+        if demand > capacity {
+            out.push((link, (demand - capacity) / demand));
         }
     }
     out
@@ -479,6 +788,143 @@ pub fn oversubscription(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kollaps_sim::rng::SimRng;
+
+    impl FlowDemand {
+        fn weight(&self) -> f64 {
+            self.borrowed().weight()
+        }
+    }
+
+    /// The map-based solver the dense kernel replaced, verbatim: the oracle
+    /// of the differential tests below. It solves all flows in one pass,
+    /// with a fresh `BTreeMap`/`HashMap` per round.
+    fn reference_allocate(
+        flows: &[FlowDemand],
+        capacities: &BTreeMap<LinkId, Bandwidth>,
+    ) -> Allocation {
+        let mut allocation = Allocation::default();
+        if flows.is_empty() {
+            return allocation;
+        }
+
+        // Remaining capacity per constrained link. Ordered map: the solver
+        // iterates it (bottleneck search) and the distributed runtime replays
+        // this computation on every host, so iteration order must be stable.
+        let mut remaining: BTreeMap<LinkId, f64> = capacities
+            .iter()
+            .filter(|(_, c)| **c != Bandwidth::MAX)
+            .map(|(&l, &c)| (l, c.as_bps() as f64))
+            .collect();
+
+        let mut unfixed: Vec<usize> = (0..flows.len()).collect();
+
+        while !unfixed.is_empty() {
+            // Sum of weights of unfixed flows per link.
+            let mut weight_on_link: BTreeMap<LinkId, f64> = BTreeMap::new();
+            for &i in &unfixed {
+                for link in &flows[i].links {
+                    if remaining.contains_key(link) {
+                        *weight_on_link.entry(*link).or_default() += flows[i].weight();
+                    }
+                }
+            }
+
+            // Tentative share of each unfixed flow: the minimum over its
+            // constrained links of its weighted share of the remaining capacity.
+            let mut share: HashMap<usize, f64> = HashMap::new();
+            for &i in &unfixed {
+                let mut s = f64::INFINITY;
+                for link in &flows[i].links {
+                    if let Some(&cap) = remaining.get(link) {
+                        let w = weight_on_link.get(link).copied().unwrap_or(0.0);
+                        if w > 0.0 {
+                            s = s.min(cap * flows[i].weight() / w);
+                        }
+                    }
+                }
+                share.insert(i, s);
+            }
+
+            // 1. Fix every flow whose demand (or path cap) is below its share —
+            //    these are the flows the maximization step takes capacity from.
+            let demand_limited: Vec<usize> = unfixed
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let cap = flows[i].demand.as_bps() as f64;
+                    cap <= share[&i] + 1e-9
+                })
+                .collect();
+            if !demand_limited.is_empty() {
+                for i in demand_limited {
+                    let granted = flows[i].demand.as_bps() as f64;
+                    reference_fix_flow(&flows[i], granted, &mut remaining, &mut allocation);
+                    unfixed.retain(|&u| u != i);
+                }
+                continue;
+            }
+
+            // 2. Otherwise saturate the most contended link: the one offering the
+            //    smallest capacity per unit of weight. Ties break on the lower
+            //    link id so the result never depends on HashMap iteration order
+            //    (the distributed runtime replays this computation on every host
+            //    and requires bit-identical outcomes across processes).
+            let bottleneck = weight_on_link
+                .iter()
+                .filter(|(_, &w)| w > 0.0)
+                .map(|(&l, &w)| (l, remaining.get(&l).copied().unwrap_or(f64::INFINITY) / w))
+                .min_by(|a, b| {
+                    a.1.partial_cmp(&b.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| a.0.cmp(&b.0))
+                });
+
+            match bottleneck {
+                Some((link, per_weight)) => {
+                    let on_link: Vec<usize> = unfixed
+                        .iter()
+                        .copied()
+                        .filter(|&i| flows[i].links.contains(&link))
+                        .collect();
+                    for i in on_link {
+                        let granted =
+                            (per_weight * flows[i].weight()).min(flows[i].demand.as_bps() as f64);
+                        reference_fix_flow(&flows[i], granted, &mut remaining, &mut allocation);
+                        unfixed.retain(|&u| u != i);
+                    }
+                }
+                None => {
+                    // No constrained links left: every remaining flow gets its
+                    // demand (or path cap).
+                    for &i in &unfixed {
+                        let granted = flows[i].demand.as_bps() as f64;
+                        reference_fix_flow(&flows[i], granted, &mut remaining, &mut allocation);
+                    }
+                    unfixed.clear();
+                }
+            }
+        }
+
+        allocation
+    }
+
+    fn reference_fix_flow(
+        flow: &FlowDemand,
+        granted_bps: f64,
+        remaining: &mut BTreeMap<LinkId, f64>,
+        allocation: &mut Allocation,
+    ) {
+        let granted = granted_bps.max(0.0);
+        for link in &flow.links {
+            if let Some(cap) = remaining.get_mut(link) {
+                *cap = (*cap - granted).max(0.0);
+            }
+        }
+        allocation
+            .per_flow
+            .insert(flow.id, Bandwidth::from_bps(granted.round() as u64));
+    }
 
     fn mbps(m: f64) -> Bandwidth {
         Bandwidth::from_mbps_f64(m)
@@ -668,19 +1114,27 @@ mod tests {
     #[test]
     fn oversubscription_ratios() {
         let (flows, caps) = figure8(2);
+        let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
         // Both flows report using 40 Mb/s → the 50 Mb/s B1-B2 link sees
-        // 80 Mb/s of demand → 37.5 % excess.
-        let usages: HashMap<u64, Bandwidth> =
-            [(0, mbps(40.0)), (1, mbps(40.0))].into_iter().collect();
-        let over = oversubscription(&flows, &usages, &caps);
-        let b1b2 = over.get(&LinkId(6)).copied().unwrap();
-        assert!((b1b2 - 0.375).abs() < 1e-9);
-        // The 100 Mb/s B2-B3 link is not oversubscribed.
-        assert!(!over.contains_key(&LinkId(7)));
+        // 80 Mb/s of demand → 37.5 % excess. The 100 Mb/s B2-B3 link is not
+        // oversubscribed.
+        let over = oversubscription(&refs, &[mbps(40.0), mbps(40.0)], &caps);
+        assert_eq!(over.len(), 1, "{over:?}");
+        let (link, ratio) = over[0];
+        assert_eq!(link, LinkId(6));
+        assert!((ratio - 0.375).abs() < 1e-9);
         // With modest usage nothing is oversubscribed.
-        let light: HashMap<u64, Bandwidth> =
-            [(0, mbps(10.0)), (1, mbps(10.0))].into_iter().collect();
-        assert!(oversubscription(&flows, &light, &caps).is_empty());
+        assert!(oversubscription(&refs, &[mbps(10.0), mbps(10.0)], &caps).is_empty());
+        // A flow naming a link the table does not have (any id at all) is
+        // unconstrained there.
+        let stray = FlowRef {
+            id: 2,
+            links: &[LinkId(65_535), LinkId(u32::MAX), LinkId(6)],
+            rtt: ms(10),
+            demand: Bandwidth::MAX,
+        };
+        let over = oversubscription(&[stray], &[mbps(100.0)], &caps);
+        assert_eq!(over, vec![(LinkId(6), 0.5)]);
     }
 
     #[test]
@@ -838,5 +1292,329 @@ mod tests {
         ];
         let mut inc = IncrementalAllocator::new();
         assert_eq!(*inc.allocate(&flows, &caps), allocate(&flows, &caps));
+    }
+
+    /// How many seeded solver inputs exercised what, by name, so the
+    /// differential test can check that it covered what it claims to.
+    type Coverage = BTreeMap<&'static str, usize>;
+
+    /// Links (= components) of the "hundreds of disjoint components" regime.
+    const DISJOINT_LINKS: u64 = 200;
+
+    /// One seeded solver input. The seed picks the regime — a handful of
+    /// links, one giant component, hundreds of disjoint ones — and how ids,
+    /// capacities, demands and RTTs are drawn.
+    fn seeded_input(
+        seed: u64,
+        coverage: &mut Coverage,
+    ) -> (Vec<FlowDemand>, BTreeMap<LinkId, Bandwidth>) {
+        let mut rng = SimRng::new(seed);
+        let (link_count, flow_count, shared_link) = match seed % 25 {
+            0..=11 => (rng.gen_range(1, 9), rng.gen_range(1, 14), false),
+            12..=19 => (rng.gen_range(8, 24), rng.gen_range(10, 40), false),
+            20..=23 => {
+                *coverage.entry("giant component").or_default() += 1;
+                (40, rng.gen_range(40, 90), true)
+            }
+            _ => {
+                *coverage.entry("hundreds of components").or_default() += 1;
+                (DISJOINT_LINKS, 2 * DISJOINT_LINKS, false)
+            }
+        };
+        // Dense from zero (the direct slot index), dense from an offset, or
+        // far apart (the binary-search fallback).
+        let link = |k: u64| match seed % 3 {
+            0 => LinkId(k as u32),
+            1 => LinkId(7 + k as u32),
+            _ => LinkId(5 + k as u32 * 1_000_003),
+        };
+        *coverage.entry("sparse link ids").or_default() +=
+            usize::from(seed % 3 == 2 && link_count > 1);
+
+        // Half of the inputs run at ~10¹⁸ b/s, where one unit in the last
+        // place of an `f64` is hundreds of b/s: a sum taken in another order
+        // then shows in the integer grants instead of vanishing in their
+        // rounding.
+        let scale = if rng.chance(0.5) { 1 } else { 1 << 33 };
+        *coverage
+            .entry("grants large enough to show one ulp")
+            .or_default() += usize::from(scale > 1);
+        let mut capacities = BTreeMap::new();
+        for k in 0..link_count {
+            let capacity = match rng.gen_range(0, 20) {
+                0 => {
+                    *coverage.entry("link without capacity").or_default() += 1;
+                    continue;
+                }
+                1 => {
+                    *coverage.entry("Bandwidth::MAX capacity").or_default() += 1;
+                    Bandwidth::MAX
+                }
+                2 => Bandwidth::ZERO,
+                3..=5 => Bandwidth::from_mbps(10),
+                _ => Bandwidth::from_bps(rng.gen_range(1_000, 2_000_000_000) * scale),
+            };
+            capacities.insert(link(k), capacity);
+        }
+
+        let positional = rng.chance(0.5);
+        *coverage.entry("non-positional ids").or_default() += usize::from(!positional);
+        let id_base = rng.gen_range(0, u64::MAX / 2);
+        let mut flows = Vec::new();
+        for i in 0..flow_count {
+            let mut links = Vec::new();
+            if link_count == DISJOINT_LINKS {
+                // Two flows per link, every link its own component.
+                links.push(link(i / 2));
+            } else {
+                if shared_link {
+                    links.push(link(0));
+                }
+                for _ in 0..rng.gen_range(0, 6) {
+                    links.push(link(rng.gen_range(0, link_count)));
+                }
+                if !links.is_empty() && rng.chance(0.2) {
+                    let again = links[rng.gen_index(links.len())];
+                    links.push(again);
+                }
+            }
+            let mut sorted = links.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            *coverage.entry("duplicate link in a path").or_default() +=
+                usize::from(sorted.len() < links.len());
+            let rtt = match rng.gen_range(0, 10) {
+                0 => {
+                    *coverage.entry("zero RTT").or_default() += 1;
+                    SimDuration::ZERO
+                }
+                1 => SimDuration::from_nanos(rng.gen_range(1, 2_000)),
+                2..=4 => SimDuration::from_millis(20),
+                _ => SimDuration::from_micros(rng.gen_range(50, 400_000)),
+            };
+            let demand = match rng.gen_range(0, 10) {
+                0 => {
+                    *coverage.entry("zero demand").or_default() += 1;
+                    Bandwidth::ZERO
+                }
+                1 | 2 => {
+                    *coverage.entry("Bandwidth::MAX demand").or_default() += 1;
+                    Bandwidth::MAX
+                }
+                3 => Bandwidth::from_mbps(10),
+                _ => Bandwidth::from_bps(rng.gen_range(1, 2_000_000_000) * scale),
+            };
+            flows.push(FlowDemand {
+                id: if positional {
+                    i
+                } else {
+                    id_base + (flow_count - i) * 977
+                },
+                links,
+                rtt,
+                demand,
+            });
+        }
+        (flows, capacities)
+    }
+
+    /// The dense kernel against the map-based solver it replaced: the whole
+    /// `Allocation` must be equal, bit for bit, on every seeded input.
+    ///
+    /// Mutation-checked: adding the weights of a link in reverse flow order,
+    /// or fixing the flows of a round in reverse order, fails this test.
+    #[test]
+    fn dense_kernel_matches_the_reference_solver_bit_for_bit() {
+        let mut coverage = Coverage::new();
+        for seed in 0..2_500 {
+            let (flows, capacities) = seeded_input(seed, &mut coverage);
+            assert_eq!(
+                allocate(&flows, &capacities),
+                reference_allocate(&flows, &capacities),
+                "seed {seed}"
+            );
+        }
+        // The inputs must actually have been what the test claims to cover.
+        for what in [
+            "duplicate link in a path",
+            "link without capacity",
+            "Bandwidth::MAX capacity",
+            "Bandwidth::MAX demand",
+            "zero demand",
+            "zero RTT",
+            "non-positional ids",
+            "sparse link ids",
+            "giant component",
+            "hundreds of components",
+            "grants large enough to show one ulp",
+        ] {
+            let count = coverage.get(what).copied().unwrap_or(0);
+            assert!(count >= 100, "only {count} inputs with {what}");
+        }
+    }
+
+    /// Seeded join / leave / demand-toggle / invalidate sequences: after
+    /// every step the incremental allocator, through both of its entry
+    /// points, must equal the reference solver on the same input.
+    #[test]
+    fn incremental_matches_the_reference_solver_under_churn() {
+        let mut exercised = AllocatorStats::default();
+        for seed in 0..60 {
+            let mut rng = SimRng::new(0xa110c ^ seed);
+            let link_count = rng.gen_range(3, 30);
+            let mut capacities: BTreeMap<LinkId, Bandwidth> = (0..link_count)
+                .map(|k| {
+                    (
+                        LinkId(k as u32),
+                        Bandwidth::from_mbps(rng.gen_range(5, 500)),
+                    )
+                })
+                .collect();
+            // Shapes flows are drawn from; a shape may be active twice.
+            let pool: Vec<(Vec<LinkId>, SimDuration)> = (0..rng.gen_range(4, 40))
+                .map(|_| {
+                    let links = (0..rng.gen_range(1, 4))
+                        .map(|_| LinkId(rng.gen_range(0, link_count + 1) as u32))
+                        .collect();
+                    (links, SimDuration::from_millis(rng.gen_range(1, 200)))
+                })
+                .collect();
+            let positional = seed % 2 == 0;
+            let mut next_id = 1_000u64;
+            // `(id, shape, demand)` of the active flows.
+            let mut active: Vec<(u64, usize, Bandwidth)> = Vec::new();
+            let mut inc = IncrementalAllocator::new();
+            for step in 0..80 {
+                match rng.gen_range(0, 10) {
+                    0..=3 => {
+                        next_id += 1;
+                        active.push((next_id, rng.gen_index(pool.len()), Bandwidth::MAX));
+                    }
+                    4 | 5 if !active.is_empty() => {
+                        active.remove(rng.gen_index(active.len()));
+                    }
+                    6 | 7 if !active.is_empty() => {
+                        let victim = rng.gen_index(active.len());
+                        active[victim].2 = Bandwidth::from_mbps(rng.gen_range(1, 300));
+                    }
+                    8 => {
+                        let link = LinkId(rng.gen_range(0, link_count) as u32);
+                        capacities.insert(link, Bandwidth::from_mbps(rng.gen_range(5, 500)));
+                        inc.invalidate();
+                    }
+                    // Nothing changes: the fast path.
+                    _ => {}
+                }
+                let flows: Vec<FlowDemand> = active
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(id, shape, demand))| FlowDemand {
+                        id: if positional { i as u64 } else { id },
+                        links: pool[shape].0.clone(),
+                        rtt: pool[shape].1,
+                        demand,
+                    })
+                    .collect();
+                let expected = reference_allocate(&flows, &capacities);
+                if step % 2 == 0 {
+                    assert_eq!(
+                        *inc.allocate(&flows, &capacities),
+                        expected,
+                        "seed {seed} step {step}"
+                    );
+                } else {
+                    let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
+                    let grants = inc.solve(&refs, &capacities).to_vec();
+                    assert_eq!(
+                        Allocation::keyed(&flows, &grants),
+                        expected,
+                        "seed {seed} step {step}"
+                    );
+                }
+            }
+            let stats = inc.stats();
+            exercised.fast_hits += stats.fast_hits;
+            exercised.components_reused += stats.components_reused;
+            exercised.components_recomputed += stats.components_recomputed;
+        }
+        assert!(exercised.fast_hits > 100, "{exercised:?}");
+        assert!(exercised.components_reused > 1_000, "{exercised:?}");
+        assert!(exercised.components_recomputed > 1_000, "{exercised:?}");
+    }
+
+    /// The four counters on a sequence small enough to check by hand.
+    #[test]
+    fn allocator_counters_on_a_hand_checked_sequence() {
+        // Link 2 is unconstrained: flow D never belongs to a component.
+        let caps: BTreeMap<LinkId, Bandwidth> = [
+            (LinkId(0), Bandwidth::from_mbps(100)),
+            (LinkId(1), Bandwidth::from_mbps(60)),
+            (LinkId(2), Bandwidth::MAX),
+        ]
+        .into_iter()
+        .collect();
+        let flow = |id: u64, links: &[u32], demand: Bandwidth| FlowDemand {
+            id,
+            links: links.iter().copied().map(LinkId).collect(),
+            rtt: ms(20),
+            demand,
+        };
+        let any = Bandwidth::MAX;
+        let counters = |inc: &IncrementalAllocator| {
+            let s = inc.stats();
+            (
+                s.calls,
+                s.fast_hits,
+                s.components_recomputed,
+                s.components_reused,
+            )
+        };
+        let mut inc = IncrementalAllocator::new();
+        let mut check = |flows: &[FlowDemand], invalidate: bool| {
+            if invalidate {
+                inc.invalidate();
+            }
+            assert_eq!(
+                *inc.allocate(flows, &caps),
+                reference_allocate(flows, &caps)
+            );
+            counters(&inc)
+        };
+
+        // A, B on link 0; C on link 1; D unconstrained: two components.
+        let abcd = [
+            flow(0, &[0], any),
+            flow(1, &[0], any),
+            flow(2, &[1], any),
+            flow(3, &[2], any),
+        ];
+        assert_eq!(check(&abcd, false), (1, 0, 2, 0));
+        // The same input again: answered from the previous result.
+        assert_eq!(check(&abcd, false), (2, 1, 2, 0));
+        // C's demand changes: {link 0} is reused, {link 1} re-solved.
+        let mut changed = abcd.clone();
+        changed[2].demand = mbps(5.0);
+        assert_eq!(check(&changed, false), (3, 1, 3, 1));
+        // A leaves and the positional ids shift: {link 0} now holds B alone
+        // and is re-solved, {link 1} keeps its shape under a new id.
+        let bcd = [
+            flow(0, &[0], any),
+            flow(1, &[1], mbps(5.0)),
+            flow(2, &[2], any),
+        ];
+        assert_eq!(check(&bcd, false), (4, 1, 4, 2));
+        // Invalidated: the same input is neither a fast hit nor reusable.
+        assert_eq!(check(&bcd, true), (5, 1, 6, 2));
+        // Same shapes under other ids: no fast hit, both components reused.
+        let renamed = [
+            flow(70, &[0], any),
+            flow(50, &[1], mbps(5.0)),
+            flow(60, &[2], any),
+        ];
+        assert_eq!(check(&renamed, false), (6, 1, 6, 4));
+        // E bridges links 0 and 1: one merged component, re-solved.
+        let mut bridged = renamed.to_vec();
+        bridged.push(flow(80, &[1, 0], any));
+        assert_eq!(check(&bridged, false), (7, 1, 7, 4));
     }
 }

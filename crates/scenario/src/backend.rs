@@ -20,10 +20,13 @@ use kollaps_core::runtime::{Dataplane, SendOutcome};
 use kollaps_core::timeline::SnapshotTimeline;
 use kollaps_netmodel::packet::Packet;
 use kollaps_sim::prelude::*;
-use kollaps_topology::events::EventSchedule;
+use kollaps_topology::events::{DynamicAction, EventSchedule};
 use kollaps_topology::model::Topology;
 
 use crate::error::ScenarioError;
+
+/// Link ids the Kollaps metadata wire format can name (`u16`).
+const WIRE_LINK_IDS: u64 = 1 << 16;
 
 /// Which network-under-test a scenario runs against.
 #[derive(Debug, Clone)]
@@ -120,6 +123,26 @@ impl Backend {
                 backend: self.name().to_string(),
                 reason: "dynamic topology events require the Kollaps emulation manager".to_string(),
             });
+        }
+        if matches!(self, Backend::Kollaps { .. }) {
+            // Emulation Managers advertise paths as 16-bit link ids on the
+            // metadata wire; every `LinkJoin` allocates two fresh ids.
+            let joins = schedule
+                .events()
+                .iter()
+                .filter(|event| matches!(event.action, DynamicAction::LinkJoin { .. }))
+                .count() as u64;
+            let declared = topology.links().iter().map(|l| u64::from(l.id.0) + 1).max();
+            let link_ids = declared.unwrap_or(0) + 2 * joins;
+            if link_ids > WIRE_LINK_IDS {
+                return Err(ScenarioError::UnsupportedBackend {
+                    backend: self.name().to_string(),
+                    reason: format!(
+                        "the scenario uses {link_ids} link ids; the metadata wire's 16-bit \
+                         link ids name at most {WIRE_LINK_IDS}"
+                    ),
+                });
+            }
         }
         if let Backend::Mininet(config) = self {
             if let Some(link) = topology

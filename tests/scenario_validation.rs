@@ -146,6 +146,55 @@ fn mininet_rejects_rates_above_its_ceiling() {
     );
 }
 
+/// The Kollaps managers advertise paths as 16-bit link ids: a scenario that
+/// needs more — declared, or reached through `LinkJoin` events — is rejected
+/// up front instead of aliasing links on the wire. The baselines have no
+/// metadata wire and take the same topology.
+#[test]
+fn kollaps_rejects_more_link_ids_than_the_metadata_wire_can_name() {
+    let wide = |pairs: usize| {
+        let mut topo = p2p();
+        let client = topo.node_by_name("client").expect("p2p declares a client");
+        let server = topo.node_by_name("server").expect("p2p declares a server");
+        let props = topo.links()[0].properties;
+        while topo.link_count() < 2 * pairs {
+            topo.add_bidirectional_link(client, server, props, "wide");
+        }
+        topo
+    };
+    let join = DynamicEvent {
+        at: SimDuration::from_secs(1),
+        action: DynamicAction::LinkJoin {
+            orig: "client".into(),
+            dest: "server".into(),
+            change: LinkChange::default(),
+        },
+    };
+    let run = |topo, event: Option<&DynamicEvent>, backend| {
+        let mut scenario = Scenario::from_topology(topo).backend(backend);
+        if let Some(event) = event {
+            scenario = scenario.event(event.clone());
+        }
+        scenario
+            .workload(Workload::ping("client", "server"))
+            .duration(SimDuration::from_millis(200))
+            .run()
+    };
+    let rejected = |result: Result<Report, ScenarioError>| {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::UnsupportedBackend { ref backend, .. } if backend == "kollaps"),
+            "{err}"
+        );
+    };
+    // 65,538 declared ids; and exactly 65,536 with a join on top.
+    rejected(run(wide(32_769), None, Backend::kollaps()));
+    rejected(run(wide(32_768), Some(&join), Backend::kollaps()));
+    // Exactly 65,536 fit, and a baseline does not care.
+    assert!(run(wide(32_768), None, Backend::kollaps()).is_ok());
+    assert!(run(wide(32_769), None, Backend::ground_truth()).is_ok());
+}
+
 #[test]
 fn baselines_reject_dynamic_events() {
     let err = Scenario::from_topology(p2p())
