@@ -149,16 +149,14 @@ fn distributed(_: &[String]) -> bool {
 }
 
 /// Emulation rounds per second over topology size × flow count, allocation
-/// µs per round, timeline precompute cost, and the incremental-allocator
-/// microbench. `--full` adds a 2002-node / 20 000-flow cell.
+/// µs per round and timeline precompute cost. `--full` adds a 2002-node /
+/// 20 000-flow cell.
 fn scaling(args: &[String]) -> bool {
     let full = has_flag(args, "--full");
     let cells: &[(usize, usize)] = if full { &FULL_CELLS } else { &DEFAULT_CELLS };
-    let stepping = run_scaling(cells);
-    let alloc = run_alloc_scaling(&DEFAULT_LINK_COUNTS, 200);
     emit(
         "Scaling: emulation throughput, allocation cost and precompute over size",
-        &scaling_records(&stepping, &alloc),
+        &scaling_records(&run_scaling(cells)),
         full,
     )
 }

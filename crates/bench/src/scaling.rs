@@ -1,36 +1,25 @@
 //! The scaling bench: emulation-core throughput over topology size × flow
-//! count, plus the incremental-allocator microbench.
+//! count.
 //!
-//! Two sweeps share the `BENCH_scaling.json` report:
+//! A stepping sweep over dumbbell cells up to 1002 nodes / 10 000 flows.
+//! Each cell runs the same scenario three times: `.threads(1)`,
+//! `.threads(4)` and `.threads(1).trace(true)`. All reports are asserted to
+//! agree flow-for-flow (threads and tracing move wall clock, never
+//! results); the sweep records emulation rounds per wall second, allocation
+//! µs per round, the flight recorder's throughput overhead ratio, the
+//! allocator's fast-path and solve counters, the egress trees polled per
+//! `deliver` call (the packet path's work counter) and the (sequential vs
+//! parallel) timeline precompute cost.
 //!
-//! * **Stepping sweep** — dumbbell cells up to 1002 nodes / 10 000 flows.
-//!   Each cell runs the same scenario three times: `.threads(1)`,
-//!   `.threads(4)` and `.threads(1).trace(true)`. All reports are asserted
-//!   to agree flow-for-flow (threads and tracing move wall clock, never
-//!   results); the sweep records emulation rounds per wall second,
-//!   allocation µs per round, the flight recorder's throughput overhead
-//!   ratio, the incremental allocator's cache counters, the egress trees
-//!   polled per `deliver` call (the packet path's work counter) and the
-//!   (sequential vs parallel) timeline precompute cost.
-//! * **Allocator microbench** — `links` disjoint bottleneck components, two
-//!   flows each, one flow's demand toggling per call. The incremental
-//!   allocator re-shares only the touched component, so its per-call cost
-//!   stays flat while the full `allocate()` pass grows with the link count
-//!   — the sub-linearity the gate tracks via the deterministic
-//!   `components_recomputed` counter.
-//!
-//! Wall-clock metrics gate with [`TOLERANCE_WALL_CLOCK`]; the cache and
-//! recompute counters come from the deterministic simulation and gate
-//! tightly.
+//! Wall-clock metrics gate with [`TOLERANCE_WALL_CLOCK`]; the allocator
+//! counters come from the deterministic simulation and gate tightly.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use kollaps_core::{allocate, AllocatorStats, FlowDemand, SnapshotTimeline};
+use kollaps_core::{AllocatorStats, SnapshotTimeline};
 use kollaps_scenario::{Churn, Scenario, Workload};
 use kollaps_sim::prelude::*;
 use kollaps_topology::generators;
-use kollaps_topology::model::LinkId;
 
 use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC, TOLERANCE_WALL_CLOCK};
 
@@ -64,7 +53,7 @@ pub struct ScalingCell {
     pub rounds_per_sec_traced: f64,
     /// Microseconds inside the min-max allocator per round (all managers).
     pub alloc_micros_per_round: f64,
-    /// Incremental-allocator counters for the sequential run.
+    /// Allocator counters for the sequential run.
     pub alloc_stats: AllocatorStats,
     /// Mean egress trees polled per `Dataplane::deliver` call in the
     /// sequential run — deterministic; the deployed trees for as long as
@@ -247,97 +236,14 @@ pub const DEFAULT_CELLS: [(usize, usize); 3] = [(50, 4), (150, 8), (500, 20)];
 /// The `--full` sweep adds a 2002-node / 20 000-flow cell.
 pub const FULL_CELLS: [(usize, usize); 4] = [(50, 4), (150, 8), (500, 20), (1000, 20)];
 
-/// One cell of the allocator microbench.
-#[derive(Debug, Clone)]
-pub struct AllocScalingCell {
-    /// Constrained (bottleneck) links, each its own contention component.
-    pub links: usize,
-    /// Mean microseconds per incremental `allocate` call in steady state
-    /// (one flow's demand toggles per call).
-    pub incremental_micros: f64,
-    /// Mean microseconds per full `allocate()` pass on the same inputs.
-    pub full_micros: f64,
-    /// Components re-shared per incremental call (deterministically 1:
-    /// only the component of the toggled flow).
-    pub components_recomputed_per_call: f64,
-}
-
-/// Builds the microbench inputs: `links` disjoint single-link components
-/// with two flows each, every component oversubscribed so it stays
-/// constrained.
-fn micro_inputs(links: usize) -> (Vec<FlowDemand>, BTreeMap<LinkId, Bandwidth>) {
-    let mut flows = Vec::with_capacity(links * 2);
-    let mut capacities = BTreeMap::new();
-    for i in 0..links as u32 {
-        capacities.insert(LinkId(i), Bandwidth::from_mbps(10));
-        for j in 0..2u64 {
-            flows.push(FlowDemand {
-                id: i as u64 * 2 + j,
-                links: vec![LinkId(i)],
-                rtt: SimDuration::from_millis(10 + j * 10),
-                demand: Bandwidth::from_mbps(8),
-            });
-        }
-    }
-    (flows, capacities)
-}
-
-/// Runs the microbench for one link count: `iterations` steady-state calls
-/// with a single toggled demand each, incremental vs full.
-fn run_alloc_cell(links: usize, iterations: usize) -> AllocScalingCell {
-    let (mut flows, capacities) = micro_inputs(links);
-    let mut incremental = kollaps_core::IncrementalAllocator::new();
-    incremental.allocate(&flows, &capacities); // warm the component cache
-    let base = incremental.stats();
-
-    let t = Instant::now();
-    for call in 0..iterations {
-        // Toggle one flow's demand every call: exactly one component
-        // changes shape, everything else is served from the cache.
-        flows[0].demand = if call % 2 == 0 {
-            Bandwidth::from_mbps(9)
-        } else {
-            Bandwidth::from_mbps(8)
-        };
-        incremental.allocate(&flows, &capacities);
-    }
-    let incremental_micros = t.elapsed().as_micros() as f64 / iterations as f64;
-    let recomputed = incremental.stats().components_recomputed - base.components_recomputed;
-
-    let t = Instant::now();
-    for _ in 0..iterations {
-        let full = allocate(&flows, &capacities);
-        std::hint::black_box(&full);
-    }
-    let full_micros = t.elapsed().as_micros() as f64 / iterations as f64;
-
-    AllocScalingCell {
-        links,
-        incremental_micros,
-        full_micros,
-        components_recomputed_per_call: recomputed as f64 / iterations as f64,
-    }
-}
-
-/// Runs the allocator microbench over the given link counts.
-pub fn run_alloc_scaling(link_counts: &[usize], iterations: usize) -> Vec<AllocScalingCell> {
-    link_counts
-        .iter()
-        .map(|&links| run_alloc_cell(links, iterations))
-        .collect()
-}
-
-/// Default microbench link counts (flows are 2× these).
-pub const DEFAULT_LINK_COUNTS: [usize; 3] = [64, 256, 1024];
-
 /// The perf-trajectory records for `BENCH_scaling.json`. Wall-clock
 /// throughputs gate loosely (`higher_is_better`, runners differ); the
-/// allocator cache counters are deterministic and gate tightly — they are
-/// the tripwire that catches someone breaking the incremental path (every
-/// call falling back to a full recompute shows up as `fast_hit_percent`
+/// allocator counters are deterministic and gate tightly — they are the
+/// tripwire that catches someone breaking the identical-input fast path
+/// (every call falling back to a full solve shows up as `fast_hit_percent`
 /// collapsing and `components_recomputed` exploding long before wall clock
 /// does on a small runner).
-pub fn scaling_records(cells: &[ScalingCell], alloc: &[AllocScalingCell]) -> BenchReport {
+pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
     let mut report = BenchReport::new("scaling");
     for c in cells {
         let cell = |name: &str, value: f64, unit: &str| {
@@ -404,47 +310,12 @@ pub fn scaling_records(cells: &[ScalingCell], alloc: &[AllocScalingCell]) -> Ben
         );
         report.push(cell("rounds", c.rounds as f64, "count"));
     }
-    for c in alloc {
-        let cell = |name: &str, value: f64, unit: &str| {
-            BenchRecord::new(name, value, unit).axis("links", c.links)
-        };
-        report.push(
-            cell("incremental_micros", c.incremental_micros, "micros")
-                .lower_is_better(TOLERANCE_WALL_CLOCK),
-        );
-        report.push(cell("full_micros", c.full_micros, "micros"));
-        report.push(
-            cell(
-                "micro_components_per_call",
-                c.components_recomputed_per_call,
-                "count",
-            )
-            .lower_is_better(TOLERANCE_DETERMINISTIC),
-        );
-    }
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The acceptance criterion of the incremental allocator, asserted on
-    /// the bench's own microbench: when one flow changes, exactly one
-    /// component is re-shared regardless of how many links exist, so the
-    /// incremental cost cannot scale with total links the way the full
-    /// pass does.
-    #[test]
-    fn incremental_recomputes_one_component_per_call() {
-        let cells = run_alloc_scaling(&[16, 64], 40);
-        for cell in &cells {
-            assert!(
-                (cell.components_recomputed_per_call - 1.0).abs() < 1e-9,
-                "expected exactly one component per call, got {}",
-                cell.components_recomputed_per_call
-            );
-        }
-    }
 
     /// A small end-to-end stepping cell: sequential and parallel runs must
     /// agree (asserted inside `run_cell`) and the steady-state fast path

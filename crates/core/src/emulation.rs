@@ -4,7 +4,7 @@
 //! One [`KollapsDataplane`] models the whole deployment:
 //!
 //! * containers are mapped to physical hosts by a placement (round-robin by
-//!   default, explicit via [`KollapsDataplane::with_placement`]);
+//!   default, explicit via the pins of [`KollapsDataplane::with_prepared`]);
 //! * every physical host runs an [`EmulationManager`] that owns the egress
 //!   qdisc trees ([`kollaps_netmodel::egress::EgressTree`], the TCAL state)
 //!   of *its* containers and exchanges per-flow usage through the metadata
@@ -42,7 +42,7 @@ use crate::collapse::{Addressable, CollapsedTopology};
 use crate::manager::EmulationManager;
 use crate::parallel::for_each_parallel;
 use crate::runtime::{Dataplane, SendOutcome};
-use crate::sharing::{AllocatorStats, FlowRef, IncrementalAllocator};
+use crate::sharing::{Allocator, AllocatorStats, FlowRef};
 use crate::timeline::SnapshotTimeline;
 
 /// Tuning knobs of the emulation.
@@ -61,10 +61,6 @@ pub struct EmulationConfig {
     /// enforce from what they have *received*, so raising this delays every
     /// host's reaction to remote flows by up to a full loop iteration.
     pub metadata_delay: SimDuration,
-    /// Enables the RTT-aware bandwidth sharing model (step 4/5 of the loop).
-    pub bandwidth_sharing: bool,
-    /// Enables congestion loss injection when links are oversubscribed.
-    pub congestion_loss: bool,
     /// Seed for the per-destination netem jitter streams.
     pub seed: u64,
     /// Worker threads for the parallel phases of the emulation loop (manager
@@ -82,8 +78,6 @@ impl Default for EmulationConfig {
             cross_host_delay: SimDuration::from_micros(50),
             container_overhead: SimDuration::from_micros(30),
             metadata_delay: SimDuration::from_micros(100),
-            bandwidth_sharing: true,
-            congestion_loss: true,
             seed: 42,
             threads: crate::parallel::threads_from_env(),
         }
@@ -226,10 +220,10 @@ pub struct KollapsDataplane {
     pending: BinaryHeap<Reverse<PendingDelivery>>,
     next_delivery_seq: u64,
     convergence: ConvergenceStats,
-    /// Component-caching solver for the omniscient reference allocation the
-    /// convergence metric recomputes every loop; invalidated on snapshot
-    /// swaps like the managers' own solvers.
-    omniscient: IncrementalAllocator,
+    /// Solver for the omniscient reference allocation the convergence
+    /// metric recomputes every loop; invalidated on snapshot swaps like the
+    /// managers' own solvers.
+    omniscient: Allocator,
     /// Per-host, per-iteration convergence gaps, recorded only when
     /// [`KollapsDataplane::record_host_gaps`] was enabled (indexed by host,
     /// aligned with `convergence.samples`).
@@ -279,30 +273,21 @@ impl KollapsDataplane {
         hosts: usize,
         config: EmulationConfig,
     ) -> Self {
-        KollapsDataplane::with_placement(topology, schedule, hosts, &HashMap::new(), config)
-    }
-
-    /// Builds the emulation with an explicit container placement: `pinned`
-    /// maps service nodes to host indices (`0..hosts`); services it does not
-    /// mention fall back to round-robin. Host indices are clamped into
-    /// range — the scenario layer validates them properly and reports a
-    /// typed error instead.
-    pub fn with_placement(
-        topology: Topology,
-        schedule: EventSchedule,
-        hosts: usize,
-        pinned: &HashMap<NodeId, u32>,
-        config: EmulationConfig,
-    ) -> Self {
         // The whole dynamics of the experiment are precomputed here, before
         // any traffic flows (paper §3: schedules are part of the experiment
         // description, so nothing about a topology change is a surprise).
         let timeline = SnapshotTimeline::precompute(&topology, &schedule);
-        KollapsDataplane::with_prepared(timeline, hosts, pinned, config)
+        KollapsDataplane::with_prepared(timeline, hosts, &HashMap::new(), config)
     }
 
     /// Builds the emulation from an **already precomputed** snapshot
-    /// timeline. A campaign sweeping non-topological parameters precomputes
+    /// timeline and an explicit container placement: `pinned` maps service
+    /// nodes to host indices (`0..hosts`); services it does not mention fall
+    /// back to round-robin. Host indices are clamped into range — the
+    /// scenario layer validates them properly and reports a typed error
+    /// instead.
+    ///
+    /// A campaign sweeping non-topological parameters precomputes
     /// the timeline once and hands every variant a clone: the clone shares
     /// every `CollapsedTopology` snapshot (and every `CollapsedPath` inside
     /// them) structurally behind `Arc`s, so N variants pay the offline
@@ -357,7 +342,7 @@ impl KollapsDataplane {
             pending: BinaryHeap::new(),
             next_delivery_seq: 0,
             convergence: ConvergenceStats::default(),
-            omniscient: IncrementalAllocator::new(),
+            omniscient: Allocator::default(),
             host_gap_series: None,
             recorder: Recorder::disabled(),
             phase_stats: [PhaseStats::default(); LOOP_PHASE_COUNT],
@@ -492,14 +477,12 @@ impl KollapsDataplane {
         self.managers.iter().map(|m| m.allocation_micros()).sum()
     }
 
-    /// Work-avoidance counters of the incremental min-max solvers, summed
-    /// across all managers.
+    /// Work-avoidance counters of the managers' min-max solvers, summed.
     pub fn allocator_stats(&self) -> AllocatorStats {
         let mut total = AllocatorStats::default();
         for stats in self.managers.iter().map(|m| m.allocator_stats()) {
             total.calls += stats.calls;
             total.fast_hits += stats.fast_hits;
-            total.components_reused += stats.components_reused;
             total.components_recomputed += stats.components_recomputed;
         }
         total
@@ -687,10 +670,6 @@ impl KollapsDataplane {
     /// (global instantaneous knowledge — exactly what the old centralized
     /// loop enforced).
     fn update_convergence(&mut self) {
-        if !self.config.bandwidth_sharing {
-            self.convergence.last_gap = 0.0;
-            return;
-        }
         let collapsed = Arc::clone(&self.collapsed);
         let mut flows: Vec<FlowRef<'_>> = Vec::new();
         let mut keys: Vec<(usize, Addr, Addr)> = Vec::new();
@@ -746,8 +725,8 @@ impl KollapsDataplane {
             }
             let mut span = self.recorder.span(0, "timeline_swap");
             self.collapsed = Arc::clone(&delta.snapshot);
-            // Capacities changed — the omniscient solver's component cache
-            // keys on flow shapes only (managers invalidate their own).
+            // Capacities changed — the omniscient solver's memo compares
+            // flows only (managers invalidate their own).
             self.omniscient.invalidate();
             let mut touched = 0;
             for manager in &mut self.managers {
@@ -1176,7 +1155,8 @@ mod tests {
         let s0 = collapsed.address_of(servers[0]).unwrap();
         let c1 = collapsed.address_of(clients[1]).unwrap();
         let s1 = collapsed.address_of(servers[1]).unwrap();
-        let dp = KollapsDataplane::with_placement(topo, EventSchedule::new(), 2, &pinned, config);
+        let timeline = SnapshotTimeline::precompute(&topo, &EventSchedule::new());
+        let dp = KollapsDataplane::with_prepared(timeline, 2, &pinned, config);
         assert_eq!(dp.placement_of(c0), Some(kollaps_metadata::bus::HostId(0)));
         assert_eq!(dp.placement_of(c1), Some(kollaps_metadata::bus::HostId(1)));
         (dp, (c0, s0), (c1, s1))
@@ -1316,13 +1296,8 @@ mod tests {
             .map(|&n| (n, 1u32))
             .collect();
         let collapsed = CollapsedTopology::build(&topo);
-        let dp = KollapsDataplane::with_placement(
-            topo,
-            EventSchedule::new(),
-            3,
-            &pinned,
-            EmulationConfig::default(),
-        );
+        let timeline = SnapshotTimeline::precompute(&topo, &EventSchedule::new());
+        let dp = KollapsDataplane::with_prepared(timeline, 3, &pinned, EmulationConfig::default());
         assert_eq!(dp.host_count(), 3);
         for (_, addr) in collapsed.addresses() {
             assert_eq!(

@@ -46,7 +46,6 @@ pub use emulation::{
 pub use manager::EmulationManager;
 pub use runtime::{Dataplane, Runtime, RuntimeEvent, SendOutcome};
 pub use sharing::{
-    allocate, oversubscription, Allocation, AllocatorStats, FlowDemand, FlowRef,
-    IncrementalAllocator,
+    allocate, oversubscription, Allocation, Allocator, AllocatorStats, FlowDemand, FlowRef,
 };
 pub use timeline::{SnapshotDelta, SnapshotTimeline, TimelineStats};

@@ -36,7 +36,7 @@ use kollaps_trace::Recorder;
 
 use crate::collapse::CollapsedTopology;
 use crate::emulation::EmulationConfig;
-use crate::sharing::{oversubscription, AllocatorStats, FlowRef, IncrementalAllocator};
+use crate::sharing::{oversubscription, Allocator, AllocatorStats, FlowRef};
 
 /// Congestion loss is injected only once a link has stayed oversubscribed
 /// for this many consecutive loop iterations. A one-iteration spike is the
@@ -130,8 +130,8 @@ pub struct EmulationManager {
     /// Consecutive loop iterations each link has been oversubscribed,
     /// sorted by link.
     oversub_streak: Vec<(LinkId, u32)>,
-    /// Component-caching min-max solver; invalidated on snapshot swaps.
-    allocator: IncrementalAllocator,
+    /// The min-max solver; invalidated on snapshot swaps.
+    allocator: Allocator,
     /// The paths of the remote flows of the current loop iteration, end to
     /// end: one arena refilled per iteration instead of a `Vec` per flow.
     remote_links: Vec<LinkId>,
@@ -186,7 +186,7 @@ impl EmulationManager {
             usages: Vec::new(),
             last_allocation: Vec::new(),
             oversub_streak: Vec::new(),
-            allocator: IncrementalAllocator::new(),
+            allocator: Allocator::default(),
             remote_links: Vec::new(),
             alloc_micros: 0,
             recorder: Recorder::disabled(),
@@ -237,7 +237,7 @@ impl EmulationManager {
         self.alloc_micros
     }
 
-    /// Work-avoidance counters of the incremental min-max solver.
+    /// Work-avoidance counters of the min-max solver.
     pub fn allocator_stats(&self) -> AllocatorStats {
         self.allocator.stats()
     }
@@ -435,7 +435,7 @@ impl EmulationManager {
         // first flows). Reading the allocator's result out here ends its
         // borrow before the qdisc writes below and bounds the allocation
         // span to the solve.
-        let local_rates: Vec<Bandwidth> = if self.config.bandwidth_sharing {
+        let local_rates: Vec<Bandwidth> = {
             let mut alloc_span = self.recorder.span(self.lane, "allocate");
             let before = self.allocator.stats();
             // kollaps-analyze: allow(wall-clock) -- solver-time diagnostic only; never feeds back into the emulation (pinned by the traced-vs-untraced identity test)
@@ -448,51 +448,38 @@ impl EmulationManager {
             alloc_span.arg("flows", flows.len() as f64);
             alloc_span.arg("micros", micros as f64);
             alloc_span.arg("fast_hits", delta.fast_hits as f64);
-            alloc_span.arg("components_reused", delta.components_reused as f64);
             alloc_span.arg("components_recomputed", delta.components_recomputed as f64);
             rates
-        } else {
-            Vec::new()
         };
         // Links whose oversubscription outlasted the grace period, sorted.
-        let over: Vec<(LinkId, f64)> = if self.config.congestion_loss {
-            let raw = oversubscription(&flows, &usages, collapsed.link_capacities());
-            // `raw` ascends by link, and so does the streak table built
-            // from it.
-            self.oversub_streak = raw
-                .iter()
-                .map(|&(link, _)| (link, table_get(&self.oversub_streak, link).unwrap_or(0) + 1))
-                .collect();
-            raw.into_iter()
-                .zip(&self.oversub_streak)
-                .filter(|&(_, &(_, streak))| streak >= CONGESTION_GRACE_LOOPS)
-                .map(|(ratio, _)| ratio)
-                .collect()
-        } else {
-            self.oversub_streak.clear();
-            Vec::new()
-        };
+        let raw = oversubscription(&flows, &usages, collapsed.link_capacities());
+        // `raw` ascends by link, and so does the streak table built from it.
+        self.oversub_streak = raw
+            .iter()
+            .map(|&(link, _)| (link, table_get(&self.oversub_streak, link).unwrap_or(0) + 1))
+            .collect();
+        let over: Vec<(LinkId, f64)> = raw
+            .into_iter()
+            .zip(&self.oversub_streak)
+            .filter(|&(_, &(_, streak))| streak >= CONGESTION_GRACE_LOOPS)
+            .map(|(ratio, _)| ratio)
+            .collect();
         self.remote_links = remote_links;
 
-        // Enforcement: active local pairs get their computed share (or keep
-        // the path maximum when sharing is disabled); pairs enforced last
-        // loop that went idle are restored to the path maximum **once** so
-        // new flows are not throttled by stale limits. Chains that were at
-        // their defaults and stay idle are not touched at all — the old
-        // all-pairs sweep was O(containers²) per loop and capped scaling.
+        // Enforcement: active local pairs get their computed share; pairs
+        // enforced last loop that went idle are restored to the path
+        // maximum **once** so new flows are not throttled by stale limits.
+        // Chains that were at their defaults and stay idle are not touched
+        // at all — the old all-pairs sweep was O(containers²) per loop and
+        // capped scaling.
         let previously: Vec<(Addr, Addr)> =
             self.last_allocation.iter().map(|&(key, _)| key).collect();
         self.last_allocation.clear();
         // Trees whose rates were rewritten, re-indexed once each at the end.
         let mut touched: Vec<Addr> = Vec::new();
-        for (i, &(src, dst)) in local_keys.iter().enumerate() {
+        for (&(src, dst), &rate) in local_keys.iter().zip(&local_rates) {
             let Some(path) = self.collapsed.path_by_addr(src, dst) else {
                 continue;
-            };
-            let rate = if self.config.bandwidth_sharing {
-                local_rates[i]
-            } else {
-                path.max_bandwidth
             };
             // Congestion loss: combine the path's intrinsic loss with the
             // worst (persistent) oversubscription along the path.
@@ -538,7 +525,7 @@ impl EmulationManager {
     /// offline).
     pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
         self.collapsed = Arc::clone(&delta.snapshot);
-        // Capacities changed: the component cache keys on flow shapes only.
+        // Capacities changed: the solver's memo compares flows only.
         self.allocator.invalidate();
         let collapsed = Arc::clone(&self.collapsed);
         let mut touched = 0;
@@ -669,8 +656,9 @@ impl EmulationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::SnapshotDelta;
+    use crate::timeline::{SnapshotDelta, SnapshotTimeline};
     use kollaps_netmodel::packet::{FlowId, PacketKind, MTU};
+    use kollaps_topology::events::{DynamicAction, DynamicEvent, EventSchedule, LinkChange};
     use kollaps_topology::generators;
     use kollaps_topology::model::NodeId;
 
@@ -933,5 +921,69 @@ mod tests {
             assert_eq!(manager.oversubscribed_links().collect::<Vec<_>>(), [trunk]);
         }
         assert_eq!(manager.allocator_stats().fast_hits, 1);
+    }
+
+    /// A delta can change a capacity and leave the RTT, demand and links of
+    /// every active flow as they were — here the flows are limited by their
+    /// 40 Mb/s access links, not by the trunk that changes. The solver's
+    /// memo then sees the input of the previous loop again, and only the
+    /// `invalidate()` in `apply_delta` makes the enforced rates follow.
+    ///
+    /// Mutation-checked: without that `invalidate()` this test fails.
+    #[test]
+    fn a_capacity_change_through_a_delta_moves_the_enforced_rates() {
+        let (topo, clients, servers) = generators::dumbbell(
+            2,
+            Bandwidth::from_mbps(40),
+            Bandwidth::from_mbps(50),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(3),
+        );
+        let wider = Some(Bandwidth::from_mbps(60));
+        let schedule = EventSchedule::from_events(vec![DynamicEvent {
+            at: SimDuration::from_secs(1),
+            action: DynamicAction::SetLinkProperties {
+                orig: "bridge-left".into(),
+                dest: "bridge-right".into(),
+                change: LinkChange {
+                    up: wider,
+                    down: wider,
+                    ..LinkChange::default()
+                },
+            },
+        }]);
+        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let collapsed = Arc::clone(timeline.initial());
+        let addr = |node: NodeId| collapsed.address_of(node).expect("service has an address");
+        let pairs = [
+            (addr(clients[0]), addr(servers[0])),
+            (addr(clients[1]), addr(servers[1])),
+        ];
+        let mut manager = EmulationManager::new(
+            HostId(0),
+            EmulationConfig::default(),
+            Arc::clone(&collapsed),
+            &[pairs[0].0, pairs[1].0],
+            &SimRng::new(3),
+        );
+        manager.usages = pairs
+            .iter()
+            .map(|&pair| (pair, Bandwidth::from_mbps(30)))
+            .collect();
+        manager.usages.sort_unstable_by_key(|&(key, _)| key);
+        let enforced = |manager: &EmulationManager| {
+            pairs.map(|(src, dst)| manager.allocation(src, dst).map(|rate| rate.as_bps()))
+        };
+
+        manager.enforce(SimTime::from_millis(950));
+        assert_eq!(enforced(&manager), [Some(25_000_000); 2]);
+
+        let [delta] = timeline.deltas() else {
+            panic!("one change time, one delta");
+        };
+        assert_eq!(delta.swap_cost(), 0, "no collapsed path changed");
+        manager.apply_delta(delta);
+        manager.enforce(SimTime::from_millis(1_000));
+        assert_eq!(enforced(&manager), [Some(30_000_000); 2]);
     }
 }

@@ -22,6 +22,12 @@ pub const HEADER_LEN: usize = 15;
 /// Size of the length prefix a framed message carries on the wire.
 pub const FRAME_PREFIX_LEN: usize = 4;
 
+/// Most flows one message can carry: the header's flow count is 16 bits.
+pub const MAX_FLOWS: usize = u16::MAX as usize;
+
+/// Most link ids one flow entry can carry: its link count is 8 bits.
+pub const MAX_LINKS_PER_FLOW: usize = u8::MAX as usize;
+
 /// Usage report for one active flow.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowUsage {
@@ -49,6 +55,11 @@ impl FlowUsage {
 
 /// One metadata message, as emitted by an Emulation Manager on every
 /// iteration of the emulation loop.
+///
+/// The wire carries the first [`MAX_FLOWS`] flows and, of each, the first
+/// [`MAX_LINKS_PER_FLOW`] link ids; [`MetadataMessage::encoded_len`],
+/// [`MetadataMessage::uses_compact_ids`] and [`MetadataMessage::encode`]
+/// all describe that clamped message, so they agree whatever the sizes.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MetadataMessage {
     /// Physical host whose Emulation Manager published this message.
@@ -97,13 +108,21 @@ impl MetadataMessage {
         }
     }
 
+    /// What the wire carries: `(used_kbps, link ids)` of the first
+    /// [`MAX_FLOWS`] flows, each cut to [`MAX_LINKS_PER_FLOW`] ids.
+    fn wire_flows(&self) -> impl ExactSizeIterator<Item = (u32, &[u16])> {
+        self.flows.iter().take(MAX_FLOWS).map(|flow| {
+            let carried = flow.link_ids.len().min(MAX_LINKS_PER_FLOW);
+            (flow.used_kbps, &flow.link_ids[..carried])
+        })
+    }
+
     /// `true` if the network is small enough (≤ 256 links) for 1-byte link
     /// identifiers; decided per message from the largest id it carries, the
     /// same optimisation described in the paper for ≤ 256-node topologies.
     pub fn uses_compact_ids(&self) -> bool {
-        self.flows
-            .iter()
-            .flat_map(|f| f.link_ids.iter())
+        self.wire_flows()
+            .flat_map(|(_, ids)| ids)
             .all(|&id| id < 256)
     }
 
@@ -112,9 +131,8 @@ impl MetadataMessage {
         let id_width = if self.uses_compact_ids() { 1 } else { 2 };
         HEADER_LEN
             + self
-                .flows
-                .iter()
-                .map(|f| 4 + 1 + f.link_ids.len() * id_width)
+                .wire_flows()
+                .map(|(_, ids)| 4 + 1 + ids.len() * id_width)
                 .sum::<usize>()
     }
 
@@ -122,14 +140,15 @@ impl MetadataMessage {
     pub fn encode(&self) -> Bytes {
         let compact = self.uses_compact_ids();
         let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u16(self.flows.len() as u16);
+        let flows = self.wire_flows();
+        buf.put_u16(flows.len() as u16);
         buf.put_u8(u8::from(compact));
         buf.put_u32(self.sender.0);
         buf.put_u64(self.published.as_nanos());
-        for flow in &self.flows {
-            buf.put_u32(flow.used_kbps);
-            buf.put_u8(flow.link_ids.len().min(255) as u8);
-            for &id in flow.link_ids.iter().take(255) {
+        for (used_kbps, ids) in flows {
+            buf.put_u32(used_kbps);
+            buf.put_u8(ids.len() as u8);
+            for &id in ids {
                 if compact {
                     buf.put_u8(id as u8);
                 } else {
@@ -327,6 +346,36 @@ mod tests {
             MetadataMessage::decode_framed(&padded),
             Err(DecodeError::FrameMismatch)
         );
+    }
+
+    /// Past either wire limit the message is clamped, and the announced
+    /// length, the encoder and the decoder all see the same clamped message.
+    #[test]
+    fn oversized_messages_are_clamped_consistently() {
+        for (n_flows, links_per_flow, max_id) in [
+            (MAX_FLOWS - 1, 1, 200),
+            (MAX_FLOWS, 1, 9_000),
+            (MAX_FLOWS + 1, 1, 200),
+            (MAX_FLOWS + 300, 2, 9_000),
+            (3, MAX_LINKS_PER_FLOW - 1, 200),
+            (3, MAX_LINKS_PER_FLOW, 9_000),
+            (3, MAX_LINKS_PER_FLOW + 40, 200),
+        ] {
+            let mut m = msg(n_flows, links_per_flow, max_id);
+            // An id only the cut-off tail carries must not widen the rest.
+            if let Some(id) = m.flows[0].link_ids.get_mut(MAX_LINKS_PER_FLOW) {
+                *id = 60_000;
+            }
+            let mut clamped = m.clone();
+            clamped.flows.truncate(MAX_FLOWS);
+            for flow in &mut clamped.flows {
+                flow.link_ids.truncate(MAX_LINKS_PER_FLOW);
+            }
+            let what = format!("{n_flows} flows of {links_per_flow} links");
+            assert_eq!(m.encode().len(), m.encoded_len(), "{what}");
+            assert_eq!(m.encode(), clamped.encode(), "{what}");
+            assert_eq!(MetadataMessage::decode(m.encode()), Ok(clamped), "{what}");
+        }
     }
 
     #[test]

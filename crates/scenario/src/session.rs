@@ -605,8 +605,8 @@ impl Session {
 
     /// Cumulative bandwidth-allocation telemetry across every emulation
     /// manager so far: wall-clock microseconds spent inside the min-max
-    /// allocator and the incremental allocator's cache counters (fast-path
-    /// hits, components reused vs recomputed). Kollaps backend only — the
+    /// allocator and the allocator's counters (calls, identical-input
+    /// fast-path hits, components solved). Kollaps backend only — the
     /// scaling bench reads this to report allocation µs per loop.
     pub fn allocation_telemetry(&self) -> Option<(u64, kollaps_core::AllocatorStats)> {
         self.rt

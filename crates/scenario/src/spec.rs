@@ -453,8 +453,6 @@ impl Scenario {
                         config.container_overhead.as_nanos().into(),
                     ),
                     ("metadata_delay_ns", config.metadata_delay.as_nanos().into()),
-                    ("bandwidth_sharing", config.bandwidth_sharing.into()),
-                    ("congestion_loss", config.congestion_loss.into()),
                     ("seed", config.seed.into()),
                     ("threads", (config.threads as u64).into()),
                 ]),
@@ -521,8 +519,6 @@ impl Scenario {
                 "container_overhead_ns",
             )?),
             metadata_delay: SimDuration::from_nanos(req_u64(config_value, "metadata_delay_ns")?),
-            bandwidth_sharing: req_bool(config_value, "bandwidth_sharing")?,
-            congestion_loss: req_bool(config_value, "congestion_loss")?,
             seed: req_u64(config_value, "seed")?,
             // Additive field: older specs omit it, and `threads` only affects
             // wall clock (results are byte-identical), so no version bump.
@@ -655,6 +651,18 @@ mod tests {
             .run()
             .expect("decoded runs");
         assert_eq!(scrub(original.to_json()), scrub(decoded.to_json()));
+    }
+
+    /// Specs written while bandwidth sharing and congestion loss were
+    /// options carry a boolean for each; both keys are ignored.
+    #[test]
+    fn retired_config_keys_are_ignored() {
+        let text = sample_scenario().to_spec_string().expect("serializable");
+        let retired = "\"bandwidth_sharing\":true,\"congestion_loss\":true,\"seed\":";
+        let old = text.replacen("\"seed\":", retired, 1);
+        assert_ne!(old, text);
+        let decoded = Scenario::from_spec_str(&old).expect("old specs still decode");
+        assert_eq!(decoded.to_spec_string().expect("re-serializable"), text);
     }
 
     fn expect_err(result: Result<Scenario, ScenarioError>) -> ScenarioError {

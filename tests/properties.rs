@@ -720,17 +720,17 @@ fn seeded_runs_record_identical_trace_event_sequences() {
 }
 
 proptest! {
-    /// The incremental allocator is an exact drop-in for the full min-max
-    /// solver: across seeded scale-free topologies with flows joining and
-    /// leaving every step (so the positional flow ids shift and cached
-    /// grants must remap) and demands mutating in place, every grant equals
-    /// the full `allocate()` on the same inputs.
+    /// The emulation loop's `Allocator` is an exact drop-in for the one-shot
+    /// min-max solver: across seeded scale-free topologies with flows
+    /// joining and leaving every step (so the positional flow ids shift) and
+    /// demands mutating in place, every positional grant equals the keyed
+    /// `allocate()` on the same inputs.
     #[test]
     fn incremental_allocation_equals_full_solver_under_churn(
         seed in 0u64..100_000,
         steps in 4usize..24,
     ) {
-        use kollaps::core::{CollapsedTopology, IncrementalAllocator};
+        use kollaps::core::{Allocator, CollapsedTopology, FlowRef};
         use kollaps::topology::generators::ScaleFreeParams;
 
         let mut rng = SimRng::new(seed);
@@ -754,7 +754,7 @@ proptest! {
         prop_assert!(candidates.len() >= 4);
 
         let mut active = Vec::new();
-        let mut incremental = IncrementalAllocator::new();
+        let mut allocator = Allocator::default();
         for _ in 0..steps {
             // Membership churn: usually a join, sometimes a leave.
             if active.len() < 2
@@ -777,15 +777,17 @@ proptest! {
                 continue;
             }
             // Occasionally mutate one demand in place: same membership,
-            // different shape — the cached component must notice.
+            // another input — the memo must notice.
             if rng.gen_index(2) == 0 {
                 let victim = rng.gen_index(flows.len());
                 flows[victim].demand = Bandwidth::from_mbps(rng.gen_range(1, 200));
             }
             let full = allocate(&flows, collapsed.link_capacities());
-            let fast = incremental.allocate(&flows, collapsed.link_capacities());
-            for flow in &flows {
-                prop_assert_eq!(fast.of(flow.id), full.of(flow.id));
+            let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
+            let grants = allocator.solve(&refs, collapsed.link_capacities());
+            prop_assert_eq!(grants.len(), flows.len());
+            for (flow, &grant) in flows.iter().zip(grants) {
+                prop_assert_eq!(grant, full.of(flow.id));
             }
         }
     }
