@@ -55,6 +55,9 @@ pub struct DynamicsCell {
     pub online_paths_recomputed: usize,
     /// Paths the timeline re-derived offline (its selective precompute).
     pub timeline_paths_recomputed: usize,
+    /// Of those, the ones it had to build a `CollapsedPath` for; the rest
+    /// were recognised as unchanged on the shortest-path tree.
+    pub timeline_paths_built: usize,
 }
 
 /// Builds the sweep topology and the churn schedule for one cell.
@@ -149,6 +152,7 @@ pub fn run_dynamics(
                 online_rebuild_micros,
                 online_paths_recomputed: pairs * timeline.len(),
                 timeline_paths_recomputed: stats.recomputed_paths,
+                timeline_paths_built: stats.built_paths,
             });
         }
     }
@@ -179,6 +183,14 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
             cell(
                 "timeline_paths_recomputed",
                 c.timeline_paths_recomputed as f64,
+                "paths",
+            )
+            .lower_is_better(TOLERANCE_DETERMINISTIC),
+        );
+        report.push(
+            cell(
+                "timeline_paths_built",
+                c.timeline_paths_built as f64,
                 "paths",
             )
             .lower_is_better(TOLERANCE_DETERMINISTIC),

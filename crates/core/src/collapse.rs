@@ -19,7 +19,7 @@ use kollaps_netmodel::packet::Addr;
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 
-use kollaps_topology::graph::{PathProperties, TopologyGraph};
+use kollaps_topology::graph::{PathProperties, ShortestPathTree, TopologyGraph};
 use kollaps_topology::model::{LinkId, NodeId, Topology};
 
 use crate::sharing::{FlowDemand, FlowRef};
@@ -72,13 +72,13 @@ pub struct CollapsedTopology {
 }
 
 /// Collapses one shortest path into its end-to-end `CollapsedPath`.
-pub(crate) fn collapse_path(
+fn collapse_path(
     topology: &Topology,
     src: NodeId,
     dst: NodeId,
-    path: &kollaps_topology::graph::Path,
+    path: kollaps_topology::graph::Path,
 ) -> Option<CollapsedPath> {
-    let props = PathProperties::compose(topology, path)?;
+    let props = PathProperties::compose(topology, &path)?;
     Some(CollapsedPath {
         src,
         dst,
@@ -86,33 +86,76 @@ pub(crate) fn collapse_path(
         jitter: props.jitter,
         loss: props.loss,
         max_bandwidth: props.max_bandwidth,
-        links: path.links.clone(),
+        links: path.links,
     })
 }
 
-/// All-pairs collapse, parallelized across source services: each worker runs
-/// the single-source shortest-path and path composition for a disjoint chunk
-/// of sources. Per-source work is independent and deterministic, so the
-/// merged map is identical for any thread count.
+/// One source's row of the all-pairs table.
+pub(crate) struct SourceRow {
+    /// The source service.
+    pub(crate) src: NodeId,
+    /// Destinations the caller's `unchanged` test answered for: nothing was
+    /// built for them.
+    pub(crate) unchanged: usize,
+    /// Every other destination service with its freshly collapsed path, or
+    /// `None` when the source does not reach it; in service order.
+    pub(crate) paths: Vec<(NodeId, Option<Arc<CollapsedPath>>)>,
+}
+
+/// Derives the row of `src`: one shortest-path tree, walked for the service
+/// destinations only. `unchanged(dst, tree)` lets the caller claim a
+/// destination whose path it already holds before anything is allocated;
+/// the all-pairs collapse claims none, the snapshot timeline claims the
+/// ones the previous snapshot still gets right. Per-source work is
+/// independent and deterministic, so rows can be derived on any thread.
+pub(crate) fn source_row(
+    topology: &Topology,
+    graph: &TopologyGraph,
+    services: &[NodeId],
+    src: NodeId,
+    unchanged: impl Fn(NodeId, &ShortestPathTree<'_>) -> bool,
+) -> SourceRow {
+    let tree = graph.shortest_path_tree(src);
+    let mut row = SourceRow {
+        src,
+        unchanged: 0,
+        paths: Vec::new(),
+    };
+    for &dst in services {
+        if dst == src {
+            continue;
+        }
+        if unchanged(dst, &tree) {
+            row.unchanged += 1;
+            continue;
+        }
+        let fresh = tree
+            .path_to(dst)
+            .and_then(|path| collapse_path(topology, src, dst, path))
+            .map(Arc::new);
+        row.paths.push((dst, fresh));
+    }
+    row
+}
+
+/// All-pairs collapse, parallelized across source services: each worker
+/// derives the rows of a disjoint chunk of sources, and the merged map is
+/// identical for any thread count.
 fn all_pairs(topology: &Topology, threads: usize) -> HashMap<(NodeId, NodeId), Arc<CollapsedPath>> {
     let graph = TopologyGraph::new(topology);
     let services = topology.service_ids();
-    let per_source = crate::parallel::map_parallel(&services, threads, |&src| {
-        let from_src = graph.shortest_paths_from(src);
-        let mut rows: Vec<((NodeId, NodeId), Arc<CollapsedPath>)> = Vec::new();
-        for &dst in &services {
-            if dst == src {
-                continue;
-            }
-            if let Some(path) = from_src.get(&dst) {
-                if let Some(collapsed) = collapse_path(topology, src, dst, path) {
-                    rows.push(((src, dst), Arc::new(collapsed)));
-                }
+    let rows = crate::parallel::map_parallel(&services, threads, |&src| {
+        source_row(topology, &graph, &services, src, |_, _| false)
+    });
+    let mut paths = HashMap::new();
+    for row in rows {
+        for (dst, path) in row.paths {
+            if let Some(path) = path {
+                paths.insert((row.src, dst), path);
             }
         }
-        rows
-    });
-    per_source.into_iter().flatten().collect()
+    }
+    paths
 }
 
 pub(crate) fn link_tables(

@@ -19,13 +19,31 @@
 //! a changed link are re-derived. For purely degrading change groups (links
 //! removed, latencies increased, bandwidth/loss/jitter edits) that is exact:
 //! a shortest path that avoids every changed link stays shortest, and the
-//! deterministic `(cost, hops, node-id)` tie-breaking of
-//! [`kollaps_topology::graph::TopologyGraph::shortest_paths_from`] keeps
-//! picking it. The moment a group can *improve* routes (a link joins, a
-//! latency drops) every source is re-derived — still offline, and the
-//! structural-sharing diff keeps the runtime delta minimal. The equality of
-//! timeline snapshots with a full online re-collapse is pinned by property
-//! tests over generated topologies and random schedules.
+//! deterministic tie-breaking of
+//! [`kollaps_topology::graph::TopologyGraph::shortest_path_tree`] — the
+//! `(cost, hops, node id)` heap order, ascending link ids per node, strict
+//! improvement only; see the contract in that module — keeps picking it.
+//! The moment a group can *improve* routes (a link joins, a latency drops)
+//! every source is re-derived — still offline, and the structural-sharing
+//! diff keeps the runtime delta minimal.
+//!
+//! Re-deriving a source is one shortest-path tree, and for most of its
+//! destinations nothing more: when the tree's path to a destination is the
+//! previous snapshot's link list and none of those links is *stale*
+//! (removed or re-parameterised by this group), the previous
+//! `CollapsedPath` is kept without building a new one. That is exact, not a
+//! heuristic: a collapsed path is a pure function of `(src, dst)`, its link
+//! ids in order and those links' properties — the same floating-point
+//! operations in the same order — and every path of the previous snapshot
+//! already reflects the properties in force before this group, because any
+//! earlier group that touched one of its links re-derived it then. Same
+//! links, none stale ⇒ the identical value, so the pair keeps its `Arc` and
+//! stays out of `changed_paths` exactly as the value comparison would have
+//! decided. Only the remaining rows — a different route, a stale link, a
+//! new pair — are built and compared ([`TimelineStats::built_paths`]). The
+//! equality of timeline snapshots with a full online re-collapse is pinned
+//! by the tests below and by property tests over generated topologies and
+//! random schedules.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -35,7 +53,7 @@ use kollaps_topology::events::{apply_action, DynamicEvent, EventSchedule};
 use kollaps_topology::graph::TopologyGraph;
 use kollaps_topology::model::{LinkId, LinkProperties, NodeId, Topology};
 
-use crate::collapse::{collapse_path, link_tables, CollapsedPath, CollapsedTopology};
+use crate::collapse::{link_tables, source_row, CollapsedTopology};
 
 /// One precomputed topology change: the new snapshot plus the exact set of
 /// service pairs the change affected.
@@ -86,6 +104,11 @@ pub struct TimelineStats {
     pub events: usize,
     /// Collapsed paths re-derived across all deltas (the offline work).
     pub recomputed_paths: usize,
+    /// [`crate::collapse::CollapsedPath`]s actually constructed while
+    /// re-deriving (the initial snapshot not counted): a re-derived pair
+    /// whose route kept its links, none of them re-parameterised, is
+    /// recognised on the shortest-path tree and builds nothing.
+    pub built_paths: usize,
     /// Path slots that were structurally shared with the previous snapshot
     /// instead of being re-derived or re-allocated.
     pub shared_paths: usize,
@@ -323,7 +346,8 @@ fn derive_snapshot(
         .collect();
     let mut changed_links: Vec<LinkId> = Vec::new();
     // Links previously-derived paths might traverse: removed or modified.
-    let mut stale_links: HashSet<LinkId> = HashSet::new();
+    // A handful of ids per group, so a sorted `Vec` is the whole index.
+    let mut stale_links: Vec<LinkId> = Vec::new();
     // `true` once the group may create *better* routes than before (a new
     // link, or a latency drop): selective re-derivation from affected
     // sources is no longer sufficient, every source must be re-derived.
@@ -336,7 +360,7 @@ fn derive_snapshot(
             }
             Some(old) if old != props => {
                 changed_links.push(id);
-                stale_links.insert(id);
+                stale_links.push(id);
                 if props.latency < old.latency {
                     improving = true;
                 }
@@ -347,10 +371,12 @@ fn derive_snapshot(
     for &id in before.keys() {
         if !after.contains_key(&id) {
             changed_links.push(id);
-            stale_links.insert(id);
+            stale_links.push(id);
         }
     }
     changed_links.sort();
+    stale_links.sort();
+    let is_stale = |link: &LinkId| stale_links.binary_search(link).is_ok();
 
     let services: Vec<NodeId> = working.service_ids();
     let service_set: HashSet<NodeId> = services.iter().copied().collect();
@@ -376,7 +402,7 @@ fn derive_snapshot(
     } else {
         let mut affected: HashSet<NodeId> = HashSet::new();
         for (&(src, _), path) in &paths {
-            if path.links.iter().any(|l| stale_links.contains(l)) {
+            if path.links.iter().any(is_stale) {
                 affected.insert(src);
             }
         }
@@ -391,38 +417,35 @@ fn derive_snapshot(
         // Re-derive the affected sources on the worker pool: rows of the
         // all-pairs table are independent, and `map_parallel` returns them
         // in source order, so the sequential merge below sees exactly what
-        // the old sequential loop produced.
+        // a sequential loop would produce. A destination whose tree path is
+        // the previous snapshot's link list, with none of those links
+        // stale, is skipped before anything is built (see the module docs).
         let derived = crate::parallel::map_parallel(&sources, threads, |&src| {
-            let from_src = graph.shortest_paths_from(src);
-            let mut rows: Vec<((NodeId, NodeId), Option<CollapsedPath>)> =
-                Vec::with_capacity(services.len().saturating_sub(1));
-            for &dst in &services {
-                if dst == src {
-                    continue;
-                }
-                let fresh = from_src
-                    .get(&dst)
-                    .and_then(|p| collapse_path(working, src, dst, p));
-                rows.push(((src, dst), fresh));
-            }
-            rows
+            source_row(working, &graph, &services, src, |dst, tree| {
+                prev.paths.get(&(src, dst)).is_some_and(|old| {
+                    !old.links.iter().any(is_stale) && tree.path_is(dst, &old.links)
+                })
+            })
         });
-        for ((src, dst), fresh) in derived.into_iter().flatten() {
-            match fresh {
-                Some(fresh) => {
-                    stats.recomputed_paths += 1;
-                    let unchanged = prev
-                        .paths
-                        .get(&(src, dst))
-                        .is_some_and(|old| **old == fresh);
-                    if !unchanged {
-                        paths.insert((src, dst), Arc::new(fresh));
-                        changed_paths.push((src, dst));
+        for row in derived {
+            stats.recomputed_paths += row.unchanged;
+            let src = row.src;
+            for (dst, fresh) in row.paths {
+                match fresh {
+                    Some(fresh) => {
+                        stats.recomputed_paths += 1;
+                        stats.built_paths += 1;
+                        let unchanged =
+                            prev.paths.get(&(src, dst)).is_some_and(|old| *old == fresh);
+                        if !unchanged {
+                            paths.insert((src, dst), fresh);
+                            changed_paths.push((src, dst));
+                        }
                     }
-                }
-                None => {
-                    if paths.remove(&(src, dst)).is_some() {
-                        removed_paths.push((src, dst));
+                    None => {
+                        if paths.remove(&(src, dst)).is_some() {
+                            removed_paths.push((src, dst));
+                        }
                     }
                 }
             }
@@ -529,61 +552,204 @@ mod tests {
         );
     }
 
-    #[test]
-    fn snapshots_match_the_online_full_rebuild() {
-        let topo = dumbbell();
-        let mut schedule = EventSchedule::new();
-        schedule.push(set_edge_latency("client-0", "bridge-left", 2, 40));
-        schedule.push(DynamicEvent {
-            at: SimDuration::from_secs(4),
-            action: DynamicAction::LinkLeave {
-                orig: "client-1".into(),
-                dest: "bridge-left".into(),
-            },
-        });
-        schedule.push(DynamicEvent {
-            at: SimDuration::from_secs(6),
-            action: DynamicAction::LinkJoin {
-                orig: "client-1".into(),
-                dest: "bridge-left".into(),
-                change: LinkChange {
-                    latency: Some(SimDuration::from_millis(1)),
-                    up: Some(Bandwidth::from_mbps(100)),
-                    down: Some(Bandwidth::from_mbps(100)),
-                    ..LinkChange::default()
-                },
-            },
-        });
-        schedule.push(DynamicEvent {
-            at: SimDuration::from_secs(8),
-            action: DynamicAction::NodeLeave {
-                name: "server-2".into(),
-            },
-        });
-        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
-        assert_eq!(timeline.len(), 4);
-
-        // Replay the schedule online and full-rebuild at every change time.
+    /// Replays `schedule` online — a full re-collapse after every change
+    /// time — and checks the timeline against it: equal snapshots, the
+    /// `changed_paths` / `removed_paths` the two full snapshots imply, and
+    /// the previous snapshot's `Arc` for every pair outside `changed_paths`.
+    fn assert_matches_online_recollapse(topo: &Topology, schedule: &EventSchedule) {
+        let timeline = SnapshotTimeline::precompute(topo, schedule);
+        assert_eq!(timeline.len(), schedule.change_times().len());
         let mut online = topo.clone();
-        let mut reference = CollapsedTopology::build(&topo);
+        let mut reference = CollapsedTopology::build(topo);
+        let mut prev = Arc::clone(timeline.initial());
         for delta in timeline.deltas() {
             for event in schedule.events_at(delta.at) {
                 apply_action(&mut online, &event.action);
             }
+            let before = reference.clone();
             reference = reference.rebuild_with_addresses(&online);
             assert_eq!(delta.snapshot.pair_count(), reference.pair_count());
-            for (pair, path) in reference.path_handles() {
-                let timeline_path = delta
+            let mut changed = Vec::new();
+            for (&(src, dst), path) in reference.path_handles() {
+                let ours = delta
                     .snapshot
-                    .path_handle(pair.0, pair.1)
-                    .unwrap_or_else(|| panic!("pair {pair:?} missing at {:?}", delta.at));
-                assert_eq!(**timeline_path, **path, "pair {pair:?} at {:?}", delta.at);
+                    .path_handle(src, dst)
+                    .unwrap_or_else(|| panic!("pair {src}->{dst} missing at {:?}", delta.at));
+                assert_eq!(**ours, **path, "pair {src}->{dst} at {:?}", delta.at);
+                if before.path(src, dst) != Some(path.as_ref()) {
+                    changed.push((src, dst));
+                } else {
+                    assert!(
+                        Arc::ptr_eq(ours, prev.path_handle(src, dst).unwrap()),
+                        "unchanged pair {src}->{dst} not shared at {:?}",
+                        delta.at
+                    );
+                }
             }
+            let removed: Vec<(NodeId, NodeId)> = before
+                .path_handles()
+                .map(|(&pair, _)| pair)
+                .filter(|&(src, dst)| reference.path(src, dst).is_none())
+                .collect();
+            assert_eq!(delta.changed_paths, changed, "at {:?}", delta.at);
+            assert_eq!(delta.removed_paths, removed, "at {:?}", delta.at);
             assert_eq!(
-                delta.snapshot.link_capacities().len(),
-                reference.link_capacities().len()
+                delta.snapshot.link_capacities(),
+                reference.link_capacities()
             );
+            prev = Arc::clone(&delta.snapshot);
         }
+    }
+
+    fn event(secs: u64, action: DynamicAction) -> DynamicEvent {
+        DynamicEvent {
+            at: SimDuration::from_secs(secs),
+            action,
+        }
+    }
+
+    fn set_link(orig: &str, dest: &str, change: LinkChange) -> DynamicAction {
+        DynamicAction::SetLinkProperties {
+            orig: orig.into(),
+            dest: dest.into(),
+            change,
+        }
+    }
+
+    fn leave(orig: &str, dest: &str) -> DynamicAction {
+        DynamicAction::LinkLeave {
+            orig: orig.into(),
+            dest: dest.into(),
+        }
+    }
+
+    fn join(orig: &str, dest: &str, ms: u64) -> DynamicAction {
+        DynamicAction::LinkJoin {
+            orig: orig.into(),
+            dest: dest.into(),
+            change: LinkChange {
+                latency: Some(SimDuration::from_millis(ms)),
+                up: Some(Bandwidth::from_mbps(100)),
+                down: Some(Bandwidth::from_mbps(100)),
+                ..LinkChange::default()
+            },
+        }
+    }
+
+    #[test]
+    fn snapshots_match_the_online_full_rebuild() {
+        let mut schedule = EventSchedule::new();
+        schedule.push(set_edge_latency("client-0", "bridge-left", 2, 40));
+        schedule.push(event(4, leave("client-1", "bridge-left")));
+        schedule.push(event(6, join("client-1", "bridge-left", 1)));
+        schedule.push(event(
+            8,
+            DynamicAction::NodeLeave {
+                name: "server-2".into(),
+            },
+        ));
+        assert_matches_online_recollapse(&dumbbell(), &schedule);
+    }
+
+    /// A ring of four bridges with a service on each, every ring link 5 ms:
+    /// opposite corners have two equal routes, so which one a snapshot
+    /// holds is decided by the tie-break alone.
+    fn ring() -> Topology {
+        let mut t = Topology::new();
+        let services: Vec<NodeId> = (0..4)
+            .map(|i| t.add_service(&format!("h{i}"), 0, "img"))
+            .collect();
+        let bridges: Vec<NodeId> = (0..4).map(|i| t.add_bridge(&format!("s{i}"))).collect();
+        let ring = LinkProperties::new(SimDuration::from_millis(5), Bandwidth::from_mbps(50));
+        let access = LinkProperties::new(SimDuration::from_millis(1), Bandwidth::from_mbps(100));
+        for i in 0..4 {
+            t.add_bidirectional_link(services[i], bridges[i], access, "net");
+            t.add_bidirectional_link(bridges[i], bridges[(i + 1) % 4], ring, "net");
+        }
+        t
+    }
+
+    /// The cases the "same links, none stale" shortcut could get wrong, on
+    /// the dumbbell (every cross pair rides the trunk) and on the ring
+    /// (routes move and tie).
+    #[test]
+    fn shortcut_cases_match_the_online_full_rebuild() {
+        // Bandwidth / loss / jitter-only edits on the link most routes
+        // cross: the link lists stay, the values must not.
+        let mut trunk_edits = EventSchedule::new();
+        for (secs, change) in [
+            (
+                1,
+                LinkChange {
+                    loss: Some(0.02),
+                    ..LinkChange::default()
+                },
+            ),
+            (
+                2,
+                LinkChange {
+                    jitter: Some(SimDuration::from_millis(3)),
+                    ..LinkChange::default()
+                },
+            ),
+            (
+                3,
+                LinkChange {
+                    up: Some(Bandwidth::from_mbps(200)),
+                    down: Some(Bandwidth::from_mbps(20)),
+                    ..LinkChange::default()
+                },
+            ),
+            // Raising a capacity that is not the bottleneck re-parameterises
+            // the link but leaves every collapsed value as it was: built,
+            // compared equal, still shared.
+            (
+                4,
+                LinkChange {
+                    up: Some(Bandwidth::from_mbps(300)),
+                    ..LinkChange::default()
+                },
+            ),
+        ] {
+            trunk_edits.push(event(secs, set_link("bridge-left", "bridge-right", change)));
+        }
+        assert_matches_online_recollapse(&dumbbell(), &trunk_edits);
+        let timeline = SnapshotTimeline::precompute(&dumbbell(), &trunk_edits);
+        assert!(timeline.deltas()[3].changed_paths.is_empty());
+        // Groups 1–3 make both trunk directions stale: all 6 sources are
+        // re-derived (30 rows) and the 18 cross pairs built. Group 4 makes
+        // one direction stale: 3 sources, 15 rows, 9 built.
+        assert_eq!(timeline.stats().recomputed_paths, 3 * 30 + 15);
+        assert_eq!(timeline.stats().built_paths, 3 * 18 + 9);
+
+        // A latency increase that leaves every route's links the same (the
+        // dumbbell has no detour), then one that moves routes (the ring).
+        let mut increases = EventSchedule::new();
+        increases.push(set_edge_latency("bridge-left", "bridge-right", 1, 25));
+        assert_matches_online_recollapse(&dumbbell(), &increases);
+        let mut detour = EventSchedule::new();
+        detour.push(set_edge_latency("s0", "s1", 1, 6));
+        detour.push(set_edge_latency("s0", "s1", 2, 30));
+        assert_matches_online_recollapse(&ring(), &detour);
+
+        // A flap down-then-up inside one change group: same properties, new
+        // link ids, so every route over it changes and nothing else does.
+        let mut flap = EventSchedule::new();
+        flap.push(event(1, leave("s1", "s2")));
+        flap.push(event(1, join("s1", "s2", 5)));
+        assert_matches_online_recollapse(&ring(), &flap);
+        let mut access_flap = EventSchedule::new();
+        access_flap.push(event(1, leave("client-1", "bridge-left")));
+        access_flap.push(event(1, join("client-1", "bridge-left", 1)));
+        assert_matches_online_recollapse(&dumbbell(), &access_flap);
+
+        // One group that removes a link and improves another.
+        let mut mixed = EventSchedule::new();
+        mixed.push(event(1, leave("s0", "s1")));
+        mixed.push(set_edge_latency("s2", "s3", 1, 2));
+        mixed.push(event(2, join("s0", "s1", 5)));
+        mixed.push(set_edge_latency("s2", "s3", 2, 9));
+        assert_matches_online_recollapse(&ring(), &mixed);
     }
 
     /// The extension invariant: extending an existing timeline with extra

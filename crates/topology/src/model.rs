@@ -157,6 +157,9 @@ pub struct LinkSpec {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     nodes: Vec<Node>,
+    /// Sorted by id: ids are handed out monotonically by
+    /// [`Topology::add_link`], and every removal (`retain`, `Vec::remove`)
+    /// keeps order. The id → index lookup is a binary search over that.
     links: Vec<LinkSpec>,
     names: HashMap<String, NodeId>,
     /// Next link id. Monotonic: ids of removed links are never reused, so a
@@ -281,9 +284,13 @@ impl Topology {
     /// Removes the link with the given id. Link ids of other links are
     /// unaffected (the slot is tombstoned). Returns `true` if it existed.
     pub fn remove_link(&mut self, id: LinkId) -> bool {
-        let before = self.links.len();
-        self.links.retain(|l| l.id != id);
-        before != self.links.len()
+        match self.link_index(id) {
+            Some(index) => {
+                self.links.remove(index);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Removes every link between `a` and `b` in either direction, returning
@@ -310,12 +317,18 @@ impl Topology {
 
     /// Updates the properties of a link in place. Returns `true` on success.
     pub fn set_link_properties(&mut self, id: LinkId, properties: LinkProperties) -> bool {
-        if let Some(l) = self.links.iter_mut().find(|l| l.id == id) {
-            l.properties = properties;
-            true
-        } else {
-            false
+        match self.link_index(id) {
+            Some(index) => {
+                self.links[index].properties = properties;
+                true
+            }
+            None => false,
         }
+    }
+
+    /// Position of link `id` in `links` (which is sorted by id).
+    fn link_index(&self, id: LinkId) -> Option<usize> {
+        self.links.binary_search_by_key(&id, |l| l.id).ok()
     }
 
     /// Looks up a node id by name (service name, `service.replica`, or
@@ -341,7 +354,7 @@ impl Topology {
 
     /// The link with the given id, if present.
     pub fn link(&self, id: LinkId) -> Option<&LinkSpec> {
-        self.links.iter().find(|l| l.id == id)
+        self.link_index(id).map(|index| &self.links[index])
     }
 
     /// Ids of every service node, in id order.
@@ -452,6 +465,58 @@ mod tests {
         t.add_bidirectional_link(a, b, props(1, 1), "net");
         assert_eq!(t.remove_links_between(a, b), 2);
         assert_eq!(t.link_count(), 0);
+    }
+
+    /// `links` stays sorted by id through every removal, so the binary
+    /// search behind `link` / `set_link_properties` / `remove_link` finds
+    /// exactly the surviving ids.
+    #[test]
+    fn link_lookup_survives_every_kind_of_removal() {
+        fn check(t: &Topology, gone: &[LinkId]) {
+            assert!(t.links().windows(2).all(|w| w[0].id < w[1].id));
+            for l in t.links() {
+                assert_eq!(t.link(l.id).map(|found| found.id), Some(l.id));
+            }
+            for &id in gone {
+                assert!(t.link(id).is_none(), "{id} should be gone");
+            }
+        }
+        let mut t = Topology::new();
+        let nodes: Vec<NodeId> = (0..6).map(|i| t.add_bridge(&format!("s{i}"))).collect();
+        let mut ids = Vec::new();
+        for (i, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[i + 1..] {
+                let (f, r) = t.add_bidirectional_link(a, b, props(1, 1), "net");
+                ids.extend([f, r]);
+            }
+        }
+        check(&t, &[]);
+        let mut gone = vec![ids[7], ids[0], ids[29]];
+        for &id in &gone {
+            assert!(t.remove_link(id));
+        }
+        check(&t, &gone);
+        assert_eq!(t.remove_links_between(nodes[2], nodes[4]), 2);
+        assert!(t.remove_node(nodes[3]));
+        gone = ids
+            .iter()
+            .copied()
+            .filter(|&id| !t.links().iter().any(|l| l.id == id))
+            .collect();
+        assert!(gone.len() > 5);
+        check(&t, &gone);
+        // A link added after the removals gets a fresh id at the end, and
+        // the lookups that mutate still hit the right slot.
+        let late = t.add_link(nodes[0], nodes[5], props(2, 2), "net");
+        let target = t.links()[t.link_count() / 2].id;
+        assert!(t.set_link_properties(target, props(77, 7)));
+        assert_eq!(
+            t.link(target).unwrap().properties.latency,
+            SimDuration::from_millis(77)
+        );
+        assert!(t.remove_link(late));
+        gone.push(late);
+        check(&t, &gone);
     }
 
     #[test]
