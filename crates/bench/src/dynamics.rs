@@ -15,12 +15,21 @@
 //! `2·(services-1)` per flapped access link), while the online rebuild
 //! redoes `pair_count` paths per event — so the ratio grows with topology
 //! size at fixed churn.
+//!
+//! One cell per topology size also runs a **traffic leg** — seeded UDP flows
+//! over the cell's mesh while its links flap — and reports the event loop's
+//! dataplane wake-ups per delivered packet. Paths of unequal latency
+//! supersede each other's wake-ups; a runtime that handled the superseded
+//! ones again would breed a chain of ghost wake-ups per supersede and the
+//! deterministic per-packet count would multiply, whatever the clock does.
 
-use kollaps_core::{CollapsedTopology, SnapshotTimeline};
+use kollaps_core::{CollapsedTopology, EventLoopStats, SnapshotTimeline};
 use kollaps_dynamics::Churn;
+use kollaps_netmodel::packet::MSS;
+use kollaps_scenario::{Scenario, Workload};
 use kollaps_sim::prelude::*;
 use kollaps_sim::rng::SimRng;
-use kollaps_topology::events::apply_action;
+use kollaps_topology::events::{apply_action, EventSchedule};
 use kollaps_topology::generators::{self, ScaleFreeParams};
 use kollaps_topology::model::Topology;
 
@@ -58,6 +67,51 @@ pub struct DynamicsCell {
     /// Of those, the ones it had to build a `CollapsedPath` for; the rest
     /// were recognised as unchanged on the shortest-path tree.
     pub timeline_paths_built: usize,
+    /// The traffic leg, on the size's last flap count.
+    pub traffic: Option<TrafficLeg>,
+}
+
+/// What the event loop did for the traffic leg of a cell.
+#[derive(Debug, Clone, Copy)]
+pub struct TrafficLeg {
+    /// Datagrams delivered.
+    pub packets: u64,
+    /// The runtime's event-loop counters at the end of the leg.
+    pub event_loop: EventLoopStats,
+}
+
+// The traffic leg: how many flows, how fast each sends, for how long.
+const TRAFFIC_FLOWS: usize = 20;
+const TRAFFIC_RATE: Bandwidth = Bandwidth::from_mbps(2);
+const TRAFFIC_HORIZON: SimDuration = SimDuration::from_secs(2);
+
+/// Runs the traffic leg: UDP flows between seeded service pairs of `topo`
+/// under `schedule`.
+fn traffic_leg(topo: &Topology, schedule: &EventSchedule) -> TrafficLeg {
+    let services = topo.service_ids();
+    let mut rng = SimRng::new(services.len() as u64 ^ 0x7aff1c);
+    let name_of = |i: usize| {
+        let node = topo.node(services[i]).expect("service exists");
+        node.kind.display_name()
+    };
+    let scenario = Scenario::from_topology(topo.clone())
+        .named("dynamics-traffic")
+        .schedule(schedule.clone())
+        .duration(TRAFFIC_HORIZON)
+        .workloads((0..TRAFFIC_FLOWS).map(|_| {
+            let a = rng.gen_index(services.len());
+            let b = (a + 1 + rng.gen_index(services.len() - 1)) % services.len();
+            Workload::iperf_udp(&name_of(a), &name_of(b), TRAFFIC_RATE).duration(TRAFFIC_HORIZON)
+        }));
+    let mut session = scenario.session().expect("valid scenario");
+    session
+        .run_until(session.end())
+        .expect("an unpaused session advances");
+    let delivered: u64 = session.flow_progress().iter().map(|f| f.bytes).sum();
+    TrafficLeg {
+        packets: delivered / MSS.as_bytes(),
+        event_loop: session.event_loop_stats(),
+    }
 }
 
 /// Builds the sweep topology and the churn schedule for one cell.
@@ -139,6 +193,8 @@ pub fn run_dynamics(
             }
             let online_rebuild_micros = started.elapsed().as_micros() as u64;
             let pairs = timeline.initial().pair_count();
+            let traffic =
+                (Some(&flapped) == flap_counts.last()).then(|| traffic_leg(&topo, &schedule));
             cells.push(DynamicsCell {
                 elements,
                 services: topo.service_ids().len(),
@@ -153,6 +209,7 @@ pub fn run_dynamics(
                 online_paths_recomputed: pairs * timeline.len(),
                 timeline_paths_recomputed: stats.recomputed_paths,
                 timeline_paths_built: stats.built_paths,
+                traffic,
             });
         }
     }
@@ -160,9 +217,9 @@ pub fn run_dynamics(
 }
 
 /// The perf-trajectory records for `BENCH_dynamics.json`: the deterministic
-/// swap-work metrics gate tightly (the simulation reproduces them exactly),
-/// the wall-clock timings gate loosely, and the sweep-shape counts are
-/// informational context.
+/// swap-work metrics and the traffic leg's wake-ups per packet gate tightly
+/// (the simulation reproduces them exactly), the wall-clock timings gate
+/// loosely, and the sweep-shape counts are informational context.
 pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
     let mut report = BenchReport::new("dynamics");
     for c in cells {
@@ -212,6 +269,16 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
         report.push(cell("pairs", c.pairs as f64, "count"));
         report.push(cell("events", c.events as f64, "count"));
         report.push(cell("snapshots", c.snapshots as f64, "count"));
+        if let Some(leg) = &c.traffic {
+            for (name, count) in [
+                ("wakeups_per_packet", leg.event_loop.wakeups),
+                ("stale_wakeups_per_packet", leg.event_loop.stale_wakeups),
+            ] {
+                let per_packet = count as f64 / leg.packets.max(1) as f64;
+                report
+                    .push(cell(name, per_packet, "1/pkt").lower_is_better(TOLERANCE_DETERMINISTIC));
+            }
+        }
     }
     report
 }

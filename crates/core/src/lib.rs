@@ -44,7 +44,7 @@ pub use emulation::{
     ConvergenceStats, DynamicsStats, EmulationConfig, KollapsDataplane, PacketPathStats,
 };
 pub use manager::EmulationManager;
-pub use runtime::{Dataplane, Runtime, RuntimeEvent, SendOutcome};
+pub use runtime::{Dataplane, EventLoopStats, Runtime, RuntimeEvent, SendOutcome};
 pub use sharing::{
     allocate, oversubscription, Allocation, Allocator, AllocatorStats, FlowDemand, FlowRef,
 };

@@ -80,6 +80,19 @@ enum Ev {
     PumpRetry(FlowId),
 }
 
+/// Deterministic work counters of the event loop since construction. Never
+/// part of a report: a superseded wake-up is an artefact of the loop, not of
+/// the emulated network.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventLoopStats {
+    /// Events popped, dropped wake-ups included.
+    pub events: u64,
+    /// Live dataplane wake-ups handled.
+    pub wakeups: u64,
+    /// Dead (superseded or duplicate) dataplane wake-ups dropped unhandled.
+    pub stale_wakeups: u64,
+}
+
 #[derive(Debug)]
 struct PingState {
     src: Addr,
@@ -107,7 +120,10 @@ pub struct Runtime<D: Dataplane> {
     rx_meters: HashMap<FlowId, RateMeter>,
     next_flow: u64,
     pending_events: Vec<RuntimeEvent>,
+    /// The one live `Ev::DataplaneWakeup` (see `sync_wakeup`).
     wakeup_scheduled: Option<SimTime>,
+    wakeups: u64,
+    stale_wakeups: u64,
     /// Flows with an outstanding RTO-check event (at most one per flow, to
     /// keep the event count linear in simulated time rather than in packets).
     rto_scheduled: std::collections::HashSet<FlowId>,
@@ -133,6 +149,8 @@ impl<D: Dataplane> Runtime<D> {
             next_flow: 1,
             pending_events: Vec::new(),
             wakeup_scheduled: None,
+            wakeups: 0,
+            stale_wakeups: 0,
             rto_scheduled: std::collections::HashSet::new(),
             pump_rotation: 0,
             sample_window: SimDuration::from_secs(1),
@@ -277,12 +295,33 @@ impl<D: Dataplane> Runtime<D> {
         self.pings.get(&flow).map(|p| &p.rtts)
     }
 
+    /// Event-loop work counters so far.
+    pub fn event_loop_stats(&self) -> EventLoopStats {
+        EventLoopStats {
+            events: self.queue.total_executed(),
+            wakeups: self.wakeups,
+            stale_wakeups: self.stale_wakeups,
+        }
+    }
+
     /// Runs the experiment until `deadline`, returning the workload-visible
     /// events that occurred.
+    ///
+    /// A popped `Ev::DataplaneWakeup` is live only when it is the one
+    /// `wakeup_scheduled` names. Any other was superseded by an earlier one
+    /// (which re-armed this instant when it fired) or is that re-armed
+    /// duplicate, and is dropped unhandled: every handled event ends in
+    /// `drain`, so nothing became due since, and the live one is still
+    /// queued. Handling it would poll every egress tree for nothing and
+    /// re-arm the next instant once more — a chain of ghost wake-ups per
+    /// supersede that only ends when the dataplane goes idle.
     pub fn run_until(&mut self, deadline: SimTime) -> Vec<RuntimeEvent> {
         loop {
             self.sync_wakeup();
             match self.queue.pop_until(deadline) {
+                Some((now, Ev::DataplaneWakeup)) if self.wakeup_scheduled != Some(now) => {
+                    self.stale_wakeups += 1;
+                }
                 Some((now, ev)) => {
                     self.handle(now, ev);
                     self.drain(now);
@@ -296,12 +335,21 @@ impl<D: Dataplane> Runtime<D> {
         std::mem::take(&mut self.pending_events)
     }
 
+    /// Keeps the invariant "`wakeup_scheduled == Some(t)` ⇒ an
+    /// `Ev::DataplaneWakeup` at `t` is queued, and `t` is no later than the
+    /// dataplane's next wake-up". An earlier wake-up supersedes the scheduled
+    /// one, whose event stays queued and dies in `run_until`.
     fn sync_wakeup(&mut self) {
         let now = self.queue.now();
         if let Some(w) = self.dataplane.next_wakeup(now) {
             let w = w.max(now);
             let need = match self.wakeup_scheduled {
-                Some(existing) => w < existing || existing < now,
+                Some(existing) => {
+                    // A scheduled wake-up in the past has already popped
+                    // and cleared the field.
+                    debug_assert!(existing >= now);
+                    w < existing
+                }
                 None => true,
             };
             if need && w < SimTime::MAX {
@@ -368,6 +416,7 @@ impl<D: Dataplane> Runtime<D> {
             }
             Ev::DataplaneWakeup => {
                 self.wakeup_scheduled = None;
+                self.wakeups += 1;
                 // Back-pressured TCP senders get another chance whenever the
                 // dataplane makes progress. Under contention the pump order
                 // decides who wins the freed egress slots, so it must be
@@ -556,6 +605,103 @@ mod tests {
 
     fn addr(i: u32) -> Addr {
         Addr::container(i)
+    }
+
+    /// Unlimited bandwidth and a fixed one-way delay chosen by destination,
+    /// so paths of unequal latency supersede each other's wake-ups.
+    /// `deliver` records when each packet came out.
+    #[derive(Default)]
+    struct TwoDelayNet {
+        in_flight: Vec<(SimTime, Packet)>,
+        sent: u64,
+        delivered: Vec<(SimTime, Packet)>,
+    }
+
+    impl TwoDelayNet {
+        fn delay(dst: Addr) -> SimDuration {
+            if dst == addr(1) {
+                SimDuration::from_millis(3)
+            } else {
+                SimDuration::from_millis(11)
+            }
+        }
+    }
+
+    impl Dataplane for TwoDelayNet {
+        fn send(&mut self, now: SimTime, packet: Packet) -> SendOutcome {
+            self.sent += 1;
+            self.in_flight.push((now + Self::delay(packet.dst), packet));
+            SendOutcome::Sent
+        }
+
+        fn next_wakeup(&mut self, _now: SimTime) -> Option<SimTime> {
+            self.in_flight.iter().map(|(t, _)| *t).min()
+        }
+
+        fn deliver(&mut self, now: SimTime) -> Vec<Packet> {
+            let (ready, rest): (Vec<_>, Vec<_>) =
+                self.in_flight.drain(..).partition(|(t, _)| *t <= now);
+            self.in_flight = rest;
+            self.delivered
+                .extend(ready.iter().map(|(_, p)| (now, p.clone())));
+            ready.into_iter().map(|(_, p)| p).collect()
+        }
+    }
+
+    /// The wake-up protocol under paths of unequal latency: a packet to the
+    /// near destination supersedes the wake-up scheduled for one in flight
+    /// to the far destination. Every packet must still come out at exactly
+    /// its due instant, and each handled wake-up must be one the dataplane
+    /// asked for. Mutation-checked: without the guard in `run_until` the
+    /// superseded wake-ups are handled too, each re-arming the next instant
+    /// once more, and the `wakeups <= delivered` bound fails.
+    #[test]
+    fn superseded_wakeups_are_dropped_and_delivery_stays_exact() {
+        let mut rt = Runtime::new(TwoDelayNet::default());
+        // Sparse enough that the far destination is often alone in flight
+        // when the next near datagram is sent.
+        let flows: Vec<FlowId> = [300u64, 500, 700, 1_100, 1_300, 1_700]
+            .into_iter()
+            .enumerate()
+            .map(|(i, kbps)| {
+                rt.add_udp_flow(
+                    addr(0),
+                    addr(1 + i as u32 % 2),
+                    Bandwidth::from_kbps(kbps),
+                    SimTime::ZERO,
+                    Some(SimTime::from_secs(2)),
+                )
+            })
+            .collect();
+        let _ = rt.run_until(SimTime::from_secs(3));
+
+        let net = &rt.dataplane;
+        assert!(net.in_flight.is_empty());
+        assert_eq!(net.delivered.len() as u64, net.sent);
+        for (at, pkt) in &net.delivered {
+            assert_eq!(*at, pkt.sent_at + TwoDelayNet::delay(pkt.dst));
+        }
+        for &flow in &flows {
+            assert_eq!(
+                rt.udp_delivered_bytes(flow),
+                rt.udp_senders[&flow].sent_bytes()
+            );
+        }
+
+        let stats = rt.event_loop_stats();
+        assert!(stats.stale_wakeups > 0, "the scenario must supersede");
+        assert!(
+            stats.wakeups <= net.sent,
+            "{} wake-ups handled for {} packets",
+            stats.wakeups,
+            net.sent
+        );
+        // Everything popped that is neither the one tick nor a send (each
+        // `UdpSend` event emits exactly one datagram) is a wake-up.
+        assert_eq!(
+            stats.wakeups + stats.stale_wakeups,
+            stats.events - 1 - net.sent
+        );
     }
 
     #[test]

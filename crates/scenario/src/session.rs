@@ -622,6 +622,13 @@ impl Session {
         self.rt.dataplane.kollaps().map(|dp| dp.packet_path_stats())
     }
 
+    /// Deterministic work counters of the event loop so far (events popped,
+    /// dataplane wake-ups handled, dead wake-ups dropped). Any backend;
+    /// never part of the [`Report`].
+    pub fn event_loop_stats(&self) -> kollaps_core::EventLoopStats {
+        self.rt.event_loop_stats()
+    }
+
     /// Metadata bytes put on the physical network so far, per host — the
     /// live view of what the final report exports as
     /// [`Report`]`::metadata_per_host`. Distributed agents read this

@@ -393,6 +393,124 @@ proptest! {
     }
 }
 
+/// The same two identities — stepped == one-shot, traced == untraced — on
+/// a topology nobody hand-wrote: a seeded scale-free mesh whose paths have
+/// unequal latencies, so a datagram on a short path supersedes the dataplane
+/// wake-up a datagram on a long path had scheduled (on a dumbbell every path
+/// is as long as the next and that never happens). The runtime drops the
+/// superseded wake-ups unhandled; that, the slicing and the recorder must
+/// all stay invisible in the report — with bulk TCP in the mix, whose
+/// back-pressured senders are pumped on every *handled* wake-up.
+#[test]
+fn mesh_session_is_byte_identical_stepped_and_traced() {
+    use kollaps::core::emulation::EmulationConfig;
+    use kollaps::core::CollapsedTopology;
+    use kollaps::dynamics::Churn;
+    use kollaps::scenario::Backend;
+    use kollaps::topology::generators::ScaleFreeParams;
+
+    const HORIZON: SimDuration = SimDuration::from_millis(1_500);
+    const NANO: SimDuration = SimDuration::from_nanos(1);
+
+    for seed in [3u64, 17, 4242] {
+        let mut rng = SimRng::new(seed);
+        let params = ScaleFreeParams {
+            total_elements: 40,
+            access_bandwidth: Bandwidth::from_mbps(10),
+            ..ScaleFreeParams::default()
+        };
+        let (topo, nodes, _) = generators::barabasi_albert(&params, &mut rng);
+        let name_of = |id| topo.node(id).map(|n| n.kind.display_name()).unwrap();
+        let mut core: Vec<(String, String)> = topo
+            .links()
+            .iter()
+            .filter(|l| l.network == "core" && l.from < l.to)
+            .map(|l| (name_of(l.from), name_of(l.to)))
+            .collect();
+        let flapped: Vec<(String, String)> = (0..2)
+            .map(|_| core.swap_remove(rng.gen_index(core.len())))
+            .collect();
+        let collapsed = CollapsedTopology::build(&topo);
+        let mut pairs: Vec<(SimDuration, String, String)> = (0..11)
+            .map(|_| {
+                let i = rng.gen_index(nodes.len());
+                let j = (i + 1 + rng.gen_index(nodes.len() - 1)) % nodes.len();
+                let (a, b) = (nodes[i], nodes[j]);
+                let path = collapsed.path(a, b).expect("the mesh is connected");
+                (path.latency, name_of(a), name_of(b))
+            })
+            .collect();
+        // The datagram flows all send at 0, in declaration order: longest
+        // path first, so each one's wake-up supersedes the one before. With
+        // no host or container overhead configured, a datagram through idle
+        // qdiscs is due exactly one path latency after it was sent.
+        pairs[..8].sort_by(|x, y| y.cmp(x));
+        let first_due = pairs[0].0;
+
+        let make = |trace: bool| {
+            let flapped: Vec<(&str, &str)> = flapped
+                .iter()
+                .map(|(a, b)| (a.as_str(), b.as_str()))
+                .collect();
+            Scenario::from_topology(topo.clone())
+                .named("mesh-equivalence")
+                .backend(Backend::kollaps_with(
+                    3,
+                    EmulationConfig {
+                        cross_host_delay: SimDuration::ZERO,
+                        container_overhead: SimDuration::ZERO,
+                        metadata_delay: SimDuration::from_millis(2),
+                        ..EmulationConfig::default()
+                    },
+                ))
+                .trace(trace)
+                .churn(
+                    Churn::poisson_flaps(&flapped)
+                        .mean_uptime(SimDuration::from_millis(400))
+                        .mean_downtime(SimDuration::from_millis(100))
+                        .horizon(HORIZON)
+                        .seed(seed),
+                )
+                .workloads(pairs.iter().enumerate().map(|(i, (_, a, b))| {
+                    if i < 8 {
+                        Workload::iperf_udp(a, b, Bandwidth::from_kbps(800 + 100 * i as u64))
+                    } else {
+                        Workload::iperf_tcp(a, b)
+                    }
+                    .duration(HORIZON)
+                }))
+        };
+
+        let one_shot = normalized_json(make(false).run().expect("valid scenario"));
+
+        // Stepped: the first slice boundary is the instant of a wake-up
+        // (nothing of the first flow has arrived one nanosecond earlier,
+        // its first datagram has arrived on the boundary); the rest are
+        // drawn, down to slices shorter than the gap between two packets.
+        let mut session = make(false).session().expect("valid scenario");
+        session.step(first_due - NANO).expect("stepping");
+        assert_eq!(session.flow_progress()[0].bytes, 0, "seed {seed}");
+        session.step(NANO).expect("stepping");
+        assert!(session.flow_progress()[0].bytes > 0, "seed {seed}");
+        while session.clock() < session.end() {
+            let slice = SimDuration::from_micros(rng.gen_range(50, 60_000));
+            session.step(slice).expect("stepping");
+        }
+        let stats = session.event_loop_stats();
+        assert!(
+            stats.stale_wakeups >= 7,
+            "seed {seed}: {stats:?} — the case no longer exercises the stale wake-up guard"
+        );
+        assert_eq!(one_shot, normalized_json(session.finish()), "seed {seed}");
+
+        assert_eq!(
+            one_shot,
+            normalized_json(make(true).run().expect("valid scenario")),
+            "seed {seed}"
+        );
+    }
+}
+
 /// The steering-equivalence contract: a dynamic event injected mid-run
 /// into a live session produces exactly the report the same event declared
 /// up front produces. The injection path extends the precomputed snapshot
