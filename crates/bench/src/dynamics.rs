@@ -22,6 +22,11 @@
 //! supersede each other's wake-ups; a runtime that handled the superseded
 //! ones again would breed a chain of ghost wake-ups per supersede and the
 //! deterministic per-packet count would multiply, whatever the clock does.
+//! The leg also reports the egress trees polled per `deliver` call: a
+//! manager with nothing due is not polled, so on this one-host deployment
+//! the count sits near two thirds of the deployed trees (the wake-up on
+//! which a datagram reaches its destination host finds nothing due) and
+//! reads all of them the day `deliver` polls every manager again.
 
 use kollaps_core::{CollapsedTopology, EventLoopStats, SnapshotTimeline};
 use kollaps_dynamics::Churn;
@@ -78,6 +83,8 @@ pub struct TrafficLeg {
     pub packets: u64,
     /// The runtime's event-loop counters at the end of the leg.
     pub event_loop: EventLoopStats,
+    /// Mean egress trees polled per `Dataplane::deliver` call.
+    pub trees_visited_per_deliver: f64,
 }
 
 // The traffic leg: how many flows, how fast each sends, for how long.
@@ -111,6 +118,10 @@ fn traffic_leg(topo: &Topology, schedule: &EventSchedule) -> TrafficLeg {
     TrafficLeg {
         packets: delivered / MSS.as_bytes(),
         event_loop: session.event_loop_stats(),
+        trees_visited_per_deliver: session
+            .packet_path_stats()
+            .expect("kollaps backend exposes packet-path counters")
+            .trees_visited_per_deliver(),
     }
 }
 
@@ -217,8 +228,9 @@ pub fn run_dynamics(
 }
 
 /// The perf-trajectory records for `BENCH_dynamics.json`: the deterministic
-/// swap-work metrics and the traffic leg's wake-ups per packet gate tightly
-/// (the simulation reproduces them exactly), the wall-clock timings gate
+/// swap-work metrics and the traffic leg's wake-ups per packet and trees
+/// polled per `deliver` gate tightly (the simulation reproduces them
+/// exactly), the wall-clock timings gate
 /// loosely, and the sweep-shape counts are informational context.
 pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
     let mut report = BenchReport::new("dynamics");
@@ -270,13 +282,25 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
         report.push(cell("events", c.events as f64, "count"));
         report.push(cell("snapshots", c.snapshots as f64, "count"));
         if let Some(leg) = &c.traffic {
-            for (name, count) in [
-                ("wakeups_per_packet", leg.event_loop.wakeups),
-                ("stale_wakeups_per_packet", leg.event_loop.stale_wakeups),
+            let per_packet = |count: u64| count as f64 / leg.packets.max(1) as f64;
+            for (name, value, unit) in [
+                (
+                    "wakeups_per_packet",
+                    per_packet(leg.event_loop.wakeups),
+                    "1/pkt",
+                ),
+                (
+                    "stale_wakeups_per_packet",
+                    per_packet(leg.event_loop.stale_wakeups),
+                    "1/pkt",
+                ),
+                (
+                    "trees_visited_per_deliver",
+                    leg.trees_visited_per_deliver,
+                    "trees",
+                ),
             ] {
-                let per_packet = count as f64 / leg.packets.max(1) as f64;
-                report
-                    .push(cell(name, per_packet, "1/pkt").lower_is_better(TOLERANCE_DETERMINISTIC));
+                report.push(cell(name, value, unit).lower_is_better(TOLERANCE_DETERMINISTIC));
             }
         }
     }

@@ -56,8 +56,8 @@ pub struct ScalingCell {
     /// Allocator counters for the sequential run.
     pub alloc_stats: AllocatorStats,
     /// Mean egress trees polled per `Dataplane::deliver` call in the
-    /// sequential run — deterministic; the deployed trees for as long as
-    /// `deliver` polls them all.
+    /// sequential run — deterministic; below the deployed trees because a
+    /// manager with nothing due is not polled.
     pub trees_visited_per_deliver: f64,
 }
 
@@ -333,7 +333,12 @@ mod tests {
             "steady-state UDP demands should hit the fast path: {:?}",
             cell.alloc_stats
         );
-        // 16 deployed trees, all polled by every deliver call.
-        assert_eq!(cell.trees_visited_per_deliver, 16.0);
+        // 16 deployed trees, 4 per manager: a `deliver` polls those of the
+        // managers with something due only.
+        assert!(
+            cell.trees_visited_per_deliver > 0.0 && cell.trees_visited_per_deliver < 16.0,
+            "{} trees polled per deliver",
+            cell.trees_visited_per_deliver
+        );
     }
 }

@@ -114,6 +114,12 @@ pub struct EmulationManager {
     /// class, a `dequeue_ready` poll of a due tree, `set_bandwidth`,
     /// `install_path` and `remove_path`.
     wakes: BTreeSet<(SimTime, Addr)>,
+    /// A local tree lost a chain since the last poll. The removed class
+    /// stays in that tree's active list until a poll compacts it, and where
+    /// the compaction lands among later enqueues decides the order
+    /// same-instant packets leave in, so the next `dequeue_ready` polls
+    /// whatever the wake index says.
+    chain_removed: bool,
     /// Trees `dequeue_ready` polled / polled and got packets from, since
     /// construction (deterministic work counters).
     trees_visited: u64,
@@ -180,6 +186,7 @@ impl EmulationManager {
             collapsed,
             egress,
             wakes: BTreeSet::new(),
+            chain_removed: false,
             trees_visited: 0,
             trees_emitted: 0,
             remote: HashMap::new(),
@@ -261,9 +268,18 @@ impl EmulationManager {
     }
 
     /// Packets that finished their collapsed-path emulation on this host,
-    /// tree by tree in container-address order. Every local tree is polled;
-    /// only a due one can have moved its wake.
+    /// tree by tree in container-address order. A manager with nothing due
+    /// — the head of its wake index is later than `now` — and no chain
+    /// removed since its last poll returns at once without touching a tree:
+    /// polling a tree that is not due neither releases a packet nor changes
+    /// its state. Otherwise every local tree is polled; only a due one can
+    /// have moved its wake.
     pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
+        let due = self.next_wakeup().is_some_and(|wake| wake <= now);
+        if !due && !self.chain_removed {
+            return Vec::new();
+        }
+        self.chain_removed = false;
         let mut out = Vec::new();
         for (&addr, tcal) in &mut self.egress {
             let before = out.len();
@@ -540,6 +556,7 @@ impl EmulationManager {
                 if tree.remove_path(dst_addr) {
                     touched += 1;
                     trees.push(src_addr);
+                    self.chain_removed = true;
                 }
                 table_remove(&mut self.last_allocation, (src_addr, dst_addr));
             }
@@ -615,8 +632,9 @@ impl EmulationManager {
 }
 
 /// Test-only counterparts of the packet-path answers: the brute-force
-/// "when next?" the wake index replaced, and the index-driven "who is due?"
-/// that is to replace the poll of every tree in `dequeue_ready`.
+/// "when next?" the wake index replaced, the poll of every tree on every
+/// event the per-manager gate replaced, and the index-driven "who is due?"
+/// that is to replace the poll of every tree inside a due manager.
 #[cfg(test)]
 impl EmulationManager {
     fn scan_next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
@@ -625,6 +643,19 @@ impl EmulationManager {
             .filter_map(|tcal| tcal.tree.next_wakeup(now))
             .filter(|&t| t < SimTime::MAX)
             .min()
+    }
+
+    /// The oracle for `dequeue_ready`: every local tree polled, whatever
+    /// the wake index and the removal flag say.
+    fn scan_dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        for (&addr, tcal) in &mut self.egress {
+            out.extend(tcal.tree.dequeue_ready(now));
+            if tcal.wake.is_some_and(|wake| wake <= now) {
+                tcal.reindex(now, addr, &mut self.wakes);
+            }
+        }
+        out
     }
 
     /// `dequeue_ready` polling only the trees whose wake is due, plus
@@ -662,10 +693,12 @@ mod tests {
     use kollaps_topology::generators;
     use kollaps_topology::model::NodeId;
 
-    /// Two managers built alike take the same seeded op sequence. After
+    /// Three managers built alike take the same seeded op sequence. After
     /// every op the wake index must equal the brute-force minimum over every
-    /// tree, and draining only the due trees (plus those a removal touched)
-    /// must return the packet sequence that polling every tree returns.
+    /// tree, and both the production drain (all trees of a manager that is
+    /// due or lost a chain, none otherwise) and the index-driven one (the
+    /// due trees plus those a removal touched) must return the packet
+    /// sequence that polling every tree on every drain returns.
     #[test]
     fn wake_index_matches_the_brute_force_scan() {
         let (topo, clients, servers) = generators::dumbbell(
@@ -689,9 +722,10 @@ mod tests {
                 &SimRng::new(11),
             )
         };
-        let (mut indexed, mut scanned) = (build(), build());
+        let (mut gated, mut indexed, mut scanned) = (build(), build(), build());
         // Trees that lost a chain since `indexed` last drained.
         let mut revisit: Vec<Addr> = Vec::new();
+        let (mut skipped_polls, mut polls_for_a_removal) = (0, 0);
 
         let mut rng = SimRng::new(0x5eed);
         let mut now = SimTime::ZERO;
@@ -721,12 +755,14 @@ mod tests {
                         PacketKind::Udp,
                         now,
                     );
-                    let verdict = indexed.enqueue(now, packet.clone());
-                    assert_eq!(
-                        verdict,
-                        scanned.enqueue(now, packet),
-                        "step {step}: enqueue verdict"
-                    );
+                    let verdict = scanned.enqueue(now, packet.clone());
+                    for m in [&mut gated, &mut indexed] {
+                        assert_eq!(
+                            m.enqueue(now, packet.clone()),
+                            verdict,
+                            "step {step}: enqueue verdict"
+                        );
+                    }
                     backpressured += usize::from(verdict == Some(EgressVerdict::Backpressure));
                 }
                 60..=84 => {
@@ -737,11 +773,22 @@ mod tests {
                         2 => rng.gen_range(200, 3_000),
                         _ => rng.gen_range(3_000, 10_000),
                     });
-                    let got = scanned.dequeue_ready(now);
+                    let got = scanned.scan_dequeue_ready(now);
+                    let head_due = gated.next_wakeup().is_some_and(|wake| wake <= now);
+                    let (removal_pending, visited) = (gated.chain_removed, gated.trees_visited);
                     assert_eq!(
+                        gated.dequeue_ready(now),
                         got,
+                        "step {step}: drained packets, gated"
+                    );
+                    let polled = gated.trees_visited > visited;
+                    assert_eq!(polled, head_due || removal_pending, "step {step}");
+                    skipped_polls += usize::from(!polled);
+                    polls_for_a_removal += usize::from(polled && !head_due);
+                    assert_eq!(
                         indexed.indexed_dequeue_ready(now, &revisit),
-                        "step {step}: drained packets"
+                        got,
+                        "step {step}: drained packets, indexed"
                     );
                     revisit.clear();
                     drained += got.len();
@@ -754,7 +801,7 @@ mod tests {
                     } else {
                         Bandwidth::from_kbps(rng.gen_range(64, 50_000))
                     };
-                    for m in [&mut indexed, &mut scanned] {
+                    for m in [&mut gated, &mut indexed, &mut scanned] {
                         if let Some(tcal) = m.egress.get_mut(&addr(src)) {
                             tcal.tree.set_bandwidth(now, addr(dst), rate);
                             let wake = tcal.tree.next_wakeup(now);
@@ -766,7 +813,7 @@ mod tests {
                 91..=93 => {
                     // The production `set_bandwidth` path.
                     let before = indexed.next_wakeup();
-                    for m in [&mut indexed, &mut scanned] {
+                    for m in [&mut gated, &mut indexed, &mut scanned] {
                         m.collect_usage();
                         m.enforce(now);
                     }
@@ -786,13 +833,15 @@ mod tests {
                         removed_paths: if remove { pairs } else { Vec::new() },
                         snapshot: Arc::clone(&collapsed),
                     };
-                    assert_eq!(indexed.apply_delta(&delta), scanned.apply_delta(&delta));
+                    let touched = scanned.apply_delta(&delta);
+                    assert_eq!(gated.apply_delta(&delta), touched);
+                    assert_eq!(indexed.apply_delta(&delta), touched);
                     if remove {
                         revisit.extend([addr(src), addr(dst)]);
                     }
                 }
             }
-            for m in [&mut indexed, &mut scanned] {
+            for m in [&mut gated, &mut indexed, &mut scanned] {
                 assert_eq!(
                     m.next_wakeup(),
                     m.scan_next_wakeup(now),
@@ -805,7 +854,12 @@ mod tests {
         assert!(backpressured > 0, "no class ever filled up");
         assert!(stalled > 0, "no tree ever stalled on a zero-rate class");
         assert!(rate_moved_wake > 0, "enforcement never moved the head wake");
-        let (visited, emitted) = scanned.trees_drained();
+        assert!(skipped_polls > 0, "the gate never skipped a poll");
+        assert!(
+            polls_for_a_removal > 0,
+            "a removed chain never forced a poll of a manager with nothing due"
+        );
+        let (visited, emitted) = gated.trees_drained();
         assert!(emitted > 0 && visited >= emitted);
     }
 
@@ -852,6 +906,79 @@ mod tests {
         let drained = manager.dequeue_ready(SimTime::from_secs(1));
         let order: Vec<Addr> = drained.iter().map(|p| p.src).collect();
         assert_eq!(order, sources);
+    }
+
+    /// A removed chain is compacted out of its tree's active list by the
+    /// manager's next poll even when nothing is due then: the class that
+    /// enters the list afterwards must find it as polling on every event
+    /// left it, or packets released together later leave in another order.
+    ///
+    /// Mutation-checked: without the `chain_removed` flag the gated manager
+    /// returns the last packet first.
+    #[test]
+    fn a_removed_chain_is_compacted_by_the_next_poll_with_nothing_due() {
+        let (topo, clients, servers) = generators::dumbbell(
+            4,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(100),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(1),
+        );
+        let collapsed = Arc::new(CollapsedTopology::build(&topo));
+        let addr = |node: NodeId| collapsed.address_of(node).expect("service has an address");
+        let src = addr(clients[0]);
+        let build = || {
+            EmulationManager::new(
+                HostId(0),
+                EmulationConfig::default(),
+                Arc::clone(&collapsed),
+                &[src],
+                &SimRng::new(5),
+            )
+        };
+        let packet = |id: u64, dst: NodeId| {
+            Packet::new(
+                id,
+                FlowId(id),
+                src,
+                addr(dst),
+                MTU,
+                PacketKind::Udp,
+                SimTime::ZERO,
+            )
+        };
+        let cut = SnapshotDelta {
+            at: SimDuration::ZERO,
+            events: 1,
+            changed_links: Vec::new(),
+            changed_paths: Vec::new(),
+            removed_paths: vec![(clients[0], servers[0])],
+            snapshot: Arc::clone(&collapsed),
+        };
+        type Drain = fn(&mut EmulationManager, SimTime) -> Vec<Packet>;
+        let drains: [Drain; 2] = [
+            EmulationManager::dequeue_ready,
+            EmulationManager::scan_dequeue_ready,
+        ];
+        let [gated, scanned] = drains.map(|drain| {
+            let mut m = build();
+            for (id, &dst) in servers[..3].iter().enumerate() {
+                let verdict = m.enqueue(SimTime::ZERO, packet(id as u64, dst));
+                assert_eq!(verdict, Some(EgressVerdict::Queued));
+            }
+            // Through the shaper on its burst, into the 3 ms netem delay.
+            assert!(drain(&mut m, SimTime::ZERO).is_empty());
+            assert_eq!(m.apply_delta(&cut), 1);
+            let soon = SimTime::from_millis(1);
+            assert!(m.next_wakeup().is_some_and(|wake| wake > soon));
+            assert!(drain(&mut m, soon).is_empty());
+            let verdict = m.enqueue(soon, packet(3, servers[3]));
+            assert_eq!(verdict, Some(EgressVerdict::Queued));
+            let released = drain(&mut m, SimTime::from_secs(1));
+            released.iter().map(|p| p.id).collect::<Vec<u64>>()
+        });
+        assert_eq!(gated, [2, 3, 1]);
+        assert_eq!(gated, scanned);
     }
 
     /// A remote advertisement may name a link this snapshot does not have

@@ -123,8 +123,10 @@ impl EgressTree {
     /// Removes the chain towards `dst` (dynamic topologies: link/service
     /// removal). Any packets still queued in the chain are discarded and
     /// counted as dropped. The class stays in the active list until the next
-    /// [`EgressTree::dequeue_ready`] compacts it — callers that do not poll
-    /// every tree on every event must poll this one once more.
+    /// [`EgressTree::dequeue_ready`] compacts it, and the classes that enter
+    /// the list in between end up in another order, so a caller that polls
+    /// only on demand must poll this tree once more before anything else is
+    /// enqueued — the Emulation Manager's `chain_removed` flag does that.
     pub fn remove_path(&mut self, dst: Addr) -> bool {
         let Some(class) = self.filter.remove(dst) else {
             return false;

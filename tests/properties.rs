@@ -511,6 +511,88 @@ fn mesh_session_is_byte_identical_stepped_and_traced() {
     }
 }
 
+/// The same identities across a partition that removes qdisc chains **while
+/// they hold packets** — the one case in which a manager polls its trees
+/// although its wake index says nothing is due (`chain_removed` in
+/// `crates/core/src/manager.rs`), and one no benchmark workload reaches.
+/// Every client sends to three servers at once (several active chains per
+/// tree; the slow flows' chains drain and re-enter the active list between
+/// packets) and the partition cuts two of the four servers off for 500 ms.
+/// The per-flow bytes were recorded on `b92df6b`, where every tree of every
+/// manager was still polled on every event.
+#[test]
+fn partition_under_fanout_is_byte_identical_stepped_and_traced() {
+    use kollaps::dynamics::Churn;
+
+    const HORIZON: SimDuration = SimDuration::from_millis(1_800);
+    const RATES_KBPS: [u64; 3] = [2_000, 1_000, 400];
+
+    let make = |trace: bool| {
+        let (topo, _, _) = generators::dumbbell(
+            4,
+            Bandwidth::from_mbps(10),
+            Bandwidth::from_mbps(20),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(5),
+        );
+        let fanout = (0..4usize).flat_map(|client| {
+            RATES_KBPS.iter().enumerate().map(move |(k, &kbps)| {
+                Workload::iperf_udp(
+                    &format!("client-{client}"),
+                    &format!("server-{}", (client + k + 1) % 4),
+                    Bandwidth::from_kbps(kbps),
+                )
+                .duration(HORIZON)
+            })
+        });
+        Scenario::from_topology(topo)
+            .named("partition-fanout")
+            .hosts(4)
+            .metadata_delay(SimDuration::from_millis(2))
+            .trace(trace)
+            .churn(
+                Churn::partition(&["bridge-right"], &["server-0", "server-1"])
+                    .start(SimDuration::from_millis(600))
+                    .heal_after(Some(SimDuration::from_millis(500))),
+            )
+            .workloads(fanout)
+            .workload(Workload::iperf_tcp("client-0", "server-0").duration(HORIZON))
+    };
+
+    let one_shot = make(false).run().expect("valid scenario");
+    let dynamics = one_shot.dynamics.as_ref().expect("a churned scenario");
+    assert_eq!(dynamics.events_applied, 4, "two links leave, two rejoin");
+    let one_shot = normalized_json(one_shot);
+
+    let mut rng = SimRng::new(23);
+    let mut session = make(false).session().expect("valid scenario");
+    while session.clock() < session.end() {
+        let slice = SimDuration::from_micros(rng.gen_range(50, 60_000));
+        session.step(slice).expect("stepping");
+    }
+    let delivered: Vec<u64> = session.flow_progress().iter().map(|f| f.bytes).collect();
+    assert_eq!(one_shot, normalized_json(session.finish()));
+    assert_eq!(
+        one_shot,
+        normalized_json(make(true).run().expect("valid scenario"))
+    );
+    // Three datagram flows per client (2 Mb/s, 1 Mb/s, 400 kb/s towards the
+    // next three servers), then the bulk TCP flow; the flows towards
+    // server-0 and server-1 lose the 500 ms and what the cut chains held.
+    let (datagrams, bulk) = delivered.split_at(12);
+    assert_eq!(
+        datagrams,
+        [
+            [283_240, 224_840, 90_520], // client-0 → server-1, -2, -3
+            [430_700, 224_840, 65_700], // client-1 → server-2, -3, -0
+            [430_700, 160_600, 65_700], // client-2 → server-3, -0, -1
+            [283_240, 160_600, 90_520], // client-3 → server-0, -1, -2
+        ]
+        .concat()
+    );
+    assert_eq!(bulk, [202_940], "client-0 → server-0");
+}
+
 /// The steering-equivalence contract: a dynamic event injected mid-run
 /// into a live session produces exactly the report the same event declared
 /// up front produces. The injection path extends the precomputed snapshot
