@@ -292,7 +292,6 @@ fn fixed_files_are_clean_in_tree() {
         "crates/core/src/sharing.rs",
         "crates/core/src/timeline.rs",
         "crates/core/src/collapse.rs",
-        "crates/core/src/parallel.rs",
         "crates/metadata/src/codec.rs",
         "crates/scenario/src/runner.rs",
     ] {

@@ -2,14 +2,13 @@
 //! count.
 //!
 //! A stepping sweep over dumbbell cells up to 1002 nodes / 10 000 flows.
-//! Each cell runs the same scenario three times: `.threads(1)`,
-//! `.threads(4)` and `.threads(1).trace(true)`. All reports are asserted to
-//! agree flow-for-flow (threads and tracing move wall clock, never
-//! results); the sweep records emulation rounds per wall second, allocation
-//! µs per round, the flight recorder's throughput overhead ratio, the
-//! allocator's fast-path and solve counters, the egress trees polled per
-//! `deliver` call (the packet path's work counter) and the (sequential vs
-//! parallel) timeline precompute cost.
+//! Each cell runs the same scenario twice: untraced and `.trace(true)`. Both
+//! reports are asserted to agree flow-for-flow (tracing moves wall clock,
+//! never results); the sweep records emulation rounds per wall second,
+//! allocation µs per round, the flight recorder's throughput overhead
+//! ratio, the allocator's fast-path and solve counters, the egress trees
+//! polled per `deliver` call (the packet path's work counter) and the
+//! timeline precompute cost.
 //!
 //! Wall-clock metrics gate with [`TOLERANCE_WALL_CLOCK`]; the allocator
 //! counters come from the deterministic simulation and gate tightly.
@@ -23,12 +22,7 @@ use kollaps_topology::generators;
 
 use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC, TOLERANCE_WALL_CLOCK};
 
-/// Worker threads the parallel leg of every cell uses. Fixed (not read
-/// from `KOLLAPS_THREADS`) so record identities are stable across runners.
-pub const PARALLEL_THREADS: usize = 4;
-
-/// Physical hosts each cell deploys on — the parallel loop steps one
-/// manager per host, so this is the available manager-level parallelism.
+/// Physical hosts (Emulation Managers) each cell deploys on.
 const HOSTS: usize = 4;
 
 /// One cell of the stepping sweep.
@@ -40,33 +34,24 @@ pub struct ScalingCell {
     pub flows: usize,
     /// Emulation rounds the session stepped through.
     pub rounds: u64,
-    /// Offline timeline precompute, sequential, microseconds.
+    /// Offline timeline precompute, microseconds.
     pub precompute_seq_micros: u64,
-    /// Offline timeline precompute on [`PARALLEL_THREADS`] workers.
-    pub precompute_par_micros: u64,
-    /// Emulation rounds per wall-clock second, `.threads(1)`.
+    /// Emulation rounds per wall-clock second, untraced.
     pub rounds_per_sec_seq: f64,
-    /// Emulation rounds per wall-clock second, `.threads(4)`.
-    pub rounds_per_sec_par: f64,
-    /// Emulation rounds per wall-clock second, `.threads(1).trace(true)` —
-    /// the flight recorder running with phase, worker and allocation spans.
+    /// Emulation rounds per wall-clock second with `.trace(true)` — the
+    /// flight recorder running with phase, worker and allocation spans.
     pub rounds_per_sec_traced: f64,
     /// Microseconds inside the min-max allocator per round (all managers).
     pub alloc_micros_per_round: f64,
-    /// Allocator counters for the sequential run.
+    /// Allocator counters for the untraced run.
     pub alloc_stats: AllocatorStats,
     /// Mean egress trees polled per `Dataplane::deliver` call in the
-    /// sequential run — deterministic; below the deployed trees because a
+    /// untraced run — deterministic; below the deployed trees because a
     /// manager with nothing due is not polled.
     pub trees_visited_per_deliver: f64,
 }
 
 impl ScalingCell {
-    /// Parallel-over-sequential throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.rounds_per_sec_par / self.rounds_per_sec_seq
-    }
-
     /// Untraced-over-traced throughput ratio: 1.0 means the flight
     /// recorder is free, 2.0 means tracing halves throughput.
     pub fn traced_overhead_ratio(&self) -> f64 {
@@ -85,12 +70,11 @@ impl ScalingCell {
 /// (client *i* targets servers *i*, *i+1*, ... mod `pairs`), with one
 /// access link flapping so the dynamic path (timeline deltas + allocator
 /// invalidation) stays exercised.
-fn cell_scenario(pairs: usize, flows_per_client: usize, threads: usize, trace: bool) -> Scenario {
+fn cell_scenario(pairs: usize, flows_per_client: usize, trace: bool) -> Scenario {
     let (topo, _, _) = dumbbell_topology(pairs);
     Scenario::from_topology(topo)
         .named("scaling-bench")
         .hosts(HOSTS)
-        .threads(threads)
         .trace(trace)
         .churn(flap_churn())
         .workloads((0..pairs).flat_map(move |i| {
@@ -134,27 +118,20 @@ fn flap_churn() -> Churn {
         .seed(0x5ca1e)
 }
 
-/// Runs one cell: timed sequential and parallel sessions (asserted to
-/// agree), plus the standalone precompute timings.
+/// Runs one cell: timed untraced and traced sessions (asserted to agree),
+/// plus the standalone precompute timing.
 fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
     // Precompute cost, measured outside the sessions on the same inputs.
     let (topo, _, _) = dumbbell_topology(pairs);
     let schedule = flap_churn().generate(&topo).expect("churn is valid");
     let t = Instant::now();
-    let seq_timeline = SnapshotTimeline::precompute_with(&topo, &schedule, 1);
+    let timeline = SnapshotTimeline::precompute(&topo, &schedule);
     let precompute_seq_micros = t.elapsed().as_micros() as u64;
-    let t = Instant::now();
-    let par_timeline = SnapshotTimeline::precompute_with(&topo, &schedule, PARALLEL_THREADS);
-    let precompute_par_micros = t.elapsed().as_micros() as u64;
-    assert_eq!(
-        seq_timeline.len(),
-        par_timeline.len(),
-        "precompute threads must not change the timeline"
-    );
+    drop(timeline);
 
-    let timed_run = |threads: usize, trace: bool| {
+    let timed_run = |trace: bool| {
         let t = Instant::now();
-        let mut session = cell_scenario(pairs, flows_per_client, threads, trace)
+        let mut session = cell_scenario(pairs, flows_per_client, trace)
             .session()
             .expect("valid scenario");
         while session.clock() < session.end() {
@@ -169,28 +146,13 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
         let report = session.finish();
         (t.elapsed().as_secs_f64(), telemetry, packet_path, report)
     };
-    let (seq_secs, (alloc_micros, alloc_stats), packet_path, seq_report) = timed_run(1, false);
-    let (par_secs, _, _, par_report) = timed_run(PARALLEL_THREADS, false);
-    let (traced_secs, _, _, traced_report) = timed_run(1, true);
+    let (seq_secs, (alloc_micros, alloc_stats), packet_path, seq_report) = timed_run(false);
+    let (traced_secs, _, _, traced_report) = timed_run(true);
 
-    // Threads and tracing are wall-clock knobs only: every flow must have
-    // moved the exact same number of bytes in all three runs.
-    assert_eq!(seq_report.flows.len(), par_report.flows.len());
+    // Tracing is a wall-clock knob only: every flow must have moved the
+    // exact same number of bytes in both runs.
     assert_eq!(seq_report.flows.len(), traced_report.flows.len());
-    for ((a, b), c) in seq_report
-        .flows
-        .iter()
-        .zip(par_report.flows.iter())
-        .zip(traced_report.flows.iter())
-    {
-        assert_eq!(
-            a.goodput_mbps, b.goodput_mbps,
-            "parallel stepping changed flow results"
-        );
-        assert_eq!(
-            a.per_second_mbps, b.per_second_mbps,
-            "parallel stepping changed flow results"
-        );
+    for (a, c) in seq_report.flows.iter().zip(traced_report.flows.iter()) {
         assert_eq!(
             a.goodput_mbps, c.goodput_mbps,
             "tracing changed flow results"
@@ -212,9 +174,7 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
         flows: pairs * flows_per_client,
         rounds,
         precompute_seq_micros,
-        precompute_par_micros,
         rounds_per_sec_seq: rounds as f64 / seq_secs,
-        rounds_per_sec_par: rounds as f64 / par_secs,
         rounds_per_sec_traced: rounds as f64 / traced_secs,
         alloc_micros_per_round: alloc_micros as f64 / rounds.max(1) as f64,
         alloc_stats,
@@ -256,18 +216,16 @@ pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
                 .higher_is_better(TOLERANCE_WALL_CLOCK),
         );
         report.push(
-            cell("rounds_per_sec_par", c.rounds_per_sec_par, "rounds/s")
-                .higher_is_better(TOLERANCE_WALL_CLOCK),
-        );
-        report.push(cell("speedup", c.speedup(), "ratio").higher_is_better(TOLERANCE_WALL_CLOCK));
-        report.push(
             cell("rounds_per_sec_traced", c.rounds_per_sec_traced, "rounds/s")
                 .higher_is_better(TOLERANCE_WALL_CLOCK),
         );
-        report.push(
-            cell("traced_overhead_ratio", c.traced_overhead_ratio(), "ratio")
-                .lower_is_better(TOLERANCE_WALL_CLOCK),
-        );
+        // A ratio of two noisy wall clocks (0.76–1.19 across sweeps): too
+        // wide for the 2.0× gate to mean anything, so it is recorded only.
+        report.push(cell(
+            "traced_overhead_ratio",
+            c.traced_overhead_ratio(),
+            "ratio",
+        ));
         report.push(
             cell("alloc_micros_per_round", c.alloc_micros_per_round, "micros")
                 .lower_is_better(TOLERANCE_WALL_CLOCK),
@@ -276,14 +234,6 @@ pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
             cell(
                 "precompute_seq_micros",
                 c.precompute_seq_micros as f64,
-                "micros",
-            )
-            .lower_is_better(TOLERANCE_WALL_CLOCK),
-        );
-        report.push(
-            cell(
-                "precompute_par_micros",
-                c.precompute_par_micros as f64,
                 "micros",
             )
             .lower_is_better(TOLERANCE_WALL_CLOCK),
@@ -317,7 +267,7 @@ pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
 mod tests {
     use super::*;
 
-    /// A small end-to-end stepping cell: sequential and parallel runs must
+    /// A small end-to-end stepping cell: untraced and traced runs must
     /// agree (asserted inside `run_cell`) and the steady-state fast path
     /// must carry most allocator calls despite the churn-driven
     /// invalidations.

@@ -92,8 +92,6 @@ fn collapse_path(
 
 /// One source's row of the all-pairs table.
 pub(crate) struct SourceRow {
-    /// The source service.
-    pub(crate) src: NodeId,
     /// Destinations the caller's `unchanged` test answered for: nothing was
     /// built for them.
     pub(crate) unchanged: usize,
@@ -106,8 +104,7 @@ pub(crate) struct SourceRow {
 /// destinations only. `unchanged(dst, tree)` lets the caller claim a
 /// destination whose path it already holds before anything is allocated;
 /// the all-pairs collapse claims none, the snapshot timeline claims the
-/// ones the previous snapshot still gets right. Per-source work is
-/// independent and deterministic, so rows can be derived on any thread.
+/// ones the previous snapshot still gets right.
 pub(crate) fn source_row(
     topology: &Topology,
     graph: &TopologyGraph,
@@ -117,7 +114,6 @@ pub(crate) fn source_row(
 ) -> SourceRow {
     let tree = graph.shortest_path_tree(src);
     let mut row = SourceRow {
-        src,
         unchanged: 0,
         paths: Vec::new(),
     };
@@ -138,20 +134,16 @@ pub(crate) fn source_row(
     row
 }
 
-/// All-pairs collapse, parallelized across source services: each worker
-/// derives the rows of a disjoint chunk of sources, and the merged map is
-/// identical for any thread count.
-fn all_pairs(topology: &Topology, threads: usize) -> HashMap<(NodeId, NodeId), Arc<CollapsedPath>> {
+/// All-pairs collapse: one row per source service, merged in service order.
+fn all_pairs(topology: &Topology) -> HashMap<(NodeId, NodeId), Arc<CollapsedPath>> {
     let graph = TopologyGraph::new(topology);
     let services = topology.service_ids();
-    let rows = crate::parallel::map_parallel(&services, threads, |&src| {
-        source_row(topology, &graph, &services, src, |_, _| false)
-    });
     let mut paths = HashMap::new();
-    for row in rows {
+    for &src in &services {
+        let row = source_row(topology, &graph, &services, src, |_, _| false);
         for (dst, path) in row.paths {
             if let Some(path) = path {
-                paths.insert((row.src, dst), path);
+                paths.insert((src, dst), path);
             }
         }
     }
@@ -176,18 +168,8 @@ pub(crate) fn link_tables(
 
 impl CollapsedTopology {
     /// Collapses `topology`, assigning container addresses in service-id
-    /// order (`10.1.0.0/16`, matching the deployment generator). Uses the
-    /// `KOLLAPS_THREADS` worker count for the all-pairs computation; see
-    /// [`CollapsedTopology::build_with_threads`].
+    /// order (`10.1.0.0/16`, matching the deployment generator).
     pub fn build(topology: &Topology) -> Self {
-        CollapsedTopology::build_with_threads(topology, crate::parallel::threads_from_env())
-    }
-
-    /// [`CollapsedTopology::build`] with an explicit worker count for the
-    /// all-pairs shortest-path computation. The result is identical for any
-    /// thread count — sources are derived independently and merged
-    /// deterministically.
-    pub fn build_with_threads(topology: &Topology, threads: usize) -> Self {
         let mut addresses = HashMap::new();
         let mut nodes_by_addr = HashMap::new();
         for (i, service) in topology.service_ids().into_iter().enumerate() {
@@ -197,12 +179,19 @@ impl CollapsedTopology {
         }
         let (link_capacity, link_latency) = link_tables(topology);
         CollapsedTopology {
-            paths: all_pairs(topology, threads),
+            paths: all_pairs(topology),
             addresses,
             nodes_by_addr,
             link_capacity,
             link_latency,
         }
+    }
+
+    /// Retired, ignored; kept only because `benchmark/` names it — delete
+    /// with the next `benchmark`-archetype issue.
+    #[doc(hidden)]
+    pub fn build_with_threads(topology: &Topology, _threads: usize) -> Self {
+        CollapsedTopology::build(topology)
     }
 
     /// Re-collapses a modified topology while keeping the original address
@@ -216,7 +205,7 @@ impl CollapsedTopology {
     pub fn rebuild_with_addresses(&self, topology: &Topology) -> Self {
         let (link_capacity, link_latency) = link_tables(topology);
         CollapsedTopology {
-            paths: all_pairs(topology, crate::parallel::threads_from_env()),
+            paths: all_pairs(topology),
             addresses: self.addresses.clone(),
             nodes_by_addr: self.nodes_by_addr.clone(),
             link_capacity,
@@ -310,23 +299,27 @@ impl CollapsedTopology {
     /// omniscient convergence reference build their solver inputs through
     /// this one helper, so the convergence gap measures metadata staleness
     /// rather than implementation drift.
-    pub fn flow_ref(&self, id: u64, src: Addr, dst: Addr) -> Option<FlowRef<'_>> {
+    pub fn flow_ref(&self, src: Addr, dst: Addr) -> Option<FlowRef<'_>> {
         let path = self.path_by_addr(src, dst)?;
         let (src_node, dst_node) = (self.service_at(src)?, self.service_at(dst)?);
         let rtt = self
             .rtt(src_node, dst_node)
             .unwrap_or(SimDuration::from_millis(1));
         Some(FlowRef {
-            id,
             links: &path.links,
             rtt,
             demand: path.max_bandwidth,
         })
     }
 
-    /// [`CollapsedTopology::flow_ref`] with owned links.
+    /// [`CollapsedTopology::flow_ref`] with owned links, keyed by `id`.
     pub fn flow_demand(&self, id: u64, src: Addr, dst: Addr) -> Option<FlowDemand> {
-        self.flow_ref(id, src, dst).map(|flow| flow.to_demand())
+        self.flow_ref(src, dst).map(|flow| FlowDemand {
+            id,
+            links: flow.links.to_vec(),
+            rtt: flow.rtt,
+            demand: flow.demand,
+        })
     }
 
     /// One-way latency of an original link.

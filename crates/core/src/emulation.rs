@@ -40,7 +40,6 @@ use kollaps_trace::{PhaseStats, Recorder};
 
 use crate::collapse::{Addressable, CollapsedTopology};
 use crate::manager::EmulationManager;
-use crate::parallel::for_each_parallel;
 use crate::runtime::{Dataplane, SendOutcome};
 use crate::sharing::{Allocator, AllocatorStats, FlowRef};
 use crate::timeline::SnapshotTimeline;
@@ -63,11 +62,9 @@ pub struct EmulationConfig {
     pub metadata_delay: SimDuration,
     /// Seed for the per-destination netem jitter streams.
     pub seed: u64,
-    /// Worker threads for the parallel phases of the emulation loop (manager
-    /// collect/enforce stepping). Only wall-clock changes with this knob —
-    /// each manager's work is self-contained, so any thread count produces
-    /// byte-identical results. Defaults to the `KOLLAPS_THREADS` environment
-    /// variable, else 1 (sequential).
+    /// Retired, ignored; kept only because `benchmark/` names it — delete
+    /// with the next `benchmark`-archetype issue.
+    #[doc(hidden)]
     pub threads: usize,
 }
 
@@ -79,7 +76,7 @@ impl Default for EmulationConfig {
             container_overhead: SimDuration::from_micros(30),
             metadata_delay: SimDuration::from_micros(100),
             seed: 42,
-            threads: crate::parallel::threads_from_env(),
+            threads: 1,
         }
     }
 }
@@ -396,10 +393,9 @@ impl KollapsDataplane {
     }
 
     /// Attaches a flight recorder: lane 0 carries the dataplane's phase
-    /// spans, lane `1 + host` carries each manager's worker spans (lanes are
-    /// keyed by host id, not by thread — the scoped pool respawns workers
-    /// every tick). Recording is wall-clock-only and never feeds back into
-    /// the simulation, so results are byte-identical with or without it.
+    /// spans, lane `1 + host` carries each manager's spans. Recording is
+    /// wall-clock-only and never feeds back into the simulation, so results
+    /// are byte-identical with or without it.
     ///
     /// # Panics
     ///
@@ -425,8 +421,8 @@ impl KollapsDataplane {
     /// Per-phase wall-clock breakdown of the emulation loop, in
     /// [`LOOP_PHASES`] order. `None` unless a recorder is enabled — the
     /// breakdown is wall-clock data and must not appear in reports of
-    /// untraced runs (reports are pinned byte-identical across thread
-    /// counts *and* across tracing on/off).
+    /// untraced runs (reports are pinned byte-identical across tracing
+    /// on/off).
     pub fn phase_timing(&self) -> Option<Vec<(&'static str, PhaseStats)>> {
         if !self.recorder.is_enabled() {
             return None;
@@ -605,15 +601,12 @@ impl KollapsDataplane {
     /// measures locally, publishes, absorbs what the network delivered, and
     /// enforces from its own (possibly stale) view.
     fn emulation_loop(&mut self, now: SimTime) {
-        let threads = self.config.threads;
         let traced = self.recorder.is_enabled();
         // Steps 1-2: each manager reads and clears its local TCAL usage.
-        // Purely per-manager work — parallel stepping is byte-identical to
-        // sequential because each worker owns a disjoint manager slice.
         let span = self.recorder.span(0, "collect");
-        for_each_parallel(&mut self.managers, threads, |manager| {
+        for manager in &mut self.managers {
             manager.collect_usage();
-        });
+        }
         if traced {
             self.phase_stats[0].record(span.elapsed_micros());
         }
@@ -622,8 +615,7 @@ impl KollapsDataplane {
         // delay this iteration's publications arrive immediately (shared
         // memory semantics); with a nonzero delay managers enforce on last
         // iteration's news — the staleness the paper trades for
-        // decentralization. The bus is shared, so this phase stays
-        // sequential in host-id order.
+        // decentralization. Managers publish in host-id order.
         let span = self.recorder.span(0, "publish");
         for manager in &self.managers {
             manager.publish(now, self.bus.as_mut());
@@ -651,12 +643,11 @@ impl KollapsDataplane {
         }
         drop(span);
         // Steps 4-5: each manager recomputes and enforces from what it has —
-        // the hottest phase (min-max solve + qdisc writes), again split over
-        // disjoint manager slices.
+        // the hottest phase (min-max solve + qdisc writes).
         let span = self.recorder.span(0, "enforce");
-        for_each_parallel(&mut self.managers, threads, |manager| {
+        for manager in &mut self.managers {
             manager.enforce(now);
-        });
+        }
         if traced {
             self.phase_stats[4].record(span.elapsed_micros());
         }
@@ -678,7 +669,7 @@ impl KollapsDataplane {
         for (mi, manager) in self.managers.iter().enumerate() {
             // The usage table is already sorted by pair.
             for &((src, dst), _) in manager.local_usages() {
-                let Some(flow) = collapsed.flow_ref(keys.len() as u64, src, dst) else {
+                let Some(flow) = collapsed.flow_ref(src, dst) else {
                     continue;
                 };
                 flows.push(flow);

@@ -34,7 +34,6 @@
 pub mod collapse;
 pub mod emulation;
 pub mod manager;
-pub mod parallel;
 pub mod runtime;
 pub mod sharing;
 pub mod timeline;

@@ -144,9 +144,6 @@ pub struct EmulationManager {
     /// Wall-clock microseconds spent in the solver (diagnostic only).
     alloc_micros: u64,
     /// Flight recorder (disabled by default) and this manager's lane in it.
-    /// Lanes are per-manager, not per-thread: the scoped worker pool
-    /// respawns threads every tick, but a manager's spans always land in
-    /// the same lane regardless of which worker stepped it.
     recorder: Recorder,
     lane: usize,
 }
@@ -393,7 +390,7 @@ impl EmulationManager {
         let mut local_keys: Vec<(Addr, Addr)> = Vec::new();
 
         for &((src, dst), used) in &self.usages {
-            let Some(flow) = collapsed.flow_ref(flows.len() as u64, src, dst) else {
+            let Some(flow) = collapsed.flow_ref(src, dst) else {
                 continue;
             };
             flows.push(flow);
@@ -437,12 +434,7 @@ impl EmulationManager {
                 } else {
                     one_way * 2
                 };
-                flows.push(FlowRef {
-                    id: flows.len() as u64,
-                    links,
-                    rtt,
-                    demand,
-                });
+                flows.push(FlowRef { links, rtt, demand });
                 usages.push(flow.used());
             }
         }

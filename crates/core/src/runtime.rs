@@ -316,8 +316,11 @@ impl<D: Dataplane> Runtime<D> {
     /// re-arm the next instant once more — a chain of ghost wake-ups per
     /// supersede that only ends when the dataplane goes idle.
     pub fn run_until(&mut self, deadline: SimTime) -> Vec<RuntimeEvent> {
+        // Flows and events registered since the last call may be due before
+        // the scheduled wake-up; inside the loop every handled event ends
+        // in `drain`, which re-syncs.
+        self.sync_wakeup();
         loop {
-            self.sync_wakeup();
             match self.queue.pop_until(deadline) {
                 Some((now, Ev::DataplaneWakeup)) if self.wakeup_scheduled != Some(now) => {
                     self.stale_wakeups += 1;

@@ -91,7 +91,6 @@ impl FlowDemand {
     /// The borrowed view the solver reads.
     pub fn borrowed(&self) -> FlowRef<'_> {
         FlowRef {
-            id: self.id,
             links: &self.links,
             rtt: self.rtt,
             demand: self.demand,
@@ -104,8 +103,6 @@ impl FlowDemand {
 /// the solver input allocates nothing per flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRef<'a> {
-    /// See [`FlowDemand::id`].
-    pub id: u64,
     /// See [`FlowDemand::links`].
     pub links: &'a [LinkId],
     /// See [`FlowDemand::rtt`].
@@ -119,16 +116,6 @@ impl FlowRef<'_> {
     /// by zero for co-located containers).
     fn weight(&self) -> f64 {
         1.0 / self.rtt.as_secs_f64().max(1e-6)
-    }
-
-    /// The owned equivalent.
-    pub fn to_demand(&self) -> FlowDemand {
-        FlowDemand {
-            id: self.id,
-            links: self.links.to_vec(),
-            rtt: self.rtt,
-            demand: self.demand,
-        }
     }
 }
 
@@ -1057,7 +1044,6 @@ mod tests {
         // A flow naming a link the table does not have (any id at all) is
         // unconstrained there.
         let stray = FlowRef {
-            id: 2,
             links: &[LinkId(65_535), LinkId(u32::MAX), LinkId(6)],
             rtt: ms(10),
             demand: Bandwidth::MAX,

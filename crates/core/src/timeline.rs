@@ -136,30 +136,16 @@ pub struct SnapshotTimeline {
     initial: Arc<CollapsedTopology>,
     deltas: Vec<SnapshotDelta>,
     stats: TimelineStats,
-    /// Worker threads for source re-derivation (precompute and extensions).
-    threads: usize,
 }
 
 impl SnapshotTimeline {
     /// Precomputes the snapshot at every change time of `schedule` applied
     /// to `topology`. Runs offline (before the experiment starts); the
-    /// runtime then only swaps `Arc`s and touches the delta'd chains. Uses
-    /// the `KOLLAPS_THREADS` worker count; see
-    /// [`SnapshotTimeline::precompute_with`].
+    /// runtime then only swaps `Arc`s and touches the delta'd chains.
     pub fn precompute(topology: &Topology, schedule: &EventSchedule) -> Self {
-        SnapshotTimeline::precompute_with(topology, schedule, crate::parallel::threads_from_env())
-    }
-
-    /// [`SnapshotTimeline::precompute`] with an explicit worker count: the
-    /// initial all-pairs collapse and every snapshot's source re-derivation
-    /// split their sources across a scoped thread pool. Per-source work is
-    /// independent and results are merged in source order, so the timeline
-    /// is identical for any thread count.
-    pub fn precompute_with(topology: &Topology, schedule: &EventSchedule, threads: usize) -> Self {
         // kollaps-analyze: allow(wall-clock) -- precompute-time diagnostic (stats.precompute_micros); never read by the emulation
         let started = std::time::Instant::now();
-        let threads = threads.max(1);
-        let initial = Arc::new(CollapsedTopology::build_with_threads(topology, threads));
+        let initial = Arc::new(CollapsedTopology::build(topology));
         let mut stats = TimelineStats {
             initial_pairs: initial.pair_count(),
             ..TimelineStats::default()
@@ -173,7 +159,6 @@ impl SnapshotTimeline {
             schedule.events(),
             &mut deltas,
             &mut stats,
-            threads,
         );
         stats.change_times = deltas.len();
         stats.events = schedule.len();
@@ -184,8 +169,14 @@ impl SnapshotTimeline {
             initial,
             deltas,
             stats,
-            threads,
         }
+    }
+
+    /// Retired, ignored; kept only because `benchmark/` names it — delete
+    /// with the next `benchmark`-archetype issue.
+    #[doc(hidden)]
+    pub fn precompute_with(topology: &Topology, schedule: &EventSchedule, _threads: usize) -> Self {
+        SnapshotTimeline::precompute(topology, schedule)
     }
 
     /// Folds `extra` events into the timeline **incrementally**: deltas
@@ -231,7 +222,6 @@ impl SnapshotTimeline {
             &events[resume..],
             &mut self.deltas,
             &mut self.stats,
-            self.threads,
         );
         let derived = self.deltas.len() - keep;
         self.stats.change_times = self.deltas.len();
@@ -303,7 +293,6 @@ fn fold_events(
     events: &[DynamicEvent],
     deltas: &mut Vec<SnapshotDelta>,
     stats: &mut TimelineStats,
-    threads: usize,
 ) {
     let mut i = 0;
     while i < events.len() {
@@ -320,7 +309,7 @@ fn fold_events(
         for event in &events[i..j] {
             apply_action(working, &event.action);
         }
-        let delta = derive_snapshot(working, &prev, &before, at, j - i, stats, threads);
+        let delta = derive_snapshot(working, &prev, &before, at, j - i, stats);
         prev = Arc::clone(&delta.snapshot);
         deltas.push(delta);
         i = j;
@@ -336,7 +325,6 @@ fn derive_snapshot(
     at: SimDuration,
     events: usize,
     stats: &mut TimelineStats,
-    threads: usize,
 ) -> SnapshotDelta {
     // Diff the link tables to find what this group touched.
     let after: BTreeMap<LinkId, LinkProperties> = working
@@ -414,22 +402,17 @@ fn derive_snapshot(
     let mut changed_paths: Vec<(NodeId, NodeId)> = Vec::new();
     if !sources.is_empty() {
         let graph = TopologyGraph::new(working);
-        // Re-derive the affected sources on the worker pool: rows of the
-        // all-pairs table are independent, and `map_parallel` returns them
-        // in source order, so the sequential merge below sees exactly what
-        // a sequential loop would produce. A destination whose tree path is
-        // the previous snapshot's link list, with none of those links
-        // stale, is skipped before anything is built (see the module docs).
-        let derived = crate::parallel::map_parallel(&sources, threads, |&src| {
-            source_row(working, &graph, &services, src, |dst, tree| {
+        // Re-derive the affected sources, in source order. A destination
+        // whose tree path is the previous snapshot's link list, with none
+        // of those links stale, is skipped before anything is built (see
+        // the module docs).
+        for &src in &sources {
+            let row = source_row(working, &graph, &services, src, |dst, tree| {
                 prev.paths.get(&(src, dst)).is_some_and(|old| {
                     !old.links.iter().any(is_stale) && tree.path_is(dst, &old.links)
                 })
-            })
-        });
-        for row in derived {
+            });
             stats.recomputed_paths += row.unchanged;
-            let src = row.src;
             for (dst, fresh) in row.paths {
                 match fresh {
                     Some(fresh) => {

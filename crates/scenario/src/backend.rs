@@ -180,7 +180,7 @@ impl Backend {
             Backend::Kollaps { hosts, config } => {
                 let timeline = match prepared {
                     Some(timeline) => timeline.clone(),
-                    None => SnapshotTimeline::precompute_with(&topology, &schedule, config.threads),
+                    None => SnapshotTimeline::precompute(&topology, &schedule),
                 };
                 AnyDataplane::Kollaps(Box::new(KollapsDataplane::with_prepared(
                     timeline,

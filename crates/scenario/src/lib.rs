@@ -130,7 +130,6 @@ pub struct Scenario {
     duration: Option<SimDuration>,
     hosts: Option<usize>,
     metadata_delay: Option<SimDuration>,
-    threads: Option<usize>,
     placement: Vec<(String, u32)>,
     step_interval: Option<SimDuration>,
     sample_interval: Option<SimDuration>,
@@ -150,7 +149,6 @@ impl Scenario {
             duration: None,
             hosts: None,
             metadata_delay: None,
-            threads: None,
             placement: Vec::new(),
             step_interval: None,
             sample_interval: None,
@@ -275,13 +273,10 @@ impl Scenario {
         self
     }
 
-    /// Sets how many worker threads the emulation core uses to step its
-    /// per-host managers and precompute snapshot timelines (Kollaps backend
-    /// only). Threads change wall-clock time, never results: reports are
-    /// byte-identical across any thread count. Defaults to the
-    /// `KOLLAPS_THREADS` environment variable, else 1.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    /// Retired, ignored; kept only because `benchmark/` names it — delete
+    /// with the next `benchmark`-archetype issue.
+    #[doc(hidden)]
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -473,7 +468,6 @@ impl Scenario {
         let mut backend = self.backend;
         let knobs_used = self.hosts.is_some()
             || self.metadata_delay.is_some()
-            || self.threads.is_some()
             || self.trace
             || !self.placement.is_empty();
         match &mut backend {
@@ -484,15 +478,12 @@ impl Scenario {
                 if let Some(delay) = self.metadata_delay {
                     config.metadata_delay = delay;
                 }
-                if let Some(threads) = self.threads {
-                    config.threads = threads;
-                }
             }
             other => {
                 if knobs_used {
                     return Err(ScenarioError::UnsupportedBackend {
                         backend: other.name().to_string(),
-                        reason: "hosts/placement/metadata_delay/threads/trace configure \
+                        reason: "hosts/placement/metadata_delay/trace configure \
                                  per-host emulation managers, which only the Kollaps backend \
                                  runs"
                             .to_string(),

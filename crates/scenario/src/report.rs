@@ -245,8 +245,8 @@ pub struct Report {
     pub flow_classes: Vec<FlowClassReport>,
     /// Per-phase wall-clock breakdown of the emulation loop, in loop
     /// order. `None` unless the run was traced (the breakdown is
-    /// wall-clock data; untraced reports must stay byte-identical across
-    /// thread counts and tracing modes).
+    /// wall-clock data; reports must stay byte-identical across tracing
+    /// modes).
     pub phase_timing: Option<Vec<PhaseTimingReport>>,
 }
 

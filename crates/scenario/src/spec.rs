@@ -454,7 +454,6 @@ impl Scenario {
                     ),
                     ("metadata_delay_ns", config.metadata_delay.as_nanos().into()),
                     ("seed", config.seed.into()),
-                    ("threads", (config.threads as u64).into()),
                 ]),
             ),
             ("nodes", Value::Array(nodes)),
@@ -520,11 +519,7 @@ impl Scenario {
             )?),
             metadata_delay: SimDuration::from_nanos(req_u64(config_value, "metadata_delay_ns")?),
             seed: req_u64(config_value, "seed")?,
-            // Additive field: older specs omit it, and `threads` only affects
-            // wall clock (results are byte-identical), so no version bump.
-            threads: opt_u64(config_value, "threads")?
-                .map(|n| (n as usize).max(1))
-                .unwrap_or_else(|| EmulationConfig::default().threads),
+            ..EmulationConfig::default()
         };
         let events = req_array(spec, "schedule")?
             .iter()
@@ -658,7 +653,8 @@ mod tests {
     #[test]
     fn retired_config_keys_are_ignored() {
         let text = sample_scenario().to_spec_string().expect("serializable");
-        let retired = "\"bandwidth_sharing\":true,\"congestion_loss\":true,\"seed\":";
+        assert!(!text.contains("\"threads\""), "{text}");
+        let retired = "\"bandwidth_sharing\":true,\"congestion_loss\":true,\"threads\":8,\"seed\":";
         let old = text.replacen("\"seed\":", retired, 1);
         assert_ne!(old, text);
         let decoded = Scenario::from_spec_str(&old).expect("old specs still decode");

@@ -5,7 +5,7 @@
 //! how long did a worker wait at the barrier, what did an allocation round
 //! cost — need *structured traces*. At the same time the recorder must
 //! never perturb the run it observes: Kollaps reports are property-pinned
-//! byte-identical across thread counts, so instrumentation has to be
+//! byte-identical with tracing on or off, so instrumentation has to be
 //! wall-clock-only and a strict no-op when disabled.
 //!
 //! The design follows classic flight recorders:

@@ -734,69 +734,17 @@ fn single_host_decentralized_allocation_matches_centralized() {
 }
 
 proptest! {
-    /// The parallel-stepping acceptance property: running the same churned
-    /// scenario with 1, 2 and 8 worker threads produces **byte-identical**
-    /// JSON reports. Threads split the per-host managers into disjoint
-    /// chunks, so they may only move wall-clock time, never results.
-    #[test]
-    fn parallel_stepping_is_byte_identical_across_thread_counts(
-        seed in 0u64..1_000_000,
-        step_ms in 50u64..500,
-    ) {
-        use kollaps::dynamics::Churn;
-        let run = |threads: usize| {
-            let (topo, _, _) = generators::dumbbell(
-                3,
-                Bandwidth::from_mbps(100),
-                Bandwidth::from_mbps(50),
-                SimDuration::from_millis(1),
-                SimDuration::from_millis(10),
-            );
-            let scenario = Scenario::from_topology(topo)
-                .named("thread-equivalence")
-                .hosts(4)
-                .threads(threads)
-                .metadata_delay(SimDuration::from_millis(2))
-                .churn(
-                    Churn::poisson_flaps(&[("client-2", "bridge-left")])
-                        .mean_uptime(SimDuration::from_millis(800))
-                        .mean_downtime(SimDuration::from_millis(200))
-                        .horizon(SimDuration::from_millis(900))
-                        .seed(seed),
-                )
-                .workloads((0..3).map(|i| {
-                    Workload::iperf_udp(
-                        &format!("client-{i}"),
-                        &format!("server-{}", (i + 1) % 3),
-                        Bandwidth::from_mbps(40),
-                    )
-                    .duration(SimDuration::from_millis(900))
-                }));
-            let mut session = scenario.session().expect("valid scenario");
-            while session.clock() < session.end() {
-                session.step(SimDuration::from_millis(step_ms)).expect("stepping");
-            }
-            normalized_json(session.finish())
-        };
-        let sequential = run(1);
-        prop_assert_eq!(&sequential, &run(2));
-        prop_assert_eq!(&sequential, &run(8));
-    }
-}
-
-proptest! {
     /// The flight-recorder acceptance property: tracing may only move
     /// wall-clock time, never results. The same churned scenario with
-    /// tracing off and on — across 1, 2 and 8 worker threads — produces
-    /// **byte-identical** reports once the wall-clock-only phase-timing
-    /// block is stripped.
+    /// tracing off and on produces **byte-identical** reports once the
+    /// wall-clock-only phase-timing block is stripped.
     #[test]
-    fn tracing_is_byte_identical_to_untraced_across_thread_counts(
+    fn tracing_is_byte_identical_to_untraced(
         seed in 0u64..1_000_000,
         step_ms in 50u64..500,
     ) {
         use kollaps::dynamics::Churn;
-        let run = |threads: usize, trace: bool| {
+        let run = |trace: bool| {
             let (topo, _, _) = generators::dumbbell(
                 3,
                 Bandwidth::from_mbps(100),
@@ -807,7 +755,6 @@ proptest! {
             let scenario = Scenario::from_topology(topo)
                 .named("trace-equivalence")
                 .hosts(4)
-                .threads(threads)
                 .trace(trace)
                 .metadata_delay(SimDuration::from_millis(2))
                 .churn(
@@ -842,16 +789,13 @@ proptest! {
             }
             Ok(normalized_json(report))
         };
-        let untraced = run(1, false)?;
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(&untraced, &run(threads, true)?);
-        }
+        prop_assert_eq!(&run(false)?, &run(true)?);
     }
 }
 
-/// The trace itself is stable: two identical seeded single-threaded runs
-/// record the same event sequence — same kinds, lanes, names and args —
-/// differing only in wall-clock timestamps. This is what makes traces
+/// The trace itself is stable: two identical seeded runs record the same
+/// event sequence — same kinds, lanes, names and args — differing only in
+/// wall-clock timestamps. This is what makes traces
 /// diffable across runs when hunting a regression.
 #[test]
 fn seeded_runs_record_identical_trace_event_sequences() {
@@ -867,10 +811,6 @@ fn seeded_runs_record_identical_trace_event_sequences() {
         let scenario = Scenario::from_topology(topo)
             .named("trace-stability")
             .hosts(2)
-            // Pin one worker regardless of `KOLLAPS_THREADS`: with parallel
-            // workers the recorder's per-event wall-clock timestamps decide
-            // the merged ordering, which varies run to run by design.
-            .threads(1)
             .trace(true)
             .metadata_delay(SimDuration::from_millis(2))
             .churn(
