@@ -72,6 +72,9 @@ pub struct DynamicsCell {
     /// Of those, the ones it had to build a `CollapsedPath` for; the rest
     /// were recognised as unchanged on the shortest-path tree.
     pub timeline_paths_built: usize,
+    /// Source rows the timeline copied on write; every other row of every
+    /// snapshot is shared with the previous one.
+    pub timeline_rows_copied: usize,
     /// The traffic leg, on the size's last flap count.
     pub traffic: Option<TrafficLeg>,
 }
@@ -220,6 +223,7 @@ pub fn run_dynamics(
                 online_paths_recomputed: pairs * timeline.len(),
                 timeline_paths_recomputed: stats.recomputed_paths,
                 timeline_paths_built: stats.built_paths,
+                timeline_rows_copied: stats.rows_copied,
                 traffic,
             });
         }
@@ -261,6 +265,14 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
                 "timeline_paths_built",
                 c.timeline_paths_built as f64,
                 "paths",
+            )
+            .lower_is_better(TOLERANCE_DETERMINISTIC),
+        );
+        report.push(
+            cell(
+                "timeline_rows_copied",
+                c.timeline_rows_copied as f64,
+                "rows",
             )
             .lower_is_better(TOLERANCE_DETERMINISTIC),
         );

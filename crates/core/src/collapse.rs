@@ -9,8 +9,28 @@
 //! the minimum along the path. The identity of the traversed links is kept
 //! so that the runtime bandwidth-sharing model can detect flows competing
 //! for the same physical link.
+//!
+//! # Layout
+//!
+//! A [`CollapsedTopology`] numbers the services of the topology it was
+//! built from in id order; the `i`-th service owns `Addr::container(i)`.
+//! That table is the only addressing state, and it is fixed for the life of
+//! an experiment: services can leave a dynamic topology but never join one
+//! (`NodeJoin` re-adds bridges only), so the initial snapshot's table covers
+//! every later snapshot and all of them share it behind one [`Arc`]. A
+//! departed service keeps its number and its address; its row and column
+//! simply hold no path.
+//!
+//! The pairs are one row per source, indexed by destination number, each
+//! row behind its own [`Arc`]. Every lookup is array reads: a binary search
+//! from a service id to its number (or a subtraction from a container
+//! address), then two indexes. A snapshot timeline copies a row on its
+//! first change and shares every other one with the previous snapshot, so a
+//! distinct row costs `services × 8 B` and a full row set `services² × 8 B`
+//! — below the ~20 B per reachable pair of a pair map unless fewer than
+//! ~40% of the pairs are reachable.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -55,18 +75,27 @@ impl CollapsedPath {
     }
 }
 
+/// One source's paths, indexed by destination number: `None` where the
+/// source does not reach the destination (always on the diagonal).
+pub(crate) type Row = Arc<[Option<Arc<CollapsedPath>>]>;
+
 /// The collapsed view of a topology snapshot: every reachable ordered pair
 /// of services mapped to its end-to-end virtual link, plus the addressing
 /// information used by the dataplane.
 ///
-/// Paths are held behind [`Arc`] so that successive snapshots of a dynamic
-/// experiment (see `crate::timeline`) share the unchanged entries
-/// structurally instead of cloning `O(services²)` paths per event.
+/// The service table is shared by every snapshot of an experiment and the
+/// pairs are one row per source (see the module docs), each path and each
+/// row behind an [`Arc`], so that successive snapshots of a dynamic
+/// experiment (see `crate::timeline`) share the unchanged rows structurally
+/// instead of cloning `O(services²)` entries per event.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CollapsedTopology {
-    pub(crate) paths: HashMap<(NodeId, NodeId), Arc<CollapsedPath>>,
-    pub(crate) addresses: HashMap<NodeId, Addr>,
-    pub(crate) nodes_by_addr: HashMap<Addr, NodeId>,
+    /// Every service, in id order: the `i`-th owns `Addr::container(i)`.
+    pub(crate) services: Arc<[NodeId]>,
+    /// One row per service of `services`, indexed by destination number.
+    pub(crate) rows: Vec<Row>,
+    /// Reachable ordered pairs (`Some` entries of `rows`).
+    pub(crate) pairs: usize,
     pub(crate) link_capacity: BTreeMap<LinkId, Bandwidth>,
     pub(crate) link_latency: BTreeMap<LinkId, SimDuration>,
 }
@@ -90,35 +119,50 @@ fn collapse_path(
     })
 }
 
-/// One source's row of the all-pairs table.
+/// One source's freshly derived destinations.
 pub(crate) struct SourceRow {
     /// Destinations the caller's `unchanged` test answered for: nothing was
     /// built for them.
     pub(crate) unchanged: usize,
-    /// Every other destination service with its freshly collapsed path, or
-    /// `None` when the source does not reach it; in service order.
-    pub(crate) paths: Vec<(NodeId, Option<Arc<CollapsedPath>>)>,
+    /// Every other present destination (its number) with its freshly
+    /// collapsed path, or `None` when the source does not reach it; in
+    /// number order.
+    pub(crate) paths: Vec<(usize, Option<Arc<CollapsedPath>>)>,
 }
 
-/// Derives the row of `src`: one shortest-path tree, walked for the service
-/// destinations only. `unchanged(dst, tree)` lets the caller claim a
-/// destination whose path it already holds before anything is allocated;
-/// the all-pairs collapse claims none, the snapshot timeline claims the
-/// ones the previous snapshot still gets right.
+/// Which services of the numbered table `services` are services of
+/// `topology`.
+pub(crate) fn presence(services: &[NodeId], topology: &Topology) -> Vec<bool> {
+    let mut present = vec![false; services.len()];
+    for id in topology.service_ids() {
+        if let Ok(i) = services.binary_search(&id) {
+            present[i] = true;
+        }
+    }
+    present
+}
+
+/// Derives the row of the `src`-th service: one shortest-path tree, walked
+/// for the present service destinations only. `unchanged(dst, tree)` lets
+/// the caller claim a destination number whose path it already holds before
+/// anything is allocated; the all-pairs collapse claims none, the snapshot
+/// timeline claims the ones the previous snapshot still gets right.
 pub(crate) fn source_row(
     topology: &Topology,
     graph: &TopologyGraph,
     services: &[NodeId],
-    src: NodeId,
-    unchanged: impl Fn(NodeId, &ShortestPathTree<'_>) -> bool,
+    present: &[bool],
+    src: usize,
+    unchanged: impl Fn(usize, &ShortestPathTree<'_>) -> bool,
 ) -> SourceRow {
-    let tree = graph.shortest_path_tree(src);
+    let src_node = services[src];
+    let tree = graph.shortest_path_tree(src_node);
     let mut row = SourceRow {
         unchanged: 0,
         paths: Vec::new(),
     };
-    for &dst in services {
-        if dst == src {
+    for (dst, &dst_node) in services.iter().enumerate() {
+        if dst == src || !present[dst] {
             continue;
         }
         if unchanged(dst, &tree) {
@@ -126,28 +170,36 @@ pub(crate) fn source_row(
             continue;
         }
         let fresh = tree
-            .path_to(dst)
-            .and_then(|path| collapse_path(topology, src, dst, path))
+            .path_to(dst_node)
+            .and_then(|path| collapse_path(topology, src_node, dst_node, path))
             .map(Arc::new);
         row.paths.push((dst, fresh));
     }
     row
 }
 
-/// All-pairs collapse: one row per source service, merged in service order.
-fn all_pairs(topology: &Topology) -> HashMap<(NodeId, NodeId), Arc<CollapsedPath>> {
+/// All-pairs collapse over the numbered `services`: one row per source, an
+/// empty one for every service `topology` no longer has. Returns the rows
+/// and the reachable pair count.
+fn all_pairs(topology: &Topology, services: &[NodeId]) -> (Vec<Row>, usize) {
     let graph = TopologyGraph::new(topology);
-    let services = topology.service_ids();
-    let mut paths = HashMap::new();
-    for &src in &services {
-        let row = source_row(topology, &graph, &services, src, |_, _| false);
-        for (dst, path) in row.paths {
-            if let Some(path) = path {
-                paths.insert((src, dst), path);
+    let present = presence(services, topology);
+    let mut pairs = 0;
+    let rows = (0..services.len())
+        .map(|src| {
+            let mut row = vec![None; services.len()];
+            if present[src] {
+                for (dst, path) in
+                    source_row(topology, &graph, services, &present, src, |_, _| false).paths
+                {
+                    pairs += usize::from(path.is_some());
+                    row[dst] = path;
+                }
             }
-        }
-    }
-    paths
+            row.into()
+        })
+        .collect();
+    (rows, pairs)
 }
 
 pub(crate) fn link_tables(
@@ -169,19 +221,25 @@ pub(crate) fn link_tables(
 impl CollapsedTopology {
     /// Collapses `topology`, assigning container addresses in service-id
     /// order (`10.1.0.0/16`, matching the deployment generator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topology` has more services than the /16 has addresses
+    /// ([`Addr::CONTAINERS`]); the scenario layer rejects such a topology
+    /// with a typed error first.
     pub fn build(topology: &Topology) -> Self {
-        let mut addresses = HashMap::new();
-        let mut nodes_by_addr = HashMap::new();
-        for (i, service) in topology.service_ids().into_iter().enumerate() {
-            let addr = Addr::container(i as u32);
-            addresses.insert(service, addr);
-            nodes_by_addr.insert(addr, service);
-        }
+        let services: Arc<[NodeId]> = topology.service_ids().into();
+        assert!(
+            services.len() <= Addr::CONTAINERS as usize,
+            "{} services do not fit the 10.1.0.0/16 container network",
+            services.len()
+        );
+        let (rows, pairs) = all_pairs(topology, &services);
         let (link_capacity, link_latency) = link_tables(topology);
         CollapsedTopology {
-            paths: all_pairs(topology),
-            addresses,
-            nodes_by_addr,
+            services,
+            rows,
+            pairs,
             link_capacity,
             link_latency,
         }
@@ -202,20 +260,41 @@ impl CollapsedTopology {
     /// precomputed `crate::timeline` swaps delta-encoded snapshots instead);
     /// it remains the reference the timeline is checked against and the
     /// fallback for callers that mutate topologies outside a schedule.
+    ///
+    /// The service table is `self`'s: a service of `topology` outside it
+    /// has no address and no pairs, and a service of the table that left
+    /// `topology` keeps its address with no pairs.
     pub fn rebuild_with_addresses(&self, topology: &Topology) -> Self {
+        let (rows, pairs) = all_pairs(topology, &self.services);
         let (link_capacity, link_latency) = link_tables(topology);
         CollapsedTopology {
-            paths: all_pairs(topology),
-            addresses: self.addresses.clone(),
-            nodes_by_addr: self.nodes_by_addr.clone(),
+            services: Arc::clone(&self.services),
+            rows,
+            pairs,
             link_capacity,
             link_latency,
         }
     }
 
+    /// The number of a service in the table.
+    fn number_of(&self, service: NodeId) -> Option<usize> {
+        self.services.binary_search(&service).ok()
+    }
+
+    /// The number of the service owning a container address.
+    fn number_at(&self, addr: Addr) -> Option<usize> {
+        let number = addr.container_index()? as usize;
+        (number < self.services.len()).then_some(number)
+    }
+
+    /// The path slot of a numbered pair.
+    fn slot(&self, src: usize, dst: usize) -> Option<&Arc<CollapsedPath>> {
+        self.rows[src][dst].as_ref()
+    }
+
     /// The collapsed path from `src` to `dst`, if reachable.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<&CollapsedPath> {
-        self.paths.get(&(src, dst)).map(Arc::as_ref)
+        self.path_handle(src, dst).map(Arc::as_ref)
     }
 
     /// The shared handle of the collapsed path from `src` to `dst`. Two
@@ -223,14 +302,13 @@ impl CollapsedTopology {
     /// on that pair — the structural-sharing property the snapshot timeline
     /// relies on (and tests assert).
     pub fn path_handle(&self, src: NodeId, dst: NodeId) -> Option<&Arc<CollapsedPath>> {
-        self.paths.get(&(src, dst))
+        self.slot(self.number_of(src)?, self.number_of(dst)?)
     }
 
     /// The collapsed path between two container addresses.
     pub fn path_by_addr(&self, src: Addr, dst: Addr) -> Option<&CollapsedPath> {
-        let s = self.nodes_by_addr.get(&src)?;
-        let d = self.nodes_by_addr.get(&dst)?;
-        self.path(*s, *d)
+        self.slot(self.number_at(src)?, self.number_at(dst)?)
+            .map(Arc::as_ref)
     }
 
     /// Round-trip time between two services (forward + reverse collapsed
@@ -241,43 +319,43 @@ impl CollapsedTopology {
         Some(fwd.rtt(rev))
     }
 
-    /// All collapsed paths, in (src, dst) order. The pair map itself is a
-    /// `HashMap` (hot per-packet lookups); iteration sorts so that no
-    /// hash-bucket order can reach reports or logs.
+    /// All collapsed paths, in (src, dst) order: the rows in service order,
+    /// each in destination order.
     pub fn paths(&self) -> impl Iterator<Item = &CollapsedPath> {
-        let mut rows: Vec<(&(NodeId, NodeId), &Arc<CollapsedPath>)> = self.paths.iter().collect();
-        rows.sort_unstable_by_key(|(pair, _)| **pair);
-        rows.into_iter().map(|(_, p)| p.as_ref())
+        self.path_handles().map(|(_, path)| path.as_ref())
     }
 
     /// All collapsed pairs with their shared path handles, in (src, dst)
     /// order.
-    pub fn path_handles(&self) -> impl Iterator<Item = (&(NodeId, NodeId), &Arc<CollapsedPath>)> {
-        let mut rows: Vec<(&(NodeId, NodeId), &Arc<CollapsedPath>)> = self.paths.iter().collect();
-        rows.sort_unstable_by_key(|(pair, _)| **pair);
-        rows.into_iter()
+    pub fn path_handles(&self) -> impl Iterator<Item = ((NodeId, NodeId), &Arc<CollapsedPath>)> {
+        self.rows
+            .iter()
+            .flat_map(|row| row.iter().flatten())
+            .map(|path| ((path.src, path.dst), path))
     }
 
     /// Number of collapsed (ordered) pairs.
     pub fn pair_count(&self) -> usize {
-        self.paths.len()
+        self.pairs
     }
 
     /// The container address of a service.
     pub fn address_of(&self, service: NodeId) -> Option<Addr> {
-        self.addresses.get(&service).copied()
+        self.number_of(service)
+            .map(|number| Addr::container(number as u32))
     }
 
     /// The service owning a container address.
     pub fn service_at(&self, addr: Addr) -> Option<NodeId> {
-        self.nodes_by_addr.get(&addr).copied()
+        self.number_at(addr).map(|number| self.services[number])
     }
 
     /// Every (service, address) assignment, in service-id order.
     pub fn addresses(&self) -> impl Iterator<Item = (NodeId, Addr)> + '_ {
-        let mut rows: Vec<(NodeId, Addr)> = self.addresses.iter().map(|(&n, &a)| (n, a)).collect();
-        rows.sort_unstable();
-        rows.into_iter()
+        self.services
+            .iter()
+            .enumerate()
+            .map(|(number, &service)| (service, Addr::container(number as u32)))
     }
 
     /// Capacity of an original link.
@@ -292,7 +370,7 @@ impl CollapsedTopology {
 
     /// Builds the sharing-solver input for one active (src, dst) pair: the
     /// collapsed path's links (borrowed), the pair's RTT as the fairness
-    /// weight (1 ms fallback when unknown) and the path maximum bandwidth as
+    /// weight ([`CollapsedTopology::rtt`]) and the path maximum bandwidth as
     /// the demand cap.
     ///
     /// Both the per-host Emulation Manager (for its local flows) and the
@@ -300,14 +378,11 @@ impl CollapsedTopology {
     /// this one helper, so the convergence gap measures metadata staleness
     /// rather than implementation drift.
     pub fn flow_ref(&self, src: Addr, dst: Addr) -> Option<FlowRef<'_>> {
-        let path = self.path_by_addr(src, dst)?;
-        let (src_node, dst_node) = (self.service_at(src)?, self.service_at(dst)?);
-        let rtt = self
-            .rtt(src_node, dst_node)
-            .unwrap_or(SimDuration::from_millis(1));
+        let (src, dst) = (self.number_at(src)?, self.number_at(dst)?);
+        let path = self.slot(src, dst)?;
         Some(FlowRef {
             links: &path.links,
-            rtt,
+            rtt: path.rtt(self.slot(dst, src).map(|reverse| reverse.latency)),
             demand: path.max_bandwidth,
         })
     }
@@ -416,6 +491,50 @@ mod tests {
             c.path_by_addr(addrs[0], addrs[1]).unwrap().latency,
             c.path(c1, sv1).unwrap().latency
         );
+    }
+
+    #[test]
+    fn addresses_outside_the_service_table_resolve_to_nothing() {
+        let (t, c1, _, _) = figure1();
+        let c = CollapsedTopology::build(&t);
+        let first = Addr::container(0);
+        let services = c.addresses().count() as u32;
+        assert_eq!(services, 3);
+        for outside in [
+            Addr::new(10, 0, 255, 255),
+            Addr::container(services),
+            Addr::new(10, 2, 0, 0),
+        ] {
+            assert_eq!(c.service_at(outside), None, "{outside}");
+            assert!(c.path_by_addr(first, outside).is_none(), "{outside}");
+            assert!(c.path_by_addr(outside, first).is_none(), "{outside}");
+            assert!(c.flow_ref(first, outside).is_none(), "{outside}");
+            assert!(c.flow_ref(outside, first).is_none(), "{outside}");
+        }
+        assert_eq!(c.service_at(first), Some(c1));
+        let bridge = t.node_by_name("s1").unwrap();
+        assert_eq!(c.address_of(bridge), None);
+        assert_eq!(c.pair_count(), c.paths().count());
+        assert_eq!(c.pair_count(), c.path_handles().count());
+    }
+
+    #[test]
+    fn rebuild_numbers_only_the_services_of_its_table() {
+        let (mut t, c1, sv1, sv2) = figure1();
+        let before = CollapsedTopology::build(&t);
+        // A service that joins has no address and no pairs; a service that
+        // leaves keeps its address and loses its pairs.
+        let late = t.add_service("late", 0, "x");
+        let s2 = t.node_by_name("s2").unwrap();
+        t.add_bidirectional_link(late, s2, props(1, 10), "net");
+        t.remove_node(sv2);
+        let after = before.rebuild_with_addresses(&t);
+        assert_eq!(after.address_of(late), None);
+        assert!(after.path(late, c1).is_none() && after.path(c1, late).is_none());
+        assert_eq!(after.address_of(sv2), before.address_of(sv2));
+        assert!(after.path(sv2, sv1).is_none() && after.path(sv1, sv2).is_none());
+        assert_eq!(after.pair_count(), 2);
+        assert!(after.path(c1, sv1).is_some() && after.path(sv1, c1).is_some());
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! engine: [`SnapshotTimeline::precompute`] turns a topology plus an
 //! [`EventSchedule`] into one [`CollapsedTopology`] per change time, where
 //!
-//! * consecutive snapshots **structurally share** every unchanged
-//!   [`crate::collapse::CollapsedPath`] behind an [`Arc`] (cloning a snapshot costs one map
-//!   of pointer bumps, not `O(services²)` path copies), and
+//! * consecutive snapshots **structurally share** the service table, every
+//!   source row without a changed pair and every unchanged
+//!   [`crate::collapse::CollapsedPath`] behind [`Arc`]s: a snapshot starts
+//!   as one pointer bump per source row, a row is copied on its *first*
+//!   change only ([`TimelineStats::rows_copied`]), so a snapshot costs
+//!   `services × 8 B` plus `services × 8 B` per row it changed, not
+//!   `O(services²)` entries; and
 //! * each snapshot carries a [`SnapshotDelta`] — exactly the service pairs
 //!   whose end-to-end path changed or disappeared — so runtime application
 //!   touches only the affected qdisc chains and never runs an all-pairs
@@ -45,7 +49,7 @@
 //! by the tests below and by property tests over generated topologies and
 //! random schedules.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kollaps_sim::time::SimDuration;
@@ -53,7 +57,7 @@ use kollaps_topology::events::{apply_action, DynamicEvent, EventSchedule};
 use kollaps_topology::graph::TopologyGraph;
 use kollaps_topology::model::{LinkId, LinkProperties, NodeId, Topology};
 
-use crate::collapse::{link_tables, source_row, CollapsedTopology};
+use crate::collapse::{link_tables, presence, source_row, CollapsedPath, CollapsedTopology, Row};
 
 /// One precomputed topology change: the new snapshot plus the exact set of
 /// service pairs the change affected.
@@ -112,6 +116,10 @@ pub struct TimelineStats {
     /// Path slots that were structurally shared with the previous snapshot
     /// instead of being re-derived or re-allocated.
     pub shared_paths: usize,
+    /// Source rows copied on write across all deltas: a row is copied on
+    /// its first changed or removed pair of a delta; every other row is the
+    /// previous snapshot's `Arc`.
+    pub rows_copied: usize,
     /// Service pairs in the initial snapshot (the all-pairs scale an online
     /// re-collapse would pay per event).
     pub initial_pairs: usize,
@@ -366,39 +374,66 @@ fn derive_snapshot(
     stale_links.sort();
     let is_stale = |link: &LinkId| stale_links.binary_search(link).is_ok();
 
-    let services: Vec<NodeId> = working.service_ids();
-    let service_set: HashSet<NodeId> = services.iter().copied().collect();
+    // The initial snapshot's service table covers every later one: services
+    // can only leave (`NodeJoin` re-adds bridges).
+    let services = &prev.services;
+    debug_assert!(
+        working
+            .service_ids()
+            .iter()
+            .all(|id| services.binary_search(id).is_ok()),
+        "a service joined the topology after the initial snapshot"
+    );
+    let present = presence(services, working);
+    let pair = |src: usize, dst: usize| (services[src], services[dst]);
 
-    // Start from the previous snapshot's paths: `Arc` clones, no path data
-    // is copied. Pairs whose endpoint service left are dropped up front.
-    let mut paths = prev.paths.clone();
+    // Start from the previous snapshot's rows: one `Arc` clone per source,
+    // no path slot is copied until its row changes.
+    let mut rows = prev.rows.clone();
+    let mut pairs = prev.pairs;
     let mut removed_paths: Vec<(NodeId, NodeId)> = Vec::new();
-    paths.retain(|&(src, dst), _| {
-        let keep = service_set.contains(&src) && service_set.contains(&dst);
-        if !keep {
-            removed_paths.push((src, dst));
+    // Pairs whose endpoint service left are dropped up front, copying only
+    // the rows that hold one.
+    let absent: Vec<usize> = (0..services.len()).filter(|&i| !present[i]).collect();
+    if !absent.is_empty() {
+        for (src, row) in rows.iter_mut().enumerate() {
+            let departed = |dst: usize| !present[src] || !present[dst];
+            let holds_departed = if present[src] {
+                absent.iter().any(|&dst| row[dst].is_some())
+            } else {
+                row.iter().any(Option::is_some)
+            };
+            if !holds_departed {
+                continue;
+            }
+            for (dst, slot) in row_mut(row, stats).iter_mut().enumerate() {
+                if departed(dst) && slot.take().is_some() {
+                    pairs -= 1;
+                    removed_paths.push(pair(src, dst));
+                }
+            }
         }
-        keep
-    });
+    }
 
     // Sources that need re-derivation: all of them when the group can
     // improve routes, otherwise only those with a path over a stale link.
-    let sources: Vec<NodeId> = if improving {
-        services.clone()
+    let sources: Vec<usize> = if improving {
+        (0..services.len()).filter(|&i| present[i]).collect()
     } else if stale_links.is_empty() {
         Vec::new()
     } else {
-        let mut affected: HashSet<NodeId> = HashSet::new();
-        for (&(src, _), path) in &paths {
-            if path.links.iter().any(is_stale) {
-                affected.insert(src);
-            }
-        }
-        let mut sources: Vec<NodeId> = affected.into_iter().collect();
-        sources.sort();
-        sources
+        (0..services.len())
+            .filter(|&src| {
+                rows[src]
+                    .iter()
+                    .flatten()
+                    .any(|path| path.links.iter().any(is_stale))
+            })
+            .collect()
     };
 
+    // Sources ascend and each row's destinations ascend, so this stays in
+    // (src, dst) order.
     let mut changed_paths: Vec<(NodeId, NodeId)> = Vec::new();
     if !sources.is_empty() {
         let graph = TopologyGraph::new(working);
@@ -407,9 +442,10 @@ fn derive_snapshot(
         // of those links stale, is skipped before anything is built (see
         // the module docs).
         for &src in &sources {
-            let row = source_row(working, &graph, &services, src, |dst, tree| {
-                prev.paths.get(&(src, dst)).is_some_and(|old| {
-                    !old.links.iter().any(is_stale) && tree.path_is(dst, &old.links)
+            let current = &prev.rows[src];
+            let row = source_row(working, &graph, services, &present, src, |dst, tree| {
+                current[dst].as_ref().is_some_and(|old| {
+                    !old.links.iter().any(is_stale) && tree.path_is(services[dst], &old.links)
                 })
             });
             stats.recomputed_paths += row.unchanged;
@@ -418,31 +454,33 @@ fn derive_snapshot(
                     Some(fresh) => {
                         stats.recomputed_paths += 1;
                         stats.built_paths += 1;
-                        let unchanged =
-                            prev.paths.get(&(src, dst)).is_some_and(|old| *old == fresh);
-                        if !unchanged {
-                            paths.insert((src, dst), fresh);
-                            changed_paths.push((src, dst));
+                        if current[dst].as_ref().is_some_and(|old| *old == fresh) {
+                            continue;
                         }
+                        if row_mut(&mut rows[src], stats)[dst].replace(fresh).is_none() {
+                            pairs += 1;
+                        }
+                        changed_paths.push(pair(src, dst));
                     }
                     None => {
-                        if paths.remove(&(src, dst)).is_some() {
-                            removed_paths.push((src, dst));
+                        if rows[src][dst].is_some() {
+                            row_mut(&mut rows[src], stats)[dst] = None;
+                            pairs -= 1;
+                            removed_paths.push(pair(src, dst));
                         }
                     }
                 }
             }
         }
     }
-    stats.shared_paths += paths.len() - changed_paths.len();
-    changed_paths.sort();
+    stats.shared_paths += pairs - changed_paths.len();
     removed_paths.sort();
 
     let (link_capacity, link_latency) = link_tables(working);
     let snapshot = Arc::new(CollapsedTopology {
-        paths,
-        addresses: prev.addresses.clone(),
-        nodes_by_addr: prev.nodes_by_addr.clone(),
+        services: Arc::clone(services),
+        rows,
+        pairs,
         link_capacity,
         link_latency,
     });
@@ -454,6 +492,20 @@ fn derive_snapshot(
         removed_paths,
         snapshot,
     }
+}
+
+/// The writable slots of a snapshot-in-progress row: the previous
+/// snapshot's row is copied on the first write (counted in
+/// [`TimelineStats::rows_copied`]); later writes of the same delta reuse
+/// that copy, which nothing else holds yet.
+fn row_mut<'a>(
+    row: &'a mut Row,
+    stats: &mut TimelineStats,
+) -> &'a mut [Option<Arc<CollapsedPath>>] {
+    if Arc::get_mut(row).is_none() {
+        stats.rows_copied += 1;
+    }
+    Arc::make_mut(row)
 }
 
 #[cfg(test)]
@@ -516,6 +568,9 @@ mod tests {
         assert!(delta.removed_paths.is_empty());
         assert_eq!(delta.changed_paths.len(), 10);
         assert_eq!(delta.swap_cost(), 10);
+        // client-0's row and the one pair to client-0 of every other row:
+        // six rows copied, each once.
+        assert_eq!(timeline.stats().rows_copied, 6);
         // Structural sharing: an untouched pair is the same Arc.
         let c1 = topo.node_by_name("client-1").unwrap();
         let s1 = topo.node_by_name("server-1").unwrap();
@@ -537,9 +592,14 @@ mod tests {
 
     /// Replays `schedule` online — a full re-collapse after every change
     /// time — and checks the timeline against it: equal snapshots, the
-    /// `changed_paths` / `removed_paths` the two full snapshots imply, and
-    /// the previous snapshot's `Arc` for every pair outside `changed_paths`.
-    fn assert_matches_online_recollapse(topo: &Topology, schedule: &EventSchedule) {
+    /// `changed_paths` / `removed_paths` the two full snapshots imply, the
+    /// previous snapshot's `Arc` for every pair outside `changed_paths`, and
+    /// the previous snapshot's row for every source with no pair in either.
+    /// Returns the timeline for the caller's counts.
+    fn assert_matches_online_recollapse(
+        topo: &Topology,
+        schedule: &EventSchedule,
+    ) -> SnapshotTimeline {
         let timeline = SnapshotTimeline::precompute(topo, schedule);
         assert_eq!(timeline.len(), schedule.change_times().len());
         let mut online = topo.clone();
@@ -551,9 +611,26 @@ mod tests {
             }
             let before = reference.clone();
             reference = reference.rebuild_with_addresses(&online);
-            assert_eq!(delta.snapshot.pair_count(), reference.pair_count());
+            let snapshot = &delta.snapshot;
+            assert_eq!(snapshot.pair_count(), reference.pair_count());
+            assert_eq!(snapshot.pair_count(), snapshot.paths().count());
+            assert_eq!(snapshot.pair_count(), snapshot.path_handles().count());
+            assert!(Arc::ptr_eq(&snapshot.services, &prev.services));
+            for (number, &src) in snapshot.services.iter().enumerate() {
+                let touched = delta
+                    .changed_paths
+                    .iter()
+                    .chain(&delta.removed_paths)
+                    .any(|&(s, _)| s == src);
+                assert_eq!(
+                    Arc::ptr_eq(&snapshot.rows[number], &prev.rows[number]),
+                    !touched,
+                    "row of {src} at {:?}",
+                    delta.at
+                );
+            }
             let mut changed = Vec::new();
-            for (&(src, dst), path) in reference.path_handles() {
+            for ((src, dst), path) in reference.path_handles() {
                 let ours = delta
                     .snapshot
                     .path_handle(src, dst)
@@ -571,7 +648,7 @@ mod tests {
             }
             let removed: Vec<(NodeId, NodeId)> = before
                 .path_handles()
-                .map(|(&pair, _)| pair)
+                .map(|(pair, _)| pair)
                 .filter(|&(src, dst)| reference.path(src, dst).is_none())
                 .collect();
             assert_eq!(delta.changed_paths, changed, "at {:?}", delta.at);
@@ -582,6 +659,7 @@ mod tests {
             );
             prev = Arc::clone(&delta.snapshot);
         }
+        timeline
     }
 
     fn event(secs: u64, action: DynamicAction) -> DynamicEvent {
@@ -696,14 +774,16 @@ mod tests {
         ] {
             trunk_edits.push(event(secs, set_link("bridge-left", "bridge-right", change)));
         }
-        assert_matches_online_recollapse(&dumbbell(), &trunk_edits);
-        let timeline = SnapshotTimeline::precompute(&dumbbell(), &trunk_edits);
+        let timeline = assert_matches_online_recollapse(&dumbbell(), &trunk_edits);
         assert!(timeline.deltas()[3].changed_paths.is_empty());
         // Groups 1–3 make both trunk directions stale: all 6 sources are
-        // re-derived (30 rows) and the 18 cross pairs built. Group 4 makes
-        // one direction stale: 3 sources, 15 rows, 9 built.
+        // re-derived (30 pairs) and the 18 cross pairs built; each source
+        // row changes, so 6 rows are copied. Group 4 makes one direction
+        // stale: 3 sources, 15 pairs, 9 built, nothing changed — no row is
+        // copied.
         assert_eq!(timeline.stats().recomputed_paths, 3 * 30 + 15);
         assert_eq!(timeline.stats().built_paths, 3 * 18 + 9);
+        assert_eq!(timeline.stats().rows_copied, 3 * 6);
 
         // A latency increase that leaves every route's links the same (the
         // dumbbell has no detour), then one that moves routes (the ring).
@@ -770,11 +850,11 @@ mod tests {
             assert_eq!(ours.changed_paths, theirs.changed_paths);
             assert_eq!(ours.removed_paths, theirs.removed_paths);
             assert_eq!(ours.snapshot.pair_count(), theirs.snapshot.pair_count());
-            for (pair, path) in theirs.snapshot.path_handles() {
+            for ((src, dst), path) in theirs.snapshot.path_handles() {
                 assert_eq!(
-                    **ours.snapshot.path_handle(pair.0, pair.1).unwrap(),
+                    **ours.snapshot.path_handle(src, dst).unwrap(),
                     **path,
-                    "pair {pair:?} at {:?}",
+                    "pair {src}->{dst} at {:?}",
                     ours.at
                 );
             }
@@ -818,10 +898,19 @@ mod tests {
         assert_eq!(delta.removed_paths.len(), 10);
         assert!(delta.removed_paths.iter().all(|&(s, d)| s == c2 || d == c2));
         assert!(delta.snapshot.path(c2, c2).is_none());
-        // The address assignment survives (containers keep their IP).
-        assert_eq!(
-            delta.snapshot.address_of(c2),
-            timeline.initial().address_of(c2)
-        );
+        // client-2's own row and the five rows holding a pair to it.
+        assert_eq!(timeline.stats().rows_copied, 6);
+        // The address assignment survives (containers keep their IP), and
+        // client-2's row and column hold no path.
+        let addr = timeline.initial().address_of(c2).unwrap();
+        assert_eq!(delta.snapshot.address_of(c2), Some(addr));
+        assert_eq!(delta.snapshot.service_at(addr), Some(c2));
+        let number = delta.snapshot.services.binary_search(&c2).unwrap();
+        assert!(delta.snapshot.rows[number].iter().all(Option::is_none));
+        assert!(delta.snapshot.rows.iter().all(|row| row[number].is_none()));
+        for (other, _) in delta.snapshot.addresses() {
+            assert!(delta.snapshot.path(c2, other).is_none());
+            assert!(delta.snapshot.path(other, c2).is_none());
+        }
     }
 }

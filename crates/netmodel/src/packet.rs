@@ -54,15 +54,36 @@ impl Addr {
         self.0 as u8
     }
 
+    /// Number of addresses in the 10.1.0.0/16 container network.
+    pub const CONTAINERS: u32 = 1 << 16;
+
+    /// The first container address, 10.1.0.0.
+    const CONTAINER_BASE: Addr = Addr::new(10, 1, 0, 0);
+
     /// Allocates the `index`-th address of the 10.1.0.0/16 container network
     /// used by the deployment generator.
     ///
     /// # Panics
     ///
-    /// Panics if `index` does not fit in the /16 (65536 addresses).
+    /// Panics if `index` does not fit in the /16 ([`Addr::CONTAINERS`]
+    /// addresses).
     pub fn container(index: u32) -> Self {
-        assert!(index < 65_536, "container index out of /16 range: {index}");
-        Addr::new(10, 1, (index >> 8) as u8, index as u8)
+        assert!(
+            index < Addr::CONTAINERS,
+            "container index out of /16 range: {index}"
+        );
+        Addr(Addr::CONTAINER_BASE.0 + index)
+    }
+
+    /// The inverse of [`Addr::container`]: the index of this address in the
+    /// container network, or `None` outside 10.1.0.0/16.
+    pub const fn container_index(self) -> Option<u32> {
+        let offset = self.0.wrapping_sub(Addr::CONTAINER_BASE.0);
+        if offset < Addr::CONTAINERS {
+            Some(offset)
+        } else {
+            None
+        }
     }
 }
 
@@ -213,6 +234,11 @@ mod tests {
         assert_eq!(Addr::container(255), Addr::new(10, 1, 0, 255));
         assert_eq!(Addr::container(256), Addr::new(10, 1, 1, 0));
         assert_eq!(Addr::container(65_535), Addr::new(10, 1, 255, 255));
+        for index in [0, 255, 256, 65_535] {
+            assert_eq!(Addr::container(index).container_index(), Some(index));
+        }
+        assert_eq!(Addr::new(10, 0, 255, 255).container_index(), None);
+        assert_eq!(Addr::new(10, 2, 0, 0).container_index(), None);
     }
 
     #[test]

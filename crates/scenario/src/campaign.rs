@@ -173,6 +173,8 @@ impl Campaign {
                     let scenario = (variants[i].mutate)(base.clone());
                     let result = (|| -> Result<Report, ScenarioError> {
                         let (topology, schedule) = scenario.expand()?;
+                        // Before a shared precompute collapses it.
+                        crate::validate_topology(&topology)?;
                         // Only the Kollaps backend consumes a timeline;
                         // baseline variants neither precompute nor count.
                         let kollaps = matches!(scenario.backend, Backend::Kollaps { .. });

@@ -44,6 +44,14 @@ pub enum ScenarioError {
         /// Display name of the link's destination node.
         dest: String,
     },
+    /// The topology declares more services than the 10.1.0.0/16 container
+    /// network has addresses; every backend numbers its services there.
+    TooManyServices {
+        /// Services the topology declares.
+        services: usize,
+        /// Container addresses in the /16.
+        limit: usize,
+    },
     /// The selected backend cannot emulate this scenario (e.g. Mininet's
     /// 1 Gb/s shaping ceiling, or dynamic events on a baseline that has no
     /// emulation manager to apply them).
@@ -115,6 +123,11 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroBandwidthLink { orig, dest } => {
                 write!(f, "link {orig} -> {dest} has zero bandwidth")
             }
+            ScenarioError::TooManyServices { services, limit } => write!(
+                f,
+                "the topology declares {services} services; the 10.1.0.0/16 container \
+                 network addresses at most {limit}"
+            ),
             ScenarioError::UnsupportedBackend { backend, reason } => {
                 write!(f, "backend `{backend}` cannot run this scenario: {reason}")
             }

@@ -605,6 +605,11 @@ pub(crate) fn unknown_workload_names(topology: &Topology, workloads: &[Workload]
 }
 
 fn validate_topology(topology: &Topology) -> Result<(), ScenarioError> {
+    let services = topology.service_ids().len();
+    let limit = Addr::CONTAINERS as usize;
+    if services > limit {
+        return Err(ScenarioError::TooManyServices { services, limit });
+    }
     for link in topology.links() {
         if link.properties.bandwidth.is_zero() {
             let name = |id: NodeId| {

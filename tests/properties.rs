@@ -276,7 +276,7 @@ proptest! {
             }
             reference = reference.rebuild_with_addresses(&online);
             prop_assert_eq!(delta.snapshot.pair_count(), reference.pair_count());
-            for (&(src, dst), path) in reference.path_handles() {
+            for ((src, dst), path) in reference.path_handles() {
                 let timeline_path = delta.snapshot.path(src, dst);
                 prop_assert!(timeline_path.is_some());
                 prop_assert_eq!(timeline_path.unwrap(), &**path);
@@ -287,7 +287,7 @@ proptest! {
             // same active pairs through `flow_demand` + `allocate` on both.
             let mut pairs: Vec<(kollaps::netmodel::packet::Addr, kollaps::netmodel::packet::Addr)> =
                 Vec::new();
-            for (&(src, dst), _) in reference.path_handles() {
+            for ((src, dst), _) in reference.path_handles() {
                 if let (Some(a), Some(b)) = (reference.address_of(src), reference.address_of(dst)) {
                     pairs.push((a, b));
                 }

@@ -83,6 +83,28 @@ fn zero_bandwidth_links_are_rejected() {
     );
 }
 
+/// One service more than 10.1.0.0/16 has addresses: no link, so the
+/// metadata wire's link-id limit does not catch it. Rejected before the
+/// collapse numbers the services (which would panic in `Addr::container`),
+/// on a plain run and on a campaign's shared precompute alike.
+#[test]
+fn more_services_than_container_addresses_are_rejected() {
+    let mut topo = Topology::new();
+    for i in 0..=65_536 {
+        topo.add_service(&format!("s{i}"), 0, "x");
+    }
+    let scenario = Scenario::from_topology(topo).workload(Workload::ping("s0", "s1"));
+    let expected = ScenarioError::TooManyServices {
+        services: 65_537,
+        limit: 65_536,
+    };
+    let err = scenario.clone().run().unwrap_err();
+    assert_eq!(err, expected);
+    let text = err.to_string();
+    assert!(text.contains("65537") && text.contains("/16"), "{text}");
+    assert_eq!(Campaign::over(scenario).run().unwrap_err(), expected);
+}
+
 #[test]
 fn empty_workloads_are_rejected() {
     let err = Scenario::from_topology(p2p()).run().unwrap_err();
