@@ -293,7 +293,8 @@ fn fixed_files_are_clean_in_tree() {
         "crates/core/src/timeline.rs",
         "crates/core/src/collapse.rs",
         "crates/metadata/src/codec.rs",
-        "crates/scenario/src/runner.rs",
+        "crates/scenario/src/session.rs",
+        "crates/scenario/src/workload.rs",
     ] {
         let source = std::fs::read_to_string(root.join(rel)).expect(rel);
         let errors: Vec<String> = analyze_source(rel, &source)

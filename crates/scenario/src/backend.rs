@@ -6,7 +6,7 @@
 //! constructor (`KollapsDataplane::new`, `GroundTruthDataplane::new`, ...)
 //! and the duplicated `address_of_index` helpers. A [`Backend`] value now
 //! captures the *choice* of network under test, and [`AnyDataplane`] lets
-//! the scenario runner drive whichever one was chosen through the common
+//! the scenario session drive whichever one was chosen through the common
 //! [`Dataplane`] + [`Addressable`] traits.
 
 use kollaps_baselines::maxinet::MaxinetConfig;

@@ -74,7 +74,6 @@ mod backend;
 mod campaign;
 mod error;
 mod report;
-mod runner;
 mod session;
 mod spec;
 mod telemetry;
@@ -103,7 +102,6 @@ use kollaps_topology::events::{DynamicEvent, EventSchedule};
 use kollaps_topology::model::{NodeId, Topology};
 use kollaps_topology::xml::parse_modelnet_xml;
 
-use runner::{ResolvedKind, ResolvedWorkload};
 use session::SessionInit;
 use workload::WorkloadKind;
 
@@ -439,14 +437,7 @@ impl Scenario {
         if self.workloads.is_empty() {
             return Err(ScenarioError::EmptyWorkload);
         }
-        // Every unknown endpoint name across every workload, in one error.
-        let unknown = unknown_workload_names(&topology, &self.workloads);
-        if !unknown.is_empty() {
-            return Err(ScenarioError::UnknownNodes { names: unknown });
-        }
-        for workload in &self.workloads {
-            validate_workload(&topology, workload)?;
-        }
+        validate_workloads(&topology, &self.workloads)?;
         let step = match self.step_interval {
             Some(interval) if interval.is_zero() => {
                 return Err(ScenarioError::InvalidStepInterval {
@@ -454,7 +445,7 @@ impl Scenario {
                 })
             }
             Some(interval) => interval,
-            None => runner::DEFAULT_STEP,
+            None => session::DEFAULT_STEP,
         };
         if self.sample_interval.is_some_and(|i| i.is_zero()) {
             return Err(ScenarioError::InvalidStepInterval {
@@ -542,66 +533,43 @@ impl Scenario {
                 dp.set_recorder(recorder.clone());
             }
         }
-        let resolved = self
-            .workloads
-            .into_iter()
-            .map(|w| resolve_workload(&topology, &dataplane, w, total_end))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        Ok(Session::new(SessionInit {
+        Session::new(SessionInit {
             scenario_name: self.name,
             backend_name,
             hosts,
             topology,
             dataplane,
-            workloads: resolved,
+            workloads: self.workloads,
             total_end,
             duration_capped: self.duration.is_some(),
             step,
             sample_interval: self.sample_interval,
             recorder,
-        }))
+        })
     }
 }
 
-/// Every workload endpoint name the topology does not declare, collected
-/// across the whole workload set: deduplicated, in first-reference order.
-pub(crate) fn unknown_workload_names(topology: &Topology, workloads: &[Workload]) -> Vec<String> {
+/// Validates workloads against the topology. Every endpoint name the
+/// topology does not declare is reported in one error: deduplicated, in
+/// first-reference order (each workload's clients, then its server).
+pub(crate) fn validate_workloads(
+    topology: &Topology,
+    workloads: &[Workload],
+) -> Result<(), ScenarioError> {
     let mut unknown: Vec<String> = Vec::new();
-    let mut check = |name: &str| {
-        if topology.node_by_name(name).is_none() && !unknown.iter().any(|n| n == name) {
-            unknown.push(name.to_string());
-        }
-    };
     for workload in workloads {
-        match &workload.kind {
-            WorkloadKind::IperfTcp { client, server, .. }
-            | WorkloadKind::IperfUdp { client, server, .. } => {
-                check(client);
-                check(server);
-            }
-            WorkloadKind::Ping { src, dst, .. } => {
-                check(src);
-                check(dst);
-            }
-            WorkloadKind::Wrk2 { server, client, .. } => {
-                check(server);
-                check(client);
-            }
-            WorkloadKind::Curl {
-                server, clients, ..
-            }
-            | WorkloadKind::Memcached {
-                server, clients, ..
-            } => {
-                check(server);
-                for client in clients {
-                    check(client);
-                }
+        for name in workload.clients.iter().chain([&workload.server]) {
+            if topology.node_by_name(name).is_none() && !unknown.contains(name) {
+                unknown.push(name.clone());
             }
         }
     }
-    unknown
+    if !unknown.is_empty() {
+        return Err(ScenarioError::UnknownNodes { names: unknown });
+    }
+    workloads
+        .iter()
+        .try_for_each(|workload| validate_workload(topology, workload))
 }
 
 fn validate_topology(topology: &Topology) -> Result<(), ScenarioError> {
@@ -652,6 +620,10 @@ fn validate_workload(topology: &Topology, workload: &Workload) -> Result<(), Sce
     if workload.effective_duration().is_zero() {
         return Err(invalid("workload duration is zero"));
     }
+    if workload.clients.is_empty() {
+        let label = workload.label();
+        return Err(invalid(&format!("{label} needs at least one client")));
+    }
     let check_pair = |a: &str, b: &str| -> Result<(), ScenarioError> {
         service_node(topology, a)?;
         service_node(topology, b)?;
@@ -660,158 +632,44 @@ fn validate_workload(topology: &Topology, workload: &Workload) -> Result<(), Sce
         }
         Ok(())
     };
-    match &workload.kind {
-        WorkloadKind::IperfTcp { client, server, .. } => check_pair(client, server),
-        WorkloadKind::IperfUdp {
-            client,
-            server,
-            rate,
-        } => {
-            check_pair(client, server)?;
-            if rate.is_zero() {
-                return Err(invalid("UDP rate is zero"));
-            }
-            Ok(())
-        }
-        WorkloadKind::Ping {
-            src, dst, count, ..
-        } => {
-            check_pair(src, dst)?;
-            if *count == 0 {
-                return Err(invalid("ping count is zero"));
-            }
-            Ok(())
-        }
-        WorkloadKind::Wrk2 {
-            server,
-            client,
-            connections,
-            ..
-        } => {
-            check_pair(server, client)?;
-            if *connections == 0 {
-                return Err(invalid("wrk2 needs at least one connection"));
-            }
-            Ok(())
-        }
-        WorkloadKind::Curl {
-            server, clients, ..
-        } => {
-            if clients.is_empty() {
-                return Err(invalid("curl needs at least one client"));
-            }
-            for client in clients {
-                check_pair(server, client)?;
-            }
-            Ok(())
-        }
-        WorkloadKind::Memcached {
-            server,
-            clients,
-            connections,
-        } => {
-            if clients.is_empty() {
-                return Err(invalid("memcached needs at least one client"));
-            }
-            if *connections == 0 {
-                return Err(invalid("memcached needs at least one connection"));
-            }
-            for client in clients {
-                check_pair(server, client)?;
-            }
-            Ok(())
-        }
+    for client in &workload.clients {
+        check_pair(client, &workload.server)?;
     }
+    let reason = match workload.kind {
+        WorkloadKind::IperfUdp { rate } if rate.is_zero() => "UDP rate is zero",
+        WorkloadKind::Ping { count: 0, .. } => "ping count is zero",
+        WorkloadKind::Wrk2 { connections: 0, .. } => "wrk2 needs at least one connection",
+        WorkloadKind::Memcached { connections: 0 } => "memcached needs at least one connection",
+        // `TcpSender` rounds an empty transfer up to one full segment, which
+        // the report would count as zero bytes.
+        WorkloadKind::Wrk2 { request, .. } | WorkloadKind::Curl { request }
+            if request.is_zero() =>
+        {
+            "HTTP request size is zero"
+        }
+        _ => return Ok(()),
+    };
+    Err(invalid(reason))
 }
 
+/// The container addresses of a workload's server and clients.
 fn resolve_workload(
     topology: &Topology,
     dataplane: &AnyDataplane,
-    workload: Workload,
-    total_end: SimTime,
-) -> Result<ResolvedWorkload, ScenarioError> {
-    let addr_of = |name: &str| -> Result<Addr, ScenarioError> {
+    workload: &Workload,
+) -> Result<(Addr, Vec<Addr>), ScenarioError> {
+    let addr_of = |name: &String| -> Result<Addr, ScenarioError> {
         let node = service_node(topology, name)?;
         dataplane
             .address_of_node(node)
-            .ok_or_else(|| ScenarioError::UnknownNode {
-                name: name.to_string(),
-            })
+            .ok_or_else(|| ScenarioError::UnknownNode { name: name.clone() })
     };
-    let kind = match &workload.kind {
-        WorkloadKind::IperfTcp {
-            client,
-            server,
-            algorithm,
-        } => ResolvedKind::IperfTcp {
-            client: addr_of(client)?,
-            server: addr_of(server)?,
-            algorithm: *algorithm,
-        },
-        WorkloadKind::IperfUdp {
-            client,
-            server,
-            rate,
-        } => ResolvedKind::IperfUdp {
-            client: addr_of(client)?,
-            server: addr_of(server)?,
-            rate: *rate,
-        },
-        WorkloadKind::Ping {
-            src,
-            dst,
-            count,
-            interval,
-        } => ResolvedKind::Ping {
-            src: addr_of(src)?,
-            dst: addr_of(dst)?,
-            count: *count,
-            interval: *interval,
-        },
-        WorkloadKind::Wrk2 {
-            server,
-            client,
-            connections,
-            request,
-        } => ResolvedKind::Wrk2 {
-            server: addr_of(server)?,
-            client: addr_of(client)?,
-            connections: *connections,
-            request: *request,
-        },
-        WorkloadKind::Curl {
-            server,
-            clients,
-            request,
-        } => ResolvedKind::Curl {
-            server: addr_of(server)?,
-            clients: clients
-                .iter()
-                .map(|c| addr_of(c))
-                .collect::<Result<Vec<_>, _>>()?,
-            request: *request,
-        },
-        WorkloadKind::Memcached {
-            server,
-            clients,
-            connections,
-        } => ResolvedKind::Memcached {
-            server: addr_of(server)?,
-            clients: clients
-                .iter()
-                .map(|c| addr_of(c))
-                .collect::<Result<Vec<_>, _>>()?,
-            connections: *connections,
-        },
-    };
-    let start = (SimTime::ZERO + workload.start).min(total_end);
-    let end = (SimTime::ZERO + workload.start + workload.effective_duration()).min(total_end);
-    Ok(ResolvedWorkload {
-        workload,
-        kind,
-        start,
-        end,
-    })
+    let clients = workload
+        .clients
+        .iter()
+        .map(addr_of)
+        .collect::<Result<_, _>>()?;
+    Ok((addr_of(&workload.server)?, clients))
 }
 
 #[cfg(test)]

@@ -20,24 +20,22 @@
 //! and handled at the next dispatch point, so a stepped session is
 //! **byte-identical** to the one-shot path (pinned by a property test).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
+use kollaps_core::collapse::Addressable;
 use kollaps_core::runtime::{Runtime, RuntimeEvent};
-use kollaps_netmodel::packet::FlowId;
+use kollaps_netmodel::packet::{Addr, FlowId};
 use kollaps_sim::prelude::*;
 use kollaps_topology::events::{DynamicAction, DynamicEvent, EventSchedule};
-use kollaps_topology::model::Topology;
+use kollaps_topology::model::{LinkId, Topology};
 
 use crate::backend::AnyDataplane;
 use crate::report::{
-    ConvergenceReport, DynamicsReport, FlowReport, HostMetadata, PhaseTimingReport, Report,
+    ConvergenceReport, DynamicsReport, HostMetadata, LinkReport, PhaseTimingReport, Report,
 };
-use crate::runner::{self, LinkDemand, ResolvedWorkload, State};
-use crate::telemetry::{
-    Aggregator, FlowProgress, FlowStatus, LinkLoad, Sample, Sink, TelemetryEvent,
-};
-use crate::workload::Workload;
+use crate::telemetry::{Aggregator, FlowProgress, LinkLoad, Sample, Sink, TelemetryEvent};
+use crate::workload::{LinkDemand, LiveWorkload, Workload};
 use crate::{Churn, ScenarioError};
 
 /// Everything that can go wrong while driving or steering a live session.
@@ -84,6 +82,11 @@ impl From<ScenarioError> for SessionError {
     }
 }
 
+/// Default wall-clock slice between event-dispatch rounds (same granularity
+/// the standalone wrk2/curl drivers used); overridable per scenario with
+/// [`crate::Scenario::step_interval`].
+pub(crate) const DEFAULT_STEP: SimDuration = SimDuration::from_millis(100);
+
 /// Construction bundle handed from the scenario builder to the session
 /// (the builder validated everything; the session only runs it).
 pub(crate) struct SessionInit {
@@ -92,7 +95,7 @@ pub(crate) struct SessionInit {
     pub hosts: usize,
     pub topology: Topology,
     pub dataplane: AnyDataplane,
-    pub workloads: Vec<ResolvedWorkload>,
+    pub workloads: Vec<Workload>,
     pub total_end: SimTime,
     pub duration_capped: bool,
     pub step: SimDuration,
@@ -100,8 +103,8 @@ pub(crate) struct SessionInit {
     pub recorder: kollaps_trace::Recorder,
 }
 
-/// A live experiment: the resumable state the one-shot runner used to keep
-/// on its stack; the module-level docs above state the stepping contract.
+/// A live experiment; the module-level docs above state the stepping
+/// contract.
 pub struct Session {
     rt: Runtime<AnyDataplane>,
     scenario_name: String,
@@ -110,14 +113,11 @@ pub struct Session {
     /// The declared (base) topology — the universe workload endpoints are
     /// validated and resolved against, injected ones included.
     topology: Topology,
-    workloads: Vec<ResolvedWorkload>,
-    states: Vec<State>,
+    /// One record per workload, in declaration order (injected ones
+    /// append).
+    workloads: Vec<LiveWorkload>,
+    /// Which workload each HTTP connection belongs to.
     owner: HashMap<FlowId, usize>,
-    reports: Vec<Option<FlowReport>>,
-    /// Last live progress of finalized workloads (their runtime state is
-    /// consumed by finalization, so the final view is snapshotted).
-    final_progress: Vec<Option<FlowProgress>>,
-    started_emitted: Vec<bool>,
     demands: Vec<LinkDemand>,
     /// Times the clock must land on exactly: workload window edges.
     boundaries: Vec<SimTime>,
@@ -151,7 +151,7 @@ pub struct Session {
 }
 
 impl Session {
-    pub(crate) fn new(init: SessionInit) -> Self {
+    pub(crate) fn new(init: SessionInit) -> Result<Self, ScenarioError> {
         let SessionInit {
             scenario_name,
             backend_name,
@@ -170,34 +170,16 @@ impl Session {
             "session_created",
             &[("workloads", workloads.len() as f64)],
         );
-        let mut rt = Runtime::new(dataplane);
-        let mut owner = HashMap::new();
-        let mut states = Vec::with_capacity(workloads.len());
-        for (idx, w) in workloads.iter().enumerate() {
-            states.push(runner::register_workload(&mut rt, &mut owner, idx, w));
-        }
-        let mut boundaries: Vec<SimTime> = workloads
-            .iter()
-            .flat_map(|w| [w.start, w.end])
-            .chain(std::iter::once(total_end))
-            .collect();
-        boundaries.sort();
-        boundaries.dedup();
-        let n = workloads.len();
-        Session {
-            rt,
+        let mut session = Session {
+            rt: Runtime::new(dataplane),
             scenario_name,
             backend_name,
             hosts,
             topology,
-            workloads,
-            states,
-            owner,
-            reports: (0..n).map(|_| None).collect(),
-            final_progress: (0..n).map(|_| None).collect(),
-            started_emitted: vec![false; n],
+            workloads: Vec::with_capacity(workloads.len()),
+            owner: HashMap::new(),
             demands: Vec::new(),
-            boundaries,
+            boundaries: vec![total_end],
             dispatched: SimTime::ZERO,
             cursor: SimTime::ZERO,
             total_end,
@@ -215,7 +197,32 @@ impl Session {
             seen_metadata_bytes: 0,
             oversubscribed: BTreeSet::new(),
             recorder,
+        };
+        for workload in workloads {
+            let endpoints =
+                crate::resolve_workload(&session.topology, &session.rt.dataplane, &workload)?;
+            let start = (SimTime::ZERO + workload.start).min(total_end);
+            let end =
+                (SimTime::ZERO + workload.start + workload.effective_duration()).min(total_end);
+            session.register(workload, endpoints, (start, end));
         }
+        Ok(session)
+    }
+
+    /// Registers a resolved workload for `window` and makes the window's
+    /// edges dispatch points.
+    fn register(
+        &mut self,
+        workload: Workload,
+        endpoints: (Addr, Vec<Addr>),
+        window: (SimTime, SimTime),
+    ) {
+        let idx = self.workloads.len();
+        let (rt, owner) = (&mut self.rt, &mut self.owner);
+        let live = LiveWorkload::register(rt, owner, idx, workload, endpoints, window);
+        self.workloads.push(live);
+        self.add_boundary(window.0);
+        self.add_boundary(window.1);
     }
 
     // ------------------------------------------------------------------
@@ -279,7 +286,7 @@ impl Session {
         // the last dispatch; anything left (zero-length timeline) ends
         // here.
         for idx in 0..self.workloads.len() {
-            if !matches!(self.states[idx], State::Done) {
+            if self.workloads[idx].finished.is_none() {
                 self.finalize_workload(idx);
             }
         }
@@ -359,25 +366,17 @@ impl Session {
                 let Some(&idx) = self.owner.get(&flow) else {
                     continue;
                 };
-                runner::handle_completion(
-                    &mut self.rt,
-                    &mut self.owner,
-                    &mut self.states[idx],
-                    idx,
-                    flow,
-                    at,
-                    &self.workloads,
-                );
+                self.workloads[idx].on_completion(&mut self.rt, &mut self.owner, idx, flow, at);
             }
         }
         self.dispatched = now;
         self.cursor = now;
         for idx in 0..self.workloads.len() {
-            if !self.started_emitted[idx] && self.workloads[idx].start <= now {
-                self.started_emitted[idx] = true;
+            let w = &mut self.workloads[idx];
+            if !w.started_emitted && w.start <= now {
+                w.started_emitted = true;
                 if !self.sinks.is_empty() {
-                    let w = &self.workloads[idx];
-                    let (client, server) = runner::endpoint_names(&w.workload);
+                    let (client, server) = w.workload.endpoint_names();
                     let event = TelemetryEvent::FlowStarted {
                         at_s: w.start.as_secs_f64(),
                         workload: w.workload.label().to_string(),
@@ -389,33 +388,27 @@ impl Session {
             }
         }
         for idx in 0..self.workloads.len() {
-            if self.workloads[idx].end == now && !matches!(self.states[idx], State::Done) {
+            let w = &self.workloads[idx];
+            if w.end == now && w.finished.is_none() {
                 self.finalize_workload(idx);
             }
         }
         self.dataplane_telemetry();
     }
 
-    /// Finalizes workload `idx` into its [`FlowReport`], snapshotting the
-    /// live progress first (finalization consumes the runtime state).
+    /// Finalizes workload `idx` into its [`crate::FlowReport`].
     fn finalize_workload(&mut self, idx: usize) {
-        let progress = FlowProgress {
-            status: FlowStatus::Finished,
-            ..self.progress_of(idx)
-        };
-        let state = std::mem::replace(&mut self.states[idx], State::Done);
-        let (report, flow_demands) = runner::finalize(&mut self.rt, &self.workloads[idx], state);
-        self.demands.extend(flow_demands);
-        self.aggregator.observe_flow(&report);
+        let w = &mut self.workloads[idx];
+        let at_s = w.end.as_secs_f64();
+        let report = w.finalize(&mut self.rt, &mut self.demands);
+        self.aggregator.observe_flow(report);
         if !self.sinks.is_empty() {
             let event = TelemetryEvent::FlowFinished {
-                at_s: self.workloads[idx].end.as_secs_f64(),
+                at_s,
                 report: Box::new(report.clone()),
             };
             self.emit(&event);
         }
-        self.reports[idx] = Some(report);
-        self.final_progress[idx] = Some(progress);
     }
 
     /// Detects and reports dataplane-side occurrences since the last
@@ -512,57 +505,10 @@ impl Session {
     /// Point-in-time progress of every workload, in declaration order
     /// (injected workloads append).
     pub fn flow_progress(&self) -> Vec<FlowProgress> {
-        (0..self.workloads.len())
-            .map(|idx| self.progress_of(idx))
+        self.workloads
+            .iter()
+            .map(|w| w.progress(&self.rt, self.cursor))
             .collect()
-    }
-
-    fn progress_of(&self, idx: usize) -> FlowProgress {
-        if let Some(done) = &self.final_progress[idx] {
-            return done.clone();
-        }
-        let w = &self.workloads[idx];
-        let (client, server) = runner::endpoint_names(&w.workload);
-        let status = if self.cursor < w.start {
-            FlowStatus::Pending
-        } else {
-            FlowStatus::Running
-        };
-        let (bytes, replies, requests) = match &self.states[idx] {
-            State::IperfTcp { flow } => (self.rt.tcp_received_bytes(*flow), 0, 0),
-            State::IperfUdp { flow } => (self.rt.udp_delivered_bytes(*flow), 0, 0),
-            State::Ping { flow } => (0, self.rt.ping_rtts(*flow).map(|s| s.len()).unwrap_or(0), 0),
-            State::Wrk2 {
-                requests,
-                bytes_per_client,
-                ..
-            }
-            | State::Curl {
-                requests,
-                bytes_per_client,
-                ..
-            } => (bytes_per_client.iter().sum(), 0, *requests),
-            State::Memcached { probes, .. } => (
-                0,
-                probes
-                    .iter()
-                    .map(|&p| self.rt.ping_rtts(p).map(|s| s.len()).unwrap_or(0))
-                    .sum(),
-                0,
-            ),
-            State::Done => (0, 0, 0),
-        };
-        FlowProgress {
-            workload: w.workload.label().to_string(),
-            client,
-            server,
-            status,
-            start_s: w.start.as_secs_f64(),
-            end_s: w.end.as_secs_f64(),
-            bytes,
-            replies,
-            requests,
-        }
     }
 
     /// Live offered load per original-topology link, from the emulation
@@ -728,58 +674,40 @@ impl Session {
     /// an explicit duration cap — the experiment end grows to cover its
     /// window.
     pub fn inject_workload(&mut self, workload: Workload) -> Result<(), SessionError> {
-        let unknown =
-            crate::unknown_workload_names(&self.topology, std::slice::from_ref(&workload));
-        if !unknown.is_empty() {
-            return Err(SessionError::Invalid(ScenarioError::UnknownNodes {
-                names: unknown,
-            }));
-        }
-        crate::validate_workload(&self.topology, &workload)?;
-        let mut resolved =
-            crate::resolve_workload(&self.topology, &self.rt.dataplane, workload, SimTime::MAX)?;
-        resolved.start = resolved.start.max(self.cursor);
-        resolved.end = resolved.start + resolved.workload.effective_duration();
+        crate::validate_workloads(&self.topology, std::slice::from_ref(&workload))?;
+        let endpoints = crate::resolve_workload(&self.topology, &self.rt.dataplane, &workload)?;
+        let start = (SimTime::ZERO + workload.start).max(self.cursor);
+        let mut end = start + workload.effective_duration();
         if self.duration_capped {
             // A capped timeline clips the window; a window clipped to
             // nothing would register a phantom flow that can never run.
-            if resolved.start >= self.total_end {
+            if start >= self.total_end {
                 return Err(SessionError::Invalid(ScenarioError::InvalidWorkload {
                     reason: format!(
                         "injected workload window starts at {:.3}s, at or beyond the \
                          scenario duration cap of {:.3}s",
-                        resolved.start.as_secs_f64(),
+                        start.as_secs_f64(),
                         self.total_end.as_secs_f64()
                     ),
                 }));
             }
-            resolved.end = resolved.end.min(self.total_end);
-        } else if resolved.end > self.total_end {
-            self.total_end = resolved.end;
-            self.add_boundary(resolved.end);
+            end = end.min(self.total_end);
+        } else if end > self.total_end {
+            self.total_end = end;
+            self.add_boundary(end);
         }
-        let idx = self.workloads.len();
-        let state = runner::register_workload(&mut self.rt, &mut self.owner, idx, &resolved);
-        self.add_boundary(resolved.start);
-        self.add_boundary(resolved.end);
-        self.recorder.instant(
-            0,
-            "inject_workload",
-            &[("start_s", resolved.start.as_secs_f64())],
-        );
+        let label = workload.label();
+        self.register(workload, endpoints, (start, end));
+        self.recorder
+            .instant(0, "inject_workload", &[("start_s", start.as_secs_f64())]);
         if !self.sinks.is_empty() {
             let event = TelemetryEvent::WorkloadInjected {
                 at_s: self.cursor.as_secs_f64(),
-                workload: resolved.workload.label().to_string(),
-                start_s: resolved.start.as_secs_f64(),
+                workload: label.to_string(),
+                start_s: start.as_secs_f64(),
             };
             self.emit(&event);
         }
-        self.workloads.push(resolved);
-        self.states.push(state);
-        self.reports.push(None);
-        self.final_progress.push(None);
-        self.started_emitted.push(false);
         Ok(())
     }
 
@@ -886,10 +814,43 @@ impl Session {
         }
     }
 
-    /// Assembles the final [`Report`] (the tail of the old one-shot
-    /// runner, verbatim).
+    /// Assembles the final [`Report`]. Offered load per link sums the
+    /// finalized workloads' bulk transfers over their paths in the final
+    /// snapshot.
     fn build_report(&mut self) -> Report {
-        let links = runner::link_reports(&self.rt, &self.demands);
+        let collapsed = self.rt.dataplane.collapsed();
+        let mut offered: BTreeMap<u32, f64> = BTreeMap::new();
+        for demand in &self.demands {
+            if demand.mbps <= 0.0 {
+                continue;
+            }
+            let Some(path) = collapsed.path_by_addr(demand.src, demand.dst) else {
+                continue;
+            };
+            for link in &path.links {
+                *offered.entry(link.0).or_default() += demand.mbps;
+            }
+        }
+        let links = offered
+            .into_iter()
+            .map(|(link, offered_mbps)| {
+                let capacity_mbps = collapsed
+                    .link_capacity(LinkId(link))
+                    .map(|b| b.as_mbps())
+                    .unwrap_or(f64::INFINITY);
+                let utilization = if capacity_mbps.is_finite() && capacity_mbps > 0.0 {
+                    offered_mbps / capacity_mbps
+                } else {
+                    0.0
+                };
+                LinkReport {
+                    link,
+                    capacity_mbps,
+                    offered_mbps,
+                    utilization,
+                }
+            })
+            .collect();
         let metadata_bytes = self.rt.dataplane.metadata_network_bytes();
         let metadata_per_host = self.metadata_per_host();
         let convergence = self.rt.dataplane.convergence().map(|c| ConvergenceReport {
@@ -929,9 +890,9 @@ impl Session {
             backend: std::mem::take(&mut self.backend_name),
             hosts: self.hosts,
             duration_s: self.total_end.as_secs_f64(),
-            flows: std::mem::take(&mut self.reports)
+            flows: std::mem::take(&mut self.workloads)
                 .into_iter()
-                .flatten()
+                .filter_map(|w| w.finished.map(|(report, _)| report))
                 .collect(),
             links,
             metadata_bytes,
@@ -974,7 +935,7 @@ fn validate_action(topology: &Topology, action: &DynamicAction) -> Result<(), Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, Scenario, Workload};
+    use crate::{Backend, FlowStatus, Scenario, Workload};
     use kollaps_topology::events::LinkChange;
     use kollaps_topology::generators;
 

@@ -188,79 +188,52 @@ fn algorithm_name(algorithm: CongestionAlgorithm) -> &'static str {
 }
 
 fn encode_workload(workload: &Workload) -> Value {
-    let mut fields: Vec<(&str, Value)> = Vec::new();
-    match &workload.kind {
-        WorkloadKind::IperfTcp {
-            client,
-            server,
-            algorithm,
-        } => {
-            fields.push(("kind", "iperf_tcp".into()));
-            fields.push(("client", client.as_str().into()));
-            fields.push(("server", server.as_str().into()));
-            fields.push(("algorithm", algorithm_name(*algorithm).into()));
-        }
-        WorkloadKind::IperfUdp {
-            client,
-            server,
-            rate,
-        } => {
-            fields.push(("kind", "iperf_udp".into()));
-            fields.push(("client", client.as_str().into()));
-            fields.push(("server", server.as_str().into()));
-            fields.push(("rate_bps", rate.as_bps().into()));
-        }
-        WorkloadKind::Ping {
-            src,
-            dst,
-            count,
-            interval,
-        } => {
-            fields.push(("kind", "ping".into()));
-            fields.push(("src", src.as_str().into()));
-            fields.push(("dst", dst.as_str().into()));
-            fields.push(("count", (*count).into()));
-            fields.push(("interval_ns", interval.as_nanos().into()));
-        }
+    let server = || workload.server.as_str().into();
+    let client = || workload.clients[0].as_str().into();
+    let clients = || Value::Array(workload.clients.iter().map(|c| c.as_str().into()).collect());
+    let mut fields: Vec<(&str, Value)> = match &workload.kind {
+        WorkloadKind::IperfTcp { algorithm } => vec![
+            ("kind", "iperf_tcp".into()),
+            ("client", client()),
+            ("server", server()),
+            ("algorithm", algorithm_name(*algorithm).into()),
+        ],
+        WorkloadKind::IperfUdp { rate } => vec![
+            ("kind", "iperf_udp".into()),
+            ("client", client()),
+            ("server", server()),
+            ("rate_bps", rate.as_bps().into()),
+        ],
+        WorkloadKind::Ping { count, interval } => vec![
+            ("kind", "ping".into()),
+            ("src", client()),
+            ("dst", server()),
+            ("count", (*count).into()),
+            ("interval_ns", interval.as_nanos().into()),
+        ],
         WorkloadKind::Wrk2 {
-            server,
-            client,
             connections,
             request,
-        } => {
-            fields.push(("kind", "wrk2".into()));
-            fields.push(("server", server.as_str().into()));
-            fields.push(("client", client.as_str().into()));
-            fields.push(("connections", (*connections).into()));
-            fields.push(("request_bytes", request.as_bytes().into()));
-        }
-        WorkloadKind::Curl {
-            server,
-            clients,
-            request,
-        } => {
-            fields.push(("kind", "curl".into()));
-            fields.push(("server", server.as_str().into()));
-            fields.push((
-                "clients",
-                Value::Array(clients.iter().map(|c| c.as_str().into()).collect()),
-            ));
-            fields.push(("request_bytes", request.as_bytes().into()));
-        }
-        WorkloadKind::Memcached {
-            server,
-            clients,
-            connections,
-        } => {
-            fields.push(("kind", "memcached".into()));
-            fields.push(("server", server.as_str().into()));
-            fields.push((
-                "clients",
-                Value::Array(clients.iter().map(|c| c.as_str().into()).collect()),
-            ));
-            fields.push(("connections", (*connections).into()));
-        }
-    }
+        } => vec![
+            ("kind", "wrk2".into()),
+            ("server", server()),
+            ("client", client()),
+            ("connections", (*connections).into()),
+            ("request_bytes", request.as_bytes().into()),
+        ],
+        WorkloadKind::Curl { request } => vec![
+            ("kind", "curl".into()),
+            ("server", server()),
+            ("clients", clients()),
+            ("request_bytes", request.as_bytes().into()),
+        ],
+        WorkloadKind::Memcached { connections } => vec![
+            ("kind", "memcached".into()),
+            ("server", server()),
+            ("clients", clients()),
+            ("connections", (*connections).into()),
+        ],
+    };
     fields.push(("start_ns", workload.start.as_nanos().into()));
     fields.push((
         "duration_ns",
@@ -270,7 +243,9 @@ fn encode_workload(workload: &Workload) -> Value {
 }
 
 fn decode_workload(value: &Value) -> Result<Workload, ScenarioError> {
-    let string_list = |key: &str| -> Result<Vec<String>, ScenarioError> {
+    let name = |key: &str| req_str(value, key).map(str::to_string);
+    let one = |key: &str| name(key).map(|n| vec![n]);
+    let list = |key: &str| -> Result<Vec<String>, ScenarioError> {
         req_array(value, key)?
             .iter()
             .map(|v| {
@@ -280,47 +255,55 @@ fn decode_workload(value: &Value) -> Result<Workload, ScenarioError> {
             })
             .collect()
     };
-    let kind = match req_str(value, "kind")? {
-        "iperf_tcp" => WorkloadKind::IperfTcp {
-            client: req_str(value, "client")?.to_string(),
-            server: req_str(value, "server")?.to_string(),
-            algorithm: match req_str(value, "algorithm")? {
+    let request = || req_u64(value, "request_bytes").map(DataSize::from_bytes);
+    let connections = || req_u64(value, "connections").map(|c| c as usize);
+    let (clients, server, kind) = match req_str(value, "kind")? {
+        "iperf_tcp" => {
+            let algorithm = match req_str(value, "algorithm")? {
                 "reno" => CongestionAlgorithm::Reno,
                 "cubic" => CongestionAlgorithm::Cubic,
                 other => return Err(spec_err(format!("unknown congestion algorithm `{other}`"))),
-            },
-        },
-        "iperf_udp" => WorkloadKind::IperfUdp {
-            client: req_str(value, "client")?.to_string(),
-            server: req_str(value, "server")?.to_string(),
-            rate: Bandwidth::from_bps(req_u64(value, "rate_bps")?),
-        },
-        "ping" => WorkloadKind::Ping {
-            src: req_str(value, "src")?.to_string(),
-            dst: req_str(value, "dst")?.to_string(),
-            count: req_u64(value, "count")?,
-            interval: SimDuration::from_nanos(req_u64(value, "interval_ns")?),
-        },
-        "wrk2" => WorkloadKind::Wrk2 {
-            server: req_str(value, "server")?.to_string(),
-            client: req_str(value, "client")?.to_string(),
-            connections: req_u64(value, "connections")? as usize,
-            request: DataSize::from_bytes(req_u64(value, "request_bytes")?),
-        },
-        "curl" => WorkloadKind::Curl {
-            server: req_str(value, "server")?.to_string(),
-            clients: string_list("clients")?,
-            request: DataSize::from_bytes(req_u64(value, "request_bytes")?),
-        },
-        "memcached" => WorkloadKind::Memcached {
-            server: req_str(value, "server")?.to_string(),
-            clients: string_list("clients")?,
-            connections: req_u64(value, "connections")? as usize,
-        },
+            };
+            let kind = WorkloadKind::IperfTcp { algorithm };
+            (one("client")?, name("server")?, kind)
+        }
+        "iperf_udp" => {
+            let rate = Bandwidth::from_bps(req_u64(value, "rate_bps")?);
+            let kind = WorkloadKind::IperfUdp { rate };
+            (one("client")?, name("server")?, kind)
+        }
+        "ping" => {
+            let kind = WorkloadKind::Ping {
+                count: req_u64(value, "count")?,
+                interval: SimDuration::from_nanos(req_u64(value, "interval_ns")?),
+            };
+            (one("src")?, name("dst")?, kind)
+        }
+        "wrk2" => {
+            let kind = WorkloadKind::Wrk2 {
+                connections: connections()?,
+                request: request()?,
+            };
+            (one("client")?, name("server")?, kind)
+        }
+        "curl" => {
+            let kind = WorkloadKind::Curl {
+                request: request()?,
+            };
+            (list("clients")?, name("server")?, kind)
+        }
+        "memcached" => {
+            let kind = WorkloadKind::Memcached {
+                connections: connections()?,
+            };
+            (list("clients")?, name("server")?, kind)
+        }
         other => return Err(spec_err(format!("unknown workload kind `{other}`"))),
     };
     Ok(Workload {
         kind,
+        server,
+        clients,
         start: SimDuration::from_nanos(req_u64(value, "start_ns")?),
         duration: opt_u64(value, "duration_ns")?.map(SimDuration::from_nanos),
     })

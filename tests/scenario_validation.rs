@@ -148,6 +148,22 @@ fn self_flows_and_zero_rates_are_rejected() {
         matches!(err, ScenarioError::InvalidWorkload { .. }),
         "{err}"
     );
+
+    // An empty response would still put one full segment on the wire.
+    let empty = DataSize::from_bytes(0);
+    for workload in [
+        Workload::wrk2("server", "client").request_size(empty),
+        Workload::curl("server", &["client"]).request_size(empty),
+    ] {
+        let err = Scenario::from_topology(p2p())
+            .workload(workload)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::InvalidWorkload { ref reason } if reason.contains("request size")),
+            "{err}"
+        );
+    }
 }
 
 #[test]
