@@ -208,8 +208,8 @@ pub struct KollapsDataplane {
     dynamics: DynamicsStats,
     /// One Emulation Manager per physical host, in host-id order.
     managers: Vec<EmulationManager>,
-    /// Physical host of each container.
-    placement: HashMap<Addr, HostId>,
+    /// Physical host of each container, by container index.
+    placement: Vec<HostId>,
     /// The dissemination transport. The in-process default is the modeled
     /// [`DisseminationBus`]; the distributed runtime swaps in a socket-backed
     /// implementation via [`KollapsDataplane::set_bus`].
@@ -309,24 +309,24 @@ impl KollapsDataplane {
         let hosts = hosts.max(1);
         let host_ids: Vec<HostId> = (0..hosts as u32).map(HostId).collect();
         let rng = SimRng::new(config.seed);
-        // `addresses()` yields (service, addr); sort by address for stable
-        // round-robin placement.
-        let mut addressed: Vec<(NodeId, Addr)> = collapsed.addresses().collect();
-        addressed.sort_by_key(|&(_, a)| a);
-        let mut placement = HashMap::new();
-        let mut by_host: HashMap<HostId, Vec<Addr>> =
-            host_ids.iter().map(|&h| (h, Vec::new())).collect();
-        for (i, &(node, addr)) in addressed.iter().enumerate() {
+        // `addresses()` yields (service, addr) in container-index order, so
+        // round-robin placement follows the address.
+        let mut placement = Vec::new();
+        let mut by_host: Vec<Vec<Addr>> = vec![Vec::new(); hosts];
+        for (i, (node, addr)) in collapsed.addresses().enumerate() {
             let host = match pinned.get(&node) {
-                Some(&h) => HostId(h.min(hosts as u32 - 1)),
-                None => host_ids[i % hosts],
+                Some(&h) => (h as usize).min(hosts - 1),
+                None => i % hosts,
             };
-            placement.insert(addr, host);
-            by_host.entry(host).or_default().push(addr);
+            placement.push(HostId(host as u32));
+            by_host[host].push(addr);
         }
         let managers: Vec<EmulationManager> = host_ids
             .iter()
-            .map(|&h| EmulationManager::new(h, config, Arc::clone(&collapsed), &by_host[&h], &rng))
+            .zip(&by_host)
+            .map(|(&h, local)| {
+                EmulationManager::new(h, config, Arc::clone(&collapsed), local, &rng)
+            })
             .collect();
         let bus = Box::new(DisseminationBus::new(host_ids, config.metadata_delay));
         KollapsDataplane {
@@ -459,7 +459,9 @@ impl KollapsDataplane {
 
     /// The physical host a container is placed on.
     pub fn placement_of(&self, addr: Addr) -> Option<HostId> {
-        self.placement.get(&addr).copied()
+        self.placement
+            .get(addr.container_index()? as usize)
+            .copied()
     }
 
     /// How close the decentralized enforcement tracked the omniscient
@@ -585,13 +587,13 @@ impl KollapsDataplane {
     }
 
     fn manager_of(&self, addr: Addr) -> Option<&EmulationManager> {
-        let host = self.placement.get(&addr)?;
+        let host = self.placement_of(addr)?;
         self.managers.get(host.0 as usize)
     }
 
     fn extra_delay(&self, src: Addr, dst: Addr) -> SimDuration {
         let mut extra = self.config.container_overhead * 2;
-        if self.placement.get(&src) != self.placement.get(&dst) {
+        if self.placement_of(src) != self.placement_of(dst) {
             extra += self.config.cross_host_delay;
         }
         extra
@@ -749,16 +751,14 @@ impl Dataplane for KollapsDataplane {
     fn send(&mut self, now: SimTime, packet: Packet) -> SendOutcome {
         // Unknown destinations (an address that never belonged to a service
         // of this deployment) are dropped up front instead of being offered
-        // to the qdisc tree — same outcome the tree's classifier would
-        // reach, but with no risk of accounting a doomed packet.
+        // to the qdisc tree — same outcome the tree would reach, but with
+        // no risk of accounting a doomed packet.
         if self.collapsed.service_at(packet.dst).is_none() {
             return SendOutcome::Dropped(kollaps_netmodel::packet::DropReason::Unreachable);
         }
         let verdict = self
-            .placement
-            .get(&packet.src)
-            .map(|h| h.0 as usize)
-            .and_then(|i| self.managers.get_mut(i))
+            .placement_of(packet.src)
+            .and_then(|host| self.managers.get_mut(host.0 as usize))
             .and_then(|manager| manager.enqueue(now, packet));
         match verdict {
             Some(EgressVerdict::Queued) => SendOutcome::Sent,

@@ -22,7 +22,7 @@
 //! disagree about the allocation — the convergence of those local decisions
 //! is exactly what the accuracy-vs-staleness experiment measures.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kollaps_metadata::bus::{Bus, Delivery, HostId};
@@ -68,15 +68,15 @@ struct Tcal {
 }
 
 impl Tcal {
-    /// Recomputes the tree's wake and moves its key in the manager's index.
-    fn reindex(&mut self, now: SimTime, addr: Addr, wakes: &mut BTreeSet<(SimTime, Addr)>) {
+    /// Recomputes the tree's wake and moves its `(wake, slot)` key in the index.
+    fn reindex(&mut self, now: SimTime, slot: usize, wakes: &mut BTreeSet<(SimTime, usize)>) {
         let wake = self.tree.next_wakeup(now).filter(|&t| t < SimTime::MAX);
         if wake != self.wake {
             if let Some(old) = self.wake {
-                wakes.remove(&(old, addr));
+                wakes.remove(&(old, slot));
             }
             if let Some(new) = wake {
-                wakes.insert((new, addr));
+                wakes.insert((new, slot));
             }
             self.wake = wake;
         }
@@ -101,11 +101,11 @@ pub struct EmulationManager {
     /// read-only (the paths map is O(services²) — one copy, not one per
     /// host).
     collapsed: Arc<CollapsedTopology>,
-    /// Egress qdisc tree per **local** container, in address order: trees
-    /// are drained in that order so that same-instant packets enter the
-    /// delivery queue deterministically.
-    egress: BTreeMap<Addr, Tcal>,
-    /// The **wake index**: `(wake, addr)` for every local tree that needs
+    /// Egress qdisc tree per **local** container, one slot each in address
+    /// order: trees are drained in that order so that same-instant packets
+    /// enter the delivery queue deterministically.
+    egress: Vec<Tcal>,
+    /// The **wake index**: `(wake, slot)` for every local tree that needs
     /// service at a finite time, so the per-event question "when next?" is
     /// one read instead of a poll of every deployed tree. Exact, not a hint:
     /// the htb refills at `max(dequeue_cursor, enqueued_at)`, never at the
@@ -113,10 +113,10 @@ pub struct EmulationManager {
     /// only where [`Tcal::reindex`] is called — an enqueue into an empty htb
     /// class, a `dequeue_ready` poll of a due tree, `set_bandwidth`,
     /// `install_path` and `remove_path`.
-    wakes: BTreeSet<(SimTime, Addr)>,
-    /// A local tree lost a chain since the last poll. The removed class
-    /// stays in that tree's active list until a poll compacts it, and where
-    /// the compaction lands among later enqueues decides the order
+    wakes: BTreeSet<(SimTime, usize)>,
+    /// A local tree lost a chain since the last poll. The removed chain's
+    /// entry stays in that tree's active list until a poll compacts it, and
+    /// where the compaction lands among later enqueues decides the order
     /// same-instant packets leave in, so the next `dequeue_ready` polls
     /// whatever the wake index says.
     chain_removed: bool,
@@ -124,8 +124,8 @@ pub struct EmulationManager {
     /// construction (deterministic work counters).
     trees_visited: u64,
     trees_emitted: u64,
-    /// Latest received usage per remote host.
-    remote: HashMap<HostId, RemoteUsage>,
+    /// Latest received usage by remote host id (empty if never heard from).
+    remote: Vec<RemoteUsage>,
     /// Local usage measured in the current loop iteration, sorted by pair.
     usages: Vec<((Addr, Addr), Bandwidth)>,
     /// Rates enforced on local pairs in the last iteration, sorted by pair.
@@ -163,6 +163,15 @@ fn table_remove<K: Ord + Copy, V>(table: &mut Vec<(K, V)>, key: K) {
     }
 }
 
+/// The slot of a local container's tree in the address-ordered `egress`,
+/// and the tree.
+fn local_tcal(egress: &mut [Tcal], addr: Addr) -> Option<(usize, &mut Tcal)> {
+    let slot = egress
+        .binary_search_by_key(&addr, |tcal| tcal.tree.owner())
+        .ok()?;
+    Some((slot, egress.get_mut(slot)?))
+}
+
 impl EmulationManager {
     /// Builds the manager for `host`, owning the TCALs of `local` containers.
     pub fn new(
@@ -172,11 +181,13 @@ impl EmulationManager {
         local: &[Addr],
         rng: &SimRng,
     ) -> Self {
-        let mut egress = BTreeMap::new();
+        let mut egress: Vec<Tcal> = Vec::new();
         for &addr in local {
             let tree = EgressTree::new(addr, rng.derive(u64::from(addr.as_u32())));
-            egress.insert(addr, Tcal { tree, wake: None });
+            egress.push(Tcal { tree, wake: None });
         }
+        egress.sort_unstable_by_key(|tcal| tcal.tree.owner());
+        egress.dedup_by_key(|tcal| tcal.tree.owner());
         let mut manager = EmulationManager {
             host,
             config,
@@ -186,7 +197,7 @@ impl EmulationManager {
             chain_removed: false,
             trees_visited: 0,
             trees_emitted: 0,
-            remote: HashMap::new(),
+            remote: Vec::new(),
             usages: Vec::new(),
             last_allocation: Vec::new(),
             oversub_streak: Vec::new(),
@@ -255,11 +266,10 @@ impl EmulationManager {
 
     /// Offers a packet from a local container to its egress tree.
     pub fn enqueue(&mut self, now: SimTime, packet: Packet) -> Option<EgressVerdict> {
-        let src = packet.src;
-        let tcal = self.egress.get_mut(&src)?;
+        let (slot, tcal) = local_tcal(&mut self.egress, packet.src)?;
         let (verdict, new_head) = tcal.tree.offer(now, packet);
         if new_head {
-            tcal.reindex(now, src, &mut self.wakes);
+            tcal.reindex(now, slot, &mut self.wakes);
         }
         Some(verdict)
     }
@@ -278,13 +288,13 @@ impl EmulationManager {
         }
         self.chain_removed = false;
         let mut out = Vec::new();
-        for (&addr, tcal) in &mut self.egress {
+        for (slot, tcal) in self.egress.iter_mut().enumerate() {
             let before = out.len();
             out.extend(tcal.tree.dequeue_ready(now));
             self.trees_visited += 1;
             self.trees_emitted += u64::from(out.len() > before);
             if tcal.wake.is_some_and(|wake| wake <= now) {
-                tcal.reindex(now, addr, &mut self.wakes);
+                tcal.reindex(now, slot, &mut self.wakes);
             }
         }
         out
@@ -307,8 +317,9 @@ impl EmulationManager {
         let mut span = self.recorder.span(self.lane, "worker:collect");
         let interval = self.config.loop_interval;
         self.usages.clear();
-        for (&src, Tcal { tree, .. }) in &mut self.egress {
-            for (&dst, &bytes) in tree.usage() {
+        for Tcal { tree, .. } in &mut self.egress {
+            let src = tree.owner();
+            for (dst, bytes) in tree.usage() {
                 let mut rate = bytes.rate_over(interval);
                 // The token bucket lets a burst through above the shaped
                 // rate; reporting that transient as usage would make a
@@ -325,8 +336,8 @@ impl EmulationManager {
             tree.clear_usage();
         }
         // One sort here replaces the per-loop re-sorts `publish` and
-        // `enforce` used to do (a tree's usage map iterates in arbitrary
-        // order).
+        // `enforce` used to do (a tree yields its usage in the order the
+        // destinations first saw bytes).
         self.usages.sort_unstable_by_key(|&(key, _)| key);
         span.arg("local_flows", self.usages.len() as f64);
     }
@@ -361,18 +372,16 @@ impl EmulationManager {
     /// network delay).
     pub fn absorb(&mut self, deliveries: Vec<Delivery>) {
         for delivery in deliveries {
-            let newer = self
-                .remote
-                .get(&delivery.from)
-                .is_none_or(|prev| prev.published <= delivery.published);
-            if newer {
-                self.remote.insert(
-                    delivery.from,
-                    RemoteUsage {
-                        published: delivery.published,
-                        flows: delivery.message.flows,
-                    },
-                );
+            let host = delivery.from.0 as usize;
+            if host >= self.remote.len() {
+                self.remote.resize_with(host + 1, RemoteUsage::default);
+            }
+            let view = &mut self.remote[host];
+            if view.published <= delivery.published {
+                *view = RemoteUsage {
+                    published: delivery.published,
+                    flows: delivery.message.flows,
+                };
             }
         }
     }
@@ -398,19 +407,18 @@ impl EmulationManager {
             local_keys.push((src, dst));
         }
 
-        let mut remote_views: Vec<(&HostId, &RemoteUsage)> = self.remote.iter().collect();
-        remote_views.sort_by_key(|(&host, _)| host);
         // Remote paths arrive as 16-bit wire ids: widen them all into the
-        // reused arena first, then hand each flow its run of it.
+        // reused arena first, then hand each flow its run of it. Views are
+        // walked in host order.
         let mut remote_links = std::mem::take(&mut self.remote_links);
         remote_links.clear();
-        for (_, view) in &remote_views {
+        for view in &self.remote {
             for flow in &view.flows {
                 remote_links.extend(flow.link_ids.iter().map(|&l| LinkId(u32::from(l))));
             }
         }
         let mut unassigned: &[LinkId] = &remote_links;
-        for (_, view) in &remote_views {
+        for view in &self.remote {
             for flow in &view.flows {
                 let (links, rest) = unassigned.split_at(flow.link_ids.len());
                 unassigned = rest;
@@ -483,8 +491,8 @@ impl EmulationManager {
         let previously: Vec<(Addr, Addr)> =
             self.last_allocation.iter().map(|&(key, _)| key).collect();
         self.last_allocation.clear();
-        // Trees whose rates were rewritten, re-indexed once each at the end.
-        let mut touched: Vec<Addr> = Vec::new();
+        // Trees (by slot) whose rates were rewritten, re-indexed once each at the end.
+        let mut touched: Vec<usize> = Vec::new();
         for (&(src, dst), &rate) in local_keys.iter().zip(&local_rates) {
             let Some(path) = self.collapsed.path_by_addr(src, dst) else {
                 continue;
@@ -498,10 +506,10 @@ impl EmulationManager {
                 }
             }
             let loss = 1.0 - (1.0 - path.loss) * (1.0 - congestion);
-            if let Some(Tcal { tree, .. }) = self.egress.get_mut(&src) {
+            if let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src) {
                 tree.set_bandwidth(now, dst, rate);
                 tree.set_loss(dst, loss);
-                touched.push(src);
+                touched.push(slot);
             }
             // `local_keys` is sorted by pair, so pushes keep the table sorted.
             self.last_allocation.push(((src, dst), rate));
@@ -510,7 +518,7 @@ impl EmulationManager {
             if table_get(&self.last_allocation, (src, dst)).is_some() {
                 continue;
             }
-            let Some(Tcal { tree, .. }) = self.egress.get_mut(&src) else {
+            let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src) else {
                 continue;
             };
             // A pair whose path disappeared had its chain removed by the
@@ -518,7 +526,7 @@ impl EmulationManager {
             if let Some(path) = self.collapsed.path_by_addr(src, dst) {
                 tree.set_bandwidth(now, dst, path.max_bandwidth);
                 tree.set_loss(dst, path.loss);
-                touched.push(src);
+                touched.push(slot);
             }
         }
         self.reindex(now, touched);
@@ -537,17 +545,17 @@ impl EmulationManager {
         self.allocator.invalidate();
         let collapsed = Arc::clone(&self.collapsed);
         let mut touched = 0;
-        let mut trees: Vec<Addr> = Vec::new();
+        let mut trees: Vec<usize> = Vec::new();
         for &(src, dst) in &delta.removed_paths {
             let (Some(src_addr), Some(dst_addr)) =
                 (collapsed.address_of(src), collapsed.address_of(dst))
             else {
                 continue;
             };
-            if let Some(Tcal { tree, .. }) = self.egress.get_mut(&src_addr) {
+            if let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src_addr) {
                 if tree.remove_path(dst_addr) {
                     touched += 1;
-                    trees.push(src_addr);
+                    trees.push(slot);
                     self.chain_removed = true;
                 }
                 table_remove(&mut self.last_allocation, (src_addr, dst_addr));
@@ -559,7 +567,7 @@ impl EmulationManager {
             else {
                 continue;
             };
-            let Some(Tcal { tree, .. }) = self.egress.get_mut(&src_addr) else {
+            let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src_addr) else {
                 continue;
             };
             let Some(path) = collapsed.path(src, dst) else {
@@ -576,19 +584,19 @@ impl EmulationManager {
                 .min(path.max_bandwidth);
             tree.install_path(dst_addr, netem, rate);
             touched += 1;
-            trees.push(src_addr);
+            trees.push(slot);
         }
         self.reindex(SimTime::ZERO + delta.at, trees);
         touched
     }
 
-    /// Re-indexes the wake of every listed local tree, once each.
-    fn reindex(&mut self, now: SimTime, mut trees: Vec<Addr>) {
-        trees.sort_unstable();
-        trees.dedup();
-        for addr in trees {
-            if let Some(tcal) = self.egress.get_mut(&addr) {
-                tcal.reindex(now, addr, &mut self.wakes);
+    /// Re-indexes the wake of every listed local tree (by slot), once each.
+    fn reindex(&mut self, now: SimTime, mut slots: Vec<usize>) {
+        slots.sort_unstable();
+        slots.dedup();
+        for slot in slots {
+            if let Some(tcal) = self.egress.get_mut(slot) {
+                tcal.reindex(now, slot, &mut self.wakes);
             }
         }
     }
@@ -597,8 +605,9 @@ impl EmulationManager {
     /// from the initial collapsed snapshot; later snapshots arrive as deltas.
     fn install_local_paths(&mut self) {
         let collapsed = Arc::clone(&self.collapsed);
-        for (src_node, src_addr) in collapsed.addresses() {
-            let Some(Tcal { tree, .. }) = self.egress.get_mut(&src_addr) else {
+        for Tcal { tree, .. } in &mut self.egress {
+            let src_addr = tree.owner();
+            let Some(src_node) = collapsed.service_at(src_addr) else {
                 continue;
             };
             for (dst_node, dst_addr) in collapsed.addresses() {
@@ -631,7 +640,7 @@ impl EmulationManager {
 impl EmulationManager {
     fn scan_next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
         self.egress
-            .values_mut()
+            .iter_mut()
             .filter_map(|tcal| tcal.tree.next_wakeup(now))
             .filter(|&t| t < SimTime::MAX)
             .min()
@@ -641,10 +650,10 @@ impl EmulationManager {
     /// the wake index and the removal flag say.
     fn scan_dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = Vec::new();
-        for (&addr, tcal) in &mut self.egress {
+        for (slot, tcal) in self.egress.iter_mut().enumerate() {
             out.extend(tcal.tree.dequeue_ready(now));
             if tcal.wake.is_some_and(|wake| wake <= now) {
-                tcal.reindex(now, addr, &mut self.wakes);
+                tcal.reindex(now, slot, &mut self.wakes);
             }
         }
         out
@@ -656,20 +665,23 @@ impl EmulationManager {
     /// packet order later, so such a tree is polled once more whatever its
     /// wake.
     fn indexed_dequeue_ready(&mut self, now: SimTime, revisit: &[Addr]) -> Vec<Packet> {
-        let mut due: Vec<Addr> = revisit.to_vec();
+        let mut due: Vec<usize> = revisit
+            .iter()
+            .filter_map(|&addr| local_tcal(&mut self.egress, addr).map(|(slot, _)| slot))
+            .collect();
         due.extend(
             self.wakes
                 .iter()
                 .take_while(|&&(wake, _)| wake <= now)
-                .map(|&(_, addr)| addr),
+                .map(|&(_, slot)| slot),
         );
         due.sort_unstable();
         due.dedup();
         let mut out = Vec::new();
-        for addr in due {
-            if let Some(tcal) = self.egress.get_mut(&addr) {
+        for slot in due {
+            if let Some(tcal) = self.egress.get_mut(slot) {
                 out.extend(tcal.tree.dequeue_ready(now));
-                tcal.reindex(now, addr, &mut self.wakes);
+                tcal.reindex(now, slot, &mut self.wakes);
             }
         }
         out
@@ -794,12 +806,11 @@ mod tests {
                         Bandwidth::from_kbps(rng.gen_range(64, 50_000))
                     };
                     for m in [&mut gated, &mut indexed, &mut scanned] {
-                        if let Some(tcal) = m.egress.get_mut(&addr(src)) {
-                            tcal.tree.set_bandwidth(now, addr(dst), rate);
-                            let wake = tcal.tree.next_wakeup(now);
-                            stalled += usize::from(wake == Some(SimTime::MAX));
-                        }
-                        m.reindex(now, vec![addr(src)]);
+                        let (slot, tcal) = local_tcal(&mut m.egress, addr(src)).expect("local");
+                        tcal.tree.set_bandwidth(now, addr(dst), rate);
+                        let wake = tcal.tree.next_wakeup(now);
+                        stalled += usize::from(wake == Some(SimTime::MAX));
+                        m.reindex(now, vec![slot]);
                     }
                 }
                 91..=93 => {
@@ -855,7 +866,7 @@ mod tests {
         assert!(emitted > 0 && visited >= emitted);
     }
 
-    /// The egress map's key order is the drain order: same-instant packets
+    /// The egress slot order is the drain order: same-instant packets
     /// from different local containers leave in container-address order,
     /// whatever order they were offered in.
     #[test]
@@ -901,7 +912,7 @@ mod tests {
     }
 
     /// A removed chain is compacted out of its tree's active list by the
-    /// manager's next poll even when nothing is due then: the class that
+    /// manager's next poll even when nothing is due then: the chain that
     /// enters the list afterwards must find it as polling on every event
     /// left it, or packets released together later leave in another order.
     ///

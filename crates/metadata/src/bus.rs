@@ -123,8 +123,8 @@ pub struct DisseminationBus {
     hosts: Vec<HostId>,
     network_delay: SimDuration,
     in_flight: VecDeque<InFlight>,
-    /// Messages ready for pick-up, per destination host.
-    mailboxes: HashMap<HostId, Vec<Delivery>>,
+    /// Messages ready for pick-up, by destination host id.
+    mailboxes: Vec<Vec<Delivery>>,
     accounting: TrafficAccounting,
 }
 
@@ -132,7 +132,8 @@ impl DisseminationBus {
     /// Creates a bus connecting `hosts`, with the given one-way delay on the
     /// physical network between them.
     pub fn new(hosts: Vec<HostId>, network_delay: SimDuration) -> Self {
-        let mailboxes = hosts.iter().map(|&h| (h, Vec::new())).collect();
+        let slots = hosts.iter().map(|h| h.0 as usize + 1).max().unwrap_or(0);
+        let mailboxes = vec![Vec::new(); slots];
         DisseminationBus {
             hosts,
             network_delay,
@@ -186,7 +187,8 @@ impl DisseminationBus {
                 // never received.
                 *self.accounting.received_bytes.entry(m.to).or_default() +=
                     m.message.encoded_len() as u64;
-                self.mailboxes.entry(m.to).or_default().push(Delivery {
+                // `m.to` is one of `hosts`, so it has a mailbox.
+                self.mailboxes[m.to.0 as usize].push(Delivery {
                     from: m.message.sender,
                     published: m.message.published,
                     message: m.message,
@@ -202,7 +204,10 @@ impl DisseminationBus {
     /// and publish time.
     pub fn drain(&mut self, now: SimTime, host: HostId) -> Vec<Delivery> {
         self.advance(now);
-        self.mailboxes.entry(host).or_default().drain(..).collect()
+        self.mailboxes
+            .get_mut(host.0 as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 }
 

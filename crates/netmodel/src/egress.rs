@@ -1,18 +1,19 @@
-//! Per-container egress pipeline: u32 filter → netem → htb.
+//! Per-container egress pipeline: destination index → htb → netem.
 //!
 //! This is the structure the Kollaps TCAL installs inside every application
-//! container. For each *destination* there is one netem qdisc (latency,
-//! jitter, loss) feeding one htb class (bandwidth). The emulation loop reads
+//! container. For each *destination* there is one htb class (bandwidth)
+//! whose child is one netem qdisc (latency, jitter, loss). The TCAL's u32
+//! filter steers a packet to its chain with a two-level table on the third
+//! and fourth octets of the destination; on the 10.1.0.0/16 container
+//! network that is the container index (third octet × 256 + fourth octet),
+//! so the tree indexes its chains by it directly. The emulation loop reads
 //! back per-destination transmitted-byte counters from here and adjusts the
 //! htb rates and netem loss.
-
-use std::collections::HashMap;
 
 use kollaps_sim::rng::SimRng;
 use kollaps_sim::time::SimTime;
 use kollaps_sim::units::{Bandwidth, DataSize};
 
-use crate::filter::{ClassId, U32Filter};
 use crate::htb::{HtbConfig, HtbQdisc, HtbVerdict};
 use crate::netem::{NetemConfig, NetemQdisc};
 use crate::packet::{Addr, DropReason, Packet};
@@ -39,8 +40,13 @@ pub enum EgressVerdict {
 struct Chain {
     htb: HtbQdisc,
     netem: NetemQdisc,
-    /// `true` while this chain's [`ClassId`] is in [`EgressTree::active`] —
-    /// an O(1) membership test for the per-packet enqueue path.
+    /// `(destination index, install sequence number)`: this chain's entry
+    /// in [`EgressTree::active`]. The sequence number is unique within the
+    /// tree, so an entry left by a removed chain never stands for one
+    /// re-installed at its destination.
+    key: (u32, u32),
+    /// `true` while this chain is in [`EgressTree::active`] — an O(1)
+    /// membership test for the per-packet enqueue path.
     listed_active: bool,
 }
 
@@ -51,27 +57,52 @@ impl Chain {
     }
 }
 
+/// One destination of the tree: the chain installed towards it, if any, and
+/// the bytes that left the shaper towards it in the current loop interval.
+/// The bytes belong to the destination, not to the chain, so they outlive a
+/// [`EgressTree::remove_path`] until [`EgressTree::clear_usage`].
+#[derive(Debug, Default)]
+struct Slot {
+    chain: Option<Box<Chain>>,
+    usage: DataSize,
+}
+
 /// The egress qdisc tree of a single container.
 #[derive(Debug)]
 pub struct EgressTree {
     owner: Addr,
-    /// The only destination → class index: the same two-level table that
-    /// classifies packets also answers every per-destination control call.
-    filter: U32Filter,
-    chains: HashMap<ClassId, Chain>,
-    next_class: u32,
+    /// One slot per destination container index, grown on install.
+    slots: Vec<Slot>,
+    next_seq: u32,
     rng: SimRng,
-    /// Bytes read but not yet cleared by the emulation loop, per destination.
-    usage_since_clear: HashMap<Addr, DataSize>,
-    /// Chains currently holding packets. Wakeup and dequeue scans touch only
-    /// these; with hundreds of installed per-destination chains and a
-    /// handful of active flows this is the difference between O(flows) and
-    /// O(destinations) per event.
-    active: Vec<ClassId>,
+    /// Indexes of the slots counting bytes this interval, in first-byte
+    /// order: reading and clearing usage costs O(active destinations).
+    used: Vec<u32>,
+    /// The keys of the chains holding packets. Wakeup and dequeue scans
+    /// touch only these; with hundreds of installed per-destination chains
+    /// and a handful of active flows this is the difference between
+    /// O(flows) and O(destinations) per event.
+    active: Vec<(u32, u32)>,
     /// Packets lost to [`EgressTree::remove_path`]: what the removed chains
     /// still held plus their netem drop counters, so
     /// [`EgressTree::dropped_packets`] never goes down.
     dropped_removed: u64,
+}
+
+/// The chain towards `dst`, if one is installed.
+fn chain_at(slots: &mut [Slot], dst: Addr) -> Option<&mut Chain> {
+    slots
+        .get_mut(dst.container_index()? as usize)?
+        .chain
+        .as_deref_mut()
+}
+
+/// The chain an active entry stands for, if it is still installed, with
+/// its destination's usage.
+fn listed(slots: &mut [Slot], key: (u32, u32)) -> Option<(&mut Chain, &mut DataSize)> {
+    let Slot { chain, usage } = slots.get_mut(key.0 as usize)?;
+    let chain = chain.as_deref_mut().filter(|chain| chain.key == key)?;
+    Some((chain, usage))
 }
 
 impl EgressTree {
@@ -79,11 +110,10 @@ impl EgressTree {
     pub fn new(owner: Addr, rng: SimRng) -> Self {
         EgressTree {
             owner,
-            filter: U32Filter::new(),
-            chains: HashMap::new(),
-            next_class: 1,
+            slots: Vec::new(),
+            next_seq: 1,
             rng,
-            usage_since_clear: HashMap::new(),
+            used: Vec::new(),
             active: Vec::new(),
             dropped_removed: 0,
         }
@@ -95,57 +125,63 @@ impl EgressTree {
     }
 
     /// Installs (or replaces) the chain towards `dst` with the given netem
-    /// and htb settings — the TCAL `init`/`update` path.
+    /// and htb settings — the TCAL `init`/`update` path. A destination
+    /// outside the container network has no slot and gets no chain.
     pub fn install_path(&mut self, dst: Addr, netem: NetemConfig, bandwidth: Bandwidth) {
-        let rng = self.rng.derive(u64::from(dst.as_u32()));
-        match self.filter.classify(dst) {
-            Some(class) => {
-                let chain = self.chains.get_mut(&class).expect("chain exists");
+        let Some(index) = dst.container_index() else {
+            return;
+        };
+        if index as usize >= self.slots.len() {
+            self.slots.resize_with(index as usize + 1, Slot::default);
+        }
+        let slot = &mut self.slots[index as usize];
+        match &mut slot.chain {
+            Some(chain) => {
                 chain.netem.set_config(netem);
                 chain.htb.set_rate(SimTime::ZERO, bandwidth);
             }
             None => {
-                let class = ClassId(self.next_class);
-                self.next_class += 1;
-                self.filter.insert(dst, class);
-                self.chains.insert(
-                    class,
-                    Chain {
-                        htb: HtbQdisc::new(HtbConfig::with_rate(bandwidth)),
-                        netem: NetemQdisc::new(netem, rng),
-                        listed_active: false,
-                    },
-                );
+                let rng = self.rng.derive(u64::from(dst.as_u32()));
+                slot.chain = Some(Box::new(Chain {
+                    htb: HtbQdisc::new(HtbConfig::with_rate(bandwidth)),
+                    netem: NetemQdisc::new(netem, rng),
+                    key: (index, self.next_seq),
+                    listed_active: false,
+                }));
+                self.next_seq += 1;
             }
         }
     }
 
     /// Removes the chain towards `dst` (dynamic topologies: link/service
     /// removal). Any packets still queued in the chain are discarded and
-    /// counted as dropped. The class stays in the active list until the next
-    /// [`EgressTree::dequeue_ready`] compacts it, and the classes that enter
-    /// the list in between end up in another order, so a caller that polls
-    /// only on demand must poll this tree once more before anything else is
+    /// counted as dropped. The chain's key — its destination index and
+    /// install sequence number — stays in the active list until the next
+    /// [`EgressTree::dequeue_ready`] compacts it (no chain installed later
+    /// has that sequence number), and the chains that enter the list in
+    /// between end up in another order, so a caller that polls only on
+    /// demand must poll this tree once more before anything else is
     /// enqueued — the Emulation Manager's `chain_removed` flag does that.
     pub fn remove_path(&mut self, dst: Addr) -> bool {
-        let Some(class) = self.filter.remove(dst) else {
+        let slot = dst
+            .container_index()
+            .and_then(|i| self.slots.get_mut(i as usize));
+        let Some(chain) = slot.and_then(|slot| slot.chain.take()) else {
             return false;
         };
-        if let Some(chain) = self.chains.remove(&class) {
-            self.dropped_removed += chain.dropped() + (chain.htb.len() + chain.netem.len()) as u64;
-        }
+        self.dropped_removed += chain.dropped() + (chain.htb.len() + chain.netem.len()) as u64;
         true
     }
 
     /// `true` if a chain towards `dst` is installed.
     pub fn has_path(&self, dst: Addr) -> bool {
-        self.filter.classify(dst).is_some()
+        self.chain(dst).is_some()
     }
 
     /// Updates only the shaped bandwidth towards `dst` (emulation loop
     /// enforcement step).
     pub fn set_bandwidth(&mut self, now: SimTime, dst: Addr, rate: Bandwidth) -> bool {
-        if let Some(chain) = self.chain_mut(dst) {
+        if let Some(chain) = chain_at(&mut self.slots, dst) {
             chain.htb.set_rate(now, rate);
             true
         } else {
@@ -156,7 +192,7 @@ impl EgressTree {
     /// Updates only the loss probability towards `dst` (congestion loss
     /// injection).
     pub fn set_loss(&mut self, dst: Addr, loss: f64) -> bool {
-        if let Some(chain) = self.chain_mut(dst) {
+        if let Some(chain) = chain_at(&mut self.slots, dst) {
             chain.netem.set_loss(loss);
             true
         } else {
@@ -192,16 +228,15 @@ impl EgressTree {
     /// can move [`EgressTree::next_wakeup`]: behind a queued head neither the
     /// head's token-availability time nor any netem release changes.
     pub fn offer(&mut self, now: SimTime, packet: Packet) -> (EgressVerdict, bool) {
-        let Some(class) = self.filter.classify(packet.dst) else {
+        let Some(chain) = chain_at(&mut self.slots, packet.dst) else {
             return (EgressVerdict::Dropped(DropReason::Unreachable), false);
         };
-        let chain = self.chains.get_mut(&class).expect("classified chain");
         let was_empty = chain.htb.is_empty();
         match chain.htb.enqueue(now, packet) {
             HtbVerdict::Queued => {
                 if !chain.listed_active {
                     chain.listed_active = true;
-                    self.active.push(class);
+                    self.active.push(chain.key);
                 }
                 (EgressVerdict::Queued, was_empty)
             }
@@ -211,24 +246,15 @@ impl EgressTree {
 
     /// The earliest instant at which a queued packet may become deliverable.
     pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        for &class in &self.active {
-            let Some(chain) = self.chains.get_mut(&class) else {
-                continue;
-            };
-            let candidates = [
-                chain.netem.next_release(),
-                if chain.htb.is_empty() {
-                    None
-                } else {
-                    chain.htb.next_ready(now)
-                },
-            ];
-            for c in candidates.into_iter().flatten() {
-                earliest = Some(match earliest {
-                    Some(e) => e.min(c),
-                    None => c,
-                });
+        let mut earliest = None;
+        for &key in &self.active {
+            if let Some((chain, _)) = listed(&mut self.slots, key) {
+                let candidates = [
+                    earliest,
+                    chain.netem.next_release(),
+                    chain.htb.next_ready(now),
+                ];
+                earliest = candidates.into_iter().flatten().min();
             }
         }
         earliest
@@ -242,16 +268,18 @@ impl EgressTree {
     pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = Vec::new();
         let mut idx = 0;
-        while idx < self.active.len() {
-            let class = self.active[idx];
-            let Some(chain) = self.chains.get_mut(&class) else {
+        while let Some(&key) = self.active.get(idx) {
+            let Some((chain, usage)) = listed(&mut self.slots, key) else {
                 self.active.swap_remove(idx);
                 continue;
             };
             for (left_shaper_at, pkt) in chain.htb.dequeue_ready_timed(now) {
                 // The shaped bytes are what the TCAL usage counters report,
                 // whether or not netem subsequently drops the packet.
-                *self.usage_since_clear.entry(pkt.dst).or_default() += pkt.size;
+                if usage.is_zero() && !pkt.size.is_zero() {
+                    self.used.push(key.0);
+                }
+                *usage += pkt.size;
                 // netem loss (intrinsic link loss + injected congestion
                 // loss) applies past the shaper; a dropped packet is simply
                 // never released.
@@ -268,27 +296,31 @@ impl EgressTree {
         out
     }
 
-    /// Per-destination transmitted bytes since the last
+    /// Per-destination bytes that left the shaper since the last
     /// [`EgressTree::clear_usage`] call — step (2) of the emulation loop.
-    pub fn usage(&self) -> &HashMap<Addr, DataSize> {
-        &self.usage_since_clear
+    /// Only destinations that saw bytes, in the order they first did.
+    pub fn usage(&self) -> impl ExactSizeIterator<Item = (Addr, DataSize)> + '_ {
+        self.used
+            .iter()
+            .map(|&index| (Addr::container(index), self.slots[index as usize].usage))
     }
 
     /// Clears the usage counters — step (1) of the emulation loop.
     pub fn clear_usage(&mut self) {
-        self.usage_since_clear.clear();
+        for index in self.used.drain(..) {
+            self.slots[index as usize].usage = DataSize::ZERO;
+        }
     }
 
     /// Total bytes ever transmitted towards `dst`.
     pub fn total_transmitted(&self, dst: Addr) -> DataSize {
         self.chain(dst)
-            .map(|c| c.htb.transmitted_bytes())
-            .unwrap_or(DataSize::ZERO)
+            .map_or(DataSize::ZERO, |c| c.htb.transmitted_bytes())
     }
 
     /// Number of installed chains.
     pub fn chain_count(&self) -> usize {
-        self.chains.len()
+        self.chains().count()
     }
 
     /// Packets dropped inside the netem stage (random/injected loss plus
@@ -296,15 +328,18 @@ impl EgressTree {
     /// everything lost with removed chains. Monotone across topology
     /// changes.
     pub fn dropped_packets(&self) -> u64 {
-        self.dropped_removed + self.chains.values().map(Chain::dropped).sum::<u64>()
+        self.dropped_removed + self.chains().map(Chain::dropped).sum::<u64>()
+    }
+
+    fn chains(&self) -> impl Iterator<Item = &Chain> {
+        self.slots.iter().filter_map(|slot| slot.chain.as_deref())
     }
 
     fn chain(&self, dst: Addr) -> Option<&Chain> {
-        self.chains.get(&self.filter.classify(dst)?)
-    }
-
-    fn chain_mut(&mut self, dst: Addr) -> Option<&mut Chain> {
-        self.chains.get_mut(&self.filter.classify(dst)?)
+        self.slots
+            .get(dst.container_index()? as usize)?
+            .chain
+            .as_deref()
     }
 }
 
@@ -335,6 +370,12 @@ mod tests {
         let mut t = tree();
         let verdict = t.enqueue(SimTime::ZERO, pkt(1, Addr::container(9)));
         assert_eq!(verdict, EgressVerdict::Dropped(DropReason::Unreachable));
+        // Outside the container network there is no slot to install into.
+        let outside = Addr::new(10, 2, 0, 1);
+        t.install_path(outside, NetemConfig::default(), Bandwidth::from_mbps(1));
+        assert!(!t.has_path(outside));
+        let verdict = t.enqueue(SimTime::ZERO, pkt(2, outside));
+        assert_eq!(verdict, EgressVerdict::Dropped(DropReason::Unreachable));
     }
 
     #[test]
@@ -351,7 +392,7 @@ mod tests {
         assert!(t.dequeue_ready(SimTime::from_millis(24)).is_empty());
         let out = t.dequeue_ready(SimTime::from_millis(25));
         assert_eq!(out.len(), 1);
-        assert_eq!(t.usage().get(&dst).copied(), Some(MTU));
+        assert_eq!(usage_towards(&t, dst), Some(MTU));
     }
 
     #[test]
@@ -361,9 +402,9 @@ mod tests {
         t.install_path(dst, NetemConfig::default(), Bandwidth::from_mbps(100));
         t.enqueue(SimTime::ZERO, pkt(1, dst));
         let _ = t.dequeue_ready(SimTime::ZERO);
-        assert!(!t.usage().is_empty());
+        assert_eq!(t.usage().len(), 1);
         t.clear_usage();
-        assert!(t.usage().is_empty());
+        assert_eq!(t.usage().len(), 0);
         assert_eq!(t.total_transmitted(dst), MTU);
     }
 
@@ -512,6 +553,66 @@ mod tests {
         assert!(t.dequeue_ready(SimTime::ZERO).is_empty());
         // ...after which the earlier of the two netem delays is next.
         assert_eq!(t.next_wakeup(SimTime::ZERO), Some(SimTime::from_millis(10)));
+    }
+
+    fn usage_towards(t: &EgressTree, dst: Addr) -> Option<DataSize> {
+        t.usage().find(|&(d, _)| d == dst).map(|(_, bytes)| bytes)
+    }
+
+    /// Usage belongs to the destination, not to the chain: bytes that left
+    /// the shaper towards `d` before its chain was removed are still
+    /// reported until the loop clears them, and a chain re-installed at `d`
+    /// in the same interval adds to them.
+    #[test]
+    fn usage_outlives_a_removed_chain_until_cleared() {
+        let mut t = tree();
+        let d = Addr::container(1);
+        t.install_path(d, NetemConfig::default(), Bandwidth::from_mbps(100));
+        t.enqueue(SimTime::ZERO, pkt(1, d));
+        assert_eq!(t.dequeue_ready(SimTime::ZERO).len(), 1);
+        assert!(t.remove_path(d));
+        assert_eq!(usage_towards(&t, d), Some(MTU));
+        t.install_path(d, NetemConfig::default(), Bandwidth::from_mbps(100));
+        t.enqueue(SimTime::ZERO, pkt(2, d));
+        assert_eq!(t.dequeue_ready(SimTime::ZERO).len(), 1);
+        assert_eq!(usage_towards(&t, d), Some(MTU + MTU));
+        assert_eq!(t.usage().len(), 1);
+        t.clear_usage();
+        assert_eq!(usage_towards(&t, d), None);
+        assert_eq!(t.usage().len(), 0);
+    }
+
+    /// A removed chain leaves its entry in the active list until a poll
+    /// compacts it, and that entry must not stand for the chain re-installed
+    /// at the same destination: the compaction moves the last entry to the
+    /// front, which sets the order same-instant packets leave in. Expected
+    /// order recorded on the map-based tree (one class id per install) this
+    /// one replaced; a slot table whose stale entry stood for the new chain
+    /// would release 2 before 3.
+    #[test]
+    fn a_stale_active_entry_does_not_alias_a_reinstalled_chain() {
+        let mut t = tree();
+        let (d, other) = (Addr::container(1), Addr::container(2));
+        let netem = NetemConfig::with_delay(SimDuration::from_millis(5));
+        for dst in [d, other] {
+            t.install_path(dst, netem, Bandwidth::from_mbps(100));
+        }
+        assert_eq!(t.enqueue(SimTime::ZERO, pkt(1, d)), EgressVerdict::Queued);
+        assert!(t.remove_path(d));
+        t.install_path(d, netem, Bandwidth::from_mbps(100));
+        assert_eq!(t.enqueue(SimTime::ZERO, pkt(2, d)), EgressVerdict::Queued);
+        assert_eq!(
+            t.enqueue(SimTime::ZERO, pkt(3, other)),
+            EgressVerdict::Queued
+        );
+        let released: Vec<u64> = t
+            .dequeue_ready(SimTime::from_millis(5))
+            .iter()
+            .map(|p| p.id)
+            .collect();
+        assert_eq!(released, [3, 2]);
+        assert_eq!(t.dropped_packets(), 1);
+        assert_eq!(t.next_wakeup(SimTime::from_millis(5)), None);
     }
 
     #[test]

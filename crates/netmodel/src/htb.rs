@@ -203,7 +203,9 @@ impl HtbQdisc {
                 break;
             }
             self.dequeue_cursor = ready;
-            let (_, pkt) = self.queue.pop_front().expect("non-empty");
+            let Some((_, pkt)) = self.queue.pop_front() else {
+                break;
+            };
             self.queued_bytes = self.queued_bytes.saturating_sub(pkt.size);
             self.transmitted_bytes += pkt.size;
             self.transmitted_packets += 1;

@@ -202,7 +202,9 @@ impl LinkPipe {
             if front.arrival > now {
                 break;
             }
-            let f = self.in_flight.pop_front().expect("non-empty");
+            let Some(f) = self.in_flight.pop_front() else {
+                break;
+            };
             self.delivered_bytes += f.packet.size;
             self.delivered_packets += 1;
             out.push(f.packet);

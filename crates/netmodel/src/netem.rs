@@ -213,7 +213,9 @@ impl NetemQdisc {
             if head.release > now {
                 break;
             }
-            let Reverse(h) = self.held.pop().expect("peeked");
+            let Some(Reverse(h)) = self.held.pop() else {
+                break;
+            };
             out.push(h.packet);
         }
         out

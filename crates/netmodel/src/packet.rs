@@ -10,9 +10,12 @@ use kollaps_sim::units::DataSize;
 /// An IPv4-style address identifying a container's interface on an emulated
 /// network.
 ///
-/// Kollaps' u32 filter hashes the third and fourth octets of the destination
-/// address, so addresses keep the dotted-quad structure even though the
-/// simulation never sends real IP packets.
+/// Kollaps' u32 filter is a two-level table on the third and fourth octets
+/// of the destination address. On the 10.1.0.0/16 container network that
+/// is the container index (third octet × 256 + fourth octet,
+/// [`Addr::container_index`]), and the egress tree indexes its chains by
+/// it. Addresses keep the dotted-quad structure even though the simulation
+/// never sends real IP packets.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -42,16 +45,6 @@ impl Addr {
             (self.0 >> 8) as u8,
             self.0 as u8,
         ]
-    }
-
-    /// Third octet — the first level of the u32 filter hash.
-    pub const fn third_octet(self) -> u8 {
-        (self.0 >> 8) as u8
-    }
-
-    /// Fourth octet — the second level of the u32 filter hash.
-    pub const fn fourth_octet(self) -> u8 {
-        self.0 as u8
     }
 
     /// Number of addresses in the 10.1.0.0/16 container network.
@@ -89,8 +82,8 @@ impl Addr {
 
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let o = self.octets();
-        write!(f, "{}.{}.{}.{}", o[0], o[1], o[2], o[3])
+        let [a, b, c, d] = self.octets();
+        write!(f, "{a}.{b}.{c}.{d}")
     }
 }
 
@@ -222,8 +215,7 @@ mod tests {
     fn addr_octets_round_trip() {
         let a = Addr::new(10, 1, 3, 7);
         assert_eq!(a.octets(), [10, 1, 3, 7]);
-        assert_eq!(a.third_octet(), 3);
-        assert_eq!(a.fourth_octet(), 7);
+        assert_eq!(a.container_index(), Some(3 * 256 + 7));
         assert_eq!(format!("{a}"), "10.1.3.7");
         assert_eq!(Addr::from_u32(a.as_u32()), a);
     }

@@ -316,7 +316,8 @@ fn decode_topology(spec: &Value) -> Result<Topology, ScenarioError> {
         match req_str(node, "kind")? {
             "service" => {
                 let service = req_str(node, "service")?;
-                let replica = req_u64(node, "replica")? as u32;
+                let replica = u32::try_from(req_u64(node, "replica")?)
+                    .map_err(|_| spec_err("service replica does not fit 32 bits"))?;
                 if !names.insert(format!("{service}.{replica}")) {
                     return Err(spec_err(format!("duplicate node `{service}.{replica}`")));
                 }
@@ -527,8 +528,9 @@ impl Scenario {
                 .ok_or_else(|| spec_err("placement name must be a string"))?;
             let host = pair[1]
                 .as_u64()
-                .ok_or_else(|| spec_err("placement host must be an unsigned integer"))?;
-            scenario = scenario.place(name, host as u32);
+                .and_then(|host| u32::try_from(host).ok())
+                .ok_or_else(|| spec_err("placement host must be a 32-bit unsigned integer"))?;
+            scenario = scenario.place(name, host);
         }
         for workload in req_array(spec, "workloads")? {
             scenario = scenario.workload(decode_workload(workload)?);
@@ -669,5 +671,20 @@ mod tests {
             matches!(err, ScenarioError::UnsupportedBackend { .. }),
             "{err}"
         );
+        // Integers beyond 32 bits are refused, not truncated: host
+        // 4294967296 used to wrap to host 0 and pass placement validation.
+        let text = sample_scenario().to_spec_string().expect("serializable");
+        for (field, wide) in [
+            ("[\"client-0\",0]", "[\"client-0\",4294967296]"),
+            ("\"replica\":0", "\"replica\":4294967296"),
+        ] {
+            let wide = text.replacen(field, wide, 1);
+            assert_ne!(wide, text, "{field} not in the spec");
+            let err = expect_err(Scenario::from_spec_str(&wide));
+            assert!(
+                matches!(&err, ScenarioError::Spec { reason } if reason.contains("32")),
+                "{err}"
+            );
+        }
     }
 }
