@@ -7,9 +7,16 @@ use crate::{Diagnostic, Severity};
 
 /// Crates whose emulation results must be bit-reproducible: iterating a
 /// hash container there is a determinism hazard.
-pub const DETERMINISM_CRATES: &[&str] = &["core", "sim", "dynamics", "scenario", "netmodel"];
+pub const DETERMINISM_CRATES: &[&str] = &[
+    "core",
+    "sim",
+    "dynamics",
+    "scenario",
+    "netmodel",
+    "transport",
+];
 /// Crates whose hot paths must not panic.
-pub const PANIC_CRATES: &[&str] = &["core", "sim", "metadata", "netmodel"];
+pub const PANIC_CRATES: &[&str] = &["core", "sim", "metadata", "netmodel", "transport"];
 /// Crates allowed to read the wall clock / OS entropy: they measure or
 /// transport, never decide emulation results.
 pub const WALL_CLOCK_ALLOWED: &[&str] = &["trace", "bench", "runtime", "analyze", "orchestrator"];

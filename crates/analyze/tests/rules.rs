@@ -126,6 +126,18 @@ fn hot_path_panic_quiet_in_tests_and_other_crates() {
     assert!(rules_fired(FREE, src).is_empty());
 }
 
+/// Every packet's endpoints live in `transport`, so both rule families
+/// cover it.
+#[test]
+fn transport_is_a_determinism_and_panic_crate() {
+    let path = "crates/transport/src/fixture.rs";
+    let src = "fn f(m: HashMap<u32, u32>) -> u32 { *m.keys().next().unwrap() }\n";
+    assert_eq!(
+        rules_fired(path, src),
+        vec!["hash-iteration", "hot-path-panic"]
+    );
+}
+
 #[test]
 fn literal_index_bound_checked_by_array_decl() {
     let in_bounds = "struct S { stats: [u64; 4] }\n\
@@ -295,6 +307,8 @@ fn fixed_files_are_clean_in_tree() {
         "crates/metadata/src/codec.rs",
         "crates/scenario/src/session.rs",
         "crates/scenario/src/workload.rs",
+        "crates/transport/src/tcp.rs",
+        "crates/transport/src/ping.rs",
     ] {
         let source = std::fs::read_to_string(root.join(rel)).expect(rel);
         let errors: Vec<String> = analyze_source(rel, &source)

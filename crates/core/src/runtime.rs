@@ -6,14 +6,17 @@
 //! one of the full-state baselines. It owns the discrete-event loop, the TCP
 //! and UDP endpoints, and the measurement hooks the evaluation harness reads
 //! (per-flow goodput, receiver-side throughput series, ping RTTs).
-
-use std::collections::{BTreeMap, HashMap};
+//!
+//! Every flow is one record in one table: ids are dense from 1 across TCP,
+//! UDP and ping flows, and flow `id` lives at index `id − 1`. A record is
+//! never removed. A stop takes only the sender, so a stopped TCP flow still
+//! receives, ACKs and meters the data in flight (and ignores its ACKs).
 
 use kollaps_netmodel::packet::{Addr, DropReason, FlowId, Packet, PacketKind, HEADER_SIZE, MSS};
 use kollaps_sim::prelude::*;
 use kollaps_sim::stats::Summary;
 use kollaps_transport::tcp::{TcpReceiver, TcpSender, TcpSenderConfig, TransferSize};
-use kollaps_transport::udp::UdpSender;
+use kollaps_transport::{PingProbe, UdpSender};
 
 /// Outcome of handing a packet to the dataplane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,13 +74,13 @@ pub enum RuntimeEvent {
 
 #[derive(Debug, Clone)]
 enum Ev {
-    StartTcp(FlowId),
+    /// Start, or resume after new bytes were pushed.
+    PumpTcp(FlowId),
     RtoCheck(FlowId),
     UdpSend(FlowId),
     PingSend(FlowId),
     DataplaneWakeup,
     Tick,
-    PumpRetry(FlowId),
 }
 
 /// Deterministic work counters of the event loop since construction. Never
@@ -93,16 +96,58 @@ pub struct EventLoopStats {
     pub stale_wakeups: u64,
 }
 
+/// One registered flow (see the module docs). A UDP flow's meter total is
+/// its delivered payload.
 #[derive(Debug)]
-struct PingState {
-    src: Addr,
-    dst: Addr,
-    interval: SimDuration,
-    remaining: u64,
-    next_seq: u32,
-    in_flight: HashMap<u32, SimTime>,
-    rtts: Summary,
-    packet_counter: u64,
+enum Flow {
+    Tcp(TcpFlow),
+    Udp(UdpSender, RateMeter),
+    Ping(PingProbe),
+}
+
+#[derive(Debug)]
+struct TcpFlow {
+    /// `None` once stopped; boxed so that a stopped connection keeps no
+    /// sender-sized hole in the table.
+    sender: Option<Box<TcpSender>>,
+    receiver: TcpReceiver,
+    meter: RateMeter,
+    /// An `Ev::RtoCheck` is queued (at most one per flow, to keep the event
+    /// count linear in simulated time rather than in packets).
+    rto_armed: bool,
+}
+
+/// The flow table: flow `id` is the record at index `id − 1`.
+#[derive(Debug, Default)]
+struct FlowTable(Vec<Flow>);
+
+impl FlowTable {
+    /// Appends the record `make` builds for the next id, and returns the id.
+    fn push(&mut self, make: impl FnOnce(FlowId) -> Flow) -> FlowId {
+        let flow = FlowId(self.0.len() as u64 + 1);
+        self.0.push(make(flow));
+        flow
+    }
+
+    fn get(&self, flow: FlowId) -> Option<&Flow> {
+        self.0.get(flow.index()?)
+    }
+
+    fn get_mut(&mut self, flow: FlowId) -> Option<&mut Flow> {
+        self.0.get_mut(flow.index()?)
+    }
+
+    fn tcp_mut(&mut self, flow: FlowId) -> Option<&mut TcpFlow> {
+        match self.get_mut(flow)? {
+            Flow::Tcp(tcp) => Some(tcp),
+            _ => None,
+        }
+    }
+
+    /// The sender of a TCP flow that is not stopped.
+    fn sender_mut(&mut self, flow: FlowId) -> Option<&mut TcpSender> {
+        self.tcp_mut(flow)?.sender.as_deref_mut()
+    }
 }
 
 /// The experiment runtime.
@@ -110,23 +155,15 @@ pub struct Runtime<D: Dataplane> {
     /// The network under test.
     pub dataplane: D,
     queue: EventQueue<Ev>,
-    /// In flow-id order — the base order of the back-pressure pump (see
-    /// `Ev::DataplaneWakeup`).
-    tcp_senders: BTreeMap<FlowId, TcpSender>,
-    tcp_receivers: HashMap<FlowId, TcpReceiver>,
-    udp_senders: HashMap<FlowId, UdpSender>,
-    udp_delivered: HashMap<FlowId, u64>,
-    pings: HashMap<FlowId, PingState>,
-    rx_meters: HashMap<FlowId, RateMeter>,
-    next_flow: u64,
+    flows: FlowTable,
+    /// The TCP flows that still have a sender, in id order — the base order
+    /// of the back-pressure pump (see `Ev::DataplaneWakeup`).
+    open_tcp: Vec<FlowId>,
     pending_events: Vec<RuntimeEvent>,
     /// The one live `Ev::DataplaneWakeup` (see `sync_wakeup`).
     wakeup_scheduled: Option<SimTime>,
     wakeups: u64,
     stale_wakeups: u64,
-    /// Flows with an outstanding RTO-check event (at most one per flow, to
-    /// keep the event count linear in simulated time rather than in packets).
-    rto_scheduled: std::collections::HashSet<FlowId>,
     /// Rotating start index of the back-pressure pump round-robin (see
     /// `Ev::DataplaneWakeup`).
     pump_rotation: usize,
@@ -140,18 +177,12 @@ impl<D: Dataplane> Runtime<D> {
         let mut rt = Runtime {
             dataplane,
             queue: EventQueue::new(),
-            tcp_senders: BTreeMap::new(),
-            tcp_receivers: HashMap::new(),
-            udp_senders: HashMap::new(),
-            udp_delivered: HashMap::new(),
-            pings: HashMap::new(),
-            rx_meters: HashMap::new(),
-            next_flow: 1,
+            flows: FlowTable::default(),
+            open_tcp: Vec::new(),
             pending_events: Vec::new(),
             wakeup_scheduled: None,
             wakeups: 0,
             stale_wakeups: 0,
-            rto_scheduled: std::collections::HashSet::new(),
             pump_rotation: 0,
             sample_window: SimDuration::from_secs(1),
         };
@@ -173,25 +204,29 @@ impl<D: Dataplane> Runtime<D> {
         config: TcpSenderConfig,
         start: SimTime,
     ) -> FlowId {
-        let flow = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.tcp_senders.insert(
-            flow,
-            TcpSender::new(flow, src, dst, size, config, start.max(self.now())),
-        );
-        self.tcp_receivers
-            .insert(flow, TcpReceiver::new(flow, dst, src));
-        self.rx_meters
-            .insert(flow, RateMeter::new(self.sample_window));
-        self.queue
-            .schedule(start.max(self.now()), Ev::StartTcp(flow));
+        let (start, window) = (start.max(self.now()), self.sample_window);
+        let flow = self.flows.push(|flow| {
+            let sender = Box::new(TcpSender::new(flow, src, dst, size, config, start));
+            Flow::Tcp(TcpFlow {
+                sender: Some(sender),
+                receiver: TcpReceiver::new(flow, dst, src),
+                meter: RateMeter::new(window),
+                rto_armed: false,
+            })
+        });
+        self.open_tcp.push(flow);
+        self.queue.schedule(start, Ev::PumpTcp(flow));
         flow
     }
 
-    /// Stops a TCP flow: the sender is removed, in-flight packets are
-    /// ignored on arrival.
+    /// Stops a TCP flow: its sender is dropped. The receiver and meter stay,
+    /// so data in flight is still received, ACKed and metered; ACKs for it
+    /// are ignored on arrival.
     pub fn stop_tcp_flow(&mut self, flow: FlowId) {
-        self.tcp_senders.remove(&flow);
+        let stopped = self.flows.tcp_mut(flow).and_then(|tcp| tcp.sender.take());
+        if stopped.is_some() {
+            self.open_tcp.retain(|&open| open != flow);
+        }
     }
 
     /// Starts a constant-bit-rate UDP flow.
@@ -203,18 +238,15 @@ impl<D: Dataplane> Runtime<D> {
         start: SimTime,
         stop: Option<SimTime>,
     ) -> FlowId {
-        let flow = FlowId(self.next_flow);
-        self.next_flow += 1;
-        let mut sender = UdpSender::new(flow, src, dst, rate, MSS, start.max(self.now()));
-        if let Some(stop) = stop {
-            sender.stop_at(stop);
-        }
-        self.udp_senders.insert(flow, sender);
-        self.udp_delivered.insert(flow, 0);
-        self.rx_meters
-            .insert(flow, RateMeter::new(self.sample_window));
-        self.queue
-            .schedule(start.max(self.now()), Ev::UdpSend(flow));
+        let (start, window) = (start.max(self.now()), self.sample_window);
+        let flow = self.flows.push(|flow| {
+            let mut sender = UdpSender::new(flow, src, dst, rate, MSS, start);
+            if let Some(stop) = stop {
+                sender.stop_at(stop);
+            }
+            Flow::Udp(sender, RateMeter::new(window))
+        });
+        self.queue.schedule(start, Ev::UdpSend(flow));
         flow
     }
 
@@ -227,21 +259,8 @@ impl<D: Dataplane> Runtime<D> {
         count: u64,
         start: SimTime,
     ) -> FlowId {
-        let flow = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.pings.insert(
-            flow,
-            PingState {
-                src,
-                dst,
-                interval,
-                remaining: count,
-                next_seq: 0,
-                in_flight: HashMap::new(),
-                rtts: Summary::new(),
-                packet_counter: 0,
-            },
-        );
+        let probe = |flow| Flow::Ping(PingProbe::new(flow, src, dst, interval, count));
+        let flow = self.flows.push(probe);
         self.queue
             .schedule(start.max(self.now()), Ev::PingSend(flow));
         flow
@@ -251,48 +270,59 @@ impl<D: Dataplane> Runtime<D> {
     /// replies are ignored on arrival. The collected RTT statistics remain
     /// readable through [`Runtime::ping_rtts`].
     pub fn stop_ping(&mut self, flow: FlowId) {
-        if let Some(state) = self.pings.get_mut(&flow) {
-            state.remaining = 0;
-            state.in_flight.clear();
+        if let Some(Flow::Ping(probe)) = self.flows.get_mut(flow) {
+            probe.stop();
         }
     }
 
     /// Appends more application data to an existing TCP flow (request /
     /// response workloads reusing one connection).
     pub fn push_tcp_bytes(&mut self, flow: FlowId, bytes: u64) {
-        let now = self.now();
-        if let Some(sender) = self.tcp_senders.get_mut(&flow) {
+        if let Some(sender) = self.flows.sender_mut(flow) {
             sender.push_bytes(bytes);
         }
-        self.queue.schedule(now, Ev::PumpRetry(flow));
+        self.queue.schedule(self.now(), Ev::PumpTcp(flow));
     }
 
-    /// The sender of a TCP flow (for statistics), if still present.
+    /// The sender of a TCP flow (for statistics), if not stopped.
     pub fn tcp_sender(&self, flow: FlowId) -> Option<&TcpSender> {
-        self.tcp_senders.get(&flow)
+        match self.flows.get(flow)? {
+            Flow::Tcp(tcp) => tcp.sender.as_deref(),
+            _ => None,
+        }
     }
 
     /// Receiver-side bytes delivered in order for a TCP flow.
     pub fn tcp_received_bytes(&self, flow: FlowId) -> u64 {
-        self.tcp_receivers
-            .get(&flow)
-            .map(|r| r.received_bytes())
-            .unwrap_or(0)
+        match self.flows.get(flow) {
+            Some(Flow::Tcp(tcp)) => tcp.receiver.received_bytes(),
+            _ => 0,
+        }
     }
 
-    /// Receiver-side throughput series (Mb/s per one-second window).
+    /// Receiver-side throughput series (Mb/s per one-second window) of a TCP
+    /// or UDP flow.
     pub fn throughput_series(&self, flow: FlowId) -> Option<&TimeSeries> {
-        self.rx_meters.get(&flow).map(|m| m.series())
+        match self.flows.get(flow)? {
+            Flow::Tcp(TcpFlow { meter, .. }) | Flow::Udp(_, meter) => Some(meter.series()),
+            Flow::Ping(_) => None,
+        }
     }
 
     /// Payload bytes delivered for a UDP flow.
     pub fn udp_delivered_bytes(&self, flow: FlowId) -> u64 {
-        self.udp_delivered.get(&flow).copied().unwrap_or(0)
+        match self.flows.get(flow) {
+            Some(Flow::Udp(_, meter)) => meter.total_bytes().as_bytes(),
+            _ => 0,
+        }
     }
 
     /// RTT samples collected by a ping probe (milliseconds).
     pub fn ping_rtts(&self, flow: FlowId) -> Option<&Summary> {
-        self.pings.get(&flow).map(|p| &p.rtts)
+        match self.flows.get(flow)? {
+            Flow::Ping(probe) => Some(probe.rtts()),
+            _ => None,
+        }
     }
 
     /// Event-loop work counters so far.
@@ -344,76 +374,54 @@ impl<D: Dataplane> Runtime<D> {
     /// one, whose event stays queued and dies in `run_until`.
     fn sync_wakeup(&mut self) {
         let now = self.queue.now();
-        if let Some(w) = self.dataplane.next_wakeup(now) {
-            let w = w.max(now);
-            let need = match self.wakeup_scheduled {
-                Some(existing) => {
-                    // A scheduled wake-up in the past has already popped
-                    // and cleared the field.
-                    debug_assert!(existing >= now);
-                    w < existing
-                }
-                None => true,
-            };
-            if need && w < SimTime::MAX {
-                self.queue.schedule(w, Ev::DataplaneWakeup);
-                self.wakeup_scheduled = Some(w);
-            }
+        let Some(w) = self.dataplane.next_wakeup(now) else {
+            return;
+        };
+        let w = w.max(now);
+        // A scheduled wake-up in the past has already popped and cleared
+        // the field.
+        debug_assert!(self.wakeup_scheduled.is_none_or(|existing| existing >= now));
+        if w < SimTime::MAX && self.wakeup_scheduled.is_none_or(|existing| w < existing) {
+            self.queue.schedule(w, Ev::DataplaneWakeup);
+            self.wakeup_scheduled = Some(w);
         }
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::StartTcp(flow) | Ev::PumpRetry(flow) => self.pump_tcp(now, flow),
+            Ev::PumpTcp(flow) => self.pump_tcp(now, flow),
             Ev::RtoCheck(flow) => {
-                self.rto_scheduled.remove(&flow);
-                let fired = match self.tcp_senders.get_mut(&flow) {
-                    Some(s) => s.on_timer(now),
-                    None => false,
+                let Some(tcp) = self.flows.tcp_mut(flow) else {
+                    return;
                 };
-                if fired {
+                tcp.rto_armed = false;
+                if tcp.sender.as_mut().is_some_and(|s| s.on_timer(now)) {
                     self.pump_tcp(now, flow);
-                } else {
-                    self.schedule_rto(flow);
                 }
+                // Re-arms, unless the pump just did.
+                self.schedule_rto(flow);
             }
             Ev::UdpSend(flow) => {
-                let packets = match self.udp_senders.get_mut(&flow) {
-                    Some(s) => s.poll_send(now),
-                    None => Vec::new(),
+                let Some(Flow::Udp(sender, _)) = self.flows.get_mut(flow) else {
+                    return;
                 };
-                for pkt in packets {
+                for pkt in sender.poll_send(now) {
                     // UDP does not retry on back-pressure: the datagram is
                     // simply lost to the application.
                     let _ = self.dataplane.send(now, pkt);
                 }
-                if let Some(next) = self.udp_senders.get(&flow).and_then(|s| s.next_wakeup()) {
+                if let Some(next) = sender.next_wakeup() {
                     self.queue.schedule(next.max(now), Ev::UdpSend(flow));
                 }
             }
             Ev::PingSend(flow) => {
-                if let Some(state) = self.pings.get_mut(&flow) {
-                    if state.remaining > 0 {
-                        state.remaining -= 1;
-                        let seq = state.next_seq;
-                        state.next_seq += 1;
-                        state.packet_counter += 1;
-                        state.in_flight.insert(seq, now);
-                        let pkt = Packet::new(
-                            state.packet_counter,
-                            flow,
-                            state.src,
-                            state.dst,
-                            HEADER_SIZE + DataSize::from_bytes(56),
-                            PacketKind::IcmpEchoRequest { seq },
-                            now,
-                        );
-                        let interval = state.interval;
-                        let remaining = state.remaining;
-                        let _ = self.dataplane.send(now, pkt);
-                        if remaining > 0 {
-                            self.queue.schedule(now + interval, Ev::PingSend(flow));
-                        }
+                let Some(Flow::Ping(probe)) = self.flows.get_mut(flow) else {
+                    return;
+                };
+                if let Some(pkt) = probe.poll_send(now) {
+                    let _ = self.dataplane.send(now, pkt);
+                    if let Some(next) = probe.next_send(now) {
+                        self.queue.schedule(next, Ev::PingSend(flow));
                     }
                 }
             }
@@ -425,15 +433,15 @@ impl<D: Dataplane> Runtime<D> {
                 // decides who wins the freed egress slots, so it must be
                 // deterministic but not biased (always-lowest-id-first would
                 // let one flow starve the rest): round-robin over the ids in
-                // order with a rotating start.
-                let mut flows: Vec<FlowId> = self.tcp_senders.keys().copied().collect();
-                if !flows.is_empty() {
-                    let start = self.pump_rotation % flows.len();
+                // order with a rotating start. Pumping never opens or stops
+                // a flow, so `open_tcp` holds still.
+                let open = self.open_tcp.len();
+                if open > 0 {
+                    let start = self.pump_rotation % open;
                     self.pump_rotation = self.pump_rotation.wrapping_add(1);
-                    flows.rotate_left(start);
-                }
-                for flow in flows {
-                    self.pump_tcp(now, flow);
+                    for i in 0..open {
+                        self.pump_tcp(now, self.open_tcp[(start + i) % open]);
+                    }
                 }
             }
             Ev::Tick => {
@@ -445,37 +453,36 @@ impl<D: Dataplane> Runtime<D> {
     }
 
     fn pump_tcp(&mut self, now: SimTime, flow: FlowId) {
-        let Some(sender) = self.tcp_senders.get_mut(&flow) else {
+        let Some(sender) = self.flows.sender_mut(flow) else {
             return;
         };
         let mut packets = sender.poll_send(now).into_iter();
         while let Some(pkt) = packets.next() {
-            match self.dataplane.send(now, pkt.clone()) {
-                SendOutcome::Sent | SendOutcome::Dropped(_) => {}
-                SendOutcome::Backpressure => {
-                    // Requeue this packet AND the rest of the batch — they
-                    // are all marked outstanding, so quietly discarding them
-                    // would punch artificial holes into the sequence space.
-                    // Retry on the next dataplane wakeup.
-                    sender.on_backpressure(&pkt);
-                    for rest in packets.by_ref() {
-                        sender.on_backpressure(&rest);
-                    }
-                    break;
+            if self.dataplane.send(now, pkt.clone()) == SendOutcome::Backpressure {
+                // Requeue this packet AND the rest of the batch — they are
+                // all marked outstanding, so quietly discarding them would
+                // punch artificial holes into the sequence space. Retry on
+                // the next dataplane wakeup.
+                for held in std::iter::once(pkt).chain(packets.by_ref()) {
+                    sender.on_backpressure(&held);
                 }
+                break;
             }
         }
         self.schedule_rto(flow);
     }
 
     fn schedule_rto(&mut self, flow: FlowId) {
-        if self.rto_scheduled.contains(&flow) {
+        let Some(tcp) = self.flows.tcp_mut(flow) else {
+            return;
+        };
+        if tcp.rto_armed {
             return;
         }
-        if let Some(deadline) = self.tcp_senders.get(&flow).and_then(|s| s.rto_deadline()) {
+        if let Some(deadline) = tcp.sender.as_ref().and_then(|s| s.rto_deadline()) {
             let at = deadline.max(self.queue.now());
             self.queue.schedule(at, Ev::RtoCheck(flow));
-            self.rto_scheduled.insert(flow);
+            tcp.rto_armed = true;
         }
     }
 
@@ -488,29 +495,25 @@ impl<D: Dataplane> Runtime<D> {
     }
 
     fn on_arrival(&mut self, now: SimTime, pkt: Packet) {
+        let payload = pkt.size.saturating_sub(HEADER_SIZE);
         match pkt.kind {
             PacketKind::TcpData { seq } => {
-                let Some(receiver) = self.tcp_receivers.get_mut(&pkt.flow) else {
+                let Some(tcp) = self.flows.tcp_mut(pkt.flow) else {
                     return;
                 };
-                let ack = receiver.on_data(now, seq);
-                if let Some(meter) = self.rx_meters.get_mut(&pkt.flow) {
-                    meter.record(now, pkt.size.saturating_sub(HEADER_SIZE));
-                }
+                let ack = tcp.receiver.on_data(now, seq);
+                tcp.meter.record(now, payload);
                 // ACKs that hit back-pressure are dropped; TCP recovers via
                 // later cumulative ACKs.
                 let _ = self.dataplane.send(now, ack);
             }
             PacketKind::TcpAck { ack, .. } => {
-                let completed = {
-                    let Some(sender) = self.tcp_senders.get_mut(&pkt.flow) else {
-                        return;
-                    };
-                    let was_complete = sender.is_complete();
-                    sender.on_ack(now, ack);
-                    !was_complete && sender.is_complete()
+                let Some(sender) = self.flows.sender_mut(pkt.flow) else {
+                    return;
                 };
-                if completed {
+                let was_complete = sender.is_complete();
+                sender.on_ack(now, ack);
+                if !was_complete && sender.is_complete() {
                     self.pending_events.push(RuntimeEvent::TcpCompleted {
                         flow: pkt.flow,
                         at: now,
@@ -520,37 +523,31 @@ impl<D: Dataplane> Runtime<D> {
             }
             PacketKind::TcpHandshake | PacketKind::TcpFin => {}
             PacketKind::Udp => {
-                if let Some(bytes) = self.udp_delivered.get_mut(&pkt.flow) {
-                    *bytes += pkt.size.saturating_sub(HEADER_SIZE).as_bytes();
-                }
-                if let Some(meter) = self.rx_meters.get_mut(&pkt.flow) {
-                    meter.record(now, pkt.size.saturating_sub(HEADER_SIZE));
+                if let Some(Flow::Udp(_, meter)) = self.flows.get_mut(pkt.flow) {
+                    meter.record(now, payload);
                 }
             }
             PacketKind::IcmpEchoRequest { seq } => {
                 // The destination stack answers immediately.
-                let reply = Packet::new(
-                    pkt.id,
-                    pkt.flow,
-                    pkt.dst,
-                    pkt.src,
-                    pkt.size,
-                    PacketKind::IcmpEchoReply { seq },
-                    now,
-                );
+                let reply = Packet {
+                    src: pkt.dst,
+                    dst: pkt.src,
+                    kind: PacketKind::IcmpEchoReply { seq },
+                    sent_at: now,
+                    ..pkt
+                };
                 let _ = self.dataplane.send(now, reply);
             }
             PacketKind::IcmpEchoReply { seq } => {
-                if let Some(state) = self.pings.get_mut(&pkt.flow) {
-                    if let Some(sent) = state.in_flight.remove(&seq) {
-                        let rtt = now - sent;
-                        state.rtts.record(rtt.as_millis_f64());
-                        self.pending_events.push(RuntimeEvent::PingReply {
-                            flow: pkt.flow,
-                            seq,
-                            rtt,
-                        });
-                    }
+                let Some(Flow::Ping(probe)) = self.flows.get_mut(pkt.flow) else {
+                    return;
+                };
+                if let Some(rtt) = probe.on_reply(now, seq) {
+                    self.pending_events.push(RuntimeEvent::PingReply {
+                        flow: pkt.flow,
+                        seq,
+                        rtt,
+                    });
                 }
             }
         }
@@ -685,10 +682,10 @@ mod tests {
             assert_eq!(*at, pkt.sent_at + TwoDelayNet::delay(pkt.dst));
         }
         for &flow in &flows {
-            assert_eq!(
-                rt.udp_delivered_bytes(flow),
-                rt.udp_senders[&flow].sent_bytes()
-            );
+            let Some(Flow::Udp(sender, meter)) = rt.flows.get(flow) else {
+                panic!("{flow} is a UDP flow");
+            };
+            assert_eq!(meter.total_bytes().as_bytes(), sender.sent_bytes());
         }
 
         let stats = rt.event_loop_stats();
@@ -849,5 +846,221 @@ mod tests {
             .iter()
             .any(|e| matches!(e, RuntimeEvent::TcpCompleted { .. })));
         assert_eq!(rt.tcp_received_bytes(flow), 11 * MSS.as_bytes());
+    }
+
+    /// Stopping a TCP flow removes only its sender: segments already in
+    /// flight are still received, ACKed and metered.
+    #[test]
+    fn data_in_flight_at_a_stop_is_still_received_acked_and_metered() {
+        let mut rt = Runtime::new(FixedDelayNet::new(SimDuration::from_millis(400)));
+        let flow = rt.add_tcp_flow(
+            addr(0),
+            addr(1),
+            TransferSize::Unbounded,
+            TcpSenderConfig::default(),
+            SimTime::ZERO,
+        );
+        // Stop just before the first one-second meter window closes, so
+        // only an arrival after the stop can close it.
+        let _ = rt.run_until(SimTime::from_millis(990));
+        assert!(rt.throughput_series(flow).unwrap().is_empty());
+        let received = rt.tcp_received_bytes(flow);
+        let in_flight: Vec<(SimTime, u64)> = rt
+            .dataplane
+            .in_flight
+            .iter()
+            .filter(|(_, p)| p.is_data())
+            .map(|(at, p)| (*at, p.size.saturating_sub(HEADER_SIZE).as_bytes()))
+            .collect();
+        assert!(in_flight.iter().any(|&(at, _)| at >= SimTime::from_secs(1)));
+        let sends_before = rt.dataplane.counter;
+
+        rt.stop_tcp_flow(flow);
+        assert!(rt.tcp_sender(flow).is_none());
+        let _ = rt.run_until(SimTime::from_secs(3));
+
+        let late: u64 = in_flight.iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(rt.tcp_received_bytes(flow), received + late);
+        // One ACK per late segment and nothing else: the sender is gone.
+        assert_eq!(rt.dataplane.counter - sends_before, in_flight.len() as u64);
+        let early: u64 = in_flight
+            .iter()
+            .filter(|&&(at, _)| at < SimTime::from_secs(1))
+            .map(|&(_, bytes)| bytes)
+            .sum();
+        let series = rt.throughput_series(flow).unwrap();
+        assert_eq!(series.len(), 1);
+        let window_bytes = DataSize::from_bytes(received + early);
+        assert_eq!(
+            series.mean(),
+            window_bytes.rate_over(SimDuration::from_secs(1)).as_mbps()
+        );
+        assert!(rt.tcp_sender(flow).is_none());
+    }
+
+    /// Fixed 1 ms delay, but only one data packet is accepted per instant:
+    /// every other one is back-pressured, so the pump order alone decides
+    /// which flow sends. Records the flow of every accepted data packet.
+    #[derive(Default)]
+    struct OneSlotNet {
+        in_flight: Vec<(SimTime, Packet)>,
+        last_accepted: Option<SimTime>,
+        sent_data: Vec<FlowId>,
+    }
+
+    impl Dataplane for OneSlotNet {
+        fn send(&mut self, now: SimTime, packet: Packet) -> SendOutcome {
+            if packet.is_data() {
+                if self.last_accepted == Some(now) {
+                    return SendOutcome::Backpressure;
+                }
+                self.last_accepted = Some(now);
+                self.sent_data.push(packet.flow);
+            }
+            self.in_flight
+                .push((now + SimDuration::from_millis(1), packet));
+            SendOutcome::Sent
+        }
+
+        fn next_wakeup(&mut self, _now: SimTime) -> Option<SimTime> {
+            self.in_flight.iter().map(|(t, _)| *t).min()
+        }
+
+        fn deliver(&mut self, now: SimTime) -> Vec<Packet> {
+            let (ready, rest): (Vec<_>, Vec<_>) =
+                self.in_flight.drain(..).partition(|(t, _)| *t <= now);
+            self.in_flight = rest;
+            ready.into_iter().map(|(_, p)| p).collect()
+        }
+    }
+
+    /// Under back-pressure the pump serves the open senders round-robin in
+    /// id order with a rotating start, skips a flow that has not started
+    /// yet, and never serves a stopped one. The order is pinned as it was
+    /// recorded before the flow table existed.
+    #[test]
+    fn backpressure_pump_rotates_over_open_senders_in_id_order() {
+        let mut rt = Runtime::new(OneSlotNet::default());
+        let tcp = |rt: &mut Runtime<OneSlotNet>, start_ms: u64| {
+            rt.add_tcp_flow(
+                addr(0),
+                addr(1),
+                TransferSize::Unbounded,
+                TcpSenderConfig::default(),
+                SimTime::from_millis(start_ms),
+            )
+        };
+        let flows: Vec<FlowId> = [0, 0, 0, 20].map(|ms| tcp(&mut rt, ms)).to_vec();
+        let _ = rt.run_until(SimTime::from_millis(40));
+        rt.stop_tcp_flow(flows[1]);
+        let stopped_at = rt.dataplane.sent_data.len();
+        let _ = rt.run_until(SimTime::from_millis(80));
+
+        let sent = &rt.dataplane.sent_data;
+        assert!(!sent[stopped_at..].contains(&flows[1]));
+        let order: String = sent.iter().map(|f| f.0.to_string()).collect();
+        assert_eq!(
+            order,
+            "112311231123112311234123412341234123412343\
+             413413413413413413413413413413413413413"
+        );
+    }
+
+    /// Echo replies are matched by sequence number: one that arrives after
+    /// the probe was stopped, one for a sequence number never sent and a
+    /// duplicate are all ignored.
+    #[test]
+    fn stray_ping_replies_are_ignored() {
+        let mut rt = Runtime::new(FixedDelayNet::new(SimDuration::from_millis(10)));
+        let probe = rt.add_ping(
+            addr(0),
+            addr(1),
+            SimDuration::from_millis(100),
+            1_000,
+            SimTime::ZERO,
+        );
+        let reply = |seq: u32, at_ms: u64| {
+            let at = SimTime::from_millis(at_ms);
+            let kind = PacketKind::IcmpEchoReply { seq };
+            (
+                at,
+                Packet::new(0, probe, addr(1), addr(0), HEADER_SIZE, kind, at),
+            )
+        };
+        // Seq 0 is answered at 20 ms; forge a duplicate and a reply for a
+        // sequence number that was never sent.
+        rt.dataplane.in_flight.push(reply(0, 150));
+        rt.dataplane.in_flight.push(reply(77, 160));
+        let events = rt.run_until(SimTime::from_millis(305));
+        let replies: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e {
+                RuntimeEvent::PingReply { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies, [0, 1, 2]);
+        // The probe sent at 300 ms is still in flight.
+        rt.stop_ping(probe);
+        let events = rt.run_until(SimTime::from_secs(1));
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(rt.ping_rtts(probe).unwrap().len(), 3);
+    }
+
+    /// Flow ids are dense from 1 whatever the kind, and every accessor
+    /// answers 0 or `None` for a flow of another kind or an unknown id.
+    #[test]
+    fn flow_ids_are_dense_across_kinds_and_accessors_check_the_kind() {
+        let mut rt = Runtime::new(FixedDelayNet::new(SimDuration::from_millis(5)));
+        let tcp = rt.add_tcp_flow(
+            addr(0),
+            addr(1),
+            TransferSize::Unbounded,
+            TcpSenderConfig::default(),
+            SimTime::ZERO,
+        );
+        let udp = rt.add_udp_flow(
+            addr(0),
+            addr(2),
+            Bandwidth::from_mbps(1),
+            SimTime::ZERO,
+            None,
+        );
+        let ping = rt.add_ping(
+            addr(0),
+            addr(3),
+            SimDuration::from_millis(100),
+            10,
+            SimTime::ZERO,
+        );
+        let udp2 = rt.add_udp_flow(
+            addr(1),
+            addr(2),
+            Bandwidth::from_mbps(1),
+            SimTime::ZERO,
+            None,
+        );
+        assert_eq!([tcp, udp, ping, udp2], [1, 2, 3, 4].map(FlowId));
+        let _ = rt.run_until(SimTime::from_millis(2_500));
+
+        assert!(rt.tcp_sender(tcp).is_some());
+        assert!(rt.tcp_received_bytes(tcp) > 0);
+        assert!(rt.udp_delivered_bytes(udp) > 0);
+        assert!(rt.throughput_series(tcp).is_some());
+        assert!(rt.throughput_series(udp).is_some());
+        assert!(!rt.ping_rtts(ping).unwrap().is_empty());
+        for other in [udp, ping, FlowId(0), FlowId(99)] {
+            assert!(rt.tcp_sender(other).is_none());
+            assert_eq!(rt.tcp_received_bytes(other), 0);
+        }
+        for other in [tcp, ping, FlowId(0), FlowId(99)] {
+            assert_eq!(rt.udp_delivered_bytes(other), 0);
+        }
+        for other in [ping, FlowId(0), FlowId(99)] {
+            assert!(rt.throughput_series(other).is_none());
+        }
+        for other in [tcp, udp, FlowId(0), FlowId(99)] {
+            assert!(rt.ping_rtts(other).is_none());
+        }
     }
 }

@@ -93,6 +93,14 @@ impl fmt::Display for Addr {
 )]
 pub struct FlowId(pub u64);
 
+impl FlowId {
+    /// Where this flow sits in a table indexed by flow: the runtime numbers
+    /// flows densely from 1, so flow `id` is at `id − 1`. `None` for id 0.
+    pub fn index(self) -> Option<usize> {
+        usize::try_from(self.0.checked_sub(1)?).ok()
+    }
+}
+
 impl fmt::Display for FlowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "flow#{}", self.0)

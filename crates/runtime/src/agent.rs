@@ -117,31 +117,7 @@ fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentEr
         .and_then(|v| v.as_u64())
         .map(Duration::from_millis)
         .unwrap_or(Duration::from_secs(5));
-    let mut peers = HashMap::new();
-    if let Some(list) = message.get("peers").and_then(|v| v.as_array()) {
-        for entry in list {
-            let pair = entry.as_array().ok_or_else(|| {
-                AgentError::Protocol("peer entry is not a [host, port] pair".to_string())
-            })?;
-            let (host, port) = match (
-                pair.first().and_then(|v| v.as_u64()),
-                pair.get(1).and_then(|v| v.as_u64()),
-            ) {
-                (Some(h), Some(p)) => (h as u32, p as u16),
-                _ => {
-                    return Err(AgentError::Protocol(
-                        "peer entry is not a [host, port] pair".to_string(),
-                    ))
-                }
-            };
-            if host != me {
-                let addr: SocketAddr = format!("127.0.0.1:{port}")
-                    .parse()
-                    .expect("loopback address is well-formed");
-                peers.insert(HostId(host), addr);
-            }
-        }
-    }
+    let peers = peers(message, me)?;
     let mut session = scenario.session()?;
     session.record_host_gaps()?;
     let stats = Arc::new(SocketBusStats::default());
@@ -157,6 +133,29 @@ fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentEr
     )?;
     session.install_metadata_bus(Box::new(bus))?;
     Ok(Prepared { session, stats })
+}
+
+/// The UDP peer directory of a `spec` message: every other host's metadata
+/// socket on loopback. An entry that is not a `[host, port]` pair of a `u32`
+/// and a `u16` is a protocol error.
+fn peers(message: &Value, me: u32) -> Result<HashMap<HostId, SocketAddr>, AgentError> {
+    let list = message.get("peers").and_then(|v| v.as_array());
+    let mut peers = HashMap::new();
+    for entry in list.into_iter().flatten() {
+        let pair = entry.as_array().unwrap_or_default();
+        let (Some(host), Some(port)) = (
+            pair.first().and_then(wire::int::<u32>),
+            pair.get(1).and_then(wire::int::<u16>),
+        ) else {
+            return Err(AgentError::Protocol(format!(
+                "peer entry {entry} is not a [host, port] pair of a u32 and a u16"
+            )));
+        };
+        if host != me {
+            peers.insert(HostId(host), SocketAddr::from(([127, 0, 0, 1], port)));
+        }
+    }
+    Ok(peers)
 }
 
 /// Virtual time between the health frames an agent streams while running.
@@ -301,7 +300,7 @@ pub fn run(coordinator: &str, me: u32) -> Result<(), AgentError> {
         let message = wire::recv(&mut control)?;
         match wire::msg_type(&message) {
             Some("sync") => {
-                let nonce = wire::field_u64(&message, "nonce")?;
+                let nonce: u64 = wire::field(&message, "nonce")?;
                 wire::send(
                     &mut control,
                     &wire::msg("sync_ack", vec![("nonce", nonce.into())]),
@@ -348,6 +347,42 @@ pub fn run(coordinator: &str, me: u32) -> Result<(), AgentError> {
                     "control message without a type".to_string(),
                 ))
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec_with_peers(entries: Vec<Value>) -> Value {
+        wire::msg("spec", vec![("peers", Value::Array(entries))])
+    }
+
+    fn pair(host: u64, port: u64) -> Value {
+        Value::Array(vec![host.into(), port.into()])
+    }
+
+    #[test]
+    fn peer_directory_skips_the_own_host() {
+        let message = spec_with_peers(vec![pair(0, 4000), pair(1, 4001), pair(2, 4002)]);
+        let peers = peers(&message, 1).unwrap();
+        assert_eq!(peers.len(), 2);
+        assert_eq!(peers[&HostId(2)], SocketAddr::from(([127, 0, 0, 1], 4002)));
+        assert!(!peers.contains_key(&HostId(1)));
+    }
+
+    #[test]
+    fn peer_entries_out_of_range_are_rejected() {
+        for entry in [
+            pair(1 << 32, 4000),
+            pair(1, 70_000),
+            Value::Array(vec![1u64.into()]),
+            Value::from("1:4000"),
+        ] {
+            let message = spec_with_peers(vec![pair(0, 4000), entry]);
+            let err = peers(&message, 0).unwrap_err();
+            assert!(matches!(err, AgentError::Protocol(_)), "{err}");
         }
     }
 }

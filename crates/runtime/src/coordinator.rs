@@ -334,8 +334,8 @@ pub fn run(
             stream.set_read_timeout(Some(Duration::from_secs(60)))?;
             stream.set_nodelay(true)?;
             let hello = wire::recv_expect(&mut stream, "hello")?;
-            let host = wire::field_u64(&hello, "host")? as u32;
-            let udp_port = wire::field_u64(&hello, "udp_port")? as u16;
+            let host: u32 = wire::field(&hello, "host")?;
+            let udp_port: u16 = wire::field(&hello, "udp_port")?;
             if host >= hosts || links.contains_key(&host) {
                 return Err(CoordinatorError::Protocol(format!(
                     "unexpected hello from host {host}"
@@ -366,7 +366,7 @@ pub fn run(
                 &wire::msg("sync", vec![("nonce", nonce.into())]),
             )?;
             let ack = wire::recv_expect(&mut link.stream, "sync_ack")?;
-            if wire::field_u64(&ack, "nonce")? != nonce {
+            if wire::field::<u64>(&ack, "nonce")? != nonce {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} echoed the wrong sync nonce",
                     link.host
@@ -406,7 +406,7 @@ pub fn run(
         }
         for link in links.iter_mut() {
             let up = wire::recv_expect(&mut link.stream, "manager_up")?;
-            if wire::field_u64(&up, "host")? as u32 != link.host {
+            if wire::field::<u32>(&up, "host")? != link.host {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} answered manager_up for another host",
                     link.host
@@ -429,13 +429,13 @@ pub fn run(
         }
         for link in links.iter_mut() {
             let attached = wire::recv_expect(&mut link.stream, "cores_attached")?;
-            if wire::field_u64(&attached, "host")? as u32 != link.host {
+            if wire::field::<u32>(&attached, "host")? != link.host {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} answered cores_attached for another host",
                     link.host
                 )));
             }
-            let n = wire::field_u64(&attached, "cores")?;
+            let n: u64 = wire::field(&attached, "cores")?;
             // The plan places containers round-robin; explicit scenario
             // placement overrides that on the agents, so only compare when
             // the scenario does not pin anything.
@@ -476,7 +476,7 @@ pub fn run(
                 let message = wire::recv(&mut link.stream)?;
                 match wire::msg_type(&message) {
                     Some("health") => {
-                        let host = wire::field_u64(&message, "host")? as usize;
+                        let host: usize = wire::field(&message, "host")?;
                         if host >= health.len() {
                             return Err(CoordinatorError::Protocol(format!(
                                 "health frame from unknown host {host}"
@@ -493,7 +493,7 @@ pub fn run(
                             "received",
                         ]
                         .into_iter()
-                        .map(|key| wire::field_u64(&message, key).map(|v| (key, Value::from(v))))
+                        .map(|key| wire::field::<u64>(&message, key).map(|v| (key, Value::from(v))))
                         .collect::<Result<Value, _>>()?;
                         health[host].push(row);
                     }
@@ -511,7 +511,7 @@ pub fn run(
                     }
                 }
             };
-            if wire::field_u64(&report, "host")? as u32 != link.host {
+            if wire::field::<u32>(&report, "host")? != link.host {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} reported for another host",
                     link.host
@@ -524,12 +524,12 @@ pub fn run(
                 .unwrap_or_default();
             agents.push(AgentStats {
                 host: link.host,
-                sent_bytes: wire::field_u64(&report, "sent")?,
-                received_bytes: wire::field_u64(&report, "received")?,
-                barrier_wait_micros: wire::field_u64(&report, "barrier_wait_micros")?,
-                barriers: wire::field_u64(&report, "barriers")?,
-                lost_datagrams: wire::field_u64(&report, "lost_datagrams")?,
-                barrier_timeouts: wire::field_u64(&report, "barrier_timeouts")?,
+                sent_bytes: wire::field(&report, "sent")?,
+                received_bytes: wire::field(&report, "received")?,
+                barrier_wait_micros: wire::field(&report, "barrier_wait_micros")?,
+                barriers: wire::field(&report, "barriers")?,
+                lost_datagrams: wire::field(&report, "lost_datagrams")?,
+                barrier_timeouts: wire::field(&report, "barrier_timeouts")?,
                 control_rtt_micros: link.control_rtt_micros,
                 cores: cores[link.host as usize],
             });

@@ -97,12 +97,20 @@ pub fn recv_expect(stream: &mut TcpStream, expected: &str) -> Result<Value, Wire
     }
 }
 
-/// A required `u64` field of a control message.
-pub fn field_u64(message: &Value, key: &str) -> Result<u64, WireError> {
-    message
-        .get(key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| WireError::Protocol(format!("missing integer field `{key}`")))
+/// `value` as an integer of type `T`, if it is one and fits: a host of 2³²
+/// is no `u32`, never a silently truncated host 0.
+pub fn int<T: TryFrom<u64>>(value: &Value) -> Option<T> {
+    T::try_from(value.as_u64()?).ok()
+}
+
+/// A required integer field of a control message, checked by [`int`].
+pub fn field<T: TryFrom<u64>>(message: &Value, key: &str) -> Result<T, WireError> {
+    message.get(key).and_then(int).ok_or_else(|| {
+        WireError::Protocol(format!(
+            "field `{key}` is missing or not a {}",
+            std::any::type_name::<T>()
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -117,7 +125,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let (mut server, _) = listener.accept().unwrap();
             let hello = recv_expect(&mut server, "hello").unwrap();
-            assert_eq!(field_u64(&hello, "host").unwrap(), 3);
+            assert_eq!(field::<u32>(&hello, "host").unwrap(), 3);
             send(&mut server, &msg("start", vec![])).unwrap();
         });
         let mut client = TcpStream::connect(addr).unwrap();
@@ -147,5 +155,25 @@ mod tests {
         let err = recv(&mut client).unwrap_err();
         assert!(matches!(err, WireError::Protocol(_)), "{err}");
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn integer_fields_that_do_not_fit_their_type_are_rejected() {
+        let hello = msg(
+            "hello",
+            vec![
+                ("host", (1u64 << 32).into()),
+                ("udp_port", 70_000u64.into()),
+                ("nonce", u64::MAX.into()),
+            ],
+        );
+        let err = field::<u32>(&hello, "host").unwrap_err();
+        assert!(matches!(err, WireError::Protocol(_)), "{err}");
+        let err = field::<u16>(&hello, "udp_port").unwrap_err();
+        assert!(matches!(err, WireError::Protocol(_)), "{err}");
+        let err = field::<usize>(&hello, "missing").unwrap_err();
+        assert!(matches!(err, WireError::Protocol(_)), "{err}");
+        assert_eq!(field::<u64>(&hello, "nonce").unwrap(), u64::MAX);
+        assert_eq!(field::<u32>(&hello, "udp_port").unwrap(), 70_000);
     }
 }

@@ -20,12 +20,12 @@
 //! and handled at the next dispatch point, so a stepped session is
 //! **byte-identical** to the one-shot path (pinned by a property test).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use kollaps_core::collapse::Addressable;
 use kollaps_core::runtime::{Runtime, RuntimeEvent};
-use kollaps_netmodel::packet::{Addr, FlowId};
+use kollaps_netmodel::packet::Addr;
 use kollaps_sim::prelude::*;
 use kollaps_topology::events::{DynamicAction, DynamicEvent, EventSchedule};
 use kollaps_topology::model::{LinkId, Topology};
@@ -35,7 +35,7 @@ use crate::report::{
     ConvergenceReport, DynamicsReport, HostMetadata, LinkReport, PhaseTimingReport, Report,
 };
 use crate::telemetry::{Aggregator, FlowProgress, LinkLoad, Sample, Sink, TelemetryEvent};
-use crate::workload::{LinkDemand, LiveWorkload, Workload};
+use crate::workload::{LinkDemand, LiveWorkload, Owners, Workload};
 use crate::{Churn, ScenarioError};
 
 /// Everything that can go wrong while driving or steering a live session.
@@ -117,7 +117,7 @@ pub struct Session {
     /// append).
     workloads: Vec<LiveWorkload>,
     /// Which workload each HTTP connection belongs to.
-    owner: HashMap<FlowId, usize>,
+    owner: Owners,
     demands: Vec<LinkDemand>,
     /// Times the clock must land on exactly: workload window edges.
     boundaries: Vec<SimTime>,
@@ -177,7 +177,7 @@ impl Session {
             hosts,
             topology,
             workloads: Vec::with_capacity(workloads.len()),
-            owner: HashMap::new(),
+            owner: Owners::default(),
             demands: Vec::new(),
             boundaries: vec![total_end],
             dispatched: SimTime::ZERO,
@@ -363,7 +363,7 @@ impl Session {
     fn dispatch(&mut self, now: SimTime) {
         for event in std::mem::take(&mut self.pending) {
             if let RuntimeEvent::TcpCompleted { flow, at } = event {
-                let Some(&idx) = self.owner.get(&flow) else {
+                let Some(idx) = self.owner.get(flow) else {
                     continue;
                 };
                 self.workloads[idx].on_completion(&mut self.rt, &mut self.owner, idx, flow, at);

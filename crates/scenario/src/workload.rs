@@ -235,6 +235,29 @@ pub(crate) struct LinkDemand {
     pub mbps: f64,
 }
 
+/// Which workload each HTTP connection belongs to, by [`FlowId::index`].
+/// Every flow of a session has a slot, so a slot is kept at 8 bytes.
+#[derive(Default)]
+pub(crate) struct Owners(Vec<Option<u32>>);
+
+impl Owners {
+    fn insert(&mut self, flow: FlowId, idx: usize) {
+        let (Some(slot), Ok(idx)) = (flow.index(), u32::try_from(idx)) else {
+            return;
+        };
+        if self.0.len() <= slot {
+            self.0.resize(slot + 1, None);
+        }
+        self.0[slot] = Some(idx);
+    }
+
+    /// The workload `flow` belongs to, if it is an HTTP connection.
+    pub fn get(&self, flow: FlowId) -> Option<usize> {
+        let idx = (*self.0.get(flow.index()?)?)?;
+        usize::try_from(idx).ok()
+    }
+}
+
 /// One workload of a running session: its endpoints resolved to container
 /// addresses, its activity window pinned to the scenario timeline, and its
 /// live state.
@@ -308,7 +331,7 @@ impl LiveWorkload {
     /// up-front declaration and mid-run injection.
     pub fn register(
         rt: &mut Runtime<AnyDataplane>,
-        owner: &mut HashMap<FlowId, usize>,
+        owner: &mut Owners,
         idx: usize,
         workload: Workload,
         (server, clients): (Addr, Vec<Addr>),
@@ -375,7 +398,7 @@ impl LiveWorkload {
     pub fn on_completion(
         &mut self,
         rt: &mut Runtime<AnyDataplane>,
-        owner: &mut HashMap<FlowId, usize>,
+        owner: &mut Owners,
         idx: usize,
         flow: FlowId,
         at: SimTime,
@@ -397,7 +420,6 @@ impl LiveWorkload {
             // connection, and its transfer restarts in slow start.
             http.flows.remove(&flow);
             rt.stop_tcp_flow(flow);
-            owner.remove(&flow);
             if at < self.end {
                 let client = (ci, self.clients[ci]);
                 owner.insert(http.connect(rt, self.server, client, at), idx);

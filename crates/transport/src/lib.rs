@@ -13,6 +13,8 @@
 //!   senders react to loss injected by the emulation exactly like a real
 //!   stack would, which is what makes Kollaps' congestion model work.
 //! * [`udp`] — a constant-bit-rate sender that ignores loss.
+//! * [`ping`] — an ICMP echo probe that matches replies to requests by
+//!   sequence number.
 //!
 //! The transport endpoints are passive state machines: an experiment runtime
 //! (see `kollaps-core::runtime`) moves packets between them and the
@@ -21,10 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ping;
 pub mod rtt;
 pub mod tcp;
 pub mod udp;
 
+pub use ping::PingProbe;
 pub use rtt::RttEstimator;
 pub use tcp::{CongestionAlgorithm, TcpReceiver, TcpSender, TcpSenderConfig};
 pub use udp::UdpSender;

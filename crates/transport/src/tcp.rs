@@ -93,11 +93,10 @@ impl CubicState {
 
     fn target(&mut self, now: SimTime, cwnd: f64) -> f64 {
         if self.epoch_start.is_none() {
-            self.epoch_start = Some(now);
             let base = if self.w_max > cwnd { self.w_max } else { cwnd };
             self.k = ((base * (1.0 - Self::BETA)) / Self::C).cbrt();
         }
-        let t = (now - self.epoch_start.expect("set above")).as_secs_f64();
+        let t = (now - *self.epoch_start.get_or_insert(now)).as_secs_f64();
         Self::C * (t - self.k).powi(3) + self.w_max
     }
 }
