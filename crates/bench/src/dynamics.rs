@@ -22,11 +22,12 @@
 //! supersede each other's wake-ups; a runtime that handled the superseded
 //! ones again would breed a chain of ghost wake-ups per supersede and the
 //! deterministic per-packet count would multiply, whatever the clock does.
-//! The leg also reports the egress trees polled per `deliver` call: a
-//! manager with nothing due is not polled, so on this one-host deployment
-//! the count sits near two thirds of the deployed trees (the wake-up on
-//! which a datagram reaches its destination host finds nothing due) and
-//! reads all of them the day `deliver` polls every manager again.
+//! The leg also reports the egress trees polled per `deliver` call: only
+//! the trees whose wake is due are polled, so the count sits near two
+//! thirds of one tree whatever the deployed trees (the wake-up on which a
+//! datagram reaches its destination host finds none due) and reads about
+//! two thirds of all of them the day `deliver` polls every tree of a
+//! manager with one due again.
 
 use kollaps_core::{CollapsedTopology, EventLoopStats, SnapshotTimeline};
 use kollaps_dynamics::Churn;

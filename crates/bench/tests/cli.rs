@@ -113,3 +113,99 @@ fn quoted_commands_are_found_in_every_spelling() {
     assert_eq!(names, ["dynamics", "fig8", "diff"]);
     assert_eq!(bins, ["bench_diff"]);
 }
+
+/// `shown` is `value` rounded to the decimals `shown` has; thousands
+/// separators are ignored.
+fn shows(shown: &str, value: f64) -> bool {
+    let shown = shown.replace(',', "");
+    let decimals = shown.split_once('.').map_or(0, |(_, d)| d.len());
+    format!("{value:.decimals$}") == shown
+}
+
+/// The README's *Scaling* table quotes `BENCH_scaling.json`; every perf
+/// change used to re-quote it by hand. Each number in it must be the
+/// committed record rounded to the digits the table shows.
+#[test]
+fn readme_scaling_table_quotes_the_committed_baseline() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let baseline = kollaps_bench::BenchReport::read(&root.join("BENCH_scaling.json"))
+        .expect("committed scaling baseline");
+    let section = readme
+        .split_once("\n## Scaling\n")
+        .expect("a Scaling section")
+        .1;
+    let rows: Vec<Vec<&str>> = section
+        .lines()
+        .skip_while(|line| !line.starts_with("| cell |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| line.trim_matches('|').split('|').map(str::trim).collect())
+        .collect();
+    let cells = baseline
+        .records
+        .iter()
+        .filter(|r| r.metric == "rounds_per_sec_seq")
+        .count();
+    assert!(cells > 0, "the baseline has no cells");
+    assert_eq!(rows.len(), cells, "one table row per baseline cell");
+    for row in rows {
+        let [cell, rounds, alloc, hits, trees, precompute] = row[..] else {
+            panic!("{row:?} does not have the six columns");
+        };
+        let axis = |unit: &str| {
+            let number = cell
+                .split(" / ")
+                .find_map(|part| part.strip_suffix(unit))
+                .unwrap_or_else(|| panic!("`{cell}` names no {unit}"));
+            number.trim().replace(',', "")
+        };
+        let (nodes, flows) = (axis(" nodes"), axis(" flows"));
+        let record = |metric: &str| {
+            baseline
+                .records
+                .iter()
+                .find(|r| {
+                    r.metric == metric
+                        && r.axes
+                            == [
+                                ("nodes".into(), nodes.clone()),
+                                ("flows".into(), flows.clone()),
+                            ]
+                })
+                .unwrap_or_else(|| panic!("no `{metric}` record for `{cell}`"))
+                .value
+        };
+        let check = |column: &str, shown: &str, value: f64| {
+            assert!(
+                shows(shown, value),
+                "`{cell}` {column}: the README shows {shown}, the baseline reads {value}"
+            );
+        };
+        check("rounds/s", rounds, record("rounds_per_sec_seq"));
+        check("alloc µs/round", alloc, record("alloc_micros_per_round"));
+        let hits = hits.strip_suffix('%').expect("a percentage");
+        check("fast-path hits", hits, record("fast_hit_percent"));
+        let (polled, deployed) = trees.split_once(" of ").expect("`<polled> of <trees>`");
+        check("trees polled", polled, record("trees_visited_per_deliver"));
+        // Every node but the dumbbell's two bridges is a container with a tree.
+        let nodes: f64 = nodes.parse().expect("a node count");
+        check("trees deployed", deployed, nodes - 2.0);
+        let micros = record("precompute_seq_micros");
+        let (shown, scale) = match precompute.split_once(' ') {
+            Some((ms, "ms")) => (ms, 1e3),
+            Some((s, "s")) => (s, 1e6),
+            _ => panic!("`{precompute}` is not in ms or s"),
+        };
+        check("precompute", shown, micros / scale);
+    }
+}
+
+#[test]
+fn shown_numbers_round_the_record_to_their_digits() {
+    assert!(shows("614.4", 614.396_004_951));
+    assert!(shows("2,347", 2_346.6));
+    assert!(shows("0.414", 0.414_2));
+    assert!(!shows("614.4", 614.46));
+    assert!(!shows("24.8", 2.48));
+}

@@ -245,18 +245,16 @@ pub struct KollapsDataplane {
 pub struct PacketPathStats {
     /// `Dataplane::deliver` calls.
     pub deliver_calls: u64,
-    /// Egress trees those calls polled (all managers): every tree of each
-    /// manager that had one due or had lost a chain, none of the others.
+    /// Egress trees those calls polled (all managers): the trees whose wake
+    /// was due, plus those that had lost a chain since their last poll.
     pub trees_visited: u64,
     /// Polls that released at least one packet.
     pub trees_emitted: u64,
 }
 
 impl PacketPathStats {
-    /// Mean egress trees polled per `deliver` call: the trees of the
-    /// managers with something due — at most the deployed trees, and the due
-    /// trees alone once the drain inside a manager follows the wake index
-    /// too.
+    /// Mean egress trees polled per `deliver` call: the due trees (plus any
+    /// that lost a chain), independent of how many trees are deployed.
     pub fn trees_visited_per_deliver(&self) -> f64 {
         self.trees_visited as f64 / self.deliver_calls.max(1) as f64
     }
@@ -1345,17 +1343,12 @@ mod tests {
         }
         let mut arrived: Vec<Addr> = Vec::new();
         let mut now = SimTime::ZERO;
-        // What each `deliver` may poll: the trees of the managers with a due
-        // tree, all of them; of a manager with nothing due, none.
+        // What each `deliver` may poll: the due trees, and no other (no
+        // chain is removed here).
         let mut due_trees = 0;
         while let Some(wake) = dp.next_wakeup(now) {
             now = wake.max(now);
-            due_trees += dp
-                .managers()
-                .iter()
-                .filter(|m| m.next_wakeup().is_some_and(|wake| wake <= now))
-                .map(|m| m.container_count() as u64)
-                .sum::<u64>();
+            due_trees += dp.managers().iter().map(|m| m.due_trees(now)).sum::<u64>();
             arrived.extend(dp.deliver(now).iter().map(|p| p.src));
         }
         let mut expected: Vec<Addr> = sends.iter().map(|&(src, _)| src).collect();

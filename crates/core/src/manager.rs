@@ -111,15 +111,15 @@ pub struct EmulationManager {
     /// the htb refills at `max(dequeue_cursor, enqueued_at)`, never at the
     /// poll time, so a tree's wake is a pure function of its state and moves
     /// only where [`Tcal::reindex`] is called — an enqueue into an empty htb
-    /// class, a `dequeue_ready` poll of a due tree, `set_bandwidth`,
-    /// `install_path` and `remove_path`.
+    /// class, a `dequeue_ready` poll, `set_bandwidth`, `install_path` and
+    /// `remove_path`.
     wakes: BTreeSet<(SimTime, usize)>,
-    /// A local tree lost a chain since the last poll. The removed chain's
-    /// entry stays in that tree's active list until a poll compacts it, and
-    /// where the compaction lands among later enqueues decides the order
-    /// same-instant packets leave in, so the next `dequeue_ready` polls
-    /// whatever the wake index says.
-    chain_removed: bool,
+    /// Slots of the local trees that lost a chain since the last poll. The
+    /// removed chain's entry stays in that tree's active list until a poll
+    /// compacts it, and where the compaction lands among later enqueues
+    /// decides the order same-instant packets leave in, so the next
+    /// `dequeue_ready` polls these trees whatever their wake.
+    revisit: Vec<usize>,
     /// Trees `dequeue_ready` polled / polled and got packets from, since
     /// construction (deterministic work counters).
     trees_visited: u64,
@@ -194,7 +194,7 @@ impl EmulationManager {
             collapsed,
             egress,
             wakes: BTreeSet::new(),
-            chain_removed: false,
+            revisit: Vec::new(),
             trees_visited: 0,
             trees_emitted: 0,
             remote: Vec::new(),
@@ -275,28 +275,32 @@ impl EmulationManager {
     }
 
     /// Packets that finished their collapsed-path emulation on this host,
-    /// tree by tree in container-address order. A manager with nothing due
-    /// — the head of its wake index is later than `now` — and no chain
-    /// removed since its last poll returns at once without touching a tree:
-    /// polling a tree that is not due neither releases a packet nor changes
-    /// its state. Otherwise every local tree is polled; only a due one can
-    /// have moved its wake.
+    /// tree by tree in container-address order. Only two sets of trees are
+    /// polled, each re-indexed after: those whose wake is due by `now`, and
+    /// those that lost a chain since the last poll. Polling any other tree
+    /// would release nothing and change none of its state.
     pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
-        let due = self.next_wakeup().is_some_and(|wake| wake <= now);
-        if !due && !self.chain_removed {
-            return Vec::new();
-        }
-        self.chain_removed = false;
+        let mut slots = std::mem::take(&mut self.revisit);
+        slots.extend(
+            self.wakes
+                .iter()
+                .take_while(|&&(wake, _)| wake <= now)
+                .map(|&(_, slot)| slot),
+        );
+        slots.sort_unstable();
+        slots.dedup();
         let mut out = Vec::new();
-        for (slot, tcal) in self.egress.iter_mut().enumerate() {
+        for &slot in &slots {
+            let tcal = &mut self.egress[slot];
             let before = out.len();
             out.extend(tcal.tree.dequeue_ready(now));
             self.trees_visited += 1;
             self.trees_emitted += u64::from(out.len() > before);
-            if tcal.wake.is_some_and(|wake| wake <= now) {
-                tcal.reindex(now, slot, &mut self.wakes);
-            }
+            tcal.reindex(now, slot, &mut self.wakes);
         }
+        // Hand the emptied buffer back so the next poll reuses it.
+        slots.clear();
+        self.revisit = slots;
         out
     }
 
@@ -556,7 +560,7 @@ impl EmulationManager {
                 if tree.remove_path(dst_addr) {
                     touched += 1;
                     trees.push(slot);
-                    self.chain_removed = true;
+                    self.revisit.push(slot);
                 }
                 table_remove(&mut self.last_allocation, (src_addr, dst_addr));
             }
@@ -632,10 +636,9 @@ impl EmulationManager {
     }
 }
 
-/// Test-only counterparts of the packet-path answers: the brute-force
-/// "when next?" the wake index replaced, the poll of every tree on every
-/// event the per-manager gate replaced, and the index-driven "who is due?"
-/// that is to replace the poll of every tree inside a due manager.
+/// Test-only oracles of the packet-path answers: the brute-force "when
+/// next?" the wake index replaced, and the poll of every tree that the
+/// index-driven `dequeue_ready` replaced.
 #[cfg(test)]
 impl EmulationManager {
     fn scan_next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
@@ -647,8 +650,9 @@ impl EmulationManager {
     }
 
     /// The oracle for `dequeue_ready`: every local tree polled, whatever
-    /// the wake index and the removal flag say.
+    /// the wake index and the revisit list say.
     fn scan_dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
+        self.revisit.clear();
         let mut out = Vec::new();
         for (slot, tcal) in self.egress.iter_mut().enumerate() {
             out.extend(tcal.tree.dequeue_ready(now));
@@ -659,32 +663,13 @@ impl EmulationManager {
         out
     }
 
-    /// `dequeue_ready` polling only the trees whose wake is due, plus
-    /// `revisit`: a removed chain stays in its tree's active list until the
-    /// next poll compacts it, and the compaction order decides same-instant
-    /// packet order later, so such a tree is polled once more whatever its
-    /// wake.
-    fn indexed_dequeue_ready(&mut self, now: SimTime, revisit: &[Addr]) -> Vec<Packet> {
-        let mut due: Vec<usize> = revisit
+    /// Local trees whose wake is due by `now`: what `dequeue_ready` polls
+    /// when no chain was removed since the last poll.
+    pub(crate) fn due_trees(&self, now: SimTime) -> u64 {
+        self.wakes
             .iter()
-            .filter_map(|&addr| local_tcal(&mut self.egress, addr).map(|(slot, _)| slot))
-            .collect();
-        due.extend(
-            self.wakes
-                .iter()
-                .take_while(|&&(wake, _)| wake <= now)
-                .map(|&(_, slot)| slot),
-        );
-        due.sort_unstable();
-        due.dedup();
-        let mut out = Vec::new();
-        for slot in due {
-            if let Some(tcal) = self.egress.get_mut(slot) {
-                out.extend(tcal.tree.dequeue_ready(now));
-                tcal.reindex(now, slot, &mut self.wakes);
-            }
-        }
-        out
+            .take_while(|&&(wake, _)| wake <= now)
+            .count() as u64
     }
 }
 
@@ -697,12 +682,11 @@ mod tests {
     use kollaps_topology::generators;
     use kollaps_topology::model::NodeId;
 
-    /// Three managers built alike take the same seeded op sequence. After
+    /// Two managers built alike take the same seeded op sequence. After
     /// every op the wake index must equal the brute-force minimum over every
-    /// tree, and both the production drain (all trees of a manager that is
-    /// due or lost a chain, none otherwise) and the index-driven one (the
-    /// due trees plus those a removal touched) must return the packet
-    /// sequence that polling every tree on every drain returns.
+    /// tree, and the production drain (the due trees plus those that lost a
+    /// chain, nothing else) must return the packet sequence that polling
+    /// every tree on every drain returns.
     #[test]
     fn wake_index_matches_the_brute_force_scan() {
         let (topo, clients, servers) = generators::dumbbell(
@@ -726,9 +710,7 @@ mod tests {
                 &SimRng::new(11),
             )
         };
-        let (mut gated, mut indexed, mut scanned) = (build(), build(), build());
-        // Trees that lost a chain since `indexed` last drained.
-        let mut revisit: Vec<Addr> = Vec::new();
+        let (mut indexed, mut scanned) = (build(), build());
         let (mut skipped_polls, mut polls_for_a_removal) = (0, 0);
 
         let mut rng = SimRng::new(0x5eed);
@@ -760,13 +742,11 @@ mod tests {
                         now,
                     );
                     let verdict = scanned.enqueue(now, packet.clone());
-                    for m in [&mut gated, &mut indexed] {
-                        assert_eq!(
-                            m.enqueue(now, packet.clone()),
-                            verdict,
-                            "step {step}: enqueue verdict"
-                        );
-                    }
+                    assert_eq!(
+                        indexed.enqueue(now, packet),
+                        verdict,
+                        "step {step}: enqueue verdict"
+                    );
                     backpressured += usize::from(verdict == Some(EgressVerdict::Backpressure));
                 }
                 60..=84 => {
@@ -778,23 +758,23 @@ mod tests {
                         _ => rng.gen_range(3_000, 10_000),
                     });
                     let got = scanned.scan_dequeue_ready(now);
-                    let head_due = gated.next_wakeup().is_some_and(|wake| wake <= now);
-                    let (removal_pending, visited) = (gated.chain_removed, gated.trees_visited);
+                    let due = indexed.due_trees(now);
+                    let mut revisit = indexed.revisit.clone();
+                    revisit.sort_unstable();
+                    revisit.dedup();
+                    let visited = indexed.trees_visited;
                     assert_eq!(
-                        gated.dequeue_ready(now),
+                        indexed.dequeue_ready(now),
                         got,
-                        "step {step}: drained packets, gated"
+                        "step {step}: drained packets"
                     );
-                    let polled = gated.trees_visited > visited;
-                    assert_eq!(polled, head_due || removal_pending, "step {step}");
-                    skipped_polls += usize::from(!polled);
-                    polls_for_a_removal += usize::from(polled && !head_due);
-                    assert_eq!(
-                        indexed.indexed_dequeue_ready(now, &revisit),
-                        got,
-                        "step {step}: drained packets, indexed"
-                    );
-                    revisit.clear();
+                    // Every due tree, every revisited one, and nothing else.
+                    let polled = indexed.trees_visited - visited;
+                    assert!(polled >= due.max(revisit.len() as u64), "step {step}");
+                    assert!(polled <= due + revisit.len() as u64, "step {step}");
+                    assert!(indexed.revisit.is_empty(), "step {step}");
+                    skipped_polls += usize::from(polled == 0);
+                    polls_for_a_removal += usize::from(due == 0 && polled > 0);
                     drained += got.len();
                 }
                 85..=90 => {
@@ -805,7 +785,7 @@ mod tests {
                     } else {
                         Bandwidth::from_kbps(rng.gen_range(64, 50_000))
                     };
-                    for m in [&mut gated, &mut indexed, &mut scanned] {
+                    for m in [&mut indexed, &mut scanned] {
                         let (slot, tcal) = local_tcal(&mut m.egress, addr(src)).expect("local");
                         tcal.tree.set_bandwidth(now, addr(dst), rate);
                         let wake = tcal.tree.next_wakeup(now);
@@ -816,7 +796,7 @@ mod tests {
                 91..=93 => {
                     // The production `set_bandwidth` path.
                     let before = indexed.next_wakeup();
-                    for m in [&mut gated, &mut indexed, &mut scanned] {
+                    for m in [&mut indexed, &mut scanned] {
                         m.collect_usage();
                         m.enforce(now);
                     }
@@ -837,14 +817,10 @@ mod tests {
                         snapshot: Arc::clone(&collapsed),
                     };
                     let touched = scanned.apply_delta(&delta);
-                    assert_eq!(gated.apply_delta(&delta), touched);
                     assert_eq!(indexed.apply_delta(&delta), touched);
-                    if remove {
-                        revisit.extend([addr(src), addr(dst)]);
-                    }
                 }
             }
-            for m in [&mut gated, &mut indexed, &mut scanned] {
+            for m in [&mut indexed, &mut scanned] {
                 assert_eq!(
                     m.next_wakeup(),
                     m.scan_next_wakeup(now),
@@ -857,12 +833,12 @@ mod tests {
         assert!(backpressured > 0, "no class ever filled up");
         assert!(stalled > 0, "no tree ever stalled on a zero-rate class");
         assert!(rate_moved_wake > 0, "enforcement never moved the head wake");
-        assert!(skipped_polls > 0, "the gate never skipped a poll");
+        assert!(skipped_polls > 0, "every drain polled a tree");
         assert!(
             polls_for_a_removal > 0,
-            "a removed chain never forced a poll of a manager with nothing due"
+            "a removed chain never forced a poll with nothing due"
         );
-        let (visited, emitted) = gated.trees_drained();
+        let (visited, emitted) = indexed.trees_drained();
         assert!(emitted > 0 && visited >= emitted);
     }
 
@@ -916,7 +892,7 @@ mod tests {
     /// enters the list afterwards must find it as polling on every event
     /// left it, or packets released together later leave in another order.
     ///
-    /// Mutation-checked: without the `chain_removed` flag the gated manager
+    /// Mutation-checked: without the revisit list the production drain
     /// returns the last packet first.
     #[test]
     fn a_removed_chain_is_compacted_by_the_next_poll_with_nothing_due() {
@@ -963,7 +939,7 @@ mod tests {
             EmulationManager::dequeue_ready,
             EmulationManager::scan_dequeue_ready,
         ];
-        let [gated, scanned] = drains.map(|drain| {
+        let [indexed, scanned] = drains.map(|drain| {
             let mut m = build();
             for (id, &dst) in servers[..3].iter().enumerate() {
                 let verdict = m.enqueue(SimTime::ZERO, packet(id as u64, dst));
@@ -980,8 +956,62 @@ mod tests {
             let released = drain(&mut m, SimTime::from_secs(1));
             released.iter().map(|p| p.id).collect::<Vec<u64>>()
         });
-        assert_eq!(gated, [2, 3, 1]);
-        assert_eq!(gated, scanned);
+        assert_eq!(indexed, [2, 3, 1]);
+        assert_eq!(indexed, scanned);
+    }
+
+    /// With nothing due, the poll after a delta visits exactly the local
+    /// trees that lost a chain — once each, however many chains — and the
+    /// poll after that visits none.
+    ///
+    /// Mutation-checked: not pushing the slot in `apply_delta`, or not
+    /// emptying the list in `dequeue_ready`, fails this test.
+    #[test]
+    fn the_poll_after_a_removal_visits_exactly_the_trees_that_lost_a_chain() {
+        let (topo, clients, servers) = generators::dumbbell(
+            4,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(100),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(1),
+        );
+        let collapsed = Arc::new(CollapsedTopology::build(&topo));
+        let local: Vec<Addr> = clients
+            .iter()
+            .map(|&c| collapsed.address_of(c).expect("service has an address"))
+            .collect();
+        let mut manager = EmulationManager::new(
+            HostId(0),
+            EmulationConfig::default(),
+            Arc::clone(&collapsed),
+            &local,
+            &SimRng::new(9),
+        );
+        let cut = SnapshotDelta {
+            at: SimDuration::ZERO,
+            events: 1,
+            changed_links: Vec::new(),
+            changed_paths: Vec::new(),
+            // Two chains off the first client's tree, one off the second's,
+            // and one off a tree another host owns.
+            removed_paths: vec![
+                (clients[0], servers[0]),
+                (clients[0], servers[1]),
+                (clients[1], servers[0]),
+                (servers[0], clients[0]),
+            ],
+            snapshot: Arc::clone(&collapsed),
+        };
+        let now = SimTime::from_millis(1);
+        assert_eq!(manager.apply_delta(&cut), 3);
+        assert_eq!(manager.next_wakeup(), None, "nothing is due");
+        let visits = |manager: &mut EmulationManager| {
+            let (before, _) = manager.trees_drained();
+            assert!(manager.dequeue_ready(now).is_empty());
+            manager.trees_drained().0 - before
+        };
+        assert_eq!(visits(&mut manager), 2);
+        assert_eq!(visits(&mut manager), 0);
     }
 
     /// A remote advertisement may name a link this snapshot does not have

@@ -10,7 +10,6 @@ use std::collections::{HashMap, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use kollaps_sim::time::{SimDuration, SimTime};
-use kollaps_sim::units::{Bandwidth, DataSize};
 
 use crate::codec::MetadataMessage;
 
@@ -39,20 +38,6 @@ impl TrafficAccounting {
     /// once per remote destination host, like Aeron's UDP unicast fan-out).
     pub fn total_network_bytes(&self) -> u64 {
         self.sent_bytes.values().sum()
-    }
-
-    /// Average network throughput of metadata over an experiment of the
-    /// given duration, across the whole cluster.
-    pub fn average_throughput(&self, duration: SimDuration) -> Bandwidth {
-        DataSize::from_bytes(self.total_network_bytes()).rate_over(duration)
-    }
-
-    /// Average network throughput per host.
-    pub fn per_host_throughput(&self, duration: SimDuration, hosts: usize) -> Bandwidth {
-        if hosts == 0 {
-            return Bandwidth::ZERO;
-        }
-        Bandwidth::from_bps(self.average_throughput(duration).as_bps() / hosts as u64)
     }
 }
 
@@ -142,22 +127,18 @@ impl DisseminationBus {
             accounting: TrafficAccounting::default(),
         }
     }
+}
 
-    /// The participating hosts.
-    pub fn hosts(&self) -> &[HostId] {
+impl Bus for DisseminationBus {
+    fn hosts(&self) -> &[HostId] {
         &self.hosts
-    }
-
-    /// Traffic accounting so far.
-    pub fn accounting(&self) -> &TrafficAccounting {
-        &self.accounting
     }
 
     /// Publishes `message` from `from` to every other host (and to local
     /// subscribers for free). The bus stamps the wire header — sender host
     /// and publish time — so a subscriber's [`Delivery`] always agrees with
     /// what the encoded message itself claims.
-    pub fn publish(&mut self, now: SimTime, from: HostId, message: &MetadataMessage) {
+    fn publish(&mut self, now: SimTime, from: HostId, message: &MetadataMessage) {
         let mut message = message.clone();
         message.sender = from;
         message.published = now;
@@ -178,7 +159,7 @@ impl DisseminationBus {
     }
 
     /// Moves messages whose delivery time has passed into their mailboxes.
-    pub fn advance(&mut self, now: SimTime) {
+    fn synchronize(&mut self, now: SimTime) {
         let mut remaining = VecDeque::new();
         while let Some(m) = self.in_flight.pop_front() {
             if m.deliver_at <= now {
@@ -202,34 +183,16 @@ impl DisseminationBus {
 
     /// Drains the messages delivered to `host`, each carrying its sender
     /// and publish time.
-    pub fn drain(&mut self, now: SimTime, host: HostId) -> Vec<Delivery> {
-        self.advance(now);
+    fn drain(&mut self, now: SimTime, host: HostId) -> Vec<Delivery> {
+        self.synchronize(now);
         self.mailboxes
             .get_mut(host.0 as usize)
             .map(std::mem::take)
             .unwrap_or_default()
     }
-}
-
-impl Bus for DisseminationBus {
-    fn hosts(&self) -> &[HostId] {
-        DisseminationBus::hosts(self)
-    }
-
-    fn publish(&mut self, now: SimTime, from: HostId, message: &MetadataMessage) {
-        DisseminationBus::publish(self, now, from, message);
-    }
-
-    fn synchronize(&mut self, now: SimTime) {
-        self.advance(now);
-    }
-
-    fn drain(&mut self, now: SimTime, host: HostId) -> Vec<Delivery> {
-        DisseminationBus::drain(self, now, host)
-    }
 
     fn accounting(&self) -> &TrafficAccounting {
-        DisseminationBus::accounting(self)
+        &self.accounting
     }
 }
 
@@ -333,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn accounting_throughput_helpers() {
+    fn accounting_counts_every_remote_copy_of_every_round() {
         let mut bus = DisseminationBus::new(hosts(4), SimDuration::ZERO);
         // 10 rounds of publications from every host.
         for round in 0..10u64 {
@@ -343,15 +306,10 @@ mod tests {
             }
         }
         let acc = bus.accounting();
-        let total = acc.total_network_bytes();
-        assert_eq!(total, 10 * 4 * 3 * message(5).encoded_len() as u64);
-        let tput = acc.average_throughput(SimDuration::from_millis(500));
-        assert!(tput.as_bps() > 0);
-        let per_host = acc.per_host_throughput(SimDuration::from_millis(500), 4);
-        assert_eq!(per_host.as_bps(), tput.as_bps() / 4);
-        assert_eq!(
-            acc.per_host_throughput(SimDuration::from_secs(1), 0),
-            Bandwidth::ZERO
-        );
+        let copy = message(5).encoded_len() as u64;
+        assert_eq!(acc.total_network_bytes(), 10 * 4 * 3 * copy);
+        for h in 0..4 {
+            assert_eq!(acc.sent_bytes[&HostId(h)], 10 * 3 * copy);
+        }
     }
 }

@@ -159,9 +159,9 @@ impl EgressTree {
     /// install sequence number — stays in the active list until the next
     /// [`EgressTree::dequeue_ready`] compacts it (no chain installed later
     /// has that sequence number), and the chains that enter the list in
-    /// between end up in another order, so a caller that polls only on
-    /// demand must poll this tree once more before anything else is
-    /// enqueued — the Emulation Manager's `chain_removed` flag does that.
+    /// between end up in another order, so a caller that polls only due
+    /// trees must poll this one at its next drain whatever its wake — the
+    /// Emulation Manager keeps a list of such trees to revisit.
     pub fn remove_path(&mut self, dst: Addr) -> bool {
         let slot = dst
             .container_index()

@@ -105,18 +105,9 @@ fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentEr
             "assigned host {me} but the scenario has only {n_hosts} hosts"
         )));
     }
-    let metadata_delay = spec
-        .get("config")
-        .and_then(|c| c.get("metadata_delay_ns"))
-        .and_then(|v| v.as_u64())
-        .map(SimDuration::from_nanos)
-        .unwrap_or(SimDuration::ZERO);
-    let loss = message.get("loss").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let barrier_timeout = message
-        .get("barrier_timeout_ms")
-        .and_then(|v| v.as_u64())
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(5));
+    let metadata_delay = metadata_delay(spec)?;
+    let loss = loss(message)?;
+    let barrier_timeout = barrier_timeout(message)?;
     let peers = peers(message, me)?;
     let mut session = scenario.session()?;
     session.record_host_gaps()?;
@@ -133,6 +124,46 @@ fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentEr
     )?;
     session.install_metadata_bus(Box::new(bus))?;
     Ok(Prepared { session, stats })
+}
+
+/// The scenario's one-way metadata delay, which the socket bus mirrors onto
+/// real deliveries: `config.metadata_delay_ns` of the spec, required like
+/// [`Scenario::from_spec`] requires it.
+fn metadata_delay(spec: &Value) -> Result<SimDuration, AgentError> {
+    spec.get("config")
+        .and_then(|config| config.get("metadata_delay_ns"))
+        .and_then(wire::int::<u64>)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| {
+            AgentError::Protocol(
+                "spec field `config.metadata_delay_ns` is missing or not a u64".to_string(),
+            )
+        })
+}
+
+/// The injected datagram loss of a `spec` message: a finite probability in
+/// `[0, 1]`. Anything above 1 would silently drop every datagram.
+fn loss(message: &Value) -> Result<f64, AgentError> {
+    message
+        .get("loss")
+        .and_then(Value::as_f64)
+        .filter(|p| (0.0..=1.0).contains(p))
+        .ok_or_else(|| {
+            AgentError::Protocol(
+                "field `loss` is missing or not a probability in [0, 1]".to_string(),
+            )
+        })
+}
+
+/// How long the metadata barrier of a `spec` message waits for a peer.
+fn barrier_timeout(message: &Value) -> Result<Duration, AgentError> {
+    message
+        .get("barrier_timeout_ms")
+        .and_then(wire::int::<u64>)
+        .map(Duration::from_millis)
+        .ok_or_else(|| {
+            AgentError::Protocol("field `barrier_timeout_ms` is missing or not a u64".to_string())
+        })
 }
 
 /// The UDP peer directory of a `spec` message: every other host's metadata
@@ -383,6 +414,68 @@ mod tests {
             let message = spec_with_peers(vec![pair(0, 4000), entry]);
             let err = peers(&message, 0).unwrap_err();
             assert!(matches!(err, AgentError::Protocol(_)), "{err}");
+        }
+    }
+
+    fn spec_message(field: &str, value: Value) -> Value {
+        wire::msg("spec", vec![(field, value)])
+    }
+
+    #[test]
+    fn loss_must_be_a_probability() {
+        for p in [0.0, 0.25, 1.0] {
+            assert_eq!(loss(&spec_message("loss", p.into())).unwrap(), p);
+        }
+        assert_eq!(loss(&spec_message("loss", 1u64.into())).unwrap(), 1.0);
+        for bad in [
+            Value::from(1.5),
+            Value::from(-0.1),
+            Value::from(f64::INFINITY),
+            Value::from(f64::NAN),
+            Value::from("0.1"),
+            Value::Null,
+        ] {
+            let err = loss(&spec_message("loss", bad.clone())).unwrap_err();
+            assert!(matches!(err, AgentError::Protocol(_)), "{bad}: {err}");
+        }
+        let err = loss(&spec_message("peers", Value::Array(Vec::new()))).unwrap_err();
+        assert!(matches!(err, AgentError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn barrier_timeout_is_required() {
+        let message = spec_message("barrier_timeout_ms", 250u64.into());
+        assert_eq!(
+            barrier_timeout(&message).unwrap(),
+            Duration::from_millis(250)
+        );
+        for bad in [
+            spec_message("barrier_timeout_ms", Value::from(2.5)),
+            spec_message("barrier_timeout_ms", Value::from("5000")),
+            spec_message("loss", 0u64.into()),
+        ] {
+            let err = barrier_timeout(&bad).unwrap_err();
+            assert!(matches!(err, AgentError::Protocol(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn metadata_delay_is_required() {
+        let config = |delay: Value| {
+            Value::from_iter([("config", Value::from_iter([("metadata_delay_ns", delay)]))])
+        };
+        assert_eq!(
+            metadata_delay(&config(7u64.into())).unwrap(),
+            SimDuration::from_nanos(7)
+        );
+        for bad in [
+            config(Value::from(-1.0)),
+            config(Value::Null),
+            Value::from_iter([("config", Value::from_iter([("seed", Value::from(1u64))]))]),
+            Value::from_iter([("name", Value::from("no config"))]),
+        ] {
+            let err = metadata_delay(&bad).unwrap_err();
+            assert!(matches!(err, AgentError::Protocol(_)), "{bad}: {err}");
         }
     }
 }

@@ -41,7 +41,7 @@ use kollaps_metadata::bus::HostId;
 use kollaps_orchestrator::{
     BootstrapPhase, Cluster, DeploymentGenerator, DeploymentPlan, Orchestrator,
 };
-use kollaps_scenario::{Scenario, ScenarioError, Workload};
+use kollaps_scenario::{ConvergenceReport, HostMetadata, Scenario, ScenarioError, Workload};
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 use serde_json::Value;
@@ -199,6 +199,22 @@ fn set_field(report: &mut Value, key: &str, value: Value) {
     }
 }
 
+/// The convergence-gap series of a `report` message: an array of finite
+/// numbers. [`merge_convergence`] lines the hosts' series up by index, so a
+/// missing field or a skipped entry would shift every later sample of the
+/// host; either is a protocol error.
+fn gap_series(report: &Value) -> Result<Vec<f64>, CoordinatorError> {
+    report
+        .get("gaps")
+        .and_then(Value::as_array)
+        .and_then(|gaps| gaps.iter().map(Value::as_f64).collect())
+        .ok_or_else(|| {
+            CoordinatorError::Protocol(
+                "field `gaps` is missing or not an array of finite numbers".to_string(),
+            )
+        })
+}
+
 /// Recomputes the global convergence block from per-host gap series.
 ///
 /// Mirrors `update_convergence` in the emulation loop exactly: the global
@@ -206,7 +222,7 @@ fn set_field(report: &mut Value, key: &str, value: Value) {
 /// taken in iteration order, and the mean divides by the sample count —
 /// all exact operations, so the merged block is bit-identical to what a
 /// single in-process run reports.
-fn merge_convergence(series: &[Vec<f64>]) -> Option<(f64, f64, f64)> {
+fn merge_convergence(series: &[Vec<f64>]) -> Option<ConvergenceReport> {
     let len = series.iter().map(Vec::len).max()?;
     if len == 0 {
         return None;
@@ -225,7 +241,11 @@ fn merge_convergence(series: &[Vec<f64>]) -> Option<(f64, f64, f64)> {
         max = max.max(gap);
         sum += gap;
     }
-    Some((last, max, sum / len as f64))
+    Some(ConvergenceReport {
+        last_gap: last,
+        max_gap: max,
+        mean_gap: sum / len as f64,
+    })
 }
 
 fn launch_agents(
@@ -297,6 +317,12 @@ pub fn run(
     scenario: &Scenario,
     options: &RunOptions,
 ) -> Result<DistributedOutcome, CoordinatorError> {
+    if !(0.0..=1.0).contains(&options.loss_probability) {
+        return Err(CoordinatorError::Protocol(format!(
+            "loss probability {} is outside [0, 1]",
+            options.loss_probability
+        )));
+    }
     let spec = scenario.to_spec()?;
     let hosts = scenario.host_count() as u32;
     let topology = scenario.topology()?;
@@ -517,11 +543,7 @@ pub fn run(
                     link.host
                 )));
             }
-            let gaps = report
-                .get("gaps")
-                .and_then(|v| v.as_array())
-                .map(|a| a.iter().filter_map(|v| v.as_f64()).collect::<Vec<f64>>())
-                .unwrap_or_default();
+            let gaps = gap_series(&report)?;
             agents.push(AgentStats {
                 host: link.host,
                 sent_bytes: wire::field(&report, "sent")?,
@@ -555,29 +577,20 @@ pub fn run(
         set_field(&mut merged, "backend", Value::from("kollaps-distributed"));
         let total_sent: u64 = agents.iter().map(|a| a.sent_bytes).sum();
         set_field(&mut merged, "metadata_bytes", Value::from(total_sent));
-        let rows = Value::Array(
-            agents
-                .iter()
-                .map(|a| {
-                    Value::from_iter([
-                        ("host", Value::from(u64::from(a.host))),
-                        ("sent_bytes", Value::from(a.sent_bytes)),
-                        ("received_bytes", Value::from(a.received_bytes)),
-                    ])
-                })
-                .collect(),
-        );
-        set_field(&mut merged, "metadata_per_host", rows);
-        if let Some((last, max, mean)) = merge_convergence(&series) {
-            set_field(
-                &mut merged,
-                "convergence",
-                Value::from_iter([
-                    ("last_gap", Value::from(last)),
-                    ("max_gap", Value::from(max)),
-                    ("mean_gap", Value::from(mean)),
-                ]),
-            );
+        let rows = agents
+            .iter()
+            .map(|a| {
+                HostMetadata {
+                    host: a.host,
+                    sent_bytes: a.sent_bytes,
+                    received_bytes: a.received_bytes,
+                }
+                .to_json()
+            })
+            .collect();
+        set_field(&mut merged, "metadata_per_host", Value::Array(rows));
+        if let Some(convergence) = merge_convergence(&series) {
+            set_field(&mut merged, "convergence", convergence.to_json());
         }
         // Live telemetry only the distributed runtime can produce: the
         // per-host health series streamed while the run was in flight and
@@ -679,4 +692,66 @@ pub fn staggered_join_scenario(seconds: u64) -> Scenario {
             .place(&format!("server-{i}"), (i % 2) as u32);
     }
     scenario
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report_with_gaps(gaps: Value) -> Value {
+        wire::msg("report", vec![("host", 0u64.into()), ("gaps", gaps)])
+    }
+
+    #[test]
+    fn gap_series_must_be_an_array_of_finite_numbers() {
+        let gaps = Value::Array(vec![0.5.into(), 1u64.into(), 0.0.into()]);
+        assert_eq!(
+            gap_series(&report_with_gaps(gaps)).unwrap(),
+            [0.5, 1.0, 0.0]
+        );
+        for bad in [
+            report_with_gaps(Value::Array(vec![0.5.into(), Value::Null, 0.25.into()])),
+            report_with_gaps(Value::Array(vec![0.5.into(), "0.25".into()])),
+            report_with_gaps(Value::Array(vec![f64::NAN.into()])),
+            report_with_gaps(0.5.into()),
+            wire::msg("report", vec![("host", 0u64.into())]),
+        ] {
+            let err = gap_series(&bad).unwrap_err();
+            assert!(matches!(err, CoordinatorError::Protocol(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn merged_convergence_lines_hosts_up_by_sample() {
+        let merged = merge_convergence(&[vec![0.1, 0.4, 0.2], vec![0.3, 0.1]]);
+        assert_eq!(
+            merged,
+            Some(ConvergenceReport {
+                last_gap: 0.2,
+                max_gap: 0.4,
+                mean_gap: (0.3 + 0.4 + 0.2) / 3.0,
+            })
+        );
+        assert_eq!(merge_convergence(&[]), None);
+        assert_eq!(merge_convergence(&[Vec::new(), Vec::new()]), None);
+    }
+
+    #[test]
+    fn a_loss_probability_outside_the_unit_interval_is_rejected_before_launch() {
+        // The agent binary does not exist: the run fails on the option
+        // before it gets as far as spawning one.
+        let launch = Launch::Processes(PathBuf::from("/nonexistent/kollaps-agent"));
+        for loss in [1.5, -0.25, f64::NAN, f64::INFINITY] {
+            let options = RunOptions {
+                launch: launch.clone(),
+                loss_probability: loss,
+                ..RunOptions::default()
+            };
+            let err = run(&staggered_join_scenario(1), &options).unwrap_err();
+            let CoordinatorError::Protocol(reason) = err else {
+                panic!("loss {loss}: {err}");
+            };
+            assert!(reason.contains("loss probability"), "{reason}");
+        }
+    }
 }

@@ -189,7 +189,7 @@ impl Bus for SocketBus {
     }
 
     fn synchronize(&mut self, now: SimTime) {
-        self.inner.advance(now);
+        self.inner.synchronize(now);
         let start = Instant::now();
         let mut buf = [0u8; 65_535];
         let mut timed_out = false;

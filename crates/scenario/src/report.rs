@@ -352,7 +352,9 @@ impl LinkReport {
 }
 
 impl HostMetadata {
-    fn to_json(&self) -> Value {
+    /// The `metadata_per_host` row of this host, as [`Report::to_json`]
+    /// writes it.
+    pub fn to_json(&self) -> Value {
         Value::from_iter([
             ("host", self.host.into()),
             ("sent_bytes", self.sent_bytes.into()),
@@ -362,7 +364,8 @@ impl HostMetadata {
 }
 
 impl ConvergenceReport {
-    fn to_json(self) -> Value {
+    /// The `convergence` block, as [`Report::to_json`] writes it.
+    pub fn to_json(self) -> Value {
         Value::from_iter([
             ("last_gap", self.last_gap.into()),
             ("max_gap", self.max_gap.into()),

@@ -488,40 +488,6 @@ pub fn relative_error_percent(observed: f64, expected: f64) -> f64 {
     }
 }
 
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds a new observation and returns the updated average.
-    pub fn update(&mut self, sample: f64) -> f64 {
-        let v = match self.value {
-            None => sample,
-            Some(prev) => prev + self.alpha * (sample - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// The current average, if any observation has been fed.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,15 +712,5 @@ mod tests {
     #[should_panic]
     fn mse_length_mismatch_panics() {
         let _ = mean_squared_error(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(10.0), 10.0);
-        assert_eq!(e.update(20.0), 15.0);
-        assert_eq!(e.update(20.0), 17.5);
-        assert_eq!(e.value(), Some(17.5));
     }
 }

@@ -512,9 +512,9 @@ fn mesh_session_is_byte_identical_stepped_and_traced() {
 }
 
 /// The same identities across a partition that removes qdisc chains **while
-/// they hold packets** — the one case in which a manager polls its trees
-/// although its wake index says nothing is due (`chain_removed` in
-/// `crates/core/src/manager.rs`), and one no benchmark workload reaches.
+/// they hold packets** — the one case in which a manager polls a tree whose
+/// wake is not due (the `revisit` list in `crates/core/src/manager.rs`), and
+/// one no benchmark workload reaches.
 /// Every client sends to three servers at once (several active chains per
 /// tree; the slow flows' chains drain and re-enter the active list between
 /// packets) and the partition cuts two of the four servers off for 500 ms.
