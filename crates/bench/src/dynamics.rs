@@ -117,7 +117,7 @@ fn traffic_leg(topo: &Topology, schedule: &EventSchedule) -> TrafficLeg {
     let mut session = scenario.session().expect("valid scenario");
     session
         .run_until(session.end())
-        .expect("an unpaused session advances");
+        .expect("stepping never fails");
     let delivered: u64 = session.flow_progress().iter().map(|f| f.bytes).sum();
     TrafficLeg {
         packets: delivered / MSS.as_bytes(),

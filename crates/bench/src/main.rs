@@ -131,7 +131,8 @@ fn dynamics(args: &[String]) -> bool {
 fn session(_: &[String]) -> bool {
     emit(
         "Session overhead (6 s emulated, 4 flows, churn): stepping relative \
-         to run(), campaign serial vs 4 threads",
+         to run(); campaign (4 variants of 8 bulk TCP pairs, 20 s emulated) \
+         serial vs 4 threads",
         &run_session_bench(),
         false,
     )

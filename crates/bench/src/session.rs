@@ -2,7 +2,8 @@
 //! `Scenario::run()` is a wrapper over the resumable `Session`, so this
 //! sweep pins (a) that the wrapper costs nothing measurable and (b) what
 //! fine-grained interactive stepping costs relative to it, plus the
-//! wall-clock speedup a concurrent `Campaign` gets from its thread pool.
+//! wall-clock speedup a concurrent `Campaign` gets from its thread pool
+//! over variants that each run for a few hundred milliseconds.
 
 use std::time::Instant;
 
@@ -40,6 +41,28 @@ fn scenario() -> Scenario {
                 Bandwidth::from_mbps(20),
             )
             .duration(SimDuration::from_secs(6))
+        }))
+}
+
+/// The campaign legs' base: 8 bulk TCP pairs across a 2-host dumbbell for
+/// 20 virtual s. Each variant takes a few hundred milliseconds of wall
+/// clock, so the pool's speedup measures the variants rather than thread
+/// start-up.
+fn campaign_scenario() -> Scenario {
+    const PAIRS: usize = 8;
+    let (topo, _, _) = generators::dumbbell(
+        PAIRS,
+        Bandwidth::from_mbps(100),
+        Bandwidth::from_mbps(50),
+        SimDuration::from_millis(1),
+        SimDuration::from_millis(10),
+    );
+    Scenario::from_topology(topo)
+        .named("session-bench-campaign")
+        .hosts(2)
+        .workloads((0..PAIRS).map(|i| {
+            Workload::iperf_tcp(&format!("client-{i}"), &format!("server-{i}"))
+                .duration(SimDuration::from_secs(20))
         }))
 }
 
@@ -89,7 +112,7 @@ pub fn run_session_bench() -> BenchReport {
     ];
     let sweep = |threads: usize| {
         let t = Instant::now();
-        let campaign = Campaign::over(scenario())
+        let campaign = Campaign::over(campaign_scenario())
             .vary_metadata_delay(&delays)
             .threads(threads)
             .run()
@@ -98,6 +121,7 @@ pub fn run_session_bench() -> BenchReport {
             campaign.timeline_precomputes, 1,
             "sweep shares one timeline"
         );
+        assert_eq!(campaign.variants.len(), delays.len());
         t.elapsed().as_secs_f64() * 1e3
     };
     let serial_ms = sweep(1);

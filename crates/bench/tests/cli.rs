@@ -201,6 +201,88 @@ fn readme_scaling_table_quotes_the_committed_baseline() {
     }
 }
 
+/// The numbers quoted right after `marker` in `text`: whitespace-separated
+/// tokens up to the first that is neither a number nor a `/`, with a
+/// trailing `:` or `,` dropped.
+fn quoted_after<'t>(text: &'t str, marker: &str) -> Vec<&'t str> {
+    let rest = text
+        .split_once(marker)
+        .unwrap_or_else(|| panic!("the text quotes no {marker}"))
+        .1;
+    rest.split_whitespace()
+        .map(|token| token.trim_end_matches([':', ',']))
+        .take_while(|token| *token == "/" || token.parse::<f64>().is_ok())
+        .filter(|token| *token != "/")
+        .collect()
+}
+
+/// The README's *Perf trajectory* bullet on `BENCH_dynamics.json` quotes
+/// the traffic leg's gated counters. Each quoted number must be the
+/// committed record rounded to the digits shown: a triple gives one number
+/// per cell in ascending topology size, a single number holds for every
+/// cell.
+#[test]
+fn readme_dynamics_prose_quotes_the_committed_baseline() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let baseline = kollaps_bench::BenchReport::read(&root.join("BENCH_dynamics.json"))
+        .expect("committed dynamics baseline");
+    let bullet = readme
+        .split_once("\n## Perf trajectory\n")
+        .expect("a Perf trajectory section")
+        .1
+        .split_once("* `BENCH_dynamics.json`")
+        .expect("a BENCH_dynamics.json bullet")
+        .1
+        .split("\n* ")
+        .next()
+        .expect("bullet text");
+    let bullet = bullet.split_whitespace().collect::<Vec<_>>().join(" ");
+    let cells = |metric: &str| {
+        let mut cells: Vec<(u64, f64)> = baseline
+            .records
+            .iter()
+            .filter(|r| r.metric == metric)
+            .map(|r| {
+                let elements = r
+                    .axes
+                    .iter()
+                    .find(|(name, _)| name == "elements")
+                    .and_then(|(_, value)| value.parse().ok())
+                    .unwrap_or_else(|| panic!("a `{metric}` record has no elements axis"));
+                (elements, r.value)
+            })
+            .collect();
+        cells.sort_by_key(|&(elements, _)| elements);
+        assert!(!cells.is_empty(), "the baseline has no `{metric}` record");
+        cells
+    };
+    let trees = cells("trees_visited_per_deliver");
+    let quoted = quoted_after(
+        &bullet,
+        "`trees_visited_per_deliver` (`Session::packet_path_stats()`):",
+    );
+    assert_eq!(quoted.len(), trees.len(), "one quoted number per cell");
+    for (shown, (elements, value)) in quoted.iter().zip(&trees) {
+        assert!(
+            shows(shown, *value),
+            "trees_visited_per_deliver at {elements} elements: the README shows {shown}, \
+             the baseline reads {value}"
+        );
+    }
+    let quoted = quoted_after(&bullet, "`wakeups_per_packet` (");
+    let [shown] = quoted[..] else {
+        panic!("one wakeups_per_packet figure, not {quoted:?}");
+    };
+    for (elements, value) in cells("wakeups_per_packet") {
+        assert!(
+            shows(shown, value),
+            "wakeups_per_packet at {elements} elements: the README shows {shown}, \
+             the baseline reads {value}"
+        );
+    }
+}
+
 #[test]
 fn shown_numbers_round_the_record_to_their_digits() {
     assert!(shows("614.4", 614.396_004_951));

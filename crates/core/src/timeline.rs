@@ -279,16 +279,6 @@ impl SnapshotTimeline {
     pub fn is_empty(&self) -> bool {
         self.deltas.is_empty()
     }
-
-    /// The snapshot in force at `at` (initial before the first change).
-    pub fn snapshot_at(&self, at: SimDuration) -> &Arc<CollapsedTopology> {
-        let idx = self.deltas.partition_point(|d| d.at <= at);
-        if idx == 0 {
-            &self.initial
-        } else {
-            &self.deltas[idx - 1].snapshot
-        }
-    }
 }
 
 /// Folds a sorted run of events into `deltas`: groups them by change time,
@@ -547,10 +537,6 @@ mod tests {
         assert!(timeline.is_empty());
         assert_eq!(timeline.initial().pair_count(), 6 * 5);
         assert_eq!(timeline.stats().events, 0);
-        assert!(Arc::ptr_eq(
-            timeline.snapshot_at(SimDuration::from_secs(99)),
-            timeline.initial()
-        ));
     }
 
     #[test]

@@ -79,10 +79,9 @@ pub enum ScenarioError {
     },
     /// The scenario has no workloads; running it would measure nothing.
     EmptyWorkload,
-    /// A session pacing knob ([`crate::Scenario::step_interval`] or
-    /// [`crate::Scenario::sample_interval`]) is zero.
+    /// The session pacing knob [`crate::Scenario::step_interval`] is zero.
     InvalidStepInterval {
-        /// Which knob ("step_interval" or "sample_interval").
+        /// The knob's name ("step_interval").
         knob: &'static str,
     },
     /// A workload is self-contradictory (same endpoints, zero rate, zero

@@ -29,10 +29,10 @@
 //!
 //! Execution itself is **session-based**: [`Scenario::session`] returns a
 //! live [`Session`] with a steppable clock ([`Session::step`],
-//! [`Session::run_until`], [`Session::pause`]), live accessors
+//! [`Session::run_until`]), live accessors read between steps
 //! ([`Session::flow_progress`], [`Session::link_loads`],
 //! [`Session::convergence`]), streaming telemetry ([`Sink`],
-//! [`TelemetryEvent`], [`Sample`]) and mid-run steering
+//! [`TelemetryEvent`]) and mid-run steering
 //! ([`Session::inject_workload`], [`Session::inject_event`],
 //! [`Session::inject_churn`] — the precomputed snapshot timeline is
 //! extended incrementally). [`Scenario::run`] is a thin wrapper:
@@ -90,7 +90,7 @@ pub use report::{
 };
 pub use session::{Session, SessionError};
 pub use spec::SPEC_VERSION;
-pub use telemetry::{Aggregator, FlowProgress, FlowStatus, LinkLoad, Sample, Sink, TelemetryEvent};
+pub use telemetry::{Aggregator, FlowProgress, FlowStatus, Sink, TelemetryEvent};
 pub use workload::{Workload, DEFAULT_DURATION};
 
 use kollaps_core::collapse::Addressable;
@@ -130,7 +130,6 @@ pub struct Scenario {
     metadata_delay: Option<SimDuration>,
     placement: Vec<(String, u32)>,
     step_interval: Option<SimDuration>,
-    sample_interval: Option<SimDuration>,
     distributed: bool,
     trace: bool,
 }
@@ -149,7 +148,6 @@ impl Scenario {
             metadata_delay: None,
             placement: Vec::new(),
             step_interval: None,
-            sample_interval: None,
             distributed: false,
             trace: false,
         }
@@ -362,15 +360,6 @@ impl Scenario {
         self
     }
 
-    /// Enables periodic telemetry samples: every `interval` of virtual
-    /// time, attached [`Sink`]s receive a [`Sample`] of the whole session.
-    /// Off by default; a zero interval is rejected with
-    /// [`ScenarioError::InvalidStepInterval`].
-    pub fn sample_interval(mut self, interval: SimDuration) -> Self {
-        self.sample_interval = Some(interval);
-        self
-    }
-
     /// Enables the flight recorder (Kollaps backend only): the emulation
     /// core records per-tick phase spans, per-worker spans, allocation
     /// spans and counters into bounded in-memory ring buffers, readable
@@ -407,7 +396,7 @@ impl Scenario {
     }
 
     /// Validates the composition, builds the selected backend and returns
-    /// a live [`Session`] over it — paused at `t = 0`, nothing run yet.
+    /// a live [`Session`] over it — stopped at `t = 0`, nothing run yet.
     /// Drive it with [`Session::step`]/[`Session::run_until`], observe it
     /// through accessors and [`Sink`]s, steer it with the `inject_*`
     /// calls, and close it with [`Session::finish`].
@@ -447,11 +436,6 @@ impl Scenario {
             Some(interval) => interval,
             None => session::DEFAULT_STEP,
         };
-        if self.sample_interval.is_some_and(|i| i.is_zero()) {
-            return Err(ScenarioError::InvalidStepInterval {
-                knob: "sample_interval",
-            });
-        }
 
         // Apply the deployment knobs (hosts / placement / metadata delay).
         // They configure the per-host Emulation Managers, so they only mean
@@ -507,15 +491,11 @@ impl Scenario {
         backend.validate(&topology, &schedule)?;
 
         // Total timeline: the last workload window, unless capped.
-        let natural_end = self
-            .workloads
-            .iter()
-            .map(|w| SimTime::ZERO + w.start + w.effective_duration())
-            .max()
-            .unwrap_or(SimTime::ZERO);
         let total_end = match self.duration {
             Some(cap) => SimTime::ZERO + cap,
-            None => natural_end,
+            None => self.workloads.iter().try_fold(SimTime::ZERO, |end, w| {
+                Ok::<_, ScenarioError>(end.max(w.window(SimTime::ZERO, None)?.1))
+            })?,
         };
 
         let backend_name = backend.name().to_string();
@@ -543,7 +523,6 @@ impl Scenario {
             total_end,
             duration_capped: self.duration.is_some(),
             step,
-            sample_interval: self.sample_interval,
             recorder,
         })
     }

@@ -128,19 +128,38 @@ pub struct FlowReport {
     pub ops_per_second: Option<f64>,
 }
 
-/// Offered load on one original-topology link.
+/// Offered load on one original-topology link: in a [`Report`], summed
+/// over the run's flows; from [`crate::Session::link_loads`], as measured
+/// in the emulation managers' most recent loop iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkReport {
     /// The link id in the original (pre-collapse) topology.
     pub link: u32,
     /// Configured capacity.
     pub capacity_mbps: f64,
-    /// Sum of the average goodputs of all reported flows whose collapsed
-    /// path crosses this link (each averaged over its own activity window).
+    /// In a [`Report`], the sum of the average goodputs of all reported
+    /// flows whose collapsed path crosses this link (each averaged over its
+    /// own activity window); live, the load offered in the last loop.
     pub offered_mbps: f64,
-    /// `offered / capacity`; above 1.0 the link was a contended bottleneck
-    /// for at least part of the run.
+    /// `offered / capacity` (0 when the capacity is unlimited); above 1.0
+    /// the link was a contended bottleneck.
     pub utilization: f64,
+}
+
+impl LinkReport {
+    pub(crate) fn new(link: u32, offered_mbps: f64, capacity_mbps: f64) -> Self {
+        let utilization = if capacity_mbps.is_finite() && capacity_mbps > 0.0 {
+            offered_mbps / capacity_mbps
+        } else {
+            0.0
+        };
+        LinkReport {
+            link,
+            capacity_mbps,
+            offered_mbps,
+            utilization,
+        }
+    }
 }
 
 /// Metadata traffic one physical host put on (and took off) the network.

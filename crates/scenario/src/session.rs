@@ -2,11 +2,11 @@
 //!
 //! A [`Session`] is a running experiment you can hold in your hand:
 //! [`Session::step`] and [`Session::run_until`] advance the virtual clock
-//! in increments, [`Session::pause`]/[`Session::resume`] gate it, live
+//! in increments — they are the only way the clock moves — live
 //! accessors ([`Session::clock`], [`Session::flow_progress`],
 //! [`Session::link_loads`], [`Session::convergence`]) expose the running
-//! state, attached [`Sink`]s stream typed [`TelemetryEvent`]s and periodic
-//! [`crate::Sample`]s, and the steering calls
+//! state between steps, attached [`Sink`]s stream typed
+//! [`TelemetryEvent`]s, and the steering calls
 //! ([`Session::inject_workload`], [`Session::inject_event`],
 //! [`Session::inject_churn`]) change the experiment *while it runs* —
 //! extending the precomputed snapshot timeline incrementally instead of
@@ -34,7 +34,7 @@ use crate::backend::AnyDataplane;
 use crate::report::{
     ConvergenceReport, DynamicsReport, HostMetadata, LinkReport, PhaseTimingReport, Report,
 };
-use crate::telemetry::{Aggregator, FlowProgress, LinkLoad, Sample, Sink, TelemetryEvent};
+use crate::telemetry::{Aggregator, FlowProgress, Sink, TelemetryEvent};
 use crate::workload::{LinkDemand, LiveWorkload, Owners, Workload};
 use crate::{Churn, ScenarioError};
 
@@ -45,8 +45,6 @@ use crate::{Churn, ScenarioError};
 /// session-lifecycle failures that cannot exist in the one-shot world.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
-    /// The session is paused; call [`Session::resume`] first.
-    Paused,
     /// An injected event or churn spec targets a time the session clock
     /// has already passed — the emulated past cannot be rewritten.
     PastInjection {
@@ -64,7 +62,6 @@ pub enum SessionError {
 impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SessionError::Paused => write!(f, "session is paused; resume() before stepping"),
             SessionError::PastInjection { at_s, now_s } => write!(
                 f,
                 "cannot inject at t={at_s}s: the session clock is already at {now_s}s"
@@ -99,7 +96,6 @@ pub(crate) struct SessionInit {
     pub total_end: SimTime,
     pub duration_capped: bool,
     pub step: SimDuration,
-    pub sample_interval: Option<SimDuration>,
     pub recorder: kollaps_trace::Recorder,
 }
 
@@ -131,9 +127,6 @@ pub struct Session {
     /// (injected workloads are then clipped instead of extending it).
     duration_capped: bool,
     step: SimDuration,
-    sample_interval: Option<SimDuration>,
-    next_sample: SimTime,
-    paused: bool,
     sinks: Vec<Box<dyn Sink>>,
     /// The built-in flow-class aggregator: every finalized flow folds into
     /// it, and [`Session::finish`] exports it as `Report::flow_classes`.
@@ -162,7 +155,6 @@ impl Session {
             total_end,
             duration_capped,
             step,
-            sample_interval,
             recorder,
         } = init;
         recorder.instant(
@@ -185,11 +177,6 @@ impl Session {
             total_end,
             duration_capped,
             step,
-            sample_interval,
-            next_sample: sample_interval
-                .map(|i| SimTime::ZERO + i)
-                .unwrap_or(SimTime::MAX),
-            paused: false,
             sinks: Vec::new(),
             aggregator: Aggregator::new(),
             pending: Vec::new(),
@@ -201,10 +188,8 @@ impl Session {
         for workload in workloads {
             let endpoints =
                 crate::resolve_workload(&session.topology, &session.rt.dataplane, &workload)?;
-            let start = (SimTime::ZERO + workload.start).min(total_end);
-            let end =
-                (SimTime::ZERO + workload.start + workload.effective_duration()).min(total_end);
-            session.register(workload, endpoints, (start, end));
+            let window = workload.window(SimTime::ZERO, Some(total_end))?;
+            session.register(workload, endpoints, window);
         }
         Ok(session)
     }
@@ -240,47 +225,26 @@ impl Session {
         self.total_end
     }
 
-    /// Pauses the session: [`Session::step`] and [`Session::run_until`]
-    /// fail with [`SessionError::Paused`] until [`Session::resume`].
-    /// Steering and the live accessors keep working while paused.
-    pub fn pause(&mut self) {
-        self.paused = true;
-    }
-
-    /// Clears a [`Session::pause`].
-    pub fn resume(&mut self) {
-        self.paused = false;
-    }
-
-    /// `true` while the session is paused.
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
-    /// Advances the clock by `dt` (clipped to the end of the experiment)
-    /// and returns the new clock.
+    /// Advances the clock by `dt` (saturating, then clipped to the end of
+    /// the experiment) and returns the new clock. Never fails.
     pub fn step(&mut self, dt: SimDuration) -> Result<SimTime, SessionError> {
-        let target = (self.cursor + dt).min(self.total_end);
-        self.advance(target)?;
+        self.advance(self.cursor.saturating_add(dt).min(self.total_end));
         Ok(self.cursor)
     }
 
     /// Advances the clock to `deadline` (clipped to the end of the
-    /// experiment) and returns the new clock.
+    /// experiment) and returns the new clock. Never fails.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<SimTime, SessionError> {
-        self.advance(deadline.min(self.total_end))?;
+        self.advance(deadline.min(self.total_end));
         Ok(self.cursor)
     }
 
     /// Runs whatever remains of the timeline, finalizes every workload and
     /// returns the structured [`Report`] — exactly what the one-shot
-    /// [`crate::Scenario::run`] returns. An active pause is released (finishing
-    /// *is* the resume).
+    /// [`crate::Scenario::run`] returns.
     pub fn finish(mut self) -> Report {
-        self.paused = false;
         let span = self.recorder.span(0, "session_finish");
-        self.advance(self.total_end)
-            .expect("an unpaused session always advances");
+        self.advance(self.total_end);
         drop(span);
         // Safety net: windows clipped exactly to the end are finalized by
         // the last dispatch; anything left (zero-length timeline) ends
@@ -298,60 +262,24 @@ impl Session {
     /// interval, clipped to the next window boundary and the experiment
     /// end), independent of how callers slice their steps: a step that
     /// stops between dispatch points buffers runtime events and handles
-    /// them when the dispatch point is eventually reached. Sampling
-    /// instants pause the clock the same way a user step does — the sample
-    /// is taken **without** dispatching, so enabling observability cannot
-    /// perturb the experiment's results.
-    fn advance(&mut self, target: SimTime) -> Result<(), SessionError> {
-        if self.paused {
-            return Err(SessionError::Paused);
-        }
+    /// them when the dispatch point is eventually reached. Observing the
+    /// session between steps therefore cannot perturb its results.
+    fn advance(&mut self, target: SimTime) {
         while self.cursor < target {
             let next = self.next_dispatch();
-            // A due sampling instant strictly before the next dispatch
-            // point: stop there exactly like a user step would, observe,
-            // and continue. Coinciding instants sample right after the
-            // dispatch (the `<` keeps dispatch first).
-            if let Some(interval) = self.sample_interval {
-                if self.next_sample <= target && self.next_sample < next {
-                    let at = self.next_sample;
-                    if at > self.cursor {
-                        let events = self.rt.run_until(at);
-                        self.pending.extend(events);
-                        self.cursor = at;
-                    }
-                    self.take_sample(at);
-                    while self.next_sample <= at {
-                        self.next_sample += interval;
-                    }
-                    continue;
-                }
-            }
+            let events = self.rt.run_until(next.min(target));
+            self.pending.extend(events);
             if next <= target {
-                let events = self.rt.run_until(next);
-                self.pending.extend(events);
                 self.dispatch(next);
-                if let Some(interval) = self.sample_interval {
-                    if self.next_sample == next {
-                        self.take_sample(next);
-                        while self.next_sample <= next {
-                            self.next_sample += interval;
-                        }
-                    }
-                }
             } else {
-                let events = self.rt.run_until(target);
-                self.pending.extend(events);
                 self.cursor = target;
-                break;
             }
         }
-        Ok(())
     }
 
     /// The next event-dispatch instant after the last one.
     fn next_dispatch(&self) -> SimTime {
-        let mut next = self.dispatched + self.step;
+        let mut next = self.dispatched.saturating_add(self.step);
         if let Some(&b) = self.boundaries.iter().find(|&&b| b > self.dispatched) {
             next = next.min(b);
         }
@@ -359,7 +287,7 @@ impl Session {
     }
 
     /// One event-dispatch round at `now`: handle buffered completions,
-    /// finalize windows that closed, emit telemetry and samples.
+    /// finalize windows that closed, emit telemetry.
     fn dispatch(&mut self, now: SimTime) {
         for event in std::mem::take(&mut self.pending) {
             if let RuntimeEvent::TcpCompleted { flow, at } = event {
@@ -465,26 +393,6 @@ impl Session {
         }
     }
 
-    /// Delivers one periodic sample at `now` (a non-dispatching
-    /// observation stop inserted by [`Session::advance`]).
-    fn take_sample(&mut self, now: SimTime) {
-        if self.sinks.is_empty() {
-            return;
-        }
-        let allocation = self.allocation_telemetry();
-        let sample = Sample {
-            at_s: now.as_secs_f64(),
-            flows: self.flow_progress(),
-            links: self.link_loads(),
-            convergence_gap: self.rt.dataplane.convergence().map(|c| c.last_gap),
-            allocation_micros: allocation.map(|(micros, _)| micros),
-            allocator_fast_hit_rate: allocation.map(|(_, stats)| stats.fast_hit_rate()),
-        };
-        for sink in &mut self.sinks {
-            sink.on_sample(&sample);
-        }
-    }
-
     fn emit(&mut self, event: &TelemetryEvent) {
         for sink in &mut self.sinks {
             sink.on_event(event);
@@ -496,8 +404,7 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Attaches a telemetry sink. Sinks receive every subsequent
-    /// [`TelemetryEvent`] (and periodic samples, when the scenario set a
-    /// sample interval) synchronously, in attachment order.
+    /// [`TelemetryEvent`] synchronously, in attachment order.
     pub fn attach_sink(&mut self, sink: Box<dyn Sink>) {
         self.sinks.push(sink);
     }
@@ -514,20 +421,13 @@ impl Session {
     /// Live offered load per original-topology link, from the emulation
     /// managers' most recent loop iteration (Kollaps backend only; empty
     /// otherwise).
-    pub fn link_loads(&self) -> Vec<LinkLoad> {
+    pub fn link_loads(&self) -> Vec<LinkReport> {
         self.rt
             .dataplane
             .live_link_usage()
             .into_iter()
-            .map(|(link, offered_mbps, capacity_mbps)| LinkLoad {
-                link,
-                capacity_mbps,
-                offered_mbps,
-                utilization: if capacity_mbps.is_finite() && capacity_mbps > 0.0 {
-                    offered_mbps / capacity_mbps
-                } else {
-                    0.0
-                },
+            .map(|(link, offered_mbps, capacity_mbps)| {
+                LinkReport::new(link, offered_mbps, capacity_mbps)
             })
             .collect()
     }
@@ -676,8 +576,8 @@ impl Session {
     pub fn inject_workload(&mut self, workload: Workload) -> Result<(), SessionError> {
         crate::validate_workloads(&self.topology, std::slice::from_ref(&workload))?;
         let endpoints = crate::resolve_workload(&self.topology, &self.rt.dataplane, &workload)?;
-        let start = (SimTime::ZERO + workload.start).max(self.cursor);
-        let mut end = start + workload.effective_duration();
+        let cap = self.duration_capped.then_some(self.total_end);
+        let (start, end) = workload.window(self.cursor, cap)?;
         if self.duration_capped {
             // A capped timeline clips the window; a window clipped to
             // nothing would register a phantom flow that can never run.
@@ -691,7 +591,6 @@ impl Session {
                     ),
                 }));
             }
-            end = end.min(self.total_end);
         } else if end > self.total_end {
             self.total_end = end;
             self.add_boundary(end);
@@ -838,17 +737,7 @@ impl Session {
                     .link_capacity(LinkId(link))
                     .map(|b| b.as_mbps())
                     .unwrap_or(f64::INFINITY);
-                let utilization = if capacity_mbps.is_finite() && capacity_mbps > 0.0 {
-                    offered_mbps / capacity_mbps
-                } else {
-                    0.0
-                };
-                LinkReport {
-                    link,
-                    capacity_mbps,
-                    offered_mbps,
-                    utilization,
-                }
+                LinkReport::new(link, offered_mbps, capacity_mbps)
             })
             .collect();
         let metadata_bytes = self.rt.dataplane.metadata_network_bytes();
@@ -971,25 +860,78 @@ mod tests {
     }
 
     #[test]
-    fn pause_gates_the_clock_but_not_the_accessors() {
+    fn a_step_of_any_length_saturates_and_clips_to_the_end() {
         let mut session = base(50).session().unwrap();
         session.run_until(SimTime::from_secs(1)).unwrap();
-        session.pause();
-        assert!(session.is_paused());
-        assert_eq!(
-            session.step(SimDuration::from_secs(1)).unwrap_err(),
-            SessionError::Paused
+        let at = session.step(SimDuration::MAX).unwrap();
+        assert_eq!(at, SimTime::from_secs(4));
+        assert_eq!(session.flow_progress()[0].status, FlowStatus::Finished);
+    }
+
+    #[test]
+    fn an_unbounded_step_interval_dispatches_at_the_window_edges() {
+        let report = Scenario::from_topology(p2p(50))
+            .step_interval(SimDuration::MAX)
+            .workload(
+                Workload::ping("client", "server")
+                    .count(3)
+                    .start(SimDuration::from_secs(1)),
+            )
+            .run()
+            .expect("valid scenario");
+        assert_eq!(report.flows[0].rtt.as_ref().unwrap().replies, 3);
+    }
+
+    #[test]
+    fn an_unbounded_window_clips_to_the_duration_cap() {
+        let report = Scenario::from_topology(p2p(50))
+            .duration(SimDuration::from_secs(3))
+            .workload(
+                Workload::ping("client", "server")
+                    .start(SimDuration::from_secs(1))
+                    .duration(SimDuration::MAX),
+            )
+            .run()
+            .expect("a capped window fits");
+        assert_eq!((report.flows[0].start_s, report.flows[0].end_s), (1.0, 3.0));
+    }
+
+    #[test]
+    fn an_unbounded_ping_count_clips_to_the_duration_cap() {
+        let report = Scenario::from_topology(p2p(50))
+            .duration(SimDuration::from_secs(3))
+            .workload(Workload::ping("client", "server").count(u64::MAX))
+            .run()
+            .expect("a capped window fits");
+        assert_eq!(report.flows[0].end_s, 3.0);
+        assert!(report.flows[0].rtt.as_ref().unwrap().replies > 0);
+    }
+
+    #[test]
+    fn an_uncapped_window_beyond_the_timeline_is_rejected() {
+        let err = Scenario::from_topology(p2p(50))
+            .workload(Workload::ping("client", "server").count(u64::MAX))
+            .session()
+            .err()
+            .expect("the window end does not fit");
+        assert!(
+            matches!(err, ScenarioError::InvalidWorkload { .. }),
+            "{err}"
         );
-        // The live view still works while paused.
-        let progress = session.flow_progress();
-        assert_eq!(progress.len(), 1);
-        assert_eq!(progress[0].status, FlowStatus::Running);
-        assert!(progress[0].bytes > 0);
-        session.resume();
-        assert_eq!(
-            session.step(SimDuration::from_secs(1)).unwrap(),
-            SimTime::from_secs(2)
+        let mut session = base(50).session().unwrap();
+        session.run_until(SimTime::from_secs(1)).unwrap();
+        let err = session
+            .inject_workload(Workload::ping("client", "server").duration(SimDuration::MAX))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SessionError::Invalid(ScenarioError::InvalidWorkload { .. })
+            ),
+            "{err}"
         );
+        assert_eq!(session.end(), SimTime::from_secs(4));
+        assert_eq!(session.finish().flows.len(), 1, "no flow was registered");
     }
 
     #[test]
@@ -1025,43 +967,6 @@ mod tests {
         assert!((ping.start_s - 2.0).abs() < 1e-9, "{}", ping.start_s);
         assert_eq!(ping.rtt.as_ref().unwrap().replies, 10);
         assert!((report.duration_s - 5.0).abs() < 1e-9);
-    }
-
-    /// A sample interval finer than the dispatch step must still deliver
-    /// every sample at its exact nominal time — and because samples are
-    /// non-dispatching observation stops, enabling them must not change
-    /// the experiment's results at all.
-    #[test]
-    fn fine_grained_sampling_delivers_every_sample_without_perturbing() {
-        struct Counter(std::rc::Rc<std::cell::RefCell<Vec<f64>>>);
-        impl Sink for Counter {
-            fn on_sample(&mut self, sample: &Sample) {
-                self.0.borrow_mut().push(sample.at_s);
-            }
-        }
-        let times = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut session = base(50)
-            .sample_interval(SimDuration::from_millis(25))
-            .session()
-            .unwrap();
-        session.attach_sink(Box::new(Counter(std::rc::Rc::clone(&times))));
-        let sampled = session.finish();
-        let times = times.borrow();
-        // 4 s at 25 ms: samples at 0.025, 0.050, ..., 4.000.
-        assert_eq!(times.len(), 160, "{times:?}");
-        assert!((times[0] - 0.025).abs() < 1e-9);
-        assert!((times[159] - 4.0).abs() < 1e-9);
-        // Observability is free: the sampled run reports exactly what the
-        // unsampled one does. (Normalize the one wall-clock field in case
-        // the base scenario ever grows a dynamics block.)
-        let plain = base(50).run().unwrap();
-        let normalized = |mut r: Report| {
-            if let Some(d) = r.dynamics.as_mut() {
-                d.precompute_micros = 0;
-            }
-            r.to_json_string()
-        };
-        assert_eq!(normalized(sampled), normalized(plain));
     }
 
     #[test]
@@ -1250,21 +1155,16 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         events: std::rc::Rc<std::cell::RefCell<Vec<TelemetryEvent>>>,
-        samples: std::rc::Rc<std::cell::RefCell<usize>>,
     }
 
     impl Sink for Recorder {
         fn on_event(&mut self, event: &TelemetryEvent) {
             self.events.borrow_mut().push(event.clone());
         }
-        fn on_sample(&mut self, sample: &Sample) {
-            assert!(!sample.flows.is_empty());
-            *self.samples.borrow_mut() += 1;
-        }
     }
 
     #[test]
-    fn sinks_stream_typed_telemetry_and_samples() {
+    fn sinks_stream_typed_telemetry() {
         let (topo, _, _) = generators::dumbbell(
             2,
             Bandwidth::from_mbps(100),
@@ -1274,7 +1174,6 @@ mod tests {
         );
         let scenario = Scenario::from_topology(topo)
             .hosts(2)
-            .sample_interval(SimDuration::from_secs(1))
             .churn(
                 Churn::partition(&["bridge-left"], &["bridge-right"])
                     .start(SimDuration::from_secs(2))
@@ -1290,7 +1189,6 @@ mod tests {
             );
         let recorder = Recorder::default();
         let events = std::rc::Rc::clone(&recorder.events);
-        let samples = std::rc::Rc::clone(&recorder.samples);
         let mut session = scenario.session().unwrap();
         session.attach_sink(Box::new(recorder));
         let report = session.finish();
@@ -1322,6 +1220,5 @@ mod tests {
             count(|e| matches!(e, TelemetryEvent::MetadataDelivered { .. })) >= 1,
             "{events:?}"
         );
-        assert_eq!(*samples.borrow(), 4, "one sample per second of a 4 s run");
     }
 }

@@ -466,10 +466,6 @@ impl Scenario {
                 "step_interval_ns",
                 self.step_interval.map(|d| d.as_nanos()).into(),
             ),
-            (
-                "sample_interval_ns",
-                self.sample_interval.map(|d| d.as_nanos()).into(),
-            ),
         ]))
     }
 
@@ -540,9 +536,6 @@ impl Scenario {
         }
         if let Some(nanos) = opt_u64(spec, "step_interval_ns")? {
             scenario = scenario.step_interval(SimDuration::from_nanos(nanos));
-        }
-        if let Some(nanos) = opt_u64(spec, "sample_interval_ns")? {
-            scenario = scenario.sample_interval(SimDuration::from_nanos(nanos));
         }
         Ok(scenario)
     }
@@ -642,6 +635,20 @@ mod tests {
         let retired = "\"bandwidth_sharing\":true,\"congestion_loss\":true,\"threads\":8,\"seed\":";
         let old = text.replacen("\"seed\":", retired, 1);
         assert_ne!(old, text);
+        let decoded = Scenario::from_spec_str(&old).expect("old specs still decode");
+        assert_eq!(decoded.to_spec_string().expect("re-serializable"), text);
+    }
+
+    /// Specs written while periodic sampling was an option carry a
+    /// top-level `sample_interval_ns`; the key is ignored.
+    #[test]
+    fn retired_sample_interval_key_is_ignored() {
+        let text = sample_scenario().to_spec_string().expect("serializable");
+        assert!(!text.contains("sample_interval_ns"), "{text}");
+        let old = format!(
+            "{},\"sample_interval_ns\":25000000}}",
+            text.strip_suffix('}').expect("a JSON object")
+        );
         let decoded = Scenario::from_spec_str(&old).expect("old specs still decode");
         assert_eq!(decoded.to_spec_string().expect("re-serializable"), text);
     }

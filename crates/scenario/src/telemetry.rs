@@ -1,12 +1,12 @@
 //! Streaming telemetry of a live [`crate::Session`].
 //!
-//! A running session narrates itself through two channels: discrete
+//! A running session narrates itself through discrete
 //! [`TelemetryEvent`]s (a flow opened its window, a precomputed topology
 //! change was swapped in, a link went oversubscribed, metadata hit the
-//! physical network) and periodic [`Sample`]s (a point-in-time view of
-//! every flow's progress, the live link loads and the convergence gap).
-//! Both are delivered to every attached [`Sink`] as they happen — at the
-//! session's event-dispatch granularity, not after the run.
+//! physical network), delivered to every attached [`Sink`] as they happen
+//! — at the session's event-dispatch granularity, not after the run. The
+//! point-in-time view (every flow's progress, the live link loads, the
+//! convergence gap) is read from the session's accessors between steps.
 //!
 //! The [`Aggregator`] is the production-shape consumer of that stream: it
 //! folds every finalized flow into bounded per-flow-class accumulators
@@ -54,42 +54,6 @@ pub struct FlowProgress {
     pub replies: usize,
     /// Requests completed so far (wrk2/curl workloads).
     pub requests: u64,
-}
-
-/// Live offered load on one original-topology link, as measured by the
-/// emulation managers in their most recent loop iteration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkLoad {
-    /// The link id in the original (pre-collapse) topology.
-    pub link: u32,
-    /// Configured capacity.
-    pub capacity_mbps: f64,
-    /// Offered load measured in the last emulation loop.
-    pub offered_mbps: f64,
-    /// `offered / capacity` (0 when the capacity is unlimited).
-    pub utilization: f64,
-}
-
-/// A periodic point-in-time view of the whole session, delivered to
-/// [`Sink::on_sample`] every `sample_interval`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Virtual time of the sample, seconds since scenario start.
-    pub at_s: f64,
-    /// Progress of every workload, in declaration order.
-    pub flows: Vec<FlowProgress>,
-    /// Live link loads (Kollaps backend only; empty otherwise).
-    pub links: Vec<LinkLoad>,
-    /// The decentralized enforcement's most recent convergence gap
-    /// (Kollaps backend only).
-    pub convergence_gap: Option<f64>,
-    /// Cumulative wall-clock microseconds the emulation managers have
-    /// spent inside the bandwidth-sharing solver so far (Kollaps backend
-    /// only; diagnostic — never fed back into the simulation).
-    pub allocation_micros: Option<u64>,
-    /// Fraction of allocator calls answered entirely from the cached
-    /// previous result so far (Kollaps backend only).
-    pub allocator_fast_hit_rate: Option<f64>,
 }
 
 /// A discrete, typed occurrence inside a running session.
@@ -257,8 +221,7 @@ impl ClassAccumulator {
 /// Every [`crate::Session`] owns one internally and exports it as
 /// [`crate::Report::flow_classes`]; the type is public so custom tooling
 /// can attach an independent instance via [`crate::Session::attach_sink`]
-/// (it observes [`TelemetryEvent::FlowFinished`] only, so its output is
-/// independent of whether periodic sampling is enabled).
+/// (it observes [`TelemetryEvent::FlowFinished`] only).
 #[derive(Debug, Clone, Default)]
 pub struct Aggregator {
     classes: BTreeMap<String, ClassAccumulator>,
@@ -320,20 +283,13 @@ impl Sink for Aggregator {
     }
 }
 
-/// A consumer of live session telemetry. Implement whichever callbacks you
-/// care about; both default to no-ops. Sinks are attached with
+/// A consumer of live session telemetry. Sinks are attached with
 /// [`crate::Session::attach_sink`] and are invoked synchronously at the
 /// session's event-dispatch points, in attachment order.
 pub trait Sink {
     /// A discrete occurrence (flow lifecycle, topology change,
-    /// oversubscription, metadata traffic, injection).
+    /// oversubscription, metadata traffic, injection). Defaults to a no-op.
     fn on_event(&mut self, event: &TelemetryEvent) {
         let _ = event;
-    }
-
-    /// A periodic full-session sample (only delivered when the scenario
-    /// set a [`crate::Scenario::sample_interval`]).
-    fn on_sample(&mut self, sample: &Sample) {
-        let _ = sample;
     }
 }

@@ -24,6 +24,7 @@ use kollaps_workloads::memcached_throughput;
 use crate::backend::AnyDataplane;
 use crate::report::{FlowReport, HttpStats, RttStats};
 use crate::telemetry::{FlowProgress, FlowStatus};
+use crate::ScenarioError;
 
 /// Default measurement window when a workload does not set one.
 pub const DEFAULT_DURATION: SimDuration = SimDuration::from_secs(10);
@@ -214,10 +215,35 @@ impl Workload {
             return d;
         }
         match &self.kind {
-            WorkloadKind::Ping { count, interval } => {
-                interval.mul_f64(*count as f64) + SimDuration::from_secs(5)
-            }
+            WorkloadKind::Ping { count, interval } => interval
+                .mul_f64(*count as f64)
+                .saturating_add(SimDuration::from_secs(5)),
             _ => DEFAULT_DURATION,
+        }
+    }
+
+    /// The activity window `(start, end)` on the scenario timeline, opening
+    /// no earlier than `from`; the end saturates. Under a duration `cap`
+    /// both edges clip to it. Without one, an end that saturates at
+    /// [`SimTime::MAX`] does not fit the timeline and is rejected.
+    pub(crate) fn window(
+        &self,
+        from: SimTime,
+        cap: Option<SimTime>,
+    ) -> Result<(SimTime, SimTime), ScenarioError> {
+        let start = (SimTime::ZERO + self.start).max(from);
+        let end = start.saturating_add(self.effective_duration());
+        match cap {
+            Some(cap) => Ok((start.min(cap), end.min(cap))),
+            None if end == SimTime::MAX => Err(ScenarioError::InvalidWorkload {
+                reason: format!(
+                    "{} window starting at {:.3}s ends beyond the representable \
+                     timeline; set a duration or a scenario duration cap",
+                    self.label(),
+                    start.as_secs_f64()
+                ),
+            }),
+            None => Ok((start, end)),
         }
     }
 

@@ -51,7 +51,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     now: SimTime,
-    scheduled: u64,
     executed: u64,
 }
 
@@ -68,7 +67,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            scheduled: 0,
             executed: 0,
         }
     }
@@ -86,11 +84,6 @@ impl<E> EventQueue<E> {
     /// `true` if there are no pending events.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events scheduled over the queue's lifetime.
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
     }
 
     /// Total number of events executed (popped) over the queue's lifetime.
@@ -112,7 +105,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
         self.heap.push(ScheduledEvent {
             time: at,
             seq,
@@ -229,7 +221,6 @@ mod tests {
         for _ in 0..4 {
             q.pop();
         }
-        assert_eq!(q.total_scheduled(), 10);
         assert_eq!(q.total_executed(), 4);
         assert_eq!(q.len(), 6);
         q.clear();

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
-use crate::units::{Bandwidth, DataSize};
+use crate::units::DataSize;
 
 /// A collection of scalar samples with summary statistics.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -376,18 +376,6 @@ impl TimeSeries {
             vals.iter().sum::<f64>() / vals.len() as f64
         }
     }
-
-    /// The value of the sample closest in time to `t`, or 0 if empty.
-    pub fn value_at(&self, t: SimTime) -> f64 {
-        self.points
-            .iter()
-            .min_by_key(|p| {
-                let d = if p.time > t { p.time - t } else { t - p.time };
-                d.as_nanos()
-            })
-            .map(|p| p.value)
-            .unwrap_or(0.0)
-    }
 }
 
 /// Measures an average rate over fixed windows from byte-count increments.
@@ -434,14 +422,6 @@ impl RateMeter {
     /// Total bytes recorded over the meter's lifetime.
     pub fn total_bytes(&self) -> DataSize {
         self.total_bytes
-    }
-
-    /// The average rate over `[SimTime::ZERO, now]`.
-    pub fn average_rate(&self, now: SimTime) -> Bandwidth {
-        if now == SimTime::ZERO {
-            return Bandwidth::ZERO;
-        }
-        self.total_bytes.rate_over(now - SimTime::ZERO)
     }
 
     /// The per-window rate series in Mb/s.
@@ -680,7 +660,6 @@ mod tests {
             ts.mean_between(SimTime::from_secs(2), SimTime::from_secs(5)),
             3.0
         );
-        assert_eq!(ts.value_at(SimTime::from_millis(3_400)), 3.0);
     }
 
     #[test]
@@ -696,7 +675,6 @@ mod tests {
         assert!((pts[1].value - 16.0).abs() < 1e-9, "second window 16 Mb/s");
         assert_eq!(pts[2].value, 0.0);
         assert_eq!(m.total_bytes().as_bytes(), 3_000_000);
-        assert!((m.average_rate(SimTime::from_secs(3)).as_mbps() - 8.0).abs() < 1e-9);
     }
 
     #[test]

@@ -176,11 +176,6 @@ impl TopologyGraph {
         }
         out
     }
-
-    /// `true` if `dst` is reachable from `src`.
-    pub fn is_reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.shortest_path_tree(src).path_to(dst).is_some()
-    }
 }
 
 /// The shortest paths from one source to every node, as predecessor links.
@@ -401,9 +396,6 @@ mod tests {
         let paths = g.all_pairs_service_paths();
         assert!(paths.contains_key(&(a, b)));
         assert!(!paths.contains_key(&(b, a)));
-        assert!(g.is_reachable(a, b));
-        assert!(!g.is_reachable(b, a));
-        assert!(g.is_reachable(a, a));
     }
 
     #[test]

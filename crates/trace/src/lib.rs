@@ -155,11 +155,6 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Number of lanes (1 minimum when enabled, 0 when disabled).
-    pub fn lane_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.lanes.len())
-    }
-
     /// Microseconds since the recorder epoch; 0 when disabled (the
     /// disabled recorder never touches the clock).
     pub fn now_micros(&self) -> u64 {
@@ -449,7 +444,6 @@ mod tests {
     fn disabled_recorder_is_a_no_op() {
         let recorder = Recorder::disabled();
         assert!(!recorder.is_enabled());
-        assert_eq!(recorder.lane_count(), 0);
         assert_eq!(recorder.now_micros(), 0);
         {
             let mut span = recorder.span(0, "tick");

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use kollaps_sim::time::{SimDuration, SimTime};
-use kollaps_sim::units::{Bandwidth, DataSize};
+use kollaps_sim::units::Bandwidth;
 
 use kollaps_netmodel::packet::{Addr, FlowId, Packet, PacketKind, HEADER_SIZE, MSS};
 
@@ -251,16 +251,6 @@ impl TcpSender {
     /// When the transfer completed, if it did.
     pub fn completed_at(&self) -> Option<SimTime> {
         self.completed_at
-    }
-
-    /// Average goodput between start and completion (or `until` for
-    /// unbounded flows).
-    pub fn average_goodput(&self, until: SimTime) -> Bandwidth {
-        let end = self.completed_at.unwrap_or(until);
-        if end <= self.started_at {
-            return Bandwidth::ZERO;
-        }
-        DataSize::from_bytes(self.stats.delivered_bytes).rate_over(end - self.started_at)
     }
 
     /// Appends more data to an unbounded or bounded transfer (used by
@@ -859,18 +849,5 @@ mod tests {
     fn goodput_accounts_header_overhead() {
         let ideal = ideal_goodput(Bandwidth::from_mbps(100));
         assert!((ideal.as_mbps() - 97.3).abs() < 0.1);
-    }
-
-    #[test]
-    fn average_goodput_is_reported() {
-        let mut s = sender(
-            CongestionAlgorithm::Reno,
-            TransferSize::Bytes(10 * MSS.as_bytes()),
-        );
-        let _ = s.poll_send(SimTime::ZERO);
-        s.on_ack(SimTime::from_millis(100), 10);
-        let g = s.average_goodput(SimTime::from_secs(1));
-        // 10 * 1460 bytes over 100 ms = 1.168 Mb/s.
-        assert!((g.as_mbps() - 1.168).abs() < 0.01, "goodput {g}");
     }
 }

@@ -1,14 +1,15 @@
 //! Live session quickstart: drive an experiment interactively instead of
-//! one-shot. A telemetry sink streams typed events and periodic samples
-//! while the clock advances in steps; halfway through, a latency fault is
-//! injected into the *running* experiment (the precomputed snapshot
-//! timeline is extended incrementally, not rebuilt).
+//! one-shot. The clock advances in 2 s steps and the live accessors are
+//! read after each one, while a telemetry sink streams typed events;
+//! halfway through, a latency fault is injected into the *running*
+//! experiment (the precomputed snapshot timeline is extended
+//! incrementally, not rebuilt).
 //!
 //! Run with `cargo run --example live_session`. CI runs it as the session
 //! smoke.
 
 use kollaps::prelude::*;
-use kollaps::scenario::{Sample, Sink, TelemetryEvent};
+use kollaps::scenario::{Sink, TelemetryEvent};
 use kollaps::topology::events::{DynamicAction, DynamicEvent, LinkChange};
 use kollaps::topology::generators;
 
@@ -61,16 +62,30 @@ impl Sink for Narrator {
             ),
         }
     }
+}
 
-    fn on_sample(&mut self, sample: &Sample) {
-        let busiest = sample
-            .links
+/// Steps the clock 2 s at a time until `until`, printing every flow's
+/// progress and the busiest link after each step.
+fn step_and_read(session: &mut Session, until: SimTime) {
+    while session.clock() < until {
+        let at = session.step(SimDuration::from_secs(2)).expect("stepping");
+        for flow in session.flow_progress() {
+            println!(
+                "  t={:.0}s progress: {} {:?} ({} B, {} replies)",
+                at.as_secs_f64(),
+                flow.workload,
+                flow.status,
+                flow.bytes,
+                flow.replies
+            );
+        }
+        let loads = session.link_loads();
+        let busiest = loads
             .iter()
             .max_by(|a, b| a.utilization.total_cmp(&b.utilization));
         println!(
-            "[{:6.2}s] sample: {} flow(s), busiest link at {:.0}% utilization",
-            sample.at_s,
-            sample.flows.len(),
+            "  t={:.0}s busiest link at {:.0}% utilization",
+            at.as_secs_f64(),
             busiest.map(|l| l.utilization * 100.0).unwrap_or(0.0)
         );
     }
@@ -88,7 +103,6 @@ fn main() {
     let mut session = Scenario::from_topology(topo)
         .named("live-session")
         .hosts(2)
-        .sample_interval(SimDuration::from_secs(2))
         .workload(
             Workload::iperf_udp("client-0", "server-0", Bandwidth::from_mbps(30))
                 .duration(SimDuration::from_secs(8)),
@@ -103,14 +117,8 @@ fn main() {
         .expect("valid scenario");
     session.attach_sink(Box::new(Narrator));
 
-    // Drive the first half, then look around.
-    session.run_until(SimTime::from_secs(4)).expect("stepping");
-    for flow in session.flow_progress() {
-        println!(
-            "  t=4s progress: {} {:?} ({} B, {} replies)",
-            flow.workload, flow.status, flow.bytes, flow.replies
-        );
-    }
+    // Drive the first half, looking around after every step.
+    step_and_read(&mut session, SimTime::from_secs(4));
 
     // Inject a fault into the running experiment: the trunk degrades to
     // 60 ms / 10 Mb/s one second from now.
@@ -130,6 +138,8 @@ fn main() {
         })
         .expect("valid injection");
 
+    let end = session.end();
+    step_and_read(&mut session, end);
     let report = session.finish();
     let ping = report.flows_of("ping").next().expect("ping flow");
     let rtt = ping.rtt.as_ref().expect("rtt stats");

@@ -53,7 +53,7 @@ fn every_workload_kind() -> Scenario {
         )
 }
 
-const SPEC: &str = r#"{"spec_version":1,"name":"every-workload-kind","distributed":false,"trace":false,"hosts":2,"config":{"loop_interval_ns":50000000,"cross_host_delay_ns":50000,"container_overhead_ns":30000,"metadata_delay_ns":100000,"seed":42},"nodes":[{"kind":"bridge","name":"bridge-left"},{"kind":"bridge","name":"bridge-right"},{"kind":"service","service":"client-0","replica":0,"image":"iperf3-client"},{"kind":"service","service":"server-0","replica":0,"image":"iperf3-server"},{"kind":"service","service":"client-1","replica":0,"image":"iperf3-client"},{"kind":"service","service":"server-1","replica":0,"image":"iperf3-server"}],"links":[{"from":0,"to":1,"latency_ns":10000000,"jitter_ns":0,"bandwidth_bps":50000000,"loss":0,"network":"dumbbell"},{"from":1,"to":0,"latency_ns":10000000,"jitter_ns":0,"bandwidth_bps":50000000,"loss":0,"network":"dumbbell"},{"from":2,"to":0,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":0,"to":2,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":3,"to":1,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":1,"to":3,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":4,"to":0,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":0,"to":4,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":5,"to":1,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":1,"to":5,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"}],"schedule":[],"placement":[],"workloads":[{"kind":"iperf_tcp","client":"client-0","server":"server-0","algorithm":"reno","start_ns":0,"duration_ns":2000000000},{"kind":"iperf_udp","client":"client-1","server":"server-1","rate_bps":8000000,"start_ns":500000000,"duration_ns":2000000000},{"kind":"ping","src":"client-0","dst":"server-1","count":6,"interval_ns":200000000,"start_ns":0,"duration_ns":null},{"kind":"wrk2","server":"server-0","client":"client-1","connections":3,"request_bytes":16384,"start_ns":0,"duration_ns":2500000000},{"kind":"curl","server":"server-1","clients":["client-0","client-1"],"request_bytes":32768,"start_ns":200000000,"duration_ns":2000000000},{"kind":"memcached","server":"server-0","clients":["client-0","client-1"],"connections":4,"start_ns":0,"duration_ns":2000000000}],"duration_ns":3000000000,"step_interval_ns":null,"sample_interval_ns":null}"#;
+const SPEC: &str = r#"{"spec_version":1,"name":"every-workload-kind","distributed":false,"trace":false,"hosts":2,"config":{"loop_interval_ns":50000000,"cross_host_delay_ns":50000,"container_overhead_ns":30000,"metadata_delay_ns":100000,"seed":42},"nodes":[{"kind":"bridge","name":"bridge-left"},{"kind":"bridge","name":"bridge-right"},{"kind":"service","service":"client-0","replica":0,"image":"iperf3-client"},{"kind":"service","service":"server-0","replica":0,"image":"iperf3-server"},{"kind":"service","service":"client-1","replica":0,"image":"iperf3-client"},{"kind":"service","service":"server-1","replica":0,"image":"iperf3-server"}],"links":[{"from":0,"to":1,"latency_ns":10000000,"jitter_ns":0,"bandwidth_bps":50000000,"loss":0,"network":"dumbbell"},{"from":1,"to":0,"latency_ns":10000000,"jitter_ns":0,"bandwidth_bps":50000000,"loss":0,"network":"dumbbell"},{"from":2,"to":0,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":0,"to":2,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":3,"to":1,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":1,"to":3,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":4,"to":0,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":0,"to":4,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":5,"to":1,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"},{"from":1,"to":5,"latency_ns":1000000,"jitter_ns":0,"bandwidth_bps":100000000,"loss":0,"network":"dumbbell"}],"schedule":[],"placement":[],"workloads":[{"kind":"iperf_tcp","client":"client-0","server":"server-0","algorithm":"reno","start_ns":0,"duration_ns":2000000000},{"kind":"iperf_udp","client":"client-1","server":"server-1","rate_bps":8000000,"start_ns":500000000,"duration_ns":2000000000},{"kind":"ping","src":"client-0","dst":"server-1","count":6,"interval_ns":200000000,"start_ns":0,"duration_ns":null},{"kind":"wrk2","server":"server-0","client":"client-1","connections":3,"request_bytes":16384,"start_ns":0,"duration_ns":2500000000},{"kind":"curl","server":"server-1","clients":["client-0","client-1"],"request_bytes":32768,"start_ns":200000000,"duration_ns":2000000000},{"kind":"memcached","server":"server-0","clients":["client-0","client-1"],"connections":4,"start_ns":0,"duration_ns":2000000000}],"duration_ns":3000000000,"step_interval_ns":null}"#;
 
 #[test]
 fn every_workload_kind_spec_is_pinned() {
