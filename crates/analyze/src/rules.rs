@@ -19,7 +19,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 pub const PANIC_CRATES: &[&str] = &["core", "sim", "metadata", "netmodel", "transport"];
 /// Crates allowed to read the wall clock / OS entropy: they measure or
 /// transport, never decide emulation results.
-pub const WALL_CLOCK_ALLOWED: &[&str] = &["trace", "bench", "runtime", "analyze", "orchestrator"];
+pub const WALL_CLOCK_ALLOWED: &[&str] = &["trace", "bench", "runtime", "analyze"];
 
 /// Iterator-producing methods whose order is the hash map's bucket order.
 const HASH_ITER_METHODS: &[&str] = &[

@@ -220,7 +220,7 @@ pub(crate) fn link_tables(
 
 impl CollapsedTopology {
     /// Collapses `topology`, assigning container addresses in service-id
-    /// order (`10.1.0.0/16`, matching the deployment generator).
+    /// order (`10.1.0.0/16`, see [`Addr::container`]).
     ///
     /// # Panics
     ///
@@ -422,7 +422,7 @@ pub trait Addressable {
     fn collapsed(&self) -> &CollapsedTopology;
 
     /// The container address of the `index`-th service (in service-id
-    /// order, matching the deployment generator's `10.1.0.0/16` assignment).
+    /// order, from the `10.1.0.0/16` container network).
     fn address_of_index(&self, index: u32) -> Addr {
         Addr::container(index)
     }

@@ -3,8 +3,9 @@
 //!
 //! One [`KollapsDataplane`] models the whole deployment:
 //!
-//! * containers are mapped to physical hosts by a placement (round-robin by
-//!   default, explicit via the pins of [`KollapsDataplane::with_prepared`]);
+//! * containers are mapped to physical hosts by [`place_containers`]
+//!   (round-robin by default, explicit via the pins of
+//!   [`KollapsDataplane::with_prepared`]);
 //! * every physical host runs an [`EmulationManager`] that owns the egress
 //!   qdisc trees ([`kollaps_netmodel::egress::EgressTree`], the TCAL state)
 //!   of *its* containers and exchanges per-flow usage through the metadata
@@ -260,10 +261,34 @@ impl PacketPathStats {
     }
 }
 
+/// The one container placement: one host per service, for `services` in
+/// container-index order over `hosts` physical machines. A service `pinned`
+/// maps to a host goes there (clamped into `0..hosts`; the scenario layer
+/// rejects an out-of-range pin with a typed error first), and the `i`-th
+/// service otherwise goes to host `i % hosts`, spreading containers evenly.
+/// `hosts` of 0 counts as 1.
+pub fn place_containers(
+    services: impl IntoIterator<Item = NodeId>,
+    hosts: usize,
+    pinned: &HashMap<NodeId, u32>,
+) -> Vec<HostId> {
+    let hosts = hosts.max(1);
+    services
+        .into_iter()
+        .enumerate()
+        .map(|(i, node)| {
+            let host = match pinned.get(&node) {
+                Some(&h) => (h as usize).min(hosts - 1),
+                None => i % hosts,
+            };
+            HostId(host as u32)
+        })
+        .collect()
+}
+
 impl KollapsDataplane {
     /// Builds the emulation for `topology` deployed over `hosts` physical
-    /// machines (containers are placed round-robin, like the deployment
-    /// generator's default strategy).
+    /// machines (containers are placed round-robin by [`place_containers`]).
     pub fn new(
         topology: Topology,
         schedule: EventSchedule,
@@ -280,9 +305,9 @@ impl KollapsDataplane {
     /// Builds the emulation from an **already precomputed** snapshot
     /// timeline and an explicit container placement: `pinned` maps service
     /// nodes to host indices (`0..hosts`); services it does not mention fall
-    /// back to round-robin. Host indices are clamped into range — the
-    /// scenario layer validates them properly and reports a typed error
-    /// instead.
+    /// back to round-robin ([`place_containers`]). Host indices are clamped
+    /// into range — the scenario layer validates them properly and reports a
+    /// typed error instead.
     ///
     /// A campaign sweeping non-topological parameters precomputes
     /// the timeline once and hands every variant a clone: the clone shares
@@ -307,17 +332,12 @@ impl KollapsDataplane {
         let hosts = hosts.max(1);
         let host_ids: Vec<HostId> = (0..hosts as u32).map(HostId).collect();
         let rng = SimRng::new(config.seed);
-        // `addresses()` yields (service, addr) in container-index order, so
-        // round-robin placement follows the address.
-        let mut placement = Vec::new();
+        // `addresses()` yields (service, addr) in container-index order.
+        let placement =
+            place_containers(collapsed.addresses().map(|(node, _)| node), hosts, pinned);
         let mut by_host: Vec<Vec<Addr>> = vec![Vec::new(); hosts];
-        for (i, (node, addr)) in collapsed.addresses().enumerate() {
-            let host = match pinned.get(&node) {
-                Some(&h) => (h as usize).min(hosts - 1),
-                None => i % hosts,
-            };
-            placement.push(HostId(host as u32));
-            by_host[host].push(addr);
+        for (host, (_, addr)) in placement.iter().zip(collapsed.addresses()) {
+            by_host[host.0 as usize].push(addr);
         }
         let managers: Vec<EmulationManager> = host_ids
             .iter()

@@ -53,8 +53,8 @@ impl Addr {
     /// The first container address, 10.1.0.0.
     const CONTAINER_BASE: Addr = Addr::new(10, 1, 0, 0);
 
-    /// Allocates the `index`-th address of the 10.1.0.0/16 container network
-    /// used by the deployment generator.
+    /// Allocates the `index`-th address of the 10.1.0.0/16 container
+    /// network: the `index`-th service in service-id order owns it.
     ///
     /// # Panics
     ///

@@ -1,5 +1,5 @@
-//! The `kollaps-coordinator`: spawns agents, runs the bootstrapper state
-//! machine against real processes, and merges their partial reports.
+//! The `kollaps-coordinator`: spawns agents, walks them through the
+//! bootstrap handshake, and merges their partial reports.
 //!
 //! # Control-plane sequence
 //!
@@ -13,13 +13,14 @@
 //! 3. The coordinator sends `spec { spec, peers, loss,
 //!    barrier_timeout_ms }` carrying the scenario wire codec
 //!    ([`Scenario::to_spec`]) and the UDP peer directory; the agent builds
-//!    its session replica and answers `manager_up { host }`. All
-//!    `manager_up`s together drive the deployment plan's first
-//!    [`DeploymentPlan::advance_bootstrap`] step
-//!    (bootstrapper scheduled → manager launched).
+//!    its session replica and answers `manager_up { host }`. Once every
+//!    agent has, each host's [`BootstrapPhase`] moves from
+//!    `BootstrapperScheduled` to `ManagerLaunched`.
 //! 4. The coordinator sends `attach`; the agent reports
-//!    `cores_attached { host, cores }` and the second `advance_bootstrap`
-//!    completes the bootstrap (manager launched → cores attached).
+//!    `cores_attached { host, cores }`, one Emulation Core per container
+//!    its manager emulates. Each count must equal the scenario's own
+//!    placement ([`Scenario::containers_per_host`]), pinned or not; then
+//!    every host reaches `CoresAttached`.
 //! 5. `start` releases the barrier: every agent runs its session to the
 //!    end in UDP lockstep, streaming periodic `health { host, at_ms, ... }`
 //!    frames (cumulative barrier/loss/UDP counters plus per-chunk
@@ -37,10 +38,6 @@ use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kollaps_metadata::bus::HostId;
-use kollaps_orchestrator::{
-    BootstrapPhase, Cluster, DeploymentGenerator, DeploymentPlan, Orchestrator,
-};
 use kollaps_scenario::{ConvergenceReport, HostMetadata, Scenario, ScenarioError, Workload};
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
@@ -82,6 +79,20 @@ impl Default for RunOptions {
             barrier_timeout: Duration::from_secs(5),
         }
     }
+}
+
+/// Where one host stands in the bootstrap handshake (paper §4.3: under
+/// Docker Swarm a bootstrapper container launches the privileged Emulation
+/// Manager, which then attaches one Emulation Core per local container).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BootstrapPhase {
+    /// The agent is up but has not built its Emulation Manager yet.
+    BootstrapperScheduled,
+    /// The agent answered `manager_up`: its session replica is built.
+    ManagerLaunched,
+    /// The agent attached as many Emulation Cores as the placement puts
+    /// containers on its host.
+    CoresAttached,
 }
 
 /// Everything that can abort a distributed run.
@@ -161,9 +172,9 @@ pub struct DistributedOutcome {
     /// series, per-host `health` series streamed while the run was live,
     /// and a `socket_bus` block of per-agent barrier/loss counters.
     pub report: Value,
-    /// The bootstrap phase of every host after each
-    /// [`DeploymentPlan::advance_bootstrap`] step, starting with the
-    /// initial state.
+    /// The bootstrap phase of every host, one row per handshake step:
+    /// every host `BootstrapperScheduled`, then `ManagerLaunched` once all
+    /// managers are up, then `CoresAttached` once all cores are checked.
     pub bootstrap_trace: Vec<Vec<BootstrapPhase>>,
     /// Per-agent control-plane and socket statistics, ordered by host.
     pub agents: Vec<AgentStats>,
@@ -310,9 +321,10 @@ fn join_agents(handles: Vec<AgentHandle>) -> Result<(), CoordinatorError> {
 /// merged report.
 ///
 /// The scenario must target the Kollaps backend; its host count decides the
-/// number of agents. The deployment plan is generated exactly as for a real
-/// Swarm cluster and its bootstrapper state machine is driven by the actual
-/// agent handshake.
+/// number of agents. Its placement is resolved before any agent is
+/// launched, so an invalid pin fails here as a typed
+/// [`CoordinatorError::Scenario`]; every agent's attached cores are then
+/// checked against that placement during the handshake.
 pub fn run(
     scenario: &Scenario,
     options: &RunOptions,
@@ -325,28 +337,8 @@ pub fn run(
     }
     let spec = scenario.to_spec()?;
     let hosts = scenario.host_count() as u32;
-    let topology = scenario.topology()?;
-    let explicit_placement = spec
-        .get("placement")
-        .and_then(|v| v.as_array())
-        .is_some_and(|p| !p.is_empty());
-
-    // The deployment plan models the cluster side: container placement and
-    // the bootstrapper state machine the handshake below drives for real.
-    let cluster = Cluster::paper_testbed(hosts as usize);
-    let mut plan: DeploymentPlan =
-        DeploymentGenerator::new(cluster, Orchestrator::Swarm).generate(&topology);
-    let phase_snapshot = |plan: &DeploymentPlan, hosts: u32| -> Vec<BootstrapPhase> {
-        (0..hosts)
-            .map(|h| {
-                plan.bootstrap
-                    .get(&HostId(h))
-                    .copied()
-                    .unwrap_or(BootstrapPhase::BootstrapperScheduled)
-            })
-            .collect()
-    };
-    let mut bootstrap_trace = vec![phase_snapshot(&plan, hosts)];
+    let containers = scenario.containers_per_host()?;
+    let mut bootstrap_trace = vec![vec![BootstrapPhase::BootstrapperScheduled; hosts as usize]];
 
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let control_addr = listener.local_addr()?.to_string();
@@ -439,14 +431,7 @@ pub fn run(
                 )));
             }
         }
-        // Every manager is up: bootstrapper scheduled → manager launched.
-        let done = plan.advance_bootstrap();
-        bootstrap_trace.push(phase_snapshot(&plan, hosts));
-        if done {
-            return Err(CoordinatorError::Protocol(
-                "bootstrap completed before cores attached".to_string(),
-            ));
-        }
+        bootstrap_trace.push(vec![BootstrapPhase::ManagerLaunched; hosts as usize]);
 
         // Attach the per-container Emulation Cores.
         let mut cores = vec![0u64; hosts as usize];
@@ -462,24 +447,16 @@ pub fn run(
                 )));
             }
             let n: u64 = wire::field(&attached, "cores")?;
-            // The plan places containers round-robin; explicit scenario
-            // placement overrides that on the agents, so only compare when
-            // the scenario does not pin anything.
-            if !explicit_placement && n != plan.cores_on_host(HostId(link.host)) as u64 {
+            let expected = containers[link.host as usize];
+            if n != expected as u64 {
                 return Err(CoordinatorError::Protocol(format!(
-                    "host {} attached {n} cores, deployment plan expected {}",
-                    link.host,
-                    plan.cores_on_host(HostId(link.host))
+                    "host {} attached {n} cores, the placement puts {expected} containers there",
+                    link.host
                 )));
             }
             cores[link.host as usize] = n;
         }
-        if !plan.advance_bootstrap() {
-            return Err(CoordinatorError::Protocol(
-                "bootstrap did not complete after cores attached".to_string(),
-            ));
-        }
-        bootstrap_trace.push(phase_snapshot(&plan, hosts));
+        bootstrap_trace.push(vec![BootstrapPhase::CoresAttached; hosts as usize]);
 
         // Start barrier: release every agent, then collect reports.
         for link in links.iter_mut() {

@@ -6,8 +6,9 @@
 //! [`DisseminationBus`](kollaps_metadata::bus::DisseminationBus), this
 //! crate hosts one manager per `kollaps-agent` process and moves the
 //! metadata over loopback UDP datagrams, coordinated by a
-//! `kollaps-coordinator` that drives the deployment plan's bootstrapper
-//! state machine against the real agent handshake.
+//! `kollaps-coordinator` that walks every agent through the bootstrap
+//! handshake and checks each agent's Emulation Cores against the
+//! scenario's container placement.
 //!
 //! * [`wire`] — length-prefixed JSON control frames over TCP.
 //! * [`socket_bus`] — the [`Bus`](kollaps_metadata::bus::Bus)

@@ -49,10 +49,19 @@ pub fn msg(t: &str, fields: Vec<(&str, Value)>) -> Value {
         .collect()
 }
 
-/// Writes one framed message.
+/// Writes one framed message. A message that encodes to more than
+/// [`MAX_FRAME`] bytes is a protocol error naming its type, and nothing of
+/// it is written.
 pub fn send(stream: &mut TcpStream, message: &Value) -> Result<(), WireError> {
     let text = serde_json::to_string(message);
     let bytes = text.as_bytes();
+    if bytes.len() > MAX_FRAME {
+        return Err(WireError::Protocol(format!(
+            "`{}` message of {} bytes exceeds the {MAX_FRAME}-byte limit",
+            msg_type(message).unwrap_or("untyped"),
+            bytes.len()
+        )));
+    }
     stream.write_all(&(bytes.len() as u32).to_be_bytes())?;
     stream.write_all(bytes)?;
     stream.flush()?;
@@ -135,6 +144,15 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// Writes a raw frame: `body` behind a prefix claiming `len` bytes.
+    fn write_frame(stream: &mut TcpStream, len: u32, body: &[u8]) {
+        stream
+            .write_all(&len.to_be_bytes())
+            .and_then(|_| stream.write_all(body))
+            .and_then(|_| stream.flush())
+            .unwrap();
+    }
+
     #[test]
     fn unexpected_types_and_oversized_frames_are_rejected() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -142,19 +160,59 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let (mut server, _) = listener.accept().unwrap();
             send(&mut server, &msg("bye", vec![])).unwrap();
+            for body in [&b"\xff\xfe"[..], b"not json", b"[1,2]", b"42"] {
+                write_frame(&mut server, body.len() as u32, body);
+            }
             // A frame whose prefix claims more than MAX_FRAME.
-            use std::io::Write as _;
-            server
-                .write_all(&(u32::MAX).to_be_bytes())
-                .and_then(|_| server.flush())
-                .unwrap();
+            write_frame(&mut server, u32::MAX, b"");
+            // A prefix that promises more bytes than arrive before close.
+            write_frame(&mut server, 100, b"{\"t\":");
         });
         let mut client = TcpStream::connect(addr).unwrap();
         let err = recv_expect(&mut client, "start").unwrap_err();
         assert!(matches!(err, WireError::Protocol(_)), "{err}");
+        // Not UTF-8, then UTF-8 but not JSON.
+        for _ in 0..2 {
+            let err = recv(&mut client).unwrap_err();
+            assert!(matches!(err, WireError::Protocol(_)), "{err}");
+        }
+        // JSON, but an array and a number: no `"t"` to check.
+        for _ in 0..2 {
+            let err = recv_expect(&mut client, "start").unwrap_err();
+            assert!(matches!(err, WireError::Protocol(_)), "{err}");
+        }
         let err = recv(&mut client).unwrap_err();
         assert!(matches!(err, WireError::Protocol(_)), "{err}");
         handle.join().unwrap();
+        let err = recv(&mut client).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_oversized_message_is_refused_before_anything_is_written() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut server, _) = listener.accept().unwrap();
+            let report = msg("report", vec![("body", "x".repeat(MAX_FRAME).into())]);
+            send(&mut server, &report).unwrap_err()
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        let err = handle.join().unwrap();
+        assert!(
+            matches!(&err, WireError::Protocol(reason) if reason.contains("`report`")),
+            "{err}"
+        );
+        // The sender closed its end without writing a byte: the peer reads
+        // a clean EOF, not a partial frame.
+        let err = recv(&mut client).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
     }
 
     #[test]

@@ -3,8 +3,13 @@
 
 use std::time::Duration;
 
-use kollaps_orchestrator::BootstrapPhase;
-use kollaps_runtime::coordinator::{self, staggered_join_scenario, Launch, RunOptions};
+use kollaps_runtime::coordinator::BootstrapPhase;
+use kollaps_runtime::coordinator::{
+    self, staggered_join_scenario, CoordinatorError, Launch, RunOptions,
+};
+use kollaps_scenario::{Scenario, ScenarioError, Workload};
+use kollaps_sim::time::SimDuration;
+use kollaps_sim::units::Bandwidth;
 
 /// Seconds of emulated time for the staggered-join scenario. Long enough
 /// that all four flows join and the trunk re-shares several times.
@@ -238,6 +243,67 @@ fn the_agent_handshake_drives_the_bootstrap_state_machine() {
     // The staggered-join placement pins two client/server pairs per host.
     let cores: Vec<u64> = outcome.agents.iter().map(|a| a.cores).collect();
     assert_eq!(cores, vec![4, 4]);
+}
+
+#[test]
+fn every_agent_attaches_the_cores_its_pinned_placement_gives_it() {
+    // Three of the four services pinned onto host 0: round-robin would put
+    // two on each host, so the coordinator's check must follow the pins.
+    let (topology, _, _) = kollaps_topology::generators::dumbbell(
+        2,
+        Bandwidth::from_mbps(100),
+        Bandwidth::from_mbps(50),
+        SimDuration::from_millis(1),
+        SimDuration::from_millis(10),
+    );
+    let scenario = Scenario::from_topology(topology)
+        .distributed(2)
+        .workload(
+            Workload::iperf_udp("client-0", "server-0", Bandwidth::from_mbps(30))
+                .duration(SimDuration::from_secs(1)),
+        )
+        .workload(
+            Workload::iperf_udp("client-1", "server-1", Bandwidth::from_mbps(30))
+                .duration(SimDuration::from_secs(1)),
+        )
+        .place("client-0", 0)
+        .place("server-0", 0)
+        .place("client-1", 0)
+        .place("server-1", 1);
+    let outcome = coordinator::run(&scenario, &thread_options()).expect("pinned distributed run");
+    let cores: Vec<u64> = outcome.agents.iter().map(|a| a.cores).collect();
+    assert_eq!(cores, vec![3, 1]);
+}
+
+#[test]
+fn an_invalid_pin_is_a_typed_error_before_any_agent_launches() {
+    // The agent binary does not exist: reaching the launch would fail with
+    // a spawn error instead of the scenario's own.
+    let options = RunOptions {
+        launch: Launch::Processes("/nonexistent/kollaps-agent".into()),
+        ..thread_options()
+    };
+    let err =
+        coordinator::run(&staggered_join_scenario(1).place("client-0", 7), &options).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoordinatorError::Scenario(ScenarioError::InvalidPlacement { .. })
+        ),
+        "{err}"
+    );
+    let err = coordinator::run(
+        &staggered_join_scenario(1).place("nonexistent", 0),
+        &options,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoordinatorError::Scenario(ScenarioError::UnknownNode { .. })
+        ),
+        "{err}"
+    );
 }
 
 #[test]

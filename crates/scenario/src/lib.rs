@@ -93,7 +93,10 @@ pub use spec::SPEC_VERSION;
 pub use telemetry::{Aggregator, FlowProgress, FlowStatus, Sink, TelemetryEvent};
 pub use workload::{Workload, DEFAULT_DURATION};
 
+use std::collections::HashMap;
+
 use kollaps_core::collapse::Addressable;
+use kollaps_core::emulation::place_containers;
 use kollaps_core::timeline::SnapshotTimeline;
 use kollaps_netmodel::packet::Addr;
 use kollaps_sim::prelude::*;
@@ -237,11 +240,21 @@ impl Scenario {
         self.distributed
     }
 
-    /// The fully expanded topology (source resolved, churn folded into the
-    /// schedule). The distributed runtime's coordinator feeds this to the
-    /// orchestrator's deployment generator.
-    pub fn topology(&self) -> Result<Topology, ScenarioError> {
-        Ok(self.expand()?.0)
+    /// How many containers each of the [`Scenario::host_count`] hosts
+    /// emulates: the expanded topology's services placed by
+    /// [`place_containers`], pins honoured. The pins are validated exactly
+    /// as [`Scenario::run`] validates them, with the same typed errors, and
+    /// no session is built. The distributed runtime's coordinator checks
+    /// every agent's attached cores against this count.
+    pub fn containers_per_host(&self) -> Result<Vec<usize>, ScenarioError> {
+        let (topology, _) = self.expand()?;
+        let hosts = self.host_count();
+        let pinned = resolve_placement(&topology, &self.placement, hosts)?;
+        let mut counts = vec![0; hosts];
+        for host in place_containers(topology.service_ids(), hosts, &pinned) {
+            counts[host.0 as usize] += 1;
+        }
+        Ok(counts)
     }
 
     /// Number of physical hosts (= distributed agents) the scenario
@@ -466,28 +479,7 @@ impl Scenario {
                 }
             }
         }
-        let mut placement_by_node: std::collections::HashMap<NodeId, u32> =
-            std::collections::HashMap::new();
-        for (name, host) in &self.placement {
-            let node = service_node(&topology, name)?;
-            if *host as usize >= backend.hosts() {
-                return Err(ScenarioError::InvalidPlacement {
-                    name: name.clone(),
-                    reason: format!(
-                        "host index {host} out of range for a {}-host deployment",
-                        backend.hosts()
-                    ),
-                });
-            }
-            if let Some(previous) = placement_by_node.insert(node, *host) {
-                if previous != *host {
-                    return Err(ScenarioError::InvalidPlacement {
-                        name: name.clone(),
-                        reason: format!("pinned to both host {previous} and host {host}"),
-                    });
-                }
-            }
-        }
+        let placement_by_node = resolve_placement(&topology, &self.placement, backend.hosts())?;
         backend.validate(&topology, &schedule)?;
 
         // Total timeline: the last workload window, unless capped.
@@ -572,6 +564,35 @@ fn validate_topology(topology: &Topology) -> Result<(), ScenarioError> {
         }
     }
     Ok(())
+}
+
+/// Resolves the [`Scenario::place`] pins to service nodes on a `hosts`-host
+/// deployment: an unknown name, a node that is no service, a host index out
+/// of range and one service pinned to two hosts are typed errors.
+fn resolve_placement(
+    topology: &Topology,
+    placement: &[(String, u32)],
+    hosts: usize,
+) -> Result<HashMap<NodeId, u32>, ScenarioError> {
+    let mut by_node = HashMap::new();
+    for (name, host) in placement {
+        let node = service_node(topology, name)?;
+        if *host as usize >= hosts {
+            return Err(ScenarioError::InvalidPlacement {
+                name: name.clone(),
+                reason: format!("host index {host} out of range for a {hosts}-host deployment"),
+            });
+        }
+        if let Some(previous) = by_node.insert(node, *host) {
+            if previous != *host {
+                return Err(ScenarioError::InvalidPlacement {
+                    name: name.clone(),
+                    reason: format!("pinned to both host {previous} and host {host}"),
+                });
+            }
+        }
+    }
+    Ok(by_node)
 }
 
 fn service_node(topology: &Topology, name: &str) -> Result<NodeId, ScenarioError> {
@@ -903,6 +924,49 @@ mod tests {
             .place("client", 1)
             .run()
             .expect("consistent pins are valid");
+    }
+
+    #[test]
+    fn containers_per_host_is_the_session_placement() {
+        let (topo, _, _) = generators::dumbbell(
+            3,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(50),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(10),
+        );
+        let services = [
+            "client-0", "server-0", "client-1", "server-1", "client-2", "server-2",
+        ];
+        for hosts in 1..=5u32 {
+            // Unpinned, two clients pinned onto the last host (round-robin
+            // puts them on hosts 0 and 2), and every service pinned (all but
+            // one onto the last host).
+            let pin_sets: [Vec<(&str, u32)>; 3] = [
+                Vec::new(),
+                vec![("client-0", hosts - 1), ("client-1", hosts - 1)],
+                services
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &name)| (name, if i == 0 { 0 } else { hosts - 1 }))
+                    .collect(),
+            ];
+            for pins in pin_sets {
+                let scenario = pins.iter().fold(
+                    Scenario::from_topology(topo.clone())
+                        .hosts(hosts as usize)
+                        .workload(Workload::ping("client-0", "server-0").count(1)),
+                    |scenario, &(name, host)| scenario.place(name, host),
+                );
+                let counts = scenario.containers_per_host().expect("valid placement");
+                let session = scenario.session().expect("valid scenario");
+                let expected: Vec<usize> = (0..hosts)
+                    .map(|h| session.containers_on_host(h).expect("kollaps host"))
+                    .collect();
+                assert_eq!(counts, expected, "{hosts} hosts, pins {pins:?}");
+                assert_eq!(counts.iter().sum::<usize>(), services.len());
+            }
+        }
     }
 
     #[test]

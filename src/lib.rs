@@ -8,7 +8,6 @@ pub use kollaps_core as core;
 pub use kollaps_dynamics as dynamics;
 pub use kollaps_metadata as metadata;
 pub use kollaps_netmodel as netmodel;
-pub use kollaps_orchestrator as orchestrator;
 pub use kollaps_runtime as runtime;
 pub use kollaps_scenario as scenario;
 pub use kollaps_sim as sim;

@@ -2,7 +2,6 @@
 //! builder → collapsed emulation → transport → workloads, compared against
 //! the full-state ground truth.
 
-use kollaps::orchestrator::{Cluster, DeploymentGenerator, Orchestrator};
 use kollaps::prelude::*;
 use kollaps::topology::dsl::parse_experiment;
 use kollaps::topology::events::{DynamicAction, DynamicEvent, LinkChange};
@@ -134,17 +133,6 @@ fn dynamic_events_change_the_emulated_network() {
     let late = samples[8..].iter().sum::<f64>() / 4.0;
     assert!((early - 20.0).abs() < 1.0, "early {early}");
     assert!((late - 100.0).abs() < 2.0, "late {late}");
-}
-
-#[test]
-fn deployment_generator_covers_the_whole_topology() {
-    let experiment = parse_experiment(EXPERIMENT).expect("parse");
-    let generator = DeploymentGenerator::new(Cluster::paper_testbed(3), Orchestrator::Kubernetes);
-    let plan = generator.generate(&experiment.topology);
-    assert_eq!(plan.containers.len(), 2);
-    let manifest = plan.render_manifest();
-    assert!(manifest.contains("kind: Pod"));
-    assert!(manifest.contains("iperf3"));
 }
 
 #[test]
