@@ -82,7 +82,8 @@ pub const RULES: &[RuleInfo] = &[
         name: "hash-iteration",
         family: "determinism",
         summary: "no HashMap/HashSet iteration order may reach results in \
-                  core/sim/dynamics/scenario; use BTree containers or collect-and-sort",
+                  core/sim/dynamics/scenario/netmodel/transport/metadata; use BTree \
+                  containers or collect-and-sort",
     },
     RuleInfo {
         name: "hash-drain",

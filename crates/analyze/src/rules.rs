@@ -14,6 +14,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "scenario",
     "netmodel",
     "transport",
+    "metadata",
 ];
 /// Crates whose hot paths must not panic.
 pub const PANIC_CRATES: &[&str] = &["core", "sim", "metadata", "netmodel", "transport"];

@@ -138,6 +138,18 @@ fn transport_is_a_determinism_and_panic_crate() {
     );
 }
 
+/// The dissemination bus decides what every manager sees, so both rule
+/// families cover `metadata` too.
+#[test]
+fn metadata_is_a_determinism_and_panic_crate() {
+    let path = "crates/metadata/src/fixture.rs";
+    let src = "fn f(m: HashMap<u32, u32>) -> u32 { *m.keys().next().unwrap() }\n";
+    assert_eq!(
+        rules_fired(path, src),
+        vec!["hash-iteration", "hot-path-panic"]
+    );
+}
+
 #[test]
 fn literal_index_bound_checked_by_array_decl() {
     let in_bounds = "struct S { stats: [u64; 4] }\n\
@@ -305,6 +317,7 @@ fn fixed_files_are_clean_in_tree() {
         "crates/core/src/timeline.rs",
         "crates/core/src/collapse.rs",
         "crates/metadata/src/codec.rs",
+        "crates/metadata/src/bus.rs",
         "crates/scenario/src/session.rs",
         "crates/scenario/src/workload.rs",
         "crates/transport/src/tcp.rs",

@@ -68,8 +68,8 @@ impl ScalingCell {
 /// The scenario of one cell: a `pairs`-pair dumbbell whose trunk is
 /// oversubscribed by `pairs × flows_per_client` constant-rate UDP flows
 /// (client *i* targets servers *i*, *i+1*, ... mod `pairs`), with one
-/// access link flapping so the dynamic path (timeline deltas + allocator
-/// invalidation) stays exercised.
+/// access link flapping so the dynamic path (timeline deltas, each with a
+/// new link table the allocator's memo must notice) stays exercised.
 fn cell_scenario(pairs: usize, flows_per_client: usize, trace: bool) -> Scenario {
     let (topo, _, _) = dumbbell_topology(pairs);
     Scenario::from_topology(topo)
@@ -269,8 +269,8 @@ mod tests {
 
     /// A small end-to-end stepping cell: untraced and traced runs must
     /// agree (asserted inside `run_cell`) and the steady-state fast path
-    /// must carry most allocator calls despite the churn-driven
-    /// invalidations.
+    /// must carry most allocator calls despite the churn-driven link-table
+    /// swaps.
     #[test]
     fn small_cell_hits_the_fast_path() {
         let cells = run_scaling(&[(8, 2)]);

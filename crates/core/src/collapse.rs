@@ -29,9 +29,13 @@
 //! distinct row costs `services × 8 B` and a full row set `services² × 8 B`
 //! — below the ~20 B per reachable pair of a pair map unless fewer than
 //! ~40% of the pairs are reachable.
+//!
+//! The links are one [`LinkTable`] per snapshot, also behind an [`Arc`]: a
+//! snapshot timeline shares it with the previous snapshot unless the change
+//! moved a link's capacity or latency, or added or removed a link.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -79,6 +83,136 @@ impl CollapsedPath {
 /// source does not reach the destination (always on the diagonal).
 pub(crate) type Row = Arc<[Option<Arc<CollapsedPath>>]>;
 
+/// "No slot" in [`LinkTable`]'s id → slot index.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The links of one snapshot, numbered densely: ids ascending, a link's
+/// *slot* is its position, and capacity and latency are arrays by slot.
+///
+/// Every per-link reader of the emulation loop indexes this one table —
+/// the solver kernel, [`crate::sharing::oversubscription`] and a manager's
+/// reconstruction of remote flows from their advertised link ids — so no
+/// per-call map is built or re-keyed. Slots ascend with ids, which keeps the
+/// operand order the solver's bit-identity contract fixes (see
+/// `crate::sharing`).
+#[derive(Debug, Default)]
+pub struct LinkTable {
+    /// Link ids, ascending; a link's slot is its position.
+    ids: Vec<LinkId>,
+    /// Capacity per slot.
+    capacity: Vec<Bandwidth>,
+    /// One-way latency per slot.
+    latency: Vec<SimDuration>,
+    /// Link id → slot for O(1) lookups, when the ids are dense enough for
+    /// the index to stay proportional to the link count (topologies number
+    /// their links from zero); empty otherwise, and lookups binary-search
+    /// `ids`.
+    direct: Vec<u32>,
+    /// The capacities as a map, built on the first
+    /// [`LinkTable::capacities`] call (nothing on the loop asks for it).
+    capacities: OnceLock<BTreeMap<LinkId, Bandwidth>>,
+}
+
+impl LinkTable {
+    /// The table of `(id, capacity, latency)` entries with distinct ids, in
+    /// any order.
+    fn new(links: impl IntoIterator<Item = (LinkId, Bandwidth, SimDuration)>) -> Self {
+        let mut links: Vec<_> = links.into_iter().collect();
+        links.sort_unstable_by_key(|&(id, _, _)| id);
+        let mut table = LinkTable {
+            ids: links.iter().map(|&(id, _, _)| id).collect(),
+            capacity: links.iter().map(|&(_, capacity, _)| capacity).collect(),
+            latency: links.iter().map(|&(_, _, latency)| latency).collect(),
+            ..LinkTable::default()
+        };
+        if let Some(&LinkId(highest)) = table.ids.last() {
+            let span = (highest as usize).saturating_add(1);
+            if span <= table.ids.len().saturating_mul(4).saturating_add(1024) {
+                table.direct.resize(span, NO_SLOT);
+                for (slot, link) in table.ids.iter().enumerate() {
+                    table.direct[link.0 as usize] = slot as u32;
+                }
+            }
+        }
+        table
+    }
+
+    /// The links of `topology`.
+    pub(crate) fn of(topology: &Topology) -> Self {
+        LinkTable::new(
+            topology
+                .links()
+                .iter()
+                .map(|l| (l.id, l.properties.bandwidth, l.properties.latency)),
+        )
+    }
+
+    /// The links of a capacity map, with zero latency.
+    pub fn from_capacities(capacities: &BTreeMap<LinkId, Bandwidth>) -> Self {
+        LinkTable::new(
+            capacities
+                .iter()
+                .map(|(&id, &capacity)| (id, capacity, SimDuration::ZERO)),
+        )
+    }
+
+    /// Number of links (= slots).
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` for a table without links.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The link ids, ascending: slot `s` holds `ids()[s]`.
+    pub fn ids(&self) -> &[LinkId] {
+        &self.ids
+    }
+
+    /// The slot of `link`; `None` for a link this table does not have,
+    /// whatever its id.
+    pub fn slot(&self, link: LinkId) -> Option<usize> {
+        if self.direct.is_empty() {
+            self.ids.binary_search(&link).ok()
+        } else {
+            self.direct
+                .get(link.0 as usize)
+                .filter(|&&slot| slot != NO_SLOT)
+                .map(|&slot| slot as usize)
+        }
+    }
+
+    /// Capacity of the link in `slot`.
+    pub fn capacity(&self, slot: usize) -> Bandwidth {
+        self.capacity[slot]
+    }
+
+    /// One-way latency of the link in `slot`.
+    pub fn latency(&self, slot: usize) -> SimDuration {
+        self.latency[slot]
+    }
+
+    /// The capacities keyed by link id (built once, on first use).
+    pub(crate) fn capacities(&self) -> &BTreeMap<LinkId, Bandwidth> {
+        self.capacities.get_or_init(|| {
+            self.ids
+                .iter()
+                .copied()
+                .zip(self.capacity.iter().copied())
+                .collect()
+        })
+    }
+
+    /// `true` when both tables hold the same links with the same capacities
+    /// and latencies.
+    #[cfg(test)]
+    pub(crate) fn same_links(&self, other: &LinkTable) -> bool {
+        self.ids == other.ids && self.capacity == other.capacity && self.latency == other.latency
+    }
+}
+
 /// The collapsed view of a topology snapshot: every reachable ordered pair
 /// of services mapped to its end-to-end virtual link, plus the addressing
 /// information used by the dataplane.
@@ -96,8 +230,8 @@ pub struct CollapsedTopology {
     pub(crate) rows: Vec<Row>,
     /// Reachable ordered pairs (`Some` entries of `rows`).
     pub(crate) pairs: usize,
-    pub(crate) link_capacity: BTreeMap<LinkId, Bandwidth>,
-    pub(crate) link_latency: BTreeMap<LinkId, SimDuration>,
+    /// The snapshot's links.
+    pub(crate) links: Arc<LinkTable>,
 }
 
 /// Collapses one shortest path into its end-to-end `CollapsedPath`.
@@ -202,22 +336,6 @@ fn all_pairs(topology: &Topology, services: &[NodeId]) -> (Vec<Row>, usize) {
     (rows, pairs)
 }
 
-pub(crate) fn link_tables(
-    topology: &Topology,
-) -> (BTreeMap<LinkId, Bandwidth>, BTreeMap<LinkId, SimDuration>) {
-    let capacity = topology
-        .links()
-        .iter()
-        .map(|l| (l.id, l.properties.bandwidth))
-        .collect();
-    let latency = topology
-        .links()
-        .iter()
-        .map(|l| (l.id, l.properties.latency))
-        .collect();
-    (capacity, latency)
-}
-
 impl CollapsedTopology {
     /// Collapses `topology`, assigning container addresses in service-id
     /// order (`10.1.0.0/16`, see [`Addr::container`]).
@@ -235,13 +353,11 @@ impl CollapsedTopology {
             services.len()
         );
         let (rows, pairs) = all_pairs(topology, &services);
-        let (link_capacity, link_latency) = link_tables(topology);
         CollapsedTopology {
             services,
             rows,
             pairs,
-            link_capacity,
-            link_latency,
+            links: Arc::new(LinkTable::of(topology)),
         }
     }
 
@@ -266,13 +382,11 @@ impl CollapsedTopology {
     /// `topology` keeps its address with no pairs.
     pub fn rebuild_with_addresses(&self, topology: &Topology) -> Self {
         let (rows, pairs) = all_pairs(topology, &self.services);
-        let (link_capacity, link_latency) = link_tables(topology);
         CollapsedTopology {
             services: Arc::clone(&self.services),
             rows,
             pairs,
-            link_capacity,
-            link_latency,
+            links: Arc::new(LinkTable::of(topology)),
         }
     }
 
@@ -360,12 +474,20 @@ impl CollapsedTopology {
 
     /// Capacity of an original link.
     pub fn link_capacity(&self, link: LinkId) -> Option<Bandwidth> {
-        self.link_capacity.get(&link).copied()
+        self.links.slot(link).map(|slot| self.links.capacity(slot))
     }
 
-    /// The full link-capacity table (ordered by link id).
+    /// The full link-capacity table (ordered by link id), built from
+    /// [`CollapsedTopology::link_table`] on first use.
     pub fn link_capacities(&self) -> &BTreeMap<LinkId, Bandwidth> {
-        &self.link_capacity
+        self.links.capacities()
+    }
+
+    /// The snapshot's links. Two snapshots returning [`Arc::ptr_eq`] tables
+    /// agree on every link's capacity and latency, which is what the
+    /// solver's memo relies on.
+    pub fn link_table(&self) -> &Arc<LinkTable> {
+        &self.links
     }
 
     /// Builds the sharing-solver input for one active (src, dst) pair: the
@@ -399,12 +521,13 @@ impl CollapsedTopology {
 
     /// One-way latency of an original link.
     ///
-    /// An Emulation Manager uses this to reconstruct the RTT weight of a
-    /// *remote* flow it only knows through metadata: the advertised link ids
+    /// An Emulation Manager reconstructs the RTT weight of a *remote* flow
+    /// it only knows through metadata from these latencies, read by slot
+    /// from [`CollapsedTopology::link_table`]: the advertised link ids
     /// identify the flow's path, and the latencies along it sum to the
     /// one-way delay (doubled for the round trip).
     pub fn link_latency(&self, link: LinkId) -> Option<SimDuration> {
-        self.link_latency.get(&link).copied()
+        self.links.slot(link).map(|slot| self.links.latency(slot))
     }
 }
 
@@ -561,6 +684,57 @@ mod tests {
         assert!(c.path(a, b).is_none());
         assert_eq!(c.pair_count(), 0);
         assert!(c.rtt(a, b).is_none());
+    }
+
+    /// Slots ascend with ids whatever order the links come in, with the
+    /// direct id → slot index (dense ids) and without it (sparse ids); an
+    /// id the table lacks has no slot, however large.
+    #[test]
+    fn link_table_slots_ascend_with_ids() {
+        for stride in [1u32, 3, 1_000_003] {
+            let ids: Vec<LinkId> = [5u32, 0, 9, 2, 7]
+                .iter()
+                .map(|&k| LinkId(k * stride))
+                .collect();
+            let table = LinkTable::new(ids.iter().map(|&id| {
+                let k = u64::from(id.0);
+                (
+                    id,
+                    Bandwidth::from_bps(k + 1),
+                    SimDuration::from_nanos(2 * k),
+                )
+            }));
+            assert_eq!(table.len(), ids.len());
+            assert!(
+                table.ids().windows(2).all(|w| w[0] < w[1]),
+                "stride {stride}"
+            );
+            for (slot, &id) in table.ids().iter().enumerate() {
+                assert_eq!(table.slot(id), Some(slot), "stride {stride}");
+                assert_eq!(
+                    table.capacity(slot),
+                    Bandwidth::from_bps(u64::from(id.0) + 1)
+                );
+                assert_eq!(
+                    table.latency(slot),
+                    SimDuration::from_nanos(2 * u64::from(id.0))
+                );
+            }
+            for absent in [LinkId(1), LinkId(u32::from(u16::MAX)), LinkId(u32::MAX)] {
+                assert_eq!(table.slot(absent), None, "stride {stride}");
+            }
+            let map = table.capacities();
+            assert!(map.keys().eq(table.ids()));
+        }
+        let (t, _, _, _) = figure1();
+        let c = CollapsedTopology::build(&t);
+        let table = c.link_table();
+        assert_eq!(table.len(), t.link_count());
+        for link in t.links() {
+            let slot = table.slot(link.id).expect("every link has a slot");
+            assert_eq!(table.capacity(slot), link.properties.bandwidth);
+            assert_eq!(table.latency(slot), link.properties.latency);
+        }
     }
 
     #[test]

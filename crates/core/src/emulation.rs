@@ -219,8 +219,8 @@ pub struct KollapsDataplane {
     next_delivery_seq: u64,
     convergence: ConvergenceStats,
     /// Solver for the omniscient reference allocation the convergence
-    /// metric recomputes every loop; invalidated on snapshot swaps like the
-    /// managers' own solvers.
+    /// metric recomputes every loop; like the managers' own solvers, its
+    /// memo keys on the snapshot's link table.
     omniscient: Allocator,
     /// Per-host, per-iteration convergence gaps, recorded only when
     /// [`KollapsDataplane::record_host_gaps`] was enabled (indexed by host,
@@ -700,7 +700,7 @@ impl KollapsDataplane {
             self.convergence.last_gap = 0.0;
             return;
         }
-        let omniscient = self.omniscient.solve(&flows, collapsed.link_capacities());
+        let omniscient = self.omniscient.solve(&flows, collapsed.link_table());
         let mut gap = 0.0f64;
         let mut host_gaps = vec![0.0f64; self.managers.len()];
         for (&(mi, src, dst), target) in keys.iter().zip(omniscient) {
@@ -738,9 +738,6 @@ impl KollapsDataplane {
             }
             let mut span = self.recorder.span(0, "timeline_swap");
             self.collapsed = Arc::clone(&delta.snapshot);
-            // Capacities changed — the omniscient solver's memo compares
-            // flows only (managers invalidate their own).
-            self.omniscient.invalidate();
             let mut touched = 0;
             for manager in &mut self.managers {
                 touched += manager.apply_delta(delta);

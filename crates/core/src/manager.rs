@@ -48,14 +48,16 @@ use crate::sharing::{oversubscription, Allocator, AllocatorStats, FlowRef};
 /// on stale metadata — still draws loss from the second iteration on.
 const CONGESTION_GRACE_LOOPS: u32 = 2;
 
-/// A remote host's usage as last received: the advertised flows plus the
-/// publish time of the message they came from (for staleness accounting).
+/// A remote host's usage as last received: the message that carried it,
+/// shared with the bus's delivery, plus its publish time (for staleness
+/// accounting).
 #[derive(Debug, Clone, Default)]
 pub struct RemoteUsage {
     /// When the message carrying this view was published.
     pub published: SimTime,
-    /// The per-flow usage the remote manager advertised.
-    pub flows: Vec<FlowUsage>,
+    /// The message; its `flows` are the per-flow usage the remote manager
+    /// advertised.
+    pub message: Arc<MetadataMessage>,
 }
 
 /// One local container's egress tree plus the key it currently holds in the
@@ -136,7 +138,7 @@ pub struct EmulationManager {
     /// Consecutive loop iterations each link has been oversubscribed,
     /// sorted by link.
     oversub_streak: Vec<(LinkId, u32)>,
-    /// The min-max solver; invalidated on snapshot swaps.
+    /// The min-max solver; its memo keys on the snapshot's link table.
     allocator: Allocator,
     /// The paths of the remote flows of the current loop iteration, end to
     /// end: one arena refilled per iteration instead of a `Vec` per flow.
@@ -368,7 +370,7 @@ impl EmulationManager {
                 .collect();
             message.flows.push(FlowUsage::new(used, ids));
         }
-        bus.publish(now, self.host, &message);
+        bus.publish(now, self.host, message);
     }
 
     /// Loop step 3b: absorbs delivered metadata, keeping the newest message
@@ -384,7 +386,7 @@ impl EmulationManager {
             if view.published <= delivery.published {
                 *view = RemoteUsage {
                     published: delivery.published,
-                    flows: delivery.message.flows,
+                    message: delivery.message,
                 };
             }
         }
@@ -417,13 +419,14 @@ impl EmulationManager {
         let mut remote_links = std::mem::take(&mut self.remote_links);
         remote_links.clear();
         for view in &self.remote {
-            for flow in &view.flows {
+            for flow in &view.message.flows {
                 remote_links.extend(flow.link_ids.iter().map(|&l| LinkId(u32::from(l))));
             }
         }
+        let table = collapsed.link_table();
         let mut unassigned: &[LinkId] = &remote_links;
         for view in &self.remote {
-            for flow in &view.flows {
+            for flow in &view.message.flows {
                 let (links, rest) = unassigned.split_at(flow.link_ids.len());
                 unassigned = rest;
                 // Links this snapshot still knows about contribute latency
@@ -433,13 +436,9 @@ impl EmulationManager {
                 // unconstrained.
                 let mut one_way = SimDuration::ZERO;
                 let mut demand = Bandwidth::MAX;
-                for &link in links {
-                    if let Some(capacity) = collapsed.link_capacity(link) {
-                        demand = demand.min(capacity);
-                        if let Some(latency) = collapsed.link_latency(link) {
-                            one_way += latency;
-                        }
-                    }
+                for slot in links.iter().filter_map(|&link| table.slot(link)) {
+                    demand = demand.min(table.capacity(slot));
+                    one_way += table.latency(slot);
                 }
                 let rtt = if one_way.is_zero() {
                     SimDuration::from_millis(1)
@@ -460,7 +459,7 @@ impl EmulationManager {
             let before = self.allocator.stats();
             // kollaps-analyze: allow(wall-clock) -- solver-time diagnostic only; never feeds back into the emulation (pinned by the traced-vs-untraced identity test)
             let start = std::time::Instant::now();
-            let grants = self.allocator.solve(&flows, collapsed.link_capacities());
+            let grants = self.allocator.solve(&flows, table);
             let micros = start.elapsed().as_micros() as u64;
             let rates = grants.iter().take(local_keys.len()).copied().collect();
             self.alloc_micros += micros;
@@ -472,7 +471,7 @@ impl EmulationManager {
             rates
         };
         // Links whose oversubscription outlasted the grace period, sorted.
-        let raw = oversubscription(&flows, &usages, collapsed.link_capacities());
+        let raw = oversubscription(&flows, &usages, table);
         // `raw` ascends by link, and so does the streak table built from it.
         self.oversub_streak = raw
             .iter()
@@ -545,8 +544,6 @@ impl EmulationManager {
     /// offline).
     pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
         self.collapsed = Arc::clone(&delta.snapshot);
-        // Capacities changed: the solver's memo compares flows only.
-        self.allocator.invalidate();
         let collapsed = Arc::clone(&self.collapsed);
         let mut touched = 0;
         let mut trees: Vec<usize> = Vec::new();
@@ -1047,6 +1044,11 @@ mod tests {
             .find(|&l| collapsed.link_capacity(l) == Some(Bandwidth::from_mbps(50)))
             .expect("every client-server path crosses the trunk");
         let trunk_id = u16::try_from(trunk.0).expect("small topology");
+        // The largest wire id lies past the end of this snapshot's table.
+        let past_the_end = LinkId(u32::from(u16::MAX));
+        let table = collapsed.link_table();
+        assert!(table.ids().last().is_some_and(|&last| last < past_the_end));
+        assert_eq!(table.slot(past_the_end), None);
         manager.usages = vec![
             ((c0, s0), Bandwidth::from_mbps(40)),
             ((c1, s1), Bandwidth::from_mbps(30)),
@@ -1056,16 +1058,19 @@ mod tests {
         message.flows = vec![
             // The trunk plus a link no snapshot of this size has: weighs in
             // with the trunk's RTT alone.
-            FlowUsage::new(Bandwidth::from_mbps(20), vec![trunk_id, 65_535]),
+            FlowUsage::new(Bandwidth::from_mbps(20), vec![trunk_id, u16::MAX]),
             // The trunk twice: twice the latency, and twice the weight on it.
             FlowUsage::new(Bandwidth::from_mbps(10), vec![trunk_id, trunk_id]),
             // No links: competes with nobody.
             FlowUsage::new(Bandwidth::from_mbps(5), Vec::new()),
+            // Only links past the end of the table: competes with nobody
+            // either, and offers nothing to any link.
+            FlowUsage::new(Bandwidth::from_mbps(70), vec![u16::MAX, u16::MAX - 1]),
         ];
         manager.absorb(vec![Delivery {
             from: HostId(1),
             published: SimTime::ZERO,
-            message,
+            message: Arc::new(message),
         }]);
         for tick in 1..=2u64 {
             manager.enforce(SimTime::ZERO + SimDuration::from_millis(50 * tick));
@@ -1086,10 +1091,11 @@ mod tests {
     /// A delta can change a capacity and leave the RTT, demand and links of
     /// every active flow as they were — here the flows are limited by their
     /// 40 Mb/s access links, not by the trunk that changes. The solver's
-    /// memo then sees the input of the previous loop again, and only the
-    /// `invalidate()` in `apply_delta` makes the enforced rates follow.
+    /// memo then sees the flows of the previous loop again, and only the new
+    /// link table the delta carries makes it solve again.
     ///
-    /// Mutation-checked: without that `invalidate()` this test fails.
+    /// Mutation-checked: a memo that does not compare the table, or a delta
+    /// that keeps its parent's table, fails this test.
     #[test]
     fn a_capacity_change_through_a_delta_moves_the_enforced_rates() {
         let (topo, clients, servers) = generators::dumbbell(

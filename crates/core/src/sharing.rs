@@ -26,14 +26,18 @@
 //! (grants by position, buffers reused, a memo of the previous call). The
 //! kernel never keys anything by [`LinkId`] inside its loops:
 //!
-//! 1. **Link slots.** The constrained links (present in `capacities`, not
-//!    [`Bandwidth::MAX`]) are numbered in ascending id order; every per-link
-//!    quantity — remaining capacity, weight of the unfixed flows, union-find
-//!    parent — is a `Vec` indexed by that slot. Each flow's path is
-//!    translated to slots once per call, in path order and with duplicates
-//!    kept; links the table does not have (unconstrained, or advertised by
-//!    a remote manager whose snapshot differs) simply have no slot. The
-//!    tables are sized by `capacities`, never by an id found in a flow.
+//! 1. **Link slots.** The links are numbered by the snapshot's
+//!    [`LinkTable`], ascending by id, and every per-link quantity —
+//!    remaining capacity, weight of the unfixed flows, union-find parent —
+//!    is a `Vec` indexed by that slot. The emulation loop hands the kernel
+//!    the table its snapshot already carries
+//!    ([`crate::collapse::CollapsedTopology::link_table`]), so nothing is
+//!    renumbered per call; only [`allocate`] builds one, from its map. Each
+//!    flow's path is translated to slots once per call, in path order and
+//!    with duplicates kept; a link the table does not have (advertised by a
+//!    remote manager whose snapshot differs) or holds at
+//!    [`Bandwidth::MAX`] is unconstrained and takes no part. The tables are
+//!    sized by the link table, never by an id found in a flow.
 //! 2. **Partition.** Two flows interact only when their paths share a
 //!    constrained link, so a union-find over the slots splits the input into
 //!    independent *contention components*. Components are numbered by their
@@ -59,10 +63,13 @@
 //! for the same reason: restricted to a component, the global round
 //! sequence performs the same operations on the same operands in the same
 //! order. The memo of [`Allocator::solve`] rests on it too: grants are a
-//! function of the RTT, demand and links at every position (ids never
-//! enter the arithmetic), so an input equal in those gets the same grants.
+//! function of the link table and of the RTT, demand and links at every
+//! position (ids never enter the arithmetic), so the same table
+//! ([`Arc::ptr_eq`]: a snapshot never mutates its table) with an input equal
+//! in those gets the same grants.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -70,6 +77,8 @@ use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 
 use kollaps_topology::model::LinkId;
+
+use crate::collapse::LinkTable;
 
 /// A flow competing for bandwidth.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -153,67 +162,12 @@ impl Allocation {
 pub fn allocate(flows: &[FlowDemand], capacities: &BTreeMap<LinkId, Bandwidth>) -> Allocation {
     let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
     let mut grants = Vec::new();
-    Kernel::default().solve(&refs, capacities, &mut grants);
+    Kernel::default().solve(&refs, &LinkTable::from_capacities(capacities), &mut grants);
     Allocation::keyed(flows, &grants)
 }
 
-/// "No slot" / "no component" in the `u32` index tables.
+/// "No component" in the `u32` index tables.
 const NONE: u32 = u32::MAX;
-
-/// The constrained links of one `capacities` map, numbered densely.
-#[derive(Debug, Default)]
-struct LinkTable {
-    /// Constrained link ids, ascending; a link's slot is its position.
-    ids: Vec<LinkId>,
-    /// Capacity per slot, in b/s.
-    capacity: Vec<f64>,
-    /// Link id → slot for O(1) lookups, when the ids are dense enough for
-    /// the table to stay proportional to the link count (topologies number
-    /// their links from zero); empty otherwise, and lookups binary-search
-    /// `ids`.
-    direct: Vec<u32>,
-}
-
-impl LinkTable {
-    fn fill(&mut self, capacities: &BTreeMap<LinkId, Bandwidth>) {
-        self.ids.clear();
-        self.capacity.clear();
-        self.direct.clear();
-        for (&link, &capacity) in capacities {
-            if capacity != Bandwidth::MAX {
-                self.ids.push(link);
-                self.capacity.push(capacity.as_bps() as f64);
-            }
-        }
-        let Some(&LinkId(highest)) = self.ids.last() else {
-            return;
-        };
-        let span = (highest as usize).saturating_add(1);
-        if span <= self.ids.len().saturating_mul(4).saturating_add(1024) {
-            self.direct.resize(span, NONE);
-            for (slot, link) in self.ids.iter().enumerate() {
-                self.direct[link.0 as usize] = slot as u32;
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// The slot of `link`; `None` for a link this table does not constrain,
-    /// whatever its id.
-    fn slot(&self, link: LinkId) -> Option<u32> {
-        if self.direct.is_empty() {
-            self.ids.binary_search(&link).ok().map(|slot| slot as u32)
-        } else {
-            self.direct
-                .get(link.0 as usize)
-                .copied()
-                .filter(|&slot| slot != NONE)
-        }
-    }
-}
 
 /// `rows[offsets[i]..offsets[i + 1]]`: row `i` of a flat table.
 fn row<'a, T>(offsets: &[u32], rows: &'a [T], i: usize) -> &'a [T] {
@@ -284,7 +238,6 @@ impl Partition {
 /// by [`Allocator`]. See the module documentation.
 #[derive(Debug, Default)]
 struct Kernel {
-    table: LinkTable,
     partition: Partition,
     /// Per flow, by position: weight and demand in b/s.
     weight: Vec<f64>,
@@ -326,13 +279,8 @@ fn fix_flow(slots: &[u32], granted_bps: f64, remaining: &mut [f64], grant: &mut 
 impl Kernel {
     /// Solves `flows` over `capacities` into `grants`, one entry per flow by
     /// position, component by component of `self.partition`.
-    fn solve(
-        &mut self,
-        flows: &[FlowRef<'_>],
-        capacities: &BTreeMap<LinkId, Bandwidth>,
-        grants: &mut Vec<Bandwidth>,
-    ) {
-        self.load(flows, capacities, grants);
+    fn solve(&mut self, flows: &[FlowRef<'_>], links: &LinkTable, grants: &mut Vec<Bandwidth>) {
+        self.load(flows, links, grants);
         for component in 0..self.partition.len() {
             self.solve_component(component, grants);
         }
@@ -342,17 +290,12 @@ impl Kernel {
     /// `grants` to one entry per flow — already final for flows crossing no
     /// constrained link (they get their demand), zero for the members of a
     /// component until it is solved.
-    fn load(
-        &mut self,
-        flows: &[FlowRef<'_>],
-        capacities: &BTreeMap<LinkId, Bandwidth>,
-        grants: &mut Vec<Bandwidth>,
-    ) {
+    fn load(&mut self, flows: &[FlowRef<'_>], links: &LinkTable, grants: &mut Vec<Bandwidth>) {
         let partition = &mut self.partition;
-        self.table.fill(capacities);
-        let slot_count = self.table.len();
+        let slot_count = links.len();
         self.remaining.clear();
-        self.remaining.extend_from_slice(&self.table.capacity);
+        self.remaining
+            .extend((0..slot_count).map(|slot| links.capacity(slot).as_bps() as f64));
         self.weight_on.clear();
         self.weight_on.resize(slot_count, 0.0);
         self.parent.clear();
@@ -368,9 +311,13 @@ impl Kernel {
             self.demand.push(flow.demand.as_bps() as f64);
             let first = self.slots.len();
             for &link in flow.links {
-                let Some(slot) = self.table.slot(link) else {
+                let Some(slot) = links
+                    .slot(link)
+                    .filter(|&slot| links.capacity(slot) != Bandwidth::MAX)
+                else {
                     continue;
                 };
+                let slot = slot as u32;
                 if let Some(&head) = self.slots.get(first) {
                     let (a, b) = (find(&mut self.parent, head), find(&mut self.parent, slot));
                     self.parent[a as usize] = b;
@@ -565,6 +512,9 @@ impl AllocatorStats {
 /// depends on, and its grants.
 #[derive(Debug, Default)]
 struct Memo {
+    /// The link table the input was solved over; `None` before the first
+    /// call.
+    table: Option<Arc<LinkTable>>,
     /// Per flow, by position.
     rtt: Vec<SimDuration>,
     demand: Vec<Bandwidth>,
@@ -575,10 +525,14 @@ struct Memo {
 }
 
 impl Memo {
-    /// `true` when `flows` is this call's input again: the same RTT, demand
-    /// and links at every position (ids never enter the arithmetic).
-    fn same_input(&self, flows: &[FlowRef<'_>]) -> bool {
-        self.rtt.len() == flows.len()
+    /// `true` when `flows` over `table` is this call's input again: the
+    /// same table, and the same RTT, demand and links at every position (ids
+    /// never enter the arithmetic).
+    fn same_input(&self, flows: &[FlowRef<'_>], table: &Arc<LinkTable>) -> bool {
+        self.table
+            .as_ref()
+            .is_some_and(|last| Arc::ptr_eq(last, table))
+            && self.rtt.len() == flows.len()
             && flows.iter().enumerate().all(|(i, flow)| {
                 self.rtt[i] == flow.rtt
                     && self.demand[i] == flow.demand
@@ -586,9 +540,10 @@ impl Memo {
             })
     }
 
-    /// Records the input `flows` (the grants are written in place by the
-    /// caller).
-    fn record(&mut self, flows: &[FlowRef<'_>]) {
+    /// Records the input `flows` over `table` (the grants are written in
+    /// place by the caller).
+    fn record(&mut self, flows: &[FlowRef<'_>], table: &Arc<LinkTable>) {
+        self.table = Some(Arc::clone(table));
         self.rtt.clear();
         self.demand.clear();
         self.links.clear();
@@ -611,48 +566,35 @@ impl Memo {
 /// The result is **bit-identical** to [`allocate`] on the same input, by
 /// position instead of by id (see the module documentation).
 ///
-/// Contract: link capacities are immutable within a collapsed snapshot, so
-/// the memo only compares flows. Callers **must** call
-/// [`Allocator::invalidate`] whenever the snapshot (and thus any capacity)
-/// changes — the emulation manager does this on every delta or snapshot
-/// swap.
+/// The memo recognises the link table by identity ([`Arc::ptr_eq`]): a
+/// snapshot's table never changes, and a timeline delta that moves a
+/// capacity or a latency carries a new one, so a snapshot swap needs no
+/// call of its own. The memo holds its table, so the address cannot be
+/// reused by another table while it is compared against.
 #[derive(Debug, Default)]
 pub struct Allocator {
-    valid: bool,
     last: Memo,
     kernel: Kernel,
     stats: AllocatorStats,
 }
 
 impl Allocator {
-    /// Forgets the previous call. Must be called when link capacities
-    /// change (topology delta or snapshot swap); the next call is solved
-    /// whatever its input.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
     /// Work-avoidance counters since construction.
     pub fn stats(&self) -> AllocatorStats {
         self.stats
     }
 
-    /// The grants of `allocate` for the same flows and capacities, by
-    /// position in `flows`.
-    pub fn solve(
-        &mut self,
-        flows: &[FlowRef<'_>],
-        capacities: &BTreeMap<LinkId, Bandwidth>,
-    ) -> &[Bandwidth] {
+    /// The grants of `allocate` for the same flows and the capacities of
+    /// `links`, by position in `flows`.
+    pub fn solve(&mut self, flows: &[FlowRef<'_>], links: &Arc<LinkTable>) -> &[Bandwidth] {
         self.stats.calls += 1;
-        if self.valid && self.last.same_input(flows) {
+        if self.last.same_input(flows, links) {
             self.stats.fast_hits += 1;
             return &self.last.grants;
         }
-        self.kernel.solve(flows, capacities, &mut self.last.grants);
+        self.kernel.solve(flows, links, &mut self.last.grants);
         self.stats.components_recomputed += self.kernel.partition.len() as u64;
-        self.last.record(flows);
-        self.valid = true;
+        self.last.record(flows, links);
         &self.last.grants
     }
 }
@@ -660,7 +602,8 @@ impl Allocator {
 /// Per-link oversubscription ratios given the *demanded* (not allocated)
 /// bandwidth of each flow — `usages[i]` is what `flows[i]` used —
 /// `max(0, (Σ demand - capacity) / Σ demand)`, for the oversubscribed links
-/// only, in ascending link order.
+/// of `links` only, in ascending link order. A link the table does not
+/// have, or holds at [`Bandwidth::MAX`], is never oversubscribed.
 ///
 /// Kollaps uses this to inject packet loss proportional to the excess when
 /// reliable flows push more traffic than a link can carry (paper §3,
@@ -669,20 +612,23 @@ impl Allocator {
 pub fn oversubscription(
     flows: &[FlowRef<'_>],
     usages: &[Bandwidth],
-    capacities: &BTreeMap<LinkId, Bandwidth>,
+    links: &LinkTable,
 ) -> Vec<(LinkId, f64)> {
-    let mut table = LinkTable::default();
-    table.fill(capacities);
-    let mut demanded = vec![0.0f64; table.len()];
+    let mut demanded = vec![0.0f64; links.len()];
     for (flow, used) in flows.iter().zip(usages) {
         for &link in flow.links {
-            if let Some(slot) = table.slot(link) {
-                demanded[slot as usize] += used.as_bps() as f64;
+            if let Some(slot) = links.slot(link) {
+                demanded[slot] += used.as_bps() as f64;
             }
         }
     }
     let mut out = Vec::new();
-    for ((&link, &demand), &capacity) in table.ids.iter().zip(&demanded).zip(&table.capacity) {
+    for (slot, (&link, &demand)) in links.ids().iter().zip(&demanded).enumerate() {
+        let capacity = links.capacity(slot);
+        if capacity == Bandwidth::MAX {
+            continue;
+        }
+        let capacity = capacity.as_bps() as f64;
         if demand > capacity {
             out.push((link, (demand - capacity) / demand));
         }
@@ -890,10 +836,15 @@ mod tests {
     fn by_id(
         allocator: &mut Allocator,
         flows: &[FlowDemand],
-        capacities: &BTreeMap<LinkId, Bandwidth>,
+        links: &Arc<LinkTable>,
     ) -> Allocation {
         let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
-        Allocation::keyed(flows, allocator.solve(&refs, capacities))
+        Allocation::keyed(flows, allocator.solve(&refs, links))
+    }
+
+    /// A fresh link table over `capacities`.
+    fn table(capacities: &BTreeMap<LinkId, Bandwidth>) -> Arc<LinkTable> {
+        Arc::new(LinkTable::from_capacities(capacities))
     }
 
     #[test]
@@ -1031,6 +982,7 @@ mod tests {
     fn oversubscription_ratios() {
         let (flows, caps) = figure8(2);
         let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
+        let caps = LinkTable::from_capacities(&caps);
         // Both flows report using 40 Mb/s → the 50 Mb/s B1-B2 link sees
         // 80 Mb/s of demand → 37.5 % excess. The 100 Mb/s B2-B3 link is not
         // oversubscribed.
@@ -1083,27 +1035,29 @@ mod tests {
     #[test]
     fn incremental_matches_full_allocate_exactly() {
         let (flows, caps) = figure8(6);
+        let links = table(&caps);
         let mut inc = Allocator::default();
         // Grow the flow set one client at a time; every call must equal the
         // one-shot solve bit for bit.
         for n in 1..=6 {
             let prefix = &flows[..n];
-            assert_eq!(by_id(&mut inc, prefix, &caps), allocate(prefix, &caps));
+            assert_eq!(by_id(&mut inc, prefix, &links), allocate(prefix, &caps));
         }
         // Shrink again (flows leaving shifts positional ids down).
         for n in (1..=6).rev() {
             let prefix = &flows[..n];
-            assert_eq!(by_id(&mut inc, prefix, &caps), allocate(prefix, &caps));
+            assert_eq!(by_id(&mut inc, prefix, &links), allocate(prefix, &caps));
         }
     }
 
     #[test]
     fn steady_state_hits_the_fast_path() {
         let (flows, caps) = figure8(4);
+        let links = table(&caps);
         let mut inc = Allocator::default();
-        let first = by_id(&mut inc, &flows, &caps);
+        let first = by_id(&mut inc, &flows, &links);
         for _ in 0..3 {
-            assert_eq!(by_id(&mut inc, &flows, &caps), first);
+            assert_eq!(by_id(&mut inc, &flows, &links), first);
         }
         let stats = inc.stats();
         assert_eq!(stats.calls, 4);
@@ -1111,16 +1065,25 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_forces_a_full_recompute() {
+    fn a_new_link_table_forces_a_full_recompute() {
         let (flows, mut caps) = figure8(3);
+        let before = table(&caps);
         let mut inc = Allocator::default();
-        by_id(&mut inc, &flows, &caps);
-        // The trunk link shrinks: same flows, different capacities. The
-        // caller invalidates (capacities are not part of the memo).
+        let old = by_id(&mut inc, &flows, &before);
+        // The trunk link shrinks: same flows, a new table. The memo keys on
+        // the table it solved over, so the call is solved again.
         caps.insert(LinkId(6), Bandwidth::from_mbps(20));
-        inc.invalidate();
-        assert_eq!(by_id(&mut inc, &flows, &caps), allocate(&flows, &caps));
+        let after = table(&caps);
+        let new = by_id(&mut inc, &flows, &after);
+        assert_eq!(new, allocate(&flows, &caps));
+        assert_ne!(new, old);
+        // Identity, not content: an equal table built anew is a miss too,
+        // and so is going back to the first one.
+        assert_eq!(by_id(&mut inc, &flows, &table(&caps)), new);
+        assert_eq!(by_id(&mut inc, &flows, &before), old);
         assert_eq!(inc.stats().fast_hits, 0);
+        assert_eq!(by_id(&mut inc, &flows, &before), old);
+        assert_eq!(inc.stats().fast_hits, 1);
     }
 
     #[test]
@@ -1143,7 +1106,10 @@ mod tests {
             },
         ];
         let mut inc = Allocator::default();
-        assert_eq!(by_id(&mut inc, &flows, &caps), allocate(&flows, &caps));
+        assert_eq!(
+            by_id(&mut inc, &flows, &table(&caps)),
+            allocate(&flows, &caps)
+        );
     }
 
     /// How many seeded solver inputs exercised what, by name, so the
@@ -1305,7 +1271,7 @@ mod tests {
         }
     }
 
-    /// Seeded join / leave / demand-toggle / path-change / invalidate
+    /// Seeded join / leave / demand-toggle / path-change / capacity-change
     /// sequences: after every step [`Allocator::solve`] must equal the
     /// reference solver on the same input.
     ///
@@ -1338,6 +1304,7 @@ mod tests {
             let mut next_id = 1_000u64;
             // `(id, shape, demand, rtt)` of the active flows.
             let mut active: Vec<(u64, usize, Bandwidth, SimDuration)> = Vec::new();
+            let mut links = table(&capacities);
             let mut inc = Allocator::default();
             for step in 0..80 {
                 match rng.gen_range(0, 10) {
@@ -1366,7 +1333,7 @@ mod tests {
                     8 => {
                         let link = LinkId(rng.gen_range(0, link_count) as u32);
                         capacities.insert(link, Bandwidth::from_mbps(rng.gen_range(5, 500)));
-                        inc.invalidate();
+                        links = table(&capacities);
                     }
                     // Nothing changes: the fast path.
                     _ => {}
@@ -1382,7 +1349,7 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(
-                    by_id(&mut inc, &flows, &capacities),
+                    by_id(&mut inc, &flows, &links),
                     reference_allocate(&flows, &capacities),
                     "seed {seed} step {step}"
                 );
@@ -1423,12 +1390,13 @@ mod tests {
             )
         };
         let mut inc = Allocator::default();
-        let mut check = |flows: &[FlowDemand], invalidate: bool| {
-            if invalidate {
-                inc.invalidate();
+        let mut links = table(&caps);
+        let mut check = |flows: &[FlowDemand], new_table: bool| {
+            if new_table {
+                links = table(&caps);
             }
             assert_eq!(
-                by_id(&mut inc, flows, &caps),
+                by_id(&mut inc, flows, &links),
                 reference_allocate(flows, &caps)
             );
             counters(&inc)
@@ -1456,7 +1424,7 @@ mod tests {
             flow(2, &[2], any),
         ];
         assert_eq!(check(&bcd, false), (4, 1, 6, 0));
-        // Invalidated: the same input is not a fast hit.
+        // Over a new table: the same input is not a fast hit.
         assert_eq!(check(&bcd, true), (5, 1, 8, 0));
         // The same RTT, demand and links at every position under other ids:
         // a fast hit, because grants are positional.

@@ -57,7 +57,7 @@ use kollaps_topology::events::{apply_action, DynamicEvent, EventSchedule};
 use kollaps_topology::graph::TopologyGraph;
 use kollaps_topology::model::{LinkId, LinkProperties, NodeId, Topology};
 
-use crate::collapse::{link_tables, presence, source_row, CollapsedPath, CollapsedTopology, Row};
+use crate::collapse::{presence, source_row, CollapsedPath, CollapsedTopology, LinkTable, Row};
 
 /// One precomputed topology change: the new snapshot plus the exact set of
 /// service pairs the change affected.
@@ -466,13 +466,24 @@ fn derive_snapshot(
     stats.shared_paths += pairs - changed_paths.len();
     removed_paths.sort();
 
-    let (link_capacity, link_latency) = link_tables(working);
+    // The link table is copied only when a link came, went, or changed its
+    // capacity or latency; a jitter or loss edit leaves it shared.
+    let table_moved = changed_links
+        .iter()
+        .any(|id| match (before.get(id), after.get(id)) {
+            (Some(old), Some(new)) => old.bandwidth != new.bandwidth || old.latency != new.latency,
+            _ => true,
+        });
+    let links = if table_moved {
+        Arc::new(LinkTable::of(working))
+    } else {
+        Arc::clone(&prev.links)
+    };
     let snapshot = Arc::new(CollapsedTopology {
         services: Arc::clone(services),
         rows,
         pairs,
-        link_capacity,
-        link_latency,
+        links,
     });
     SnapshotDelta {
         at,
@@ -643,6 +654,14 @@ mod tests {
                 delta.snapshot.link_capacities(),
                 reference.link_capacities()
             );
+            let (ours, theirs) = (delta.snapshot.link_table(), reference.link_table());
+            assert!(ours.same_links(theirs), "links at {:?}", delta.at);
+            assert_eq!(
+                Arc::ptr_eq(ours, prev.link_table()),
+                ours.same_links(prev.link_table()),
+                "link table shared iff unchanged at {:?}",
+                delta.at
+            );
             prev = Arc::clone(&delta.snapshot);
         }
         timeline
@@ -696,6 +715,44 @@ mod tests {
             },
         ));
         assert_matches_online_recollapse(&dumbbell(), &schedule);
+    }
+
+    /// A delta shares its parent's link table unless it moves a link's
+    /// capacity or latency (or adds or removes a link); the allocator's memo
+    /// keys on that identity.
+    #[test]
+    fn a_delta_copies_the_link_table_only_when_a_link_changes() {
+        let mut schedule = EventSchedule::new();
+        let jitter = LinkChange {
+            jitter: Some(SimDuration::from_millis(2)),
+            loss: Some(0.01),
+            ..LinkChange::default()
+        };
+        schedule.push(event(1, set_link("client-0", "bridge-left", jitter)));
+        schedule.push(set_edge_latency("client-0", "bridge-left", 2, 40));
+        schedule.push(event(3, leave("client-1", "bridge-left")));
+        let timeline = assert_matches_online_recollapse(&dumbbell(), &schedule);
+        let tables: Vec<&Arc<LinkTable>> = std::iter::once(timeline.initial())
+            .chain(timeline.deltas().iter().map(|d| &d.snapshot))
+            .map(|snapshot| snapshot.link_table())
+            .collect();
+        // The jitter and loss edit changes paths but no table column.
+        assert!(!timeline.deltas()[0].changed_paths.is_empty());
+        assert!(Arc::ptr_eq(tables[1], tables[0]));
+        // A latency change copies it, with the new latency in place.
+        assert!(!Arc::ptr_eq(tables[2], tables[1]));
+        assert_eq!(tables[2].ids(), tables[1].ids());
+        let moved: Vec<usize> = (0..tables[1].len())
+            .filter(|&slot| tables[2].latency(slot) != tables[1].latency(slot))
+            .collect();
+        // Both directions of the edge.
+        assert_eq!(moved.len(), 2);
+        for slot in moved {
+            assert_eq!(tables[2].latency(slot), SimDuration::from_millis(40));
+        }
+        // A link that leaves is gone from the copy.
+        assert!(!Arc::ptr_eq(tables[3], tables[2]));
+        assert!(tables[3].len() < tables[2].len());
     }
 
     /// A ring of four bridges with a service on each, every ring link 5 ms:

@@ -108,6 +108,17 @@ impl MetadataMessage {
         }
     }
 
+    /// Cuts the message to what the wire carries: its first [`MAX_FLOWS`]
+    /// flows, each with its first [`MAX_LINKS_PER_FLOW`] link ids. Afterwards
+    /// `decode(encode(m)) == m`, so a receiver sees the same message whether
+    /// it was handed the value or the datagram.
+    pub fn clamp_to_wire(&mut self) {
+        self.flows.truncate(MAX_FLOWS);
+        for flow in &mut self.flows {
+            flow.link_ids.truncate(MAX_LINKS_PER_FLOW);
+        }
+    }
+
     /// What the wire carries: `(used_kbps, link ids)` of the first
     /// [`MAX_FLOWS`] flows, each cut to [`MAX_LINKS_PER_FLOW`] ids.
     fn wire_flows(&self) -> impl ExactSizeIterator<Item = (u32, &[u16])> {
@@ -371,9 +382,12 @@ mod tests {
             for flow in &mut clamped.flows {
                 flow.link_ids.truncate(MAX_LINKS_PER_FLOW);
             }
+            let mut in_place = m.clone();
+            in_place.clamp_to_wire();
             let what = format!("{n_flows} flows of {links_per_flow} links");
             assert_eq!(m.encode().len(), m.encoded_len(), "{what}");
             assert_eq!(m.encode(), clamped.encode(), "{what}");
+            assert_eq!(in_place, clamped, "{what}");
             assert_eq!(MetadataMessage::decode(m.encode()), Ok(clamped), "{what}");
         }
     }

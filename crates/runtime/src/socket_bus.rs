@@ -155,7 +155,7 @@ impl SocketBus {
         self.pending.push(Delivery {
             from,
             published: message.published,
-            message,
+            message: Arc::new(message),
         });
     }
 }
@@ -165,27 +165,25 @@ impl Bus for SocketBus {
         self.inner.hosts()
     }
 
-    fn publish(&mut self, now: SimTime, from: HostId, message: &MetadataMessage) {
+    fn publish(&mut self, now: SimTime, from: HostId, mut message: MetadataMessage) {
+        if from == self.me {
+            // The authoritative host's usage additionally rides the wire.
+            message.sender = from;
+            message.published = now;
+            let frame = message.encode_framed();
+            for (&host, &addr) in &self.peers {
+                if host == from {
+                    continue;
+                }
+                if self.socket.send_to(&frame, addr).is_ok() {
+                    *self.accounting.sent_bytes.entry(from).or_default() += frame.len() as u64;
+                    self.accounting.remote_messages += 1;
+                }
+            }
+        }
         // Every publication feeds the modeled replica bus so shadow
         // managers evolve deterministically on all agents.
         self.inner.publish(now, from, message);
-        if from != self.me {
-            return;
-        }
-        // The authoritative host's usage additionally rides the wire.
-        let mut stamped = message.clone();
-        stamped.sender = from;
-        stamped.published = now;
-        let frame = stamped.encode_framed();
-        for (&host, &addr) in &self.peers {
-            if host == from {
-                continue;
-            }
-            if self.socket.send_to(&frame, addr).is_ok() {
-                *self.accounting.sent_bytes.entry(from).or_default() += frame.len() as u64;
-                self.accounting.remote_messages += 1;
-            }
-        }
     }
 
     fn synchronize(&mut self, now: SimTime) {
@@ -313,10 +311,10 @@ mod tests {
         let t1 = SimTime::from_millis(50);
         // Both replicas publish both hosts' messages (replica lockstep);
         // only the authoritative one goes on the wire.
-        a.publish(t1, HostId(0), &message(3));
-        a.publish(t1, HostId(1), &message(1));
-        b.publish(t1, HostId(0), &message(3));
-        b.publish(t1, HostId(1), &message(1));
+        a.publish(t1, HostId(0), message(3));
+        a.publish(t1, HostId(1), message(1));
+        b.publish(t1, HostId(0), message(3));
+        b.publish(t1, HostId(1), message(1));
         a.synchronize(t1);
         b.synchronize(t1);
         // B's authoritative manager (host 1) drains the real datagram A's
@@ -352,14 +350,14 @@ mod tests {
         // A publishes both ticks before B synchronizes the first: B must
         // satisfy its t1 barrier from the t2 datagram and keep the early
         // delivery buffered until t2.
-        a.publish(t1, HostId(0), &message(1));
-        a.publish(t2, HostId(0), &message(2));
-        b.publish(t1, HostId(1), &message(1));
+        a.publish(t1, HostId(0), message(1));
+        a.publish(t2, HostId(0), message(2));
+        b.publish(t1, HostId(1), message(1));
         b.synchronize(t1);
         let due_t1 = b.drain(t1, HostId(1));
         assert_eq!(due_t1.len(), 1);
         assert_eq!(due_t1[0].published, t1);
-        b.publish(t2, HostId(1), &message(1));
+        b.publish(t2, HostId(1), message(1));
         b.synchronize(t2);
         let due_t2 = b.drain(t2, HostId(1));
         assert_eq!(due_t2.len(), 1);
@@ -401,7 +399,7 @@ mod tests {
         .unwrap();
         for tick in 1..=5u64 {
             let now = SimTime::from_millis(tick * 50);
-            a.publish(now, HostId(0), &message(2));
+            a.publish(now, HostId(0), message(2));
             b.synchronize(now);
             assert!(b.drain(now, HostId(1)).is_empty(), "tick {tick}");
         }

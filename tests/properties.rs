@@ -924,7 +924,7 @@ proptest! {
             }
             let full = allocate(&flows, collapsed.link_capacities());
             let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
-            let grants = allocator.solve(&refs, collapsed.link_capacities());
+            let grants = allocator.solve(&refs, collapsed.link_table());
             prop_assert_eq!(grants.len(), flows.len());
             for (flow, &grant) in flows.iter().zip(grants) {
                 prop_assert_eq!(grant, full.of(flow.id));
