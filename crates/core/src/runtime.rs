@@ -434,7 +434,9 @@ impl<D: Dataplane> Runtime<D> {
                 // deterministic but not biased (always-lowest-id-first would
                 // let one flow starve the rest): round-robin over the ids in
                 // order with a rotating start. Pumping never opens or stops
-                // a flow, so `open_tcp` holds still.
+                // a flow, so `open_tcp` holds still. Every open sender is
+                // pumped, room or not; one still back-pressured costs a
+                // single refused offer, its parked batch is not rebuilt.
                 let open = self.open_tcp.len();
                 if open > 0 {
                     let start = self.pump_rotation % open;
@@ -452,23 +454,17 @@ impl<D: Dataplane> Runtime<D> {
         }
     }
 
+    /// Offers `flow`'s sendable segments to the dataplane one at a time.
+    /// The first back-pressured one and the rest of the batch stay parked
+    /// in the sender's retransmit queue, unbuilt, for the next wake-up.
     fn pump_tcp(&mut self, now: SimTime, flow: FlowId) {
         let Some(sender) = self.flows.sender_mut(flow) else {
             return;
         };
-        let mut packets = sender.poll_send(now).into_iter();
-        while let Some(pkt) = packets.next() {
-            if self.dataplane.send(now, pkt.clone()) == SendOutcome::Backpressure {
-                // Requeue this packet AND the rest of the batch — they are
-                // all marked outstanding, so quietly discarding them would
-                // punch artificial holes into the sequence space. Retry on
-                // the next dataplane wakeup.
-                for held in std::iter::once(pkt).chain(packets.by_ref()) {
-                    sender.on_backpressure(&held);
-                }
-                break;
-            }
-        }
+        let dataplane = &mut self.dataplane;
+        sender.send_with(now, |pkt| {
+            dataplane.send(now, pkt) != SendOutcome::Backpressure
+        });
         self.schedule_rto(flow);
     }
 

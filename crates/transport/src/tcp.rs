@@ -127,6 +127,7 @@ pub struct TcpStats {
 
 /// The sending half of a TCP connection.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct TcpSender {
     flow: FlowId,
     src: Addr,
@@ -145,6 +146,9 @@ pub struct TcpSender {
     outstanding: BTreeMap<u64, SimTime>,
     /// Segments that must be retransmitted before any new data (FIFO).
     retransmit: VecDeque<u64>,
+    /// The segments `send_with` parks while it draws a batch; empty between
+    /// calls, kept so a refused offer does not allocate.
+    parked: Vec<u64>,
     /// A fast-retransmit segment that bypasses the congestion window (sent
     /// immediately on the third duplicate ACK, per RFC 5681).
     fast_retransmit_pending: Option<u64>,
@@ -195,6 +199,7 @@ impl TcpSender {
             acked: 0,
             outstanding: BTreeMap::new(),
             retransmit: VecDeque::new(),
+            parked: Vec::new(),
             fast_retransmit_pending: None,
             dup_acks: 0,
             rtt: RttEstimator::new(),
@@ -271,37 +276,53 @@ impl TcpSender {
         self.cwnd.floor().max(1.0) as usize
     }
 
-    /// Produces the data packets the sender may transmit at `now`, limited
-    /// by the congestion window, the remaining data and (optionally) pacing.
+    /// Produces the data packets the sender may transmit at `now`: the batch
+    /// [`send_with`](Self::send_with) offers, all of it accepted.
     pub fn poll_send(&mut self, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        self.send_with(now, |packet| {
+            out.push(packet);
+            true
+        });
+        out
+    }
+
+    /// Offers the data packets the sender may transmit at `now` to `offer`,
+    /// one at a time; `offer` returns `false` to refuse one (the local qdisc
+    /// back-pressures it).
+    ///
+    /// The batch is limited by the congestion window, the remaining data
+    /// and (optionally) pacing, and drawn in this order: the pending
+    /// fast-retransmit segment, then the retransmit queue's front (entries
+    /// below the cumulative ACK are pruned), then new sequence numbers.
+    ///
+    /// The first refused segment and the rest of the batch are *parked*:
+    /// appended to the back of the retransmit queue in batch order, not
+    /// outstanding, and no loss signal. They are still drawn — sequence
+    /// numbers, retransmit-queue pops, pacing and packet ids advance as if
+    /// they were sent — but no packet is built for them and none is
+    /// offered, so a refused offer costs one packet. A parked segment
+    /// counts against the window until the batch ends. The retransmission
+    /// timer is armed when anything is outstanding after the batch, and
+    /// cleared when the batch parked segments and nothing is outstanding.
+    pub fn send_with(&mut self, now: SimTime, mut offer: impl FnMut(Packet) -> bool) {
         if self.is_complete() {
-            return Vec::new();
+            return;
         }
         // Not yet started: the runtime pumps every sender whenever the
         // dataplane makes progress, so a flow scheduled for the future must
         // not leak segments early.
         if now < self.started_at {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         let window = self.window();
         // The fast-retransmitted segment is sent immediately, without regard
         // to the congestion window (RFC 5681 §3.2 step 2).
         if let Some(seq) = self.fast_retransmit_pending.take() {
-            self.outstanding.insert(seq, now);
-            self.packet_counter += 1;
-            out.push(Packet::new(
-                self.packet_counter,
-                self.flow,
-                self.src,
-                self.dst,
-                MSS + HEADER_SIZE,
-                PacketKind::TcpData { seq },
-                now,
-            ));
+            self.offer_segment(now, seq, &mut offer);
         }
         loop {
-            if self.outstanding.len() >= window {
+            if self.outstanding.len() + self.parked.len() >= window {
                 break;
             }
             if let Some(pace) = self.config.pacing {
@@ -330,9 +351,29 @@ impl TcpSender {
                     }
                 }
             };
-            self.outstanding.insert(seq, now);
-            self.packet_counter += 1;
-            out.push(Packet::new(
+            self.offer_segment(now, seq, &mut offer);
+        }
+        if !self.outstanding.is_empty() {
+            self.timer_anchor.get_or_insert(now);
+        } else if !self.parked.is_empty() {
+            self.timer_anchor = None;
+        }
+        self.retransmit.extend(self.parked.drain(..));
+    }
+
+    /// Draws `seq` into the batch [`send_with`](Self::send_with) is sending
+    /// at `now`: builds and offers it while nothing of the batch is parked
+    /// (outstanding if accepted), parks it otherwise.
+    fn offer_segment(&mut self, now: SimTime, seq: u64, offer: &mut impl FnMut(Packet) -> bool) {
+        // Parking a segment must leave the sender as sending and then
+        // un-sending it would: true only while it was not outstanding.
+        debug_assert!(
+            !self.outstanding.contains_key(&seq),
+            "segment {seq} drawn while outstanding"
+        );
+        self.packet_counter += 1;
+        if self.parked.is_empty() {
+            let packet = Packet::new(
                 self.packet_counter,
                 self.flow,
                 self.src,
@@ -340,16 +381,18 @@ impl TcpSender {
                 MSS + HEADER_SIZE,
                 PacketKind::TcpData { seq },
                 now,
-            ));
+            );
+            if offer(packet) {
+                self.outstanding.insert(seq, now);
+                return;
+            }
         }
-        if !self.outstanding.is_empty() && self.timer_anchor.is_none() {
-            self.timer_anchor = Some(now);
-        }
-        out
+        self.parked.push(seq);
     }
 
     /// Handles an incoming cumulative ACK for `ack` (the next expected
-    /// segment at the receiver).
+    /// segment at the receiver). An ACK of new data pops the acknowledged
+    /// segments off `outstanding` in place; it allocates nothing.
     pub fn on_ack(&mut self, now: SimTime, ack: u64) {
         if ack > self.acked {
             // New data acknowledged.
@@ -369,9 +412,11 @@ impl TcpSender {
             if let Some((_, &sent)) = self.outstanding.range(self.acked..ack).next() {
                 self.rtt.record(now - sent);
             }
-            let keys: Vec<u64> = self.outstanding.range(..ack).map(|(&s, _)| s).collect();
-            for k in keys {
-                self.outstanding.remove(&k);
+            while let Some(entry) = self.outstanding.first_entry() {
+                if *entry.key() >= ack {
+                    break;
+                }
+                entry.remove();
             }
             self.acked = ack;
             self.dup_acks = 0;
@@ -530,18 +575,6 @@ impl TcpSender {
         self.retransmit = lost.into();
         true
     }
-
-    /// Called when the dataplane back-pressures a packet: the segment is
-    /// requeued for transmission and does not count as outstanding.
-    pub fn on_backpressure(&mut self, packet: &Packet) {
-        if let PacketKind::TcpData { seq } = packet.kind {
-            self.outstanding.remove(&seq);
-            self.retransmit.push_back(seq);
-            if self.outstanding.is_empty() {
-                self.timer_anchor = None;
-            }
-        }
-    }
 }
 
 /// The receiving half of a TCP connection: generates cumulative ACKs.
@@ -598,15 +631,26 @@ impl TcpReceiver {
     }
 
     /// Processes a data segment and returns the ACK packet to send back.
+    ///
+    /// The expected segment with nothing buffered advances the in-order
+    /// point directly; only a segment out of order goes through the
+    /// reassembly set, so an in-order stream allocates nothing.
     pub fn on_data(&mut self, now: SimTime, seq: u64) -> Packet {
         self.last_arrival = Some(now);
-        if seq >= self.expected && self.buffered.insert(seq) {
+        if seq == self.expected && self.buffered.is_empty() {
+            self.expected += 1;
             self.received_segments += 1;
             self.received_bytes += MSS.as_bytes();
-        }
-        // Advance the in-order point over any contiguous buffered segments.
-        while self.buffered.remove(&self.expected) {
-            self.expected += 1;
+        } else {
+            if seq >= self.expected && self.buffered.insert(seq) {
+                self.received_segments += 1;
+                self.received_bytes += MSS.as_bytes();
+            }
+            // Advance the in-order point over any contiguous buffered
+            // segments.
+            while self.buffered.remove(&self.expected) {
+                self.expected += 1;
+            }
         }
         self.packet_counter += 1;
         Packet::new(
@@ -786,14 +830,42 @@ mod tests {
     #[test]
     fn backpressure_requeues_without_loss_reaction() {
         let mut s = sender(CongestionAlgorithm::Reno, TransferSize::Unbounded);
-        let pkts = s.poll_send(SimTime::ZERO);
         let cwnd = s.cwnd();
-        s.on_backpressure(&pkts[3]);
+        let mut offered = Vec::new();
+        s.send_with(SimTime::ZERO, |p| {
+            offered.push(p);
+            offered.len() != 4
+        });
+        assert_eq!(offered.len(), 4, "nothing is offered after the refusal");
         assert_eq!(s.cwnd(), cwnd, "backpressure is not a loss signal");
         let again = s.poll_send(SimTime::from_millis(1));
-        assert!(again
-            .iter()
-            .any(|p| matches!(p.kind, PacketKind::TcpData { seq: 3 })));
+        let seqs: Vec<u64> = again.iter().map(seq_of).collect();
+        assert_eq!(
+            seqs,
+            (3..10).collect::<Vec<_>>(),
+            "the parked segments go first"
+        );
+        let ids: Vec<u64> = again.iter().map(|p| p.id).collect();
+        assert_eq!(
+            ids,
+            (11..18).collect::<Vec<_>>(),
+            "ids continue past the parked ones"
+        );
+    }
+
+    /// Today's parking order, pinned: a refused batch goes *behind*
+    /// segments already parked, so after a timeout (cwnd 1, the whole
+    /// window in the retransmit queue) a refused retransmission of segment
+    /// 0 is requeued last and the window leaves rotated (ROADMAP item 9).
+    #[test]
+    fn a_refused_retransmission_is_parked_behind_the_window() {
+        let mut s = sender(CongestionAlgorithm::Reno, TransferSize::Unbounded);
+        let _ = s.poll_send(SimTime::ZERO);
+        let rto = s.rto_deadline().unwrap();
+        assert!(s.on_timer(rto));
+        s.send_with(rto, |_| false);
+        let seqs: Vec<u64> = s.retransmit.iter().copied().collect();
+        assert_eq!(seqs, [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]);
     }
 
     #[test]
@@ -849,5 +921,262 @@ mod tests {
     fn goodput_accounts_header_overhead() {
         let ideal = ideal_goodput(Bandwidth::from_mbps(100));
         assert!((ideal.as_mbps() - 97.3).abs() < 0.1);
+    }
+
+    fn seq_of(p: &Packet) -> u64 {
+        match p.kind {
+            PacketKind::TcpData { seq } => seq,
+            _ => panic!("not a data packet: {p:?}"),
+        }
+    }
+
+    /// The build-then-undo send path `send_with` replaced, kept verbatim
+    /// (comments aside) as the reference it must match.
+    impl TcpSender {
+        fn reference_poll_send(&mut self, now: SimTime) -> Vec<Packet> {
+            if self.is_complete() {
+                return Vec::new();
+            }
+            if now < self.started_at {
+                return Vec::new();
+            }
+            let mut out = Vec::new();
+            let window = self.window();
+            if let Some(seq) = self.fast_retransmit_pending.take() {
+                self.outstanding.insert(seq, now);
+                self.packet_counter += 1;
+                out.push(Packet::new(
+                    self.packet_counter,
+                    self.flow,
+                    self.src,
+                    self.dst,
+                    MSS + HEADER_SIZE,
+                    PacketKind::TcpData { seq },
+                    now,
+                ));
+            }
+            loop {
+                if self.outstanding.len() >= window {
+                    break;
+                }
+                if let Some(pace) = self.config.pacing {
+                    if now < self.pacing_release {
+                        break;
+                    }
+                    self.pacing_release =
+                        self.pacing_release.max(now) + pace.transmission_delay(MSS);
+                }
+                while matches!(self.retransmit.front(), Some(&s) if s < self.acked) {
+                    self.retransmit.pop_front();
+                }
+                let seq = if let Some(seq) = self.retransmit.pop_front() {
+                    seq
+                } else {
+                    match self.total_segments {
+                        Some(total) if self.next_seq >= total => break,
+                        _ => {
+                            let s = self.next_seq;
+                            self.next_seq += 1;
+                            s
+                        }
+                    }
+                };
+                self.outstanding.insert(seq, now);
+                self.packet_counter += 1;
+                out.push(Packet::new(
+                    self.packet_counter,
+                    self.flow,
+                    self.src,
+                    self.dst,
+                    MSS + HEADER_SIZE,
+                    PacketKind::TcpData { seq },
+                    now,
+                ));
+            }
+            if !self.outstanding.is_empty() && self.timer_anchor.is_none() {
+                self.timer_anchor = Some(now);
+            }
+            out
+        }
+
+        fn reference_on_backpressure(&mut self, packet: &Packet) {
+            if let PacketKind::TcpData { seq } = packet.kind {
+                self.outstanding.remove(&seq);
+                self.retransmit.push_back(seq);
+                if self.outstanding.is_empty() {
+                    self.timer_anchor = None;
+                }
+            }
+        }
+
+        /// The runtime pump over the reference: offer the built batch until
+        /// the first refusal, then undo the refused packet and the rest.
+        fn reference_send_with(&mut self, now: SimTime, mut offer: impl FnMut(Packet) -> bool) {
+            let mut packets = self.reference_poll_send(now).into_iter();
+            while let Some(pkt) = packets.next() {
+                if !offer(pkt.clone()) {
+                    for held in std::iter::once(pkt).chain(packets.by_ref()) {
+                        self.reference_on_backpressure(&held);
+                    }
+                    break;
+                }
+            }
+        }
+    }
+
+    /// xorshift64*: the oracle's schedules must not depend on another crate.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n.max(1)
+        }
+    }
+
+    /// `(id, seq, sent_at)` of every packet one side offered.
+    fn offers(packets: &[Packet]) -> Vec<(u64, u64, SimTime)> {
+        packets
+            .iter()
+            .map(|p| (p.id, seq_of(p), p.sent_at))
+            .collect()
+    }
+
+    fn assert_same(step: usize, now: SimTime, new: &TcpSender, old: &TcpSender) {
+        assert_eq!(
+            new.cwnd().to_bits(),
+            old.cwnd().to_bits(),
+            "step {step}: cwnd"
+        );
+        assert_eq!(new.rto_deadline(), old.rto_deadline(), "step {step}: rto");
+        assert_eq!(
+            format!("{:?}", new.stats()),
+            format!("{:?}", old.stats()),
+            "step {step}: stats"
+        );
+        // The whole state: retransmit order, outstanding, packet counter,
+        // pacing release, timer anchor, recovery.
+        assert_eq!(format!("{new:?}"), format!("{old:?}"), "step {step}: state");
+        let next = new.clone().poll_send(now);
+        let reference = old.clone().reference_poll_send(now);
+        assert_eq!(offers(&next), offers(&reference), "step {step}: next batch");
+    }
+
+    /// One seeded schedule: random refusal positions, cumulative, duplicate
+    /// and partial ACKs, timeouts and `push_bytes`, driving `send_with`
+    /// and the reference side by side.
+    fn run_schedule(seed: u64) {
+        let mut rng = Rng::new(seed);
+        let config = TcpSenderConfig {
+            algorithm: if rng.below(2) == 0 {
+                CongestionAlgorithm::Reno
+            } else {
+                CongestionAlgorithm::Cubic
+            },
+            initial_cwnd: (1 + rng.below(12)) as f64,
+            max_cwnd: (2 + rng.below(40)) as f64,
+            pacing: (rng.below(2) == 0).then(|| Bandwidth::from_mbps(1 + rng.below(50))),
+        };
+        let size = if rng.below(2) == 0 {
+            TransferSize::Unbounded
+        } else {
+            TransferSize::Bytes(1 + rng.below(150) * MSS.as_bytes())
+        };
+        let make = || {
+            TcpSender::new(
+                FlowId(seed),
+                Addr::container(0),
+                Addr::container(1),
+                size,
+                config,
+                SimTime::ZERO,
+            )
+        };
+        let (mut new, mut old) = (make(), make());
+        let mut now = SimTime::ZERO;
+        for step in 0..300 {
+            match rng.below(12) {
+                0..=4 => {
+                    // Refuse at a random batch position, or never.
+                    let refuse_at = match rng.below(4) {
+                        0 => usize::MAX,
+                        _ => rng.below(6) as usize,
+                    };
+                    let (mut sent_new, mut sent_old) = (Vec::new(), Vec::new());
+                    new.send_with(now, |p| {
+                        sent_new.push(p);
+                        sent_new.len() - 1 != refuse_at
+                    });
+                    old.reference_send_with(now, |p| {
+                        sent_old.push(p);
+                        sent_old.len() - 1 != refuse_at
+                    });
+                    assert_eq!(offers(&sent_new), offers(&sent_old), "step {step}: offers");
+                }
+                5..=7 => {
+                    let ack = old.acked + rng.below(old.next_seq - old.acked + 1);
+                    new.on_ack(now, ack);
+                    old.on_ack(now, ack);
+                }
+                8 => {
+                    // A burst of duplicates: fast retransmit, or inflation
+                    // during recovery.
+                    for _ in 0..3 {
+                        new.on_ack(now, old.acked);
+                        old.on_ack(now, old.acked);
+                    }
+                }
+                9 => {
+                    if let Some(deadline) = old.rto_deadline() {
+                        now = now.max(deadline);
+                        assert_eq!(new.on_timer(now), old.on_timer(now), "step {step}: rto");
+                    }
+                }
+                10 => {
+                    let bytes = 1 + rng.below(4 * MSS.as_bytes());
+                    new.push_bytes(bytes);
+                    old.push_bytes(bytes);
+                }
+                _ => now += SimDuration::from_micros(rng.below(20_000)),
+            }
+            assert_same(step, now, &new, &old);
+        }
+    }
+
+    #[test]
+    fn send_with_matches_the_build_then_undo_reference() {
+        for seed in 1..=400 {
+            run_schedule(seed);
+        }
+    }
+
+    #[test]
+    fn in_order_fast_path_matches_the_reassembly_set() {
+        let mut rng = Rng::new(7);
+        let mut fast = TcpReceiver::new(FlowId(1), Addr::container(1), Addr::container(0));
+        let mut set_only = std::collections::BTreeSet::new();
+        let (mut expected, mut received) = (0u64, 0u64);
+        for i in 0..20_000u64 {
+            // Mostly in order, with reordering, duplicates and holes.
+            let seq = match rng.below(8) {
+                0 => expected + rng.below(6),
+                1 => expected.saturating_sub(rng.below(4)),
+                _ => expected,
+            };
+            if seq >= expected && set_only.insert(seq) {
+                received += 1;
+            }
+            while set_only.remove(&expected) {
+                expected += 1;
+            }
+            let ack = fast.on_data(SimTime::from_micros(i), seq);
+            assert!(matches!(ack.kind, PacketKind::TcpAck { ack, .. } if ack == expected));
+            assert_eq!(fast.received_segments(), received);
+        }
     }
 }
