@@ -21,7 +21,7 @@ use std::fmt::Display;
 use std::io;
 use std::path::Path;
 
-use serde_json::Value;
+use serde_json::{FieldError, FromValue, Value};
 
 /// Version stamp of the `BENCH_*.json` layout.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
@@ -55,9 +55,15 @@ impl Direction {
             Direction::Informational => "informational",
         }
     }
+}
 
-    fn parse(s: &str) -> Option<Direction> {
-        match s {
+impl FromValue<'_> for Direction {
+    fn expected() -> String {
+        "one of lower_is_better, higher_is_better, informational".to_string()
+    }
+
+    fn from_value(value: &Value) -> Option<Self> {
+        match value.as_str()? {
             "lower_is_better" => Some(Direction::LowerIsBetter),
             "higher_is_better" => Some(Direction::HigherIsBetter),
             "informational" => Some(Direction::Informational),
@@ -151,46 +157,19 @@ impl BenchRecord {
         ])
     }
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| format!("record missing field `{name}`"))
-        };
-        let metric = field("metric")?
-            .as_str()
-            .ok_or("`metric` must be a string")?
-            .to_string();
-        let value = field("value")?.as_f64().ok_or("`value` must be a number")?;
-        let unit = field("unit")?
-            .as_str()
-            .ok_or("`unit` must be a string")?
-            .to_string();
-        let mut axes = Vec::new();
-        for axis in field("axes")?.as_array().ok_or("`axes` must be an array")? {
-            let name = axis
-                .get("name")
-                .and_then(|n| n.as_str())
-                .ok_or("axis missing `name`")?;
-            let value = axis
-                .get("value")
-                .and_then(|n| n.as_str())
-                .ok_or("axis missing `value`")?;
-            axes.push((name.to_string(), value.to_string()));
-        }
-        let direction = field("direction")?
-            .as_str()
-            .and_then(Direction::parse)
-            .ok_or("`direction` must be lower_is_better/higher_is_better/informational")?;
-        let tolerance = field("tolerance")?
-            .as_f64()
-            .ok_or("`tolerance` must be a number")?;
+    fn from_json(v: &Value) -> Result<Self, FieldError> {
+        let text = |value: &Value, key| value.field::<&str>(key).map(str::to_string);
         Ok(BenchRecord {
-            metric,
-            value,
-            unit,
-            axes,
-            direction,
-            tolerance,
+            metric: text(v, "metric")?,
+            value: v.field("value")?,
+            unit: text(v, "unit")?,
+            axes: v
+                .field::<&[Value]>("axes")?
+                .iter()
+                .map(|axis| Ok((text(axis, "name")?, text(axis, "value")?)))
+                .collect::<Result<_, FieldError>>()?,
+            direction: v.field("direction")?,
+            tolerance: v.field("tolerance")?,
         })
     }
 }
@@ -238,29 +217,24 @@ impl BenchReport {
     /// Parses a report from its JSON text.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        let version = root
-            .get("schema_version")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing `schema_version`")?;
+        let version: u64 = root.field("schema_version").map_err(|e| e.to_string())?;
         if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
                 "bench schema version {version} (this binary speaks {BENCH_SCHEMA_VERSION})"
             ));
         }
-        let bench = root
-            .get("bench")
-            .and_then(|v| v.as_str())
-            .ok_or("missing `bench`")?
-            .to_string();
-        let mut records = Vec::new();
-        for record in root
-            .get("records")
-            .and_then(|v| v.as_array())
-            .ok_or("missing `records` array")?
-        {
-            records.push(BenchRecord::from_json(record)?);
-        }
-        Ok(BenchReport { bench, records })
+        Self::from_json(&root).map_err(|e| e.to_string())
+    }
+
+    fn from_json(root: &Value) -> Result<Self, FieldError> {
+        Ok(BenchReport {
+            bench: root.field::<&str>("bench")?.to_string(),
+            records: root
+                .field::<&[Value]>("records")?
+                .iter()
+                .map(BenchRecord::from_json)
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Prints the report under `title`, one line per sweep cell (consecutive
@@ -635,6 +609,73 @@ mod tests {
         let err = BenchReport::from_json_str(r#"{"schema_version":99,"bench":"x","records":[]}"#)
             .unwrap_err();
         assert!(err.contains("schema version 99"), "{err}");
+    }
+
+    /// A baseline cut anywhere, or with any field of a record missing, of
+    /// the wrong kind or out of its range, is an error naming that field;
+    /// none panics.
+    #[test]
+    fn malformed_baselines_are_typed_errors() {
+        let mut report = BenchReport::new("dynamics");
+        report.push(
+            BenchRecord::new("mean_swap_cost", 6.25, "paths")
+                .axis("elements", 45)
+                .lower_is_better(TOLERANCE_DETERMINISTIC),
+        );
+        let text = report.to_json_string();
+        assert_eq!(BenchReport::from_json_str(&text), Ok(report));
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..64 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let cut = (seed % text.len() as u64) as usize;
+            assert!(BenchReport::from_json_str(&text[..cut]).is_err(), "{cut}");
+        }
+        let mut cases: Vec<(String, String, &str)> = Vec::new();
+        for (key, value) in [
+            ("schema_version", "1"),
+            ("bench", r#""dynamics""#),
+            ("records", "["),
+            ("metric", r#""mean_swap_cost""#),
+            ("value", "6.25"),
+            ("unit", r#""paths""#),
+            ("axes", "["),
+            ("name", r#""elements""#),
+            ("direction", r#""lower_is_better""#),
+            ("tolerance", "0.25"),
+        ] {
+            let field = format!("\"{key}\":{value}");
+            let swapped = if value.starts_with('"') {
+                "7"
+            } else {
+                r#""7""#
+            };
+            // The key renamed is the key missing.
+            cases.push((field.clone(), format!("\"_{key}\":{value}"), key));
+            let swap = match value {
+                "[" => format!("\"{key}\":7,\"_{key}\":["),
+                _ => format!("\"{key}\":{swapped}"),
+            };
+            cases.push((field, swap, key));
+        }
+        cases.extend(
+            [
+                (
+                    r#""direction":"lower_is_better""#,
+                    r#""direction":"sideways""#,
+                    "direction",
+                ),
+                (r#""value":6.25"#, r#""value":1e999"#, "value"),
+            ]
+            .map(|(from, to, key)| (from.to_string(), to.to_string(), key)),
+        );
+        for (from, to, key) in cases {
+            let bad = text.replacen(&from, &to, 1);
+            assert_ne!(bad, text, "{from} not in {text}");
+            let err = BenchReport::from_json_str(&bad).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{bad}: {err}");
+        }
     }
 
     /// Pins the delta-table layout: the unit column sits between the

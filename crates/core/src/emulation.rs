@@ -100,6 +100,15 @@ pub struct ConvergenceStats {
 }
 
 impl ConvergenceStats {
+    /// Folds in one sampled gap. The distributed coordinator folds its
+    /// hosts' gaps here too, so both report bit-identical blocks.
+    pub fn record(&mut self, gap: f64) {
+        self.last_gap = gap;
+        self.max_gap = self.max_gap.max(gap);
+        self.sum_gap += gap;
+        self.samples += 1;
+    }
+
     /// Mean gap over all measured loop iterations: the time-averaged
     /// inaccuracy the staleness of the metadata view costs. The max spikes
     /// whenever any flow starts; the mean is what distinguishes a fast loop
@@ -715,10 +724,7 @@ impl KollapsDataplane {
             gap = gap.max(g);
             host_gaps[mi] = host_gaps[mi].max(g);
         }
-        self.convergence.last_gap = gap;
-        self.convergence.max_gap = self.convergence.max_gap.max(gap);
-        self.convergence.sum_gap += gap;
-        self.convergence.samples += 1;
+        self.convergence.record(gap);
         if let Some(series) = &mut self.host_gap_series {
             for (host, &g) in host_gaps.iter().enumerate() {
                 series[host].push(g);

@@ -28,7 +28,7 @@
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 use kollaps_topology::events::{DynamicAction, DynamicEvent, EventSchedule, LinkChange};
-use serde_json::Value;
+use serde_json::{FieldError, Value};
 
 /// A malformed trace: what was wrong and — when the problem is inside a
 /// record — which record.
@@ -58,102 +58,86 @@ fn err(reason: impl Into<String>, record: Option<usize>) -> TraceError {
     }
 }
 
+impl From<FieldError> for TraceError {
+    fn from(e: FieldError) -> Self {
+        err(e.to_string(), None)
+    }
+}
+
 /// Parses a JSON trace into a normalized (sorted) [`EventSchedule`].
 pub fn parse_trace(json: &str) -> Result<EventSchedule, TraceError> {
     let value = serde_json::from_str(json).map_err(|e| err(format!("invalid JSON: {e}"), None))?;
     let records = match &value {
         Value::Array(items) => items.as_slice(),
-        Value::Object(_) => value
-            .get("events")
-            .and_then(Value::as_array)
-            .ok_or_else(|| err("expected an `events` array", None))?,
+        Value::Object(_) => value.field("events")?,
         _ => return Err(err("expected an array of records", None)),
     };
     let mut events = Vec::with_capacity(records.len());
     for (i, record) in records.iter().enumerate() {
-        events.push(parse_record(record, i)?);
+        events.push(parse_record(record).map_err(|e| TraceError {
+            record: Some(i),
+            ..e
+        })?);
     }
     Ok(EventSchedule::from_events(events))
 }
 
-fn parse_record(record: &Value, i: usize) -> Result<DynamicEvent, TraceError> {
-    let at_ms = record
-        .get("at_ms")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| err("missing numeric `at_ms`", Some(i)))?;
-    if !(at_ms.is_finite() && at_ms >= 0.0) {
-        return Err(err("`at_ms` must be finite and non-negative", Some(i)));
+/// A finite, non-negative number under `key`, when the record has one.
+fn quantity(record: &Value, key: &str) -> Result<Option<f64>, TraceError> {
+    match record.opt_field::<f64>(key)? {
+        Some(n) if n < 0.0 => Err(err(format!("`{key}` must be a non-negative number"), None)),
+        n => Ok(n),
     }
+}
+
+fn parse_record(record: &Value) -> Result<DynamicEvent, TraceError> {
+    let at_ms = quantity(record, "at_ms")?.ok_or_else(|| err("missing numeric `at_ms`", None))?;
     let at = SimDuration::from_millis_f64(at_ms);
-    let action = record
-        .get("action")
-        .and_then(Value::as_str)
-        .ok_or_else(|| err("missing string `action`", Some(i)))?;
-    let name_field = |key: &str| -> Result<String, TraceError> {
-        record
-            .get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| err(format!("`{action}` needs a string `{key}`"), Some(i)))
-    };
-    let action = match action {
+    let name = |key| record.field::<&str>(key).map(str::to_string);
+    let action = match record.field("action")? {
         "link_down" => DynamicAction::LinkLeave {
-            orig: name_field("orig")?,
-            dest: name_field("dest")?,
+            orig: name("orig")?,
+            dest: name("dest")?,
         },
         "link_up" => DynamicAction::LinkJoin {
-            orig: name_field("orig")?,
-            dest: name_field("dest")?,
-            change: parse_change(record, i)?,
+            orig: name("orig")?,
+            dest: name("dest")?,
+            change: parse_change(record)?,
         },
         "set_link" => {
-            let change = parse_change(record, i)?;
+            let change = parse_change(record)?;
             if change == LinkChange::default() {
-                return Err(err("`set_link` needs at least one property field", Some(i)));
+                return Err(err("`set_link` needs at least one property field", None));
             }
             DynamicAction::SetLinkProperties {
-                orig: name_field("orig")?,
-                dest: name_field("dest")?,
+                orig: name("orig")?,
+                dest: name("dest")?,
                 change,
             }
         }
         "node_down" => DynamicAction::NodeLeave {
-            name: name_field("name")?,
+            name: name("name")?,
         },
         "node_up" => DynamicAction::NodeJoin {
-            name: name_field("name")?,
+            name: name("name")?,
         },
-        other => return Err(err(format!("unknown action `{other}`"), Some(i))),
+        other => return Err(err(format!("unknown action `{other}`"), None)),
     };
     Ok(DynamicEvent { at, action })
 }
 
-fn parse_change(record: &Value, i: usize) -> Result<LinkChange, TraceError> {
-    let number = |key: &str| -> Result<Option<f64>, TraceError> {
-        match record.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_f64() {
-                Some(n) if n.is_finite() && n >= 0.0 => Ok(Some(n)),
-                _ => Err(err(
-                    format!("`{key}` must be a non-negative number"),
-                    Some(i),
-                )),
-            },
-        }
-    };
-    let loss = number("loss")?;
-    if let Some(loss) = loss {
-        // A probability, not a percentage: the rest of the stack asserts
-        // the [0, 1] range, so reject it here with the record index.
-        if loss > 1.0 {
-            return Err(err("`loss` must be a probability in [0, 1]", Some(i)));
-        }
+fn parse_change(record: &Value) -> Result<LinkChange, TraceError> {
+    let loss = quantity(record, "loss")?;
+    // A probability, not a percentage: the rest of the stack asserts the
+    // [0, 1] range, so reject it here with the record index.
+    if loss.is_some_and(|loss| loss > 1.0) {
+        return Err(err("`loss` must be a probability in [0, 1]", None));
     }
     Ok(LinkChange {
-        latency: number("latency_ms")?.map(SimDuration::from_millis_f64),
-        jitter: number("jitter_ms")?.map(SimDuration::from_millis_f64),
-        up: number("up_mbps")?.map(Bandwidth::from_mbps_f64),
-        down: number("down_mbps")?.map(Bandwidth::from_mbps_f64),
+        latency: quantity(record, "latency_ms")?.map(SimDuration::from_millis_f64),
+        jitter: quantity(record, "jitter_ms")?.map(SimDuration::from_millis_f64),
+        up: quantity(record, "up_mbps")?.map(Bandwidth::from_mbps_f64),
+        down: quantity(record, "down_mbps")?.map(Bandwidth::from_mbps_f64),
         loss,
     })
 }
@@ -168,51 +152,38 @@ pub fn trace_to_json(schedule: &EventSchedule) -> String {
 }
 
 fn record_to_json(event: &DynamicEvent) -> Value {
-    let mut fields = vec![("at_ms", event.at.as_millis_f64().into())];
-    let mut push = |k: &'static str, v: Value| fields.push((k, v));
-    let change_fields = |change: &LinkChange, push: &mut dyn FnMut(&'static str, Value)| {
-        if let Some(latency) = change.latency {
-            push("latency_ms", latency.as_millis_f64().into());
-        }
-        if let Some(jitter) = change.jitter {
-            push("jitter_ms", jitter.as_millis_f64().into());
-        }
-        if let Some(up) = change.up {
-            push("up_mbps", up.as_mbps().into());
-        }
-        if let Some(down) = change.down {
-            push("down_mbps", down.as_mbps().into());
-        }
-        if let Some(loss) = change.loss {
-            push("loss", loss.into());
-        }
-    };
-    match &event.action {
-        DynamicAction::LinkLeave { orig, dest } => {
-            push("action", "link_down".into());
-            push("orig", orig.as_str().into());
-            push("dest", dest.as_str().into());
-        }
+    let link = |orig: &String, dest: &String| vec![("orig", orig.clone()), ("dest", dest.clone())];
+    let (action, names, change) = match &event.action {
+        DynamicAction::LinkLeave { orig, dest } => ("link_down", link(orig, dest), None),
         DynamicAction::LinkJoin { orig, dest, change } => {
-            push("action", "link_up".into());
-            push("orig", orig.as_str().into());
-            push("dest", dest.as_str().into());
-            change_fields(change, &mut push);
+            ("link_up", link(orig, dest), Some(change))
         }
         DynamicAction::SetLinkProperties { orig, dest, change } => {
-            push("action", "set_link".into());
-            push("orig", orig.as_str().into());
-            push("dest", dest.as_str().into());
-            change_fields(change, &mut push);
+            ("set_link", link(orig, dest), Some(change))
         }
-        DynamicAction::NodeLeave { name } => {
-            push("action", "node_down".into());
-            push("name", name.as_str().into());
-        }
-        DynamicAction::NodeJoin { name } => {
-            push("action", "node_up".into());
-            push("name", name.as_str().into());
-        }
+        DynamicAction::NodeLeave { name } => ("node_down", vec![("name", name.clone())], None),
+        DynamicAction::NodeJoin { name } => ("node_up", vec![("name", name.clone())], None),
+    };
+    let mut fields = vec![
+        ("at_ms", event.at.as_millis_f64().into()),
+        ("action", action.into()),
+    ];
+    fields.extend(names.into_iter().map(|(key, name)| (key, name.into())));
+    if let Some(change) = change {
+        let ms = |d: Option<SimDuration>| d.map(|d| d.as_millis_f64());
+        let mbps = |b: Option<Bandwidth>| b.map(|b| b.as_mbps());
+        let properties = [
+            ("latency_ms", ms(change.latency)),
+            ("jitter_ms", ms(change.jitter)),
+            ("up_mbps", mbps(change.up)),
+            ("down_mbps", mbps(change.down)),
+            ("loss", change.loss),
+        ];
+        fields.extend(
+            properties
+                .into_iter()
+                .filter_map(|(key, v)| Some((key, v?.into()))),
+        );
     }
     Value::from_iter(fields)
 }

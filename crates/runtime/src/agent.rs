@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use kollaps_metadata::bus::HostId;
-use kollaps_scenario::{Scenario, ScenarioError, Session, SessionError};
+use kollaps_scenario::{HostMetadata, Scenario, ScenarioError, Session, SessionError};
 use kollaps_sim::time::SimDuration;
-use serde_json::Value;
+use serde_json::{FieldError, Value};
 
 use crate::socket_bus::{SocketBus, SocketBusStats};
 use crate::wire::{self, WireError};
@@ -82,6 +82,12 @@ impl From<ScenarioError> for AgentError {
     }
 }
 
+impl From<FieldError> for AgentError {
+    fn from(e: FieldError) -> Self {
+        AgentError::Protocol(e.to_string())
+    }
+}
+
 impl From<SessionError> for AgentError {
     fn from(e: SessionError) -> Self {
         AgentError::Session(e)
@@ -95,9 +101,7 @@ struct Prepared {
 }
 
 fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentError> {
-    let spec = message
-        .get("spec")
-        .ok_or_else(|| AgentError::Protocol("spec message without a spec".to_string()))?;
+    let spec: &Value = message.field("spec")?;
     let scenario = Scenario::from_spec(spec)?;
     let n_hosts = scenario.host_count();
     if me as usize >= n_hosts {
@@ -105,9 +109,12 @@ fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentEr
             "assigned host {me} but the scenario has only {n_hosts} hosts"
         )));
     }
-    let metadata_delay = metadata_delay(spec)?;
+    // The socket bus mirrors the scenario's one-way metadata delay onto
+    // real deliveries.
+    let config: &Value = spec.field("config")?;
+    let metadata_delay = SimDuration::from_nanos(config.field("metadata_delay_ns")?);
     let loss = loss(message)?;
-    let barrier_timeout = barrier_timeout(message)?;
+    let barrier_timeout = Duration::from_millis(message.field("barrier_timeout_ms")?);
     let peers = peers(message, me)?;
     let mut session = scenario.session()?;
     session.record_host_gaps()?;
@@ -126,67 +133,27 @@ fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentEr
     Ok(Prepared { session, stats })
 }
 
-/// The scenario's one-way metadata delay, which the socket bus mirrors onto
-/// real deliveries: `config.metadata_delay_ns` of the spec, required like
-/// [`Scenario::from_spec`] requires it.
-fn metadata_delay(spec: &Value) -> Result<SimDuration, AgentError> {
-    spec.get("config")
-        .and_then(|config| config.get("metadata_delay_ns"))
-        .and_then(wire::int::<u64>)
-        .map(SimDuration::from_nanos)
-        .ok_or_else(|| {
-            AgentError::Protocol(
-                "spec field `config.metadata_delay_ns` is missing or not a u64".to_string(),
-            )
-        })
-}
-
 /// The injected datagram loss of a `spec` message: a finite probability in
 /// `[0, 1]`. Anything above 1 would silently drop every datagram.
 fn loss(message: &Value) -> Result<f64, AgentError> {
-    message
-        .get("loss")
-        .and_then(Value::as_f64)
-        .filter(|p| (0.0..=1.0).contains(p))
-        .ok_or_else(|| {
-            AgentError::Protocol(
-                "field `loss` is missing or not a probability in [0, 1]".to_string(),
-            )
-        })
-}
-
-/// How long the metadata barrier of a `spec` message waits for a peer.
-fn barrier_timeout(message: &Value) -> Result<Duration, AgentError> {
-    message
-        .get("barrier_timeout_ms")
-        .and_then(wire::int::<u64>)
-        .map(Duration::from_millis)
-        .ok_or_else(|| {
-            AgentError::Protocol("field `barrier_timeout_ms` is missing or not a u64".to_string())
-        })
+    let loss: f64 = message.field("loss")?;
+    if !(0.0..=1.0).contains(&loss) {
+        return Err(AgentError::Protocol(format!(
+            "field `loss` is {loss}, not a probability in [0, 1]"
+        )));
+    }
+    Ok(loss)
 }
 
 /// The UDP peer directory of a `spec` message: every other host's metadata
-/// socket on loopback. An entry that is not a `[host, port]` pair of a `u32`
-/// and a `u16` is a protocol error.
+/// socket on loopback, from `[host, port]` pairs of a `u32` and a `u16`.
 fn peers(message: &Value, me: u32) -> Result<HashMap<HostId, SocketAddr>, AgentError> {
-    let list = message.get("peers").and_then(|v| v.as_array());
-    let mut peers = HashMap::new();
-    for entry in list.into_iter().flatten() {
-        let pair = entry.as_array().unwrap_or_default();
-        let (Some(host), Some(port)) = (
-            pair.first().and_then(wire::int::<u32>),
-            pair.get(1).and_then(wire::int::<u16>),
-        ) else {
-            return Err(AgentError::Protocol(format!(
-                "peer entry {entry} is not a [host, port] pair of a u32 and a u16"
-            )));
-        };
-        if host != me {
-            peers.insert(HostId(host), SocketAddr::from(([127, 0, 0, 1], port)));
-        }
-    }
-    Ok(peers)
+    let pairs: Vec<(u32, u16)> = message.field("peers")?;
+    Ok(pairs
+        .into_iter()
+        .filter(|&(host, _)| host != me)
+        .map(|(host, port)| (HostId(host), SocketAddr::from(([127, 0, 0, 1], port))))
+        .collect())
 }
 
 /// Virtual time between the health frames an agent streams while running.
@@ -194,38 +161,62 @@ fn health_interval() -> SimDuration {
     SimDuration::from_millis(250)
 }
 
-/// One cumulative `health` control frame at virtual time `at`.
-fn health_frame(
-    me: u32,
-    at_ms: u64,
-    step_wall_micros: u64,
-    stats: &SocketBusStats,
-    sent: u64,
-    received: u64,
-) -> Value {
-    wire::msg(
-        "health",
-        vec![
-            ("host", me.into()),
-            ("at_ms", at_ms.into()),
-            ("step_wall_micros", step_wall_micros.into()),
-            (
-                "barrier_wait_micros",
-                stats.barrier_wait_micros.load(Ordering::Relaxed).into(),
-            ),
-            ("barriers", stats.barriers.load(Ordering::Relaxed).into()),
-            (
-                "barrier_timeouts",
-                stats.barrier_timeouts.load(Ordering::Relaxed).into(),
-            ),
-            (
-                "lost_datagrams",
-                stats.lost_datagrams.load(Ordering::Relaxed).into(),
-            ),
-            ("sent", sent.into()),
-            ("received", received.into()),
-        ],
-    )
+/// The cumulative counters an agent ships in every `health` frame and again
+/// in its final `report`: its socket bus's barrier and loss counters and
+/// the real metadata bytes its host sent and received. One encoder and one
+/// decoder serve both frames.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Counters {
+    pub(crate) barrier_wait_micros: u64,
+    pub(crate) barriers: u64,
+    pub(crate) barrier_timeouts: u64,
+    pub(crate) lost_datagrams: u64,
+    pub(crate) sent: u64,
+    pub(crate) received: u64,
+}
+
+impl Counters {
+    /// The counters of host `me` now: `hosts` is its session's (or final
+    /// report's) per-host metadata accounting.
+    fn read(stats: &SocketBusStats, me: u32, hosts: &[HostMetadata]) -> Self {
+        let (sent, received) = hosts
+            .iter()
+            .find(|row| row.host == me)
+            .map_or((0, 0), |row| (row.sent_bytes, row.received_bytes));
+        Counters {
+            barrier_wait_micros: stats.barrier_wait_micros.load(Ordering::Relaxed),
+            barriers: stats.barriers.load(Ordering::Relaxed),
+            barrier_timeouts: stats.barrier_timeouts.load(Ordering::Relaxed),
+            lost_datagrams: stats.lost_datagrams.load(Ordering::Relaxed),
+            sent,
+            received,
+        }
+    }
+
+    /// The frame fields, in the order the merged report's health rows list
+    /// them.
+    pub(crate) fn fields(self) -> [(&'static str, Value); 6] {
+        [
+            ("barrier_wait_micros", self.barrier_wait_micros.into()),
+            ("barriers", self.barriers.into()),
+            ("barrier_timeouts", self.barrier_timeouts.into()),
+            ("lost_datagrams", self.lost_datagrams.into()),
+            ("sent", self.sent.into()),
+            ("received", self.received.into()),
+        ]
+    }
+
+    /// The counters a `health` or `report` frame carries.
+    pub(crate) fn decode(frame: &Value) -> Result<Self, FieldError> {
+        Ok(Counters {
+            barrier_wait_micros: frame.field("barrier_wait_micros")?,
+            barriers: frame.field("barriers")?,
+            barrier_timeouts: frame.field("barrier_timeouts")?,
+            lost_datagrams: frame.field("lost_datagrams")?,
+            sent: frame.field("sent")?,
+            received: frame.field("received")?,
+        })
+    }
 }
 
 /// Runs the session to its end — in bounded chunks, streaming a `health`
@@ -241,23 +232,14 @@ fn execute(prepared: Prepared, me: u32, control: &mut TcpStream) -> Result<Value
         let wall = std::time::Instant::now();
         session.run_until(target)?;
         let step_wall_micros = wall.elapsed().as_micros() as u64;
-        let (sent, received) = session
-            .metadata_per_host()
-            .into_iter()
-            .find(|row| row.host == me)
-            .map(|row| (row.sent_bytes, row.received_bytes))
-            .unwrap_or((0, 0));
-        wire::send(
-            control,
-            &health_frame(
-                me,
-                target.as_millis(),
-                step_wall_micros,
-                &stats,
-                sent,
-                received,
-            ),
-        )?;
+        let counters = Counters::read(&stats, me, &session.metadata_per_host());
+        let mut fields = vec![
+            ("host", me.into()),
+            ("at_ms", target.as_millis().into()),
+            ("step_wall_micros", step_wall_micros.into()),
+        ];
+        fields.extend(counters.fields());
+        wire::send(control, &wire::msg("health", fields))?;
     }
     let gaps = session
         .host_gap_series()
@@ -265,35 +247,13 @@ fn execute(prepared: Prepared, me: u32, control: &mut TcpStream) -> Result<Value
         .nth(me as usize)
         .unwrap_or_default();
     let report = session.finish();
-    let (sent, received) = report
-        .metadata_per_host
-        .iter()
-        .find(|row| row.host == me)
-        .map(|row| (row.sent_bytes, row.received_bytes))
-        .unwrap_or((0, 0));
+    let counters = Counters::read(&stats, me, &report.metadata_per_host);
     let mut fields: Vec<(&str, Value)> = vec![
         ("host", me.into()),
         ("report", report.to_json()),
-        (
-            "gaps",
-            Value::Array(gaps.into_iter().map(Value::from).collect()),
-        ),
-        ("sent", sent.into()),
-        ("received", received.into()),
-        (
-            "barrier_wait_micros",
-            stats.barrier_wait_micros.load(Ordering::Relaxed).into(),
-        ),
-        ("barriers", stats.barriers.load(Ordering::Relaxed).into()),
-        (
-            "lost_datagrams",
-            stats.lost_datagrams.load(Ordering::Relaxed).into(),
-        ),
-        (
-            "barrier_timeouts",
-            stats.barrier_timeouts.load(Ordering::Relaxed).into(),
-        ),
+        ("gaps", gaps.into()),
     ];
+    fields.extend(counters.fields());
     // With tracing enabled the agent's whole flight recorder rides along,
     // pre-exported as Chrome trace events tagged with this host's id (the
     // coordinator re-tags pids when merging).
@@ -331,7 +291,7 @@ pub fn run(coordinator: &str, me: u32) -> Result<(), AgentError> {
         let message = wire::recv(&mut control)?;
         match wire::msg_type(&message) {
             Some("sync") => {
-                let nonce: u64 = wire::field(&message, "nonce")?;
+                let nonce: u64 = message.field("nonce")?;
                 wire::send(
                     &mut control,
                     &wire::msg("sync_ack", vec![("nonce", nonce.into())]),
@@ -442,40 +402,107 @@ mod tests {
         assert!(matches!(err, AgentError::Protocol(_)), "{err}");
     }
 
-    #[test]
-    fn barrier_timeout_is_required() {
-        let message = spec_message("barrier_timeout_ms", 250u64.into());
-        assert_eq!(
-            barrier_timeout(&message).unwrap(),
-            Duration::from_millis(250)
-        );
-        for bad in [
-            spec_message("barrier_timeout_ms", Value::from(2.5)),
-            spec_message("barrier_timeout_ms", Value::from("5000")),
-            spec_message("loss", 0u64.into()),
-        ] {
-            let err = barrier_timeout(&bad).unwrap_err();
-            assert!(matches!(err, AgentError::Protocol(_)), "{bad}: {err}");
+    /// The `spec` message the coordinator sends host 0 of the two-host
+    /// staggered-join scenario.
+    fn valid_spec_message() -> Value {
+        let spec = crate::coordinator::staggered_join_scenario(1)
+            .to_spec()
+            .unwrap();
+        wire::msg(
+            "spec",
+            vec![
+                ("spec", spec),
+                ("peers", Value::Array(vec![pair(0, 4000), pair(1, 4001)])),
+                ("loss", 0.0.into()),
+                ("barrier_timeout_ms", 5000u64.into()),
+            ],
+        )
+    }
+
+    /// `message` with the field at `path` set to `value`, or removed.
+    fn with(mut message: Value, path: &[&str], value: Option<Value>) -> Value {
+        let (last, parents) = path.split_last().unwrap();
+        let mut object = &mut message;
+        for key in parents {
+            let Value::Object(fields) = object else {
+                unreachable!()
+            };
+            object = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        let Value::Object(fields) = object else {
+            unreachable!()
+        };
+        let at = fields.iter().position(|(k, _)| k == last).unwrap();
+        match value {
+            Some(value) => fields[at].1 = value,
+            None => drop(fields.remove(at)),
+        }
+        message
+    }
+
+    fn prepare_err(message: &Value) -> AgentError {
+        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+        match prepare(message, 0, udp) {
+            Ok(_) => panic!("{message} prepared"),
+            Err(e) => e,
         }
     }
 
     #[test]
+    fn barrier_timeout_is_required() {
+        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+        assert!(prepare(&valid_spec_message(), 0, udp).is_ok());
+        for bad in [Some(Value::from(2.5)), Some(Value::from("5000")), None] {
+            let message = with(valid_spec_message(), &["barrier_timeout_ms"], bad);
+            let err = prepare_err(&message);
+            assert!(matches!(err, AgentError::Protocol(_)), "{message}: {err}");
+        }
+    }
+
+    /// The delay lives in the scenario spec, which the agent decodes
+    /// before it reads anything else of the message.
+    #[test]
     fn metadata_delay_is_required() {
-        let config = |delay: Value| {
-            Value::from_iter([("config", Value::from_iter([("metadata_delay_ns", delay)]))])
-        };
-        assert_eq!(
-            metadata_delay(&config(7u64.into())).unwrap(),
-            SimDuration::from_nanos(7)
-        );
-        for bad in [
-            config(Value::from(-1.0)),
-            config(Value::Null),
-            Value::from_iter([("config", Value::from_iter([("seed", Value::from(1u64))]))]),
-            Value::from_iter([("name", Value::from("no config"))]),
-        ] {
-            let err = metadata_delay(&bad).unwrap_err();
-            assert!(matches!(err, AgentError::Protocol(_)), "{bad}: {err}");
+        for bad in [Some(Value::from(-1.0)), Some(Value::Null), None] {
+            let path = ["spec", "config", "metadata_delay_ns"];
+            let message = with(valid_spec_message(), &path, bad);
+            let err = prepare_err(&message);
+            assert!(
+                matches!(&err, AgentError::Scenario(ScenarioError::Spec { reason })
+                    if reason.contains("metadata_delay_ns")),
+                "{message}: {err}"
+            );
+        }
+    }
+
+    /// Every field of the `spec` message missing, of the wrong kind or out
+    /// of range is a typed error, and none panics.
+    #[test]
+    fn malformed_spec_messages_are_typed_errors() {
+        let mut cases: Vec<(Vec<&str>, Option<Value>)> = Vec::new();
+        for key in ["spec", "peers", "loss", "barrier_timeout_ms"] {
+            cases.push((vec![key], None));
+            cases.push((vec![key], Some("x".into())));
+        }
+        cases.extend([
+            (vec!["spec"], Some(Value::Array(Vec::new()))),
+            (vec!["spec", "hosts"], Some((1u64 << 32).into())),
+            (vec!["spec", "spec_version"], Some(2u64.into())),
+            (vec!["peers"], Some(Value::Array(vec![pair(1 << 32, 4000)]))),
+            (vec!["peers"], Some(Value::Array(vec![pair(1, 70_000)]))),
+            (vec!["peers"], Some(Value::Array(vec![1u64.into()]))),
+            (vec!["loss"], Some(1.5.into())),
+            (vec!["loss"], Some((-0.5).into())),
+            (vec!["barrier_timeout_ms"], Some((-1.0).into())),
+            (vec!["barrier_timeout_ms"], Some(Value::Number(1e20))),
+        ]);
+        for (path, value) in cases {
+            let message = with(valid_spec_message(), &path, value);
+            let err = prepare_err(&message);
+            assert!(
+                matches!(err, AgentError::Protocol(_) | AgentError::Scenario(_)),
+                "{message}: {err}"
+            );
         }
     }
 }

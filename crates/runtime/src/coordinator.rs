@@ -38,12 +38,13 @@ use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use kollaps_core::emulation::ConvergenceStats;
 use kollaps_scenario::{ConvergenceReport, HostMetadata, Scenario, ScenarioError, Workload};
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
-use serde_json::Value;
+use serde_json::{FieldError, Value};
 
-use crate::agent::{self, AgentError};
+use crate::agent::{self, AgentError, Counters};
 use crate::wire::{self, WireError};
 
 /// How agents are brought up.
@@ -134,6 +135,12 @@ impl From<WireError> for CoordinatorError {
     }
 }
 
+impl From<FieldError> for CoordinatorError {
+    fn from(e: FieldError) -> Self {
+        CoordinatorError::Wire(e.into())
+    }
+}
+
 impl From<ScenarioError> for CoordinatorError {
     fn from(e: ScenarioError) -> Self {
         CoordinatorError::Scenario(e)
@@ -210,37 +217,16 @@ fn set_field(report: &mut Value, key: &str, value: Value) {
     }
 }
 
-/// The convergence-gap series of a `report` message: an array of finite
-/// numbers. [`merge_convergence`] lines the hosts' series up by index, so a
-/// missing field or a skipped entry would shift every later sample of the
-/// host; either is a protocol error.
-fn gap_series(report: &Value) -> Result<Vec<f64>, CoordinatorError> {
-    report
-        .get("gaps")
-        .and_then(Value::as_array)
-        .and_then(|gaps| gaps.iter().map(Value::as_f64).collect())
-        .ok_or_else(|| {
-            CoordinatorError::Protocol(
-                "field `gaps` is missing or not an array of finite numbers".to_string(),
-            )
-        })
-}
-
-/// Recomputes the global convergence block from per-host gap series.
-///
-/// Mirrors `update_convergence` in the emulation loop exactly: the global
-/// per-iteration gap is the max across hosts, the running max and sum are
-/// taken in iteration order, and the mean divides by the sample count —
-/// all exact operations, so the merged block is bit-identical to what a
-/// single in-process run reports.
+/// Recomputes the global convergence block from per-host gap series: the
+/// global gap of a sample is the max across hosts, folded in sample order
+/// by the emulation loop's own [`ConvergenceStats::record`], so the merged
+/// block is bit-identical to what a single in-process run reports.
 fn merge_convergence(series: &[Vec<f64>]) -> Option<ConvergenceReport> {
     let len = series.iter().map(Vec::len).max()?;
     if len == 0 {
         return None;
     }
-    let mut last = 0.0f64;
-    let mut max = 0.0f64;
-    let mut sum = 0.0f64;
+    let mut stats = ConvergenceStats::default();
     for i in 0..len {
         let mut gap = 0.0f64;
         for host in series {
@@ -248,14 +234,65 @@ fn merge_convergence(series: &[Vec<f64>]) -> Option<ConvergenceReport> {
                 gap = gap.max(g);
             }
         }
-        last = gap;
-        max = max.max(gap);
-        sum += gap;
+        stats.record(gap);
     }
-    Some(ConvergenceReport {
-        last_gap: last,
-        max_gap: max,
-        mean_gap: sum / len as f64,
+    Some(stats.into())
+}
+
+// One decoder per frame an agent sends (the sequence is in the module
+// docs); each reads every field through the shim's field reader.
+
+/// `hello { host, udp_port }`.
+fn hello(frame: &Value) -> Result<(u32, u16), FieldError> {
+    Ok((frame.field("host")?, frame.field("udp_port")?))
+}
+
+/// `sync_ack { nonce }`.
+fn sync_ack(frame: &Value) -> Result<u64, FieldError> {
+    frame.field("nonce")
+}
+
+/// `manager_up { host }`.
+fn manager_up(frame: &Value) -> Result<u32, FieldError> {
+    frame.field("host")
+}
+
+/// `cores_attached { host, cores }`.
+fn cores_attached(frame: &Value) -> Result<(u32, u64), FieldError> {
+    Ok((frame.field("host")?, frame.field("cores")?))
+}
+
+/// `health { host, at_ms, step_wall_micros, <counters> }`: the host and
+/// its sample row of the merged report's `health` block.
+fn health(frame: &Value) -> Result<(usize, Value), FieldError> {
+    let host = frame.field("host")?;
+    let mut row = Vec::new();
+    for key in ["at_ms", "step_wall_micros"] {
+        row.push((key, Value::from(frame.field::<u64>(key)?)));
+    }
+    row.extend(Counters::decode(frame)?.fields());
+    Ok((host, Value::from_iter(row)))
+}
+
+/// `report { host, report, gaps, <counters>, trace? }`: an agent's partial
+/// report. [`merge_convergence`] lines the hosts' gap series up by index,
+/// so `gaps` must be an array of finite numbers: a skipped entry would
+/// shift every later sample of the host.
+struct AgentReport<'a> {
+    host: u32,
+    body: &'a Value,
+    gaps: Vec<f64>,
+    counters: Counters,
+    trace: Option<&'a [Value]>,
+}
+
+fn agent_report(frame: &Value) -> Result<AgentReport<'_>, FieldError> {
+    Ok(AgentReport {
+        host: frame.field("host")?,
+        body: frame.field("report")?,
+        gaps: frame.field("gaps")?,
+        counters: Counters::decode(frame)?,
+        trace: frame.opt_field("trace")?,
     })
 }
 
@@ -351,9 +388,7 @@ pub fn run(
             let (mut stream, _) = listener.accept()?;
             stream.set_read_timeout(Some(Duration::from_secs(60)))?;
             stream.set_nodelay(true)?;
-            let hello = wire::recv_expect(&mut stream, "hello")?;
-            let host: u32 = wire::field(&hello, "host")?;
-            let udp_port: u16 = wire::field(&hello, "udp_port")?;
+            let (host, udp_port) = hello(&wire::recv_expect(&mut stream, "hello")?)?;
             if host >= hosts || links.contains_key(&host) {
                 return Err(CoordinatorError::Protocol(format!(
                     "unexpected hello from host {host}"
@@ -384,7 +419,7 @@ pub fn run(
                 &wire::msg("sync", vec![("nonce", nonce.into())]),
             )?;
             let ack = wire::recv_expect(&mut link.stream, "sync_ack")?;
-            if wire::field::<u64>(&ack, "nonce")? != nonce {
+            if sync_ack(&ack)? != nonce {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} echoed the wrong sync nonce",
                     link.host
@@ -394,17 +429,11 @@ pub fn run(
         }
 
         // Distribute the scenario plus the UDP peer directory.
-        let peers: Value = Value::Array(
-            links
-                .iter()
-                .map(|l| {
-                    Value::Array(vec![
-                        Value::from(u64::from(l.host)),
-                        Value::from(u64::from(l.udp_port)),
-                    ])
-                })
-                .collect(),
-        );
+        let peers = links
+            .iter()
+            .map(|l| Value::from(vec![u64::from(l.host), u64::from(l.udp_port)]))
+            .collect();
+        let peers = Value::Array(peers);
         for link in links.iter_mut() {
             wire::send(
                 &mut link.stream,
@@ -424,7 +453,7 @@ pub fn run(
         }
         for link in links.iter_mut() {
             let up = wire::recv_expect(&mut link.stream, "manager_up")?;
-            if wire::field::<u32>(&up, "host")? != link.host {
+            if manager_up(&up)? != link.host {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} answered manager_up for another host",
                     link.host
@@ -439,14 +468,14 @@ pub fn run(
             wire::send(&mut link.stream, &wire::msg("attach", vec![]))?;
         }
         for link in links.iter_mut() {
-            let attached = wire::recv_expect(&mut link.stream, "cores_attached")?;
-            if wire::field::<u32>(&attached, "host")? != link.host {
+            let (host, n) =
+                cores_attached(&wire::recv_expect(&mut link.stream, "cores_attached")?)?;
+            if host != link.host {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} answered cores_attached for another host",
                     link.host
                 )));
             }
-            let n: u64 = wire::field(&attached, "cores")?;
             let expected = containers[link.host as usize];
             if n != expected as u64 {
                 return Err(CoordinatorError::Protocol(format!(
@@ -465,7 +494,7 @@ pub fn run(
         let mut partials: Vec<Value> = Vec::new();
         let mut series: Vec<Vec<f64>> = Vec::new();
         let mut agents: Vec<AgentStats> = Vec::new();
-        let mut health: Vec<Vec<Value>> = (0..hosts).map(|_| Vec::new()).collect();
+        let mut samples: Vec<Vec<Value>> = (0..hosts).map(|_| Vec::new()).collect();
         let mut traces: Vec<(String, Value)> = Vec::new();
         for link in links.iter_mut() {
             // The emulation itself runs between start and report; give it
@@ -479,26 +508,13 @@ pub fn run(
                 let message = wire::recv(&mut link.stream)?;
                 match wire::msg_type(&message) {
                     Some("health") => {
-                        let host: usize = wire::field(&message, "host")?;
-                        if host >= health.len() {
+                        let (host, row) = health(&message)?;
+                        let Some(series) = samples.get_mut(host) else {
                             return Err(CoordinatorError::Protocol(format!(
                                 "health frame from unknown host {host}"
                             )));
-                        }
-                        let row = [
-                            "at_ms",
-                            "step_wall_micros",
-                            "barrier_wait_micros",
-                            "barriers",
-                            "barrier_timeouts",
-                            "lost_datagrams",
-                            "sent",
-                            "received",
-                        ]
-                        .into_iter()
-                        .map(|key| wire::field::<u64>(&message, key).map(|v| (key, Value::from(v))))
-                        .collect::<Result<Value, _>>()?;
-                        health[host].push(row);
+                        };
+                        series.push(row);
                     }
                     Some("report") => break message,
                     Some(t) => {
@@ -514,31 +530,30 @@ pub fn run(
                     }
                 }
             };
-            if wire::field::<u32>(&report, "host")? != link.host {
+            let report = agent_report(&report)?;
+            if report.host != link.host {
                 return Err(CoordinatorError::Protocol(format!(
                     "host {} reported for another host",
                     link.host
                 )));
             }
-            let gaps = gap_series(&report)?;
+            let c = report.counters;
             agents.push(AgentStats {
                 host: link.host,
-                sent_bytes: wire::field(&report, "sent")?,
-                received_bytes: wire::field(&report, "received")?,
-                barrier_wait_micros: wire::field(&report, "barrier_wait_micros")?,
-                barriers: wire::field(&report, "barriers")?,
-                lost_datagrams: wire::field(&report, "lost_datagrams")?,
-                barrier_timeouts: wire::field(&report, "barrier_timeouts")?,
+                sent_bytes: c.sent,
+                received_bytes: c.received,
+                barrier_wait_micros: c.barrier_wait_micros,
+                barriers: c.barriers,
+                lost_datagrams: c.lost_datagrams,
+                barrier_timeouts: c.barrier_timeouts,
                 control_rtt_micros: link.control_rtt_micros,
                 cores: cores[link.host as usize],
             });
-            series.push(gaps);
-            if let Some(trace) = report.get("trace") {
-                traces.push((format!("agent-{}", link.host), trace.clone()));
+            series.push(report.gaps);
+            if let Some(trace) = report.trace {
+                traces.push((format!("agent-{}", link.host), Value::Array(trace.to_vec())));
             }
-            partials.push(report.get("report").cloned().ok_or_else(|| {
-                CoordinatorError::Protocol(format!("host {} sent no report body", link.host))
-            })?);
+            partials.push(report.body.clone());
         }
         for link in links.iter_mut() {
             wire::send(&mut link.stream, &wire::msg("bye", vec![]))?;
@@ -576,7 +591,7 @@ pub fn run(
             &mut merged,
             "health",
             Value::Array(
-                health
+                samples
                     .into_iter()
                     .enumerate()
                     .map(|(host, rows)| {
@@ -675,26 +690,116 @@ pub fn staggered_join_scenario(seconds: u64) -> Scenario {
 mod tests {
     use super::*;
 
+    fn counters() -> Vec<(&'static str, Value)> {
+        Counters::default().fields().to_vec()
+    }
+
+    /// A valid `report` frame of host 0 with the given gap series.
     fn report_with_gaps(gaps: Value) -> Value {
-        wire::msg("report", vec![("host", 0u64.into()), ("gaps", gaps)])
+        let mut fields = vec![
+            ("host", 0u64.into()),
+            (
+                "report",
+                Value::from_iter([("schema_version", 4u64.into())]),
+            ),
+            ("gaps", gaps),
+        ];
+        fields.extend(counters());
+        wire::msg("report", fields)
     }
 
     #[test]
     fn gap_series_must_be_an_array_of_finite_numbers() {
         let gaps = Value::Array(vec![0.5.into(), 1u64.into(), 0.0.into()]);
-        assert_eq!(
-            gap_series(&report_with_gaps(gaps)).unwrap(),
-            [0.5, 1.0, 0.0]
-        );
+        let frame = report_with_gaps(gaps);
+        assert_eq!(agent_report(&frame).unwrap().gaps, [0.5, 1.0, 0.0]);
         for bad in [
             report_with_gaps(Value::Array(vec![0.5.into(), Value::Null, 0.25.into()])),
             report_with_gaps(Value::Array(vec![0.5.into(), "0.25".into()])),
             report_with_gaps(Value::Array(vec![f64::NAN.into()])),
             report_with_gaps(0.5.into()),
-            wire::msg("report", vec![("host", 0u64.into())]),
+            report_with_gaps(Value::Null),
         ] {
-            let err = gap_series(&bad).unwrap_err();
-            assert!(matches!(err, CoordinatorError::Protocol(_)), "{bad}: {err}");
+            let err = CoordinatorError::from(agent_report(&bad).err().unwrap());
+            assert!(
+                matches!(&err, CoordinatorError::Wire(WireError::Protocol(reason))
+                    if reason.contains("gaps")),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    /// Every frame an agent sends, with each field missing, of the wrong
+    /// kind, negative or (for the 32- and 16-bit fields) 2³², decodes to a
+    /// typed error naming that field, and none panics.
+    #[test]
+    fn malformed_agent_frames_are_typed_errors() {
+        type Decode = fn(&Value) -> Result<(), FieldError>;
+        let host = || ("host", Value::from(0u64));
+        let mut health_fields = vec![host(), ("at_ms", 250u64.into())];
+        health_fields.push(("step_wall_micros", 9u64.into()));
+        health_fields.extend(counters());
+        let frames: [(Value, Decode, &[&str]); 6] = [
+            (
+                wire::msg("hello", vec![host(), ("udp_port", 4000u64.into())]),
+                |f| hello(f).map(drop),
+                &["host", "udp_port"],
+            ),
+            (
+                wire::msg("sync_ack", vec![("nonce", 7u64.into())]),
+                |f| sync_ack(f).map(drop),
+                &[],
+            ),
+            (
+                wire::msg("manager_up", vec![host()]),
+                |f| manager_up(f).map(drop),
+                &["host"],
+            ),
+            (
+                wire::msg("cores_attached", vec![host(), ("cores", 4u64.into())]),
+                |f| cores_attached(f).map(drop),
+                &["host"],
+            ),
+            (
+                wire::msg("health", health_fields),
+                |f| health(f).map(drop),
+                &[],
+            ),
+            (
+                report_with_gaps(Value::Array(vec![0.5.into()])),
+                |f| agent_report(f).map(drop),
+                &["host"],
+            ),
+        ];
+        for (frame, decode, narrow) in frames {
+            assert_eq!(decode(&frame), Ok(()), "{frame}");
+            let Value::Object(fields) = &frame else {
+                unreachable!()
+            };
+            for at in 1..fields.len() {
+                let key = fields[at].0.as_str();
+                let mut missing = fields.clone();
+                missing.remove(at);
+                let mut bad = vec![missing];
+                let swap = match fields[at].1 {
+                    Value::String(_) => 1u64.into(),
+                    _ => "x".into(),
+                };
+                let wide = narrow.contains(&key).then(|| (1u64 << 32).into());
+                for value in [Some(swap), Some((-1.0).into()), wide]
+                    .into_iter()
+                    .flatten()
+                {
+                    let mut fields = fields.clone();
+                    fields[at].1 = value;
+                    bad.push(fields);
+                }
+                for fields in bad {
+                    let bad = Value::Object(fields);
+                    let err = decode(&bad).unwrap_err();
+                    assert_eq!(err.key, key, "{bad}: {err}");
+                }
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use serde_json::{self, Value};
+use serde_json::{self, FieldError, Value};
 
 /// Upper bound on a control frame. Reports with long per-host gap series
 /// are the largest messages; 64 MiB leaves orders of magnitude of slack
@@ -39,6 +39,12 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<FieldError> for WireError {
+    fn from(e: FieldError) -> Self {
+        WireError::Protocol(e.to_string())
     }
 }
 
@@ -89,7 +95,7 @@ pub fn recv(stream: &mut TcpStream) -> Result<Value, WireError> {
 
 /// The message's `"t"` discriminator.
 pub fn msg_type(message: &Value) -> Option<&str> {
-    message.get("t").and_then(|v| v.as_str())
+    message.field("t").ok()
 }
 
 /// Reads one framed message and checks its type.
@@ -106,22 +112,6 @@ pub fn recv_expect(stream: &mut TcpStream, expected: &str) -> Result<Value, Wire
     }
 }
 
-/// `value` as an integer of type `T`, if it is one and fits: a host of 2³²
-/// is no `u32`, never a silently truncated host 0.
-pub fn int<T: TryFrom<u64>>(value: &Value) -> Option<T> {
-    T::try_from(value.as_u64()?).ok()
-}
-
-/// A required integer field of a control message, checked by [`int`].
-pub fn field<T: TryFrom<u64>>(message: &Value, key: &str) -> Result<T, WireError> {
-    message.get(key).and_then(int).ok_or_else(|| {
-        WireError::Protocol(format!(
-            "field `{key}` is missing or not a {}",
-            std::any::type_name::<T>()
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +124,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let (mut server, _) = listener.accept().unwrap();
             let hello = recv_expect(&mut server, "hello").unwrap();
-            assert_eq!(field::<u32>(&hello, "host").unwrap(), 3);
+            assert_eq!(hello.field::<u32>("host"), Ok(3));
             send(&mut server, &msg("start", vec![])).unwrap();
         });
         let mut client = TcpStream::connect(addr).unwrap();
@@ -191,6 +181,40 @@ mod tests {
         );
     }
 
+    /// A body cut anywhere, framed with its own (honest) length, is a
+    /// protocol error, as is a body that is not UTF-8 and a prefix over
+    /// [`MAX_FRAME`]; none panics.
+    #[test]
+    fn truncated_and_garbled_bodies_are_protocol_errors() {
+        let hello = serde_json::to_string(&msg(
+            "hello",
+            vec![("host", 3u64.into()), ("udp_port", 4000u64.into())],
+        ));
+        let mut cuts: Vec<usize> = (0..hello.len()).step_by(5).collect();
+        cuts.push(hello.len() - 1);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let bodies: Vec<Vec<u8>> = cuts
+            .iter()
+            .map(|&cut| hello.as_bytes()[..cut].to_vec())
+            .chain([b"{\"t\":\"hel\xc3".to_vec(), b"\x80\x81".to_vec()])
+            .collect();
+        let n = bodies.len();
+        let handle = std::thread::spawn(move || {
+            let (mut server, _) = listener.accept().unwrap();
+            for body in &bodies {
+                write_frame(&mut server, body.len() as u32, body);
+            }
+            write_frame(&mut server, MAX_FRAME as u32 + 1, b"");
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        for _ in 0..=n {
+            let err = recv(&mut client).unwrap_err();
+            assert!(matches!(err, WireError::Protocol(_)), "{err}");
+        }
+        handle.join().unwrap();
+    }
+
     #[test]
     fn an_oversized_message_is_refused_before_anything_is_written() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -225,13 +249,13 @@ mod tests {
                 ("nonce", u64::MAX.into()),
             ],
         );
-        let err = field::<u32>(&hello, "host").unwrap_err();
+        let err = WireError::from(hello.field::<u32>("host").unwrap_err());
         assert!(matches!(err, WireError::Protocol(_)), "{err}");
-        let err = field::<u16>(&hello, "udp_port").unwrap_err();
+        let err = WireError::from(hello.field::<u16>("udp_port").unwrap_err());
         assert!(matches!(err, WireError::Protocol(_)), "{err}");
-        let err = field::<usize>(&hello, "missing").unwrap_err();
+        let err = WireError::from(hello.field::<usize>("missing").unwrap_err());
         assert!(matches!(err, WireError::Protocol(_)), "{err}");
-        assert_eq!(field::<u64>(&hello, "nonce").unwrap(), u64::MAX);
-        assert_eq!(field::<u32>(&hello, "udp_port").unwrap(), 70_000);
+        assert_eq!(hello.field::<u64>("nonce"), Ok(u64::MAX));
+        assert_eq!(hello.field::<u32>("udp_port"), Ok(70_000));
     }
 }

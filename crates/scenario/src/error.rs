@@ -52,6 +52,14 @@ pub enum ScenarioError {
         /// Container addresses in the /16.
         limit: usize,
     },
+    /// The scenario deploys onto more physical hosts than the container
+    /// network has addresses, so some host could never hold a container.
+    TooManyHosts {
+        /// Hosts the scenario deploys onto.
+        hosts: usize,
+        /// Container addresses in the /16.
+        limit: usize,
+    },
     /// The selected backend cannot emulate this scenario (e.g. Mininet's
     /// 1 Gb/s shaping ceiling, or dynamic events on a baseline that has no
     /// emulation manager to apply them).
@@ -79,9 +87,11 @@ pub enum ScenarioError {
     },
     /// The scenario has no workloads; running it would measure nothing.
     EmptyWorkload,
-    /// The session pacing knob [`crate::Scenario::step_interval`] is zero.
+    /// A pacing interval is zero: the session's
+    /// [`crate::Scenario::step_interval`], or the Kollaps backend's
+    /// emulation `loop_interval`.
     InvalidStepInterval {
-        /// The knob's name ("step_interval").
+        /// The knob's name (`step_interval` or `loop_interval`).
         knob: &'static str,
     },
     /// A workload is self-contradictory (same endpoints, zero rate, zero
@@ -127,6 +137,11 @@ impl fmt::Display for ScenarioError {
                 "the topology declares {services} services; the 10.1.0.0/16 container \
                  network addresses at most {limit}"
             ),
+            ScenarioError::TooManyHosts { hosts, limit } => write!(
+                f,
+                "the scenario deploys onto {hosts} hosts; the 10.1.0.0/16 container \
+                 network addresses at most {limit} containers"
+            ),
             ScenarioError::UnsupportedBackend { backend, reason } => {
                 write!(f, "backend `{backend}` cannot run this scenario: {reason}")
             }
@@ -163,6 +178,14 @@ impl From<ParseError> for ScenarioError {
 impl From<XmlError> for ScenarioError {
     fn from(e: XmlError) -> Self {
         ScenarioError::Xml(e)
+    }
+}
+
+impl From<serde_json::FieldError> for ScenarioError {
+    fn from(e: serde_json::FieldError) -> Self {
+        ScenarioError::Spec {
+            reason: e.to_string(),
+        }
     }
 }
 

@@ -247,8 +247,8 @@ impl Scenario {
     /// no session is built. The distributed runtime's coordinator checks
     /// every agent's attached cores against this count.
     pub fn containers_per_host(&self) -> Result<Vec<usize>, ScenarioError> {
+        let hosts = self.checked_host_count()?;
         let (topology, _) = self.expand()?;
-        let hosts = self.host_count();
         let pinned = resolve_placement(&topology, &self.placement, hosts)?;
         let mut counts = vec![0; hosts];
         for host in place_containers(topology.service_ids(), hosts, &pinned) {
@@ -261,6 +261,18 @@ impl Scenario {
     /// deploys onto.
     pub fn host_count(&self) -> usize {
         self.hosts.unwrap_or_else(|| self.backend.hosts()).max(1)
+    }
+
+    /// [`Scenario::host_count`], refused above one host per container
+    /// address: every host keeps per-host state, so a count nobody could
+    /// deploy must fail typed, not in the allocator.
+    pub(crate) fn checked_host_count(&self) -> Result<usize, ScenarioError> {
+        let hosts = self.host_count();
+        let limit = Addr::CONTAINERS as usize;
+        if hosts > limit {
+            return Err(ScenarioError::TooManyHosts { hosts, limit });
+        }
+        Ok(hosts)
     }
 
     /// Pins a service's container to a physical host index (`0..hosts`);
@@ -453,6 +465,7 @@ impl Scenario {
         // Apply the deployment knobs (hosts / placement / metadata delay).
         // They configure the per-host Emulation Managers, so they only mean
         // something on the Kollaps backend.
+        let host_count = self.checked_host_count()?;
         let mut backend = self.backend;
         let knobs_used = self.hosts.is_some()
             || self.metadata_delay.is_some()
@@ -460,9 +473,14 @@ impl Scenario {
             || !self.placement.is_empty();
         match &mut backend {
             Backend::Kollaps { hosts, config } => {
-                if let Some(n) = self.hosts {
-                    *hosts = n.max(1);
+                // A zero loop interval re-arms the tick at the instant it
+                // fires, forever.
+                if config.loop_interval.is_zero() {
+                    return Err(ScenarioError::InvalidStepInterval {
+                        knob: "loop_interval",
+                    });
                 }
+                *hosts = host_count;
                 if let Some(delay) = self.metadata_delay {
                     config.metadata_delay = delay;
                 }

@@ -6,6 +6,7 @@
 //! [`Report::to_json_string`] serializes the whole tree through the
 //! vendored `serde_json` shim for downstream tooling.
 
+use kollaps_core::emulation::ConvergenceStats;
 use serde_json::Value;
 
 /// Version stamp of the JSON layout emitted by [`Report::to_json`] and
@@ -379,6 +380,16 @@ impl HostMetadata {
             ("sent_bytes", self.sent_bytes.into()),
             ("received_bytes", self.received_bytes.into()),
         ])
+    }
+}
+
+impl From<ConvergenceStats> for ConvergenceReport {
+    fn from(c: ConvergenceStats) -> Self {
+        ConvergenceReport {
+            last_gap: c.last_gap,
+            max_gap: c.max_gap,
+            mean_gap: c.mean_gap(),
+        }
     }
 }
 

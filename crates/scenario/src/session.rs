@@ -495,11 +495,7 @@ impl Session {
     /// How close the decentralized enforcement has tracked the omniscient
     /// allocation so far (Kollaps backend only).
     pub fn convergence(&self) -> Option<ConvergenceReport> {
-        self.rt.dataplane.convergence().map(|c| ConvergenceReport {
-            last_gap: c.last_gap,
-            max_gap: c.max_gap,
-            mean_gap: c.mean_gap(),
-        })
+        self.rt.dataplane.convergence().map(ConvergenceReport::from)
     }
 
     // ------------------------------------------------------------------
@@ -742,11 +738,7 @@ impl Session {
             .collect();
         let metadata_bytes = self.rt.dataplane.metadata_network_bytes();
         let metadata_per_host = self.metadata_per_host();
-        let convergence = self.rt.dataplane.convergence().map(|c| ConvergenceReport {
-            last_gap: c.last_gap,
-            max_gap: c.max_gap,
-            mean_gap: c.mean_gap(),
-        });
+        let convergence = self.rt.dataplane.convergence().map(ConvergenceReport::from);
         let phase_timing = self
             .rt
             .dataplane

@@ -13,7 +13,7 @@
 //! original's. The snapshot timeline is *not* shipped: agents recompute it
 //! deterministically from the same topology and schedule.
 
-use serde_json::{self, Value};
+use serde_json::{self, FieldError, Value};
 
 use kollaps_core::emulation::EmulationConfig;
 use kollaps_sim::time::SimDuration;
@@ -34,72 +34,6 @@ fn spec_err(reason: impl Into<String>) -> ScenarioError {
     }
 }
 
-fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, ScenarioError> {
-    value
-        .get(key)
-        .ok_or_else(|| spec_err(format!("missing field `{key}`")))
-}
-
-fn req_u64(value: &Value, key: &str) -> Result<u64, ScenarioError> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| spec_err(format!("field `{key}` must be an unsigned integer")))
-}
-
-fn req_f64(value: &Value, key: &str) -> Result<f64, ScenarioError> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| spec_err(format!("field `{key}` must be a number")))
-}
-
-fn req_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, ScenarioError> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| spec_err(format!("field `{key}` must be a string")))
-}
-
-fn req_bool(value: &Value, key: &str) -> Result<bool, ScenarioError> {
-    match field(value, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(spec_err(format!("field `{key}` must be a boolean"))),
-    }
-}
-
-fn req_array<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], ScenarioError> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| spec_err(format!("field `{key}` must be an array")))
-}
-
-/// `null` (or a missing key) reads as `None`.
-fn opt_u64(value: &Value, key: &str) -> Result<Option<u64>, ScenarioError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| spec_err(format!("field `{key}` must be an unsigned integer or null"))),
-    }
-}
-
-fn opt_bool(value: &Value, key: &str) -> Result<Option<bool>, ScenarioError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(spec_err(format!("field `{key}` must be a boolean or null"))),
-    }
-}
-
-fn opt_f64(value: &Value, key: &str) -> Result<Option<f64>, ScenarioError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| spec_err(format!("field `{key}` must be a number or null"))),
-    }
-}
-
 fn encode_change(change: &LinkChange) -> Value {
     Value::from_iter([
         ("latency_ns", change.latency.map(|d| d.as_nanos()).into()),
@@ -112,11 +46,11 @@ fn encode_change(change: &LinkChange) -> Value {
 
 fn decode_change(value: &Value) -> Result<LinkChange, ScenarioError> {
     Ok(LinkChange {
-        latency: opt_u64(value, "latency_ns")?.map(SimDuration::from_nanos),
-        jitter: opt_u64(value, "jitter_ns")?.map(SimDuration::from_nanos),
-        up: opt_u64(value, "up_bps")?.map(Bandwidth::from_bps),
-        down: opt_u64(value, "down_bps")?.map(Bandwidth::from_bps),
-        loss: opt_f64(value, "loss")?,
+        latency: value.opt_field("latency_ns")?.map(SimDuration::from_nanos),
+        jitter: value.opt_field("jitter_ns")?.map(SimDuration::from_nanos),
+        up: value.opt_field("up_bps")?.map(Bandwidth::from_bps),
+        down: value.opt_field("down_bps")?.map(Bandwidth::from_bps),
+        loss: value.opt_field("loss")?,
     })
 }
 
@@ -153,27 +87,28 @@ fn encode_event(event: &DynamicEvent) -> Value {
 }
 
 fn decode_event(value: &Value) -> Result<DynamicEvent, ScenarioError> {
-    let at = SimDuration::from_nanos(req_u64(value, "at_ns")?);
-    let action = match req_str(value, "action")? {
+    let at = SimDuration::from_nanos(value.field("at_ns")?);
+    let name = |key| value.field::<&str>(key).map(str::to_string);
+    let action = match value.field("action")? {
         "set_link" => DynamicAction::SetLinkProperties {
-            orig: req_str(value, "orig")?.to_string(),
-            dest: req_str(value, "dest")?.to_string(),
-            change: decode_change(field(value, "change")?)?,
+            orig: name("orig")?,
+            dest: name("dest")?,
+            change: decode_change(value.field("change")?)?,
         },
         "link_join" => DynamicAction::LinkJoin {
-            orig: req_str(value, "orig")?.to_string(),
-            dest: req_str(value, "dest")?.to_string(),
-            change: decode_change(field(value, "change")?)?,
+            orig: name("orig")?,
+            dest: name("dest")?,
+            change: decode_change(value.field("change")?)?,
         },
         "link_leave" => DynamicAction::LinkLeave {
-            orig: req_str(value, "orig")?.to_string(),
-            dest: req_str(value, "dest")?.to_string(),
+            orig: name("orig")?,
+            dest: name("dest")?,
         },
         "node_leave" => DynamicAction::NodeLeave {
-            name: req_str(value, "name")?.to_string(),
+            name: name("name")?,
         },
         "node_join" => DynamicAction::NodeJoin {
-            name: req_str(value, "name")?.to_string(),
+            name: name("name")?,
         },
         other => return Err(spec_err(format!("unknown event action `{other}`"))),
     };
@@ -243,23 +178,20 @@ fn encode_workload(workload: &Workload) -> Value {
 }
 
 fn decode_workload(value: &Value) -> Result<Workload, ScenarioError> {
-    let name = |key: &str| req_str(value, key).map(str::to_string);
-    let one = |key: &str| name(key).map(|n| vec![n]);
-    let list = |key: &str| -> Result<Vec<String>, ScenarioError> {
-        req_array(value, key)?
+    let name = |key| value.field::<&str>(key).map(str::to_string);
+    let one = |key| name(key).map(|n| vec![n]);
+    let list = |key| -> Result<Vec<String>, FieldError> {
+        Ok(value
+            .field::<Vec<&str>>(key)?
             .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| spec_err(format!("field `{key}` must hold strings")))
-            })
-            .collect()
+            .map(|c| c.to_string())
+            .collect())
     };
-    let request = || req_u64(value, "request_bytes").map(DataSize::from_bytes);
-    let connections = || req_u64(value, "connections").map(|c| c as usize);
-    let (clients, server, kind) = match req_str(value, "kind")? {
+    let request = || value.field("request_bytes").map(DataSize::from_bytes);
+    let connections = || value.field::<usize>("connections");
+    let (clients, server, kind) = match value.field("kind")? {
         "iperf_tcp" => {
-            let algorithm = match req_str(value, "algorithm")? {
+            let algorithm = match value.field("algorithm")? {
                 "reno" => CongestionAlgorithm::Reno,
                 "cubic" => CongestionAlgorithm::Cubic,
                 other => return Err(spec_err(format!("unknown congestion algorithm `{other}`"))),
@@ -268,14 +200,14 @@ fn decode_workload(value: &Value) -> Result<Workload, ScenarioError> {
             (one("client")?, name("server")?, kind)
         }
         "iperf_udp" => {
-            let rate = Bandwidth::from_bps(req_u64(value, "rate_bps")?);
+            let rate = Bandwidth::from_bps(value.field("rate_bps")?);
             let kind = WorkloadKind::IperfUdp { rate };
             (one("client")?, name("server")?, kind)
         }
         "ping" => {
             let kind = WorkloadKind::Ping {
-                count: req_u64(value, "count")?,
-                interval: SimDuration::from_nanos(req_u64(value, "interval_ns")?),
+                count: value.field("count")?,
+                interval: SimDuration::from_nanos(value.field("interval_ns")?),
             };
             (one("src")?, name("dst")?, kind)
         }
@@ -304,27 +236,26 @@ fn decode_workload(value: &Value) -> Result<Workload, ScenarioError> {
         kind,
         server,
         clients,
-        start: SimDuration::from_nanos(req_u64(value, "start_ns")?),
-        duration: opt_u64(value, "duration_ns")?.map(SimDuration::from_nanos),
+        start: SimDuration::from_nanos(value.field("start_ns")?),
+        duration: value.opt_field("duration_ns")?.map(SimDuration::from_nanos),
     })
 }
 
 fn decode_topology(spec: &Value) -> Result<Topology, ScenarioError> {
     let mut topology = Topology::new();
     let mut names = std::collections::HashSet::new();
-    for node in req_array(spec, "nodes")? {
-        match req_str(node, "kind")? {
+    for node in spec.field::<&[Value]>("nodes")? {
+        match node.field("kind")? {
             "service" => {
-                let service = req_str(node, "service")?;
-                let replica = u32::try_from(req_u64(node, "replica")?)
-                    .map_err(|_| spec_err("service replica does not fit 32 bits"))?;
+                let service: &str = node.field("service")?;
+                let replica: u32 = node.field("replica")?;
                 if !names.insert(format!("{service}.{replica}")) {
                     return Err(spec_err(format!("duplicate node `{service}.{replica}`")));
                 }
-                topology.add_service(service, replica, req_str(node, "image")?);
+                topology.add_service(service, replica, node.field("image")?);
             }
             "bridge" => {
-                let name = req_str(node, "name")?;
+                let name: &str = node.field("name")?;
                 if !names.insert(name.to_string()) {
                     return Err(spec_err(format!("duplicate node `{name}`")));
                 }
@@ -334,23 +265,23 @@ fn decode_topology(spec: &Value) -> Result<Topology, ScenarioError> {
         }
     }
     let n_nodes = topology.nodes().len() as u64;
-    for link in req_array(spec, "links")? {
-        let from = req_u64(link, "from")?;
-        let to = req_u64(link, "to")?;
+    for link in spec.field::<&[Value]>("links")? {
+        let from: u64 = link.field("from")?;
+        let to: u64 = link.field("to")?;
         if from >= n_nodes || to >= n_nodes {
             return Err(spec_err(format!("link endpoint {from}->{to} out of range")));
         }
         let properties = LinkProperties {
-            latency: SimDuration::from_nanos(req_u64(link, "latency_ns")?),
-            jitter: SimDuration::from_nanos(req_u64(link, "jitter_ns")?),
-            bandwidth: Bandwidth::from_bps(req_u64(link, "bandwidth_bps")?),
-            loss: req_f64(link, "loss")?,
+            latency: SimDuration::from_nanos(link.field("latency_ns")?),
+            jitter: SimDuration::from_nanos(link.field("jitter_ns")?),
+            bandwidth: Bandwidth::from_bps(link.field("bandwidth_bps")?),
+            loss: link.field("loss")?,
         };
         topology.add_link(
             NodeId(from as u32),
             NodeId(to as u32),
             properties,
-            req_str(link, "network")?,
+            link.field("network")?,
         );
     }
     Ok(topology)
@@ -364,8 +295,8 @@ impl Scenario {
     pub fn to_spec(&self) -> Result<Value, ScenarioError> {
         let (topology, schedule) = self.expand()?;
         let (hosts, config) = match &self.backend {
-            Backend::Kollaps { hosts, config } => {
-                let hosts = self.hosts.unwrap_or(*hosts).max(1);
+            Backend::Kollaps { config, .. } => {
+                let hosts = self.checked_host_count()?;
                 let mut config = *config;
                 if let Some(delay) = self.metadata_delay {
                     config.metadata_delay = delay;
@@ -479,64 +410,43 @@ impl Scenario {
     /// link ids replay densely), same sorted schedule, same emulation
     /// config, workloads, placement and pacing knobs.
     pub fn from_spec(spec: &Value) -> Result<Scenario, ScenarioError> {
-        let version = req_u64(spec, "spec_version")?;
+        let version: u64 = spec.field("spec_version")?;
         if version != SPEC_VERSION {
             return Err(spec_err(format!(
                 "unsupported spec_version {version} (expected {SPEC_VERSION})"
             )));
         }
         let topology = decode_topology(spec)?;
-        let config_value = field(spec, "config")?;
+        let config_value: &Value = spec.field("config")?;
+        let nanos = |key| config_value.field(key).map(SimDuration::from_nanos);
         let config = EmulationConfig {
-            loop_interval: SimDuration::from_nanos(req_u64(config_value, "loop_interval_ns")?),
-            cross_host_delay: SimDuration::from_nanos(req_u64(
-                config_value,
-                "cross_host_delay_ns",
-            )?),
-            container_overhead: SimDuration::from_nanos(req_u64(
-                config_value,
-                "container_overhead_ns",
-            )?),
-            metadata_delay: SimDuration::from_nanos(req_u64(config_value, "metadata_delay_ns")?),
-            seed: req_u64(config_value, "seed")?,
+            loop_interval: nanos("loop_interval_ns")?,
+            cross_host_delay: nanos("cross_host_delay_ns")?,
+            container_overhead: nanos("container_overhead_ns")?,
+            metadata_delay: nanos("metadata_delay_ns")?,
+            seed: config_value.field("seed")?,
             ..EmulationConfig::default()
         };
-        let events = req_array(spec, "schedule")?
+        let events = spec
+            .field::<&[Value]>("schedule")?
             .iter()
             .map(decode_event)
             .collect::<Result<Vec<_>, _>>()?;
         let mut scenario = Scenario::new(TopologySource::Topology(Box::new(topology)))
-            .named(req_str(spec, "name")?)
-            .backend(Backend::kollaps_with(
-                req_u64(spec, "hosts")? as usize,
-                config,
-            ))
+            .named(spec.field("name")?)
+            .backend(Backend::kollaps_with(spec.field("hosts")?, config))
             .schedule(EventSchedule::from_events(events));
-        scenario.distributed = req_bool(spec, "distributed")?;
-        scenario.trace = opt_bool(spec, "trace")?.unwrap_or(false);
-        for pin in req_array(spec, "placement")? {
-            let pair = pin
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| spec_err("placement entries must be [name, host] pairs"))?;
-            let name = pair[0]
-                .as_str()
-                .ok_or_else(|| spec_err("placement name must be a string"))?;
-            let host = pair[1]
-                .as_u64()
-                .and_then(|host| u32::try_from(host).ok())
-                .ok_or_else(|| spec_err("placement host must be a 32-bit unsigned integer"))?;
+        scenario.distributed = spec.field("distributed")?;
+        scenario.trace = spec.opt_field("trace")?.unwrap_or(false);
+        for (name, host) in spec.field::<Vec<(&str, u32)>>("placement")? {
             scenario = scenario.place(name, host);
         }
-        for workload in req_array(spec, "workloads")? {
+        for workload in spec.field::<&[Value]>("workloads")? {
             scenario = scenario.workload(decode_workload(workload)?);
         }
-        if let Some(nanos) = opt_u64(spec, "duration_ns")? {
-            scenario = scenario.duration(SimDuration::from_nanos(nanos));
-        }
-        if let Some(nanos) = opt_u64(spec, "step_interval_ns")? {
-            scenario = scenario.step_interval(SimDuration::from_nanos(nanos));
-        }
+        let opt_nanos = |key| spec.opt_field(key).map(|n| n.map(SimDuration::from_nanos));
+        scenario.duration = opt_nanos("duration_ns")?;
+        scenario.step_interval = opt_nanos("step_interval_ns")?;
         Ok(scenario)
     }
 

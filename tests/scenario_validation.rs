@@ -293,6 +293,73 @@ fn zero_intervals_are_rejected() {
     assert_eq!(report.flows[0].rtt.as_ref().unwrap().replies, 3);
 }
 
+/// A zero emulation loop interval would re-arm the tick at the instant it
+/// fires, forever; the builder and the wire spec both refuse it typed.
+#[test]
+fn a_zero_loop_interval_is_rejected() {
+    let zero = EmulationConfig {
+        loop_interval: SimDuration::ZERO,
+        ..EmulationConfig::default()
+    };
+    let scenario = Scenario::from_topology(p2p())
+        .backend(Backend::kollaps_with(1, zero))
+        .duration(SimDuration::from_secs(1))
+        .workload(Workload::ping("client", "server"));
+    let expected = ScenarioError::InvalidStepInterval {
+        knob: "loop_interval",
+    };
+    assert_eq!(scenario.clone().run().unwrap_err(), expected);
+    assert_eq!(
+        Campaign::over(scenario.clone()).run().unwrap_err(),
+        expected
+    );
+    let text = scenario.to_spec_string().expect("serializable");
+    assert!(text.contains("\"loop_interval_ns\":0,"), "{text}");
+    let decoded = Scenario::from_spec_str(&text).expect("decodable");
+    assert_eq!(decoded.run().unwrap_err(), expected);
+}
+
+/// More hosts than container addresses would allocate per-host state for
+/// hosts no container can live on; refused typed wherever the count is
+/// resolved, before anything is allocated. Fewer hosts than services is
+/// fine: hosts may outnumber services too (Table 4 runs 2 services on 4).
+#[test]
+fn more_hosts_than_container_addresses_are_rejected() {
+    let expected = ScenarioError::TooManyHosts {
+        hosts: 1_000_000_000_000,
+        limit: 65_536,
+    };
+    let ping = || Workload::ping("client", "server").count(2);
+    for scenario in [
+        Scenario::from_topology(p2p()).hosts(1_000_000_000_000),
+        Scenario::from_topology(p2p()).backend(Backend::kollaps_on(1_000_000_000_000)),
+    ] {
+        let scenario = scenario.workload(ping());
+        assert_eq!(scenario.containers_per_host().unwrap_err(), expected);
+        assert_eq!(scenario.to_spec().unwrap_err(), expected);
+        assert_eq!(scenario.run().unwrap_err(), expected);
+    }
+    let text = Scenario::from_topology(p2p())
+        .hosts(4)
+        .workload(ping())
+        .to_spec_string()
+        .expect("serializable")
+        .replacen("\"hosts\":4", "\"hosts\":1000000000000", 1);
+    let decoded = Scenario::from_spec_str(&text).expect("decodable");
+    assert_eq!(decoded.containers_per_host().unwrap_err(), expected);
+    assert_eq!(decoded.run().unwrap_err(), expected);
+    let text = expected.to_string();
+    assert!(
+        text.contains("1000000000000") && text.contains("65536"),
+        "{text}"
+    );
+    // The limit itself deploys.
+    let limit = Scenario::from_topology(p2p())
+        .hosts(65_536)
+        .workload(ping());
+    assert_eq!(limit.containers_per_host().unwrap().len(), 65_536);
+}
+
 #[test]
 fn errors_display_helpfully() {
     let err = Scenario::from_topology(p2p())
