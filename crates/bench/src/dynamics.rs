@@ -76,6 +76,9 @@ pub struct DynamicsCell {
     /// Source rows the timeline copied on write; every other row of every
     /// snapshot is shared with the previous one.
     pub timeline_rows_copied: usize,
+    /// Shortest-path tree nodes the timeline settled: what its tree repairs
+    /// (and the full searches they fall back to) cost.
+    pub timeline_nodes_settled: usize,
     /// The traffic leg, on the size's last flap count.
     pub traffic: Option<TrafficLeg>,
 }
@@ -225,6 +228,7 @@ pub fn run_dynamics(
                 timeline_paths_recomputed: stats.recomputed_paths,
                 timeline_paths_built: stats.built_paths,
                 timeline_rows_copied: stats.rows_copied,
+                timeline_nodes_settled: stats.nodes_settled,
                 traffic,
             });
         }
@@ -274,6 +278,14 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
                 "timeline_rows_copied",
                 c.timeline_rows_copied as f64,
                 "rows",
+            )
+            .lower_is_better(TOLERANCE_DETERMINISTIC),
+        );
+        report.push(
+            cell(
+                "timeline_nodes_settled",
+                c.timeline_nodes_settled as f64,
+                "nodes",
             )
             .lower_is_better(TOLERANCE_DETERMINISTIC),
         );

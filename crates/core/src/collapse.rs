@@ -276,21 +276,20 @@ pub(crate) fn presence(services: &[NodeId], topology: &Topology) -> Vec<bool> {
     present
 }
 
-/// Derives the row of the `src`-th service: one shortest-path tree, walked
-/// for the present service destinations only. `unchanged(dst, tree)` lets
-/// the caller claim a destination number whose path it already holds before
+/// Derives the row of the `src`-th service from its shortest-path tree,
+/// for the present service destinations only. `unchanged(dst)` lets the
+/// caller claim a destination number whose path it already holds before
 /// anything is allocated; the all-pairs collapse claims none, the snapshot
 /// timeline claims the ones the previous snapshot still gets right.
 pub(crate) fn source_row(
     topology: &Topology,
-    graph: &TopologyGraph,
+    tree: &ShortestPathTree,
     services: &[NodeId],
     present: &[bool],
     src: usize,
-    unchanged: impl Fn(usize, &ShortestPathTree<'_>) -> bool,
+    unchanged: impl Fn(usize) -> bool,
 ) -> SourceRow {
     let src_node = services[src];
-    let tree = graph.shortest_path_tree(src_node);
     let mut row = SourceRow {
         unchanged: 0,
         paths: Vec::new(),
@@ -299,7 +298,7 @@ pub(crate) fn source_row(
         if dst == src || !present[dst] {
             continue;
         }
-        if unchanged(dst, &tree) {
+        if unchanged(dst) {
             row.unchanged += 1;
             continue;
         }
@@ -312,28 +311,44 @@ pub(crate) fn source_row(
     row
 }
 
-/// All-pairs collapse over the numbered `services`: one row per source, an
-/// empty one for every service `topology` no longer has. Returns the rows
-/// and the reachable pair count.
-fn all_pairs(topology: &Topology, services: &[NodeId]) -> (Vec<Row>, usize) {
+/// The rows of an all-pairs collapse, and the search behind them.
+struct AllPairs {
+    /// One row per service of the table, an empty one for every service
+    /// the topology no longer has.
+    rows: Vec<Row>,
+    /// Reachable pairs.
+    pairs: usize,
+    /// Per source, its shortest-path tree when asked to keep them (`None`
+    /// for an absent source).
+    trees: Vec<Option<ShortestPathTree>>,
+}
+
+/// All-pairs collapse over the numbered `services`: one shortest-path tree
+/// per present source, dropped after its row unless `keep_trees`.
+fn all_pairs(topology: &Topology, services: &[NodeId], keep_trees: bool) -> AllPairs {
     let graph = TopologyGraph::new(topology);
     let present = presence(services, topology);
     let mut pairs = 0;
+    let mut trees = Vec::new();
     let rows = (0..services.len())
         .map(|src| {
             let mut row = vec![None; services.len()];
-            if present[src] {
+            let tree = present[src].then(|| graph.shortest_path_tree(services[src]));
+            if let Some(tree) = &tree {
                 for (dst, path) in
-                    source_row(topology, &graph, services, &present, src, |_, _| false).paths
+                    source_row(topology, tree, services, &present, src, |_| false).paths
                 {
                     pairs += usize::from(path.is_some());
                     row[dst] = path;
                 }
             }
+            if keep_trees {
+                trees.push(tree);
+            }
             row.into()
         })
         .collect();
-    (rows, pairs)
+    AllPairs { rows, pairs, trees }
 }
 
 impl CollapsedTopology {
@@ -346,19 +361,30 @@ impl CollapsedTopology {
     /// ([`Addr::CONTAINERS`]); the scenario layer rejects such a topology
     /// with a typed error first.
     pub fn build(topology: &Topology) -> Self {
+        CollapsedTopology::build_keeping_trees(topology, false).0
+    }
+
+    /// [`CollapsedTopology::build`], also handing back, when `keep_trees`,
+    /// the shortest-path tree of every source by service number (`None`
+    /// for an absent one); the list is empty otherwise.
+    pub(crate) fn build_keeping_trees(
+        topology: &Topology,
+        keep_trees: bool,
+    ) -> (Self, Vec<Option<ShortestPathTree>>) {
         let services: Arc<[NodeId]> = topology.service_ids().into();
         assert!(
             services.len() <= Addr::CONTAINERS as usize,
             "{} services do not fit the 10.1.0.0/16 container network",
             services.len()
         );
-        let (rows, pairs) = all_pairs(topology, &services);
-        CollapsedTopology {
+        let all = all_pairs(topology, &services, keep_trees);
+        let collapsed = CollapsedTopology {
             services,
-            rows,
-            pairs,
+            rows: all.rows,
+            pairs: all.pairs,
             links: Arc::new(LinkTable::of(topology)),
-        }
+        };
+        (collapsed, all.trees)
     }
 
     /// Retired, ignored; kept only because `benchmark/` names it — delete
@@ -381,11 +407,11 @@ impl CollapsedTopology {
     /// has no address and no pairs, and a service of the table that left
     /// `topology` keeps its address with no pairs.
     pub fn rebuild_with_addresses(&self, topology: &Topology) -> Self {
-        let (rows, pairs) = all_pairs(topology, &self.services);
+        let all = all_pairs(topology, &self.services, false);
         CollapsedTopology {
             services: Arc::clone(&self.services),
-            rows,
-            pairs,
+            rows: all.rows,
+            pairs: all.pairs,
             links: Arc::new(LinkTable::of(topology)),
         }
     }

@@ -19,43 +19,58 @@
 //!   touches only the affected qdisc chains and never runs an all-pairs
 //!   shortest-path computation inside the emulation loop.
 //!
-//! The precompute is *selective*: only sources whose previous paths traverse
-//! a changed link are re-derived. For purely degrading change groups (links
-//! removed, latencies increased, bandwidth/loss/jitter edits) that is exact:
-//! a shortest path that avoids every changed link stays shortest, and the
-//! deterministic tie-breaking of
-//! [`kollaps_topology::graph::TopologyGraph::shortest_path_tree`] — the
-//! `(cost, hops, node id)` heap order, ascending link ids per node, strict
-//! improvement only; see the contract in that module — keeps picking it.
-//! The moment a group can *improve* routes (a link joins, a latency drops)
-//! every source is re-derived — still offline, and the structural-sharing
-//! diff keeps the runtime delta minimal.
+//! # What a change group costs
 //!
-//! Re-deriving a source is one shortest-path tree, and for most of its
-//! destinations nothing more: when the tree's path to a destination is the
-//! previous snapshot's link list and none of those links is *stale*
-//! (removed or re-parameterised by this group), the previous
-//! `CollapsedPath` is kept without building a new one. That is exact, not a
-//! heuristic: a collapsed path is a pure function of `(src, dst)`, its link
-//! ids in order and those links' properties — the same floating-point
-//! operations in the same order — and every path of the previous snapshot
-//! already reflects the properties in force before this group, because any
-//! earlier group that touched one of its links re-derived it then. Same
-//! links, none stale ⇒ the identical value, so the pair keeps its `Arc` and
-//! stays out of `changed_paths` exactly as the value comparison would have
-//! decided. Only the remaining rows — a different route, a stale link, a
-//! new pair — are built and compared ([`TimelineStats::built_paths`]). The
-//! equality of timeline snapshots with a full online re-collapse is pinned
-//! by the tests below and by property tests over generated topologies and
-//! random schedules.
+//! The fold keeps one shortest-path tree per source as working state —
+//! `(cost, hops)` and the link every node is reached over — seeded from the
+//! initial collapse's own trees and dropped when the fold returns. A change
+//! group costs what it moves (the insertion/deletion split of dynamic
+//! shortest paths, Ramalingam & Reps 1996):
+//!
+//! * **Which sources.** A source is re-derived only when a removed,
+//!   lengthened or otherwise re-parameterised link is one of its tree
+//!   links, or a new or shortened link `u → v` is tight or better for it,
+//!   `best(u) + (latency, 1) ≤ best(v)`. Every other source keeps its
+//!   previous row `Arc`: none of its paths can have moved, and neither can
+//!   its tree.
+//! * **Repair, not recompute.** A removed or lengthened tree link resets
+//!   only the subtree below it, which is re-settled from its unaffected
+//!   in-neighbours; a tight new or shorter link runs a decrease-only search
+//!   from its head. A source that sees both in one group is searched again
+//!   from scratch. Every link the repair touches is re-picked by the
+//!   tie-break contract's closed form (see
+//!   [`kollaps_topology::graph`]), which is exactly what the full search
+//!   of [`kollaps_topology::graph::TopologyGraph::shortest_path_tree`]
+//!   picks, so a kept tree always equals a fresh one.
+//! * **Which destinations.** Only a destination whose path passes a node
+//!   whose link changed, or crosses a link the group edited, is built and
+//!   compared ([`TimelineStats::built_paths`]); every other one keeps its
+//!   previous `CollapsedPath`. That is exact: a collapsed path is a pure
+//!   function of `(src, dst)`, its link ids in order and those links'
+//!   properties, and every path of the previous snapshot already reflects
+//!   the properties in force before this group.
+//!
+//! A source without a kept tree — every source of an
+//! [`SnapshotTimeline::extend`], which builds trees lazily, and every source
+//! after a group that changed the node set, which drops them all — is
+//! derived the plain way the first time a group needs it: all of them when
+//! the group can improve a route, otherwise those with a path over a
+//! changed link. It gets one full search on the new graph, a destination is
+//! skipped when its tree path is the previous link list with no changed
+//! link on it, and the tree is kept from then on.
+//!
+//! The equality of timeline snapshots with a full online re-collapse is
+//! pinned by the tests below, including a seeded tie-heavy differential
+//! that also checks every kept tree against a fresh search after every
+//! group, and by property tests over generated topologies and random
+//! schedules.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kollaps_sim::time::SimDuration;
 use kollaps_topology::events::{apply_action, DynamicEvent, EventSchedule};
-use kollaps_topology::graph::TopologyGraph;
-use kollaps_topology::model::{LinkId, LinkProperties, NodeId, Topology};
+use kollaps_topology::graph::{LinkEdit, LinkEditKind, ShortestPathTree, TopologyGraph};
+use kollaps_topology::model::{LinkId, LinkProperties, LinkSpec, NodeId, Topology};
 
 use crate::collapse::{presence, source_row, CollapsedPath, CollapsedTopology, LinkTable, Row};
 
@@ -106,13 +121,20 @@ pub struct TimelineStats {
     pub change_times: usize,
     /// Total schedule events folded into the timeline.
     pub events: usize,
-    /// Collapsed paths re-derived across all deltas (the offline work).
+    /// Collapsed paths re-derived across all deltas (the offline work): a
+    /// re-derived source — one whose tree a group touches, see the module
+    /// docs — counts each destination it reaches, whether or not anything
+    /// is built for it.
     pub recomputed_paths: usize,
     /// [`crate::collapse::CollapsedPath`]s actually constructed while
-    /// re-deriving (the initial snapshot not counted): a re-derived pair
-    /// whose route kept its links, none of them re-parameterised, is
-    /// recognised on the shortest-path tree and builds nothing.
+    /// re-deriving (the initial snapshot not counted): only destinations
+    /// whose tree path moved or crosses a changed link are built.
     pub built_paths: usize,
+    /// Shortest-path tree nodes settled while re-deriving (the initial
+    /// snapshot not counted): the nodes a repair re-settles, or every node
+    /// a full search reaches. It grows by `reached × sources` per group if
+    /// the fold ever searches every tree from scratch again.
+    pub nodes_settled: usize,
     /// Path slots that were structurally shared with the previous snapshot
     /// instead of being re-derived or re-allocated.
     pub shared_paths: usize,
@@ -146,28 +168,43 @@ pub struct SnapshotTimeline {
     stats: TimelineStats,
 }
 
+/// Called after every change group of a fold with the graph after it and
+/// the kept trees, by service number.
+type Inspect<'a> = &'a mut dyn FnMut(&TopologyGraph, &[Option<ShortestPathTree>]);
+
 impl SnapshotTimeline {
     /// Precomputes the snapshot at every change time of `schedule` applied
     /// to `topology`. Runs offline (before the experiment starts); the
     /// runtime then only swaps `Arc`s and touches the delta'd chains.
     pub fn precompute(topology: &Topology, schedule: &EventSchedule) -> Self {
+        SnapshotTimeline::precompute_inspected(topology, schedule, &mut |_, _| {})
+    }
+
+    /// [`SnapshotTimeline::precompute`], handing the fold's state to
+    /// `inspect` after every change group.
+    fn precompute_inspected(
+        topology: &Topology,
+        schedule: &EventSchedule,
+        inspect: Inspect<'_>,
+    ) -> Self {
         // kollaps-analyze: allow(wall-clock) -- precompute-time diagnostic (stats.precompute_micros); never read by the emulation
         let started = std::time::Instant::now();
-        let initial = Arc::new(CollapsedTopology::build(topology));
+        let (initial, trees) =
+            CollapsedTopology::build_keeping_trees(topology, !schedule.is_empty());
+        let initial = Arc::new(initial);
         let mut stats = TimelineStats {
             initial_pairs: initial.pair_count(),
             ..TimelineStats::default()
         };
         let mut working = topology.clone();
-        let prev = Arc::clone(&initial);
+        let mut fold = Fold {
+            working: &mut working,
+            prev: Arc::clone(&initial),
+            trees,
+            stats: &mut stats,
+        };
         let mut deltas = Vec::new();
-        fold_events(
-            &mut working,
-            prev,
-            schedule.events(),
-            &mut deltas,
-            &mut stats,
-        );
+        fold.run(schedule.events(), &mut deltas, inspect);
         stats.change_times = deltas.len();
         stats.events = schedule.len();
         stats.precompute_micros = started.elapsed().as_micros() as u64;
@@ -192,7 +229,9 @@ impl SnapshotTimeline {
     /// snapshots, `Arc`s and indices do not move), and only the change
     /// times at or after it are (re-)derived. When every new event lands
     /// after the last existing delta — the common live-injection case —
-    /// this appends without re-deriving a single old path.
+    /// this appends without re-deriving a single old path. No tree is kept
+    /// between calls: each source's is searched the first time a re-derived
+    /// group needs it.
     ///
     /// Returns the number of deltas derived by this call. The caller is
     /// responsible for only injecting events whose time is still in the
@@ -224,13 +263,13 @@ impl SnapshotTimeline {
             Some(delta) => Arc::clone(&delta.snapshot),
             None => Arc::clone(&self.initial),
         };
-        fold_events(
-            &mut working,
+        let mut fold = Fold {
+            working: &mut working,
+            trees: vec![None; prev.services.len()],
             prev,
-            &events[resume..],
-            &mut self.deltas,
-            &mut self.stats,
-        );
+            stats: &mut self.stats,
+        };
+        fold.run(&events[resume..], &mut self.deltas, &mut |_, _| {});
         let derived = self.deltas.len() - keep;
         self.stats.change_times = self.deltas.len();
         self.stats.events = events.len();
@@ -238,7 +277,6 @@ impl SnapshotTimeline {
         self.stats.precompute_micros += started.elapsed().as_micros() as u64;
         derived
     }
-
     /// The topology as evolved by every scheduled event with time `<= at`
     /// (a fresh clone; the timeline itself is not mutated). This is what
     /// live steering validates injected events and churn specs against.
@@ -281,163 +319,240 @@ impl SnapshotTimeline {
     }
 }
 
-/// Folds a sorted run of events into `deltas`: groups them by change time,
-/// applies each group to `working` and derives one structurally-shared
-/// snapshot per group. The shared core of [`SnapshotTimeline::precompute`]
-/// and [`SnapshotTimeline::extend`]; no event is cloned.
-fn fold_events(
-    working: &mut Topology,
-    mut prev: Arc<CollapsedTopology>,
-    events: &[DynamicEvent],
-    deltas: &mut Vec<SnapshotDelta>,
-    stats: &mut TimelineStats,
-) {
-    let mut i = 0;
-    while i < events.len() {
-        let at = events[i].at;
-        let mut j = i;
-        while j < events.len() && events[j].at == at {
-            j += 1;
+/// A link as a change group found it: id, tail, head and properties.
+type LinkState = (LinkId, NodeId, NodeId, LinkProperties);
+
+/// What one change group did to the links.
+#[derive(Default)]
+struct LinkDiff {
+    /// Every link removed, added or re-parameterised, ascending.
+    changed: Vec<LinkId>,
+    /// Of those, the ones that existed before (removed or modified):
+    /// previously derived paths may cross them. Ascending.
+    stale: Vec<LinkId>,
+    /// Every changed link as the tree repair sees it, ascending by id.
+    edits: Vec<LinkEdit>,
+    /// A link came or got shorter: the group may improve routes.
+    improving: bool,
+    /// A link came, went, or changed its capacity or latency.
+    table_moved: bool,
+}
+
+impl LinkDiff {
+    /// Diffs two link lists, each sorted by id (as [`Topology::links`] is).
+    fn between(before: &[LinkState], after: &[LinkSpec]) -> Self {
+        // Every link that came, went or changed: (id, tail, head, before, after).
+        let mut touched = Vec::new();
+        for &(id, from, to, was) in before {
+            let now = after
+                .binary_search_by_key(&id, |l| l.id)
+                .ok()
+                .map(|i| after[i].properties);
+            if now != Some(was) {
+                touched.push((id, from, to, Some(was), now));
+            }
         }
-        let before: BTreeMap<LinkId, LinkProperties> = working
-            .links()
-            .iter()
-            .map(|l| (l.id, l.properties))
-            .collect();
-        for event in &events[i..j] {
-            apply_action(working, &event.action);
+        for link in after {
+            if before
+                .binary_search_by_key(&link.id, |state| state.0)
+                .is_err()
+            {
+                touched.push((link.id, link.from, link.to, None, Some(link.properties)));
+            }
         }
-        let delta = derive_snapshot(working, &prev, &before, at, j - i, stats);
-        prev = Arc::clone(&delta.snapshot);
-        deltas.push(delta);
-        i = j;
+        touched.sort_unstable_by_key(|link| link.0);
+        let mut diff = LinkDiff::default();
+        for (id, from, to, was, now) in touched {
+            let kind = match (was, now) {
+                (Some(was), Some(now)) if now.latency > was.latency => LinkEditKind::Worse,
+                (Some(was), Some(now)) if now.latency == was.latency => {
+                    LinkEditKind::Reparameterised
+                }
+                (_, Some(now)) => LinkEditKind::Better {
+                    latency: now.latency,
+                },
+                (_, None) => LinkEditKind::Worse,
+            };
+            diff.changed.push(id);
+            if was.is_some() {
+                diff.stale.push(id);
+            }
+            diff.improving |= matches!(kind, LinkEditKind::Better { .. });
+            diff.table_moved |= match (was, now) {
+                (Some(was), Some(now)) => {
+                    was.bandwidth != now.bandwidth || was.latency != now.latency
+                }
+                _ => true,
+            };
+            diff.edits.push(LinkEdit { id, from, to, kind });
+        }
+        diff
     }
 }
 
-/// Builds the snapshot after one change group, sharing unchanged paths with
-/// `prev` and recording exactly what differs.
-fn derive_snapshot(
-    working: &Topology,
-    prev: &CollapsedTopology,
-    before: &BTreeMap<LinkId, LinkProperties>,
-    at: SimDuration,
-    events: usize,
-    stats: &mut TimelineStats,
-) -> SnapshotDelta {
-    // Diff the link tables to find what this group touched.
-    let after: BTreeMap<LinkId, LinkProperties> = working
-        .links()
-        .iter()
-        .map(|l| (l.id, l.properties))
-        .collect();
-    let mut changed_links: Vec<LinkId> = Vec::new();
-    // Links previously-derived paths might traverse: removed or modified.
-    // A handful of ids per group, so a sorted `Vec` is the whole index.
-    let mut stale_links: Vec<LinkId> = Vec::new();
-    // `true` once the group may create *better* routes than before (a new
-    // link, or a latency drop): selective re-derivation from affected
-    // sources is no longer sufficient, every source must be re-derived.
-    let mut improving = false;
-    for (&id, props) in &after {
-        match before.get(&id) {
-            None => {
-                changed_links.push(id);
-                improving = true;
+/// The state a run of change groups is folded with: the shared core of
+/// [`SnapshotTimeline::precompute`] and [`SnapshotTimeline::extend`].
+struct Fold<'a> {
+    /// The topology as of the last folded group.
+    working: &'a mut Topology,
+    /// The snapshot after the last folded group.
+    prev: Arc<CollapsedTopology>,
+    /// One kept shortest-path tree per source number, searched on the
+    /// graph of `working` and repaired with it; `None` until a group needs
+    /// it.
+    trees: Vec<Option<ShortestPathTree>>,
+    stats: &'a mut TimelineStats,
+}
+
+impl Fold<'_> {
+    /// Folds a sorted run of events into `deltas`: groups them by change
+    /// time, applies each group to the working topology and derives one
+    /// structurally-shared snapshot per group. No event is cloned.
+    fn run(
+        &mut self,
+        events: &[DynamicEvent],
+        deltas: &mut Vec<SnapshotDelta>,
+        inspect: Inspect<'_>,
+    ) {
+        let mut i = 0;
+        while i < events.len() {
+            let at = events[i].at;
+            let mut j = i;
+            while j < events.len() && events[j].at == at {
+                j += 1;
             }
-            Some(old) if old != props => {
-                changed_links.push(id);
-                stale_links.push(id);
-                if props.latency < old.latency {
-                    improving = true;
+            let before: Vec<LinkState> = self
+                .working
+                .links()
+                .iter()
+                .map(|l| (l.id, l.from, l.to, l.properties))
+                .collect();
+            for event in &events[i..j] {
+                apply_action(self.working, &event.action);
+            }
+            let delta = self.derive(&before, at, j - i, inspect);
+            self.prev = Arc::clone(&delta.snapshot);
+            deltas.push(delta);
+            i = j;
+        }
+    }
+
+    /// Builds the snapshot after one change group, sharing unchanged paths
+    /// with the previous one and recording exactly what differs; hands the
+    /// new graph and the trees to `inspect` at the end.
+    fn derive(
+        &mut self,
+        before: &[LinkState],
+        at: SimDuration,
+        events: usize,
+        inspect: Inspect<'_>,
+    ) -> SnapshotDelta {
+        let Fold {
+            working,
+            prev,
+            trees,
+            stats,
+        } = self;
+        let (working, stats): (&Topology, &mut TimelineStats) = (working, stats);
+        let diff = LinkDiff::between(before, working.links());
+        let is_stale = |link: &LinkId| diff.stale.binary_search(link).is_ok();
+
+        // The initial snapshot's service table covers every later one:
+        // services can only leave (`NodeJoin` re-adds bridges).
+        let services = &prev.services;
+        debug_assert!(
+            working
+                .service_ids()
+                .iter()
+                .all(|id| services.binary_search(id).is_ok()),
+            "a service joined the topology after the initial snapshot"
+        );
+        let present = presence(services, working);
+        let pair = |src: usize, dst: usize| (services[src], services[dst]);
+
+        // Start from the previous snapshot's rows: one `Arc` clone per
+        // source, no path slot is copied until its row changes.
+        let mut rows = prev.rows.clone();
+        let mut pairs = prev.pairs;
+        let mut removed_paths: Vec<(NodeId, NodeId)> = Vec::new();
+        // Pairs whose endpoint service left are dropped up front, copying
+        // only the rows that hold one.
+        let absent: Vec<usize> = (0..services.len()).filter(|&i| !present[i]).collect();
+        if !absent.is_empty() {
+            for (src, row) in rows.iter_mut().enumerate() {
+                let departed = |dst: usize| !present[src] || !present[dst];
+                let holds_departed = if present[src] {
+                    absent.iter().any(|&dst| row[dst].is_some())
+                } else {
+                    row.iter().any(Option::is_some)
+                };
+                if !holds_departed {
+                    continue;
+                }
+                for (dst, slot) in row_mut(row, stats).iter_mut().enumerate() {
+                    if departed(dst) && slot.take().is_some() {
+                        pairs -= 1;
+                        removed_paths.push(pair(src, dst));
+                    }
                 }
             }
-            Some(_) => {}
         }
-    }
-    for &id in before.keys() {
-        if !after.contains_key(&id) {
-            changed_links.push(id);
-            stale_links.push(id);
-        }
-    }
-    changed_links.sort();
-    stale_links.sort();
-    let is_stale = |link: &LinkId| stale_links.binary_search(link).is_ok();
 
-    // The initial snapshot's service table covers every later one: services
-    // can only leave (`NodeJoin` re-adds bridges).
-    let services = &prev.services;
-    debug_assert!(
-        working
-            .service_ids()
+        // A tree is repaired onto the new graph only over the same nodes;
+        // after a node came or went every source starts over without one.
+        // All kept trees went through the same graphs, so one answers for
+        // all of them.
+        let graph = TopologyGraph::new(working);
+        if trees
             .iter()
-            .all(|id| services.binary_search(id).is_ok()),
-        "a service joined the topology after the initial snapshot"
-    );
-    let present = presence(services, working);
-    let pair = |src: usize, dst: usize| (services[src], services[dst]);
+            .flatten()
+            .next()
+            .is_some_and(|tree| !tree.fits(&graph))
+        {
+            trees.iter_mut().for_each(|tree| *tree = None);
+        }
 
-    // Start from the previous snapshot's rows: one `Arc` clone per source,
-    // no path slot is copied until its row changes.
-    let mut rows = prev.rows.clone();
-    let mut pairs = prev.pairs;
-    let mut removed_paths: Vec<(NodeId, NodeId)> = Vec::new();
-    // Pairs whose endpoint service left are dropped up front, copying only
-    // the rows that hold one.
-    let absent: Vec<usize> = (0..services.len()).filter(|&i| !present[i]).collect();
-    if !absent.is_empty() {
-        for (src, row) in rows.iter_mut().enumerate() {
-            let departed = |dst: usize| !present[src] || !present[dst];
-            let holds_departed = if present[src] {
-                absent.iter().any(|&dst| row[dst].is_some())
-            } else {
-                row.iter().any(Option::is_some)
-            };
-            if !holds_departed {
+        // Sources ascend and each row's destinations ascend, so this stays
+        // in (src, dst) order.
+        let mut changed_paths: Vec<(NodeId, NodeId)> = Vec::new();
+        for src in 0..services.len() {
+            if !present[src] {
                 continue;
             }
-            for (dst, slot) in row_mut(row, stats).iter_mut().enumerate() {
-                if departed(dst) && slot.take().is_some() {
-                    pairs -= 1;
-                    removed_paths.push(pair(src, dst));
-                }
-            }
-        }
-    }
-
-    // Sources that need re-derivation: all of them when the group can
-    // improve routes, otherwise only those with a path over a stale link.
-    let sources: Vec<usize> = if improving {
-        (0..services.len()).filter(|&i| present[i]).collect()
-    } else if stale_links.is_empty() {
-        Vec::new()
-    } else {
-        (0..services.len())
-            .filter(|&src| {
-                rows[src]
-                    .iter()
-                    .flatten()
-                    .any(|path| path.links.iter().any(is_stale))
-            })
-            .collect()
-    };
-
-    // Sources ascend and each row's destinations ascend, so this stays in
-    // (src, dst) order.
-    let mut changed_paths: Vec<(NodeId, NodeId)> = Vec::new();
-    if !sources.is_empty() {
-        let graph = TopologyGraph::new(working);
-        // Re-derive the affected sources, in source order. A destination
-        // whose tree path is the previous snapshot's link list, with none
-        // of those links stale, is skipped before anything is built (see
-        // the module docs).
-        for &src in &sources {
             let current = &prev.rows[src];
-            let row = source_row(working, &graph, services, &present, src, |dst, tree| {
-                current[dst].as_ref().is_some_and(|old| {
-                    !old.links.iter().any(is_stale) && tree.path_is(services[dst], &old.links)
-                })
-            });
+            let row = match &mut trees[src] {
+                Some(tree) => {
+                    let Some(update) = tree.update(&graph, &diff.edits) else {
+                        continue;
+                    };
+                    stats.nodes_settled += update.settled;
+                    // A destination that stays unreachable is not claimed:
+                    // its walk ends at once and nothing is counted.
+                    source_row(working, tree, services, &present, src, |dst| {
+                        current[dst].is_some() && !update.path_changed(services[dst])
+                    })
+                }
+                None => {
+                    let needed = diff.improving
+                        || rows[src]
+                            .iter()
+                            .flatten()
+                            .any(|path| path.links.iter().any(is_stale));
+                    if !needed {
+                        continue;
+                    }
+                    let tree = graph.shortest_path_tree(services[src]);
+                    stats.nodes_settled += tree.reached();
+                    let row = source_row(working, &tree, services, &present, src, |dst| {
+                        current[dst].as_ref().is_some_and(|old| {
+                            !old.links.iter().any(is_stale)
+                                && tree.path_is(services[dst], &old.links)
+                        })
+                    });
+                    trees[src] = Some(tree);
+                    row
+                }
+            };
             stats.recomputed_paths += row.unchanged;
             for (dst, fresh) in row.paths {
                 match fresh {
@@ -462,36 +577,31 @@ fn derive_snapshot(
                 }
             }
         }
-    }
-    stats.shared_paths += pairs - changed_paths.len();
-    removed_paths.sort();
+        stats.shared_paths += pairs - changed_paths.len();
+        removed_paths.sort();
+        inspect(&graph, trees);
 
-    // The link table is copied only when a link came, went, or changed its
-    // capacity or latency; a jitter or loss edit leaves it shared.
-    let table_moved = changed_links
-        .iter()
-        .any(|id| match (before.get(id), after.get(id)) {
-            (Some(old), Some(new)) => old.bandwidth != new.bandwidth || old.latency != new.latency,
-            _ => true,
+        // The link table is copied only when a link came, went, or changed
+        // its capacity or latency; a jitter or loss edit leaves it shared.
+        let links = if diff.table_moved {
+            Arc::new(LinkTable::of(working))
+        } else {
+            Arc::clone(&prev.links)
+        };
+        let snapshot = Arc::new(CollapsedTopology {
+            services: Arc::clone(services),
+            rows,
+            pairs,
+            links,
         });
-    let links = if table_moved {
-        Arc::new(LinkTable::of(working))
-    } else {
-        Arc::clone(&prev.links)
-    };
-    let snapshot = Arc::new(CollapsedTopology {
-        services: Arc::clone(services),
-        rows,
-        pairs,
-        links,
-    });
-    SnapshotDelta {
-        at,
-        events,
-        changed_links,
-        changed_paths,
-        removed_paths,
-        snapshot,
+        SnapshotDelta {
+            at,
+            events,
+            changed_links: diff.changed,
+            changed_paths,
+            removed_paths,
+            snapshot,
+        }
     }
 }
 
@@ -902,6 +1012,162 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A small random topology built to tie, and a random schedule for it:
+    /// 3–8 bridges and 2–7 services joined by latencies from {1, 2, 3} ms
+    /// (parallel, one-way and bridge-only links among them), then 1–12
+    /// leave / join / latency / loss-only events over at most four change
+    /// times, so that most groups mix several kinds.
+    fn tying_case(seed: u64) -> (Topology, EventSchedule) {
+        let mut rng = kollaps_sim::rng::SimRng::new(seed);
+        let mut topo = Topology::new();
+        let services = 2 + rng.gen_index(6);
+        let bridges = 3 + rng.gen_index(6);
+        let mut names: Vec<String> = Vec::new();
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for i in 0..services {
+            names.push(format!("h{i}"));
+            nodes.push(topo.add_service(&names[i], 0, "img"));
+        }
+        for i in 0..bridges {
+            names.push(format!("s{i}"));
+            nodes.push(topo.add_bridge(&format!("s{i}")));
+        }
+        let ms = |rng: &mut kollaps_sim::rng::SimRng| {
+            SimDuration::from_millis(1 + rng.gen_index(3) as u64)
+        };
+        // Every service hangs off a bridge; the bridges form a random mesh.
+        for h in 0..services {
+            let b = services + rng.gen_index(bridges);
+            let props = LinkProperties::new(ms(&mut rng), Bandwidth::from_mbps(100));
+            topo.add_bidirectional_link(nodes[h], nodes[b], props, "net");
+        }
+        for _ in 0..bridges + rng.gen_index(2 * bridges) {
+            let a = services + rng.gen_index(bridges);
+            let b = services + rng.gen_index(bridges);
+            let props = LinkProperties::new(ms(&mut rng), Bandwidth::from_mbps(50));
+            if rng.chance(0.2) {
+                topo.add_link(nodes[a], nodes[b], props, "net");
+            } else {
+                topo.add_bidirectional_link(nodes[a], nodes[b], props, "net");
+            }
+        }
+        let mut schedule = EventSchedule::new();
+        let times = 1 + rng.gen_index(4) as u64;
+        for _ in 0..1 + rng.gen_index(12) {
+            // Mostly bridge pairs, sometimes an access link.
+            let a = if rng.chance(0.2) {
+                rng.gen_index(services)
+            } else {
+                services + rng.gen_index(bridges)
+            };
+            let b = services + rng.gen_index(bridges);
+            let (orig, dest) = (names[a].as_str(), names[b].as_str());
+            let action = match rng.gen_index(4) {
+                0 => leave(orig, dest),
+                1 => join(orig, dest, 1 + rng.gen_index(3) as u64),
+                2 => set_link(
+                    orig,
+                    dest,
+                    LinkChange {
+                        latency: Some(ms(&mut rng)),
+                        ..LinkChange::default()
+                    },
+                ),
+                _ => set_link(
+                    orig,
+                    dest,
+                    LinkChange {
+                        loss: Some(0.01 * (1 + rng.gen_index(3)) as f64),
+                        ..LinkChange::default()
+                    },
+                ),
+            };
+            schedule.push(event(1 + rng.gen_range(0, times), action));
+        }
+        (topo, schedule)
+    }
+
+    /// The repair against the online re-collapse on thousands of tie-heavy
+    /// cases, and every kept tree against a fresh search after every group.
+    #[test]
+    fn repaired_trees_match_fresh_searches_on_tying_cases() {
+        let (mut trees_compared, mut mixed_groups) = (0, 0);
+        for seed in 0..2_500 {
+            let (topo, schedule) = tying_case(seed);
+            let services = topo.service_ids();
+            let mut oracle = |graph: &TopologyGraph, trees: &[Option<ShortestPathTree>]| {
+                for (number, tree) in trees.iter().enumerate() {
+                    if let Some(tree) = tree {
+                        let fresh = graph.shortest_path_tree(services[number]);
+                        assert_eq!(*tree, fresh, "seed {seed}: tree of {}", services[number]);
+                        trees_compared += 1;
+                    }
+                }
+            };
+            let inspected = SnapshotTimeline::precompute_inspected(&topo, &schedule, &mut oracle);
+            mixed_groups += inspected.deltas().iter().filter(|d| d.events > 1).count();
+            let timeline = assert_matches_online_recollapse(&topo, &schedule);
+            assert_eq!(
+                timeline.stats().nodes_settled,
+                inspected.stats().nodes_settled
+            );
+        }
+        assert!(
+            trees_compared > 20_000,
+            "only {trees_compared} trees compared"
+        );
+        assert!(mixed_groups > 3_000, "only {mixed_groups} mixed groups");
+    }
+
+    /// `extend` keeps no tree between calls, so its first group searches
+    /// the plain way; after that it repairs. On an injection that only
+    /// degrades links it settles no more nodes than full searches of the
+    /// sources with a path over a changed link would, and fewer once a
+    /// second group repairs what the first searched.
+    #[test]
+    fn extend_settles_no_more_than_full_trees_on_a_degrading_injection() {
+        let topo = ring();
+        let mut schedule = EventSchedule::new();
+        schedule.push(set_edge_latency("s0", "s1", 1, 6));
+        let mut timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let settled_before = timeline.stats().nodes_settled;
+        let mut extra = EventSchedule::new();
+        extra.push(set_edge_latency("s1", "s2", 3, 9));
+        extra.push(set_edge_latency("s2", "s3", 4, 12));
+        extra.push(event(5, leave("s3", "s0")));
+        assert_eq!(timeline.extend(&extra), 3);
+        let settled = timeline.stats().nodes_settled - settled_before;
+
+        // What the plain derivation searches: per group, a full tree for
+        // every source with a path over a changed link.
+        let services = topo.service_ids();
+        let mut online = timeline.topology_at(SimDuration::from_secs(2));
+        let mut prev = Arc::clone(&timeline.deltas()[0].snapshot);
+        let mut full = 0;
+        for delta in &timeline.deltas()[1..] {
+            for event in timeline.schedule().events_at(delta.at) {
+                apply_action(&mut online, &event.action);
+            }
+            let graph = TopologyGraph::new(&online);
+            for &src in &services {
+                let crosses = services.iter().any(|&dst| {
+                    prev.path(src, dst).is_some_and(|path| {
+                        path.links.iter().any(|l| delta.changed_links.contains(l))
+                    })
+                });
+                if crosses {
+                    full += graph.shortest_path_tree(src).reached();
+                }
+            }
+            prev = Arc::clone(&delta.snapshot);
+        }
+        assert!(settled > 0);
+        assert!(
+            settled < full,
+            "extend settled {settled}, full trees {full}"
+        );
     }
 
     #[test]

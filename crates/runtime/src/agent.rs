@@ -258,10 +258,7 @@ fn execute(prepared: Prepared, me: u32, control: &mut TcpStream) -> Result<Value
     // pre-exported as Chrome trace events tagged with this host's id (the
     // coordinator re-tags pids when merging).
     if tracer.is_enabled() {
-        fields.push((
-            "trace",
-            kollaps_trace::chrome_trace(&tracer.events(), u64::from(me)),
-        ));
+        fields.push(("trace", kollaps_trace::chrome_trace(&tracer, u64::from(me))));
     }
     Ok(wire::msg("report", fields))
 }

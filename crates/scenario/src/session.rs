@@ -246,6 +246,12 @@ impl Session {
         let span = self.recorder.span(0, "session_finish");
         self.advance(self.total_end);
         drop(span);
+        let dropped = self.recorder.dropped();
+        if dropped > 0 {
+            eprintln!(
+                "warning: the trace rings overflowed and dropped the {dropped} oldest events (the Chrome trace carries the count)"
+            );
+        }
         // Safety net: windows clipped exactly to the end are finalized by
         // the last dispatch; anything left (zero-length timeline) ends
         // here.

@@ -23,9 +23,19 @@
 //! `(cost, hops)` strictly decreases along predecessor links (zero-latency
 //! links still add a hop), so the predecessors form a tree rooted at the
 //! source and walking them always ends there.
+//!
+//! The same rules have a closed form. Every node is expanded once, at its
+//! final `best`, in `(best, node id)` order, and the first relaxation that
+//! reaches a node's final `best` is the one that stays. So the link a node
+//! `v` is reached over is, among its *tight* in-links `y → v` (those with
+//! `best(y) + (latency, 1) == best(v)`), the one with the smallest
+//! `(best(y), y, link id)`. [`ShortestPathTree::update`] repairs a tree
+//! after a change without re-running the search, and re-picks every link
+//! it touches by this form.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,20 +67,34 @@ struct Edge {
     latency_nanos: u64,
 }
 
-/// "No edge": the predecessor of the source and of unreached nodes.
-const NO_EDGE: u32 = u32::MAX;
+/// `(cost, hops)` of an unreached node: any real one beats it.
+const UNREACHED: (u64, u32) = (u64::MAX, u32::MAX);
+
+/// `(cost, hops)` one link further than `best`.
+fn over(best: (u64, u32), latency_nanos: u64) -> (u64, u32) {
+    (best.0 + latency_nanos, best.1 + 1)
+}
+
+/// The min-heap of the search, on `(cost, hops, node)`.
+type Heap = BinaryHeap<Reverse<(u64, u32, u32)>>;
 
 /// A dense (CSR) adjacency view of a [`Topology`] with shortest-path
 /// queries.
 #[derive(Debug, Clone)]
 pub struct TopologyGraph {
     /// Every node id, and every id a link names, ascending: a node's dense
-    /// index is its position here, so indices order like ids.
-    ids: Vec<NodeId>,
+    /// index is its position here, so indices order like ids. Shared with
+    /// every tree of the graph.
+    ids: Arc<[NodeId]>,
     /// `edges[offsets[i]..offsets[i + 1]]` leave node `i`, in ascending
     /// link id.
     offsets: Vec<u32>,
     edges: Vec<Edge>,
+    /// `in_slots[in_offsets[i]..in_offsets[i + 1]]` are the slots in
+    /// `edges` of the links entering node `i`, highest slot first. Nothing
+    /// depends on that order: the closed form's key is total.
+    in_offsets: Vec<u32>,
+    in_slots: Vec<u32>,
     services: Vec<NodeId>,
 }
 
@@ -94,16 +118,29 @@ impl TopologyGraph {
             .collect();
         edges.sort_by_key(|e| (e.from, e.id));
         let mut offsets = vec![0u32; ids.len() + 1];
+        let mut in_offsets = vec![0u32; ids.len() + 1];
         for edge in &edges {
             offsets[edge.from as usize + 1] += 1;
+            in_offsets[edge.to as usize + 1] += 1;
         }
         for i in 0..ids.len() {
             offsets[i + 1] += offsets[i];
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        // Each node's in-slots are filled from the back of its range.
+        let mut cursor = in_offsets[1..].to_vec();
+        let mut in_slots = vec![0u32; edges.len()];
+        for (slot, edge) in edges.iter().enumerate() {
+            let end = &mut cursor[edge.to as usize];
+            *end -= 1;
+            in_slots[*end as usize] = slot as u32;
         }
         TopologyGraph {
-            ids,
+            ids: ids.into(),
             offsets,
             edges,
+            in_offsets,
+            in_slots,
             services: topology.service_ids(),
         }
     }
@@ -117,39 +154,187 @@ impl TopologyGraph {
         self.ids.binary_search(&node).ok().map(|i| i as u32)
     }
 
+    /// The slots in `edges` of the links leaving `node`.
+    fn out_slots(&self, node: u32) -> std::ops::Range<usize> {
+        self.offsets[node as usize] as usize..self.offsets[node as usize + 1] as usize
+    }
+
+    /// The links entering `node`.
+    fn in_edges(&self, node: u32) -> impl Iterator<Item = Edge> + '_ {
+        let range =
+            self.in_offsets[node as usize] as usize..self.in_offsets[node as usize + 1] as usize;
+        self.in_slots[range]
+            .iter()
+            .map(|&slot| self.edges[slot as usize])
+    }
+
     /// The shortest-path tree (by cumulative latency) rooted at `source`,
     /// under the module's tie-break contract. A `source` the graph does not
     /// know reaches nothing.
-    pub fn shortest_path_tree(&self, source: NodeId) -> ShortestPathTree<'_> {
-        let mut via = vec![NO_EDGE; self.ids.len()];
+    pub fn shortest_path_tree(&self, source: NodeId) -> ShortestPathTree {
         let source = self.index_of(source);
+        let mut tree = ShortestPathTree {
+            ids: Arc::clone(&self.ids),
+            source,
+            best: vec![UNREACHED; self.ids.len()],
+            via: vec![NO_VIA; self.ids.len()],
+        };
         if let Some(source) = source {
-            // `(MAX, MAX)` is "unreached": any real `(cost, hops)` beats it.
-            let mut best = vec![(u64::MAX, u32::MAX); self.ids.len()];
-            best[source as usize] = (0, 0);
-            // Min-heap on `(cost, hops, node)`.
-            let mut heap = BinaryHeap::from([Reverse((0, 0, source))]);
-            while let Some(Reverse((cost_nanos, hops, node))) = heap.pop() {
-                if (cost_nanos, hops) > best[node as usize] {
-                    continue;
+            tree.best[source as usize] = (0, 0);
+            let heap = BinaryHeap::from([Reverse((0, 0, source))]);
+            self.settle(&mut tree, heap, |tree, edge, next| {
+                let to = edge.to as usize;
+                if next < tree.best[to] {
+                    tree.best[to] = next;
+                    tree.via[to] = Via::of(edge);
+                    true
+                } else {
+                    false
                 }
-                let node = node as usize;
-                for slot in self.offsets[node] as usize..self.offsets[node + 1] as usize {
-                    let edge = self.edges[slot];
-                    let next = (cost_nanos + edge.latency_nanos, hops + 1);
-                    if next < best[edge.to as usize] {
-                        best[edge.to as usize] = next;
-                        via[edge.to as usize] = slot as u32;
-                        heap.push(Reverse((next.0, next.1, edge.to)));
-                    }
+            });
+        }
+        tree
+    }
+
+    /// Pops `heap` in the contract's order and expands every entry that is
+    /// still its node's best. `relax(tree, edge, next)` offers `next` to
+    /// the head of an outgoing `edge` and says whether to queue it. Returns
+    /// the nodes expanded.
+    fn settle(
+        &self,
+        tree: &mut ShortestPathTree,
+        mut heap: Heap,
+        mut relax: impl FnMut(&mut ShortestPathTree, Edge, (u64, u32)) -> bool,
+    ) -> usize {
+        let mut settled = 0;
+        while let Some(Reverse((cost_nanos, hops, node))) = heap.pop() {
+            if (cost_nanos, hops) > tree.best[node as usize] {
+                continue;
+            }
+            settled += 1;
+            for slot in self.out_slots(node) {
+                let edge = self.edges[slot];
+                let next = over((cost_nanos, hops), edge.latency_nanos);
+                if relax(tree, edge, next) {
+                    heap.push(Reverse((next.0, next.1, edge.to)));
                 }
             }
         }
-        ShortestPathTree {
-            graph: self,
-            source,
-            via,
+        settled
+    }
+
+    /// The smallest `(cost, hops)` over the in-links of `node` from nodes
+    /// `from` admits.
+    fn best_over_in_links(
+        &self,
+        tree: &ShortestPathTree,
+        node: u32,
+        from: impl Fn(u32) -> bool,
+    ) -> (u64, u32) {
+        self.in_edges(node)
+            .filter(|edge| from(edge.from) && tree.best[edge.from as usize] != UNREACHED)
+            .map(|edge| over(tree.best[edge.from as usize], edge.latency_nanos))
+            .min()
+            .unwrap_or(UNREACHED)
+    }
+
+    /// Re-picks the link `node` is reached over by the module's closed
+    /// form; returns whether it changed.
+    fn repick(&self, tree: &mut ShortestPathTree, node: u32) -> bool {
+        let target = tree.best[node as usize];
+        let mut pick: Option<((u64, u32), u32, LinkId)> = None;
+        if target != UNREACHED && Some(node) != tree.source {
+            for edge in self.in_edges(node) {
+                let from = tree.best[edge.from as usize];
+                if from == UNREACHED || over(from, edge.latency_nanos) != target {
+                    continue;
+                }
+                let key = (from, edge.from, edge.id);
+                if pick.is_none_or(|best| key < best) {
+                    pick = Some(key);
+                }
+            }
         }
+        let via = pick.map_or(NO_VIA, |(_, from, link)| Via { link, from });
+        std::mem::replace(&mut tree.via[node as usize], via) != via
+    }
+
+    /// The deletion half of the repair: the links into `heads` that `tree`
+    /// reached them over are gone or longer. Resets the subtrees below
+    /// `heads`, re-settles them from their unaffected in-neighbours and
+    /// re-picks their links; pushes every node whose link changed to
+    /// `moved`. Returns the nodes settled.
+    fn cut(&self, tree: &mut ShortestPathTree, heads: &[u32], moved: &mut Vec<u32>) -> usize {
+        // A node is below a head when its tree path passes one.
+        let below = tree.mark(heads.iter().copied(), |_| false);
+        let affected: Vec<u32> = (0..tree.best.len() as u32)
+            .filter(|&node| below[node as usize])
+            .collect();
+        // Only `best` is reset: each link is compared with the old one when
+        // it is re-picked.
+        for &node in &affected {
+            tree.best[node as usize] = UNREACHED;
+        }
+        let mut heap = Heap::new();
+        for &node in &affected {
+            let best = self.best_over_in_links(tree, node, |from| !below[from as usize]);
+            if best != UNREACHED {
+                tree.best[node as usize] = best;
+                heap.push(Reverse((best.0, best.1, node)));
+            }
+        }
+        let settled = self.settle(tree, heap, |tree, edge, next| {
+            let to = edge.to as usize;
+            if below[to] && next < tree.best[to] {
+                tree.best[to] = next;
+                true
+            } else {
+                false
+            }
+        });
+        for node in affected {
+            if self.repick(tree, node) {
+                moved.push(node);
+            }
+        }
+        settled
+    }
+
+    /// The insertion half of the repair: links into `heads` are new or
+    /// shorter and reach them at or below their best. Runs a decrease-only
+    /// search from `heads`, then re-picks the link of every node that got
+    /// closer or gained a tight in-link; pushes every node whose link
+    /// changed to `moved`. Returns the nodes settled.
+    fn improve(&self, tree: &mut ShortestPathTree, heads: &[u32], moved: &mut Vec<u32>) -> usize {
+        let mut heap = Heap::new();
+        let mut touched = heads.to_vec();
+        for &node in heads {
+            let best = self.best_over_in_links(tree, node, |_| true);
+            if best < tree.best[node as usize] {
+                tree.best[node as usize] = best;
+                heap.push(Reverse((best.0, best.1, node)));
+            }
+        }
+        let settled = self.settle(tree, heap, |tree, edge, next| {
+            let to = edge.to as usize;
+            if next <= tree.best[to] {
+                touched.push(edge.to);
+            }
+            if next < tree.best[to] {
+                tree.best[to] = next;
+                true
+            } else {
+                false
+            }
+        });
+        touched.sort_unstable();
+        touched.dedup();
+        for node in touched {
+            if self.repick(tree, node) {
+                moved.push(node);
+            }
+        }
+        settled
     }
 
     /// Shortest paths (by cumulative latency) from `source` to every
@@ -178,40 +363,126 @@ impl TopologyGraph {
     }
 }
 
-/// The shortest paths from one source to every node, as predecessor links.
-#[derive(Debug, Clone)]
-pub struct ShortestPathTree<'g> {
-    graph: &'g TopologyGraph,
-    source: Option<u32>,
-    /// Per node, the slot in `graph.edges` of the link it is reached over.
-    via: Vec<u32>,
+/// The link a tree reaches a node over, and the node it leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Via {
+    link: LinkId,
+    from: u32,
 }
 
-impl ShortestPathTree<'_> {
-    /// The tree's links from `dst` back to the source, or `None` when `dst`
-    /// is the source itself, unreachable or unknown.
-    fn links_back_from(&self, dst: NodeId) -> Option<impl Iterator<Item = LinkId> + '_> {
-        let mut cursor = self.graph.index_of(dst)?;
-        if Some(cursor) == self.source || self.via[cursor as usize] == NO_EDGE {
+/// "No link": the source and unreached nodes.
+const NO_VIA: Via = Via {
+    link: LinkId(u32::MAX),
+    from: u32::MAX,
+};
+
+impl Via {
+    fn of(edge: Edge) -> Via {
+        Via {
+            link: edge.id,
+            from: edge.from,
+        }
+    }
+
+    fn is_none(self) -> bool {
+        self.from == NO_VIA.from
+    }
+}
+
+/// What a change did to one link, as far as shortest paths care.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkEditKind {
+    /// The link is gone, or its latency rose.
+    Worse,
+    /// The link is new, or its latency fell, to `latency`.
+    Better {
+        /// The link's latency after the change.
+        latency: SimDuration,
+    },
+    /// Only its bandwidth, jitter or loss moved: no route changes, but the
+    /// paths over it are stale.
+    Reparameterised,
+}
+
+/// One link a change touched, for [`ShortestPathTree::update`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkEdit {
+    /// The link.
+    pub id: LinkId,
+    /// Its tail.
+    pub from: NodeId,
+    /// Its head.
+    pub to: NodeId,
+    /// What happened to it.
+    pub kind: LinkEditKind,
+}
+
+/// What [`ShortestPathTree::update`] did to a tree.
+#[derive(Debug, Clone)]
+pub struct TreeUpdate {
+    /// Nodes the repair (or the full search it fell back to) settled.
+    pub settled: usize,
+    ids: Arc<[NodeId]>,
+    /// Per node: its path may differ from before the change.
+    changed: Vec<bool>,
+}
+
+impl TreeUpdate {
+    /// `false` only when the path to `dst` is the one the tree held before
+    /// the change, over links the change did not touch (or `dst` was and
+    /// stays unreachable).
+    pub fn path_changed(&self, dst: NodeId) -> bool {
+        self.ids
+            .binary_search(&dst)
+            .is_ok_and(|index| self.changed[index])
+    }
+}
+
+/// The shortest paths from one source to every node of a
+/// [`TopologyGraph`]: per node, its `(cost, hops)` and the link it is
+/// reached over. The tree owns its tables, so it outlives the graph it was
+/// searched on and can be [updated](ShortestPathTree::update) to the next.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShortestPathTree {
+    /// The graph's node ids: the tables are indexed like them.
+    ids: Arc<[NodeId]>,
+    source: Option<u32>,
+    /// Per node, `(cost, hops)` from the source; [`UNREACHED`] if none.
+    best: Vec<(u64, u32)>,
+    via: Vec<Via>,
+}
+
+impl ShortestPathTree {
+    /// The tree's links from the node at `cursor` back to the source, or
+    /// `None` when it is the source itself or unreachable.
+    fn links_back(&self, mut cursor: u32) -> Option<impl Iterator<Item = LinkId> + '_> {
+        if Some(cursor) == self.source || self.via[cursor as usize].is_none() {
             return None;
         }
-        // Only the source has no predecessor among reached nodes, and
-        // `NO_EDGE` is no slot, so the walk stops exactly there.
+        // Only the source has no link among reached nodes, so the walk
+        // stops exactly there.
         Some(std::iter::from_fn(move || {
-            let edge = self.graph.edges.get(self.via[cursor as usize] as usize)?;
-            cursor = edge.from;
-            Some(edge.id)
+            let via = self.via[cursor as usize];
+            (!via.is_none()).then(|| {
+                cursor = via.from;
+                via.link
+            })
         }))
+    }
+
+    fn index_of(&self, node: NodeId) -> Option<u32> {
+        self.ids.binary_search(&node).ok().map(|i| i as u32)
     }
 
     /// The shortest path from the source to `dst`; `None` when `dst` is the
     /// source or cannot be reached.
     pub fn path_to(&self, dst: NodeId) -> Option<Path> {
+        let dst = self.index_of(dst)?;
         // Two walks, so that the list is allocated once at its exact size:
         // it lives on in every collapsed path.
-        let hops = self.links_back_from(dst)?.count();
+        let hops = self.links_back(dst)?.count();
         let mut links = vec![LinkId::default(); hops];
-        for (slot, link) in links.iter_mut().rev().zip(self.links_back_from(dst)?) {
+        for (slot, link) in links.iter_mut().rev().zip(self.links_back(dst)?) {
             *slot = link;
         }
         Some(Path { links })
@@ -220,8 +491,124 @@ impl ShortestPathTree<'_> {
     /// `true` when the shortest path to `dst` exists and is exactly `links`
     /// (source to destination). Allocates nothing.
     pub fn path_is(&self, dst: NodeId, links: &[LinkId]) -> bool {
-        self.links_back_from(dst)
+        self.index_of(dst)
+            .and_then(|dst| self.links_back(dst))
             .is_some_and(|back| back.eq(links.iter().rev().copied()))
+    }
+
+    /// `true` when `graph` has exactly the nodes of the graph the tree was
+    /// searched on, so that the tree can be
+    /// [updated](ShortestPathTree::update) to it.
+    pub fn fits(&self, graph: &TopologyGraph) -> bool {
+        Arc::ptr_eq(&self.ids, &graph.ids) || self.ids == graph.ids
+    }
+
+    /// Nodes the tree reaches, the source included: what a full search
+    /// settles.
+    pub fn reached(&self) -> usize {
+        self.best.iter().filter(|&&best| best != UNREACHED).count()
+    }
+
+    /// Per node: whether its tree path (the node included) passes a node
+    /// of `seeds` or a link `marked` names. The source and unreached nodes
+    /// pass nothing unless seeded.
+    fn mark(&self, seeds: impl Iterator<Item = u32>, marked: impl Fn(LinkId) -> bool) -> Vec<bool> {
+        // 0: not known yet, 1: passes one, 2: does not.
+        let mut state = vec![0u8; self.best.len()];
+        for seed in seeds {
+            state[seed as usize] = 1;
+        }
+        let mut walk = Vec::new();
+        for node in 0..self.best.len() {
+            let mut cursor = node;
+            while state[cursor] == 0 {
+                let via = self.via[cursor];
+                if via.is_none() {
+                    state[cursor] = 2;
+                } else if marked(via.link) {
+                    state[cursor] = 1;
+                } else {
+                    walk.push(cursor);
+                    cursor = via.from as usize;
+                }
+            }
+            let answer = state[cursor];
+            for step in walk.drain(..) {
+                state[step] = answer;
+            }
+        }
+        state.into_iter().map(|s| s == 1).collect()
+    }
+
+    /// Brings the tree from the graph it was searched on to `graph`, the
+    /// same nodes after `edits` (sorted by link id, every link that came,
+    /// went or changed).
+    ///
+    /// Returns `None` when no path of the tree can have changed: no edited
+    /// link is a tree link and no new or shorter link `u → v` is tight or
+    /// better, `best(u) + (latency, 1) ≤ best(v)`. Otherwise repairs it —
+    /// a worse tree link resets the subtree below it and re-settles that
+    /// from its unaffected in-neighbours, a tight better link runs a
+    /// decrease-only search from its head, a tree that sees both is
+    /// searched again from scratch — and says which paths may differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `graph` does not have the tree's nodes.
+    pub fn update(&mut self, graph: &TopologyGraph, edits: &[LinkEdit]) -> Option<TreeUpdate> {
+        if !Arc::ptr_eq(&self.ids, &graph.ids) {
+            assert!(
+                self.ids == graph.ids,
+                "a tree is only updated to a graph of the same nodes"
+            );
+            self.ids = Arc::clone(&graph.ids);
+        }
+        debug_assert!(edits.windows(2).all(|w| w[0].id < w[1].id));
+        let source = self.source?;
+        let (mut worse, mut better, mut touched) = (Vec::new(), Vec::new(), false);
+        for edit in edits {
+            let (Some(from), Some(to)) = (self.index_of(edit.from), self.index_of(edit.to)) else {
+                continue;
+            };
+            let tree_link = self.via[to as usize].link == edit.id;
+            touched |= tree_link;
+            match edit.kind {
+                LinkEditKind::Worse if tree_link => worse.push(to),
+                LinkEditKind::Better { latency } => {
+                    let from = self.best[from as usize];
+                    if from != UNREACHED && over(from, latency.as_nanos()) <= self.best[to as usize]
+                    {
+                        better.push(to);
+                    }
+                }
+                _ => {}
+            }
+        }
+        if !touched && better.is_empty() {
+            return None;
+        }
+        let mut moved = Vec::new();
+        let settled = match (worse.is_empty(), better.is_empty()) {
+            (true, true) => 0,
+            (false, true) => graph.cut(self, &worse, &mut moved),
+            (true, false) => graph.improve(self, &better, &mut moved),
+            (false, false) => {
+                let fresh = graph.shortest_path_tree(self.ids[source as usize]);
+                moved.extend(
+                    (0..fresh.via.len() as u32)
+                        .filter(|&i| fresh.via[i as usize] != self.via[i as usize]),
+                );
+                *self = fresh;
+                self.reached()
+            }
+        };
+        let edited = |link: LinkId| edits.binary_search_by_key(&link, |edit| edit.id).is_ok();
+        let changed = self.mark(moved.into_iter(), edited);
+        Some(TreeUpdate {
+            settled,
+            ids: Arc::clone(&self.ids),
+            changed,
+        })
     }
 }
 
@@ -572,6 +959,97 @@ mod tests {
             }
         }
         assert!(compared > 10_000, "only {compared} paths compared");
+    }
+
+    /// Every link that differs between two topologies, as an edit.
+    fn edits_between(before: &Topology, after: &Topology) -> Vec<LinkEdit> {
+        let mut edits = Vec::new();
+        for link in before.links() {
+            let kind = match after.link(link.id).map(|l| l.properties) {
+                None => LinkEditKind::Worse,
+                Some(now) if now == link.properties => continue,
+                Some(now) if now.latency > link.properties.latency => LinkEditKind::Worse,
+                Some(now) if now.latency < link.properties.latency => LinkEditKind::Better {
+                    latency: now.latency,
+                },
+                Some(_) => LinkEditKind::Reparameterised,
+            };
+            edits.push((link.id, link.from, link.to, kind));
+        }
+        for link in after.links() {
+            if before.link(link.id).is_none() {
+                let latency = link.properties.latency;
+                edits.push((
+                    link.id,
+                    link.from,
+                    link.to,
+                    LinkEditKind::Better { latency },
+                ));
+            }
+        }
+        edits.sort_by_key(|edit| edit.0);
+        edits
+            .into_iter()
+            .map(|(id, from, to, kind)| LinkEdit { id, from, to, kind })
+            .collect()
+    }
+
+    /// A tree updated over random removals, additions and latency moves on
+    /// tying graphs equals a fresh search of the new graph, node by node.
+    #[test]
+    fn updated_trees_equal_fresh_searches_on_tying_graphs() {
+        let mut updated = 0;
+        for seed in 0..600 {
+            let before = tying_topology(seed);
+            let mut rng = kollaps_sim::rng::SimRng::new(seed ^ 0x5eed);
+            let mut after = before.clone();
+            let nodes: Vec<NodeId> = after.nodes().iter().map(|n| n.id).collect();
+            for _ in 0..1 + rng.gen_index(3) {
+                let links = after.links().to_vec();
+                match rng.gen_index(3) {
+                    0 if !links.is_empty() => {
+                        after.remove_link(links[rng.gen_index(links.len())].id);
+                    }
+                    1 if !links.is_empty() => {
+                        let link = &links[rng.gen_index(links.len())];
+                        let mut props = link.properties;
+                        props.latency = SimDuration::from_millis(rng.gen_index(4) as u64);
+                        after.set_link_properties(link.id, props);
+                    }
+                    _ if !nodes.is_empty() => {
+                        let a = nodes[rng.gen_index(nodes.len())];
+                        let b = nodes[rng.gen_index(nodes.len())];
+                        after.add_link(a, b, props(rng.gen_index(4) as u64, 10), "net");
+                    }
+                    _ => {}
+                }
+            }
+            let (old, new) = (TopologyGraph::new(&before), TopologyGraph::new(&after));
+            let edits = edits_between(&before, &after);
+            for &source in old.ids.iter() {
+                let mut tree = old.shortest_path_tree(source);
+                if !tree.fits(&new) {
+                    break;
+                }
+                let fresh = new.shortest_path_tree(source);
+                match tree.clone().update(&new, &edits) {
+                    None => assert_eq!(tree, fresh, "seed {seed} {source}: untouched"),
+                    Some(update) => {
+                        let previous = tree.clone();
+                        tree.update(&new, &edits);
+                        assert_eq!(tree, fresh, "seed {seed} {source}: repaired");
+                        // A path reported unchanged is the previous one.
+                        for &dst in old.ids.iter() {
+                            if !update.path_changed(dst) {
+                                assert_eq!(tree.path_to(dst), previous.path_to(dst));
+                            }
+                        }
+                        updated += 1;
+                    }
+                }
+            }
+        }
+        assert!(updated > 1_000, "only {updated} trees updated");
     }
 
     #[test]

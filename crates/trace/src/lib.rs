@@ -345,12 +345,31 @@ fn args_value(args: &[(String, f64)]) -> Value {
         .collect()
 }
 
-/// Renders `events` as a Chrome trace-event JSON array (the format
-/// `chrome://tracing` and Perfetto load directly): one object per event
-/// with `ph`, `ts` (µs), `pid`, `tid`, `name`, and `args`.
-pub fn chrome_trace(events: &[Event], pid: u64) -> Value {
-    let mut out = Vec::with_capacity(events.len());
-    for event in events {
+/// Renders what `recorder` holds as a Chrome trace-event JSON array (the
+/// format `chrome://tracing` and Perfetto load directly): one object per
+/// event with `ph`, `ts` (µs), `pid`, `tid`, `name`, and `args`.
+///
+/// A recorder whose rings overflowed lost its oldest events; the trace then
+/// opens with a `trace_events_dropped` metadata event (`ph` `M`) whose
+/// `args.dropped` is [`Recorder::dropped`], so a truncated trace says so.
+pub fn chrome_trace(recorder: &Recorder, pid: u64) -> Value {
+    let events = recorder.events();
+    let dropped = recorder.dropped();
+    let mut out = Vec::with_capacity(events.len() + 1);
+    if dropped > 0 {
+        out.push(Value::from_iter([
+            ("name", Value::from(DROPPED_EVENTS)),
+            ("ph", Value::from("M")),
+            ("ts", Value::from(0u64)),
+            ("pid", Value::from(pid)),
+            ("tid", Value::from(0u64)),
+            (
+                "args",
+                Value::from_iter([("dropped", Value::from(dropped))]),
+            ),
+        ]));
+    }
+    for event in &events {
         let mut fields = vec![
             ("name", Value::from(event.name.as_str())),
             ("cat", Value::from("kollaps")),
@@ -371,10 +390,14 @@ pub fn chrome_trace(events: &[Event], pid: u64) -> Value {
     Value::Array(out)
 }
 
+/// The name of [`chrome_trace`]'s metadata event counting the events the
+/// rings dropped.
+pub const DROPPED_EVENTS: &str = "trace_events_dropped";
+
 /// [`chrome_trace`], serialized to a JSON string ready to write to a
 /// `.trace.json` file.
-pub fn chrome_trace_string(events: &[Event], pid: u64) -> String {
-    serde_json::to_string(&chrome_trace(events, pid))
+pub fn chrome_trace_string(recorder: &Recorder, pid: u64) -> String {
+    serde_json::to_string(&chrome_trace(recorder, pid))
 }
 
 /// Merges per-process Chrome traces (as produced by [`chrome_trace`])
@@ -495,6 +518,42 @@ mod tests {
         assert_eq!(events[3].args[0].1, 9.0);
     }
 
+    /// A ring smaller than what was recorded: the trace opens with the
+    /// exact number of events it lost; a trace that lost nothing has no
+    /// such event.
+    #[test]
+    fn an_overflowed_ring_reports_its_drops_in_the_chrome_trace() {
+        let recorder = Recorder::with_capacity(2, 3);
+        for i in 0..10 {
+            recorder.counter(0, "c", i as f64);
+        }
+        recorder.instant(1, "mark", &[]);
+        let Value::Array(entries) = chrome_trace(&recorder, 5) else {
+            panic!("chrome trace must be a JSON array");
+        };
+        assert_eq!(entries.len(), 1 + 3 + 1);
+        let meta = &entries[0];
+        assert_eq!(meta.get("ph").and_then(|v| v.as_str()), Some("M"));
+        assert_eq!(
+            meta.get("name").and_then(|v| v.as_str()),
+            Some(DROPPED_EVENTS)
+        );
+        assert_eq!(meta.get("pid").and_then(|v| v.as_u64()), Some(5));
+        let dropped = meta.get("args").and_then(|a| a.get("dropped"));
+        assert_eq!(dropped.and_then(|v| v.as_u64()), Some(7));
+        assert_eq!(recorder.dropped(), 7);
+
+        let whole = Recorder::with_capacity(1, 16);
+        whole.counter(0, "c", 1.0);
+        let Value::Array(entries) = chrome_trace(&whole, 5) else {
+            panic!("chrome trace must be a JSON array");
+        };
+        assert_eq!(entries.len(), 1);
+        assert!(entries
+            .iter()
+            .all(|e| e.get("ph").and_then(|v| v.as_str()) != Some("M")));
+    }
+
     #[test]
     fn out_of_range_lane_clamps_instead_of_panicking() {
         let recorder = Recorder::new(2);
@@ -515,7 +574,7 @@ mod tests {
             }
             recorder.counter(1, "flows", 2.0);
         }
-        let trace = chrome_trace(&recorder.events(), 42);
+        let trace = chrome_trace(&recorder, 42);
         let Value::Array(entries) = &trace else {
             panic!("chrome trace must be a JSON array");
         };
@@ -546,7 +605,7 @@ mod tests {
         assert_eq!(depth, 0, "unbalanced spans");
         assert!(open.is_empty());
         // The string form parses back and re-serializes identically.
-        let text = chrome_trace_string(&recorder.events(), 42);
+        let text = chrome_trace_string(&recorder, 42);
         let reparsed = serde_json::from_str(&text).expect("chrome trace string parses");
         assert_eq!(serde_json::to_string(&reparsed), text);
     }
@@ -558,8 +617,8 @@ mod tests {
         let b = Recorder::new(1);
         b.counter(0, "y", 2.0);
         let merged = merge_chrome_traces(&[
-            ("host-0".to_string(), chrome_trace(&a.events(), 7)),
-            ("host-1".to_string(), chrome_trace(&b.events(), 7)),
+            ("host-0".to_string(), chrome_trace(&a, 7)),
+            ("host-1".to_string(), chrome_trace(&b, 7)),
         ]);
         let Value::Array(entries) = &merged else {
             panic!("merged trace must be an array");

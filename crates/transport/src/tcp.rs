@@ -297,8 +297,9 @@ impl TcpSender {
     /// below the cumulative ACK are pruned), then new sequence numbers.
     ///
     /// The first refused segment and the rest of the batch are *parked*:
-    /// appended to the back of the retransmit queue in batch order, not
-    /// outstanding, and no loss signal. They are still drawn — sequence
+    /// put at the front of the retransmit queue in batch order, not
+    /// outstanding, and no loss signal, so the next batch resends them
+    /// first and in the order they were drawn. They are still drawn — sequence
     /// numbers, retransmit-queue pops, pacing and packet ids advance as if
     /// they were sent — but no packet is built for them and none is
     /// offered, so a refused offer costs one packet. A parked segment
@@ -358,7 +359,9 @@ impl TcpSender {
         } else if !self.parked.is_empty() {
             self.timer_anchor = None;
         }
-        self.retransmit.extend(self.parked.drain(..));
+        for seq in self.parked.drain(..).rev() {
+            self.retransmit.push_front(seq);
+        }
     }
 
     /// Draws `seq` into the batch [`send_with`](Self::send_with) is sending
@@ -853,19 +856,19 @@ mod tests {
         );
     }
 
-    /// Today's parking order, pinned: a refused batch goes *behind*
-    /// segments already parked, so after a timeout (cwnd 1, the whole
-    /// window in the retransmit queue) a refused retransmission of segment
-    /// 0 is requeued last and the window leaves rotated (ROADMAP item 9).
+    /// A refused batch goes *ahead of* segments already parked, so after a
+    /// timeout (cwnd 1, the whole window in the retransmit queue) a refused
+    /// retransmission of segment 0 stays first and the window leaves in
+    /// send order.
     #[test]
-    fn a_refused_retransmission_is_parked_behind_the_window() {
+    fn a_refused_retransmission_keeps_its_place_before_the_window() {
         let mut s = sender(CongestionAlgorithm::Reno, TransferSize::Unbounded);
         let _ = s.poll_send(SimTime::ZERO);
         let rto = s.rto_deadline().unwrap();
         assert!(s.on_timer(rto));
         s.send_with(rto, |_| false);
         let seqs: Vec<u64> = s.retransmit.iter().copied().collect();
-        assert_eq!(seqs, [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]);
+        assert_eq!(seqs, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -1002,7 +1005,7 @@ mod tests {
         fn reference_on_backpressure(&mut self, packet: &Packet) {
             if let PacketKind::TcpData { seq } = packet.kind {
                 self.outstanding.remove(&seq);
-                self.retransmit.push_back(seq);
+                self.retransmit.push_front(seq);
                 if self.outstanding.is_empty() {
                     self.timer_anchor = None;
                 }
@@ -1010,13 +1013,16 @@ mod tests {
         }
 
         /// The runtime pump over the reference: offer the built batch until
-        /// the first refusal, then undo the refused packet and the rest.
+        /// the first refusal, then undo the refused packet and the rest,
+        /// last first, so that they head the retransmit queue in batch
+        /// order.
         fn reference_send_with(&mut self, now: SimTime, mut offer: impl FnMut(Packet) -> bool) {
             let mut packets = self.reference_poll_send(now).into_iter();
             while let Some(pkt) = packets.next() {
                 if !offer(pkt.clone()) {
-                    for held in std::iter::once(pkt).chain(packets.by_ref()) {
-                        self.reference_on_backpressure(&held);
+                    let held: Vec<Packet> = std::iter::once(pkt).chain(packets.by_ref()).collect();
+                    for packet in held.iter().rev() {
+                        self.reference_on_backpressure(packet);
                     }
                     break;
                 }

@@ -95,10 +95,7 @@ fn main() {
         Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
     }
     let trace_path = std::path::Path::new("target").join("quickstart.trace.json");
-    match std::fs::write(
-        &trace_path,
-        kollaps::trace::chrome_trace_string(&tracer.events(), 0),
-    ) {
+    match std::fs::write(&trace_path, kollaps::trace::chrome_trace_string(&tracer, 0)) {
         Ok(()) => println!(
             "trace written to {} (open in Perfetto)",
             trace_path.display()
