@@ -5,10 +5,12 @@
 //!
 //! * **determinism** — `hash-iteration` / `hash-drain` (no hash-bucket
 //!   iteration order may reach results in `core`/`sim`/`dynamics`/
-//!   `scenario`) and `wall-clock` (no `Instant::now`/`SystemTime::now`/
+//!   `scenario`/`netmodel`/`transport`/`metadata`/`baselines`/`workloads`)
+//!   and `wall-clock` (no `Instant::now`/`SystemTime::now`/
 //!   `thread_rng` outside the measurement crates).
 //! * **panic-freedom** — `hot-path-panic` (`unwrap`/`expect`/`panic!` in
-//!   `core`/`sim`/`metadata` library code) and `literal-index` (literal
+//!   `core`/`sim`/`metadata`/`netmodel`/`transport`/`baselines`/`workloads`
+//!   library code) and `literal-index` (literal
 //!   subscripts the scanner cannot bound-check).
 //! * **schema-drift** — the report/spec/bench version constants, README
 //!   docs and committed `BENCH_*.json` baselines must agree.
@@ -82,8 +84,8 @@ pub const RULES: &[RuleInfo] = &[
         name: "hash-iteration",
         family: "determinism",
         summary: "no HashMap/HashSet iteration order may reach results in \
-                  core/sim/dynamics/scenario/netmodel/transport/metadata; use BTree \
-                  containers or collect-and-sort",
+                  core/sim/dynamics/scenario/netmodel/transport/metadata/baselines/\
+                  workloads; use BTree containers or collect-and-sort",
     },
     RuleInfo {
         name: "hash-drain",
@@ -98,8 +100,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "hot-path-panic",
         family: "panic-freedom",
-        summary: "no unwrap/expect/panic!/todo!/unimplemented! in core/sim/metadata \
-                  library code",
+        summary: "no unwrap/expect/panic!/todo!/unimplemented! in \
+                  core/sim/metadata/netmodel/transport/baselines/workloads library code",
     },
     RuleInfo {
         name: "literal-index",

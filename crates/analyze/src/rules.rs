@@ -15,9 +15,19 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "netmodel",
     "transport",
     "metadata",
+    "baselines",
+    "workloads",
 ];
 /// Crates whose hot paths must not panic.
-pub const PANIC_CRATES: &[&str] = &["core", "sim", "metadata", "netmodel", "transport"];
+pub const PANIC_CRATES: &[&str] = &[
+    "core",
+    "sim",
+    "metadata",
+    "netmodel",
+    "transport",
+    "baselines",
+    "workloads",
+];
 /// Crates allowed to read the wall clock / OS entropy: they measure or
 /// transport, never decide emulation results.
 pub const WALL_CLOCK_ALLOWED: &[&str] = &["trace", "bench", "runtime", "analyze"];

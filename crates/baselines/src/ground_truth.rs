@@ -107,11 +107,14 @@ impl GroundTruthDataplane {
             self.arrived.push(packet);
             return None;
         }
-        let Some(&link) = self.next_hop.get(&(at_node, dst_node)) else {
+        let pipe = self
+            .next_hop
+            .get(&(at_node, dst_node))
+            .and_then(|link| self.links.get_mut(link));
+        let Some(pipe) = pipe else {
             self.dropped += 1;
             return Some(DropReason::Unreachable);
         };
-        let pipe = self.links.get_mut(&link).expect("link exists");
         let verdict = pipe.enqueue(now + self.per_hop_overhead, packet);
         if verdict.is_some() {
             self.dropped += 1;
@@ -131,15 +134,18 @@ impl GroundTruthDataplane {
         loop {
             let mut moved = false;
             for &link in &link_ids {
-                let ready = {
-                    let pipe = self.links.get_mut(&link).expect("link exists");
-                    pipe.deliver_ready(now)
+                // Both lookups hit: `links` and `link_endpoint` are filled
+                // together in `new`, and `link_ids` are `links`' own keys.
+                let (Some(pipe), Some(&node)) =
+                    (self.links.get_mut(&link), self.link_endpoint.get(&link))
+                else {
+                    continue;
                 };
+                let ready = pipe.deliver_ready(now);
                 if ready.is_empty() {
                     continue;
                 }
                 moved = true;
-                let node = *self.link_endpoint.get(&link).expect("endpoint");
                 for pkt in ready {
                     let _ = self.forward(now, node, pkt);
                 }

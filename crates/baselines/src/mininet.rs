@@ -3,7 +3,9 @@
 //! Mininet emulates every switch as a software process on a single host.
 //! For the accuracy comparison this matters in three ways (paper §2, §5):
 //!
-//! * bandwidth limits above 1 Gb/s cannot be configured;
+//! * bandwidth limits above 1 Gb/s cannot be configured
+//!   ([`MininetConfig::unshapeable_link`]; the scenario layer refuses such a
+//!   topology before it builds this dataplane);
 //! * every packet pays a software-forwarding cost at every emulated switch;
 //! * that cost grows when many *new* connections arrive per second, because
 //!   per-connection state is maintained in the emulated switches — this is
@@ -17,7 +19,7 @@ use kollaps_sim::prelude::*;
 
 use kollaps_core::collapse::{Addressable, CollapsedTopology};
 use kollaps_core::runtime::{Dataplane, SendOutcome};
-use kollaps_topology::model::Topology;
+use kollaps_topology::model::{LinkSpec, Topology};
 
 use crate::ground_truth::GroundTruthDataplane;
 
@@ -45,6 +47,18 @@ impl Default for MininetConfig {
     }
 }
 
+impl MininetConfig {
+    /// The first link of `topology` whose rate exceeds
+    /// [`MininetConfig::max_shaped_bandwidth`]. Mininet cannot emulate a
+    /// topology that has one (Table 2's "N/A" rows above 1 Gb/s).
+    pub fn unshapeable_link<'t>(&self, topology: &'t Topology) -> Option<&'t LinkSpec> {
+        topology
+            .links()
+            .iter()
+            .find(|l| l.properties.bandwidth > self.max_shaped_bandwidth)
+    }
+}
+
 /// Mininet-like dataplane: the ground-truth hop-by-hop simulation plus the
 /// software-switch overhead model.
 pub struct MininetDataplane {
@@ -52,9 +66,6 @@ pub struct MininetDataplane {
     config: MininetConfig,
     /// First-seen time per flow, to detect new connections.
     seen_flows: HashMap<FlowId, SimTime>,
-    /// Supported: `false` when the topology requests a shaping rate the tool
-    /// cannot configure (Table 2's "N/A" rows above 1 Gb/s).
-    supported: bool,
 }
 
 impl MininetDataplane {
@@ -65,23 +76,11 @@ impl MininetDataplane {
 
     /// Builds the Mininet model with explicit parameters.
     pub fn with_config(topology: &Topology, config: MininetConfig) -> Self {
-        let supported = topology
-            .links()
-            .iter()
-            .all(|l| l.properties.bandwidth <= config.max_shaped_bandwidth);
-        let inner = GroundTruthDataplane::new(topology);
         MininetDataplane {
-            inner,
+            inner: GroundTruthDataplane::new(topology),
             config,
             seen_flows: HashMap::new(),
-            supported,
         }
-    }
-
-    /// `false` when the requested topology cannot be emulated (link rate
-    /// above the shaping maximum) — Table 2 reports these rows as `N/A`.
-    pub fn is_supported(&self) -> bool {
-        self.supported
     }
 
     fn refresh_overhead(&mut self, now: SimTime) {
@@ -131,18 +130,22 @@ mod tests {
 
     #[test]
     fn gigabit_cap_marks_topologies_unsupported() {
+        let config = MininetConfig::default();
         let (ok_topo, _, _) = generators::point_to_point(
             Bandwidth::from_mbps(500),
             SimDuration::from_millis(1),
             SimDuration::ZERO,
         );
-        assert!(MininetDataplane::new(&ok_topo).is_supported());
+        assert!(config.unshapeable_link(&ok_topo).is_none());
         let (big_topo, _, _) = generators::point_to_point(
             Bandwidth::from_gbps(2),
             SimDuration::from_millis(1),
             SimDuration::ZERO,
         );
-        assert!(!MininetDataplane::new(&big_topo).is_supported());
+        let link = config
+            .unshapeable_link(&big_topo)
+            .expect("over the ceiling");
+        assert_eq!(link.properties.bandwidth, Bandwidth::from_gbps(2));
     }
 
     #[test]

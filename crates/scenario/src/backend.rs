@@ -145,11 +145,7 @@ impl Backend {
             }
         }
         if let Backend::Mininet(config) = self {
-            if let Some(link) = topology
-                .links()
-                .iter()
-                .find(|l| l.properties.bandwidth > config.max_shaped_bandwidth)
-            {
+            if let Some(link) = config.unshapeable_link(topology) {
                 return Err(ScenarioError::UnsupportedBackend {
                     backend: self.name().to_string(),
                     reason: format!(

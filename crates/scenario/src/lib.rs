@@ -656,6 +656,9 @@ fn validate_workload(topology: &Topology, workload: &Workload) -> Result<(), Sce
     let reason = match workload.kind {
         WorkloadKind::IperfUdp { rate } if rate.is_zero() => "UDP rate is zero",
         WorkloadKind::Ping { count: 0, .. } => "ping count is zero",
+        // A probe re-arms at `now + interval`: a zero interval never lets
+        // virtual time advance.
+        WorkloadKind::Ping { interval, .. } if interval.is_zero() => "ping interval is zero",
         WorkloadKind::Wrk2 { connections: 0, .. } => "wrk2 needs at least one connection",
         WorkloadKind::Memcached { connections: 0 } => "memcached needs at least one connection",
         // `TcpSender` rounds an empty transfer up to one full segment, which
@@ -732,6 +735,34 @@ mod tests {
             .map(|l| l.utilization)
             .fold(0.0, f64::max);
         assert!((0.5..=1.1).contains(&max_util), "utilization {max_util}");
+    }
+
+    #[test]
+    fn ping_scenario_reports_rtt_and_jitter() {
+        let (topo, _, _) = generators::point_to_point(
+            Bandwidth::from_mbps(100),
+            SimDuration::from_millis(78),
+            SimDuration::from_millis_f64(1.2),
+        );
+        let report = Scenario::from_topology(topo)
+            .workload(
+                Workload::ping("client", "server")
+                    .count(500)
+                    .interval(SimDuration::from_millis(20)),
+            )
+            .run()
+            .expect("valid scenario");
+        let rtt = report.flows[0].rtt.as_ref().unwrap();
+        assert_eq!(rtt.replies, 500);
+        // RTT ≈ 2 × 78 ms; the two directions' jitter composes as
+        // √2 × 1.2 ms ≈ 1.7 ms.
+        assert!((rtt.mean_ms - 156.0).abs() < 2.0, "rtt {}", rtt.mean_ms);
+        assert!(
+            (rtt.jitter_ms - 1.7).abs() < 0.5,
+            "jitter {}",
+            rtt.jitter_ms
+        );
+        assert!(rtt.min_ms <= rtt.mean_ms && rtt.max_ms >= rtt.mean_ms);
     }
 
     #[test]
@@ -1096,6 +1127,125 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(report.backend, name);
             assert!(report.flows[0].rtt.as_ref().unwrap().replies > 0, "{name}");
+        }
+    }
+}
+
+/// The iPerf workloads, measured end to end through the builder.
+#[cfg(test)]
+mod iperf {
+    #[cfg(test)]
+    mod tests {
+        use crate::*;
+        use kollaps_topology::generators;
+        use kollaps_transport::tcp::CongestionAlgorithm;
+
+        fn p2p(mbps: u64, latency: SimDuration) -> Topology {
+            let bandwidth = Bandwidth::from_mbps(mbps);
+            generators::point_to_point(bandwidth, latency, SimDuration::ZERO).0
+        }
+
+        #[test]
+        fn tcp_iperf_measures_the_shaped_rate() {
+            let report = Scenario::from_topology(p2p(20, SimDuration::from_millis(10)))
+                .workload(
+                    Workload::iperf_tcp("client", "server")
+                        .algorithm(CongestionAlgorithm::Cubic)
+                        .duration(SimDuration::from_secs(10)),
+                )
+                .run()
+                .expect("valid scenario");
+            let flow = &report.flows[0];
+            let mbps = flow.goodput_mbps.unwrap();
+            assert!((16.0..=20.5).contains(&mbps), "measured {mbps}");
+            assert!(!flow.per_second_mbps.is_empty());
+        }
+
+        #[test]
+        fn udp_iperf_measures_delivery() {
+            // A constant-bit-rate flow below the shaped rate is delivered
+            // whole.
+            let report = Scenario::from_topology(p2p(50, SimDuration::from_millis(2)))
+                .workload(
+                    Workload::iperf_udp("client", "server", Bandwidth::from_mbps(10))
+                        .duration(SimDuration::from_secs(5)),
+                )
+                .run()
+                .expect("valid scenario");
+            let mbps = report.flows[0].goodput_mbps.unwrap();
+            assert!((9.0..=10.5).contains(&mbps), "measured {mbps}");
+        }
+    }
+}
+
+/// The HTTP-style workloads (curl, wrk2), measured end to end through the
+/// builder.
+#[cfg(test)]
+mod http {
+    #[cfg(test)]
+    mod tests {
+        use crate::*;
+        use kollaps_topology::generators;
+
+        /// One `curl` run from `clients` against `node-0` of a 5-node,
+        /// 100 Mb/s star: the flow's report.
+        fn curl(clients: &[&str], duration: SimDuration) -> FlowReport {
+            let (star, _) =
+                generators::star(5, Bandwidth::from_mbps(100), SimDuration::from_millis(2));
+            let report = Scenario::from_topology(star)
+                .workload(Workload::curl("node-0", clients).duration(duration))
+                .run()
+                .expect("valid scenario");
+            report.flows[0].clone()
+        }
+
+        #[test]
+        fn curl_clients_complete_requests() {
+            let flow = curl(&["node-1"], SimDuration::from_secs(10));
+            let http = flow.http.as_ref().unwrap();
+            assert!(http.requests > 20, "only {} requests", http.requests);
+            assert!(flow.goodput_mbps.unwrap() > 1.0);
+            assert_eq!(http.samples_ms.len(), http.requests as usize);
+            assert_eq!(flow.per_second_mbps.len(), 10);
+        }
+
+        #[test]
+        fn more_curl_clients_mean_more_throughput() {
+            // Connection-per-request clients are RTT-bound, not link-bound:
+            // four clients fetch well over twice what one does.
+            let duration = SimDuration::from_secs(10);
+            let one = curl(&["node-1"], duration).goodput_mbps.unwrap();
+            let four = curl(&["node-1", "node-2", "node-3", "node-4"], duration)
+                .goodput_mbps
+                .unwrap();
+            assert!(
+                four > 2.0 * one,
+                "1 client {one:.1} Mb/s, 4 clients {four:.1} Mb/s"
+            );
+        }
+
+        #[test]
+        fn wrk2_keeps_connections_busy() {
+            let (topo, _, _) = generators::point_to_point(
+                Bandwidth::from_mbps(50),
+                SimDuration::from_millis(5),
+                SimDuration::ZERO,
+            );
+            let report = Scenario::from_topology(topo)
+                .workload(
+                    Workload::wrk2("server", "client")
+                        .connections(10)
+                        .request_size(DataSize::from_kib(64))
+                        .duration(SimDuration::from_secs(10)),
+                )
+                .run()
+                .expect("valid scenario");
+            let flow = &report.flows[0];
+            let requests = flow.http.as_ref().unwrap().requests;
+            assert!(requests > 50, "requests {requests}");
+            // The aggregate rate approaches the 50 Mb/s link.
+            let mbps = flow.goodput_mbps.unwrap();
+            assert!(mbps > 25.0, "throughput {mbps}");
         }
     }
 }

@@ -187,7 +187,7 @@ pub fn bft_latencies(
                     .filter(|&r| r != leader)
                     .map(|r| rtt_ms[leader][r] + j(&mut rng))
                     .collect();
-                replica_rtts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                replica_rtts.sort_by(f64::total_cmp);
                 let agreement =
                     2.0 * replica_rtts[quorum.saturating_sub(2).min(replica_rtts.len() - 1)];
                 samples.record((to_leader + agreement).max(0.1));

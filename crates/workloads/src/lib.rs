@@ -1,36 +1,23 @@
 //! # kollaps-workloads
 //!
-//! The application workloads of the Kollaps evaluation, rebuilt as traffic
-//! generators and latency models over the experiment runtime:
+//! The analytic application models of the Kollaps evaluation, all in
+//! [`kv`]: memcached/memtier closed-loop clients (Figure 4), the
+//! geo-replicated Cassandra/YCSB throughput-latency model (Figures 10
+//! and 11) and the BFT-SMaRt/Wheat state-machine-replication latency model
+//! (Figure 9).
 //!
-//! * [`iperf`] — iPerf3-like long-lived bulk TCP/UDP flows (Table 2,
-//!   Figures 5, 7, 8).
-//! * [`ping`] — ICMP echo RTT/jitter probes (Table 3, Table 4).
-//! * [`http`] — curl-like connection-per-request clients and wrk2-like
-//!   constant-connection request loops (Figures 5, 6, 7).
-//! * [`kv`] — memcached/memtier closed-loop clients (Figure 4), the
-//!   geo-replicated Cassandra/YCSB throughput-latency model (Figures 10
-//!   and 11) and the BFT-SMaRt/Wheat state-machine-replication latency
-//!   model (Figure 9).
-//!
-//! The packet-level workloads run against any [`kollaps_core::Dataplane`]
-//! (the Kollaps emulation or a baseline); the application-level models
-//! (Cassandra, BFT) consume the collapsed end-to-end properties, mirroring
-//! how the paper's applications only experience the emergent latency,
-//! jitter, loss and bandwidth.
+//! The models consume the collapsed end-to-end properties (RTT, jitter),
+//! mirroring how the paper's applications only experience the emergent
+//! latency, jitter, loss and bandwidth. The packet-level workloads (iPerf,
+//! ping, curl, wrk2, memcached) are `kollaps_scenario::Workload`, run by the
+//! scenario engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod http;
-pub mod iperf;
 pub mod kv;
-pub mod ping;
 
-pub use http::{run_curl_clients, run_wrk2, HttpReport};
-pub use iperf::{run_iperf_tcp, run_iperf_udp, IperfReport};
 pub use kv::{
     bft_latencies, cassandra_curve, memcached_throughput, BftSystem, CassandraConfig,
     CassandraPoint,
 };
-pub use ping::{run_ping, PingReport};

@@ -17,8 +17,10 @@ pub use kollaps_transport as transport;
 pub use kollaps_workloads as workloads;
 
 /// The most common types for writing experiments: the simulation substrate
-/// (time, units, RNG, stats), the scenario builder, and the entry points of
-/// the emulation stack for code that needs to drive a dataplane by hand.
+/// (time, units, RNG, stats), the scenario builder with its packet-level
+/// [`Workload`](kollaps_scenario::Workload)s, and the entry points of the
+/// emulation stack for code that needs to drive a dataplane by hand
+/// through [`Runtime`](kollaps_core::runtime::Runtime).
 pub mod prelude {
     pub use kollaps_sim::prelude::*;
 
@@ -36,5 +38,4 @@ pub mod prelude {
     pub use kollaps_topology::dsl::parse_experiment;
     pub use kollaps_topology::model::Topology;
     pub use kollaps_transport::tcp::{CongestionAlgorithm, TcpSenderConfig, TransferSize};
-    pub use kollaps_workloads::{run_iperf_tcp, run_iperf_udp, run_ping};
 }

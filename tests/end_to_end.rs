@@ -259,7 +259,10 @@ fn staggered_join_converges_to_the_new_shares() {
 /// Regression pin for the Figure 7 dynamic experiment (mixed long- and
 /// short-lived flows), driven through the **pre-scenario `Runtime` API** so
 /// it exercises the emulation core directly: an iPerf flow runs throughout,
-/// wrk2 hammers the same node in the middle third. The paper claims < 5 %
+/// wrk2 hammers the same node in the middle third. The builder's wrk2 slices
+/// and measures the run differently and reads another mid-phase deviation
+/// (16.0 % against 12.0 %), so the pin keeps its own wrk2 driver until a
+/// scoreboard pins both the same way. The paper claims < 5 %
 /// deviation from bare metal; this reproduction has deviated far more in
 /// the middle phase since the seed (documented in README "Known
 /// deviations"). The bounds below pin today's accuracy so dynamics-engine
@@ -267,11 +270,43 @@ fn staggered_join_converges_to_the_new_shares() {
 /// *improves*, tighten them.
 #[test]
 fn fig7_mixed_flows_accuracy_is_pinned() {
-    use kollaps::workloads::run_wrk2;
+    use kollaps::core::runtime::{Dataplane, RuntimeEvent};
+    use kollaps::netmodel::packet::Addr;
 
     const PHASE: u64 = 6;
 
-    fn phases<D: kollaps::core::runtime::Dataplane + Addressable>(dp: D) -> (f64, f64, f64) {
+    /// wrk2: `connections` persistent connections from `server` to
+    /// `client`, each sent the next `request` bytes as soon as its last
+    /// response completes, stepped in 100 ms slices for `duration`.
+    fn wrk2<D: Dataplane>(
+        rt: &mut Runtime<D>,
+        server: Addr,
+        client: Addr,
+        connections: usize,
+        request: DataSize,
+        duration: SimDuration,
+    ) {
+        let start = rt.now();
+        let end = start + duration;
+        let bytes = request.as_bytes();
+        for _ in 0..connections {
+            let size = TransferSize::Bytes(bytes);
+            rt.add_tcp_flow(server, client, size, TcpSenderConfig::default(), start);
+        }
+        let mut now = start;
+        while now < end {
+            now = (now + SimDuration::from_millis(100)).min(end);
+            for event in rt.run_until(now) {
+                if let RuntimeEvent::TcpCompleted { flow, at } = event {
+                    if at < end {
+                        rt.push_tcp_bytes(flow, bytes);
+                    }
+                }
+            }
+        }
+    }
+
+    fn phases<D: Dataplane + Addressable>(dp: D) -> (f64, f64, f64) {
         let iperf_client = dp.address_of_index(0);
         let wrk_client = dp.address_of_index(1);
         let iperf_server = dp.address_of_index(2);
@@ -284,7 +319,7 @@ fn fig7_mixed_flows_accuracy_is_pinned() {
             SimTime::ZERO,
         );
         let _ = rt.run_until(SimTime::from_secs(PHASE));
-        let _ = run_wrk2(
+        wrk2(
             &mut rt,
             iperf_client,
             wrk_client,

@@ -168,20 +168,28 @@ fn self_flows_and_zero_rates_are_rejected() {
 
 #[test]
 fn mininet_rejects_rates_above_its_ceiling() {
-    let (topo, _, _) = generators::point_to_point(
-        Bandwidth::from_gbps(2),
-        SimDuration::from_millis(5),
-        SimDuration::ZERO,
-    );
-    let err = Scenario::from_topology(topo)
-        .backend(Backend::mininet())
-        .workload(Workload::iperf_tcp("client", "server"))
+    let scenario = |rate: Bandwidth| {
+        let (topo, _, _) =
+            generators::point_to_point(rate, SimDuration::from_millis(5), SimDuration::ZERO);
+        Scenario::from_topology(topo)
+            .backend(Backend::mininet())
+            .workload(
+                Workload::iperf_tcp("client", "server").duration(SimDuration::from_millis(500)),
+            )
+    };
+    for rate in [Bandwidth::from_gbps(2), Bandwidth::from_gbps(10)] {
+        let err = scenario(rate).run().unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::UnsupportedBackend { ref backend, .. } if backend == "mininet"),
+            "{rate}: {err}"
+        );
+    }
+    // Below the 1 Gb/s ceiling the same scenario runs.
+    let report = scenario(Bandwidth::from_mbps(500))
         .run()
-        .unwrap_err();
-    assert!(
-        matches!(err, ScenarioError::UnsupportedBackend { ref backend, .. } if backend == "mininet"),
-        "{err}"
-    );
+        .expect("500 Mb/s is within the ceiling");
+    assert_eq!(report.backend, "mininet");
+    assert!(report.flows[0].goodput_mbps.is_some_and(|mbps| mbps > 0.0));
 }
 
 /// The Kollaps managers advertise paths as 16-bit link ids: a scenario that
@@ -290,6 +298,43 @@ fn zero_intervals_are_rejected() {
         .workload(Workload::ping("client", "server").count(3))
         .run()
         .expect("valid scenario");
+    assert_eq!(report.flows[0].rtt.as_ref().unwrap().replies, 3);
+}
+
+/// A ping probe re-arms at `now + interval`: a zero interval with an
+/// unbounded count under a duration cap would keep virtual time at t = 0
+/// forever. The builder, the wire spec and a mid-run injection all refuse it.
+#[test]
+fn a_zero_ping_interval_is_rejected() {
+    let expected = ScenarioError::InvalidWorkload {
+        reason: "ping interval is zero".into(),
+    };
+    let zero = || {
+        Workload::ping("client", "server")
+            .count(u64::MAX)
+            .interval(SimDuration::ZERO)
+    };
+    let scenario = Scenario::from_topology(p2p())
+        .duration(SimDuration::from_secs(1))
+        .workload(zero());
+    assert_eq!(scenario.clone().run().unwrap_err(), expected);
+    assert_eq!(scenario.clone().session().err(), Some(expected.clone()));
+    let text = scenario.to_spec_string().expect("serializable");
+    assert!(text.contains("\"interval_ns\":0"), "{text}");
+    let decoded = Scenario::from_spec_str(&text).expect("decodable");
+    assert_eq!(decoded.run().unwrap_err(), expected);
+
+    let mut session = Scenario::from_topology(p2p())
+        .duration(SimDuration::from_secs(1))
+        .workload(Workload::ping("client", "server").count(3))
+        .session()
+        .expect("valid scenario");
+    let err = session.inject_workload(zero()).unwrap_err();
+    assert_eq!(err, SessionError::Invalid(expected));
+    // The rejected probe was never armed: the session still steps.
+    session.step(SimDuration::from_millis(500)).expect("steps");
+    let report = session.finish();
+    assert_eq!(report.flows.len(), 1);
     assert_eq!(report.flows[0].rtt.as_ref().unwrap().replies, 3);
 }
 

@@ -38,13 +38,11 @@ fn prelude_reexports_resolve_and_are_usable() {
     );
     let (ca, cb) = (dp.address_of_index(0), dp.address_of_index(1));
     let mut rt = Runtime::new(dp);
-    let report = run_ping(&mut rt, ca, cb, 3, SimDuration::from_millis(100));
-    assert_eq!(report.samples.len(), 3);
-    assert!(
-        (report.mean_rtt_ms - 20.0).abs() < 1.0,
-        "rtt {}",
-        report.mean_rtt_ms
-    );
+    let probe = rt.add_ping(ca, cb, SimDuration::from_millis(100), 3, SimTime::ZERO);
+    let _ = rt.run_until(SimTime::from_secs(1));
+    let rtts = rt.ping_rtts(probe).expect("a ping probe");
+    assert_eq!(rtts.len(), 3);
+    assert!((rtts.mean() - 20.0).abs() < 1.0, "rtt {}", rtts.mean());
 }
 
 #[test]
