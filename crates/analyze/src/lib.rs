@@ -9,8 +9,8 @@
 //!   and `wall-clock` (no `Instant::now`/`SystemTime::now`/
 //!   `thread_rng` outside the measurement crates).
 //! * **panic-freedom** — `hot-path-panic` (`unwrap`/`expect`/`panic!` in
-//!   `core`/`sim`/`metadata`/`netmodel`/`transport`/`baselines`/`workloads`
-//!   library code) and `literal-index` (literal
+//!   `core`/`sim`/`metadata`/`netmodel`/`transport`/`baselines`/`workloads`/
+//!   `scenario` library code) and `literal-index` (literal
 //!   subscripts the scanner cannot bound-check).
 //! * **schema-drift** — the report/spec/bench version constants, README
 //!   docs and committed `BENCH_*.json` baselines must agree.
@@ -101,7 +101,8 @@ pub const RULES: &[RuleInfo] = &[
         name: "hot-path-panic",
         family: "panic-freedom",
         summary: "no unwrap/expect/panic!/todo!/unimplemented! in \
-                  core/sim/metadata/netmodel/transport/baselines/workloads library code",
+                  core/sim/metadata/netmodel/transport/baselines/workloads/scenario \
+                  library code",
     },
     RuleInfo {
         name: "literal-index",

@@ -27,6 +27,7 @@ pub const PANIC_CRATES: &[&str] = &[
     "transport",
     "baselines",
     "workloads",
+    "scenario",
 ];
 /// Crates allowed to read the wall clock / OS entropy: they measure or
 /// transport, never decide emulation results.

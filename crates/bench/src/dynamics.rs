@@ -126,8 +126,9 @@ fn traffic_leg(topo: &Topology, schedule: &EventSchedule) -> TrafficLeg {
         packets: delivered / MSS.as_bytes(),
         event_loop: session.event_loop_stats(),
         trees_visited_per_deliver: session
+            .kollaps()
+            .expect("a kollaps session")
             .packet_path_stats()
-            .expect("kollaps backend exposes packet-path counters")
             .trees_visited_per_deliver(),
     }
 }

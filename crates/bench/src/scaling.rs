@@ -137,12 +137,9 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
         while session.clock() < session.end() {
             session.step(SimDuration::from_millis(250)).expect("steps");
         }
-        let telemetry = session
-            .allocation_telemetry()
-            .expect("kollaps backend exposes allocation telemetry");
-        let packet_path = session
-            .packet_path_stats()
-            .expect("kollaps backend exposes packet-path counters");
+        let dp = session.kollaps().expect("a kollaps session");
+        let telemetry = (dp.allocation_micros(), dp.allocator_stats());
+        let packet_path = dp.packet_path_stats();
         let report = session.finish();
         (t.elapsed().as_secs_f64(), telemetry, packet_path, report)
     };

@@ -260,7 +260,7 @@ fn readme_dynamics_prose_quotes_the_committed_baseline() {
     let trees = cells("trees_visited_per_deliver");
     let quoted = quoted_after(
         &bullet,
-        "`trees_visited_per_deliver` (`Session::packet_path_stats()`):",
+        "`trees_visited_per_deliver` (`KollapsDataplane::packet_path_stats()`):",
     );
     assert_eq!(quoted.len(), trees.len(), "one quoted number per cell");
     for (shown, (elements, value)) in quoted.iter().zip(&trees) {

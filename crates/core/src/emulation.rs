@@ -231,10 +231,9 @@ pub struct KollapsDataplane {
     /// metric recomputes every loop; like the managers' own solvers, its
     /// memo keys on the snapshot's link table.
     omniscient: Allocator,
-    /// Per-host, per-iteration convergence gaps, recorded only when
-    /// [`KollapsDataplane::record_host_gaps`] was enabled (indexed by host,
-    /// aligned with `convergence.samples`).
-    host_gap_series: Option<Vec<Vec<f64>>>,
+    /// Per-host, per-iteration convergence gaps (indexed by host, aligned
+    /// with `convergence.samples`).
+    host_gap_series: Vec<Vec<f64>>,
     /// Flight recorder for phase spans and counters. Disabled by default —
     /// the disabled handle takes no timestamps, so emulation results are
     /// byte-identical with tracing off or on (tracing is wall-clock-only).
@@ -296,21 +295,6 @@ pub fn place_containers(
 }
 
 impl KollapsDataplane {
-    /// Builds the emulation for `topology` deployed over `hosts` physical
-    /// machines (containers are placed round-robin by [`place_containers`]).
-    pub fn new(
-        topology: Topology,
-        schedule: EventSchedule,
-        hosts: usize,
-        config: EmulationConfig,
-    ) -> Self {
-        // The whole dynamics of the experiment are precomputed here, before
-        // any traffic flows (paper §3: schedules are part of the experiment
-        // description, so nothing about a topology change is a surprise).
-        let timeline = SnapshotTimeline::precompute(&topology, &schedule);
-        KollapsDataplane::with_prepared(timeline, hosts, &HashMap::new(), config)
-    }
-
     /// Builds the emulation from an **already precomputed** snapshot
     /// timeline and an explicit container placement: `pinned` maps service
     /// nodes to host indices (`0..hosts`); services it does not mention fall
@@ -369,7 +353,7 @@ impl KollapsDataplane {
             next_delivery_seq: 0,
             convergence: ConvergenceStats::default(),
             omniscient: Allocator::default(),
-            host_gap_series: None,
+            host_gap_series: vec![Vec::new(); hosts],
             recorder: Recorder::disabled(),
             phase_stats: [PhaseStats::default(); LOOP_PHASE_COUNT],
             deliver_calls: 0,
@@ -378,12 +362,15 @@ impl KollapsDataplane {
         }
     }
 
-    /// Convenience constructor with the default configuration.
+    /// A static `topology` over `hosts` machines with the default
+    /// configuration and round-robin placement. It stays because
+    /// `benchmark/tests/selftest.rs` calls it.
     pub fn with_defaults(topology: Topology, hosts: usize) -> Self {
-        KollapsDataplane::new(
-            topology,
-            EventSchedule::new(),
+        let timeline = SnapshotTimeline::precompute(&topology, &EventSchedule::new());
+        KollapsDataplane::with_prepared(
+            timeline,
             hosts,
+            &HashMap::new(),
             EmulationConfig::default(),
         )
     }
@@ -457,21 +444,12 @@ impl KollapsDataplane {
         Some(LOOP_PHASES.iter().copied().zip(self.phase_stats).collect())
     }
 
-    /// Enables per-host convergence recording: from the next loop iteration
-    /// on, every scored iteration appends each host's own worst gap to a
-    /// per-host series (all series stay sample-aligned with
+    /// Each host's own worst convergence gap per scored loop iteration, one
+    /// series per host in host-id order (all sample-aligned with
     /// [`KollapsDataplane::convergence`]). The distributed runtime merges
     /// these series across agents to reconstruct the global gap.
-    pub fn record_host_gaps(&mut self) {
-        if self.host_gap_series.is_none() {
-            self.host_gap_series = Some(vec![Vec::new(); self.managers.len()]);
-        }
-    }
-
-    /// The recorded per-host gap series, one per host in host-id order.
-    /// Empty unless [`KollapsDataplane::record_host_gaps`] was called.
     pub fn host_gap_series(&self) -> &[Vec<f64>] {
-        self.host_gap_series.as_deref().unwrap_or(&[])
+        &self.host_gap_series
     }
 
     /// Number of physical hosts in the deployment.
@@ -725,10 +703,8 @@ impl KollapsDataplane {
             host_gaps[mi] = host_gaps[mi].max(g);
         }
         self.convergence.record(gap);
-        if let Some(series) = &mut self.host_gap_series {
-            for (host, &g) in host_gaps.iter().enumerate() {
-                series[host].push(g);
-            }
+        for (series, g) in self.host_gap_series.iter_mut().zip(host_gaps) {
+            series.push(g);
         }
     }
 
@@ -970,7 +946,12 @@ mod tests {
             },
         });
         let _ = (client_node, server_node);
-        let dp = KollapsDataplane::new(topo, schedule, 1, EmulationConfig::default());
+        let dp = KollapsDataplane::with_prepared(
+            SnapshotTimeline::precompute(&topo, &schedule),
+            1,
+            &HashMap::new(),
+            EmulationConfig::default(),
+        );
         let client = dp.address_of_index(0);
         let server = dp.address_of_index(1);
         let mut rt = Runtime::new(dp);
@@ -1015,7 +996,12 @@ mod tests {
                 },
             },
         });
-        let dp = KollapsDataplane::new(topo, schedule, 1, EmulationConfig::default());
+        let dp = KollapsDataplane::with_prepared(
+            SnapshotTimeline::precompute(&topo, &schedule),
+            1,
+            &HashMap::new(),
+            EmulationConfig::default(),
+        );
         // 8 services: 56 ordered pairs, precomputed as one delta of 14
         // (every pair involving client-0).
         assert_eq!(dp.timeline().len(), 1);
@@ -1120,7 +1106,12 @@ mod tests {
                 name: "server".into(),
             },
         });
-        let dp = KollapsDataplane::new(topo, schedule, 1, EmulationConfig::default());
+        let dp = KollapsDataplane::with_prepared(
+            SnapshotTimeline::precompute(&topo, &schedule),
+            1,
+            &HashMap::new(),
+            EmulationConfig::default(),
+        );
         let client = dp.address_of_index(0);
         let server = dp.address_of_index(1);
         let mut rt = Runtime::new(dp);
@@ -1240,8 +1231,7 @@ mod tests {
     /// gaps, so max/last/mean are all reconstructible from the series.
     #[test]
     fn host_gap_series_partition_the_global_gap() {
-        let (mut dp, (c0, s0), (c1, s1)) = split_dumbbell(EmulationConfig::default());
-        dp.record_host_gaps();
+        let (dp, (c0, s0), (c1, s1)) = split_dumbbell(EmulationConfig::default());
         let mut rt = Runtime::new(dp);
         rt.add_udp_flow(c0, s0, Bandwidth::from_mbps(40), SimTime::ZERO, None);
         rt.add_udp_flow(
@@ -1276,7 +1266,12 @@ mod tests {
             metadata_delay: SimDuration::ZERO,
             ..EmulationConfig::default()
         };
-        let dp = KollapsDataplane::new(topo, EventSchedule::new(), 1, config);
+        let dp = KollapsDataplane::with_prepared(
+            SnapshotTimeline::precompute(&topo, &EventSchedule::new()),
+            1,
+            &HashMap::new(),
+            config,
+        );
         let c1 = dp.address_of_index(0);
         let s1 = dp.address_of_index(6);
         let c2 = dp.address_of_index(1);

@@ -117,7 +117,6 @@ fn prepare(message: &Value, me: u32, udp: UdpSocket) -> Result<Prepared, AgentEr
     let barrier_timeout = Duration::from_millis(message.field("barrier_timeout_ms")?);
     let peers = peers(message, me)?;
     let mut session = scenario.session()?;
-    session.record_host_gaps()?;
     let stats = Arc::new(SocketBusStats::default());
     let bus = SocketBus::new(
         (0..n_hosts as u32).map(HostId).collect(),
@@ -242,9 +241,9 @@ fn execute(prepared: Prepared, me: u32, control: &mut TcpStream) -> Result<Value
         wire::send(control, &wire::msg("health", fields))?;
     }
     let gaps = session
-        .host_gap_series()
-        .into_iter()
-        .nth(me as usize)
+        .kollaps()
+        .and_then(|dp| dp.host_gap_series().get(me as usize))
+        .cloned()
         .unwrap_or_default();
     let report = session.finish();
     let counters = Counters::read(&stats, me, &report.metadata_per_host);
@@ -307,7 +306,8 @@ pub fn run(coordinator: &str, me: u32) -> Result<(), AgentError> {
             Some("attach") => {
                 let cores = prepared
                     .as_ref()
-                    .and_then(|p| p.session.containers_on_host(me))
+                    .and_then(|p| p.session.kollaps()?.managers().get(me as usize))
+                    .map(|manager| manager.container_count())
                     .ok_or_else(|| AgentError::Protocol("attach before spec".to_string()))?;
                 wire::send(
                     &mut control,

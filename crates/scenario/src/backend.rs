@@ -2,12 +2,11 @@
 //! abstraction over the Kollaps collapsed emulation and every full-state
 //! baseline.
 //!
-//! Before this layer existed each caller hand-wired the backend-specific
-//! constructor (`KollapsDataplane::new`, `GroundTruthDataplane::new`, ...)
-//! and the duplicated `address_of_index` helpers. A [`Backend`] value now
-//! captures the *choice* of network under test, and [`AnyDataplane`] lets
-//! the scenario session drive whichever one was chosen through the common
-//! [`Dataplane`] + [`Addressable`] traits.
+//! A [`Backend`] value captures the *choice* of network under test, and
+//! the crate-private `AnyDataplane` lets the scenario session drive
+//! whichever one was chosen through the common [`Dataplane`] +
+//! [`Addressable`] traits. Kollaps-only state is read through
+//! `AnyDataplane::kollaps`, never projected here.
 
 use kollaps_baselines::maxinet::MaxinetConfig;
 use kollaps_baselines::mininet::MininetConfig;
@@ -203,7 +202,7 @@ impl Backend {
 
 /// Runtime-dispatched dataplane: whichever backend the scenario selected,
 /// driven through the shared [`Dataplane`] and [`Addressable`] traits.
-pub enum AnyDataplane {
+pub(crate) enum AnyDataplane {
     /// The Kollaps collapsed emulation.
     Kollaps(Box<KollapsDataplane>),
     /// The hop-by-hop ground truth.
@@ -229,8 +228,7 @@ macro_rules! dispatch {
 }
 
 impl AnyDataplane {
-    /// The Kollaps dataplane, when that is the selected backend (the live
-    /// session's steering and telemetry taps are Kollaps-specific).
+    /// The Kollaps dataplane, when that is the selected backend.
     pub(crate) fn kollaps(&self) -> Option<&KollapsDataplane> {
         match self {
             AnyDataplane::Kollaps(dp) => Some(dp),
@@ -238,76 +236,10 @@ impl AnyDataplane {
         }
     }
 
-    /// Mutable access to the Kollaps dataplane, for timeline extension.
+    /// Mutable access to the Kollaps dataplane, for steering.
     pub(crate) fn kollaps_mut(&mut self) -> Option<&mut KollapsDataplane> {
         match self {
             AnyDataplane::Kollaps(dp) => Some(dp),
-            _ => None,
-        }
-    }
-
-    /// Live offered load per original link as `(link, offered Mb/s,
-    /// capacity Mb/s)`, from the managers' most recent loop iteration
-    /// (Kollaps only; empty otherwise).
-    pub(crate) fn live_link_usage(&self) -> Vec<(u32, f64, f64)> {
-        let AnyDataplane::Kollaps(dp) = self else {
-            return Vec::new();
-        };
-        dp.link_usage()
-            .into_iter()
-            .map(|(link, offered)| {
-                let capacity = dp
-                    .collapsed()
-                    .link_capacity(link)
-                    .map(|b| b.as_mbps())
-                    .unwrap_or(f64::INFINITY);
-                (link.0, offered.as_mbps(), capacity)
-            })
-            .collect()
-    }
-
-    /// Total metadata bytes put on the physical network, when the backend
-    /// has an emulation manager exchanging metadata (Kollaps only).
-    pub fn metadata_network_bytes(&self) -> Option<u64> {
-        match self {
-            AnyDataplane::Kollaps(dp) => Some(dp.metadata_accounting().total_network_bytes()),
-            _ => None,
-        }
-    }
-
-    /// Per-host metadata traffic `(host, sent, received)` in bytes on the
-    /// physical network, in host-id order (Kollaps only; empty otherwise).
-    pub fn metadata_per_host(&self) -> Vec<(u32, u64, u64)> {
-        let AnyDataplane::Kollaps(dp) = self else {
-            return Vec::new();
-        };
-        let accounting = dp.metadata_accounting();
-        (0..dp.host_count() as u32)
-            .map(|h| {
-                let host = kollaps_metadata::bus::HostId(h);
-                (
-                    h,
-                    accounting.sent_bytes.get(&host).copied().unwrap_or(0),
-                    accounting.received_bytes.get(&host).copied().unwrap_or(0),
-                )
-            })
-            .collect()
-    }
-
-    /// How close the per-host Emulation Managers tracked the omniscient
-    /// allocation (Kollaps only).
-    pub fn convergence(&self) -> Option<kollaps_core::emulation::ConvergenceStats> {
-        match self {
-            AnyDataplane::Kollaps(dp) => Some(dp.convergence()),
-            _ => None,
-        }
-    }
-
-    /// Dynamics-engine accounting (Kollaps only; `None` when the scenario
-    /// had no dynamic events to precompute).
-    pub fn dynamics(&self) -> Option<kollaps_core::emulation::DynamicsStats> {
-        match self {
-            AnyDataplane::Kollaps(dp) if !dp.timeline().is_empty() => Some(dp.dynamics()),
             _ => None,
         }
     }

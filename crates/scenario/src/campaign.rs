@@ -14,7 +14,7 @@
 //! cross-variant aggregates, serializable to JSON like any report.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use kollaps_core::timeline::SnapshotTimeline;
 use kollaps_sim::prelude::*;
@@ -160,56 +160,61 @@ impl Campaign {
             })
             .min(variants.len())
             .max(1);
+        let run_variant = |i: usize| -> Result<Report, ScenarioError> {
+            let scenario = (variants[i].mutate)(base.clone());
+            let (topology, schedule) = scenario.expand()?;
+            // Before a shared precompute collapses it.
+            crate::validate_topology(&topology)?;
+            // Only the Kollaps backend consumes a timeline; baseline
+            // variants neither precompute nor count.
+            let kollaps = matches!(scenario.backend, Backend::Kollaps { .. });
+            let shared = kollaps && topology == base_topology && schedule == base_schedule;
+            let prepared = if shared {
+                Some(base_timeline.get_or_init(|| {
+                    precomputes.fetch_add(1, Ordering::Relaxed);
+                    SnapshotTimeline::precompute(&base_topology, &base_schedule)
+                }))
+            } else {
+                if kollaps {
+                    precomputes.fetch_add(1, Ordering::Relaxed);
+                }
+                None
+            };
+            let session = scenario.into_session(topology, schedule, prepared)?;
+            // A campaign-level span around the variant's whole run (no-op
+            // unless the base scenario enabled tracing; the handle outlives
+            // the session).
+            let tracer = session.tracer().clone();
+            let mut span = tracer.span(0, "campaign_variant");
+            span.arg("variant", i as f64);
+            Ok(session.finish())
+        };
+        // Each worker returns the variants it claimed. Every index is claimed
+        // exactly once, so the merged outcomes, sorted, are one per variant
+        // in declaration order. A worker panic is re-raised here.
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Report, ScenarioError>>>> =
-            variants.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= variants.len() {
-                        break;
-                    }
-                    let scenario = (variants[i].mutate)(base.clone());
-                    let result = (|| -> Result<Report, ScenarioError> {
-                        let (topology, schedule) = scenario.expand()?;
-                        // Before a shared precompute collapses it.
-                        crate::validate_topology(&topology)?;
-                        // Only the Kollaps backend consumes a timeline;
-                        // baseline variants neither precompute nor count.
-                        let kollaps = matches!(scenario.backend, Backend::Kollaps { .. });
-                        let shared =
-                            kollaps && topology == base_topology && schedule == base_schedule;
-                        let prepared = if shared {
-                            Some(base_timeline.get_or_init(|| {
-                                precomputes.fetch_add(1, Ordering::Relaxed);
-                                SnapshotTimeline::precompute(&base_topology, &base_schedule)
-                            }))
-                        } else {
-                            if kollaps {
-                                precomputes.fetch_add(1, Ordering::Relaxed);
-                            }
-                            None
-                        };
-                        let session = scenario.into_session(topology, schedule, prepared)?;
-                        // A campaign-level span around the variant's whole
-                        // run (no-op unless the base scenario enabled
-                        // tracing; the handle outlives the session).
-                        let tracer = session.tracer().clone();
-                        let mut span = tracer.span(0, "campaign_variant");
-                        span.arg("variant", i as f64);
-                        Ok(session.finish())
-                    })();
-                    *slots[i].lock().expect("variant slot poisoned") = Some(result);
-                });
-            }
-        });
+        let mut outcomes: Vec<(usize, Result<Report, ScenarioError>)> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let claim = || {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                (i < variants.len()).then(|| (i, run_variant(i)))
+                            };
+                            std::iter::from_fn(claim).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+        outcomes.sort_unstable_by_key(|&(i, _)| i);
         let mut reports = Vec::with_capacity(variants.len());
-        for (variant, slot) in variants.iter().zip(slots) {
-            let report = slot
-                .into_inner()
-                .expect("variant slot poisoned")
-                .expect("every variant index was claimed by a worker")?;
+        for (variant, (_, result)) in variants.iter().zip(outcomes) {
+            let report = result?;
             reports.push(VariantReport {
                 name: variant.name.clone(),
                 report,

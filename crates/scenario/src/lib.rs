@@ -79,7 +79,7 @@ mod spec;
 mod telemetry;
 mod workload;
 
-pub use backend::{AnyDataplane, Backend};
+pub use backend::Backend;
 pub use campaign::{Campaign, CampaignAggregates, CampaignReport, VariantReport};
 pub use error::ScenarioError;
 pub use kollaps_dynamics::Churn;
@@ -676,7 +676,7 @@ fn validate_workload(topology: &Topology, workload: &Workload) -> Result<(), Sce
 /// The container addresses of a workload's server and clients.
 fn resolve_workload(
     topology: &Topology,
-    dataplane: &AnyDataplane,
+    dataplane: &backend::AnyDataplane,
     workload: &Workload,
 ) -> Result<(Addr, Vec<Addr>), ScenarioError> {
     let addr_of = |name: &String| -> Result<Addr, ScenarioError> {
@@ -1010,7 +1010,10 @@ mod tests {
                 let counts = scenario.containers_per_host().expect("valid placement");
                 let session = scenario.session().expect("valid scenario");
                 let expected: Vec<usize> = (0..hosts)
-                    .map(|h| session.containers_on_host(h).expect("kollaps host"))
+                    .map(|h| {
+                        session.kollaps().expect("kollaps host").managers()[h as usize]
+                            .container_count()
+                    })
                     .collect();
                 assert_eq!(counts, expected, "{hosts} hosts, pins {pins:?}");
                 assert_eq!(counts.iter().sum::<usize>(), services.len());

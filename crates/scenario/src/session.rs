@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use kollaps_core::collapse::Addressable;
+use kollaps_core::emulation::KollapsDataplane;
 use kollaps_core::runtime::{Runtime, RuntimeEvent};
 use kollaps_netmodel::packet::Addr;
 use kollaps_sim::prelude::*;
@@ -424,16 +425,31 @@ impl Session {
             .collect()
     }
 
+    /// The Kollaps dataplane under this session, read-only — `None` on a
+    /// baseline backend. Its per-host Emulation Managers, allocator and
+    /// packet-path counters, metadata accounting and per-host convergence
+    /// gap series are read straight from it; steering stays on the session
+    /// ([`Session::inject_event`], [`Session::install_metadata_bus`], ...).
+    pub fn kollaps(&self) -> Option<&KollapsDataplane> {
+        self.rt.dataplane.kollaps()
+    }
+
     /// Live offered load per original-topology link, from the emulation
     /// managers' most recent loop iteration (Kollaps backend only; empty
     /// otherwise).
     pub fn link_loads(&self) -> Vec<LinkReport> {
-        self.rt
-            .dataplane
-            .live_link_usage()
+        let Some(dp) = self.kollaps() else {
+            return Vec::new();
+        };
+        dp.link_usage()
             .into_iter()
-            .map(|(link, offered_mbps, capacity_mbps)| {
-                LinkReport::new(link, offered_mbps, capacity_mbps)
+            .map(|(link, offered)| {
+                let capacity_mbps = dp
+                    .collapsed()
+                    .link_capacity(link)
+                    .map(|b| b.as_mbps())
+                    .unwrap_or(f64::INFINITY);
+                LinkReport::new(link.0, offered.as_mbps(), capacity_mbps)
             })
             .collect()
     }
@@ -455,25 +471,6 @@ impl Session {
         self.aggregator.flow_classes()
     }
 
-    /// Cumulative bandwidth-allocation telemetry across every emulation
-    /// manager so far: wall-clock microseconds spent inside the min-max
-    /// allocator and the allocator's counters (calls, identical-input
-    /// fast-path hits, components solved). Kollaps backend only — the
-    /// scaling bench reads this to report allocation µs per loop.
-    pub fn allocation_telemetry(&self) -> Option<(u64, kollaps_core::AllocatorStats)> {
-        self.rt
-            .dataplane
-            .kollaps()
-            .map(|dp| (dp.allocation_micros(), dp.allocator_stats()))
-    }
-
-    /// Deterministic work counters of the packet path between ticks so far
-    /// (`deliver` calls, egress trees polled, polls that emitted). Kollaps
-    /// backend only; never part of the [`Report`].
-    pub fn packet_path_stats(&self) -> Option<kollaps_core::PacketPathStats> {
-        self.rt.dataplane.kollaps().map(|dp| dp.packet_path_stats())
-    }
-
     /// Deterministic work counters of the event loop so far (events popped,
     /// dataplane wake-ups handled, dead wake-ups dropped). Any backend;
     /// never part of the [`Report`].
@@ -484,24 +481,16 @@ impl Session {
     /// Metadata bytes put on the physical network so far, per host — the
     /// live view of what the final report exports as
     /// [`Report`]`::metadata_per_host`. Distributed agents read this
-    /// mid-run to stream health frames to the coordinator.
+    /// mid-run to stream health frames to the coordinator. Empty on a
+    /// baseline backend.
     pub fn metadata_per_host(&self) -> Vec<HostMetadata> {
-        self.rt
-            .dataplane
-            .metadata_per_host()
-            .into_iter()
-            .map(|(host, sent_bytes, received_bytes)| HostMetadata {
-                host,
-                sent_bytes,
-                received_bytes,
-            })
-            .collect()
+        self.kollaps().map(host_metadata).unwrap_or_default()
     }
 
     /// How close the decentralized enforcement has tracked the omniscient
     /// allocation so far (Kollaps backend only).
     pub fn convergence(&self) -> Option<ConvergenceReport> {
-        self.rt.dataplane.convergence().map(ConvergenceReport::from)
+        self.kollaps().map(|dp| dp.convergence().into())
     }
 
     // ------------------------------------------------------------------
@@ -511,58 +500,37 @@ impl Session {
     /// Replaces the Kollaps dataplane's dissemination transport — the
     /// distributed runtime injects its socket-backed bus here so metadata
     /// rides real datagrams instead of the modeled delay queue. Only valid
-    /// on the Kollaps backend and before the clock has advanced (swapping
+    /// on the Kollaps backend, before the clock has advanced (swapping
     /// transports mid-run would lose in-flight metadata, reported as
-    /// [`SessionError::PastInjection`]).
+    /// [`SessionError::PastInjection`]), and with a bus that connects
+    /// exactly the session's hosts, ids `0..hosts`.
     pub fn install_metadata_bus(
         &mut self,
         bus: Box<dyn kollaps_metadata::bus::Bus>,
     ) -> Result<(), SessionError> {
-        self.kollaps_or_unsupported("metadata bus replacement")?;
-        if self.cursor > SimTime::ZERO {
+        let now = self.cursor;
+        let backend = self.backend_name.clone();
+        let dp = self.kollaps_or_unsupported("metadata bus replacement")?;
+        if now > SimTime::ZERO {
             return Err(SessionError::PastInjection {
                 at_s: 0.0,
-                now_s: self.cursor.as_secs_f64(),
+                now_s: now.as_secs_f64(),
             });
         }
-        let dp = self.rt.dataplane.kollaps_mut().expect("checked above");
+        let hosts = dp.host_count() as u32;
+        let connected: Vec<u32> = bus.hosts().iter().map(|h| h.0).collect();
+        if !connected.iter().copied().eq(0..hosts) {
+            return Err(SessionError::Invalid(ScenarioError::UnsupportedBackend {
+                backend,
+                reason: format!(
+                    "the replacement metadata bus connects {} host(s) {connected:?}; the \
+                     session emulates {hosts} (ids 0..{hosts})",
+                    connected.len()
+                ),
+            }));
+        }
         dp.set_bus(bus);
         Ok(())
-    }
-
-    /// Enables per-host convergence recording (Kollaps backend only): every
-    /// scored loop iteration appends each host's own worst gap to a series
-    /// readable through [`Session::host_gap_series`]. Distributed agents
-    /// ship their host's series to the coordinator, which reconstructs the
-    /// global convergence metric as the per-iteration max across hosts.
-    pub fn record_host_gaps(&mut self) -> Result<(), SessionError> {
-        self.kollaps_or_unsupported("per-host convergence recording")?;
-        self.rt
-            .dataplane
-            .kollaps_mut()
-            .expect("checked above")
-            .record_host_gaps();
-        Ok(())
-    }
-
-    /// The recorded per-host convergence gap series, one per host in
-    /// host-id order. Empty unless [`Session::record_host_gaps`] enabled
-    /// recording (or on a non-Kollaps backend).
-    pub fn host_gap_series(&self) -> Vec<Vec<f64>> {
-        self.rt
-            .dataplane
-            .kollaps()
-            .map(|dp| dp.host_gap_series().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Number of containers placed on physical host `host` (Kollaps
-    /// backend only).
-    pub fn containers_on_host(&self, host: u32) -> Option<usize> {
-        let dp = self.rt.dataplane.kollaps()?;
-        dp.managers()
-            .get(host as usize)
-            .map(|m| m.container_count())
     }
 
     // ------------------------------------------------------------------
@@ -659,24 +627,22 @@ impl Session {
         schedule: EventSchedule,
         validate_names: bool,
     ) -> Result<(), SessionError> {
-        self.kollaps_or_unsupported("dynamic event injection")?;
+        let now = self.cursor;
+        let dp = self.kollaps_or_unsupported("dynamic event injection")?;
         for event in schedule.events() {
-            if SimTime::ZERO + event.at <= self.cursor {
+            if SimTime::ZERO + event.at <= now {
                 return Err(SessionError::PastInjection {
                     at_s: event.at.as_secs_f64(),
-                    now_s: self.cursor.as_secs_f64(),
+                    now_s: now.as_secs_f64(),
                 });
             }
         }
         if validate_names {
-            let dp = self.rt.dataplane.kollaps().expect("checked above");
             for event in schedule.events() {
                 let topo = dp.timeline().topology_at(event.at);
                 validate_action(&topo, &event.action)?;
             }
         }
-        let now = self.cursor;
-        let dp = self.rt.dataplane.kollaps_mut().expect("checked above");
         let derived = dp.extend_timeline(now, &schedule);
         self.recorder.instant(
             0,
@@ -697,13 +663,16 @@ impl Session {
         Ok(())
     }
 
+    /// The Kollaps dataplane steering `what` needs, or the typed error a
+    /// baseline backend answers with.
     fn kollaps_or_unsupported(
-        &self,
+        &mut self,
         what: &str,
-    ) -> Result<&kollaps_core::emulation::KollapsDataplane, SessionError> {
-        self.rt.dataplane.kollaps().ok_or_else(|| {
+    ) -> Result<&mut KollapsDataplane, SessionError> {
+        let backend = &self.backend_name;
+        self.rt.dataplane.kollaps_mut().ok_or_else(|| {
             SessionError::Invalid(ScenarioError::UnsupportedBackend {
-                backend: self.backend_name.clone(),
+                backend: backend.clone(),
                 reason: format!("{what} requires the Kollaps emulation manager"),
             })
         })
@@ -742,36 +711,36 @@ impl Session {
                 LinkReport::new(link, offered_mbps, capacity_mbps)
             })
             .collect();
-        let metadata_bytes = self.rt.dataplane.metadata_network_bytes();
-        let metadata_per_host = self.metadata_per_host();
-        let convergence = self.rt.dataplane.convergence().map(ConvergenceReport::from);
-        let phase_timing = self
-            .rt
-            .dataplane
-            .kollaps()
-            .and_then(|dp| dp.phase_timing())
-            .map(|phases| {
-                phases
-                    .into_iter()
-                    .map(|(phase, stats)| PhaseTimingReport {
-                        phase: phase.to_string(),
-                        total_micros: stats.total_micros,
-                        mean_micros: stats.mean_micros(),
-                        max_micros: stats.max_micros,
-                        count: stats.count,
-                    })
-                    .collect()
-            });
-        let dynamics = self.rt.dataplane.dynamics().map(|d| DynamicsReport {
-            precompute_micros: d.precompute_micros,
-            snapshots_precomputed: d.snapshots_precomputed,
-            snapshots_applied: d.snapshots_applied,
-            events_applied: d.events_applied,
-            mean_swap_cost: d.mean_swap_cost(),
-            max_swap_cost: d.changed_paths_max,
-            chains_touched: d.chains_touched_total,
-            pair_count: d.pair_count,
+        let kollaps = self.rt.dataplane.kollaps();
+        let metadata_bytes = kollaps.map(|dp| dp.metadata_accounting().total_network_bytes());
+        let metadata_per_host = kollaps.map(host_metadata).unwrap_or_default();
+        let convergence = kollaps.map(|dp| dp.convergence().into());
+        let phase_timing = kollaps.and_then(|dp| dp.phase_timing()).map(|phases| {
+            phases
+                .into_iter()
+                .map(|(phase, stats)| PhaseTimingReport {
+                    phase: phase.to_string(),
+                    total_micros: stats.total_micros,
+                    mean_micros: stats.mean_micros(),
+                    max_micros: stats.max_micros,
+                    count: stats.count,
+                })
+                .collect()
         });
+        // A scenario without dynamic events reports no dynamics block.
+        let dynamics = kollaps
+            .filter(|dp| !dp.timeline().is_empty())
+            .map(|dp| dp.dynamics())
+            .map(|d| DynamicsReport {
+                precompute_micros: d.precompute_micros,
+                snapshots_precomputed: d.snapshots_precomputed,
+                snapshots_applied: d.snapshots_applied,
+                events_applied: d.events_applied,
+                mean_swap_cost: d.mean_swap_cost(),
+                max_swap_cost: d.changed_paths_max,
+                chains_touched: d.chains_touched_total,
+                pair_count: d.pair_count,
+            });
         Report {
             scenario: std::mem::take(&mut self.scenario_name),
             backend: std::mem::take(&mut self.backend_name),
@@ -790,6 +759,21 @@ impl Session {
             phase_timing,
         }
     }
+}
+
+/// Per-host metadata traffic on the physical network, in host-id order.
+fn host_metadata(dp: &KollapsDataplane) -> Vec<HostMetadata> {
+    let accounting = dp.metadata_accounting();
+    (0..dp.host_count() as u32)
+        .map(|host| {
+            let id = kollaps_metadata::bus::HostId(host);
+            HostMetadata {
+                host,
+                sent_bytes: accounting.sent_bytes.get(&id).copied().unwrap_or(0),
+                received_bytes: accounting.received_bytes.get(&id).copied().unwrap_or(0),
+            }
+        })
+        .collect()
 }
 
 /// Validates the node names a dynamic action references against a concrete
@@ -1147,6 +1131,65 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_metadata_bus_over_other_hosts_is_a_typed_error() {
+        use kollaps_metadata::bus::{DisseminationBus, HostId};
+        let mut session = base(50).hosts(2).session().unwrap();
+        let one_host = DisseminationBus::new(vec![HostId(0)], SimDuration::ZERO);
+        let err = session
+            .install_metadata_bus(Box::new(one_host))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SessionError::Invalid(ScenarioError::UnsupportedBackend { reason, .. })
+                    if reason.contains("connects 1 host(s)") && reason.contains("emulates 2")
+            ),
+            "{err}"
+        );
+        // The refused bus left the session untouched: the right one installs.
+        let two_hosts = DisseminationBus::new(vec![HostId(0), HostId(1)], SimDuration::ZERO);
+        session
+            .install_metadata_bus(Box::new(two_hosts))
+            .expect("the session's own host set");
+        assert_eq!(session.finish().flows.len(), 1);
+    }
+
+    /// Every Kollaps-only view is empty on a baseline backend, live and in
+    /// the report.
+    #[test]
+    fn baselines_carry_no_kollaps_only_state() {
+        use kollaps_baselines::TrickleConfig;
+        let backends = [
+            Backend::ground_truth(),
+            Backend::mininet(),
+            Backend::maxinet(),
+            Backend::trickle(TrickleConfig::default_buffers(Bandwidth::from_mbps(20))),
+        ];
+        for backend in backends {
+            let name = backend.name();
+            let mut session = base(50).backend(backend).session().unwrap();
+            session.run_until(SimTime::from_secs(2)).unwrap();
+            assert!(session.kollaps().is_none(), "{name}");
+            assert!(session.link_loads().is_empty(), "{name}");
+            assert!(session.metadata_per_host().is_empty(), "{name}");
+            assert!(session.convergence().is_none(), "{name}");
+            let report = session.finish();
+            assert!(report.flows[0].goodput_mbps.is_some(), "{name} ran");
+            assert_eq!(report.metadata_bytes, None, "{name}");
+            assert!(report.metadata_per_host.is_empty(), "{name}");
+            assert!(report.convergence.is_none(), "{name}");
+            assert!(report.dynamics.is_none(), "{name}");
+            assert!(report.phase_timing.is_none(), "{name}");
+            let json = report.to_json();
+            for key in ["metadata_bytes", "convergence", "dynamics", "phase_timing"] {
+                assert!(json.get(key).is_some_and(|v| v.is_null()), "{name}: {key}");
+            }
+            let per_host = json.get("metadata_per_host").and_then(|v| v.as_array());
+            assert_eq!(per_host.map(<[_]>::len), Some(0), "{name}");
+        }
     }
 
     /// A sink recording everything, for the telemetry tests.

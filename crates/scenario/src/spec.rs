@@ -124,7 +124,8 @@ fn algorithm_name(algorithm: CongestionAlgorithm) -> &'static str {
 
 fn encode_workload(workload: &Workload) -> Value {
     let server = || workload.server.as_str().into();
-    let client = || workload.clients[0].as_str().into();
+    // Validation gives every workload a client.
+    let client = || workload.clients.first().map_or("", String::as_str).into();
     let clients = || Value::Array(workload.clients.iter().map(|c| c.as_str().into()).collect());
     let mut fields: Vec<(&str, Value)> = match &workload.kind {
         WorkloadKind::IperfTcp { algorithm } => vec![

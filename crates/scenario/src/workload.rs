@@ -383,17 +383,16 @@ impl LiveWorkload {
             }
             State::Http(http)
         };
+        // Validation gives every workload a client; iperf runs from its one.
+        let client = clients.first().copied();
         let state = match workload.kind {
-            WorkloadKind::IperfTcp { algorithm } => State::Tcp(rt.add_tcp_flow(
-                clients[0],
-                server,
-                TransferSize::Unbounded,
-                TcpSenderConfig::with_algorithm(algorithm),
-                start,
-            )),
-            WorkloadKind::IperfUdp { rate } => {
-                State::Udp(rt.add_udp_flow(clients[0], server, rate, start, Some(end)))
-            }
+            WorkloadKind::IperfTcp { algorithm } => client.map_or(State::Done, |client| {
+                let config = TcpSenderConfig::with_algorithm(algorithm);
+                State::Tcp(rt.add_tcp_flow(client, server, TransferSize::Unbounded, config, start))
+            }),
+            WorkloadKind::IperfUdp { rate } => client.map_or(State::Done, |client| {
+                State::Udp(rt.add_udp_flow(client, server, rate, start, Some(end)))
+            }),
             WorkloadKind::Ping { count, interval } => probes(rt, interval, count),
             WorkloadKind::Wrk2 {
                 connections,
@@ -522,16 +521,16 @@ impl LiveWorkload {
                 report.per_second_mbps = window_series(rt, flow, self.start, self.end);
                 report.retransmissions = rt.tcp_sender(flow).map(|s| s.stats().retransmissions);
                 rt.stop_tcp_flow(flow);
-                let (src, dst) = (self.clients[0], self.server);
-                demands.push(LinkDemand { src, dst, mbps });
+                let (client, dst) = (self.clients.first(), self.server);
+                demands.extend(client.map(|&src| LinkDemand { src, dst, mbps }));
             }
             State::Udp(flow) => {
                 let bytes = rt.udp_delivered_bytes(flow);
                 let mbps = DataSize::from_bytes(bytes).rate_over(window).as_mbps();
                 report.goodput_mbps = Some(mbps);
                 report.per_second_mbps = window_series(rt, flow, self.start, self.end);
-                let (src, dst) = (self.clients[0], self.server);
-                demands.push(LinkDemand { src, dst, mbps });
+                let (client, dst) = (self.clients.first(), self.server);
+                demands.extend(client.map(|&src| LinkDemand { src, dst, mbps }));
             }
             State::Probes(probes) => {
                 // The activity window is over: probes past it must not keep
@@ -556,7 +555,8 @@ impl LiveWorkload {
                         MEMCACHED_CAPACITY_OPS,
                     ));
                 } else {
-                    let stats = rt.ping_rtts(probes[0]).cloned().unwrap_or_default();
+                    let first = probes.first().and_then(|&probe| rt.ping_rtts(probe));
+                    let stats = first.cloned().unwrap_or_default();
                     report.rtt = Some(RttStats {
                         mean_ms: stats.mean(),
                         jitter_ms: stats.std_dev(),

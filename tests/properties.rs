@@ -656,9 +656,11 @@ fn mid_run_injection_equals_up_front_declaration() {
 fn single_host_decentralized_allocation_matches_centralized() {
     use kollaps::core::emulation::{EmulationConfig, KollapsDataplane};
     use kollaps::core::runtime::Runtime;
+    use kollaps::core::timeline::SnapshotTimeline;
     use kollaps::core::CollapsedTopology;
     use kollaps::topology::events::EventSchedule;
     use kollaps::topology::generators::ScaleFreeParams;
+    use std::collections::HashMap;
 
     for seed in [1u64, 7, 42] {
         let mut rng = SimRng::new(seed);
@@ -672,7 +674,8 @@ fn single_host_decentralized_allocation_matches_centralized() {
             metadata_delay: SimDuration::ZERO,
             ..EmulationConfig::default()
         };
-        let dp = KollapsDataplane::new(topo, EventSchedule::new(), 1, config);
+        let timeline = SnapshotTimeline::precompute(&topo, &EventSchedule::new());
+        let dp = KollapsDataplane::with_prepared(timeline, 1, &HashMap::new(), config);
         let mut rt = Runtime::new(dp);
         let mut pairs = Vec::new();
         for (i, &a) in nodes.iter().enumerate().take(8) {

@@ -30,12 +30,7 @@ fn prelude_reexports_resolve_and_are_usable() {
     let collapsed = CollapsedTopology::build(&topo);
     assert!(collapsed.path(a, b).is_some());
 
-    let dp = KollapsDataplane::new(
-        topo,
-        kollaps::topology::events::EventSchedule::new(),
-        1,
-        EmulationConfig::default(),
-    );
+    let dp = KollapsDataplane::with_defaults(topo, 1);
     let (ca, cb) = (dp.address_of_index(0), dp.address_of_index(1));
     let mut rt = Runtime::new(dp);
     let probe = rt.add_ping(ca, cb, SimDuration::from_millis(100), 3, SimTime::ZERO);
