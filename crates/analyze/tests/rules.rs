@@ -166,8 +166,7 @@ fn literal_index_bound_checked_by_array_decl() {
 
 #[test]
 fn literal_index_resolves_const_sized_arrays() {
-    // The `phase_stats: [PhaseStats; LOOP_PHASE_COUNT]` shape from the
-    // emulation loop: the size is a same-file literal const.
+    // An array sized by a same-file literal const.
     let src = "const N: usize = 5;\n\
                struct S { stats: [u64; N] }\n\
                impl S { fn f(&self) -> u64 { self.stats[4] } }\n";

@@ -27,14 +27,14 @@
 //!   manager at once — scores how far the decentralized decisions are from
 //!   the omniscient allocation ([`KollapsDataplane::convergence`]).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use kollaps_metadata::bus::{Bus, DisseminationBus, HostId, TrafficAccounting};
 use kollaps_netmodel::egress::EgressVerdict;
 use kollaps_netmodel::packet::{Addr, Packet};
 use kollaps_sim::prelude::*;
+use kollaps_sim::queue::TimedQueue;
 use kollaps_topology::events::EventSchedule;
 use kollaps_topology::model::{NodeId, Topology};
 use kollaps_trace::{PhaseStats, Recorder};
@@ -43,7 +43,7 @@ use crate::collapse::{Addressable, CollapsedTopology};
 use crate::manager::EmulationManager;
 use crate::runtime::{Dataplane, SendOutcome};
 use crate::sharing::{Allocator, AllocatorStats, FlowRef};
-use crate::timeline::SnapshotTimeline;
+use crate::timeline::{SnapshotDelta, SnapshotTimeline};
 
 /// Tuning knobs of the emulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,6 +86,10 @@ impl Default for EmulationConfig {
 /// allocation (the one a centralized solver with instantaneous knowledge
 /// would compute). The gap is the maximum relative difference between any
 /// manager's enforced rate and the omniscient rate for the same flow.
+///
+/// The block has one owner: [`ConvergenceStats::from_host_series`] folds
+/// it from the per-host gap series, both for the in-process dataplane and
+/// for the distributed coordinator, which merges its agents' series.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConvergenceStats {
     /// Gap measured in the most recent loop iteration.
@@ -100,8 +104,24 @@ pub struct ConvergenceStats {
 }
 
 impl ConvergenceStats {
-    /// Folds in one sampled gap. The distributed coordinator folds its
-    /// hosts' gaps here too, so both report bit-identical blocks.
+    /// Folds per-host gap series into the global block: sample `i`'s gap is
+    /// the max over every host that has an `i`-th sample (0.0 if none
+    /// exceeds it), recorded in sample order. Series may differ in length;
+    /// the block has as many samples as the longest one.
+    pub fn from_host_series(series: &[Vec<f64>]) -> Self {
+        let mut stats = ConvergenceStats::default();
+        let len = series.iter().map(Vec::len).max().unwrap_or(0);
+        for i in 0..len {
+            let gap = series
+                .iter()
+                .filter_map(|host| host.get(i))
+                .fold(0.0f64, |gap, &g| gap.max(g));
+            stats.record(gap);
+        }
+        stats
+    }
+
+    /// Folds in one sampled gap.
     pub fn record(&mut self, gap: f64) {
         self.last_gap = gap;
         self.max_gap = self.max_gap.max(gap);
@@ -127,7 +147,8 @@ impl ConvergenceStats {
 /// that per-event swap work follows the **delta** (paths the change
 /// affected), not the topology size — `changed_paths_*` against
 /// [`DynamicsStats::pair_count`] makes that measurable, and the
-/// `kollaps-bench dynamics` sweep measures it.
+/// `kollaps-bench dynamics` sweep measures it. A snapshot, not a ledger:
+/// [`KollapsDataplane::dynamics`] derives it on read from the timeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DynamicsStats {
     /// Wall-clock microseconds the offline timeline precompute took (paid
@@ -166,38 +187,7 @@ impl DynamicsStats {
 /// The phases of one emulation-loop iteration, in execution order. Phase
 /// spans and the [`KollapsDataplane::phase_timing`] breakdown both use
 /// these names.
-pub const LOOP_PHASES: [&str; LOOP_PHASE_COUNT] =
-    ["collect", "publish", "synchronize", "drain", "enforce"];
-
-/// Number of loop phases. A literal (rather than `LOOP_PHASES.len()`) so the
-/// static analyzer can bound-check the `phase_stats` subscripts against it.
-pub const LOOP_PHASE_COUNT: usize = 5;
-
-#[derive(Debug, Clone)]
-struct PendingDelivery {
-    arrival: SimTime,
-    seq: u64,
-    packet: Packet,
-}
-
-impl PartialEq for PendingDelivery {
-    fn eq(&self, other: &Self) -> bool {
-        self.arrival == other.arrival && self.seq == other.seq
-    }
-}
-impl Eq for PendingDelivery {}
-impl PartialOrd for PendingDelivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingDelivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.arrival
-            .cmp(&other.arrival)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
+pub const LOOP_PHASES: [&str; 5] = ["collect", "publish", "synchronize", "drain", "enforce"];
 
 /// The Kollaps collapsed-topology dataplane: N per-host Emulation Managers,
 /// the dissemination bus between them, and the physical-network delivery
@@ -213,9 +203,11 @@ pub struct KollapsDataplane {
     /// construction; runtime event application only swaps `Arc`s and
     /// touches the delta'd chains.
     timeline: SnapshotTimeline,
-    /// Index of the next unapplied timeline delta.
+    /// Index of the next unapplied timeline delta: `deltas()[..next_delta]`
+    /// is what [`KollapsDataplane::dynamics`] reports as applied.
     next_delta: usize,
-    dynamics: DynamicsStats,
+    /// Per-destination qdisc chains the applied deltas rewrote, all hosts.
+    chains_touched: usize,
     /// One Emulation Manager per physical host, in host-id order.
     managers: Vec<EmulationManager>,
     /// Physical host of each container, by container index.
@@ -224,26 +216,27 @@ pub struct KollapsDataplane {
     /// [`DisseminationBus`]; the distributed runtime swaps in a socket-backed
     /// implementation via [`KollapsDataplane::set_bus`].
     bus: Box<dyn Bus>,
-    pending: BinaryHeap<Reverse<PendingDelivery>>,
-    next_delivery_seq: u64,
-    convergence: ConvergenceStats,
+    /// Packets on the physical network, by arrival time.
+    pending: TimedQueue<Packet>,
     /// Solver for the omniscient reference allocation the convergence
     /// metric recomputes every loop; like the managers' own solvers, its
     /// memo keys on the snapshot's link table.
     omniscient: Allocator,
-    /// Per-host, per-iteration convergence gaps (indexed by host, aligned
-    /// with `convergence.samples`).
+    /// Per-host, per-scored-iteration convergence gaps, indexed by host;
+    /// every series has one entry per scored loop iteration.
     host_gap_series: Vec<Vec<f64>>,
+    /// `true` when the last loop iteration scored no flow: the global gap
+    /// then reads 0.0, though no sample was added.
+    last_tick_idle: bool,
     /// Flight recorder for phase spans and counters. Disabled by default —
     /// the disabled handle takes no timestamps, so emulation results are
     /// byte-identical with tracing off or on (tracing is wall-clock-only).
     recorder: Recorder,
     /// Per-phase wall-clock accumulators, indexed like [`LOOP_PHASES`].
     /// Meaningful only while the recorder is enabled.
-    phase_stats: [PhaseStats; LOOP_PHASE_COUNT],
+    phase_stats: [PhaseStats; LOOP_PHASES.len()],
     /// `deliver` calls since construction (see [`PacketPathStats`]).
     deliver_calls: u64,
-    next_tick: SimTime,
     started: bool,
 }
 
@@ -316,12 +309,6 @@ impl KollapsDataplane {
         config: EmulationConfig,
     ) -> Self {
         let collapsed = Arc::clone(timeline.initial());
-        let dynamics = DynamicsStats {
-            precompute_micros: timeline.stats().precompute_micros,
-            snapshots_precomputed: timeline.len(),
-            pair_count: collapsed.pair_count(),
-            ..DynamicsStats::default()
-        };
         let hosts = hosts.max(1);
         let host_ids: Vec<HostId> = (0..hosts as u32).map(HostId).collect();
         let rng = SimRng::new(config.seed);
@@ -345,19 +332,17 @@ impl KollapsDataplane {
             collapsed,
             timeline,
             next_delta: 0,
-            dynamics,
+            chains_touched: 0,
             managers,
             placement,
             bus,
-            pending: BinaryHeap::new(),
-            next_delivery_seq: 0,
-            convergence: ConvergenceStats::default(),
+            pending: TimedQueue::default(),
             omniscient: Allocator::default(),
             host_gap_series: vec![Vec::new(); hosts],
+            last_tick_idle: false,
             recorder: Recorder::disabled(),
-            phase_stats: [PhaseStats::default(); LOOP_PHASE_COUNT],
+            phase_stats: [PhaseStats::default(); LOOP_PHASES.len()],
             deliver_calls: 0,
-            next_tick: SimTime::ZERO,
             started: false,
         }
     }
@@ -445,9 +430,10 @@ impl KollapsDataplane {
     }
 
     /// Each host's own worst convergence gap per scored loop iteration, one
-    /// series per host in host-id order (all sample-aligned with
-    /// [`KollapsDataplane::convergence`]). The distributed runtime merges
-    /// these series across agents to reconstruct the global gap.
+    /// series per host in host-id order, all of the same length. This is
+    /// the only record of the gaps: [`KollapsDataplane::convergence`] folds
+    /// it, and the distributed coordinator folds its agents' series the
+    /// same way ([`ConvergenceStats::from_host_series`]).
     pub fn host_gap_series(&self) -> &[Vec<f64>] {
         &self.host_gap_series
     }
@@ -470,9 +456,15 @@ impl KollapsDataplane {
     }
 
     /// How close the decentralized enforcement tracked the omniscient
-    /// allocation so far.
+    /// allocation so far: the fold of [`KollapsDataplane::host_gap_series`],
+    /// except that `last_gap` reads 0.0 after a loop iteration that scored
+    /// no flow (such an iteration adds no sample).
     pub fn convergence(&self) -> ConvergenceStats {
-        self.convergence
+        let mut stats = ConvergenceStats::from_host_series(&self.host_gap_series);
+        if self.last_tick_idle {
+            stats.last_gap = 0.0;
+        }
+        stats
     }
 
     /// Total wall-clock microseconds all managers spent inside the
@@ -513,9 +505,27 @@ impl KollapsDataplane {
     }
 
     /// Runtime accounting of the dynamics engine (events applied, per-event
-    /// swap cost, offline precompute time).
+    /// swap cost, offline precompute time), read off the timeline: the
+    /// applied changes are its first deltas, which an extension never
+    /// re-derives (see [`KollapsDataplane::extend_timeline`]).
     pub fn dynamics(&self) -> DynamicsStats {
-        self.dynamics
+        let applied = self
+            .timeline
+            .deltas()
+            .get(..self.next_delta)
+            .unwrap_or_default();
+        let costs = applied.iter().map(SnapshotDelta::swap_cost);
+        DynamicsStats {
+            precompute_micros: self.timeline.stats().precompute_micros,
+            snapshots_precomputed: self.timeline.len(),
+            snapshots_applied: applied.len(),
+            events_applied: applied.iter().map(|d| d.events).sum(),
+            changed_paths_last: applied.last().map_or(0, SnapshotDelta::swap_cost),
+            changed_paths_total: costs.clone().sum(),
+            changed_paths_max: costs.max().unwrap_or(0),
+            chains_touched_total: self.chains_touched,
+            pair_count: self.timeline.initial().pair_count(),
+        }
     }
 
     /// Extends the precomputed timeline with injected events — the live
@@ -530,13 +540,20 @@ impl KollapsDataplane {
             extra.events().iter().all(|e| SimTime::ZERO + e.at > now),
             "injected events must be in the future"
         );
-        let _ = now;
+        // The extension keeps every delta before its first event; the
+        // applied prefix `dynamics()` reads must be among them.
+        let last_applied = self.next_delta.checked_sub(1);
+        let last_applied = last_applied.and_then(|i| self.timeline.deltas().get(i));
+        debug_assert!(
+            last_applied
+                .zip(extra.events().first())
+                .is_none_or(|(applied, first)| applied.at < first.at),
+            "injected events must follow the last applied delta"
+        );
         let mut span = self.recorder.span(0, "timeline_extend");
         let derived = self.timeline.extend(extra);
         span.arg("events", extra.events().len() as f64);
         span.arg("deltas_derived", derived as f64);
-        self.dynamics.snapshots_precomputed = self.timeline.len();
-        self.dynamics.precompute_micros = self.timeline.stats().precompute_micros;
         derived
     }
 
@@ -608,68 +625,65 @@ impl KollapsDataplane {
     /// measures locally, publishes, absorbs what the network delivered, and
     /// enforces from its own (possibly stale) view.
     fn emulation_loop(&mut self, now: SimTime) {
-        let traced = self.recorder.is_enabled();
         // Steps 1-2: each manager reads and clears its local TCAL usage.
-        let span = self.recorder.span(0, "collect");
-        for manager in &mut self.managers {
-            manager.collect_usage();
-        }
-        if traced {
-            self.phase_stats[0].record(span.elapsed_micros());
-        }
-        drop(span);
+        self.phase(0, |dp| {
+            for manager in &mut dp.managers {
+                manager.collect_usage();
+            }
+        });
         // Step 3: publish local usage, then drain. With a zero metadata
         // delay this iteration's publications arrive immediately (shared
         // memory semantics); with a nonzero delay managers enforce on last
         // iteration's news — the staleness the paper trades for
         // decentralization. Managers publish in host-id order.
-        let span = self.recorder.span(0, "publish");
-        for manager in &self.managers {
-            manager.publish(now, self.bus.as_mut());
-        }
-        if traced {
-            self.phase_stats[1].record(span.elapsed_micros());
-        }
-        drop(span);
+        self.phase(1, |dp| {
+            for manager in &dp.managers {
+                manager.publish(now, dp.bus.as_mut());
+            }
+        });
         // Between publish and drain the bus synchronizes: the modeled bus
         // moves due messages, a socket bus blocks until every peer's
         // datagram of this iteration has arrived (the lockstep barrier).
-        let span = self.recorder.span(0, "synchronize");
-        self.bus.synchronize(now);
-        if traced {
-            self.phase_stats[2].record(span.elapsed_micros());
-        }
-        drop(span);
-        let span = self.recorder.span(0, "drain");
-        for manager in &mut self.managers {
-            let deliveries = self.bus.drain(now, manager.host());
-            manager.absorb(deliveries);
-        }
-        if traced {
-            self.phase_stats[3].record(span.elapsed_micros());
-        }
-        drop(span);
+        self.phase(2, |dp| dp.bus.synchronize(now));
+        self.phase(3, |dp| {
+            for manager in &mut dp.managers {
+                let deliveries = dp.bus.drain(now, manager.host());
+                manager.absorb(deliveries);
+            }
+        });
         // Steps 4-5: each manager recomputes and enforces from what it has —
         // the hottest phase (min-max solve + qdisc writes).
-        let span = self.recorder.span(0, "enforce");
-        for manager in &mut self.managers {
-            manager.enforce(now);
-        }
-        if traced {
-            self.phase_stats[4].record(span.elapsed_micros());
-        }
+        self.phase(4, |dp| {
+            for manager in &mut dp.managers {
+                manager.enforce(now);
+            }
+        });
+        let span = self.recorder.span(0, "convergence");
+        let gap = self.update_convergence();
         drop(span);
-        self.update_convergence();
-        if traced {
-            self.recorder
-                .counter(0, "convergence_gap", self.convergence.last_gap);
+        self.recorder.counter(0, "convergence_gap", gap);
+    }
+
+    /// Runs `body` as the loop phase named `LOOP_PHASES[index]`: inside a
+    /// lane-0 span of that name, its wall time folded into the phase's
+    /// accumulator while tracing.
+    fn phase(&mut self, index: usize, body: impl FnOnce(&mut Self)) {
+        let span = self
+            .recorder
+            .span(0, LOOP_PHASES.get(index).copied().unwrap_or_default());
+        body(self);
+        if self.recorder.is_enabled() {
+            if let Some(stats) = self.phase_stats.get_mut(index) {
+                stats.record(span.elapsed_micros());
+            }
         }
     }
 
     /// Scores the decentralized decisions against the omniscient allocation
     /// (global instantaneous knowledge — exactly what the old centralized
-    /// loop enforced).
-    fn update_convergence(&mut self) {
+    /// loop enforced), appends each host's worst gap to its series and
+    /// returns the global gap (0.0 when no flow was scored).
+    fn update_convergence(&mut self) -> f64 {
         let collapsed = Arc::clone(&self.collapsed);
         let mut flows: Vec<FlowRef<'_>> = Vec::new();
         let mut keys: Vec<(usize, Addr, Addr)> = Vec::new();
@@ -683,12 +697,11 @@ impl KollapsDataplane {
                 keys.push((mi, src, dst));
             }
         }
-        if flows.is_empty() {
-            self.convergence.last_gap = 0.0;
-            return;
+        self.last_tick_idle = flows.is_empty();
+        if self.last_tick_idle {
+            return 0.0;
         }
         let omniscient = self.omniscient.solve(&flows, collapsed.link_table());
-        let mut gap = 0.0f64;
         let mut host_gaps = vec![0.0f64; self.managers.len()];
         for (&(mi, src, dst), target) in keys.iter().zip(omniscient) {
             let target = target.as_bps() as f64;
@@ -699,13 +712,12 @@ impl KollapsDataplane {
                 continue;
             };
             let g = (enforced.as_bps() as f64 - target).abs() / target;
-            gap = gap.max(g);
             host_gaps[mi] = host_gaps[mi].max(g);
         }
-        self.convergence.record(gap);
-        for (series, g) in self.host_gap_series.iter_mut().zip(host_gaps) {
+        for (series, &g) in self.host_gap_series.iter_mut().zip(&host_gaps) {
             series.push(g);
         }
+        host_gaps.into_iter().fold(0.0, f64::max)
     }
 
     /// Applies every precomputed change whose time has come: swaps in the
@@ -724,15 +736,9 @@ impl KollapsDataplane {
             for manager in &mut self.managers {
                 touched += manager.apply_delta(delta);
             }
-            let cost = delta.swap_cost();
-            span.arg("swap_cost", cost as f64);
+            span.arg("swap_cost", delta.swap_cost() as f64);
             span.arg("chains_touched", touched as f64);
-            self.dynamics.snapshots_applied += 1;
-            self.dynamics.events_applied += delta.events;
-            self.dynamics.changed_paths_last = cost;
-            self.dynamics.changed_paths_total += cost;
-            self.dynamics.changed_paths_max = self.dynamics.changed_paths_max.max(cost);
-            self.dynamics.chains_touched_total += touched;
+            self.chains_touched += touched;
             self.next_delta += 1;
         }
     }
@@ -770,7 +776,7 @@ impl Dataplane for KollapsDataplane {
         self.managers
             .iter()
             .filter_map(EmulationManager::next_wakeup)
-            .chain(self.pending.peek().map(|Reverse(p)| p.arrival))
+            .chain(self.pending.peek_time())
             .min()
     }
 
@@ -785,40 +791,22 @@ impl Dataplane for KollapsDataplane {
         }
         for pkt in egress_out {
             let arrival = now + self.extra_delay(pkt.src, pkt.dst);
-            let seq = self.next_delivery_seq;
-            self.next_delivery_seq += 1;
-            self.pending.push(Reverse(PendingDelivery {
-                arrival,
-                seq,
-                packet: pkt,
-            }));
+            self.pending.push(arrival, pkt);
         }
-        let mut out = Vec::new();
-        while let Some(Reverse(head)) = self.pending.peek() {
-            if head.arrival > now {
-                break;
-            }
-            let Some(Reverse(p)) = self.pending.pop() else {
-                break;
-            };
-            out.push(p.packet);
-        }
-        out
+        std::iter::from_fn(|| self.pending.pop_due(now)).collect()
     }
 
     fn tick(&mut self, now: SimTime) -> Option<SimTime> {
         if !self.started {
             self.started = true;
-            self.next_tick = now + self.config.loop_interval;
-            return Some(self.next_tick);
+            return Some(now + self.config.loop_interval);
         }
         let mut span = self.recorder.span(0, "tick");
         span.arg("sim_ms", now.as_millis() as f64);
         self.apply_dynamic_events(now);
         self.emulation_loop(now);
         drop(span);
-        self.next_tick = now + self.config.loop_interval;
-        Some(self.next_tick)
+        Some(now + self.config.loop_interval)
     }
 }
 
@@ -1257,6 +1245,82 @@ mod tests {
         assert!((max - stats.max_gap).abs() < 1e-12);
         assert!((sum - stats.sum_gap).abs() < 1e-9);
         assert!((merged.last().unwrap() - stats.last_gap).abs() < 1e-12);
+    }
+
+    /// `from_host_series` against the two folds it replaced: the
+    /// dataplane's per-tick fold over each scored flow's gap, and the
+    /// coordinator's per-sample fold over series of unequal length. All
+    /// four fields must agree bit for bit.
+    #[test]
+    fn from_host_series_matches_the_per_tick_fold() {
+        fn bits(s: ConvergenceStats) -> [u64; 4] {
+            [
+                s.last_gap.to_bits(),
+                s.max_gap.to_bits(),
+                s.sum_gap.to_bits(),
+                s.samples,
+            ]
+        }
+        let mut rng = SimRng::new(38);
+        for case in 0..200 {
+            let hosts = if case % 4 == 0 {
+                1
+            } else {
+                1 + rng.gen_index(4)
+            };
+            let zero_host = rng.gen_index(hosts + 1);
+            let gap = |rng: &mut SimRng, host: usize| {
+                if host == zero_host || rng.chance(0.2) {
+                    0.0
+                } else {
+                    rng.next_f64() * 2.0
+                }
+            };
+
+            // Per tick, every scored flow's gap folds into the global gap
+            // and its host's gap; the host gaps extend the series.
+            let mut per_tick = ConvergenceStats::default();
+            let mut series = vec![Vec::new(); hosts];
+            for _ in 0..rng.gen_index(30) {
+                let mut global = 0.0f64;
+                let mut host_gaps = vec![0.0f64; hosts];
+                for (host, host_gap) in host_gaps.iter_mut().enumerate() {
+                    for _ in 0..rng.gen_index(4) {
+                        let g = gap(&mut rng, host);
+                        global = global.max(g);
+                        *host_gap = host_gap.max(g);
+                    }
+                }
+                per_tick.record(global);
+                for (s, g) in series.iter_mut().zip(host_gaps) {
+                    s.push(g);
+                }
+            }
+            let folded = ConvergenceStats::from_host_series(&series);
+            assert_eq!(bits(folded), bits(per_tick), "case {case}");
+
+            // Unequal lengths: sample `i` is the max over the hosts that
+            // have one.
+            let series: Vec<Vec<f64>> = (0..hosts)
+                .map(|host| {
+                    let len = rng.gen_index(20);
+                    (0..len).map(|_| gap(&mut rng, host)).collect()
+                })
+                .collect();
+            let mut per_sample = ConvergenceStats::default();
+            let len = series.iter().map(Vec::len).max().unwrap_or(0);
+            for i in 0..len {
+                let mut global = 0.0f64;
+                for host in &series {
+                    if let Some(&g) = host.get(i) {
+                        global = global.max(g);
+                    }
+                }
+                per_sample.record(global);
+            }
+            let folded = ConvergenceStats::from_host_series(&series);
+            assert_eq!(bits(folded), bits(per_sample), "case {case}");
+        }
     }
 
     #[test]

@@ -111,6 +111,9 @@ pub struct Churn {
     start: SimDuration,
     horizon: SimDuration,
     seed: u64,
+    /// The first rate factor [`Churn::scale_rate`] refused; [`Churn::generate`]
+    /// reports it.
+    invalid_rate: Option<f64>,
 }
 
 impl Churn {
@@ -120,6 +123,7 @@ impl Churn {
             start: SimDuration::ZERO,
             horizon: SimDuration::from_secs(60),
             seed: 1,
+            invalid_rate: None,
         }
     }
 
@@ -278,14 +282,14 @@ impl Churn {
     /// replays are untouched (their timestamps are data, not a knob). This
     /// is the `Campaign::vary_churn_rate` axis.
     ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not a positive finite number.
+    /// A `factor` that is not a positive finite number scales nothing:
+    /// the spec remembers it and [`Churn::generate`] rejects it with
+    /// [`ChurnError::InvalidSpec`].
     pub fn scale_rate(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "churn rate factor must be positive: {factor}"
-        );
+        if !(factor.is_finite() && factor > 0.0) {
+            self.invalid_rate = self.invalid_rate.or(Some(factor));
+            return self;
+        }
         let scale = |d: SimDuration| d.mul_f64(1.0 / factor);
         match &mut self.kind {
             ChurnKind::PoissonFlaps {
@@ -314,6 +318,11 @@ impl Churn {
     /// Validates the spec against `topology` and expands it into a sorted
     /// [`EventSchedule`].
     pub fn generate(&self, topology: &Topology) -> Result<EventSchedule, ChurnError> {
+        if let Some(factor) = self.invalid_rate {
+            return Err(invalid(&format!(
+                "churn rate factor must be a positive finite number, got {factor}"
+            )));
+        }
         let mut events: Vec<DynamicEvent> = Vec::new();
         match &self.kind {
             ChurnKind::PoissonFlaps {

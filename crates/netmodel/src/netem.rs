@@ -6,11 +6,9 @@
 //! reached; a large jitter can therefore reorder packets exactly like the
 //! real qdisc does.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use serde::{Deserialize, Serialize};
 
+use kollaps_sim::queue::TimedQueue;
 use kollaps_sim::rng::{Distribution, SimRng};
 use kollaps_sim::time::{SimDuration, SimTime};
 
@@ -75,39 +73,13 @@ impl NetemConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct HeldPacket {
-    release: SimTime,
-    seq: u64,
-    packet: Packet,
-}
-
-impl PartialEq for HeldPacket {
-    fn eq(&self, other: &Self) -> bool {
-        self.release == other.release && self.seq == other.seq
-    }
-}
-impl Eq for HeldPacket {}
-impl PartialOrd for HeldPacket {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldPacket {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.release
-            .cmp(&other.release)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
 /// A netem qdisc instance.
 #[derive(Debug)]
 pub struct NetemQdisc {
     config: NetemConfig,
     rng: SimRng,
-    held: BinaryHeap<Reverse<HeldPacket>>,
-    next_seq: u64,
+    /// Accepted packets by release time, FIFO among equal times.
+    held: TimedQueue<Packet>,
     /// Counters for observability and tests.
     enqueued: u64,
     dropped_loss: u64,
@@ -129,8 +101,7 @@ impl NetemQdisc {
         NetemQdisc {
             config,
             rng,
-            held: BinaryHeap::new(),
-            next_seq: 0,
+            held: TimedQueue::default(),
             enqueued: 0,
             dropped_loss: 0,
             dropped_overflow: 0,
@@ -189,36 +160,19 @@ impl NetemQdisc {
             return NetemVerdict::Dropped(DropReason::NetemLoss);
         }
         let delay = self.sample_delay();
-        let release = now + delay;
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.enqueued += 1;
-        self.held.push(Reverse(HeldPacket {
-            release,
-            seq,
-            packet,
-        }));
+        self.held.push(now + delay, packet);
         NetemVerdict::Queued
     }
 
     /// The earliest time a held packet becomes releasable, if any.
     pub fn next_release(&self) -> Option<SimTime> {
-        self.held.peek().map(|Reverse(h)| h.release)
+        self.held.peek_time()
     }
 
     /// Removes and returns every packet whose release time is `<= now`.
     pub fn release_ready(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        while let Some(Reverse(head)) = self.held.peek() {
-            if head.release > now {
-                break;
-            }
-            let Some(Reverse(h)) = self.held.pop() else {
-                break;
-            };
-            out.push(h.packet);
-        }
-        out
+        std::iter::from_fn(|| self.held.pop_due(now)).collect()
     }
 
     fn sample_delay(&mut self) -> SimDuration {

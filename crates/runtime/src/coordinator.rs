@@ -30,6 +30,9 @@
 //! 6. The coordinator merges the partial reports — per-host health series
 //!    and socket-bus counters included — merges any per-agent traces into
 //!    one multi-process Chrome trace, sends `bye`, and joins the agents.
+//!    The convergence block is folded from the agents' gap series by
+//!    [`ConvergenceStats::from_host_series`], the fold an in-process
+//!    dataplane reads its own block through, so both are bit-identical.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -175,9 +178,11 @@ pub struct AgentStats {
 pub struct DistributedOutcome {
     /// The merged schema-version-4 report: agent 0's partial report with
     /// the metadata accounting replaced by real per-agent socket byte
-    /// counts, the convergence block recomputed from the per-host gap
-    /// series, per-host `health` series streamed while the run was live,
-    /// and a `socket_bus` block of per-agent barrier/loss counters.
+    /// counts, the convergence block folded from the agents' gap series by
+    /// [`ConvergenceStats::from_host_series`] (agent 0's own block stands
+    /// when no iteration was scored), per-host `health` series streamed
+    /// while the run was live, and a `socket_bus` block of per-agent
+    /// barrier/loss counters.
     pub report: Value,
     /// The bootstrap phase of every host, one row per handshake step:
     /// every host `BootstrapperScheduled`, then `ManagerLaunched` once all
@@ -217,28 +222,6 @@ fn set_field(report: &mut Value, key: &str, value: Value) {
     }
 }
 
-/// Recomputes the global convergence block from per-host gap series: the
-/// global gap of a sample is the max across hosts, folded in sample order
-/// by the emulation loop's own [`ConvergenceStats::record`], so the merged
-/// block is bit-identical to what a single in-process run reports.
-fn merge_convergence(series: &[Vec<f64>]) -> Option<ConvergenceReport> {
-    let len = series.iter().map(Vec::len).max()?;
-    if len == 0 {
-        return None;
-    }
-    let mut stats = ConvergenceStats::default();
-    for i in 0..len {
-        let mut gap = 0.0f64;
-        for host in series {
-            if let Some(&g) = host.get(i) {
-                gap = gap.max(g);
-            }
-        }
-        stats.record(gap);
-    }
-    Some(stats.into())
-}
-
 // One decoder per frame an agent sends (the sequence is in the module
 // docs); each reads every field through the shim's field reader.
 
@@ -275,9 +258,9 @@ fn health(frame: &Value) -> Result<(usize, Value), FieldError> {
 }
 
 /// `report { host, report, gaps, <counters>, trace? }`: an agent's partial
-/// report. [`merge_convergence`] lines the hosts' gap series up by index,
-/// so `gaps` must be an array of finite numbers: a skipped entry would
-/// shift every later sample of the host.
+/// report. [`ConvergenceStats::from_host_series`] lines the hosts' gap
+/// series up by index, so `gaps` must be an array of finite numbers: a
+/// skipped entry would shift every later sample of the host.
 struct AgentReport<'a> {
     host: u32,
     body: &'a Value,
@@ -581,8 +564,10 @@ pub fn run(
             })
             .collect();
         set_field(&mut merged, "metadata_per_host", Value::Array(rows));
-        if let Some(convergence) = merge_convergence(&series) {
-            set_field(&mut merged, "convergence", convergence.to_json());
+        let convergence = ConvergenceStats::from_host_series(&series);
+        if convergence.samples > 0 {
+            let block = ConvergenceReport::from(convergence).to_json();
+            set_field(&mut merged, "convergence", block);
         }
         // Live telemetry only the distributed runtime can produce: the
         // per-host health series streamed while the run was in flight and
@@ -805,17 +790,20 @@ mod tests {
 
     #[test]
     fn merged_convergence_lines_hosts_up_by_sample() {
-        let merged = merge_convergence(&[vec![0.1, 0.4, 0.2], vec![0.3, 0.1]]);
+        let merged = ConvergenceStats::from_host_series(&[vec![0.1, 0.4, 0.2], vec![0.3, 0.1]]);
         assert_eq!(
-            merged,
-            Some(ConvergenceReport {
+            ConvergenceReport::from(merged),
+            ConvergenceReport {
                 last_gap: 0.2,
                 max_gap: 0.4,
                 mean_gap: (0.3 + 0.4 + 0.2) / 3.0,
-            })
+            }
         );
-        assert_eq!(merge_convergence(&[]), None);
-        assert_eq!(merge_convergence(&[Vec::new(), Vec::new()]), None);
+        assert_eq!(ConvergenceStats::from_host_series(&[]).samples, 0);
+        assert_eq!(
+            ConvergenceStats::from_host_series(&[Vec::new(), Vec::new()]).samples,
+            0
+        );
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl Campaign {
     /// One variant per churn-rate multiplier: every churn generator of the
     /// base is accelerated by the factor (see [`crate::Churn::scale_rate`]).
     /// These variants change the event schedule, so they precompute their
-    /// own snapshot timelines.
+    /// own snapshot timelines. A factor that is not a positive finite
+    /// number fails the campaign with [`ScenarioError::InvalidChurn`].
     pub fn vary_churn_rate(mut self, factors: &[f64]) -> Self {
         for &factor in factors {
             self.variants.push(Variant {
@@ -531,6 +532,21 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownNodes { ref names } if names.len() == 2));
+    }
+
+    #[test]
+    fn an_invalid_churn_rate_factor_fails_the_campaign_typed() {
+        for factor in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = Campaign::over(base())
+                .vary_churn_rate(&[factor])
+                .threads(1)
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::InvalidChurn { reason } if reason.contains("rate factor")),
+                "x{factor}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1108,6 +1108,73 @@ mod tests {
         assert!((12.0..=17.5).contains(&mbps), "goodput {mbps}");
     }
 
+    /// The whole dynamics block of a run with declared churn and a mid-run
+    /// injection, whose timeline extension must leave the applied swaps
+    /// counted exactly once.
+    #[test]
+    fn dynamics_report_is_pinned_across_an_injection() {
+        let (topo, _, _) = generators::dumbbell(
+            3,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(50),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(10),
+        );
+        let scenario = Scenario::from_topology(topo)
+            .hosts(2)
+            .churn(
+                Churn::poisson_flaps(&[("client-0", "bridge-left")])
+                    .mean_uptime(SimDuration::from_millis(800))
+                    .mean_downtime(SimDuration::from_millis(200))
+                    .horizon(SimDuration::from_secs(5))
+                    .seed(7),
+            )
+            .workload(
+                Workload::iperf_udp("client-0", "server-0", Bandwidth::from_mbps(10))
+                    .duration(SimDuration::from_secs(6)),
+            )
+            .workload(
+                Workload::iperf_udp("client-1", "server-1", Bandwidth::from_mbps(10))
+                    .duration(SimDuration::from_secs(6)),
+            );
+        let mut session = scenario.session().unwrap();
+        session.run_until(SimTime::from_secs(2)).unwrap();
+        session
+            .inject_event(DynamicEvent {
+                at: SimDuration::from_millis(2500),
+                action: DynamicAction::SetLinkProperties {
+                    orig: "client-1".into(),
+                    dest: "bridge-left".into(),
+                    change: LinkChange {
+                        latency: Some(SimDuration::from_millis(5)),
+                        ..LinkChange::default()
+                    },
+                },
+            })
+            .expect("valid injection");
+        session.run_until(SimTime::from_secs(4)).unwrap();
+        let precompute_micros = session
+            .kollaps()
+            .expect("kollaps backend")
+            .timeline()
+            .stats()
+            .precompute_micros;
+        let dynamics = session.finish().dynamics.expect("dynamics block");
+        assert_eq!(
+            dynamics,
+            DynamicsReport {
+                precompute_micros,
+                snapshots_precomputed: 13,
+                snapshots_applied: 13,
+                events_applied: 13,
+                mean_swap_cost: 128.0 / 13.0,
+                max_swap_cost: 10,
+                chains_touched: 128,
+                pair_count: 30,
+            }
+        );
+    }
+
     #[test]
     fn baselines_reject_steering() {
         let mut session = Scenario::from_topology(p2p(50))

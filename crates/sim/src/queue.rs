@@ -1,9 +1,11 @@
 //! Deterministic future-event list.
 //!
-//! The event queue is a binary heap ordered by `(time, sequence)`. The
-//! monotonically increasing sequence number guarantees a deterministic,
-//! FIFO tie-break for events scheduled at the same instant, which in turn
-//! makes every experiment reproducible bit-for-bit for a given seed.
+//! [`TimedQueue`] is a clock-free binary heap ordered by `(time, insertion
+//! order)`: items due at the same instant pop in the order they were
+//! pushed, which makes every experiment reproducible bit-for-bit for a
+//! given seed. [`EventQueue`] is that queue plus the simulation clock; the
+//! netem qdisc's held packets and the dataplane's delivery queue use the
+//! bare queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,11 +47,75 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// A future-event list holding events of type `E`.
+/// Items keyed by a due time, popped earliest first and FIFO among equal
+/// times. It keeps no clock: any time may be pushed.
+#[derive(Debug)]
+pub struct TimedQueue<T> {
+    heap: BinaryHeap<ScheduledEvent<T>>,
+    next_seq: u64,
+}
+
+impl<T> Default for TimedQueue<T> {
+    fn default() -> Self {
+        TimedQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+}
+
+impl<T> TimedQueue<T> {
+    /// Number of queued items.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// `true` if nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Queues `item` due at `at`, after every item already due then.
+    pub fn push(&mut self, at: SimTime, item: T) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(ScheduledEvent {
+            time: at,
+            seq,
+            event: item,
+        });
+    }
+
+    /// Due time of the earliest item, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    /// Removes and returns the earliest item with its due time.
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    /// Removes and returns the earliest item if it is due at or before
+    /// `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<T> {
+        if self.peek_time()? > now {
+            return None;
+        }
+        self.pop().map(|(_, item)| item)
+    }
+
+    /// Removes every queued item.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+    }
+}
+
+/// A future-event list holding events of type `E`: a [`TimedQueue`] plus
+/// the simulation clock.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    next_seq: u64,
+    queue: TimedQueue<E>,
     now: SimTime,
     executed: u64,
 }
@@ -64,8 +130,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            queue: TimedQueue::default(),
             now: SimTime::ZERO,
             executed: 0,
         }
@@ -78,12 +143,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// `true` if there are no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// Total number of events executed (popped) over the queue's lifetime.
@@ -103,13 +168,7 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: at={at} now={}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent {
-            time: at,
-            seq,
-            event,
-        });
+        self.queue.push(at, event);
     }
 
     /// Schedules `event` after a delay relative to the current time.
@@ -120,16 +179,16 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.queue.peek_time()
     }
 
     /// Pops the next event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.time >= self.now);
-        self.now = ev.time;
+        let (time, event) = self.queue.pop()?;
+        debug_assert!(time >= self.now);
+        self.now = time;
         self.executed += 1;
-        Some((ev.time, ev.event))
+        Some((time, event))
     }
 
     /// Pops the next event only if it fires at or before `deadline`.
@@ -150,7 +209,7 @@ impl<E> EventQueue<E> {
 
     /// Removes all pending events, leaving the clock untouched.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.queue.clear();
     }
 }
 
@@ -209,6 +268,24 @@ mod tests {
         assert!(q.pop_until(SimTime::from_secs(5)).is_none());
         // The clock advanced to the deadline even though nothing fired.
         assert_eq!(q.now(), SimTime::from_secs(5));
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn a_timed_queue_pops_due_items_in_time_then_push_order() {
+        let mut q = TimedQueue::default();
+        let t = SimTime::from_millis(10);
+        q.push(SimTime::from_millis(20), "late");
+        q.push(t, "first");
+        q.push(t, "second");
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop_due(SimTime::from_millis(5)), None);
+        assert_eq!(q.pop_due(t), Some("first"));
+        assert_eq!(q.pop_due(t), Some("second"));
+        assert_eq!(q.pop_due(t), None);
+        // No clock: an earlier time may still be pushed.
+        q.push(SimTime::ZERO, "early");
+        assert_eq!(q.pop(), Some((SimTime::ZERO, "early")));
         assert_eq!(q.len(), 1);
     }
 
