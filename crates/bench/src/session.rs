@@ -7,11 +7,12 @@
 
 use std::time::Instant;
 
+use kollaps_netmodel::packet::MSS;
 use kollaps_scenario::{Campaign, Churn, Scenario, Workload};
 use kollaps_sim::prelude::*;
 use kollaps_topology::generators;
 
-use crate::record::{BenchRecord, BenchReport, TOLERANCE_WALL_CLOCK};
+use crate::record::{BenchRecord, BenchReport, TOLERANCE_DETERMINISTIC, TOLERANCE_WALL_CLOCK};
 
 /// Stepping overhead relative to one-shot is a within-process ratio, far
 /// more stable across runners than absolute wall time — gate it tighter.
@@ -67,11 +68,12 @@ fn campaign_scenario() -> Scenario {
 }
 
 /// Runs the sweep — one-shot baseline, stepped sessions at three
-/// granularities, then the 4-variant campaign serial vs 4 threads — and
-/// returns its perf-trajectory records: absolute wall times gate with the
-/// wide wall-clock tolerance, the stepping-overhead ratios with a tighter
-/// one (same-process ratios are stable), and the campaign speedup is
-/// informational (CI core counts vary).
+/// granularities, then the 4-variant campaign serial vs 4 threads, then
+/// one session of the campaign's base — and returns its perf-trajectory
+/// records: absolute wall times gate with the wide wall-clock tolerance,
+/// the stepping-overhead ratios with a tighter one (same-process ratios are
+/// stable), the campaign speedup is informational (CI core counts vary),
+/// and the pumps per packet are deterministic.
 pub fn run_session_bench() -> BenchReport {
     let mut report = BenchReport::new("session");
     let t0 = Instant::now();
@@ -144,5 +146,20 @@ pub fn run_session_bench() -> BenchReport {
         delays.len() as f64,
         "count",
     ));
+    report.push(
+        BenchRecord::new("campaign_pumps_per_packet", pumps_per_packet(), "1/pkt")
+            .lower_is_better(TOLERANCE_DETERMINISTIC),
+    );
     report
+}
+
+/// TCP sender pumps (all causes) per payload segment delivered, over one
+/// session of the campaign's base scenario. Deterministic: it falls only
+/// while the runtime's wake-ups pump just the senders that can send, and
+/// pumping every open sender at every wake-up again would trip its gate.
+fn pumps_per_packet() -> f64 {
+    let mut session = campaign_scenario().session().expect("valid scenario");
+    session.run_until(session.end()).expect("running");
+    let bytes: u64 = session.flow_progress().iter().map(|flow| flow.bytes).sum();
+    session.event_loop_stats().pumps as f64 / (bytes / MSS.as_bytes()) as f64
 }

@@ -287,6 +287,27 @@ pub fn place_containers(
         .collect()
 }
 
+/// The physical host of a container, by container index.
+fn host_of(placement: &[HostId], addr: Addr) -> Option<HostId> {
+    placement.get(addr.container_index()? as usize).copied()
+}
+
+/// The delay a packet adds past its egress tree: the container stack on
+/// both ends, plus the physical hop when its endpoints sit on different
+/// hosts.
+fn extra_delay(
+    config: &EmulationConfig,
+    placement: &[HostId],
+    src: Addr,
+    dst: Addr,
+) -> SimDuration {
+    let mut extra = config.container_overhead * 2;
+    if host_of(placement, src) != host_of(placement, dst) {
+        extra += config.cross_host_delay;
+    }
+    extra
+}
+
 impl KollapsDataplane {
     /// Builds the emulation from an **already precomputed** snapshot
     /// timeline and an explicit container placement: `pinned` maps service
@@ -450,9 +471,7 @@ impl KollapsDataplane {
 
     /// The physical host a container is placed on.
     pub fn placement_of(&self, addr: Addr) -> Option<HostId> {
-        self.placement
-            .get(addr.container_index()? as usize)
-            .copied()
+        host_of(&self.placement, addr)
     }
 
     /// How close the decentralized enforcement tracked the omniscient
@@ -611,14 +630,6 @@ impl KollapsDataplane {
     fn manager_of(&self, addr: Addr) -> Option<&EmulationManager> {
         let host = self.placement_of(addr)?;
         self.managers.get(host.0 as usize)
-    }
-
-    fn extra_delay(&self, src: Addr, dst: Addr) -> SimDuration {
-        let mut extra = self.config.container_overhead * 2;
-        if self.placement_of(src) != self.placement_of(dst) {
-            extra += self.config.cross_host_delay;
-        }
-        extra
     }
 
     /// Runs one iteration of the emulation loop at `now`: every manager
@@ -780,20 +791,32 @@ impl Dataplane for KollapsDataplane {
             .min()
     }
 
+    fn has_room(&self, src: Addr, dst: Addr) -> bool {
+        self.placement_of(src)
+            .and_then(|host| self.managers.get(host.0 as usize))
+            .is_none_or(|manager| manager.has_room(src, dst))
+    }
+
     fn deliver(&mut self, now: SimTime) -> Vec<Packet> {
         self.deliver_calls += 1;
-        // Move packets that finished their collapsed-path emulation onto the
-        // (fast) physical network towards the destination host. Managers in
-        // host order, each draining its trees in address order.
-        let mut egress_out = Vec::new();
-        for manager in &mut self.managers {
-            egress_out.extend(manager.dequeue_ready(now));
+        // Move packets that finished their collapsed-path emulation straight
+        // onto the (fast) physical network towards the destination host.
+        // Managers in host order, each draining its trees in address order.
+        let KollapsDataplane {
+            config,
+            managers,
+            placement,
+            pending,
+            ..
+        } = self;
+        for manager in managers.iter_mut() {
+            manager.dequeue_ready_with(now, |pkt| {
+                let arrival = now + extra_delay(config, placement, pkt.src, pkt.dst);
+                pending.push(arrival, pkt);
+            });
         }
-        for pkt in egress_out {
-            let arrival = now + self.extra_delay(pkt.src, pkt.dst);
-            self.pending.push(arrival, pkt);
-        }
-        std::iter::from_fn(|| self.pending.pop_due(now)).collect()
+        // The only allocation of the drain, and only when something arrived.
+        std::iter::from_fn(|| pending.pop_due(now)).collect()
     }
 
     fn tick(&mut self, now: SimTime) -> Option<SimTime> {

@@ -22,7 +22,8 @@
 //! disagree about the allocation — the convergence of those local decisions
 //! is exactly what the accuracy-vs-staleness experiment measures.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use kollaps_metadata::bus::{Bus, Delivery, HostId};
@@ -60,28 +61,55 @@ pub struct RemoteUsage {
     pub message: Arc<MetadataMessage>,
 }
 
-/// One local container's egress tree plus the key it currently holds in the
+/// The manager's wake index: a binary min-heap of `(wake, slot)` entries.
+type WakeHeap = BinaryHeap<Reverse<(SimTime, usize)>>;
+
+/// One local container's egress tree plus the wake it holds in the
 /// manager's wake index.
 struct Tcal {
     tree: EgressTree,
-    /// `tree.next_wakeup()` as of the last [`Tcal::reindex`];
-    /// `None` when the tree is idle or stalled on zero-rate classes.
+    /// `tree.next_wakeup()` as of the last [`Tcal::reindex`]; `None` when
+    /// the tree is idle or stalled on zero-rate classes, and while a poll
+    /// that popped the tree's entry is under way. A wake-index entry
+    /// `(t, slot)` is live only while its tree's `wake` is `Some(t)`.
     wake: Option<SimTime>,
 }
 
 impl Tcal {
-    /// Recomputes the tree's wake and moves its `(wake, slot)` key in the index.
-    fn reindex(&mut self, now: SimTime, slot: usize, wakes: &mut BTreeSet<(SimTime, usize)>) {
+    /// Recomputes the tree's wake. A changed wake is pushed as a new entry;
+    /// the old one goes stale and is dropped when it reaches the top.
+    fn reindex(&mut self, now: SimTime, slot: usize, wakes: &mut WakeHeap) {
         let wake = self.tree.next_wakeup(now).filter(|&t| t < SimTime::MAX);
         if wake != self.wake {
-            if let Some(old) = self.wake {
-                wakes.remove(&(old, slot));
-            }
             if let Some(new) = wake {
-                wakes.insert((new, slot));
+                wakes.push(Reverse((new, slot)));
             }
             self.wake = wake;
         }
+    }
+}
+
+/// Restores the wake index's two invariants after entries were pushed or
+/// trees re-indexed: its top entry is live (so "when next?" is one read),
+/// and it holds at most twice as many entries as there are trees — past
+/// that it is rebuilt from the trees' `wake` fields, in place.
+fn settle(wakes: &mut WakeHeap, egress: &[Tcal]) {
+    if wakes.len() > 2 * egress.len() {
+        let mut entries = std::mem::take(wakes).into_vec();
+        entries.clear();
+        entries.extend(
+            egress
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, tcal)| Some(Reverse((tcal.wake?, slot)))),
+        );
+        *wakes = BinaryHeap::from(entries);
+    }
+    while let Some(&Reverse((wake, slot))) = wakes.peek() {
+        if egress[slot].wake == Some(wake) {
+            break;
+        }
+        wakes.pop();
     }
 }
 
@@ -107,23 +135,29 @@ pub struct EmulationManager {
     /// order: trees are drained in that order so that same-instant packets
     /// enter the delivery queue deterministically.
     egress: Vec<Tcal>,
-    /// The **wake index**: `(wake, slot)` for every local tree that needs
-    /// service at a finite time, so the per-event question "when next?" is
-    /// one read instead of a poll of every deployed tree. Exact, not a hint:
-    /// the htb refills at `max(dequeue_cursor, enqueued_at)`, never at the
-    /// poll time, so a tree's wake is a pure function of its state and moves
-    /// only where [`Tcal::reindex`] is called — an enqueue into an empty htb
-    /// class, a `dequeue_ready` poll, `set_bandwidth`, `install_path` and
-    /// `remove_path`.
-    wakes: BTreeSet<(SimTime, usize)>,
+    /// The **wake index**: a binary min-heap holding a live `(wake, slot)`
+    /// entry for every local tree that needs service at a finite time, so
+    /// the per-event question "when next?" is one read of its top instead
+    /// of a poll of every deployed tree. An entry is live only while the
+    /// tree's [`Tcal::wake`] equals its time: a re-index pushes the new
+    /// wake and leaves the old entry stale, a poll pops the due entries
+    /// and clears the wakes they name (so the re-index after it pushes the
+    /// tree's next wake, whatever it is), and stale entries are dropped when they reach the top (see
+    /// [`settle`], which also bounds the heap to twice the tree count).
+    /// Exact, not a hint: the htb refills at `max(dequeue_cursor,
+    /// enqueued_at)`, never at the poll time, so a tree's wake is a pure
+    /// function of its state and moves only where [`Tcal::reindex`] is
+    /// called — an enqueue into an empty htb class, a poll,
+    /// `set_bandwidth`, `install_path` and `remove_path`.
+    wakes: WakeHeap,
     /// Slots of the local trees that lost a chain since the last poll. The
     /// removed chain's entry stays in that tree's active list until a poll
     /// compacts it, and where the compaction lands among later enqueues
     /// decides the order same-instant packets leave in, so the next
-    /// `dequeue_ready` polls these trees whatever their wake.
+    /// `dequeue_ready_with` polls these trees whatever their wake.
     revisit: Vec<usize>,
-    /// Trees `dequeue_ready` polled / polled and got packets from, since
-    /// construction (deterministic work counters).
+    /// Trees `dequeue_ready_with` polled / polled and got packets from,
+    /// since construction (deterministic work counters).
     trees_visited: u64,
     trees_emitted: u64,
     /// Latest received usage by remote host id (empty if never heard from).
@@ -195,7 +229,7 @@ impl EmulationManager {
             config,
             collapsed,
             egress,
-            wakes: BTreeSet::new(),
+            wakes: WakeHeap::new(),
             revisit: Vec::new(),
             trees_visited: 0,
             trees_emitted: 0,
@@ -272,46 +306,64 @@ impl EmulationManager {
         let (verdict, new_head) = tcal.tree.offer(now, packet);
         if new_head {
             tcal.reindex(now, slot, &mut self.wakes);
+            settle(&mut self.wakes, &self.egress);
         }
         Some(verdict)
     }
 
-    /// Packets that finished their collapsed-path emulation on this host,
-    /// tree by tree in container-address order. Only two sets of trees are
-    /// polled, each re-indexed after: those whose wake is due by `now`, and
-    /// those that lost a chain since the last poll. Polling any other tree
-    /// would release nothing and change none of its state.
-    pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
+    /// `true` unless the htb class from local container `src` towards `dst`
+    /// is full, i.e. unless an [`EmulationManager::enqueue`] of such a
+    /// packet now would be back-pressured.
+    pub fn has_room(&self, src: Addr, dst: Addr) -> bool {
+        self.egress
+            .binary_search_by_key(&src, |tcal| tcal.tree.owner())
+            .map_or(true, |slot| self.egress[slot].tree.has_room(dst))
+    }
+
+    /// Hands `sink` the packets that finished their collapsed-path
+    /// emulation on this host, tree by tree in container-address order.
+    /// Only two sets of trees are polled, each re-indexed after: those
+    /// whose wake is due by `now` (their entries are popped off the wake
+    /// index), and those that lost a chain since the last poll. Polling any
+    /// other tree would release nothing and change none of its state.
+    pub fn dequeue_ready_with(&mut self, now: SimTime, mut sink: impl FnMut(Packet)) {
         let mut slots = std::mem::take(&mut self.revisit);
-        slots.extend(
-            self.wakes
-                .iter()
-                .take_while(|&&(wake, _)| wake <= now)
-                .map(|&(_, slot)| slot),
-        );
+        while let Some(&Reverse((wake, slot))) = self.wakes.peek() {
+            if wake > now {
+                break;
+            }
+            self.wakes.pop();
+            let tcal = &mut self.egress[slot];
+            if tcal.wake == Some(wake) {
+                tcal.wake = None;
+                slots.push(slot);
+            }
+        }
         slots.sort_unstable();
         slots.dedup();
-        let mut out = Vec::new();
         for &slot in &slots {
             let tcal = &mut self.egress[slot];
-            let before = out.len();
-            out.extend(tcal.tree.dequeue_ready(now));
+            let mut emitted = false;
+            tcal.tree.dequeue_ready_with(now, |pkt| {
+                emitted = true;
+                sink(pkt);
+            });
             self.trees_visited += 1;
-            self.trees_emitted += u64::from(out.len() > before);
+            self.trees_emitted += u64::from(emitted);
             tcal.reindex(now, slot, &mut self.wakes);
         }
+        settle(&mut self.wakes, &self.egress);
         // Hand the emptied buffer back so the next poll reuses it.
         slots.clear();
         self.revisit = slots;
-        out
     }
 
     /// Earliest time any local TCAL needs service.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.wakes.first().map(|&(wake, _)| wake)
+        self.wakes.peek().map(|&Reverse((wake, _))| wake)
     }
 
-    /// `(visited, emitted)`: trees `dequeue_ready` polled, and polled with
+    /// `(visited, emitted)`: trees `dequeue_ready_with` polled, and polled with
     /// at least one packet coming out, since construction.
     pub fn trees_drained(&self) -> (u64, u64) {
         (self.trees_visited, self.trees_emitted)
@@ -600,6 +652,7 @@ impl EmulationManager {
                 tcal.reindex(now, slot, &mut self.wakes);
             }
         }
+        settle(&mut self.wakes, &self.egress);
     }
 
     /// Installs the per-destination chains of every (still empty) local TCAL
@@ -635,9 +688,16 @@ impl EmulationManager {
 
 /// Test-only oracles of the packet-path answers: the brute-force "when
 /// next?" the wake index replaced, and the poll of every tree that the
-/// index-driven `dequeue_ready` replaced.
+/// index-driven drain replaced.
 #[cfg(test)]
 impl EmulationManager {
+    /// [`EmulationManager::dequeue_ready_with`], collected into a `Vec`.
+    pub(crate) fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        self.dequeue_ready_with(now, |pkt| out.push(pkt));
+        out
+    }
+
     fn scan_next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
         self.egress
             .iter_mut()
@@ -657,16 +717,24 @@ impl EmulationManager {
                 tcal.reindex(now, slot, &mut self.wakes);
             }
         }
+        settle(&mut self.wakes, &self.egress);
         out
     }
 
     /// Local trees whose wake is due by `now`: what `dequeue_ready` polls
     /// when no chain was removed since the last poll.
     pub(crate) fn due_trees(&self, now: SimTime) -> u64 {
-        self.wakes
+        self.egress
             .iter()
-            .take_while(|&&(wake, _)| wake <= now)
+            .filter(|tcal| tcal.wake.is_some_and(|wake| wake <= now))
             .count() as u64
+    }
+
+    /// `(entries, live trees)`: entries in the wake index, stale ones
+    /// included, and the local trees holding a wake.
+    fn wake_entries(&self) -> (usize, usize) {
+        let live = self.egress.iter().filter(|tcal| tcal.wake.is_some());
+        (self.wakes.len(), live.count())
     }
 }
 
@@ -681,9 +749,10 @@ mod tests {
 
     /// Two managers built alike take the same seeded op sequence. After
     /// every op the wake index must equal the brute-force minimum over every
-    /// tree, and the production drain (the due trees plus those that lost a
-    /// chain, nothing else) must return the packet sequence that polling
-    /// every tree on every drain returns.
+    /// tree and hold at most two entries per tree, stale ones included, and
+    /// the production drain (the due trees plus those that lost a chain,
+    /// nothing else) must return the packet sequence that polling every tree
+    /// on every drain returns.
     #[test]
     fn wake_index_matches_the_brute_force_scan() {
         let (topo, clients, servers) = generators::dumbbell(
@@ -714,6 +783,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut next_id = 0u64;
         let (mut drained, mut backpressured, mut stalled, mut rate_moved_wake) = (0, 0, 0, 0);
+        let mut stale_entries = 0;
         for step in 0..6_000 {
             // A few hot sources keep queues (and back-pressure) building.
             let pick = |rng: &mut SimRng| {
@@ -823,6 +893,10 @@ mod tests {
                     m.scan_next_wakeup(now),
                     "step {step}: wakeup"
                 );
+                // Stale entries stay bounded by the rebuild.
+                let (entries, live) = m.wake_entries();
+                assert!(entries <= 2 * m.container_count(), "step {step}");
+                stale_entries += usize::from(entries > live);
             }
         }
         // The sequence must actually have exercised the interesting states.
@@ -830,6 +904,7 @@ mod tests {
         assert!(backpressured > 0, "no class ever filled up");
         assert!(stalled > 0, "no tree ever stalled on a zero-rate class");
         assert!(rate_moved_wake > 0, "enforcement never moved the head wake");
+        assert!(stale_entries > 0, "no wake-index entry ever went stale");
         assert!(skipped_polls > 0, "every drain polled a tree");
         assert!(
             polls_for_a_removal > 0,
@@ -837,6 +912,43 @@ mod tests {
         );
         let (visited, emitted) = indexed.trees_drained();
         assert!(emitted > 0 && visited >= emitted);
+    }
+
+    /// `settle` drops stale entries that reach the top, and rebuilds the
+    /// heap from the trees' wakes once it holds more than two entries per
+    /// tree.
+    ///
+    /// Mutation-checked: without the rebuild, or with a stale top kept,
+    /// this test fails.
+    #[test]
+    fn settle_keeps_a_live_top_and_at_most_two_entries_per_tree() {
+        let rng = SimRng::new(1);
+        let mut egress: Vec<Tcal> = (0..2)
+            .map(|i| Tcal {
+                tree: EgressTree::new(Addr::container(i), rng.derive(u64::from(i))),
+                wake: None,
+            })
+            .collect();
+        let at = SimTime::from_millis;
+        let mut wakes = WakeHeap::new();
+        let set = |egress: &mut [Tcal], wakes: &mut WakeHeap, slot: usize, ms: u64| {
+            egress[slot].wake = Some(at(ms));
+            wakes.push(Reverse((at(ms), slot)));
+            settle(wakes, egress);
+        };
+        // Tree 0 holds an early wake; tree 1's moves four times below it.
+        set(&mut egress, &mut wakes, 0, 1);
+        for ms in [9, 7, 8] {
+            set(&mut egress, &mut wakes, 1, ms);
+        }
+        assert_eq!(wakes.len(), 4, "stale entries below a live top stay");
+        set(&mut egress, &mut wakes, 1, 6);
+        assert_eq!(wakes.len(), 2, "five entries for two trees: rebuilt");
+        assert_eq!(wakes.peek(), Some(&Reverse((at(1), 0))));
+        // Tree 0's wake moves past tree 1's: its old entry is a stale top.
+        set(&mut egress, &mut wakes, 0, 8);
+        assert_eq!(wakes.peek(), Some(&Reverse((at(6), 1))));
+        assert_eq!(wakes.len(), 2);
     }
 
     /// The egress slot order is the drain order: same-instant packets

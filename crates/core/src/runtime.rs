@@ -44,6 +44,17 @@ pub trait Dataplane {
     /// Packets that have reached their destination container by `now`.
     fn deliver(&mut self, now: SimTime) -> Vec<Packet>;
 
+    /// Whether `src` could hand a packet towards `dst` to the network right
+    /// now. The contract: `false` only when a [`Dataplane::send`] from
+    /// `src` to `dst` at this instant would answer
+    /// [`SendOutcome::Backpressure`]; `true` is always a safe answer, and
+    /// the default. The runtime's wake-up does not pump a back-pressured
+    /// sender while its class answers `false`, so a dataplane that
+    /// back-pressures without answering here only costs refused offers.
+    fn has_room(&self, _src: Addr, _dst: Addr) -> bool {
+        true
+    }
+
     /// Periodic maintenance hook (the Kollaps emulation loop). Returns the
     /// time of the next maintenance round, or `None` if not needed.
     fn tick(&mut self, _now: SimTime) -> Option<SimTime> {
@@ -79,6 +90,10 @@ enum Ev {
     RtoCheck(FlowId),
     UdpSend(FlowId),
     PingSend(FlowId),
+    /// The dataplane's next wake-up (see `Runtime::sync_wakeup`): pumps the
+    /// open TCP senders that may have something to send (see
+    /// `Runtime::wakeup_pumps`), round-robin with a rotating start; the
+    /// drain after it delivers what is due.
     DataplaneWakeup,
     Tick,
 }
@@ -94,6 +109,11 @@ pub struct EventLoopStats {
     pub wakeups: u64,
     /// Dead (superseded or duplicate) dataplane wake-ups dropped unhandled.
     pub stale_wakeups: u64,
+    /// TCP sender pumps, all causes: start, pushed bytes, ACKs, timeouts
+    /// and wake-ups.
+    pub pumps: u64,
+    /// Distinct virtual instants among the events popped.
+    pub instants: u64,
 }
 
 /// One registered flow (see the module docs). A UDP flow's meter total is
@@ -115,6 +135,23 @@ struct TcpFlow {
     /// An `Ev::RtoCheck` is queued (at most one per flow, to keep the event
     /// count linear in simulated time rather than in packets).
     rto_armed: bool,
+    /// What the sender's last pump left it waiting for.
+    pump: PumpState,
+}
+
+/// What a TCP sender's last pump left it waiting for, which decides whether
+/// a dataplane wake-up pumps it (see `Runtime::wakeup_pumps`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PumpState {
+    /// Not pumped since it was added or given more bytes, or pumped only
+    /// before its start.
+    Fresh,
+    /// An offer of its last pump was back-pressured: the first refused
+    /// segment and the rest of its batch are parked, waiting for room.
+    Refused,
+    /// Its last pump sent everything its window and data allowed. Only an
+    /// ACK or a timeout changes that, and each pumps at once.
+    Idle,
 }
 
 /// The flow table: flow `id` is the record at index `id − 1`.
@@ -164,6 +201,14 @@ pub struct Runtime<D: Dataplane> {
     wakeup_scheduled: Option<SimTime>,
     wakeups: u64,
     stale_wakeups: u64,
+    pumps: u64,
+    instants: u64,
+    /// The time of the last event popped, for `instants`.
+    last_instant: Option<SimTime>,
+    /// The reference the wake-up rule is checked against: every open
+    /// sender pumped at every wake-up.
+    #[cfg(test)]
+    pump_every_sender: bool,
     /// Rotating start index of the back-pressure pump round-robin (see
     /// `Ev::DataplaneWakeup`).
     pump_rotation: usize,
@@ -183,6 +228,11 @@ impl<D: Dataplane> Runtime<D> {
             wakeup_scheduled: None,
             wakeups: 0,
             stale_wakeups: 0,
+            pumps: 0,
+            instants: 0,
+            last_instant: None,
+            #[cfg(test)]
+            pump_every_sender: false,
             pump_rotation: 0,
             sample_window: SimDuration::from_secs(1),
         };
@@ -212,6 +262,7 @@ impl<D: Dataplane> Runtime<D> {
                 receiver: TcpReceiver::new(flow, dst, src),
                 meter: RateMeter::new(window),
                 rto_armed: false,
+                pump: PumpState::Fresh,
             })
         });
         self.open_tcp.push(flow);
@@ -278,8 +329,13 @@ impl<D: Dataplane> Runtime<D> {
     /// Appends more application data to an existing TCP flow (request /
     /// response workloads reusing one connection).
     pub fn push_tcp_bytes(&mut self, flow: FlowId, bytes: u64) {
-        if let Some(sender) = self.flows.sender_mut(flow) {
-            sender.push_bytes(bytes);
+        if let Some(tcp) = self.flows.tcp_mut(flow) {
+            if let Some(sender) = tcp.sender.as_deref_mut() {
+                sender.push_bytes(bytes);
+                // New data: an idle sender has something to send again (the
+                // pump scheduled below runs before any wake-up at `now`).
+                tcp.pump = PumpState::Fresh;
+            }
         }
         self.queue.schedule(self.now(), Ev::PumpTcp(flow));
     }
@@ -331,6 +387,8 @@ impl<D: Dataplane> Runtime<D> {
             events: self.queue.total_executed(),
             wakeups: self.wakeups,
             stale_wakeups: self.stale_wakeups,
+            pumps: self.pumps,
+            instants: self.instants,
         }
     }
 
@@ -351,7 +409,14 @@ impl<D: Dataplane> Runtime<D> {
         // in `drain`, which re-syncs.
         self.sync_wakeup();
         loop {
-            match self.queue.pop_until(deadline) {
+            let popped = self.queue.pop_until(deadline);
+            if let Some((now, _)) = popped {
+                if self.last_instant != Some(now) {
+                    self.last_instant = Some(now);
+                    self.instants += 1;
+                }
+            }
+            match popped {
                 Some((now, Ev::DataplaneWakeup)) if self.wakeup_scheduled != Some(now) => {
                     self.stale_wakeups += 1;
                 }
@@ -434,15 +499,18 @@ impl<D: Dataplane> Runtime<D> {
                 // deterministic but not biased (always-lowest-id-first would
                 // let one flow starve the rest): round-robin over the ids in
                 // order with a rotating start. Pumping never opens or stops
-                // a flow, so `open_tcp` holds still. Every open sender is
-                // pumped, room or not; one still back-pressured costs a
-                // single refused offer, its parked batch is not rebuilt.
+                // a flow, so `open_tcp` holds still. A sender is pumped only
+                // when `wakeup_pumps` says the pump could do something; room
+                // is asked for at its turn, after the senders before it.
                 let open = self.open_tcp.len();
                 if open > 0 {
                     let start = self.pump_rotation % open;
                     self.pump_rotation = self.pump_rotation.wrapping_add(1);
                     for i in 0..open {
-                        self.pump_tcp(now, self.open_tcp[(start + i) % open]);
+                        let flow = self.open_tcp[(start + i) % open];
+                        if self.wakeup_pumps(flow) {
+                            self.pump_tcp(now, flow);
+                        }
                     }
                 }
             }
@@ -454,17 +522,62 @@ impl<D: Dataplane> Runtime<D> {
         }
     }
 
+    /// Whether a wake-up pumps the open sender of `flow`: a pump that is
+    /// skipped here is one that would change nothing any report reads.
+    ///
+    /// - A paced sender is always pumped: pacing has no timer of its own,
+    ///   the wake-up is its clock.
+    /// - A [`PumpState::Fresh`] one is: it may have started or been given
+    ///   bytes since its last pump.
+    /// - An [`PumpState::Idle`] one is not: its window and data changed only
+    ///   through `on_ack` and `on_timer`, which pump at once.
+    /// - A [`PumpState::Refused`] one is pumped only when its class has room
+    ///   now ([`Dataplane::has_room`]). Otherwise its window is as it was,
+    ///   so the pump would redraw its parked segments, be refused on the
+    ///   first and park them again in the same order; only the ids of
+    ///   packets built later would move, and no report reads those.
+    fn wakeup_pumps(&self, flow: FlowId) -> bool {
+        #[cfg(test)]
+        if self.pump_every_sender {
+            return true;
+        }
+        let Some(Flow::Tcp(tcp)) = self.flows.get(flow) else {
+            return false;
+        };
+        let Some(sender) = tcp.sender.as_deref() else {
+            return false;
+        };
+        sender.config().pacing.is_some()
+            || match tcp.pump {
+                PumpState::Fresh => true,
+                PumpState::Idle => false,
+                PumpState::Refused => self.dataplane.has_room(sender.src(), sender.dst()),
+            }
+    }
+
     /// Offers `flow`'s sendable segments to the dataplane one at a time.
     /// The first back-pressured one and the rest of the batch stay parked
-    /// in the sender's retransmit queue, unbuilt, for the next wake-up.
+    /// in the sender's retransmit queue, unbuilt, for a later pump.
     fn pump_tcp(&mut self, now: SimTime, flow: FlowId) {
-        let Some(sender) = self.flows.sender_mut(flow) else {
+        let Some(tcp) = self.flows.tcp_mut(flow) else {
+            return;
+        };
+        let Some(sender) = tcp.sender.as_deref_mut() else {
             return;
         };
         let dataplane = &mut self.dataplane;
+        let mut refused = false;
         sender.send_with(now, |pkt| {
-            dataplane.send(now, pkt) != SendOutcome::Backpressure
+            let accepted = dataplane.send(now, pkt) != SendOutcome::Backpressure;
+            refused |= !accepted;
+            accepted
         });
+        if refused {
+            tcp.pump = PumpState::Refused;
+        } else if now >= sender.started_at() {
+            tcp.pump = PumpState::Idle;
+        }
+        self.pumps += 1;
         self.schedule_rto(flow);
     }
 
@@ -553,6 +666,7 @@ impl<D: Dataplane> Runtime<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kollaps_transport::tcp::CongestionAlgorithm;
 
     /// A trivial dataplane: fixed delay, unlimited bandwidth, optional loss
     /// of every n-th packet. Lets the runtime logic be tested independently
@@ -894,6 +1008,31 @@ mod tests {
         assert!(rt.tcp_sender(flow).is_none());
     }
 
+    /// `pumps` counts every sender pump and `instants` the distinct event
+    /// times. Over a network that never back-pressures, a sender is pumped
+    /// once at its start and once per ACK, never by a wake-up: two 20-segment
+    /// transfers take 2 + 2 · 20 pumps.
+    #[test]
+    fn event_loop_stats_count_pumps_and_instants() {
+        let mut rt = Runtime::new(FixedDelayNet::new(SimDuration::from_millis(10)));
+        for start_ms in [0, 5] {
+            rt.add_tcp_flow(
+                addr(0),
+                addr(1),
+                TransferSize::Bytes(20 * MSS.as_bytes()),
+                TcpSenderConfig::default(),
+                SimTime::from_millis(start_ms),
+            );
+        }
+        let events = rt.run_until(SimTime::from_secs(1));
+        assert_eq!(events.len(), 2);
+        let stats = rt.event_loop_stats();
+        assert_eq!(stats.pumps, 42);
+        // The tick and the first start at 0, the second start at 5 ms, and
+        // eight wake-ups, one every 5 ms from 10 to 45 ms.
+        assert_eq!((stats.events, stats.instants), (11, 10));
+    }
+
     /// Fixed 1 ms delay, but only one data packet is accepted per instant:
     /// every other one is back-pressured, so the pump order alone decides
     /// which flow sends. Records the flow of every accepted data packet.
@@ -1058,5 +1197,313 @@ mod tests {
         for other in [tcp, udp, FlowId(0), FlowId(99)] {
             assert!(rt.ping_rtts(other).is_none());
         }
+    }
+
+    /// Bounded per-`(src, dst)` FIFO links: data packets wait in their
+    /// pair's queue of at most `cap` packets (a full one back-pressures, and
+    /// `has_room` says so), leave it one per `interval`, and every
+    /// `loss_every`-th departure on a lossy pair is lost; what departs
+    /// arrives `delay` later. ACKs bypass the queues and arrive 2 ms later.
+    /// Records every accepted packet as `(instant, flow, seq, sent_at)`,
+    /// an ACK with its cumulative ACK number as `seq`, so a reordering of
+    /// sends within an instant shows too.
+    struct BoundedNet {
+        cap: usize,
+        links: std::collections::BTreeMap<(Addr, Addr), BoundedLink>,
+        in_flight: kollaps_sim::queue::TimedQueue<Packet>,
+        accepted: Vec<(SimTime, FlowId, u64, SimTime)>,
+        refused: u64,
+    }
+
+    struct BoundedLink {
+        queue: std::collections::VecDeque<(SimTime, Packet)>,
+        /// When the head leaves (meaningful while the queue is not empty).
+        free_at: SimTime,
+        interval: SimDuration,
+        delay: SimDuration,
+        loss_every: Option<u64>,
+        departures: u64,
+    }
+
+    impl BoundedNet {
+        fn new(cap: usize) -> Self {
+            BoundedNet {
+                cap,
+                links: std::collections::BTreeMap::new(),
+                in_flight: kollaps_sim::queue::TimedQueue::default(),
+                accepted: Vec::new(),
+                refused: 0,
+            }
+        }
+
+        /// Pair-dependent link parameters on a 1 ms grid.
+        fn link(src: Addr, dst: Addr) -> BoundedLink {
+            let (s, d) = (src.as_u32() as u64, dst.as_u32() as u64);
+            BoundedLink {
+                queue: std::collections::VecDeque::new(),
+                free_at: SimTime::ZERO,
+                interval: SimDuration::from_millis(1 + (s + d) % 2),
+                delay: SimDuration::from_millis(2 + (s * 3 + d) % 4),
+                loss_every: ((s + d) % 3 == 0).then_some(9),
+                departures: 0,
+            }
+        }
+    }
+
+    impl Dataplane for BoundedNet {
+        fn send(&mut self, now: SimTime, packet: Packet) -> SendOutcome {
+            let seq = match packet.kind {
+                PacketKind::TcpData { seq } => seq,
+                PacketKind::TcpAck { ack, .. } => {
+                    self.accepted.push((now, packet.flow, ack, packet.sent_at));
+                    self.in_flight
+                        .push(now + SimDuration::from_millis(2), packet);
+                    return SendOutcome::Sent;
+                }
+                _ => unreachable!("only TCP runs over this network"),
+            };
+            let cap = self.cap;
+            let link = self
+                .links
+                .entry((packet.src, packet.dst))
+                .or_insert_with(|| Self::link(packet.src, packet.dst));
+            if link.queue.len() >= cap {
+                self.refused += 1;
+                return SendOutcome::Backpressure;
+            }
+            if link.queue.is_empty() {
+                link.free_at = link.free_at.max(now) + link.interval;
+            }
+            self.accepted.push((now, packet.flow, seq, packet.sent_at));
+            link.queue.push_back((now, packet));
+            SendOutcome::Sent
+        }
+
+        fn has_room(&self, src: Addr, dst: Addr) -> bool {
+            self.links
+                .get(&(src, dst))
+                .is_none_or(|link| link.queue.len() < self.cap)
+        }
+
+        fn next_wakeup(&mut self, _now: SimTime) -> Option<SimTime> {
+            let departures = self.links.values().filter(|l| !l.queue.is_empty());
+            departures
+                .map(|l| l.free_at)
+                .chain(self.in_flight.peek_time())
+                .min()
+        }
+
+        fn deliver(&mut self, now: SimTime) -> Vec<Packet> {
+            for link in self.links.values_mut() {
+                while link.free_at <= now {
+                    let Some((_, packet)) = link.queue.pop_front() else {
+                        break;
+                    };
+                    link.departures += 1;
+                    let lost = link
+                        .loss_every
+                        .is_some_and(|n| link.departures.is_multiple_of(n));
+                    if !lost {
+                        self.in_flight.push(link.free_at + link.delay, packet);
+                    }
+                    if !link.queue.is_empty() {
+                        link.free_at += link.interval;
+                    }
+                }
+            }
+            std::iter::from_fn(|| self.in_flight.pop_due(now)).collect()
+        }
+    }
+
+    /// What one run of a pump-rule schedule leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct PumpRun {
+        accepted: Vec<(SimTime, FlowId, u64, SimTime)>,
+        events: Vec<RuntimeEvent>,
+        /// Per flow: the sender's `TcpStats` (delivered segments and bytes,
+        /// retransmissions, fast retransmits, timeouts), received bytes and
+        /// RTO deadline.
+        flows: Vec<(Option<[u64; 5]>, u64, Option<SimTime>)>,
+    }
+
+    /// Adds a TCP flow from `src` to `dst` starting at `start`: Reno or
+    /// Cubic, paced or not, bounded or not, with a random window cap.
+    fn random_flow(
+        rt: &mut Runtime<BoundedNet>,
+        rng: &mut SimRng,
+        src: Addr,
+        dst: Addr,
+        start: SimTime,
+    ) -> FlowId {
+        let algorithm = if rng.chance(0.5) {
+            CongestionAlgorithm::Reno
+        } else {
+            CongestionAlgorithm::Cubic
+        };
+        let config = TcpSenderConfig {
+            pacing: rng
+                .chance(0.3)
+                .then(|| Bandwidth::from_mbps(rng.gen_range(2, 30))),
+            max_cwnd: [8.0, 40.0, 2_000.0][rng.gen_index(3)],
+            ..TcpSenderConfig::with_algorithm(algorithm)
+        };
+        let size = if rng.chance(0.5) {
+            TransferSize::Unbounded
+        } else {
+            TransferSize::Bytes(rng.gen_range(1, 300) * MSS.as_bytes())
+        };
+        rt.add_tcp_flow(src, dst, size, config, start)
+    }
+
+    /// Runs the seeded schedule `seed` over a [`BoundedNet`]. With
+    /// `every_sender`, each wake-up pumps every open sender (the reference
+    /// rule). Returns what the run left behind, its loop counters and the
+    /// offers its network refused.
+    fn pump_rule_run(seed: u64, every_sender: bool) -> (PumpRun, EventLoopStats, u64) {
+        let mut rng = SimRng::new(seed);
+        let mut rt = Runtime::new(BoundedNet::new(2 + rng.gen_index(4)));
+        rt.pump_every_sender = every_sender;
+        let (srcs, dsts) = ([addr(0), addr(1), addr(2)], [addr(10), addr(11)]);
+        let mut flows: Vec<FlowId> = Vec::new();
+        let mut events = Vec::new();
+        let mut deadline = SimTime::ZERO;
+        for _ in 0..160 {
+            match rng.gen_range(0, 10) {
+                0..=3 => {
+                    let now = rt.now();
+                    let (src, dst) = (srcs[rng.gen_index(3)], dsts[rng.gen_index(2)]);
+                    match (rng.gen_range(0, 3), rt.wakeup_scheduled) {
+                        (0, _) | (_, None) => {
+                            flows.push(random_flow(&mut rt, &mut rng, src, dst, now));
+                        }
+                        (1, _) => {
+                            let ms = now.as_millis() + rng.gen_range(1, 40);
+                            let start = SimTime::from_millis(ms);
+                            flows.push(random_flow(&mut rt, &mut rng, src, dst, start));
+                        }
+                        (_, Some(wake)) => {
+                            // Exactly at the queued wake-up, which pops
+                            // before the start's own pump.
+                            flows.push(random_flow(&mut rt, &mut rng, src, dst, wake));
+                        }
+                    }
+                }
+                4 if !flows.is_empty() => {
+                    let flow = flows[rng.gen_index(flows.len())];
+                    rt.push_tcp_bytes(flow, rng.gen_range(1, 60) * MSS.as_bytes());
+                }
+                5 if flows.len() > 4 => {
+                    rt.stop_tcp_flow(flows[rng.gen_index(flows.len())]);
+                }
+                _ => {}
+            }
+            deadline += SimDuration::from_micros(rng.gen_range(0, 25_000));
+            events.extend(rt.run_until(deadline));
+        }
+        pump_run_outcome(rt, &flows, events)
+    }
+
+    /// A flow that starts exactly at the wake-up queued when it is added,
+    /// after wake-ups have pumped it before its start: that queued wake-up
+    /// pops before the start's own pump and must pump it, before the drain
+    /// that follows sends an ACK.
+    fn start_at_a_queued_wakeup_run(every_sender: bool) -> (PumpRun, EventLoopStats, u64) {
+        let mut rt = Runtime::new(BoundedNet::new(2));
+        rt.pump_every_sender = every_sender;
+        let (to_10, from_2) = (addr(10), addr(2));
+        let one = TransferSize::Bytes(MSS.as_bytes());
+        let config = TcpSenderConfig::default();
+        // One segment leaves at 1 ms and arrives at 5 ms.
+        let mut flows = vec![rt.add_tcp_flow(addr(0), to_10, one, config, SimTime::ZERO)];
+        let mut events = rt.run_until(SimTime::from_micros(1_500));
+        let arrival = SimTime::from_millis(5);
+        assert_eq!(rt.wakeup_scheduled, Some(arrival));
+        // A flow starting then, and a slowly paced one starting now, whose
+        // first segment arms wake-ups at 2.5 and 4.5 ms.
+        let unbounded = TransferSize::Unbounded;
+        flows.push(rt.add_tcp_flow(from_2, to_10, unbounded, config, arrival));
+        let paced = TcpSenderConfig {
+            pacing: Some(Bandwidth::from_mbps(2)),
+            ..config
+        };
+        let now = rt.now();
+        flows.push(rt.add_tcp_flow(from_2, to_10, unbounded, paced, now));
+        events.extend(rt.run_until(SimTime::from_secs(1)));
+        pump_run_outcome(rt, &flows, events)
+    }
+
+    /// What a pump-rule run left behind, its loop counters and the offers
+    /// its network refused.
+    fn pump_run_outcome(
+        mut rt: Runtime<BoundedNet>,
+        flows: &[FlowId],
+        events: Vec<RuntimeEvent>,
+    ) -> (PumpRun, EventLoopStats, u64) {
+        let flows = flows
+            .iter()
+            .map(|&flow| {
+                let sender = rt.tcp_sender(flow);
+                let stats = sender.map(|s| {
+                    let t = s.stats();
+                    let bytes = t.delivered_bytes;
+                    let losses = [t.retransmissions, t.fast_retransmits, t.timeouts];
+                    [t.delivered_segments, bytes, losses[0], losses[1], losses[2]]
+                });
+                let deadline = sender.and_then(TcpSender::rto_deadline);
+                (stats, rt.tcp_received_bytes(flow), deadline)
+            })
+            .collect();
+        let stats = rt.event_loop_stats();
+        let accepted = std::mem::take(&mut rt.dataplane.accepted);
+        let run = PumpRun {
+            accepted,
+            events,
+            flows,
+        };
+        (run, stats, rt.dataplane.refused)
+    }
+
+    /// The wake-up pumps only the senders that may send — fresh, paced, or
+    /// refused with room now — and that must change nothing but the ids of
+    /// packets built later: on seeded schedules of paced and unpaced,
+    /// bounded and unbounded, Reno and Cubic flows (future starts, pushed
+    /// bytes, stops, loss) over bounded queues, the accepted packets, the
+    /// runtime events, the sender statistics and the RTO deadlines equal
+    /// those of pumping every open sender at every wake-up.
+    ///
+    /// Mutation-checked: treating a flow pumped before its start as idle,
+    /// or asking a paced flow's class for room, fails this test. Not
+    /// re-arming a flow on `push_tcp_bytes` cannot: the `Ev::PumpTcp` the
+    /// push schedules at the same instant pops before any wake-up there.
+    #[test]
+    fn wakeup_pumps_only_senders_that_can_send_and_change_nothing() {
+        let (mut skipped, mut refused, mut completed) = (0, 0, 0);
+        let mut losses = [0; 3];
+        for case in (0..12).map(Some).chain([None]) {
+            let run = |every_sender| match case {
+                Some(seed) => pump_rule_run(seed, every_sender),
+                None => start_at_a_queued_wakeup_run(every_sender),
+            };
+            let (reference, every, _) = run(true);
+            let (production, pumped, refusals) = run(false);
+            assert_eq!(production.accepted, reference.accepted, "{case:?}");
+            assert_eq!(production.events, reference.events, "{case:?}");
+            assert_eq!(production.flows, reference.flows, "{case:?}");
+            assert_eq!(pumped.events, every.events, "{case:?}");
+            skipped += every.pumps - pumped.pumps;
+            refused += refusals;
+            completed += production.events.len();
+            for (flow, _, _) in &production.flows {
+                for (total, n) in losses.iter_mut().zip(flow.iter().flat_map(|s| &s[2..])) {
+                    *total += n;
+                }
+            }
+        }
+        // The schedules reached every state the rule depends on.
+        assert!(skipped > 0, "no wake-up skipped a pump");
+        assert!(refused > 0, "no offer was back-pressured");
+        assert!(completed > 0, "no bounded transfer completed");
+        let [retransmissions, fast_retransmits, timeouts] = losses;
+        assert!(retransmissions > 0 && fast_retransmits > 0 && timeouts > 0);
     }
 }

@@ -21,7 +21,7 @@ use crate::packet::{Addr, DropReason, Packet};
 /// Outcome of pushing a packet into the egress tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EgressVerdict {
-    /// Accepted; it will pop out of [`EgressTree::dequeue_ready`] later.
+    /// Accepted; it will pop out of [`EgressTree::dequeue_ready_with`] later.
     Queued,
     /// The htb class for this destination is full — the sender must retry
     /// (TCP Small Queues back-pressure).
@@ -157,7 +157,7 @@ impl EgressTree {
     /// removal). Any packets still queued in the chain are discarded and
     /// counted as dropped. The chain's key — its destination index and
     /// install sequence number — stays in the active list until the next
-    /// [`EgressTree::dequeue_ready`] compacts it (no chain installed later
+    /// [`EgressTree::dequeue_ready_with`] compacts it (no chain installed later
     /// has that sequence number), and the chains that enter the list in
     /// between end up in another order, so a caller that polls only due
     /// trees must poll this one at its next drain whatever its wake — the
@@ -244,6 +244,12 @@ impl EgressTree {
         }
     }
 
+    /// `false` only when the htb class towards `dst` is full, that is when
+    /// an [`EgressTree::offer`] towards `dst` now would be back-pressured.
+    pub fn has_room(&self, dst: Addr) -> bool {
+        self.chain(dst).is_none_or(|chain| !chain.htb.is_full())
+    }
+
     /// The earliest instant at which a queued packet may become deliverable.
     pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
         let mut earliest = None;
@@ -262,18 +268,18 @@ impl EgressTree {
 
     /// Moves packets whose shaping completed by `now` into the netem stage
     /// (stamped with the exact instant they left the shaper, so late polls
-    /// do not distort timing) and returns every packet whose netem delay has
-    /// also elapsed — packets leaving the container towards the physical
-    /// network.
-    pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
+    /// do not distort timing) and hands `sink` every packet whose netem
+    /// delay has also elapsed — packets leaving the container towards the
+    /// physical network — chain by chain in active-list order. Allocates
+    /// nothing once each netem stage has held its peak.
+    pub fn dequeue_ready_with(&mut self, now: SimTime, mut sink: impl FnMut(Packet)) {
         let mut idx = 0;
         while let Some(&key) = self.active.get(idx) {
             let Some((chain, usage)) = listed(&mut self.slots, key) else {
                 self.active.swap_remove(idx);
                 continue;
             };
-            for (left_shaper_at, pkt) in chain.htb.dequeue_ready_timed(now) {
+            while let Some((left_shaper_at, pkt)) = chain.htb.pop_ready(now) {
                 // The shaped bytes are what the TCAL usage counters report,
                 // whether or not netem subsequently drops the packet.
                 if usage.is_zero() && !pkt.size.is_zero() {
@@ -285,7 +291,9 @@ impl EgressTree {
                 // never released.
                 let _ = chain.netem.enqueue(left_shaper_at, pkt);
             }
-            out.extend(chain.netem.release_ready(now));
+            while let Some(pkt) = chain.netem.pop_ready(now) {
+                sink(pkt);
+            }
             if chain.htb.is_empty() && chain.netem.is_empty() {
                 chain.listed_active = false;
                 self.active.swap_remove(idx);
@@ -293,6 +301,14 @@ impl EgressTree {
                 idx += 1;
             }
         }
+    }
+
+    /// [`EgressTree::dequeue_ready_with`], collected into a `Vec`. Only a
+    /// collecting wrapper: it stays because `benchmark/src/micro.rs` calls
+    /// it. The packet path uses the sink.
+    pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        self.dequeue_ready_with(now, |pkt| out.push(pkt));
         out
     }
 

@@ -180,47 +180,30 @@ impl HtbQdisc {
         }
     }
 
-    /// Dequeues every packet whose tokens are available by `now`, tagged
-    /// with the exact instant its tokens became available — the moment the
-    /// packet left the shaper. A single call can emit at most one burst
-    /// worth of data immediately; subsequent packets are paced by the token
-    /// refill rate, exactly like the kernel qdisc, even when the caller
-    /// polls less often than the packet rate.
-    pub fn dequeue_ready_timed(&mut self, now: SimTime) -> Vec<(SimTime, Packet)> {
-        let mut out = Vec::new();
-        while let Some(&(enqueued_at, ref head)) = self.queue.front() {
-            let head_size = head.size;
-            let at = self.dequeue_cursor.max(enqueued_at);
-            let wait = self.bucket.time_until_available(at, head_size);
-            if wait == SimDuration::MAX {
-                break;
-            }
-            let ready = at + wait;
-            if ready > now {
-                break;
-            }
-            if !self.bucket.try_consume(ready, head_size) {
-                break;
-            }
-            self.dequeue_cursor = ready;
-            let Some((_, pkt)) = self.queue.pop_front() else {
-                break;
-            };
-            self.queued_bytes = self.queued_bytes.saturating_sub(pkt.size);
-            self.transmitted_bytes += pkt.size;
-            self.transmitted_packets += 1;
-            out.push((ready, pkt));
+    /// Dequeues the head packet if its tokens are available by `now`,
+    /// tagged with the exact instant they became available — the moment
+    /// the packet left the shaper. Called until it returns `None`, it emits
+    /// at most one burst worth of data immediately; later packets are paced
+    /// by the token refill rate, exactly like the kernel qdisc, even when
+    /// the caller polls less often than the packet rate.
+    pub fn pop_ready(&mut self, now: SimTime) -> Option<(SimTime, Packet)> {
+        let &(enqueued_at, ref head) = self.queue.front()?;
+        let head_size = head.size;
+        let at = self.dequeue_cursor.max(enqueued_at);
+        let wait = self.bucket.time_until_available(at, head_size);
+        if wait == SimDuration::MAX {
+            return None;
         }
-        out
-    }
-
-    /// Dequeues every packet whose tokens are available by `now`, without
-    /// the per-packet timestamps of [`HtbQdisc::dequeue_ready_timed`].
-    pub fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
-        self.dequeue_ready_timed(now)
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect()
+        let ready = at + wait;
+        if ready > now || !self.bucket.try_consume(ready, head_size) {
+            return None;
+        }
+        self.dequeue_cursor = ready;
+        let (_, pkt) = self.queue.pop_front()?;
+        self.queued_bytes = self.queued_bytes.saturating_sub(pkt.size);
+        self.transmitted_bytes += pkt.size;
+        self.transmitted_packets += 1;
+        Some((ready, pkt))
     }
 }
 
@@ -228,6 +211,13 @@ impl HtbQdisc {
 mod tests {
     use super::*;
     use crate::packet::{Addr, FlowId, PacketKind, MTU};
+
+    /// Every packet `pop_ready` hands out by `now`.
+    fn drain(q: &mut HtbQdisc, now: SimTime) -> Vec<Packet> {
+        std::iter::from_fn(|| q.pop_ready(now))
+            .map(|(_, p)| p)
+            .collect()
+    }
 
     fn pkt(id: u64) -> Packet {
         Packet::new(
@@ -246,7 +236,7 @@ mod tests {
         let mut q = HtbQdisc::new(HtbConfig::default());
         q.enqueue(SimTime::ZERO, pkt(1));
         q.enqueue(SimTime::ZERO, pkt(2));
-        assert_eq!(q.dequeue_ready(SimTime::ZERO).len(), 2);
+        assert_eq!(drain(&mut q, SimTime::ZERO).len(), 2);
         assert_eq!(q.transmitted_packets(), 2);
     }
 
@@ -267,7 +257,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let end = SimTime::from_secs(1);
         loop {
-            for p in q.dequeue_ready(now) {
+            for p in drain(&mut q, now) {
                 sent += p.size;
             }
             match q.next_ready(now) {
@@ -300,7 +290,7 @@ mod tests {
             q.enqueue(SimTime::ZERO, pkt(i));
         }
         // Drain the initial burst allowance so the slow rate is the limiter.
-        let drained = q.dequeue_ready(SimTime::ZERO).len();
+        let drained = drain(&mut q, SimTime::ZERO).len();
         assert!(drained < 100);
         let slow_next = q.next_ready(SimTime::ZERO).unwrap();
         // At 8 Kb/s the next MTU packet needs ~1.5 s worth of tokens.
@@ -317,7 +307,7 @@ mod tests {
         for i in 0..10 {
             q.enqueue(SimTime::ZERO, pkt(i));
         }
-        let _ = q.dequeue_ready(SimTime::ZERO);
+        let _ = drain(&mut q, SimTime::ZERO);
         assert_eq!(q.transmitted_bytes().as_bytes(), 10 * MTU.as_bytes());
         assert_eq!(q.queued_bytes(), DataSize::ZERO);
     }
@@ -330,8 +320,8 @@ mod tests {
         for i in 0..3 {
             q.enqueue(SimTime::ZERO, pkt(i));
         }
-        assert_eq!(q.dequeue_ready(SimTime::ZERO).len(), 2);
+        assert_eq!(drain(&mut q, SimTime::ZERO).len(), 2);
         assert_eq!(q.next_ready(SimTime::from_secs(100)), Some(SimTime::MAX));
-        assert!(q.dequeue_ready(SimTime::from_secs(1_000)).is_empty());
+        assert!(drain(&mut q, SimTime::from_secs(1_000)).is_empty());
     }
 }

@@ -170,9 +170,11 @@ impl NetemQdisc {
         self.held.peek_time()
     }
 
-    /// Removes and returns every packet whose release time is `<= now`.
-    pub fn release_ready(&mut self, now: SimTime) -> Vec<Packet> {
-        std::iter::from_fn(|| self.held.pop_due(now)).collect()
+    /// Removes and returns the earliest held packet if its release time is
+    /// `<= now`; packets due at the same instant come out in the order they
+    /// were accepted.
+    pub fn pop_ready(&mut self, now: SimTime) -> Option<Packet> {
+        self.held.pop_due(now)
     }
 
     fn sample_delay(&mut self) -> SimDuration {
@@ -225,6 +227,11 @@ mod tests {
         )
     }
 
+    /// Every packet `pop_ready` releases by `now`.
+    fn release(q: &mut NetemQdisc, now: SimTime) -> Vec<Packet> {
+        std::iter::from_fn(|| q.pop_ready(now)).collect()
+    }
+
     fn qdisc(cfg: NetemConfig) -> NetemQdisc {
         NetemQdisc::new(cfg, SimRng::new(42))
     }
@@ -234,8 +241,8 @@ mod tests {
         let mut q = qdisc(NetemConfig::with_delay(SimDuration::from_millis(10)));
         assert_eq!(q.enqueue(SimTime::ZERO, pkt(1)), NetemVerdict::Queued);
         assert_eq!(q.next_release(), Some(SimTime::from_millis(10)));
-        assert!(q.release_ready(SimTime::from_millis(9)).is_empty());
-        let released = q.release_ready(SimTime::from_millis(10));
+        assert!(release(&mut q, SimTime::from_millis(9)).is_empty());
+        let released = release(&mut q, SimTime::from_millis(10));
         assert_eq!(released.len(), 1);
         assert!(q.is_empty());
     }
@@ -244,7 +251,7 @@ mod tests {
     fn zero_config_is_a_passthrough() {
         let mut q = qdisc(NetemConfig::default());
         q.enqueue(SimTime::from_secs(1), pkt(1));
-        let out = q.release_ready(SimTime::from_secs(1));
+        let out = release(&mut q, SimTime::from_secs(1));
         assert_eq!(out.len(), 1);
     }
 
@@ -291,7 +298,7 @@ mod tests {
         // delays via the release times recorded in the heap ordering.
         let mut delays = Vec::new();
         while let Some(next) = q.next_release() {
-            let got = q.release_ready(next);
+            let got = release(&mut q, next);
             for _ in got {
                 delays.push(next.as_nanos() as f64 / 1e6);
             }
@@ -314,7 +321,7 @@ mod tests {
         }
         let mut ids = Vec::new();
         while let Some(next) = q.next_release() {
-            for p in q.release_ready(next) {
+            for p in release(&mut q, next) {
                 ids.push(p.id);
             }
         }

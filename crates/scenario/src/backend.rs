@@ -17,7 +17,7 @@ use kollaps_core::collapse::{Addressable, CollapsedTopology};
 use kollaps_core::emulation::{EmulationConfig, KollapsDataplane};
 use kollaps_core::runtime::{Dataplane, SendOutcome};
 use kollaps_core::timeline::SnapshotTimeline;
-use kollaps_netmodel::packet::Packet;
+use kollaps_netmodel::packet::{Addr, Packet};
 use kollaps_sim::prelude::*;
 use kollaps_topology::events::{DynamicAction, EventSchedule};
 use kollaps_topology::model::Topology;
@@ -262,6 +262,10 @@ impl Dataplane for AnyDataplane {
 
     fn deliver(&mut self, now: SimTime) -> Vec<Packet> {
         dispatch!(self, dp => dp.deliver(now))
+    }
+
+    fn has_room(&self, src: Addr, dst: Addr) -> bool {
+        dispatch!(self, dp => dp.has_room(src, dst))
     }
 
     fn tick(&mut self, now: SimTime) -> Option<SimTime> {

@@ -253,6 +253,17 @@ impl TcpSender {
         }
     }
 
+    /// The sender's configuration.
+    pub fn config(&self) -> &TcpSenderConfig {
+        &self.config
+    }
+
+    /// When the transfer starts: [`send_with`](Self::send_with) sends
+    /// nothing before then.
+    pub fn started_at(&self) -> SimTime {
+        self.started_at
+    }
+
     /// When the transfer completed, if it did.
     pub fn completed_at(&self) -> Option<SimTime> {
         self.completed_at
@@ -310,9 +321,9 @@ impl TcpSender {
         if self.is_complete() {
             return;
         }
-        // Not yet started: the runtime pumps every sender whenever the
-        // dataplane makes progress, so a flow scheduled for the future must
-        // not leak segments early.
+        // Not yet started: a runtime wake-up pumps a sender that has not
+        // started yet (its start is what it waits for), so a flow scheduled
+        // for the future must not leak segments early.
         if now < self.started_at {
             return;
         }
@@ -708,8 +719,8 @@ mod tests {
 
     #[test]
     fn nothing_is_sent_before_the_start_time() {
-        // The runtime pumps every sender whenever the dataplane progresses;
-        // a flow scheduled for the future must stay silent until then.
+        // The runtime's wake-ups pump a sender that has not started yet; a
+        // flow scheduled for the future must stay silent until then.
         let mut s = TcpSender::new(
             FlowId(1),
             Addr::container(0),
