@@ -27,7 +27,10 @@
 //! thirds of one tree whatever the deployed trees (the wake-up on which a
 //! datagram reaches its destination host finds none due) and reads about
 //! two thirds of all of them the day `deliver` polls every tree of a
-//! manager with one due again.
+//! manager with one due again. Last, it counts the qdisc chains created:
+//! one per pair that sent, so the count stays near the leg's flow pairs
+//! (twenty) and jumps to the cell's pair count the day chains are installed
+//! for every pair with a path again.
 
 use kollaps_core::{CollapsedTopology, EventLoopStats, SnapshotTimeline};
 use kollaps_dynamics::Churn;
@@ -92,6 +95,9 @@ pub struct TrafficLeg {
     pub event_loop: EventLoopStats,
     /// Mean egress trees polled per `Dataplane::deliver` call.
     pub trees_visited_per_deliver: f64,
+    /// Qdisc chains the leg created: one per pair that sent, not one per
+    /// pair with a path.
+    pub chains_installed: u64,
 }
 
 // The traffic leg: how many flows, how fast each sends, for how long.
@@ -122,14 +128,15 @@ fn traffic_leg(topo: &Topology, schedule: &EventSchedule) -> TrafficLeg {
         .run_until(session.end())
         .expect("stepping never fails");
     let delivered: u64 = session.flow_progress().iter().map(|f| f.bytes).sum();
+    let packet_path = session
+        .kollaps()
+        .expect("a kollaps session")
+        .packet_path_stats();
     TrafficLeg {
         packets: delivered / MSS.as_bytes(),
         event_loop: session.event_loop_stats(),
-        trees_visited_per_deliver: session
-            .kollaps()
-            .expect("a kollaps session")
-            .packet_path_stats()
-            .trees_visited_per_deliver(),
+        trees_visited_per_deliver: packet_path.trees_visited_per_deliver(),
+        chains_installed: packet_path.chains_installed,
     }
 }
 
@@ -238,9 +245,9 @@ pub fn run_dynamics(
 }
 
 /// The perf-trajectory records for `BENCH_dynamics.json`: the deterministic
-/// swap-work metrics and the traffic leg's wake-ups per packet and trees
-/// polled per `deliver` gate tightly (the simulation reproduces them
-/// exactly), the wall-clock timings gate
+/// swap-work metrics and the traffic leg's wake-ups per packet, trees
+/// polled per `deliver` and chains created gate tightly (the simulation
+/// reproduces them exactly), the wall-clock timings gate
 /// loosely, and the sweep-shape counts are informational context.
 pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
     let mut report = BenchReport::new("dynamics");
@@ -325,6 +332,7 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
                     leg.trees_visited_per_deliver,
                     "trees",
                 ),
+                ("chains_installed", leg.chains_installed as f64, "chains"),
             ] {
                 report.push(cell(name, value, unit).lower_is_better(TOLERANCE_DETERMINISTIC));
             }

@@ -270,6 +270,19 @@ fn readme_dynamics_prose_quotes_the_committed_baseline() {
              the baseline reads {value}"
         );
     }
+    let chains = cells("chains_installed");
+    let quoted = quoted_after(
+        &bullet,
+        "`chains_installed` (`PacketPathStats::chains_installed`):",
+    );
+    assert_eq!(quoted.len(), chains.len(), "one quoted number per cell");
+    for (shown, (elements, value)) in quoted.iter().zip(&chains) {
+        assert!(
+            shows(shown, *value),
+            "chains_installed at {elements} elements: the README shows {shown}, \
+             the baseline reads {value}"
+        );
+    }
     let quoted = quoted_after(&bullet, "`wakeups_per_packet` (");
     let [shown] = quoted[..] else {
         panic!("one wakeups_per_packet figure, not {quoted:?}");

@@ -166,7 +166,11 @@ pub struct DynamicsStats {
     pub changed_paths_total: usize,
     /// Worst single-change swap cost.
     pub changed_paths_max: usize,
-    /// Per-destination qdisc chains actually rewritten across all hosts.
+    /// Per-destination qdisc chains the applied changes re-configured or
+    /// removed across all hosts, counted as if every local pair with a path
+    /// held its chain: every local pair a change re-configures or removes,
+    /// whether its chain was created yet (chains are created on first send)
+    /// or not.
     pub chains_touched_total: usize,
     /// Ordered service pairs in the initial snapshot — the work an online
     /// all-pairs re-collapse would redo on every event.
@@ -206,7 +210,9 @@ pub struct KollapsDataplane {
     /// Index of the next unapplied timeline delta: `deltas()[..next_delta]`
     /// is what [`KollapsDataplane::dynamics`] reports as applied.
     next_delta: usize,
-    /// Per-destination qdisc chains the applied deltas rewrote, all hosts.
+    /// Per-destination qdisc chains the applied deltas re-configured or
+    /// removed, all hosts, counted as an eager install would (see
+    /// [`DynamicsStats::chains_touched_total`]).
     chains_touched: usize,
     /// One Emulation Manager per physical host, in host-id order.
     managers: Vec<EmulationManager>,
@@ -252,6 +258,11 @@ pub struct PacketPathStats {
     pub trees_visited: u64,
     /// Polls that released at least one packet.
     pub trees_emitted: u64,
+    /// Per-destination qdisc chains created (all managers, monotone): one
+    /// per local pair on its first send, and again after a delta removed
+    /// it, so it follows the pairs that carry traffic, not the pairs that
+    /// have a path.
+    pub chains_installed: u64,
 }
 
 impl PacketPathStats {
@@ -511,9 +522,11 @@ impl KollapsDataplane {
             deliver_calls: self.deliver_calls,
             ..PacketPathStats::default()
         };
-        for (visited, emitted) in self.managers.iter().map(|m| m.trees_drained()) {
+        for manager in &self.managers {
+            let (visited, emitted) = manager.trees_drained();
             stats.trees_visited += visited;
             stats.trees_emitted += emitted;
+            stats.chains_installed += manager.chains_installed();
         }
         stats
     }
@@ -830,6 +843,18 @@ impl Dataplane for KollapsDataplane {
         self.emulation_loop(now);
         drop(span);
         Some(now + self.config.loop_interval)
+    }
+}
+
+/// The eager oracle of first-send chain creation.
+#[cfg(test)]
+impl KollapsDataplane {
+    /// Installs the chain of every local pair with a path on every manager
+    /// now, and again after every delta.
+    pub(crate) fn install_every_chain(&mut self) {
+        self.managers
+            .iter_mut()
+            .for_each(EmulationManager::install_eagerly);
     }
 }
 
@@ -1494,5 +1519,167 @@ mod tests {
         let alloc = rt.dataplane.allocation(client, server).unwrap();
         assert!((alloc.as_mbps() - 10.0).abs() < 0.5, "allocation {alloc}");
         assert!(rt.dataplane.measured_usage(client, server).is_some());
+    }
+
+    /// First-send chain creation against the eager oracle (a chain for
+    /// every local pair with a path, at construction and after every
+    /// delta): seeded runs on two hosts must produce the same flows, pings,
+    /// metadata, convergence and dynamics counters, `chains_touched`
+    /// included. The schedule cuts a bandwidth and edits a latency before
+    /// the pairs' first sends, takes a link away and brings it back slower,
+    /// then raises it before its first send, drops and restores a link
+    /// under traffic within one loop interval, and takes a bridge away and
+    /// back; TCP and UDP flows start after those changes.
+    ///
+    /// Mutation-checked: creating a chain at the current rate instead of
+    /// its creation rate, ignoring the creation-rate table, and counting
+    /// `chains_touched` only for chains that exist each fail this test.
+    #[test]
+    fn first_send_chains_match_the_eager_oracle() {
+        let (topo, _, _) = generators::dumbbell(
+            5,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(50),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(5),
+        );
+        let rate = |mbps| LinkChange {
+            up: Some(Bandwidth::from_mbps(mbps)),
+            down: Some(Bandwidth::from_mbps(mbps)),
+            latency: Some(SimDuration::from_millis(1)),
+            ..LinkChange::default()
+        };
+        let event = |ms, action| DynamicEvent {
+            at: SimDuration::from_millis(ms),
+            action,
+        };
+        let set = |ms, orig: &str, change| {
+            let (orig, dest) = (orig.into(), "bridge-left".into());
+            event(ms, DynamicAction::SetLinkProperties { orig, dest, change })
+        };
+        let join = |ms, orig: &str, dest: &str, change| {
+            let (orig, dest) = (orig.into(), dest.into());
+            event(ms, DynamicAction::LinkJoin { orig, dest, change })
+        };
+        let leave = |ms, orig: &str| {
+            let (orig, dest) = (orig.into(), "bridge-left".into());
+            event(ms, DynamicAction::LinkLeave { orig, dest })
+        };
+        let mut events = vec![
+            set(300, "client-0", rate(5)),
+            set(
+                300,
+                "client-1",
+                LinkChange {
+                    latency: Some(SimDuration::from_millis(7)),
+                    ..LinkChange::default()
+                },
+            ),
+            leave(400, "client-2"),
+            join(600, "client-2", "bridge-left", rate(10)),
+            set(800, "client-2", rate(50)),
+            leave(1_010, "client-3"),
+            join(1_030, "client-3", "bridge-left", rate(100)),
+            event(
+                1_500,
+                DynamicAction::NodeLeave {
+                    name: "bridge-right".into(),
+                },
+            ),
+            event(
+                1_700,
+                DynamicAction::NodeJoin {
+                    name: "bridge-right".into(),
+                },
+            ),
+            join(1_700, "bridge-left", "bridge-right", rate(50)),
+        ];
+        for i in 0..5 {
+            events.push(join(
+                1_700,
+                "bridge-right",
+                &format!("server-{i}"),
+                rate(100),
+            ));
+        }
+        let timeline = SnapshotTimeline::precompute(&topo, &EventSchedule::from_events(events));
+        let addr = |name: &str| {
+            let node = topo.node_by_name(name).expect("dumbbell node");
+            timeline.initial().address_of(node).expect("service")
+        };
+        let ms = SimTime::from_millis;
+        let run = |seed: u64, eager: bool| {
+            let config = EmulationConfig {
+                seed,
+                ..EmulationConfig::default()
+            };
+            let mut dp =
+                KollapsDataplane::with_prepared(timeline.clone(), 2, &HashMap::new(), config);
+            if eager {
+                dp.install_every_chain();
+            }
+            let mut rt = Runtime::new(dp);
+            let tcp = |rt: &mut Runtime<KollapsDataplane>, src, dst, start| {
+                let (src, dst) = (addr(src), addr(dst));
+                let config = TcpSenderConfig::default();
+                rt.add_tcp_flow(src, dst, TransferSize::Unbounded, config, start)
+            };
+            let tcp_flows = [
+                tcp(&mut rt, "client-3", "server-4", ms(100)),
+                tcp(&mut rt, "client-0", "server-0", ms(500)),
+                tcp(&mut rt, "client-2", "server-2", ms(1_000)),
+                tcp(&mut rt, "server-1", "client-0", ms(2_000)),
+            ];
+            let udp = |rt: &mut Runtime<KollapsDataplane>, src, dst, mbps, start| {
+                let rate = Bandwidth::from_mbps(mbps);
+                rt.add_udp_flow(addr(src), addr(dst), rate, start, None)
+            };
+            let udp_flows = [
+                udp(&mut rt, "client-3", "server-3", 8, ms(0)),
+                udp(&mut rt, "client-1", "server-1", 20, ms(500)),
+            ];
+            let ping = rt.add_ping(
+                addr("client-4"),
+                addr("server-4"),
+                SimDuration::from_millis(60),
+                40,
+                ms(200),
+            );
+            let events = rt.run_until(SimTime::from_secs(3));
+            let outputs = format!(
+                "{events:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                tcp_flows.map(|f| rt.tcp_received_bytes(f)),
+                tcp_flows.map(|f| rt.throughput_series(f).cloned()),
+                udp_flows.map(|f| rt.udp_delivered_bytes(f)),
+                rt.ping_rtts(ping),
+                rt.dataplane.metadata_accounting().total_network_bytes(),
+                rt.dataplane.convergence(),
+                rt.dataplane.dynamics(),
+                rt.event_loop_stats(),
+                rt.dataplane.packet_path_stats().trees_emitted,
+            );
+            let dynamics = rt.dataplane.dynamics();
+            assert_eq!(dynamics.snapshots_applied, 8, "every change time applied");
+            assert!(tcp_flows.iter().all(|&f| rt.tcp_received_bytes(f) > 0));
+            assert!(udp_flows.iter().all(|&f| rt.udp_delivered_bytes(f) > 0));
+            (
+                outputs,
+                dynamics.chains_touched_total,
+                rt.dataplane.packet_path_stats().chains_installed,
+            )
+        };
+        for seed in [1, 2] {
+            let (eager, eager_touched, eager_chains) = run(seed, true);
+            let (lazy, lazy_touched, lazy_chains) = run(seed, false);
+            assert_eq!(lazy_touched, eager_touched, "seed {seed}: chains_touched");
+            assert_eq!(lazy, eager, "seed {seed}");
+            // Seven pairs carry traffic (ping and TCP replies included: the
+            // reverse pairs send too); the oracle holds a chain for each of
+            // the 90 ordered pairs, plus the re-created ones.
+            assert!(
+                lazy_chains < eager_chains / 4,
+                "{lazy_chains} of {eager_chains}"
+            );
+        }
     }
 }

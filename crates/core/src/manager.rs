@@ -35,7 +35,7 @@ use kollaps_sim::prelude::*;
 use kollaps_topology::model::LinkId;
 use kollaps_trace::Recorder;
 
-use crate::collapse::CollapsedTopology;
+use crate::collapse::{CollapsedPath, CollapsedTopology};
 use crate::emulation::EmulationConfig;
 use crate::sharing::{oversubscription, Allocator, AllocatorStats, FlowRef};
 
@@ -122,6 +122,21 @@ fn settle(wakes: &mut WakeHeap, egress: &[Tcal]) {
 /// order-sensitive for determinism), so sorted vectors drop both the
 /// per-loop re-sorts and the hashing churn that dominated profiles at
 /// 10k-flow scale. Point lookups are binary searches.
+///
+/// **A chain on first send.** The htb → netem chain of a local pair is
+/// created by the first [`EmulationManager::enqueue`] that finds none while
+/// the pair has a path, so per-pair state grows with the pairs that carry
+/// traffic, not with services². It is created in exactly the state an
+/// eagerly installed chain (one per local pair at construction, plus one per
+/// pair a delta gave a path) would be in after idling until then: an idle
+/// htb bucket is full whatever its rate, re-configures reset only the rate
+/// and the netem settings, and the netem stream is keyed by destination —
+/// but the burst and queue limit keep the size the rate the chain was
+/// *created* at gave them. So the chain is created at that rate (the
+/// initial snapshot's, or the one `creation_rates` kept for a pair a delta
+/// gave a path) and then re-configured to the current path.
+/// [`EmulationManager::apply_delta`] re-configures and removes only chains
+/// that exist, but counts the chains an eager install would have touched.
 pub struct EmulationManager {
     host: HostId,
     config: EmulationConfig,
@@ -131,6 +146,20 @@ pub struct EmulationManager {
     /// read-only (the paths map is O(services²) — one copy, not one per
     /// host).
     collapsed: Arc<CollapsedTopology>,
+    /// The snapshot the manager was built with: a chain first sent on along
+    /// a path no delta re-created is created at this snapshot's rate.
+    initial: Arc<CollapsedTopology>,
+    /// Local pairs a delta gave a path while they had no chain, with the
+    /// rate an eager install would have created the chain at then; sorted
+    /// by pair. An entry goes when its chain is created or its pair loses
+    /// its path.
+    creation_rates: Vec<((Addr, Addr), Bandwidth)>,
+    /// Chains created since construction (deterministic work counter).
+    chains_installed: u64,
+    /// The eager oracle: every local pair with a path holds a chain, also
+    /// right after a delta.
+    #[cfg(test)]
+    eager: bool,
     /// Egress qdisc tree per **local** container, one slot each in address
     /// order: trees are drained in that order so that same-instant packets
     /// enter the delivery queue deterministically.
@@ -208,8 +237,19 @@ fn local_tcal(egress: &mut [Tcal], addr: Addr) -> Option<(usize, &mut Tcal)> {
     Some((slot, egress.get_mut(slot)?))
 }
 
+/// The netem stage of a collapsed path's chain.
+fn netem_of(path: &CollapsedPath) -> NetemConfig {
+    NetemConfig {
+        delay: path.latency,
+        jitter: path.jitter,
+        loss: path.loss,
+        ..NetemConfig::default()
+    }
+}
+
 impl EmulationManager {
     /// Builds the manager for `host`, owning the TCALs of `local` containers.
+    /// No chain is installed yet: each is created on its pair's first send.
     pub fn new(
         host: HostId,
         config: EmulationConfig,
@@ -224,10 +264,15 @@ impl EmulationManager {
         }
         egress.sort_unstable_by_key(|tcal| tcal.tree.owner());
         egress.dedup_by_key(|tcal| tcal.tree.owner());
-        let mut manager = EmulationManager {
+        EmulationManager {
             host,
             config,
+            initial: Arc::clone(&collapsed),
             collapsed,
+            creation_rates: Vec::new(),
+            chains_installed: 0,
+            #[cfg(test)]
+            eager: false,
             egress,
             wakes: WakeHeap::new(),
             revisit: Vec::new(),
@@ -242,9 +287,7 @@ impl EmulationManager {
             alloc_micros: 0,
             recorder: Recorder::disabled(),
             lane: 0,
-        };
-        manager.install_local_paths();
-        manager
+        }
     }
 
     /// Attaches a flight recorder: this manager's worker and allocation
@@ -300,9 +343,29 @@ impl EmulationManager {
         self.oversub_streak.iter().map(|&(link, _)| link)
     }
 
-    /// Offers a packet from a local container to its egress tree.
+    /// Offers a packet from a local container to its egress tree, creating
+    /// the chain towards its destination first if the pair has a path but
+    /// no chain yet.
     pub fn enqueue(&mut self, now: SimTime, packet: Packet) -> Option<EgressVerdict> {
         let (slot, tcal) = local_tcal(&mut self.egress, packet.src)?;
+        let pair = (packet.src, packet.dst);
+        if !tcal.tree.has_path(pair.1) {
+            if let Some(path) = self.collapsed.path_by_addr(pair.0, pair.1) {
+                let created_at = match self.creation_rates.binary_search_by_key(&pair, |e| e.0) {
+                    Ok(i) => self.creation_rates.remove(i).1,
+                    Err(_) => self
+                        .initial
+                        .path_by_addr(pair.0, pair.1)
+                        .map_or(path.max_bandwidth, |initial| initial.max_bandwidth),
+                };
+                // Created, then re-configured to the current path: the
+                // burst and queue limit keep the creation rate's size.
+                let netem = netem_of(path);
+                tcal.tree.install_path(pair.1, netem, created_at);
+                tcal.tree.install_path(pair.1, netem, path.max_bandwidth);
+                self.chains_installed += 1;
+            }
+        }
         let (verdict, new_head) = tcal.tree.offer(now, packet);
         if new_head {
             tcal.reindex(now, slot, &mut self.wakes);
@@ -367,6 +430,12 @@ impl EmulationManager {
     /// at least one packet coming out, since construction.
     pub fn trees_drained(&self) -> (u64, u64) {
         (self.trees_visited, self.trees_emitted)
+    }
+
+    /// Chains created since construction: on first sends, plus those a
+    /// delta re-created for a destination that still counts usage.
+    pub fn chains_installed(&self) -> u64 {
+        self.chains_installed
     }
 
     /// Loop steps 1–2: reads and clears the per-destination usage of every
@@ -589,16 +658,25 @@ impl EmulationManager {
     }
 
     /// Applies one precomputed change: swaps the snapshot `Arc` and updates
-    /// **only** the qdisc chains of local pairs the delta names. Returns the
-    /// number of chains touched — the per-host share of the swap cost, which
+    /// **only** the existing qdisc chains of local pairs the delta names.
+    /// Returns the number of chains an eager install would have touched —
+    /// every local pair the delta re-configures or removes, whether its
+    /// chain exists yet or not: the per-host share of the swap cost, which
     /// scales with the paths the event affected rather than with the
     /// topology size (no path is recomputed here; the timeline did that
     /// offline).
+    ///
+    /// A pair that gains a path here and has no chain gets none yet; its
+    /// creation rate is kept for its first send. The one exception is a
+    /// destination whose removed chain's bytes are still counted this loop
+    /// interval: the usage the loop reads next is clamped to the chain's
+    /// rate, so that chain is created now, as an eager install would.
     pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
-        self.collapsed = Arc::clone(&delta.snapshot);
+        let previous = std::mem::replace(&mut self.collapsed, Arc::clone(&delta.snapshot));
         let collapsed = Arc::clone(&self.collapsed);
         let mut touched = 0;
         let mut trees: Vec<usize> = Vec::new();
+        let mut gone: Vec<(Addr, Addr)> = Vec::new();
         for &(src, dst) in &delta.removed_paths {
             let (Some(src_addr), Some(dst_addr)) =
                 (collapsed.address_of(src), collapsed.address_of(dst))
@@ -606,14 +684,21 @@ impl EmulationManager {
                 continue;
             };
             if let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src_addr) {
+                touched += 1;
                 if tree.remove_path(dst_addr) {
-                    touched += 1;
                     trees.push(slot);
                     self.revisit.push(slot);
                 }
                 table_remove(&mut self.last_allocation, (src_addr, dst_addr));
+                gone.push((src_addr, dst_addr));
             }
         }
+        if !gone.is_empty() && !self.creation_rates.is_empty() {
+            gone.sort_unstable();
+            self.creation_rates
+                .retain(|(pair, _)| gone.binary_search(pair).is_err());
+        }
+        let kept = self.creation_rates.len();
         for &(src, dst) in &delta.changed_paths {
             let (Some(src_addr), Some(dst_addr)) =
                 (collapsed.address_of(src), collapsed.address_of(dst))
@@ -626,20 +711,28 @@ impl EmulationManager {
             let Some(path) = collapsed.path(src, dst) else {
                 continue;
             };
-            let netem = NetemConfig {
-                delay: path.latency,
-                jitter: path.jitter,
-                loss: path.loss,
-                ..NetemConfig::default()
-            };
+            touched += 1;
             let rate = table_get(&self.last_allocation, (src_addr, dst_addr))
                 .unwrap_or(path.max_bandwidth)
                 .min(path.max_bandwidth);
-            tree.install_path(dst_addr, netem, rate);
-            touched += 1;
-            trees.push(slot);
+            let exists = tree.has_path(dst_addr);
+            if exists || tree.has_usage(dst_addr) {
+                tree.install_path(dst_addr, netem_of(path), rate);
+                self.chains_installed += u64::from(!exists);
+                trees.push(slot);
+            } else if previous.path(src, dst).is_none() {
+                // An eager install creates the chain here, at `rate`.
+                self.creation_rates.push(((src_addr, dst_addr), rate));
+            }
+        }
+        if self.creation_rates.len() > kept {
+            self.creation_rates.sort_unstable_by_key(|&(pair, _)| pair);
         }
         self.reindex(SimTime::ZERO + delta.at, trees);
+        #[cfg(test)]
+        if self.eager {
+            self.install_local_paths();
+        }
         touched
     }
 
@@ -654,9 +747,25 @@ impl EmulationManager {
         }
         settle(&mut self.wakes, &self.egress);
     }
+}
 
-    /// Installs the per-destination chains of every (still empty) local TCAL
-    /// from the initial collapsed snapshot; later snapshots arrive as deltas.
+/// Test-only oracles: the eager chain installation that first-send
+/// creation replaced, the brute-force "when next?" the wake index replaced,
+/// and the poll of every tree that the index-driven drain replaced.
+#[cfg(test)]
+impl EmulationManager {
+    /// Turns this manager into the eager oracle: every local pair with a
+    /// path gets its chain now, and again after every delta, as if no
+    /// chain waited for its first send.
+    pub(crate) fn install_eagerly(&mut self) {
+        self.eager = true;
+        self.install_local_paths();
+    }
+
+    /// Installs the chain of every local pair that has a path in the
+    /// current snapshot and no chain yet, at the path's maximum bandwidth —
+    /// the rate an eager install creates a chain at, at construction and
+    /// for a pair a delta gave a path.
     fn install_local_paths(&mut self) {
         let collapsed = Arc::clone(&self.collapsed);
         for Tcal { tree, .. } in &mut self.egress {
@@ -665,32 +774,18 @@ impl EmulationManager {
                 continue;
             };
             for (dst_node, dst_addr) in collapsed.addresses() {
-                if dst_addr == src_addr {
+                if dst_addr == src_addr || tree.has_path(dst_addr) {
                     continue;
                 }
                 let Some(path) = collapsed.path(src_node, dst_node) else {
                     continue;
                 };
-                let netem = NetemConfig {
-                    delay: path.latency,
-                    jitter: path.jitter,
-                    loss: path.loss,
-                    ..NetemConfig::default()
-                };
-                // The htb class starts at the collapsed maximum bandwidth;
-                // the emulation loop tightens it as soon as competing flows
-                // appear.
-                tree.install_path(dst_addr, netem, path.max_bandwidth);
+                tree.install_path(dst_addr, netem_of(path), path.max_bandwidth);
+                self.chains_installed += 1;
             }
         }
     }
-}
 
-/// Test-only oracles of the packet-path answers: the brute-force "when
-/// next?" the wake index replaced, and the poll of every tree that the
-/// index-driven drain replaced.
-#[cfg(test)]
-impl EmulationManager {
     /// [`EmulationManager::dequeue_ready_with`], collected into a `Vec`.
     pub(crate) fn dequeue_ready(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = Vec::new();
@@ -871,8 +966,9 @@ mod tests {
                 }
                 _ => {
                     // `remove_path` / `install_path` through the production
-                    // delta path; a removed chain comes back with the next
-                    // "changed" delta naming the pair.
+                    // delta path; the snapshot keeps the removed pair's
+                    // path, so its chain comes back with the pair's next
+                    // send.
                     let pairs = vec![(src, dst), (dst, src)];
                     let remove = rng.chance(0.5);
                     let delta = SnapshotDelta {
@@ -1071,7 +1167,8 @@ mod tests {
 
     /// With nothing due, the poll after a delta visits exactly the local
     /// trees that lost a chain — once each, however many chains — and the
-    /// poll after that visits none.
+    /// poll after that visits none. Chains are created on first send, so
+    /// each removed pair sends one packet first.
     ///
     /// Mutation-checked: not pushing the slot in `apply_delta`, or not
     /// emptying the list in `dequeue_ready`, fails this test.
@@ -1111,6 +1208,21 @@ mod tests {
             ],
             snapshot: Arc::clone(&collapsed),
         };
+        for (id, &(src, dst)) in cut.removed_paths[..3].iter().enumerate() {
+            let addr = |node| collapsed.address_of(node).expect("service has an address");
+            let id = id as u64;
+            let packet = Packet::new(
+                id,
+                FlowId(id),
+                addr(src),
+                addr(dst),
+                MTU,
+                PacketKind::Udp,
+                SimTime::ZERO,
+            );
+            let verdict = manager.enqueue(SimTime::ZERO, packet);
+            assert_eq!(verdict, Some(EgressVerdict::Queued));
+        }
         let now = SimTime::from_millis(1);
         assert_eq!(manager.apply_delta(&cut), 3);
         assert_eq!(manager.next_wakeup(), None, "nothing is due");
@@ -1121,6 +1233,98 @@ mod tests {
         };
         assert_eq!(visits(&mut manager), 2);
         assert_eq!(visits(&mut manager), 0);
+    }
+
+    /// A chain a delta removed and another re-created within one loop
+    /// interval leaves bytes counted towards its destination, so the next
+    /// loop clamps and enforces on the re-created chain. Under eager install
+    /// that chain exists at once; a first-send chain created later would
+    /// miss the enforced rate and release the pair's next packets at another
+    /// pace. The re-created chain must therefore be created by the delta.
+    ///
+    /// Mutation-checked: leaving that chain to the pair's next send fails
+    /// this test.
+    #[test]
+    fn a_chain_recreated_while_its_bytes_count_is_created_by_the_delta() {
+        let (topo, clients, servers) = generators::dumbbell(
+            2,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(2),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(1),
+        );
+        let at = SimDuration::from_millis;
+        let schedule = EventSchedule::from_events(vec![
+            DynamicEvent {
+                at: at(10),
+                action: DynamicAction::LinkLeave {
+                    orig: "client-0".into(),
+                    dest: "bridge-left".into(),
+                },
+            },
+            DynamicEvent {
+                at: at(20),
+                action: DynamicAction::LinkJoin {
+                    orig: "client-0".into(),
+                    dest: "bridge-left".into(),
+                    change: LinkChange {
+                        latency: Some(at(1)),
+                        up: Some(Bandwidth::from_mbps(100)),
+                        ..LinkChange::default()
+                    },
+                },
+            },
+        ]);
+        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let collapsed = Arc::clone(timeline.initial());
+        let addr = |node: NodeId| collapsed.address_of(node).expect("service has an address");
+        let pairs = [0, 1].map(|i| (addr(clients[i]), addr(servers[i])));
+        let run = |eager: bool| {
+            let mut m = EmulationManager::new(
+                HostId(0),
+                EmulationConfig::default(),
+                Arc::clone(&collapsed),
+                &pairs.map(|(src, _)| src),
+                &SimRng::new(4),
+            );
+            if eager {
+                m.install_eagerly();
+            }
+            let mut next_id = 0;
+            let mut send = |m: &mut EmulationManager, now: SimTime, count: usize| {
+                for &(src, dst) in &pairs {
+                    for _ in 0..count {
+                        next_id += 1;
+                        let packet =
+                            Packet::new(next_id, FlowId(0), src, dst, MTU, PacketKind::Udp, now);
+                        assert_eq!(m.enqueue(now, packet), Some(EgressVerdict::Queued));
+                    }
+                }
+            };
+            send(&mut m, SimTime::ZERO, 3);
+            let mut released = m.dequeue_ready(SimTime::from_millis(5));
+            for delta in timeline.deltas() {
+                m.apply_delta(delta);
+            }
+            let now = SimTime::from_millis(50);
+            m.collect_usage();
+            m.enforce(now);
+            let enforced = m.allocation(pairs[0].0, pairs[0].1);
+            let (_, tcal) = local_tcal(&mut m.egress, pairs[0].0).expect("local");
+            let shaped = tcal.tree.bandwidth(pairs[0].1);
+            send(&mut m, now, 4);
+            let mut log: Vec<(SimTime, u64)> = Vec::new();
+            while let Some(wake) = m.next_wakeup().filter(|&t| t <= SimTime::from_secs(1)) {
+                log.extend(m.dequeue_ready(wake).iter().map(|p| (wake, p.id)));
+            }
+            released.retain(|p| p.src == pairs[0].0);
+            assert_eq!(released.len(), 2, "two packets left on the burst");
+            (enforced, shaped, log)
+        };
+        let (enforced, shaped, log) = run(false);
+        assert!(enforced.is_some_and(|rate| rate < Bandwidth::from_mbps(2)));
+        assert_eq!(shaped, enforced);
+        assert_eq!((enforced, shaped, log), run(true));
     }
 
     /// A remote advertisement may name a link this snapshot does not have

@@ -127,6 +127,13 @@ impl EgressTree {
     /// Installs (or replaces) the chain towards `dst` with the given netem
     /// and htb settings — the TCAL `init`/`update` path. A destination
     /// outside the container network has no slot and gets no chain.
+    ///
+    /// Only the install that creates the chain sizes its htb burst and
+    /// queue limit (from `bandwidth`, see [`HtbConfig::with_rate`]); an
+    /// install over an existing chain replaces the netem settings and
+    /// re-rates the class ([`HtbQdisc::set_rate`]) but keeps both. A caller
+    /// that creates chains late must therefore create each at the rate it
+    /// would have been created at, then re-install the current settings.
     pub fn install_path(&mut self, dst: Addr, netem: NetemConfig, bandwidth: Bandwidth) {
         let Some(index) = dst.container_index() else {
             return;
@@ -319,6 +326,15 @@ impl EgressTree {
         self.used
             .iter()
             .map(|&index| (Addr::container(index), self.slots[index as usize].usage))
+    }
+
+    /// `true` while bytes that left the shaper towards `dst` since the last
+    /// [`EgressTree::clear_usage`] are counted — also after the chain that
+    /// sent them was removed.
+    pub fn has_usage(&self, dst: Addr) -> bool {
+        dst.container_index()
+            .and_then(|index| self.slots.get(index as usize))
+            .is_some_and(|slot| !slot.usage.is_zero())
     }
 
     /// Clears the usage counters — step (1) of the emulation loop.
@@ -588,6 +604,7 @@ mod tests {
         assert_eq!(t.dequeue_ready(SimTime::ZERO).len(), 1);
         assert!(t.remove_path(d));
         assert_eq!(usage_towards(&t, d), Some(MTU));
+        assert!(t.has_usage(d) && !t.has_usage(Addr::container(2)));
         t.install_path(d, NetemConfig::default(), Bandwidth::from_mbps(100));
         t.enqueue(SimTime::ZERO, pkt(2, d));
         assert_eq!(t.dequeue_ready(SimTime::ZERO).len(), 1);
@@ -595,6 +612,7 @@ mod tests {
         assert_eq!(t.usage().len(), 1);
         t.clear_usage();
         assert_eq!(usage_towards(&t, d), None);
+        assert!(!t.has_usage(d));
         assert_eq!(t.usage().len(), 0);
     }
 
@@ -629,6 +647,49 @@ mod tests {
         assert_eq!(released, [3, 2]);
         assert_eq!(t.dropped_packets(), 1);
         assert_eq!(t.next_wakeup(SimTime::from_millis(5)), None);
+    }
+
+    /// The invariant a late-created chain rests on: only the install that
+    /// creates a chain sizes its htb burst and queue limit. Re-installing
+    /// and re-rating change the rate (and netem) but keep both, so a chain
+    /// created at the current rate instead of its creation rate differs.
+    #[test]
+    fn reinstall_and_rerate_keep_the_creation_burst_and_queue_limit() {
+        let mut t = tree();
+        let dst = Addr::container(1);
+        let created = HtbConfig::with_rate(Bandwidth::from_mbps(10));
+        let later = HtbConfig::with_rate(Bandwidth::from_mbps(50));
+        assert_ne!(
+            (created.burst, created.queue_limit),
+            (later.burst, later.queue_limit)
+        );
+        let sized = |t: &mut EgressTree| {
+            let htb = chain_at(&mut t.slots, dst).expect("installed").htb.config();
+            (htb.rate, htb.burst, htb.queue_limit)
+        };
+        t.install_path(dst, NetemConfig::default(), created.rate);
+        assert_eq!(
+            sized(&mut t),
+            (created.rate, created.burst, created.queue_limit)
+        );
+        t.install_path(
+            dst,
+            NetemConfig::with_delay(SimDuration::from_millis(3)),
+            later.rate,
+        );
+        assert_eq!(
+            sized(&mut t),
+            (later.rate, created.burst, created.queue_limit)
+        );
+        assert!(t.set_bandwidth(SimTime::from_secs(1), dst, Bandwidth::from_mbps(2)));
+        assert_eq!(
+            sized(&mut t),
+            (Bandwidth::from_mbps(2), created.burst, created.queue_limit)
+        );
+        // Only a chain removed and created again is sized anew.
+        assert!(t.remove_path(dst));
+        t.install_path(dst, NetemConfig::default(), later.rate);
+        assert_eq!(sized(&mut t), (later.rate, later.burst, later.queue_limit));
     }
 
     #[test]

@@ -113,7 +113,9 @@ impl HtbQdisc {
     }
 
     /// Changes the shaped rate at runtime (what the TCAL does on every
-    /// emulation-loop iteration).
+    /// emulation-loop iteration). Only `rate` and `ceil` change: the burst
+    /// and queue limit keep the size [`HtbConfig::with_rate`] gave them for
+    /// the rate the class was created at.
     pub fn set_rate(&mut self, now: SimTime, rate: Bandwidth) {
         self.config.rate = rate;
         self.config.ceil = rate;
@@ -299,6 +301,26 @@ mod tests {
         q.set_rate(SimTime::ZERO, Bandwidth::from_mbps(100));
         let fast_next = q.next_ready(SimTime::ZERO).unwrap();
         assert!(fast_next < slow_next);
+    }
+
+    #[test]
+    fn set_rate_keeps_the_creation_burst_and_queue_limit() {
+        let created = HtbConfig::with_rate(Bandwidth::from_mbps(10));
+        let mut q = HtbQdisc::new(created);
+        q.set_rate(SimTime::ZERO, Bandwidth::from_mbps(50));
+        q.set_rate(SimTime::from_secs(1), Bandwidth::from_mbps(5));
+        assert_eq!(
+            *q.config(),
+            HtbConfig {
+                rate: Bandwidth::from_mbps(5),
+                ceil: Bandwidth::from_mbps(5),
+                ..created
+            }
+        );
+        assert_ne!(
+            q.config().burst,
+            HtbConfig::with_rate(Bandwidth::from_mbps(5)).burst
+        );
     }
 
     #[test]
