@@ -2,20 +2,28 @@
 //! count.
 //!
 //! A stepping sweep over dumbbell cells up to 1002 nodes / 10 000 flows.
-//! Each cell runs the same scenario twice: untraced and `.trace(true)`. Both
-//! reports are asserted to agree flow-for-flow (tracing moves wall clock,
-//! never results); the sweep records emulation rounds per wall second,
+//! Each cell runs the same scenario four times, untraced and
+//! `.trace(true)` alternating as untraced, traced, traced, untraced, so
+//! that a host that speeds up or slows down during the cell weighs on both
+//! kinds alike. All reports are asserted to agree flow-for-flow (tracing
+//! moves wall clock, never results); the sweep records emulation rounds per
+//! wall second, the untraced run split into set-up (`Scenario::session()`),
+//! stepping and teardown (`Session::finish`, which drops the session) with
+//! the whole run's real-time factor, the process's peak resident set,
 //! allocation µs per round, the flight recorder's throughput overhead
 //! ratio, the allocator's fast-path and solve counters, the egress trees
-//! polled per `deliver` call (the packet path's work counter) and the
-//! timeline precompute cost.
+//! polled per `deliver` call (the packet path's work counter), the paths
+//! the managers derived, the timeline's tree entries written and pairs
+//! compared, and the timeline precompute cost.
 //!
-//! Wall-clock metrics gate with [`TOLERANCE_WALL_CLOCK`]; the allocator
-//! counters come from the deterministic simulation and gate tightly.
+//! Wall-clock metrics gate with [`TOLERANCE_WALL_CLOCK`]; the allocator,
+//! packet-path and timeline counters come from the deterministic
+//! simulation and gate tightly.
 
 use std::time::Instant;
 
-use kollaps_core::{AllocatorStats, SnapshotTimeline};
+use kollaps_core::{AllocatorStats, PacketPathStats, SnapshotTimeline, TimelineStats};
+use kollaps_scenario::Report;
 use kollaps_scenario::{Churn, Scenario, Workload};
 use kollaps_sim::prelude::*;
 use kollaps_topology::generators;
@@ -49,6 +57,23 @@ pub struct ScalingCell {
     /// untraced run — deterministic; about one, because only the trees
     /// whose wake is due are polled.
     pub trees_visited_per_deliver: f64,
+    /// The untraced runs' mean wall-clock microseconds in
+    /// `Scenario::session()`: the timeline precompute and the deployment.
+    pub setup_micros: f64,
+    /// ... stepping the session to its end.
+    pub stepping_micros: f64,
+    /// ... in `Session::finish`, which builds the report and drops the
+    /// session (the timeline with it).
+    pub teardown_micros: f64,
+    /// The process's peak resident set after the cell (`VmHWM`), in MB.
+    /// Cells run in ascending size, so this is the cell's own peak unless
+    /// an earlier cell of the same process peaked higher; 0 where
+    /// `/proc/self/status` cannot be read.
+    pub peak_rss_mb: f64,
+    /// Paths the managers derived from the snapshots' trees (untraced run).
+    pub paths_built: u64,
+    /// The timeline's tree entries written and pairs compared.
+    pub timeline: TimelineStats,
 }
 
 impl ScalingCell {
@@ -62,6 +87,43 @@ impl ScalingCell {
     /// (unchanged flow set).
     pub fn fast_hit_percent(&self) -> f64 {
         100.0 * self.alloc_stats.fast_hits as f64 / self.alloc_stats.calls.max(1) as f64
+    }
+
+    /// Virtual seconds emulated per wall second over the whole untraced
+    /// run, set-up to teardown: at least 1 is real time.
+    pub fn realtime_factor(&self) -> f64 {
+        let wall_micros = self.setup_micros + self.stepping_micros + self.teardown_micros;
+        HORIZON.as_secs_f64() * 1e6 / wall_micros.max(1e-9)
+    }
+}
+
+/// The process's peak resident set (`VmHWM` of `/proc/self/status`), in
+/// MB; 0 where it cannot be read.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB"))
+        .and_then(|kb| kb.trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// One timed run of a cell.
+struct Leg {
+    setup_micros: f64,
+    stepping_micros: f64,
+    teardown_micros: f64,
+    alloc_micros: u64,
+    alloc_stats: AllocatorStats,
+    packet_path: PacketPathStats,
+    timeline: TimelineStats,
+    report: Report,
+}
+
+impl Leg {
+    fn wall_secs(&self) -> f64 {
+        (self.setup_micros + self.stepping_micros + self.teardown_micros) / 1e6
     }
 }
 
@@ -130,39 +192,68 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
     drop(timeline);
 
     let timed_run = |trace: bool| {
+        let scenario = cell_scenario(pairs, flows_per_client, trace);
         let t = Instant::now();
-        let mut session = cell_scenario(pairs, flows_per_client, trace)
-            .session()
-            .expect("valid scenario");
+        let mut session = scenario.session().expect("valid scenario");
+        let setup_micros = t.elapsed().as_secs_f64() * 1e6;
+        let t = Instant::now();
         while session.clock() < session.end() {
             session.step(SimDuration::from_millis(250)).expect("steps");
         }
+        let stepping_micros = t.elapsed().as_secs_f64() * 1e6;
         let dp = session.kollaps().expect("a kollaps session");
-        let telemetry = (dp.allocation_micros(), dp.allocator_stats());
+        let (alloc_micros, alloc_stats) = (dp.allocation_micros(), dp.allocator_stats());
         let packet_path = dp.packet_path_stats();
+        let timeline = *dp.timeline().stats();
+        let t = Instant::now();
         let report = session.finish();
-        (t.elapsed().as_secs_f64(), telemetry, packet_path, report)
+        Leg {
+            setup_micros,
+            stepping_micros,
+            teardown_micros: t.elapsed().as_secs_f64() * 1e6,
+            alloc_micros,
+            alloc_stats,
+            packet_path,
+            timeline,
+            report,
+        }
     };
-    let (seq_secs, (alloc_micros, alloc_stats), packet_path, seq_report) = timed_run(false);
-    let (traced_secs, _, _, traced_report) = timed_run(true);
+    // Untraced, traced, traced, untraced: each kind's mean sits at the
+    // cell's midpoint, whichever way the host drifts.
+    let first = timed_run(false);
+    let traced = [timed_run(true), timed_run(true)];
+    let last = timed_run(false);
 
     // Tracing is a wall-clock knob only: every flow must have moved the
-    // exact same number of bytes in both runs.
-    assert_eq!(seq_report.flows.len(), traced_report.flows.len());
-    for (a, c) in seq_report.flows.iter().zip(traced_report.flows.iter()) {
-        assert_eq!(
-            a.goodput_mbps, c.goodput_mbps,
-            "tracing changed flow results"
-        );
-        assert_eq!(
-            a.per_second_mbps, c.per_second_mbps,
-            "tracing changed flow results"
-        );
+    // exact same number of bytes in every run.
+    for other in traced.iter().chain([&last]) {
+        assert_eq!(first.report.flows.len(), other.report.flows.len());
+        for (a, c) in first.report.flows.iter().zip(other.report.flows.iter()) {
+            assert_eq!(
+                a.goodput_mbps, c.goodput_mbps,
+                "tracing changed flow results"
+            );
+            assert_eq!(
+                a.per_second_mbps, c.per_second_mbps,
+                "tracing changed flow results"
+            );
+        }
     }
     assert!(
-        traced_report.phase_timing.is_some(),
-        "the traced leg must actually record phase timings"
+        traced.iter().all(|leg| leg.report.phase_timing.is_some()),
+        "the traced legs must actually record phase timings"
     );
+    let mean = |value: fn(&Leg) -> f64, legs: [&Leg; 2]| (value(legs[0]) + value(legs[1])) / 2.0;
+    let untraced = [&first, &last];
+    let seq_secs = mean(Leg::wall_secs, untraced);
+    let traced_secs = mean(Leg::wall_secs, [&traced[0], &traced[1]]);
+    let Leg {
+        alloc_micros,
+        alloc_stats,
+        packet_path,
+        timeline,
+        ..
+    } = first;
 
     // One allocator call per manager per round.
     let rounds = alloc_stats.calls / HOSTS as u64;
@@ -176,6 +267,12 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
         alloc_micros_per_round: alloc_micros as f64 / rounds.max(1) as f64,
         alloc_stats,
         trees_visited_per_deliver: packet_path.trees_visited_per_deliver(),
+        setup_micros: mean(|leg| leg.setup_micros, untraced),
+        stepping_micros: mean(|leg| leg.stepping_micros, untraced),
+        teardown_micros: mean(|leg| leg.teardown_micros, untraced),
+        peak_rss_mb: peak_rss_mb(),
+        paths_built: packet_path.paths_built,
+        timeline,
     }
 }
 
@@ -216,8 +313,8 @@ pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
             cell("rounds_per_sec_traced", c.rounds_per_sec_traced, "rounds/s")
                 .higher_is_better(TOLERANCE_WALL_CLOCK),
         );
-        // A ratio of two noisy wall clocks (0.76–1.19 across sweeps): too
-        // wide for the 2.0× gate to mean anything, so it is recorded only.
+        // A ratio of two noisy wall clocks: too wide for the 2.0× gate to
+        // mean anything, so it is recorded only.
         report.push(cell(
             "traced_overhead_ratio",
             c.traced_overhead_ratio(),
@@ -235,10 +332,37 @@ pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
             )
             .lower_is_better(TOLERANCE_WALL_CLOCK),
         );
+        for (name, micros) in [
+            ("setup_micros", c.setup_micros),
+            ("stepping_micros", c.stepping_micros),
+            ("teardown_micros", c.teardown_micros),
+        ] {
+            report.push(cell(name, micros, "micros").lower_is_better(TOLERANCE_WALL_CLOCK));
+        }
+        report.push(
+            cell("realtime_factor", c.realtime_factor(), "vs/s")
+                .higher_is_better(TOLERANCE_WALL_CLOCK),
+        );
+        report.push(cell("peak_rss_mb", c.peak_rss_mb, "MB").lower_is_better(TOLERANCE_WALL_CLOCK));
         report.push(
             cell("fast_hit_percent", c.fast_hit_percent(), "percent")
                 .higher_is_better(TOLERANCE_DETERMINISTIC),
         );
+        for (name, count, unit) in [
+            ("paths_built", c.paths_built as f64, "paths"),
+            (
+                "timeline_tree_entries_written",
+                c.timeline.tree_entries_written as f64,
+                "entries",
+            ),
+            (
+                "timeline_pairs_compared",
+                c.timeline.pairs_compared as f64,
+                "paths",
+            ),
+        ] {
+            report.push(cell(name, count, unit).lower_is_better(TOLERANCE_DETERMINISTIC));
+        }
         report.push(
             cell(
                 "components_recomputed",

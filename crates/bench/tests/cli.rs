@@ -150,8 +150,10 @@ fn readme_scaling_table_quotes_the_committed_baseline() {
     assert!(cells > 0, "the baseline has no cells");
     assert_eq!(rows.len(), cells, "one table row per baseline cell");
     for row in rows {
-        let [cell, rounds, alloc, hits, trees, precompute] = row[..] else {
-            panic!("{row:?} does not have the six columns");
+        let [cell, rounds, alloc, hits, trees, precompute, setup, stepping, teardown, realtime, rss] =
+            row[..]
+        else {
+            panic!("{row:?} does not have the eleven columns");
         };
         let axis = |unit: &str| {
             let number = cell
@@ -191,13 +193,22 @@ fn readme_scaling_table_quotes_the_committed_baseline() {
         // Every node but the dumbbell's two bridges is a container with a tree.
         let nodes: f64 = nodes.parse().expect("a node count");
         check("trees deployed", deployed, nodes - 2.0);
-        let micros = record("precompute_seq_micros");
-        let (shown, scale) = match precompute.split_once(' ') {
-            Some((ms, "ms")) => (ms, 1e3),
-            Some((s, "s")) => (s, 1e6),
-            _ => panic!("`{precompute}` is not in ms or s"),
-        };
-        check("precompute", shown, micros / scale);
+        for (column, shown, metric) in [
+            ("precompute", precompute, "precompute_seq_micros"),
+            ("set-up", setup, "setup_micros"),
+            ("stepping", stepping, "stepping_micros"),
+            ("teardown", teardown, "teardown_micros"),
+        ] {
+            let (number, scale) = match shown.split_once(' ') {
+                Some((ms, "ms")) => (ms, 1e3),
+                Some((s, "s")) => (s, 1e6),
+                _ => panic!("`{shown}` is not in ms or s"),
+            };
+            check(column, number, record(metric) / scale);
+        }
+        check("real-time factor", realtime, record("realtime_factor"));
+        let rss = rss.strip_suffix(" MB").expect("MB");
+        check("peak RSS", rss, record("peak_rss_mb"));
     }
 }
 

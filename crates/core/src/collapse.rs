@@ -18,21 +18,28 @@
 //! an experiment: services can leave a dynamic topology but never join one
 //! (`NodeJoin` re-adds bridges only), so the initial snapshot's table covers
 //! every later snapshot and all of them share it behind one [`Arc`]. A
-//! departed service keeps its number and its address; its row and column
-//! simply hold no path.
+//! departed service keeps its number and its address; it simply has no
+//! pairs.
 //!
-//! The pairs are one row per source, indexed by destination number, each
-//! row behind its own [`Arc`]. Every lookup is array reads: a binary search
-//! from a service id to its number (or a subtraction from a container
-//! address), then two indexes. A snapshot timeline copies a row on its
-//! first change and shares every other one with the previous snapshot, so a
-//! distinct row costs `services × 8 B` and a full row set `services² × 8 B`
-//! — below the ~20 B per reachable pair of a pair map unless fewer than
-//! ~40% of the pairs are reachable.
+//! A snapshot holds no paths. Per source it keeps the parent array of its
+//! shortest-path tree — per node of the graph, the link the tree reaches it
+//! over ([`Via`]) — as one **base** shared by every snapshot over the same
+//! node set, plus a sorted **overlay** of the entries where this snapshot's
+//! tree differs from the base. A snapshot timeline shares a source's
+//! overlay with the previous snapshot when its tree did not move, and
+//! writes only the entries a change moved otherwise, so a base costs
+//! `services × nodes × 8 B` once and a snapshot `services × 16 B` plus
+//! 12 B per overlay entry. A path is derived when asked for: walking the
+//! parents back from the destination gives its links, and the snapshot's
+//! link tables their latency, jitter, loss and capacity, composed with the
+//! formulas above. Whoever reads a pair on every loop iteration keeps what
+//! it derived (the Emulation Manager caches its senders' paths).
 //!
-//! The links are one [`LinkTable`] per snapshot, also behind an [`Arc`]: a
-//! snapshot timeline shares it with the previous snapshot unless the change
-//! moved a link's capacity or latency, or added or removed a link.
+//! The links are one [`LinkTable`] per snapshot (capacity and latency by
+//! slot) and one table of their jitter and loss, each behind an [`Arc`]: a
+//! snapshot timeline shares the first with the previous snapshot unless the
+//! change moved a link's capacity or latency, the second unless it moved a
+//! jitter or a loss, and neither when a link came or went.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -43,8 +50,8 @@ use kollaps_netmodel::packet::Addr;
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 
-use kollaps_topology::graph::{PathProperties, ShortestPathTree, TopologyGraph};
-use kollaps_topology::model::{LinkId, NodeId, Topology};
+use kollaps_topology::graph::{PathProperties, ShortestPathTree, TopologyGraph, Via};
+use kollaps_topology::model::{LinkId, LinkProperties, NodeId, Topology};
 
 use crate::sharing::{FlowDemand, FlowRef};
 
@@ -79,9 +86,29 @@ impl CollapsedPath {
     }
 }
 
-/// One source's paths, indexed by destination number: `None` where the
-/// source does not reach the destination (always on the diagonal).
-pub(crate) type Row = Arc<[Option<Arc<CollapsedPath>>]>;
+/// A pair's collapsed path with the round-trip time its flow is weighted
+/// by: everything the sharing solver and a sender's qdisc chain read of the
+/// pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlowPath {
+    /// The forward path.
+    pub path: CollapsedPath,
+    /// Its latency plus the reverse path's (see [`CollapsedPath::rtt`]).
+    pub rtt: SimDuration,
+}
+
+impl FlowPath {
+    /// The sharing-solver input of the pair: the path's links (borrowed),
+    /// its RTT as the fairness weight and its maximum bandwidth as the
+    /// demand cap.
+    pub fn flow_ref(&self) -> FlowRef<'_> {
+        FlowRef {
+            links: &self.path.links,
+            rtt: self.rtt,
+            demand: self.path.max_bandwidth,
+        }
+    }
+}
 
 /// "No slot" in [`LinkTable`]'s id → slot index.
 const NO_SLOT: u32 = u32::MAX;
@@ -213,60 +240,141 @@ impl LinkTable {
     }
 }
 
-/// The collapsed view of a topology snapshot: every reachable ordered pair
-/// of services mapped to its end-to-end virtual link, plus the addressing
-/// information used by the dataplane.
+/// The jitter and loss of a snapshot's links, by [`LinkTable`] slot. It
+/// sits beside the table rather than in it so that a jitter or loss change
+/// leaves the table, and the solver memo that recognises it, shared.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct LinkImpairments {
+    jitter: Vec<SimDuration>,
+    loss: Vec<f64>,
+}
+
+impl LinkImpairments {
+    /// The jitter and loss of the links of `topology`, by their slot in
+    /// `table`, the topology's own [`LinkTable::of`].
+    pub(crate) fn of(topology: &Topology, table: &LinkTable) -> Self {
+        let mut impairments = LinkImpairments {
+            jitter: vec![SimDuration::ZERO; table.len()],
+            loss: vec![0.0; table.len()],
+        };
+        for link in topology.links() {
+            if let Some(slot) = table.slot(link.id) {
+                impairments.jitter[slot] = link.properties.jitter;
+                impairments.loss[slot] = link.properties.loss;
+            }
+        }
+        impairments
+    }
+}
+
+/// The end-to-end values of the path over `links` (source first), composed
+/// over a snapshot's link tables; `None` if a link is not in them (never
+/// for the links of a snapshot's own trees).
+pub(crate) fn compose(
+    links: &[LinkId],
+    table: &LinkTable,
+    impairments: &LinkImpairments,
+) -> Option<PathProperties> {
+    PathProperties::compose_links(links.iter().map(|&link| {
+        let slot = table.slot(link)?;
+        Some(LinkProperties {
+            latency: table.latency(slot),
+            jitter: impairments.jitter[slot],
+            bandwidth: table.capacity(slot),
+            loss: impairments.loss[slot],
+        })
+    }))
+}
+
+/// "No node": a service its node set does not have.
+pub(crate) const NO_NODE: u32 = u32::MAX;
+
+/// The parent arrays of every source over one node set: what the overlays
+/// of every snapshot over that node set differ from.
+#[derive(Debug, Default)]
+pub(crate) struct TreeBase {
+    /// The node set's ids, ascending ([`TopologyGraph::nodes`]): parent
+    /// arrays are indexed like them.
+    pub(crate) nodes: Arc<[NodeId]>,
+    /// Per service number, the index of its node; [`NO_NODE`] for a
+    /// service the topology no longer has.
+    pub(crate) at: Vec<u32>,
+    /// Per node index, the number of the service it is; [`NO_NODE`] for a
+    /// bridge.
+    pub(crate) number: Vec<u32>,
+    /// `nodes.len()` parents per service number, in number order; those of
+    /// an absent service are all [`Via::NONE`].
+    parents: Vec<Via>,
+}
+
+impl TreeBase {
+    /// The base entry of source number `src` for the node at `node`.
+    pub(crate) fn parent(&self, src: usize, node: u32) -> Via {
+        self.parents[src * self.nodes.len() + node as usize]
+    }
+}
+
+/// The entries of one source's tree that differ from its base, ascending by
+/// node index; `None` when there are none.
+pub(crate) type Overlay = Option<Arc<[(u32, Via)]>>;
+
+/// The links of a tree path, destination first: from the node at `node`
+/// along `parent` (an array of `nodes` entries) back to the node at
+/// `root`. `None` when `node` is `root`, unreached, or either is
+/// [`NO_NODE`].
+pub(crate) fn links_back(
+    parent: impl Fn(u32) -> Via,
+    nodes: usize,
+    root: u32,
+    mut node: u32,
+) -> Option<impl Iterator<Item = LinkId>> {
+    if root == NO_NODE || node == NO_NODE || node == root || parent(node).is_none() {
+        return None;
+    }
+    // Only the root has no link among reached nodes, so the walk ends
+    // exactly there, within `nodes` hops; a parent array that is no tree
+    // ends it early rather than never.
+    let mut hops = nodes;
+    Some(std::iter::from_fn(move || {
+        if node == root {
+            return None;
+        }
+        debug_assert!(hops > 0, "a parent chain longer than its tree");
+        hops = hops.checked_sub(1)?;
+        let via = parent(node);
+        node = via.from;
+        (!via.is_none()).then_some(via.link)
+    }))
+}
+
+/// The collapsed view of a topology snapshot: every ordered pair of
+/// services that reach each other, by its shortest-path tree, plus the
+/// addressing information used by the dataplane.
 ///
-/// The service table is shared by every snapshot of an experiment and the
-/// pairs are one row per source (see the module docs), each path and each
-/// row behind an [`Arc`], so that successive snapshots of a dynamic
-/// experiment (see `crate::timeline`) share the unchanged rows structurally
-/// instead of cloning `O(services²)` entries per event.
+/// The service table is shared by every snapshot of an experiment, and the
+/// trees are a shared base plus one overlay per source (see the module
+/// docs), so that successive snapshots of a dynamic experiment (see
+/// `crate::timeline`) share what did not move instead of cloning
+/// `O(services²)` entries per event.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CollapsedTopology {
     /// Every service, in id order: the `i`-th owns `Addr::container(i)`.
     pub(crate) services: Arc<[NodeId]>,
-    /// One row per service of `services`, indexed by destination number.
-    pub(crate) rows: Vec<Row>,
-    /// Reachable ordered pairs (`Some` entries of `rows`).
+    /// The parent arrays of this snapshot's node set.
+    pub(crate) base: Arc<TreeBase>,
+    /// Per service number, where its tree differs from the base.
+    pub(crate) overlays: Vec<Overlay>,
+    /// Ordered pairs of present services that reach each other.
     pub(crate) pairs: usize,
     /// The snapshot's links.
     pub(crate) links: Arc<LinkTable>,
-}
-
-/// Collapses one shortest path into its end-to-end `CollapsedPath`.
-fn collapse_path(
-    topology: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    path: kollaps_topology::graph::Path,
-) -> Option<CollapsedPath> {
-    let props = PathProperties::compose(topology, &path)?;
-    Some(CollapsedPath {
-        src,
-        dst,
-        latency: props.latency,
-        jitter: props.jitter,
-        loss: props.loss,
-        max_bandwidth: props.max_bandwidth,
-        links: path.links,
-    })
-}
-
-/// One source's freshly derived destinations.
-pub(crate) struct SourceRow {
-    /// Destinations the caller's `unchanged` test answered for: nothing was
-    /// built for them.
-    pub(crate) unchanged: usize,
-    /// Every other present destination (its number) with its freshly
-    /// collapsed path, or `None` when the source does not reach it; in
-    /// number order.
-    pub(crate) paths: Vec<(usize, Option<Arc<CollapsedPath>>)>,
+    /// Their jitter and loss.
+    pub(crate) impairments: Arc<LinkImpairments>,
 }
 
 /// Which services of the numbered table `services` are services of
 /// `topology`.
-pub(crate) fn presence(services: &[NodeId], topology: &Topology) -> Vec<bool> {
+fn presence(services: &[NodeId], topology: &Topology) -> Vec<bool> {
     let mut present = vec![false; services.len()];
     for id in topology.service_ids() {
         if let Ok(i) = services.binary_search(&id) {
@@ -276,79 +384,19 @@ pub(crate) fn presence(services: &[NodeId], topology: &Topology) -> Vec<bool> {
     present
 }
 
-/// Derives the row of the `src`-th service from its shortest-path tree,
-/// for the present service destinations only. `unchanged(dst)` lets the
-/// caller claim a destination number whose path it already holds before
-/// anything is allocated; the all-pairs collapse claims none, the snapshot
-/// timeline claims the ones the previous snapshot still gets right.
-pub(crate) fn source_row(
+/// One shortest-path tree per service of the numbered `services` that
+/// `topology` (of which `graph` is the graph) still has; `None` for the
+/// others.
+pub(crate) fn search_all(
     topology: &Topology,
-    tree: &ShortestPathTree,
+    graph: &TopologyGraph,
     services: &[NodeId],
-    present: &[bool],
-    src: usize,
-    unchanged: impl Fn(usize) -> bool,
-) -> SourceRow {
-    let src_node = services[src];
-    let mut row = SourceRow {
-        unchanged: 0,
-        paths: Vec::new(),
-    };
-    for (dst, &dst_node) in services.iter().enumerate() {
-        if dst == src || !present[dst] {
-            continue;
-        }
-        if unchanged(dst) {
-            row.unchanged += 1;
-            continue;
-        }
-        let fresh = tree
-            .path_to(dst_node)
-            .and_then(|path| collapse_path(topology, src_node, dst_node, path))
-            .map(Arc::new);
-        row.paths.push((dst, fresh));
-    }
-    row
-}
-
-/// The rows of an all-pairs collapse, and the search behind them.
-struct AllPairs {
-    /// One row per service of the table, an empty one for every service
-    /// the topology no longer has.
-    rows: Vec<Row>,
-    /// Reachable pairs.
-    pairs: usize,
-    /// Per source, its shortest-path tree when asked to keep them (`None`
-    /// for an absent source).
-    trees: Vec<Option<ShortestPathTree>>,
-}
-
-/// All-pairs collapse over the numbered `services`: one shortest-path tree
-/// per present source, dropped after its row unless `keep_trees`.
-fn all_pairs(topology: &Topology, services: &[NodeId], keep_trees: bool) -> AllPairs {
-    let graph = TopologyGraph::new(topology);
-    let present = presence(services, topology);
-    let mut pairs = 0;
-    let mut trees = Vec::new();
-    let rows = (0..services.len())
-        .map(|src| {
-            let mut row = vec![None; services.len()];
-            let tree = present[src].then(|| graph.shortest_path_tree(services[src]));
-            if let Some(tree) = &tree {
-                for (dst, path) in
-                    source_row(topology, tree, services, &present, src, |_| false).paths
-                {
-                    pairs += usize::from(path.is_some());
-                    row[dst] = path;
-                }
-            }
-            if keep_trees {
-                trees.push(tree);
-            }
-            row.into()
-        })
-        .collect();
-    AllPairs { rows, pairs, trees }
+) -> Vec<Option<ShortestPathTree>> {
+    presence(services, topology)
+        .into_iter()
+        .zip(services)
+        .map(|(present, &service)| present.then(|| graph.shortest_path_tree(service)))
+        .collect()
 }
 
 impl CollapsedTopology {
@@ -361,15 +409,13 @@ impl CollapsedTopology {
     /// ([`Addr::CONTAINERS`]); the scenario layer rejects such a topology
     /// with a typed error first.
     pub fn build(topology: &Topology) -> Self {
-        CollapsedTopology::build_keeping_trees(topology, false).0
+        CollapsedTopology::build_keeping_trees(topology).0
     }
 
-    /// [`CollapsedTopology::build`], also handing back, when `keep_trees`,
-    /// the shortest-path tree of every source by service number (`None`
-    /// for an absent one); the list is empty otherwise.
+    /// [`CollapsedTopology::build`], also handing back the shortest-path
+    /// tree of every source by service number (`None` for an absent one).
     pub(crate) fn build_keeping_trees(
         topology: &Topology,
-        keep_trees: bool,
     ) -> (Self, Vec<Option<ShortestPathTree>>) {
         let services: Arc<[NodeId]> = topology.service_ids().into();
         assert!(
@@ -377,14 +423,88 @@ impl CollapsedTopology {
             "{} services do not fit the 10.1.0.0/16 container network",
             services.len()
         );
-        let all = all_pairs(topology, &services, keep_trees);
-        let collapsed = CollapsedTopology {
+        CollapsedTopology::searched(topology, services)
+    }
+
+    /// The snapshot of `topology` over the numbered `services`, from one
+    /// full search per present source, and those searches.
+    fn searched(
+        topology: &Topology,
+        services: Arc<[NodeId]>,
+    ) -> (Self, Vec<Option<ShortestPathTree>>) {
+        let graph = TopologyGraph::new(topology);
+        let trees = search_all(topology, &graph, &services);
+        let links = LinkTable::of(topology);
+        let impairments = LinkImpairments::of(topology, &links);
+        let collapsed = CollapsedTopology::from_trees(
             services,
-            rows: all.rows,
-            pairs: all.pairs,
-            links: Arc::new(LinkTable::of(topology)),
+            &graph,
+            &trees,
+            Arc::new(links),
+            Arc::new(impairments),
+        );
+        (collapsed, trees)
+    }
+
+    /// The snapshot whose trees are `trees` (one per service number, over
+    /// `graph`, `None` for a service the topology no longer has) as a new
+    /// base with empty overlays, over the given link tables.
+    pub(crate) fn from_trees(
+        services: Arc<[NodeId]>,
+        graph: &TopologyGraph,
+        trees: &[Option<ShortestPathTree>],
+        links: Arc<LinkTable>,
+        impairments: Arc<LinkImpairments>,
+    ) -> Self {
+        let nodes = graph.nodes();
+        let at: Vec<u32> = services
+            .iter()
+            .zip(trees)
+            .map(|(&service, tree)| {
+                tree.as_ref()
+                    .and_then(|_| graph.node_index(service))
+                    .unwrap_or(NO_NODE)
+            })
+            .collect();
+        let mut parents = Vec::with_capacity(services.len() * nodes.len());
+        for tree in trees {
+            match tree {
+                Some(tree) => parents.extend_from_slice(tree.parents()),
+                None => parents.resize(parents.len() + nodes.len(), Via::NONE),
+            }
+        }
+        let mut number = vec![NO_NODE; nodes.len()];
+        for (service, &node) in at.iter().enumerate() {
+            if node != NO_NODE {
+                number[node as usize] = service as u32;
+            }
+        }
+        let base = TreeBase {
+            nodes: Arc::clone(nodes),
+            at,
+            number,
+            parents,
         };
-        (collapsed, all.trees)
+        let mut collapsed = CollapsedTopology {
+            overlays: vec![None; services.len()],
+            services,
+            base: Arc::new(base),
+            pairs: 0,
+            links,
+            impairments,
+        };
+        collapsed.pairs = collapsed.reach().sum();
+        collapsed
+    }
+
+    /// Per source number, the destinations it reaches.
+    pub(crate) fn reach(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.services.len();
+        (0..n).map(move |src| {
+            (0..n)
+                .filter(|&dst| self.links_back(src, dst).is_some())
+                .count()
+        })
     }
 
     /// Retired, ignored; kept only because `benchmark/` names it — delete
@@ -397,8 +517,8 @@ impl CollapsedTopology {
     /// Re-collapses a modified topology while keeping the original address
     /// assignment (containers keep their IP across dynamic events).
     ///
-    /// This is the **online full rebuild**: every service pair is re-derived
-    /// from scratch. The runtime emulation no longer calls it per event (the
+    /// This is the **online full rebuild**: every source is searched from
+    /// scratch. The runtime emulation no longer calls it per event (the
     /// precomputed `crate::timeline` swaps delta-encoded snapshots instead);
     /// it remains the reference the timeline is checked against and the
     /// fallback for callers that mutate topologies outside a schedule.
@@ -407,13 +527,7 @@ impl CollapsedTopology {
     /// has no address and no pairs, and a service of the table that left
     /// `topology` keeps its address with no pairs.
     pub fn rebuild_with_addresses(&self, topology: &Topology) -> Self {
-        let all = all_pairs(topology, &self.services, false);
-        CollapsedTopology {
-            services: Arc::clone(&self.services),
-            rows: all.rows,
-            pairs: all.pairs,
-            links: Arc::new(LinkTable::of(topology)),
-        }
+        CollapsedTopology::searched(topology, Arc::clone(&self.services)).0
     }
 
     /// The number of a service in the table.
@@ -427,51 +541,113 @@ impl CollapsedTopology {
         (number < self.services.len()).then_some(number)
     }
 
-    /// The path slot of a numbered pair.
-    fn slot(&self, src: usize, dst: usize) -> Option<&Arc<CollapsedPath>> {
-        self.rows[src][dst].as_ref()
+    /// The entry of source number `src`'s parent array for the node at
+    /// `node`: its overlay's, or else the base's.
+    pub(crate) fn parent(&self, src: usize, node: u32) -> Via {
+        if let Some(overlay) = &self.overlays[src] {
+            if let Ok(i) = overlay.binary_search_by_key(&node, |&(at, _)| at) {
+                return overlay[i].1;
+            }
+        }
+        self.base.parent(src, node)
     }
 
-    /// The collapsed path from `src` to `dst`, if reachable.
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<&CollapsedPath> {
-        self.path_handle(src, dst).map(Arc::as_ref)
+    /// Source number `src`'s whole parent array.
+    pub(crate) fn parents(&self, src: usize) -> Vec<Via> {
+        let n = self.base.nodes.len();
+        let mut parents = self.base.parents[src * n..(src + 1) * n].to_vec();
+        for &(node, via) in self.overlays[src].iter().flat_map(|overlay| overlay.iter()) {
+            parents[node as usize] = via;
+        }
+        parents
     }
 
-    /// The shared handle of the collapsed path from `src` to `dst`. Two
-    /// snapshots returning [`Arc::ptr_eq`] handles are guaranteed to agree
-    /// on that pair — the structural-sharing property the snapshot timeline
-    /// relies on (and tests assert).
-    pub fn path_handle(&self, src: NodeId, dst: NodeId) -> Option<&Arc<CollapsedPath>> {
-        self.slot(self.number_of(src)?, self.number_of(dst)?)
+    /// The links of the path between two numbered services, destination
+    /// first; `None` when there is none.
+    pub(crate) fn links_back(
+        &self,
+        src: usize,
+        dst: usize,
+    ) -> Option<impl Iterator<Item = LinkId> + '_> {
+        links_back(
+            move |node| self.parent(src, node),
+            self.base.nodes.len(),
+            self.base.at[src],
+            self.base.at[dst],
+        )
+    }
+
+    /// Derives the path between two numbered services.
+    fn path_of(&self, src: usize, dst: usize) -> Option<CollapsedPath> {
+        // Two walks, so that the list is allocated once at its exact size.
+        let hops = self.links_back(src, dst)?.count();
+        let mut links = vec![LinkId::default(); hops];
+        for (slot, link) in links.iter_mut().rev().zip(self.links_back(src, dst)?) {
+            *slot = link;
+        }
+        let values = compose(&links, &self.links, &self.impairments)?;
+        Some(CollapsedPath {
+            src: self.services[src],
+            dst: self.services[dst],
+            latency: values.latency,
+            jitter: values.jitter,
+            loss: values.loss,
+            max_bandwidth: values.max_bandwidth,
+            links,
+        })
+    }
+
+    /// The one-way latency between two numbered services, without building
+    /// their path.
+    fn latency_of(&self, src: usize, dst: usize) -> Option<SimDuration> {
+        let mut back = self.links_back(src, dst)?;
+        back.try_fold(SimDuration::ZERO, |sum, link| {
+            Some(sum + self.links.latency(self.links.slot(link)?))
+        })
+    }
+
+    /// The path and RTT of two numbered services.
+    fn flow_path_of(&self, src: usize, dst: usize) -> Option<FlowPath> {
+        let path = self.path_of(src, dst)?;
+        let rtt = path.rtt(self.latency_of(dst, src));
+        Some(FlowPath { path, rtt })
+    }
+
+    /// The collapsed path from `src` to `dst`, if reachable, derived from
+    /// the snapshot's trees.
+    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<CollapsedPath> {
+        self.path_of(self.number_of(src)?, self.number_of(dst)?)
     }
 
     /// The collapsed path between two container addresses.
-    pub fn path_by_addr(&self, src: Addr, dst: Addr) -> Option<&CollapsedPath> {
-        self.slot(self.number_at(src)?, self.number_at(dst)?)
-            .map(Arc::as_ref)
+    pub fn path_by_addr(&self, src: Addr, dst: Addr) -> Option<CollapsedPath> {
+        self.path_of(self.number_at(src)?, self.number_at(dst)?)
     }
 
     /// Round-trip time between two services (forward + reverse collapsed
     /// latency).
     pub fn rtt(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
-        let fwd = self.path(src, dst)?;
-        let rev = self.path(dst, src).map(|p| p.latency);
-        Some(fwd.rtt(rev))
+        Some(
+            self.flow_path_of(self.number_of(src)?, self.number_of(dst)?)?
+                .rtt,
+        )
     }
 
-    /// All collapsed paths, in (src, dst) order: the rows in service order,
-    /// each in destination order.
-    pub fn paths(&self) -> impl Iterator<Item = &CollapsedPath> {
-        self.path_handles().map(|(_, path)| path.as_ref())
+    /// The bottleneck bandwidth between two container addresses, without
+    /// building their path.
+    pub fn max_bandwidth_by_addr(&self, src: Addr, dst: Addr) -> Option<Bandwidth> {
+        let mut back = self.links_back(self.number_at(src)?, self.number_at(dst)?)?;
+        back.try_fold(Bandwidth::MAX, |min, link| {
+            Some(min.min(self.links.capacity(self.links.slot(link)?)))
+        })
     }
 
-    /// All collapsed pairs with their shared path handles, in (src, dst)
-    /// order.
-    pub fn path_handles(&self) -> impl Iterator<Item = ((NodeId, NodeId), &Arc<CollapsedPath>)> {
-        self.rows
-            .iter()
-            .flat_map(|row| row.iter().flatten())
-            .map(|path| ((path.src, path.dst), path))
+    /// Every collapsed path, in (src, dst) order, each derived afresh: the
+    /// all-pairs oracle of the tests. Nothing on the emulation loop
+    /// enumerates the pairs.
+    pub fn paths(&self) -> impl Iterator<Item = CollapsedPath> + '_ {
+        let n = self.services.len();
+        (0..n * n).filter_map(move |pair| self.path_of(pair / n, pair % n))
     }
 
     /// Number of collapsed (ordered) pairs.
@@ -516,32 +692,25 @@ impl CollapsedTopology {
         &self.links
     }
 
-    /// Builds the sharing-solver input for one active (src, dst) pair: the
-    /// collapsed path's links (borrowed), the pair's RTT as the fairness
-    /// weight ([`CollapsedTopology::rtt`]) and the path maximum bandwidth as
-    /// the demand cap.
+    /// The path and the RTT of one (src, dst) pair: its sharing-solver
+    /// input ([`FlowPath::flow_ref`]) and its chain's settings.
     ///
-    /// Both the per-host Emulation Manager (for its local flows) and the
-    /// omniscient convergence reference build their solver inputs through
-    /// this one helper, so the convergence gap measures metadata staleness
-    /// rather than implementation drift.
-    pub fn flow_ref(&self, src: Addr, dst: Addr) -> Option<FlowRef<'_>> {
-        let (src, dst) = (self.number_at(src)?, self.number_at(dst)?);
-        let path = self.slot(src, dst)?;
-        Some(FlowRef {
-            links: &path.links,
-            rtt: path.rtt(self.slot(dst, src).map(|reverse| reverse.latency)),
-            demand: path.max_bandwidth,
-        })
+    /// The per-host Emulation Manager derives each of its senders' pairs
+    /// through this one helper and keeps the result, and the omniscient
+    /// convergence reference reads those same results, so the convergence
+    /// gap measures metadata staleness rather than implementation drift.
+    pub fn flow_path(&self, src: Addr, dst: Addr) -> Option<FlowPath> {
+        self.flow_path_of(self.number_at(src)?, self.number_at(dst)?)
     }
 
-    /// [`CollapsedTopology::flow_ref`] with owned links, keyed by `id`.
+    /// [`CollapsedTopology::flow_path`]'s solver input with owned links,
+    /// keyed by `id`.
     pub fn flow_demand(&self, id: u64, src: Addr, dst: Addr) -> Option<FlowDemand> {
-        self.flow_ref(src, dst).map(|flow| FlowDemand {
+        self.flow_path(src, dst).map(|flow| FlowDemand {
             id,
-            links: flow.links.to_vec(),
             rtt: flow.rtt,
-            demand: flow.demand,
+            demand: flow.path.max_bandwidth,
+            links: flow.path.links,
         })
     }
 
@@ -657,14 +826,17 @@ mod tests {
             assert_eq!(c.service_at(outside), None, "{outside}");
             assert!(c.path_by_addr(first, outside).is_none(), "{outside}");
             assert!(c.path_by_addr(outside, first).is_none(), "{outside}");
-            assert!(c.flow_ref(first, outside).is_none(), "{outside}");
-            assert!(c.flow_ref(outside, first).is_none(), "{outside}");
+            assert!(c.flow_path(first, outside).is_none(), "{outside}");
+            assert!(c.flow_path(outside, first).is_none(), "{outside}");
+            assert!(
+                c.max_bandwidth_by_addr(first, outside).is_none(),
+                "{outside}"
+            );
         }
         assert_eq!(c.service_at(first), Some(c1));
         let bridge = t.node_by_name("s1").unwrap();
         assert_eq!(c.address_of(bridge), None);
         assert_eq!(c.pair_count(), c.paths().count());
-        assert_eq!(c.pair_count(), c.path_handles().count());
     }
 
     #[test]

@@ -263,6 +263,10 @@ pub struct PacketPathStats {
     /// it, so it follows the pairs that carry traffic, not the pairs that
     /// have a path.
     pub chains_installed: u64,
+    /// Paths the managers derived from the snapshots' trees (monotone):
+    /// one per chain created and one per cached pair a delta refreshed —
+    /// nothing per loop iteration.
+    pub paths_built: u64,
 }
 
 impl PacketPathStats {
@@ -329,9 +333,9 @@ impl KollapsDataplane {
     ///
     /// A campaign sweeping non-topological parameters precomputes
     /// the timeline once and hands every variant a clone: the clone shares
-    /// every `CollapsedTopology` snapshot (and every `CollapsedPath` inside
-    /// them) structurally behind `Arc`s, so N variants pay the offline
-    /// all-pairs work once, not N times. The timeline's own
+    /// every `CollapsedTopology` snapshot (its trees' base and overlays)
+    /// structurally behind `Arc`s, so N variants pay the offline all-pairs
+    /// work once, not N times. The timeline's own
     /// `precompute_micros` travels with it — variants built from the same
     /// prepared timeline report identical precompute counters.
     pub fn with_prepared(
@@ -527,6 +531,7 @@ impl KollapsDataplane {
             stats.trees_visited += visited;
             stats.trees_emitted += emitted;
             stats.chains_installed += manager.chains_installed();
+            stats.paths_built += manager.paths_built();
         }
         stats
     }
@@ -612,10 +617,10 @@ impl KollapsDataplane {
         let mut load: HashMap<kollaps_topology::model::LinkId, u64> = HashMap::new();
         for manager in &self.managers {
             for &((src, dst), used) in manager.local_usages() {
-                let Some(path) = self.collapsed.path_by_addr(src, dst) else {
+                let Some(flow) = manager.flow_path(src, dst) else {
                     continue;
                 };
-                for &link in &path.links {
+                for &link in &flow.path.links {
                     *load.entry(link).or_default() += used.as_bps();
                 }
             }
@@ -712,12 +717,13 @@ impl KollapsDataplane {
         let mut flows: Vec<FlowRef<'_>> = Vec::new();
         let mut keys: Vec<(usize, Addr, Addr)> = Vec::new();
         for (mi, manager) in self.managers.iter().enumerate() {
-            // The usage table is already sorted by pair.
+            // The usage table is already sorted by pair, and every pair
+            // with usage has its path cached next to its chain.
             for &((src, dst), _) in manager.local_usages() {
-                let Some(flow) = collapsed.flow_ref(src, dst) else {
+                let Some(flow) = manager.flow_path(src, dst) else {
                     continue;
                 };
-                flows.push(flow);
+                flows.push(flow.flow_ref());
                 keys.push((mi, src, dst));
             }
         }

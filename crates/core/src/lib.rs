@@ -38,7 +38,7 @@ pub mod runtime;
 pub mod sharing;
 pub mod timeline;
 
-pub use collapse::{Addressable, CollapsedPath, CollapsedTopology, LinkTable};
+pub use collapse::{Addressable, CollapsedPath, CollapsedTopology, FlowPath, LinkTable};
 pub use emulation::{
     ConvergenceStats, DynamicsStats, EmulationConfig, KollapsDataplane, PacketPathStats,
 };

@@ -32,10 +32,10 @@ use kollaps_netmodel::egress::{EgressTree, EgressVerdict};
 use kollaps_netmodel::netem::NetemConfig;
 use kollaps_netmodel::packet::{Addr, Packet};
 use kollaps_sim::prelude::*;
-use kollaps_topology::model::LinkId;
+use kollaps_topology::model::{LinkId, NodeId};
 use kollaps_trace::Recorder;
 
-use crate::collapse::{CollapsedPath, CollapsedTopology};
+use crate::collapse::{CollapsedPath, CollapsedTopology, FlowPath};
 use crate::emulation::EmulationConfig;
 use crate::sharing::{oversubscription, Allocator, AllocatorStats, FlowRef};
 
@@ -64,10 +64,15 @@ pub struct RemoteUsage {
 /// The manager's wake index: a binary min-heap of `(wake, slot)` entries.
 type WakeHeap = BinaryHeap<Reverse<(SimTime, usize)>>;
 
-/// One local container's egress tree plus the wake it holds in the
-/// manager's wake index.
+/// One local container's egress tree, the paths of its chains and the wake
+/// it holds in the manager's wake index.
 struct Tcal {
     tree: EgressTree,
+    /// The path and RTT of every chain of the tree, by destination,
+    /// ascending: derived when the chain is created and refreshed when a
+    /// delta names the pair or its reverse (the RTT reads the reverse
+    /// path's latency). Everything the loop reads of a local pair.
+    paths: Vec<(Addr, FlowPath)>,
     /// `tree.next_wakeup()` as of the last [`Tcal::reindex`]; `None` when
     /// the tree is idle or stalled on zero-rate classes, and while a poll
     /// that popped the tree's entry is under way. A wake-index entry
@@ -75,7 +80,25 @@ struct Tcal {
     wake: Option<SimTime>,
 }
 
+/// The cached path towards `dst` in a [`Tcal::paths`] table.
+fn path_to(paths: &[(Addr, FlowPath)], dst: Addr) -> Option<&FlowPath> {
+    let i = paths.binary_search_by_key(&dst, |&(at, _)| at).ok()?;
+    Some(&paths[i].1)
+}
+
 impl Tcal {
+    /// Caches `path` as the path towards `dst`, or forgets it on `None`.
+    fn cache(&mut self, dst: Addr, path: Option<FlowPath>) {
+        match (self.paths.binary_search_by_key(&dst, |&(at, _)| at), path) {
+            (Ok(i), Some(path)) => self.paths[i].1 = path,
+            (Ok(i), None) => {
+                self.paths.remove(i);
+            }
+            (Err(i), Some(path)) => self.paths.insert(i, (dst, path)),
+            (Err(_), None) => {}
+        }
+    }
+
     /// Recomputes the tree's wake. A changed wake is pushed as a new entry;
     /// the old one goes stale and is dropped when it reaches the top.
     fn reindex(&mut self, now: SimTime, slot: usize, wakes: &mut WakeHeap) {
@@ -137,14 +160,21 @@ fn settle(wakes: &mut WakeHeap, egress: &[Tcal]) {
 /// gave a path) and then re-configured to the current path.
 /// [`EmulationManager::apply_delta`] re-configures and removes only chains
 /// that exist, but counts the chains an eager install would have touched.
+///
+/// **Paths next to their chains.** A snapshot holds trees, not paths (see
+/// `crate::collapse`): the manager derives a pair's path and RTT when it
+/// creates the pair's chain and keeps them in [`Tcal::paths`], so the loop
+/// reads a local pair with two binary searches and nothing is derived per
+/// iteration. A delta refreshes exactly the cached pairs it names, and
+/// those whose reverse it names.
 pub struct EmulationManager {
     host: HostId,
     config: EmulationConfig,
     /// This manager's own collapsed snapshot of the topology. Snapshots are
     /// distributed ahead of time (dynamic events are part of the experiment
     /// description), but *usage* only ever arrives through the bus. Shared
-    /// read-only (the paths map is O(services²) — one copy, not one per
-    /// host).
+    /// read-only (its trees are `O(services × nodes)` — one copy, not one
+    /// per host).
     collapsed: Arc<CollapsedTopology>,
     /// The snapshot the manager was built with: a chain first sent on along
     /// a path no delta re-created is created at this snapshot's rate.
@@ -156,6 +186,9 @@ pub struct EmulationManager {
     creation_rates: Vec<((Addr, Addr), Bandwidth)>,
     /// Chains created since construction (deterministic work counter).
     chains_installed: u64,
+    /// Paths derived since construction, for a new chain or a refresh
+    /// (deterministic work counter).
+    paths_built: u64,
     /// The eager oracle: every local pair with a path holds a chain, also
     /// right after a delta.
     #[cfg(test)]
@@ -237,6 +270,14 @@ fn local_tcal(egress: &mut [Tcal], addr: Addr) -> Option<(usize, &mut Tcal)> {
     Some((slot, egress.get_mut(slot)?))
 }
 
+/// The cached path of the local pair `(src, dst)`, if it has a chain.
+fn cached(egress: &[Tcal], src: Addr, dst: Addr) -> Option<&FlowPath> {
+    let slot = egress
+        .binary_search_by_key(&src, |tcal| tcal.tree.owner())
+        .ok()?;
+    path_to(&egress[slot].paths, dst)
+}
+
 /// The netem stage of a collapsed path's chain.
 fn netem_of(path: &CollapsedPath) -> NetemConfig {
     NetemConfig {
@@ -260,7 +301,11 @@ impl EmulationManager {
         let mut egress: Vec<Tcal> = Vec::new();
         for &addr in local {
             let tree = EgressTree::new(addr, rng.derive(u64::from(addr.as_u32())));
-            egress.push(Tcal { tree, wake: None });
+            egress.push(Tcal {
+                tree,
+                paths: Vec::new(),
+                wake: None,
+            });
         }
         egress.sort_unstable_by_key(|tcal| tcal.tree.owner());
         egress.dedup_by_key(|tcal| tcal.tree.owner());
@@ -271,6 +316,7 @@ impl EmulationManager {
             collapsed,
             creation_rates: Vec::new(),
             chains_installed: 0,
+            paths_built: 0,
             #[cfg(test)]
             eager: false,
             egress,
@@ -350,19 +396,22 @@ impl EmulationManager {
         let (slot, tcal) = local_tcal(&mut self.egress, packet.src)?;
         let pair = (packet.src, packet.dst);
         if !tcal.tree.has_path(pair.1) {
-            if let Some(path) = self.collapsed.path_by_addr(pair.0, pair.1) {
+            if let Some(flow) = self.collapsed.flow_path(pair.0, pair.1) {
+                self.paths_built += 1;
+                let max_bandwidth = flow.path.max_bandwidth;
                 let created_at = match self.creation_rates.binary_search_by_key(&pair, |e| e.0) {
                     Ok(i) => self.creation_rates.remove(i).1,
                     Err(_) => self
                         .initial
-                        .path_by_addr(pair.0, pair.1)
-                        .map_or(path.max_bandwidth, |initial| initial.max_bandwidth),
+                        .max_bandwidth_by_addr(pair.0, pair.1)
+                        .unwrap_or(max_bandwidth),
                 };
                 // Created, then re-configured to the current path: the
                 // burst and queue limit keep the creation rate's size.
-                let netem = netem_of(path);
+                let netem = netem_of(&flow.path);
                 tcal.tree.install_path(pair.1, netem, created_at);
-                tcal.tree.install_path(pair.1, netem, path.max_bandwidth);
+                tcal.tree.install_path(pair.1, netem, max_bandwidth);
+                tcal.cache(pair.1, Some(flow));
                 self.chains_installed += 1;
             }
         }
@@ -438,6 +487,19 @@ impl EmulationManager {
         self.chains_installed
     }
 
+    /// Paths derived since construction: one per chain created, plus one
+    /// per refresh of a cached pair a delta named (or whose reverse it
+    /// named).
+    pub fn paths_built(&self) -> u64 {
+        self.paths_built
+    }
+
+    /// The path and RTT of the local pair `(src, dst)` as this manager's
+    /// chain uses them; `None` unless the pair has a chain.
+    pub fn flow_path(&self, src: Addr, dst: Addr) -> Option<&FlowPath> {
+        cached(&self.egress, src, dst)
+    }
+
     /// Loop steps 1–2: reads and clears the per-destination usage of every
     /// local TCAL.
     pub fn collect_usage(&mut self) {
@@ -477,7 +539,7 @@ impl EmulationManager {
         // only supplies the payload.
         let mut message = MetadataMessage::new();
         for &((src, dst), used) in &self.usages {
-            let Some(path) = self.collapsed.path_by_addr(src, dst) else {
+            let Some(FlowPath { path, .. }) = cached(&self.egress, src, dst) else {
                 continue;
             };
             // The wire carries 16-bit link ids. Scenario validation rejects
@@ -526,10 +588,10 @@ impl EmulationManager {
         let mut local_keys: Vec<(Addr, Addr)> = Vec::new();
 
         for &((src, dst), used) in &self.usages {
-            let Some(flow) = collapsed.flow_ref(src, dst) else {
+            let Some(flow) = cached(&self.egress, src, dst) else {
                 continue;
             };
-            flows.push(flow);
+            flows.push(flow.flow_ref());
             usages.push(used);
             local_keys.push((src, dst));
         }
@@ -618,7 +680,10 @@ impl EmulationManager {
         // Trees (by slot) whose rates were rewritten, re-indexed once each at the end.
         let mut touched: Vec<usize> = Vec::new();
         for (&(src, dst), &rate) in local_keys.iter().zip(&local_rates) {
-            let Some(path) = self.collapsed.path_by_addr(src, dst) else {
+            let Some((slot, Tcal { tree, paths, .. })) = local_tcal(&mut self.egress, src) else {
+                continue;
+            };
+            let Some(FlowPath { path, .. }) = path_to(paths, dst) else {
                 continue;
             };
             // Congestion loss: combine the path's intrinsic loss with the
@@ -630,11 +695,9 @@ impl EmulationManager {
                 }
             }
             let loss = 1.0 - (1.0 - path.loss) * (1.0 - congestion);
-            if let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src) {
-                tree.set_bandwidth(now, dst, rate);
-                tree.set_loss(dst, loss);
-                touched.push(slot);
-            }
+            tree.set_bandwidth(now, dst, rate);
+            tree.set_loss(dst, loss);
+            touched.push(slot);
             // `local_keys` is sorted by pair, so pushes keep the table sorted.
             self.last_allocation.push(((src, dst), rate));
         }
@@ -642,12 +705,12 @@ impl EmulationManager {
             if table_get(&self.last_allocation, (src, dst)).is_some() {
                 continue;
             }
-            let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src) else {
+            let Some((slot, Tcal { tree, paths, .. })) = local_tcal(&mut self.egress, src) else {
                 continue;
             };
-            // A pair whose path disappeared had its chain removed by the
-            // delta application; nothing to restore then.
-            if let Some(path) = self.collapsed.path_by_addr(src, dst) {
+            // A pair whose path disappeared had its chain and its path
+            // removed by the delta application; nothing to restore then.
+            if let Some(FlowPath { path, .. }) = path_to(paths, dst) {
                 tree.set_bandwidth(now, dst, path.max_bandwidth);
                 tree.set_loss(dst, path.loss);
                 touched.push(slot);
@@ -674,23 +737,22 @@ impl EmulationManager {
     pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
         let previous = std::mem::replace(&mut self.collapsed, Arc::clone(&delta.snapshot));
         let collapsed = Arc::clone(&self.collapsed);
+        let addresses = |&(src, dst): &(NodeId, NodeId)| {
+            Some((collapsed.address_of(src)?, collapsed.address_of(dst)?))
+        };
         let mut touched = 0;
         let mut trees: Vec<usize> = Vec::new();
         let mut gone: Vec<(Addr, Addr)> = Vec::new();
-        for &(src, dst) in &delta.removed_paths {
-            let (Some(src_addr), Some(dst_addr)) =
-                (collapsed.address_of(src), collapsed.address_of(dst))
-            else {
-                continue;
-            };
-            if let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src_addr) {
+        for (src, dst) in delta.removed_paths.iter().filter_map(addresses) {
+            if let Some((slot, tcal)) = local_tcal(&mut self.egress, src) {
                 touched += 1;
-                if tree.remove_path(dst_addr) {
+                tcal.cache(dst, None);
+                if tcal.tree.remove_path(dst) {
                     trees.push(slot);
                     self.revisit.push(slot);
                 }
-                table_remove(&mut self.last_allocation, (src_addr, dst_addr));
-                gone.push((src_addr, dst_addr));
+                table_remove(&mut self.last_allocation, (src, dst));
+                gone.push((src, dst));
             }
         }
         if !gone.is_empty() && !self.creation_rates.is_empty() {
@@ -699,34 +761,46 @@ impl EmulationManager {
                 .retain(|(pair, _)| gone.binary_search(pair).is_err());
         }
         let kept = self.creation_rates.len();
-        for &(src, dst) in &delta.changed_paths {
-            let (Some(src_addr), Some(dst_addr)) =
-                (collapsed.address_of(src), collapsed.address_of(dst))
-            else {
+        for (src, dst) in delta.changed_paths.iter().filter_map(addresses) {
+            let Some((slot, tcal)) = local_tcal(&mut self.egress, src) else {
                 continue;
             };
-            let Some((slot, Tcal { tree, .. })) = local_tcal(&mut self.egress, src_addr) else {
-                continue;
-            };
-            let Some(path) = collapsed.path(src, dst) else {
+            let Some(max_bandwidth) = collapsed.max_bandwidth_by_addr(src, dst) else {
                 continue;
             };
             touched += 1;
-            let rate = table_get(&self.last_allocation, (src_addr, dst_addr))
-                .unwrap_or(path.max_bandwidth)
-                .min(path.max_bandwidth);
-            let exists = tree.has_path(dst_addr);
-            if exists || tree.has_usage(dst_addr) {
-                tree.install_path(dst_addr, netem_of(path), rate);
-                self.chains_installed += u64::from(!exists);
-                trees.push(slot);
-            } else if previous.path(src, dst).is_none() {
-                // An eager install creates the chain here, at `rate`.
-                self.creation_rates.push(((src_addr, dst_addr), rate));
+            let rate = table_get(&self.last_allocation, (src, dst))
+                .unwrap_or(max_bandwidth)
+                .min(max_bandwidth);
+            let exists = tcal.tree.has_path(dst);
+            if exists || tcal.tree.has_usage(dst) {
+                if let Some(flow) = collapsed.flow_path(src, dst) {
+                    self.paths_built += 1;
+                    tcal.tree.install_path(dst, netem_of(&flow.path), rate);
+                    tcal.cache(dst, Some(flow));
+                    self.chains_installed += u64::from(!exists);
+                    trees.push(slot);
+                }
+            } else if previous.max_bandwidth_by_addr(src, dst).is_none() {
+                // The pair had no path: an eager install creates the chain
+                // here, at `rate`.
+                self.creation_rates.push(((src, dst), rate));
             }
         }
         if self.creation_rates.len() > kept {
             self.creation_rates.sort_unstable_by_key(|&(pair, _)| pair);
+        }
+        // A cached RTT reads the reverse path: refresh every cached pair
+        // whose reverse the delta names.
+        let named = delta.changed_paths.iter().chain(&delta.removed_paths);
+        for (src, dst) in named.filter_map(addresses) {
+            let Some((_, tcal)) = local_tcal(&mut self.egress, dst) else {
+                continue;
+            };
+            if path_to(&tcal.paths, src).is_some() {
+                self.paths_built += 1;
+                tcal.cache(src, collapsed.flow_path(dst, src));
+            }
         }
         self.reindex(SimTime::ZERO + delta.at, trees);
         #[cfg(test)]
@@ -768,19 +842,19 @@ impl EmulationManager {
     /// for a pair a delta gave a path.
     fn install_local_paths(&mut self) {
         let collapsed = Arc::clone(&self.collapsed);
-        for Tcal { tree, .. } in &mut self.egress {
-            let src_addr = tree.owner();
-            let Some(src_node) = collapsed.service_at(src_addr) else {
-                continue;
-            };
-            for (dst_node, dst_addr) in collapsed.addresses() {
-                if dst_addr == src_addr || tree.has_path(dst_addr) {
+        for tcal in &mut self.egress {
+            let src = tcal.tree.owner();
+            for (_, dst) in collapsed.addresses() {
+                if dst == src || tcal.tree.has_path(dst) {
                     continue;
                 }
-                let Some(path) = collapsed.path(src_node, dst_node) else {
+                let Some(flow) = collapsed.flow_path(src, dst) else {
                     continue;
                 };
-                tree.install_path(dst_addr, netem_of(path), path.max_bandwidth);
+                self.paths_built += 1;
+                tcal.tree
+                    .install_path(dst, netem_of(&flow.path), flow.path.max_bandwidth);
+                tcal.cache(dst, Some(flow));
                 self.chains_installed += 1;
             }
         }
@@ -840,7 +914,7 @@ mod tests {
     use kollaps_netmodel::packet::{FlowId, PacketKind, MTU};
     use kollaps_topology::events::{DynamicAction, DynamicEvent, EventSchedule, LinkChange};
     use kollaps_topology::generators;
-    use kollaps_topology::model::NodeId;
+    use kollaps_topology::model::{LinkProperties, Topology};
 
     /// Two managers built alike take the same seeded op sequence. After
     /// every op the wake index must equal the brute-force minimum over every
@@ -1022,6 +1096,7 @@ mod tests {
         let mut egress: Vec<Tcal> = (0..2)
             .map(|i| Tcal {
                 tree: EgressTree::new(Addr::container(i), rng.derive(u64::from(i))),
+                paths: Vec::new(),
                 wake: None,
             })
             .collect();
@@ -1327,6 +1402,72 @@ mod tests {
         assert_eq!((enforced, shaped, log), run(true));
     }
 
+    /// A pair's cached RTT reads its reverse path. A delta that changes
+    /// only the reverse of an active pair — here `s → b2`, a one-way link
+    /// only the way back crosses — names only the reverse pair, and the
+    /// cached path of the forward pair must follow it all the same.
+    ///
+    /// Mutation-checked: without the refresh of pairs whose reverse a delta
+    /// names, the cached RTT stays at 4 ms and this test fails.
+    #[test]
+    fn a_delta_on_the_reverse_path_only_moves_the_cached_rtt() {
+        let mut topo = Topology::new();
+        let c = topo.add_service("c", 0, "img");
+        let s = topo.add_service("s", 0, "img");
+        let (b1, b2) = (topo.add_bridge("b1"), topo.add_bridge("b2"));
+        let hop = LinkProperties::new(SimDuration::from_millis(1), Bandwidth::from_mbps(10));
+        // The way there runs over b1, the way back over b2.
+        topo.add_link(c, b1, hop, "net");
+        topo.add_link(b1, s, hop, "net");
+        topo.add_link(s, b2, hop, "net");
+        topo.add_link(b2, c, hop, "net");
+        let schedule = EventSchedule::from_events(vec![DynamicEvent {
+            at: SimDuration::from_secs(1),
+            action: DynamicAction::SetLinkProperties {
+                orig: "s".into(),
+                dest: "b2".into(),
+                change: LinkChange {
+                    latency: Some(SimDuration::from_millis(20)),
+                    ..LinkChange::default()
+                },
+            },
+        }]);
+        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let collapsed = Arc::clone(timeline.initial());
+        let (src, dst) = (
+            collapsed.address_of(c).expect("a service"),
+            collapsed.address_of(s).expect("a service"),
+        );
+        let mut manager = EmulationManager::new(
+            HostId(0),
+            EmulationConfig::default(),
+            Arc::clone(&collapsed),
+            &[src],
+            &SimRng::new(5),
+        );
+        let packet = Packet::new(1, FlowId(0), src, dst, MTU, PacketKind::Udp, SimTime::ZERO);
+        assert_eq!(
+            manager.enqueue(SimTime::ZERO, packet),
+            Some(EgressVerdict::Queued)
+        );
+        let rtt =
+            |manager: &EmulationManager| manager.flow_path(src, dst).map(|f| f.flow_ref().rtt);
+        assert_eq!(rtt(&manager), Some(SimDuration::from_millis(4)));
+        assert_eq!(manager.paths_built(), 1);
+
+        let [delta] = timeline.deltas() else {
+            panic!("one change time, one delta");
+        };
+        assert_eq!(delta.changed_paths, [(s, c)], "only the way back changed");
+        manager.apply_delta(delta);
+        assert_eq!(rtt(&manager), Some(SimDuration::from_millis(2 + 21)));
+        assert_eq!(
+            manager.flow_path(src, dst),
+            delta.snapshot.flow_path(src, dst).as_ref()
+        );
+        assert_eq!(manager.paths_built(), 2);
+    }
+
     /// A remote advertisement may name a link this snapshot does not have
     /// (normal under dynamics), repeat a link, or name none at all. None of
     /// it may panic, and the enforced rates are those of the map-based
@@ -1365,6 +1506,9 @@ mod tests {
         let table = collapsed.link_table();
         assert!(table.ids().last().is_some_and(|&last| last < past_the_end));
         assert_eq!(table.slot(past_the_end), None);
+        // Usage is only ever measured on a chain, and the loop reads a
+        // pair's path next to its chain: give every local pair one.
+        manager.install_eagerly();
         manager.usages = vec![
             ((c0, s0), Bandwidth::from_mbps(40)),
             ((c1, s1), Bandwidth::from_mbps(30)),
@@ -1448,6 +1592,9 @@ mod tests {
             &[pairs[0].0, pairs[1].0],
             &SimRng::new(3),
         );
+        // Usage is only ever measured on a chain, and the loop reads a
+        // pair's path next to its chain: give every local pair one.
+        manager.install_eagerly();
         manager.usages = pairs
             .iter()
             .map(|&pair| (pair, Bandwidth::from_mbps(30)))

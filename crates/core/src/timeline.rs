@@ -7,13 +7,14 @@
 //! engine: [`SnapshotTimeline::precompute`] turns a topology plus an
 //! [`EventSchedule`] into one [`CollapsedTopology`] per change time, where
 //!
-//! * consecutive snapshots **structurally share** the service table, every
-//!   source row without a changed pair and every unchanged
-//!   [`crate::collapse::CollapsedPath`] behind [`Arc`]s: a snapshot starts
-//!   as one pointer bump per source row, a row is copied on its *first*
-//!   change only ([`TimelineStats::rows_copied`]), so a snapshot costs
-//!   `services × 8 B` plus `services × 8 B` per row it changed, not
-//!   `O(services²)` entries; and
+//! * consecutive snapshots **structurally share** the service table, the
+//!   base parent arrays of the node set, every link table no value of which
+//!   moved and the overlay of every source whose shortest-path tree did not
+//!   move, behind [`Arc`]s (see `crate::collapse`): a snapshot starts as one
+//!   pointer bump per source, and a change writes only the tree entries it
+//!   moved ([`TimelineStats::tree_entries_written`]), so a snapshot costs
+//!   `services × 16 B` plus 12 B per overlay entry, not `O(services²)`;
+//!   and
 //! * each snapshot carries a [`SnapshotDelta`] — exactly the service pairs
 //!   whose end-to-end path changed or disappeared — so runtime application
 //!   touches only the affected qdisc chains and never runs an all-pairs
@@ -31,8 +32,8 @@
 //!   lengthened or otherwise re-parameterised link is one of its tree
 //!   links, or a new or shortened link `u → v` is tight or better for it,
 //!   `best(u) + (latency, 1) ≤ best(v)`. Every other source keeps its
-//!   previous row `Arc`: none of its paths can have moved, and neither can
-//!   its tree.
+//!   previous overlay `Arc`: none of its paths can have moved, and neither
+//!   can its tree.
 //! * **Repair, not recompute.** A removed or lengthened tree link resets
 //!   only the subtree below it, which is re-settled from its unaffected
 //!   in-neighbours; a tight new or shorter link runs a decrease-only search
@@ -41,23 +42,32 @@
 //!   tie-break contract's closed form (see
 //!   [`kollaps_topology::graph`]), which is exactly what the full search
 //!   of [`kollaps_topology::graph::TopologyGraph::shortest_path_tree`]
-//!   picks, so a kept tree always equals a fresh one.
+//!   picks, so a kept tree always equals a fresh one. The repairs work in
+//!   one [`TreeScratch`] the fold keeps, so they allocate nothing once it
+//!   has grown.
+//! * **Which entries.** The repair reports the tree entries it moved, and
+//!   only those are rewritten in the source's overlay — relative to the
+//!   base, so an entry back at its base value is dropped and the overlay
+//!   never holds more than the tree's difference from the base
+//!   ([`TimelineStats::tree_entries_written`]).
 //! * **Which destinations.** Only a destination whose path passes a node
-//!   whose link changed, or crosses a link the group edited, is built and
-//!   compared ([`TimelineStats::built_paths`]); every other one keeps its
-//!   previous `CollapsedPath`. That is exact: a collapsed path is a pure
-//!   function of `(src, dst)`, its link ids in order and those links'
-//!   properties, and every path of the previous snapshot already reflects
-//!   the properties in force before this group.
+//!   whose link moved, or crosses a link the group edited, is compared
+//!   ([`TimelineStats::pairs_compared`]). The repair lists those nodes by
+//!   walking down the tree from the moved entries and from the heads of
+//!   the edited tree links, so finding them costs the subtrees below
+//!   those, not the tree: a flap of one access link costs each other
+//!   source one entry and one comparison. The comparison allocates
+//!   nothing: the old and the new parent chains are walked in lockstep,
+//!   and only when their links agree are the path's values composed over
+//!   the old and the new link tables. That is exact: a collapsed path is a
+//!   pure function of `(src, dst)`, its link ids in order and those links'
+//!   values.
 //!
-//! A source without a kept tree — every source of an
-//! [`SnapshotTimeline::extend`], which builds trees lazily, and every source
-//! after a group that changed the node set, which drops them all — is
-//! derived the plain way the first time a group needs it: all of them when
-//! the group can improve a route, otherwise those with a path over a
-//! changed link. It gets one full search on the new graph, a destination is
-//! skipped when its tree path is the previous link list with no changed
-//! link on it, and the tree is kept from then on.
+//! A group that changes the node set (a node leaves, or a bridge joins)
+//! searches every source again on the new graph, and the trees become that
+//! node set's base. [`SnapshotTimeline::extend`] starts its working trees
+//! from the snapshot it resumes from: the parents are the snapshot's, and
+//! [`TopologyGraph::tree_from_parents`] re-adds the costs.
 //!
 //! The equality of timeline snapshots with a full online re-collapse is
 //! pinned by the tests below, including a seeded tie-heavy differential
@@ -69,10 +79,14 @@ use std::sync::Arc;
 
 use kollaps_sim::time::SimDuration;
 use kollaps_topology::events::{apply_action, DynamicEvent, EventSchedule};
-use kollaps_topology::graph::{LinkEdit, LinkEditKind, ShortestPathTree, TopologyGraph};
+use kollaps_topology::graph::{
+    LinkEdit, LinkEditKind, ShortestPathTree, TopologyGraph, TreeScratch, Via,
+};
 use kollaps_topology::model::{LinkId, LinkProperties, LinkSpec, NodeId, Topology};
 
-use crate::collapse::{presence, source_row, CollapsedPath, CollapsedTopology, LinkTable, Row};
+use crate::collapse::{
+    compose, links_back, search_all, CollapsedTopology, LinkImpairments, LinkTable, NO_NODE,
+};
 
 /// One precomputed topology change: the new snapshot plus the exact set of
 /// service pairs the change affected.
@@ -90,8 +104,9 @@ pub struct SnapshotDelta {
     /// Service pairs that lost their collapsed path (unreachable or an
     /// endpoint left).
     pub removed_paths: Vec<(NodeId, NodeId)>,
-    /// The full snapshot after the change; unchanged paths are the same
-    /// `Arc`s as in the previous snapshot.
+    /// The full snapshot after the change; the overlay of every source
+    /// whose tree did not move is the same `Arc` as in the previous
+    /// snapshot.
     pub snapshot: Arc<CollapsedTopology>,
 }
 
@@ -121,27 +136,23 @@ pub struct TimelineStats {
     pub change_times: usize,
     /// Total schedule events folded into the timeline.
     pub events: usize,
-    /// Collapsed paths re-derived across all deltas (the offline work): a
-    /// re-derived source — one whose tree a group touches, see the module
-    /// docs — counts each destination it reaches, whether or not anything
-    /// is built for it.
+    /// Pairs re-derived across all deltas (the offline work): a re-derived
+    /// source — one whose tree a group touches, see the module docs —
+    /// counts each destination it reaches, whether or not it is compared.
     pub recomputed_paths: usize,
-    /// [`crate::collapse::CollapsedPath`]s actually constructed while
-    /// re-deriving (the initial snapshot not counted): only destinations
-    /// whose tree path moved or crosses a changed link are built.
-    pub built_paths: usize,
+    /// Destinations walked to decide whether their pair changed (the
+    /// initial snapshot not counted): only those whose tree path moved or
+    /// crosses a changed link are.
+    pub pairs_compared: usize,
     /// Shortest-path tree nodes settled while re-deriving (the initial
     /// snapshot not counted): the nodes a repair re-settles, or every node
     /// a full search reaches. It grows by `reached × sources` per group if
     /// the fold ever searches every tree from scratch again.
     pub nodes_settled: usize,
-    /// Path slots that were structurally shared with the previous snapshot
-    /// instead of being re-derived or re-allocated.
-    pub shared_paths: usize,
-    /// Source rows copied on write across all deltas: a row is copied on
-    /// its first changed or removed pair of a delta; every other row is the
-    /// previous snapshot's `Arc`.
-    pub rows_copied: usize,
+    /// Overlay entries written across all deltas: one per tree entry a
+    /// change moved. A source whose tree did not move keeps the previous
+    /// snapshot's overlay `Arc` and writes none.
+    pub tree_entries_written: usize,
     /// Service pairs in the initial snapshot (the all-pairs scale an online
     /// re-collapse would pay per event).
     pub initial_pairs: usize,
@@ -189,20 +200,14 @@ impl SnapshotTimeline {
     ) -> Self {
         // kollaps-analyze: allow(wall-clock) -- precompute-time diagnostic (stats.precompute_micros); never read by the emulation
         let started = std::time::Instant::now();
-        let (initial, trees) =
-            CollapsedTopology::build_keeping_trees(topology, !schedule.is_empty());
+        let (initial, trees) = CollapsedTopology::build_keeping_trees(topology);
         let initial = Arc::new(initial);
         let mut stats = TimelineStats {
             initial_pairs: initial.pair_count(),
             ..TimelineStats::default()
         };
         let mut working = topology.clone();
-        let mut fold = Fold {
-            working: &mut working,
-            prev: Arc::clone(&initial),
-            trees,
-            stats: &mut stats,
-        };
+        let mut fold = Fold::new(&mut working, Arc::clone(&initial), trees, &mut stats);
         let mut deltas = Vec::new();
         fold.run(schedule.events(), &mut deltas, inspect);
         stats.change_times = deltas.len();
@@ -230,8 +235,8 @@ impl SnapshotTimeline {
     /// times at or after it are (re-)derived. When every new event lands
     /// after the last existing delta — the common live-injection case —
     /// this appends without re-deriving a single old path. No tree is kept
-    /// between calls: each source's is searched the first time a re-derived
-    /// group needs it.
+    /// between calls: the working trees are rebuilt from the parents of the
+    /// snapshot the call resumes from, without a search.
     ///
     /// Returns the number of deltas derived by this call. The caller is
     /// responsible for only injecting events whose time is still in the
@@ -263,12 +268,16 @@ impl SnapshotTimeline {
             Some(delta) => Arc::clone(&delta.snapshot),
             None => Arc::clone(&self.initial),
         };
-        let mut fold = Fold {
-            working: &mut working,
-            trees: vec![None; prev.services.len()],
-            prev,
-            stats: &mut self.stats,
-        };
+        // The working trees start as the snapshot's own: its parents, with
+        // the costs re-added over the graph it was derived on.
+        let graph = TopologyGraph::new(&working);
+        let trees = (0..prev.services.len())
+            .map(|src| {
+                (prev.base.at[src] != NO_NODE)
+                    .then(|| graph.tree_from_parents(prev.services[src], prev.parents(src)))
+            })
+            .collect();
+        let mut fold = Fold::new(&mut working, prev, trees, &mut self.stats);
         fold.run(&events[resume..], &mut self.deltas, &mut |_, _| {});
         let derived = self.deltas.len() - keep;
         self.stats.change_times = self.deltas.len();
@@ -327,15 +336,12 @@ type LinkState = (LinkId, NodeId, NodeId, LinkProperties);
 struct LinkDiff {
     /// Every link removed, added or re-parameterised, ascending.
     changed: Vec<LinkId>,
-    /// Of those, the ones that existed before (removed or modified):
-    /// previously derived paths may cross them. Ascending.
-    stale: Vec<LinkId>,
     /// Every changed link as the tree repair sees it, ascending by id.
     edits: Vec<LinkEdit>,
-    /// A link came or got shorter: the group may improve routes.
-    improving: bool,
     /// A link came, went, or changed its capacity or latency.
     table_moved: bool,
+    /// A link came, went, or changed its jitter or loss.
+    impairments_moved: bool,
 }
 
 impl LinkDiff {
@@ -374,16 +380,15 @@ impl LinkDiff {
                 (_, None) => LinkEditKind::Worse,
             };
             diff.changed.push(id);
-            if was.is_some() {
-                diff.stale.push(id);
-            }
-            diff.improving |= matches!(kind, LinkEditKind::Better { .. });
-            diff.table_moved |= match (was, now) {
-                (Some(was), Some(now)) => {
-                    was.bandwidth != now.bandwidth || was.latency != now.latency
-                }
-                _ => true,
+            let (table, impairments) = match (was, now) {
+                (Some(was), Some(now)) => (
+                    was.bandwidth != now.bandwidth || was.latency != now.latency,
+                    was.jitter != now.jitter || was.loss != now.loss,
+                ),
+                _ => (true, true),
             };
+            diff.table_moved |= table;
+            diff.impairments_moved |= impairments;
             diff.edits.push(LinkEdit { id, from, to, kind });
         }
         diff
@@ -397,14 +402,42 @@ struct Fold<'a> {
     working: &'a mut Topology,
     /// The snapshot after the last folded group.
     prev: Arc<CollapsedTopology>,
-    /// One kept shortest-path tree per source number, searched on the
-    /// graph of `working` and repaired with it; `None` until a group needs
-    /// it.
+    /// One kept shortest-path tree per source number, over the graph of
+    /// `working` and repaired with it; `None` for a source the topology no
+    /// longer has. Its parents are `prev`'s, base plus overlay.
     trees: Vec<Option<ShortestPathTree>>,
+    /// Per source number, the destinations it reaches in `prev`.
+    reach: Vec<usize>,
+    /// The buffers every repair works in.
+    scratch: TreeScratch,
+    /// The links of the pair being compared, destination first.
+    walked: Vec<LinkId>,
+    /// The overlay being written.
+    entries: Vec<(u32, Via)>,
     stats: &'a mut TimelineStats,
 }
 
-impl Fold<'_> {
+impl<'a> Fold<'a> {
+    /// A fold that resumes from `prev`, the snapshot of `working`, with
+    /// `trees` as its working trees.
+    fn new(
+        working: &'a mut Topology,
+        prev: Arc<CollapsedTopology>,
+        trees: Vec<Option<ShortestPathTree>>,
+        stats: &'a mut TimelineStats,
+    ) -> Self {
+        Fold {
+            working,
+            reach: prev.reach().collect(),
+            prev,
+            trees,
+            scratch: TreeScratch::default(),
+            walked: Vec::new(),
+            entries: Vec::new(),
+            stats,
+        }
+    }
+
     /// Folds a sorted run of events into `deltas`: groups them by change
     /// time, applies each group to the working topology and derives one
     /// structurally-shared snapshot per group. No event is cloned.
@@ -437,9 +470,9 @@ impl Fold<'_> {
         }
     }
 
-    /// Builds the snapshot after one change group, sharing unchanged paths
-    /// with the previous one and recording exactly what differs; hands the
-    /// new graph and the trees to `inspect` at the end.
+    /// Builds the snapshot after one change group, sharing what did not
+    /// move with the previous one and recording exactly which pairs differ;
+    /// hands the new graph and the trees to `inspect` at the end.
     fn derive(
         &mut self,
         before: &[LinkState],
@@ -447,19 +480,11 @@ impl Fold<'_> {
         events: usize,
         inspect: Inspect<'_>,
     ) -> SnapshotDelta {
-        let Fold {
-            working,
-            prev,
-            trees,
-            stats,
-        } = self;
-        let (working, stats): (&Topology, &mut TimelineStats) = (working, stats);
-        let diff = LinkDiff::between(before, working.links());
-        let is_stale = |link: &LinkId| diff.stale.binary_search(link).is_ok();
-
+        let diff = LinkDiff::between(before, self.working.links());
+        let working: &Topology = self.working;
         // The initial snapshot's service table covers every later one:
         // services can only leave (`NodeJoin` re-adds bridges).
-        let services = &prev.services;
+        let services = Arc::clone(&self.prev.services);
         debug_assert!(
             working
                 .service_ids()
@@ -467,156 +492,211 @@ impl Fold<'_> {
                 .all(|id| services.binary_search(id).is_ok()),
             "a service joined the topology after the initial snapshot"
         );
-        let present = presence(services, working);
-        let pair = |src: usize, dst: usize| (services[src], services[dst]);
-
-        // Start from the previous snapshot's rows: one `Arc` clone per
-        // source, no path slot is copied until its row changes.
-        let mut rows = prev.rows.clone();
-        let mut pairs = prev.pairs;
-        let mut removed_paths: Vec<(NodeId, NodeId)> = Vec::new();
-        // Pairs whose endpoint service left are dropped up front, copying
-        // only the rows that hold one.
-        let absent: Vec<usize> = (0..services.len()).filter(|&i| !present[i]).collect();
-        if !absent.is_empty() {
-            for (src, row) in rows.iter_mut().enumerate() {
-                let departed = |dst: usize| !present[src] || !present[dst];
-                let holds_departed = if present[src] {
-                    absent.iter().any(|&dst| row[dst].is_some())
-                } else {
-                    row.iter().any(Option::is_some)
-                };
-                if !holds_departed {
-                    continue;
-                }
-                for (dst, slot) in row_mut(row, stats).iter_mut().enumerate() {
-                    if departed(dst) && slot.take().is_some() {
-                        pairs -= 1;
-                        removed_paths.push(pair(src, dst));
-                    }
-                }
-            }
-        }
-
-        // A tree is repaired onto the new graph only over the same nodes;
-        // after a node came or went every source starts over without one.
-        // All kept trees went through the same graphs, so one answers for
-        // all of them.
-        let graph = TopologyGraph::new(working);
-        if trees
-            .iter()
-            .flatten()
-            .next()
-            .is_some_and(|tree| !tree.fits(&graph))
-        {
-            trees.iter_mut().for_each(|tree| *tree = None);
-        }
-
-        // Sources ascend and each row's destinations ascend, so this stays
-        // in (src, dst) order.
-        let mut changed_paths: Vec<(NodeId, NodeId)> = Vec::new();
-        for src in 0..services.len() {
-            if !present[src] {
-                continue;
-            }
-            let current = &prev.rows[src];
-            let row = match &mut trees[src] {
-                Some(tree) => {
-                    let Some(update) = tree.update(&graph, &diff.edits) else {
-                        continue;
-                    };
-                    stats.nodes_settled += update.settled;
-                    // A destination that stays unreachable is not claimed:
-                    // its walk ends at once and nothing is counted.
-                    source_row(working, tree, services, &present, src, |dst| {
-                        current[dst].is_some() && !update.path_changed(services[dst])
-                    })
-                }
-                None => {
-                    let needed = diff.improving
-                        || rows[src]
-                            .iter()
-                            .flatten()
-                            .any(|path| path.links.iter().any(is_stale));
-                    if !needed {
-                        continue;
-                    }
-                    let tree = graph.shortest_path_tree(services[src]);
-                    stats.nodes_settled += tree.reached();
-                    let row = source_row(working, &tree, services, &present, src, |dst| {
-                        current[dst].as_ref().is_some_and(|old| {
-                            !old.links.iter().any(is_stale)
-                                && tree.path_is(services[dst], &old.links)
-                        })
-                    });
-                    trees[src] = Some(tree);
-                    row
-                }
-            };
-            stats.recomputed_paths += row.unchanged;
-            for (dst, fresh) in row.paths {
-                match fresh {
-                    Some(fresh) => {
-                        stats.recomputed_paths += 1;
-                        stats.built_paths += 1;
-                        if current[dst].as_ref().is_some_and(|old| *old == fresh) {
-                            continue;
-                        }
-                        if row_mut(&mut rows[src], stats)[dst].replace(fresh).is_none() {
-                            pairs += 1;
-                        }
-                        changed_paths.push(pair(src, dst));
-                    }
-                    None => {
-                        if rows[src][dst].is_some() {
-                            row_mut(&mut rows[src], stats)[dst] = None;
-                            pairs -= 1;
-                            removed_paths.push(pair(src, dst));
-                        }
-                    }
-                }
-            }
-        }
-        stats.shared_paths += pairs - changed_paths.len();
-        removed_paths.sort();
-        inspect(&graph, trees);
-
-        // The link table is copied only when a link came, went, or changed
-        // its capacity or latency; a jitter or loss edit leaves it shared.
+        // A link table is copied only when a value it holds moved (or a
+        // link came or went).
         let links = if diff.table_moved {
             Arc::new(LinkTable::of(working))
         } else {
-            Arc::clone(&prev.links)
+            Arc::clone(&self.prev.links)
         };
-        let snapshot = Arc::new(CollapsedTopology {
-            services: Arc::clone(services),
-            rows,
-            pairs,
-            links,
-        });
+        let impairments = if diff.impairments_moved {
+            Arc::new(LinkImpairments::of(working, &links))
+        } else {
+            Arc::clone(&self.prev.impairments)
+        };
+        let graph = TopologyGraph::new(working);
+        let mut pairs = Pairs::default();
+        let snapshot = if graph.nodes() == &self.prev.base.nodes {
+            self.repair(&graph, &diff, &mut pairs, links, impairments)
+        } else {
+            // A node came or went: a tree is repaired onto the new graph
+            // only over the same nodes, so every source is searched again
+            // and the trees become the new node set's base.
+            self.trees = search_all(working, &graph, &services);
+            self.stats.nodes_settled += self
+                .trees
+                .iter()
+                .flatten()
+                .map(ShortestPathTree::reached)
+                .sum::<usize>();
+            let next =
+                CollapsedTopology::from_trees(services, &graph, &self.trees, links, impairments);
+            self.reach = next.reach().collect();
+            self.stats.recomputed_paths += next.pairs;
+            let prev = &self.prev;
+            for src in 0..next.services.len() {
+                for dst in 0..next.services.len() {
+                    pairs.compare(
+                        (next.services[src], next.services[dst]),
+                        prev.links_back(src, dst),
+                        next.links_back(src, dst),
+                        (prev, &next),
+                        &mut self.walked,
+                        self.stats,
+                    );
+                }
+            }
+            next
+        };
+        inspect(&graph, &self.trees);
         SnapshotDelta {
             at,
             events,
             changed_links: diff.changed,
-            changed_paths,
-            removed_paths,
-            snapshot,
+            changed_paths: pairs.changed,
+            removed_paths: pairs.removed,
+            snapshot: Arc::new(snapshot),
         }
+    }
+
+    /// The snapshot after a change group over the previous snapshot's node
+    /// set: every kept tree repaired onto `graph`, the pairs whose path may
+    /// have moved compared into `pairs`, and the overlay of every tree that
+    /// moved rewritten; every other overlay is the previous snapshot's.
+    fn repair(
+        &mut self,
+        graph: &TopologyGraph,
+        diff: &LinkDiff,
+        pairs: &mut Pairs,
+        links: Arc<LinkTable>,
+        impairments: Arc<LinkImpairments>,
+    ) -> CollapsedTopology {
+        let prev = Arc::clone(&self.prev);
+        let base = &prev.base;
+        let mut next = CollapsedTopology {
+            services: Arc::clone(&prev.services),
+            base: Arc::clone(base),
+            overlays: prev.overlays.clone(),
+            pairs: prev.pairs,
+            links,
+            impairments,
+        };
+        for (src, tree) in self.trees.iter_mut().enumerate() {
+            let Some(tree) = tree else {
+                continue;
+            };
+            let Some(update) = tree.update(graph, &diff.edits, &mut self.scratch) else {
+                continue;
+            };
+            self.stats.nodes_settled += update.settled;
+            let parents = tree.parents();
+            let root = base.at[src];
+            let (gained, removed) = (pairs.gained, pairs.removed.len());
+            // Node indices ascend like service numbers, and sources ascend:
+            // `changed` stays in (src, dst) order.
+            for &node in update.changed() {
+                let dst = base.number[node as usize];
+                if dst == NO_NODE {
+                    continue;
+                }
+                let dst = dst as usize;
+                pairs.compare(
+                    (prev.services[src], prev.services[dst]),
+                    prev.links_back(src, dst),
+                    links_back(|node| parents[node as usize], parents.len(), root, node),
+                    (&prev, &next),
+                    &mut self.walked,
+                    self.stats,
+                );
+            }
+            let reach = &mut self.reach[src];
+            *reach = (*reach + pairs.gained - gained) - (pairs.removed.len() - removed);
+            self.stats.recomputed_paths += *reach;
+            let moved = update.moved();
+            if moved.is_empty() {
+                continue;
+            }
+            // The overlay is rewritten at the moved entries only, relative
+            // to the base: an entry where the tree now differs from it, none
+            // where the tree is back to it.
+            self.stats.tree_entries_written += moved.len();
+            let old = next.overlays[src].as_deref().unwrap_or_default();
+            let entries = &mut self.entries;
+            entries.clear();
+            let mut kept = old.iter().peekable();
+            for &node in moved {
+                while let Some(&entry) = kept.next_if(|entry| entry.0 < node) {
+                    entries.push(entry);
+                }
+                kept.next_if(|entry| entry.0 == node);
+                let via = parents[node as usize];
+                if via != base.parent(src, node) {
+                    entries.push((node, via));
+                }
+            }
+            entries.extend(kept);
+            next.overlays[src] = (!entries.is_empty()).then(|| Arc::from(&entries[..]));
+        }
+        next.pairs = (next.pairs + pairs.gained) - pairs.removed.len();
+        next
     }
 }
 
-/// The writable slots of a snapshot-in-progress row: the previous
-/// snapshot's row is copied on the first write (counted in
-/// [`TimelineStats::rows_copied`]); later writes of the same delta reuse
-/// that copy, which nothing else holds yet.
-fn row_mut<'a>(
-    row: &'a mut Row,
-    stats: &mut TimelineStats,
-) -> &'a mut [Option<Arc<CollapsedPath>>] {
-    if Arc::get_mut(row).is_none() {
-        stats.rows_copied += 1;
+/// The pairs one change group changed, as the fold compares them: in
+/// (src, dst) order, because it compares them in that order.
+#[derive(Default)]
+struct Pairs {
+    changed: Vec<(NodeId, NodeId)>,
+    removed: Vec<(NodeId, NodeId)>,
+    /// Of `changed`, the pairs that had no path before.
+    gained: usize,
+}
+
+impl Pairs {
+    /// Records `pair` as changed or removed when its path `old` in the
+    /// previous snapshot and `new` in the next one (links destination
+    /// first, `None` for no path) differ in links or, over the same links,
+    /// in value. Allocates nothing: the link lists are walked in lockstep,
+    /// and only equal ones are composed, over each snapshot's tables.
+    fn compare(
+        &mut self,
+        pair: (NodeId, NodeId),
+        old: Option<impl Iterator<Item = LinkId>>,
+        new: Option<impl Iterator<Item = LinkId>>,
+        (prev, next): (&CollapsedTopology, &CollapsedTopology),
+        walked: &mut Vec<LinkId>,
+        stats: &mut TimelineStats,
+    ) {
+        let (old, mut new) = match (old, new) {
+            (None, None) => return,
+            (Some(_), None) => {
+                stats.pairs_compared += 1;
+                self.removed.push(pair);
+                return;
+            }
+            (None, Some(_)) => {
+                stats.pairs_compared += 1;
+                self.changed.push(pair);
+                self.gained += 1;
+                return;
+            }
+            (Some(old), Some(new)) => (old, new),
+        };
+        stats.pairs_compared += 1;
+        walked.clear();
+        for link in old {
+            if new.next() != Some(link) {
+                self.changed.push(pair);
+                return;
+            }
+            walked.push(link);
+        }
+        if new.next().is_some() {
+            self.changed.push(pair);
+            return;
+        }
+        if Arc::ptr_eq(&prev.links, &next.links)
+            && Arc::ptr_eq(&prev.impairments, &next.impairments)
+        {
+            return;
+        }
+        walked.reverse();
+        if compose(walked, &prev.links, &prev.impairments)
+            != compose(walked, &next.links, &next.impairments)
+        {
+            self.changed.push(pair);
+        }
     }
-    Arc::make_mut(row)
 }
 
 #[cfg(test)]
@@ -675,34 +755,47 @@ mod tests {
         assert!(delta.removed_paths.is_empty());
         assert_eq!(delta.changed_paths.len(), 10);
         assert_eq!(delta.swap_cost(), 10);
-        // client-0's row and the one pair to client-0 of every other row:
-        // six rows copied, each once.
-        assert_eq!(timeline.stats().rows_copied, 6);
-        // Structural sharing: an untouched pair is the same Arc.
+        // Only the ten pairs over the edge are compared: client-0's five
+        // and the one to client-0 of each other source.
+        assert_eq!(timeline.stats().pairs_compared, 10);
+        // The edge has no detour, so no tree entry moves: nothing is
+        // written, and every source's overlay is the initial snapshot's.
+        assert_eq!(timeline.stats().tree_entries_written, 0);
+        assert!(Arc::ptr_eq(&delta.snapshot.base, &timeline.initial().base));
+        for number in 0..6 {
+            assert!(shares_overlay(timeline.initial(), &delta.snapshot, number));
+        }
+        // An untouched pair keeps its value; the changed pair carries the
+        // new latency.
         let c1 = topo.node_by_name("client-1").unwrap();
         let s1 = topo.node_by_name("server-1").unwrap();
-        assert!(Arc::ptr_eq(
-            timeline.initial().path_handle(c1, s1).unwrap(),
-            delta.snapshot.path_handle(c1, s1).unwrap()
-        ));
-        // The changed pair is not shared, and carries the new latency.
+        assert_eq!(timeline.initial().path(c1, s1), delta.snapshot.path(c1, s1));
         let s0 = topo.node_by_name("server-0").unwrap();
-        assert!(!Arc::ptr_eq(
-            timeline.initial().path_handle(c0, s0).unwrap(),
-            delta.snapshot.path_handle(c0, s0).unwrap()
-        ));
+        assert_ne!(timeline.initial().path(c0, s0), delta.snapshot.path(c0, s0));
         assert_eq!(
             delta.snapshot.path(c0, s0).unwrap().latency,
             SimDuration::from_millis(40 + 10 + 1)
         );
     }
 
+    /// `true` when `next` holds `prev`'s overlay of source `number`: the
+    /// same `Arc`, or none in both.
+    fn shares_overlay(prev: &CollapsedTopology, next: &CollapsedTopology, number: usize) -> bool {
+        match (&prev.overlays[number], &next.overlays[number]) {
+            (Some(prev), Some(next)) => Arc::ptr_eq(prev, next),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
     /// Replays `schedule` online — a full re-collapse after every change
-    /// time — and checks the timeline against it: equal snapshots, the
-    /// `changed_paths` / `removed_paths` the two full snapshots imply, the
-    /// previous snapshot's `Arc` for every pair outside `changed_paths`, and
-    /// the previous snapshot's row for every source with no pair in either.
-    /// Returns the timeline for the caller's counts.
+    /// time — and checks the timeline against it: equal paths, the
+    /// `changed_paths` / `removed_paths` the two full snapshots imply, every
+    /// tree equal to a fresh search with an overlay of exactly its
+    /// differences from the base, the previous snapshot's overlay `Arc` for
+    /// every source whose tree did not move and a new one for every other,
+    /// and `tree_entries_written` equal to the entries that moved. Returns
+    /// the timeline for the caller's counts.
     fn assert_matches_online_recollapse(
         topo: &Topology,
         schedule: &EventSchedule,
@@ -712,6 +805,7 @@ mod tests {
         let mut online = topo.clone();
         let mut reference = CollapsedTopology::build(topo);
         let mut prev = Arc::clone(timeline.initial());
+        let mut entries_moved = 0;
         for delta in timeline.deltas() {
             for event in schedule.events_at(delta.at) {
                 apply_action(&mut online, &event.action);
@@ -721,41 +815,67 @@ mod tests {
             let snapshot = &delta.snapshot;
             assert_eq!(snapshot.pair_count(), reference.pair_count());
             assert_eq!(snapshot.pair_count(), snapshot.paths().count());
-            assert_eq!(snapshot.pair_count(), snapshot.path_handles().count());
             assert!(Arc::ptr_eq(&snapshot.services, &prev.services));
+            let same_nodes = snapshot.base.nodes == prev.base.nodes;
+            assert_eq!(
+                Arc::ptr_eq(&snapshot.base, &prev.base),
+                same_nodes,
+                "base shared iff the node set stayed at {:?}",
+                delta.at
+            );
+            let graph = TopologyGraph::new(&online);
             for (number, &src) in snapshot.services.iter().enumerate() {
-                let touched = delta
-                    .changed_paths
-                    .iter()
-                    .chain(&delta.removed_paths)
-                    .any(|&(s, _)| s == src);
+                let parents = snapshot.parents(number);
+                if snapshot.base.at[number] != NO_NODE {
+                    let fresh = graph.shortest_path_tree(src);
+                    assert_eq!(parents, fresh.parents(), "tree of {src} at {:?}", delta.at);
+                }
+                let differences: Vec<(u32, Via)> = (0..parents.len() as u32)
+                    .map(|node| (node, parents[node as usize]))
+                    .filter(|&(node, via)| via != snapshot.base.parent(number, node))
+                    .collect();
                 assert_eq!(
-                    Arc::ptr_eq(&snapshot.rows[number], &prev.rows[number]),
-                    !touched,
-                    "row of {src} at {:?}",
+                    snapshot.overlays[number].as_deref().unwrap_or_default(),
+                    &differences[..],
+                    "overlay of {src} at {:?}",
                     delta.at
                 );
-            }
-            let mut changed = Vec::new();
-            for ((src, dst), path) in reference.path_handles() {
-                let ours = delta
-                    .snapshot
-                    .path_handle(src, dst)
-                    .unwrap_or_else(|| panic!("pair {src}->{dst} missing at {:?}", delta.at));
-                assert_eq!(**ours, **path, "pair {src}->{dst} at {:?}", delta.at);
-                if before.path(src, dst) != Some(path.as_ref()) {
-                    changed.push((src, dst));
-                } else {
-                    assert!(
-                        Arc::ptr_eq(ours, prev.path_handle(src, dst).unwrap()),
-                        "unchanged pair {src}->{dst} not shared at {:?}",
+                if same_nodes {
+                    let moved = parents
+                        .iter()
+                        .zip(prev.parents(number))
+                        .filter(|&(now, was)| *now != was)
+                        .count();
+                    entries_moved += moved;
+                    assert_eq!(
+                        shares_overlay(&prev, snapshot, number),
+                        moved == 0,
+                        "overlay of {src} shared iff its tree stayed at {:?}",
                         delta.at
                     );
                 }
             }
+            let mut changed = Vec::new();
+            for path in reference.paths() {
+                let (src, dst) = (path.src, path.dst);
+                let ours = delta
+                    .snapshot
+                    .path(src, dst)
+                    .unwrap_or_else(|| panic!("pair {src}->{dst} missing at {:?}", delta.at));
+                assert_eq!(ours, path, "pair {src}->{dst} at {:?}", delta.at);
+                if before.path(src, dst).as_ref() != Some(&path) {
+                    changed.push((src, dst));
+                } else {
+                    assert_eq!(
+                        prev.path(src, dst),
+                        Some(ours),
+                        "unchanged pair {src}->{dst}"
+                    );
+                }
+            }
             let removed: Vec<(NodeId, NodeId)> = before
-                .path_handles()
-                .map(|(pair, _)| pair)
+                .paths()
+                .map(|path| (path.src, path.dst))
                 .filter(|&(src, dst)| reference.path(src, dst).is_none())
                 .collect();
             assert_eq!(delta.changed_paths, changed, "at {:?}", delta.at);
@@ -772,8 +892,18 @@ mod tests {
                 "link table shared iff unchanged at {:?}",
                 delta.at
             );
+            assert_eq!(*snapshot.impairments, *reference.impairments);
+            let same_impairments = snapshot.links.ids() == prev.links.ids()
+                && snapshot.impairments == prev.impairments;
+            assert_eq!(
+                Arc::ptr_eq(&snapshot.impairments, &prev.impairments),
+                same_impairments,
+                "jitter and loss shared iff unchanged at {:?}",
+                delta.at
+            );
             prev = Arc::clone(&delta.snapshot);
         }
+        assert_eq!(timeline.stats().tree_entries_written, entries_moved);
         timeline
     }
 
@@ -929,14 +1059,14 @@ mod tests {
         }
         let timeline = assert_matches_online_recollapse(&dumbbell(), &trunk_edits);
         assert!(timeline.deltas()[3].changed_paths.is_empty());
-        // Groups 1–3 make both trunk directions stale: all 6 sources are
-        // re-derived (30 pairs) and the 18 cross pairs built; each source
-        // row changes, so 6 rows are copied. Group 4 makes one direction
-        // stale: 3 sources, 15 pairs, 9 built, nothing changed — no row is
-        // copied.
+        // Groups 1–3 edit both trunk directions: all 6 sources are
+        // re-derived (30 pairs) and the 18 cross pairs compared. Group 4
+        // edits one direction: 3 sources, 15 pairs, 9 compared, nothing
+        // changed. The trunk has no detour, so no tree entry moves in any
+        // group and every overlay stays shared.
         assert_eq!(timeline.stats().recomputed_paths, 3 * 30 + 15);
-        assert_eq!(timeline.stats().built_paths, 3 * 18 + 9);
-        assert_eq!(timeline.stats().rows_copied, 3 * 6);
+        assert_eq!(timeline.stats().pairs_compared, 3 * 18 + 9);
+        assert_eq!(timeline.stats().tree_entries_written, 0);
 
         // A latency increase that leaves every route's links the same (the
         // dumbbell has no detour), then one that moves routes (the ring).
@@ -1003,10 +1133,11 @@ mod tests {
             assert_eq!(ours.changed_paths, theirs.changed_paths);
             assert_eq!(ours.removed_paths, theirs.removed_paths);
             assert_eq!(ours.snapshot.pair_count(), theirs.snapshot.pair_count());
-            for ((src, dst), path) in theirs.snapshot.path_handles() {
+            for path in theirs.snapshot.paths() {
+                let (src, dst) = (path.src, path.dst);
                 assert_eq!(
-                    **ours.snapshot.path_handle(src, dst).unwrap(),
-                    **path,
+                    ours.snapshot.path(src, dst),
+                    Some(path),
                     "pair {src}->{dst} at {:?}",
                     ours.at
                 );
@@ -1207,16 +1338,21 @@ mod tests {
         assert_eq!(delta.removed_paths.len(), 10);
         assert!(delta.removed_paths.iter().all(|&(s, d)| s == c2 || d == c2));
         assert!(delta.snapshot.path(c2, c2).is_none());
-        // client-2's own row and the five rows holding a pair to it.
-        assert_eq!(timeline.stats().rows_copied, 6);
+        // The node set changed: the trees were searched again into a new
+        // base, and no overlay entry was written.
+        assert!(!Arc::ptr_eq(&delta.snapshot.base, &timeline.initial().base));
+        assert_eq!(timeline.stats().tree_entries_written, 0);
         // The address assignment survives (containers keep their IP), and
         // client-2's row and column hold no path.
         let addr = timeline.initial().address_of(c2).unwrap();
         assert_eq!(delta.snapshot.address_of(c2), Some(addr));
         assert_eq!(delta.snapshot.service_at(addr), Some(c2));
         let number = delta.snapshot.services.binary_search(&c2).unwrap();
-        assert!(delta.snapshot.rows[number].iter().all(Option::is_none));
-        assert!(delta.snapshot.rows.iter().all(|row| row[number].is_none()));
+        assert_eq!(delta.snapshot.base.at[number], NO_NODE);
+        for other in 0..delta.snapshot.services.len() {
+            assert!(delta.snapshot.links_back(number, other).is_none());
+            assert!(delta.snapshot.links_back(other, number).is_none());
+        }
         for (other, _) in delta.snapshot.addresses() {
             assert!(delta.snapshot.path(c2, other).is_none());
             assert!(delta.snapshot.path(other, c2).is_none());

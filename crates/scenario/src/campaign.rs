@@ -523,6 +523,41 @@ mod tests {
         }
     }
 
+    /// Variants that share one timeline read its snapshots from two
+    /// threads at once, each manager deriving and caching its own paths
+    /// from the shared trees: every report equals the one the same variant
+    /// gives run alone, on a timeline of its own.
+    #[test]
+    fn two_threads_sharing_one_timeline_report_what_solo_runs_report() {
+        let delays = [SimDuration::ZERO, SimDuration::from_millis(5)];
+        let shared = Campaign::over(base())
+            .vary_metadata_delay(&delays)
+            .threads(2)
+            .run()
+            .expect("valid campaign");
+        assert_eq!(shared.timeline_precomputes, 1);
+        assert_eq!(shared.threads, 2);
+        let normalized = |mut report: Report| {
+            if let Some(d) = report.dynamics.as_mut() {
+                d.precompute_micros = 0;
+            }
+            report.to_json_string()
+        };
+        for (variant, delay) in shared.variants.iter().zip(delays) {
+            let solo = base().metadata_delay(delay).run().expect("valid scenario");
+            assert!(variant
+                .report
+                .dynamics
+                .is_some_and(|d| d.events_applied == 2));
+            assert_eq!(
+                normalized(variant.report.clone()),
+                normalized(solo),
+                "{}",
+                variant.name
+            );
+        }
+    }
+
     #[test]
     fn variant_errors_fail_the_campaign() {
         let err = Campaign::over(base())

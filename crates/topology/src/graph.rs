@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 
-use crate::model::{LinkId, NodeId, Topology};
+use crate::model::{LinkId, LinkProperties, NodeId, Topology};
 
 /// A path through the topology, as an ordered list of link ids.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -150,10 +150,6 @@ impl TopologyGraph {
         &self.services
     }
 
-    fn index_of(&self, node: NodeId) -> Option<u32> {
-        self.ids.binary_search(&node).ok().map(|i| i as u32)
-    }
-
     /// The slots in `edges` of the links leaving `node`.
     fn out_slots(&self, node: u32) -> std::ops::Range<usize> {
         self.offsets[node as usize] as usize..self.offsets[node as usize + 1] as usize
@@ -168,32 +164,105 @@ impl TopologyGraph {
             .map(|&slot| self.edges[slot as usize])
     }
 
+    /// The graph's node ids, ascending: a node's dense index is its position
+    /// here, and every tree of the graph indexes its tables like them.
+    pub fn nodes(&self) -> &Arc<[NodeId]> {
+        &self.ids
+    }
+
+    /// The dense index of `node`, if the graph has it.
+    pub fn node_index(&self, node: NodeId) -> Option<u32> {
+        self.ids.binary_search(&node).ok().map(|i| i as u32)
+    }
+
     /// The shortest-path tree (by cumulative latency) rooted at `source`,
     /// under the module's tie-break contract. A `source` the graph does not
     /// know reaches nothing.
     pub fn shortest_path_tree(&self, source: NodeId) -> ShortestPathTree {
-        let source = self.index_of(source);
         let mut tree = ShortestPathTree {
             ids: Arc::clone(&self.ids),
-            source,
-            best: vec![UNREACHED; self.ids.len()],
-            via: vec![NO_VIA; self.ids.len()],
+            source: self.node_index(source),
+            best: Vec::new(),
+            via: Vec::new(),
         };
-        if let Some(source) = source {
+        self.search(&mut tree, &mut Heap::new());
+        tree
+    }
+
+    /// The tree of `source` whose links are `parents` — indexed like
+    /// [`TopologyGraph::nodes`], as a tree of this graph searched from
+    /// `source` holds them — with each node's `(cost, hops)` re-added along
+    /// them. Equals [`TopologyGraph::shortest_path_tree`] of `source` when
+    /// `parents` are that tree's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parents` does not have one entry per node, forms no
+    /// tree, or names a link the graph does not have.
+    pub fn tree_from_parents(&self, source: NodeId, parents: Vec<Via>) -> ShortestPathTree {
+        assert_eq!(parents.len(), self.ids.len(), "one parent per node");
+        let mut tree = ShortestPathTree {
+            ids: Arc::clone(&self.ids),
+            source: self.node_index(source),
+            best: vec![UNREACHED; self.ids.len()],
+            via: parents,
+        };
+        if let Some(source) = tree.source {
             tree.best[source as usize] = (0, 0);
-            let heap = BinaryHeap::from([Reverse((0, 0, source))]);
-            self.settle(&mut tree, heap, |tree, edge, next| {
-                let to = edge.to as usize;
-                if next < tree.best[to] {
-                    tree.best[to] = next;
-                    tree.via[to] = Via::of(edge);
-                    true
-                } else {
-                    false
+        }
+        let mut walk = Vec::new();
+        for node in 0..tree.via.len() {
+            // Climb to the source or to a node already costed, then cost
+            // the walk back down.
+            let mut cursor = node;
+            while tree.best[cursor] == UNREACHED && !tree.via[cursor].is_none() {
+                assert!(walk.len() < tree.via.len(), "the parents form no tree");
+                walk.push(cursor);
+                cursor = tree.via[cursor].from as usize;
+            }
+            let mut best = tree.best[cursor];
+            while let Some(step) = walk.pop() {
+                if best != UNREACHED {
+                    best = over(best, self.latency_of(tree.via[step]));
                 }
-            });
+                tree.best[step] = best;
+            }
         }
         tree
+    }
+
+    /// The latency of the link `via` names, leaving `via.from`.
+    fn latency_of(&self, via: Via) -> u64 {
+        let out = &self.edges[self.out_slots(via.from)];
+        let slot = out
+            .binary_search_by_key(&via.link, |edge| edge.id)
+            .expect("a parent names a link of the graph");
+        out[slot].latency_nanos
+    }
+
+    /// Searches `tree` again from its source over this graph, in place;
+    /// returns the nodes settled (= reached).
+    fn search(&self, tree: &mut ShortestPathTree, heap: &mut Heap) -> usize {
+        tree.best.clear();
+        tree.best.resize(self.ids.len(), UNREACHED);
+        tree.via.clear();
+        tree.via.resize(self.ids.len(), Via::NONE);
+        let Some(source) = tree.source else {
+            return 0;
+        };
+        tree.best[source as usize] = (0, 0);
+        heap.clear();
+        heap.push(Reverse((0, 0, source)));
+        self.settle(tree, heap, |tree, edge, next| {
+            let to = edge.to as usize;
+            if next < tree.best[to] {
+                tree.best[to] = next;
+                tree.via[to] = Via::of(edge);
+                true
+            } else {
+                false
+            }
+        })
     }
 
     /// Pops `heap` in the contract's order and expands every entry that is
@@ -203,7 +272,7 @@ impl TopologyGraph {
     fn settle(
         &self,
         tree: &mut ShortestPathTree,
-        mut heap: Heap,
+        heap: &mut Heap,
         mut relax: impl FnMut(&mut ShortestPathTree, Edge, (u64, u32)) -> bool,
     ) -> usize {
         let mut settled = 0;
@@ -255,29 +324,74 @@ impl TopologyGraph {
                 }
             }
         }
-        let via = pick.map_or(NO_VIA, |(_, from, link)| Via { link, from });
+        let via = pick.map_or(Via::NONE, |(_, from, link)| Via { link, from });
         std::mem::replace(&mut tree.via[node as usize], via) != via
     }
 
-    /// The deletion half of the repair: the links into `heads` that `tree`
-    /// reached them over are gone or longer. Resets the subtrees below
-    /// `heads`, re-settles them from their unaffected in-neighbours and
-    /// re-picks their links; pushes every node whose link changed to
-    /// `moved`. Returns the nodes settled.
-    fn cut(&self, tree: &mut ShortestPathTree, heads: &[u32], moved: &mut Vec<u32>) -> usize {
+    /// Marks in `marks` and lists in `nodes`, ascending, the nodes of
+    /// `tree` whose tree path passes a node of `seeds` (the seeds
+    /// included). It walks down from the seeds
+    /// over this graph's out-links — `v → w` is a tree link when `w` is
+    /// reached over it — so it costs the subtrees' out-links, not the
+    /// tree's size.
+    fn subtrees(
+        &self,
+        tree: &ShortestPathTree,
+        seeds: impl Iterator<Item = u32>,
+        marks: &mut Vec<bool>,
+        stack: &mut Vec<u32>,
+        nodes: &mut Vec<u32>,
+    ) {
+        marks.clear();
+        marks.resize(tree.via.len(), false);
+        stack.clear();
+        nodes.clear();
+        for seed in seeds {
+            if !marks[seed as usize] {
+                marks[seed as usize] = true;
+                stack.push(seed);
+            }
+        }
+        while let Some(node) = stack.pop() {
+            nodes.push(node);
+            for slot in self.out_slots(node) {
+                let edge = self.edges[slot];
+                let to = edge.to as usize;
+                if !marks[to] && tree.via[to] == Via::of(edge) {
+                    marks[to] = true;
+                    stack.push(edge.to);
+                }
+            }
+        }
+        nodes.sort_unstable();
+    }
+
+    /// The deletion half of the repair: the links into `scratch.worse`
+    /// that `tree` reached them over are gone or longer. Resets the
+    /// subtrees below those heads, re-settles them from their unaffected
+    /// in-neighbours and re-picks their links; pushes every node whose link
+    /// changed to `scratch.moved`, ascending. Returns the nodes settled.
+    fn cut(&self, tree: &mut ShortestPathTree, scratch: &mut TreeScratch) -> usize {
+        let TreeScratch {
+            worse,
+            moved,
+            marks,
+            stack,
+            affected,
+            heap,
+            ..
+        } = scratch;
         // A node is below a head when its tree path passes one.
-        let below = tree.mark(heads.iter().copied(), |_| false);
-        let affected: Vec<u32> = (0..tree.best.len() as u32)
-            .filter(|&node| below[node as usize])
-            .collect();
+        self.subtrees(tree, worse.iter().copied(), marks, stack, affected);
+        let below = |node: u32| marks[node as usize];
         // Only `best` is reset: each link is compared with the old one when
         // it is re-picked.
-        for &node in &affected {
+        for &node in affected.iter() {
             tree.best[node as usize] = UNREACHED;
         }
-        let mut heap = Heap::new();
-        for &node in &affected {
-            let best = self.best_over_in_links(tree, node, |from| !below[from as usize]);
+        heap.clear();
+        for &node in affected.iter() {
+            let best = self.best_over_in_links(tree, node, |from| !below(from));
             if best != UNREACHED {
                 tree.best[node as usize] = best;
                 heap.push(Reverse((best.0, best.1, node)));
@@ -285,14 +399,14 @@ impl TopologyGraph {
         }
         let settled = self.settle(tree, heap, |tree, edge, next| {
             let to = edge.to as usize;
-            if below[to] && next < tree.best[to] {
+            if below(edge.to) && next < tree.best[to] {
                 tree.best[to] = next;
                 true
             } else {
                 false
             }
         });
-        for node in affected {
+        for &node in affected.iter() {
             if self.repick(tree, node) {
                 moved.push(node);
             }
@@ -300,15 +414,24 @@ impl TopologyGraph {
         settled
     }
 
-    /// The insertion half of the repair: links into `heads` are new or
-    /// shorter and reach them at or below their best. Runs a decrease-only
-    /// search from `heads`, then re-picks the link of every node that got
-    /// closer or gained a tight in-link; pushes every node whose link
-    /// changed to `moved`. Returns the nodes settled.
-    fn improve(&self, tree: &mut ShortestPathTree, heads: &[u32], moved: &mut Vec<u32>) -> usize {
-        let mut heap = Heap::new();
-        let mut touched = heads.to_vec();
-        for &node in heads {
+    /// The insertion half of the repair: links into `scratch.better` are
+    /// new or shorter and reach those heads at or below their best. Runs a
+    /// decrease-only search from the heads, then re-picks the link of every
+    /// node that got closer or gained a tight in-link; pushes every node
+    /// whose link changed to `scratch.moved`, ascending. Returns the nodes
+    /// settled.
+    fn improve(&self, tree: &mut ShortestPathTree, scratch: &mut TreeScratch) -> usize {
+        let TreeScratch {
+            better,
+            moved,
+            touched,
+            heap,
+            ..
+        } = scratch;
+        heap.clear();
+        touched.clear();
+        touched.extend_from_slice(better);
+        for &node in better.iter() {
             let best = self.best_over_in_links(tree, node, |_| true);
             if best < tree.best[node as usize] {
                 tree.best[node as usize] = best;
@@ -329,7 +452,7 @@ impl TopologyGraph {
         });
         touched.sort_unstable();
         touched.dedup();
-        for node in touched {
+        for &node in touched.iter() {
             if self.repick(tree, node) {
                 moved.push(node);
             }
@@ -363,20 +486,24 @@ impl TopologyGraph {
     }
 }
 
-/// The link a tree reaches a node over, and the node it leaves.
+/// The link a tree reaches a node over, and the dense index (see
+/// [`TopologyGraph::nodes`]) of the node that link leaves: one entry of a
+/// tree's parent array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Via {
-    link: LinkId,
-    from: u32,
+pub struct Via {
+    /// The link.
+    pub link: LinkId,
+    /// The index of its tail.
+    pub from: u32,
 }
 
-/// "No link": the source and unreached nodes.
-const NO_VIA: Via = Via {
-    link: LinkId(u32::MAX),
-    from: u32::MAX,
-};
-
 impl Via {
+    /// "No link": the entry of the source and of every unreached node.
+    pub const NONE: Via = Via {
+        link: LinkId(u32::MAX),
+        from: u32::MAX,
+    };
+
     fn of(edge: Edge) -> Via {
         Via {
             link: edge.id,
@@ -384,8 +511,9 @@ impl Via {
         }
     }
 
-    fn is_none(self) -> bool {
-        self.from == NO_VIA.from
+    /// `true` for [`Via::NONE`].
+    pub fn is_none(self) -> bool {
+        self.from == Via::NONE.from
     }
 }
 
@@ -417,25 +545,56 @@ pub struct LinkEdit {
     pub kind: LinkEditKind,
 }
 
-/// What [`ShortestPathTree::update`] did to a tree.
-#[derive(Debug, Clone)]
-pub struct TreeUpdate {
+/// What [`ShortestPathTree::update`] did to a tree, read out of the
+/// [`TreeScratch`] it ran in.
+#[derive(Debug, Clone, Copy)]
+pub struct TreeUpdate<'s> {
     /// Nodes the repair (or the full search it fell back to) settled.
     pub settled: usize,
-    ids: Arc<[NodeId]>,
-    /// Per node: its path may differ from before the change.
-    changed: Vec<bool>,
+    moved: &'s [u32],
+    /// The nodes whose path may differ, ascending.
+    changed: &'s [u32],
 }
 
-impl TreeUpdate {
-    /// `false` only when the path to `dst` is the one the tree held before
-    /// the change, over links the change did not touch (or `dst` was and
-    /// stays unreachable).
-    pub fn path_changed(&self, dst: NodeId) -> bool {
-        self.ids
-            .binary_search(&dst)
-            .is_ok_and(|index| self.changed[index])
+impl<'s> TreeUpdate<'s> {
+    /// The nodes whose link changed, ascending: the tree's parent-array
+    /// entries the change moved.
+    pub fn moved(&self) -> &'s [u32] {
+        self.moved
     }
+
+    /// The nodes whose path may differ from before the change, ascending:
+    /// those whose tree path passes a moved entry or a link the change
+    /// touched. Every other node's path is the one the tree held before,
+    /// over links the change did not touch (or the node was and stays
+    /// unreachable).
+    pub fn changed(&self) -> &'s [u32] {
+        self.changed
+    }
+}
+
+/// The buffers [`ShortestPathTree::update`] works in, kept by a caller that
+/// repairs many trees so that a repair allocates nothing once they have
+/// grown to the graph's size.
+#[derive(Debug, Default)]
+pub struct TreeScratch {
+    /// Heads of worse tree links, then of tight better links.
+    worse: Vec<u32>,
+    better: Vec<u32>,
+    /// Nodes whose link changed, ascending.
+    moved: Vec<u32>,
+    /// Per node, whether the last [`TopologyGraph::subtrees`] reached it.
+    marks: Vec<bool>,
+    stack: Vec<u32>,
+    /// The subtree a cut resets, ascending.
+    affected: Vec<u32>,
+    /// The nodes whose path may have changed, ascending.
+    changed: Vec<u32>,
+    /// The nodes an improvement may re-pick.
+    touched: Vec<u32>,
+    heap: Heap,
+    /// A tree's links before it was searched again from scratch.
+    previous: Vec<Via>,
 }
 
 /// The shortest paths from one source to every node of a
@@ -509,40 +668,16 @@ impl ShortestPathTree {
         self.best.iter().filter(|&&best| best != UNREACHED).count()
     }
 
-    /// Per node: whether its tree path (the node included) passes a node
-    /// of `seeds` or a link `marked` names. The source and unreached nodes
-    /// pass nothing unless seeded.
-    fn mark(&self, seeds: impl Iterator<Item = u32>, marked: impl Fn(LinkId) -> bool) -> Vec<bool> {
-        // 0: not known yet, 1: passes one, 2: does not.
-        let mut state = vec![0u8; self.best.len()];
-        for seed in seeds {
-            state[seed as usize] = 1;
-        }
-        let mut walk = Vec::new();
-        for node in 0..self.best.len() {
-            let mut cursor = node;
-            while state[cursor] == 0 {
-                let via = self.via[cursor];
-                if via.is_none() {
-                    state[cursor] = 2;
-                } else if marked(via.link) {
-                    state[cursor] = 1;
-                } else {
-                    walk.push(cursor);
-                    cursor = via.from as usize;
-                }
-            }
-            let answer = state[cursor];
-            for step in walk.drain(..) {
-                state[step] = answer;
-            }
-        }
-        state.into_iter().map(|s| s == 1).collect()
+    /// The tree's parent array, indexed like the nodes of its graph
+    /// ([`TopologyGraph::nodes`]): the link each node is reached over, and
+    /// [`Via::NONE`] for the source and every unreached node.
+    pub fn parents(&self) -> &[Via] {
+        &self.via
     }
 
     /// Brings the tree from the graph it was searched on to `graph`, the
     /// same nodes after `edits` (sorted by link id, every link that came,
-    /// went or changed).
+    /// went or changed), working in `scratch`.
     ///
     /// Returns `None` when no path of the tree can have changed: no edited
     /// link is a tree link and no new or shorter link `u → v` is tight or
@@ -550,12 +685,18 @@ impl ShortestPathTree {
     /// a worse tree link resets the subtree below it and re-settles that
     /// from its unaffected in-neighbours, a tight better link runs a
     /// decrease-only search from its head, a tree that sees both is
-    /// searched again from scratch — and says which paths may differ.
+    /// searched again from scratch — and says which entries moved and
+    /// which paths may differ.
     ///
     /// # Panics
     ///
     /// Panics when `graph` does not have the tree's nodes.
-    pub fn update(&mut self, graph: &TopologyGraph, edits: &[LinkEdit]) -> Option<TreeUpdate> {
+    pub fn update<'s>(
+        &mut self,
+        graph: &TopologyGraph,
+        edits: &[LinkEdit],
+        scratch: &'s mut TreeScratch,
+    ) -> Option<TreeUpdate<'s>> {
         if !Arc::ptr_eq(&self.ids, &graph.ids) {
             assert!(
                 self.ids == graph.ids,
@@ -564,8 +705,10 @@ impl ShortestPathTree {
             self.ids = Arc::clone(&graph.ids);
         }
         debug_assert!(edits.windows(2).all(|w| w[0].id < w[1].id));
-        let source = self.source?;
-        let (mut worse, mut better, mut touched) = (Vec::new(), Vec::new(), false);
+        self.source?;
+        scratch.worse.clear();
+        scratch.better.clear();
+        let mut touched = false;
         for edit in edits {
             let (Some(from), Some(to)) = (self.index_of(edit.from), self.index_of(edit.to)) else {
                 continue;
@@ -573,40 +716,61 @@ impl ShortestPathTree {
             let tree_link = self.via[to as usize].link == edit.id;
             touched |= tree_link;
             match edit.kind {
-                LinkEditKind::Worse if tree_link => worse.push(to),
+                LinkEditKind::Worse if tree_link => scratch.worse.push(to),
                 LinkEditKind::Better { latency } => {
                     let from = self.best[from as usize];
                     if from != UNREACHED && over(from, latency.as_nanos()) <= self.best[to as usize]
                     {
-                        better.push(to);
+                        scratch.better.push(to);
                     }
                 }
                 _ => {}
             }
         }
-        if !touched && better.is_empty() {
+        if !touched && scratch.better.is_empty() {
             return None;
         }
-        let mut moved = Vec::new();
-        let settled = match (worse.is_empty(), better.is_empty()) {
+        scratch.moved.clear();
+        let settled = match (scratch.worse.is_empty(), scratch.better.is_empty()) {
             (true, true) => 0,
-            (false, true) => graph.cut(self, &worse, &mut moved),
-            (true, false) => graph.improve(self, &better, &mut moved),
+            (false, true) => graph.cut(self, scratch),
+            (true, false) => graph.improve(self, scratch),
             (false, false) => {
-                let fresh = graph.shortest_path_tree(self.ids[source as usize]);
-                moved.extend(
-                    (0..fresh.via.len() as u32)
-                        .filter(|&i| fresh.via[i as usize] != self.via[i as usize]),
+                scratch.previous.clear();
+                scratch.previous.extend_from_slice(&self.via);
+                let settled = graph.search(self, &mut scratch.heap);
+                let previous = &scratch.previous;
+                scratch.moved.extend(
+                    (0..self.via.len() as u32)
+                        .filter(|&i| self.via[i as usize] != previous[i as usize]),
                 );
-                *self = fresh;
-                self.reached()
+                settled
             }
         };
-        let edited = |link: LinkId| edits.binary_search_by_key(&link, |edit| edit.id).is_ok();
-        let changed = self.mark(moved.into_iter(), edited);
+        // A path may have changed when it passes a moved entry or crosses
+        // an edited link, i.e. below a moved node or below the head of an
+        // edited link that is now a tree link.
+        let heads = edits.iter().filter_map(|edit| {
+            let to = self.index_of(edit.to)?;
+            (self.via[to as usize].link == edit.id).then_some(to)
+        });
+        let TreeScratch {
+            moved,
+            marks,
+            stack,
+            changed,
+            ..
+        } = scratch;
+        graph.subtrees(
+            self,
+            moved.iter().copied().chain(heads),
+            marks,
+            stack,
+            changed,
+        );
         Some(TreeUpdate {
             settled,
-            ids: Arc::clone(&self.ids),
+            moved,
             changed,
         })
     }
@@ -631,16 +795,29 @@ impl PathProperties {
     /// Returns `None` if any link of the path no longer exists in the
     /// topology (e.g. after a dynamic removal).
     pub fn compose(topology: &Topology, path: &Path) -> Option<PathProperties> {
+        PathProperties::compose_links(
+            path.links
+                .iter()
+                .map(|&id| topology.link(id).map(|link| link.properties)),
+        )
+    }
+
+    /// Composes the end-to-end properties of a path from its links'
+    /// properties, in path order (floating-point sums depend on it);
+    /// `None` if any link's is.
+    pub fn compose_links(
+        links: impl IntoIterator<Item = Option<LinkProperties>>,
+    ) -> Option<PathProperties> {
         let mut latency = SimDuration::ZERO;
         let mut jitter_sq = 0.0_f64;
         let mut success = 1.0_f64;
         let mut bandwidth = Bandwidth::MAX;
-        for link_id in &path.links {
-            let link = topology.link(*link_id)?;
-            latency += link.properties.latency;
-            jitter_sq += link.properties.jitter.as_millis_f64().powi(2);
-            success *= 1.0 - link.properties.loss;
-            bandwidth = bandwidth.min(link.properties.bandwidth);
+        for link in links {
+            let link = link?;
+            latency += link.latency;
+            jitter_sq += link.jitter.as_millis_f64().powi(2);
+            success *= 1.0 - link.loss;
+            bandwidth = bandwidth.min(link.bandwidth);
         }
         Some(PathProperties {
             latency,
@@ -659,7 +836,6 @@ impl PathProperties {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::LinkProperties;
 
     fn props(ms: u64, mbps: u64) -> LinkProperties {
         LinkProperties::new(SimDuration::from_millis(ms), Bandwidth::from_mbps(mbps))
@@ -1026,27 +1202,55 @@ mod tests {
             }
             let (old, new) = (TopologyGraph::new(&before), TopologyGraph::new(&after));
             let edits = edits_between(&before, &after);
+            // One scratch for every repair, as the snapshot timeline keeps it.
+            let mut scratch = TreeScratch::default();
             for &source in old.ids.iter() {
                 let mut tree = old.shortest_path_tree(source);
                 if !tree.fits(&new) {
                     break;
                 }
                 let fresh = new.shortest_path_tree(source);
-                match tree.clone().update(&new, &edits) {
+                let previous = tree.clone();
+                match tree.update(&new, &edits, &mut scratch) {
                     None => assert_eq!(tree, fresh, "seed {seed} {source}: untouched"),
                     Some(update) => {
-                        let previous = tree.clone();
-                        tree.update(&new, &edits);
                         assert_eq!(tree, fresh, "seed {seed} {source}: repaired");
-                        // A path reported unchanged is the previous one.
-                        for &dst in old.ids.iter() {
-                            if !update.path_changed(dst) {
+                        for (index, &dst) in old.ids.iter().enumerate() {
+                            let changed = update.changed().binary_search(&(index as u32)).is_ok();
+                            // A path reported unchanged is the previous one.
+                            if !changed {
                                 assert_eq!(tree.path_to(dst), previous.path_to(dst));
                             }
+                            // Reported changed: exactly the nodes whose path
+                            // passes a moved entry or an edited link.
+                            let mut passes = false;
+                            let mut cursor = index as u32;
+                            loop {
+                                let via = tree.parents()[cursor as usize];
+                                passes |= update.moved().contains(&cursor);
+                                if via.is_none() {
+                                    break;
+                                }
+                                passes |= edits.iter().any(|edit| edit.id == via.link);
+                                cursor = via.from;
+                            }
+                            assert_eq!(changed, passes, "seed {seed} {source}: {dst} changed");
+                            // Exactly the moved entries differ.
+                            let moved = update.moved().binary_search(&(index as u32)).is_ok();
+                            assert_eq!(
+                                moved,
+                                tree.parents()[index] != previous.parents()[index],
+                                "seed {seed} {source}: entry {dst}"
+                            );
                         }
                         updated += 1;
                     }
                 }
+                // The parents alone give back the tree.
+                assert_eq!(
+                    new.tree_from_parents(source, tree.parents().to_vec()),
+                    fresh
+                );
             }
         }
         assert!(updated > 1_000, "only {updated} trees updated");

@@ -276,10 +276,10 @@ proptest! {
             }
             reference = reference.rebuild_with_addresses(&online);
             prop_assert_eq!(delta.snapshot.pair_count(), reference.pair_count());
-            for ((src, dst), path) in reference.path_handles() {
-                let timeline_path = delta.snapshot.path(src, dst);
+            for path in reference.paths() {
+                let timeline_path = delta.snapshot.path(path.src, path.dst);
                 prop_assert!(timeline_path.is_some());
-                prop_assert_eq!(timeline_path.unwrap(), &**path);
+                prop_assert_eq!(timeline_path.unwrap(), path);
             }
             prop_assert_eq!(delta.snapshot.link_capacities(), reference.link_capacities());
 
@@ -287,7 +287,7 @@ proptest! {
             // same active pairs through `flow_demand` + `allocate` on both.
             let mut pairs: Vec<(kollaps::netmodel::packet::Addr, kollaps::netmodel::packet::Addr)> =
                 Vec::new();
-            for ((src, dst), _) in reference.path_handles() {
+            for (src, dst) in reference.paths().map(|path| (path.src, path.dst)) {
                 if let (Some(a), Some(b)) = (reference.address_of(src), reference.address_of(dst)) {
                     pairs.push((a, b));
                 }
@@ -308,6 +308,146 @@ proptest! {
             let alloc_reference = allocate(&from_reference, reference.link_capacities());
             for i in 0..from_timeline.len() as u64 {
                 prop_assert_eq!(alloc_timeline.of(i), alloc_reference.of(i));
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Snapshots hold trees and derive paths on demand, so this checks them
+    /// pair by pair: on seeded generated topologies under random schedules
+    /// (flaps, jitter and loss edits, a service leaving, a switch leaving
+    /// and joining again, a new shortcut), every ordered pair of the
+    /// service table — reachable or not — gets from each snapshot the path
+    /// and the RTT the online re-collapse gives, `changed_paths` is exactly
+    /// the pairs whose path value differs from the previous snapshot's,
+    /// `removed_paths` exactly those that lost theirs, and a timeline
+    /// extended from its middle derives what the full precompute does.
+    #[test]
+    fn snapshot_paths_and_deltas_match_the_online_rebuild(seed in 0u64..100_000) {
+        use kollaps::core::timeline::SnapshotTimeline;
+        use kollaps::core::CollapsedTopology;
+        use kollaps::dynamics::Churn;
+        use kollaps::topology::events::{
+            apply_action, DynamicAction, DynamicEvent, EventSchedule, LinkChange,
+        };
+        use kollaps::topology::generators::ScaleFreeParams;
+        use kollaps::topology::model::NodeId;
+
+        let mut rng = SimRng::new(seed);
+        let params = ScaleFreeParams {
+            total_elements: 16,
+            ..ScaleFreeParams::default()
+        };
+        let (topo, nodes, switches) = generators::barabasi_albert(&params, &mut rng);
+        prop_assert!(nodes.len() >= 4 && switches.len() >= 2);
+        let name_of = |id| topo.node(id).map(|n| n.kind.display_name()).unwrap();
+        let switch = |rng: &mut SimRng| name_of(switches[rng.gen_index(switches.len())]);
+        let at = |ms: u64| SimDuration::from_millis(ms);
+
+        let flapped = name_of(nodes[rng.gen_index(nodes.len())]);
+        let peer = topo
+            .node(topo.links_from(topo.node_by_name(&flapped).unwrap()).next().unwrap().to)
+            .map(|n| n.kind.display_name())
+            .unwrap();
+        let mut schedule = Churn::poisson_flaps(&[(flapped.as_str(), peer.as_str())])
+            .mean_uptime(SimDuration::from_secs(3))
+            .mean_downtime(SimDuration::from_millis(500))
+            .horizon(SimDuration::from_secs(12))
+            .seed(seed ^ 0xfade)
+            .generate(&topo)
+            .expect("valid flap spec");
+        let mut push = |ms: u64, action: DynamicAction| {
+            schedule.push(DynamicEvent { at: at(ms), action });
+        };
+        let (a, b) = (switch(&mut rng), switch(&mut rng));
+        push(rng.gen_range(1, 12_000), DynamicAction::SetLinkProperties {
+            orig: a,
+            dest: b,
+            change: LinkChange {
+                jitter: Some(SimDuration::from_millis(rng.gen_range(1, 5))),
+                loss: Some(0.01 * rng.gen_range(1, 4) as f64),
+                ..LinkChange::default()
+            },
+        });
+        push(rng.gen_range(1, 12_000), DynamicAction::NodeLeave {
+            name: name_of(nodes[rng.gen_index(nodes.len())]),
+        });
+        // A switch leaves, then joins again with two fresh links.
+        let gone = switch(&mut rng);
+        let left = rng.gen_range(1, 6_000);
+        let back = left + rng.gen_range(1, 6_000);
+        push(left, DynamicAction::NodeLeave { name: gone.clone() });
+        push(back, DynamicAction::NodeJoin { name: gone.clone() });
+        for _ in 0..2 {
+            push(back, DynamicAction::LinkJoin {
+                orig: gone.clone(),
+                dest: switch(&mut rng),
+                change: LinkChange {
+                    latency: Some(at(rng.gen_range(1, 10))),
+                    up: Some(Bandwidth::from_mbps(100)),
+                    ..LinkChange::default()
+                },
+            });
+        }
+        push(rng.gen_range(1, 12_000), DynamicAction::LinkJoin {
+            orig: switch(&mut rng),
+            dest: switch(&mut rng),
+            change: LinkChange {
+                latency: Some(SimDuration::from_millis_f64(0.1)),
+                up: Some(Bandwidth::from_gbps(1)),
+                ..LinkChange::default()
+            },
+        });
+
+        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        prop_assert_eq!(timeline.len(), schedule.change_times().len());
+        let mut online = topo.clone();
+        let mut reference = CollapsedTopology::build(&topo);
+        let table: Vec<(NodeId, kollaps::netmodel::packet::Addr)> =
+            reference.addresses().collect();
+        for delta in timeline.deltas() {
+            for event in schedule.events_at(delta.at) {
+                apply_action(&mut online, &event.action);
+            }
+            let before = std::mem::take(&mut reference);
+            reference = before.rebuild_with_addresses(&online);
+            let (mut changed, mut removed) = (Vec::new(), Vec::new());
+            for &(src, src_addr) in &table {
+                for &(dst, dst_addr) in &table {
+                    let path = reference.path(src, dst);
+                    prop_assert_eq!(&delta.snapshot.path(src, dst), &path);
+                    prop_assert_eq!(
+                        delta.snapshot.flow_path(src_addr, dst_addr),
+                        reference.flow_path(src_addr, dst_addr)
+                    );
+                    match (before.path(src, dst), &path) {
+                        (Some(_), None) => removed.push((src, dst)),
+                        (was, Some(now)) if was.as_ref() != Some(now) => changed.push((src, dst)),
+                        _ => {}
+                    }
+                }
+            }
+            prop_assert_eq!(&delta.changed_paths, &changed);
+            prop_assert_eq!(&delta.removed_paths, &removed);
+            prop_assert_eq!(delta.snapshot.pair_count(), reference.pair_count());
+        }
+
+        // The same timeline, precomputed up to a cut and extended from it.
+        let cut = at(rng.gen_range(1, 12_000));
+        let (early, late): (Vec<DynamicEvent>, Vec<DynamicEvent>) =
+            schedule.events().iter().cloned().partition(|e| e.at < cut);
+        let mut extended = SnapshotTimeline::precompute(&topo, &EventSchedule::from_events(early));
+        extended.extend(&EventSchedule::from_events(late));
+        prop_assert_eq!(extended.len(), timeline.len());
+        for (ours, theirs) in extended.deltas().iter().zip(timeline.deltas()) {
+            prop_assert_eq!(&ours.changed_paths, &theirs.changed_paths);
+            prop_assert_eq!(&ours.removed_paths, &theirs.removed_paths);
+            prop_assert_eq!(ours.snapshot.pair_count(), theirs.snapshot.pair_count());
+            for &(src, _) in &table {
+                for &(dst, _) in &table {
+                    prop_assert_eq!(ours.snapshot.path(src, dst), theirs.snapshot.path(src, dst));
+                }
             }
         }
     }
