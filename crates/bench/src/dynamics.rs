@@ -105,6 +105,10 @@ pub struct TrafficLeg {
     /// Paths the leg's managers derived from the snapshots' trees: one per
     /// chain, plus one per cached pair a delta refreshed.
     pub paths_built: u64,
+    /// Flows whose solver rows the leg's managers derived afresh.
+    pub enforce_flows_rebuilt: u64,
+    /// Omniscient solves of the leg's convergence metric.
+    pub convergence_solves: u64,
 }
 
 // The traffic leg: how many flows, how fast each sends, for how long.
@@ -145,6 +149,8 @@ fn traffic_leg(topo: &Topology, schedule: &EventSchedule) -> TrafficLeg {
         trees_visited_per_deliver: packet_path.trees_visited_per_deliver(),
         chains_installed: packet_path.chains_installed,
         paths_built: packet_path.paths_built,
+        enforce_flows_rebuilt: packet_path.enforce_flows_rebuilt,
+        convergence_solves: packet_path.convergence_solves,
     }
 }
 
@@ -254,7 +260,8 @@ pub fn run_dynamics(
 
 /// The perf-trajectory records for `BENCH_dynamics.json`: the deterministic
 /// swap-work metrics and the traffic leg's wake-ups per packet, trees
-/// polled per `deliver` and chains created gate tightly (the simulation
+/// polled per `deliver`, chains created, paths built, flow rows derived
+/// and convergence solves gate tightly (the simulation
 /// reproduces them exactly), the wall-clock timings gate
 /// loosely, and the sweep-shape counts are informational context.
 pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
@@ -342,6 +349,16 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
                 ),
                 ("chains_installed", leg.chains_installed as f64, "chains"),
                 ("paths_built", leg.paths_built as f64, "paths"),
+                (
+                    "enforce_flows_rebuilt",
+                    leg.enforce_flows_rebuilt as f64,
+                    "flows",
+                ),
+                (
+                    "convergence_solves",
+                    leg.convergence_solves as f64,
+                    "solves",
+                ),
             ] {
                 report.push(cell(name, value, unit).lower_is_better(TOLERANCE_DETERMINISTIC));
             }

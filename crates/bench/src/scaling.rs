@@ -72,6 +72,10 @@ pub struct ScalingCell {
     pub peak_rss_mb: f64,
     /// Paths the managers derived from the snapshots' trees (untraced run).
     pub paths_built: u64,
+    /// Flows whose solver rows the managers derived afresh (untraced run).
+    pub enforce_flows_rebuilt: u64,
+    /// Omniscient solves of the convergence metric (untraced run).
+    pub convergence_solves: u64,
     /// The timeline's tree entries written and pairs compared.
     pub timeline: TimelineStats,
 }
@@ -272,6 +276,8 @@ fn run_cell(pairs: usize, flows_per_client: usize) -> ScalingCell {
         teardown_micros: mean(|leg| leg.teardown_micros, untraced),
         peak_rss_mb: peak_rss_mb(),
         paths_built: packet_path.paths_built,
+        enforce_flows_rebuilt: packet_path.enforce_flows_rebuilt,
+        convergence_solves: packet_path.convergence_solves,
         timeline,
     }
 }
@@ -350,6 +356,12 @@ pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
         );
         for (name, count, unit) in [
             ("paths_built", c.paths_built as f64, "paths"),
+            (
+                "enforce_flows_rebuilt",
+                c.enforce_flows_rebuilt as f64,
+                "flows",
+            ),
+            ("convergence_solves", c.convergence_solves as f64, "solves"),
             (
                 "timeline_tree_entries_written",
                 c.timeline.tree_entries_written as f64,

@@ -633,6 +633,16 @@ impl CollapsedTopology {
         )
     }
 
+    /// `true` when `src` reaches `dst`: one parent lookup on `src`'s tree,
+    /// no walk. A tree only holds links of its snapshot, so this is
+    /// [`CollapsedTopology::max_bandwidth_by_addr`] being `Some`.
+    pub fn reaches(&self, src: Addr, dst: Addr) -> bool {
+        let (Some(src), Some(dst)) = (self.number_at(src), self.number_at(dst)) else {
+            return false;
+        };
+        self.links_back(src, dst).is_some()
+    }
+
     /// The bottleneck bandwidth between two container addresses, without
     /// building their path.
     pub fn max_bandwidth_by_addr(&self, src: Addr, dst: Addr) -> Option<Bandwidth> {

@@ -225,9 +225,18 @@ pub struct KollapsDataplane {
     /// Packets on the physical network, by arrival time.
     pending: TimedQueue<Packet>,
     /// Solver for the omniscient reference allocation the convergence
-    /// metric recomputes every loop; like the managers' own solvers, its
-    /// memo keys on the snapshot's link table.
+    /// metric compares against; like the managers' own solvers, its memo
+    /// keys on the snapshot's link table.
     omniscient: Allocator,
+    /// The omniscient targets of the last solve and what they were solved
+    /// from.
+    targets: Targets,
+    /// Omniscient solves since construction (see [`PacketPathStats`]).
+    convergence_solves: u64,
+    /// The rebuild-everything oracle: every manager derives its solver
+    /// input afresh, and the omniscient target is re-solved, every loop.
+    #[cfg(test)]
+    rebuilding: bool,
     /// Per-host, per-scored-iteration convergence gaps, indexed by host;
     /// every series has one entry per scored loop iteration.
     host_gap_series: Vec<Vec<f64>>,
@@ -246,9 +255,21 @@ pub struct KollapsDataplane {
     started: bool,
 }
 
-/// Deterministic work counters of the per-event packet path. Like
-/// `phase_timing` they describe how the run was computed, not what it
-/// computed, so they stay out of the `Report`.
+/// The omniscient convergence targets, kept while their inputs hold: the
+/// snapshot and every manager's local flows, both known by the managers'
+/// local generations.
+#[derive(Default)]
+struct Targets {
+    /// [`EmulationManager::local_generation`] per manager, at the solve.
+    generations: Vec<u64>,
+    /// Per local flow, managers in host order and each one's flows in pair
+    /// order; empty when no flow was active.
+    rates: Vec<Bandwidth>,
+}
+
+/// Deterministic work counters of the per-event packet path and of the
+/// loop's kept state. Like `phase_timing` they describe how the run was
+/// computed, not what it computed, so they stay out of the `Report`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketPathStats {
     /// `Dataplane::deliver` calls.
@@ -267,6 +288,15 @@ pub struct PacketPathStats {
     /// one per chain created and one per cached pair a delta refreshed —
     /// nothing per loop iteration.
     pub paths_built: u64,
+    /// Flows whose solver rows the managers derived afresh (local plus
+    /// remote, monotone): each loop iteration re-derives only the local
+    /// flows of a manager whose snapshot, cached paths or set of active
+    /// pairs moved, and the remote flows of a host whose advertised link
+    /// ids moved.
+    pub enforce_flows_rebuilt: u64,
+    /// Omniscient solves of the convergence metric (monotone): one per loop
+    /// iteration whose snapshot or set of active local flows moved.
+    pub convergence_solves: u64,
 }
 
 impl PacketPathStats {
@@ -374,6 +404,10 @@ impl KollapsDataplane {
             bus,
             pending: TimedQueue::default(),
             omniscient: Allocator::default(),
+            targets: Targets::default(),
+            convergence_solves: 0,
+            #[cfg(test)]
+            rebuilding: false,
             host_gap_series: vec![Vec::new(); hosts],
             last_tick_idle: false,
             recorder: Recorder::disabled(),
@@ -524,6 +558,7 @@ impl KollapsDataplane {
     pub fn packet_path_stats(&self) -> PacketPathStats {
         let mut stats = PacketPathStats {
             deliver_calls: self.deliver_calls,
+            convergence_solves: self.convergence_solves,
             ..PacketPathStats::default()
         };
         for manager in &self.managers {
@@ -532,6 +567,7 @@ impl KollapsDataplane {
             stats.trees_emitted += emitted;
             stats.chains_installed += manager.chains_installed();
             stats.paths_built += manager.paths_built();
+            stats.enforce_flows_rebuilt += manager.flows_rebuilt();
         }
         stats
     }
@@ -688,6 +724,13 @@ impl KollapsDataplane {
             }
         });
         let span = self.recorder.span(0, "convergence");
+        #[cfg(test)]
+        let gap = if self.rebuilding {
+            self.update_convergence_rebuilding()
+        } else {
+            self.update_convergence()
+        };
+        #[cfg(not(test))]
         let gap = self.update_convergence();
         drop(span);
         self.recorder.counter(0, "convergence_gap", gap);
@@ -712,42 +755,62 @@ impl KollapsDataplane {
     /// (global instantaneous knowledge — exactly what the old centralized
     /// loop enforced), appends each host's worst gap to its series and
     /// returns the global gap (0.0 when no flow was scored).
+    ///
+    /// The target depends only on the snapshot and on every manager's
+    /// local flows, so it is re-solved only when one of them moved, and
+    /// otherwise the kept one is compared against again. Both show in the
+    /// managers' local generations: a manager re-derives its local flows
+    /// whenever they or its snapshot moved.
     fn update_convergence(&mut self) -> f64 {
-        let collapsed = Arc::clone(&self.collapsed);
-        let mut flows: Vec<FlowRef<'_>> = Vec::new();
-        let mut keys: Vec<(usize, Addr, Addr)> = Vec::new();
-        for (mi, manager) in self.managers.iter().enumerate() {
-            // The usage table is already sorted by pair, and every pair
-            // with usage has its path cached next to its chain.
-            for &((src, dst), _) in manager.local_usages() {
-                let Some(flow) = manager.flow_path(src, dst) else {
-                    continue;
-                };
-                flows.push(flow.flow_ref());
-                keys.push((mi, src, dst));
+        let targets = &mut self.targets;
+        let held = targets
+            .generations
+            .iter()
+            .copied()
+            .eq(self.managers.iter().map(EmulationManager::local_generation));
+        if !held {
+            targets.generations.clear();
+            targets
+                .generations
+                .extend(self.managers.iter().map(EmulationManager::local_generation));
+            // Managers in host order, each one's flows in pair order.
+            let flows: Vec<FlowRef<'_>> = self
+                .managers
+                .iter()
+                .flat_map(EmulationManager::local_flows)
+                .collect();
+            targets.rates.clear();
+            if !flows.is_empty() {
+                let table = self.collapsed.link_table();
+                targets
+                    .rates
+                    .extend_from_slice(self.omniscient.solve(&flows, table));
+                self.convergence_solves += 1;
             }
         }
-        self.last_tick_idle = flows.is_empty();
+        self.last_tick_idle = targets.rates.is_empty();
         if self.last_tick_idle {
             return 0.0;
         }
-        let omniscient = self.omniscient.solve(&flows, collapsed.link_table());
-        let mut host_gaps = vec![0.0f64; self.managers.len()];
-        for (&(mi, src, dst), target) in keys.iter().zip(omniscient) {
-            let target = target.as_bps() as f64;
-            if target <= 0.0 {
-                continue;
+        let mut unscored: &[Bandwidth] = &targets.rates;
+        let mut gap = 0.0f64;
+        for (manager, series) in self.managers.iter().zip(&mut self.host_gap_series) {
+            let enforced = manager.local_allocations();
+            let (mine, rest) = unscored.split_at(enforced.len());
+            unscored = rest;
+            let mut host_gap = 0.0f64;
+            for (&(_, enforced), target) in enforced.iter().zip(mine) {
+                let target = target.as_bps() as f64;
+                if target <= 0.0 {
+                    continue;
+                }
+                let g = (enforced.as_bps() as f64 - target).abs() / target;
+                host_gap = host_gap.max(g);
             }
-            let Some(enforced) = self.managers[mi].allocation(src, dst) else {
-                continue;
-            };
-            let g = (enforced.as_bps() as f64 - target).abs() / target;
-            host_gaps[mi] = host_gaps[mi].max(g);
+            series.push(host_gap);
+            gap = gap.max(host_gap);
         }
-        for (series, &g) in self.host_gap_series.iter_mut().zip(&host_gaps) {
-            series.push(g);
-        }
-        host_gaps.into_iter().fold(0.0, f64::max)
+        gap
     }
 
     /// Applies every precomputed change whose time has come: swaps in the
@@ -852,9 +915,61 @@ impl Dataplane for KollapsDataplane {
     }
 }
 
-/// The eager oracle of first-send chain creation.
+/// The eager oracle of first-send chain creation, and the
+/// rebuild-everything oracle of the loop's kept state.
 #[cfg(test)]
 impl KollapsDataplane {
+    /// Makes every loop derive its whole solver input afresh, on every
+    /// manager and for the omniscient target.
+    pub(crate) fn rebuild_every_loop(&mut self) {
+        self.rebuilding = true;
+        self.managers
+            .iter_mut()
+            .for_each(EmulationManager::rebuild_every_loop);
+    }
+
+    /// The oracle of [`KollapsDataplane::update_convergence`]: the
+    /// omniscient input derived afresh from the managers' usage tables and
+    /// cached paths, and solved, on every call.
+    fn update_convergence_rebuilding(&mut self) -> f64 {
+        let collapsed = Arc::clone(&self.collapsed);
+        let mut flows: Vec<FlowRef<'_>> = Vec::new();
+        let mut keys: Vec<(usize, Addr, Addr)> = Vec::new();
+        for (mi, manager) in self.managers.iter().enumerate() {
+            // The usage table is already sorted by pair, and every pair
+            // with usage has its path cached next to its chain.
+            for &((src, dst), _) in manager.local_usages() {
+                let Some(flow) = manager.flow_path(src, dst) else {
+                    continue;
+                };
+                flows.push(flow.flow_ref());
+                keys.push((mi, src, dst));
+            }
+        }
+        self.last_tick_idle = flows.is_empty();
+        if self.last_tick_idle {
+            return 0.0;
+        }
+        let omniscient = self.omniscient.solve(&flows, collapsed.link_table());
+        self.convergence_solves += 1;
+        let mut host_gaps = vec![0.0f64; self.managers.len()];
+        for (&(mi, src, dst), target) in keys.iter().zip(omniscient) {
+            let target = target.as_bps() as f64;
+            if target <= 0.0 {
+                continue;
+            }
+            let Some(enforced) = self.managers[mi].allocation(src, dst) else {
+                continue;
+            };
+            let g = (enforced.as_bps() as f64 - target).abs() / target;
+            host_gaps[mi] = host_gaps[mi].max(g);
+        }
+        for (series, &g) in self.host_gap_series.iter_mut().zip(&host_gaps) {
+            series.push(g);
+        }
+        host_gaps.into_iter().fold(0.0, f64::max)
+    }
+
     /// Installs the chain of every local pair with a path on every manager
     /// now, and again after every delta.
     pub(crate) fn install_every_chain(&mut self) {
@@ -1687,5 +1802,143 @@ mod tests {
                 "{lazy_chains} of {eager_chains}"
             );
         }
+    }
+
+    /// The loop's kept state against the rebuild-everything oracle,
+    /// through the whole dataplane: three hosts, a metadata delay, UDP
+    /// flows that join and leave, and deltas that widen a trunk no path is
+    /// limited by (so only the link table moves), move an access latency,
+    /// and cut a reverse path's capacity. Every loop must leave the same
+    /// per-host gap series and enforced rates, and the run the same
+    /// deliveries and counters, while the kept run solves the omniscient
+    /// target only on the loops whose inputs moved.
+    ///
+    /// Mutation-checked: keeping the omniscient target across a move of a
+    /// manager's local flows, and keeping a manager's local flows across a
+    /// snapshot swap, each fail this test.
+    #[test]
+    fn kept_state_matches_the_rebuilding_oracle_loop_by_loop() {
+        let (topo, clients, servers) = generators::dumbbell(
+            3,
+            Bandwidth::from_mbps(40),
+            Bandwidth::from_mbps(50),
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(5),
+        );
+        let event = |ms, orig: &str, dest: &str, change| DynamicEvent {
+            at: SimDuration::from_millis(ms),
+            action: DynamicAction::SetLinkProperties {
+                orig: orig.into(),
+                dest: dest.into(),
+                change,
+            },
+        };
+        let wider = Some(Bandwidth::from_mbps(60));
+        let schedule = EventSchedule::from_events(vec![
+            event(
+                400,
+                "bridge-left",
+                "bridge-right",
+                LinkChange {
+                    up: wider,
+                    down: wider,
+                    ..LinkChange::default()
+                },
+            ),
+            event(
+                700,
+                "client-1",
+                "bridge-left",
+                LinkChange {
+                    latency: Some(SimDuration::from_millis(4)),
+                    ..LinkChange::default()
+                },
+            ),
+            event(
+                1_000,
+                "bridge-right",
+                "server-2",
+                LinkChange {
+                    down: Some(Bandwidth::from_mbps(20)),
+                    ..LinkChange::default()
+                },
+            ),
+        ]);
+        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let pinned: HashMap<NodeId, u32> = (0..3)
+            .flat_map(|i| [(clients[i], i as u32), (servers[i], i as u32)])
+            .collect();
+        let addr = |node| timeline.initial().address_of(node).expect("a service");
+        let ms = SimTime::from_millis;
+        let flows = [
+            (clients[0], servers[0], 30, 0, None),
+            (clients[1], servers[1], 30, 250, Some(1_300)),
+            (servers[2], clients[0], 3, 300, None),
+            (clients[2], servers[2], 20, 550, None),
+            (clients[0], servers[1], 5, 900, Some(1_100)),
+        ];
+        let build = |rebuilding: bool| {
+            let config = EmulationConfig {
+                metadata_delay: SimDuration::from_millis(20),
+                ..EmulationConfig::default()
+            };
+            let mut dp = KollapsDataplane::with_prepared(timeline.clone(), 3, &pinned, config);
+            if rebuilding {
+                dp.rebuild_every_loop();
+            }
+            let mut rt = Runtime::new(dp);
+            let ids = flows.map(|(src, dst, mbps, start, stop)| {
+                let rate = Bandwidth::from_mbps(mbps);
+                rt.add_udp_flow(addr(src), addr(dst), rate, ms(start), stop.map(ms))
+            });
+            (rt, ids)
+        };
+        let ((mut kept, ids), (mut oracle, _)) = (build(false), build(true));
+        let pairs: Vec<(Addr, Addr)> = flows
+            .iter()
+            .map(|&(src, dst, ..)| (addr(src), addr(dst)))
+            .collect();
+        for step in 1..=32 {
+            let until = ms(50 * step);
+            kept.run_until(until);
+            oracle.run_until(until);
+            let (a, b) = (&kept.dataplane, &oracle.dataplane);
+            assert_eq!(a.host_gap_series(), b.host_gap_series(), "step {step}");
+            for &(src, dst) in &pairs {
+                assert_eq!(
+                    a.allocation(src, dst),
+                    b.allocation(src, dst),
+                    "step {step}"
+                );
+            }
+        }
+        let (a, b) = (&kept.dataplane, &oracle.dataplane);
+        assert_eq!(a.dynamics().snapshots_applied, 3);
+        assert_eq!(a.convergence(), b.convergence());
+        assert_eq!(a.allocator_stats(), b.allocator_stats());
+        assert_eq!(
+            ids.map(|f| kept.udp_delivered_bytes(f)),
+            ids.map(|f| oracle.udp_delivered_bytes(f))
+        );
+        let (ours, theirs) = (a.packet_path_stats(), b.packet_path_stats());
+        assert_eq!(
+            (ours.trees_visited, ours.chains_installed, ours.paths_built),
+            (
+                theirs.trees_visited,
+                theirs.chains_installed,
+                theirs.paths_built
+            )
+        );
+        // The oracle solves on every scored loop; the kept run on the loops
+        // whose snapshot or active flows moved, and on no other.
+        assert_eq!(theirs.convergence_solves, b.convergence().samples);
+        assert!(
+            ours.convergence_solves > 3 && ours.convergence_solves < theirs.convergence_solves / 2,
+            "{} of {}",
+            ours.convergence_solves,
+            theirs.convergence_solves
+        );
+        assert!(ours.enforce_flows_rebuilt > 0);
+        assert_eq!(theirs.enforce_flows_rebuilt, 0);
     }
 }

@@ -35,9 +35,9 @@ use kollaps_sim::prelude::*;
 use kollaps_topology::model::{LinkId, NodeId};
 use kollaps_trace::Recorder;
 
-use crate::collapse::{CollapsedPath, CollapsedTopology, FlowPath};
+use crate::collapse::{CollapsedPath, CollapsedTopology, FlowPath, LinkTable};
 use crate::emulation::EmulationConfig;
-use crate::sharing::{oversubscription, Allocator, AllocatorStats, FlowRef};
+use crate::sharing::{oversubscription_by_slot, Allocator, AllocatorStats, FlowRef};
 
 /// Congestion loss is injected only once a link has stayed oversubscribed
 /// for this many consecutive loop iterations. A one-iteration spike is the
@@ -64,15 +64,38 @@ pub struct RemoteUsage {
 /// The manager's wake index: a binary min-heap of `(wake, slot)` entries.
 type WakeHeap = BinaryHeap<Reverse<(SimTime, usize)>>;
 
+/// A local pair's cached path: its path and RTT, and its links as the
+/// 16-bit ids the metadata wire carries, built once with it.
+struct PairPath {
+    flow: FlowPath,
+    wire: Box<[u16]>,
+}
+
+impl PairPath {
+    fn new(flow: FlowPath) -> Self {
+        // Scenario validation rejects topologies whose link ids need more
+        // than 16 bits; should one get here anyway, a link that does not
+        // fit is left out (the receivers then see the flow unconstrained
+        // there) rather than aliased onto another link.
+        let wire = flow
+            .path
+            .links
+            .iter()
+            .filter_map(|l| u16::try_from(l.0).ok())
+            .collect();
+        PairPath { flow, wire }
+    }
+}
+
 /// One local container's egress tree, the paths of its chains and the wake
 /// it holds in the manager's wake index.
 struct Tcal {
     tree: EgressTree,
-    /// The path and RTT of every chain of the tree, by destination,
+    /// The cached path of every chain of the tree, by destination,
     /// ascending: derived when the chain is created and refreshed when a
     /// delta names the pair or its reverse (the RTT reads the reverse
     /// path's latency). Everything the loop reads of a local pair.
-    paths: Vec<(Addr, FlowPath)>,
+    paths: Vec<(Addr, PairPath)>,
     /// `tree.next_wakeup()` as of the last [`Tcal::reindex`]; `None` when
     /// the tree is idle or stalled on zero-rate classes, and while a poll
     /// that popped the tree's entry is under way. A wake-index entry
@@ -81,7 +104,7 @@ struct Tcal {
 }
 
 /// The cached path towards `dst` in a [`Tcal::paths`] table.
-fn path_to(paths: &[(Addr, FlowPath)], dst: Addr) -> Option<&FlowPath> {
+fn path_to(paths: &[(Addr, PairPath)], dst: Addr) -> Option<&PairPath> {
     let i = paths.binary_search_by_key(&dst, |&(at, _)| at).ok()?;
     Some(&paths[i].1)
 }
@@ -90,11 +113,11 @@ impl Tcal {
     /// Caches `path` as the path towards `dst`, or forgets it on `None`.
     fn cache(&mut self, dst: Addr, path: Option<FlowPath>) {
         match (self.paths.binary_search_by_key(&dst, |&(at, _)| at), path) {
-            (Ok(i), Some(path)) => self.paths[i].1 = path,
+            (Ok(i), Some(path)) => self.paths[i].1 = PairPath::new(path),
             (Ok(i), None) => {
                 self.paths.remove(i);
             }
-            (Err(i), Some(path)) => self.paths.insert(i, (dst, path)),
+            (Err(i), Some(path)) => self.paths.insert(i, (dst, PairPath::new(path))),
             (Err(_), None) => {}
         }
     }
@@ -136,6 +159,168 @@ fn settle(wakes: &mut WakeHeap, egress: &[Tcal]) {
     }
 }
 
+/// "No slot": a link the snapshot does not have.
+const NO_SLOT: u32 = u32::MAX;
+
+/// `link`'s slot in `table`, or [`NO_SLOT`].
+fn slot_of(table: &LinkTable, link: LinkId) -> u32 {
+    table.slot(link).map_or(NO_SLOT, |slot| slot as u32)
+}
+
+/// Run `i` of a run table: where the run before it ends, to where it ends.
+fn run(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    let start = i.checked_sub(1).map_or(0, |j| ends[j] as usize);
+    start..ends[i] as usize
+}
+
+/// The slots of a run that the link table has.
+fn known_slots(slots: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    slots
+        .iter()
+        .filter(|&&slot| slot != NO_SLOT)
+        .map(|&slot| slot as usize)
+}
+
+/// The solver rows of one remote host's advertised flows, in reused
+/// arenas: per flow its links (the advertised ids, widened) with their
+/// slots in the snapshot's link table, and the RTT and demand cap rebuilt
+/// from them.
+#[derive(Default)]
+struct RemoteRows {
+    links: Vec<LinkId>,
+    /// `links[i]`'s slot, or [`NO_SLOT`].
+    slots: Vec<u32>,
+    /// Where each flow's run of `links` and `slots` ends.
+    ends: Vec<u32>,
+    rtt: Vec<SimDuration>,
+    demand: Vec<Bandwidth>,
+}
+
+impl RemoteRows {
+    /// Derives the rows of `flows` over `table`. Links this snapshot still
+    /// knows about contribute latency and capacity; under dynamic events a
+    /// remote advertisement can name links that no longer exist here —
+    /// managers transiently disagree, and the solver treats such a link as
+    /// unconstrained.
+    fn derive(&mut self, flows: &[FlowUsage], table: &LinkTable) {
+        self.links.clear();
+        self.slots.clear();
+        self.ends.clear();
+        self.rtt.clear();
+        self.demand.clear();
+        for flow in flows {
+            let start = self.slots.len();
+            for &id in &flow.link_ids {
+                let link = LinkId(u32::from(id));
+                self.links.push(link);
+                self.slots.push(slot_of(table, link));
+            }
+            self.ends.push(self.slots.len() as u32);
+            let mut one_way = SimDuration::ZERO;
+            let mut demand = Bandwidth::MAX;
+            for slot in known_slots(&self.slots[start..]) {
+                demand = demand.min(table.capacity(slot));
+                one_way += table.latency(slot);
+            }
+            self.rtt.push(if one_way.is_zero() {
+                SimDuration::from_millis(1)
+            } else {
+                one_way * 2
+            });
+            self.demand.push(demand);
+        }
+    }
+
+    /// `true` when these rows were derived from exactly the link ids of
+    /// `flows`, flow by flow: the same runs of the same ids.
+    fn derived_from(&self, flows: &[FlowUsage]) -> bool {
+        self.ends.len() == flows.len()
+            && flows.iter().enumerate().all(|(i, flow)| {
+                let links = &self.links[run(&self.ends, i)];
+                links.len() == flow.link_ids.len()
+                    && links
+                        .iter()
+                        .zip(&flow.link_ids)
+                        .all(|(link, &id)| link.0 == u32::from(id))
+            })
+    }
+
+    /// The rows as solver input.
+    fn refs(&self) -> impl Iterator<Item = FlowRef<'_>> {
+        (0..self.ends.len()).map(|i| FlowRef {
+            links: &self.links[run(&self.ends, i)],
+            rtt: self.rtt[i],
+            demand: self.demand[i],
+        })
+    }
+}
+
+/// The solver input of the last loop iteration, kept so that the next one
+/// re-derives only what moved: the local flows while the snapshot, the
+/// cached paths and the set of local pairs with usage stay the same, a
+/// remote host's rows while the snapshot and the link ids its message
+/// advertises stay the same. Usages are read where they are measured or
+/// received, never copied.
+#[derive(Default)]
+struct KeptInput {
+    /// The snapshot the rows were derived on; `None` before the first
+    /// loop iteration.
+    snapshot: Option<Arc<CollapsedTopology>>,
+    /// Every local pair with usage at the last derivation of the local
+    /// flows, sorted.
+    usage_keys: Vec<(Addr, Addr)>,
+    /// The local flows, the pairs with usage that have a cached path, in
+    /// pair order. Per flow: its row in the usage table, and where its
+    /// cached path sits (its source's tree slot and the position in that
+    /// tree's [`Tcal::paths`]; any change to a cache re-derives these).
+    local_rows: Vec<u32>,
+    local_trees: Vec<u32>,
+    local_paths: Vec<u32>,
+    /// The slots of the local flows' links, one run per flow.
+    local_slots: Vec<u32>,
+    local_ends: Vec<u32>,
+    /// Local derivations so far: the local flows change only when this
+    /// moves (the omniscient convergence target keys on it).
+    local_generation: u64,
+    /// Per remote host id, the rows of its last message's flows.
+    remote: Vec<RemoteRows>,
+}
+
+impl KeptInput {
+    /// The cached path of local flow `i`.
+    fn local_path<'a>(&self, egress: &'a [Tcal], i: usize) -> &'a PairPath {
+        let tcal = &egress[self.local_trees[i] as usize];
+        &tcal.paths[self.local_paths[i] as usize].1
+    }
+
+    /// The local flows as solver input.
+    fn local_refs<'a>(&'a self, egress: &'a [Tcal]) -> impl Iterator<Item = FlowRef<'a>> {
+        (0..self.local_rows.len()).map(move |i| self.local_path(egress, i).flow.flow_ref())
+    }
+}
+
+/// The local pairs of `usages` (sorted by pair) that have a cached path,
+/// each with its row in `usages`, the slot of its source's tree, the
+/// path's position in that tree's [`Tcal::paths`] and the path: the trees
+/// are walked along with the pairs, in address order.
+fn with_paths<'a>(
+    egress: &'a [Tcal],
+    usages: &'a [((Addr, Addr), Bandwidth)],
+) -> impl Iterator<Item = (usize, usize, usize, &'a PairPath)> + 'a {
+    let mut slot = 0;
+    usages
+        .iter()
+        .enumerate()
+        .filter_map(move |(row, &((src, dst), _))| {
+            while egress.get(slot).is_some_and(|tcal| tcal.tree.owner() < src) {
+                slot += 1;
+            }
+            let tcal = egress.get(slot).filter(|tcal| tcal.tree.owner() == src)?;
+            let at = tcal.paths.binary_search_by_key(&dst, |&(at, _)| at).ok()?;
+            Some((row, slot, at, &tcal.paths[at].1))
+        })
+}
+
 /// One host's Emulation Manager: local TCALs, the received remote view and
 /// the enforcement state derived from them.
 ///
@@ -144,7 +329,23 @@ fn settle(wakes: &mut WakeHeap, egress: &[Tcal]) {
 /// walks these tables in key order anyway (publishing and enforcement are
 /// order-sensitive for determinism), so sorted vectors drop both the
 /// per-loop re-sorts and the hashing churn that dominated profiles at
-/// 10k-flow scale. Point lookups are binary searches.
+/// 10k-flow scale. The usage table is walked together with the
+/// address-ordered trees, not searched pair by pair.
+///
+/// **Enforcement from kept state.** Between topology changes only usage
+/// numbers move, so the solver input is kept between loop iterations
+/// (`KeptInput`). Each local flow's usage row, the position of its cached
+/// path and its links' slots in the link table stay while the snapshot
+/// `Arc`, the cached paths and the set of local pairs with usage stay the
+/// same. A remote host's rows (its advertised links widened, their slots,
+/// the RTT and demand rebuilt from them) stay while the snapshot and its
+/// message's per-flow link ids stay the same; each publish is a new `Arc`,
+/// so the ids are compared. Usages are read where they are measured or
+/// received. The solver still sees every call, and its memo answers the
+/// unchanged ones; oversubscription reads the kept slots, and the re-rate
+/// walks the kept flows with one chain lookup each. Every active pair is
+/// still re-rated: a same-rate `set_bandwidth(now, …)` refills the bucket
+/// at `now`, and that is observable.
 ///
 /// **A chain on first send.** The htb → netem chain of a local pair is
 /// created by the first [`EmulationManager::enqueue`] that finds none while
@@ -236,9 +437,21 @@ pub struct EmulationManager {
     oversub_streak: Vec<(LinkId, u32)>,
     /// The min-max solver; its memo keys on the snapshot's link table.
     allocator: Allocator,
-    /// The paths of the remote flows of the current loop iteration, end to
-    /// end: one arena refilled per iteration instead of a `Vec` per flow.
-    remote_links: Vec<LinkId>,
+    /// The solver input, kept between loop iterations.
+    kept: KeptInput,
+    /// The grants of the local flows, by local flow: a buffer reused by
+    /// every `enforce`.
+    rates: Vec<Bandwidth>,
+    /// `true` once a cached path was added, replaced or dropped since the
+    /// local rows were last derived.
+    paths_moved: bool,
+    /// Local plus remote flows whose solver rows were derived afresh, since
+    /// construction (deterministic work counter).
+    flows_rebuilt: u64,
+    /// The rebuild-everything oracle: `enforce` derives its whole input
+    /// afresh on every call.
+    #[cfg(test)]
+    rebuilding: bool,
     /// Wall-clock microseconds spent in the solver (diagnostic only).
     alloc_micros: u64,
     /// Flight recorder (disabled by default) and this manager's lane in it.
@@ -275,7 +488,7 @@ fn cached(egress: &[Tcal], src: Addr, dst: Addr) -> Option<&FlowPath> {
     let slot = egress
         .binary_search_by_key(&src, |tcal| tcal.tree.owner())
         .ok()?;
-    path_to(&egress[slot].paths, dst)
+    path_to(&egress[slot].paths, dst).map(|pair| &pair.flow)
 }
 
 /// The netem stage of a collapsed path's chain.
@@ -329,7 +542,12 @@ impl EmulationManager {
             last_allocation: Vec::new(),
             oversub_streak: Vec::new(),
             allocator: Allocator::default(),
-            remote_links: Vec::new(),
+            kept: KeptInput::default(),
+            rates: Vec::new(),
+            paths_moved: false,
+            flows_rebuilt: 0,
+            #[cfg(test)]
+            rebuilding: false,
             alloc_micros: 0,
             recorder: Recorder::disabled(),
             lane: 0,
@@ -412,6 +630,7 @@ impl EmulationManager {
                 tcal.tree.install_path(pair.1, netem, created_at);
                 tcal.tree.install_path(pair.1, netem, max_bandwidth);
                 tcal.cache(pair.1, Some(flow));
+                self.paths_moved = true;
                 self.chains_installed += 1;
             }
         }
@@ -500,6 +719,33 @@ impl EmulationManager {
         cached(&self.egress, src, dst)
     }
 
+    /// Local plus remote flows whose solver rows `enforce` derived afresh,
+    /// since construction; every other flow of a loop iteration kept the
+    /// rows of the loop before.
+    pub fn flows_rebuilt(&self) -> u64 {
+        self.flows_rebuilt
+    }
+
+    /// The local flows of the last `enforce` as solver input, in pair
+    /// order, one per entry of [`EmulationManager::local_allocations`].
+    /// They point into the path cache: read them before the next send or
+    /// delta.
+    pub(crate) fn local_flows(&self) -> impl Iterator<Item = FlowRef<'_>> {
+        self.kept.local_refs(&self.egress)
+    }
+
+    /// Moves exactly when the local flows' rows are re-derived, which every
+    /// snapshot swap does: while it holds, the local flows and the snapshot
+    /// they are solved over are those of the last time it moved.
+    pub(crate) fn local_generation(&self) -> u64 {
+        self.kept.local_generation
+    }
+
+    /// The rates the last `enforce` set on local pairs, sorted by pair.
+    pub(crate) fn local_allocations(&self) -> &[((Addr, Addr), Bandwidth)] {
+        &self.last_allocation
+    }
+
     /// Loop steps 1–2: reads and clears the per-destination usage of every
     /// local TCAL.
     pub fn collect_usage(&mut self) {
@@ -538,20 +784,10 @@ impl EmulationManager {
         // The bus stamps the sender/publish-time header fields; the manager
         // only supplies the payload.
         let mut message = MetadataMessage::new();
-        for &((src, dst), used) in &self.usages {
-            let Some(FlowPath { path, .. }) = cached(&self.egress, src, dst) else {
-                continue;
-            };
-            // The wire carries 16-bit link ids. Scenario validation rejects
-            // topologies that need more; should one get here anyway, a link
-            // that does not fit is left out (the receivers then see the flow
-            // unconstrained there) rather than aliased onto another link.
-            let ids: Vec<u16> = path
-                .links
-                .iter()
-                .filter_map(|l| u16::try_from(l.0).ok())
-                .collect();
-            message.flows.push(FlowUsage::new(used, ids));
+        message.flows.reserve(self.usages.len());
+        for (row, _, _, pair) in with_paths(&self.egress, &self.usages) {
+            let (_, used) = self.usages[row];
+            message.flows.push(FlowUsage::new(used, pair.wire.to_vec()));
         }
         bus.publish(now, self.host, message);
     }
@@ -579,7 +815,355 @@ impl EmulationManager {
     /// usage plus the received (possibly stale) remote view, and enforces
     /// the resulting rates and congestion loss on the local TCALs.
     pub fn enforce(&mut self, now: SimTime) {
+        #[cfg(test)]
+        if self.rebuilding {
+            return self.enforce_rebuilding(now);
+        }
         let mut worker_span = self.recorder.span(self.lane, "worker:enforce");
+        let collapsed = Arc::clone(&self.collapsed);
+        let table = collapsed.link_table();
+        self.refresh_input(&collapsed);
+
+        // The competing flow set, as *this* manager can know it: the local
+        // pairs first, then the remote views in host order.
+        let kept = &self.kept;
+        let local = kept.local_rows.len();
+        let mut rates = std::mem::take(&mut self.rates);
+        let remote: usize = kept.remote.iter().map(|rows| rows.ends.len()).sum();
+        let mut flows: Vec<FlowRef<'_>> = Vec::with_capacity(local + remote);
+        flows.extend(kept.local_refs(&self.egress));
+        for rows in &kept.remote {
+            flows.extend(rows.refs());
+        }
+        {
+            let mut alloc_span = self.recorder.span(self.lane, "allocate");
+            let before = self.allocator.stats();
+            // kollaps-analyze: allow(wall-clock) -- solver-time diagnostic only; never feeds back into the emulation (pinned by the traced-vs-untraced identity test)
+            let start = std::time::Instant::now();
+            let grants = self.allocator.solve(&flows, table);
+            let micros = start.elapsed().as_micros() as u64;
+            // Copying the local grants out ends the allocator's borrow
+            // before the qdisc writes below.
+            rates.clear();
+            rates.extend_from_slice(&grants[..local]);
+            self.alloc_micros += micros;
+            let delta = self.allocator.stats().since(before);
+            alloc_span.arg("flows", flows.len() as f64);
+            alloc_span.arg("micros", micros as f64);
+            alloc_span.arg("fast_hits", delta.fast_hits as f64);
+            alloc_span.arg("components_recomputed", delta.components_recomputed as f64);
+        }
+        drop(flows);
+        // Links whose oversubscription outlasted the grace period, sorted.
+        let usages = &self.usages;
+        let local_rows = (0..local).map(|i| {
+            let slots = &kept.local_slots[run(&kept.local_ends, i)];
+            (known_slots(slots), usages[kept.local_rows[i] as usize].1)
+        });
+        let remote_rows = kept
+            .remote
+            .iter()
+            .zip(&self.remote)
+            .flat_map(|(rows, view)| {
+                let flows = &view.message.flows;
+                (0..rows.ends.len()).map(move |i| {
+                    let slots = &rows.slots[run(&rows.ends, i)];
+                    (known_slots(slots), flows[i].used())
+                })
+            });
+        let raw = oversubscription_by_slot(local_rows.chain(remote_rows), table);
+        // `raw` ascends by link, and so does the streak table built from it.
+        self.oversub_streak = raw
+            .iter()
+            .map(|&(link, _)| (link, table_get(&self.oversub_streak, link).unwrap_or(0) + 1))
+            .collect();
+        let over: Vec<(LinkId, f64)> = raw
+            .into_iter()
+            .zip(&self.oversub_streak)
+            .filter(|&(_, &(_, streak))| streak >= CONGESTION_GRACE_LOOPS)
+            .map(|(ratio, _)| ratio)
+            .collect();
+
+        // Enforcement: active local pairs get their computed share; pairs
+        // enforced last loop that went idle are restored to the path
+        // maximum **once** so new flows are not throttled by stale limits.
+        // Chains that were at their defaults and stay idle are not touched
+        // at all — the old all-pairs sweep was O(containers²) per loop and
+        // capped scaling.
+        let previously = std::mem::take(&mut self.last_allocation);
+        // Trees (by slot) whose rates were rewritten, re-indexed once each at the end.
+        let mut touched: Vec<usize> = Vec::new();
+        for (i, &rate) in rates.iter().enumerate() {
+            let (pair, _) = self.usages[kept.local_rows[i] as usize];
+            let slot = kept.local_trees[i] as usize;
+            let Tcal { tree, paths, .. } = &mut self.egress[slot];
+            let (dst, PairPath { flow, .. }) = &paths[kept.local_paths[i] as usize];
+            debug_assert_eq!(*dst, pair.1, "a kept path position outlived its cache");
+            // Congestion loss: combine the path's intrinsic loss with the
+            // worst (persistent) oversubscription along the path.
+            let mut congestion = 0.0f64;
+            if !over.is_empty() {
+                for &link in &flow.path.links {
+                    if let Some(o) = table_get(&over, link) {
+                        congestion = congestion.max(o);
+                    }
+                }
+            }
+            let loss = 1.0 - (1.0 - flow.path.loss) * (1.0 - congestion);
+            tree.set_rate_and_loss(now, pair.1, rate, loss);
+            if touched.last() != Some(&slot) {
+                touched.push(slot);
+            }
+            // Local flows ascend by pair, so pushes keep the table sorted.
+            self.last_allocation.push((pair, rate));
+        }
+        let mut active = self
+            .last_allocation
+            .iter()
+            .map(|&(pair, _)| pair)
+            .peekable();
+        for &((src, dst), _) in &previously {
+            while active.next_if(|&pair| pair < (src, dst)).is_some() {}
+            if active.peek() == Some(&(src, dst)) {
+                continue;
+            }
+            let Some((slot, Tcal { tree, paths, .. })) = local_tcal(&mut self.egress, src) else {
+                continue;
+            };
+            // A pair whose path disappeared had its chain and its path
+            // removed by the delta application; nothing to restore then.
+            if let Some(PairPath { flow, .. }) = path_to(paths, dst) {
+                tree.set_rate_and_loss(now, dst, flow.path.max_bandwidth, flow.path.loss);
+                touched.push(slot);
+            }
+        }
+        self.rates = rates;
+        self.reindex(now, touched);
+        worker_span.arg("enforced_pairs", self.last_allocation.len() as f64);
+    }
+
+    /// Brings the kept solver input up to this loop iteration (see
+    /// `KeptInput`): re-derives the local flows when the snapshot, the
+    /// cached paths or the set of local pairs with usage moved, and a
+    /// remote host's rows when the snapshot or its advertised link ids
+    /// moved.
+    fn refresh_input(&mut self, collapsed: &Arc<CollapsedTopology>) {
+        let kept = &mut self.kept;
+        let table = collapsed.link_table();
+        let same_snapshot = kept
+            .snapshot
+            .as_ref()
+            .is_some_and(|snapshot| Arc::ptr_eq(snapshot, collapsed));
+        if !same_snapshot {
+            kept.snapshot = Some(Arc::clone(collapsed));
+        }
+        let same_pairs = kept.usage_keys.len() == self.usages.len()
+            && kept
+                .usage_keys
+                .iter()
+                .zip(&self.usages)
+                .all(|(kept, (pair, _))| kept == pair);
+        if !same_snapshot || !same_pairs || self.paths_moved {
+            self.paths_moved = false;
+            kept.local_generation += 1;
+            kept.usage_keys.clear();
+            kept.usage_keys
+                .extend(self.usages.iter().map(|&(pair, _)| pair));
+            kept.local_rows.clear();
+            kept.local_trees.clear();
+            kept.local_paths.clear();
+            kept.local_slots.clear();
+            kept.local_ends.clear();
+            for (row, slot, at, pair) in with_paths(&self.egress, &self.usages) {
+                kept.local_rows.push(row as u32);
+                kept.local_trees.push(slot as u32);
+                kept.local_paths.push(at as u32);
+                let links = pair.flow.path.links.iter();
+                kept.local_slots
+                    .extend(links.map(|&link| slot_of(table, link)));
+                kept.local_ends.push(kept.local_slots.len() as u32);
+            }
+            self.flows_rebuilt += kept.local_rows.len() as u64;
+        }
+        kept.remote
+            .resize_with(self.remote.len(), RemoteRows::default);
+        for (rows, view) in kept.remote.iter_mut().zip(&self.remote) {
+            let flows = &view.message.flows;
+            if !same_snapshot || !rows.derived_from(flows) {
+                rows.derive(flows, table);
+                self.flows_rebuilt += flows.len() as u64;
+            }
+        }
+    }
+
+    /// Applies one precomputed change: swaps the snapshot `Arc` and updates
+    /// **only** the existing qdisc chains of local pairs the delta names.
+    /// Returns the number of chains an eager install would have touched —
+    /// every local pair the delta re-configures or removes, whether its
+    /// chain exists yet or not: the per-host share of the swap cost, which
+    /// scales with the paths the event affected rather than with the
+    /// topology size (no path is recomputed here; the timeline did that
+    /// offline).
+    ///
+    /// A pair that gains a path here and has no chain gets none yet; its
+    /// creation rate is kept for its first send. The one exception is a
+    /// destination whose removed chain's bytes are still counted this loop
+    /// interval: the usage the loop reads next is clamped to the chain's
+    /// rate, so that chain is created now, as an eager install would.
+    pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
+        let previous = std::mem::replace(&mut self.collapsed, Arc::clone(&delta.snapshot));
+        let collapsed = Arc::clone(&self.collapsed);
+        let addresses = |&(src, dst): &(NodeId, NodeId)| {
+            Some((collapsed.address_of(src)?, collapsed.address_of(dst)?))
+        };
+        let mut touched = 0;
+        let mut trees: Vec<usize> = Vec::new();
+        let mut gone: Vec<(Addr, Addr)> = Vec::new();
+        for (src, dst) in delta.removed_paths.iter().filter_map(addresses) {
+            if let Some((slot, tcal)) = local_tcal(&mut self.egress, src) {
+                touched += 1;
+                tcal.cache(dst, None);
+                self.paths_moved = true;
+                if tcal.tree.remove_path(dst) {
+                    trees.push(slot);
+                    self.revisit.push(slot);
+                }
+                table_remove(&mut self.last_allocation, (src, dst));
+                gone.push((src, dst));
+            }
+        }
+        if !gone.is_empty() && !self.creation_rates.is_empty() {
+            gone.sort_unstable();
+            self.creation_rates
+                .retain(|(pair, _)| gone.binary_search(pair).is_err());
+        }
+        let kept = self.creation_rates.len();
+        // Whether a pair has a path is one tree lookup; its path is walked
+        // only for a chain to re-configure or a creation rate to keep.
+        for (src, dst) in delta.changed_paths.iter().filter_map(addresses) {
+            let Some((slot, tcal)) = local_tcal(&mut self.egress, src) else {
+                continue;
+            };
+            if !collapsed.reaches(src, dst) {
+                continue;
+            }
+            touched += 1;
+            let rate = |max_bandwidth| {
+                table_get(&self.last_allocation, (src, dst))
+                    .unwrap_or(max_bandwidth)
+                    .min(max_bandwidth)
+            };
+            let exists = tcal.tree.has_path(dst);
+            if exists || tcal.tree.has_usage(dst) {
+                if let Some(flow) = collapsed.flow_path(src, dst) {
+                    self.paths_built += 1;
+                    let rate = rate(flow.path.max_bandwidth);
+                    tcal.tree.install_path(dst, netem_of(&flow.path), rate);
+                    tcal.cache(dst, Some(flow));
+                    self.paths_moved = true;
+                    self.chains_installed += u64::from(!exists);
+                    trees.push(slot);
+                }
+            } else if !previous.reaches(src, dst) {
+                // The pair had no path: an eager install creates the chain
+                // here, at `rate`.
+                if let Some(max_bandwidth) = collapsed.max_bandwidth_by_addr(src, dst) {
+                    self.creation_rates.push(((src, dst), rate(max_bandwidth)));
+                }
+            }
+        }
+        if self.creation_rates.len() > kept {
+            self.creation_rates.sort_unstable_by_key(|&(pair, _)| pair);
+        }
+        // A cached RTT reads the reverse path: refresh every cached pair
+        // whose reverse the delta names.
+        let named = delta.changed_paths.iter().chain(&delta.removed_paths);
+        for (src, dst) in named.filter_map(addresses) {
+            let Some((_, tcal)) = local_tcal(&mut self.egress, dst) else {
+                continue;
+            };
+            if path_to(&tcal.paths, src).is_some() {
+                self.paths_built += 1;
+                tcal.cache(src, collapsed.flow_path(dst, src));
+                self.paths_moved = true;
+            }
+        }
+        self.reindex(SimTime::ZERO + delta.at, trees);
+        #[cfg(test)]
+        if self.eager {
+            self.install_local_paths();
+        }
+        touched
+    }
+
+    /// Re-indexes the wake of every listed local tree (by slot), once each.
+    fn reindex(&mut self, now: SimTime, mut slots: Vec<usize>) {
+        slots.sort_unstable();
+        slots.dedup();
+        for slot in slots {
+            if let Some(tcal) = self.egress.get_mut(slot) {
+                tcal.reindex(now, slot, &mut self.wakes);
+            }
+        }
+        settle(&mut self.wakes, &self.egress);
+    }
+}
+
+/// A chain's pair, rate and netem settings, as the oracle tests compare
+/// them.
+#[cfg(test)]
+type ChainSettings = ((Addr, Addr), Option<Bandwidth>, Option<NetemConfig>);
+
+/// Test-only oracles: the eager chain installation that first-send
+/// creation replaced, the rebuild-everything enforcement that the kept
+/// solver input replaced, the brute-force "when next?" the wake index
+/// replaced, and the poll of every tree that the index-driven drain
+/// replaced.
+#[cfg(test)]
+impl EmulationManager {
+    /// Turns this manager into the eager oracle: every local pair with a
+    /// path gets its chain now, and again after every delta, as if no
+    /// chain waited for its first send.
+    pub(crate) fn install_eagerly(&mut self) {
+        self.eager = true;
+        self.install_local_paths();
+    }
+
+    /// Installs the chain of every local pair that has a path in the
+    /// current snapshot and no chain yet, at the path's maximum bandwidth —
+    /// the rate an eager install creates a chain at, at construction and
+    /// for a pair a delta gave a path.
+    fn install_local_paths(&mut self) {
+        let collapsed = Arc::clone(&self.collapsed);
+        for tcal in &mut self.egress {
+            let src = tcal.tree.owner();
+            for (_, dst) in collapsed.addresses() {
+                if dst == src || tcal.tree.has_path(dst) {
+                    continue;
+                }
+                let Some(flow) = collapsed.flow_path(src, dst) else {
+                    continue;
+                };
+                self.paths_built += 1;
+                tcal.tree
+                    .install_path(dst, netem_of(&flow.path), flow.path.max_bandwidth);
+                tcal.cache(dst, Some(flow));
+                self.paths_moved = true;
+                self.chains_installed += 1;
+            }
+        }
+    }
+
+    /// Turns this manager into the oracle of enforcement from kept state:
+    /// every `enforce` derives its whole input afresh.
+    pub(crate) fn rebuild_every_loop(&mut self) {
+        self.rebuilding = true;
+    }
+
+    /// The oracle of [`EmulationManager::enforce`]: the whole solver input
+    /// derived afresh from the usage table, the cached paths and the remote
+    /// messages, and every pair looked up one by one.
+    fn enforce_rebuilding(&mut self, now: SimTime) {
         let collapsed = Arc::clone(&self.collapsed);
         // The competing flow set, as *this* manager can know it: solver input
         // and measured usage by flow position, the local pairs first.
@@ -599,8 +1183,7 @@ impl EmulationManager {
         // Remote paths arrive as 16-bit wire ids: widen them all into the
         // reused arena first, then hand each flow its run of it. Views are
         // walked in host order.
-        let mut remote_links = std::mem::take(&mut self.remote_links);
-        remote_links.clear();
+        let mut remote_links: Vec<LinkId> = Vec::new();
         for view in &self.remote {
             for flow in &view.message.flows {
                 remote_links.extend(flow.link_ids.iter().map(|&l| LinkId(u32::from(l))));
@@ -638,23 +1221,11 @@ impl EmulationManager {
         // borrow before the qdisc writes below and bounds the allocation
         // span to the solve.
         let local_rates: Vec<Bandwidth> = {
-            let mut alloc_span = self.recorder.span(self.lane, "allocate");
-            let before = self.allocator.stats();
-            // kollaps-analyze: allow(wall-clock) -- solver-time diagnostic only; never feeds back into the emulation (pinned by the traced-vs-untraced identity test)
-            let start = std::time::Instant::now();
             let grants = self.allocator.solve(&flows, table);
-            let micros = start.elapsed().as_micros() as u64;
-            let rates = grants.iter().take(local_keys.len()).copied().collect();
-            self.alloc_micros += micros;
-            let delta = self.allocator.stats().since(before);
-            alloc_span.arg("flows", flows.len() as f64);
-            alloc_span.arg("micros", micros as f64);
-            alloc_span.arg("fast_hits", delta.fast_hits as f64);
-            alloc_span.arg("components_recomputed", delta.components_recomputed as f64);
-            rates
+            grants.iter().take(local_keys.len()).copied().collect()
         };
         // Links whose oversubscription outlasted the grace period, sorted.
-        let raw = oversubscription(&flows, &usages, table);
+        let raw = crate::sharing::oversubscription(&flows, &usages, table);
         // `raw` ascends by link, and so does the streak table built from it.
         self.oversub_streak = raw
             .iter()
@@ -666,7 +1237,6 @@ impl EmulationManager {
             .filter(|&(_, &(_, streak))| streak >= CONGESTION_GRACE_LOOPS)
             .map(|(ratio, _)| ratio)
             .collect();
-        self.remote_links = remote_links;
 
         // Enforcement: active local pairs get their computed share; pairs
         // enforced last loop that went idle are restored to the path
@@ -683,7 +1253,11 @@ impl EmulationManager {
             let Some((slot, Tcal { tree, paths, .. })) = local_tcal(&mut self.egress, src) else {
                 continue;
             };
-            let Some(FlowPath { path, .. }) = path_to(paths, dst) else {
+            let Some(PairPath {
+                flow: FlowPath { path, .. },
+                ..
+            }) = path_to(paths, dst)
+            else {
                 continue;
             };
             // Congestion loss: combine the path's intrinsic loss with the
@@ -710,154 +1284,17 @@ impl EmulationManager {
             };
             // A pair whose path disappeared had its chain and its path
             // removed by the delta application; nothing to restore then.
-            if let Some(FlowPath { path, .. }) = path_to(paths, dst) {
+            if let Some(PairPath {
+                flow: FlowPath { path, .. },
+                ..
+            }) = path_to(paths, dst)
+            {
                 tree.set_bandwidth(now, dst, path.max_bandwidth);
                 tree.set_loss(dst, path.loss);
                 touched.push(slot);
             }
         }
         self.reindex(now, touched);
-        worker_span.arg("enforced_pairs", self.last_allocation.len() as f64);
-    }
-
-    /// Applies one precomputed change: swaps the snapshot `Arc` and updates
-    /// **only** the existing qdisc chains of local pairs the delta names.
-    /// Returns the number of chains an eager install would have touched —
-    /// every local pair the delta re-configures or removes, whether its
-    /// chain exists yet or not: the per-host share of the swap cost, which
-    /// scales with the paths the event affected rather than with the
-    /// topology size (no path is recomputed here; the timeline did that
-    /// offline).
-    ///
-    /// A pair that gains a path here and has no chain gets none yet; its
-    /// creation rate is kept for its first send. The one exception is a
-    /// destination whose removed chain's bytes are still counted this loop
-    /// interval: the usage the loop reads next is clamped to the chain's
-    /// rate, so that chain is created now, as an eager install would.
-    pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
-        let previous = std::mem::replace(&mut self.collapsed, Arc::clone(&delta.snapshot));
-        let collapsed = Arc::clone(&self.collapsed);
-        let addresses = |&(src, dst): &(NodeId, NodeId)| {
-            Some((collapsed.address_of(src)?, collapsed.address_of(dst)?))
-        };
-        let mut touched = 0;
-        let mut trees: Vec<usize> = Vec::new();
-        let mut gone: Vec<(Addr, Addr)> = Vec::new();
-        for (src, dst) in delta.removed_paths.iter().filter_map(addresses) {
-            if let Some((slot, tcal)) = local_tcal(&mut self.egress, src) {
-                touched += 1;
-                tcal.cache(dst, None);
-                if tcal.tree.remove_path(dst) {
-                    trees.push(slot);
-                    self.revisit.push(slot);
-                }
-                table_remove(&mut self.last_allocation, (src, dst));
-                gone.push((src, dst));
-            }
-        }
-        if !gone.is_empty() && !self.creation_rates.is_empty() {
-            gone.sort_unstable();
-            self.creation_rates
-                .retain(|(pair, _)| gone.binary_search(pair).is_err());
-        }
-        let kept = self.creation_rates.len();
-        for (src, dst) in delta.changed_paths.iter().filter_map(addresses) {
-            let Some((slot, tcal)) = local_tcal(&mut self.egress, src) else {
-                continue;
-            };
-            let Some(max_bandwidth) = collapsed.max_bandwidth_by_addr(src, dst) else {
-                continue;
-            };
-            touched += 1;
-            let rate = table_get(&self.last_allocation, (src, dst))
-                .unwrap_or(max_bandwidth)
-                .min(max_bandwidth);
-            let exists = tcal.tree.has_path(dst);
-            if exists || tcal.tree.has_usage(dst) {
-                if let Some(flow) = collapsed.flow_path(src, dst) {
-                    self.paths_built += 1;
-                    tcal.tree.install_path(dst, netem_of(&flow.path), rate);
-                    tcal.cache(dst, Some(flow));
-                    self.chains_installed += u64::from(!exists);
-                    trees.push(slot);
-                }
-            } else if previous.max_bandwidth_by_addr(src, dst).is_none() {
-                // The pair had no path: an eager install creates the chain
-                // here, at `rate`.
-                self.creation_rates.push(((src, dst), rate));
-            }
-        }
-        if self.creation_rates.len() > kept {
-            self.creation_rates.sort_unstable_by_key(|&(pair, _)| pair);
-        }
-        // A cached RTT reads the reverse path: refresh every cached pair
-        // whose reverse the delta names.
-        let named = delta.changed_paths.iter().chain(&delta.removed_paths);
-        for (src, dst) in named.filter_map(addresses) {
-            let Some((_, tcal)) = local_tcal(&mut self.egress, dst) else {
-                continue;
-            };
-            if path_to(&tcal.paths, src).is_some() {
-                self.paths_built += 1;
-                tcal.cache(src, collapsed.flow_path(dst, src));
-            }
-        }
-        self.reindex(SimTime::ZERO + delta.at, trees);
-        #[cfg(test)]
-        if self.eager {
-            self.install_local_paths();
-        }
-        touched
-    }
-
-    /// Re-indexes the wake of every listed local tree (by slot), once each.
-    fn reindex(&mut self, now: SimTime, mut slots: Vec<usize>) {
-        slots.sort_unstable();
-        slots.dedup();
-        for slot in slots {
-            if let Some(tcal) = self.egress.get_mut(slot) {
-                tcal.reindex(now, slot, &mut self.wakes);
-            }
-        }
-        settle(&mut self.wakes, &self.egress);
-    }
-}
-
-/// Test-only oracles: the eager chain installation that first-send
-/// creation replaced, the brute-force "when next?" the wake index replaced,
-/// and the poll of every tree that the index-driven drain replaced.
-#[cfg(test)]
-impl EmulationManager {
-    /// Turns this manager into the eager oracle: every local pair with a
-    /// path gets its chain now, and again after every delta, as if no
-    /// chain waited for its first send.
-    pub(crate) fn install_eagerly(&mut self) {
-        self.eager = true;
-        self.install_local_paths();
-    }
-
-    /// Installs the chain of every local pair that has a path in the
-    /// current snapshot and no chain yet, at the path's maximum bandwidth —
-    /// the rate an eager install creates a chain at, at construction and
-    /// for a pair a delta gave a path.
-    fn install_local_paths(&mut self) {
-        let collapsed = Arc::clone(&self.collapsed);
-        for tcal in &mut self.egress {
-            let src = tcal.tree.owner();
-            for (_, dst) in collapsed.addresses() {
-                if dst == src || tcal.tree.has_path(dst) {
-                    continue;
-                }
-                let Some(flow) = collapsed.flow_path(src, dst) else {
-                    continue;
-                };
-                self.paths_built += 1;
-                tcal.tree
-                    .install_path(dst, netem_of(&flow.path), flow.path.max_bandwidth);
-                tcal.cache(dst, Some(flow));
-                self.chains_installed += 1;
-            }
-        }
     }
 
     /// [`EmulationManager::dequeue_ready_with`], collected into a `Vec`.
@@ -904,6 +1341,18 @@ impl EmulationManager {
     fn wake_entries(&self) -> (usize, usize) {
         let live = self.egress.iter().filter(|tcal| tcal.wake.is_some());
         (self.wakes.len(), live.count())
+    }
+
+    /// Every chain's rate and netem settings, by pair.
+    fn chain_settings(&self) -> Vec<ChainSettings> {
+        let mut settings = Vec::new();
+        for Tcal { tree, paths, .. } in &self.egress {
+            for &(dst, _) in paths {
+                let pair = (tree.owner(), dst);
+                settings.push((pair, tree.bandwidth(dst), tree.netem_config(dst)));
+            }
+        }
+        settings
     }
 }
 
@@ -1614,5 +2063,239 @@ mod tests {
         manager.apply_delta(delta);
         manager.enforce(SimTime::from_millis(1_000));
         assert_eq!(enforced(&manager), [Some(30_000_000); 2]);
+    }
+
+    /// The topology of the kept-input differential test: the sources
+    /// `c0`…`c2`, `r0`, `r1` and `q0` reach the servers `s0` (over a
+    /// 20 Mb/s link) and `s1` (30 Mb/s) through the bridge `f`; the way
+    /// back runs over the bridge `b`. Every path is two links long.
+    fn forward_and_back() -> Topology {
+        let mut topo = Topology::new();
+        let hop = |ms, mbps| {
+            LinkProperties::new(SimDuration::from_millis(ms), Bandwidth::from_mbps(mbps))
+        };
+        let (f, b) = (topo.add_bridge("f"), topo.add_bridge("b"));
+        for name in ["c0", "c1", "c2", "r0", "r1", "q0"] {
+            let source = topo.add_service(name, 0, "img");
+            topo.add_link(source, f, hop(1, 100), "net");
+            topo.add_link(b, source, hop(1, 100), "net");
+        }
+        for (name, ms, mbps) in [("s0", 2, 20), ("s1", 3, 30)] {
+            let server = topo.add_service(name, 0, "img");
+            topo.add_link(f, server, hop(ms, mbps), "net");
+            topo.add_link(server, b, hop(1, 100), "net");
+        }
+        topo
+    }
+
+    /// Enforcement from kept state against the rebuild-everything oracle.
+    /// Two managers take the same seeded loop iterations and must enforce
+    /// the same rates and losses, keep the same oversubscription streaks,
+    /// count the same solver calls and fast hits and release the same
+    /// packets. The iterations have local flows joining and leaving; remote
+    /// messages that keep their link ids, move a flow to other ids of the
+    /// same run lengths, drop to an empty heartbeat, name a link no
+    /// snapshot has, or arrive one or more loops late; and deltas that move
+    /// a forward latency, a reverse-only latency, a bottleneck capacity and
+    /// a capacity no path is limited by.
+    ///
+    /// Mutation-checked: not re-deriving on a snapshot swap, and comparing
+    /// only the run lengths of a remote message, each fail this test.
+    #[test]
+    fn kept_input_matches_the_rebuilding_oracle() {
+        let topo = forward_and_back();
+        let at = SimDuration::from_millis;
+        let set = |ms, orig: &str, dest: &str, change| DynamicEvent {
+            at: at(ms),
+            action: DynamicAction::SetLinkProperties {
+                orig: orig.into(),
+                dest: dest.into(),
+                change,
+            },
+        };
+        let latency = |ms| LinkChange {
+            latency: Some(at(ms)),
+            ..LinkChange::default()
+        };
+        let capacity = |mbps| LinkChange {
+            up: Some(Bandwidth::from_mbps(mbps)),
+            ..LinkChange::default()
+        };
+        let schedule = EventSchedule::from_events(vec![
+            set(300, "f", "s0", latency(6)),
+            set(600, "s1", "b", latency(9)),
+            set(900, "f", "s1", capacity(12)),
+            set(1_200, "c0", "f", capacity(25)),
+        ]);
+        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let addr = |name: &str| {
+            let node = topo.node_by_name(name).expect("a service");
+            timeline.initial().address_of(node).expect("a service")
+        };
+        let [s0, s1] = ["s0", "s1"].map(addr);
+        let local = ["c0", "c1", "c2"].map(addr);
+        let build = || {
+            EmulationManager::new(
+                HostId(0),
+                EmulationConfig::default(),
+                Arc::clone(timeline.initial()),
+                &local,
+                &SimRng::new(17),
+            )
+        };
+        let (mut kept, mut oracle) = (build(), build());
+        oracle.rebuild_every_loop();
+        let pairs: Vec<(Addr, Addr)> = local
+            .iter()
+            .flat_map(|&src| [(src, s0), (src, s1)])
+            .collect();
+
+        let mut rng = SimRng::new(0xc0ffee);
+        let mut active = vec![false; pairs.len()];
+        let mut snapshot = Arc::clone(timeline.initial());
+        let mut next_delta = 0;
+        let mut next_id = 0u64;
+        // Remote host 1 sends `r1 → s0`, always over the same links; host 2
+        // sends `r0` to one server and `q0 → s1`, or nothing. Messages wait
+        // in flight.
+        let mut r0_to = s0;
+        let mut in_flight: Vec<Delivery> = Vec::new();
+        let (mut switched, mut heartbeats, mut late, mut congested) = (0, 0, 0, 0);
+        let (mut local_rebuilt, mut remote_enforced) = (0u64, 0u64);
+        let interval = at(50);
+        for step in 1..=40u64 {
+            let end = SimTime::ZERO + interval * step;
+            let start = end - interval;
+            for (on, _) in active.iter_mut().zip(&pairs) {
+                if rng.chance(0.25) {
+                    *on = !*on;
+                }
+            }
+            // Traffic through both managers; every drain must agree.
+            for k in 0..25u64 {
+                let now = start + at(2) * k;
+                for (&(src, dst), _) in pairs.iter().zip(&active).filter(|(_, &on)| on) {
+                    if rng.chance(0.6) {
+                        next_id += 1;
+                        let packet =
+                            Packet::new(next_id, FlowId(0), src, dst, MTU, PacketKind::Udp, now);
+                        let verdict = oracle.enqueue(now, packet.clone());
+                        assert_eq!(kept.enqueue(now, packet), verdict, "step {step}");
+                    }
+                }
+                while let Some(wake) = oracle.next_wakeup().filter(|&wake| wake <= now) {
+                    assert_eq!(kept.next_wakeup(), Some(wake), "step {step}");
+                    let ids = |m: &mut EmulationManager| {
+                        m.dequeue_ready(wake)
+                            .iter()
+                            .map(|p| p.id)
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(ids(&mut kept), ids(&mut oracle), "step {step}");
+                }
+            }
+            while let Some(delta) = timeline.deltas().get(next_delta) {
+                if SimTime::ZERO + delta.at > end {
+                    break;
+                }
+                assert_eq!(kept.apply_delta(delta), oracle.apply_delta(delta));
+                snapshot = Arc::clone(&delta.snapshot);
+                next_delta += 1;
+            }
+            // This loop's remote publications, on this loop's snapshot.
+            let ids = |src: &str, dst: Addr| -> Vec<u16> {
+                let path = snapshot.path_by_addr(addr(src), dst).expect("a path");
+                path.links
+                    .iter()
+                    .map(|l| u16::try_from(l.0).expect("small"))
+                    .collect()
+            };
+            let mbps = |rng: &mut SimRng| Bandwidth::from_mbps(rng.gen_range(2, 30));
+            if rng.chance(0.3) {
+                r0_to = if r0_to == s0 { s1 } else { s0 };
+                switched += 1;
+            }
+            let mut host1 = MetadataMessage::new();
+            host1
+                .flows
+                .push(FlowUsage::new(mbps(&mut rng), ids("r1", s0)));
+            let mut host2 = MetadataMessage::new();
+            if rng.chance(0.2) {
+                heartbeats += 1;
+            } else {
+                host2
+                    .flows
+                    .push(FlowUsage::new(mbps(&mut rng), ids("r0", r0_to)));
+                host2
+                    .flows
+                    .push(FlowUsage::new(mbps(&mut rng), ids("q0", s1)));
+                if rng.chance(0.3) {
+                    let mut unknown = ids("q0", s0);
+                    unknown.push(u16::MAX);
+                    host2.flows.push(FlowUsage::new(mbps(&mut rng), unknown));
+                }
+            }
+            for (host, message) in [(1, host1), (2, host2)] {
+                in_flight.push(Delivery {
+                    from: HostId(host),
+                    published: end,
+                    message: Arc::new(message),
+                });
+            }
+            // The loop itself: what has arrived is what was published at
+            // least one loop ago, less what is still held up.
+            for m in [&mut kept, &mut oracle] {
+                m.collect_usage();
+            }
+            let (arrived, held): (Vec<Delivery>, Vec<Delivery>) = in_flight
+                .drain(..)
+                .partition(|d| d.published < end && !rng.chance(0.15));
+            late += held.iter().filter(|d| d.published < end).count();
+            in_flight = held;
+            kept.absorb(arrived.clone());
+            oracle.absorb(arrived);
+            let generation = kept.local_generation();
+            kept.enforce(end);
+            if kept.local_generation() != generation {
+                local_rebuilt += kept.kept.local_rows.len() as u64;
+            }
+            oracle.enforce(end);
+            assert_eq!(kept.last_allocation, oracle.last_allocation, "step {step}");
+            assert_eq!(kept.oversub_streak, oracle.oversub_streak, "step {step}");
+            assert_eq!(
+                kept.allocator_stats(),
+                oracle.allocator_stats(),
+                "step {step}"
+            );
+            let settings = kept.chain_settings();
+            assert_eq!(settings, oracle.chain_settings(), "step {step}");
+            congested += usize::from(
+                settings
+                    .iter()
+                    .any(|(_, _, netem)| netem.is_some_and(|netem| netem.loss > 0.0)),
+            );
+            remote_enforced += kept
+                .remote
+                .iter()
+                .map(|view| view.message.flows.len() as u64)
+                .sum::<u64>();
+        }
+        assert_eq!(next_delta, 4, "every change applied");
+        assert!(
+            switched > 0 && heartbeats > 0 && late > 0,
+            "{switched} {heartbeats} {late}"
+        );
+        assert!(congested > 0, "no congestion loss was ever enforced");
+        // Rows were kept across loops, local and remote alike.
+        assert!(
+            kept.local_generation() < 40,
+            "local flows derived every loop"
+        );
+        let remote_rebuilt = kept.flows_rebuilt() - local_rebuilt;
+        assert!(
+            remote_rebuilt > 0 && 2 * remote_rebuilt < remote_enforced,
+            "{remote_rebuilt} of {remote_enforced} remote flows derived"
+        );
+        assert_eq!(oracle.flows_rebuilt(), 0);
     }
 }

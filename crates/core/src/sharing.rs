@@ -614,12 +614,24 @@ pub fn oversubscription(
     usages: &[Bandwidth],
     links: &LinkTable,
 ) -> Vec<(LinkId, f64)> {
+    let rows = flows
+        .iter()
+        .zip(usages)
+        .map(|(flow, &used)| (flow.links.iter().filter_map(|&link| links.slot(link)), used));
+    oversubscription_by_slot(rows, links)
+}
+
+/// [`oversubscription`] over flows given as the slots of their links in
+/// `links` (links the table does not have left out) and their usage: the
+/// form a caller that keeps its flows' slots between calls hands in.
+pub(crate) fn oversubscription_by_slot<S: IntoIterator<Item = usize>>(
+    rows: impl IntoIterator<Item = (S, Bandwidth)>,
+    links: &LinkTable,
+) -> Vec<(LinkId, f64)> {
     let mut demanded = vec![0.0f64; links.len()];
-    for (flow, used) in flows.iter().zip(usages) {
-        for &link in flow.links {
-            if let Some(slot) = links.slot(link) {
-                demanded[slot] += used.as_bps() as f64;
-            }
+    for (slots, used) in rows {
+        for slot in slots {
+            demanded[slot] += used.as_bps() as f64;
         }
     }
     let mut out = Vec::new();

@@ -196,6 +196,24 @@ impl EgressTree {
         }
     }
 
+    /// [`EgressTree::set_bandwidth`] and [`EgressTree::set_loss`] towards
+    /// `dst` with one chain lookup: the emulation loop's per-pair write.
+    pub fn set_rate_and_loss(
+        &mut self,
+        now: SimTime,
+        dst: Addr,
+        rate: Bandwidth,
+        loss: f64,
+    ) -> bool {
+        if let Some(chain) = chain_at(&mut self.slots, dst) {
+            chain.htb.set_rate(now, rate);
+            chain.netem.set_loss(loss);
+            true
+        } else {
+            false
+        }
+    }
+
     /// Updates only the loss probability towards `dst` (congestion loss
     /// injection).
     pub fn set_loss(&mut self, dst: Addr, loss: f64) -> bool {
