@@ -105,6 +105,10 @@ pub struct TrafficLeg {
     /// Paths the leg's managers derived from the snapshots' trees: one per
     /// chain, plus one per cached pair a delta refreshed.
     pub paths_built: u64,
+    /// Delta pairs the leg's managers visited while swapping snapshots:
+    /// their own sources' runs plus the reverse pairs of their cached
+    /// paths, not every pair of every delta.
+    pub swap_pairs_visited: u64,
     /// Flows whose solver rows the leg's managers derived afresh.
     pub enforce_flows_rebuilt: u64,
     /// Omniscient solves of the leg's convergence metric.
@@ -149,6 +153,7 @@ fn traffic_leg(topo: &Topology, schedule: &EventSchedule) -> TrafficLeg {
         trees_visited_per_deliver: packet_path.trees_visited_per_deliver(),
         chains_installed: packet_path.chains_installed,
         paths_built: packet_path.paths_built,
+        swap_pairs_visited: packet_path.swap_pairs_visited,
         enforce_flows_rebuilt: packet_path.enforce_flows_rebuilt,
         convergence_solves: packet_path.convergence_solves,
     }
@@ -349,6 +354,7 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
                 ),
                 ("chains_installed", leg.chains_installed as f64, "chains"),
                 ("paths_built", leg.paths_built as f64, "paths"),
+                ("swap_pairs_visited", leg.swap_pairs_visited as f64, "pairs"),
                 (
                     "enforce_flows_rebuilt",
                     leg.enforce_flows_rebuilt as f64,

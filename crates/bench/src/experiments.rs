@@ -771,7 +771,9 @@ pub fn metadata_message_size(flows: usize, links_per_flow: usize) -> usize {
     for i in 0..flows {
         msg.flows.push(FlowUsage::new(
             Bandwidth::from_mbps(50),
-            (0..links_per_flow).map(|j| (i + j) as u16 % 250).collect(),
+            (0..links_per_flow)
+                .map(|j| (i + j) as u16 % 250)
+                .collect::<Vec<u16>>(),
         ));
     }
     msg.encoded_len()

@@ -696,8 +696,9 @@ impl CollapsedTopology {
     }
 
     /// The snapshot's links. Two snapshots returning [`Arc::ptr_eq`] tables
-    /// agree on every link's capacity and latency, which is what the
-    /// solver's memo relies on.
+    /// agree on every link's capacity and latency, so the solver's memo
+    /// takes the same table as a hit at once and compares the capacities
+    /// of its flows' links only across different tables.
     pub fn link_table(&self) -> &Arc<LinkTable> {
         &self.links
     }

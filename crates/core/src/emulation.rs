@@ -288,6 +288,10 @@ pub struct PacketPathStats {
     /// one per chain created and one per cached pair a delta refreshed —
     /// nothing per loop iteration.
     pub paths_built: u64,
+    /// Delta pairs the managers' snapshot swaps visited (monotone): per
+    /// manager and delta, the pairs of its local sources' runs plus the
+    /// reverse pairs its cached paths found — not the delta's length.
+    pub swap_pairs_visited: u64,
     /// Flows whose solver rows the managers derived afresh (local plus
     /// remote, monotone): each loop iteration re-derives only the local
     /// flows of a manager whose snapshot, cached paths or set of active
@@ -567,6 +571,7 @@ impl KollapsDataplane {
             stats.trees_emitted += emitted;
             stats.chains_installed += manager.chains_installed();
             stats.paths_built += manager.paths_built();
+            stats.swap_pairs_visited += manager.swap_pairs_visited();
             stats.enforce_flows_rebuilt += manager.flows_rebuilt();
         }
         stats

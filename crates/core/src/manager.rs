@@ -65,10 +65,11 @@ pub struct RemoteUsage {
 type WakeHeap = BinaryHeap<Reverse<(SimTime, usize)>>;
 
 /// A local pair's cached path: its path and RTT, and its links as the
-/// 16-bit ids the metadata wire carries, built once with it.
+/// 16-bit ids the metadata wire carries, built once with it and shared with
+/// every message that advertises the pair.
 struct PairPath {
     flow: FlowPath,
-    wire: Box<[u16]>,
+    wire: Arc<[u16]>,
 }
 
 impl PairPath {
@@ -187,6 +188,9 @@ fn known_slots(slots: &[u32]) -> impl Iterator<Item = usize> + '_ {
 /// from them.
 #[derive(Default)]
 struct RemoteRows {
+    /// The message the rows hold for: the one they were derived from, or a
+    /// later one advertising the same link ids.
+    message: Option<Arc<MetadataMessage>>,
     links: Vec<LinkId>,
     /// `links[i]`'s slot, or [`NO_SLOT`].
     slots: Vec<u32>,
@@ -210,7 +214,7 @@ impl RemoteRows {
         self.demand.clear();
         for flow in flows {
             let start = self.slots.len();
-            for &id in &flow.link_ids {
+            for &id in flow.link_ids.iter() {
                 let link = LinkId(u32::from(id));
                 self.links.push(link);
                 self.slots.push(slot_of(table, link));
@@ -231,18 +235,19 @@ impl RemoteRows {
         }
     }
 
-    /// `true` when these rows were derived from exactly the link ids of
-    /// `flows`, flow by flow: the same runs of the same ids.
-    fn derived_from(&self, flows: &[FlowUsage]) -> bool {
-        self.ends.len() == flows.len()
-            && flows.iter().enumerate().all(|(i, flow)| {
-                let links = &self.links[run(&self.ends, i)];
-                links.len() == flow.link_ids.len()
-                    && links
-                        .iter()
-                        .zip(&flow.link_ids)
-                        .all(|(link, &id)| link.0 == u32::from(id))
-            })
+    /// `true` when these rows hold for `message`: it advertises exactly the
+    /// link ids of the message they hold for, flow by flow. An id list the
+    /// publisher shared with both messages is the same `Arc` and is not
+    /// compared.
+    fn hold_for(&self, message: &Arc<MetadataMessage>) -> bool {
+        let Some(last) = &self.message else {
+            return false;
+        };
+        Arc::ptr_eq(last, message)
+            || last.flows.len() == message.flows.len()
+                && last.flows.iter().zip(&message.flows).all(|(old, new)| {
+                    Arc::ptr_eq(&old.link_ids, &new.link_ids) || old.link_ids == new.link_ids
+                })
     }
 
     /// The rows as solver input.
@@ -390,6 +395,10 @@ pub struct EmulationManager {
     /// Paths derived since construction, for a new chain or a refresh
     /// (deterministic work counter).
     paths_built: u64,
+    /// Delta pairs `apply_delta` visited since construction: its local
+    /// sources' runs, plus the reverse pairs its refresh found
+    /// (deterministic work counter).
+    swap_pairs_visited: u64,
     /// The eager oracle: every local pair with a path holds a chain, also
     /// right after a delta.
     #[cfg(test)]
@@ -435,7 +444,8 @@ pub struct EmulationManager {
     /// Consecutive loop iterations each link has been oversubscribed,
     /// sorted by link.
     oversub_streak: Vec<(LinkId, u32)>,
-    /// The min-max solver; its memo keys on the snapshot's link table.
+    /// The min-max solver; its memo holds across snapshot swaps that keep
+    /// every link its flows cross.
     allocator: Allocator,
     /// The solver input, kept between loop iterations.
     kept: KeptInput,
@@ -481,6 +491,13 @@ fn local_tcal(egress: &mut [Tcal], addr: Addr) -> Option<(usize, &mut Tcal)> {
         .binary_search_by_key(&addr, |tcal| tcal.tree.owner())
         .ok()?;
     Some((slot, egress.get_mut(slot)?))
+}
+
+/// The run of a `(src, dst)`-sorted pair list whose source is `src`.
+fn source_run(pairs: &[(NodeId, NodeId)], src: NodeId) -> &[(NodeId, NodeId)] {
+    let start = pairs.partition_point(|&(s, _)| s < src);
+    let end = start + pairs[start..].partition_point(|&(s, _)| s == src);
+    &pairs[start..end]
 }
 
 /// The cached path of the local pair `(src, dst)`, if it has a chain.
@@ -530,6 +547,7 @@ impl EmulationManager {
             creation_rates: Vec::new(),
             chains_installed: 0,
             paths_built: 0,
+            swap_pairs_visited: 0,
             #[cfg(test)]
             eager: false,
             egress,
@@ -713,6 +731,13 @@ impl EmulationManager {
         self.paths_built
     }
 
+    /// Delta pairs [`EmulationManager::apply_delta`] visited since
+    /// construction: the entries of its local sources' runs, plus one per
+    /// cached pair whose reverse a delta named.
+    pub fn swap_pairs_visited(&self) -> u64 {
+        self.swap_pairs_visited
+    }
+
     /// The path and RTT of the local pair `(src, dst)` as this manager's
     /// chain uses them; `None` unless the pair has a chain.
     pub fn flow_path(&self, src: Addr, dst: Addr) -> Option<&FlowPath> {
@@ -787,7 +812,9 @@ impl EmulationManager {
         message.flows.reserve(self.usages.len());
         for (row, _, _, pair) in with_paths(&self.egress, &self.usages) {
             let (_, used) = self.usages[row];
-            message.flows.push(FlowUsage::new(used, pair.wire.to_vec()));
+            message
+                .flows
+                .push(FlowUsage::new(used, Arc::clone(&pair.wire)));
         }
         bus.publish(now, self.host, message);
     }
@@ -989,10 +1016,11 @@ impl EmulationManager {
             .resize_with(self.remote.len(), RemoteRows::default);
         for (rows, view) in kept.remote.iter_mut().zip(&self.remote) {
             let flows = &view.message.flows;
-            if !same_snapshot || !rows.derived_from(flows) {
+            if !same_snapshot || !rows.hold_for(&view.message) {
                 rows.derive(flows, table);
                 self.flows_rebuilt += flows.len() as u64;
             }
+            rows.message = Some(Arc::clone(&view.message));
         }
     }
 
@@ -1000,10 +1028,16 @@ impl EmulationManager {
     /// **only** the existing qdisc chains of local pairs the delta names.
     /// Returns the number of chains an eager install would have touched —
     /// every local pair the delta re-configures or removes, whether its
-    /// chain exists yet or not: the per-host share of the swap cost, which
-    /// scales with the paths the event affected rather than with the
-    /// topology size (no path is recomputed here; the timeline did that
-    /// offline).
+    /// chain exists yet or not: the per-host share of the swap cost (no
+    /// path is recomputed here; the timeline did that offline).
+    ///
+    /// The delta's lists are sorted by `(src, dst)`, and service ids ascend
+    /// like the addresses of the local trees, so each local tree visits only
+    /// its own source's run of each list (two binary searches per list), and
+    /// the reverse refresh looks each cached pair's reverse up in both
+    /// lists. A swap therefore costs `O(trees · log pairs)` plus the local
+    /// sources' runs and the cached pairs — not the length of the delta —
+    /// and allocates nothing.
     ///
     /// A pair that gains a path here and has no chain gets none yet; its
     /// creation rate is kept for its first send. The one exception is a
@@ -1011,84 +1045,114 @@ impl EmulationManager {
     /// interval: the usage the loop reads next is clamped to the chain's
     /// rate, so that chain is created now, as an eager install would.
     pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
+        debug_assert!(
+            delta.changed_paths.is_sorted() && delta.removed_paths.is_sorted(),
+            "a delta's pair lists are in (src, dst) order"
+        );
         let previous = std::mem::replace(&mut self.collapsed, Arc::clone(&delta.snapshot));
         let collapsed = Arc::clone(&self.collapsed);
-        let addresses = |&(src, dst): &(NodeId, NodeId)| {
-            Some((collapsed.address_of(src)?, collapsed.address_of(dst)?))
-        };
-        let mut touched = 0;
-        let mut trees: Vec<usize> = Vec::new();
-        let mut gone: Vec<(Addr, Addr)> = Vec::new();
-        for (src, dst) in delta.removed_paths.iter().filter_map(addresses) {
-            if let Some((slot, tcal)) = local_tcal(&mut self.egress, src) {
+        let now = SimTime::ZERO + delta.at;
+        let (mut touched, mut removed, mut created) = (0, false, false);
+        // Every step below reads and writes one local tree's state only
+        // (its chains, its cached paths and its pairs' rows of the sorted
+        // tables), so the trees are taken one by one, in slot order — the
+        // source order of the lists.
+        for slot in 0..self.egress.len() {
+            let src = self.egress[slot].tree.owner();
+            let Some(node) = collapsed.service_at(src) else {
+                continue;
+            };
+            let tcal = &mut self.egress[slot];
+            let mut moved = false;
+            let gone = source_run(&delta.removed_paths, node);
+            let named = source_run(&delta.changed_paths, node);
+            self.swap_pairs_visited += (gone.len() + named.len()) as u64;
+            for dst in gone
+                .iter()
+                .filter_map(|&(_, dst)| collapsed.address_of(dst))
+            {
                 touched += 1;
+                removed = true;
                 tcal.cache(dst, None);
                 self.paths_moved = true;
                 if tcal.tree.remove_path(dst) {
-                    trees.push(slot);
+                    moved = true;
                     self.revisit.push(slot);
                 }
                 table_remove(&mut self.last_allocation, (src, dst));
-                gone.push((src, dst));
             }
-        }
-        if !gone.is_empty() && !self.creation_rates.is_empty() {
-            gone.sort_unstable();
-            self.creation_rates
-                .retain(|(pair, _)| gone.binary_search(pair).is_err());
-        }
-        let kept = self.creation_rates.len();
-        // Whether a pair has a path is one tree lookup; its path is walked
-        // only for a chain to re-configure or a creation rate to keep.
-        for (src, dst) in delta.changed_paths.iter().filter_map(addresses) {
-            let Some((slot, tcal)) = local_tcal(&mut self.egress, src) else {
-                continue;
-            };
-            if !collapsed.reaches(src, dst) {
-                continue;
-            }
-            touched += 1;
-            let rate = |max_bandwidth| {
-                table_get(&self.last_allocation, (src, dst))
-                    .unwrap_or(max_bandwidth)
-                    .min(max_bandwidth)
-            };
-            let exists = tcal.tree.has_path(dst);
-            if exists || tcal.tree.has_usage(dst) {
-                if let Some(flow) = collapsed.flow_path(src, dst) {
-                    self.paths_built += 1;
-                    let rate = rate(flow.path.max_bandwidth);
-                    tcal.tree.install_path(dst, netem_of(&flow.path), rate);
-                    tcal.cache(dst, Some(flow));
-                    self.paths_moved = true;
-                    self.chains_installed += u64::from(!exists);
-                    trees.push(slot);
+            // Whether a pair has a path is one tree lookup; its path is
+            // walked only for a chain to re-configure or a creation rate to
+            // keep.
+            for dst in named
+                .iter()
+                .filter_map(|&(_, dst)| collapsed.address_of(dst))
+            {
+                if !collapsed.reaches(src, dst) {
+                    continue;
                 }
-            } else if !previous.reaches(src, dst) {
-                // The pair had no path: an eager install creates the chain
-                // here, at `rate`.
-                if let Some(max_bandwidth) = collapsed.max_bandwidth_by_addr(src, dst) {
-                    self.creation_rates.push(((src, dst), rate(max_bandwidth)));
+                touched += 1;
+                let rate = |max_bandwidth| {
+                    table_get(&self.last_allocation, (src, dst))
+                        .unwrap_or(max_bandwidth)
+                        .min(max_bandwidth)
+                };
+                let exists = tcal.tree.has_path(dst);
+                if exists || tcal.tree.has_usage(dst) {
+                    if let Some(flow) = collapsed.flow_path(src, dst) {
+                        self.paths_built += 1;
+                        let rate = rate(flow.path.max_bandwidth);
+                        tcal.tree.install_path(dst, netem_of(&flow.path), rate);
+                        tcal.cache(dst, Some(flow));
+                        self.paths_moved = true;
+                        self.chains_installed += u64::from(!exists);
+                        moved = true;
+                    }
+                } else if !previous.reaches(src, dst) {
+                    // The pair had no path: an eager install creates the
+                    // chain here, at `rate`.
+                    if let Some(max_bandwidth) = collapsed.max_bandwidth_by_addr(src, dst) {
+                        self.creation_rates.push(((src, dst), rate(max_bandwidth)));
+                        created = true;
+                    }
                 }
             }
+            // A cached RTT reads the reverse path: refresh every cached pair
+            // whose reverse the delta names.
+            tcal.paths.retain_mut(|(dst, pair)| {
+                let Some(back) = collapsed.service_at(*dst).map(|dst| (dst, node)) else {
+                    return true;
+                };
+                if delta.changed_paths.binary_search(&back).is_err()
+                    && delta.removed_paths.binary_search(&back).is_err()
+                {
+                    return true;
+                }
+                self.swap_pairs_visited += 1;
+                self.paths_built += 1;
+                self.paths_moved = true;
+                let Some(flow) = collapsed.flow_path(src, *dst) else {
+                    return false;
+                };
+                *pair = PairPath::new(flow);
+                true
+            });
+            if moved {
+                tcal.reindex(now, slot, &mut self.wakes);
+            }
         }
-        if self.creation_rates.len() > kept {
+        settle(&mut self.wakes, &self.egress);
+        // Only local pairs hold a creation rate: one the delta removed goes,
+        // one it gave a path joins in pair order.
+        if removed && !self.creation_rates.is_empty() {
+            self.creation_rates.retain(|&((src, dst), _)| {
+                let pair = collapsed.service_at(src).zip(collapsed.service_at(dst));
+                pair.is_none_or(|pair| delta.removed_paths.binary_search(&pair).is_err())
+            });
+        }
+        if created {
             self.creation_rates.sort_unstable_by_key(|&(pair, _)| pair);
         }
-        // A cached RTT reads the reverse path: refresh every cached pair
-        // whose reverse the delta names.
-        let named = delta.changed_paths.iter().chain(&delta.removed_paths);
-        for (src, dst) in named.filter_map(addresses) {
-            let Some((_, tcal)) = local_tcal(&mut self.egress, dst) else {
-                continue;
-            };
-            if path_to(&tcal.paths, src).is_some() {
-                self.paths_built += 1;
-                tcal.cache(src, collapsed.flow_path(dst, src));
-                self.paths_moved = true;
-            }
-        }
-        self.reindex(SimTime::ZERO + delta.at, trees);
         #[cfg(test)]
         if self.eager {
             self.install_local_paths();
@@ -1117,10 +1181,84 @@ type ChainSettings = ((Addr, Addr), Option<Bandwidth>, Option<NetemConfig>);
 /// Test-only oracles: the eager chain installation that first-send
 /// creation replaced, the rebuild-everything enforcement that the kept
 /// solver input replaced, the brute-force "when next?" the wake index
-/// replaced, and the poll of every tree that the index-driven drain
-/// replaced.
+/// replaced, the poll of every tree that the index-driven drain replaced,
+/// and the swap that walked every pair of a delta.
 #[cfg(test)]
 impl EmulationManager {
+    /// The oracle of [`EmulationManager::apply_delta`]: every pair of both
+    /// lists is looked up, forward and again for the reverse refresh,
+    /// whatever its source.
+    fn apply_delta_walking_every_pair(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
+        let previous = std::mem::replace(&mut self.collapsed, Arc::clone(&delta.snapshot));
+        let collapsed = Arc::clone(&self.collapsed);
+        let addresses = |&(src, dst): &(NodeId, NodeId)| {
+            Some((collapsed.address_of(src)?, collapsed.address_of(dst)?))
+        };
+        let mut touched = 0;
+        let mut trees: Vec<usize> = Vec::new();
+        let mut gone: Vec<(Addr, Addr)> = Vec::new();
+        for (src, dst) in delta.removed_paths.iter().filter_map(addresses) {
+            if let Some((slot, tcal)) = local_tcal(&mut self.egress, src) {
+                touched += 1;
+                tcal.cache(dst, None);
+                self.paths_moved = true;
+                if tcal.tree.remove_path(dst) {
+                    trees.push(slot);
+                    self.revisit.push(slot);
+                }
+                table_remove(&mut self.last_allocation, (src, dst));
+                gone.push((src, dst));
+            }
+        }
+        gone.sort_unstable();
+        self.creation_rates
+            .retain(|(pair, _)| gone.binary_search(pair).is_err());
+        for (src, dst) in delta.changed_paths.iter().filter_map(addresses) {
+            let Some((slot, tcal)) = local_tcal(&mut self.egress, src) else {
+                continue;
+            };
+            if !collapsed.reaches(src, dst) {
+                continue;
+            }
+            touched += 1;
+            let rate = |max_bandwidth| {
+                table_get(&self.last_allocation, (src, dst))
+                    .unwrap_or(max_bandwidth)
+                    .min(max_bandwidth)
+            };
+            let exists = tcal.tree.has_path(dst);
+            if exists || tcal.tree.has_usage(dst) {
+                if let Some(flow) = collapsed.flow_path(src, dst) {
+                    self.paths_built += 1;
+                    let rate = rate(flow.path.max_bandwidth);
+                    tcal.tree.install_path(dst, netem_of(&flow.path), rate);
+                    tcal.cache(dst, Some(flow));
+                    self.paths_moved = true;
+                    self.chains_installed += u64::from(!exists);
+                    trees.push(slot);
+                }
+            } else if !previous.reaches(src, dst) {
+                if let Some(max_bandwidth) = collapsed.max_bandwidth_by_addr(src, dst) {
+                    self.creation_rates.push(((src, dst), rate(max_bandwidth)));
+                }
+            }
+        }
+        self.creation_rates.sort_unstable_by_key(|&(pair, _)| pair);
+        let named = delta.changed_paths.iter().chain(&delta.removed_paths);
+        for (src, dst) in named.filter_map(addresses) {
+            let Some((_, tcal)) = local_tcal(&mut self.egress, dst) else {
+                continue;
+            };
+            if path_to(&tcal.paths, src).is_some() {
+                self.paths_built += 1;
+                tcal.cache(src, collapsed.flow_path(dst, src));
+                self.paths_moved = true;
+            }
+        }
+        self.reindex(SimTime::ZERO + delta.at, trees);
+        touched
+    }
+
     /// Turns this manager into the eager oracle: every local pair with a
     /// path gets its chain now, and again after every delta, as if no
     /// chain waited for its first send.
@@ -1492,7 +1630,8 @@ mod tests {
                     // delta path; the snapshot keeps the removed pair's
                     // path, so its chain comes back with the pair's next
                     // send.
-                    let pairs = vec![(src, dst), (dst, src)];
+                    let mut pairs = vec![(src, dst), (dst, src)];
+                    pairs.sort_unstable();
                     let remove = rng.chance(0.5);
                     let delta = SnapshotDelta {
                         at: now - SimTime::ZERO,
@@ -1717,22 +1856,24 @@ mod tests {
             &local,
             &SimRng::new(9),
         );
+        // Two chains off the first client's tree, one off the second's,
+        // and one off a tree another host owns.
+        let sent = [
+            (clients[0], servers[0]),
+            (clients[0], servers[1]),
+            (clients[1], servers[0]),
+        ];
+        let mut removed_paths = [&sent[..], &[(servers[0], clients[0])]].concat();
+        removed_paths.sort_unstable();
         let cut = SnapshotDelta {
             at: SimDuration::ZERO,
             events: 1,
             changed_links: Vec::new(),
             changed_paths: Vec::new(),
-            // Two chains off the first client's tree, one off the second's,
-            // and one off a tree another host owns.
-            removed_paths: vec![
-                (clients[0], servers[0]),
-                (clients[0], servers[1]),
-                (clients[1], servers[0]),
-                (servers[0], clients[0]),
-            ],
+            removed_paths,
             snapshot: Arc::clone(&collapsed),
         };
-        for (id, &(src, dst)) in cut.removed_paths[..3].iter().enumerate() {
+        for (id, &(src, dst)) in sent.iter().enumerate() {
             let addr = |node| collapsed.address_of(node).expect("service has an address");
             let id = id as u64;
             let packet = Packet::new(
@@ -2297,5 +2438,247 @@ mod tests {
             "{remote_rebuilt} of {remote_enforced} remote flows derived"
         );
         assert_eq!(oracle.flows_rebuilt(), 0);
+    }
+
+    /// Six services: `s0`–`s2` on bridge `l`, `s3` and `s4` on bridge `r`,
+    /// one-way trunk links `l → r` and `r → l`, and `s5`, reached over
+    /// `r → s5` but leaving over `s5 → x → l`, so that a change of `x → l`
+    /// or a cut of `s5 → x` names only pairs from `s5`. The deltas name
+    /// only the way back of every pair towards `s5`, cut `s2` off and let
+    /// it join again, cut `s5`'s way out, slow the trunk both ways, and cut
+    /// `s2` off once more.
+    fn swap_cases() -> (Topology, EventSchedule) {
+        let mut topo = Topology::new();
+        let s: Vec<NodeId> = (0..6)
+            .map(|i| topo.add_service(&format!("s{i}"), 0, "img"))
+            .collect();
+        let (l, r, x) = (
+            topo.add_bridge("l"),
+            topo.add_bridge("r"),
+            topo.add_bridge("x"),
+        );
+        let props = |ms, mbps| {
+            LinkProperties::new(SimDuration::from_millis(ms), Bandwidth::from_mbps(mbps))
+        };
+        for (i, &service) in s[..5].iter().enumerate() {
+            let bridge = if i < 3 { l } else { r };
+            topo.add_bidirectional_link(service, bridge, props(1, 100), "net");
+        }
+        topo.add_link(l, r, props(2, 10), "net");
+        topo.add_link(r, l, props(2, 10), "net");
+        topo.add_link(r, s[5], props(1, 100), "net");
+        topo.add_link(s[5], x, props(1, 100), "net");
+        topo.add_link(x, l, props(1, 100), "net");
+        let latency = |ms| LinkChange {
+            latency: Some(SimDuration::from_millis(ms)),
+            ..LinkChange::default()
+        };
+        let event = |secs, action| DynamicEvent {
+            at: SimDuration::from_secs(secs),
+            action,
+        };
+        let ends = |orig: &str, dest: &str| (orig.to_string(), dest.to_string());
+        let set = |secs, (orig, dest), change| {
+            event(
+                secs,
+                DynamicAction::SetLinkProperties { orig, dest, change },
+            )
+        };
+        let leave = |secs, (orig, dest)| event(secs, DynamicAction::LinkLeave { orig, dest });
+        let join = LinkChange {
+            up: Some(Bandwidth::from_mbps(100)),
+            ..latency(1)
+        };
+        let schedule = EventSchedule::from_events(vec![
+            set(1, ends("x", "l"), latency(3)),
+            leave(2, ends("s2", "l")),
+            event(3, {
+                let (orig, dest) = ends("s2", "l");
+                DynamicAction::LinkJoin {
+                    orig,
+                    dest,
+                    change: join,
+                }
+            }),
+            leave(4, ends("s5", "x")),
+            set(5, ends("l", "r"), latency(4)),
+            leave(6, ends("s2", "l")),
+        ]);
+        (topo, schedule)
+    }
+
+    /// `apply_delta` visits only its local sources' runs of a delta and
+    /// looks each cached pair's reverse up, where the swap it replaced
+    /// walked every pair of both lists twice. Over the deltas of
+    /// [`swap_cases`] plus one naming only remote sources, a manager
+    /// owning `s0`, `s2` and `s3` must leave the same chains, cached paths,
+    /// creation rates, wakes and counters as that full walk (kept as the
+    /// oracle), return the touched count a brute force over the full lists
+    /// gives, keep every cached path equal to its snapshot's, and visit
+    /// exactly its sources' pairs plus the reverse pairs it found. The
+    /// cases: pairs from remote sources only (nothing visited, nothing
+    /// touched); local and remote sources mixed; a change of only the way
+    /// back; removed pairs, also only the way back; a pair that gains a
+    /// path without a chain (a creation rate, dropped again by the last
+    /// cut); and a destination whose bytes still count when it gains its
+    /// path back (its chain is created by the delta).
+    ///
+    /// Mutation-checked: looking the reverse up in `changed_paths` only,
+    /// or skipping the removed run, fails this test.
+    #[test]
+    fn apply_delta_visits_only_its_own_sources_and_matches_the_full_walk() {
+        let (topo, schedule) = swap_cases();
+        let timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let initial = Arc::clone(timeline.initial());
+        let services: Vec<(NodeId, Addr)> = initial.addresses().collect();
+        let local: Vec<Addr> = [0, 2, 3].iter().map(|&i| services[i].1).collect();
+        let is_local = |node| initial.address_of(node).is_some_and(|a| local.contains(&a));
+        let node_at = |addr| initial.service_at(addr).expect("a service");
+        let build = || {
+            EmulationManager::new(
+                HostId(0),
+                EmulationConfig::default(),
+                Arc::clone(&initial),
+                &local,
+                &SimRng::new(3),
+            )
+        };
+        let (mut m, mut oracle) = (build(), build());
+        let mut deltas = timeline.deltas().to_vec();
+        assert_eq!(deltas.len(), 6);
+        let last = deltas.last().expect("deltas").clone();
+        let (s1, s4) = (services[1].0, services[4].0);
+        deltas.push(SnapshotDelta {
+            at: last.at + SimDuration::from_secs(1),
+            events: 0,
+            changed_links: Vec::new(),
+            changed_paths: vec![(s1, s4), (s4, s1)],
+            removed_paths: Vec::new(),
+            snapshot: Arc::clone(&last.snapshot),
+        });
+        // `s2 → s3` sends only once the rejoin gave it a creation rate;
+        // `s3 → s2` never sends, so the last cut drops its rate.
+        let (s2, s3) = (local[1], local[2]);
+        let rejoin = 2;
+        let (mut next_id, mut reverse_only, mut reverse_removed) = (0, 0, 0);
+        let (mut removed_local, mut mixed, mut created, mut nothing_visited) = (0, 0, 0, 0);
+        let (mut rates_kept, mut rates_dropped) = (0, 0);
+        for (k, delta) in deltas.iter().enumerate() {
+            let at = SimTime::ZERO + delta.at;
+            let mut packets = Vec::new();
+            for &src in &local {
+                for &(_, dst) in &services {
+                    let held = (src, dst) == (s3, s2) || (src, dst) == (s2, s3) && k <= rejoin;
+                    if src != dst && !held {
+                        next_id += 1;
+                        let sent = at - SimDuration::from_millis(400);
+                        let kind = PacketKind::Udp;
+                        let packet = Packet::new(next_id, FlowId(0), src, dst, MTU, kind, sent);
+                        packets.push(packet);
+                    }
+                }
+            }
+            for manager in [&mut m, &mut oracle] {
+                // The loop reads usage before every delta but the rejoin:
+                // the bytes towards `s2` from before its cut still count.
+                if k != rejoin {
+                    manager.collect_usage();
+                    manager.enforce(at - SimDuration::from_millis(500));
+                }
+                for packet in &packets {
+                    manager.enqueue(packet.sent_at, packet.clone());
+                }
+                manager.dequeue_ready(at - SimDuration::from_millis(100));
+            }
+            if k == rejoin + 1 {
+                assert!(
+                    m.flow_path(s2, s3).is_some(),
+                    "first send at a creation rate"
+                );
+            }
+            let cached_before: Vec<Option<FlowPath>> = local
+                .iter()
+                .flat_map(|&src| services.iter().map(move |&(_, dst)| (src, dst)))
+                .map(|(src, dst)| m.flow_path(src, dst).cloned())
+                .collect();
+            let rates_before = m.creation_rates.clone();
+            let (installed, visited) = (m.chains_installed, m.swap_pairs_visited);
+
+            let touched = m.apply_delta(delta);
+            assert_eq!(
+                oracle.apply_delta_walking_every_pair(delta),
+                touched,
+                "delta {k}"
+            );
+            let snapshot = &delta.snapshot;
+            let addr = |node| snapshot.address_of(node).expect("a service");
+            let reaches = |&&(src, dst): &&(NodeId, NodeId)| snapshot.reaches(addr(src), addr(dst));
+            let own = |&&(src, _): &&(NodeId, NodeId)| is_local(src);
+            let gone = delta.removed_paths.iter().filter(own).count();
+            let named = delta.changed_paths.iter().filter(own);
+            assert_eq!(
+                touched,
+                gone + named.clone().filter(reaches).count(),
+                "delta {k}"
+            );
+            assert_eq!(m.chain_settings(), oracle.chain_settings(), "delta {k}");
+            assert_eq!(m.creation_rates, oracle.creation_rates, "delta {k}");
+            assert_eq!(m.paths_built, oracle.paths_built, "delta {k}");
+            assert_eq!(m.chains_installed, oracle.chains_installed, "delta {k}");
+            assert_eq!(m.revisit, oracle.revisit, "delta {k}");
+            assert_eq!(m.next_wakeup(), oracle.next_wakeup(), "delta {k}");
+            let is_named = |pair: &(NodeId, NodeId)| {
+                delta.changed_paths.contains(pair) || delta.removed_paths.contains(pair)
+            };
+            let mut reverse_found = 0;
+            let pairs = local
+                .iter()
+                .flat_map(|&src| services.iter().map(move |&(_, dst)| (src, dst)));
+            for ((src, dst), before) in pairs.zip(&cached_before) {
+                let cached = m.flow_path(src, dst);
+                assert_eq!(cached, oracle.flow_path(src, dst), "delta {k}");
+                let Some(flow) = cached else {
+                    continue;
+                };
+                let fresh = snapshot.flow_path(src, dst);
+                assert_eq!(Some(flow), fresh.as_ref(), "delta {k}: a stale cached path");
+                let back = (node_at(dst), node_at(src));
+                if is_named(&back) {
+                    reverse_found += 1;
+                    let moved = before.as_ref() != Some(flow);
+                    let forward = is_named(&(back.1, back.0));
+                    reverse_only += usize::from(moved && !forward);
+                    reverse_removed += usize::from(moved && delta.removed_paths.contains(&back));
+                }
+            }
+            let own_pairs = gone + named.count();
+            let visits = m.swap_pairs_visited - visited;
+            assert_eq!(visits, (own_pairs + reverse_found) as u64, "delta {k}");
+
+            let sources = delta.changed_paths.iter().chain(&delta.removed_paths);
+            let remote_sources = sources.clone().filter(|&&(src, _)| !is_local(src)).count();
+            removed_local += gone;
+            mixed += usize::from(own_pairs > 0 && remote_sources > 0);
+            created += usize::from(m.chains_installed > installed);
+            nothing_visited += usize::from(remote_sources > 0 && visits == 0 && touched == 0);
+            rates_kept += m
+                .creation_rates
+                .iter()
+                .filter(|r| !rates_before.contains(r))
+                .count();
+            rates_dropped += rates_before
+                .iter()
+                .filter(|r| !m.creation_rates.contains(r))
+                .count();
+        }
+        // Every case of the swap was exercised.
+        assert!(reverse_only > 0, "no change of only the way back");
+        assert!(reverse_removed > 0, "no removal of only the way back");
+        assert!(removed_local > 0, "no removed pair from a local source");
+        assert!(mixed > 0, "no delta naming local and remote sources");
+        assert!(created > 0, "no chain created by a delta");
+        assert!(nothing_visited > 0, "no delta left for other hosts");
+        assert!(rates_kept > 0, "no creation rate kept");
+        assert!(rates_dropped > 0, "no creation rate dropped");
     }
 }

@@ -63,10 +63,11 @@
 //! for the same reason: restricted to a component, the global round
 //! sequence performs the same operations on the same operands in the same
 //! order. The memo of [`Allocator::solve`] rests on it too: grants are a
-//! function of the link table and of the RTT, demand and links at every
-//! position (ids never enter the arithmetic), so the same table
-//! ([`Arc::ptr_eq`]: a snapshot never mutates its table) with an input equal
-//! in those gets the same grants.
+//! function of the RTT, demand and links at every position (ids never enter
+//! the arithmetic) and of the presence and capacity of those links only,
+//! taken in ascending-id order, so an input equal in those over any table
+//! that agrees on those links — the same one ([`Arc::ptr_eq`]: a snapshot
+//! never mutates its table) or a swapped-in one — gets the same grants.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -526,18 +527,32 @@ struct Memo {
 
 impl Memo {
     /// `true` when `flows` over `table` is this call's input again: the
-    /// same table, and the same RTT, demand and links at every position (ids
-    /// never enter the arithmetic).
+    /// same RTT, demand and links at every position (ids never enter the
+    /// arithmetic), over a table that agrees with the memoised one on
+    /// every link those flows cross.
     fn same_input(&self, flows: &[FlowRef<'_>], table: &Arc<LinkTable>) -> bool {
-        self.table
-            .as_ref()
-            .is_some_and(|last| Arc::ptr_eq(last, table))
-            && self.rtt.len() == flows.len()
+        let Some(last) = &self.table else {
+            return false;
+        };
+        self.rtt.len() == flows.len()
             && flows.iter().enumerate().all(|(i, flow)| {
                 self.rtt[i] == flow.rtt
                     && self.demand[i] == flow.demand
                     && row(&self.link_offsets, &self.links, i) == flow.links
             })
+            && (Arc::ptr_eq(last, table) || self.same_links(last, table))
+    }
+
+    /// `true` when every link of every memoised flow has the same presence
+    /// and the same capacity in `last` and `table`. The kernel reads no
+    /// other link, and the links it reads keep their ascending-id order
+    /// however the tables number them, so the grants carry over bit for
+    /// bit.
+    fn same_links(&self, last: &LinkTable, table: &LinkTable) -> bool {
+        let capacity = |links: &LinkTable, link| links.slot(link).map(|slot| links.capacity(slot));
+        self.links
+            .iter()
+            .all(|&link| capacity(last, link) == capacity(table, link))
     }
 
     /// Records the input `flows` over `table` (the grants are written in
@@ -566,11 +581,15 @@ impl Memo {
 /// The result is **bit-identical** to [`allocate`] on the same input, by
 /// position instead of by id (see the module documentation).
 ///
-/// The memo recognises the link table by identity ([`Arc::ptr_eq`]): a
-/// snapshot's table never changes, and a timeline delta that moves a
-/// capacity or a latency carries a new one, so a snapshot swap needs no
-/// call of its own. The memo holds its table, so the address cannot be
-/// reused by another table while it is compared against.
+/// A snapshot's table never changes, and a timeline delta that moves a
+/// capacity or a latency carries a new one. The memo compares tables by
+/// identity ([`Arc::ptr_eq`]) first; only a different table is compared by
+/// value, and only at the links the memoised flows cross: when each has
+/// the same presence and capacity in both, the call is a hit and the memo
+/// adopts the new table. A swap that moved links no flow crosses therefore
+/// costs no solve, while one that moved a crossed link's capacity (or took
+/// the link away) misses. The memo holds its table, so the address cannot
+/// be reused by another table while it is compared against.
 #[derive(Debug, Default)]
 pub struct Allocator {
     last: Memo,
@@ -590,6 +609,9 @@ impl Allocator {
         self.stats.calls += 1;
         if self.last.same_input(flows, links) {
             self.stats.fast_hits += 1;
+            // A hit over another table adopts it: the next call over it
+            // compares pointers only.
+            self.last.table = Some(Arc::clone(links));
             return &self.last.grants;
         }
         self.kernel.solve(flows, links, &mut self.last.grants);
@@ -1082,20 +1104,115 @@ mod tests {
         let before = table(&caps);
         let mut inc = Allocator::default();
         let old = by_id(&mut inc, &flows, &before);
-        // The trunk link shrinks: same flows, a new table. The memo keys on
-        // the table it solved over, so the call is solved again.
+        // The trunk link shrinks: same flows, a new table that moved a
+        // link they cross, so the call is solved again.
         caps.insert(LinkId(6), Bandwidth::from_mbps(20));
         let after = table(&caps);
         let new = by_id(&mut inc, &flows, &after);
         assert_eq!(new, allocate(&flows, &caps));
         assert_ne!(new, old);
-        // Identity, not content: an equal table built anew is a miss too,
-        // and so is going back to the first one.
-        assert_eq!(by_id(&mut inc, &flows, &table(&caps)), new);
-        assert_eq!(by_id(&mut inc, &flows, &before), old);
         assert_eq!(inc.stats().fast_hits, 0);
+        // Content, not identity: an equal table built anew is a hit, and
+        // going back to the first one is a miss again.
+        assert_eq!(by_id(&mut inc, &flows, &table(&caps)), new);
+        assert_eq!(inc.stats().fast_hits, 1);
         assert_eq!(by_id(&mut inc, &flows, &before), old);
         assert_eq!(inc.stats().fast_hits, 1);
+        assert_eq!(by_id(&mut inc, &flows, &before), old);
+        assert_eq!(inc.stats().fast_hits, 2);
+    }
+
+    /// The memo across link tables. Over random flows and random edits of
+    /// the table — a capacity moved (sometimes to its own value), a link
+    /// removed, a link added (renumbering the slots above it) — on links
+    /// the flows cross or not, a call is a fast hit if and only if every
+    /// link of every flow keeps its presence and its capacity, and every
+    /// call's grants are bit-identical to [`allocate`] over the new table.
+    ///
+    /// Mutation-checked: comparing the capacities only where both tables
+    /// have the link (a removed link left unconstrained) fails this test.
+    #[test]
+    fn the_memo_holds_across_tables_that_keep_every_crossed_link() {
+        let (mut hits, mut misses, mut presence_misses, mut renumbered_hits) = (0, 0, 0, 0);
+        for seed in 0..200 {
+            let mut rng = SimRng::new(0x7ab1e ^ seed);
+            let link_count = rng.gen_range(2, 16);
+            // Odd ids, so that an added even id lands between them.
+            let id = |k: u64| LinkId(2 * k as u32 + 1);
+            let mut caps: BTreeMap<LinkId, Bandwidth> = (0..link_count)
+                .map(|k| (id(k), Bandwidth::from_mbps(rng.gen_range(5, 500))))
+                .collect();
+            let flows: Vec<FlowDemand> = (0..rng.gen_range(1, 8))
+                .map(|i| FlowDemand {
+                    id: i,
+                    links: (0..rng.gen_range(1, 4))
+                        .map(|_| id(rng.gen_range(0, link_count)))
+                        .collect(),
+                    rtt: ms(rng.gen_range(1, 200)),
+                    demand: if rng.chance(0.3) {
+                        Bandwidth::from_mbps(rng.gen_range(1, 300))
+                    } else {
+                        Bandwidth::MAX
+                    },
+                })
+                .collect();
+            let refs: Vec<FlowRef<'_>> = flows.iter().map(FlowDemand::borrowed).collect();
+            let crossed = |link: &LinkId| flows.iter().any(|f| f.links.contains(link));
+            let mut inc = Allocator::default();
+            inc.solve(&refs, &table(&caps));
+            for _ in 0..12 {
+                let before = caps.clone();
+                let slots_before = table(&before);
+                let link = id(rng.gen_range(0, link_count));
+                match rng.gen_range(0, 4) {
+                    0 => {
+                        let mbps = rng.gen_range(5, 8);
+                        caps.insert(link, Bandwidth::from_mbps(mbps * 50));
+                    }
+                    1 => {
+                        caps.remove(&link);
+                    }
+                    2 => {
+                        let even = LinkId(2 * rng.gen_range(0, link_count) as u32);
+                        caps.insert(even, Bandwidth::from_mbps(rng.gen_range(5, 500)));
+                    }
+                    _ => {
+                        let capacity = Bandwidth::from_mbps(rng.gen_range(5, 500));
+                        caps.entry(link).or_insert(capacity);
+                    }
+                }
+                let links = table(&caps);
+                let kept = caps
+                    .keys()
+                    .chain(before.keys())
+                    .all(|link| !crossed(link) || caps.get(link) == before.get(link));
+                let hits_before = inc.stats().fast_hits;
+                let grants = inc.solve(&refs, &links).to_vec();
+                let hit = inc.stats().fast_hits > hits_before;
+                assert_eq!(hit, kept, "seed {seed}: {before:?} → {caps:?}");
+                let expected = allocate(&flows, &caps);
+                for (i, &grant) in grants.iter().enumerate() {
+                    assert_eq!(grant, expected.of(i as u64), "seed {seed}: flow {i}");
+                }
+                hits += usize::from(hit);
+                misses += usize::from(!hit);
+                let present = |link: &LinkId| before.contains_key(link) == caps.contains_key(link);
+                presence_misses +=
+                    usize::from(!hit && !caps.keys().chain(before.keys()).all(present));
+                let moved = |link: &LinkId| slots_before.slot(*link) != links.slot(*link);
+                renumbered_hits +=
+                    usize::from(hit && before.keys().any(|l| crossed(l) && moved(l)));
+            }
+        }
+        assert!(hits > 300 && misses > 300, "{hits} hits, {misses} misses");
+        assert!(
+            presence_misses > 100,
+            "{presence_misses} misses on presence"
+        );
+        assert!(
+            renumbered_hits > 50,
+            "{renumbered_hits} hits on renumbered slots"
+        );
     }
 
     #[test]
@@ -1436,8 +1553,9 @@ mod tests {
             flow(2, &[2], any),
         ];
         assert_eq!(check(&bcd, false), (4, 1, 6, 0));
-        // Over a new table: the same input is not a fast hit.
-        assert_eq!(check(&bcd, true), (5, 1, 8, 0));
+        // Over an equal table built anew: every link the flows cross keeps
+        // its capacity, so the same input is a fast hit.
+        assert_eq!(check(&bcd, true), (5, 2, 6, 0));
         // The same RTT, demand and links at every position under other ids:
         // a fast hit, because grants are positional.
         let renamed = [
@@ -1445,10 +1563,10 @@ mod tests {
             flow(50, &[1], mbps(5.0)),
             flow(60, &[2], any),
         ];
-        assert_eq!(check(&renamed, false), (6, 2, 8, 0));
+        assert_eq!(check(&renamed, false), (6, 3, 6, 0));
         // E bridges links 0 and 1: one merged component.
         let mut bridged = renamed.to_vec();
         bridged.push(flow(80, &[1, 0], any));
-        assert_eq!(check(&bridged, false), (7, 2, 9, 0));
+        assert_eq!(check(&bridged, false), (7, 3, 7, 0));
     }
 }

@@ -99,10 +99,11 @@ pub struct SnapshotDelta {
     /// Links removed, added or re-parameterized by this change.
     pub changed_links: Vec<LinkId>,
     /// Service pairs whose collapsed path changed (including pairs that
-    /// just became reachable).
+    /// just became reachable), sorted by `(src, dst)`: a manager finds its
+    /// own sources' runs by binary search.
     pub changed_paths: Vec<(NodeId, NodeId)>,
     /// Service pairs that lost their collapsed path (unreachable or an
-    /// endpoint left).
+    /// endpoint left), sorted by `(src, dst)` like `changed_paths`.
     pub removed_paths: Vec<(NodeId, NodeId)>,
     /// The full snapshot after the change; the overlay of every source
     /// whose tree did not move is the same `Arc` as in the previous

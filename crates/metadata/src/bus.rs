@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(decoded, *d.message);
         assert_eq!(decoded.sender, HostId(1));
         assert_eq!(decoded.published, SimTime::from_millis(40));
-        assert_eq!(decoded.flows[0].link_ids, vec![3, 700, 4_000, 65_535]);
+        assert_eq!(*decoded.flows[0].link_ids, [3, 700, 4_000, 65_535]);
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
         let mut long = MetadataMessage::new();
         long.flows.push(FlowUsage::new(
             Bandwidth::from_mbps(5),
-            (0..300).map(|i| i as u16 * 3).collect(),
+            (0..300).map(|i| i as u16 * 3).collect::<Vec<u16>>(),
         ));
         long.flows
             .push(FlowUsage::new(Bandwidth::from_mbps(1), vec![4, 2]));

@@ -7,6 +7,8 @@
 //! to reason about staleness; both live in the header so the per-flow
 //! layout (and therefore the Figure 3/4 traffic scaling) is unchanged.
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
@@ -34,16 +36,18 @@ pub struct FlowUsage {
     /// Bandwidth currently used by the flow, rounded to kilobits per second
     /// so it fits the 4-byte field of the original format.
     pub used_kbps: u32,
-    /// Identifiers of the links the flow's collapsed path traverses.
-    pub link_ids: Vec<u16>,
+    /// Identifiers of the links the flow's collapsed path traverses,
+    /// shared: a publisher hands out the ids it keeps with the path, so a
+    /// message costs no per-flow copy of them.
+    pub link_ids: Arc<[u16]>,
 }
 
 impl FlowUsage {
     /// Builds a usage entry from a bandwidth value and the path's link ids.
-    pub fn new(used: Bandwidth, link_ids: Vec<u16>) -> Self {
+    pub fn new(used: Bandwidth, link_ids: impl Into<Arc<[u16]>>) -> Self {
         FlowUsage {
             used_kbps: (used.as_bps() / 1_000).min(u32::MAX as u64) as u32,
-            link_ids,
+            link_ids: link_ids.into(),
         }
     }
 
@@ -115,7 +119,9 @@ impl MetadataMessage {
     pub fn clamp_to_wire(&mut self) {
         self.flows.truncate(MAX_FLOWS);
         for flow in &mut self.flows {
-            flow.link_ids.truncate(MAX_LINKS_PER_FLOW);
+            if flow.link_ids.len() > MAX_LINKS_PER_FLOW {
+                flow.link_ids = flow.link_ids[..MAX_LINKS_PER_FLOW].into();
+            }
         }
     }
 
@@ -190,15 +196,15 @@ impl MetadataMessage {
             if buf.remaining() < n_links * width {
                 return Err(DecodeError::Truncated);
             }
-            let mut link_ids = Vec::with_capacity(n_links);
-            for _ in 0..n_links {
-                let id = if compact {
-                    buf.get_u8() as u16
-                } else {
-                    buf.get_u16()
-                };
-                link_ids.push(id);
-            }
+            let link_ids = (0..n_links)
+                .map(|_| {
+                    if compact {
+                        buf.get_u8() as u16
+                    } else {
+                        buf.get_u16()
+                    }
+                })
+                .collect();
             flows.push(FlowUsage {
                 used_kbps,
                 link_ids,
@@ -258,7 +264,7 @@ mod tests {
         for i in 0..n_flows {
             let ids = (0..links_per_flow)
                 .map(|j| max_id.saturating_sub((i * links_per_flow + j) as u16))
-                .collect();
+                .collect::<Vec<u16>>();
             m.flows
                 .push(FlowUsage::new(Bandwidth::from_mbps((i + 1) as u64), ids));
         }
@@ -374,13 +380,15 @@ mod tests {
         ] {
             let mut m = msg(n_flows, links_per_flow, max_id);
             // An id only the cut-off tail carries must not widen the rest.
-            if let Some(id) = m.flows[0].link_ids.get_mut(MAX_LINKS_PER_FLOW) {
+            let ids = Arc::get_mut(&mut m.flows[0].link_ids).expect("not shared yet");
+            if let Some(id) = ids.get_mut(MAX_LINKS_PER_FLOW) {
                 *id = 60_000;
             }
             let mut clamped = m.clone();
             clamped.flows.truncate(MAX_FLOWS);
             for flow in &mut clamped.flows {
-                flow.link_ids.truncate(MAX_LINKS_PER_FLOW);
+                let carried = flow.link_ids.iter().take(MAX_LINKS_PER_FLOW);
+                flow.link_ids = carried.copied().collect();
             }
             let mut in_place = m.clone();
             in_place.clamp_to_wire();

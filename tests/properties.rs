@@ -53,7 +53,7 @@ proptest! {
     ) {
         let mut msg = MetadataMessage::new();
         for (kbps, links) in &flows {
-            msg.flows.push(FlowUsage { used_kbps: *kbps, link_ids: links.clone() });
+            msg.flows.push(FlowUsage { used_kbps: *kbps, link_ids: links.as_slice().into() });
         }
         let decoded = MetadataMessage::decode(msg.encode()).unwrap();
         prop_assert_eq!(decoded, msg);
@@ -78,7 +78,7 @@ proptest! {
         msg.sender = HostId(sender);
         msg.published = SimTime::from_millis(published_ms);
         for (kbps, links) in &flows {
-            msg.flows.push(FlowUsage { used_kbps: *kbps, link_ids: links.clone() });
+            msg.flows.push(FlowUsage { used_kbps: *kbps, link_ids: links.as_slice().into() });
         }
         let frame = msg.encode_framed();
         let decoded = MetadataMessage::decode_framed(&frame).unwrap();
