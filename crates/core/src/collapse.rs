@@ -412,11 +412,12 @@ impl CollapsedTopology {
         CollapsedTopology::build_keeping_trees(topology).0
     }
 
-    /// [`CollapsedTopology::build`], also handing back the shortest-path
-    /// tree of every source by service number (`None` for an absent one).
+    /// [`CollapsedTopology::build`], also handing back the graph it searched
+    /// and the shortest-path tree of every source by service number (`None`
+    /// for an absent one).
     pub(crate) fn build_keeping_trees(
         topology: &Topology,
-    ) -> (Self, Vec<Option<ShortestPathTree>>) {
+    ) -> (Self, TopologyGraph, Vec<Option<ShortestPathTree>>) {
         let services: Arc<[NodeId]> = topology.service_ids().into();
         assert!(
             services.len() <= Addr::CONTAINERS as usize,
@@ -427,11 +428,11 @@ impl CollapsedTopology {
     }
 
     /// The snapshot of `topology` over the numbered `services`, from one
-    /// full search per present source, and those searches.
+    /// full search per present source, the graph searched and the searches.
     fn searched(
         topology: &Topology,
         services: Arc<[NodeId]>,
-    ) -> (Self, Vec<Option<ShortestPathTree>>) {
+    ) -> (Self, TopologyGraph, Vec<Option<ShortestPathTree>>) {
         let graph = TopologyGraph::new(topology);
         let trees = search_all(topology, &graph, &services);
         let links = LinkTable::of(topology);
@@ -443,7 +444,7 @@ impl CollapsedTopology {
             Arc::new(links),
             Arc::new(impairments),
         );
-        (collapsed, trees)
+        (collapsed, graph, trees)
     }
 
     /// The snapshot whose trees are `trees` (one per service number, over

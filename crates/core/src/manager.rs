@@ -1039,17 +1039,21 @@ impl EmulationManager {
     /// sources' runs and the cached pairs — not the length of the delta —
     /// and allocates nothing.
     ///
-    /// A pair that gains a path here and has no chain gets none yet; its
-    /// creation rate is kept for its first send. The one exception is a
+    /// A pair that gains a path here (the delta lists it in
+    /// `gained_paths`, read in step with the source's run of
+    /// `changed_paths`) and has no chain gets none yet; its creation rate
+    /// is kept for its first send. The one exception is a
     /// destination whose removed chain's bytes are still counted this loop
     /// interval: the usage the loop reads next is clamped to the chain's
     /// rate, so that chain is created now, as an eager install would.
     pub fn apply_delta(&mut self, delta: &crate::timeline::SnapshotDelta) -> usize {
         debug_assert!(
-            delta.changed_paths.is_sorted() && delta.removed_paths.is_sorted(),
+            delta.changed_paths.is_sorted()
+                && delta.gained_paths.is_sorted()
+                && delta.removed_paths.is_sorted(),
             "a delta's pair lists are in (src, dst) order"
         );
-        let previous = std::mem::replace(&mut self.collapsed, Arc::clone(&delta.snapshot));
+        self.collapsed = Arc::clone(&delta.snapshot);
         let collapsed = Arc::clone(&self.collapsed);
         let now = SimTime::ZERO + delta.at;
         let (mut touched, mut removed, mut created) = (0, false, false);
@@ -1081,16 +1085,17 @@ impl EmulationManager {
                 }
                 table_remove(&mut self.last_allocation, (src, dst));
             }
-            // Whether a pair has a path is one tree lookup; its path is
-            // walked only for a chain to re-configure or a creation rate to
-            // keep.
-            for dst in named
-                .iter()
-                .filter_map(|&(_, dst)| collapsed.address_of(dst))
-            {
-                if !collapsed.reaches(src, dst) {
+            // A changed pair has a path (one that lost it is removed), and
+            // the gained ones are a sorted subset of the changed ones. A
+            // path is walked only for a chain to re-configure or a creation
+            // rate to keep.
+            let mut gained = source_run(&delta.gained_paths, node).iter().peekable();
+            for &pair in named {
+                let had_none = gained.next_if(|&&next| next == pair).is_some();
+                let Some(dst) = collapsed.address_of(pair.1) else {
                     continue;
-                }
+                };
+                debug_assert!(collapsed.reaches(src, dst), "a changed pair has a path");
                 touched += 1;
                 let rate = |max_bandwidth| {
                     table_get(&self.last_allocation, (src, dst))
@@ -1108,7 +1113,7 @@ impl EmulationManager {
                         self.chains_installed += u64::from(!exists);
                         moved = true;
                     }
-                } else if !previous.reaches(src, dst) {
+                } else if had_none {
                     // The pair had no path: an eager install creates the
                     // chain here, at `rate`.
                     if let Some(max_bandwidth) = collapsed.max_bandwidth_by_addr(src, dst) {
@@ -1638,6 +1643,7 @@ mod tests {
                         events: 1,
                         changed_links: Vec::new(),
                         changed_paths: if remove { Vec::new() } else { pairs.clone() },
+                        gained_paths: Vec::new(),
                         removed_paths: if remove { pairs } else { Vec::new() },
                         snapshot: Arc::clone(&collapsed),
                     };
@@ -1799,6 +1805,7 @@ mod tests {
             events: 1,
             changed_links: Vec::new(),
             changed_paths: Vec::new(),
+            gained_paths: Vec::new(),
             removed_paths: vec![(clients[0], servers[0])],
             snapshot: Arc::clone(&collapsed),
         };
@@ -1870,6 +1877,7 @@ mod tests {
             events: 1,
             changed_links: Vec::new(),
             changed_paths: Vec::new(),
+            gained_paths: Vec::new(),
             removed_paths,
             snapshot: Arc::clone(&collapsed),
         };
@@ -2553,6 +2561,7 @@ mod tests {
             events: 0,
             changed_links: Vec::new(),
             changed_paths: vec![(s1, s4), (s4, s1)],
+            gained_paths: Vec::new(),
             removed_paths: Vec::new(),
             snapshot: Arc::clone(&last.snapshot),
         });

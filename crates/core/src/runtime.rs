@@ -470,11 +470,12 @@ impl<D: Dataplane> Runtime<D> {
                 let Some(Flow::Udp(sender, _)) = self.flows.get_mut(flow) else {
                     return;
                 };
-                for pkt in sender.poll_send(now) {
-                    // UDP does not retry on back-pressure: the datagram is
-                    // simply lost to the application.
-                    let _ = self.dataplane.send(now, pkt);
-                }
+                let dataplane = &mut self.dataplane;
+                // UDP does not retry on back-pressure: the datagram is
+                // simply lost to the application.
+                sender.send_with(now, |pkt| {
+                    let _ = dataplane.send(now, pkt);
+                });
                 if let Some(next) = sender.next_wakeup() {
                     self.queue.schedule(next.max(now), Ev::UdpSend(flow));
                 }

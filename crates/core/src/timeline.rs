@@ -28,6 +28,16 @@
 //! group costs what it moves (the insertion/deletion split of dynamic
 //! shortest paths, Ramalingam & Reps 1996):
 //!
+//! * **Which links.** The fold keeps one [`TopologyGraph`] of the working
+//!   topology and edits it in place: a group drops the links it removed,
+//!   inserts the ones it added at their ascending-id place (so the edited
+//!   graph relaxes links exactly as a fresh one would) and rewrites the
+//!   latency of the ones it moved — one shift of the link arrays per edit,
+//!   no sort and no rebuild. Its link diff reads only the links its events
+//!   name: those between each event's two nodes, before and after the
+//!   group, and the links it added. The graph's node ids are one `Arc`
+//!   shared with every tree, so a tree checks it is on its graph by
+//!   pointer.
 //! * **Which sources.** A source is re-derived only when a removed,
 //!   lengthened or otherwise re-parameterised link is one of its tree
 //!   links, or a new or shortened link `u → v` is tight or better for it,
@@ -63,22 +73,25 @@
 //!   pure function of `(src, dst)`, its link ids in order and those links'
 //!   values.
 //!
-//! A group that changes the node set (a node leaves, or a bridge joins)
-//! searches every source again on the new graph, and the trees become that
-//! node set's base. [`SnapshotTimeline::extend`] starts its working trees
-//! from the snapshot it resumes from: the parents are the snapshot's, and
-//! [`TopologyGraph::tree_from_parents`] re-adds the costs.
+//! A group that names a node (`NodeLeave`, `NodeJoin`) diffs every link
+//! and builds a new graph ([`TimelineStats::graphs_built`]); when the node
+//! set did move, it searches every source again on the new graph, and the
+//! trees become that node set's base. [`SnapshotTimeline::extend`] starts
+//! its working state from the snapshot it resumes from: one graph of the
+//! topology as of its cut, the snapshot's parents, and
+//! [`TopologyGraph::tree_from_parents`] re-adding the costs.
 //!
 //! The equality of timeline snapshots with a full online re-collapse is
 //! pinned by the tests below, including a seeded tie-heavy differential
 //! that also checks every kept tree against a fresh search after every
-//! group, and by property tests over generated topologies and random
-//! schedules.
+//! group (and, like every test's replay, the edited graph against a fresh
+//! one and the named-links diff against a full one), and by property
+//! tests over generated topologies and random schedules.
 
 use std::sync::Arc;
 
 use kollaps_sim::time::SimDuration;
-use kollaps_topology::events::{apply_action, DynamicEvent, EventSchedule};
+use kollaps_topology::events::{apply_action, DynamicAction, DynamicEvent, EventSchedule};
 use kollaps_topology::graph::{
     LinkEdit, LinkEditKind, ShortestPathTree, TopologyGraph, TreeScratch, Via,
 };
@@ -102,6 +115,9 @@ pub struct SnapshotDelta {
     /// just became reachable), sorted by `(src, dst)`: a manager finds its
     /// own sources' runs by binary search.
     pub changed_paths: Vec<(NodeId, NodeId)>,
+    /// The pairs of `changed_paths` that had no path in the previous
+    /// snapshot, sorted by `(src, dst)` like it.
+    pub gained_paths: Vec<(NodeId, NodeId)>,
     /// Service pairs that lost their collapsed path (unreachable or an
     /// endpoint left), sorted by `(src, dst)` like `changed_paths`.
     pub removed_paths: Vec<(NodeId, NodeId)>,
@@ -160,6 +176,12 @@ pub struct TimelineStats {
     /// Incremental [`SnapshotTimeline::extend`] calls folded into this
     /// timeline after the initial precompute (live steering injections).
     pub extensions: usize,
+    /// Topology graphs the fold built beyond the one it starts from (the
+    /// initial collapse's, or the one an [`SnapshotTimeline::extend`]
+    /// builds for its cut): one per change group that names a node
+    /// (`NodeLeave`, `NodeJoin`). A group of link events edits the kept
+    /// graph in place and builds none.
+    pub graphs_built: usize,
 }
 
 /// The precomputed sequence of collapsed snapshots of a dynamic experiment.
@@ -180,16 +202,18 @@ pub struct SnapshotTimeline {
     stats: TimelineStats,
 }
 
-/// Called after every change group of a fold with the graph after it and
-/// the kept trees, by service number.
-type Inspect<'a> = &'a mut dyn FnMut(&TopologyGraph, &[Option<ShortestPathTree>]);
+/// Called after every change group of a fold with the topology and the
+/// graph after it, the group's link diff and the kept trees, by service
+/// number.
+type Inspect<'a> =
+    &'a mut dyn FnMut(&Topology, &TopologyGraph, &LinkDiff, &[Option<ShortestPathTree>]);
 
 impl SnapshotTimeline {
     /// Precomputes the snapshot at every change time of `schedule` applied
     /// to `topology`. Runs offline (before the experiment starts); the
     /// runtime then only swaps `Arc`s and touches the delta'd chains.
     pub fn precompute(topology: &Topology, schedule: &EventSchedule) -> Self {
-        SnapshotTimeline::precompute_inspected(topology, schedule, &mut |_, _| {})
+        SnapshotTimeline::precompute_inspected(topology, schedule, &mut |_, _, _, _| {})
     }
 
     /// [`SnapshotTimeline::precompute`], handing the fold's state to
@@ -201,14 +225,14 @@ impl SnapshotTimeline {
     ) -> Self {
         // kollaps-analyze: allow(wall-clock) -- precompute-time diagnostic (stats.precompute_micros); never read by the emulation
         let started = std::time::Instant::now();
-        let (initial, trees) = CollapsedTopology::build_keeping_trees(topology);
+        let (initial, graph, trees) = CollapsedTopology::build_keeping_trees(topology);
         let initial = Arc::new(initial);
         let mut stats = TimelineStats {
             initial_pairs: initial.pair_count(),
             ..TimelineStats::default()
         };
         let mut working = topology.clone();
-        let mut fold = Fold::new(&mut working, Arc::clone(&initial), trees, &mut stats);
+        let mut fold = Fold::new(&mut working, graph, Arc::clone(&initial), trees, &mut stats);
         let mut deltas = Vec::new();
         fold.run(schedule.events(), &mut deltas, inspect);
         stats.change_times = deltas.len();
@@ -278,8 +302,8 @@ impl SnapshotTimeline {
                     .then(|| graph.tree_from_parents(prev.services[src], prev.parents(src)))
             })
             .collect();
-        let mut fold = Fold::new(&mut working, prev, trees, &mut self.stats);
-        fold.run(&events[resume..], &mut self.deltas, &mut |_, _| {});
+        let mut fold = Fold::new(&mut working, graph, prev, trees, &mut self.stats);
+        fold.run(&events[resume..], &mut self.deltas, &mut |_, _, _, _| {});
         let derived = self.deltas.len() - keep;
         self.stats.change_times = self.deltas.len();
         self.stats.events = events.len();
@@ -332,8 +356,60 @@ impl SnapshotTimeline {
 /// A link as a change group found it: id, tail, head and properties.
 type LinkState = (LinkId, NodeId, NodeId, LinkProperties);
 
+/// A link a change group added, removed or re-parameterised: id, tail,
+/// head, and its properties before and after the group (`None` where it
+/// did not exist).
+type Touched = (
+    LinkId,
+    NodeId,
+    NodeId,
+    Option<LinkProperties>,
+    Option<LinkProperties>,
+);
+
+fn state(link: &LinkSpec) -> LinkState {
+    (link.id, link.from, link.to, link.properties)
+}
+
+/// The two nodes a link event names; `None` for a node event.
+fn named_nodes(action: &DynamicAction) -> Option<(&str, &str)> {
+    match action {
+        DynamicAction::SetLinkProperties { orig, dest, .. }
+        | DynamicAction::LinkJoin { orig, dest, .. }
+        | DynamicAction::LinkLeave { orig, dest } => Some((orig, dest)),
+        DynamicAction::NodeLeave { .. } | DynamicAction::NodeJoin { .. } => None,
+    }
+}
+
+/// Lists in `touched`, ascending by id, every link that came, went or
+/// changed between `before` and `after`, both sorted by id: one merge of
+/// the two.
+fn diff_links(
+    before: impl Iterator<Item = LinkState>,
+    after: impl Iterator<Item = LinkState>,
+    touched: &mut Vec<Touched>,
+) {
+    let (mut before, mut after) = (before.peekable(), after.peekable());
+    loop {
+        let (was, now) = match (before.peek().copied(), after.peek().copied()) {
+            (None, None) => return,
+            (Some(was), Some(now)) if was.0 == now.0 => (before.next(), after.next()),
+            (Some(was), now) if now.is_none_or(|now| was.0 < now.0) => (before.next(), None),
+            _ => (None, after.next()),
+        };
+        let Some((id, from, to, _)) = was.or(now) else {
+            return;
+        };
+        let (was, now) = (was.map(|link| link.3), now.map(|link| link.3));
+        if was != now {
+            touched.push((id, from, to, was, now));
+        }
+    }
+}
+
 /// What one change group did to the links.
 #[derive(Default)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct LinkDiff {
     /// Every link removed, added or re-parameterised, ascending.
     changed: Vec<LinkId>,
@@ -346,30 +422,10 @@ struct LinkDiff {
 }
 
 impl LinkDiff {
-    /// Diffs two link lists, each sorted by id (as [`Topology::links`] is).
-    fn between(before: &[LinkState], after: &[LinkSpec]) -> Self {
-        // Every link that came, went or changed: (id, tail, head, before, after).
-        let mut touched = Vec::new();
-        for &(id, from, to, was) in before {
-            let now = after
-                .binary_search_by_key(&id, |l| l.id)
-                .ok()
-                .map(|i| after[i].properties);
-            if now != Some(was) {
-                touched.push((id, from, to, Some(was), now));
-            }
-        }
-        for link in after {
-            if before
-                .binary_search_by_key(&link.id, |state| state.0)
-                .is_err()
-            {
-                touched.push((link.id, link.from, link.to, None, Some(link.properties)));
-            }
-        }
-        touched.sort_unstable_by_key(|link| link.0);
+    /// The diff of the links a group `touched`, ascending by id.
+    fn of(touched: &[Touched]) -> Self {
         let mut diff = LinkDiff::default();
-        for (id, from, to, was, now) in touched {
+        for &(id, from, to, was, now) in touched {
             let kind = match (was, now) {
                 (Some(was), Some(now)) if now.latency > was.latency => LinkEditKind::Worse,
                 (Some(was), Some(now)) if now.latency == was.latency => {
@@ -401,16 +457,23 @@ impl LinkDiff {
 struct Fold<'a> {
     /// The topology as of the last folded group.
     working: &'a mut Topology,
+    /// The graph of `working`: edited in place by a group over the same
+    /// nodes, built again only by one that names a node.
+    graph: TopologyGraph,
     /// The snapshot after the last folded group.
     prev: Arc<CollapsedTopology>,
-    /// One kept shortest-path tree per source number, over the graph of
-    /// `working` and repaired with it; `None` for a source the topology no
-    /// longer has. Its parents are `prev`'s, base plus overlay.
+    /// One kept shortest-path tree per source number, over `graph` and
+    /// repaired with it; `None` for a source the topology no longer has.
+    /// Its parents are `prev`'s, base plus overlay.
     trees: Vec<Option<ShortestPathTree>>,
     /// Per source number, the destinations it reaches in `prev`.
     reach: Vec<usize>,
     /// The buffers every repair works in.
     scratch: TreeScratch,
+    /// The links the group's events name, as they were before it.
+    named: Vec<LinkState>,
+    /// The links the group changed.
+    touched: Vec<Touched>,
     /// The links of the pair being compared, destination first.
     walked: Vec<LinkId>,
     /// The overlay being written.
@@ -420,19 +483,24 @@ struct Fold<'a> {
 
 impl<'a> Fold<'a> {
     /// A fold that resumes from `prev`, the snapshot of `working`, with
-    /// `trees` as its working trees.
+    /// `graph`, the graph of `working`, and `trees`, searched over it, as
+    /// its working state.
     fn new(
         working: &'a mut Topology,
+        graph: TopologyGraph,
         prev: Arc<CollapsedTopology>,
         trees: Vec<Option<ShortestPathTree>>,
         stats: &'a mut TimelineStats,
     ) -> Self {
         Fold {
             working,
+            graph,
             reach: prev.reach().collect(),
             prev,
             trees,
             scratch: TreeScratch::default(),
+            named: Vec::new(),
+            touched: Vec::new(),
             walked: Vec::new(),
             entries: Vec::new(),
             stats,
@@ -440,8 +508,9 @@ impl<'a> Fold<'a> {
     }
 
     /// Folds a sorted run of events into `deltas`: groups them by change
-    /// time, applies each group to the working topology and derives one
-    /// structurally-shared snapshot per group. No event is cloned.
+    /// time, applies each group to the working topology and its graph and
+    /// derives one structurally-shared snapshot per group. No event is
+    /// cloned.
     fn run(
         &mut self,
         events: &[DynamicEvent],
@@ -455,33 +524,116 @@ impl<'a> Fold<'a> {
             while j < events.len() && events[j].at == at {
                 j += 1;
             }
-            let before: Vec<LinkState> = self
-                .working
-                .links()
-                .iter()
-                .map(|l| (l.id, l.from, l.to, l.properties))
-                .collect();
-            for event in &events[i..j] {
-                apply_action(self.working, &event.action);
+            let group = &events[i..j];
+            let nodes_moved = if group.iter().all(|e| named_nodes(&e.action).is_some()) {
+                self.apply_link_events(group);
+                false
+            } else {
+                self.apply_node_events(group)
+            };
+            if !nodes_moved {
+                // Only a latency matters to the graph.
+                for &(id, from, to, was, now) in &self.touched {
+                    let latency = now.map(|link| link.latency);
+                    if was.map(|link| link.latency) != latency {
+                        self.graph.set_link(id, from, to, latency);
+                    }
+                }
             }
-            let delta = self.derive(&before, at, j - i, inspect);
+            let delta = self.derive(
+                LinkDiff::of(&self.touched),
+                nodes_moved,
+                at,
+                group.len(),
+                inspect,
+            );
             self.prev = Arc::clone(&delta.snapshot);
             deltas.push(delta);
             i = j;
         }
     }
 
+    /// Applies a group of link events to the working topology and lists in
+    /// `touched` the links it changed, reading only the links its events
+    /// name: those between each event's two nodes, before and after the
+    /// group, and the links it added, which are the topology's last.
+    fn apply_link_events(&mut self, group: &[DynamicEvent]) {
+        let working = &mut *self.working;
+        self.named.clear();
+        for event in group {
+            let Some((orig, dest)) = named_nodes(&event.action) else {
+                continue;
+            };
+            let (Some(a), Some(b)) = (working.node_by_name(orig), working.node_by_name(dest))
+            else {
+                continue;
+            };
+            // The graph holds exactly the topology's links.
+            for (from, to) in [(a, b), (b, a)] {
+                let between = self.graph.links_between(from, to);
+                self.named
+                    .extend(between.filter_map(|id| working.link(id).map(state)));
+            }
+        }
+        self.named.sort_unstable_by_key(|link| link.0);
+        self.named.dedup_by_key(|link| link.0);
+        // Link ids are never reused: a link the group added has a larger
+        // id than every link before it.
+        let last = working.links().last().map(|link| link.id);
+        for event in group {
+            apply_action(working, &event.action);
+        }
+        self.touched.clear();
+        for &(id, from, to, was) in &self.named {
+            let now = working.link(id).map(|link| link.properties);
+            if now != Some(was) {
+                self.touched.push((id, from, to, Some(was), now));
+            }
+        }
+        let links = working.links();
+        let added = &links[links.partition_point(|link| Some(link.id) <= last)..];
+        self.touched.extend(
+            added
+                .iter()
+                .map(|link| (link.id, link.from, link.to, None, Some(link.properties))),
+        );
+    }
+
+    /// Applies a group that names a node to the working topology, lists in
+    /// `touched` the links it changed from a full diff, and builds the new
+    /// graph. Returns whether the node set moved; when it did not, the new
+    /// graph is dropped and the kept one is edited like for link events.
+    fn apply_node_events(&mut self, group: &[DynamicEvent]) -> bool {
+        let before: Vec<LinkState> = self.working.links().iter().map(state).collect();
+        for event in group {
+            apply_action(self.working, &event.action);
+        }
+        self.touched.clear();
+        diff_links(
+            before.into_iter(),
+            self.working.links().iter().map(state),
+            &mut self.touched,
+        );
+        let graph = TopologyGraph::new(self.working);
+        self.stats.graphs_built += 1;
+        let moved = graph.nodes() != self.graph.nodes();
+        if moved {
+            self.graph = graph;
+        }
+        moved
+    }
+
     /// Builds the snapshot after one change group, sharing what did not
     /// move with the previous one and recording exactly which pairs differ;
-    /// hands the new graph and the trees to `inspect` at the end.
+    /// hands the graph, the diff and the trees to `inspect` at the end.
     fn derive(
         &mut self,
-        before: &[LinkState],
+        diff: LinkDiff,
+        nodes_moved: bool,
         at: SimDuration,
         events: usize,
         inspect: Inspect<'_>,
     ) -> SnapshotDelta {
-        let diff = LinkDiff::between(before, self.working.links());
         let working: &Topology = self.working;
         // The initial snapshot's service table covers every later one:
         // services can only leave (`NodeJoin` re-adds bridges).
@@ -505,15 +657,16 @@ impl<'a> Fold<'a> {
         } else {
             Arc::clone(&self.prev.impairments)
         };
-        let graph = TopologyGraph::new(working);
         let mut pairs = Pairs::default();
-        let snapshot = if graph.nodes() == &self.prev.base.nodes {
-            self.repair(&graph, &diff, &mut pairs, links, impairments)
+        let snapshot = if !nodes_moved {
+            debug_assert_eq!(self.graph.nodes(), &self.prev.base.nodes);
+            self.repair(&diff, &mut pairs, links, impairments)
         } else {
             // A node came or went: a tree is repaired onto the new graph
             // only over the same nodes, so every source is searched again
             // and the trees become the new node set's base.
-            self.trees = search_all(working, &graph, &services);
+            let graph = &self.graph;
+            self.trees = search_all(working, graph, &services);
             self.stats.nodes_settled += self
                 .trees
                 .iter()
@@ -521,7 +674,7 @@ impl<'a> Fold<'a> {
                 .map(ShortestPathTree::reached)
                 .sum::<usize>();
             let next =
-                CollapsedTopology::from_trees(services, &graph, &self.trees, links, impairments);
+                CollapsedTopology::from_trees(services, graph, &self.trees, links, impairments);
             self.reach = next.reach().collect();
             self.stats.recomputed_paths += next.pairs;
             let prev = &self.prev;
@@ -539,24 +692,24 @@ impl<'a> Fold<'a> {
             }
             next
         };
-        inspect(&graph, &self.trees);
+        inspect(self.working, &self.graph, &diff, &self.trees);
         SnapshotDelta {
             at,
             events,
             changed_links: diff.changed,
             changed_paths: pairs.changed,
+            gained_paths: pairs.gained,
             removed_paths: pairs.removed,
             snapshot: Arc::new(snapshot),
         }
     }
 
     /// The snapshot after a change group over the previous snapshot's node
-    /// set: every kept tree repaired onto `graph`, the pairs whose path may
+    /// set: every kept tree repaired onto the edited graph, the pairs whose path may
     /// have moved compared into `pairs`, and the overlay of every tree that
     /// moved rewritten; every other overlay is the previous snapshot's.
     fn repair(
         &mut self,
-        graph: &TopologyGraph,
         diff: &LinkDiff,
         pairs: &mut Pairs,
         links: Arc<LinkTable>,
@@ -576,13 +729,13 @@ impl<'a> Fold<'a> {
             let Some(tree) = tree else {
                 continue;
             };
-            let Some(update) = tree.update(graph, &diff.edits, &mut self.scratch) else {
+            let Some(update) = tree.update(&self.graph, &diff.edits, &mut self.scratch) else {
                 continue;
             };
             self.stats.nodes_settled += update.settled;
             let parents = tree.parents();
             let root = base.at[src];
-            let (gained, removed) = (pairs.gained, pairs.removed.len());
+            let (gained, removed) = (pairs.gained.len(), pairs.removed.len());
             // Node indices ascend like service numbers, and sources ascend:
             // `changed` stays in (src, dst) order.
             for &node in update.changed() {
@@ -601,7 +754,7 @@ impl<'a> Fold<'a> {
                 );
             }
             let reach = &mut self.reach[src];
-            *reach = (*reach + pairs.gained - gained) - (pairs.removed.len() - removed);
+            *reach = (*reach + pairs.gained.len() - gained) - (pairs.removed.len() - removed);
             self.stats.recomputed_paths += *reach;
             let moved = update.moved();
             if moved.is_empty() {
@@ -628,7 +781,7 @@ impl<'a> Fold<'a> {
             entries.extend(kept);
             next.overlays[src] = (!entries.is_empty()).then(|| Arc::from(&entries[..]));
         }
-        next.pairs = (next.pairs + pairs.gained) - pairs.removed.len();
+        next.pairs = (next.pairs + pairs.gained.len()) - pairs.removed.len();
         next
     }
 }
@@ -640,7 +793,7 @@ struct Pairs {
     changed: Vec<(NodeId, NodeId)>,
     removed: Vec<(NodeId, NodeId)>,
     /// Of `changed`, the pairs that had no path before.
-    gained: usize,
+    gained: Vec<(NodeId, NodeId)>,
 }
 
 impl Pairs {
@@ -668,7 +821,7 @@ impl Pairs {
             (None, Some(_)) => {
                 stats.pairs_compared += 1;
                 self.changed.push(pair);
-                self.gained += 1;
+                self.gained.push(pair);
                 return;
             }
             (Some(old), Some(new)) => (old, new),
@@ -789,9 +942,40 @@ mod tests {
         }
     }
 
+    /// [`SnapshotTimeline::precompute_inspected`] with a hook that checks,
+    /// after every group, the fold's graph against a fresh one of the
+    /// topology and the group's diff against the full diff of the topology
+    /// before and after it, then hands the graph and the kept trees to
+    /// `trees`.
+    fn precompute_checked(
+        topo: &Topology,
+        schedule: &EventSchedule,
+        mut trees: impl FnMut(&TopologyGraph, &[Option<ShortestPathTree>]),
+    ) -> SnapshotTimeline {
+        let mut before = topo.clone();
+        let mut check = |working: &Topology,
+                         graph: &TopologyGraph,
+                         diff: &LinkDiff,
+                         kept: &[Option<ShortestPathTree>]| {
+            assert_eq!(*graph, TopologyGraph::new(working), "the fold's graph");
+            let mut touched = Vec::new();
+            diff_links(
+                before.links().iter().map(state),
+                working.links().iter().map(state),
+                &mut touched,
+            );
+            assert_eq!(*diff, LinkDiff::of(&touched), "the group's diff");
+            before = working.clone();
+            trees(graph, kept);
+        };
+        SnapshotTimeline::precompute_inspected(topo, schedule, &mut check)
+    }
+
     /// Replays `schedule` online — a full re-collapse after every change
     /// time — and checks the timeline against it: equal paths, the
-    /// `changed_paths` / `removed_paths` the two full snapshots imply, every
+    /// `changed_paths` / `removed_paths` / `gained_paths` the two full
+    /// snapshots imply, the fold's graph and diffs (see
+    /// [`precompute_checked`]), every
     /// tree equal to a fresh search with an overlay of exactly its
     /// differences from the base, the previous snapshot's overlay `Arc` for
     /// every source whose tree did not move and a new one for every other,
@@ -801,7 +985,7 @@ mod tests {
         topo: &Topology,
         schedule: &EventSchedule,
     ) -> SnapshotTimeline {
-        let timeline = SnapshotTimeline::precompute(topo, schedule);
+        let timeline = precompute_checked(topo, schedule, |_, _| {});
         assert_eq!(timeline.len(), schedule.change_times().len());
         let mut online = topo.clone();
         let mut reference = CollapsedTopology::build(topo);
@@ -879,7 +1063,13 @@ mod tests {
                 .map(|path| (path.src, path.dst))
                 .filter(|&(src, dst)| reference.path(src, dst).is_none())
                 .collect();
+            let gained: Vec<(NodeId, NodeId)> = changed
+                .iter()
+                .copied()
+                .filter(|&(src, dst)| before.path(src, dst).is_none())
+                .collect();
             assert_eq!(delta.changed_paths, changed, "at {:?}", delta.at);
+            assert_eq!(delta.gained_paths, gained, "at {:?}", delta.at);
             assert_eq!(delta.removed_paths, removed, "at {:?}", delta.at);
             assert_eq!(
                 delta.snapshot.link_capacities(),
@@ -1099,6 +1289,59 @@ mod tests {
         assert_matches_online_recollapse(&ring(), &mixed);
     }
 
+    /// Every kind of edit a group makes to the kept graph, each checked
+    /// against a fresh graph and a full diff (see [`precompute_checked`]):
+    /// a latency fall and a rise on a link that exists in one direction
+    /// only, a bandwidth-only edit, a leave and a re-join in one group, a
+    /// join that mints new link ids, a bridge that joins with a link, a
+    /// service that leaves, and a join of a bridge that is already there.
+    #[test]
+    fn the_edited_graph_and_the_named_links_diff_match_fresh_ones() {
+        let mut topo = ring();
+        let (s0, s2) = (
+            topo.node_by_name("s0").unwrap(),
+            topo.node_by_name("s2").unwrap(),
+        );
+        let diagonal = LinkProperties::new(SimDuration::from_millis(20), Bandwidth::from_mbps(50));
+        topo.add_link(s0, s2, diagonal, "net");
+        let bandwidth = LinkChange {
+            up: Some(Bandwidth::from_mbps(20)),
+            ..LinkChange::default()
+        };
+        let mut schedule = EventSchedule::new();
+        schedule.push(set_edge_latency("s0", "s2", 1, 3));
+        schedule.push(set_edge_latency("s0", "s2", 2, 30));
+        schedule.push(event(3, set_link("s1", "s2", bandwidth)));
+        schedule.push(event(4, leave("s1", "s2")));
+        schedule.push(event(4, join("s1", "s2", 5)));
+        schedule.push(event(5, join("s1", "s3", 2)));
+        for secs in [6, 8] {
+            schedule.push(event(secs, DynamicAction::NodeJoin { name: "s9".into() }));
+        }
+        schedule.push(event(6, join("s9", "s0", 1)));
+        schedule.push(event(7, DynamicAction::NodeLeave { name: "h3".into() }));
+        schedule.push(event(8, join("s9", "s2", 1)));
+        let timeline = assert_matches_online_recollapse(&topo, &schedule);
+        let deltas = timeline.deltas();
+        // The fall moves the h0 → h2 route onto the diagonal, the rise
+        // moves it back; a bandwidth-only edit changes no route.
+        let (h0, h2) = (
+            topo.node_by_name("h0").unwrap(),
+            topo.node_by_name("h2").unwrap(),
+        );
+        assert!(deltas[0].changed_paths.contains(&(h0, h2)));
+        assert!(deltas[1].changed_paths.contains(&(h0, h2)));
+        assert_eq!(deltas[0].changed_links.len(), 1);
+        // Only the three groups that name a node build a graph; the last
+        // one keeps the kept graph, as its node set did not move.
+        assert_eq!(timeline.stats().graphs_built, 3);
+        let base = |k: usize| &deltas[k].snapshot.base;
+        assert!(Arc::ptr_eq(base(4), &timeline.initial().base));
+        assert!(!Arc::ptr_eq(base(5), base(4)));
+        assert!(!Arc::ptr_eq(base(6), base(5)));
+        assert!(Arc::ptr_eq(base(7), base(6)));
+    }
+
     /// The extension invariant: extending an existing timeline with extra
     /// events yields exactly the deltas a from-scratch precompute of the
     /// merged schedule would, while keeping every delta before the earliest
@@ -1222,7 +1465,9 @@ mod tests {
     }
 
     /// The repair against the online re-collapse on thousands of tie-heavy
-    /// cases, and every kept tree against a fresh search after every group.
+    /// cases, and every kept tree against a fresh search, the fold's graph
+    /// against a fresh one and its diff against a full one after every
+    /// group.
     #[test]
     fn repaired_trees_match_fresh_searches_on_tying_cases() {
         let (mut trees_compared, mut mixed_groups) = (0, 0);
@@ -1238,7 +1483,7 @@ mod tests {
                     }
                 }
             };
-            let inspected = SnapshotTimeline::precompute_inspected(&topo, &schedule, &mut oracle);
+            let inspected = precompute_checked(&topo, &schedule, &mut oracle);
             mixed_groups += inspected.deltas().iter().filter(|d| d.events > 1).count();
             let timeline = assert_matches_online_recollapse(&topo, &schedule);
             assert_eq!(

@@ -59,7 +59,7 @@ impl Path {
 }
 
 /// One link in the CSR arrays, endpoints as dense node indices.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Edge {
     id: LinkId,
     from: u32,
@@ -80,6 +80,12 @@ type Heap = BinaryHeap<Reverse<(u64, u32, u32)>>;
 
 /// A dense (CSR) adjacency view of a [`Topology`] with shortest-path
 /// queries.
+///
+/// Its links can be edited in place ([`TopologyGraph::set_link`]); its nodes
+/// cannot, so every tree of the graph stays indexed like it. Two graphs are
+/// equal when they have the same nodes and services, the same out-links per
+/// node in the same order with the same latencies, and the same in-links per
+/// node in any order.
 #[derive(Debug, Clone)]
 pub struct TopologyGraph {
     /// Every node id, and every id a link names, ascending: a node's dense
@@ -91,8 +97,8 @@ pub struct TopologyGraph {
     offsets: Vec<u32>,
     edges: Vec<Edge>,
     /// `in_slots[in_offsets[i]..in_offsets[i + 1]]` are the slots in
-    /// `edges` of the links entering node `i`, highest slot first. Nothing
-    /// depends on that order: the closed form's key is total.
+    /// `edges` of the links entering node `i`, in no set order: the closed
+    /// form's key is total.
     in_offsets: Vec<u32>,
     in_slots: Vec<u32>,
     services: Vec<NodeId>,
@@ -155,13 +161,101 @@ impl TopologyGraph {
         self.offsets[node as usize] as usize..self.offsets[node as usize + 1] as usize
     }
 
+    /// The positions in `in_slots` of the links entering `node`.
+    fn in_range(&self, node: u32) -> std::ops::Range<usize> {
+        self.in_offsets[node as usize] as usize..self.in_offsets[node as usize + 1] as usize
+    }
+
     /// The links entering `node`.
     fn in_edges(&self, node: u32) -> impl Iterator<Item = Edge> + '_ {
-        let range =
-            self.in_offsets[node as usize] as usize..self.in_offsets[node as usize + 1] as usize;
-        self.in_slots[range]
+        self.in_slots[self.in_range(node)]
             .iter()
             .map(|&slot| self.edges[slot as usize])
+    }
+
+    /// The ids of the links from `from` to `to`, ascending; none when the
+    /// graph lacks either node.
+    pub fn links_between(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = LinkId> + '_ {
+        let (tail, head) = (self.node_index(from), self.node_index(to));
+        let out = match (tail, head) {
+            (Some(tail), Some(_)) => &self.edges[self.out_slots(tail)],
+            _ => &[],
+        };
+        out.iter()
+            .filter(move |edge| Some(edge.to) == head)
+            .map(|edge| edge.id)
+    }
+
+    /// Brings link `id`, `from → to`, to `latency` — adding it when the
+    /// graph does not have it — or removes it when `latency` is `None`.
+    /// The link keeps its place among its tail's out-links in ascending id,
+    /// so the graph equals [`TopologyGraph::new`] of the edited topology.
+    /// Costs one shift of the link arrays: no sort and no rebuild.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `from` or `to` is not a node of the graph: the node set
+    /// is never edited in place.
+    pub fn set_link(&mut self, id: LinkId, from: NodeId, to: NodeId, latency: Option<SimDuration>) {
+        let (Some(tail), Some(head)) = (self.node_index(from), self.node_index(to)) else {
+            panic!("link {id:?} joins a node the graph does not have");
+        };
+        let out = self.out_slots(tail);
+        let found = self.edges[out.clone()].binary_search_by_key(&id, |edge| edge.id);
+        match (found, latency) {
+            (Ok(at), Some(latency)) => {
+                self.edges[out.start + at].latency_nanos = latency.as_nanos()
+            }
+            (Ok(at), None) => self.remove_slot(out.start + at),
+            (Err(at), Some(latency)) => self.insert_slot(
+                out.start + at,
+                Edge {
+                    id,
+                    from: tail,
+                    to: head,
+                    latency_nanos: latency.as_nanos(),
+                },
+            ),
+            (Err(_), None) => {}
+        }
+    }
+
+    /// Inserts `edge` at `slot` of `edges`, which must be its place among
+    /// its tail's out-links, and lists it among its head's in-links.
+    fn insert_slot(&mut self, slot: usize, edge: Edge) {
+        self.edges.insert(slot, edge);
+        for offset in &mut self.offsets[edge.from as usize + 1..] {
+            *offset += 1;
+        }
+        for in_slot in &mut self.in_slots {
+            *in_slot += u32::from(*in_slot as usize >= slot);
+        }
+        let at = self.in_offsets[edge.to as usize] as usize;
+        self.in_slots.insert(at, slot as u32);
+        for offset in &mut self.in_offsets[edge.to as usize + 1..] {
+            *offset += 1;
+        }
+    }
+
+    /// Removes the link at `slot` of `edges` and from its head's in-links.
+    fn remove_slot(&mut self, slot: usize) {
+        let edge = self.edges.remove(slot);
+        for offset in &mut self.offsets[edge.from as usize + 1..] {
+            *offset -= 1;
+        }
+        let range = self.in_range(edge.to);
+        let at = range.start
+            + self.in_slots[range]
+                .iter()
+                .position(|&in_slot| in_slot as usize == slot)
+                .expect("a link is among its head's in-links");
+        self.in_slots.remove(at);
+        for offset in &mut self.in_offsets[edge.to as usize + 1..] {
+            *offset -= 1;
+        }
+        for in_slot in &mut self.in_slots {
+            *in_slot -= u32::from(*in_slot as usize > slot);
+        }
     }
 
     /// The graph's node ids, ascending: a node's dense index is its position
@@ -486,6 +580,32 @@ impl TopologyGraph {
     }
 }
 
+impl PartialEq for TopologyGraph {
+    fn eq(&self, other: &TopologyGraph) -> bool {
+        // Link ids are unique, so equal in-degrees and every in-link of one
+        // among the other's make the in-link sets equal.
+        let same_in_links = |node: u32| {
+            let theirs = &other.in_slots[other.in_range(node)];
+            let ours = self.in_range(node);
+            ours.len() == theirs.len()
+                && self.in_slots[ours].iter().all(|&slot| {
+                    let id = self.edges[slot as usize].id;
+                    theirs
+                        .iter()
+                        .any(|&theirs| other.edges[theirs as usize].id == id)
+                })
+        };
+        self.ids == other.ids
+            && self.services == other.services
+            && self.offsets == other.offsets
+            && self.edges == other.edges
+            && self.in_offsets == other.in_offsets
+            && (0..self.ids.len() as u32).all(same_in_links)
+    }
+}
+
+impl Eq for TopologyGraph {}
+
 /// The link a tree reaches a node over, and the dense index (see
 /// [`TopologyGraph::nodes`]) of the node that link leaves: one entry of a
 /// tree's parent array.
@@ -653,13 +773,6 @@ impl ShortestPathTree {
         self.index_of(dst)
             .and_then(|dst| self.links_back(dst))
             .is_some_and(|back| back.eq(links.iter().rev().copied()))
-    }
-
-    /// `true` when `graph` has exactly the nodes of the graph the tree was
-    /// searched on, so that the tree can be
-    /// [updated](ShortestPathTree::update) to it.
-    pub fn fits(&self, graph: &TopologyGraph) -> bool {
-        Arc::ptr_eq(&self.ids, &graph.ids) || self.ids == graph.ids
     }
 
     /// Nodes the tree reaches, the source included: what a full search
@@ -1201,17 +1314,25 @@ mod tests {
                 }
             }
             let (old, new) = (TopologyGraph::new(&before), TopologyGraph::new(&after));
+            if old.ids != new.ids {
+                continue;
+            }
             let edits = edits_between(&before, &after);
+            // The old graph edited in place is the new one, and the trees
+            // are repaired onto it, as the snapshot timeline does.
+            let mut edited = old.clone();
+            for edit in &edits {
+                let latency = after.link(edit.id).map(|link| link.properties.latency);
+                edited.set_link(edit.id, edit.from, edit.to, latency);
+            }
+            assert_eq!(edited, new, "seed {seed}: edited in place");
             // One scratch for every repair, as the snapshot timeline keeps it.
             let mut scratch = TreeScratch::default();
             for &source in old.ids.iter() {
                 let mut tree = old.shortest_path_tree(source);
-                if !tree.fits(&new) {
-                    break;
-                }
                 let fresh = new.shortest_path_tree(source);
                 let previous = tree.clone();
-                match tree.update(&new, &edits, &mut scratch) {
+                match tree.update(&edited, &edits, &mut scratch) {
                     None => assert_eq!(tree, fresh, "seed {seed} {source}: untouched"),
                     Some(update) => {
                         assert_eq!(tree, fresh, "seed {seed} {source}: repaired");

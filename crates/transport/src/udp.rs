@@ -80,11 +80,11 @@ impl UdpSender {
         }
     }
 
-    /// Emits every datagram scheduled at or before `now`.
-    pub fn poll_send(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
+    /// Hands every datagram scheduled at or before `now` to `emit`, in
+    /// order. UDP does not retry, so `emit` has nothing to refuse.
+    pub fn send_with(&mut self, now: SimTime, mut emit: impl FnMut(Packet)) {
         if self.rate.is_zero() {
-            return out;
+            return;
         }
         let interval = self.rate.transmission_delay(self.payload);
         while self.next_send <= now {
@@ -95,7 +95,7 @@ impl UdpSender {
             }
             self.packet_counter += 1;
             self.sent_bytes += self.payload.as_bytes();
-            out.push(Packet::new(
+            emit(Packet::new(
                 self.packet_counter,
                 self.flow,
                 self.src,
@@ -106,7 +106,6 @@ impl UdpSender {
             ));
             self.next_send += interval;
         }
-        out
     }
 }
 
@@ -114,6 +113,13 @@ impl UdpSender {
 mod tests {
     use super::*;
     use kollaps_sim::time::SimDuration;
+
+    /// The datagrams `sender` emits up to `now`.
+    fn poll(sender: &mut UdpSender, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        sender.send_with(now, |packet| out.push(packet));
+        out
+    }
 
     fn sender(rate: Bandwidth) -> UdpSender {
         UdpSender::new(
@@ -130,7 +136,7 @@ mod tests {
     fn emits_at_configured_rate() {
         // 11.68 Mb/s = exactly 1000 MSS payloads per second.
         let mut s = sender(Bandwidth::from_bps(11_680_000));
-        let pkts = s.poll_send(SimTime::from_secs(1));
+        let pkts = poll(&mut s, SimTime::from_secs(1));
         assert!((pkts.len() as i64 - 1_001).abs() <= 1, "got {}", pkts.len());
         assert_eq!(s.sent_bytes(), pkts.len() as u64 * MSS.as_bytes());
     }
@@ -140,8 +146,8 @@ mod tests {
         // There is no loss-reaction API at all: polling twice produces the
         // same schedule regardless of what happened to earlier datagrams.
         let mut s = sender(Bandwidth::from_mbps(10));
-        let first = s.poll_send(SimTime::from_millis(100)).len();
-        let second = s.poll_send(SimTime::from_millis(200)).len();
+        let first = poll(&mut s, SimTime::from_millis(100)).len();
+        let second = poll(&mut s, SimTime::from_millis(200)).len();
         assert!((first as i64 - second as i64).abs() <= 1);
     }
 
@@ -149,7 +155,7 @@ mod tests {
     fn stop_at_halts_emission() {
         let mut s = sender(Bandwidth::from_mbps(10));
         s.stop_at(SimTime::from_millis(10));
-        let pkts = s.poll_send(SimTime::from_secs(1));
+        let pkts = poll(&mut s, SimTime::from_secs(1));
         assert!(pkts.iter().all(|p| p.sent_at <= SimTime::from_millis(10)));
         assert_eq!(s.next_wakeup(), None);
     }
@@ -157,15 +163,15 @@ mod tests {
     #[test]
     fn zero_rate_sends_nothing() {
         let mut s = sender(Bandwidth::ZERO);
-        assert!(s.poll_send(SimTime::from_secs(10)).is_empty());
+        assert!(poll(&mut s, SimTime::from_secs(10)).is_empty());
     }
 
     #[test]
     fn rate_change_takes_effect() {
         let mut s = sender(Bandwidth::from_mbps(1));
-        let slow = s.poll_send(SimTime::from_millis(100)).len();
+        let slow = poll(&mut s, SimTime::from_millis(100)).len();
         s.set_rate(Bandwidth::from_mbps(100));
-        let fast = s.poll_send(SimTime::from_millis(200)).len();
+        let fast = poll(&mut s, SimTime::from_millis(200)).len();
         assert!(fast > slow * 10);
     }
 
@@ -173,7 +179,7 @@ mod tests {
     fn wakeup_tracks_schedule() {
         let mut s = sender(Bandwidth::from_mbps(12));
         assert_eq!(s.next_wakeup(), Some(SimTime::ZERO));
-        let _ = s.poll_send(SimTime::ZERO);
+        let _ = poll(&mut s, SimTime::ZERO);
         let next = s.next_wakeup().unwrap();
         assert!(next > SimTime::ZERO);
         assert!(next < SimTime::ZERO + SimDuration::from_millis(2));

@@ -1,5 +1,6 @@
-//! The TCP hot paths allocate nothing in steady state: a back-pressured
-//! `send_with`, an in-order `on_data` and an `on_ack` of new data. Counted
+//! The TCP and UDP hot paths allocate nothing in steady state: a
+//! back-pressured TCP `send_with`, an in-order `on_data`, an `on_ack` of new
+//! data and a UDP `send_with` of a run of datagrams. Counted
 //! per thread by a wrapping global allocator, so the harness's own threads
 //! do not show up in the counts.
 
@@ -8,7 +9,9 @@ use std::cell::Cell;
 
 use kollaps_netmodel::packet::{Addr, FlowId, PacketKind, MSS};
 use kollaps_sim::time::SimTime;
+use kollaps_sim::units::Bandwidth;
 use kollaps_transport::tcp::{TcpReceiver, TcpSender, TcpSenderConfig, TransferSize};
+use kollaps_transport::UdpSender;
 
 struct Counting;
 
@@ -51,7 +54,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 // One test in this file: the counts must not depend on what other tests
 // have warmed up.
 #[test]
-fn tcp_steady_state_paths_do_not_allocate() {
+fn steady_state_send_paths_do_not_allocate() {
     let (a, b) = (Addr::container(0), Addr::container(1));
     let mut sender = TcpSender::new(
         FlowId(1),
@@ -96,4 +99,12 @@ fn tcp_steady_state_paths_do_not_allocate() {
         assert_eq!(n, 0, "in-order on_data({seq}) allocated");
         assert!(matches!(ack.kind, PacketKind::TcpAck { ack, .. } if ack == seq + 1));
     }
+
+    // A UDP `send_with` hands each datagram straight to its sink.
+    let rate = Bandwidth::from_mbps(10);
+    let mut udp = UdpSender::new(FlowId(2), a, b, rate, MSS, SimTime::ZERO);
+    let mut emitted = 0;
+    let (n, ()) = allocations(|| udp.send_with(SimTime::from_millis(100), |_| emitted += 1));
+    assert!(emitted > 50, "only {emitted} datagrams");
+    assert_eq!(n, 0, "a UDP send_with allocated");
 }

@@ -321,6 +321,7 @@ proptest! {
     /// service table — reachable or not — gets from each snapshot the path
     /// and the RTT the online re-collapse gives, `changed_paths` is exactly
     /// the pairs whose path value differs from the previous snapshot's,
+    /// `gained_paths` exactly those of them that had no path before,
     /// `removed_paths` exactly those that lost theirs, and a timeline
     /// extended from its middle derives what the full precompute does.
     #[test]
@@ -412,7 +413,7 @@ proptest! {
             }
             let before = std::mem::take(&mut reference);
             reference = before.rebuild_with_addresses(&online);
-            let (mut changed, mut removed) = (Vec::new(), Vec::new());
+            let (mut changed, mut gained, mut removed) = (Vec::new(), Vec::new(), Vec::new());
             for &(src, src_addr) in &table {
                 for &(dst, dst_addr) in &table {
                     let path = reference.path(src, dst);
@@ -423,12 +424,17 @@ proptest! {
                     );
                     match (before.path(src, dst), &path) {
                         (Some(_), None) => removed.push((src, dst)),
+                        (None, Some(_)) => {
+                            changed.push((src, dst));
+                            gained.push((src, dst));
+                        }
                         (was, Some(now)) if was.as_ref() != Some(now) => changed.push((src, dst)),
                         _ => {}
                     }
                 }
             }
             prop_assert_eq!(&delta.changed_paths, &changed);
+            prop_assert_eq!(&delta.gained_paths, &gained);
             prop_assert_eq!(&delta.removed_paths, &removed);
             prop_assert_eq!(delta.snapshot.pair_count(), reference.pair_count());
         }
@@ -442,6 +448,7 @@ proptest! {
         prop_assert_eq!(extended.len(), timeline.len());
         for (ours, theirs) in extended.deltas().iter().zip(timeline.deltas()) {
             prop_assert_eq!(&ours.changed_paths, &theirs.changed_paths);
+            prop_assert_eq!(&ours.gained_paths, &theirs.gained_paths);
             prop_assert_eq!(&ours.removed_paths, &theirs.removed_paths);
             prop_assert_eq!(ours.snapshot.pair_count(), theirs.snapshot.pair_count());
             for &(src, _) in &table {
