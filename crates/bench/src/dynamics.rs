@@ -86,10 +86,6 @@ pub struct DynamicsCell {
     /// Shortest-path tree nodes the timeline settled: what its tree repairs
     /// (and the full searches they fall back to) cost.
     pub timeline_nodes_settled: usize,
-    /// Topology graphs the timeline built after the initial collapse: a
-    /// flap edits the kept graph in place, so this reads 0 unless a group
-    /// names a node.
-    pub timeline_graphs_built: usize,
     /// The traffic leg, on the size's last flap count.
     pub traffic: Option<TrafficLeg>,
 }
@@ -260,7 +256,6 @@ pub fn run_dynamics(
                 timeline_pairs_compared: stats.pairs_compared,
                 timeline_tree_entries_written: stats.tree_entries_written,
                 timeline_nodes_settled: stats.nodes_settled,
-                timeline_graphs_built: stats.graphs_built,
                 traffic,
             });
         }
@@ -319,14 +314,6 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
                 "timeline_nodes_settled",
                 c.timeline_nodes_settled as f64,
                 "nodes",
-            )
-            .lower_is_better(TOLERANCE_DETERMINISTIC),
-        );
-        report.push(
-            cell(
-                "timeline_graphs_built",
-                c.timeline_graphs_built as f64,
-                "graphs",
             )
             .lower_is_better(TOLERANCE_DETERMINISTIC),
         );

@@ -23,17 +23,21 @@
 //!
 //! A snapshot holds no paths. Per source it keeps the parent array of its
 //! shortest-path tree — per node of the graph, the link the tree reaches it
-//! over ([`Via`]) — as one **base** shared by every snapshot over the same
-//! node set, plus a sorted **overlay** of the entries where this snapshot's
-//! tree differs from the base. A snapshot timeline shares a source's
-//! overlay with the previous snapshot when its tree did not move, and
-//! writes only the entries a change moved otherwise, so a base costs
-//! `services × nodes × 8 B` once and a snapshot `services × 16 B` plus
-//! 12 B per overlay entry. A path is derived when asked for: walking the
-//! parents back from the destination gives its links, and the snapshot's
-//! link tables their latency, jitter, loss and capacity, composed with the
-//! formulas above. Whoever reads a pair on every loop iteration keeps what
-//! it derived (the Emulation Manager caches its senders' paths).
+//! over ([`Via`]) — as one **base**, the initial snapshot's, shared by
+//! every snapshot of a timeline, plus a sorted **overlay** of the entries
+//! where this snapshot's tree differs from the base. The node set of a
+//! timeline only grows: a node that leaves keeps its index without links,
+//! and a bridge that joins is appended, so a snapshot carries its graph's
+//! node ids and reads the base as unreached past its width. A snapshot
+//! timeline shares a source's overlay with the previous snapshot when its
+//! tree did not move, and writes only the entries a change moved
+//! otherwise, so the base costs `services × nodes × 8 B` once and a
+//! snapshot `services × 16 B` plus 12 B per overlay entry. A path is
+//! derived when asked for: walking the parents back from the destination
+//! gives its links, and the snapshot's link tables their latency, jitter,
+//! loss and capacity, composed with the formulas above. Whoever reads a
+//! pair on every loop iteration keeps what it derived (the Emulation
+//! Manager caches its senders' paths).
 //!
 //! The links are one [`LinkTable`] per snapshot (capacity and latency by
 //! slot) and one table of their jitter and loss, each behind an [`Arc`]: a
@@ -289,28 +293,38 @@ pub(crate) fn compose(
 /// "No node": a service its node set does not have.
 pub(crate) const NO_NODE: u32 = u32::MAX;
 
-/// The parent arrays of every source over one node set: what the overlays
-/// of every snapshot over that node set differ from.
+/// The parent arrays of every source over the first `width` nodes of a
+/// node set: what the overlays of every snapshot that shares it differ
+/// from. A node past the width, appended later, reads unreached.
 #[derive(Debug, Default)]
 pub(crate) struct TreeBase {
-    /// The node set's ids, ascending ([`TopologyGraph::nodes`]): parent
-    /// arrays are indexed like them.
-    pub(crate) nodes: Arc<[NodeId]>,
+    /// The nodes the parent arrays cover.
+    width: usize,
     /// Per service number, the index of its node; [`NO_NODE`] for a
-    /// service the topology no longer has.
+    /// service the searched topology did not have.
     pub(crate) at: Vec<u32>,
     /// Per node index, the number of the service it is; [`NO_NODE`] for a
     /// bridge.
-    pub(crate) number: Vec<u32>,
-    /// `nodes.len()` parents per service number, in number order; those of
-    /// an absent service are all [`Via::NONE`].
+    number: Vec<u32>,
+    /// `width` parents per service number, in number order; those of an
+    /// absent service are all [`Via::NONE`].
     parents: Vec<Via>,
 }
 
 impl TreeBase {
     /// The base entry of source number `src` for the node at `node`.
     pub(crate) fn parent(&self, src: usize, node: u32) -> Via {
-        self.parents[src * self.nodes.len() + node as usize]
+        let node = node as usize;
+        if node < self.width {
+            self.parents[src * self.width + node]
+        } else {
+            Via::NONE
+        }
+    }
+
+    /// The number of the service at `node`; [`NO_NODE`] for a bridge.
+    pub(crate) fn number(&self, node: u32) -> u32 {
+        self.number.get(node as usize).copied().unwrap_or(NO_NODE)
     }
 }
 
@@ -360,7 +374,10 @@ pub(crate) fn links_back(
 pub struct CollapsedTopology {
     /// Every service, in id order: the `i`-th owns `Addr::container(i)`.
     pub(crate) services: Arc<[NodeId]>,
-    /// The parent arrays of this snapshot's node set.
+    /// The node ids of the graph the trees were searched on, ascending
+    /// ([`TopologyGraph::nodes`]): parent arrays are indexed like them.
+    pub(crate) nodes: Arc<[NodeId]>,
+    /// The parent arrays every overlay differs from.
     pub(crate) base: Arc<TreeBase>,
     /// Per service number, where its tree differs from the base.
     pub(crate) overlays: Vec<Overlay>,
@@ -370,33 +387,6 @@ pub struct CollapsedTopology {
     pub(crate) links: Arc<LinkTable>,
     /// Their jitter and loss.
     pub(crate) impairments: Arc<LinkImpairments>,
-}
-
-/// Which services of the numbered table `services` are services of
-/// `topology`.
-fn presence(services: &[NodeId], topology: &Topology) -> Vec<bool> {
-    let mut present = vec![false; services.len()];
-    for id in topology.service_ids() {
-        if let Ok(i) = services.binary_search(&id) {
-            present[i] = true;
-        }
-    }
-    present
-}
-
-/// One shortest-path tree per service of the numbered `services` that
-/// `topology` (of which `graph` is the graph) still has; `None` for the
-/// others.
-pub(crate) fn search_all(
-    topology: &Topology,
-    graph: &TopologyGraph,
-    services: &[NodeId],
-) -> Vec<Option<ShortestPathTree>> {
-    presence(services, topology)
-        .into_iter()
-        .zip(services)
-        .map(|(present, &service)| present.then(|| graph.shortest_path_tree(service)))
-        .collect()
 }
 
 impl CollapsedTopology {
@@ -428,39 +418,26 @@ impl CollapsedTopology {
     }
 
     /// The snapshot of `topology` over the numbered `services`, from one
-    /// full search per present source, the graph searched and the searches.
+    /// full search per present source, as a new base with empty overlays;
+    /// also the graph searched and the searches (`None` for a service the
+    /// topology no longer has).
     fn searched(
         topology: &Topology,
         services: Arc<[NodeId]>,
     ) -> (Self, TopologyGraph, Vec<Option<ShortestPathTree>>) {
         let graph = TopologyGraph::new(topology);
-        let trees = search_all(topology, &graph, &services);
-        let links = LinkTable::of(topology);
-        let impairments = LinkImpairments::of(topology, &links);
-        let collapsed = CollapsedTopology::from_trees(
-            services,
-            &graph,
-            &trees,
-            Arc::new(links),
-            Arc::new(impairments),
-        );
-        (collapsed, graph, trees)
-    }
-
-    /// The snapshot whose trees are `trees` (one per service number, over
-    /// `graph`, `None` for a service the topology no longer has) as a new
-    /// base with empty overlays, over the given link tables.
-    pub(crate) fn from_trees(
-        services: Arc<[NodeId]>,
-        graph: &TopologyGraph,
-        trees: &[Option<ShortestPathTree>],
-        links: Arc<LinkTable>,
-        impairments: Arc<LinkImpairments>,
-    ) -> Self {
+        let present = topology.service_ids();
+        let trees: Vec<Option<ShortestPathTree>> = services
+            .iter()
+            .map(|&service| {
+                let here = present.binary_search(&service).is_ok();
+                here.then(|| graph.shortest_path_tree(service))
+            })
+            .collect();
         let nodes = graph.nodes();
         let at: Vec<u32> = services
             .iter()
-            .zip(trees)
+            .zip(&trees)
             .map(|(&service, tree)| {
                 tree.as_ref()
                     .and_then(|_| graph.node_index(service))
@@ -468,7 +445,7 @@ impl CollapsedTopology {
             })
             .collect();
         let mut parents = Vec::with_capacity(services.len() * nodes.len());
-        for tree in trees {
+        for tree in &trees {
             match tree {
                 Some(tree) => parents.extend_from_slice(tree.parents()),
                 None => parents.resize(parents.len() + nodes.len(), Via::NONE),
@@ -481,21 +458,24 @@ impl CollapsedTopology {
             }
         }
         let base = TreeBase {
-            nodes: Arc::clone(nodes),
+            width: nodes.len(),
             at,
             number,
             parents,
         };
+        let links = LinkTable::of(topology);
+        let impairments = LinkImpairments::of(topology, &links);
         let mut collapsed = CollapsedTopology {
             overlays: vec![None; services.len()],
             services,
+            nodes: Arc::clone(nodes),
             base: Arc::new(base),
             pairs: 0,
-            links,
-            impairments,
+            links: Arc::new(links),
+            impairments: Arc::new(impairments),
         };
         collapsed.pairs = collapsed.reach().sum();
-        collapsed
+        (collapsed, graph, trees)
     }
 
     /// Per source number, the destinations it reaches.
@@ -555,8 +535,9 @@ impl CollapsedTopology {
 
     /// Source number `src`'s whole parent array.
     pub(crate) fn parents(&self, src: usize) -> Vec<Via> {
-        let n = self.base.nodes.len();
+        let n = self.base.width;
         let mut parents = self.base.parents[src * n..(src + 1) * n].to_vec();
+        parents.resize(self.nodes.len(), Via::NONE);
         for &(node, via) in self.overlays[src].iter().flat_map(|overlay| overlay.iter()) {
             parents[node as usize] = via;
         }
@@ -572,7 +553,7 @@ impl CollapsedTopology {
     ) -> Option<impl Iterator<Item = LinkId> + '_> {
         links_back(
             move |node| self.parent(src, node),
-            self.base.nodes.len(),
+            self.nodes.len(),
             self.base.at[src],
             self.base.at[dst],
         )
@@ -724,17 +705,6 @@ impl CollapsedTopology {
             demand: flow.path.max_bandwidth,
             links: flow.path.links,
         })
-    }
-
-    /// One-way latency of an original link.
-    ///
-    /// An Emulation Manager reconstructs the RTT weight of a *remote* flow
-    /// it only knows through metadata from these latencies, read by slot
-    /// from [`CollapsedTopology::link_table`]: the advertised link ids
-    /// identify the flow's path, and the latencies along it sum to the
-    /// one-way delay (doubled for the round trip).
-    pub fn link_latency(&self, link: LinkId) -> Option<SimDuration> {
-        self.links.slot(link).map(|slot| self.links.latency(slot))
     }
 }
 

@@ -369,7 +369,7 @@ fn with_paths<'a>(
 ///
 /// **Paths next to their chains.** A snapshot holds trees, not paths (see
 /// `crate::collapse`): the manager derives a pair's path and RTT when it
-/// creates the pair's chain and keeps them in [`Tcal::paths`], so the loop
+/// creates the pair's chain and keeps them in `Tcal::paths`, so the loop
 /// reads a local pair with two binary searches and nothing is derived per
 /// iteration. A delta refreshes exactly the cached pairs it names, and
 /// those whose reverse it names.

@@ -497,16 +497,6 @@ impl AllocatorStats {
             calls: self.calls - earlier.calls,
         }
     }
-
-    /// Fraction of calls answered entirely from the previous result
-    /// (0.0 before the first call).
-    pub fn fast_hit_rate(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.fast_hits as f64 / self.calls as f64
-        }
-    }
 }
 
 /// The previous call: its input, in everything the positional result

@@ -8,13 +8,13 @@
 //! [`EventSchedule`] into one [`CollapsedTopology`] per change time, where
 //!
 //! * consecutive snapshots **structurally share** the service table, the
-//!   base parent arrays of the node set, every link table no value of which
-//!   moved and the overlay of every source whose shortest-path tree did not
-//!   move, behind [`Arc`]s (see `crate::collapse`): a snapshot starts as one
-//!   pointer bump per source, and a change writes only the tree entries it
-//!   moved ([`TimelineStats::tree_entries_written`]), so a snapshot costs
-//!   `services × 16 B` plus 12 B per overlay entry, not `O(services²)`;
-//!   and
+//!   initial snapshot's base parent arrays, every link table no value of
+//!   which moved and the overlay of every source whose shortest-path tree
+//!   did not move, behind [`Arc`]s (see `crate::collapse`): a snapshot
+//!   starts as one pointer bump per source, and a change writes only the
+//!   tree entries it moved ([`TimelineStats::tree_entries_written`]), so a
+//!   snapshot costs `services × 16 B` plus 12 B per overlay entry, not
+//!   `O(services²)`; and
 //! * each snapshot carries a [`SnapshotDelta`] — exactly the service pairs
 //!   whose end-to-end path changed or disappeared — so runtime application
 //!   touches only the affected qdisc chains and never runs an all-pairs
@@ -34,9 +34,15 @@
 //!   graph relaxes links exactly as a fresh one would) and rewrites the
 //!   latency of the ones it moved — one shift of the link arrays per edit,
 //!   no sort and no rebuild. Its link diff reads only the links its events
-//!   name: those between each event's two nodes, before and after the
-//!   group, and the links it added. The graph's node ids are one `Arc`
-//!   shared with every tree, so a tree checks it is on its graph by
+//!   name: those between a link event's two nodes and those entering or
+//!   leaving a node a `NodeLeave` removes, before and after the group, and
+//!   the links it added. A node event is a change to links like any
+//!   other: the node set only grows, so every tree stays indexed like the
+//!   graph. A node that leaves stays as an index without links, which no
+//!   tie-break reaches; a bridge that joins is appended, behind every
+//!   index, as node ids are never reused, and a tree is padded with it,
+//!   unreached, when it is next repaired. The graph's node ids are one
+//!   `Arc` shared with every tree, so a tree checks it is on its graph by
 //!   pointer.
 //! * **Which sources.** A source is re-derived only when a removed,
 //!   lengthened or otherwise re-parameterised link is one of its tree
@@ -73,13 +79,13 @@
 //!   pure function of `(src, dst)`, its link ids in order and those links'
 //!   values.
 //!
-//! A group that names a node (`NodeLeave`, `NodeJoin`) diffs every link
-//! and builds a new graph ([`TimelineStats::graphs_built`]); when the node
-//! set did move, it searches every source again on the new graph, and the
-//! trees become that node set's base. [`SnapshotTimeline::extend`] starts
-//! its working state from the snapshot it resumes from: one graph of the
-//! topology as of its cut, the snapshot's parents, and
-//! [`TopologyGraph::tree_from_parents`] re-adding the costs.
+//! Every snapshot shares the initial snapshot's base; a service that
+//! leaves keeps its number, and its tree, cut down to its own node,
+//! reaches nothing. [`SnapshotTimeline::extend`] starts its working state
+//! from the snapshot it resumes from: one graph of the topology as of its
+//! cut over the snapshot's node ids (departed nodes included), the
+//! snapshot's parents, and [`TopologyGraph::tree_from_parents`] re-adding
+//! the costs.
 //!
 //! The equality of timeline snapshots with a full online re-collapse is
 //! pinned by the tests below, including a seeded tie-heavy differential
@@ -91,14 +97,16 @@
 use std::sync::Arc;
 
 use kollaps_sim::time::SimDuration;
-use kollaps_topology::events::{apply_action, DynamicAction, DynamicEvent, EventSchedule};
+use kollaps_topology::events::{
+    apply_action, nodes_named, DynamicAction, DynamicEvent, EventSchedule,
+};
 use kollaps_topology::graph::{
     LinkEdit, LinkEditKind, ShortestPathTree, TopologyGraph, TreeScratch, Via,
 };
 use kollaps_topology::model::{LinkId, LinkProperties, LinkSpec, NodeId, Topology};
 
 use crate::collapse::{
-    compose, links_back, search_all, CollapsedTopology, LinkImpairments, LinkTable, NO_NODE,
+    compose, links_back, CollapsedTopology, LinkImpairments, LinkTable, NO_NODE,
 };
 
 /// One precomputed topology change: the new snapshot plus the exact set of
@@ -176,12 +184,6 @@ pub struct TimelineStats {
     /// Incremental [`SnapshotTimeline::extend`] calls folded into this
     /// timeline after the initial precompute (live steering injections).
     pub extensions: usize,
-    /// Topology graphs the fold built beyond the one it starts from (the
-    /// initial collapse's, or the one an [`SnapshotTimeline::extend`]
-    /// builds for its cut): one per change group that names a node
-    /// (`NodeLeave`, `NodeJoin`). A group of link events edits the kept
-    /// graph in place and builds none.
-    pub graphs_built: usize,
 }
 
 /// The precomputed sequence of collapsed snapshots of a dynamic experiment.
@@ -294,13 +296,11 @@ impl SnapshotTimeline {
             None => Arc::clone(&self.initial),
         };
         // The working trees start as the snapshot's own: its parents, with
-        // the costs re-added over the graph it was derived on.
-        let graph = TopologyGraph::new(&working);
+        // the costs re-added over the graph it was derived on, which keeps
+        // every node the timeline had before the cut.
+        let graph = TopologyGraph::with_nodes(&working, &prev.nodes);
         let trees = (0..prev.services.len())
-            .map(|src| {
-                (prev.base.at[src] != NO_NODE)
-                    .then(|| graph.tree_from_parents(prev.services[src], prev.parents(src)))
-            })
+            .map(|src| Some(graph.tree_from_parents(prev.services[src], prev.parents(src))))
             .collect();
         let mut fold = Fold::new(&mut working, graph, prev, trees, &mut self.stats);
         fold.run(&events[resume..], &mut self.deltas, &mut |_, _, _, _| {});
@@ -371,42 +371,6 @@ fn state(link: &LinkSpec) -> LinkState {
     (link.id, link.from, link.to, link.properties)
 }
 
-/// The two nodes a link event names; `None` for a node event.
-fn named_nodes(action: &DynamicAction) -> Option<(&str, &str)> {
-    match action {
-        DynamicAction::SetLinkProperties { orig, dest, .. }
-        | DynamicAction::LinkJoin { orig, dest, .. }
-        | DynamicAction::LinkLeave { orig, dest } => Some((orig, dest)),
-        DynamicAction::NodeLeave { .. } | DynamicAction::NodeJoin { .. } => None,
-    }
-}
-
-/// Lists in `touched`, ascending by id, every link that came, went or
-/// changed between `before` and `after`, both sorted by id: one merge of
-/// the two.
-fn diff_links(
-    before: impl Iterator<Item = LinkState>,
-    after: impl Iterator<Item = LinkState>,
-    touched: &mut Vec<Touched>,
-) {
-    let (mut before, mut after) = (before.peekable(), after.peekable());
-    loop {
-        let (was, now) = match (before.peek().copied(), after.peek().copied()) {
-            (None, None) => return,
-            (Some(was), Some(now)) if was.0 == now.0 => (before.next(), after.next()),
-            (Some(was), now) if now.is_none_or(|now| was.0 < now.0) => (before.next(), None),
-            _ => (None, after.next()),
-        };
-        let Some((id, from, to, _)) = was.or(now) else {
-            return;
-        };
-        let (was, now) = (was.map(|link| link.3), now.map(|link| link.3));
-        if was != now {
-            touched.push((id, from, to, was, now));
-        }
-    }
-}
-
 /// What one change group did to the links.
 #[derive(Default)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
@@ -457,14 +421,14 @@ impl LinkDiff {
 struct Fold<'a> {
     /// The topology as of the last folded group.
     working: &'a mut Topology,
-    /// The graph of `working`: edited in place by a group over the same
-    /// nodes, built again only by one that names a node.
+    /// The graph of `working`, edited in place by every group, over every
+    /// node the fold has seen: a node that left stays without links.
     graph: TopologyGraph,
     /// The snapshot after the last folded group.
     prev: Arc<CollapsedTopology>,
     /// One kept shortest-path tree per source number, over `graph` and
-    /// repaired with it; `None` for a source the topology no longer has.
-    /// Its parents are `prev`'s, base plus overlay.
+    /// repaired with it; a source that left keeps a tree that reaches
+    /// nothing. Its parents are `prev`'s, base plus overlay.
     trees: Vec<Option<ShortestPathTree>>,
     /// Per source number, the destinations it reaches in `prev`.
     reach: Vec<usize>,
@@ -525,54 +489,57 @@ impl<'a> Fold<'a> {
                 j += 1;
             }
             let group = &events[i..j];
-            let nodes_moved = if group.iter().all(|e| named_nodes(&e.action).is_some()) {
-                self.apply_link_events(group);
-                false
-            } else {
-                self.apply_node_events(group)
-            };
-            if !nodes_moved {
-                // Only a latency matters to the graph.
-                for &(id, from, to, was, now) in &self.touched {
-                    let latency = now.map(|link| link.latency);
-                    if was.map(|link| link.latency) != latency {
-                        self.graph.set_link(id, from, to, latency);
-                    }
+            self.apply(group);
+            // Only a latency matters to the graph.
+            for &(id, from, to, was, now) in &self.touched {
+                let latency = now.map(|link| link.latency);
+                if was.map(|link| link.latency) != latency {
+                    self.graph.set_link(id, from, to, latency);
                 }
             }
-            let delta = self.derive(
-                LinkDiff::of(&self.touched),
-                nodes_moved,
-                at,
-                group.len(),
-                inspect,
-            );
+            let delta = self.derive(LinkDiff::of(&self.touched), at, group.len(), inspect);
             self.prev = Arc::clone(&delta.snapshot);
             deltas.push(delta);
             i = j;
         }
     }
 
-    /// Applies a group of link events to the working topology and lists in
-    /// `touched` the links it changed, reading only the links its events
-    /// name: those between each event's two nodes, before and after the
-    /// group, and the links it added, which are the topology's last.
-    fn apply_link_events(&mut self, group: &[DynamicEvent]) {
+    /// Applies a group to the working topology and appends the bridges it
+    /// joined to the graph, and lists in `touched` the links it changed,
+    /// reading only the links its events name: as they were before the
+    /// group, those between a link event's two nodes and those at a node a
+    /// `NodeLeave` removes; and the links it added, the topology's last.
+    fn apply(&mut self, group: &[DynamicEvent]) {
         let working = &mut *self.working;
+        let graph = &self.graph;
         self.named.clear();
+        let mut names_a_node = false;
+        // The graph holds exactly the topology's links.
         for event in group {
-            let Some((orig, dest)) = named_nodes(&event.action) else {
-                continue;
-            };
-            let (Some(a), Some(b)) = (working.node_by_name(orig), working.node_by_name(dest))
-            else {
-                continue;
-            };
-            // The graph holds exactly the topology's links.
-            for (from, to) in [(a, b), (b, a)] {
-                let between = self.graph.links_between(from, to);
-                self.named
-                    .extend(between.filter_map(|id| working.link(id).map(state)));
+            match &event.action {
+                DynamicAction::SetLinkProperties { orig, dest, .. }
+                | DynamicAction::LinkJoin { orig, dest, .. }
+                | DynamicAction::LinkLeave { orig, dest } => {
+                    let (Some(a), Some(b)) =
+                        (working.node_by_name(orig), working.node_by_name(dest))
+                    else {
+                        continue;
+                    };
+                    for (from, to) in [(a, b), (b, a)] {
+                        let between = graph.links_between(from, to);
+                        self.named
+                            .extend(between.filter_map(|id| working.link(id).map(state)));
+                    }
+                }
+                DynamicAction::NodeLeave { name } => {
+                    names_a_node = true;
+                    for node in nodes_named(working, name) {
+                        let at = graph.links_at(node);
+                        self.named
+                            .extend(at.filter_map(|id| working.link(id).map(state)));
+                    }
+                }
+                DynamicAction::NodeJoin { .. } => names_a_node = true,
             }
         }
         self.named.sort_unstable_by_key(|link| link.0);
@@ -582,6 +549,9 @@ impl<'a> Fold<'a> {
         let last = working.links().last().map(|link| link.id);
         for event in group {
             apply_action(working, &event.action);
+        }
+        if names_a_node {
+            self.graph.add_nodes(working);
         }
         self.touched.clear();
         for &(id, from, to, was) in &self.named {
@@ -599,50 +569,28 @@ impl<'a> Fold<'a> {
         );
     }
 
-    /// Applies a group that names a node to the working topology, lists in
-    /// `touched` the links it changed from a full diff, and builds the new
-    /// graph. Returns whether the node set moved; when it did not, the new
-    /// graph is dropped and the kept one is edited like for link events.
-    fn apply_node_events(&mut self, group: &[DynamicEvent]) -> bool {
-        let before: Vec<LinkState> = self.working.links().iter().map(state).collect();
-        for event in group {
-            apply_action(self.working, &event.action);
-        }
-        self.touched.clear();
-        diff_links(
-            before.into_iter(),
-            self.working.links().iter().map(state),
-            &mut self.touched,
-        );
-        let graph = TopologyGraph::new(self.working);
-        self.stats.graphs_built += 1;
-        let moved = graph.nodes() != self.graph.nodes();
-        if moved {
-            self.graph = graph;
-        }
-        moved
-    }
-
-    /// Builds the snapshot after one change group, sharing what did not
-    /// move with the previous one and recording exactly which pairs differ;
-    /// hands the graph, the diff and the trees to `inspect` at the end.
+    /// Builds the snapshot after one change group: every kept tree
+    /// repaired onto the edited graph, the pairs whose path may have moved
+    /// compared, and the overlay of every tree that moved rewritten; every
+    /// other overlay, and every link table no value of which moved, is the
+    /// previous snapshot's. Hands the graph, the diff and the trees to
+    /// `inspect` at the end.
     fn derive(
         &mut self,
         diff: LinkDiff,
-        nodes_moved: bool,
         at: SimDuration,
         events: usize,
         inspect: Inspect<'_>,
     ) -> SnapshotDelta {
         let working: &Topology = self.working;
+        let prev = Arc::clone(&self.prev);
         // The initial snapshot's service table covers every later one:
-        // services can only leave (`NodeJoin` re-adds bridges).
-        let services = Arc::clone(&self.prev.services);
+        // services can only leave (`NodeJoin` adds bridges).
         debug_assert!(
             working
                 .service_ids()
                 .iter()
-                .all(|id| services.binary_search(id).is_ok()),
+                .all(|id| prev.services.binary_search(id).is_ok()),
             "a service joined the topology after the initial snapshot"
         );
         // A link table is copied only when a value it holds moved (or a
@@ -650,81 +598,24 @@ impl<'a> Fold<'a> {
         let links = if diff.table_moved {
             Arc::new(LinkTable::of(working))
         } else {
-            Arc::clone(&self.prev.links)
+            Arc::clone(&prev.links)
         };
         let impairments = if diff.impairments_moved {
             Arc::new(LinkImpairments::of(working, &links))
         } else {
-            Arc::clone(&self.prev.impairments)
+            Arc::clone(&prev.impairments)
         };
-        let mut pairs = Pairs::default();
-        let snapshot = if !nodes_moved {
-            debug_assert_eq!(self.graph.nodes(), &self.prev.base.nodes);
-            self.repair(&diff, &mut pairs, links, impairments)
-        } else {
-            // A node came or went: a tree is repaired onto the new graph
-            // only over the same nodes, so every source is searched again
-            // and the trees become the new node set's base.
-            let graph = &self.graph;
-            self.trees = search_all(working, graph, &services);
-            self.stats.nodes_settled += self
-                .trees
-                .iter()
-                .flatten()
-                .map(ShortestPathTree::reached)
-                .sum::<usize>();
-            let next =
-                CollapsedTopology::from_trees(services, graph, &self.trees, links, impairments);
-            self.reach = next.reach().collect();
-            self.stats.recomputed_paths += next.pairs;
-            let prev = &self.prev;
-            for src in 0..next.services.len() {
-                for dst in 0..next.services.len() {
-                    pairs.compare(
-                        (next.services[src], next.services[dst]),
-                        prev.links_back(src, dst),
-                        next.links_back(src, dst),
-                        (prev, &next),
-                        &mut self.walked,
-                        self.stats,
-                    );
-                }
-            }
-            next
-        };
-        inspect(self.working, &self.graph, &diff, &self.trees);
-        SnapshotDelta {
-            at,
-            events,
-            changed_links: diff.changed,
-            changed_paths: pairs.changed,
-            gained_paths: pairs.gained,
-            removed_paths: pairs.removed,
-            snapshot: Arc::new(snapshot),
-        }
-    }
-
-    /// The snapshot after a change group over the previous snapshot's node
-    /// set: every kept tree repaired onto the edited graph, the pairs whose path may
-    /// have moved compared into `pairs`, and the overlay of every tree that
-    /// moved rewritten; every other overlay is the previous snapshot's.
-    fn repair(
-        &mut self,
-        diff: &LinkDiff,
-        pairs: &mut Pairs,
-        links: Arc<LinkTable>,
-        impairments: Arc<LinkImpairments>,
-    ) -> CollapsedTopology {
-        let prev = Arc::clone(&self.prev);
         let base = &prev.base;
         let mut next = CollapsedTopology {
             services: Arc::clone(&prev.services),
+            nodes: Arc::clone(self.graph.nodes()),
             base: Arc::clone(base),
             overlays: prev.overlays.clone(),
             pairs: prev.pairs,
             links,
             impairments,
         };
+        let mut pairs = Pairs::default();
         for (src, tree) in self.trees.iter_mut().enumerate() {
             let Some(tree) = tree else {
                 continue;
@@ -739,7 +630,7 @@ impl<'a> Fold<'a> {
             // Node indices ascend like service numbers, and sources ascend:
             // `changed` stays in (src, dst) order.
             for &node in update.changed() {
-                let dst = base.number[node as usize];
+                let dst = base.number(node);
                 if dst == NO_NODE {
                     continue;
                 }
@@ -782,7 +673,16 @@ impl<'a> Fold<'a> {
             next.overlays[src] = (!entries.is_empty()).then(|| Arc::from(&entries[..]));
         }
         next.pairs = (next.pairs + pairs.gained.len()) - pairs.removed.len();
-        next
+        inspect(self.working, &self.graph, &diff, &self.trees);
+        SnapshotDelta {
+            at,
+            events,
+            changed_links: diff.changed,
+            changed_paths: pairs.changed,
+            gained_paths: pairs.gained,
+            removed_paths: pairs.removed,
+            snapshot: Arc::new(next),
+        }
     }
 }
 
@@ -942,22 +842,54 @@ mod tests {
         }
     }
 
+    /// Lists in `touched`, ascending by id, every link that came, went or
+    /// changed between `before` and `after`, both sorted by id: one merge of
+    /// the two.
+    fn diff_links(
+        before: impl Iterator<Item = LinkState>,
+        after: impl Iterator<Item = LinkState>,
+        touched: &mut Vec<Touched>,
+    ) {
+        let (mut before, mut after) = (before.peekable(), after.peekable());
+        loop {
+            let (was, now) = match (before.peek().copied(), after.peek().copied()) {
+                (None, None) => return,
+                (Some(was), Some(now)) if was.0 == now.0 => (before.next(), after.next()),
+                (Some(was), now) if now.is_none_or(|now| was.0 < now.0) => (before.next(), None),
+                _ => (None, after.next()),
+            };
+            let Some((id, from, to, _)) = was.or(now) else {
+                return;
+            };
+            let (was, now) = (was.map(|link| link.3), now.map(|link| link.3));
+            if was != now {
+                touched.push((id, from, to, was, now));
+            }
+        }
+    }
+
     /// [`SnapshotTimeline::precompute_inspected`] with a hook that checks,
     /// after every group, the fold's graph against a fresh one of the
-    /// topology and the group's diff against the full diff of the topology
-    /// before and after it, then hands the graph and the kept trees to
-    /// `trees`.
+    /// topology over every node it ever had and the group's diff against
+    /// the full diff of the topology before and after it, then hands the
+    /// graph and the kept trees to `trees`.
     fn precompute_checked(
         topo: &Topology,
         schedule: &EventSchedule,
         mut trees: impl FnMut(&TopologyGraph, &[Option<ShortestPathTree>]),
     ) -> SnapshotTimeline {
         let mut before = topo.clone();
+        let mut seen: Vec<NodeId> = topo.nodes().iter().map(|node| node.id).collect();
         let mut check = |working: &Topology,
                          graph: &TopologyGraph,
                          diff: &LinkDiff,
                          kept: &[Option<ShortestPathTree>]| {
-            assert_eq!(*graph, TopologyGraph::new(working), "the fold's graph");
+            seen.extend(working.nodes().iter().map(|node| node.id));
+            seen.sort_unstable();
+            seen.dedup();
+            let fresh = TopologyGraph::with_nodes(working, &seen);
+            assert_eq!(**graph.nodes(), *seen, "the fold's nodes");
+            assert_eq!(*graph, fresh, "the fold's graph");
             let mut touched = Vec::new();
             diff_links(
                 before.links().iter().map(state),
@@ -975,12 +907,13 @@ mod tests {
     /// time — and checks the timeline against it: equal paths, the
     /// `changed_paths` / `removed_paths` / `gained_paths` the two full
     /// snapshots imply, the fold's graph and diffs (see
-    /// [`precompute_checked`]), every
-    /// tree equal to a fresh search with an overlay of exactly its
-    /// differences from the base, the previous snapshot's overlay `Arc` for
-    /// every source whose tree did not move and a new one for every other,
-    /// and `tree_entries_written` equal to the entries that moved. Returns
-    /// the timeline for the caller's counts.
+    /// [`precompute_checked`]), the initial base shared by every snapshot,
+    /// every tree equal to a fresh search over the snapshot's nodes with an
+    /// overlay of exactly its differences from the base, the previous
+    /// snapshot's overlay `Arc` for every source whose tree did not move
+    /// and a new one for every other, and `tree_entries_written` equal to
+    /// the entries that moved. Returns the timeline for the caller's
+    /// counts.
     fn assert_matches_online_recollapse(
         topo: &Topology,
         schedule: &EventSchedule,
@@ -1001,20 +934,14 @@ mod tests {
             assert_eq!(snapshot.pair_count(), reference.pair_count());
             assert_eq!(snapshot.pair_count(), snapshot.paths().count());
             assert!(Arc::ptr_eq(&snapshot.services, &prev.services));
-            let same_nodes = snapshot.base.nodes == prev.base.nodes;
-            assert_eq!(
-                Arc::ptr_eq(&snapshot.base, &prev.base),
-                same_nodes,
-                "base shared iff the node set stayed at {:?}",
-                delta.at
-            );
-            let graph = TopologyGraph::new(&online);
+            assert!(Arc::ptr_eq(&snapshot.base, &timeline.initial().base));
+            assert!(snapshot.nodes.starts_with(&prev.nodes), "nodes only grow");
+            let graph = TopologyGraph::with_nodes(&online, &snapshot.nodes);
+            assert_eq!(graph.nodes(), &snapshot.nodes, "at {:?}", delta.at);
             for (number, &src) in snapshot.services.iter().enumerate() {
                 let parents = snapshot.parents(number);
-                if snapshot.base.at[number] != NO_NODE {
-                    let fresh = graph.shortest_path_tree(src);
-                    assert_eq!(parents, fresh.parents(), "tree of {src} at {:?}", delta.at);
-                }
+                let fresh = graph.shortest_path_tree(src);
+                assert_eq!(parents, fresh.parents(), "tree of {src} at {:?}", delta.at);
                 let differences: Vec<(u32, Via)> = (0..parents.len() as u32)
                     .map(|node| (node, parents[node as usize]))
                     .filter(|&(node, via)| via != snapshot.base.parent(number, node))
@@ -1025,20 +952,18 @@ mod tests {
                     "overlay of {src} at {:?}",
                     delta.at
                 );
-                if same_nodes {
-                    let moved = parents
-                        .iter()
-                        .zip(prev.parents(number))
-                        .filter(|&(now, was)| *now != was)
-                        .count();
-                    entries_moved += moved;
-                    assert_eq!(
-                        shares_overlay(&prev, snapshot, number),
-                        moved == 0,
-                        "overlay of {src} shared iff its tree stayed at {:?}",
-                        delta.at
-                    );
-                }
+                // A node appended since was unreached before.
+                let mut was = prev.parents(number);
+                was.resize(parents.len(), Via::NONE);
+                let moved = parents.iter().zip(was).filter(|&(now, was)| *now != was);
+                let moved = moved.count();
+                entries_moved += moved;
+                assert_eq!(
+                    shares_overlay(&prev, snapshot, number),
+                    moved == 0,
+                    "overlay of {src} shared iff its tree stayed at {:?}",
+                    delta.at
+                );
             }
             let mut changed = Vec::new();
             for path in reference.paths() {
@@ -1293,8 +1218,9 @@ mod tests {
     /// against a fresh graph and a full diff (see [`precompute_checked`]):
     /// a latency fall and a rise on a link that exists in one direction
     /// only, a bandwidth-only edit, a leave and a re-join in one group, a
-    /// join that mints new link ids, a bridge that joins with a link, a
-    /// service that leaves, and a join of a bridge that is already there.
+    /// join that mints new link ids, a service that leaves, a bridge that
+    /// joins after it with a link, and a join of a bridge that is already
+    /// there.
     #[test]
     fn the_edited_graph_and_the_named_links_diff_match_fresh_ones() {
         let mut topo = ring();
@@ -1315,11 +1241,11 @@ mod tests {
         schedule.push(event(4, leave("s1", "s2")));
         schedule.push(event(4, join("s1", "s2", 5)));
         schedule.push(event(5, join("s1", "s3", 2)));
-        for secs in [6, 8] {
+        schedule.push(event(6, DynamicAction::NodeLeave { name: "h3".into() }));
+        for secs in [7, 8] {
             schedule.push(event(secs, DynamicAction::NodeJoin { name: "s9".into() }));
         }
-        schedule.push(event(6, join("s9", "s0", 1)));
-        schedule.push(event(7, DynamicAction::NodeLeave { name: "h3".into() }));
+        schedule.push(event(7, join("s9", "s0", 1)));
         schedule.push(event(8, join("s9", "s2", 1)));
         let timeline = assert_matches_online_recollapse(&topo, &schedule);
         let deltas = timeline.deltas();
@@ -1332,14 +1258,17 @@ mod tests {
         assert!(deltas[0].changed_paths.contains(&(h0, h2)));
         assert!(deltas[1].changed_paths.contains(&(h0, h2)));
         assert_eq!(deltas[0].changed_links.len(), 1);
-        // Only the three groups that name a node build a graph; the last
-        // one keeps the kept graph, as its node set did not move.
-        assert_eq!(timeline.stats().graphs_built, 3);
-        let base = |k: usize| &deltas[k].snapshot.base;
-        assert!(Arc::ptr_eq(base(4), &timeline.initial().base));
-        assert!(!Arc::ptr_eq(base(5), base(4)));
-        assert!(!Arc::ptr_eq(base(6), base(5)));
-        assert!(Arc::ptr_eq(base(7), base(6)));
+        // Every snapshot shares the initial base; h3 stays a node, and s9
+        // takes a fresh id, appended behind every node.
+        for delta in deltas {
+            assert!(Arc::ptr_eq(&delta.snapshot.base, &timeline.initial().base));
+        }
+        let nodes = |k: usize| &deltas[k].snapshot.nodes;
+        assert!(Arc::ptr_eq(nodes(5), &timeline.initial().nodes));
+        assert_eq!(nodes(6).len(), nodes(5).len() + 1);
+        assert!(Arc::ptr_eq(nodes(7), nodes(6)));
+        let s9 = timeline.topology_at(SimDuration::from_secs(8));
+        assert_eq!(nodes(7).last().copied(), s9.node_by_name("s9"));
     }
 
     /// The extension invariant: extending an existing timeline with extra
@@ -1370,12 +1299,46 @@ mod tests {
 
         let mut merged = schedule.clone();
         merged.merge(&extra);
-        let reference = SnapshotTimeline::precompute(&topo, &merged);
-        assert_eq!(timeline.len(), reference.len());
-        for (ours, theirs) in timeline.deltas().iter().zip(reference.deltas()) {
+        assert_extends_like_a_precompute(&topo, &merged, &timeline);
+
+        // A cut after a service and a bridge left: the resumed graph keeps
+        // both as nodes, and a bridge that joins after the cut is appended.
+        let topo = ring();
+        let mut schedule = EventSchedule::new();
+        schedule.push(event(1, DynamicAction::NodeLeave { name: "h2".into() }));
+        schedule.push(event(2, DynamicAction::NodeLeave { name: "s2".into() }));
+        let mut timeline = SnapshotTimeline::precompute(&topo, &schedule);
+        let mut extra = EventSchedule::new();
+        extra.push(event(3, DynamicAction::NodeJoin { name: "s9".into() }));
+        extra.push(event(3, join("s9", "s1", 2)));
+        extra.push(event(4, join("s9", "s3", 2)));
+        assert_eq!(timeline.extend(&extra), 2);
+        schedule.merge(&extra);
+        assert_extends_like_a_precompute(&topo, &schedule, &timeline);
+        let last = &timeline.deltas()[3].snapshot;
+        assert_eq!(last.nodes.len(), timeline.initial().nodes.len() + 1);
+        // h1 → h3 now crosses s9: 1 + 2 + 2 + 1 ms, not 1 + 5 + 5 + 1.
+        let (h1, h3) = (topo.node_by_name("h1"), topo.node_by_name("h3"));
+        let path = last.path(h1.unwrap(), h3.unwrap()).unwrap();
+        assert_eq!(path.latency, SimDuration::from_millis(6));
+    }
+
+    /// `extended`, a timeline extended with some of `schedule`'s events,
+    /// holds exactly the deltas a from-scratch precompute of `schedule`
+    /// derives, and both match the online re-collapse.
+    fn assert_extends_like_a_precompute(
+        topo: &Topology,
+        schedule: &EventSchedule,
+        extended: &SnapshotTimeline,
+    ) {
+        let reference = assert_matches_online_recollapse(topo, schedule);
+        assert_eq!(extended.len(), reference.len());
+        for (ours, theirs) in extended.deltas().iter().zip(reference.deltas()) {
             assert_eq!(ours.at, theirs.at);
             assert_eq!(ours.changed_paths, theirs.changed_paths);
+            assert_eq!(ours.gained_paths, theirs.gained_paths);
             assert_eq!(ours.removed_paths, theirs.removed_paths);
+            assert_eq!(ours.snapshot.nodes, theirs.snapshot.nodes);
             assert_eq!(ours.snapshot.pair_count(), theirs.snapshot.pair_count());
             for path in theirs.snapshot.paths() {
                 let (src, dst) = (path.src, path.dst);
@@ -1547,6 +1510,26 @@ mod tests {
         );
     }
 
+    /// A node event costs the tree entries it moves, as a flap does: on the
+    /// ring, the `NodeLeave` of a leaf service settles fewer nodes than one
+    /// full search per remaining source would.
+    #[test]
+    fn a_node_leave_settles_fewer_nodes_than_full_searches() {
+        let topo = ring();
+        let mut schedule = EventSchedule::new();
+        schedule.push(event(1, DynamicAction::NodeLeave { name: "h3".into() }));
+        let timeline = assert_matches_online_recollapse(&topo, &schedule);
+        let after = timeline.topology_at(SimDuration::from_secs(1));
+        let graph = TopologyGraph::new(&after);
+        let full: usize = after
+            .service_ids()
+            .iter()
+            .map(|&src| graph.shortest_path_tree(src).reached())
+            .sum();
+        let settled = timeline.stats().nodes_settled;
+        assert!(settled < full, "settled {settled}, full searches {full}");
+    }
+
     #[test]
     fn topology_at_replays_the_schedule() {
         let topo = dumbbell();
@@ -1584,17 +1567,17 @@ mod tests {
         assert_eq!(delta.removed_paths.len(), 10);
         assert!(delta.removed_paths.iter().all(|&(s, d)| s == c2 || d == c2));
         assert!(delta.snapshot.path(c2, c2).is_none());
-        // The node set changed: the trees were searched again into a new
-        // base, and no overlay entry was written.
-        assert!(!Arc::ptr_eq(&delta.snapshot.base, &timeline.initial().base));
-        assert_eq!(timeline.stats().tree_entries_written, 0);
+        // The base is the initial one: client-2 stays a node without links,
+        // its own tree is cut to nothing (7 entries) and every other
+        // source's entry for it is (5).
+        assert!(Arc::ptr_eq(&delta.snapshot.base, &timeline.initial().base));
+        assert_eq!(timeline.stats().tree_entries_written, 7 + 5);
         // The address assignment survives (containers keep their IP), and
         // client-2's row and column hold no path.
         let addr = timeline.initial().address_of(c2).unwrap();
         assert_eq!(delta.snapshot.address_of(c2), Some(addr));
         assert_eq!(delta.snapshot.service_at(addr), Some(c2));
         let number = delta.snapshot.services.binary_search(&c2).unwrap();
-        assert_eq!(delta.snapshot.base.at[number], NO_NODE);
         for other in 0..delta.snapshot.services.len() {
             assert!(delta.snapshot.links_back(number, other).is_none());
             assert!(delta.snapshot.links_back(other, number).is_none());

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 
-use crate::model::{LinkProperties, Topology};
+use crate::model::{LinkProperties, NodeId, NodeKind, Topology};
 
 /// Optional property overrides carried by a link-related event.
 ///
@@ -242,17 +242,7 @@ pub fn apply_action(topology: &mut Topology, action: &DynamicAction) {
             topology.remove_links_between(a, b);
         }
         DynamicAction::NodeLeave { name } => {
-            // A service name may refer to several replicas; remove them all.
-            let ids: Vec<_> = topology
-                .nodes()
-                .iter()
-                .filter(|n| {
-                    n.kind.display_name() == *name
-                        || matches!(&n.kind, crate::model::NodeKind::Service { service, .. } if service == name)
-                        || matches!(&n.kind, crate::model::NodeKind::Bridge { name: b } if b == name)
-                })
-                .map(|n| n.id)
-                .collect();
+            let ids: Vec<_> = nodes_named(topology, name).collect();
             for id in ids {
                 topology.remove_node(id);
             }
@@ -263,6 +253,21 @@ pub fn apply_action(topology: &mut Topology, action: &DynamicAction) {
             }
         }
     }
+}
+
+/// The nodes a [`DynamicAction::NodeLeave`] of `name` removes: the node
+/// whose display name or bridge name it is, or every replica of the
+/// service of that name.
+pub fn nodes_named<'a>(topology: &'a Topology, name: &'a str) -> impl Iterator<Item = NodeId> + 'a {
+    topology
+        .nodes()
+        .iter()
+        .filter(move |n| {
+            n.kind.display_name() == name
+                || matches!(&n.kind, NodeKind::Service { service, .. } if service == name)
+                || matches!(&n.kind, NodeKind::Bridge { name: b } if b == name)
+        })
+        .map(|n| n.id)
 }
 
 #[cfg(test)]

@@ -81,11 +81,13 @@ type Heap = BinaryHeap<Reverse<(u64, u32, u32)>>;
 /// A dense (CSR) adjacency view of a [`Topology`] with shortest-path
 /// queries.
 ///
-/// Its links can be edited in place ([`TopologyGraph::set_link`]); its nodes
-/// cannot, so every tree of the graph stays indexed like it. Two graphs are
-/// equal when they have the same nodes and services, the same out-links per
-/// node in the same order with the same latencies, and the same in-links per
-/// node in any order.
+/// Its links can be edited in place ([`TopologyGraph::set_link`]), and its
+/// node set can only grow ([`TopologyGraph::add_nodes`]): a node is
+/// appended behind every index, and a node the topology dropped stays as an
+/// index without links, so every tree of the graph keeps its indices. Two
+/// graphs are equal when they have the same nodes and services, the same
+/// out-links per node in the same order with the same latencies, and the
+/// same in-links per node in any order.
 #[derive(Debug, Clone)]
 pub struct TopologyGraph {
     /// Every node id, and every id a link names, ascending: a node's dense
@@ -107,8 +109,15 @@ pub struct TopologyGraph {
 impl TopologyGraph {
     /// Builds the adjacency view of `topology`.
     pub fn new(topology: &Topology) -> Self {
+        TopologyGraph::with_nodes(topology, &[])
+    }
+
+    /// Builds the adjacency view of `topology` over `nodes` as well as its
+    /// own: an id of `nodes` the topology lacks is a node without links.
+    pub fn with_nodes(topology: &Topology, nodes: &[NodeId]) -> Self {
         let links = topology.links();
-        let mut ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
+        let mut ids: Vec<NodeId> = nodes.to_vec();
+        ids.extend(topology.nodes().iter().map(|n| n.id));
         ids.extend(links.iter().flat_map(|l| [l.from, l.to]));
         ids.sort_unstable();
         ids.dedup();
@@ -186,6 +195,34 @@ impl TopologyGraph {
             .map(|edge| edge.id)
     }
 
+    /// The ids of the links that leave or enter `node`; none when the graph
+    /// lacks it.
+    pub fn links_at(&self, node: NodeId) -> impl Iterator<Item = LinkId> + '_ {
+        let node = self.node_index(node);
+        let out = node.map_or(0..0, |node| self.out_slots(node));
+        let ins = node.into_iter().flat_map(|node| self.in_edges(node));
+        let out = self.edges[out].iter().copied();
+        out.chain(ins).map(|edge| edge.id)
+    }
+
+    /// Appends every node `topology` added since the graph last had its
+    /// nodes — the ids above the graph's last, as ids are never reused —
+    /// and takes its service list. Every index stays, that of a node the
+    /// topology dropped included.
+    pub fn add_nodes(&mut self, topology: &Topology) {
+        let last = self.ids.last().copied();
+        let nodes = topology.nodes();
+        let added = &nodes[nodes.partition_point(|node| Some(node.id) <= last)..];
+        if !added.is_empty() {
+            let ids = added.iter().map(|node| node.id);
+            self.ids = self.ids.iter().copied().chain(ids).collect();
+            let (links, ins) = (self.edges.len() as u32, self.in_slots.len() as u32);
+            self.offsets.resize(self.ids.len() + 1, links);
+            self.in_offsets.resize(self.ids.len() + 1, ins);
+        }
+        self.services = topology.service_ids();
+    }
+
     /// Brings link `id`, `from → to`, to `latency` — adding it when the
     /// graph does not have it — or removes it when `latency` is `None`.
     /// The link keeps its place among its tail's out-links in ascending id,
@@ -194,8 +231,7 @@ impl TopologyGraph {
     ///
     /// # Panics
     ///
-    /// Panics when `from` or `to` is not a node of the graph: the node set
-    /// is never edited in place.
+    /// Panics when `from` or `to` is not a node of the graph.
     pub fn set_link(&mut self, id: LinkId, from: NodeId, to: NodeId, latency: Option<SimDuration>) {
         let (Some(tail), Some(head)) = (self.node_index(from), self.node_index(to)) else {
             panic!("link {id:?} joins a node the graph does not have");
@@ -789,8 +825,9 @@ impl ShortestPathTree {
     }
 
     /// Brings the tree from the graph it was searched on to `graph`, the
-    /// same nodes after `edits` (sorted by link id, every link that came,
-    /// went or changed), working in `scratch`.
+    /// same nodes, possibly with more appended, after `edits` (sorted by
+    /// link id, every link that came, went or changed), working in
+    /// `scratch`. An appended node starts unreached.
     ///
     /// Returns `None` when no path of the tree can have changed: no edited
     /// link is a tree link and no new or shorter link `u → v` is tight or
@@ -803,7 +840,7 @@ impl ShortestPathTree {
     ///
     /// # Panics
     ///
-    /// Panics when `graph` does not have the tree's nodes.
+    /// Panics when the graph's nodes do not start with the tree's.
     pub fn update<'s>(
         &mut self,
         graph: &TopologyGraph,
@@ -812,10 +849,12 @@ impl ShortestPathTree {
     ) -> Option<TreeUpdate<'s>> {
         if !Arc::ptr_eq(&self.ids, &graph.ids) {
             assert!(
-                self.ids == graph.ids,
-                "a tree is only updated to a graph of the same nodes"
+                graph.ids.starts_with(&self.ids),
+                "a tree is only updated to a graph that extends its nodes"
             );
             self.ids = Arc::clone(&graph.ids);
+            self.best.resize(self.ids.len(), UNREACHED);
+            self.via.resize(self.ids.len(), Via::NONE);
         }
         debug_assert!(edits.windows(2).all(|w| w[0].id < w[1].id));
         self.source?;
@@ -1281,6 +1320,51 @@ mod tests {
             .into_iter()
             .map(|(id, from, to, kind)| LinkEdit { id, from, to, kind })
             .collect()
+    }
+
+    /// A node that leaves and a bridge that joins, as the snapshot timeline
+    /// folds them: the leaver's links (`links_at`) are removed in place and
+    /// it stays a node without links, the bridge is appended behind every
+    /// index, and a tree repaired onto the grown graph — padded with the
+    /// bridge — equals a fresh search over the same nodes.
+    #[test]
+    fn a_tree_repairs_onto_a_graph_that_grew() {
+        let mut before = Topology::new();
+        let a = before.add_service("a", 0, "img");
+        let b = before.add_service("b", 0, "img");
+        let s1 = before.add_bridge("s1");
+        before.add_bidirectional_link(a, s1, props(1, 10), "net");
+        before.add_bidirectional_link(s1, b, props(5, 10), "net");
+        let old = TopologyGraph::new(&before);
+        let mut after = before.clone();
+        after.remove_node(s1);
+        let s2 = after.add_bridge("s2");
+        assert!(s2 > s1);
+        after.add_bidirectional_link(a, s2, props(1, 10), "net");
+        after.add_bidirectional_link(s2, b, props(1, 10), "net");
+        let edits = edits_between(&before, &after);
+        let mut at: Vec<LinkId> = old.links_at(s1).collect();
+        at.sort_unstable();
+        let gone: Vec<LinkId> = before.links().iter().map(|link| link.id).collect();
+        assert_eq!(at, gone);
+        let mut edited = old.clone();
+        edited.add_nodes(&after);
+        for edit in &edits {
+            let latency = after.link(edit.id).map(|link| link.properties.latency);
+            edited.set_link(edit.id, edit.from, edit.to, latency);
+        }
+        assert_eq!(**edited.nodes(), [a, b, s1, s2]);
+        assert_eq!(edited, TopologyGraph::with_nodes(&after, old.nodes()));
+        assert_eq!(edited.links_at(s1).count(), 0);
+        let mut scratch = TreeScratch::default();
+        for source in [a, b, s1] {
+            let mut tree = old.shortest_path_tree(source);
+            tree.update(&edited, &edits, &mut scratch);
+            assert_eq!(tree, edited.shortest_path_tree(source), "{source}");
+        }
+        let tree = edited.shortest_path_tree(a);
+        assert_eq!(tree.path_to(b).map(|path| path.hop_count()), Some(2));
+        assert!(tree.path_to(s1).is_none());
     }
 
     /// A tree updated over random removals, additions and latency moves on

@@ -79,7 +79,8 @@ impl NodeKind {
 /// A node in the topology.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {
-    /// Identifier, dense and stable within one topology.
+    /// Identifier, stable within one topology. Ids are assigned
+    /// monotonically and never reused, even after a node is removed.
     pub id: NodeId,
     /// Service or bridge.
     pub kind: NodeKind,
@@ -167,6 +168,10 @@ pub struct Topology {
     /// that ever existed (the snapshot timeline's delta detection and the
     /// metadata codec's link ids both rely on that).
     next_link: u32,
+    /// Next node id, monotonic like `next_link`: a node added after a
+    /// removal never takes a departed node's id, so the snapshot timeline
+    /// appends it to its graph behind every node it already indexes.
+    next_node: u32,
 }
 
 impl Topology {
@@ -185,12 +190,13 @@ impl Topology {
     ///
     /// Panics if a node with the same composed name already exists.
     pub fn add_service(&mut self, service: &str, replica: u32, image: &str) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
         let composed = format!("{service}.{replica}");
         assert!(
             !self.names.contains_key(&composed),
             "duplicate service replica {composed}"
         );
+        let id = NodeId(self.next_node);
+        self.next_node += 1;
         self.nodes.push(Node {
             id,
             kind: NodeKind::Service {
@@ -212,11 +218,12 @@ impl Topology {
     ///
     /// Panics if a node with the same name already exists.
     pub fn add_bridge(&mut self, name: &str) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
         assert!(
             !self.names.contains_key(name),
             "duplicate bridge name {name}"
         );
+        let id = NodeId(self.next_node);
+        self.next_node += 1;
         self.nodes.push(Node {
             id,
             kind: NodeKind::Bridge {
@@ -308,9 +315,8 @@ impl Topology {
         let Some(pos) = self.nodes.iter().position(|n| n.id == id) else {
             return false;
         };
-        let removed = self.nodes.remove(pos);
+        self.nodes.remove(pos);
         self.names.retain(|_, v| *v != id);
-        let _ = removed;
         self.links.retain(|l| l.from != id && l.to != id);
         true
     }
@@ -455,6 +461,24 @@ mod tests {
         assert_eq!(t.link_count(), 0);
         assert_eq!(t.node_by_name("s1"), None);
         assert_eq!(t.node_count(), 2);
+    }
+
+    /// A node added after a removal takes a fresh id, not the id of the
+    /// last live node, so the two names resolve to different nodes.
+    #[test]
+    fn a_node_added_after_a_removal_takes_a_fresh_id() {
+        let mut t = Topology::new();
+        let a = t.add_service("a", 0, "img");
+        let s1 = t.add_bridge("s1");
+        let s2 = t.add_bridge("s2");
+        assert!(t.remove_node(a));
+        let s3 = t.add_bridge("s3");
+        assert!(s3 > s2 && s3 != s1);
+        assert_eq!(t.node_by_name("s3"), Some(s3));
+        assert_eq!(t.node_by_name("s2"), Some(s2));
+        assert_eq!(t.node(s3).map(|n| n.kind.display_name()), Some("s3".into()));
+        let h = t.add_service("h", 0, "img");
+        assert!(h > s3);
     }
 
     #[test]
