@@ -2,80 +2,71 @@
 //!
 //! Every unidirectional link of the topology is a
 //! [`kollaps_netmodel::link::LinkPipe`] with the link's bandwidth, latency,
-//! loss and a drop-tail buffer. Packets are routed along the same shortest
-//! paths Kollaps collapses, but traverse every hop explicitly — switch
-//! buffers fill, packets are dropped on overflow, and TCP reacts to real
-//! queueing rather than to the emulation model. This is the reference the
-//! paper's deviation plots (Figures 5-7) measure against.
+//! loss and a drop-tail buffer. Packets traverse every hop explicitly —
+//! switch buffers fill, packets are dropped on overflow, and TCP reacts to
+//! real queueing rather than to the emulation model. This is the reference
+//! the paper's deviation plots (Figures 5-7) measure against.
+//!
+//! # Routes
+//!
+//! A pair's packets follow the links of its collapsed path
+//! ([`CollapsedTopology::path_by_addr`]): the ground truth routes along the
+//! shortest paths Kollaps collapses and makes no routing decision of its
+//! own. That is what switches forwarding each along its own shortest path
+//! would do. Under the tie-break contract of [`kollaps_topology::graph`],
+//! the tree of any node `n` on `s`'s path to `d` reaches `d` over the rest
+//! of that path, so every switch on the way picks the next link of the
+//! source's path. A pair's route is derived on its first send and kept.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use kollaps_netmodel::link::{LinkConfig, LinkPipe};
-use kollaps_netmodel::packet::{DropReason, Packet};
+use kollaps_netmodel::packet::{Addr, DropReason, Packet};
 use kollaps_sim::prelude::*;
 
 use kollaps_core::collapse::{Addressable, CollapsedTopology};
 use kollaps_core::runtime::{Dataplane, SendOutcome};
-use kollaps_topology::graph::TopologyGraph;
-use kollaps_topology::model::{LinkId, NodeId, Topology};
+use kollaps_topology::model::Topology;
 
-/// Routing and link state for a full-state (per-hop) network simulation.
+/// Link state and routes for a full-state (per-hop) network simulation.
 pub struct GroundTruthDataplane {
-    /// Per-link pipes, keyed by the original link id.
-    links: HashMap<LinkId, LinkPipe>,
-    /// Forwarding tables: at node `n`, towards destination service `d`, use
-    /// link `l` (the first hop of the shortest path).
-    next_hop: HashMap<(NodeId, NodeId), LinkId>,
-    /// Where each link leads.
-    link_endpoint: HashMap<LinkId, NodeId>,
-    /// Container address ↔ service node mapping (same assignment as the
-    /// collapsed topology, so workloads can run on either).
+    /// One pipe per link, in link-id order: a link's pipe sits at its slot
+    /// in the collapse's [`kollaps_core::collapse::LinkTable`].
+    pipes: Vec<LinkPipe>,
+    /// Per (source, destination) address pair that has sent, the slots of
+    /// its collapsed path in path order; empty when it has none.
+    routes: BTreeMap<(Addr, Addr), Box<[u32]>>,
+    /// Container address ↔ service node mapping and the paths (same
+    /// assignment as the Kollaps dataplane, so workloads can run on
+    /// either).
     collapsed: CollapsedTopology,
     /// Extra forwarding latency applied at every switch hop (zero for bare
     /// metal; the Mininet/Maxinet wrappers raise it).
     per_hop_overhead: SimDuration,
     /// Packets that reached their destination, ready for pickup.
     arrived: Vec<Packet>,
-    /// Which node each in-flight packet currently sits at is implicit: a
-    /// packet is always inside some link pipe; this maps a delivered packet
-    /// (by link) to the node where it pops out.
+    /// Packets dropped inside the network (loss, buffer overflow, no
+    /// route).
     dropped: u64,
 }
 
 impl GroundTruthDataplane {
     /// Builds the per-hop simulation of `topology`.
     pub fn new(topology: &Topology) -> Self {
-        let collapsed = CollapsedTopology::build(topology);
-        let graph = TopologyGraph::new(topology);
-        let mut links = HashMap::new();
-        let mut link_endpoint = HashMap::new();
-        for spec in topology.links() {
-            let mut cfg = LinkConfig::new(spec.properties.bandwidth, spec.properties.latency);
-            cfg.loss = spec.properties.loss;
-            links.insert(spec.id, LinkPipe::with_seed(cfg, u64::from(spec.id.0) + 1));
-            link_endpoint.insert(spec.id, spec.to);
-        }
-        // Forwarding tables: per-source shortest paths from every node, so
-        // intermediate bridges also know where to forward.
-        let mut next_hop = HashMap::new();
-        for node in topology.nodes() {
-            let paths = graph.shortest_paths_from(node.id);
-            for &service in &topology.service_ids() {
-                if service == node.id {
-                    continue;
-                }
-                if let Some(path) = paths.get(&service) {
-                    if let Some(first) = path.links.first() {
-                        next_hop.insert((node.id, service), *first);
-                    }
-                }
-            }
-        }
+        let mut links: Vec<_> = topology.links().iter().collect();
+        links.sort_unstable_by_key(|link| link.id);
+        let pipes = links
+            .iter()
+            .map(|spec| {
+                let mut cfg = LinkConfig::new(spec.properties.bandwidth, spec.properties.latency);
+                cfg.loss = spec.properties.loss;
+                LinkPipe::with_seed(cfg, u64::from(spec.id.0) + 1)
+            })
+            .collect();
         GroundTruthDataplane {
-            links,
-            next_hop,
-            link_endpoint,
-            collapsed,
+            pipes,
+            routes: BTreeMap::new(),
+            collapsed: CollapsedTopology::build(topology),
             per_hop_overhead: SimDuration::ZERO,
             arrived: Vec::new(),
             dropped: 0,
@@ -88,34 +79,30 @@ impl GroundTruthDataplane {
         self.per_hop_overhead = overhead;
     }
 
-    /// The address/collapse view shared with the Kollaps dataplane.
-    pub fn collapsed(&self) -> &CollapsedTopology {
-        &self.collapsed
-    }
-
     /// Packets dropped inside the network so far (loss + buffer overflow).
     pub fn dropped_packets(&self) -> u64 {
         self.dropped
     }
 
-    fn forward(&mut self, now: SimTime, at_node: NodeId, packet: Packet) -> Option<DropReason> {
-        let Some(dst_node) = self.collapsed.service_at(packet.dst) else {
-            self.dropped += 1;
-            return Some(DropReason::Unreachable);
-        };
-        if at_node == dst_node {
-            self.arrived.push(packet);
-            return None;
-        }
-        let pipe = self
-            .next_hop
-            .get(&(at_node, dst_node))
-            .and_then(|link| self.links.get_mut(link));
-        let Some(pipe) = pipe else {
-            self.dropped += 1;
-            return Some(DropReason::Unreachable);
-        };
-        let verdict = pipe.enqueue(now + self.per_hop_overhead, packet);
+    /// The slots of the route from `src` to `dst`, derived on first use.
+    fn route(&mut self, src: Addr, dst: Addr) -> &[u32] {
+        let collapsed = &self.collapsed;
+        self.routes.entry((src, dst)).or_insert_with(|| {
+            let path = collapsed.path_by_addr(src, dst);
+            let links = path.iter().flat_map(|path| &path.links);
+            // Every link of a collapsed path has a slot.
+            let table = collapsed.link_table();
+            links
+                .filter_map(|&link| table.slot(link))
+                .map(|slot| slot as u32)
+                .collect()
+        })
+    }
+
+    /// Queues `packet` on the link in `slot`, counting it dropped when the
+    /// link refuses it.
+    fn enqueue(&mut self, now: SimTime, slot: u32, packet: Packet) -> Option<DropReason> {
+        let verdict = self.pipes[slot as usize].enqueue(now + self.per_hop_overhead, packet);
         if verdict.is_some() {
             self.dropped += 1;
         }
@@ -123,31 +110,27 @@ impl GroundTruthDataplane {
     }
 
     /// Moves packets that finished a hop onto their next hop (or into the
-    /// arrival buffer).
+    /// arrival buffer), sweeping the links in id order until none has a
+    /// packet ready: same-instant forwarding between pipes must not depend
+    /// on anything but the topology, or contended runs stop being
+    /// reproducible.
     fn propagate(&mut self, now: SimTime) {
-        // Sorted: same-instant forwarding between pipes must not depend on
-        // the process-random HashMap iteration order, or contended runs
-        // stop being reproducible. The key set cannot change inside the
-        // fixpoint loop, so collect and sort once.
-        let mut link_ids: Vec<LinkId> = self.links.keys().copied().collect();
-        link_ids.sort();
         loop {
             let mut moved = false;
-            for &link in &link_ids {
-                // Both lookups hit: `links` and `link_endpoint` are filled
-                // together in `new`, and `link_ids` are `links`' own keys.
-                let (Some(pipe), Some(&node)) =
-                    (self.links.get_mut(&link), self.link_endpoint.get(&link))
-                else {
-                    continue;
-                };
-                let ready = pipe.deliver_ready(now);
-                if ready.is_empty() {
-                    continue;
-                }
-                moved = true;
-                for pkt in ready {
-                    let _ = self.forward(now, node, pkt);
+            for slot in 0..self.pipes.len() as u32 {
+                let ready = self.pipes[slot as usize].deliver_ready(now);
+                moved |= !ready.is_empty();
+                for packet in ready {
+                    // The packet entered the network through `send`, which
+                    // derived its route, and sits on one of its links.
+                    let route = &self.routes[&(packet.src, packet.dst)];
+                    let at = route.iter().position(|&hop| hop == slot);
+                    match at.and_then(|at| route.get(at + 1)) {
+                        Some(&next) => {
+                            let _ = self.enqueue(now, next, packet);
+                        }
+                        None => self.arrived.push(packet),
+                    }
                 }
             }
             if !moved {
@@ -168,7 +151,19 @@ impl Dataplane for GroundTruthDataplane {
         let Some(src_node) = self.collapsed.service_at(packet.src) else {
             return SendOutcome::Dropped(DropReason::Unreachable);
         };
-        match self.forward(now, src_node, packet) {
+        let Some(dst_node) = self.collapsed.service_at(packet.dst) else {
+            self.dropped += 1;
+            return SendOutcome::Dropped(DropReason::Unreachable);
+        };
+        if src_node == dst_node {
+            self.arrived.push(packet);
+            return SendOutcome::Sent;
+        }
+        let Some(&first) = self.route(packet.src, packet.dst).first() else {
+            self.dropped += 1;
+            return SendOutcome::Dropped(DropReason::Unreachable);
+        };
+        match self.enqueue(now, first, packet) {
             None => SendOutcome::Sent,
             // A full first-hop buffer behaves like a full local qdisc: the
             // sender's stack is back-pressured rather than silently losing
@@ -179,9 +174,9 @@ impl Dataplane for GroundTruthDataplane {
     }
 
     fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        self.links
-            .values_mut()
-            .filter_map(|l| l.next_wakeup(now))
+        self.pipes
+            .iter_mut()
+            .filter_map(|pipe| pipe.next_wakeup(now))
             .min()
     }
 

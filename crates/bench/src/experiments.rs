@@ -234,12 +234,12 @@ pub fn run_table4(sizes: &[usize], sample_pairs: usize) -> Vec<Row> {
             if a == b {
                 continue;
             }
-            let paths = graph.shortest_paths_from(a);
-            let Some(path) = paths.get(&b) else { continue };
-            let props = PathProperties::compose(&topo, path).expect("fresh path");
+            let Some(path) = graph.shortest_path_tree(a).path_to(b) else {
+                continue;
+            };
+            let props = PathProperties::compose(&topo, &path).expect("fresh path");
             let theoretical_ms = props.rtt().as_millis_f64();
             let hops: Vec<(SimDuration, Bandwidth)> = path
-                .links
                 .iter()
                 .map(|l| {
                     let p = topo.link(*l).expect("path link").properties;
@@ -819,11 +819,10 @@ mod tests {
         };
         let (topo, nodes, _) = generators::barabasi_albert(&params, &mut rng);
         let graph = TopologyGraph::new(&topo);
-        let paths = graph.shortest_paths_from(nodes[0]);
-        let path = paths.get(&nodes[1]).expect("connected");
-        let props = PathProperties::compose(&topo, path).unwrap();
+        let path = graph.shortest_path_tree(nodes[0]).path_to(nodes[1]);
+        let path = path.expect("connected");
+        let props = PathProperties::compose(&topo, &path).unwrap();
         let hops: Vec<(SimDuration, Bandwidth)> = path
-            .links
             .iter()
             .map(|l| {
                 let p = topo.link(*l).unwrap().properties;
@@ -834,11 +833,11 @@ mod tests {
         let chain_graph = TopologyGraph::new(&chain);
         let src = chain.node_by_name("src").unwrap();
         let dst = chain.node_by_name("dst").unwrap();
-        let chain_path = chain_graph.shortest_paths_from(src);
-        let chain_props = PathProperties::compose(&chain, chain_path.get(&dst).unwrap()).unwrap();
+        let chain_path = chain_graph.shortest_path_tree(src).path_to(dst).unwrap();
+        let chain_props = PathProperties::compose(&chain, &chain_path).unwrap();
         assert_eq!(chain_props.latency, props.latency);
         assert_eq!(chain_props.max_bandwidth, props.max_bandwidth);
-        assert_eq!(chain_path.get(&dst).unwrap().hop_count(), path.hop_count());
+        assert_eq!(chain_path.len(), path.len());
     }
 
     #[test]

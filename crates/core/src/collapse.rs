@@ -39,11 +39,12 @@
 //! pair on every loop iteration keeps what it derived (the Emulation
 //! Manager caches its senders' paths).
 //!
-//! The links are one [`LinkTable`] per snapshot (capacity and latency by
-//! slot) and one table of their jitter and loss, each behind an [`Arc`]: a
-//! snapshot timeline shares the first with the previous snapshot unless the
-//! change moved a link's capacity or latency, the second unless it moved a
-//! jitter or a loss, and neither when a link came or went.
+//! The links are one [`LinkTable`] per snapshot (capacity, latency, jitter
+//! and loss by slot) behind an [`Arc`]: a snapshot timeline shares it with
+//! the previous snapshot unless the change moved a value of a link or a
+//! link came or went. A table that moved only values no flow's capacity
+//! depends on still leaves the solver's memo a hit: it compares a new table
+//! by value at the links its flows cross (see `crate::sharing`).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -54,7 +55,9 @@ use kollaps_netmodel::packet::Addr;
 use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 
-use kollaps_topology::graph::{PathProperties, ShortestPathTree, TopologyGraph, Via};
+use kollaps_topology::graph::{
+    links_back, links_forward, PathProperties, ShortestPathTree, TopologyGraph, Via,
+};
 use kollaps_topology::model::{LinkId, LinkProperties, NodeId, Topology};
 
 use crate::sharing::{FlowDemand, FlowRef};
@@ -118,7 +121,8 @@ impl FlowPath {
 const NO_SLOT: u32 = u32::MAX;
 
 /// The links of one snapshot, numbered densely: ids ascending, a link's
-/// *slot* is its position, and capacity and latency are arrays by slot.
+/// *slot* is its position, and its capacity, latency, jitter and loss are
+/// arrays by slot.
 ///
 /// Every per-link reader of the emulation loop indexes this one table —
 /// the solver kernel, [`crate::sharing::oversubscription`] and a manager's
@@ -134,6 +138,10 @@ pub struct LinkTable {
     capacity: Vec<Bandwidth>,
     /// One-way latency per slot.
     latency: Vec<SimDuration>,
+    /// Jitter per slot.
+    jitter: Vec<SimDuration>,
+    /// Loss probability per slot.
+    loss: Vec<f64>,
     /// Link id → slot for O(1) lookups, when the ids are dense enough for
     /// the index to stay proportional to the link count (topologies number
     /// their links from zero); empty otherwise, and lookups binary-search
@@ -145,15 +153,17 @@ pub struct LinkTable {
 }
 
 impl LinkTable {
-    /// The table of `(id, capacity, latency)` entries with distinct ids, in
-    /// any order.
-    fn new(links: impl IntoIterator<Item = (LinkId, Bandwidth, SimDuration)>) -> Self {
+    /// The table of `(id, properties)` entries with distinct ids, in any
+    /// order.
+    fn new(links: impl IntoIterator<Item = (LinkId, LinkProperties)>) -> Self {
         let mut links: Vec<_> = links.into_iter().collect();
-        links.sort_unstable_by_key(|&(id, _, _)| id);
+        links.sort_unstable_by_key(|&(id, _)| id);
         let mut table = LinkTable {
-            ids: links.iter().map(|&(id, _, _)| id).collect(),
-            capacity: links.iter().map(|&(_, capacity, _)| capacity).collect(),
-            latency: links.iter().map(|&(_, _, latency)| latency).collect(),
+            ids: links.iter().map(|&(id, _)| id).collect(),
+            capacity: links.iter().map(|(_, p)| p.bandwidth).collect(),
+            latency: links.iter().map(|(_, p)| p.latency).collect(),
+            jitter: links.iter().map(|(_, p)| p.jitter).collect(),
+            loss: links.iter().map(|(_, p)| p.loss).collect(),
             ..LinkTable::default()
         };
         if let Some(&LinkId(highest)) = table.ids.last() {
@@ -170,20 +180,15 @@ impl LinkTable {
 
     /// The links of `topology`.
     pub(crate) fn of(topology: &Topology) -> Self {
-        LinkTable::new(
-            topology
-                .links()
-                .iter()
-                .map(|l| (l.id, l.properties.bandwidth, l.properties.latency)),
-        )
+        LinkTable::new(topology.links().iter().map(|l| (l.id, l.properties)))
     }
 
-    /// The links of a capacity map, with zero latency.
+    /// The links of a capacity map, with zero latency, jitter and loss.
     pub fn from_capacities(capacities: &BTreeMap<LinkId, Bandwidth>) -> Self {
         LinkTable::new(
             capacities
                 .iter()
-                .map(|(&id, &capacity)| (id, capacity, SimDuration::ZERO)),
+                .map(|(&id, &capacity)| (id, LinkProperties::new(SimDuration::ZERO, capacity))),
         )
     }
 
@@ -236,58 +241,30 @@ impl LinkTable {
         })
     }
 
-    /// `true` when both tables hold the same links with the same capacities
-    /// and latencies.
+    /// `true` when both tables hold the same links with the same values.
     #[cfg(test)]
     pub(crate) fn same_links(&self, other: &LinkTable) -> bool {
-        self.ids == other.ids && self.capacity == other.capacity && self.latency == other.latency
+        self.ids == other.ids
+            && self.capacity == other.capacity
+            && self.latency == other.latency
+            && self.jitter == other.jitter
+            && self.loss == other.loss
     }
-}
 
-/// The jitter and loss of a snapshot's links, by [`LinkTable`] slot. It
-/// sits beside the table rather than in it so that a jitter or loss change
-/// leaves the table, and the solver memo that recognises it, shared.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct LinkImpairments {
-    jitter: Vec<SimDuration>,
-    loss: Vec<f64>,
-}
-
-impl LinkImpairments {
-    /// The jitter and loss of the links of `topology`, by their slot in
-    /// `table`, the topology's own [`LinkTable::of`].
-    pub(crate) fn of(topology: &Topology, table: &LinkTable) -> Self {
-        let mut impairments = LinkImpairments {
-            jitter: vec![SimDuration::ZERO; table.len()],
-            loss: vec![0.0; table.len()],
-        };
-        for link in topology.links() {
-            if let Some(slot) = table.slot(link.id) {
-                impairments.jitter[slot] = link.properties.jitter;
-                impairments.loss[slot] = link.properties.loss;
-            }
-        }
-        impairments
+    /// The end-to-end values of the path over `links` (source first);
+    /// `None` if a link is not in the table (never for the links of a
+    /// snapshot's own trees).
+    pub(crate) fn compose(&self, links: &[LinkId]) -> Option<PathProperties> {
+        PathProperties::compose_links(links.iter().map(|&link| {
+            let slot = self.slot(link)?;
+            Some(LinkProperties {
+                latency: self.latency[slot],
+                jitter: self.jitter[slot],
+                bandwidth: self.capacity[slot],
+                loss: self.loss[slot],
+            })
+        }))
     }
-}
-
-/// The end-to-end values of the path over `links` (source first), composed
-/// over a snapshot's link tables; `None` if a link is not in them (never
-/// for the links of a snapshot's own trees).
-pub(crate) fn compose(
-    links: &[LinkId],
-    table: &LinkTable,
-    impairments: &LinkImpairments,
-) -> Option<PathProperties> {
-    PathProperties::compose_links(links.iter().map(|&link| {
-        let slot = table.slot(link)?;
-        Some(LinkProperties {
-            latency: table.latency(slot),
-            jitter: impairments.jitter[slot],
-            bandwidth: table.capacity(slot),
-            loss: impairments.loss[slot],
-        })
-    }))
 }
 
 /// "No node": a service its node set does not have.
@@ -332,35 +309,6 @@ impl TreeBase {
 /// node index; `None` when there are none.
 pub(crate) type Overlay = Option<Arc<[(u32, Via)]>>;
 
-/// The links of a tree path, destination first: from the node at `node`
-/// along `parent` (an array of `nodes` entries) back to the node at
-/// `root`. `None` when `node` is `root`, unreached, or either is
-/// [`NO_NODE`].
-pub(crate) fn links_back(
-    parent: impl Fn(u32) -> Via,
-    nodes: usize,
-    root: u32,
-    mut node: u32,
-) -> Option<impl Iterator<Item = LinkId>> {
-    if root == NO_NODE || node == NO_NODE || node == root || parent(node).is_none() {
-        return None;
-    }
-    // Only the root has no link among reached nodes, so the walk ends
-    // exactly there, within `nodes` hops; a parent array that is no tree
-    // ends it early rather than never.
-    let mut hops = nodes;
-    Some(std::iter::from_fn(move || {
-        if node == root {
-            return None;
-        }
-        debug_assert!(hops > 0, "a parent chain longer than its tree");
-        hops = hops.checked_sub(1)?;
-        let via = parent(node);
-        node = via.from;
-        (!via.is_none()).then_some(via.link)
-    }))
-}
-
 /// The collapsed view of a topology snapshot: every ordered pair of
 /// services that reach each other, by its shortest-path tree, plus the
 /// addressing information used by the dataplane.
@@ -385,8 +333,6 @@ pub struct CollapsedTopology {
     pub(crate) pairs: usize,
     /// The snapshot's links.
     pub(crate) links: Arc<LinkTable>,
-    /// Their jitter and loss.
-    pub(crate) impairments: Arc<LinkImpairments>,
 }
 
 impl CollapsedTopology {
@@ -463,16 +409,13 @@ impl CollapsedTopology {
             number,
             parents,
         };
-        let links = LinkTable::of(topology);
-        let impairments = LinkImpairments::of(topology, &links);
         let mut collapsed = CollapsedTopology {
             overlays: vec![None; services.len()],
             services,
             nodes: Arc::clone(nodes),
             base: Arc::new(base),
             pairs: 0,
-            links: Arc::new(links),
-            impairments: Arc::new(impairments),
+            links: Arc::new(LinkTable::of(topology)),
         };
         collapsed.pairs = collapsed.reach().sum();
         (collapsed, graph, trees)
@@ -483,7 +426,7 @@ impl CollapsedTopology {
         let n = self.services.len();
         (0..n).map(move |src| {
             (0..n)
-                .filter(|&dst| self.links_back(src, dst).is_some())
+                .filter(|&dst| self.path_back(src, dst).is_some())
                 .count()
         })
     }
@@ -546,11 +489,11 @@ impl CollapsedTopology {
 
     /// The links of the path between two numbered services, destination
     /// first; `None` when there is none.
-    pub(crate) fn links_back(
+    pub(crate) fn path_back(
         &self,
         src: usize,
         dst: usize,
-    ) -> Option<impl Iterator<Item = LinkId> + '_> {
+    ) -> Option<impl Iterator<Item = LinkId> + Clone + '_> {
         links_back(
             move |node| self.parent(src, node),
             self.nodes.len(),
@@ -561,13 +504,8 @@ impl CollapsedTopology {
 
     /// Derives the path between two numbered services.
     fn path_of(&self, src: usize, dst: usize) -> Option<CollapsedPath> {
-        // Two walks, so that the list is allocated once at its exact size.
-        let hops = self.links_back(src, dst)?.count();
-        let mut links = vec![LinkId::default(); hops];
-        for (slot, link) in links.iter_mut().rev().zip(self.links_back(src, dst)?) {
-            *slot = link;
-        }
-        let values = compose(&links, &self.links, &self.impairments)?;
+        let links = links_forward(self.path_back(src, dst)?);
+        let values = self.links.compose(&links)?;
         Some(CollapsedPath {
             src: self.services[src],
             dst: self.services[dst],
@@ -582,7 +520,7 @@ impl CollapsedTopology {
     /// The one-way latency between two numbered services, without building
     /// their path.
     fn latency_of(&self, src: usize, dst: usize) -> Option<SimDuration> {
-        let mut back = self.links_back(src, dst)?;
+        let mut back = self.path_back(src, dst)?;
         back.try_fold(SimDuration::ZERO, |sum, link| {
             Some(sum + self.links.latency(self.links.slot(link)?))
         })
@@ -622,13 +560,13 @@ impl CollapsedTopology {
         let (Some(src), Some(dst)) = (self.number_at(src), self.number_at(dst)) else {
             return false;
         };
-        self.links_back(src, dst).is_some()
+        self.path_back(src, dst).is_some()
     }
 
     /// The bottleneck bandwidth between two container addresses, without
     /// building their path.
     pub fn max_bandwidth_by_addr(&self, src: Addr, dst: Addr) -> Option<Bandwidth> {
-        let mut back = self.links_back(self.number_at(src)?, self.number_at(dst)?)?;
+        let mut back = self.path_back(self.number_at(src)?, self.number_at(dst)?)?;
         back.try_fold(Bandwidth::MAX, |min, link| {
             Some(min.min(self.links.capacity(self.links.slot(link)?)))
         })
@@ -678,7 +616,7 @@ impl CollapsedTopology {
     }
 
     /// The snapshot's links. Two snapshots returning [`Arc::ptr_eq`] tables
-    /// agree on every link's capacity and latency, so the solver's memo
+    /// agree on every value of every link, so the solver's memo
     /// takes the same table as a hit at once and compares the capacities
     /// of its flows' links only across different tables.
     pub fn link_table(&self) -> &Arc<LinkTable> {
@@ -878,11 +816,8 @@ mod tests {
                 .collect();
             let table = LinkTable::new(ids.iter().map(|&id| {
                 let k = u64::from(id.0);
-                (
-                    id,
-                    Bandwidth::from_bps(k + 1),
-                    SimDuration::from_nanos(2 * k),
-                )
+                let latency = SimDuration::from_nanos(2 * k);
+                (id, LinkProperties::new(latency, Bandwidth::from_bps(k + 1)))
             }));
             assert_eq!(table.len(), ids.len());
             assert!(

@@ -101,13 +101,11 @@ use kollaps_topology::events::{
     apply_action, nodes_named, DynamicAction, DynamicEvent, EventSchedule,
 };
 use kollaps_topology::graph::{
-    LinkEdit, LinkEditKind, ShortestPathTree, TopologyGraph, TreeScratch, Via,
+    links_back, LinkEdit, LinkEditKind, ShortestPathTree, TopologyGraph, TreeScratch, Via,
 };
 use kollaps_topology::model::{LinkId, LinkProperties, LinkSpec, NodeId, Topology};
 
-use crate::collapse::{
-    compose, links_back, CollapsedTopology, LinkImpairments, LinkTable, NO_NODE,
-};
+use crate::collapse::{CollapsedTopology, LinkTable, NO_NODE};
 
 /// One precomputed topology change: the new snapshot plus the exact set of
 /// service pairs the change affected.
@@ -379,10 +377,6 @@ struct LinkDiff {
     changed: Vec<LinkId>,
     /// Every changed link as the tree repair sees it, ascending by id.
     edits: Vec<LinkEdit>,
-    /// A link came, went, or changed its capacity or latency.
-    table_moved: bool,
-    /// A link came, went, or changed its jitter or loss.
-    impairments_moved: bool,
 }
 
 impl LinkDiff {
@@ -401,15 +395,6 @@ impl LinkDiff {
                 (_, None) => LinkEditKind::Worse,
             };
             diff.changed.push(id);
-            let (table, impairments) = match (was, now) {
-                (Some(was), Some(now)) => (
-                    was.bandwidth != now.bandwidth || was.latency != now.latency,
-                    was.jitter != now.jitter || was.loss != now.loss,
-                ),
-                _ => (true, true),
-            };
-            diff.table_moved |= table;
-            diff.impairments_moved |= impairments;
             diff.edits.push(LinkEdit { id, from, to, kind });
         }
         diff
@@ -593,17 +578,12 @@ impl<'a> Fold<'a> {
                 .all(|id| prev.services.binary_search(id).is_ok()),
             "a service joined the topology after the initial snapshot"
         );
-        // A link table is copied only when a value it holds moved (or a
-        // link came or went).
-        let links = if diff.table_moved {
-            Arc::new(LinkTable::of(working))
-        } else {
+        // The link table is copied only when a value it holds moved (or a
+        // link came or went): every changed link did one of these.
+        let links = if diff.changed.is_empty() {
             Arc::clone(&prev.links)
-        };
-        let impairments = if diff.impairments_moved {
-            Arc::new(LinkImpairments::of(working, &links))
         } else {
-            Arc::clone(&prev.impairments)
+            Arc::new(LinkTable::of(working))
         };
         let base = &prev.base;
         let mut next = CollapsedTopology {
@@ -613,7 +593,6 @@ impl<'a> Fold<'a> {
             overlays: prev.overlays.clone(),
             pairs: prev.pairs,
             links,
-            impairments,
         };
         let mut pairs = Pairs::default();
         for (src, tree) in self.trees.iter_mut().enumerate() {
@@ -637,7 +616,7 @@ impl<'a> Fold<'a> {
                 let dst = dst as usize;
                 pairs.compare(
                     (prev.services[src], prev.services[dst]),
-                    prev.links_back(src, dst),
+                    prev.path_back(src, dst),
                     links_back(|node| parents[node as usize], parents.len(), root, node),
                     (&prev, &next),
                     &mut self.walked,
@@ -739,15 +718,11 @@ impl Pairs {
             self.changed.push(pair);
             return;
         }
-        if Arc::ptr_eq(&prev.links, &next.links)
-            && Arc::ptr_eq(&prev.impairments, &next.impairments)
-        {
+        if Arc::ptr_eq(&prev.links, &next.links) {
             return;
         }
         walked.reverse();
-        if compose(walked, &prev.links, &prev.impairments)
-            != compose(walked, &next.links, &next.impairments)
-        {
+        if prev.links.compose(walked) != next.links.compose(walked) {
             self.changed.push(pair);
         }
     }
@@ -756,6 +731,7 @@ impl Pairs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kollaps_netmodel::packet::Addr;
     use kollaps_sim::units::Bandwidth;
     use kollaps_topology::events::{DynamicAction, DynamicEvent, LinkChange};
     use kollaps_topology::generators;
@@ -1008,15 +984,6 @@ mod tests {
                 "link table shared iff unchanged at {:?}",
                 delta.at
             );
-            assert_eq!(*snapshot.impairments, *reference.impairments);
-            let same_impairments = snapshot.links.ids() == prev.links.ids()
-                && snapshot.impairments == prev.impairments;
-            assert_eq!(
-                Arc::ptr_eq(&snapshot.impairments, &prev.impairments),
-                same_impairments,
-                "jitter and loss shared iff unchanged at {:?}",
-                delta.at
-            );
             prev = Arc::clone(&delta.snapshot);
         }
         assert_eq!(timeline.stats().tree_entries_written, entries_moved);
@@ -1073,9 +1040,9 @@ mod tests {
         assert_matches_online_recollapse(&dumbbell(), &schedule);
     }
 
-    /// A delta shares its parent's link table unless it moves a link's
-    /// capacity or latency (or adds or removes a link); the allocator's memo
-    /// keys on that identity.
+    /// A delta shares its parent's link table unless it moves a value of a
+    /// link (or adds or removes a link). The allocator's memo takes a copy
+    /// that moved no capacity its flows cross as a hit.
     #[test]
     fn a_delta_copies_the_link_table_only_when_a_link_changes() {
         let mut schedule = EventSchedule::new();
@@ -1092,9 +1059,32 @@ mod tests {
             .chain(timeline.deltas().iter().map(|d| &d.snapshot))
             .map(|snapshot| snapshot.link_table())
             .collect();
-        // The jitter and loss edit changes paths but no table column.
+        // The jitter and loss edit changes paths and copies the table, with
+        // the new values in place and every capacity and latency kept.
         assert!(!timeline.deltas()[0].changed_paths.is_empty());
-        assert!(Arc::ptr_eq(tables[1], tables[0]));
+        assert!(!Arc::ptr_eq(tables[1], tables[0]));
+        assert_eq!(tables[1].ids(), tables[0].ids());
+        for slot in 0..tables[0].len() {
+            assert_eq!(tables[1].capacity(slot), tables[0].capacity(slot));
+            assert_eq!(tables[1].latency(slot), tables[0].latency(slot));
+        }
+        let one = |table: &LinkTable, slot: usize| table.compose(&table.ids()[slot..=slot]);
+        let moved: Vec<usize> = (0..tables[0].len())
+            .filter(|&slot| one(tables[1], slot) != one(tables[0], slot))
+            .collect();
+        // Both directions of the edge.
+        assert_eq!(moved.len(), 2);
+        for slot in moved {
+            let values = one(tables[1], slot).unwrap();
+            assert_eq!(values.jitter, SimDuration::from_millis(2));
+            assert!((values.loss - 0.01).abs() < 1e-12);
+        }
+        let (client, server) = (Addr::container(0), Addr::container(1));
+        let flow = timeline.initial().flow_path(client, server).unwrap();
+        let mut allocator = crate::sharing::Allocator::default();
+        allocator.solve(&[flow.flow_ref()], tables[0]);
+        allocator.solve(&[flow.flow_ref()], tables[1]);
+        assert_eq!(allocator.stats().fast_hits, 1);
         // A latency change copies it, with the new latency in place.
         assert!(!Arc::ptr_eq(tables[2], tables[1]));
         assert_eq!(tables[2].ids(), tables[1].ids());
@@ -1579,8 +1569,8 @@ mod tests {
         assert_eq!(delta.snapshot.service_at(addr), Some(c2));
         let number = delta.snapshot.services.binary_search(&c2).unwrap();
         for other in 0..delta.snapshot.services.len() {
-            assert!(delta.snapshot.links_back(number, other).is_none());
-            assert!(delta.snapshot.links_back(other, number).is_none());
+            assert!(delta.snapshot.path_back(number, other).is_none());
+            assert!(delta.snapshot.path_back(other, number).is_none());
         }
         for (other, _) in delta.snapshot.addresses() {
             assert!(delta.snapshot.path(c2, other).is_none());

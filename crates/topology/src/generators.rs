@@ -292,8 +292,11 @@ mod tests {
         assert_eq!(t.link_count(), 2 * 21);
         // Every client-server path crosses the 50 Mb/s bottleneck.
         let g = TopologyGraph::new(&t);
-        let paths = g.all_pairs_service_paths();
-        let pp = PathProperties::compose(&t, &paths[&(clients[0], servers[0])]).unwrap();
+        let path = g
+            .shortest_path_tree(clients[0])
+            .path_to(servers[0])
+            .unwrap();
+        let pp = PathProperties::compose(&t, &path).unwrap();
         assert_eq!(pp.max_bandwidth, Bandwidth::from_mbps(50));
         assert_eq!(pp.latency, SimDuration::from_millis(12));
     }
@@ -305,17 +308,18 @@ mod tests {
         assert_eq!(servers.len(), 6);
         assert_eq!(t.bridge_ids().len(), 3);
         let g = TopologyGraph::new(&t);
-        let paths = g.all_pairs_service_paths();
+        let path = |c: usize, s: usize| g.shortest_path_tree(clients[c]).path_to(servers[s]);
+        let compose = |c, s| PathProperties::compose(&t, &path(c, s).unwrap()).unwrap();
         // C1 -> S1 path: C1-B1 (50), B1-B2 (50), B2-B3 (100), B3-S1 (50):
         // bottleneck 50 Mb/s, latency 10+10+10+5 = 35 ms.
-        let pp = PathProperties::compose(&t, &paths[&(clients[0], servers[0])]).unwrap();
+        let pp = compose(0, 0);
         assert_eq!(pp.max_bandwidth, Bandwidth::from_mbps(50));
         assert_eq!(pp.latency, SimDuration::from_millis(35));
         // C3 is limited by its own 10 Mb/s access link.
-        let pp3 = PathProperties::compose(&t, &paths[&(clients[2], servers[2])]).unwrap();
+        let pp3 = compose(2, 2);
         assert_eq!(pp3.max_bandwidth, Bandwidth::from_mbps(10));
         // C4 does not cross the B1-B2 link: latency 10+10+5 = 25 ms.
-        let pp4 = PathProperties::compose(&t, &paths[&(clients[3], servers[3])]).unwrap();
+        let pp4 = compose(3, 3);
         assert_eq!(pp4.latency, SimDuration::from_millis(25));
         assert_eq!(pp4.max_bandwidth, Bandwidth::from_mbps(50));
     }
@@ -325,7 +329,11 @@ mod tests {
         let (t, services) = star(8, Bandwidth::from_mbps(10), SimDuration::from_millis(2));
         assert_eq!(services.len(), 8);
         let g = TopologyGraph::new(&t);
-        assert_eq!(g.all_pairs_service_paths().len(), 8 * 7);
+        for &a in &services {
+            let tree = g.shortest_path_tree(a);
+            let reached = services.iter().filter(|&&b| tree.path_to(b).is_some());
+            assert_eq!(reached.count(), 7);
+        }
     }
 
     #[test]
@@ -351,9 +359,9 @@ mod tests {
         };
         let (t, nodes, _) = barabasi_albert(&params, &mut rng);
         let g = TopologyGraph::new(&t);
-        let paths = g.shortest_paths_from(nodes[0]);
+        let tree = g.shortest_path_tree(nodes[0]);
         for &n in &nodes[1..] {
-            assert!(paths.contains_key(&n), "node {n} unreachable");
+            assert!(tree.path_to(n).is_some(), "node {n} unreachable");
         }
     }
 

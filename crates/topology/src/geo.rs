@@ -195,10 +195,10 @@ mod tests {
             build_geo_topology(WHEAT_REGIONS, 1, Bandwidth::from_mbps(1_000), "bft-smart");
         assert_eq!(per_region.len(), 5);
         let g = TopologyGraph::new(&topo);
-        let paths = g.all_pairs_service_paths();
         let oregon = per_region[0][0];
         let ireland = per_region[1][0];
-        let p = PathProperties::compose(&topo, &paths[&(oregon, ireland)]).unwrap();
+        let path = g.shortest_path_tree(oregon).path_to(ireland).unwrap();
+        let p = PathProperties::compose(&topo, &path).unwrap();
         // 0.3 (access) + 62 (inter-region) + 0.3 (access) ms.
         let expected = 62.0 + 0.6;
         assert!((p.latency.as_millis_f64() - expected).abs() < 1e-6);

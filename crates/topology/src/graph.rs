@@ -32,9 +32,31 @@
 //! `(best(y), y, link id)`. [`ShortestPathTree::update`] repairs a tree
 //! after a change without re-running the search, and re-picks every link
 //! it touches by this form.
+//!
+//! # Every node on a path continues it
+//!
+//! Take any node `n` on `s`'s tree path to `d`, and any `v` after `n` on
+//! that path. Then `best_s(v) = best_s(n) + best_n(v)`; every in-link that
+//! is tight for `n` at `v` is also tight for `s`, its `(best, node, link
+//! id)` key shifted by the same `best_s(n)`; and the link `s`'s tree picks
+//! at `v` is one of them. So `n`'s tree picks the same link at `v`, and the
+//! tree path of `n` to `d` is the rest of `s`'s: a switch forwarding along
+//! its own shortest path takes the next link of the source's, and source
+//! routing equals per-node forwarding hop for hop. The hop-by-hop baseline
+//! rests on this to forward along the collapsed paths
+//! (`every_node_on_a_path_continues_it` in the workspace's property tests
+//! pins it on tie-heavy graphs).
+//!
+//! # One walk
+//!
+//! A tree path is read from a parent array by [`links_back`], destination
+//! first, and [`links_forward`] turns such a walk into the path's link
+//! list. [`ShortestPathTree::path_to`], the collapsed snapshots and the
+//! snapshot timeline all read their paths through them; nothing outside
+//! the search and [`ShortestPathTree::update`] decides a route.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -43,20 +65,6 @@ use kollaps_sim::time::SimDuration;
 use kollaps_sim::units::Bandwidth;
 
 use crate::model::{LinkId, LinkProperties, NodeId, Topology};
-
-/// A path through the topology, as an ordered list of link ids.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct Path {
-    /// Links traversed, in order from source to destination.
-    pub links: Vec<LinkId>,
-}
-
-impl Path {
-    /// Number of hops (links) in the path.
-    pub fn hop_count(&self) -> usize {
-        self.links.len()
-    }
-}
 
 /// One link in the CSR arrays, endpoints as dense node indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +93,7 @@ type Heap = BinaryHeap<Reverse<(u64, u32, u32)>>;
 /// node set can only grow ([`TopologyGraph::add_nodes`]): a node is
 /// appended behind every index, and a node the topology dropped stays as an
 /// index without links, so every tree of the graph keeps its indices. Two
-/// graphs are equal when they have the same nodes and services, the same
+/// graphs are equal when they have the same nodes, the same
 /// out-links per node in the same order with the same latencies, and the
 /// same in-links per node in any order.
 #[derive(Debug, Clone)]
@@ -103,7 +111,6 @@ pub struct TopologyGraph {
     /// form's key is total.
     in_offsets: Vec<u32>,
     in_slots: Vec<u32>,
-    services: Vec<NodeId>,
 }
 
 impl TopologyGraph {
@@ -156,13 +163,7 @@ impl TopologyGraph {
             edges,
             in_offsets,
             in_slots,
-            services: topology.service_ids(),
         }
-    }
-
-    /// All service node ids.
-    pub fn services(&self) -> &[NodeId] {
-        &self.services
     }
 
     /// The slots in `edges` of the links leaving `node`.
@@ -206,9 +207,8 @@ impl TopologyGraph {
     }
 
     /// Appends every node `topology` added since the graph last had its
-    /// nodes — the ids above the graph's last, as ids are never reused —
-    /// and takes its service list. Every index stays, that of a node the
-    /// topology dropped included.
+    /// nodes — the ids above the graph's last, as ids are never reused.
+    /// Every index stays, that of a node the topology dropped included.
     pub fn add_nodes(&mut self, topology: &Topology) {
         let last = self.ids.last().copied();
         let nodes = topology.nodes();
@@ -220,7 +220,6 @@ impl TopologyGraph {
             self.offsets.resize(self.ids.len() + 1, links);
             self.in_offsets.resize(self.ids.len() + 1, ins);
         }
-        self.services = topology.service_ids();
     }
 
     /// Brings link `id`, `from → to`, to `latency` — adding it when the
@@ -589,31 +588,6 @@ impl TopologyGraph {
         }
         settled
     }
-
-    /// Shortest paths (by cumulative latency) from `source` to every
-    /// reachable node. Returns a map `destination → path`.
-    pub fn shortest_paths_from(&self, source: NodeId) -> HashMap<NodeId, Path> {
-        let tree = self.shortest_path_tree(source);
-        self.ids
-            .iter()
-            .filter_map(|&dst| Some((dst, tree.path_to(dst)?)))
-            .collect()
-    }
-
-    /// Shortest paths between every ordered pair of *services*, the input of
-    /// the collapsing step. Unreachable pairs are absent from the map.
-    pub fn all_pairs_service_paths(&self) -> HashMap<(NodeId, NodeId), Path> {
-        let mut out = HashMap::new();
-        for &src in &self.services {
-            let tree = self.shortest_path_tree(src);
-            for &dst in &self.services {
-                if let Some(path) = tree.path_to(dst) {
-                    out.insert((src, dst), path);
-                }
-            }
-        }
-        out
-    }
 }
 
 impl PartialEq for TopologyGraph {
@@ -632,7 +606,6 @@ impl PartialEq for TopologyGraph {
                 })
         };
         self.ids == other.ids
-            && self.services == other.services
             && self.offsets == other.offsets
             && self.edges == other.edges
             && self.in_offsets == other.in_offsets
@@ -671,6 +644,47 @@ impl Via {
     pub fn is_none(self) -> bool {
         self.from == Via::NONE.from
     }
+}
+
+/// The links of a tree path, destination first: from the node at `node`
+/// along `parent` (a parent array of `nodes` entries, indexed like
+/// [`TopologyGraph::nodes`]) back to the node at `root`. `None` when `node`
+/// is `root` or unreached, or either is no index below `nodes`.
+pub fn links_back(
+    parent: impl Fn(u32) -> Via + Clone,
+    nodes: usize,
+    root: u32,
+    mut node: u32,
+) -> Option<impl Iterator<Item = LinkId> + Clone> {
+    let known = |index: u32| (index as usize) < nodes;
+    if !known(root) || !known(node) || node == root || parent(node).is_none() {
+        return None;
+    }
+    // Only the root has no link among reached nodes, so the walk ends
+    // exactly there, within `nodes` hops; a parent array that is no tree
+    // ends it early rather than never.
+    let mut hops = nodes;
+    Some(std::iter::from_fn(move || {
+        if node == root {
+            return None;
+        }
+        debug_assert!(hops > 0, "a parent chain longer than its tree");
+        hops = hops.checked_sub(1)?;
+        let via = parent(node);
+        node = via.from;
+        (!via.is_none()).then_some(via.link)
+    }))
+}
+
+/// The links of a [`links_back`] walk in path order, source first: the walk
+/// is counted, then written back to front, so that the list is allocated
+/// once at its exact size (it lives on in every collapsed path).
+pub fn links_forward(back: impl Iterator<Item = LinkId> + Clone) -> Vec<LinkId> {
+    let mut links = vec![LinkId::default(); back.clone().count()];
+    for (slot, link) in links.iter_mut().rev().zip(back) {
+        *slot = link;
+    }
+    links
 }
 
 /// What a change did to one link, as far as shortest paths care.
@@ -768,47 +782,16 @@ pub struct ShortestPathTree {
 }
 
 impl ShortestPathTree {
-    /// The tree's links from the node at `cursor` back to the source, or
-    /// `None` when it is the source itself or unreachable.
-    fn links_back(&self, mut cursor: u32) -> Option<impl Iterator<Item = LinkId> + '_> {
-        if Some(cursor) == self.source || self.via[cursor as usize].is_none() {
-            return None;
-        }
-        // Only the source has no link among reached nodes, so the walk
-        // stops exactly there.
-        Some(std::iter::from_fn(move || {
-            let via = self.via[cursor as usize];
-            (!via.is_none()).then(|| {
-                cursor = via.from;
-                via.link
-            })
-        }))
-    }
-
     fn index_of(&self, node: NodeId) -> Option<u32> {
         self.ids.binary_search(&node).ok().map(|i| i as u32)
     }
 
-    /// The shortest path from the source to `dst`; `None` when `dst` is the
-    /// source or cannot be reached.
-    pub fn path_to(&self, dst: NodeId) -> Option<Path> {
-        let dst = self.index_of(dst)?;
-        // Two walks, so that the list is allocated once at its exact size:
-        // it lives on in every collapsed path.
-        let hops = self.links_back(dst)?.count();
-        let mut links = vec![LinkId::default(); hops];
-        for (slot, link) in links.iter_mut().rev().zip(self.links_back(dst)?) {
-            *slot = link;
-        }
-        Some(Path { links })
-    }
-
-    /// `true` when the shortest path to `dst` exists and is exactly `links`
-    /// (source to destination). Allocates nothing.
-    pub fn path_is(&self, dst: NodeId, links: &[LinkId]) -> bool {
-        self.index_of(dst)
-            .and_then(|dst| self.links_back(dst))
-            .is_some_and(|back| back.eq(links.iter().rev().copied()))
+    /// The links of the shortest path from the source to `dst`, source
+    /// first; `None` when `dst` is the source or cannot be reached.
+    pub fn path_to(&self, dst: NodeId) -> Option<Vec<LinkId>> {
+        let parent = |node: u32| self.via[node as usize];
+        let back = links_back(parent, self.via.len(), self.source?, self.index_of(dst)?)?;
+        Some(links_forward(back))
     }
 
     /// Nodes the tree reaches, the source included: what a full search
@@ -942,13 +925,14 @@ pub struct PathProperties {
 }
 
 impl PathProperties {
-    /// Composes the end-to-end properties of `path` over `topology`.
+    /// Composes the end-to-end properties of the path over `links` (source
+    /// first) in `topology`.
     ///
     /// Returns `None` if any link of the path no longer exists in the
     /// topology (e.g. after a dynamic removal).
-    pub fn compose(topology: &Topology, path: &Path) -> Option<PathProperties> {
+    pub fn compose(topology: &Topology, links: &[LinkId]) -> Option<PathProperties> {
         PathProperties::compose_links(
-            path.links
+            links
                 .iter()
                 .map(|&id| topology.link(id).map(|link| link.properties)),
         )
@@ -987,7 +971,14 @@ impl PathProperties {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+
+    /// The links of the shortest path from `a` to `b`.
+    fn path(g: &TopologyGraph, a: NodeId, b: NodeId) -> Vec<LinkId> {
+        g.shortest_path_tree(a).path_to(b).expect("reachable")
+    }
 
     fn props(ms: u64, mbps: u64) -> LinkProperties {
         LinkProperties::new(SimDuration::from_millis(ms), Bandwidth::from_mbps(mbps))
@@ -1013,22 +1004,27 @@ mod tests {
     fn figure1_collapses_to_paper_values() {
         let (t, c1, sv1, sv2) = figure1();
         let g = TopologyGraph::new(&t);
-        let paths = g.all_pairs_service_paths();
 
         // c1 -> sv1: 10 + 20 + 5 = 35 ms, min bandwidth 10 Mb/s.
-        let p = &paths[&(c1, sv1)];
-        assert_eq!(p.hop_count(), 3);
-        let pp = PathProperties::compose(&t, p).unwrap();
+        let p = path(&g, c1, sv1);
+        assert_eq!(p.len(), 3);
+        let pp = PathProperties::compose(&t, &p).unwrap();
         assert_eq!(pp.latency, SimDuration::from_millis(35));
         assert_eq!(pp.max_bandwidth, Bandwidth::from_mbps(10));
 
         // sv1 -> sv2: 5 + 5 = 10 ms, 50 Mb/s — the right side of Figure 1.
-        let pp2 = PathProperties::compose(&t, &paths[&(sv1, sv2)]).unwrap();
+        let pp2 = PathProperties::compose(&t, &path(&g, sv1, sv2)).unwrap();
         assert_eq!(pp2.latency, SimDuration::from_millis(10));
         assert_eq!(pp2.max_bandwidth, Bandwidth::from_mbps(50));
 
         // All 6 ordered service pairs are reachable.
-        assert_eq!(paths.len(), 6);
+        let services = [c1, sv1, sv2];
+        for a in services {
+            let tree = g.shortest_path_tree(a);
+            assert!(services
+                .iter()
+                .all(|&b| (a == b) != tree.path_to(b).is_some()));
+        }
     }
 
     #[test]
@@ -1042,8 +1038,7 @@ mod tests {
         t.add_link(a, b, p1, "net");
         t.add_link(b, c, p2, "net");
         let g = TopologyGraph::new(&t);
-        let path = &g.all_pairs_service_paths()[&(a, c)];
-        let pp = PathProperties::compose(&t, path).unwrap();
+        let pp = PathProperties::compose(&t, &path(&g, a, c)).unwrap();
         // sqrt(3^2 + 4^2) = 5 ms.
         assert_eq!(pp.jitter, SimDuration::from_millis(5));
     }
@@ -1057,8 +1052,7 @@ mod tests {
         t.add_link(a, b, props(1, 10).with_loss(0.1), "net");
         t.add_link(b, c, props(1, 10).with_loss(0.2), "net");
         let g = TopologyGraph::new(&t);
-        let path = &g.all_pairs_service_paths()[&(a, c)];
-        let pp = PathProperties::compose(&t, path).unwrap();
+        let pp = PathProperties::compose(&t, &path(&g, a, c)).unwrap();
         assert!((pp.loss - (1.0 - 0.9 * 0.8)).abs() < 1e-12);
     }
 
@@ -1075,8 +1069,7 @@ mod tests {
         t.add_link(a, s2, props(10, 1000), "net");
         t.add_link(s2, b, props(20, 1000), "net");
         let g = TopologyGraph::new(&t);
-        let path = &g.all_pairs_service_paths()[&(a, b)];
-        let pp = PathProperties::compose(&t, path).unwrap();
+        let pp = PathProperties::compose(&t, &path(&g, a, b)).unwrap();
         assert_eq!(pp.latency, SimDuration::from_millis(2));
         assert_eq!(pp.max_bandwidth, Bandwidth::from_mbps(10));
     }
@@ -1094,8 +1087,7 @@ mod tests {
         t.add_link(a, s2, props(4, 10), "net");
         t.add_link(s2, s1, props(3, 10), "net");
         let g = TopologyGraph::new(&t);
-        let path = &g.all_pairs_service_paths()[&(a, b)];
-        assert_eq!(path.hop_count(), 2);
+        assert_eq!(path(&g, a, b).len(), 2);
     }
 
     #[test]
@@ -1108,25 +1100,24 @@ mod tests {
         t.add_link(a, s, props(1, 1), "net");
         t.add_link(s, b, props(1, 1), "net");
         let g = TopologyGraph::new(&t);
-        let paths = g.all_pairs_service_paths();
-        assert!(paths.contains_key(&(a, b)));
-        assert!(!paths.contains_key(&(b, a)));
+        assert!(g.shortest_path_tree(a).path_to(b).is_some());
+        assert!(g.shortest_path_tree(b).path_to(a).is_none());
     }
 
     #[test]
     fn compose_fails_for_stale_paths() {
         let (mut t, c1, sv1, _) = figure1();
         let g = TopologyGraph::new(&t);
-        let path = g.all_pairs_service_paths()[&(c1, sv1)].clone();
+        let path = path(&g, c1, sv1);
         // Remove one of the links the path uses.
-        t.remove_link(path.links[0]);
+        t.remove_link(path[0]);
         assert!(PathProperties::compose(&t, &path).is_none());
     }
 
     /// The `HashMap`-keyed Dijkstra the dense tree replaced — same heap
     /// order, relaxation rule and absence of a closed set — kept as the
     /// oracle of the differential test below.
-    fn reference_shortest_paths_from(topology: &Topology, source: NodeId) -> HashMap<NodeId, Path> {
+    fn reference_paths_from(topology: &Topology, source: NodeId) -> HashMap<NodeId, Vec<LinkId>> {
         #[derive(Clone, Copy)]
         struct Best {
             cost_nanos: u64,
@@ -1204,7 +1195,7 @@ mod tests {
             }
             if cursor == source {
                 links.reverse();
-                out.insert(dst, Path { links });
+                out.insert(dst, links);
             }
         }
         out
@@ -1263,27 +1254,19 @@ mod tests {
             let g = TopologyGraph::new(&t);
             // Every node that ever existed (removed ones included), the
             // non-node link endpoint, and an id nothing mentions.
-            let sources = (0..14).map(NodeId).chain([NodeId(500), NodeId(999)]);
-            for source in sources {
-                let expected = reference_shortest_paths_from(&t, source);
-                assert_eq!(
-                    g.shortest_paths_from(source),
-                    expected,
-                    "seed {seed} {source}"
-                );
+            let ids = || (0..14).map(NodeId).chain([NodeId(500), NodeId(999)]);
+            for source in ids() {
+                let expected = reference_paths_from(&t, source);
                 let tree = g.shortest_path_tree(source);
-                assert!(!tree.path_is(source, &[]), "no path to the source itself");
-                for (&dst, path) in &expected {
-                    assert!(
-                        tree.path_is(dst, &path.links),
-                        "seed {seed} {source}->{dst}"
-                    );
-                    assert!(!tree.path_is(dst, &path.links[1..]));
-                    let mut longer = path.links.clone();
-                    longer.insert(0, LinkId(u32::MAX));
-                    assert!(!tree.path_is(dst, &longer));
-                    compared += 1;
-                }
+                assert!(
+                    tree.path_to(source).is_none(),
+                    "no path to the source itself"
+                );
+                let paths: HashMap<NodeId, Vec<LinkId>> = ids()
+                    .filter_map(|dst| Some((dst, tree.path_to(dst)?)))
+                    .collect();
+                assert_eq!(paths, expected, "seed {seed} {source}");
+                compared += paths.len();
             }
         }
         assert!(compared > 10_000, "only {compared} paths compared");
@@ -1363,7 +1346,7 @@ mod tests {
             assert_eq!(tree, edited.shortest_path_tree(source), "{source}");
         }
         let tree = edited.shortest_path_tree(a);
-        assert_eq!(tree.path_to(b).map(|path| path.hop_count()), Some(2));
+        assert_eq!(tree.path_to(b).map(|path| path.len()), Some(2));
         assert!(tree.path_to(s1).is_none());
     }
 

@@ -35,5 +35,5 @@ pub mod model;
 pub mod xml;
 
 pub use events::{DynamicAction, DynamicEvent, EventSchedule};
-pub use graph::{Path, TopologyGraph};
+pub use graph::TopologyGraph;
 pub use model::{LinkId, LinkProperties, LinkSpec, NodeId, NodeKind, Topology};

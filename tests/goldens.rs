@@ -1,12 +1,18 @@
 //! Byte-exact pins on the workload layer: one workload of every kind, each
 //! with a non-default parameter, through the wire spec and through a run.
-//! Both goldens were recorded on `6e424cd`, before the workload endpoints
-//! moved out of the per-kind variants.
+//! Both Kollaps goldens were recorded on `6e424cd`, before the workload
+//! endpoints moved out of the per-kind variants. The baseline goldens run
+//! the same workloads through the ground truth and the Mininet model, on
+//! the dumbbell and on a diamond whose services reach each other over
+//! equal-latency routes; they were recorded while the ground truth still
+//! searched its own forwarding tables, before it forwarded along the
+//! collapse's paths.
 
 use kollaps::prelude::*;
 use kollaps::topology::generators;
+use kollaps::topology::model::LinkProperties;
 
-fn every_workload_kind() -> Scenario {
+fn dumbbell() -> Topology {
     let (topo, _, _) = generators::dumbbell(
         2,
         Bandwidth::from_mbps(100),
@@ -14,9 +20,44 @@ fn every_workload_kind() -> Scenario {
         SimDuration::from_millis(1),
         SimDuration::from_millis(10),
     );
-    Scenario::from_topology(topo)
+    topo
+}
+
+/// Four bridges in a ring, `n - e - s - w - n`, all 5 ms, plus a second,
+/// slower `n - e` link of the same latency: opposite bridges reach each
+/// other over two equal routes, and `n` reaches `e` over two equal links.
+/// One service sits on each bridge, so the pairs cross the ring every way.
+fn diamond() -> Topology {
+    let mut t = Topology::new();
+    let [n, e, s, w] = ["n", "e", "s", "w"].map(|name| t.add_bridge(name));
+    let ring = LinkProperties::new(SimDuration::from_millis(5), Bandwidth::from_mbps(50));
+    for (a, b) in [(n, e), (e, s), (s, w), (w, n)] {
+        t.add_bidirectional_link(a, b, ring, "ring");
+    }
+    let slow = LinkProperties::new(SimDuration::from_millis(5), Bandwidth::from_mbps(20));
+    t.add_bidirectional_link(n, e, slow, "ring");
+    let edge = LinkProperties::new(SimDuration::from_millis(1), Bandwidth::from_mbps(100));
+    for (service, image, bridge) in [
+        ("client-0", "iperf3-client", n),
+        ("server-0", "iperf3-server", s),
+        ("client-1", "iperf3-client", e),
+        ("server-1", "iperf3-server", w),
+    ] {
+        let node = t.add_service(service, 0, image);
+        t.add_bidirectional_link(node, bridge, edge, "ring");
+    }
+    t
+}
+
+fn every_workload_kind() -> Scenario {
+    with_every_workload_kind(Scenario::from_topology(dumbbell()).hosts(2))
+}
+
+/// `scenario` with one workload of every kind between `client-0`,
+/// `client-1`, `server-0` and `server-1`, capped at 3 s.
+fn with_every_workload_kind(scenario: Scenario) -> Scenario {
+    scenario
         .named("every-workload-kind")
-        .hosts(2)
         .duration(SimDuration::from_secs(3))
         .workload(
             Workload::iperf_tcp("client-0", "server-0")
@@ -82,5 +123,39 @@ fn every_workload_kind_report_is_pinned() {
     assert_eq!(
         report.to_json_string(),
         include_str!("golden/every_workload_kind.json").trim_end()
+    );
+}
+
+/// The report of `every_workload_kind`'s workloads on `topology` over
+/// `backend`, which runs on one host.
+fn baseline_report(topology: Topology, backend: Backend) -> String {
+    with_every_workload_kind(Scenario::from_topology(topology))
+        .backend(backend)
+        .run()
+        .expect("valid scenario")
+        .to_json_string()
+}
+
+#[test]
+fn ground_truth_reports_are_pinned() {
+    assert_eq!(
+        baseline_report(dumbbell(), Backend::ground_truth()),
+        include_str!("golden/ground_truth_dumbbell.json").trim_end()
+    );
+    assert_eq!(
+        baseline_report(diamond(), Backend::ground_truth()),
+        include_str!("golden/ground_truth_diamond.json").trim_end()
+    );
+}
+
+#[test]
+fn mininet_reports_are_pinned() {
+    assert_eq!(
+        baseline_report(dumbbell(), Backend::mininet()),
+        include_str!("golden/mininet_dumbbell.json").trim_end()
+    );
+    assert_eq!(
+        baseline_report(diamond(), Backend::mininet()),
+        include_str!("golden/mininet_diamond.json").trim_end()
     );
 }

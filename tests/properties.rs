@@ -130,9 +130,8 @@ proptest! {
             prev = next;
         }
         let graph = TopologyGraph::new(&topo);
-        let paths = graph.all_pairs_service_paths();
-        let path = &paths[&(src, dst)];
-        let composed = PathProperties::compose(&topo, path).unwrap();
+        let path = graph.shortest_path_tree(src).path_to(dst).unwrap();
+        let composed = PathProperties::compose(&topo, &path).unwrap();
         let expected_latency: u64 = latencies[..hops].iter().sum();
         prop_assert_eq!(composed.latency, SimDuration::from_millis(expected_latency));
         let expected_bw = bandwidths[..hops].iter().min().unwrap();
@@ -180,6 +179,77 @@ proptest! {
         while let Some((at, _)) = q.pop() {
             prop_assert!(at >= last);
             last = at;
+        }
+    }
+}
+
+proptest! {
+    /// The property the ground truth's routing rests on: under the
+    /// tie-break contract, the shortest path of any node `n` on `s`'s path
+    /// to `d` is the rest of `s`'s path from `n`, so forwarding at every
+    /// node along its own shortest path equals routing along the source's,
+    /// hop for hop. Checked for every `s`, `d` and `n` on graphs built to
+    /// tie: equal and zero latencies, parallel and one-way links, and the
+    /// scale-free generator with one latency on every link.
+    #[test]
+    fn every_node_on_a_path_continues_it(seed in 0u64..100_000) {
+        use kollaps::topology::generators::ScaleFreeParams;
+        use kollaps::topology::model::NodeId;
+
+        let mut rng = SimRng::new(seed);
+        let latencies = [[0, 0, 1], [1, 1, 1], [0, 2, 2], [5, 5, 10]][rng.gen_index(4)];
+        let topo = if rng.chance(0.5) {
+            let ms = latencies[rng.gen_index(3)] as f64;
+            let params = ScaleFreeParams {
+                total_elements: 12 + rng.gen_index(30),
+                min_latency_ms: ms,
+                max_latency_ms: ms,
+                ..ScaleFreeParams::default()
+            };
+            generators::barabasi_albert(&params, &mut rng).0
+        } else {
+            let mut t = Topology::new();
+            let n = 3 + rng.gen_index(12);
+            let nodes: Vec<NodeId> = (0..n)
+                .map(|i| {
+                    if rng.chance(0.5) {
+                        t.add_service(&format!("h{i}"), 0, "img")
+                    } else {
+                        t.add_bridge(&format!("s{i}"))
+                    }
+                })
+                .collect();
+            for _ in 0..n + rng.gen_index(3 * n) {
+                let (a, b) = (nodes[rng.gen_index(n)], nodes[rng.gen_index(n)]);
+                let latency = SimDuration::from_millis(latencies[rng.gen_index(3)]);
+                let props = LinkProperties::new(latency, Bandwidth::from_mbps(10));
+                // One draw in four adds a parallel twin.
+                for _ in 0..1 + usize::from(rng.chance(0.25)) {
+                    if rng.chance(0.3) {
+                        t.add_link(a, b, props, "net");
+                    } else {
+                        t.add_bidirectional_link(a, b, props, "net");
+                    }
+                }
+            }
+            t
+        };
+        let graph = TopologyGraph::new(&topo);
+        let ids: Vec<NodeId> = topo.nodes().iter().map(|node| node.id).collect();
+        let trees: Vec<_> = ids.iter().map(|&id| graph.shortest_path_tree(id)).collect();
+        let tree_of = |id: NodeId| &trees[ids.binary_search(&id).unwrap()];
+        for (&s, tree) in ids.iter().zip(&trees) {
+            for &d in &ids {
+                let Some(path) = tree.path_to(d) else { continue };
+                for i in 1..path.len() {
+                    let n = topo.link(path[i - 1]).unwrap().to;
+                    let rest = tree_of(n).path_to(d);
+                    prop_assert!(
+                        rest.as_deref() == Some(&path[i..]),
+                        "{s} -> {d} via {n}: {path:?}, then {rest:?}"
+                    );
+                }
+            }
         }
     }
 }
