@@ -12,7 +12,7 @@
 //!   the effect behind Mininet falling behind in the connection-per-request
 //!   workload of Figure 6.
 
-use std::collections::HashMap;
+use std::collections::{HashSet, VecDeque};
 
 use kollaps_netmodel::packet::{FlowId, Packet};
 use kollaps_sim::prelude::*;
@@ -64,8 +64,14 @@ impl MininetConfig {
 pub struct MininetDataplane {
     inner: GroundTruthDataplane,
     config: MininetConfig,
-    /// First-seen time per flow, to detect new connections.
-    seen_flows: HashMap<FlowId, SimTime>,
+    /// The flows tracked as connections: those first seen within the
+    /// tracking window (a flow seen again after it was forgotten counts
+    /// anew).
+    seen_flows: HashSet<FlowId>,
+    /// The tracked flows with the time each was first seen, in that order:
+    /// sends come with non-decreasing times, so the front is always the
+    /// next to expire.
+    expiry: VecDeque<(SimTime, FlowId)>,
 }
 
 impl MininetDataplane {
@@ -79,15 +85,33 @@ impl MininetDataplane {
         MininetDataplane {
             inner: GroundTruthDataplane::new(topology),
             config,
-            seen_flows: HashMap::new(),
+            seen_flows: HashSet::new(),
+            expiry: VecDeque::new(),
+        }
+    }
+
+    /// Tracks `flow` as seen at `now`, unless it already is.
+    fn track(&mut self, now: SimTime, flow: FlowId) {
+        debug_assert!(
+            self.expiry.back().is_none_or(|&(seen, _)| seen <= now),
+            "sends come with non-decreasing times"
+        );
+        if self.seen_flows.insert(flow) {
+            self.expiry.push_back((now, flow));
         }
     }
 
     fn refresh_overhead(&mut self, now: SimTime) {
-        // Forget connections older than the tracking window.
+        // Forget connections older than the tracking window: a prefix of
+        // the first-seen order, popped in amortised O(1) per flow.
         let window = self.config.connection_tracking_window;
-        self.seen_flows
-            .retain(|_, &mut t| now.saturating_since(t) <= window);
+        while let Some(&(seen, flow)) = self.expiry.front() {
+            if now.saturating_since(seen) <= window {
+                break;
+            }
+            self.expiry.pop_front();
+            self.seen_flows.remove(&flow);
+        }
         let tracked = self.seen_flows.len() as u64;
         let overhead = self.config.base_forwarding_cost
             + SimDuration::from_nanos(self.config.per_connection_cost.as_nanos() * tracked);
@@ -103,7 +127,7 @@ impl Addressable for MininetDataplane {
 
 impl Dataplane for MininetDataplane {
     fn send(&mut self, now: SimTime, packet: Packet) -> SendOutcome {
-        self.seen_flows.entry(packet.flow).or_insert(now);
+        self.track(now, packet.flow);
         self.refresh_overhead(now);
         self.inner.send(now, packet)
     }
@@ -189,5 +213,58 @@ mod tests {
         // After the tracking window the state is forgotten.
         let _ = dp.tick(SimTime::from_secs(10));
         assert!(dp.seen_flows.is_empty());
+    }
+
+    /// The expiry queue tracks exactly the flows the reference — a map of
+    /// first-seen times, `retain`ed over the window after every send and
+    /// tick — does, after every call: flows seen again inside and after the window,
+    /// several sends at one instant, ticks between them.
+    #[test]
+    fn expiry_queue_matches_the_retain_reference() {
+        use std::collections::HashMap;
+
+        let (topo, _, _) = generators::point_to_point(
+            Bandwidth::from_mbps(100),
+            SimDuration::from_millis(1),
+            SimDuration::ZERO,
+        );
+        let mut dp = MininetDataplane::new(&topo);
+        let window = dp.config.connection_tracking_window;
+        let (a, b) = (dp.address_of_index(0), dp.address_of_index(1));
+        let mut reference: HashMap<FlowId, SimTime> = HashMap::new();
+        let mut rng = kollaps_sim::rng::SimRng::new(0x5eed);
+        let mut now = SimTime::ZERO;
+        let (mut sends, mut expired) = (0, 0);
+        for id in 0..20_000u64 {
+            // Mostly a few milliseconds apart, sometimes at the same
+            // instant, now and then past a whole window.
+            now += SimDuration::from_micros(match rng.gen_index(10) {
+                0 => 0,
+                9 => rng.gen_range(0, 1_500_000),
+                _ => rng.gen_range(0, 5_000),
+            });
+            if rng.chance(0.1) {
+                let _ = dp.tick(now);
+            } else {
+                // As `send` did: the flow first, then the window.
+                let flow = FlowId(rng.gen_range(0, 400));
+                reference.entry(flow).or_insert(now);
+                let kind = kollaps_netmodel::packet::PacketKind::TcpData { seq: 0 };
+                let size = kollaps_netmodel::packet::MTU;
+                let packet = Packet::new(id, flow, a, b, size, kind, now);
+                let _ = dp.send(now, packet);
+                sends += 1;
+            }
+            let before = reference.len();
+            reference.retain(|_, &mut seen| now.saturating_since(seen) <= window);
+            expired += before - reference.len();
+            let tracked: HashSet<FlowId> = reference.keys().copied().collect();
+            assert_eq!(dp.seen_flows, tracked, "after call {id}");
+            assert_eq!(dp.expiry.len(), tracked.len());
+        }
+        assert!(
+            sends > 15_000 && expired > 1_000,
+            "{sends} sends, {expired} expired"
+        );
     }
 }

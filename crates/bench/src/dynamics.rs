@@ -86,6 +86,10 @@ pub struct DynamicsCell {
     /// Shortest-path tree nodes the timeline settled: what its tree repairs
     /// (and the full searches they fall back to) cost.
     pub timeline_nodes_settled: usize,
+    /// Shortest-path trees the timeline searched from scratch: one per
+    /// switch the services hang off (and per service that is no leaf) up
+    /// front, plus the searches repairs fell back to.
+    pub timeline_trees_searched: usize,
     /// The traffic leg, on the size's last flap count.
     pub traffic: Option<TrafficLeg>,
 }
@@ -256,6 +260,7 @@ pub fn run_dynamics(
                 timeline_pairs_compared: stats.pairs_compared,
                 timeline_tree_entries_written: stats.tree_entries_written,
                 timeline_nodes_settled: stats.nodes_settled,
+                timeline_trees_searched: stats.trees_searched,
                 traffic,
             });
         }
@@ -314,6 +319,14 @@ pub fn dynamics_records(cells: &[DynamicsCell]) -> BenchReport {
                 "timeline_nodes_settled",
                 c.timeline_nodes_settled as f64,
                 "nodes",
+            )
+            .lower_is_better(TOLERANCE_DETERMINISTIC),
+        );
+        report.push(
+            cell(
+                "timeline_trees_searched",
+                c.timeline_trees_searched as f64,
+                "trees",
             )
             .lower_is_better(TOLERANCE_DETERMINISTIC),
         );

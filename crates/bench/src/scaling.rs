@@ -13,8 +13,8 @@
 //! allocation µs per round, the flight recorder's throughput overhead
 //! ratio, the allocator's fast-path and solve counters, the egress trees
 //! polled per `deliver` call (the packet path's work counter), the paths
-//! the managers derived, the timeline's tree entries written and pairs
-//! compared, and the timeline precompute cost.
+//! the managers derived, the timeline's tree entries written, pairs
+//! compared and trees searched, and the timeline precompute cost.
 //!
 //! Wall-clock metrics gate with [`TOLERANCE_WALL_CLOCK`]; the allocator,
 //! packet-path and timeline counters come from the deterministic
@@ -76,7 +76,8 @@ pub struct ScalingCell {
     pub enforce_flows_rebuilt: u64,
     /// Omniscient solves of the convergence metric (untraced run).
     pub convergence_solves: u64,
-    /// The timeline's tree entries written and pairs compared.
+    /// The timeline's tree entries written, pairs compared and trees
+    /// searched.
     pub timeline: TimelineStats,
 }
 
@@ -371,6 +372,11 @@ pub fn scaling_records(cells: &[ScalingCell]) -> BenchReport {
                 "timeline_pairs_compared",
                 c.timeline.pairs_compared as f64,
                 "paths",
+            ),
+            (
+                "timeline_trees_searched",
+                c.timeline.trees_searched as f64,
+                "trees",
             ),
         ] {
             report.push(cell(name, count, unit).lower_is_better(TOLERANCE_DETERMINISTIC));

@@ -21,23 +21,46 @@
 //! departed service keeps its number and its address; it simply has no
 //! pairs.
 //!
-//! A snapshot holds no paths. Per source it keeps the parent array of its
-//! shortest-path tree — per node of the graph, the link the tree reaches it
-//! over ([`Via`]) — as one **base**, the initial snapshot's, shared by
-//! every snapshot of a timeline, plus a sorted **overlay** of the entries
+//! A snapshot holds no paths. It keeps shortest-path trees, each as its
+//! parent array — per node of the graph, the link the tree reaches it over
+//! ([`Via`]) — and per service a `Source` that says which tree it reads.
+//!
+//! # Trees per attachment point
+//!
+//! In the paper's topologies containers sit behind switches (§3). A service
+//! with exactly one out-link `L: s → b` is a **leaf**, and `b` is its
+//! **root**. A leaf's tree is not searched but derived from its root's. By
+//! the tie-break contract's closed form (see [`kollaps_topology::graph`]),
+//! every `best_s(v)` is `best_b(v)` plus `(latency of L, 1)`: every path out
+//! of `s` starts with `L`, and no shortest path from `b` passes `s`, whose
+//! only way out leads back to `b`. The tight in-links of every other node,
+//! and their `(best(y), y, link id)` order, shift alike. So `s`'s parent
+//! array is `b`'s with two entries changed — `parent[b] = L` and
+//! `parent[s] = none` — ties included, whatever `L`'s latency. A snapshot
+//! therefore keeps one tree per root (a switch or a service) and one per
+//! service that is no leaf, in root order; a leaf reads its root's tree
+//! through the two-entry patch (`Source::Leaf`), and a service that is
+//! gone or has no out-link reaches nothing and reads no tree
+//! (`Source::None`). On a dumbbell of 1,000 services that is 2 trees,
+//! not 1,000.
+//!
+//! Each tree's parent array is one **base**, the initial snapshot's, shared
+//! by every snapshot of a timeline, plus a sorted **overlay** of the entries
 //! where this snapshot's tree differs from the base. The node set of a
 //! timeline only grows: a node that leaves keeps its index without links,
 //! and a bridge that joins is appended, so a snapshot carries its graph's
-//! node ids and reads the base as unreached past its width. A snapshot
-//! timeline shares a source's overlay with the previous snapshot when its
-//! tree did not move, and writes only the entries a change moved
-//! otherwise, so the base costs `services × nodes × 8 B` once and a
-//! snapshot `services × 16 B` plus 12 B per overlay entry. A path is
-//! derived when asked for: walking the parents back from the destination
-//! gives its links, and the snapshot's link tables their latency, jitter,
-//! loss and capacity, composed with the formulas above. Whoever reads a
-//! pair on every loop iteration keeps what it derived (the Emulation
-//! Manager caches its senders' paths).
+//! node ids and reads the base as unreached past its width; a tree added
+//! later reads an unreached base. A snapshot timeline shares a tree's
+//! overlay with the previous snapshot when the tree did not move, and
+//! writes only the entries a change moved otherwise, so the base costs
+//! `trees × nodes × 8 B` once and a snapshot `trees × 16 B` plus 12 B per
+//! overlay entry (the sources and the tree roots are shared until a
+//! service switches trees). A path is derived when asked for: walking the
+//! parents back from the destination gives its links — a leaf's walk runs
+//! through its root's tree and ends with `L` — and the snapshot's link
+//! tables their latency, jitter, loss and capacity, composed with the
+//! formulas above. Whoever reads a pair on every loop iteration keeps what
+//! it derived (the Emulation Manager caches its senders' paths).
 //!
 //! The links are one [`LinkTable`] per snapshot (capacity, latency, jitter
 //! and loss by slot) behind an [`Arc`]: a snapshot timeline shares it with
@@ -158,24 +181,96 @@ impl LinkTable {
     fn new(links: impl IntoIterator<Item = (LinkId, LinkProperties)>) -> Self {
         let mut links: Vec<_> = links.into_iter().collect();
         links.sort_unstable_by_key(|&(id, _)| id);
-        let mut table = LinkTable {
-            ids: links.iter().map(|&(id, _)| id).collect(),
-            capacity: links.iter().map(|(_, p)| p.bandwidth).collect(),
-            latency: links.iter().map(|(_, p)| p.latency).collect(),
-            jitter: links.iter().map(|(_, p)| p.jitter).collect(),
-            loss: links.iter().map(|(_, p)| p.loss).collect(),
-            ..LinkTable::default()
-        };
-        if let Some(&LinkId(highest)) = table.ids.last() {
+        let mut table = LinkTable::default();
+        for (id, properties) in links {
+            table.push(id, properties);
+        }
+        table.index();
+        table
+    }
+
+    /// Appends link `id`, above every id of the table, without indexing it.
+    fn push(&mut self, id: LinkId, properties: LinkProperties) {
+        self.ids.push(id);
+        self.capacity.push(properties.bandwidth);
+        self.latency.push(properties.latency);
+        self.jitter.push(properties.jitter);
+        self.loss.push(properties.loss);
+    }
+
+    /// Builds the id → slot index, when the ids are dense enough.
+    fn index(&mut self) {
+        self.direct.clear();
+        if let Some(&LinkId(highest)) = self.ids.last() {
             let span = (highest as usize).saturating_add(1);
-            if span <= table.ids.len().saturating_mul(4).saturating_add(1024) {
-                table.direct.resize(span, NO_SLOT);
-                for (slot, link) in table.ids.iter().enumerate() {
-                    table.direct[link.0 as usize] = slot as u32;
+            if span <= self.ids.len().saturating_mul(4).saturating_add(1024) {
+                self.direct.resize(span, NO_SLOT);
+                for (slot, link) in self.ids.iter().enumerate() {
+                    self.direct[link.0 as usize] = slot as u32;
                 }
             }
         }
+    }
+
+    /// The properties of the link in `slot`.
+    fn properties(&self, slot: usize) -> LinkProperties {
+        LinkProperties {
+            latency: self.latency[slot],
+            jitter: self.jitter[slot],
+            bandwidth: self.capacity[slot],
+            loss: self.loss[slot],
+        }
+    }
+
+    /// This table after `changes`, ascending by id: each link brought to
+    /// its properties — added when the table lacks it — or removed at
+    /// `None`. One merge of the two lists, the runs between changes copied
+    /// whole, no sort and no topology read; when no link comes or goes,
+    /// the id → slot index is copied too.
+    pub(crate) fn patched(
+        &self,
+        changes: impl IntoIterator<Item = (LinkId, Option<LinkProperties>)>,
+    ) -> LinkTable {
+        let mut table = LinkTable {
+            ids: Vec::with_capacity(self.len() + 2),
+            capacity: Vec::with_capacity(self.len() + 2),
+            latency: Vec::with_capacity(self.len() + 2),
+            jitter: Vec::with_capacity(self.len() + 2),
+            loss: Vec::with_capacity(self.len() + 2),
+            ..LinkTable::default()
+        };
+        let mut same_ids = true;
+        // The slots before `copied` are in `table`.
+        let mut copied = 0;
+        for (id, properties) in changes {
+            let slot = self.ids.partition_point(|&other| other < id);
+            table.copy(self, copied..slot);
+            let found = self.ids.get(slot) == Some(&id);
+            copied = slot + usize::from(found);
+            same_ids &= found == properties.is_some();
+            if let Some(properties) = properties {
+                table.push(id, properties);
+            }
+        }
+        table.copy(self, copied..self.len());
+        if same_ids {
+            table.direct.clone_from(&self.direct);
+        } else {
+            table.index();
+        }
         table
+    }
+
+    /// Appends the links of `other` in `slots`, above every id of the
+    /// table, without indexing them.
+    fn copy(&mut self, other: &LinkTable, slots: std::ops::Range<usize>) {
+        self.ids.extend_from_slice(&other.ids[slots.clone()]);
+        self.capacity
+            .extend_from_slice(&other.capacity[slots.clone()]);
+        self.latency
+            .extend_from_slice(&other.latency[slots.clone()]);
+        self.jitter.extend_from_slice(&other.jitter[slots.clone()]);
+        self.loss.extend_from_slice(&other.loss[slots]);
     }
 
     /// The links of `topology`.
@@ -241,10 +336,12 @@ impl LinkTable {
         })
     }
 
-    /// `true` when both tables hold the same links with the same values.
+    /// `true` when both tables hold the same links with the same values,
+    /// and index them alike.
     #[cfg(test)]
     pub(crate) fn same_links(&self, other: &LinkTable) -> bool {
         self.ids == other.ids
+            && self.direct == other.direct
             && self.capacity == other.capacity
             && self.latency == other.latency
             && self.jitter == other.jitter
@@ -255,45 +352,43 @@ impl LinkTable {
     /// `None` if a link is not in the table (never for the links of a
     /// snapshot's own trees).
     pub(crate) fn compose(&self, links: &[LinkId]) -> Option<PathProperties> {
-        PathProperties::compose_links(links.iter().map(|&link| {
-            let slot = self.slot(link)?;
-            Some(LinkProperties {
-                latency: self.latency[slot],
-                jitter: self.jitter[slot],
-                bandwidth: self.capacity[slot],
-                loss: self.loss[slot],
-            })
-        }))
+        PathProperties::compose_links(
+            links
+                .iter()
+                .map(|&link| Some(self.properties(self.slot(link)?))),
+        )
     }
 }
 
 /// "No node": a service its node set does not have.
 pub(crate) const NO_NODE: u32 = u32::MAX;
 
-/// The parent arrays of every source over the first `width` nodes of a
-/// node set: what the overlays of every snapshot that shares it differ
-/// from. A node past the width, appended later, reads unreached.
+/// The parent arrays of every tree of a snapshot over the first `width`
+/// nodes of a node set: what the overlays of every snapshot that shares it
+/// differ from. A node past the width, appended later, and a tree past the
+/// base's, added later, read unreached.
 #[derive(Debug, Default)]
 pub(crate) struct TreeBase {
     /// The nodes the parent arrays cover.
     width: usize,
+    /// The trees the parent arrays hold.
+    trees: usize,
     /// Per service number, the index of its node; [`NO_NODE`] for a
     /// service the searched topology did not have.
     pub(crate) at: Vec<u32>,
     /// Per node index, the number of the service it is; [`NO_NODE`] for a
     /// bridge.
     number: Vec<u32>,
-    /// `width` parents per service number, in number order; those of an
-    /// absent service are all [`Via::NONE`].
+    /// `width` parents per tree, in tree order.
     parents: Vec<Via>,
 }
 
 impl TreeBase {
-    /// The base entry of source number `src` for the node at `node`.
-    pub(crate) fn parent(&self, src: usize, node: u32) -> Via {
+    /// The base entry of tree `tree` for the node at `node`.
+    pub(crate) fn parent(&self, tree: usize, node: u32) -> Via {
         let node = node as usize;
-        if node < self.width {
-            self.parents[src * self.width + node]
+        if tree < self.trees && node < self.width {
+            self.parents[tree * self.width + node]
         } else {
             Via::NONE
         }
@@ -305,16 +400,74 @@ impl TreeBase {
     }
 }
 
-/// The entries of one source's tree that differ from its base, ascending by
-/// node index; `None` when there are none.
+/// The entries of one tree that differ from its base, ascending by node
+/// index; `None` when there are none.
 pub(crate) type Overlay = Option<Arc<[(u32, Via)]>>;
+
+/// How a service's shortest-path tree is read from a snapshot's trees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// The service is gone, or no link leaves it: it reaches nothing.
+    None,
+    /// Its own tree, kept as tree `.0`: several links leave it (or one
+    /// that loops back to it).
+    Tree(u32),
+    /// A leaf: exactly one link, `link`, leaves it, towards its *root*, the
+    /// node at index `root`, whose tree is kept as tree `tree`. The leaf's
+    /// tree is the root's with two entries changed: the root is reached
+    /// over `link`, and the leaf is the source (see the module docs).
+    Leaf { tree: u32, root: u32, link: LinkId },
+}
+
+impl Source {
+    /// What the service at node `at` of `graph` ([`NO_NODE`] for an absent
+    /// one) reads its tree from: `None` when no link leaves it, else the
+    /// node whose tree it is — its root, with the link to it, for a leaf,
+    /// or itself.
+    pub(crate) fn attachment(graph: &TopologyGraph, at: u32) -> Option<(u32, Option<LinkId>)> {
+        if at == NO_NODE {
+            return None;
+        }
+        let mut out = graph.out_links(at);
+        match (out.next(), out.next()) {
+            (None, _) => None,
+            (Some((link, root)), None) if root != at => Some((root, Some(link))),
+            _ => Some((at, None)),
+        }
+    }
+
+    /// The source of an `attachment`, with `tree` numbering the tree of a
+    /// node.
+    pub(crate) fn new(
+        attachment: Option<(u32, Option<LinkId>)>,
+        tree: impl FnOnce(u32) -> u32,
+    ) -> Source {
+        match attachment {
+            None => Source::None,
+            Some((root, None)) => Source::Tree(tree(root)),
+            Some((root, Some(link))) => Source::Leaf {
+                tree: tree(root),
+                root,
+                link,
+            },
+        }
+    }
+
+    /// The tree it reads; `None` for [`Source::None`].
+    pub(crate) fn tree(self) -> Option<usize> {
+        match self {
+            Source::None => None,
+            Source::Tree(tree) | Source::Leaf { tree, .. } => Some(tree as usize),
+        }
+    }
+}
 
 /// The collapsed view of a topology snapshot: every ordered pair of
 /// services that reach each other, by its shortest-path tree, plus the
 /// addressing information used by the dataplane.
 ///
 /// The service table is shared by every snapshot of an experiment, and the
-/// trees are a shared base plus one overlay per source (see the module
+/// trees are a shared base plus one overlay per tree (see the module
 /// docs), so that successive snapshots of a dynamic experiment (see
 /// `crate::timeline`) share what did not move instead of cloning
 /// `O(services²)` entries per event.
@@ -327,7 +480,12 @@ pub struct CollapsedTopology {
     pub(crate) nodes: Arc<[NodeId]>,
     /// The parent arrays every overlay differs from.
     pub(crate) base: Arc<TreeBase>,
-    /// Per service number, where its tree differs from the base.
+    /// Per service number, the tree it reads.
+    pub(crate) sources: Arc<[Source]>,
+    /// Per tree, the index of the node it is searched from. A tree no
+    /// source reads is stale: no walk reads it.
+    pub(crate) roots: Arc<[u32]>,
+    /// Per tree, where it differs from the base.
     pub(crate) overlays: Vec<Overlay>,
     /// Ordered pairs of present services that reach each other.
     pub(crate) pairs: usize,
@@ -349,8 +507,7 @@ impl CollapsedTopology {
     }
 
     /// [`CollapsedTopology::build`], also handing back the graph it searched
-    /// and the shortest-path tree of every source by service number (`None`
-    /// for an absent one).
+    /// and the shortest-path trees it searched, in tree order.
     pub(crate) fn build_keeping_trees(
         topology: &Topology,
     ) -> (Self, TopologyGraph, Vec<Option<ShortestPathTree>>) {
@@ -364,38 +521,51 @@ impl CollapsedTopology {
     }
 
     /// The snapshot of `topology` over the numbered `services`, from one
-    /// full search per present source, as a new base with empty overlays;
-    /// also the graph searched and the searches (`None` for a service the
-    /// topology no longer has).
+    /// full search per root and per service that is no leaf, as a new base
+    /// with empty overlays; also the graph searched and the searches, in
+    /// tree order.
     fn searched(
         topology: &Topology,
         services: Arc<[NodeId]>,
     ) -> (Self, TopologyGraph, Vec<Option<ShortestPathTree>>) {
         let graph = TopologyGraph::new(topology);
         let present = topology.service_ids();
-        let trees: Vec<Option<ShortestPathTree>> = services
+        let at: Vec<u32> = services
             .iter()
             .map(|&service| {
                 let here = present.binary_search(&service).is_ok();
-                here.then(|| graph.shortest_path_tree(service))
-            })
-            .collect();
-        let nodes = graph.nodes();
-        let at: Vec<u32> = services
-            .iter()
-            .zip(&trees)
-            .map(|(&service, tree)| {
-                tree.as_ref()
-                    .and_then(|_| graph.node_index(service))
+                here.then(|| graph.node_index(service))
+                    .flatten()
                     .unwrap_or(NO_NODE)
             })
             .collect();
-        let mut parents = Vec::with_capacity(services.len() * nodes.len());
-        for tree in &trees {
-            match tree {
-                Some(tree) => parents.extend_from_slice(tree.parents()),
-                None => parents.resize(parents.len() + nodes.len(), Via::NONE),
-            }
+        let attachments: Vec<_> = at
+            .iter()
+            .map(|&at| Source::attachment(&graph, at))
+            .collect();
+        let mut roots: Vec<u32> = attachments
+            .iter()
+            .flatten()
+            .map(|&(root, _)| root)
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        let sources: Arc<[Source]> = attachments
+            .iter()
+            .map(|&attachment| {
+                Source::new(attachment, |root| {
+                    roots.partition_point(|&other| other < root) as u32
+                })
+            })
+            .collect();
+        let nodes = graph.nodes();
+        let trees: Vec<Option<ShortestPathTree>> = roots
+            .iter()
+            .map(|&root| Some(graph.shortest_path_tree(nodes[root as usize])))
+            .collect();
+        let mut parents = Vec::with_capacity(trees.len() * nodes.len());
+        for tree in trees.iter().flatten() {
+            parents.extend_from_slice(tree.parents());
         }
         let mut number = vec![NO_NODE; nodes.len()];
         for (service, &node) in at.iter().enumerate() {
@@ -405,30 +575,49 @@ impl CollapsedTopology {
         }
         let base = TreeBase {
             width: nodes.len(),
+            trees: trees.len(),
             at,
             number,
             parents,
         };
         let mut collapsed = CollapsedTopology {
-            overlays: vec![None; services.len()],
+            overlays: vec![None; trees.len()],
             services,
             nodes: Arc::clone(nodes),
             base: Arc::new(base),
+            sources,
+            roots: roots.into(),
             pairs: 0,
             links: Arc::new(LinkTable::of(topology)),
         };
-        collapsed.pairs = collapsed.reach().sum();
+        collapsed.pairs = collapsed.reach().iter().sum();
         (collapsed, graph, trees)
     }
 
-    /// Per source number, the destinations it reaches.
-    pub(crate) fn reach(&self) -> impl Iterator<Item = usize> + '_ {
-        let n = self.services.len();
-        (0..n).map(move |src| {
-            (0..n)
-                .filter(|&dst| self.path_back(src, dst).is_some())
-                .count()
-        })
+    /// Per source number, the destinations it reaches: one parent lookup
+    /// per tree and service, no walk. A tree reaches a service when it has
+    /// a link to it; a leaf reaches what its root's tree does but itself,
+    /// and its root when that is a service.
+    pub(crate) fn reach(&self) -> Vec<usize> {
+        let at = &self.base.at;
+        let reached =
+            |tree: usize, node: u32| node != NO_NODE && !self.tree_parent(tree, node).is_none();
+        let per_tree: Vec<usize> = (0..self.roots.len())
+            .map(|tree| at.iter().filter(|&&node| reached(tree, node)).count())
+            .collect();
+        self.sources
+            .iter()
+            .enumerate()
+            .map(|(src, &source)| match source {
+                Source::None => 0,
+                Source::Tree(tree) => per_tree[tree as usize],
+                Source::Leaf { tree, root, .. } => {
+                    let tree = tree as usize;
+                    per_tree[tree] - usize::from(reached(tree, at[src]))
+                        + usize::from(self.base.number(root) != NO_NODE)
+                }
+            })
+            .collect()
     }
 
     /// Retired, ignored; kept only because `benchmark/` names it — delete
@@ -465,30 +654,69 @@ impl CollapsedTopology {
         (number < self.services.len()).then_some(number)
     }
 
-    /// The entry of source number `src`'s parent array for the node at
-    /// `node`: its overlay's, or else the base's.
-    pub(crate) fn parent(&self, src: usize, node: u32) -> Via {
-        if let Some(overlay) = &self.overlays[src] {
+    /// The entry of tree `tree` for the node at `node`: its overlay's, or
+    /// else the base's.
+    pub(crate) fn tree_parent(&self, tree: usize, node: u32) -> Via {
+        if let Some(overlay) = &self.overlays[tree] {
             if let Ok(i) = overlay.binary_search_by_key(&node, |&(at, _)| at) {
                 return overlay[i].1;
             }
         }
-        self.base.parent(src, node)
+        self.base.parent(tree, node)
     }
 
-    /// Source number `src`'s whole parent array.
-    pub(crate) fn parents(&self, src: usize) -> Vec<Via> {
-        let n = self.base.width;
-        let mut parents = self.base.parents[src * n..(src + 1) * n].to_vec();
+    /// Tree `tree`'s whole parent array.
+    pub(crate) fn tree_parents(&self, tree: usize) -> Vec<Via> {
+        let mut parents: Vec<Via> = (0..self.base.width as u32)
+            .map(|node| self.base.parent(tree, node))
+            .collect();
         parents.resize(self.nodes.len(), Via::NONE);
-        for &(node, via) in self.overlays[src].iter().flat_map(|overlay| overlay.iter()) {
+        for &(node, via) in self.overlays[tree]
+            .iter()
+            .flat_map(|overlay| overlay.iter())
+        {
             parents[node as usize] = via;
         }
         parents
     }
 
-    /// The links of the path between two numbered services, destination
+    /// The entry of source number `src`'s parent array for the node at
+    /// `node`, read through its [`Source`].
+    pub(crate) fn parent(&self, src: usize, node: u32) -> Via {
+        match self.sources[src] {
+            Source::None => Via::NONE,
+            Source::Tree(tree) => self.tree_parent(tree as usize, node),
+            Source::Leaf { tree, root, link } => {
+                let at = self.base.at[src];
+                if node == root {
+                    Via { link, from: at }
+                } else if node == at {
+                    Via::NONE
+                } else {
+                    self.tree_parent(tree as usize, node)
+                }
+            }
+        }
+    }
+
+    /// The links of tree `tree`'s path to the node at `node`, destination
     /// first; `None` when there is none.
+    pub(crate) fn tree_back(
+        &self,
+        tree: usize,
+        node: u32,
+    ) -> Option<impl Iterator<Item = LinkId> + Clone + '_> {
+        links_back(
+            move |node| self.tree_parent(tree, node),
+            self.nodes.len(),
+            self.roots[tree],
+            node,
+        )
+    }
+
+    /// The links of the path between two numbered services, destination
+    /// first; `None` when there is none. A leaf's walk runs through its
+    /// root's tree and ends with its one link.
     pub(crate) fn path_back(
         &self,
         src: usize,
@@ -500,6 +728,14 @@ impl CollapsedTopology {
             self.base.at[src],
             self.base.at[dst],
         )
+    }
+
+    /// Source number `src`'s whole parent array.
+    #[cfg(test)]
+    pub(crate) fn parents(&self, src: usize) -> Vec<Via> {
+        (0..self.nodes.len() as u32)
+            .map(|node| self.parent(src, node))
+            .collect()
     }
 
     /// Derives the path between two numbered services.

@@ -9,11 +9,12 @@
 //!
 //! * consecutive snapshots **structurally share** the service table, the
 //!   initial snapshot's base parent arrays, every link table no value of
-//!   which moved and the overlay of every source whose shortest-path tree
-//!   did not move, behind [`Arc`]s (see `crate::collapse`): a snapshot
-//!   starts as one pointer bump per source, and a change writes only the
-//!   tree entries it moved ([`TimelineStats::tree_entries_written`]), so a
-//!   snapshot costs `services × 16 B` plus 12 B per overlay entry, not
+//!   which moved and the overlay of every shortest-path tree that did not
+//!   move, behind [`Arc`]s (see `crate::collapse`): a snapshot starts as
+//!   one pointer bump per tree — one per switch its services hang off, and
+//!   one per service that is no leaf — and a change writes only the tree
+//!   entries it moved ([`TimelineStats::tree_entries_written`]), so a
+//!   snapshot costs `trees × 16 B` plus 12 B per overlay entry, not
 //!   `O(services²)`; and
 //! * each snapshot carries a [`SnapshotDelta`] — exactly the service pairs
 //!   whose end-to-end path changed or disappeared — so runtime application
@@ -22,11 +23,13 @@
 //!
 //! # What a change group costs
 //!
-//! The fold keeps one shortest-path tree per source as working state —
-//! `(cost, hops)` and the link every node is reached over — seeded from the
-//! initial collapse's own trees and dropped when the fold returns. A change
-//! group costs what it moves (the insertion/deletion split of dynamic
-//! shortest paths, Ramalingam & Reps 1996):
+//! The fold keeps the snapshot's shortest-path trees as working state —
+//! `(cost, hops)` and the link every node is reached over — one per root
+//! and one per service that is no leaf, not one per service (see
+//! `crate::collapse`), seeded from the initial collapse's own searches and
+//! dropped when the fold returns. A change group costs what it moves (the
+//! insertion/deletion split of dynamic shortest paths, Ramalingam & Reps
+//! 1996):
 //!
 //! * **Which links.** The fold keeps one [`TopologyGraph`] of the working
 //!   topology and edits it in place: a group drops the links it removed,
@@ -44,16 +47,21 @@
 //!   unreached, when it is next repaired. The graph's node ids are one
 //!   `Arc` shared with every tree, so a tree checks it is on its graph by
 //!   pointer.
-//! * **Which sources.** A source is re-derived only when a removed,
-//!   lengthened or otherwise re-parameterised link is one of its tree
-//!   links, or a new or shortened link `u → v` is tight or better for it,
-//!   `best(u) + (latency, 1) ≤ best(v)`. Every other source keeps its
-//!   previous overlay `Arc`: none of its paths can have moved, and neither
-//!   can its tree.
+//! * **Which trees.** Every service's source is read off the edited
+//!   graph after each group. A leaf that gains or loses out-links — a flap
+//!   of its one link, a `LinkJoin` at it, its root leaving — switches
+//!   between its own tree and its root's, or to none; a tree no source
+//!   reads any more is dropped, and one a source needs that none read
+//!   before is searched ([`TimelineStats::trees_searched`]). A kept tree
+//!   is re-derived only when a removed, lengthened or otherwise
+//!   re-parameterised link is one of its tree links, or a new or shortened
+//!   link `u → v` is tight or better for it, `best(u) + (latency, 1) ≤
+//!   best(v)`. Every other tree keeps its previous overlay `Arc`: none of
+//!   its paths can have moved, and neither can the tree.
 //! * **Repair, not recompute.** A removed or lengthened tree link resets
 //!   only the subtree below it, which is re-settled from its unaffected
 //!   in-neighbours; a tight new or shorter link runs a decrease-only search
-//!   from its head. A source that sees both in one group is searched again
+//!   from its head. A tree that sees both in one group is searched again
 //!   from scratch. Every link the repair touches is re-picked by the
 //!   tie-break contract's closed form (see
 //!   [`kollaps_topology::graph`]), which is exactly what the full search
@@ -62,30 +70,40 @@
 //!   one [`TreeScratch`] the fold keeps, so they allocate nothing once it
 //!   has grown.
 //! * **Which entries.** The repair reports the tree entries it moved, and
-//!   only those are rewritten in the source's overlay — relative to the
+//!   only those are rewritten in the tree's overlay — relative to the
 //!   base, so an entry back at its base value is dropped and the overlay
 //!   never holds more than the tree's difference from the base
 //!   ([`TimelineStats::tree_entries_written`]).
-//! * **Which destinations.** Only a destination whose path passes a node
-//!   whose link moved, or crosses a link the group edited, is compared
+//! * **Which destinations.** Each `(root, destination)` path is compared
+//!   once, and only for a destination whose path passes a node whose link
+//!   moved, or crosses a link the group edited
 //!   ([`TimelineStats::pairs_compared`]). The repair lists those nodes by
 //!   walking down the tree from the moved entries and from the heads of
 //!   the edited tree links, so finding them costs the subtrees below
-//!   those, not the tree: a flap of one access link costs each other
-//!   source one entry and one comparison. The comparison allocates
-//!   nothing: the old and the new parent chains are walked in lockstep,
-//!   and only when their links agree are the path's values composed over
-//!   the old and the new link tables. That is exact: a collapsed path is a
-//!   pure function of `(src, dst)`, its link ids in order and those links'
-//!   values.
+//!   those, not the tree. The comparison allocates nothing: the old and the
+//!   new parent chains are walked in lockstep.
+//! * **The fan-out.** The verdict goes to every source that reads the
+//!   tree, in `(src, dst)` order. A leaf `s` of root `b` whose one link `L`
+//!   the group did not touch has the path `L` then `b`'s, so `(s, d)` is
+//!   changed, gained or lost exactly when `(b, d)` is. A path whose links
+//!   are the same before and after is composed over the old and the new
+//!   link tables — behind `L` for a leaf, since `L`'s values can mask or
+//!   round away a change of `b`'s — and is changed when the values differ.
+//!   That is exact: a collapsed path is a pure function of `(src, dst)`,
+//!   its link ids in order and those links' values. A source that switched
+//!   trees, and a leaf whose `L` the group touched, compare every
+//!   destination instead.
+//! * **Which link values.** The group's link table is the previous one
+//!   patched with the links the group changed: one merge, no sort and no
+//!   read of the topology.
 //!
 //! Every snapshot shares the initial snapshot's base; a service that
-//! leaves keeps its number, and its tree, cut down to its own node,
-//! reaches nothing. [`SnapshotTimeline::extend`] starts its working state
-//! from the snapshot it resumes from: one graph of the topology as of its
-//! cut over the snapshot's node ids (departed nodes included), the
-//! snapshot's parents, and [`TopologyGraph::tree_from_parents`] re-adding
-//! the costs.
+//! leaves keeps its number, reads no tree and reaches nothing, and writes
+//! no tree entry of its own. [`SnapshotTimeline::extend`] starts its
+//! working state from the snapshot it resumes from: one graph of the
+//! topology as of its cut over the snapshot's node ids (departed nodes
+//! included), the parents of the trees its sources read, and
+//! [`TopologyGraph::tree_from_parents`] re-adding the costs.
 //!
 //! The equality of timeline snapshots with a full online re-collapse is
 //! pinned by the tests below, including a seeded tie-heavy differential
@@ -105,7 +123,7 @@ use kollaps_topology::graph::{
 };
 use kollaps_topology::model::{LinkId, LinkProperties, LinkSpec, NodeId, Topology};
 
-use crate::collapse::{CollapsedTopology, LinkTable, NO_NODE};
+use crate::collapse::{CollapsedTopology, LinkTable, Source, NO_NODE};
 
 /// One precomputed topology change: the new snapshot plus the exact set of
 /// service pairs the change affected.
@@ -160,21 +178,31 @@ pub struct TimelineStats {
     /// Total schedule events folded into the timeline.
     pub events: usize,
     /// Pairs re-derived across all deltas (the offline work): a re-derived
-    /// source — one whose tree a group touches, see the module docs —
-    /// counts each destination it reaches, whether or not it is compared.
+    /// source — one whose tree a group touches, or that switched trees, see
+    /// the module docs — counts each destination it reaches, whether or
+    /// not it is compared.
     pub recomputed_paths: usize,
-    /// Destinations walked to decide whether their pair changed (the
-    /// initial snapshot not counted): only those whose tree path moved or
-    /// crosses a changed link are.
+    /// Paths walked or composed to decide whether they changed (the
+    /// initial snapshot not counted): a tree root's path to a destination
+    /// whose tree path moved or crosses a changed link, once per tree; a
+    /// leaf's path over the same links as before, composed behind its one
+    /// link; and every destination of a source that switched trees or whose
+    /// one link moved.
     pub pairs_compared: usize,
+    /// Shortest-path trees searched from scratch: one per root and per
+    /// service that is no leaf in the initial snapshot (see
+    /// `crate::collapse`), one per tree a later group needs that no source
+    /// read before, and one per repair that falls back to a full search.
+    pub trees_searched: usize,
     /// Shortest-path tree nodes settled while re-deriving (the initial
     /// snapshot not counted): the nodes a repair re-settles, or every node
     /// a full search reaches. It grows by `reached × sources` per group if
     /// the fold ever searches every tree from scratch again.
     pub nodes_settled: usize,
     /// Overlay entries written across all deltas: one per tree entry a
-    /// change moved. A source whose tree did not move keeps the previous
-    /// snapshot's overlay `Arc` and writes none.
+    /// change moved. A tree that did not move keeps the previous snapshot's
+    /// overlay `Arc` and writes none, and a service that leaves or loses
+    /// its out-links writes none at all.
     pub tree_entries_written: usize,
     /// Service pairs in the initial snapshot (the all-pairs scale an online
     /// re-collapse would pay per event).
@@ -203,17 +231,22 @@ pub struct SnapshotTimeline {
 }
 
 /// Called after every change group of a fold with the topology and the
-/// graph after it, the group's link diff and the kept trees, by service
-/// number.
-type Inspect<'a> =
-    &'a mut dyn FnMut(&Topology, &TopologyGraph, &LinkDiff, &[Option<ShortestPathTree>]);
+/// graph after it, the group's link diff, the kept trees, in tree order,
+/// and the snapshot's link table.
+type Inspect<'a> = &'a mut dyn FnMut(
+    &Topology,
+    &TopologyGraph,
+    &LinkDiff,
+    &[Option<ShortestPathTree>],
+    &LinkTable,
+);
 
 impl SnapshotTimeline {
     /// Precomputes the snapshot at every change time of `schedule` applied
     /// to `topology`. Runs offline (before the experiment starts); the
     /// runtime then only swaps `Arc`s and touches the delta'd chains.
     pub fn precompute(topology: &Topology, schedule: &EventSchedule) -> Self {
-        SnapshotTimeline::precompute_inspected(topology, schedule, &mut |_, _, _, _| {})
+        SnapshotTimeline::precompute_inspected(topology, schedule, &mut |_, _, _, _, _| {})
     }
 
     /// [`SnapshotTimeline::precompute`], handing the fold's state to
@@ -229,6 +262,7 @@ impl SnapshotTimeline {
         let initial = Arc::new(initial);
         let mut stats = TimelineStats {
             initial_pairs: initial.pair_count(),
+            trees_searched: trees.len(),
             ..TimelineStats::default()
         };
         let mut working = topology.clone();
@@ -260,8 +294,9 @@ impl SnapshotTimeline {
     /// times at or after it are (re-)derived. When every new event lands
     /// after the last existing delta — the common live-injection case —
     /// this appends without re-deriving a single old path. No tree is kept
-    /// between calls: the working trees are rebuilt from the parents of the
-    /// snapshot the call resumes from, without a search.
+    /// between calls: the working trees — those a source of the snapshot
+    /// the call resumes from reads — are rebuilt from its parents, without
+    /// a search.
     ///
     /// Returns the number of deltas derived by this call. The caller is
     /// responsible for only injecting events whose time is still in the
@@ -293,15 +328,20 @@ impl SnapshotTimeline {
             Some(delta) => Arc::clone(&delta.snapshot),
             None => Arc::clone(&self.initial),
         };
-        // The working trees start as the snapshot's own: its parents, with
-        // the costs re-added over the graph it was derived on, which keeps
-        // every node the timeline had before the cut.
+        // The working trees start as the snapshot's own, those a source
+        // reads: their parents, with the costs re-added over the graph they
+        // were derived on, which keeps every node the timeline had before
+        // the cut.
         let graph = TopologyGraph::with_nodes(&working, &prev.nodes);
-        let trees = (0..prev.services.len())
-            .map(|src| Some(graph.tree_from_parents(prev.services[src], prev.parents(src))))
-            .collect();
+        let mut trees: Vec<Option<ShortestPathTree>> = vec![None; prev.roots.len()];
+        for tree in prev.sources.iter().filter_map(|source| source.tree()) {
+            if trees[tree].is_none() {
+                let root = prev.nodes[prev.roots[tree] as usize];
+                trees[tree] = Some(graph.tree_from_parents(root, prev.tree_parents(tree)));
+            }
+        }
         let mut fold = Fold::new(&mut working, graph, prev, trees, &mut self.stats);
-        fold.run(&events[resume..], &mut self.deltas, &mut |_, _, _, _| {});
+        fold.run(&events[resume..], &mut self.deltas, &mut |_, _, _, _, _| {});
         let derived = self.deltas.len() - keep;
         self.stats.change_times = self.deltas.len();
         self.stats.events = events.len();
@@ -411,10 +451,12 @@ struct Fold<'a> {
     graph: TopologyGraph,
     /// The snapshot after the last folded group.
     prev: Arc<CollapsedTopology>,
-    /// One kept shortest-path tree per source number, over `graph` and
-    /// repaired with it; a source that left keeps a tree that reaches
-    /// nothing. Its parents are `prev`'s, base plus overlay.
+    /// One shortest-path tree per tree of `prev`, over `graph` and repaired
+    /// with it: `Some` exactly for the trees some source of `prev` reads.
+    /// Its parents are `prev`'s, base plus overlay.
     trees: Vec<Option<ShortestPathTree>>,
+    /// Per node index, the tree searched from it; [`NO_NODE`] for none.
+    tree_at: Vec<u32>,
     /// Per source number, the destinations it reaches in `prev`.
     reach: Vec<usize>,
     /// The buffers every repair works in.
@@ -423,7 +465,20 @@ struct Fold<'a> {
     named: Vec<LinkState>,
     /// The links the group changed.
     touched: Vec<Touched>,
-    /// The links of the pair being compared, destination first.
+    /// Per source number, the tree it reads after the group.
+    sources: Vec<Source>,
+    /// Per tree, whether a source reads it after the group.
+    read: Vec<bool>,
+    /// The destinations whose path from a repaired tree's root may have
+    /// moved, with what happened to it, tree after tree.
+    verdicts: Vec<(u32, Verdict)>,
+    /// Per tree, its run of `verdicts`; `None` for a tree the group did
+    /// not repair.
+    runs: Vec<Option<(u32, u32)>>,
+    /// The links of every [`Verdict::SameLinks`] of `verdicts`, source
+    /// first, back to back.
+    walks: Vec<LinkId>,
+    /// The links of the pair being compared or composed.
     walked: Vec<LinkId>,
     /// The overlay being written.
     entries: Vec<(u32, Via)>,
@@ -432,8 +487,9 @@ struct Fold<'a> {
 
 impl<'a> Fold<'a> {
     /// A fold that resumes from `prev`, the snapshot of `working`, with
-    /// `graph`, the graph of `working`, and `trees`, searched over it, as
-    /// its working state.
+    /// `graph`, the graph of `working`, and `trees`, searched over it in
+    /// `prev`'s tree order (`Some` for every tree a source reads), as its
+    /// working state.
     fn new(
         working: &'a mut Topology,
         graph: TopologyGraph,
@@ -441,15 +497,25 @@ impl<'a> Fold<'a> {
         trees: Vec<Option<ShortestPathTree>>,
         stats: &'a mut TimelineStats,
     ) -> Self {
+        let mut tree_at = vec![NO_NODE; graph.nodes().len()];
+        for (tree, &root) in prev.roots.iter().enumerate() {
+            tree_at[root as usize] = tree as u32;
+        }
         Fold {
             working,
             graph,
-            reach: prev.reach().collect(),
+            reach: prev.reach(),
             prev,
             trees,
+            tree_at,
             scratch: TreeScratch::default(),
             named: Vec::new(),
             touched: Vec::new(),
+            sources: Vec::new(),
+            read: Vec::new(),
+            verdicts: Vec::new(),
+            runs: Vec::new(),
+            walks: Vec::new(),
             walked: Vec::new(),
             entries: Vec::new(),
             stats,
@@ -554,12 +620,18 @@ impl<'a> Fold<'a> {
         );
     }
 
-    /// Builds the snapshot after one change group: every kept tree
-    /// repaired onto the edited graph, the pairs whose path may have moved
-    /// compared, and the overlay of every tree that moved rewritten; every
+    /// Builds the snapshot after one change group, in three steps. Every
+    /// service's [`Source`] is read off the edited graph: a service that
+    /// gains or loses out-links switches between its own tree and its
+    /// root's, and a tree no source reads any more is dropped. Every tree a
+    /// source reads is repaired (or, new, searched), its root's paths that
+    /// may have moved are compared, and its overlay is rewritten where it
+    /// moved. Then each source takes its tree's verdicts — a leaf adds its
+    /// one link — in (src, dst) order; a source that switched, or whose one
+    /// link the group touched, compares every destination instead. Every
     /// other overlay, and every link table no value of which moved, is the
-    /// previous snapshot's. Hands the graph, the diff and the trees to
-    /// `inspect` at the end.
+    /// previous snapshot's. Hands the graph, the diff, the trees and the
+    /// link table to `inspect` at the end.
     fn derive(
         &mut self,
         diff: LinkDiff,
@@ -567,92 +639,41 @@ impl<'a> Fold<'a> {
         events: usize,
         inspect: Inspect<'_>,
     ) -> SnapshotDelta {
-        let working: &Topology = self.working;
         let prev = Arc::clone(&self.prev);
         // The initial snapshot's service table covers every later one:
         // services can only leave (`NodeJoin` adds bridges).
         debug_assert!(
-            working
+            self.working
                 .service_ids()
                 .iter()
                 .all(|id| prev.services.binary_search(id).is_ok()),
             "a service joined the topology after the initial snapshot"
         );
-        // The link table is copied only when a value it holds moved (or a
+        // The link table is patched only when a value it holds moved (or a
         // link came or went): every changed link did one of these.
         let links = if diff.changed.is_empty() {
             Arc::clone(&prev.links)
         } else {
-            Arc::new(LinkTable::of(working))
+            let changes = self.touched.iter().map(|&(id, _, _, _, now)| (id, now));
+            Arc::new(prev.links.patched(changes))
         };
         let base = &prev.base;
         let mut next = CollapsedTopology {
             services: Arc::clone(&prev.services),
             nodes: Arc::clone(self.graph.nodes()),
             base: Arc::clone(base),
+            sources: Arc::clone(&prev.sources),
+            roots: Arc::clone(&prev.roots),
             overlays: prev.overlays.clone(),
             pairs: prev.pairs,
             links,
         };
+        self.read_sources(&mut next);
         let mut pairs = Pairs::default();
-        for (src, tree) in self.trees.iter_mut().enumerate() {
-            let Some(tree) = tree else {
-                continue;
-            };
-            let Some(update) = tree.update(&self.graph, &diff.edits, &mut self.scratch) else {
-                continue;
-            };
-            self.stats.nodes_settled += update.settled;
-            let parents = tree.parents();
-            let root = base.at[src];
-            let (gained, removed) = (pairs.gained.len(), pairs.removed.len());
-            // Node indices ascend like service numbers, and sources ascend:
-            // `changed` stays in (src, dst) order.
-            for &node in update.changed() {
-                let dst = base.number(node);
-                if dst == NO_NODE {
-                    continue;
-                }
-                let dst = dst as usize;
-                pairs.compare(
-                    (prev.services[src], prev.services[dst]),
-                    prev.path_back(src, dst),
-                    links_back(|node| parents[node as usize], parents.len(), root, node),
-                    (&prev, &next),
-                    &mut self.walked,
-                    self.stats,
-                );
-            }
-            let reach = &mut self.reach[src];
-            *reach = (*reach + pairs.gained.len() - gained) - (pairs.removed.len() - removed);
-            self.stats.recomputed_paths += *reach;
-            let moved = update.moved();
-            if moved.is_empty() {
-                continue;
-            }
-            // The overlay is rewritten at the moved entries only, relative
-            // to the base: an entry where the tree now differs from it, none
-            // where the tree is back to it.
-            self.stats.tree_entries_written += moved.len();
-            let old = next.overlays[src].as_deref().unwrap_or_default();
-            let entries = &mut self.entries;
-            entries.clear();
-            let mut kept = old.iter().peekable();
-            for &node in moved {
-                while let Some(&entry) = kept.next_if(|entry| entry.0 < node) {
-                    entries.push(entry);
-                }
-                kept.next_if(|entry| entry.0 == node);
-                let via = parents[node as usize];
-                if via != base.parent(src, node) {
-                    entries.push((node, via));
-                }
-            }
-            entries.extend(kept);
-            next.overlays[src] = (!entries.is_empty()).then(|| Arc::from(&entries[..]));
-        }
+        self.repair_trees(&prev, &mut next, &diff);
+        self.fan_out(&prev, &next, &diff, &mut pairs);
         next.pairs = (next.pairs + pairs.gained.len()) - pairs.removed.len();
-        inspect(self.working, &self.graph, &diff, &self.trees);
+        inspect(self.working, &self.graph, &diff, &self.trees, &next.links);
         SnapshotDelta {
             at,
             events,
@@ -663,10 +684,290 @@ impl<'a> Fold<'a> {
             snapshot: Arc::new(next),
         }
     }
+
+    /// Reads every service's [`Source`] off the edited graph into
+    /// `next.sources` (shared with the previous snapshot's when none
+    /// moved), numbering a tree for a root that has none yet, and marks in
+    /// `read` the trees a source reads.
+    fn read_sources(&mut self, next: &mut CollapsedTopology) {
+        let Fold {
+            graph,
+            trees,
+            tree_at,
+            sources,
+            read,
+            ..
+        } = self;
+        tree_at.resize(graph.nodes().len(), NO_NODE);
+        let mut roots: Option<Vec<u32>> = None;
+        sources.clear();
+        for &at in &next.base.at {
+            sources.push(Source::new(Source::attachment(graph, at), |root| {
+                let tree = &mut tree_at[root as usize];
+                if *tree == NO_NODE {
+                    let roots = roots.get_or_insert_with(|| next.roots.to_vec());
+                    *tree = roots.len() as u32;
+                    roots.push(root);
+                    trees.push(None);
+                    next.overlays.push(None);
+                }
+                *tree
+            }));
+        }
+        if let Some(roots) = roots {
+            next.roots = roots.into();
+        }
+        if *sources != *next.sources {
+            next.sources = Arc::from(&sources[..]);
+        }
+        read.clear();
+        read.resize(next.roots.len(), false);
+        for tree in sources.iter().filter_map(|source| source.tree()) {
+            read[tree] = true;
+        }
+    }
+
+    /// Brings every tree a source of `next` reads onto the edited graph —
+    /// repairing a kept one, searching a new one — and drops every other.
+    /// Lists the verdicts of each repaired tree's root and rewrites the
+    /// overlay of every tree that moved, relative to the base.
+    fn repair_trees(
+        &mut self,
+        prev: &CollapsedTopology,
+        next: &mut CollapsedTopology,
+        diff: &LinkDiff,
+    ) {
+        let Fold {
+            graph,
+            trees,
+            scratch,
+            read,
+            verdicts,
+            runs,
+            walks,
+            entries,
+            stats,
+            ..
+        } = self;
+        let base = &prev.base;
+        let shared_links = Arc::ptr_eq(&prev.links, &next.links);
+        verdicts.clear();
+        walks.clear();
+        runs.clear();
+        for (tree, slot) in trees.iter_mut().enumerate() {
+            runs.push(None);
+            if !read[tree] {
+                *slot = None;
+                continue;
+            }
+            let root = next.roots[tree];
+            let fresh: Vec<u32>;
+            let (parents, moved) = match slot {
+                Some(kept) => {
+                    let Some(update) = kept.update(graph, &diff.edits, scratch) else {
+                        continue;
+                    };
+                    stats.nodes_settled += update.settled;
+                    stats.trees_searched += usize::from(update.searched);
+                    let parents = kept.parents();
+                    let start = verdicts.len() as u32;
+                    // Node indices ascend like service numbers: each run
+                    // stays in destination order.
+                    for &node in update.changed() {
+                        let dst = base.number(node);
+                        if dst == NO_NODE {
+                            continue;
+                        }
+                        let old = prev.tree_back(tree, node);
+                        let new =
+                            links_back(|node| parents[node as usize], parents.len(), root, node);
+                        match Verdict::of(old, new, walks, stats) {
+                            Some(Verdict::SameLinks(from, _)) if shared_links => {
+                                walks.truncate(from as usize)
+                            }
+                            Some(verdict) => verdicts.push((dst, verdict)),
+                            None => {}
+                        }
+                    }
+                    runs[tree] = Some((start, verdicts.len() as u32));
+                    (parents, update.moved())
+                }
+                None => {
+                    // A tree no source read before: only sources that
+                    // switched read it, and they compare every destination.
+                    // Its entries moved where they differ from what the
+                    // previous snapshot holds for it, stale or unreached.
+                    let searched = graph.shortest_path_tree(graph.nodes()[root as usize]);
+                    stats.trees_searched += 1;
+                    stats.nodes_settled += searched.reached();
+                    let was = |node: u32| match prev.overlays.get(tree) {
+                        Some(_) => prev.tree_parent(tree, node),
+                        None => Via::NONE,
+                    };
+                    let parents = slot.insert(searched).parents();
+                    fresh = (0..parents.len() as u32)
+                        .filter(|&node| parents[node as usize] != was(node))
+                        .collect();
+                    (parents, &fresh[..])
+                }
+            };
+            if moved.is_empty() {
+                continue;
+            }
+            // The overlay is rewritten at the moved entries only, relative
+            // to the base: an entry where the tree now differs from it, none
+            // where the tree is back to it.
+            stats.tree_entries_written += moved.len();
+            let old = next.overlays[tree].as_deref().unwrap_or_default();
+            entries.clear();
+            let mut old = old.iter().peekable();
+            for &node in moved {
+                while let Some(&entry) = old.next_if(|entry| entry.0 < node) {
+                    entries.push(entry);
+                }
+                old.next_if(|entry| entry.0 == node);
+                let via = parents[node as usize];
+                if via != base.parent(tree, node) {
+                    entries.push((node, via));
+                }
+            }
+            entries.extend(old);
+            next.overlays[tree] = (!entries.is_empty()).then(|| Arc::from(&entries[..]));
+        }
+    }
+
+    /// Records every pair the group changed, source by source in number
+    /// order. A source that reads the tree it read before takes its
+    /// verdicts: a changed, gained or lost path of the root is the
+    /// source's too, and a path over the same links is composed over both
+    /// link tables, behind the leaf's one link. A source that switched
+    /// trees, or a leaf whose one link the group touched, compares every
+    /// destination.
+    fn fan_out(
+        &mut self,
+        prev: &CollapsedTopology,
+        next: &CollapsedTopology,
+        diff: &LinkDiff,
+        pairs: &mut Pairs,
+    ) {
+        let Fold {
+            reach,
+            verdicts,
+            runs,
+            walks,
+            walked,
+            stats,
+            ..
+        } = self;
+        let tables = (&*prev.links, &*next.links);
+        let services = &prev.services;
+        for (src, (&was, &now)) in prev.sources.iter().zip(next.sources.iter()).enumerate() {
+            let touched_link = match now {
+                Source::Leaf { link, .. } => diff.changed.binary_search(&link).is_ok(),
+                _ => false,
+            };
+            let (gained, removed) = (pairs.gained.len(), pairs.removed.len());
+            if was != now || touched_link {
+                for dst in 0..services.len() {
+                    let pair = (services[src], services[dst]);
+                    let old = prev.path_back(src, dst);
+                    let new = next.path_back(src, dst);
+                    walked.clear();
+                    match Verdict::of(old, new, walked, stats) {
+                        Some(Verdict::SameLinks(..)) => pairs.compose(pair, walked, tables),
+                        Some(verdict) => pairs.record(pair, verdict),
+                        None => {}
+                    }
+                }
+            } else {
+                let Some((start, end)) = now.tree().and_then(|tree| runs[tree]) else {
+                    continue;
+                };
+                for &(dst, verdict) in &verdicts[start as usize..end as usize] {
+                    let dst = dst as usize;
+                    if dst == src {
+                        continue;
+                    }
+                    let pair = (services[src], services[dst]);
+                    match (verdict, now) {
+                        (Verdict::SameLinks(from, to), Source::Leaf { link, .. }) => {
+                            stats.pairs_compared += 1;
+                            walked.clear();
+                            walked.push(link);
+                            walked.extend_from_slice(&walks[from as usize..to as usize]);
+                            pairs.compose(pair, walked, tables);
+                        }
+                        (Verdict::SameLinks(from, to), _) => {
+                            pairs.compose(pair, &walks[from as usize..to as usize], tables)
+                        }
+                        (verdict, _) => pairs.record(pair, verdict),
+                    }
+                }
+            }
+            let reach = &mut reach[src];
+            *reach = (*reach + pairs.gained.len() - gained) - (pairs.removed.len() - removed);
+            stats.recomputed_paths += *reach;
+        }
+    }
 }
 
-/// The pairs one change group changed, as the fold compares them: in
-/// (src, dst) order, because it compares them in that order.
+/// What happened to one path of a change group, as far as its links tell.
+#[derive(Debug, Clone, Copy)]
+enum Verdict {
+    /// It is there before and after, over other links.
+    Changed,
+    /// It is new.
+    Gained,
+    /// It is gone.
+    Removed,
+    /// It is over the same links, kept source first at this range of the
+    /// walks it was judged into: its values may have moved.
+    SameLinks(u32, u32),
+}
+
+impl Verdict {
+    /// The verdict on a path that was `old` and is `new` (links
+    /// destination first, `None` for no path); `None` when there is none
+    /// either way. The link lists are walked in lockstep, and same links
+    /// are appended to `walks`, source first.
+    fn of(
+        old: Option<impl Iterator<Item = LinkId>>,
+        new: Option<impl Iterator<Item = LinkId>>,
+        walks: &mut Vec<LinkId>,
+        stats: &mut TimelineStats,
+    ) -> Option<Verdict> {
+        let (old, mut new) = match (old, new) {
+            (None, None) => return None,
+            (Some(old), Some(new)) => (old, new),
+            (old, _) => {
+                stats.pairs_compared += 1;
+                return Some(if old.is_some() {
+                    Verdict::Removed
+                } else {
+                    Verdict::Gained
+                });
+            }
+        };
+        stats.pairs_compared += 1;
+        let from = walks.len();
+        for link in old {
+            if new.next() != Some(link) {
+                walks.truncate(from);
+                return Some(Verdict::Changed);
+            }
+            walks.push(link);
+        }
+        if new.next().is_some() {
+            walks.truncate(from);
+            return Some(Verdict::Changed);
+        }
+        walks[from..].reverse();
+        Some(Verdict::SameLinks(from as u32, walks.len() as u32))
+    }
+}
+
+/// The pairs one change group changed, in (src, dst) order: the fold
+/// records them source by source, each source's in destination order.
 #[derive(Default)]
 struct Pairs {
     changed: Vec<(NodeId, NodeId)>,
@@ -676,53 +977,28 @@ struct Pairs {
 }
 
 impl Pairs {
-    /// Records `pair` as changed or removed when its path `old` in the
-    /// previous snapshot and `new` in the next one (links destination
-    /// first, `None` for no path) differ in links or, over the same links,
-    /// in value. Allocates nothing: the link lists are walked in lockstep,
-    /// and only equal ones are composed, over each snapshot's tables.
-    fn compare(
-        &mut self,
-        pair: (NodeId, NodeId),
-        old: Option<impl Iterator<Item = LinkId>>,
-        new: Option<impl Iterator<Item = LinkId>>,
-        (prev, next): (&CollapsedTopology, &CollapsedTopology),
-        walked: &mut Vec<LinkId>,
-        stats: &mut TimelineStats,
-    ) {
-        let (old, mut new) = match (old, new) {
-            (None, None) => return,
-            (Some(_), None) => {
-                stats.pairs_compared += 1;
-                self.removed.push(pair);
-                return;
-            }
-            (None, Some(_)) => {
-                stats.pairs_compared += 1;
+    /// Records `pair` by a verdict its links decide.
+    fn record(&mut self, pair: (NodeId, NodeId), verdict: Verdict) {
+        match verdict {
+            Verdict::Changed => self.changed.push(pair),
+            Verdict::Gained => {
                 self.changed.push(pair);
                 self.gained.push(pair);
-                return;
             }
-            (Some(old), Some(new)) => (old, new),
-        };
-        stats.pairs_compared += 1;
-        walked.clear();
-        for link in old {
-            if new.next() != Some(link) {
-                self.changed.push(pair);
-                return;
-            }
-            walked.push(link);
+            Verdict::Removed => self.removed.push(pair),
+            Verdict::SameLinks(..) => unreachable!("a path over the same links is composed"),
         }
-        if new.next().is_some() {
-            self.changed.push(pair);
-            return;
-        }
-        if Arc::ptr_eq(&prev.links, &next.links) {
-            return;
-        }
-        walked.reverse();
-        if prev.links.compose(walked) != next.links.compose(walked) {
+    }
+
+    /// Records `pair`, over the same `links` (source first) before and
+    /// after, as changed when its values over the two tables differ.
+    fn compose(
+        &mut self,
+        pair: (NodeId, NodeId),
+        links: &[LinkId],
+        (prev, next): (&LinkTable, &LinkTable),
+    ) {
+        if !std::ptr::eq(prev, next) && prev.compose(links) != next.compose(links) {
             self.changed.push(pair);
         }
     }
@@ -785,15 +1061,21 @@ mod tests {
         assert!(delta.removed_paths.is_empty());
         assert_eq!(delta.changed_paths.len(), 10);
         assert_eq!(delta.swap_cost(), 10);
-        // Only the ten pairs over the edge are compared: client-0's five
-        // and the one to client-0 of each other source.
-        assert_eq!(timeline.stats().pairs_compared, 10);
+        // Only pairs over the edge are compared: client-0's five (a leaf
+        // whose one link moved compares every destination), each bridge
+        // tree's path to client-0, over the same links in both snapshots,
+        // and that path composed behind the one link of each of the five
+        // other sources, the leaves of those bridges.
+        assert_eq!(timeline.stats().pairs_compared, 5 + 2 + 5);
+        // Every service is a leaf: one tree per bridge is searched.
+        assert_eq!(timeline.initial().roots.len(), 2);
+        assert_eq!(timeline.stats().trees_searched, 2);
         // The edge has no detour, so no tree entry moves: nothing is
-        // written, and every source's overlay is the initial snapshot's.
+        // written, and every tree's overlay is the initial snapshot's.
         assert_eq!(timeline.stats().tree_entries_written, 0);
         assert!(Arc::ptr_eq(&delta.snapshot.base, &timeline.initial().base));
-        for number in 0..6 {
-            assert!(shares_overlay(timeline.initial(), &delta.snapshot, number));
+        for tree in 0..2 {
+            assert!(shares_overlay(timeline.initial(), &delta.snapshot, tree));
         }
         // An untouched pair keeps its value; the changed pair carries the
         // new latency.
@@ -808,10 +1090,10 @@ mod tests {
         );
     }
 
-    /// `true` when `next` holds `prev`'s overlay of source `number`: the
-    /// same `Arc`, or none in both.
-    fn shares_overlay(prev: &CollapsedTopology, next: &CollapsedTopology, number: usize) -> bool {
-        match (&prev.overlays[number], &next.overlays[number]) {
+    /// `true` when `next` holds `prev`'s overlay of tree `tree`: the same
+    /// `Arc`, or none in both.
+    fn shares_overlay(prev: &CollapsedTopology, next: &CollapsedTopology, tree: usize) -> bool {
+        match (&prev.overlays[tree], &next.overlays[tree]) {
             (Some(prev), Some(next)) => Arc::ptr_eq(prev, next),
             (None, None) => true,
             _ => false,
@@ -846,9 +1128,10 @@ mod tests {
 
     /// [`SnapshotTimeline::precompute_inspected`] with a hook that checks,
     /// after every group, the fold's graph against a fresh one of the
-    /// topology over every node it ever had and the group's diff against
-    /// the full diff of the topology before and after it, then hands the
-    /// graph and the kept trees to `trees`.
+    /// topology over every node it ever had, the group's diff against the
+    /// full diff of the topology before and after it and the patched link
+    /// table against one built from the topology, then hands the graph and
+    /// the kept trees to `trees`.
     fn precompute_checked(
         topo: &Topology,
         schedule: &EventSchedule,
@@ -859,7 +1142,8 @@ mod tests {
         let mut check = |working: &Topology,
                          graph: &TopologyGraph,
                          diff: &LinkDiff,
-                         kept: &[Option<ShortestPathTree>]| {
+                         kept: &[Option<ShortestPathTree>],
+                         table: &LinkTable| {
             seen.extend(working.nodes().iter().map(|node| node.id));
             seen.sort_unstable();
             seen.dedup();
@@ -873,6 +1157,10 @@ mod tests {
                 &mut touched,
             );
             assert_eq!(*diff, LinkDiff::of(&touched), "the group's diff");
+            assert!(
+                table.same_links(&LinkTable::of(working)),
+                "the patched table"
+            );
             before = working.clone();
             trees(graph, kept);
         };
@@ -914,30 +1202,59 @@ mod tests {
             assert!(snapshot.nodes.starts_with(&prev.nodes), "nodes only grow");
             let graph = TopologyGraph::with_nodes(&online, &snapshot.nodes);
             assert_eq!(graph.nodes(), &snapshot.nodes, "at {:?}", delta.at);
+            // Every service's tree, a leaf's derived from its root's, is a
+            // fresh search's.
             for (number, &src) in snapshot.services.iter().enumerate() {
-                let parents = snapshot.parents(number);
                 let fresh = graph.shortest_path_tree(src);
+                let parents = snapshot.parents(number);
                 assert_eq!(parents, fresh.parents(), "tree of {src} at {:?}", delta.at);
+            }
+            // Every tree a source reads is its root's, with an overlay of
+            // exactly its differences from the base, shared iff it did not
+            // move; a tree no source reads keeps its overlay.
+            let read: Vec<bool> = (0..snapshot.roots.len())
+                .map(|tree| {
+                    snapshot
+                        .sources
+                        .iter()
+                        .any(|source| source.tree() == Some(tree))
+                })
+                .collect();
+            assert!(snapshot.roots.starts_with(&prev.roots), "trees only grow");
+            for (tree, &root) in snapshot.roots.iter().enumerate() {
+                let known = tree < prev.roots.len();
+                if !read[tree] {
+                    assert!(known && shares_overlay(&prev, snapshot, tree));
+                    continue;
+                }
+                let parents = snapshot.tree_parents(tree);
+                let fresh = graph.shortest_path_tree(snapshot.nodes[root as usize]);
+                assert_eq!(parents, fresh.parents(), "tree {tree} at {:?}", delta.at);
                 let differences: Vec<(u32, Via)> = (0..parents.len() as u32)
                     .map(|node| (node, parents[node as usize]))
-                    .filter(|&(node, via)| via != snapshot.base.parent(number, node))
+                    .filter(|&(node, via)| via != snapshot.base.parent(tree, node))
                     .collect();
                 assert_eq!(
-                    snapshot.overlays[number].as_deref().unwrap_or_default(),
+                    snapshot.overlays[tree].as_deref().unwrap_or_default(),
                     &differences[..],
-                    "overlay of {src} at {:?}",
+                    "overlay of tree {tree} at {:?}",
                     delta.at
                 );
-                // A node appended since was unreached before.
-                let mut was = prev.parents(number);
+                // A node appended since was unreached before, and so was
+                // every node of a new tree.
+                let mut was = if known {
+                    prev.tree_parents(tree)
+                } else {
+                    Vec::new()
+                };
                 was.resize(parents.len(), Via::NONE);
                 let moved = parents.iter().zip(was).filter(|&(now, was)| *now != was);
                 let moved = moved.count();
                 entries_moved += moved;
                 assert_eq!(
-                    shares_overlay(&prev, snapshot, number),
+                    known && shares_overlay(&prev, snapshot, tree),
                     moved == 0,
-                    "overlay of {src} shared iff its tree stayed at {:?}",
+                    "overlay of tree {tree} shared iff it stayed at {:?}",
                     delta.at
                 );
             }
@@ -1166,12 +1483,15 @@ mod tests {
         let timeline = assert_matches_online_recollapse(&dumbbell(), &trunk_edits);
         assert!(timeline.deltas()[3].changed_paths.is_empty());
         // Groups 1–3 edit both trunk directions: all 6 sources are
-        // re-derived (30 pairs) and the 18 cross pairs compared. Group 4
-        // edits one direction: 3 sources, 15 pairs, 9 compared, nothing
-        // changed. The trunk has no detour, so no tree entry moves in any
-        // group and every overlay stays shared.
+        // re-derived (30 pairs); each bridge tree compares its paths to the
+        // 3 services across the trunk, the same links as before, and each
+        // is composed behind the one link of the 3 leaves of that bridge
+        // (6 + 18 compared). Group 4 edits one direction: 3 sources, 15
+        // pairs, 3 + 9 compared, nothing changed. The trunk has no detour,
+        // so no tree entry moves in any group and every overlay stays
+        // shared.
         assert_eq!(timeline.stats().recomputed_paths, 3 * 30 + 15);
-        assert_eq!(timeline.stats().pairs_compared, 3 * 18 + 9);
+        assert_eq!(timeline.stats().pairs_compared, 3 * (6 + 18) + 3 + 9);
         assert_eq!(timeline.stats().tree_entries_written, 0);
 
         // A latency increase that leaves every route's links the same (the
@@ -1261,6 +1581,216 @@ mod tests {
         assert_eq!(nodes(7).last().copied(), s9.node_by_name("s9"));
     }
 
+    /// The source of the service `name` in `snapshot`.
+    fn source_of(snapshot: &CollapsedTopology, topo: &Topology, name: &str) -> Source {
+        let id = topo.node_by_name(name).unwrap();
+        snapshot.sources[snapshot.services.binary_search(&id).unwrap()]
+    }
+
+    /// The dumbbell's services are all leaves: one tree per bridge. A flap
+    /// of a leaf's only link makes it reach nothing and then a leaf again,
+    /// over the new link, without searching a tree or writing an entry of
+    /// its own; each bridge tree writes its entry for the leaf.
+    #[test]
+    fn a_leaf_whose_only_link_flaps() {
+        let topo = dumbbell();
+        let mut schedule = EventSchedule::new();
+        schedule.push(event(1, leave("client-0", "bridge-left")));
+        schedule.push(event(2, join("client-0", "bridge-left", 1)));
+        // A leave and a re-join in one group: a leaf over a new link.
+        schedule.push(event(3, leave("client-0", "bridge-left")));
+        schedule.push(event(3, join("client-0", "bridge-left", 4)));
+        let timeline = assert_matches_online_recollapse(&topo, &schedule);
+        let sources: Vec<Source> = std::iter::once(timeline.initial())
+            .chain(timeline.deltas().iter().map(|d| &d.snapshot))
+            .map(|snapshot| source_of(snapshot, &topo, "client-0"))
+            .collect();
+        let bridge = |link: &Source| match *link {
+            Source::Leaf { tree, link, .. } => (tree, link),
+            other => panic!("{other:?} is no leaf"),
+        };
+        assert_eq!(sources[1], Source::None);
+        let (first, second, third) = (
+            bridge(&sources[0]),
+            bridge(&sources[2]),
+            bridge(&sources[3]),
+        );
+        assert!(
+            first.0 == second.0 && second.0 == third.0,
+            "the same root tree"
+        );
+        assert!(first.1 < second.1 && second.1 < third.1, "new link ids");
+        assert_eq!(timeline.initial().roots.len(), 2);
+        assert_eq!(timeline.stats().trees_searched, 2);
+        // One entry per bridge tree per group.
+        assert_eq!(timeline.stats().tree_entries_written, 2 * 3);
+        // Client-0's five pairs go and come back; the other sources' pairs
+        // to client-0 too.
+        assert_eq!(timeline.deltas()[0].removed_paths.len(), 10);
+        assert_eq!(timeline.deltas()[1].gained_paths.len(), 10);
+        assert_eq!(timeline.deltas()[2].changed_paths.len(), 10);
+    }
+
+    /// A leaf that gains a second out-link reads a tree of its own,
+    /// searched then, and routes over its new link; when it loses the link
+    /// again it reads its root's tree, and its own is dropped.
+    #[test]
+    fn a_leaf_that_gains_a_second_out_link_and_loses_it_again() {
+        let topo = dumbbell();
+        let shortcut = DynamicAction::LinkJoin {
+            orig: "client-0".into(),
+            dest: "bridge-right".into(),
+            change: LinkChange {
+                latency: Some(SimDuration::from_millis(2)),
+                up: Some(Bandwidth::from_mbps(100)),
+                ..LinkChange::default()
+            },
+        };
+        let mut schedule = EventSchedule::new();
+        schedule.push(event(1, shortcut));
+        schedule.push(event(2, leave("client-0", "bridge-right")));
+        let timeline = assert_matches_online_recollapse(&topo, &schedule);
+        let (c0, s0) = (
+            topo.node_by_name("client-0").unwrap(),
+            topo.node_by_name("server-0").unwrap(),
+        );
+        let [with, without] = [0, 1].map(|k| &timeline.deltas()[k].snapshot);
+        let own = source_of(with, &topo, "client-0");
+        assert_eq!(own, Source::Tree(2));
+        assert_eq!(
+            with.roots[2],
+            with.base.at[with.services.binary_search(&c0).unwrap()]
+        );
+        assert_eq!(timeline.stats().trees_searched, 2 + 1);
+        // 2 ms over the shortcut plus 1 ms to the server, not 1 + 10 + 1.
+        assert_eq!(
+            with.path(c0, s0).unwrap().latency,
+            SimDuration::from_millis(3)
+        );
+        assert!(matches!(
+            source_of(without, &topo, "client-0"),
+            Source::Leaf { tree: 0, .. }
+        ));
+        assert_eq!(
+            without.path(c0, s0).unwrap().latency,
+            SimDuration::from_millis(12)
+        );
+        // The dropped tree keeps its overlay, which no source reads.
+        assert!(shares_overlay(with, without, 2));
+    }
+
+    /// A root that leaves takes its leaf's only link with it: the leaf
+    /// reaches nothing. When the root joins again, with the link, the leaf
+    /// reads the root's tree again, searched then.
+    #[test]
+    fn a_leaf_whose_root_leaves() {
+        let topo = ring();
+        let mut schedule = EventSchedule::new();
+        schedule.push(event(1, DynamicAction::NodeLeave { name: "s0".into() }));
+        schedule.push(event(2, DynamicAction::NodeJoin { name: "s0".into() }));
+        schedule.push(event(2, join("h0", "s0", 1)));
+        schedule.push(event(2, join("s0", "s1", 5)));
+        let timeline = assert_matches_online_recollapse(&topo, &schedule);
+        let [gone, back] = [0, 1].map(|k| &timeline.deltas()[k].snapshot);
+        assert_eq!(source_of(gone, &topo, "h0"), Source::None);
+        assert!(matches!(source_of(back, &topo, "h0"), Source::Leaf { .. }));
+        // s0 came back as a new node, appended: its tree is a new one.
+        assert_eq!(back.roots.len(), 5);
+        assert_eq!(timeline.stats().trees_searched, 4 + 1);
+    }
+
+    /// A leaf over a zero-latency link is still one hop from its root
+    /// (`(0, 1)` apart), so its derived tree still ties like a search;
+    /// checked through route changes behind the root and a flap of the
+    /// link itself.
+    #[test]
+    fn a_zero_latency_access_link() {
+        let (topo, _, _) = generators::dumbbell(
+            3,
+            Bandwidth::from_mbps(100),
+            Bandwidth::from_mbps(50),
+            SimDuration::ZERO,
+            SimDuration::from_millis(10),
+        );
+        let mut schedule = EventSchedule::new();
+        schedule.push(set_edge_latency("bridge-left", "bridge-right", 1, 0));
+        schedule.push(event(2, join("client-0", "server-1", 0)));
+        schedule.push(event(3, leave("client-1", "bridge-left")));
+        schedule.push(event(4, join("client-1", "bridge-left", 0)));
+        schedule.push(set_edge_latency("client-2", "bridge-left", 5, 3));
+        schedule.push(set_edge_latency("client-2", "bridge-left", 6, 0));
+        assert_matches_online_recollapse(&topo, &schedule);
+    }
+
+    /// Equal-cost routes behind a leaf's root: on the ring, opposite
+    /// corners tie over two routes, and every leaf's derived tree must
+    /// pick the route its own search would, as the ties appear, move and
+    /// break, with zero-latency access links too.
+    #[test]
+    fn equal_cost_ties_behind_the_root() {
+        let mut schedule = EventSchedule::new();
+        schedule.push(set_edge_latency("s0", "s1", 1, 10));
+        schedule.push(set_edge_latency("s2", "s3", 1, 10));
+        schedule.push(set_edge_latency("s0", "s1", 2, 5));
+        schedule.push(event(3, join("s0", "s2", 10)));
+        schedule.push(event(4, leave("s1", "s2")));
+        schedule.push(event(5, join("s1", "s2", 5)));
+        assert_matches_online_recollapse(&ring(), &schedule);
+        let mut flat = ring();
+        for link in flat.links().to_vec() {
+            if flat
+                .node(link.from)
+                .is_some_and(|node| node.kind.is_service())
+            {
+                let mut properties = link.properties;
+                properties.latency = SimDuration::ZERO;
+                flat.set_link_properties(link.id, properties);
+            }
+        }
+        assert_matches_online_recollapse(&flat, &schedule);
+    }
+
+    /// Two services linked only to each other are each the other's root:
+    /// two trees, each read by the other service through the patch. A
+    /// bridge on one of them makes it a service with a tree of its own
+    /// while the other stays its leaf.
+    #[test]
+    fn two_services_linked_directly_are_each_others_root() {
+        let mut topo = Topology::new();
+        let a = topo.add_service("a", 0, "img");
+        let b = topo.add_service("b", 0, "img");
+        topo.add_bidirectional_link(
+            a,
+            b,
+            LinkProperties::new(SimDuration::from_millis(3), Bandwidth::from_mbps(10)),
+            "net",
+        );
+        let initial = CollapsedTopology::build(&topo);
+        assert_eq!(initial.roots.len(), 2);
+        assert!(matches!(initial.sources[0], Source::Leaf { tree: 1, .. }));
+        assert!(matches!(initial.sources[1], Source::Leaf { tree: 0, .. }));
+        assert_eq!(initial.path(a, b).unwrap().links.len(), 1);
+        assert_eq!(
+            initial.path(b, a).unwrap().latency,
+            SimDuration::from_millis(3)
+        );
+        let mut schedule = EventSchedule::new();
+        schedule.push(event(1, DynamicAction::NodeJoin { name: "s".into() }));
+        schedule.push(event(1, join("a", "s", 1)));
+        schedule.push(event(2, leave("a", "s")));
+        schedule.push(event(3, leave("a", "b")));
+        let timeline = assert_matches_online_recollapse(&topo, &schedule);
+        let with_bridge = &timeline.deltas()[0].snapshot;
+        assert_eq!(with_bridge.sources[0], Source::Tree(0));
+        assert!(matches!(
+            with_bridge.sources[1],
+            Source::Leaf { tree: 0, .. }
+        ));
+        let apart = &timeline.deltas()[2].snapshot;
+        assert_eq!(apart.sources[..], [Source::None, Source::None]);
+        assert_eq!(apart.pair_count(), 0);
+    }
+
     /// The extension invariant: extending an existing timeline with extra
     /// events yields exactly the deltas a from-scratch precompute of the
     /// merged schedule would, while keeping every delta before the earliest
@@ -1344,9 +1874,11 @@ mod tests {
 
     /// A small random topology built to tie, and a random schedule for it:
     /// 3–8 bridges and 2–7 services joined by latencies from {1, 2, 3} ms
-    /// (parallel, one-way and bridge-only links among them), then 1–12
+    /// (parallel, one-way and bridge-only links among them, and services
+    /// with a second link, to a bridge or to another service), then 1–12
     /// leave / join / latency / loss-only events over at most four change
-    /// times, so that most groups mix several kinds.
+    /// times, so that most groups mix several kinds and services switch
+    /// between being leaves and not.
     fn tying_case(seed: u64) -> (Topology, EventSchedule) {
         let mut rng = kollaps_sim::rng::SimRng::new(seed);
         let mut topo = Topology::new();
@@ -1371,6 +1903,20 @@ mod tests {
             let props = LinkProperties::new(ms(&mut rng), Bandwidth::from_mbps(100));
             topo.add_bidirectional_link(nodes[h], nodes[b], props, "net");
         }
+        // One service in four is no leaf: it has a second link, to a
+        // bridge or to another service, one way in five.
+        for h in 0..services {
+            let other = rng.gen_index(services + bridges);
+            if other == h || !rng.chance(0.25) {
+                continue;
+            }
+            let props = LinkProperties::new(ms(&mut rng), Bandwidth::from_mbps(100));
+            if rng.chance(0.2) {
+                topo.add_link(nodes[h], nodes[other], props, "net");
+            } else {
+                topo.add_bidirectional_link(nodes[h], nodes[other], props, "net");
+            }
+        }
         for _ in 0..bridges + rng.gen_index(2 * bridges) {
             let a = services + rng.gen_index(bridges);
             let b = services + rng.gen_index(bridges);
@@ -1384,13 +1930,20 @@ mod tests {
         let mut schedule = EventSchedule::new();
         let times = 1 + rng.gen_index(4) as u64;
         for _ in 0..1 + rng.gen_index(12) {
-            // Mostly bridge pairs, sometimes an access link.
+            // Mostly bridge pairs, sometimes an access link, now and then
+            // a link between two services.
             let a = if rng.chance(0.2) {
                 rng.gen_index(services)
             } else {
                 services + rng.gen_index(bridges)
             };
-            let b = services + rng.gen_index(bridges);
+            let b = match rng.gen_index(services) {
+                b if b != a && rng.chance(0.1) => b,
+                _ => services + rng.gen_index(bridges),
+            };
+            if a == b {
+                continue;
+            }
             let (orig, dest) = (names[a].as_str(), names[b].as_str());
             let action = match rng.gen_index(4) {
                 0 => leave(orig, dest),
@@ -1424,16 +1977,14 @@ mod tests {
     #[test]
     fn repaired_trees_match_fresh_searches_on_tying_cases() {
         let (mut trees_compared, mut mixed_groups) = (0, 0);
-        for seed in 0..2_500 {
+        for seed in 0..3_000 {
             let (topo, schedule) = tying_case(seed);
-            let services = topo.service_ids();
             let mut oracle = |graph: &TopologyGraph, trees: &[Option<ShortestPathTree>]| {
-                for (number, tree) in trees.iter().enumerate() {
-                    if let Some(tree) = tree {
-                        let fresh = graph.shortest_path_tree(services[number]);
-                        assert_eq!(*tree, fresh, "seed {seed}: tree of {}", services[number]);
-                        trees_compared += 1;
-                    }
+                for tree in trees.iter().flatten() {
+                    let root = tree.source().expect("a kept tree has a root");
+                    let fresh = graph.shortest_path_tree(root);
+                    assert_eq!(*tree, fresh, "seed {seed}: tree of {root}");
+                    trees_compared += 1;
                 }
             };
             let inspected = precompute_checked(&topo, &schedule, &mut oracle);
@@ -1557,17 +2108,19 @@ mod tests {
         assert_eq!(delta.removed_paths.len(), 10);
         assert!(delta.removed_paths.iter().all(|&(s, d)| s == c2 || d == c2));
         assert!(delta.snapshot.path(c2, c2).is_none());
-        // The base is the initial one: client-2 stays a node without links,
-        // its own tree is cut to nothing (7 entries) and every other
-        // source's entry for it is (5).
+        // The base is the initial one: client-2 stays a node without links
+        // and is marked as reaching nothing, so it writes no tree entry;
+        // each bridge tree's entry for it is written (2).
         assert!(Arc::ptr_eq(&delta.snapshot.base, &timeline.initial().base));
-        assert_eq!(timeline.stats().tree_entries_written, 7 + 5);
+        let number = delta.snapshot.services.binary_search(&c2).unwrap();
+        assert_eq!(delta.snapshot.sources[number], Source::None);
+        assert_eq!(delta.snapshot.roots.len(), 2);
+        assert_eq!(timeline.stats().tree_entries_written, 2);
         // The address assignment survives (containers keep their IP), and
         // client-2's row and column hold no path.
         let addr = timeline.initial().address_of(c2).unwrap();
         assert_eq!(delta.snapshot.address_of(c2), Some(addr));
         assert_eq!(delta.snapshot.service_at(addr), Some(c2));
-        let number = delta.snapshot.services.binary_search(&c2).unwrap();
         for other in 0..delta.snapshot.services.len() {
             assert!(delta.snapshot.path_back(number, other).is_none());
             assert!(delta.snapshot.path_back(other, number).is_none());

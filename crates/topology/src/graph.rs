@@ -206,6 +206,17 @@ impl TopologyGraph {
         out.chain(ins).map(|edge| edge.id)
     }
 
+    /// The links leaving the node at dense index `node`, in ascending id,
+    /// each with its head's index; none for an index the graph lacks.
+    pub fn out_links(&self, node: u32) -> impl Iterator<Item = (LinkId, u32)> + '_ {
+        let out = if (node as usize) < self.ids.len() {
+            self.out_slots(node)
+        } else {
+            0..0
+        };
+        self.edges[out].iter().map(|edge| (edge.id, edge.to))
+    }
+
     /// Appends every node `topology` added since the graph last had its
     /// nodes — the ids above the graph's last, as ids are never reused.
     /// Every index stays, that of a node the topology dropped included.
@@ -721,6 +732,8 @@ pub struct LinkEdit {
 pub struct TreeUpdate<'s> {
     /// Nodes the repair (or the full search it fell back to) settled.
     pub settled: usize,
+    /// Whether the repair fell back to a full search.
+    pub searched: bool,
     moved: &'s [u32],
     /// The nodes whose path may differ, ascending.
     changed: &'s [u32],
@@ -784,6 +797,12 @@ pub struct ShortestPathTree {
 impl ShortestPathTree {
     fn index_of(&self, node: NodeId) -> Option<u32> {
         self.ids.binary_search(&node).ok().map(|i| i as u32)
+    }
+
+    /// The node the tree was searched from; `None` when its graph did not
+    /// have it.
+    pub fn source(&self) -> Option<NodeId> {
+        self.source.map(|source| self.ids[source as usize])
     }
 
     /// The links of the shortest path from the source to `dst`, source
@@ -866,6 +885,7 @@ impl ShortestPathTree {
             return None;
         }
         scratch.moved.clear();
+        let searched = !scratch.worse.is_empty() && !scratch.better.is_empty();
         let settled = match (scratch.worse.is_empty(), scratch.better.is_empty()) {
             (true, true) => 0,
             (false, true) => graph.cut(self, scratch),
@@ -905,6 +925,7 @@ impl ShortestPathTree {
         );
         Some(TreeUpdate {
             settled,
+            searched,
             moved,
             changed,
         })

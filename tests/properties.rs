@@ -385,9 +385,13 @@ proptest! {
 
 proptest! {
     /// Snapshots hold trees and derive paths on demand, so this checks them
-    /// pair by pair: on seeded generated topologies under random schedules
-    /// (flaps, jitter and loss edits, a service leaving, a switch leaving
-    /// and joining again, a new shortcut), every ordered pair of the
+    /// pair by pair: on seeded generated topologies — where every service
+    /// hangs off one switch, and a leaf's tree is derived from its root's,
+    /// plus multi-homed services and links between services, which have
+    /// trees of their own — under random schedules (flaps, jitter and loss
+    /// edits, a service leaving, a switch leaving and joining again, a new
+    /// shortcut, a service gaining a second link and losing a first), every
+    /// ordered pair of the
     /// service table — reachable or not — gets from each snapshot the path
     /// and the RTT the online re-collapse gives, `changed_paths` is exactly
     /// the pairs whose path value differs from the previous snapshot's,
@@ -410,8 +414,32 @@ proptest! {
             total_elements: 16,
             ..ScaleFreeParams::default()
         };
-        let (topo, nodes, switches) = generators::barabasi_albert(&params, &mut rng);
+        let (mut topo, nodes, switches) = generators::barabasi_albert(&params, &mut rng);
         prop_assert!(nodes.len() >= 4 && switches.len() >= 2);
+        // Up to two services multi-homed to a second switch, and up to two
+        // links between services, some one way.
+        for _ in 0..rng.gen_index(3) {
+            let service = nodes[rng.gen_index(nodes.len())];
+            let switch = switches[rng.gen_index(switches.len())];
+            let latency = SimDuration::from_millis(rng.gen_range(1, 10));
+            let props = LinkProperties::new(latency, Bandwidth::from_mbps(100));
+            topo.add_bidirectional_link(service, switch, props, "net");
+        }
+        for _ in 0..rng.gen_index(3) {
+            let (a, b) = (nodes[rng.gen_index(nodes.len())], nodes[rng.gen_index(nodes.len())]);
+            let latency = SimDuration::from_millis(rng.gen_range(0, 4));
+            let props = LinkProperties::new(latency, Bandwidth::from_mbps(100));
+            match (a == b, rng.chance(0.3)) {
+                (true, _) => {}
+                (false, true) => {
+                    topo.add_link(a, b, props, "net");
+                }
+                (false, false) => {
+                    topo.add_bidirectional_link(a, b, props, "net");
+                }
+            }
+        }
+        let topo = topo;
         let name_of = |id| topo.node(id).map(|n| n.kind.display_name()).unwrap();
         let switch = |rng: &mut SimRng| name_of(switches[rng.gen_index(switches.len())]);
         let at = |ms: u64| SimDuration::from_millis(ms);
@@ -469,6 +497,31 @@ proptest! {
                 up: Some(Bandwidth::from_gbps(1)),
                 ..LinkChange::default()
             },
+        });
+        // A service gains a link to a switch or to another service, and
+        // another loses the link to its first switch.
+        let gains = name_of(nodes[rng.gen_index(nodes.len())]);
+        let to = if rng.chance(0.5) {
+            switch(&mut rng)
+        } else {
+            name_of(nodes[rng.gen_index(nodes.len())])
+        };
+        if gains != to {
+            push(rng.gen_range(1, 12_000), DynamicAction::LinkJoin {
+                orig: gains,
+                dest: to,
+                change: LinkChange {
+                    latency: Some(at(rng.gen_range(0, 5))),
+                    up: Some(Bandwidth::from_mbps(100)),
+                    ..LinkChange::default()
+                },
+            });
+        }
+        let loses = nodes[rng.gen_index(nodes.len())];
+        let first = topo.links_from(loses).next().unwrap().to;
+        push(rng.gen_range(1, 12_000), DynamicAction::LinkLeave {
+            orig: name_of(loses),
+            dest: name_of(first),
         });
 
         let timeline = SnapshotTimeline::precompute(&topo, &schedule);
