@@ -3,7 +3,8 @@
 //! sweep pins (a) that the wrapper costs nothing measurable and (b) what
 //! fine-grained interactive stepping costs relative to it, plus the
 //! wall-clock speedup a concurrent `Campaign` gets from its thread pool
-//! over variants that each run for a few hundred milliseconds.
+//! over variants that each run for a few hundred milliseconds, plus the
+//! flow records a connection-per-request workload keeps.
 
 use std::time::Instant;
 
@@ -67,13 +68,35 @@ fn campaign_scenario() -> Scenario {
         }))
 }
 
+/// The connection-per-request cell: 16 curl clients behind one side of a
+/// dumbbell fetch 16 KiB responses from one server for 10 virtual s, each
+/// request over a new TCP connection.
+fn curl_scenario() -> Scenario {
+    const CLIENTS: usize = 16;
+    let (topo, _, _) = generators::dumbbell(
+        CLIENTS,
+        Bandwidth::from_mbps(100),
+        Bandwidth::from_mbps(50),
+        SimDuration::from_millis(1),
+        SimDuration::from_millis(10),
+    );
+    let clients: Vec<String> = (0..CLIENTS).map(|i| format!("client-{i}")).collect();
+    let clients: Vec<&str> = clients.iter().map(String::as_str).collect();
+    Scenario::from_topology(topo)
+        .named("session-bench-curl")
+        .workloads([Workload::curl("server-0", &clients)
+            .request_size(DataSize::from_kib(16))
+            .duration(SimDuration::from_secs(10))])
+}
+
 /// Runs the sweep — one-shot baseline, stepped sessions at three
 /// granularities, then the 4-variant campaign serial vs 4 threads, then
-/// one session of the campaign's base — and returns its perf-trajectory
-/// records: absolute wall times gate with the wide wall-clock tolerance,
-/// the stepping-overhead ratios with a tighter one (same-process ratios are
-/// stable), the campaign speedup is informational (CI core counts vary),
-/// and the pumps per packet are deterministic.
+/// one session of the campaign's base, then one of the curl cell — and
+/// returns its perf-trajectory records: absolute wall times gate with the
+/// wide wall-clock tolerance, the stepping-overhead ratios with a tighter
+/// one (same-process ratios are stable), the campaign speedup is
+/// informational (CI core counts vary), and the pumps per packet, the curl
+/// cell's record peak and its requests are deterministic.
 pub fn run_session_bench() -> BenchReport {
     let mut report = BenchReport::new("session");
     let t0 = Instant::now();
@@ -150,6 +173,15 @@ pub fn run_session_bench() -> BenchReport {
         BenchRecord::new("campaign_pumps_per_packet", pumps_per_packet(), "1/pkt")
             .lower_is_better(TOLERANCE_DETERMINISTIC),
     );
+    let (records_peak, requests) = curl_records();
+    report.push(
+        BenchRecord::new("curl_records_peak", records_peak as f64, "count")
+            .lower_is_better(TOLERANCE_DETERMINISTIC),
+    );
+    report.push(
+        BenchRecord::new("curl_requests", requests as f64, "count")
+            .higher_is_better(TOLERANCE_DETERMINISTIC),
+    );
     report
 }
 
@@ -162,4 +194,21 @@ fn pumps_per_packet() -> f64 {
     session.run_until(session.end()).expect("running");
     let bytes: u64 = session.flow_progress().iter().map(|flow| flow.bytes).sum();
     session.event_loop_stats().pumps as f64 / (bytes / MSS.as_bytes()) as f64
+}
+
+/// The most flow records the runtime held at once, and the requests
+/// completed, over one session of the curl cell. Deterministic: a closed
+/// connection gives its record back once its packets drain, so the peak
+/// follows the connections open together, not the requests made; keeping
+/// every connection's record again would lift it to about the request
+/// count and trip its gate.
+fn curl_records() -> (u64, u64) {
+    let mut session = curl_scenario().session().expect("valid scenario");
+    session.run_until(session.end()).expect("running");
+    let requests = session
+        .flow_progress()
+        .iter()
+        .map(|flow| flow.requests)
+        .sum();
+    (session.event_loop_stats().records_peak, requests)
 }

@@ -8,9 +8,17 @@
 //! (per-flow goodput, receiver-side throughput series, ping RTTs).
 //!
 //! Every flow is one record in one table: ids are dense from 1 across TCP,
-//! UDP and ping flows, and flow `id` lives at index `id − 1`. A record is
-//! never removed. A stop takes only the sender, so a stopped TCP flow still
-//! receives, ACKs and meters the data in flight (and ignores its ACKs).
+//! UDP and ping flows, and are never reused. Flow `id` maps, at index
+//! `id − 1`, to the slot of its record in a pool of reused records. A stop
+//! takes only the sender, so a stopped TCP flow still receives, ACKs and
+//! meters the data in flight (and ignores its ACKs). The runtime counts
+//! each TCP flow's packets in the network (+1 per send the dataplane
+//! answers [`SendOutcome::Sent`], −1 per arrival) and releases the record
+//! once the sender is stopped and that count reads 0; its slot then serves
+//! the next flow added, and the released id reads as an unknown one. So a
+//! closed connection holds memory only while its packets drain. A packet
+//! lost inside the network never arrives, and its flow keeps its record.
+//! UDP and ping records are never released.
 
 use kollaps_netmodel::packet::{Addr, DropReason, FlowId, Packet, PacketKind, HEADER_SIZE, MSS};
 use kollaps_sim::prelude::*;
@@ -114,6 +122,10 @@ pub struct EventLoopStats {
     pub pumps: u64,
     /// Distinct virtual instants among the events popped.
     pub instants: u64,
+    /// The most flow records held at once: closed TCP connections give
+    /// theirs back once drained, so this follows the flows alive together,
+    /// not every flow ever added.
+    pub records_peak: u64,
 }
 
 /// One registered flow (see the module docs). A UDP flow's meter total is
@@ -132,11 +144,22 @@ struct TcpFlow {
     sender: Option<Box<TcpSender>>,
     receiver: TcpReceiver,
     meter: RateMeter,
+    /// This flow's packets (segments and ACKs) the dataplane accepted and
+    /// has not delivered yet.
+    in_network: u32,
     /// An `Ev::RtoCheck` is queued (at most one per flow, to keep the event
     /// count linear in simulated time rather than in packets).
     rto_armed: bool,
     /// What the sender's last pump left it waiting for.
     pump: PumpState,
+}
+
+impl TcpFlow {
+    /// Counts one of this flow's packets out of the network.
+    fn arrived(&mut self) {
+        debug_assert!(self.in_network > 0, "an arrival that was never sent");
+        self.in_network -= 1;
+    }
 }
 
 /// What a TCP sender's last pump left it waiting for, which decides whether
@@ -154,24 +177,72 @@ enum PumpState {
     Idle,
 }
 
-/// The flow table: flow `id` is the record at index `id − 1`.
+/// Marks a released id in `FlowTable::slots`.
+const RELEASED: u32 = u32::MAX;
+
+/// The flow table: flow `id` maps, at index `id − 1`, to the slot of its
+/// record in `records`, or to [`RELEASED`]. Released slots wait in `free`
+/// for the next flow added, so `records` holds as many records as were
+/// ever alive at once.
 #[derive(Debug, Default)]
-struct FlowTable(Vec<Flow>);
+struct FlowTable {
+    slots: Vec<u32>,
+    records: Vec<Flow>,
+    free: Vec<u32>,
+}
 
 impl FlowTable {
-    /// Appends the record `make` builds for the next id, and returns the id.
+    /// Stores the record `make` builds for the next id, in a released slot
+    /// if there is one, and returns the id.
     fn push(&mut self, make: impl FnOnce(FlowId) -> Flow) -> FlowId {
-        let flow = FlowId(self.0.len() as u64 + 1);
-        self.0.push(make(flow));
+        let flow = FlowId(self.slots.len() as u64 + 1);
+        let record = make(flow);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.records[slot as usize] = record;
+                slot
+            }
+            None => {
+                self.records.push(record);
+                // `RELEASED` records would take hundreds of GB: every slot
+                // index fits below it.
+                (self.records.len() - 1) as u32
+            }
+        };
+        self.slots.push(slot);
         flow
     }
 
+    /// The slot of `flow`'s record, `None` for an unknown or released id.
+    fn slot(&self, flow: FlowId) -> Option<usize> {
+        let slot = *self.slots.get(flow.index()?)?;
+        (slot != RELEASED).then_some(slot as usize)
+    }
+
     fn get(&self, flow: FlowId) -> Option<&Flow> {
-        self.0.get(flow.index()?)
+        self.records.get(self.slot(flow)?)
     }
 
     fn get_mut(&mut self, flow: FlowId) -> Option<&mut Flow> {
-        self.0.get_mut(flow.index()?)
+        let slot = self.slot(flow)?;
+        self.records.get_mut(slot)
+    }
+
+    fn is_released(&self, flow: FlowId) -> bool {
+        flow.index()
+            .and_then(|index| self.slots.get(index))
+            .is_some_and(|&slot| slot == RELEASED)
+    }
+
+    /// Gives `flow`'s record slot back for reuse; its id reads as unknown
+    /// from now on.
+    fn release(&mut self, flow: FlowId) {
+        let Some(index) = flow.index() else {
+            return;
+        };
+        if let Some(slot) = self.slots.get_mut(index).filter(|slot| **slot != RELEASED) {
+            self.free.push(std::mem::replace(slot, RELEASED));
+        }
     }
 
     fn tcp_mut(&mut self, flow: FlowId) -> Option<&mut TcpFlow> {
@@ -179,11 +250,6 @@ impl FlowTable {
             Flow::Tcp(tcp) => Some(tcp),
             _ => None,
         }
-    }
-
-    /// The sender of a TCP flow that is not stopped.
-    fn sender_mut(&mut self, flow: FlowId) -> Option<&mut TcpSender> {
-        self.tcp_mut(flow)?.sender.as_deref_mut()
     }
 }
 
@@ -260,7 +326,8 @@ impl<D: Dataplane> Runtime<D> {
             Flow::Tcp(TcpFlow {
                 sender: Some(sender),
                 receiver: TcpReceiver::new(flow, dst, src),
-                meter: RateMeter::new(window),
+                meter: RateMeter::new(window, start),
+                in_network: 0,
                 rto_armed: false,
                 pump: PumpState::Fresh,
             })
@@ -270,13 +337,29 @@ impl<D: Dataplane> Runtime<D> {
         flow
     }
 
-    /// Stops a TCP flow: its sender is dropped. The receiver and meter stay,
-    /// so data in flight is still received, ACKed and metered; ACKs for it
-    /// are ignored on arrival.
+    /// Stops a TCP flow: its sender is dropped. The receiver and meter stay
+    /// while any of the flow's packets is in the network, so data in flight
+    /// is still received, ACKed and metered; ACKs for it are ignored on
+    /// arrival. Once none is left (at once if none was), the whole record
+    /// is released and every accessor answers for `flow` as for an unknown
+    /// id: read a flow's statistics before stopping it.
     pub fn stop_tcp_flow(&mut self, flow: FlowId) {
         let stopped = self.flows.tcp_mut(flow).and_then(|tcp| tcp.sender.take());
         if stopped.is_some() {
             self.open_tcp.retain(|&open| open != flow);
+            self.release_if_drained(flow);
+        }
+    }
+
+    /// Releases a TCP flow's record once its sender is stopped and none of
+    /// its packets is in the network (see the module docs).
+    fn release_if_drained(&mut self, flow: FlowId) {
+        let drained = self
+            .flows
+            .tcp_mut(flow)
+            .is_some_and(|tcp| tcp.sender.is_none() && tcp.in_network == 0);
+        if drained {
+            self.flows.release(flow);
         }
     }
 
@@ -295,7 +378,7 @@ impl<D: Dataplane> Runtime<D> {
             if let Some(stop) = stop {
                 sender.stop_at(stop);
             }
-            Flow::Udp(sender, RateMeter::new(window))
+            Flow::Udp(sender, RateMeter::new(window, start))
         });
         self.queue.schedule(start, Ev::UdpSend(flow));
         flow
@@ -389,6 +472,7 @@ impl<D: Dataplane> Runtime<D> {
             stale_wakeups: self.stale_wakeups,
             pumps: self.pumps,
             instants: self.instants,
+            records_peak: self.flows.records.len() as u64,
         }
     }
 
@@ -567,12 +651,15 @@ impl<D: Dataplane> Runtime<D> {
             return;
         };
         let dataplane = &mut self.dataplane;
-        let mut refused = false;
+        let (mut refused, mut sent) = (false, 0);
         sender.send_with(now, |pkt| {
-            let accepted = dataplane.send(now, pkt) != SendOutcome::Backpressure;
+            let outcome = dataplane.send(now, pkt);
+            let accepted = outcome != SendOutcome::Backpressure;
+            sent += u32::from(outcome == SendOutcome::Sent);
             refused |= !accepted;
             accepted
         });
+        tcp.in_network += sent;
         if refused {
             tcp.pump = PumpState::Refused;
         } else if now >= sender.started_at() {
@@ -605,20 +692,34 @@ impl<D: Dataplane> Runtime<D> {
     }
 
     fn on_arrival(&mut self, now: SimTime, pkt: Packet) {
+        debug_assert!(
+            !self.flows.is_released(pkt.flow),
+            "{} arrived after its record was released",
+            pkt.flow
+        );
         let payload = pkt.size.saturating_sub(HEADER_SIZE);
         match pkt.kind {
             PacketKind::TcpData { seq } => {
                 let Some(tcp) = self.flows.tcp_mut(pkt.flow) else {
                     return;
                 };
+                tcp.arrived();
                 let ack = tcp.receiver.on_data(now, seq);
                 tcp.meter.record(now, payload);
                 // ACKs that hit back-pressure are dropped; TCP recovers via
                 // later cumulative ACKs.
-                let _ = self.dataplane.send(now, ack);
+                if self.dataplane.send(now, ack) == SendOutcome::Sent {
+                    tcp.in_network += 1;
+                }
+                self.release_if_drained(pkt.flow);
             }
             PacketKind::TcpAck { ack, .. } => {
-                let Some(sender) = self.flows.sender_mut(pkt.flow) else {
+                let Some(tcp) = self.flows.tcp_mut(pkt.flow) else {
+                    return;
+                };
+                tcp.arrived();
+                let Some(sender) = tcp.sender.as_deref_mut() else {
+                    self.release_if_drained(pkt.flow);
                     return;
                 };
                 let was_complete = sender.is_complete();
@@ -670,12 +771,14 @@ mod tests {
     use kollaps_transport::tcp::CongestionAlgorithm;
 
     /// A trivial dataplane: fixed delay, unlimited bandwidth, optional loss
-    /// of every n-th packet. Lets the runtime logic be tested independently
-    /// of the Kollaps emulation.
+    /// of every n-th packet, refused at the send (`drop_every`) or accepted
+    /// and lost inside the network (`lose_every`). Lets the runtime logic be
+    /// tested independently of the Kollaps emulation.
     struct FixedDelayNet {
         delay: SimDuration,
         in_flight: Vec<(SimTime, Packet)>,
         drop_every: Option<u64>,
+        lose_every: Option<u64>,
         counter: u64,
     }
 
@@ -685,6 +788,7 @@ mod tests {
                 delay,
                 in_flight: Vec::new(),
                 drop_every: None,
+                lose_every: None,
                 counter: 0,
             }
         }
@@ -693,10 +797,12 @@ mod tests {
     impl Dataplane for FixedDelayNet {
         fn send(&mut self, now: SimTime, packet: Packet) -> SendOutcome {
             self.counter += 1;
-            if let Some(n) = self.drop_every {
-                if self.counter.is_multiple_of(n) && packet.is_data() {
-                    return SendOutcome::Dropped(DropReason::NetemLoss);
-                }
+            let nth = |n: Option<u64>| n.is_some_and(|n| self.counter.is_multiple_of(n));
+            if nth(self.drop_every) && packet.is_data() {
+                return SendOutcome::Dropped(DropReason::NetemLoss);
+            }
+            if nth(self.lose_every) && packet.is_data() {
+                return SendOutcome::Sent;
             }
             self.in_flight.push((now + self.delay, packet));
             SendOutcome::Sent
@@ -960,7 +1066,9 @@ mod tests {
     }
 
     /// Stopping a TCP flow removes only its sender: segments already in
-    /// flight are still received, ACKed and metered.
+    /// flight are still received, ACKed and metered, and the record lives
+    /// until the last of those ACKs lands. Then it is released, and the id
+    /// reads as an unknown one.
     #[test]
     fn data_in_flight_at_a_stop_is_still_received_acked_and_metered() {
         let mut rt = Runtime::new(FixedDelayNet::new(SimDuration::from_millis(400)));
@@ -988,12 +1096,13 @@ mod tests {
 
         rt.stop_tcp_flow(flow);
         assert!(rt.tcp_sender(flow).is_none());
-        let _ = rt.run_until(SimTime::from_secs(3));
-
+        // The last late segment lands; its ACK is still in flight, so the
+        // record is live and reads everything that arrived.
+        let last = in_flight.iter().map(|&(at, _)| at).max().unwrap();
+        let _ = rt.run_until(last);
+        assert!(!rt.flows.is_released(flow));
         let late: u64 = in_flight.iter().map(|&(_, bytes)| bytes).sum();
         assert_eq!(rt.tcp_received_bytes(flow), received + late);
-        // One ACK per late segment and nothing else: the sender is gone.
-        assert_eq!(rt.dataplane.counter - sends_before, in_flight.len() as u64);
         let early: u64 = in_flight
             .iter()
             .filter(|&&(at, _)| at < SimTime::from_secs(1))
@@ -1006,7 +1115,134 @@ mod tests {
             series.mean(),
             window_bytes.rate_over(SimDuration::from_secs(1)).as_mbps()
         );
+        // One ACK per late segment and nothing else: the sender is gone.
+        assert_eq!(rt.dataplane.counter - sends_before, in_flight.len() as u64);
         assert!(rt.tcp_sender(flow).is_none());
+
+        // Once the ACKs land, nothing of the flow is left in the network
+        // and its record is released.
+        let _ = rt.run_until(SimTime::from_secs(3));
+        assert!(rt.dataplane.in_flight.is_empty());
+        assert_eq!(rt.dataplane.counter - sends_before, in_flight.len() as u64);
+        assert!(rt.flows.is_released(flow));
+        assert!(rt.tcp_sender(flow).is_none());
+        assert_eq!(rt.tcp_received_bytes(flow), 0);
+        assert!(rt.throughput_series(flow).is_none());
+    }
+
+    /// Opens `clients` connection-per-request clients (a bounded transfer
+    /// each; a completed one is stopped and replaced at once, as curl does)
+    /// and steps in 100 ms rounds until `end`. Returns the completions
+    /// and, per completed flow, the bytes it received by its completion.
+    fn sequential_connections(
+        rt: &mut Runtime<FixedDelayNet>,
+        clients: u32,
+        segments: u64,
+        end: SimTime,
+    ) -> Vec<(FlowId, u64)> {
+        let size = TransferSize::Bytes(segments * MSS.as_bytes());
+        let config = TcpSenderConfig::default();
+        for c in 0..clients {
+            rt.add_tcp_flow(addr(100), addr(c), size, config, SimTime::ZERO);
+        }
+        let mut done = Vec::new();
+        while rt.now() < end {
+            let step = rt.now() + SimDuration::from_millis(100);
+            for event in rt.run_until(step) {
+                let RuntimeEvent::TcpCompleted { flow, at } = event else {
+                    continue;
+                };
+                done.push((flow, rt.tcp_received_bytes(flow)));
+                let dst = rt.tcp_sender(flow).unwrap().dst();
+                rt.stop_tcp_flow(flow);
+                rt.add_tcp_flow(addr(100), dst, size, config, at);
+            }
+        }
+        done
+    }
+
+    /// A closed connection gives its record back: sequential short
+    /// connections hold as many records as run at once, not one per
+    /// connection ever opened.
+    #[test]
+    fn sequential_short_connections_hold_records_only_while_open() {
+        let mut rt = Runtime::new(FixedDelayNet::new(SimDuration::from_millis(5)));
+        let done = sequential_connections(&mut rt, 4, 12, SimTime::from_secs(10));
+        // One connection per client per round: a replacement starts at the
+        // end of the round its predecessor completed in.
+        assert_eq!(done.len(), 4 * 100);
+        let bytes = 12 * MSS.as_bytes();
+        assert!(done.iter().all(|&(_, received)| received == bytes));
+        assert_eq!(rt.event_loop_stats().records_peak, 4);
+        // Every completed connection is gone, and its id reads as unknown.
+        for &(flow, _) in &done {
+            assert!(rt.flows.is_released(flow), "{flow}");
+            assert_eq!(rt.tcp_received_bytes(flow), 0);
+        }
+    }
+
+    /// A packet lost inside the network never arrives, so a stopped flow
+    /// that lost one keeps its record (and keeps answering) for good, while
+    /// the lossless connections after it reuse each other's released slots
+    /// and each receives exactly its own bytes.
+    #[test]
+    fn a_lossy_path_keeps_a_stopped_flows_record_and_misdelivers_nothing() {
+        let mut net = FixedDelayNet::new(SimDuration::from_millis(5));
+        net.lose_every = Some(23);
+        let mut rt = Runtime::new(net);
+        let bulk = rt.add_tcp_flow(
+            addr(0),
+            addr(1),
+            TransferSize::Unbounded,
+            TcpSenderConfig::default(),
+            SimTime::ZERO,
+        );
+        let _ = rt.run_until(SimTime::from_secs(1));
+        assert!(rt.tcp_sender(bulk).unwrap().stats().retransmissions > 0);
+        rt.stop_tcp_flow(bulk);
+        rt.dataplane.lose_every = None;
+        let done = sequential_connections(&mut rt, 3, 20, SimTime::from_secs(6));
+        assert!(done.len() > 100, "{} connections", done.len());
+        let bytes = 20 * MSS.as_bytes();
+        assert!(done.iter().all(|&(_, received)| received == bytes));
+
+        // The bulk flow keeps a record whose count never drains.
+        assert!(!rt.flows.is_released(bulk));
+        assert!(rt.tcp_received_bytes(bulk) > 0);
+        assert!(rt.throughput_series(bulk).is_some());
+        let Some(Flow::Tcp(tcp)) = rt.flows.get(bulk) else {
+            panic!("{bulk} is a TCP flow");
+        };
+        assert!(tcp.in_network > 0);
+        // Every short connection was released, and the released slots
+        // served the later ones.
+        assert!(done.iter().all(|&(flow, _)| rt.flows.is_released(flow)));
+        assert_eq!(rt.event_loop_stats().records_peak, 1 + 3);
+    }
+
+    /// A meter's grid starts at the window holding its flow's first
+    /// instant: a flow started at 3 s, or added at 3.5 s, has no series
+    /// point at or before 3 s.
+    #[test]
+    fn a_late_flow_has_no_series_point_before_its_start() {
+        let mut rt = Runtime::new(FixedDelayNet::new(SimDuration::from_millis(2)));
+        let tcp = rt.add_tcp_flow(
+            addr(0),
+            addr(1),
+            TransferSize::Unbounded,
+            TcpSenderConfig::default(),
+            SimTime::from_secs(3),
+        );
+        let _ = rt.run_until(SimTime::from_millis(3_500));
+        let rate = Bandwidth::from_mbps(1);
+        let udp = rt.add_udp_flow(addr(0), addr(2), rate, SimTime::ZERO, None);
+        let _ = rt.run_until(SimTime::from_secs(6));
+        for flow in [tcp, udp] {
+            let series = rt.throughput_series(flow).unwrap();
+            let times: Vec<u64> = series.points().iter().map(|p| p.time.as_millis()).collect();
+            assert_eq!(times[..2], [4_000, 5_000], "{flow}");
+            assert!(series.points().iter().all(|p| p.value > 0.0), "{flow}");
+        }
     }
 
     /// `pumps` counts every sender pump and `instants` the distinct event

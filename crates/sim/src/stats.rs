@@ -379,6 +379,12 @@ impl TimeSeries {
 }
 
 /// Measures an average rate over fixed windows from byte-count increments.
+///
+/// The windows lie on a grid of multiples of `window`, starting at the one
+/// that holds the metered flow's start. Every window before it ends at or
+/// before the start, would read 0 and is not recorded, so a meter's series
+/// and its `roll` work grow with the flow's own lifetime, not with the time
+/// that passed before it began.
 #[derive(Debug, Clone)]
 pub struct RateMeter {
     window: SimDuration,
@@ -389,11 +395,18 @@ pub struct RateMeter {
 }
 
 impl RateMeter {
-    /// Creates a meter that reports one averaged rate sample per `window`.
-    pub fn new(window: SimDuration) -> Self {
+    /// Creates a meter that reports one averaged rate sample per `window`,
+    /// for a flow whose first instant is `start`: the first sample closes
+    /// the grid window that holds `start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn new(window: SimDuration, start: SimTime) -> Self {
+        let offset = start.as_nanos() % window.as_nanos();
         RateMeter {
             window,
-            window_start: SimTime::ZERO,
+            window_start: SimTime::from_nanos(start.as_nanos() - offset),
             bytes_in_window: DataSize::ZERO,
             total_bytes: DataSize::ZERO,
             series: TimeSeries::new(),
@@ -664,7 +677,7 @@ mod tests {
 
     #[test]
     fn rate_meter_windows() {
-        let mut m = RateMeter::new(SimDuration::from_secs(1));
+        let mut m = RateMeter::new(SimDuration::from_secs(1), SimTime::ZERO);
         // 1 MB in the first second, 2 MB in the second.
         m.record(SimTime::from_millis(500), DataSize::from_megabytes(1));
         m.record(SimTime::from_millis(1_500), DataSize::from_megabytes(2));
@@ -675,6 +688,39 @@ mod tests {
         assert!((pts[1].value - 16.0).abs() < 1e-9, "second window 16 Mb/s");
         assert_eq!(pts[2].value, 0.0);
         assert_eq!(m.total_bytes().as_bytes(), 3_000_000);
+    }
+
+    /// A meter started inside a window records from that window on, and
+    /// each sample equals what a meter started at 0 records for it: only
+    /// the zero windows wholly before the start are left out.
+    #[test]
+    fn rate_meter_grid_starts_at_the_window_holding_the_start() {
+        let window = SimDuration::from_secs(1);
+        let start = SimTime::from_millis(3_250);
+        let mut late = RateMeter::new(window, start);
+        let mut early = RateMeter::new(window, SimTime::ZERO);
+        for (ms, mb) in [(3_400, 1), (4_100, 2), (6_900, 3)] {
+            let at = SimTime::from_millis(ms);
+            late.record(at, DataSize::from_megabytes(mb));
+            early.record(at, DataSize::from_megabytes(mb));
+        }
+        late.roll(SimTime::from_secs(8));
+        early.roll(SimTime::from_secs(8));
+        let times: Vec<u64> = late
+            .series()
+            .points()
+            .iter()
+            .map(|p| p.time.as_millis())
+            .collect();
+        assert_eq!(times, [4_000, 5_000, 6_000, 7_000, 8_000]);
+        let (skipped, kept) = early.series().points().split_at(3);
+        assert!(skipped.iter().all(|p| p.value == 0.0 && p.time <= start));
+        assert_eq!(kept, late.series().points());
+        assert_eq!(late.total_bytes(), early.total_bytes());
+        // A start on a grid line opens that line's window.
+        let mut aligned = RateMeter::new(window, SimTime::from_secs(2));
+        aligned.roll(SimTime::from_secs(3));
+        assert_eq!(aligned.series().points()[0].time, SimTime::from_secs(3));
     }
 
     #[test]

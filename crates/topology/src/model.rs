@@ -157,6 +157,9 @@ pub struct LinkSpec {
 /// identical properties, as the experiment description language does.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
+    /// Sorted by id, like `links`: ids come from the monotonic `next_node`
+    /// and `remove_node` keeps order. The id → index lookup is a binary
+    /// search over that.
     nodes: Vec<Node>,
     /// Sorted by id: ids are handed out monotonically by
     /// [`Topology::add_link`], and every removal (`retain`, `Vec::remove`)
@@ -312,7 +315,7 @@ impl Topology {
     /// Removes a node and every link touching it. Returns `true` if the node
     /// existed. Node ids of other nodes are unaffected.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let Some(pos) = self.nodes.iter().position(|n| n.id == id) else {
+        let Some(pos) = self.node_index(id) else {
             return false;
         };
         self.nodes.remove(pos);
@@ -337,6 +340,11 @@ impl Topology {
         self.links.binary_search_by_key(&id, |l| l.id).ok()
     }
 
+    /// Position of node `id` in `nodes` (which is sorted by id).
+    fn node_index(&self, id: NodeId) -> Option<usize> {
+        self.nodes.binary_search_by_key(&id, |n| n.id).ok()
+    }
+
     /// Looks up a node id by name (service name, `service.replica`, or
     /// bridge name).
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
@@ -355,7 +363,7 @@ impl Topology {
 
     /// The node with the given id, if present.
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.iter().find(|n| n.id == id)
+        self.node_index(id).map(|index| &self.nodes[index])
     }
 
     /// The link with the given id, if present.
@@ -541,6 +549,37 @@ mod tests {
         assert!(t.remove_link(late));
         gone.push(late);
         check(&t, &gone);
+    }
+
+    /// `nodes` stays sorted by id through seeded schedules of service and
+    /// bridge additions and node removals, so the binary search behind
+    /// `node` / `remove_node` agrees with a linear scan on every id ever
+    /// handed out, and on one never handed out.
+    #[test]
+    fn node_lookup_agrees_with_a_linear_scan() {
+        for seed in 0..40 {
+            let mut rng = kollaps_sim::rng::SimRng::new(seed);
+            let mut t = Topology::new();
+            let mut ids: Vec<NodeId> = Vec::new();
+            for step in 0..120 {
+                match rng.gen_range(0, 5) {
+                    0 => ids.push(t.add_service(&format!("svc{step}"), 0, "img")),
+                    1 | 2 => ids.push(t.add_bridge(&format!("br{step}"))),
+                    _ if !ids.is_empty() => {
+                        let id = ids[rng.gen_index(ids.len())];
+                        let linear = t.nodes().iter().any(|n| n.id == id);
+                        assert_eq!(t.remove_node(id), linear, "seed {seed}: {id}");
+                    }
+                    _ => {}
+                }
+                assert!(t.nodes().windows(2).all(|w| w[0].id < w[1].id));
+                let unseen = NodeId(t.next_node);
+                for &id in ids.iter().chain([&unseen]) {
+                    let linear = t.nodes().iter().find(|n| n.id == id);
+                    assert_eq!(t.node(id), linear, "seed {seed}: {id}");
+                }
+            }
+        }
     }
 
     #[test]
